@@ -1,14 +1,14 @@
 //! Differential fuzzing of the translate path: random circuits run
 //! through the SQL backend (single-query, row-engine, and step-table
 //! modes) and cross-checked against the native simulator backends
-//! (statevector, MPS, decision diagram) amplitude-by-amplitude.
+//! (statevector, sparse, MPS, decision diagram) amplitude-by-amplitude.
 //!
 //! Rotation angles are dyadic multiples of π/8 — enough to produce dense,
 //! interfering states while keeping every backend well inside the
 //! comparison tolerance.
 
 use qymera_circuit::{Gate, GateKind, QuantumCircuit};
-use qymera_sim::{DdSim, MpsSim, SimOptions, SimOutput, Simulator, StateVectorSim};
+use qymera_sim::{DdSim, MpsSim, SimOptions, SimOutput, Simulator, SparseSim, StateVectorSim};
 use qymera_translate::{ExecMode, SqlSimConfig, SqlSimulator};
 
 use crate::generator::CaseRng;
@@ -16,7 +16,8 @@ use crate::oracle::Discrepancy;
 
 /// Maximum |Δamplitude| tolerated between any two backends (after global
 /// phase alignment). All backends are double precision; circuits are ≤ 32
-/// gates, so 1e-8 leaves ~7 digits of slack over accumulated rounding.
+/// gates (300 in the deep chain), so 1e-8 leaves at least 6 digits of slack
+/// over accumulated rounding.
 pub const AMPLITUDE_TOL: f64 = 1e-8;
 
 /// A generated circuit case: the seed plus the explicit gate list (the
@@ -41,6 +42,23 @@ impl CircuitCase {
         let ngates = rng.range(4, 24) as usize;
         let gates = (0..ngates).map(|_| gen_gate(&mut rng, qubits)).collect();
         CircuitCase { seed, qubits, gates }
+    }
+
+    /// A fixed X / CX / H chain of `gates` gates walking round 4 qubits:
+    /// the translator's one-CTE-per-gate query at a depth the random cases
+    /// (≤ 24 gates) never reach, over a state the H gates keep dense.
+    pub fn deep_chain(gates: usize) -> CircuitCase {
+        let gates = (0..gates)
+            .map(|k| {
+                let q = (k / 3) % 4;
+                match k % 3 {
+                    0 => Gate::new(GateKind::X, vec![q], vec![]),
+                    1 => Gate::new(GateKind::Cx, vec![q, (q + 1) % 4], vec![]),
+                    _ => Gate::new(GateKind::H, vec![q], vec![]),
+                }
+            })
+            .collect();
+        CircuitCase { seed: 0, qubits: 4, gates }
     }
 
     /// Materialize as a [`QuantumCircuit`].
@@ -158,6 +176,9 @@ pub fn run_circuit_case(case: &CircuitCase) -> Option<Discrepancy> {
         if let Some(d) = check(name, sim.simulate(&circuit, &opts)) {
             return Some(d);
         }
+    }
+    if let Some(d) = check("sparse", SparseSim.simulate(&circuit, &opts)) {
+        return Some(d);
     }
     if let Some(d) = check("mps", MpsSim.simulate(&circuit, &opts)) {
         return Some(d);

@@ -84,6 +84,14 @@ fn circuit_corpus_agrees_across_sql_and_native_backends() {
 }
 
 #[test]
+fn deep_gate_chain_agrees_across_sql_and_native_backends() {
+    // 300 gates: a plan ~1200 levels deep, on this 2 MiB test thread.
+    if let Some(d) = qymera_check::run_circuit_case(&CircuitCase::deep_chain(300)) {
+        panic!("{d}");
+    }
+}
+
+#[test]
 fn fault_schedules_hold_the_durability_contract() {
     let base = base_seed() ^ 0xFA17;
     let n = case_count(30);

@@ -13,6 +13,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::process::ExitCode;
 
 use qymera_circuit::{json, library, qasm, QuantumCircuit};
@@ -72,6 +73,28 @@ mod sigint {
     pub fn install() -> CancelHandle {
         CancelHandle::new()
     }
+}
+
+/// Rust ignores SIGPIPE, so once a reader has gone (`qymera run … | head -1`)
+/// a write to stdout returns `BrokenPipe`, on which `print!` panics. Nobody is
+/// left to read the rest: end quietly, as a tool killed by the signal would.
+fn or_quit(written: std::io::Result<()>) {
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1)
+        }
+    }
+}
+
+/// `print!` / `println!` for stdout that go through [`or_quit`].
+macro_rules! out {
+    ($($arg:tt)*) => { or_quit(write!(std::io::stdout(), $($arg)*)) };
+}
+macro_rules! outln {
+    ($($arg:tt)*) => { or_quit(writeln!(std::io::stdout(), $($arg)*)) };
 }
 
 fn main() -> ExitCode {
@@ -154,7 +177,7 @@ fn run(args: &[String]) -> Result<(), String> {
 
     match command.as_str() {
         "sql" => {
-            println!("{}", SqlSimulator::paper_default().generated_sql(&circuit));
+            outln!("{}", SqlSimulator::paper_default().generated_sql(&circuit));
             Ok(())
         }
         "run" => {
@@ -182,7 +205,7 @@ fn run(args: &[String]) -> Result<(), String> {
                         report.memory_bytes,
                         report.support
                     );
-                    print!("{}", state.render_probabilities(top));
+                    out!("{}", state.render_probabilities(top));
                     Ok(())
                 }
                 None => Err(report.error.unwrap_or_default()),
@@ -190,25 +213,25 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "profile" => {
             let text = sql_sim.profile(&circuit).map_err(|e| e.to_string())?;
-            print!("{text}");
+            out!("{text}");
             Ok(())
         }
         "trace" => {
             let states = sql_sim.run_trace(&circuit).map_err(|e| e.to_string())?;
             for (k, state) in states.iter().enumerate() {
-                println!("state T{k} ({} rows):", state.len());
+                outln!("state T{k} ({} rows):", state.len());
                 for a in state.iter().take(top) {
-                    println!("  s = {:>6}  r = {:+.6}  i = {:+.6}", a.s, a.amp.re, a.amp.im);
+                    outln!("  s = {:>6}  r = {:+.6}  i = {:+.6}", a.s, a.amp.re, a.amp.im);
                 }
                 if state.len() > top {
-                    println!("  … {} more rows", state.len() - top);
+                    outln!("  … {} more rows", state.len() - top);
                 }
             }
             Ok(())
         }
         "bench" => {
             let engine = Engine::new(opts);
-            println!(
+            outln!(
                 "{:>12}  {:>10}  {:>12}  {:>8}  status",
                 "backend", "wall_ms", "memory_B", "support"
             );
@@ -218,7 +241,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 } else {
                     engine.run(backend, &circuit)
                 };
-                println!(
+                outln!(
                     "{:>12}  {:>10.3}  {:>12}  {:>8}  {}",
                     r.backend,
                     r.wall_micros as f64 / 1000.0,
@@ -244,7 +267,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     .rev()
                     .map(|q| if (s >> q) & 1 == 1 { '1' } else { '0' })
                     .collect();
-                println!("|{bits}⟩  {c:>6}  ({:.4})", c as f64 / shots as f64);
+                outln!("|{bits}⟩  {c:>6}  ({:.4})", c as f64 / shots as f64);
             }
             Ok(())
         }

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::ast::{DataType, Expr, Statement};
+use crate::ast::{DataType, Expr, Query, Statement};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::govern::{self, AdmissionController, CancelHandle, QueryContext};
@@ -22,7 +22,7 @@ use crate::exec::vector::{build_batch_stream, BatchToRow};
 use crate::exec::{build_stream, ExecContext, RowStream};
 use crate::expr::bind;
 use crate::parser::{parse_script, parse_statement};
-use crate::plan::logical::{plan_query, Plan};
+use crate::plan::logical::{depth_bound, plan_query, Plan};
 use crate::plan::optimizer::optimize;
 use crate::schema::RelSchema;
 use crate::storage::budget::MemoryBudget;
@@ -35,21 +35,24 @@ use crate::txn::lock::{LockGuard, LockTable};
 use crate::txn::{SavepointMark, TxnState, UndoEntry};
 use crate::value::Value;
 
-/// Plans deeper than this run their pull pipeline on a dedicated thread with
+/// Queries whose plan may be deeper than this run on a dedicated thread with
 /// a large stack. The translator emits one CTE (join + aggregate + project)
-/// per gate, so plan depth grows linearly with circuit length, and both
-/// executors keep one live frame set per pipeline stage while the top
-/// aggregate's consume phase is in flight.
+/// per gate, so plan depth grows linearly with circuit length; the optimizer,
+/// `Plan::depth`, the pipeline builders and the plan's drop all recurse once
+/// per level, and both executors keep one live frame set per pipeline stage
+/// while the top aggregate's consume phase is in flight.
 const DEEP_PLAN_DEPTH: usize = 64;
 
 /// Stack size for the dedicated execution thread (fits thousands of gates).
 const EXEC_STACK_BYTES: usize = 512 * 1024 * 1024;
 
-/// Run `f` on the caller's stack for shallow plans, or on a dedicated
-/// big-stack thread for deep ones (a CTE chain of hundreds of gates would
-/// otherwise overflow the default thread stack mid-pipeline).
-fn with_exec_stack<T: Send>(depth: usize, f: impl FnOnce() -> T + Send) -> T {
-    if depth <= DEEP_PLAN_DEPTH {
+/// Run `f` — plan `query`, optimize, execute, drop the plan — on the caller's
+/// stack when the plan is sure to be shallow, or on a dedicated big-stack
+/// thread otherwise (a CTE chain of hundreds of gates would overflow the
+/// default thread stack). The choice is made from the AST, before planning:
+/// nothing that recurses over the plan may run ahead of it.
+fn with_exec_stack<T: Send>(query: &Query, f: impl FnOnce() -> T + Send) -> T {
+    if depth_bound(query) <= DEEP_PLAN_DEPTH {
         return f();
     }
     std::thread::scope(|s| {
@@ -716,11 +719,11 @@ impl Database {
         let Statement::Query(q) = st else {
             return Err(Error::Plan("EXPLAIN ANALYZE requires a query".into()));
         };
-        let plan = optimize(plan_query(&q, &self.catalog)?);
-        let _grant = self.admission.admit()?;
-        let query = self.begin_query();
-        query.check()?;
-        let (nodes, total_rows) = with_exec_stack(plan.depth(), || {
+        let (nodes, total_rows) = with_exec_stack(&q, || {
+            let plan = optimize(plan_query(&q, &self.catalog)?);
+            let _grant = self.admission.admit()?;
+            let query = self.begin_query();
+            query.check()?;
             let stats = Rc::new(RefCell::new(Vec::new()));
             let mut ctx = self.ctx();
             ctx.instrument = Some(Rc::clone(&stats));
@@ -1359,28 +1362,26 @@ impl Database {
                 Ok(ResultSet::dml(n))
             }
             Statement::Explain(q) => {
-                let plan = optimize(plan_query(&q, &self.catalog)?);
-                let rows: Vec<Row> = plan
-                    .explain()
+                let rows: Vec<Row> = self
+                    .explain_query(&q)?
                     .lines()
                     .map(|l| vec![Value::Str(l.to_string())])
                     .collect();
                 Ok(ResultSet { columns: vec!["plan".to_string()], rows, affected: 0 })
             }
             Statement::Query(q) => {
-                let plan = optimize(plan_query(&q, &self.catalog)?);
-                let schema = plan.schema();
-                let rows = with_exec_stack(plan.depth(), || {
+                let (columns, rows) = with_exec_stack(&q, || {
+                    let plan = optimize(plan_query(&q, &self.catalog)?);
                     let ctx = self.ctx();
                     let mut stream = self.build_row_source(&plan, &ctx)?;
                     let mut rows = Vec::new();
                     while let Some(row) = stream.next_row()? {
                         rows.push(row);
                     }
-                    Ok::<_, Error>(rows)
+                    Ok::<_, Error>((plan.schema().names(), rows))
                 })?;
                 self.rows_returned += rows.len() as u64;
-                Ok(ResultSet { columns: schema.names(), rows, affected: 0 })
+                Ok(ResultSet { columns, rows, affected: 0 })
             }
             Statement::Begin
             | Statement::Commit
@@ -1399,9 +1400,10 @@ impl Database {
         let Statement::Query(q) = st else {
             return Err(Error::Plan("CREATE TABLE AS requires a query".into()));
         };
-        let plan = optimize(plan_query(&q, &self.catalog)?);
-        let depth = plan.depth();
-        with_exec_stack(depth, move || self.create_table_as_exec(name, plan))
+        with_exec_stack(&q, || {
+            let plan = optimize(plan_query(&q, &self.catalog)?);
+            self.create_table_as_exec(name, plan)
+        })
     }
 
     /// Execution half of [`Self::create_table_as`] (runs on the execution
@@ -1612,7 +1614,7 @@ impl Database {
         let Statement::Query(q) = st else {
             return Err(Error::Plan("not a query".into()));
         };
-        Ok(plan_query(&q, &self.catalog)?.schema())
+        with_exec_stack(&q, || Ok(plan_query(&q, &self.catalog)?.schema()))
     }
 
     /// EXPLAIN-style plan rendering.
@@ -1621,7 +1623,11 @@ impl Database {
         let Statement::Query(q) = st else {
             return Err(Error::Plan("EXPLAIN requires a query".into()));
         };
-        Ok(optimize(plan_query(&q, &self.catalog)?).explain())
+        self.explain_query(&q)
+    }
+
+    fn explain_query(&self, q: &Query) -> Result<String> {
+        with_exec_stack(q, || Ok(optimize(plan_query(q, &self.catalog)?).explain()))
     }
 
     pub fn table_names(&self) -> Vec<String> {

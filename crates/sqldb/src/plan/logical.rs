@@ -7,6 +7,7 @@
 //! executor can run directly.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ast::{
     self, Expr, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr, TableRef,
@@ -62,32 +63,38 @@ pub struct SortKey {
 }
 
 /// Bound logical plan. Every node knows its output schema.
+///
+/// Children are shared (`Arc`): a CTE is planned once and every reference to
+/// it points at that one subtree, so a k-gate chain (each CTE reading its
+/// predecessor) is k nodes of work to plan, not k copies of ever longer
+/// prefixes. Readers see a tree: `explain`, `depth` and both executors walk a
+/// shared subtree once per reference.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Base table scan (snapshot taken at execution time).
     Scan { table: String, schema: RelSchema },
     /// Produces exactly one zero-column row (`SELECT` without `FROM`).
     One,
-    Filter { input: Box<Plan>, predicate: BoundExpr },
-    Project { input: Box<Plan>, exprs: Vec<BoundExpr>, schema: RelSchema },
+    Filter { input: Arc<Plan>, predicate: BoundExpr },
+    Project { input: Arc<Plan>, exprs: Vec<BoundExpr>, schema: RelSchema },
     Join {
-        left: Box<Plan>,
-        right: Box<Plan>,
+        left: Arc<Plan>,
+        right: Arc<Plan>,
         kind: JoinKind,
         on: Option<BoundExpr>,
         schema: RelSchema,
     },
     Aggregate {
-        input: Box<Plan>,
+        input: Arc<Plan>,
         group_by: Vec<BoundExpr>,
         aggs: Vec<AggExpr>,
         schema: RelSchema,
     },
-    Sort { input: Box<Plan>, keys: Vec<SortKey> },
-    Limit { input: Box<Plan>, limit: Option<u64>, offset: u64 },
-    UnionAll { inputs: Vec<Plan> },
+    Sort { input: Arc<Plan>, keys: Vec<SortKey> },
+    Limit { input: Arc<Plan>, limit: Option<u64>, offset: u64 },
+    UnionAll { inputs: Vec<Arc<Plan>> },
     /// Renames the qualifier of the input's columns (subquery/CTE alias).
-    Alias { input: Box<Plan>, schema: RelSchema },
+    Alias { input: Arc<Plan>, schema: RelSchema },
 }
 
 impl Plan {
@@ -108,8 +115,8 @@ impl Plan {
     }
 
     /// Height of the plan tree. The translator emits one CTE per gate, so
-    /// this is unbounded; the executor uses it to decide whether the pull
-    /// pipeline needs a dedicated large execution stack.
+    /// this is unbounded; [`depth_bound`] bounds it from the AST for callers
+    /// that must pick a stack before a plan exists.
     pub fn depth(&self) -> usize {
         1 + match self {
             Plan::Scan { .. } | Plan::One => 0,
@@ -121,7 +128,7 @@ impl Plan {
             | Plan::Alias { input, .. } => input.depth(),
             Plan::Join { left, right, .. } => left.depth().max(right.depth()),
             Plan::UnionAll { inputs } => {
-                inputs.iter().map(Plan::depth).max().unwrap_or(0)
+                inputs.iter().map(|i| i.depth()).max().unwrap_or(0)
             }
         }
     }
@@ -175,30 +182,71 @@ impl Plan {
     }
 }
 
-/// CTE scope: name → already-planned subquery.
-type CteScope = HashMap<String, Plan>;
+/// CTEs visible to one query: its own `WITH` list so far, then the enclosing
+/// queries' through `parent`. A frame holds only its own `WITH`'s names, so
+/// entering a subquery copies nothing, a name already in the frame is a
+/// duplicate, and a name found further out is shadowed.
+#[derive(Default)]
+struct CteScope<'a> {
+    parent: Option<&'a CteScope<'a>>,
+    ctes: HashMap<String, Arc<Plan>>,
+}
+
+impl CteScope<'_> {
+    fn get(&self, key: &str) -> Option<&Arc<Plan>> {
+        self.ctes.get(key).or_else(|| self.parent?.get(key))
+    }
+}
 
 /// Plan a full query against the catalog.
 pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<Plan> {
-    let scope = CteScope::new();
-    plan_query_scoped(query, catalog, &scope)
+    plan_query_scoped(query, catalog, &CteScope::default())
+}
+
+/// Upper bound on `plan_query(query)?.depth()`, read off the AST so a caller
+/// can pick its stack before any recursive pass over the plan runs (the
+/// optimizer never deepens a plan). A root-to-leaf path crosses each query
+/// block of the statement at most once — a CTE sees only earlier CTEs — so
+/// the blocks' own heights add up; for a gate chain the sum is within 2x of
+/// the real depth.
+pub fn depth_bound(query: &Query) -> usize {
+    // The Alias a CTE or subquery is wrapped in, one more for a renamed
+    // reference to it, then Sort and Limit.
+    2 + usize::from(!query.order_by.is_empty())
+        + usize::from(query.limit.is_some() || query.offset.is_some())
+        + query.ctes.iter().map(|(_, q)| depth_bound(q)).sum::<usize>()
+        + set_expr_depth_bound(&query.body)
+}
+
+fn set_expr_depth_bound(body: &SetExpr) -> usize {
+    match body {
+        SetExpr::UnionAll(l, r) => 1 + set_expr_depth_bound(l) + set_expr_depth_bound(r),
+        SetExpr::Select(s) => {
+            let subquery = |t: &TableRef| match t {
+                TableRef::Subquery { query, .. } => depth_bound(query),
+                TableRef::Named { .. } => 0,
+            };
+            // Leaf, Aggregate, Project; a RIGHT JOIN is a Join under a Project.
+            3 + usize::from(s.distinct)
+                + usize::from(s.where_clause.is_some())
+                + usize::from(s.having.is_some())
+                + s.from.as_ref().map_or(0, subquery)
+                + s.joins
+                    .iter()
+                    .map(|j| 1 + usize::from(j.kind == JoinKind::Right) + subquery(&j.table))
+                    .sum::<usize>()
+        }
+    }
 }
 
 fn plan_query_scoped(query: &Query, catalog: &Catalog, outer: &CteScope) -> Result<Plan> {
-    let mut scope = outer.clone();
+    let mut scope = CteScope { parent: Some(outer), ctes: HashMap::new() };
     for (name, cte_query) in &query.ctes {
-        let key = name.to_ascii_lowercase();
-        if scope.contains_key(&key) && query.ctes.iter().any(|(n, _)| n.eq_ignore_ascii_case(name))
-        {
-            // Allow shadowing of outer CTEs but not duplicates in this WITH.
-        }
         let plan = plan_query_scoped(cte_query, catalog, &scope)?;
         // Make the CTE addressable by its name.
         let schema = plan.schema().with_relation(name);
-        let plan = Plan::Alias { input: Box::new(plan), schema };
-        if scope.insert(key, plan).is_some()
-            && query.ctes.iter().filter(|(n, _)| n.eq_ignore_ascii_case(name)).count() > 1
-        {
+        let plan = Arc::new(Plan::Alias { input: Arc::new(plan), schema });
+        if scope.ctes.insert(name.to_ascii_lowercase(), plan).is_some() {
             return Err(Error::Plan(format!("duplicate CTE name `{name}`")));
         }
     }
@@ -212,11 +260,11 @@ fn plan_query_scoped(query: &Query, catalog: &Catalog, outer: &CteScope) -> Resu
             .iter()
             .map(|item| bind_order_item(item, &schema))
             .collect::<Result<Vec<_>>>()?;
-        plan = Plan::Sort { input: Box::new(plan), keys };
+        plan = Plan::Sort { input: Arc::new(plan), keys };
     }
     if query.limit.is_some() || query.offset.is_some() {
         plan = Plan::Limit {
-            input: Box::new(plan),
+            input: Arc::new(plan),
             limit: query.limit,
             offset: query.offset.unwrap_or(0),
         };
@@ -268,7 +316,7 @@ fn plan_set_expr(body: &SetExpr, catalog: &Catalog, scope: &CteScope) -> Result<
             for side in [l, r] {
                 match side {
                     Plan::UnionAll { inputs: nested } => inputs.extend(nested),
-                    other => inputs.push(other),
+                    other => inputs.push(Arc::new(other)),
                 }
             }
             Ok(Plan::UnionAll { inputs })
@@ -276,16 +324,16 @@ fn plan_set_expr(body: &SetExpr, catalog: &Catalog, scope: &CteScope) -> Result<
     }
 }
 
-fn plan_table_ref(tref: &TableRef, catalog: &Catalog, scope: &CteScope) -> Result<Plan> {
+fn plan_table_ref(tref: &TableRef, catalog: &Catalog, scope: &CteScope) -> Result<Arc<Plan>> {
     match tref {
         TableRef::Named { name, alias } => {
-            // CTEs shadow base tables.
+            // CTEs shadow base tables. A reference shares the CTE's plan.
             if let Some(cte) = scope.get(&name.to_ascii_lowercase()) {
-                let plan = cte.clone();
+                let plan = Arc::clone(cte);
                 return Ok(match alias {
                     Some(a) => {
                         let schema = plan.schema().with_relation(a);
-                        Plan::Alias { input: Box::new(plan), schema }
+                        Arc::new(Plan::Alias { input: plan, schema })
                     }
                     None => plan,
                 });
@@ -295,12 +343,12 @@ fn plan_table_ref(tref: &TableRef, catalog: &Catalog, scope: &CteScope) -> Resul
             if let Some(a) = alias {
                 schema = schema.with_relation(a);
             }
-            Ok(Plan::Scan { table: table.name().to_string(), schema })
+            Ok(Arc::new(Plan::Scan { table: table.name().to_string(), schema }))
         }
         TableRef::Subquery { query, alias } => {
             let plan = plan_query_scoped(query, catalog, scope)?;
             let schema = plan.schema().with_relation(alias);
-            Ok(Plan::Alias { input: Box::new(plan), schema })
+            Ok(Arc::new(Plan::Alias { input: Arc::new(plan), schema }))
         }
     }
 }
@@ -309,7 +357,7 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
     // FROM and JOINs.
     let mut plan = match &select.from {
         Some(tref) => plan_table_ref(tref, catalog, scope)?,
-        None => Plan::One,
+        None => Arc::new(Plan::One),
     };
     for join in &select.joins {
         let right = plan_table_ref(&join.table, catalog, scope)?;
@@ -330,8 +378,8 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
                 None => None,
             };
             let swapped = Plan::Join {
-                left: Box::new(right),
-                right: Box::new(plan),
+                left: right,
+                right: plan,
                 kind: JoinKind::Left,
                 on,
                 schema: swapped_schema,
@@ -340,11 +388,11 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
                 .chain(0..rlen)
                 .map(BoundExpr::Column)
                 .collect();
-            plan = Plan::Project {
-                input: Box::new(swapped),
+            plan = Arc::new(Plan::Project {
+                input: Arc::new(swapped),
                 exprs,
                 schema: left_schema.join(&right_schema),
-            };
+            });
             continue;
         }
         let schema = plan.schema().join(&right.schema());
@@ -352,13 +400,7 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
             Some(e) => Some(bind(e, &schema)?),
             None => None,
         };
-        plan = Plan::Join {
-            left: Box::new(plan),
-            right: Box::new(right),
-            kind: join.kind,
-            on,
-            schema,
-        };
+        plan = Arc::new(Plan::Join { left: plan, right, kind: join.kind, on, schema });
     }
 
     // WHERE.
@@ -367,7 +409,7 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
             return Err(Error::Plan("aggregates are not allowed in WHERE".into()));
         }
         let predicate = bind(w, &plan.schema())?;
-        plan = Plan::Filter { input: Box::new(plan), predicate };
+        plan = Arc::new(Plan::Filter { input: plan, predicate });
     }
 
     // Expand wildcards in the projection.
@@ -404,7 +446,7 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
         || items.iter().any(|(e, _)| e.contains_aggregate())
         || select.having.as_ref().is_some_and(Expr::contains_aggregate);
 
-    let (mut plan, proj_exprs, proj_schema) = if has_aggs {
+    let (plan, proj_exprs, proj_schema) = if has_aggs {
         plan_aggregate(plan, select, &items, &input_schema)?
     } else {
         if select.having.is_some() {
@@ -419,14 +461,14 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
         (plan, exprs, RelSchema::new(fields))
     };
 
-    plan = Plan::Project { input: Box::new(plan), exprs: proj_exprs, schema: proj_schema };
+    let mut plan = Plan::Project { input: plan, exprs: proj_exprs, schema: proj_schema };
 
     if select.distinct {
         // DISTINCT ≡ GROUP BY all output columns with no aggregates; this
         // reuses the aggregation operator's spill machinery for free.
         let schema = plan.schema();
         let group_by = (0..schema.len()).map(BoundExpr::Column).collect();
-        plan = Plan::Aggregate { input: Box::new(plan), group_by, aggs: vec![], schema };
+        plan = Plan::Aggregate { input: Arc::new(plan), group_by, aggs: vec![], schema };
     }
 
     Ok(plan)
@@ -437,11 +479,11 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
 /// Returns (plan including any HAVING filter, projection exprs, projection
 /// schema).
 fn plan_aggregate(
-    input: Plan,
+    input: Arc<Plan>,
     select: &Select,
     items: &[(Expr, Option<String>)],
     input_schema: &RelSchema,
-) -> Result<(Plan, Vec<BoundExpr>, RelSchema)> {
+) -> Result<(Arc<Plan>, Vec<BoundExpr>, RelSchema)> {
     // 1. Bind group-by expressions against the input.
     let mut group_bound = Vec::with_capacity(select.group_by.len());
     for g in &select.group_by {
@@ -476,16 +518,16 @@ fn plan_aggregate(
     let agg_schema = RelSchema::new(agg_fields);
     let aggs = collected.into_iter().map(|(_, a)| a).collect();
 
-    let mut plan = Plan::Aggregate {
-        input: Box::new(input),
+    let mut plan = Arc::new(Plan::Aggregate {
+        input,
         group_by: group_bound,
         aggs,
         schema: agg_schema.clone(),
-    };
+    });
 
     if let Some(h) = rewritten_having {
         let predicate = bind(&h, &agg_schema)?;
-        plan = Plan::Filter { input: Box::new(plan), predicate };
+        plan = Arc::new(Plan::Filter { input: plan, predicate });
     }
 
     let mut exprs = Vec::with_capacity(rewritten_items.len());
@@ -727,6 +769,55 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(p, Plan::Sort { .. }));
+    }
+
+    #[test]
+    fn duplicate_cte_name_in_one_with_is_a_plan_error() {
+        let e = plan("WITH a AS (SELECT s FROM T0), A AS (SELECT r FROM T0) SELECT * FROM a")
+            .unwrap_err();
+        assert!(matches!(e, Error::Plan(m) if m.contains("duplicate CTE name `A`")));
+    }
+
+    #[test]
+    fn inner_with_may_shadow_an_outer_cte() {
+        let p = plan(
+            "WITH a AS (SELECT s FROM T0) \
+             SELECT * FROM (WITH a AS (SELECT r, i FROM T0) SELECT * FROM a) AS u, a",
+        )
+        .unwrap();
+        // `u` sees the inner `a`, the outer FROM item the outer one.
+        assert_eq!(p.schema().names(), vec!["r", "i", "s"]);
+    }
+
+    #[test]
+    fn cte_referenced_twice_is_planned_once() {
+        let p = plan(
+            "WITH a AS (SELECT s FROM T0) SELECT x.s FROM a JOIN a AS x ON x.s = a.s",
+        )
+        .unwrap();
+        let Plan::Project { input, .. } = &p else { panic!("expected project") };
+        let Plan::Join { left, right, .. } = input.as_ref() else { panic!("expected join") };
+        // The renamed reference is an Alias over the very same node.
+        let Plan::Alias { input: renamed, .. } = right.as_ref() else { panic!("expected alias") };
+        assert!(Arc::ptr_eq(left, renamed));
+        assert_eq!(p.explain().matches("Scan T0").count(), 2, "readers still see a tree");
+    }
+
+    #[test]
+    fn depth_bound_covers_every_clause() {
+        for sql in [
+            "SELECT 1",
+            "SELECT DISTINCT s FROM T0 WHERE s > 0 GROUP BY s HAVING COUNT(*) > 0 \
+             ORDER BY s LIMIT 1",
+            "SELECT * FROM T0 RIGHT JOIN H ON H.in_s = T0.s JOIN H AS g ON g.in_s = T0.s",
+            "SELECT s FROM T0 UNION ALL SELECT s FROM (SELECT s FROM T0 ORDER BY s) AS u",
+            "WITH T1 AS (SELECT s, SUM(T0.r) AS r FROM T0 JOIN H ON H.in_s = T0.s GROUP BY s), \
+             T2 AS (SELECT x.s FROM T1 AS x ORDER BY 1 LIMIT 3) SELECT * FROM T2 AS y",
+        ] {
+            let ast::Statement::Query(q) = parse_statement(sql).unwrap() else { panic!() };
+            let depth = plan_query(&q, &catalog()).unwrap().depth();
+            assert!(depth_bound(&q) >= depth, "{sql}: {} < {depth}", depth_bound(&q));
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! * **filter pushdown** — side-local conjuncts move below the join;
 //! * **filter fusion** — stacked filters merge into one conjunction.
 
+use std::sync::Arc;
+
 use crate::ast::{BinaryOp, JoinKind};
 use crate::expr::BoundExpr;
 use crate::plan::logical::{Plan, SortKey};
@@ -25,47 +27,53 @@ pub fn optimize(plan: Plan) -> Plan {
     p
 }
 
+/// Rewrite a child. `Arc::unwrap_or_clone` moves a singly-referenced subtree
+/// through the rules, so a gate chain is never copied; a shared node (a CTE
+/// referenced twice) is copied one node at a time, once per reference.
+fn rewrite_child(child: Arc<Plan>) -> Arc<Plan> {
+    Arc::new(rewrite(Arc::unwrap_or_clone(child)))
+}
+
 fn rewrite(plan: Plan) -> Plan {
     // Recurse first so children are already optimized.
-    
     match plan {
         Plan::Filter { input, predicate } => {
-            let input = rewrite(*input);
+            let input = rewrite(Arc::unwrap_or_clone(input));
             let predicate = fold_expr(predicate);
             apply_filter_rules(input, predicate)
         }
         Plan::Project { input, exprs, schema } => Plan::Project {
-            input: Box::new(rewrite(*input)),
+            input: rewrite_child(input),
             exprs: exprs.into_iter().map(fold_expr).collect(),
             schema,
         },
         Plan::Join { left, right, kind, on, schema } => Plan::Join {
-            left: Box::new(rewrite(*left)),
-            right: Box::new(rewrite(*right)),
+            left: rewrite_child(left),
+            right: rewrite_child(right),
             kind,
             on: on.map(fold_expr),
             schema,
         },
         Plan::Aggregate { input, group_by, aggs, schema } => Plan::Aggregate {
-            input: Box::new(rewrite(*input)),
+            input: rewrite_child(input),
             group_by: group_by.into_iter().map(fold_expr).collect(),
             aggs,
             schema,
         },
         Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(rewrite(*input)),
+            input: rewrite_child(input),
             keys: keys
                 .into_iter()
                 .map(|k| SortKey { expr: fold_expr(k.expr), desc: k.desc })
                 .collect(),
         },
         Plan::Limit { input, limit, offset } => {
-            Plan::Limit { input: Box::new(rewrite(*input)), limit, offset }
+            Plan::Limit { input: rewrite_child(input), limit, offset }
         }
         Plan::UnionAll { inputs } => {
-            Plan::UnionAll { inputs: inputs.into_iter().map(rewrite).collect() }
+            Plan::UnionAll { inputs: inputs.into_iter().map(rewrite_child).collect() }
         }
-        Plan::Alias { input, schema } => Plan::Alias { input: Box::new(rewrite(*input)), schema },
+        Plan::Alias { input, schema } => Plan::Alias { input: rewrite_child(input), schema },
         leaf @ (Plan::Scan { .. } | Plan::One) => leaf,
     }
 }
@@ -219,7 +227,7 @@ fn apply_filter_rules(input: Plan, predicate: BoundExpr) -> Plan {
                 op: BinaryOp::And,
                 right: Box::new(predicate),
             };
-            apply_filter_rules(*inner, combined)
+            apply_filter_rules(Arc::unwrap_or_clone(inner), combined)
         }
         // Predicate migration and pushdown around inner joins.
         Plan::Join { left, right, kind: JoinKind::Inner, on, schema } => {
@@ -237,28 +245,20 @@ fn apply_filter_rules(input: Plan, predicate: BoundExpr) -> Plan {
                     _ => to_on.push(c),
                 }
             }
-            let new_left = match conjoin(to_left) {
-                Some(p) => Plan::Filter { input: left, predicate: p },
-                None => *left,
+            let push_down = |side: Arc<Plan>, conjuncts| match conjoin(conjuncts) {
+                Some(predicate) => Arc::new(Plan::Filter { input: side, predicate }),
+                None => side,
             };
-            let new_right = match conjoin(to_right) {
-                Some(p) => Plan::Filter { input: right, predicate: p },
-                None => *right,
-            };
+            let left = push_down(left, to_left);
+            let right = push_down(right, to_right);
             let mut on_parts = Vec::new();
             if let Some(o) = on {
                 split_conjuncts(o, &mut on_parts);
             }
             on_parts.extend(to_on);
-            Plan::Join {
-                left: Box::new(new_left),
-                right: Box::new(new_right),
-                kind: JoinKind::Inner,
-                on: conjoin(on_parts),
-                schema,
-            }
+            Plan::Join { left, right, kind: JoinKind::Inner, on: conjoin(on_parts), schema }
         }
-        other => Plan::Filter { input: Box::new(other), predicate },
+        other => Plan::Filter { input: Arc::new(other), predicate },
     }
 }
 
@@ -407,22 +407,22 @@ mod tests {
         let right = Plan::Scan { table: "b".into(), schema: mk_schema("b", &["z"]) };
         let joined_schema = left.schema().join(&right.schema());
         let join = Plan::Join {
-            left: Box::new(left),
-            right: Box::new(right),
+            left: Arc::new(left),
+            right: Arc::new(right),
             kind: JoinKind::Inner,
             on: None,
             schema: joined_schema,
         };
         // WHERE a.x = 1 AND b.z = 2 AND a.y = b.z
         let pred = and(and(eq(col(0), lit(1)), eq(col(2), lit(2))), eq(col(1), col(2)));
-        let plan = Plan::Filter { input: Box::new(join), predicate: pred };
+        let plan = Plan::Filter { input: Arc::new(join), predicate: pred };
         let opt = optimize(plan);
         let Plan::Join { left, right, on, .. } = opt else { panic!("expected join on top") };
         assert!(matches!(*left, Plan::Filter { .. }), "left conjunct pushed down");
         assert!(matches!(*right, Plan::Filter { .. }), "right conjunct pushed down");
         assert!(on.is_some(), "cross-side conjunct became the join condition");
         // The pushed-down right-side predicate must reference column 0 of b.
-        let Plan::Filter { predicate, .. } = *right else { unreachable!() };
+        let Plan::Filter { predicate, .. } = &*right else { unreachable!() };
         let mut cols = Vec::new();
         predicate.referenced_columns(&mut cols);
         assert_eq!(cols, vec![0]);
@@ -434,12 +434,12 @@ mod tests {
             table: "t".into(),
             schema: crate::schema::RelSchema::new(vec![crate::schema::Field::new(None, "x")]),
         };
-        let p = Plan::Filter { input: Box::new(scan.clone()), predicate: lit(1) };
+        let p = Plan::Filter { input: Arc::new(scan.clone()), predicate: lit(1) };
         assert!(matches!(optimize(p), Plan::Scan { .. }));
 
         let stacked = Plan::Filter {
-            input: Box::new(Plan::Filter {
-                input: Box::new(scan),
+            input: Arc::new(Plan::Filter {
+                input: Arc::new(scan),
                 predicate: eq(col(0), lit(1)),
             }),
             predicate: eq(col(0), lit(2)),

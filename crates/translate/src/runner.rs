@@ -207,6 +207,7 @@ impl SqlSimulator {
                 db.execute(&sql).map_err(map_sql_error)?.into_rows()
             }
             ExecMode::StepTables => {
+                drop_leftover_state_tables(&mut db)?;
                 for (k, op) in ops.iter().enumerate() {
                     let (next, select) =
                         step_statement(k, op, circuit.num_qubits, &self.config.sqlgen);
@@ -250,6 +251,7 @@ impl SqlSimulator {
             rows_to_amplitudes(rows)
         };
         states.push(read(&mut db, "T0")?);
+        drop_leftover_state_tables(&mut db)?;
         for (k, op) in ops.iter().enumerate() {
             let (next, select) = step_statement(k, op, circuit.num_qubits, &self.config.sqlgen);
             db.create_table_as(&next, &select).map_err(map_sql_error)?;
@@ -257,6 +259,20 @@ impl SqlSimulator {
         }
         Ok(states)
     }
+}
+
+/// Drop the state tables `T1`, `T2`, … an earlier run left in a reused `--db`
+/// directory (`run` leaves its final state, `run_trace` every step); the step
+/// loop's `CREATE TABLE T<k>` would fail on them. Only tables that exist are
+/// touched, so a fresh directory sees no statement, WAL frame or fsync.
+fn drop_leftover_state_tables(db: &mut Database) -> Result<(), SimError> {
+    for name in db.table_names() {
+        let step = name.strip_prefix('T').and_then(|k| k.parse::<usize>().ok());
+        if step.is_some_and(|k| k > 0 && state_table_name(k) == name) {
+            db.drop_table_if_exists(&name).map_err(map_sql_error)?;
+        }
+    }
+    Ok(())
 }
 
 fn rows_to_amplitudes(rows: Vec<Vec<Value>>) -> Result<Vec<SqlAmplitude>, SimError> {
@@ -401,6 +417,27 @@ mod tests {
         .simulate(&c, &SimOptions::default())
         .unwrap();
         assert!(single.max_amplitude_diff(&stepped) < TOL);
+    }
+
+    #[test]
+    fn step_mode_reuses_a_db_directory() {
+        let dir = std::env::temp_dir()
+            .join(format!("qymera-step-reuse-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let stepped = SqlSimulator::new(SqlSimConfig {
+            mode: ExecMode::StepTables,
+            db_path: Some(dir.clone()),
+            ..Default::default()
+        });
+        // Each run leaves its final state table behind and a trace leaves
+        // every step's; the next run creates T1, T2, … again.
+        for c in [library::qft(4), library::ghz(3)] {
+            let reference = qymera_sim::SparseSim.simulate(&c, &SimOptions::default()).unwrap();
+            let out = stepped.simulate(&c, &SimOptions::default()).unwrap();
+            assert!(out.max_amplitude_diff(&reference) < TOL);
+            stepped.run_trace(&c).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
