@@ -261,9 +261,9 @@ fn bench_scan(c: &mut Criterion) {
 /// WAL overhead on the mutation path: the same 1024-row insert against an
 /// in-memory database, a durable one with per-commit fsync (the default),
 /// and a durable one with fsync off (isolating serialization + the write
-/// syscall from the disk flush). Reads are identical on every variant —
-/// durability wraps mutations only — so an insert micro is the honest
-/// worst case.
+/// syscall from the disk flush), plus the same insert rolled back inside a
+/// transaction. Reads are identical on every variant — durability wraps
+/// mutations only — so an insert micro is the honest worst case.
 fn bench_wal_overhead(c: &mut Criterion) {
     use qymera_sqldb::{DurabilityOptions, FsyncPolicy};
 
@@ -307,7 +307,18 @@ fn bench_wal_overhead(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(nosync_db.insert_rows("T0", rows.clone()).unwrap()))
     });
 
-    for db in [&wal_db, &nosync_db] {
+    // A rolled-back transaction: the 1024 rows are logged, applied, undone,
+    // and the frame ends in an `Abort` record instead of a `Commit` + fsync.
+    let mut rollback_db = setup_wal("rollback", FsyncPolicy::Commit);
+    group.bench_function("txn_rollback_1k_rows_wal", |b| {
+        b.iter(|| {
+            rollback_db.execute("BEGIN").unwrap();
+            std::hint::black_box(rollback_db.insert_rows("T0", rows.clone()).unwrap());
+            rollback_db.execute("ROLLBACK").unwrap();
+        })
+    });
+
+    for db in [&wal_db, &nosync_db, &rollback_db] {
         let dir = db.storage_dir().unwrap().to_path_buf();
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -783,8 +783,8 @@ impl Database {
     /// Execute an already-parsed statement. In a durable database every
     /// mutation is framed in the write-ahead log: `Ok` means the statement
     /// is both applied and crash-durable (per the fsync policy); `Err`
-    /// means it is fully absent — in memory *and* on disk — even when the
-    /// failure happened after the in-memory apply (the apply is rolled
+    /// means it is fully absent — in memory *and* at recovery — even when
+    /// the failure happened after the in-memory apply (the apply is rolled
     /// back via the table's O(1) copy-on-write snapshot).
     ///
     /// Runs under full lifecycle governance: the statement first takes an
@@ -794,14 +794,16 @@ impl Database {
     /// grant, and interrupt flag. A cancel or deadline expiry surfaces as
     /// [`Error::Cancelled`] / [`Error::Timeout`] with the same guarantees as
     /// any other statement error — ledger restored, no spill residue, no
-    /// partial WAL frame — so an immediate retry is always valid.
+    /// recoverable WAL frame — so an immediate retry is always valid.
     /// `BEGIN` opens a multi-statement transaction for this handle
     /// (session 0); every later statement joins its WAL frame and undo
-    /// scope until `COMMIT` / `ROLLBACK`. Inside an open transaction **any
-    /// statement error aborts the whole transaction** — Postgres-style
-    /// uniform abort — except transaction-control bookkeeping mistakes
-    /// (`BEGIN` twice, `COMMIT` with nothing open, `ROLLBACK TO` an
-    /// unknown savepoint), which leave the transaction as it was.
+    /// scope until `COMMIT` / `ROLLBACK`. Outside one, a statement is an
+    /// implicit one-statement transaction on the same machinery. Inside an
+    /// open transaction **any statement error aborts the whole
+    /// transaction** — Postgres-style uniform abort — except
+    /// transaction-control bookkeeping mistakes (`BEGIN` twice, `COMMIT`
+    /// with nothing open, `ROLLBACK TO` an unknown savepoint), which leave
+    /// the transaction as it was.
     pub fn execute_statement(&mut self, st: Statement) -> Result<ResultSet> {
         self.execute_for_session(0, st, Vec::new())
     }
@@ -834,62 +836,47 @@ impl Database {
         self.statements += 1;
         let _grant = self.admission.admit()?;
         self.maybe_heal_poisoned();
-        let query = self.begin_query();
+        self.begin_query();
 
         // Transaction control is bookkeeping: handled before the uniform
-        // abort-on-error rule below, so its errors never abort anything.
+        // abort-on-error rule, so its errors never abort anything.
         match st {
-            Statement::Begin => return self.txn_begin(sess, guards),
-            Statement::Commit => return self.txn_commit(sess),
-            Statement::Rollback { to_savepoint } => {
-                return match to_savepoint {
-                    None => self.txn_rollback(sess),
-                    Some(name) => self.txn_rollback_to(sess, &name),
-                }
+            Statement::Begin => self.txn_begin(sess, guards),
+            Statement::Commit => self.txn_commit(sess),
+            Statement::Rollback { to_savepoint: None } => self.txn_rollback(sess),
+            Statement::Rollback { to_savepoint: Some(name) } => {
+                self.txn_rollback_to(sess, &name)
             }
-            Statement::Savepoint { name } => return self.txn_savepoint(sess, name),
-            _ => {}
+            Statement::Savepoint { name } => self.txn_savepoint(sess, name),
+            st => self.in_txn(sess, guards, |db| db.execute_in_txn(sess, st)),
         }
+    }
 
-        if self.txns.contains_key(&sess) {
-            // Inside an open transaction: the statement's locks join the
-            // transaction (strict 2PL — held until it resolves), and any
-            // error aborts the whole transaction with the full cleanup
-            // contract: ledger restored, no orphan spill files, the WAL
-            // frame rolled off or marked aborted. An immediate retry of
-            // the transaction is always valid.
-            self.txns
-                .get_mut(&sess)
-                .expect("checked above")
-                .locks
-                .extend(guards);
-            let result = query.check().and_then(|()| self.execute_in_txn(sess, st));
-            if result.is_err() {
-                self.abort_session_txn(sess);
-                #[cfg(debug_assertions)]
-                self.assert_ledger_clean();
-            }
-            result
-        } else {
-            // Auto-commit: one statement, one WAL frame; `guards` release
-            // when this call returns. The store is taken out for the
-            // duration so mutation arms can borrow it alongside the
-            // catalog.
-            let mut store = self.durable.take();
-            let result = query
-                .check()
-                .and_then(|()| self.execute_with_store(st, store.as_mut()));
-            self.durable = store;
-            #[cfg(debug_assertions)]
-            if result.is_err() {
-                self.assert_ledger_clean();
-            }
-            if result.is_ok() {
-                self.maybe_auto_checkpoint();
-            }
-            drop(guards);
-            result
+    /// The one write path: run `body` inside `sess`'s open transaction, or
+    /// — when none is open — as an implicit one-statement transaction that
+    /// commits as soon as `body` succeeds. `guards` join the transaction
+    /// (strict 2PL — held until it resolves). Any error aborts the whole
+    /// transaction with the full cleanup contract: memory and ledger
+    /// restored, no orphan spill files, the WAL frame marked aborted. An
+    /// immediate retry is always valid.
+    fn in_txn<T>(
+        &mut self,
+        sess: u64,
+        guards: Vec<LockGuard>,
+        body: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        let implicit = !self.txns.contains_key(&sess);
+        self.txns.entry(sess).or_default().locks.extend(guards);
+        let mut result = self.query.check().and_then(|()| body(self));
+        if implicit {
+            result = result.and_then(|out| self.txn_commit(sess).map(|_| out));
         }
+        if result.is_err() {
+            self.abort_session_txn(sess);
+            #[cfg(debug_assertions)]
+            self.assert_ledger_clean();
+        }
+        result
     }
 
     /// Open a transaction for `sess`.
@@ -897,9 +884,8 @@ impl Database {
         if self.txns.contains_key(&sess) {
             return Err(Error::Plan("BEGIN: a transaction is already open".into()));
         }
-        let epoch = self.durable.as_ref().map_or(0, DurableStore::repair_epoch);
-        let state = TxnState { epoch, locks: guards, ..TxnState::default() };
-        self.txns.insert(sess, state);
+        self.txns
+            .insert(sess, TxnState { locks: guards, ..TxnState::default() });
         Ok(ResultSet::dml(0))
     }
 
@@ -943,9 +929,8 @@ impl Database {
         Ok(ResultSet::dml(0))
     }
 
-    /// `SAVEPOINT name`: mark the current undo/WAL position.
+    /// `SAVEPOINT name`: mark the current undo depth and logged-op count.
     fn txn_savepoint(&mut self, sess: u64, name: String) -> Result<ResultSet> {
-        let wal_len = self.durable.as_ref().map_or(0, DurableStore::wal_len);
         let Some(state) = self.txns.get_mut(&sess) else {
             return Err(Error::Plan("SAVEPOINT: no open transaction".into()));
         };
@@ -953,8 +938,6 @@ impl Database {
             name,
             undo_len: state.undo.len(),
             ops_logged: state.ops_logged,
-            wal_len,
-            wal_begun: state.wal_txn.is_some(),
         });
         Ok(ResultSet::dml(0))
     }
@@ -977,42 +960,22 @@ impl Database {
         else {
             return Err(Error::Plan(format!("no such savepoint: {name}")));
         };
-        let drop_ops = state.ops_logged - state.savepoints[idx].ops_logged;
-        let to_len = state.savepoints[idx].wal_len;
-        // A savepoint set before the frame's lazy `Begin` record cannot be
-        // truncated to (it would cut into the record); abandon the frame
-        // instead — a later op opens a fresh one.
-        let cross_begin = !state.savepoints[idx].wal_begun && state.wal_txn.is_some();
-        let wal_txn = state.wal_txn;
-        let epoch = state.epoch;
-        if let (Some(store), Some(txn)) = (self.durable.as_mut(), wal_txn) {
-            if store.repair_epoch() != epoch {
-                // A crash-repair truncation cut (some of) this frame's
-                // bytes while it was open: every savepoint's recorded WAL
-                // offset is stale geometry, and the frame can never commit
-                // (`txn_commit` refuses on the same mismatch). Leave the
-                // commit-less remainder for recovery to drop — truncating
-                // through a stale offset could land mid-record or past the
-                // end of the repaired log and destroy committed frames
-                // behind the damage.
-            } else if cross_begin {
-                store.abort(txn);
-            } else if drop_ops > 0 {
-                if let Err(e) = store.rollback_ops(txn, drop_ops, to_len) {
-                    // The log cannot represent the partial rollback
-                    // (poisoned mid-truncate): the whole transaction
-                    // aborts so memory and recovery agree.
+        let mark_undo = state.savepoints[idx].undo_len;
+        let mark_ops = state.savepoints[idx].ops_logged;
+        if let (Some(store), Some(txn)) = (self.durable.as_mut(), state.wal_txn) {
+            // After a crash-repair truncation cut this frame it can never
+            // commit (`txn_commit` refuses on the same mismatch), so there
+            // is nothing left to tell replay about.
+            if store.repair_epoch() == state.epoch {
+                if let Err(e) = store.rollback_ops(txn, state.ops_logged - mark_ops) {
+                    // The log cannot record the partial rollback: the
+                    // whole transaction aborts so memory and recovery
+                    // agree.
                     self.abort_session_txn(sess);
                     return Err(e);
                 }
             }
         }
-        let state = self.txns.get_mut(&sess).expect("still open");
-        if cross_begin {
-            state.wal_txn = None;
-        }
-        let mark_undo = state.savepoints[idx].undo_len;
-        let mark_ops = state.savepoints[idx].ops_logged;
         state.savepoints.truncate(idx + 1);
         state.ops_logged = mark_ops;
         let tail = state.undo.split_off(mark_undo);
@@ -1020,8 +983,8 @@ impl Database {
         Ok(ResultSet::dml(0))
     }
 
-    /// Abort `sess`'s transaction (no-op when none is open): roll the WAL
-    /// frame off the log, undo every in-memory effect in reverse, release
+    /// Abort `sess`'s transaction (no-op when none is open): mark the WAL
+    /// frame aborted, undo every in-memory effect in reverse, release
     /// stashed tables back into the catalog, and drop all locks. Never
     /// fails — recovery ignores a commit-less frame even when the log
     /// cannot be written to.
@@ -1036,6 +999,8 @@ impl Database {
             // recovery, so appending an Abort record is pointless.
         }
         self.apply_undo(state.undo);
+        // The dead frame stays in the log until a checkpoint reclaims it.
+        self.maybe_auto_checkpoint();
         // `state.locks` drop here, releasing the transaction's tables.
     }
 
@@ -1083,17 +1048,26 @@ impl Database {
         Ok(())
     }
 
-    /// One statement inside `sess`'s open transaction. Mutations follow
-    /// log → apply → push-undo: any error leaves the frame commit-less and
-    /// the caller aborts the whole transaction, which unwinds every undo
-    /// entry — so no per-statement rollback is needed here.
+    /// Record an applied effect on `sess`'s undo stack.
+    fn push_undo(&mut self, sess: u64, entry: UndoEntry) {
+        self.txns
+            .get_mut(&sess)
+            .expect("open transaction")
+            .undo
+            .push(entry);
+    }
+
+    /// One statement inside `sess`'s transaction. Mutations follow
+    /// log → apply → push-undo → cancel point: any error leaves the frame
+    /// commit-less and the caller aborts the whole transaction, which
+    /// unwinds every undo entry — so no per-statement rollback is needed
+    /// here, and a cancelled statement can never commit.
     fn execute_in_txn(&mut self, sess: u64, st: Statement) -> Result<ResultSet> {
         match st {
             Statement::CreateTable { name, columns, if_not_exists } => {
                 if self.catalog.contains(&name) {
                     // Duplicate: an IF NOT EXISTS no-op or an error —
-                    // nothing is logged either way (the error aborts the
-                    // transaction, same as any other statement failure).
+                    // nothing changes, so nothing is logged.
                     self.catalog.create_table(
                         &name,
                         columns,
@@ -1104,11 +1078,7 @@ impl Database {
                 }
                 self.log_in_txn(sess, |s, txn| s.log_create(txn, &name, &columns))?;
                 self.catalog.create_table(&name, columns, false, self.budget.clone())?;
-                self.txns
-                    .get_mut(&sess)
-                    .expect("open transaction")
-                    .undo
-                    .push(UndoEntry::Created { name });
+                self.push_undo(sess, UndoEntry::Created { name });
                 self.query.check()?;
                 Ok(ResultSet::dml(0))
             }
@@ -1118,24 +1088,23 @@ impl Database {
                     return Ok(ResultSet::dml(0));
                 }
                 self.log_in_txn(sess, |s, txn| s.log_drop(txn, &name))?;
-                let stash = self.catalog.drop_table(&name, if_exists)?;
-                if let Some(table) = stash {
+                if let Some(table) = self.catalog.drop_table(&name, if_exists)? {
                     // The stash keeps charging the budget until the
                     // transaction resolves: rollback puts it back intact.
-                    self.txns
-                        .get_mut(&sess)
-                        .expect("open transaction")
-                        .undo
-                        .push(UndoEntry::Dropped { table });
+                    self.push_undo(sess, UndoEntry::Dropped { table });
                 }
                 self.query.check()?;
                 Ok(ResultSet::dml(0))
             }
             Statement::Insert { table, columns, rows } => {
+                // Evaluate first: INSERT expressions are pure, so this
+                // cannot observe or modify state, and the WAL records
+                // concrete values rather than expressions.
                 let evaluated = self.eval_insert_rows(&table, columns.as_deref(), rows)?;
                 self.insert_rows_in_txn(sess, &table, evaluated)
             }
             Statement::Delete { table, where_clause } => {
+                // Validate the table and predicate before logging anything.
                 let schema = self.catalog.get(&table)?.schema();
                 if let Some(w) = &where_clause {
                     bind(w, &schema)?;
@@ -1146,221 +1115,11 @@ impl Database {
                 })?;
                 let undo = self.catalog.get(&table)?.undo_state();
                 let n = self.run_delete(&table, where_clause.as_ref())?;
-                self.txns
-                    .get_mut(&sess)
-                    .expect("open transaction")
-                    .undo
-                    .push(UndoEntry::Mutated { table, undo });
+                self.push_undo(sess, UndoEntry::Mutated { table, undo });
                 self.query.check()?;
                 Ok(ResultSet::dml(n))
             }
-            st @ (Statement::Query(_) | Statement::Explain(_)) => {
-                // Reads don't touch the frame.
-                self.execute_with_store(st, None)
-            }
-            Statement::Begin
-            | Statement::Commit
-            | Statement::Rollback { .. }
-            | Statement::Savepoint { .. } => Err(Error::Internal(
-                "transaction control must go through execute_for_session".into(),
-            )),
-        }
-    }
-
-    /// Shared body of `INSERT` and [`Database::insert_rows`] inside an
-    /// open transaction: rows are already evaluated and in table order.
-    fn insert_rows_in_txn(
-        &mut self,
-        sess: u64,
-        table: &str,
-        rows: Vec<Row>,
-    ) -> Result<ResultSet> {
-        if rows.is_empty() {
-            return Ok(ResultSet::dml(0));
-        }
-        self.catalog.get(table)?; // validate before logging
-        self.log_in_txn(sess, |s, txn| s.log_insert(txn, table, &rows))?;
-        let t = self.catalog.get_mut(table)?;
-        let undo = t.undo_state();
-        let n = t.load_rows(rows)?; // atomic: an error inserts nothing
-        self.txns
-            .get_mut(&sess)
-            .expect("open transaction")
-            .undo
-            .push(UndoEntry::Mutated { table: table.to_string(), undo });
-        self.query.check()?;
-        Ok(ResultSet::dml(n))
-    }
-
-    fn execute_with_store(
-        &mut self,
-        st: Statement,
-        mut store: Option<&mut DurableStore>,
-    ) -> Result<ResultSet> {
-        match st {
-            Statement::CreateTable { name, columns, if_not_exists } => {
-                if self.catalog.contains(&name) {
-                    // Duplicate: an error or an IF NOT EXISTS no-op —
-                    // either way nothing changes, so nothing is logged.
-                    self.catalog.create_table(
-                        &name,
-                        columns,
-                        if_not_exists,
-                        self.budget.clone(),
-                    )?;
-                    return Ok(ResultSet::dml(0));
-                }
-                let txn = match store.as_deref_mut() {
-                    Some(s) => {
-                        let txn = s.begin()?;
-                        s.log_create(txn, &name, &columns)?;
-                        Some(txn)
-                    }
-                    None => None,
-                };
-                let created = self.catalog.create_table(
-                    &name,
-                    columns,
-                    if_not_exists,
-                    self.budget.clone(),
-                );
-                match created {
-                    Ok(_) => {}
-                    Err(e) => {
-                        // Validation rejected it (dup/empty columns): the
-                        // frame stays uncommitted and is truncated away.
-                        if let (Some(s), Some(txn)) = (store.as_deref_mut(), txn) {
-                            s.abort(txn);
-                        }
-                        return Err(e);
-                    }
-                }
-                if let (Some(s), Some(txn)) = (store.as_deref_mut(), txn) {
-                    // Last cancel point before the frame becomes durable: a
-                    // cancelled statement must never commit, so abort the
-                    // frame (truncate-repair) and undo the in-memory apply.
-                    if let Err(e) = self.query.check() {
-                        s.abort(txn);
-                        self.catalog.drop_table(&name, true)?;
-                        return Err(e);
-                    }
-                    if let Err(e) = s.commit(txn) {
-                        self.catalog.drop_table(&name, true)?;
-                        return Err(e);
-                    }
-                }
-                Ok(ResultSet::dml(0))
-            }
-            Statement::DropTable { name, if_exists } => {
-                if !self.catalog.contains(&name) {
-                    self.catalog.drop_table(&name, if_exists)?;
-                    return Ok(ResultSet::dml(0));
-                }
-                let txn = match store.as_deref_mut() {
-                    Some(s) => {
-                        let txn = s.begin()?;
-                        s.log_drop(txn, &name)?;
-                        Some(txn)
-                    }
-                    None => None,
-                };
-                // Keep the removed table alive until the frame commits so
-                // a failed commit can restore it — budget charge included.
-                let stash = self.catalog.drop_table(&name, if_exists)?;
-                if let (Some(s), Some(txn)) = (store.as_deref_mut(), txn) {
-                    if let Err(e) = self.query.check() {
-                        s.abort(txn);
-                        if let Some(t) = stash {
-                            self.catalog.put_table(t);
-                        }
-                        return Err(e);
-                    }
-                    if let Err(e) = s.commit(txn) {
-                        if let Some(t) = stash {
-                            self.catalog.put_table(t);
-                        }
-                        return Err(e);
-                    }
-                }
-                Ok(ResultSet::dml(0))
-            }
-            Statement::Insert { table, columns, rows } => {
-                // Evaluate first: INSERT expressions are pure, so this
-                // cannot observe or modify state, and the WAL records
-                // concrete values rather than expressions.
-                let evaluated = self.eval_insert_rows(&table, columns.as_deref(), rows)?;
-                let txn = match store.as_deref_mut() {
-                    Some(s) if !evaluated.is_empty() => {
-                        let txn = s.begin()?;
-                        s.log_insert(txn, &table, &evaluated)?;
-                        Some(txn)
-                    }
-                    _ => None,
-                };
-                let t = self.catalog.get_mut(&table)?;
-                let undo = t.undo_state();
-                let n = match t.load_rows(evaluated) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        // load_rows is atomic — the table is untouched.
-                        if let (Some(s), Some(txn)) = (store.as_deref_mut(), txn) {
-                            s.abort(txn);
-                        }
-                        return Err(e);
-                    }
-                };
-                if let (Some(s), Some(txn)) = (store.as_deref_mut(), txn) {
-                    if let Err(e) = self.query.check() {
-                        s.abort(txn);
-                        self.catalog.get_mut(&table)?.restore(undo);
-                        return Err(e);
-                    }
-                    if let Err(e) = s.commit(txn) {
-                        self.catalog.get_mut(&table)?.restore(undo);
-                        return Err(e);
-                    }
-                }
-                Ok(ResultSet::dml(n))
-            }
-            Statement::Delete { table, where_clause } => {
-                // Validate the table and predicate before logging anything.
-                let schema = self.catalog.get(&table)?.schema();
-                if let Some(w) = &where_clause {
-                    bind(w, &schema)?;
-                }
-                let txn = match store.as_deref_mut() {
-                    Some(s) => {
-                        let txn = s.begin()?;
-                        let text = where_clause.as_ref().map(Expr::to_string);
-                        s.log_delete(txn, &table, text.as_deref())?;
-                        Some(txn)
-                    }
-                    None => None,
-                };
-                let undo = self.catalog.get(&table)?.undo_state();
-                let n = match self.run_delete(&table, where_clause.as_ref()) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        // delete_where is atomic on predicate errors.
-                        if let (Some(s), Some(txn)) = (store.as_deref_mut(), txn) {
-                            s.abort(txn);
-                        }
-                        return Err(e);
-                    }
-                };
-                if let (Some(s), Some(txn)) = (store, txn) {
-                    if let Err(e) = self.query.check() {
-                        s.abort(txn);
-                        self.catalog.get_mut(&table)?.restore(undo);
-                        return Err(e);
-                    }
-                    if let Err(e) = s.commit(txn) {
-                        self.catalog.get_mut(&table)?.restore(undo);
-                        return Err(e);
-                    }
-                }
-                Ok(ResultSet::dml(n))
-            }
+            // Reads don't touch the frame.
             Statement::Explain(q) => {
                 let rows: Vec<Row> = self
                     .explain_query(&q)?
@@ -1392,6 +1151,27 @@ impl Database {
         }
     }
 
+    /// Shared body of `INSERT` and [`Database::insert_rows`]: rows are
+    /// already evaluated and in table order.
+    fn insert_rows_in_txn(
+        &mut self,
+        sess: u64,
+        table: &str,
+        rows: Vec<Row>,
+    ) -> Result<ResultSet> {
+        self.catalog.get(table)?; // validate before logging
+        if rows.is_empty() {
+            return Ok(ResultSet::dml(0));
+        }
+        self.log_in_txn(sess, |s, txn| s.log_insert(txn, table, &rows))?;
+        let t = self.catalog.get_mut(table)?;
+        let undo = t.undo_state();
+        let n = t.load_rows(rows)?; // atomic: an error inserts nothing
+        self.push_undo(sess, UndoEntry::Mutated { table: table.to_string(), undo });
+        self.query.check()?;
+        Ok(ResultSet::dml(n))
+    }
+
     /// `CREATE TABLE <name> AS <query>`: streams the query result into a new
     /// table, charging the budget incrementally (the out-of-core CTAS path
     /// used by the Qymera runner to materialize intermediate states).
@@ -1418,32 +1198,16 @@ impl Database {
         }
         let _grant = self.admission.admit()?;
         self.maybe_heal_poisoned();
-        let query = self.begin_query();
-        let mut store = self.durable.take();
-        let result = query
-            .check()
-            .and_then(|()| self.create_table_as_with_store(name, plan, store.as_mut()));
-        self.durable = store;
-        #[cfg(debug_assertions)]
-        if result.is_err() {
-            self.assert_ledger_clean();
-        }
-        if result.is_ok() {
-            self.maybe_auto_checkpoint();
-        }
-        result
+        self.begin_query();
+        self.in_txn(0, Vec::new(), |db| db.create_table_as_in_txn(name, plan))
     }
 
     /// CTAS body: one WAL frame wraps the `CREATE TABLE` and every
     /// streamed insert chunk, so recovery replays either the whole table
     /// or none of it. Any failure — query error mid-stream, budget
-    /// overrun, WAL fault — drops the partially built table again.
-    fn create_table_as_with_store(
-        &mut self,
-        name: &str,
-        plan: Plan,
-        mut store: Option<&mut DurableStore>,
-    ) -> Result<usize> {
+    /// overrun, WAL fault, cancellation — aborts the implicit transaction,
+    /// whose `Created` undo entry drops the partially built table again.
+    fn create_table_as_in_txn(&mut self, name: &str, plan: Plan) -> Result<usize> {
         let schema = plan.schema();
         let ctx = self.ctx();
         let mut stream = self.build_row_source(&plan, &ctx)?;
@@ -1451,161 +1215,56 @@ impl Database {
         // Column types are inferred from the first row; later rows must
         // coerce losslessly (the Qymera translator guarantees this by casting
         // `s` explicitly when states are wider than 63 bits).
-        let mut first_rows = Vec::new();
         let first = stream.next_row()?;
         let types: Vec<DataType> = match &first {
             Some(row) => row.iter().map(infer_type).collect(),
             None => vec![DataType::Double; schema.len()],
         };
-        if let Some(r) = first {
-            first_rows.push(r);
-        }
         let columns: Vec<(String, DataType)> = schema
             .names()
             .into_iter()
             .zip(types)
             .collect();
-        let txn = match store.as_deref_mut() {
-            Some(s) => {
-                let txn = s.begin()?;
-                s.log_create(txn, name, &columns)?;
-                Some(txn)
-            }
-            None => None,
-        };
-        self.catalog
-            .create_table(name, columns, false, self.budget.clone())
-            .inspect_err(|_| {
-                if let (Some(s), Some(txn)) = (store.as_deref_mut(), txn) {
-                    s.abort(txn);
-                }
-            })?;
+        self.log_in_txn(0, |s, txn| s.log_create(txn, name, &columns))?;
+        self.catalog.create_table(name, columns, false, self.budget.clone())?;
+        self.push_undo(0, UndoEntry::Created { name: name.to_string() });
 
-        // From here on every exit path must either commit or tear the
-        // partial table back down (in-memory CTAS previously leaked it).
-        let fill = |db: &mut Self, store: &mut Option<&mut DurableStore>| -> Result<usize> {
-            let mut inserted = 0usize;
-            const CHUNK: usize = 4096;
-            let mut buf = first_rows;
-            loop {
-                // Cancel point per chunk: nothing from a doomed chunk is
-                // logged or applied, and the error path below tears the
-                // partial table down and truncates the open frame.
-                db.query.check()?;
-                while buf.len() < CHUNK {
-                    match stream.next_row()? {
-                        Some(r) => buf.push(r),
-                        None => break,
-                    }
+        const CHUNK: usize = 4096;
+        let mut inserted = 0usize;
+        let mut buf: Vec<Row> = first.into_iter().collect();
+        loop {
+            // Cancel point per chunk: nothing from a doomed chunk is
+            // logged or applied.
+            self.query.check()?;
+            while buf.len() < CHUNK {
+                match stream.next_row()? {
+                    Some(r) => buf.push(r),
+                    None => break,
                 }
-                if buf.is_empty() {
-                    break;
-                }
-                if let (Some(s), Some(txn)) = (store.as_deref_mut(), txn) {
-                    s.log_insert(txn, name, &buf)?;
-                }
-                // `load_rows` coerces and appends straight into the table's
-                // typed column builders (chunked columnar storage).
-                inserted += db.catalog.get_mut(name)?.load_rows(std::mem::take(&mut buf))?;
             }
-            if let (Some(s), Some(txn)) = (store.as_deref_mut(), txn) {
-                // Last cancel point before the whole CTAS frame commits.
-                db.query.check()?;
-                s.commit(txn)?;
+            if buf.is_empty() {
+                break;
             }
-            Ok(inserted)
-        };
-        match fill(self, &mut store) {
-            Ok(n) => Ok(n),
-            Err(e) => {
-                if let (Some(s), Some(txn)) = (store, txn) {
-                    s.abort(txn);
-                }
-                self.catalog.drop_table(name, true)?;
-                Err(e)
-            }
+            self.log_in_txn(0, |s, txn| s.log_insert(txn, name, &buf))?;
+            // `load_rows` coerces and appends straight into the table's
+            // typed column builders (chunked columnar storage).
+            inserted += self.catalog.get_mut(name)?.load_rows(std::mem::take(&mut buf))?;
         }
+        Ok(inserted)
     }
 
     /// Bulk-load pre-built rows (bypasses SQL parsing; used by the Qymera
     /// translator for gate/state tables, mirroring a native loader API).
     /// Rows stream into the table's typed column builders; a coercion error
-    /// or budget overrun inserts nothing. WAL-framed like `INSERT` when the
-    /// database is durable.
+    /// or budget overrun inserts nothing. Runs exactly like an `INSERT`
+    /// statement: inside the open transaction when there is one (an error
+    /// aborts it), as an implicit one otherwise.
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<usize> {
         let _grant = self.admission.admit()?;
         self.maybe_heal_poisoned();
-        let query = self.begin_query();
-        if self.in_transaction() {
-            // Joins the open transaction's frame and undo scope, exactly
-            // like an `INSERT` statement (errors abort the transaction).
-            let result = query
-                .check()
-                .and_then(|()| self.insert_rows_in_txn(0, table, rows))
-                .map(|rs| rs.affected());
-            if result.is_err() {
-                self.abort_session_txn(0);
-                #[cfg(debug_assertions)]
-                self.assert_ledger_clean();
-            }
-            return result;
-        }
-        let mut store = self.durable.take();
-        let result = query
-            .check()
-            .and_then(|()| self.insert_rows_with_store(table, rows, store.as_mut()));
-        self.durable = store;
-        #[cfg(debug_assertions)]
-        if result.is_err() {
-            self.assert_ledger_clean();
-        }
-        if result.is_ok() {
-            self.maybe_auto_checkpoint();
-        }
-        result
-    }
-
-    fn insert_rows_with_store(
-        &mut self,
-        table: &str,
-        rows: Vec<Row>,
-        mut store: Option<&mut DurableStore>,
-    ) -> Result<usize> {
-        let txn = match store.as_deref_mut() {
-            Some(s) if !rows.is_empty() => {
-                let txn = s.begin()?;
-                s.log_insert(txn, table, &rows)?;
-                Some(txn)
-            }
-            _ => None,
-        };
-        let t = self.catalog.get_mut(table).inspect_err(|_| {
-            if let (Some(s), Some(txn)) = (store.as_deref_mut(), txn) {
-                s.abort(txn);
-            }
-        })?;
-        let undo = t.undo_state();
-        let n = match t.load_rows(rows) {
-            Ok(n) => n,
-            Err(e) => {
-                if let (Some(s), Some(txn)) = (store.as_deref_mut(), txn) {
-                    s.abort(txn);
-                }
-                return Err(e);
-            }
-        };
-        if let (Some(s), Some(txn)) = (store, txn) {
-            if let Err(e) = self.query.check() {
-                s.abort(txn);
-                self.catalog.get_mut(table)?.restore(undo);
-                return Err(e);
-            }
-            if let Err(e) = s.commit(txn) {
-                self.catalog.get_mut(table)?.restore(undo);
-                return Err(e);
-            }
-        }
-        Ok(n)
+        self.begin_query();
+        self.in_txn(0, Vec::new(), |db| db.insert_rows_in_txn(0, table, rows))
+            .map(|rs| rs.affected())
     }
 
     /// Output schema a query would produce, without executing it.

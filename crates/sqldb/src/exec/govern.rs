@@ -9,8 +9,8 @@
 //! the outcome so every worker and operator surfaces the *same* typed error
 //! ([`Error::Cancelled`] or [`Error::Timeout`]) no matter which one observed
 //! it first. Cancellation is cooperative: nothing is killed mid-write, so
-//! the ordinary RAII cleanup (spill files, ledger reservations, WAL
-//! truncate-repair + `TableUndo` rollback) runs exactly as it does for any
+//! the ordinary cleanup (spill files, ledger reservations, WAL `Abort`
+//! record + `TableUndo` rollback) runs exactly as it does for any
 //! other statement error.
 //!
 //! Admission control is two-layered:

@@ -17,7 +17,11 @@
 //!   dropped, a `RollbackSp{txn, n}` record discards that frame's last
 //!   `n` ops (crash-safe savepoint rollback), and a torn or corrupted
 //!   record ends replay at the last good boundary (the tail past it is
-//!   discarded).
+//!   discarded). Rollback is **only** ever those two logical records:
+//!   the file shrinks in exactly three places — `open` (the torn tail),
+//!   `repair` (after a failed append or fsync, whose on-disk result is
+//!   unknown) and `checkpoint` (the image covers the log). Rolled-back
+//!   frames stay in the log until the next checkpoint reclaims them.
 //! * `checkpoint.qck` — a full serialized image of every table, stamped
 //!   with the commit sequence number it covers. Produced by walking each
 //!   table's O(1) `Arc` chunk snapshot (checkpointing never blocks or
@@ -168,12 +172,10 @@ const TAG_CREATE: u8 = 3;
 const TAG_DROP: u8 = 4;
 const TAG_INSERT: u8 = 5;
 const TAG_DELETE: u8 = 6;
-/// Transaction rolled back: replay drops its pending frame. Written only
-/// when the frame's bytes cannot simply be truncated off the tail (another
-/// session's records interleave with them).
+/// Transaction rolled back: replay drops its pending frame.
 const TAG_ABORT: u8 = 7;
 /// `ROLLBACK TO SAVEPOINT`: replay drops the last `n` ops of the pending
-/// frame. Same truncate-vs-record rule as `Abort`.
+/// frame.
 const TAG_RBSP: u8 = 8;
 
 /// A logical operation recovered from the WAL. An auto-commit statement
@@ -326,11 +328,6 @@ struct Wal {
     len: u64,
     /// End offset of the last committed frame; repairs truncate here.
     good_end: u64,
-    /// `Some(txn)` when every byte past `good_end` belongs to that one
-    /// transaction. Its rollback (full or to a savepoint) can then be a
-    /// plain truncate — zero WAL residue — instead of an `Abort` /
-    /// `RollbackSp` record.
-    tail_owner: Option<u64>,
     /// Set when a repair itself failed: the on-disk tail is unknown, so all
     /// further appends are refused until a checkpoint resets the log.
     poisoned: bool,
@@ -440,7 +437,6 @@ impl DurableStore {
                 file,
                 len: scan.committed_end,
                 good_end: scan.committed_end,
-                tail_owner: None,
                 poisoned: false,
                 repair_epoch: 0,
             },
@@ -459,8 +455,8 @@ impl DurableStore {
         &self.dir
     }
 
-    /// Current WAL length in bytes (committed frames only between
-    /// statements).
+    /// Current WAL length in bytes: committed frames, rolled-back frames
+    /// not yet reclaimed by a checkpoint, and any open frames.
     pub fn wal_len(&self) -> u64 {
         self.wal.len
     }
@@ -493,7 +489,7 @@ impl DurableStore {
         self.wal.repair_epoch
     }
 
-    fn append_record(&mut self, payload: &[u8], owner: Option<u64>) -> Result<()> {
+    fn append_record(&mut self, payload: &[u8]) -> Result<()> {
         if self.wal.poisoned {
             return Err(Error::Io(
                 "write-ahead log poisoned by an earlier failed repair; \
@@ -505,17 +501,9 @@ impl DurableStore {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
-        let len_before = self.wal.len;
         match self.injector.write_all(FaultSite::WalAppend, &mut self.wal.file, &frame) {
             Ok(()) => {
                 self.wal.len += frame.len() as u64;
-                if let Some(txn) = owner {
-                    if len_before == self.wal.good_end {
-                        self.wal.tail_owner = Some(txn);
-                    } else if self.wal.tail_owner != Some(txn) {
-                        self.wal.tail_owner = None;
-                    }
-                }
                 if self.policy == FsyncPolicy::Always {
                     if let Err(e) =
                         self.injector.fsync(FaultSite::WalFsync, &self.wal.file)
@@ -537,13 +525,15 @@ impl DurableStore {
         }
     }
 
-    /// Planned truncation to a known-good boundary (rolling a frame or a
-    /// savepoint's ops off an exclusively-owned tail). Unlike [`repair`],
-    /// this does not bump the repair epoch: no other transaction's bytes
-    /// can be affected. Poisons the log on failure.
-    ///
-    /// [`repair`]: DurableStore::repair
-    fn truncate_tail(&mut self, to: u64) -> bool {
+    /// Truncate the log back to the last committed frame boundary after a
+    /// failed append or fsync: the tail's on-disk content is unknown, so
+    /// every open transaction with bytes at risk is invalidated via the
+    /// repair epoch. On failure the log is poisoned (appends refused) until
+    /// a checkpoint resets it — recovery tolerates the garbage tail either
+    /// way via checksums and commit framing.
+    fn repair(&mut self) {
+        self.wal.repair_epoch += 1;
+        let to = self.wal.good_end;
         let ok = self.injector.check(FaultSite::WalTruncate).is_ok()
             && self.wal.file.set_len(to).is_ok()
             && self.wal.file.seek(SeekFrom::Start(to)).is_ok();
@@ -552,19 +542,6 @@ impl DurableStore {
         } else {
             self.wal.poisoned = true;
         }
-        ok
-    }
-
-    /// Truncate the log back to the last committed frame boundary after a
-    /// failed append: the tail's on-disk content is unknown, so every open
-    /// transaction with bytes at risk is invalidated via the repair epoch.
-    /// On failure the log is poisoned (appends refused) until a checkpoint
-    /// resets it — recovery tolerates the garbage tail either way via
-    /// checksums and commit framing.
-    fn repair(&mut self) {
-        self.wal.repair_epoch += 1;
-        self.truncate_tail(self.wal.good_end);
-        self.wal.tail_owner = None;
     }
 
     /// Start a transaction frame; returns its id and writes the `Begin`
@@ -578,7 +555,7 @@ impl DurableStore {
         let mut buf = BytesMut::with_capacity(9);
         buf.put_u8(TAG_BEGIN);
         buf.put_u64_le(txn);
-        self.append_record(&buf, Some(txn))?;
+        self.append_record(&buf)?;
         Ok(txn)
     }
 
@@ -594,7 +571,7 @@ impl DurableStore {
         buf.put_u64_le(txn);
         put_string(&mut buf, name);
         encode_columns(&mut buf, columns);
-        self.append_record(&buf, Some(txn))
+        self.append_record(&buf)
     }
 
     /// Log a `DROP TABLE` inside transaction `txn`.
@@ -603,7 +580,7 @@ impl DurableStore {
         buf.put_u8(TAG_DROP);
         buf.put_u64_le(txn);
         put_string(&mut buf, name);
-        self.append_record(&buf, Some(txn))
+        self.append_record(&buf)
     }
 
     /// Log an `INSERT` of already-evaluated rows inside transaction `txn`.
@@ -618,7 +595,7 @@ impl DurableStore {
         for row in rows {
             encode_row(&mut buf, row);
         }
-        self.append_record(&buf, Some(txn))
+        self.append_record(&buf)
     }
 
     /// Log a `DELETE` inside transaction `txn` (predicate as SQL text).
@@ -634,22 +611,22 @@ impl DurableStore {
                 put_string(&mut buf, p);
             }
         }
-        self.append_record(&buf, Some(txn))
+        self.append_record(&buf)
     }
 
     /// Commit transaction `txn`: append the `Commit` record carrying the
     /// next commit sequence, force it down per the fsync policy, and
     /// advance the committed boundary. After `Ok`, the transaction survives
-    /// a crash; on `Err` the frame is rolled off the log (or left
-    /// uncommitted, which recovery treats identically) and the caller must
-    /// undo its in-memory effects.
+    /// a crash; on `Err` the log was repaired back to the last committed
+    /// boundary (or poisoned — recovery ignores the commit-less frame
+    /// either way) and the caller must undo its in-memory effects.
     pub fn commit(&mut self, txn: u64) -> Result<u64> {
         let commit_seq = self.next_commit;
         let mut buf = BytesMut::with_capacity(17);
         buf.put_u8(TAG_COMMIT);
         buf.put_u64_le(txn);
         buf.put_u64_le(commit_seq);
-        self.append_record(&buf, None)?;
+        self.append_record(&buf)?;
         if self.policy != FsyncPolicy::Off {
             if let Err(e) = self.injector.fsync(FaultSite::WalFsync, &self.wal.file) {
                 // Unknown durability of the frame: discard it so the
@@ -659,60 +636,33 @@ impl DurableStore {
             }
         }
         self.wal.good_end = self.wal.len;
-        self.wal.tail_owner = None;
         self.last_committed = commit_seq;
         self.next_commit = commit_seq + 1;
         Ok(commit_seq)
     }
 
-    /// Abandon transaction `txn`'s frame. If the frame owns the whole
-    /// uncommitted tail it is truncated off — zero residue; otherwise an
-    /// `Abort` record is appended so replay drops the interleaved frame.
-    /// Even if both fail, recovery ignores the frame (no `Commit` record),
-    /// so this never errors.
+    /// Abandon transaction `txn`'s frame: append an `Abort` record so
+    /// replay drops it. If the append fails, recovery still ignores the
+    /// frame (no `Commit` record), so this never errors.
     pub fn abort(&mut self, txn: u64) {
-        if self.wal.poisoned {
-            return;
-        }
-        if self.wal.tail_owner == Some(txn) {
-            self.truncate_tail(self.wal.good_end);
-            self.wal.tail_owner = None;
-            return;
-        }
         let mut buf = BytesMut::with_capacity(9);
         buf.put_u8(TAG_ABORT);
         buf.put_u64_le(txn);
-        let _ = self.append_record(&buf, None);
+        let _ = self.append_record(&buf);
     }
 
-    /// Roll transaction `txn` back to a savepoint: discard its last
-    /// `drop_last` logged ops. When the frame owns the whole uncommitted
-    /// tail this truncates the file to `to_len` (the length recorded when
-    /// the savepoint was set); otherwise a `RollbackSp` record is appended
-    /// for replay to honor.
-    pub fn rollback_ops(&mut self, txn: u64, drop_last: u64, to_len: u64) -> Result<()> {
+    /// Roll transaction `txn` back to a savepoint: append a `RollbackSp`
+    /// record telling replay to discard the frame's last `drop_last`
+    /// logged ops.
+    pub fn rollback_ops(&mut self, txn: u64, drop_last: u64) -> Result<()> {
         if drop_last == 0 {
             return Ok(());
-        }
-        // `to_len <= len` guards against stale geometry (a repair shrank
-        // the log after the savepoint was set): `set_len` past the end
-        // would extend the file with a zero hole that stops replay dead.
-        if self.wal.tail_owner == Some(txn)
-            && to_len >= self.wal.good_end
-            && to_len <= self.wal.len
-        {
-            if self.truncate_tail(to_len) {
-                return Ok(());
-            }
-            return Err(Error::Io(
-                "write-ahead log truncation failed during savepoint rollback".into(),
-            ));
         }
         let mut buf = BytesMut::with_capacity(17);
         buf.put_u8(TAG_RBSP);
         buf.put_u64_le(txn);
         buf.put_u64_le(drop_last);
-        self.append_record(&buf, Some(txn))
+        self.append_record(&buf)
     }
 
     /// Write a checkpoint covering every committed transaction, publish it
@@ -751,7 +701,6 @@ impl DurableStore {
         self.wal.file.seek(SeekFrom::Start(0))?;
         self.wal.len = 0;
         self.wal.good_end = 0;
-        self.wal.tail_owner = None;
         self.wal.poisoned = false;
         Ok(())
     }
@@ -1021,19 +970,36 @@ mod tests {
     }
 
     #[test]
-    fn aborted_frame_leaves_no_wal_residue_when_tail_owned() {
-        let dir = tmpdir("abort-trunc");
-        let (mut store, _) = open(&dir);
-        let txn = store.begin().unwrap();
-        store.log_drop(txn, "t").unwrap();
-        store.commit(txn).unwrap();
-        let committed_len = store.wal_len();
-        // This frame owns the whole tail: abort must truncate it away.
-        let txn = store.begin().unwrap();
-        store.log_insert(txn, "t", &[vec![Value::Int(1)]]).unwrap();
-        store.abort(txn);
-        assert_eq!(store.wal_len(), committed_len);
-        assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), committed_len);
+    fn aborted_sole_writer_frame_grows_the_log_by_one_abort_record() {
+        let dir = tmpdir("abort-record");
+        {
+            let (mut store, _) = open(&dir);
+            let txn = store.begin().unwrap();
+            store.log_drop(txn, "t").unwrap();
+            store.commit(txn).unwrap();
+            // This frame is alone on the tail: the case that used to be a
+            // truncation. Abort must append, never shrink the file.
+            let txn = store.begin().unwrap();
+            store.log_insert(txn, "t", &[vec![Value::Int(1)]]).unwrap();
+            let before = store.wal_len();
+            store.abort(txn);
+            // [len][crc][tag][txn] = 4 + 4 + 1 + 8 bytes.
+            assert_eq!(store.wal_len(), before + 17);
+            assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), before + 17);
+            let txn = store.begin().unwrap();
+            store.log_drop(txn, "u").unwrap();
+            store.commit(txn).unwrap();
+        }
+        // Replay walks over the dead frame and reaches the commit behind it.
+        let (_, rec) = open(&dir);
+        let dropped: Vec<_> = rec.frames.iter().map(|f| f.ops.clone()).collect();
+        assert_eq!(
+            dropped,
+            vec![
+                vec![WalOp::DropTable { name: "t".into() }],
+                vec![WalOp::DropTable { name: "u".into() }],
+            ]
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1050,12 +1016,11 @@ mod tests {
             store.commit(b).unwrap();
             store.log_insert(a, "t", &[vec![Value::Int(3)]]).unwrap();
             store.commit(a).unwrap();
-            // c aborts with an Abort record (tail is shared with nothing,
-            // but good_end == len after a's commit, so force interleaving):
+            // c aborts while d's frame is open around it.
             let c = store.begin().unwrap();
             let d = store.begin().unwrap();
             store.log_insert(c, "t", &[vec![Value::Int(4)]]).unwrap();
-            store.abort(c); // mixed tail (d's Begin) -> Abort record
+            store.abort(c);
             store.log_insert(d, "t", &[vec![Value::Int(5)]]).unwrap();
             store.commit(d).unwrap();
         }
@@ -1078,24 +1043,27 @@ mod tests {
             let (mut store, _) = open(&dir);
             let txn = store.begin().unwrap();
             store.log_insert(txn, "t", &[vec![Value::Int(1)]]).unwrap();
-            let sp_len = store.wal_len();
             store.log_insert(txn, "t", &[vec![Value::Int(2)]]).unwrap();
             store.log_insert(txn, "t", &[vec![Value::Int(3)]]).unwrap();
-            // Tail-owned: rollback truncates the file back to the mark.
-            store.rollback_ops(txn, 2, sp_len).unwrap();
-            assert_eq!(store.wal_len(), sp_len);
+            // Alone on the tail (the old truncation case): one RollbackSp
+            // record, [len][crc][tag][txn][n] = 4 + 4 + 1 + 8 + 8 bytes.
+            let before = store.wal_len();
+            store.rollback_ops(txn, 2).unwrap();
+            assert_eq!(store.wal_len(), before + 25);
+            // Dropping nothing writes nothing.
+            store.rollback_ops(txn, 0).unwrap();
+            assert_eq!(store.wal_len(), before + 25);
             store.log_insert(txn, "t", &[vec![Value::Int(9)]]).unwrap();
             store.commit(txn).unwrap();
 
-            // Interleaved: rollback must append a RollbackSp record.
+            // Interleaved with another open frame: the same record.
             let a = store.begin().unwrap();
             let b = store.begin().unwrap();
             store.log_insert(a, "t", &[vec![Value::Int(10)]]).unwrap();
-            let a_mark = store.wal_len();
             store.log_insert(a, "t", &[vec![Value::Int(11)]]).unwrap();
             let before = store.wal_len();
-            store.rollback_ops(a, 1, a_mark).unwrap();
-            assert!(store.wal_len() > before, "interleaved rollback appends");
+            store.rollback_ops(a, 1).unwrap();
+            assert_eq!(store.wal_len(), before + 25);
             store.commit(a).unwrap();
             store.abort(b);
         }

@@ -50,35 +50,34 @@ pub(crate) enum UndoEntry {
     Dropped { table: Table },
 }
 
-/// A `SAVEPOINT` mark: positions in the undo stack and the WAL frame that
-/// `ROLLBACK TO SAVEPOINT` rewinds to.
+/// A `SAVEPOINT` mark: the undo-stack depth and logged-op count that
+/// `ROLLBACK TO SAVEPOINT` rewinds to. Counts only — no byte offset into
+/// the log, so nothing another session does to the file can make a mark
+/// stale.
 #[derive(Debug)]
 pub(crate) struct SavepointMark {
     /// Savepoint name (case-insensitive lookup, latest wins).
     pub name: String,
     /// Undo-stack depth when the savepoint was set.
     pub undo_len: usize,
-    /// Ops logged to the WAL frame when the savepoint was set.
+    /// Ops logged to the WAL frame when the savepoint was set (0 when the
+    /// frame had not been opened yet).
     pub ops_logged: u64,
-    /// WAL byte length at the mark (valid only when `wal_begun`).
-    pub wal_len: u64,
-    /// Whether the transaction had already opened its WAL frame. A
-    /// rollback across this boundary abandons the frame entirely instead
-    /// of truncating into the `Begin` record.
-    pub wal_begun: bool,
 }
 
-/// Per-session state of one open transaction. Owned by the database
-/// (keyed by session id) so abort, checkpoint and crash paths can reach
-/// every open transaction's undo stack.
+/// Per-session state of one open transaction — a `BEGIN` … `COMMIT` block
+/// or the implicit one-statement transaction every auto-commit mutation
+/// runs as. Owned by the database (keyed by session id) so abort,
+/// checkpoint and crash paths can reach every open transaction's undo
+/// stack.
 #[derive(Debug, Default)]
 pub(crate) struct TxnState {
     /// WAL frame id, opened lazily at the first logged op — a read-only
     /// transaction commits without touching the log at all.
     pub wal_txn: Option<u64>,
-    /// WAL repair epoch observed at `BEGIN`. If a crash-repair truncation
-    /// bumps it while this transaction is open, some of its records may
-    /// have been cut and `COMMIT` must refuse.
+    /// WAL repair epoch observed when the frame was opened. If a
+    /// crash-repair truncation bumps it before the transaction resolves,
+    /// some of its records may have been cut and `COMMIT` must refuse.
     pub epoch: u64,
     /// Count of op records logged to the frame (savepoint arithmetic).
     pub ops_logged: u64,

@@ -162,7 +162,7 @@ fn query_grant_fails_admission_before_allocation() {
 }
 
 /// Cancel armed to fire at the WAL pre-commit checkpoint: the mutation must
-/// be rolled back in memory, the frame truncated from the log, and a reopen
+/// be rolled back in memory, the frame marked aborted in the log, and a reopen
 /// must see only the acknowledged prefix. The retry then commits.
 #[test]
 fn cancel_before_wal_commit_rolls_back_and_is_absent_after_reopen() {
@@ -192,7 +192,7 @@ fn cancel_before_wal_commit_rolls_back_and_is_absent_after_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// CTAS cancelled mid-stream must drop the partial table, truncate its WAL
+/// CTAS cancelled mid-stream must drop the partial table, abort its WAL
 /// frame, and leave the catalog byte-exact; the retry builds it fully.
 #[test]
 fn cancelled_ctas_leaves_no_partial_table() {

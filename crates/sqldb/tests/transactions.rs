@@ -254,25 +254,62 @@ fn committed_txn_survives_reopen_in_flight_does_not() {
 }
 
 #[test]
-fn rolled_back_txn_leaves_zero_wal_residue() {
+fn rolled_back_txn_leaves_zero_recovered_trace_and_one_abort_record() {
     let dir = tmpdir("residue-rollback");
     let mut db = open(&dir);
     db.execute("CREATE TABLE t (k INTEGER)").unwrap();
     db.execute("INSERT INTO t VALUES (1)").unwrap();
-    let before = fs::metadata(dir.join(WAL_FILE)).unwrap().len();
 
-    // A sole writer owns the whole uncommitted tail, so rollback truncates
-    // the frame off instead of appending an Abort record.
+    // Even a sole writer's rollback is a logical record: the file never
+    // shrinks, it grows by one 17-byte `Abort` ([len][crc][tag][txn]).
     db.execute("BEGIN").unwrap();
     db.execute("INSERT INTO t VALUES (2)").unwrap();
     db.execute("DELETE FROM t WHERE k = 1").unwrap();
+    let before = fs::metadata(dir.join(WAL_FILE)).unwrap().len();
     db.execute("ROLLBACK").unwrap();
     assert_eq!(
         fs::metadata(dir.join(WAL_FILE)).unwrap().len(),
-        before,
-        "rolled-back sole-writer frame must truncate to zero residue"
+        before + 17,
+        "rollback must append exactly one Abort record"
     );
     assert_eq!(ints(&mut db, "SELECT k FROM t"), vec![1]);
+
+    // A commit lands behind the dead frame; recovery walks past the frame
+    // to reach it and shows no trace of the rolled-back statements.
+    db.execute("INSERT INTO t VALUES (3)").unwrap();
+    drop(db);
+    let mut db = open(&dir);
+    assert_eq!(ints(&mut db, "SELECT k FROM t ORDER BY k"), vec![1, 3]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Rolled-back frames stay in the log until a checkpoint, so a workload
+/// that only ever rolls back must still reach the auto-checkpoint.
+#[test]
+fn rollback_only_workload_keeps_the_log_bounded() {
+    const THRESHOLD: u64 = 4096;
+    let dir = tmpdir("rollback-bounded");
+    let opts = || DurabilityOptions {
+        fsync: FsyncPolicy::Off,
+        checkpoint_every_bytes: THRESHOLD,
+        ..DurabilityOptions::default()
+    };
+    let mut db = Database::open_with(&dir, opts()).unwrap();
+    db.execute("CREATE TABLE t (k INTEGER)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+    let expected = dump(&mut db);
+
+    for i in 0..1_000 {
+        db.execute("BEGIN").unwrap();
+        db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+        db.execute("ROLLBACK").unwrap();
+        let len = fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        assert!(len < 2 * THRESHOLD, "iteration {i}: wal.qwl grew to {len} bytes");
+    }
+    assert_eq!(dump(&mut db), expected);
+    drop(db);
+    let mut db = Database::open_with(&dir, opts()).unwrap();
+    assert_eq!(dump(&mut db), expected, "recovery must see the pre-loop state");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -308,9 +345,10 @@ fn read_only_txn_never_touches_the_wal() {
 /// commit boundary, in commit order).
 ///
 /// The workload interleaves two sessions so the log contains: interleaved
-/// `Begin`/op records, an `Abort` record (rollback of a non-tail-owner
-/// frame), a `RollbackSp` record (savepoint rollback of a non-tail-owner
-/// frame), commits out of begin order, and a trailing in-flight frame.
+/// `Begin`/op records, `Abort` and `RollbackSp` records both inside
+/// another session's open frame and from a sole writer (the case that was
+/// a file truncation before rollback became purely logical), commits out
+/// of begin order, and a trailing in-flight frame.
 fn txn_workload(dir: &Path) -> Vec<Vec<(String, Vec<String>)>> {
     let shared = SharedDb::new(open(dir));
     let mut states: Vec<Vec<(String, Vec<String>)>> = Vec::new();
@@ -336,9 +374,7 @@ fn txn_workload(dir: &Path) -> Vec<Vec<(String, Vec<String>)>> {
     s1.execute("INSERT INTO a VALUES (1)").unwrap();
     s2.execute("BEGIN").unwrap();
     s2.execute("INSERT INTO b VALUES (10)").unwrap();
-    // s2's frame no longer owns the tail (s1 wrote after it? no — s1 wrote
-    // first), s1's frame doesn't own the tail (s2 wrote after it): this
-    // rollback appends an Abort record instead of truncating.
+    // s2's Abort record lands in the middle of s1's open frame.
     s1.execute("INSERT INTO a VALUES (2)").unwrap();
     s2.execute("ROLLBACK").unwrap();
     s1.execute("COMMIT").unwrap();
@@ -362,6 +398,24 @@ fn txn_workload(dir: &Path) -> Vec<Vec<(String, Vec<String>)>> {
     shadow.execute("DELETE FROM a WHERE k = 1").unwrap();
     snap(&mut shadow, &mut states);
 
+    // Sole writer, nobody else has a frame open: ROLLBACK TO and ROLLBACK
+    // still write RollbackSp / Abort records, cut at every offset below.
+    s1.execute("BEGIN").unwrap();
+    s1.execute("INSERT INTO a VALUES (4)").unwrap();
+    s1.execute("SAVEPOINT q").unwrap();
+    s1.execute("INSERT INTO a VALUES (98)").unwrap();
+    s1.execute("ROLLBACK TO q").unwrap();
+    s1.execute("INSERT INTO a VALUES (5)").unwrap();
+    s1.execute("COMMIT").unwrap();
+    shadow.execute("INSERT INTO a VALUES (4), (5)").unwrap();
+    snap(&mut shadow, &mut states);
+    s1.execute("BEGIN").unwrap();
+    s1.execute("INSERT INTO a VALUES (97)").unwrap();
+    s1.execute("ROLLBACK").unwrap();
+    s2.execute("INSERT INTO b VALUES (30)").unwrap(); // behind the dead frame
+    shadow.execute("INSERT INTO b VALUES (30)").unwrap();
+    snap(&mut shadow, &mut states);
+
     // Trailing in-flight frame: never commits, must recover to nothing.
     s1.execute("BEGIN").unwrap();
     s1.execute("INSERT INTO a VALUES (1000)").unwrap();
@@ -377,7 +431,7 @@ fn txn_workload(dir: &Path) -> Vec<Vec<(String, Vec<String>)>> {
 fn every_truncation_point_recovers_a_committed_txn_prefix() {
     let dir = tmpdir("txn-truncate");
     let states = txn_workload(&dir);
-    assert!(states.len() >= 5, "workload produced too few commit points");
+    assert!(states.len() >= 7, "workload produced too few commit points");
     let full = fs::read(dir.join(WAL_FILE)).unwrap();
     assert!(full.len() > 200, "workload produced a suspiciously small WAL");
 
@@ -512,13 +566,17 @@ fn poisoned_wal_heals_via_forced_checkpoint_on_next_statement() {
     db.execute("CREATE TABLE t (k INTEGER)").unwrap();
     db.execute("INSERT INTO t VALUES (1)").unwrap();
 
-    // Rollback of a sole-writer frame truncates the WAL; fail that
-    // truncation to poison the log.
+    // The only truncation left outside open/checkpoint is the repair after
+    // a failed append. Fail every I/O operation during ROLLBACK: the Abort
+    // record's append fails, then the repair's truncate fails, and that
+    // poisons the log.
     db.execute("BEGIN").unwrap();
     db.execute("INSERT INTO t VALUES (2)").unwrap();
-    inj.arm_nth(Some(FaultSite::WalTruncate), 1, FaultKind::Error);
+    inj.arm_seeded(1, 1, FaultKind::Error);
     db.execute("ROLLBACK").unwrap();
-    assert!(db.wal_poisoned(), "failed truncate must poison the log");
+    inj.disarm();
+    assert_eq!(inj.ops(FaultSite::WalTruncate), 1, "the repair must have tried");
+    assert!(db.wal_poisoned(), "failed append + failed repair must poison the log");
     // Memory already rolled back despite the poisoned log.
     assert_eq!(ints(&mut db, "SELECT k FROM t"), vec![1]);
 
@@ -535,11 +593,11 @@ fn poisoned_wal_heals_via_forced_checkpoint_on_next_statement() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A crash-repair truncation while a transaction is open makes every WAL
-/// offset its savepoints recorded stale. `ROLLBACK TO` must not truncate
-/// through one: before the fix, `set_len` to a stale offset past the
-/// repaired end extended the file with a zero hole that stopped replay
-/// dead, silently losing every transaction committed after it.
+/// A crash-repair truncation while a transaction is open cuts its frame's
+/// bytes. The doomed transaction's later `ROLLBACK TO` and `ROLLBACK` must
+/// leave the repaired log alone (when savepoints held byte offsets, a
+/// `set_len` to one past the repaired end left a zero hole that stopped
+/// replay dead, losing every transaction committed after it).
 #[cfg(debug_assertions)]
 #[test]
 fn stale_savepoint_after_wal_repair_cannot_corrupt_the_log() {
@@ -556,7 +614,7 @@ fn stale_savepoint_after_wal_repair_cannot_corrupt_the_log() {
     a.execute("CREATE TABLE ta (k INTEGER)").unwrap();
     b.execute("CREATE TABLE tb (k INTEGER)").unwrap();
 
-    // A's frame interleaves with B's; A's savepoint records a WAL offset.
+    // A's frame interleaves with B's.
     a.execute("BEGIN").unwrap();
     a.execute("INSERT INTO ta VALUES (1), (2)").unwrap();
     a.execute("SAVEPOINT sp").unwrap();
@@ -565,16 +623,15 @@ fn stale_savepoint_after_wal_repair_cannot_corrupt_the_log() {
     b.execute("INSERT INTO tb VALUES (5)").unwrap();
 
     // An injected fsync failure at B's COMMIT repairs (truncates) the
-    // log back to the last committed boundary, cutting A's frame bytes —
-    // A's savepoint offset now points past the end of the file.
+    // log back to the last committed boundary, cutting A's frame bytes.
     inj.arm_nth(Some(FaultSite::WalFsync), 1, FaultKind::Error);
     let err = b.execute("COMMIT").unwrap_err();
     inj.disarm();
     assert!(matches!(err, Error::Io(_)), "got {err:?}");
     assert!(!b.in_transaction(), "failed COMMIT must abort the txn");
 
-    // A keeps going: another statement, then a rollback to the stale
-    // savepoint. Both succeed in memory; neither may damage the log.
+    // A keeps going: another statement, then a rollback to the savepoint.
+    // Both succeed in memory; neither may damage the log.
     a.execute("INSERT INTO ta VALUES (9), (10)").unwrap();
     a.execute("ROLLBACK TO sp").unwrap();
     assert_eq!(session_ints(&mut a, "SELECT k FROM ta ORDER BY k"), vec![1, 2]);
@@ -600,6 +657,53 @@ fn stale_savepoint_after_wal_repair_cannot_corrupt_the_log() {
     for d in [dir, snap] {
         let _ = fs::remove_dir_all(&d);
     }
+}
+
+/// The second stale-savepoint data loss (ROADMAP item 1), from plain SQL:
+/// B's open frame sits on the log's tail when A sets a savepoint, B rolls
+/// back, and A then logs past where B's bytes were and rolls back to the
+/// savepoint. With byte-offset savepoints and B's rollback a truncation,
+/// A's `ROLLBACK TO` cut the file mid-record and recovery dropped both A's
+/// commit and the commit after it. Every rollback is a logical record now.
+#[test]
+fn foreign_rollback_between_savepoint_and_rollback_to_loses_no_commit() {
+    let dir = tmpdir("foreign-rollback");
+    let shared = SharedDb::new(open(&dir));
+    let mut a = shared.session();
+    let mut b = shared.session();
+    for t in ["ta", "tb", "tc"] {
+        a.execute(&format!("CREATE TABLE {t} (k INTEGER)")).unwrap();
+    }
+
+    a.execute("BEGIN").unwrap();
+    a.execute("INSERT INTO ta VALUES (1)").unwrap();
+    // B's auto-commit moves the committed boundary past A's bytes...
+    b.execute("INSERT INTO tb VALUES (100)").unwrap();
+    // ...so B's next frame is alone on the uncommitted tail.
+    b.execute("BEGIN").unwrap();
+    b.execute("INSERT INTO tb VALUES (200), (201)").unwrap();
+    a.execute("SAVEPOINT sp").unwrap();
+    b.execute("ROLLBACK").unwrap();
+    for i in 0..10 {
+        a.execute(&format!("INSERT INTO ta VALUES ({})", 1000 + i)).unwrap();
+    }
+    a.execute("ROLLBACK TO sp").unwrap();
+    a.execute("INSERT INTO ta VALUES (42)").unwrap();
+    a.execute("COMMIT").unwrap();
+    b.execute("INSERT INTO tc VALUES (7)").unwrap();
+    drop((a, b, shared));
+
+    let mut rec = open(&dir);
+    assert_eq!(
+        dump(&mut rec),
+        vec![
+            ("ta".to_string(), vec!["[Int(1)]".to_string(), "[Int(42)]".to_string()]),
+            ("tb".to_string(), vec!["[Int(100)]".to_string()]),
+            ("tc".to_string(), vec!["[Int(7)]".to_string()]),
+        ],
+        "every acknowledged commit must survive the reopen"
+    );
+    let _ = fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------

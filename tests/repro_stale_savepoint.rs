@@ -1,8 +1,9 @@
-// Reproduction: a savepoint's recorded WAL length can include ANOTHER
-// session's tail bytes. If that other session aborts (tail truncated off,
-// no epoch bump) and the savepoint owner then logs enough new bytes,
-// ROLLBACK TO SAVEPOINT truncates to the stale offset — mid-record —
-// and later committed frames are lost at recovery.
+// Reproduction (ROADMAP item 1): while A's frame is open, B opens a frame
+// on the log's tail and aborts it, and A then logs more ops and rolls
+// back to a savepoint it set while B's bytes were on the tail. When
+// rollbacks were file truncations to recorded offsets, A's rollback cut
+// the file mid-record and later committed frames were lost at recovery.
+// Rollbacks are logical records now, so the file only grows here.
 use qymera_sqldb::storage::fault::FaultInjector;
 use qymera_sqldb::storage::wal::{DurableStore, FsyncPolicy};
 use qymera_sqldb::value::Value;
@@ -19,32 +20,24 @@ fn stale_savepoint_after_foreign_abort_truncation() {
         let a = store.begin().unwrap();
         store.log_insert(a, "t", &[vec![Value::Int(1)]]).unwrap();
 
-        // Txn C commits, advancing good_end past A's bytes.
+        // Txn C commits, advancing the committed boundary past A's bytes.
         let c = store.begin().unwrap();
         store.log_insert(c, "t", &[vec![Value::Int(100)]]).unwrap();
         store.commit(c).unwrap();
 
-        // Txn B now owns the tail exclusively.
+        // Txn B is now alone on the uncommitted tail.
         let b = store.begin().unwrap();
         store.log_insert(b, "t", &[vec![Value::Int(200)], vec![Value::Int(201)]]).unwrap();
 
-        // A sets a savepoint: wal_len includes B's tail bytes (this is what
-        // Database::txn_savepoint records as the mark's wal_len).
-        let sp_len = store.wal_len();
-
-        // B aborts: tail-owned, so the file is truncated back to good_end.
+        // A sets a savepoint here (an op count — `Database::txn_savepoint`
+        // records nothing about the file), then B aborts.
         store.abort(b);
-        assert!(store.wal_len() < sp_len, "B's abort truncated the tail");
 
-        // A logs enough new ops to push the file past the stale sp_len.
+        // A logs ten ops past the savepoint and rolls them back.
         for i in 0..10 {
             store.log_insert(a, "t", &[vec![Value::Int(i)]]).unwrap();
         }
-        let ops_since_sp = 10;
-        assert!(store.wal_len() > sp_len);
-
-        // ROLLBACK TO SAVEPOINT with the stale offset: truncates mid-record.
-        store.rollback_ops(a, ops_since_sp, sp_len).unwrap();
+        store.rollback_ops(a, 10).unwrap();
 
         // A continues and commits; then an unrelated txn D commits too.
         store.log_insert(a, "t", &[vec![Value::Int(42)]]).unwrap();
@@ -53,7 +46,7 @@ fn stale_savepoint_after_foreign_abort_truncation() {
         store.log_insert(d, "t", &[vec![Value::Int(7)]]).unwrap();
         store.commit(d).unwrap();
     }
-    // Recovery: both A's and D's acknowledged commits must replay.
+    // Recovery: C's, A's and D's acknowledged commits must all replay.
     let (_, rec) =
         DurableStore::open(&dir, FsyncPolicy::Commit, FaultInjector::none()).unwrap();
     let committed: Vec<u64> = rec.frames.iter().map(|f| f.txn).collect();
