@@ -3,25 +3,23 @@
 //! throughput — the three costs every simulated gate pays — plus a
 //! scan-only micro isolating the base-table storage layout.
 //!
-//! The gate-application query runs on **both** execution paths in the same
-//! process (`gate_join_groupby_16k_rows` = vectorized default,
-//! `gate_join_groupby_16k_rows_rowpath` = row-at-a-time reference), so one
-//! bench run yields the row-vs-batch speedup directly, and the
+//! The gate-application query runs sequentially
+//! (`gate_join_groupby_16k_rows`), and the
 //! `gate_join_groupby_16k_rows_par{1,2,4}` group adds the morsel-parallel
 //! scaling curve (meaningful only on multi-core hosts; on a single core the
 //! parallel variants just measure coordination overhead). The `scan_16k_*`
-//! group compares three ways of delivering the same 16k-row state table to
-//! the executor: materializing each row (row path), transposing row storage
-//! into columnar batches per scan (the pre-columnar batch path), and
-//! handing out the table's own column chunks by `Arc` (the current
-//! zero-copy path); each variant then sums the `r` column the way a
-//! vectorized kernel would read it.
+//! group compares two ways of delivering the same 16k-row state table to
+//! the executor: transposing row storage into columnar batches per scan (the
+//! pre-columnar layout), and handing out the table's own column chunks by
+//! `Arc` (the current zero-copy path); each variant then sums the `r` column
+//! the way a vectorized kernel would read it. End-to-end numbers live in
+//! `BENCH_e2e.json`, not here.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qymera_sqldb::ast::DataType;
 use qymera_sqldb::exec::batch::{Column, RowBatch, BATCH_SIZE};
 use qymera_sqldb::table::Table;
-use qymera_sqldb::{parser, Database, ExecPath, MemoryBudget, Row, Value};
+use qymera_sqldb::{parser, Database, MemoryBudget, Row, Value};
 
 const FIG2C: &str = "WITH T1 AS (SELECT ((T0.s & ~1) | H.out_s) AS s, \
 SUM((T0.r * H.r) - (T0.i * H.i)) AS r, SUM((T0.r * H.i) + (T0.i * H.r)) AS i \
@@ -35,10 +33,10 @@ FROM T0 JOIN H ON H.in_s = (T0.s & 1) \
 GROUP BY ((T0.s & ~1) | H.out_s)";
 
 /// A 16k-amplitude uniform state plus a Hadamard gate table. Parallelism
-/// is pinned to 1 so every micro below measures exactly one effect —
-/// vectorization vs the row path, storage layout, etc. — independent of
-/// the host's core count and comparable with historical numbers; the
-/// `_par{1,2,4}` group overrides the knob explicitly to measure scaling.
+/// is pinned to 1 so every micro below measures exactly one effect,
+/// independent of the host's core count and comparable with historical
+/// numbers; the `_par{1,2,4}` group overrides the knob explicitly to
+/// measure scaling.
 fn gate_db() -> Database {
     let mut db = Database::new();
     db.set_parallelism(1);
@@ -65,23 +63,11 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(parser::parse_statement(FIG2C).unwrap()))
     });
 
-    // One gate application over a 16k-row state (join + group by) on the
-    // default vectorized path ...
+    // One gate application over a 16k-row state (join + group by).
     let mut db = gate_db();
     group.bench_function("gate_join_groupby_16k_rows", |b| {
         b.iter(|| {
             let rs = db.execute(GATE_APPLY).unwrap();
-            std::hint::black_box(rs.rows().len())
-        })
-    });
-
-    // ... and the same query on the row-at-a-time reference path. The ratio
-    // of these two is the headline vectorization speedup.
-    let mut row_db = gate_db();
-    row_db.set_exec_path(ExecPath::Row);
-    group.bench_function("gate_join_groupby_16k_rows_rowpath", |b| {
-        b.iter(|| {
-            let rs = row_db.execute(GATE_APPLY).unwrap();
             std::hint::black_box(rs.rows().len())
         })
     });
@@ -125,11 +111,9 @@ fn bench_engine(c: &mut Criterion) {
 }
 
 /// Full 16k-row `ORDER BY` (no LIMIT, so the top-k shortcut cannot engage)
-/// and a LEFT OUTER equi-join whose probe side half-misses — the two shapes
-/// that ran row operators behind adapter shims before the vectorized
-/// `BatchSort` / outer `BatchHashJoin` landed. Row path vs single-threaded
-/// batch isolates vectorization; the `par4` variants add the morsel-parallel
-/// scaling curve (meaningful only on multi-core hosts).
+/// and a LEFT OUTER equi-join whose probe side half-misses, sequentially
+/// and with the `par4` variants adding the morsel-parallel scaling curve
+/// (meaningful only on multi-core hosts).
 fn bench_sort_and_outer_join(c: &mut Criterion) {
     let mut group = c.benchmark_group("sql_engine_micro");
     group.sample_size(30);
@@ -144,15 +128,6 @@ fn bench_sort_and_outer_join(c: &mut Criterion) {
         group.bench_function(format!("{name}_batch"), |b| {
             b.iter(|| {
                 let rs = batch_db.execute(sql).unwrap();
-                std::hint::black_box(rs.rows().len())
-            })
-        });
-
-        let mut row_db = gate_db();
-        row_db.set_exec_path(ExecPath::Row);
-        group.bench_function(format!("{name}_rowpath"), |b| {
-            b.iter(|| {
-                let rs = row_db.execute(sql).unwrap();
                 std::hint::black_box(rs.rows().len())
             })
         });
@@ -179,8 +154,8 @@ fn sum_r(batch: &RowBatch) -> f64 {
     }
 }
 
-/// Scan-only micro over a 16k-amplitude state table: row materialization vs
-/// per-scan transpose vs zero-copy chunk sharing.
+/// Scan-only micro over a 16k-amplitude state table: per-scan transpose vs
+/// zero-copy chunk sharing.
 fn bench_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("sql_engine_micro");
     group.sample_size(40);
@@ -200,20 +175,6 @@ fn bench_scan(c: &mut Criterion) {
         .collect();
     table.insert_rows(rows.clone()).unwrap();
     let snapshot = table.snapshot();
-
-    // Row path: the chunk→row adapter materializes one Vec<Value> per row.
-    group.bench_function("scan_16k_rowpath", |b| {
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for chunk in snapshot.chunks() {
-                for i in 0..chunk.rows() {
-                    let row = chunk.row(i);
-                    acc += row[1].as_f64().unwrap();
-                }
-            }
-            std::hint::black_box(acc)
-        })
-    });
 
     // The pre-columnar batch path: base tables stored Vec<Row>, and every
     // scan re-transposed each 1024-row slice into a columnar batch.
@@ -240,20 +201,15 @@ fn bench_scan(c: &mut Criterion) {
         })
     });
 
-    // End-to-end sanity: the same scan through the SQL surface on both
-    // paths (includes parse/plan and final row materialization).
-    for (name, path) in
-        [("scan_16k_select_batch", ExecPath::Batch), ("scan_16k_select_rowpath", ExecPath::Row)]
-    {
-        let mut db = gate_db();
-        db.set_exec_path(path);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let rs = db.execute("SELECT s, r, i FROM T0").unwrap();
-                std::hint::black_box(rs.rows().len())
-            })
-        });
-    }
+    // End-to-end sanity: the same scan through the SQL surface (includes
+    // parse/plan and final row materialization).
+    let mut db = gate_db();
+    group.bench_function("scan_16k_select_batch", |b| {
+        b.iter(|| {
+            let rs = db.execute("SELECT s, r, i FROM T0").unwrap();
+            std::hint::black_box(rs.rows().len())
+        })
+    });
 
     group.finish();
 }

@@ -1,15 +1,25 @@
 //! Differential fuzzing of the translate path: random circuits run
-//! through the SQL backend (single-query, row-engine, and step-table
-//! modes) and cross-checked against the native simulator backends
-//! (statevector, sparse, MPS, decision diagram) amplitude-by-amplitude.
+//! through the SQL backend (single-query and step-table modes, and the
+//! single query answered by the engine's reference interpreter) and
+//! cross-checked against the native simulator backends (statevector,
+//! sparse, MPS, decision diagram) amplitude-by-amplitude.
 //!
 //! Rotation angles are dyadic multiples of π/8 — enough to produce dense,
 //! interfering states while keeping every backend well inside the
 //! comparison tolerance.
 
-use qymera_circuit::{Gate, GateKind, QuantumCircuit};
-use qymera_sim::{DdSim, MpsSim, SimOptions, SimOutput, Simulator, SparseSim, StateVectorSim};
-use qymera_translate::{ExecMode, SqlSimConfig, SqlSimulator};
+use std::collections::BTreeMap;
+
+use qymera_circuit::{c64, Gate, GateKind, QuantumCircuit};
+use qymera_sim::{
+    DdSim, MpsSim, SimError, SimOptions, SimOutput, Simulator, SparseSim, StateVectorSim,
+};
+use qymera_sqldb::Database;
+use qymera_translate::fusion::lower_circuit;
+use qymera_translate::tables::create_initial_state_table;
+use qymera_translate::{
+    circuit_query, ExecMode, GateTableRegistry, SqlGenConfig, SqlSimConfig, SqlSimulator,
+};
 
 use crate::generator::CaseRng;
 use crate::oracle::Discrepancy;
@@ -118,10 +128,6 @@ fn sql_backends() -> Vec<(&'static str, SqlSimulator)> {
     vec![
         ("sql-single", SqlSimulator::paper_default()),
         (
-            "sql-row",
-            SqlSimulator::new(SqlSimConfig { row_engine: true, ..SqlSimConfig::default() }),
-        ),
-        (
             "sql-step",
             SqlSimulator::new(SqlSimConfig {
                 mode: ExecMode::StepTables,
@@ -129,6 +135,27 @@ fn sql_backends() -> Vec<(&'static str, SqlSimulator)> {
             }),
         ),
     ]
+}
+
+/// The translator's tables and single-query text for `circuit`, answered by
+/// `Database::query_reference` instead of the executor.
+fn simulate_with_reference(circuit: &QuantumCircuit) -> Result<SimOutput, SimError> {
+    let err = |e: qymera_sqldb::Error| SimError::Numerical(e.to_string());
+    let mut reg = GateTableRegistry::new();
+    let ops = lower_circuit(circuit, &mut reg, None);
+    let mut db = Database::new();
+    reg.materialize(&mut db).map_err(err)?;
+    create_initial_state_table(&mut db, "T0", circuit.num_qubits, 0).map_err(err)?;
+    let sql = circuit_query(&ops, circuit.num_qubits, "T0", &SqlGenConfig::default());
+    let mut amplitudes = BTreeMap::new();
+    for row in db.query_reference(&sql).map_err(err)?.rows() {
+        let [s, r, i] = row.as_slice() else {
+            return Err(SimError::Numerical("state row arity mismatch".into()));
+        };
+        let s = s.as_i64().map_err(err)? as u64;
+        amplitudes.insert(s, c64(r.as_f64().map_err(err)?, i.as_f64().map_err(err)?));
+    }
+    Ok(SimOutput::from_map(circuit.num_qubits, amplitudes, 0))
 }
 
 /// Run `case` through every SQL mode and native backend, comparing all
@@ -176,6 +203,9 @@ pub fn run_circuit_case(case: &CircuitCase) -> Option<Discrepancy> {
         if let Some(d) = check(name, sim.simulate(&circuit, &opts)) {
             return Some(d);
         }
+    }
+    if let Some(d) = check("sql-reference", simulate_with_reference(&circuit)) {
+        return Some(d);
     }
     if let Some(d) = check("sparse", SparseSim.simulate(&circuit, &opts)) {
         return Some(d);

@@ -11,8 +11,10 @@
 //!
 //! The five oracles every generated case can be cross-checked against:
 //!
-//! 1. **Row** — the row-at-a-time reference executor ([`ExecPath::Row`]).
-//! 2. **Batch** — the vectorized default executor, fully sequential.
+//! 1. **Row** — the reference interpreter ([`Database::query_reference`]):
+//!    one recursive function over the plan, one row at a time, sharing no
+//!    operator, spill or budget code with what it checks.
+//! 2. **Batch** — the vectorized executor, fully sequential.
 //! 3. **Parallel** — the batch executor at worker counts 2, 4, and 8
 //!    (morsel-driven; results must be identical to sequential).
 //! 4. **Durable** — the same statements through [`Database::open`] with a
@@ -25,7 +27,7 @@
 //! any failure shrinks to a self-contained repro file that pins the seed,
 //! statements, and fault schedule on one line each.
 //!
-//! [`ExecPath::Row`]: qymera_sqldb::ExecPath::Row
+//! [`Database::query_reference`]: qymera_sqldb::Database::query_reference
 //! [`Database::open`]: qymera_sqldb::Database::open
 
 #![warn(missing_docs)]

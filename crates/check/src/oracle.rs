@@ -6,7 +6,7 @@
 //!
 //! * Without `LIMIT`, the full result multiset must agree across oracles
 //!   (rows canonicalized and sorted — group output order is not part of
-//!   the contract between the row and batch executors).
+//!   the contract between the reference and the executor).
 //! * With `ORDER BY`, the *sequence* of order-key columns must agree
 //!   exactly: sorting fixes the key sequence regardless of how ties among
 //!   full rows are broken, so this comparison stays sound under `LIMIT`.
@@ -14,14 +14,15 @@
 //! * Any oracle returning an error is a discrepancy outright — the
 //!   generator only emits queries that cannot legitimately fail.
 
-use qymera_sqldb::{Database, DurabilityOptions, ExecPath, FsyncPolicy, ResultSet, Value};
+use qymera_sqldb::{Database, DurabilityOptions, FsyncPolicy, ResultSet, Value};
 
 use crate::generator::SqlCase;
 
 /// One execution strategy a case is run under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SqlOracle {
-    /// Row-at-a-time reference executor.
+    /// The row-at-a-time reference interpreter
+    /// ([`Database::query_reference`]): no executor code runs.
     Row,
     /// Vectorized batch executor, sequential.
     Batch,
@@ -113,11 +114,10 @@ pub fn run_oracle(case: &SqlCase, oracle: SqlOracle) -> qymera_sqldb::Result<Res
     match oracle {
         SqlOracle::Row => {
             let mut db = Database::new();
-            db.set_exec_path(ExecPath::Row);
             for st in &setup {
                 db.execute(st)?;
             }
-            db.execute(&query)
+            db.query_reference(&query)
         }
         SqlOracle::Batch | SqlOracle::Parallel(_) => {
             let mut db = Database::new();

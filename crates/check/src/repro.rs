@@ -21,7 +21,7 @@
 
 use std::path::{Path, PathBuf};
 
-use qymera_sqldb::{Database, ExecPath, FaultSchedule};
+use qymera_sqldb::{Database, FaultSchedule};
 
 use crate::generator::SqlCase;
 use crate::oracle::canon_multiset;
@@ -123,39 +123,34 @@ impl Repro {
         Ok(path)
     }
 
-    /// Replay the statements under the row, batch, and 4-way-parallel
-    /// engines and compare result multisets. Returns a description of the
+    /// Replay the statements through the reference interpreter
+    /// ([`Database::query_reference`]) and the sequential and 4-way-parallel
+    /// executor, and compare result multisets. Returns a description of the
     /// first disagreement (or error), `None` when all agree — i.e. `None`
     /// means the repro no longer reproduces on this build.
     pub fn replay(&self) -> Option<String> {
-        let run = |row: bool, par: usize| -> Result<Vec<String>, String> {
-            let mut db = Database::new();
-            if row {
-                db.set_exec_path(ExecPath::Row);
-            } else {
-                db.set_parallelism(par);
+        let mut db = Database::new();
+        for st in &self.setup {
+            if let Err(e) = db.execute(st) {
+                return Some(format!("setup errored: `{st}`: {e}"));
             }
-            for st in &self.setup {
-                db.execute(st).map_err(|e| format!("`{st}`: {e}"))?;
-            }
-            let rs = db.execute(&self.query).map_err(|e| format!("`{}`: {e}", self.query))?;
-            Ok(canon_multiset(rs.rows()))
-        };
-        let row = match run(true, 1) {
-            Ok(r) => r,
-            Err(e) => return Some(format!("row engine errored: {e}")),
+        }
+        let reference = match db.query_reference(&self.query) {
+            Ok(rs) => canon_multiset(rs.rows()),
+            Err(e) => return Some(format!("reference errored: `{}`: {e}", self.query)),
         };
         for (name, par) in [("batch", 1), ("parallel4", 4)] {
-            match run(false, par) {
-                Ok(r) if r == row => {}
-                Ok(r) => {
+            db.set_parallelism(par);
+            match db.execute(&self.query).map(|rs| canon_multiset(rs.rows())) {
+                Ok(rows) if rows == reference => {}
+                Ok(rows) => {
                     return Some(format!(
-                        "row vs {name}: result multisets differ ({} vs {} rows)",
-                        row.len(),
-                        r.len()
+                        "reference vs {name}: result multisets differ ({} vs {} rows)",
+                        reference.len(),
+                        rows.len()
                     ))
                 }
-                Err(e) => return Some(format!("{name} engine errored: {e}")),
+                Err(e) => return Some(format!("{name} errored: `{}`: {e}", self.query)),
             }
         }
         None

@@ -18,12 +18,13 @@ use crate::ast::{DataType, Expr, Query, Statement};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::govern::{self, AdmissionController, CancelHandle, QueryContext};
-use crate::exec::vector::{build_batch_stream, BatchToRow};
-use crate::exec::{build_stream, ExecContext, RowStream};
+use crate::exec::vector::{build_batch_stream, drain};
+use crate::exec::ExecContext;
 use crate::expr::bind;
 use crate::parser::{parse_script, parse_statement};
 use crate::plan::logical::{depth_bound, plan_query, Plan};
 use crate::plan::optimizer::optimize;
+use crate::reference;
 use crate::schema::RelSchema;
 use crate::storage::budget::MemoryBudget;
 use crate::storage::fault::FaultInjector;
@@ -38,9 +39,10 @@ use crate::value::Value;
 /// Queries whose plan may be deeper than this run on a dedicated thread with
 /// a large stack. The translator emits one CTE (join + aggregate + project)
 /// per gate, so plan depth grows linearly with circuit length; the optimizer,
-/// `Plan::depth`, the pipeline builders and the plan's drop all recurse once
-/// per level, and both executors keep one live frame set per pipeline stage
-/// while the top aggregate's consume phase is in flight.
+/// `Plan::depth`, the pipeline builder, the reference interpreter and the
+/// plan's drop all recurse once per level, and the executor keeps one live
+/// frame set per pipeline stage while the top aggregate's consume phase is in
+/// flight.
 const DEEP_PLAN_DEPTH: usize = 64;
 
 /// Stack size for the dedicated execution thread (fits thousands of gates).
@@ -68,24 +70,6 @@ fn with_exec_stack<T: Send>(query: &Query, f: impl FnOnce() -> T + Send) -> T {
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     })
-}
-
-/// Which physical execution path queries run on.
-///
-/// The vectorized [`ExecPath::Batch`] path is the default and covers every
-/// plan shape — sorts, outer/cross/non-equi joins, and DISTINCT aggregates
-/// included; the row path is kept purely as the independent reference
-/// implementation (row/batch equivalence is enforced by tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecPath {
-    /// Vectorized batch-at-a-time execution over columnar [`RowBatch`]
-    /// chunks (see [`crate::exec::vector`]).
-    ///
-    /// [`RowBatch`]: crate::exec::batch::RowBatch
-    #[default]
-    Batch,
-    /// Row-at-a-time pull execution (`RowStream`), one virtual call per row.
-    Row,
 }
 
 /// Result of executing a statement.
@@ -177,7 +161,6 @@ pub struct Database {
     catalog: Catalog,
     budget: MemoryBudget,
     spill: Arc<SpillDir>,
-    path: ExecPath,
     parallelism: usize,
     statements: u64,
     rows_returned: u64,
@@ -278,9 +261,7 @@ impl Database {
         Database {
             catalog: Catalog::new(),
             budget,
-            spill: SpillDir::new_with(Arc::clone(&injector))
-                .expect("cannot create spill directory"),
-            path: ExecPath::default(),
+            spill: SpillDir::new_with(Arc::clone(&injector)),
             parallelism: default_parallelism(),
             statements: 0,
             rows_returned: 0,
@@ -320,8 +301,7 @@ impl Database {
         let mut db = Database {
             catalog: Catalog::new(),
             budget: opts.budget,
-            spill: SpillDir::new_with(Arc::clone(&injector))?,
-            path: ExecPath::default(),
+            spill: SpillDir::new_with(Arc::clone(&injector)),
             parallelism: default_parallelism(),
             statements: 0,
             rows_returned: 0,
@@ -636,17 +616,6 @@ impl Database {
         );
     }
 
-    /// Select the physical execution path for subsequent queries
-    /// ([`ExecPath::Batch`] is the default).
-    pub fn set_exec_path(&mut self, path: ExecPath) {
-        self.path = path;
-    }
-
-    /// The currently selected execution path.
-    pub fn exec_path(&self) -> ExecPath {
-        self.path
-    }
-
     /// Cap the batch executor's morsel-parallel worker pool at `n` threads
     /// (clamped to at least 1). `1` reproduces single-threaded execution
     /// exactly; the default is the host core count (or `QYMERA_PARALLELISM`
@@ -698,18 +667,6 @@ impl Database {
         }
     }
 
-    /// Build a row source for an already-optimized plan on the selected
-    /// execution path. The batch path is adapted to rows at the very top —
-    /// every operator below still runs vectorized.
-    fn build_row_source(&self, plan: &Plan, ctx: &ExecContext) -> Result<Box<dyn RowStream>> {
-        Ok(match self.path {
-            ExecPath::Batch => {
-                Box::new(BatchToRow::new(build_batch_stream(plan, &self.catalog, ctx)?))
-            }
-            ExecPath::Row => build_stream(plan, &self.catalog, ctx)?,
-        })
-    }
-
     /// `EXPLAIN ANALYZE`: execute the query with per-operator instrumentation
     /// and render the plan annotated with row counts and inclusive times.
     pub fn explain_analyze(&mut self, sql: &str) -> Result<String> {
@@ -727,12 +684,11 @@ impl Database {
             let stats = Rc::new(RefCell::new(Vec::new()));
             let mut ctx = self.ctx();
             ctx.instrument = Some(Rc::clone(&stats));
-            let mut stream = self.build_row_source(&plan, &ctx)?;
             let mut total_rows = 0u64;
-            while stream.next_row()?.is_some() {
-                total_rows += 1;
-            }
-            drop(stream);
+            drain(build_batch_stream(&plan, &self.catalog, &ctx)?, |batch| {
+                total_rows += batch.num_rows() as u64;
+                Ok(())
+            })?;
             let nodes: Vec<_> = stats.borrow().clone();
             Ok::<_, Error>((nodes, total_rows))
         })?;
@@ -1131,12 +1087,11 @@ impl Database {
             Statement::Query(q) => {
                 let (columns, rows) = with_exec_stack(&q, || {
                     let plan = optimize(plan_query(&q, &self.catalog)?);
-                    let ctx = self.ctx();
-                    let mut stream = self.build_row_source(&plan, &ctx)?;
                     let mut rows = Vec::new();
-                    while let Some(row) = stream.next_row()? {
-                        rows.push(row);
-                    }
+                    drain(build_batch_stream(&plan, &self.catalog, &self.ctx())?, |batch| {
+                        rows.extend(batch.into_rows());
+                        Ok(())
+                    })?;
                     Ok::<_, Error>((plan.schema().names(), rows))
                 })?;
                 self.rows_returned += rows.len() as u64;
@@ -1208,49 +1163,56 @@ impl Database {
     /// overrun, WAL fault, cancellation — aborts the implicit transaction,
     /// whose `Created` undo entry drops the partially built table again.
     fn create_table_as_in_txn(&mut self, name: &str, plan: Plan) -> Result<usize> {
-        let schema = plan.schema();
-        let ctx = self.ctx();
-        let mut stream = self.build_row_source(&plan, &ctx)?;
+        const CHUNK: usize = 4096;
+        let names = plan.schema().names();
+        let stream = build_batch_stream(&plan, &self.catalog, &self.ctx())?;
+        let mut created = false;
+        let mut buf: Vec<Row> = Vec::new();
+        let mut inserted = 0usize;
+        drain(stream, |batch| {
+            buf.extend(batch.into_rows());
+            if !created {
+                self.ctas_create(name, &names, buf.first())?;
+                created = true;
+            }
+            while buf.len() >= CHUNK {
+                let rest = buf.split_off(CHUNK);
+                inserted += self.ctas_append(name, std::mem::replace(&mut buf, rest))?;
+            }
+            Ok(())
+        })?;
+        if !created {
+            self.ctas_create(name, &names, None)?;
+        }
+        if !buf.is_empty() {
+            inserted += self.ctas_append(name, buf)?;
+        }
+        Ok(inserted)
+    }
 
-        // Column types are inferred from the first row; later rows must
-        // coerce losslessly (the Qymera translator guarantees this by casting
-        // `s` explicitly when states are wider than 63 bits).
-        let first = stream.next_row()?;
-        let types: Vec<DataType> = match &first {
+    /// Log and create the CTAS target. Column types are inferred from the
+    /// first result row; later rows must coerce losslessly (the Qymera
+    /// translator guarantees this by casting `s` explicitly when states are
+    /// wider than 63 bits). An empty result makes every column `DOUBLE`.
+    fn ctas_create(&mut self, name: &str, names: &[String], first: Option<&Row>) -> Result<()> {
+        let types: Vec<DataType> = match first {
             Some(row) => row.iter().map(infer_type).collect(),
-            None => vec![DataType::Double; schema.len()],
+            None => vec![DataType::Double; names.len()],
         };
-        let columns: Vec<(String, DataType)> = schema
-            .names()
-            .into_iter()
-            .zip(types)
-            .collect();
+        let columns: Vec<(String, DataType)> = names.iter().cloned().zip(types).collect();
         self.log_in_txn(0, |s, txn| s.log_create(txn, name, &columns))?;
         self.catalog.create_table(name, columns, false, self.budget.clone())?;
         self.push_undo(0, UndoEntry::Created { name: name.to_string() });
+        Ok(())
+    }
 
-        const CHUNK: usize = 4096;
-        let mut inserted = 0usize;
-        let mut buf: Vec<Row> = first.into_iter().collect();
-        loop {
-            // Cancel point per chunk: nothing from a doomed chunk is
-            // logged or applied.
-            self.query.check()?;
-            while buf.len() < CHUNK {
-                match stream.next_row()? {
-                    Some(r) => buf.push(r),
-                    None => break,
-                }
-            }
-            if buf.is_empty() {
-                break;
-            }
-            self.log_in_txn(0, |s, txn| s.log_insert(txn, name, &buf))?;
-            // `load_rows` coerces and appends straight into the table's
-            // typed column builders (chunked columnar storage).
-            inserted += self.catalog.get_mut(name)?.load_rows(std::mem::take(&mut buf))?;
-        }
-        Ok(inserted)
+    /// Log and load one CTAS chunk. Cancel point per chunk: nothing from a
+    /// doomed chunk is logged or applied. `load_rows` coerces and appends
+    /// straight into the table's typed column builders.
+    fn ctas_append(&mut self, name: &str, rows: Vec<Row>) -> Result<usize> {
+        self.query.check()?;
+        self.log_in_txn(0, |s, txn| s.log_insert(txn, name, &rows))?;
+        self.catalog.get_mut(name)?.load_rows(rows)
     }
 
     /// Bulk-load pre-built rows (bypasses SQL parsing; used by the Qymera
@@ -1287,6 +1249,23 @@ impl Database {
 
     fn explain_query(&self, q: &Query) -> Result<String> {
         with_exec_stack(q, || Ok(optimize(plan_query(q, &self.catalog)?).explain()))
+    }
+
+    /// What `sql` (a query) means over the current tables, computed by the
+    /// reference interpreter ([`crate::reference`]) and not by the executor:
+    /// the oracle tests and `crates/check` compare [`Database::execute`]
+    /// against. A function of the SQL text and the catalog only — no budget,
+    /// spill, cancellation, admission or statistics — holding every
+    /// intermediate result in memory, so not for production paths.
+    pub fn query_reference(&self, sql: &str) -> Result<ResultSet> {
+        let Statement::Query(q) = parse_statement(sql)? else {
+            return Err(Error::Plan("query_reference requires a query".into()));
+        };
+        with_exec_stack(&q, || {
+            let plan = optimize(plan_query(&q, &self.catalog)?);
+            let rows = reference::run(&plan, &self.catalog)?;
+            Ok(ResultSet { columns: plan.schema().names(), rows, affected: 0 })
+        })
     }
 
     pub fn table_names(&self) -> Vec<String> {

@@ -1,37 +1,28 @@
-//! Hash aggregation with recursive partition spilling.
+//! Aggregate accumulators and the partial-row format they spill in.
 //!
-//! This operator carries Qymera's `GROUP BY` workload: every gate application
-//! is one aggregation over the joined state (Fig. 2c). For dense states the
-//! group table is the *entire next quantum state* (up to 2ⁿ groups), so the
-//! paper's out-of-core story (§3.3) lives or dies here. The implementation is
-//! a textbook hybrid hash/grace scheme:
-//!
-//! 1. **Consume**: aggregate input rows into an in-memory table. When the
-//!    memory reservation cannot grow, flush the table as *partial aggregate
-//!    rows* into 16 hash partitions on disk and keep going.
-//! 2. **Merge**: drain the in-memory table, then merge each spilled
-//!    partition; a partition that still does not fit re-partitions
-//!    recursively (depth-limited, with a depth-salted hash).
+//! Every gate application is one `GROUP BY` over the joined state (Fig. 2c),
+//! and for dense states the group table is the *entire next quantum state*,
+//! so the aggregate in [`super::vector`] spills: under memory pressure it
+//! flushes its table as *partial aggregate rows* (group key values followed
+//! by each accumulator's `Acc::write_partial` slice) into `PARTITIONS`
+//! hash partitions chosen by `partition_of`, and merges each partition back
+//! with `Acc::consume_partial`, re-partitioning up to `MAX_DEPTH` levels
+//! with a depth-salted hash. `Acc` is also what the reference interpreter
+//! ([`crate::reference`]) folds with, one row at a time.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use crate::error::{Error, Result};
-use crate::expr::BoundExpr;
 use crate::plan::logical::{AggExpr, AggFunc};
-use crate::storage::budget::Reservation;
-use crate::storage::spill::{row_bytes, Row, SpillReader, SpillWriter};
+use crate::storage::spill::{row_bytes, Row};
 use crate::value::{GroupKey, Value};
-
-use super::{eval_values, ExecContext, RowStream};
 
 pub(crate) const PARTITIONS: usize = 16;
 pub(crate) const MAX_DEPTH: u32 = 4;
 
-/// Accumulator state for one aggregate in one group. Shared with the
-/// vectorized aggregate in [`super::vector`], which reuses the same partial
-/// row format so spilled partitions are interchangeable between paths.
+/// Accumulator state for one aggregate in one group.
 #[derive(Debug, Clone)]
 pub(crate) enum Acc {
     Sum(Option<Value>),
@@ -370,347 +361,84 @@ impl Acc {
 
 pub(crate) type GroupState = (Vec<Value>, Vec<Acc>); // (representative key values, accumulators)
 
-/// The aggregation operator.
-pub struct HashAggregate {
-    input: Option<Box<dyn RowStream>>,
-    group_by: Vec<BoundExpr>,
-    aggs: Vec<AggExpr>,
-    ctx: ExecContext,
-    reservation: Reservation,
-    state: State,
+/// Bytes one group charges against the budget while it sits in a table.
+pub(crate) fn entry_bytes(reps: &[Value], accs: &[Acc]) -> usize {
+    row_bytes(reps) + accs.iter().map(Acc::heap_bytes).sum::<usize>() + 64
 }
 
-enum State {
-    /// Not yet executed.
-    Pending,
-    /// Producing output.
-    Draining {
-        current: std::vec::IntoIter<GroupState>,
-        /// Spilled partitions still to merge (reader, depth).
-        pending: Vec<(SpillReader, u32)>,
-    },
-    Done,
-}
-
-impl HashAggregate {
-    /// Aggregate `input` grouped by `group_by`, computing `aggs` per group.
-    pub fn new(
-        input: Box<dyn RowStream>,
-        group_by: Vec<BoundExpr>,
-        aggs: Vec<AggExpr>,
-        ctx: ExecContext,
-    ) -> Self {
-        let reservation = Reservation::empty(&ctx.budget);
-        HashAggregate {
-            input: Some(input),
-            group_by,
-            aggs,
-            ctx,
-            reservation,
-            state: State::Pending,
-        }
-    }
-
-    fn keys_of(reps: &[Value]) -> Vec<GroupKey> {
-        reps.iter().map(Value::group_key).collect()
-    }
-
-    pub(crate) fn entry_bytes(reps: &[Value], accs: &[Acc]) -> usize {
-        row_bytes(reps) + accs.iter().map(Acc::heap_bytes).sum::<usize>() + 64
-    }
-
-    pub(crate) fn partition_of(keys: &[GroupKey], depth: u32) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        // Salt by depth so recursive re-partitioning actually redistributes.
-        (0x9e3779b97f4a7c15u64 ^ u64::from(depth)).hash(&mut h);
-        keys.hash(&mut h);
-        (h.finish() as usize) % PARTITIONS
-    }
-
-    /// Flush the in-memory table into partition spill files as partial rows.
-    fn flush(
-        &mut self,
-        map: &mut HashMap<Vec<GroupKey>, GroupState>,
-        writers: &mut Option<Vec<SpillWriter>>,
-        depth: u32,
-    ) -> Result<()> {
-        if writers.is_none() {
-            let mut ws = Vec::with_capacity(PARTITIONS);
-            for _ in 0..PARTITIONS {
-                ws.push(SpillWriter::create(&self.ctx.spill)?);
-            }
-            *writers = Some(ws);
-        }
-        let ws = writers.as_mut().expect("just initialized");
-        for (keys, (reps, accs)) in map.drain() {
-            let mut row = reps;
-            for a in &accs {
-                a.write_partial(&mut row)?;
-            }
-            ws[Self::partition_of(&keys, depth)].write_row(&row)?;
-        }
-        self.reservation.free();
-        Ok(())
-    }
-
-    /// Phase 1: consume the input stream.
-    fn consume(&mut self) -> Result<()> {
-        let mut input = self.input.take().expect("consume called twice");
-        let mut map: HashMap<Vec<GroupKey>, GroupState> = HashMap::new();
-        let mut writers: Option<Vec<SpillWriter>> = None;
-        let mut saw_rows = false;
-
-        while let Some(row) = input.next_row()? {
-            saw_rows = true;
-            let reps = eval_values(&self.group_by, &row)?;
-            let keys = Self::keys_of(&reps);
-            // Evaluate aggregate arguments before taking the map entry.
-            let mut args = Vec::with_capacity(self.aggs.len());
-            for agg in &self.aggs {
-                args.push(match &agg.arg {
-                    Some(e) => Some(e.eval(&row)?),
-                    None => None,
-                });
-            }
-            let mut new_entry_bytes = None;
-            match map.entry(keys) {
-                Entry::Occupied(mut e) => {
-                    let (_, accs) = e.get_mut();
-                    for (acc, arg) in accs.iter_mut().zip(args) {
-                        acc.update(arg)?;
-                    }
-                }
-                Entry::Vacant(e) => {
-                    let mut accs: Vec<Acc> = self.aggs.iter().map(Acc::new).collect();
-                    for (acc, arg) in accs.iter_mut().zip(args) {
-                        acc.update(arg)?;
-                    }
-                    new_entry_bytes = Some(Self::entry_bytes(&reps, &accs));
-                    e.insert((reps, accs));
-                }
-            }
-            if let Some(bytes) = new_entry_bytes {
-                if !self.reservation.try_grow(bytes) {
-                    // Budget exhausted: spill the whole table (including the
-                    // entry just inserted — partials merge in phase 2).
-                    self.flush(&mut map, &mut writers, 0)?;
-                }
-            }
-        }
-
-        // Global aggregate over empty input produces one all-default row.
-        if !saw_rows && self.group_by.is_empty() {
-            let accs: Vec<Acc> = self.aggs.iter().map(Acc::new).collect();
-            map.insert(Vec::new(), (Vec::new(), accs));
-        }
-
-        let mut pending = Vec::new();
-        if writers.is_some() {
-            // Route the residue through the partitions as well, so phase 2
-            // sees every group exactly once per partition.
-            self.flush(&mut map, &mut writers, 0)?;
-            for w in writers.expect("writers present") {
-                if w.rows() > 0 {
-                    pending.push((w.into_reader()?, 1));
-                }
-            }
-        }
-        let groups: Vec<GroupState> = map.into_values().collect();
-        self.state = State::Draining { current: groups.into_iter(), pending };
-        Ok(())
-    }
-
-    /// Merge one spilled partition of partial rows; partitions that still
-    /// exceed the budget re-partition one level deeper (depth-salted hash).
-    fn merge_partition(&mut self, mut reader: SpillReader, depth: u32) -> Result<()> {
-        let k = self.group_by.len();
-        let mut map: HashMap<Vec<GroupKey>, GroupState> = HashMap::new();
-        let mut writers: Option<Vec<SpillWriter>> = None;
-
-        while let Some(row) = reader.next_row()? {
-            let reps: Vec<Value> = row[..k].to_vec();
-            let keys = Self::keys_of(&reps);
-            let is_new = !map.contains_key(&keys);
-            let (_, accs) = map
-                .entry(keys)
-                .or_insert_with(|| (reps, self.aggs.iter().map(Acc::new).collect()));
-            let mut pos = k;
-            for acc in accs.iter_mut() {
-                acc.consume_partial(&row, &mut pos)?;
-            }
-            if is_new {
-                // Estimate with a fresh accumulator set (cheap, avoids
-                // re-borrowing the entry).
-                let est = row_bytes(&row) + 64 + 48 * self.aggs.len();
-                if !self.reservation.try_grow(est) {
-                    if depth >= MAX_DEPTH {
-                        // A partition at maximum depth is 16^MAX_DEPTH-fold
-                        // smaller than the input; rather than fail when other
-                        // pipeline operators hold the budget, finish it with
-                        // a bounded uncharged working set.
-                        continue;
-                    }
-                    self.flush(&mut map, &mut writers, depth)?;
-                }
-            }
-        }
-
-        let mut extra_pending = Vec::new();
-        if writers.is_some() {
-            self.flush(&mut map, &mut writers, depth)?;
-            for w in writers.expect("writers present") {
-                if w.rows() > 0 {
-                    extra_pending.push((w.into_reader()?, depth + 1));
-                }
-            }
-        }
-        let groups: Vec<GroupState> = map.into_values().collect();
-        let State::Draining { current, pending } = &mut self.state else {
-            unreachable!("merge_partition outside draining state");
-        };
-        *current = groups.into_iter();
-        pending.extend(extra_pending);
-        Ok(())
-    }
-
-    fn finalize_group(&mut self, (reps, accs): GroupState) -> Result<Row> {
-        // Release this entry's memory as it leaves the operator, so
-        // downstream operators (e.g. the final sort) can reserve it —
-        // otherwise deep CTE pipelines starve under tight shared budgets.
-        self.reservation.shrink(Self::entry_bytes(&reps, &accs));
-        let mut row = reps;
-        row.reserve(accs.len());
-        for a in accs {
-            row.push(a.finalize()?);
-        }
-        Ok(row)
-    }
-}
-
-impl RowStream for HashAggregate {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        loop {
-            enum Step {
-                Consume,
-                Emit(GroupState),
-                Merge(SpillReader, u32),
-                Finish,
-                Done,
-            }
-            let step = match &mut self.state {
-                State::Pending => Step::Consume,
-                State::Draining { current, pending } => match current.next() {
-                    Some(group) => Step::Emit(group),
-                    None => match pending.pop() {
-                        Some((reader, depth)) => Step::Merge(reader, depth),
-                        None => Step::Finish,
-                    },
-                },
-                State::Done => Step::Done,
-            };
-            match step {
-                Step::Consume => self.consume()?,
-                Step::Emit(group) => return Ok(Some(self.finalize_group(group)?)),
-                Step::Merge(reader, depth) => {
-                    self.reservation.free();
-                    self.merge_partition(reader, depth)?;
-                }
-                Step::Finish => {
-                    self.reservation.free();
-                    self.state = State::Done;
-                }
-                Step::Done => return Ok(None),
-            }
-        }
-    }
+/// Spill partition of a group at re-partitioning level `depth`.
+pub(crate) fn partition_of(keys: &[GroupKey], depth: u32) -> usize {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    // Salt by depth so recursive re-partitioning actually redistributes.
+    (0x9e3779b97f4a7c15u64 ^ u64::from(depth)).hash(&mut h);
+    keys.hash(&mut h);
+    (h.finish() as usize) % PARTITIONS
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_util::*;
     use super::*;
+    use crate::expr::BoundExpr;
 
-    fn sum_agg(col: usize) -> AggExpr {
-        AggExpr { func: AggFunc::Sum, arg: Some(BoundExpr::Column(col)), distinct: false }
+    fn agg(func: AggFunc, distinct: bool) -> AggExpr {
+        let arg = (func != AggFunc::CountStar).then_some(BoundExpr::Column(0));
+        AggExpr { func, arg, distinct }
     }
 
-    fn count_star() -> AggExpr {
-        AggExpr { func: AggFunc::CountStar, arg: None, distinct: false }
+    /// Fold `vals` into a fresh accumulator for `agg`.
+    fn fold(agg: &AggExpr, vals: &[Value]) -> Acc {
+        let mut acc = Acc::new(agg);
+        for v in vals {
+            acc.update(agg.arg.as_ref().map(|_| v.clone())).unwrap();
+        }
+        acc
     }
 
-    fn run(
-        rows: Vec<Row>,
-        group_by: Vec<BoundExpr>,
-        aggs: Vec<AggExpr>,
-        ctx: ExecContext,
-    ) -> Vec<Row> {
-        let agg = HashAggregate::new(stream_of(rows), group_by, aggs, ctx);
-        let mut out = drain(Box::new(agg)).unwrap();
-        out.sort_by(|a, b| a[0].cmp_total(&b[0]));
-        out
-    }
-
-    fn pairs(data: &[(i64, f64)]) -> Vec<Row> {
-        data.iter().map(|&(k, v)| vec![Value::Int(k), Value::Float(v)]).collect()
+    fn floats(vals: &[f64]) -> Vec<Value> {
+        vals.iter().map(|&v| Value::Float(v)).collect()
     }
 
     #[test]
-    fn grouped_sum_and_count() {
-        let rows = pairs(&[(1, 0.5), (2, 1.0), (1, 0.25), (2, -1.0)]);
-        let out = run(
-            rows,
-            vec![BoundExpr::Column(0)],
-            vec![sum_agg(1), count_star()],
-            ctx(),
-        );
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0], vec![Value::Int(1), Value::Float(0.75), Value::Int(2)]);
-        assert_eq!(out[1], vec![Value::Int(2), Value::Float(0.0), Value::Int(2)]);
-    }
-
-    #[test]
-    fn global_aggregate_on_empty_input() {
-        let out = run(vec![], vec![], vec![sum_agg(0), count_star()], ctx());
-        assert_eq!(out, vec![vec![Value::Null, Value::Int(0)]]);
-    }
-
-    #[test]
-    fn grouped_aggregate_on_empty_input_is_empty() {
-        let out = run(vec![], vec![BoundExpr::Column(0)], vec![count_star()], ctx());
-        assert!(out.is_empty());
+    fn empty_accumulators_finalize_to_sql_defaults() {
+        for (func, want) in [
+            (AggFunc::Sum, Value::Null),
+            (AggFunc::Count, Value::Int(0)),
+            (AggFunc::CountStar, Value::Int(0)),
+            (AggFunc::Min, Value::Null),
+            (AggFunc::Max, Value::Null),
+            (AggFunc::Avg, Value::Null),
+        ] {
+            assert_eq!(Acc::new(&agg(func, false)).finalize().unwrap(), want, "{func:?}");
+        }
     }
 
     #[test]
     fn min_max_avg() {
-        let rows = pairs(&[(1, 3.0), (1, 1.0), (1, 2.0)]);
-        let aggs = vec![
-            AggExpr { func: AggFunc::Min, arg: Some(BoundExpr::Column(1)), distinct: false },
-            AggExpr { func: AggFunc::Max, arg: Some(BoundExpr::Column(1)), distinct: false },
-            AggExpr { func: AggFunc::Avg, arg: Some(BoundExpr::Column(1)), distinct: false },
-        ];
-        let out = run(rows, vec![BoundExpr::Column(0)], aggs, ctx());
-        assert_eq!(
-            out[0],
-            vec![Value::Int(1), Value::Float(1.0), Value::Float(3.0), Value::Float(2.0)]
-        );
+        let vals = floats(&[3.0, 1.0, 2.0]);
+        assert_eq!(fold(&agg(AggFunc::Min, false), &vals).finalize().unwrap(), Value::Float(1.0));
+        assert_eq!(fold(&agg(AggFunc::Max, false), &vals).finalize().unwrap(), Value::Float(3.0));
+        assert_eq!(fold(&agg(AggFunc::Avg, false), &vals).finalize().unwrap(), Value::Float(2.0));
     }
 
     #[test]
     fn nulls_are_ignored_by_sum_and_count() {
-        let rows = vec![
-            vec![Value::Int(1), Value::Null],
-            vec![Value::Int(1), Value::Float(2.0)],
-        ];
-        let aggs = vec![
-            sum_agg(1),
-            AggExpr { func: AggFunc::Count, arg: Some(BoundExpr::Column(1)), distinct: false },
-            count_star(),
-        ];
-        let out = run(rows, vec![BoundExpr::Column(0)], aggs, ctx());
-        assert_eq!(
-            out[0],
-            vec![Value::Int(1), Value::Float(2.0), Value::Int(1), Value::Int(2)]
-        );
+        let vals = [Value::Null, Value::Float(2.0)];
+        assert_eq!(fold(&agg(AggFunc::Sum, false), &vals).finalize().unwrap(), Value::Float(2.0));
+        assert_eq!(fold(&agg(AggFunc::Count, false), &vals).finalize().unwrap(), Value::Int(1));
+        assert_eq!(fold(&agg(AggFunc::CountStar, false), &vals).finalize().unwrap(), Value::Int(2));
+    }
+
+    #[test]
+    fn sum_integer_stays_integer() {
+        let vals = [Value::Int(2), Value::Int(3)];
+        assert_eq!(fold(&agg(AggFunc::Sum, false), &vals).finalize().unwrap(), Value::Int(5));
+    }
+
+    #[test]
+    fn distinct_aggregates() {
+        let vals = floats(&[2.0, 2.0, 3.0]);
+        assert_eq!(fold(&agg(AggFunc::Count, true), &vals).finalize().unwrap(), Value::Int(2));
+        assert_eq!(fold(&agg(AggFunc::Sum, true), &vals).finalize().unwrap(), Value::Float(5.0));
     }
 
     #[test]
@@ -719,79 +447,88 @@ mod tests {
         // (and so SUM(DISTINCT)'s result type) must not depend on which
         // arrives first — sequential input order and parallel worker-merge
         // order both reduce to the same narrowest-representation rule.
-        let aggs =
-            vec![AggExpr { func: AggFunc::Sum, arg: Some(BoundExpr::Column(1)), distinct: true }];
-        let forward = vec![
-            vec![Value::Int(1), Value::Float(2.0)],
-            vec![Value::Int(1), Value::Int(2)],
-        ];
-        let mut reversed = forward.clone();
-        reversed.reverse();
-        let a = run(forward, vec![BoundExpr::Column(0)], aggs.clone(), ctx());
-        let b = run(reversed, vec![BoundExpr::Column(0)], aggs, ctx());
-        assert_eq!(a, b);
-        assert!(matches!(a[0][1], Value::Int(2)), "narrower representation wins: {:?}", a);
+        let sum = agg(AggFunc::Sum, true);
+        let forward = fold(&sum, &[Value::Float(2.0), Value::Int(2)]).finalize().unwrap();
+        let reversed = fold(&sum, &[Value::Int(2), Value::Float(2.0)]).finalize().unwrap();
+        assert!(matches!(forward, Value::Int(2)), "narrower representation wins: {forward:?}");
+        assert!(matches!(reversed, Value::Int(2)), "{reversed:?}");
     }
 
+    /// What a spilled group goes through: each half of the input is folded,
+    /// written as a partial row, and the two partials are consumed into a
+    /// fresh accumulator set. The result must equal folding the whole input
+    /// at once, and equal merging the halves directly (the parallel path).
     #[test]
-    fn distinct_aggregates() {
-        let rows = pairs(&[(1, 2.0), (1, 2.0), (1, 3.0)]);
-        let aggs = vec![
-            AggExpr { func: AggFunc::Count, arg: Some(BoundExpr::Column(1)), distinct: true },
-            AggExpr { func: AggFunc::Sum, arg: Some(BoundExpr::Column(1)), distinct: true },
+    fn partial_rows_round_trip() {
+        let aggs = [
+            agg(AggFunc::Sum, false),
+            agg(AggFunc::Count, false),
+            agg(AggFunc::CountStar, false),
+            agg(AggFunc::Min, false),
+            agg(AggFunc::Max, false),
+            agg(AggFunc::Avg, false),
+            agg(AggFunc::Count, true),
+            agg(AggFunc::Sum, true),
         ];
-        let out = run(rows, vec![BoundExpr::Column(0)], aggs, ctx());
-        assert_eq!(out[0], vec![Value::Int(1), Value::Int(2), Value::Float(5.0)]);
-    }
+        let vals = [
+            Value::Float(0.5),
+            Value::Null,
+            Value::Float(-2.0),
+            Value::Float(0.5),
+            Value::Float(4.0),
+            Value::Float(-2.0),
+        ];
+        let (lo, hi) = vals.split_at(3);
+        let fold_all = |vals: &[Value]| -> Vec<Acc> { aggs.iter().map(|a| fold(a, vals)).collect() };
+        let finalize = |accs: Vec<Acc>| -> Row {
+            accs.into_iter().map(|a| a.finalize().unwrap()).collect()
+        };
 
-    #[test]
-    fn spill_path_produces_identical_results() {
-        // 10k groups with a budget small enough to force several flushes.
-        let rows: Vec<Row> = (0..40_000)
-            .map(|i| vec![Value::Int(i % 10_000), Value::Float(1.0)])
-            .collect();
-        let tight = ctx_with_budget(200 * 1024);
-        let spill_dir = tight.spill.clone();
-        let out = run(
-            rows.clone(),
-            vec![BoundExpr::Column(0)],
-            vec![sum_agg(1), count_star()],
-            tight,
-        );
-        assert!(spill_dir.files_created() > 0, "expected spilling to occur");
-        assert_eq!(out.len(), 10_000);
-        for row in &out {
-            assert_eq!(row[1], Value::Float(4.0));
-            assert_eq!(row[2], Value::Int(4));
+        let mut from_partials: Vec<Acc> = aggs.iter().map(Acc::new).collect();
+        for half in [lo, hi] {
+            let mut partial: Row = vec![Value::Int(7)]; // the group key comes first
+            for acc in fold_all(half) {
+                acc.write_partial(&mut partial).unwrap();
+            }
+            let mut pos = 1;
+            for acc in from_partials.iter_mut() {
+                acc.consume_partial(&partial, &mut pos).unwrap();
+            }
+            assert_eq!(pos, partial.len(), "every value of the record is consumed");
         }
-        // Same answer without any budget pressure.
-        let out2 = run(
-            rows,
-            vec![BoundExpr::Column(0)],
-            vec![sum_agg(1), count_star()],
-            ctx(),
+
+        let mut merged = fold_all(lo);
+        for (dst, src) in merged.iter_mut().zip(fold_all(hi)) {
+            dst.merge_from(&src).unwrap();
+        }
+
+        let whole = finalize(fold_all(&vals));
+        assert_eq!(finalize(from_partials), whole);
+        assert_eq!(finalize(merged), whole);
+    }
+
+    #[test]
+    fn distinct_partial_is_count_prefixed_and_sorted() {
+        let acc = fold(&agg(AggFunc::Count, true), &floats(&[3.0, 1.0, 3.0, 2.0]));
+        let mut out = Row::new();
+        acc.write_partial(&mut out).unwrap();
+        assert_eq!(out[0], Value::Int(3), "the set's size leads the record");
+        assert_eq!(out[1..], floats(&[1.0, 2.0, 3.0])[..], "values follow in total order");
+
+        // A record cut short is a typed error, not a panic.
+        let mut fresh = Acc::new(&agg(AggFunc::Count, true));
+        let err = fresh.consume_partial(&out[..2], &mut 0).unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err:?}");
+    }
+
+    #[test]
+    fn partitions_are_stable_and_depth_salted() {
+        let keys: Vec<Vec<GroupKey>> = (0..256).map(|k| vec![GroupKey::Int(k)]).collect();
+        assert!(keys.iter().all(|k| partition_of(k, 0) == partition_of(k, 0)));
+        assert!(keys.iter().all(|k| partition_of(k, 0) < PARTITIONS));
+        assert!(
+            keys.iter().any(|k| partition_of(k, 0) != partition_of(k, 1)),
+            "a deeper level must redistribute"
         );
-        assert_eq!(out, out2);
-    }
-
-    #[test]
-    fn group_key_unification_int_float() {
-        let rows = vec![
-            vec![Value::Int(1), Value::Float(1.0)],
-            vec![Value::Float(1.0), Value::Float(2.0)],
-        ];
-        let out = run(rows, vec![BoundExpr::Column(0)], vec![sum_agg(1)], ctx());
-        assert_eq!(out.len(), 1, "Int(1) and Float(1.0) group together");
-        assert_eq!(out[0][1], Value::Float(3.0));
-    }
-
-    #[test]
-    fn sum_integer_stays_integer() {
-        let rows = vec![
-            vec![Value::Int(1), Value::Int(2)],
-            vec![Value::Int(1), Value::Int(3)],
-        ];
-        let out = run(rows, vec![BoundExpr::Column(0)], vec![sum_agg(1)], ctx());
-        assert_eq!(out[0][1], Value::Int(5));
     }
 }

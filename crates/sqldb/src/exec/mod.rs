@@ -1,44 +1,29 @@
-//! Physical execution: pull-based row streams over the bound [`Plan`], plus
-//! the vectorized batch path in [`vector`].
+//! Physical execution: the vectorized batch executor over the bound
+//! [`Plan`]. It is the engine's only executor.
 //!
-//! Simple operators (scan, filter, project, limit, union) live here; the
-//! blocking operators with out-of-core behaviour get their own modules:
-//! [`join`], [`aggregate`], [`sort`], [`vsort`]. The columnar [`batch`]
-//! chunks and the batch-at-a-time operator set in [`vector`] form the
-//! engine's default execution path and cover every plan shape the planner
-//! emits (including sorts, outer/cross/non-equi joins, and DISTINCT
-//! aggregates); the row streams below remain as the independent reference
-//! implementation against which row/batch equivalence is tested.
+//! [`vector`] holds the pipeline builder and the scan, filter, project,
+//! join, aggregate, limit and union operators over the columnar [`batch`]
+//! chunks; [`vsort`] the sort and top-k; [`parallel`] the morsel-driven
+//! worker pool; [`aggregate`] the accumulators and partition constants the
+//! aggregate spills with; [`govern`] cancellation, deadlines and admission.
+//! This module keeps what every operator shares: the [`ExecContext`] and
+//! the `EXPLAIN ANALYZE` slot protocol. The test oracle the executor is
+//! compared against is not here: see [`crate::reference`].
 
 pub mod aggregate;
 pub mod batch;
 pub mod govern;
-pub mod join;
 pub mod parallel;
-pub mod sort;
 pub mod vector;
 pub mod vsort;
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Instant;
 
-use crate::catalog::Catalog;
-use crate::error::Result;
-use crate::expr::BoundExpr;
 use crate::plan::logical::Plan;
-use crate::plan::optimizer;
 use crate::storage::budget::MemoryBudget;
-use crate::storage::spill::{Row, SpillDir};
-use crate::table::TableSnapshot;
-use crate::value::Value;
-
-/// A pull-based row iterator. `next_row` returns `Ok(None)` at end of stream.
-pub trait RowStream {
-    /// Pull the next row, or `None` at end of stream.
-    fn next_row(&mut self) -> Result<Option<Row>>;
-}
+use crate::storage::spill::SpillDir;
 
 /// Per-operator metrics collected under `EXPLAIN ANALYZE`.
 #[derive(Debug, Clone)]
@@ -49,10 +34,10 @@ pub struct NodeStats {
     pub depth: usize,
     /// Total rows this operator emitted.
     pub rows_out: u64,
-    /// Batches emitted on the vectorized path; 0 under row execution.
+    /// Batches this operator emitted.
     pub batches_out: u64,
-    /// Inclusive wall time spent inside this operator's `next_row` /
-    /// `next_batch` calls (children included, since execution is pull-based).
+    /// Inclusive wall time spent inside this operator's `next_batch` calls
+    /// (children included, since execution is pull-based).
     pub nanos: u128,
     /// Worker threads a morsel-parallel operator ran with; 0 when the
     /// operator executed sequentially.
@@ -81,16 +66,6 @@ pub struct ExecContext {
     pub query: govern::QueryContext,
 }
 
-/// Build an executable stream for `plan`. Base-table snapshots are taken
-/// here, so the stream sees a consistent state even if tables change later.
-pub fn build_stream(
-    plan: &Plan,
-    catalog: &Catalog,
-    ctx: &ExecContext,
-) -> Result<Box<dyn RowStream>> {
-    build_stream_at(plan, catalog, ctx, 0)
-}
-
 fn node_label(plan: &Plan) -> String {
     match plan {
         Plan::Scan { table, .. } => format!("Scan {table}"),
@@ -112,15 +87,14 @@ fn node_label(plan: &Plan) -> String {
 /// name. The batch planner calls this when it picks a strategy the logical
 /// label cannot express (`HashJoin Left` vs `NestedLoopJoin Cross`,
 /// `BatchSort` vs `TopKSort`), so plans show exactly which vectorized
-/// operator ran; the row path keeps the logical labels.
+/// operator ran.
 pub(crate) fn set_node_label(ctx: &ExecContext, slot: Option<usize>, label: String) {
     if let (Some(id), Some(stats)) = (slot, &ctx.instrument) {
         stats.borrow_mut()[id].label = label;
     }
 }
 
-/// Reserve a `NodeStats` slot for `plan` when instrumentation is on (shared
-/// by both executors so the `EXPLAIN ANALYZE` slot protocol lives here only).
+/// Reserve a `NodeStats` slot for `plan` when instrumentation is on.
 pub(crate) fn instrument_slot(ctx: &ExecContext, plan: &Plan, depth: usize) -> Option<usize> {
     ctx.instrument.as_ref().map(|stats| {
         let mut v = stats.borrow_mut();
@@ -137,388 +111,57 @@ pub(crate) fn instrument_slot(ctx: &ExecContext, plan: &Plan, depth: usize) -> O
     })
 }
 
-fn build_stream_at(
-    plan: &Plan,
-    catalog: &Catalog,
-    ctx: &ExecContext,
-    depth: usize,
-) -> Result<Box<dyn RowStream>> {
-    // Reserve this node's stats slot before recursing (pre-order render).
-    let slot = instrument_slot(ctx, plan, depth);
-    let stream = build_stream_inner(plan, catalog, ctx, depth)?;
-    let stream: Box<dyn RowStream> = match (slot, &ctx.instrument) {
-        (Some(id), Some(stats)) => Box::new(Instrumented {
-            inner: stream,
-            id,
-            stats: Rc::clone(stats),
-        }),
-        _ => stream,
-    };
-    Ok(Box::new(CancelGuard {
-        inner: stream,
-        query: ctx.query.clone(),
-        pulls: 0,
-    }))
-}
-
-/// Per-node cancellation guard on the row path. A batch-equivalent unit of
-/// row work is `BATCH_ROWS` pulls, so the guard polls
-/// [`govern::QueryContext::check`] once per unit rather than per row —
-/// blocking operators that drain their (guarded) children inside one
-/// `next_row` call still observe cancel within one unit of input.
-struct CancelGuard {
-    inner: Box<dyn RowStream>,
-    query: govern::QueryContext,
-    pulls: u64,
-}
-
-impl CancelGuard {
-    /// One governance unit of row work (matches the batch size).
-    const BATCH_ROWS: u64 = 1024;
-}
-
-impl RowStream for CancelGuard {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.pulls.is_multiple_of(Self::BATCH_ROWS) {
-            if self.pulls > 0 {
-                self.query.note_unit();
-            }
-            self.query.check()?;
-        }
-        self.pulls += 1;
-        self.inner.next_row()
-    }
-}
-
-fn build_stream_inner(
-    plan: &Plan,
-    catalog: &Catalog,
-    ctx: &ExecContext,
-    depth: usize,
-) -> Result<Box<dyn RowStream>> {
-    Ok(match plan {
-        Plan::Scan { table, .. } => {
-            let snapshot = catalog.get(table)?.snapshot();
-            Box::new(ScanStream { snapshot, chunk: 0, row: 0 })
-        }
-        Plan::One => Box::new(OneStream { emitted: false }),
-        Plan::Filter { input, predicate } => Box::new(FilterStream {
-            input: build_stream_at(input, catalog, ctx, depth + 1)?,
-            predicate: predicate.clone(),
-        }),
-        Plan::Project { input, exprs, .. } => Box::new(ProjectStream {
-            input: build_stream_at(input, catalog, ctx, depth + 1)?,
-            exprs: exprs.clone(),
-        }),
-        Plan::Join { left, right, kind, on, .. } => {
-            let left_cols = left.schema().len();
-            let right_cols = right.schema().len();
-            let l = build_stream_at(left, catalog, ctx, depth + 1)?;
-            let r = build_stream_at(right, catalog, ctx, depth + 1)?;
-            join::build_join(l, r, left_cols, right_cols, *kind, on.clone(), ctx)?
-        }
-        Plan::Aggregate { input, group_by, aggs, .. } => Box::new(aggregate::HashAggregate::new(
-            build_stream_at(input, catalog, ctx, depth + 1)?,
-            group_by.clone(),
-            aggs.clone(),
-            ctx.clone(),
-        )),
-        Plan::Sort { input, keys } => Box::new(sort::ExternalSort::new(
-            build_stream_at(input, catalog, ctx, depth + 1)?,
-            keys.clone(),
-            ctx.clone(),
-        )),
-        Plan::Limit { input, limit, offset } => Box::new(LimitStream {
-            input: build_stream_at(input, catalog, ctx, depth + 1)?,
-            remaining: limit.unwrap_or(u64::MAX),
-            to_skip: *offset,
-        }),
-        Plan::UnionAll { inputs } => {
-            let streams = inputs
-                .iter()
-                .map(|p| build_stream_at(p, catalog, ctx, depth + 1))
-                .collect::<Result<Vec<_>>>()?;
-            Box::new(UnionStream { streams, current: 0 })
-        }
-        Plan::Alias { input, .. } => build_stream_at(input, catalog, ctx, depth + 1)?,
-    })
-}
-
-/// Row/time instrumentation wrapper (EXPLAIN ANALYZE).
-struct Instrumented {
-    inner: Box<dyn RowStream>,
-    id: usize,
-    stats: Rc<RefCell<Vec<NodeStats>>>,
-}
-
-impl RowStream for Instrumented {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        let start = Instant::now();
-        let out = self.inner.next_row();
-        let elapsed = start.elapsed().as_nanos();
-        let mut stats = self.stats.borrow_mut();
-        let node = &mut stats[self.id];
-        node.nanos += elapsed;
-        if let Ok(Some(_)) = &out {
-            node.rows_out += 1;
-        }
-        out
-    }
-}
-
-/// Optimize and fully materialize a plan's output.
-pub fn execute_plan(plan: Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Vec<Row>> {
-    let plan = optimizer::optimize(plan);
-    let mut stream = build_stream(&plan, catalog, ctx)?;
-    let mut rows = Vec::new();
-    while let Some(row) = stream.next_row()? {
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
-/// Chunk→row adapter over columnar base-table storage: materializes one
-/// [`Row`] per pull from the snapshot's column chunks, so every row-only
-/// operator works against [`crate::table::Table`] unchanged.
-struct ScanStream {
-    snapshot: TableSnapshot,
-    chunk: usize,
-    row: usize,
-}
-
-impl RowStream for ScanStream {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        let chunks = self.snapshot.chunks();
-        while self.chunk < chunks.len() {
-            let c = &chunks[self.chunk];
-            if self.row < c.rows() {
-                let row = c.row(self.row);
-                self.row += 1;
-                return Ok(Some(row));
-            }
-            self.chunk += 1;
-            self.row = 0;
-        }
-        Ok(None)
-    }
-}
-
-struct OneStream {
-    emitted: bool,
-}
-
-impl RowStream for OneStream {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.emitted {
-            Ok(None)
-        } else {
-            self.emitted = true;
-            Ok(Some(Vec::new()))
-        }
-    }
-}
-
-struct FilterStream {
-    input: Box<dyn RowStream>,
-    predicate: BoundExpr,
-}
-
-impl RowStream for FilterStream {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        while let Some(row) = self.input.next_row()? {
-            if self.predicate.eval(&row)?.as_bool()? == Some(true) {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-}
-
-struct ProjectStream {
-    input: Box<dyn RowStream>,
-    exprs: Vec<BoundExpr>,
-}
-
-impl RowStream for ProjectStream {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        match self.input.next_row()? {
-            Some(row) => {
-                let mut out = Vec::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    out.push(e.eval(&row)?);
-                }
-                Ok(Some(out))
-            }
-            None => Ok(None),
-        }
-    }
-}
-
-struct LimitStream {
-    input: Box<dyn RowStream>,
-    remaining: u64,
-    to_skip: u64,
-}
-
-impl RowStream for LimitStream {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        while self.to_skip > 0 {
-            if self.input.next_row()?.is_none() {
-                return Ok(None);
-            }
-            self.to_skip -= 1;
-        }
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.input.next_row()? {
-            Some(row) => {
-                self.remaining -= 1;
-                Ok(Some(row))
-            }
-            None => Ok(None),
-        }
-    }
-}
-
-struct UnionStream {
-    streams: Vec<Box<dyn RowStream>>,
-    current: usize,
-}
-
-impl RowStream for UnionStream {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        while self.current < self.streams.len() {
-            if let Some(row) = self.streams[self.current].next_row()? {
-                return Ok(Some(row));
-            }
-            self.current += 1;
-        }
-        Ok(None)
-    }
-}
-
-/// A stream over an owned row buffer (used by operators that materialize).
-pub struct VecStream {
-    rows: std::vec::IntoIter<Row>,
-}
-
-impl VecStream {
-    /// Stream the given rows in order.
-    pub fn new(rows: Vec<Row>) -> Self {
-        VecStream { rows: rows.into_iter() }
-    }
-}
-
-impl RowStream for VecStream {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        Ok(self.rows.next())
-    }
-}
-
-/// Evaluate a list of key expressions into group keys for hashing.
-pub fn eval_keys(exprs: &[BoundExpr], row: &Row) -> Result<Vec<crate::value::GroupKey>> {
-    let mut keys = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        keys.push(e.eval(row)?.group_key());
-    }
-    Ok(keys)
-}
-
-/// Evaluate key expressions into raw values (ordering-based operators).
-pub fn eval_values(exprs: &[BoundExpr], row: &Row) -> Result<Vec<Value>> {
-    let mut vals = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        vals.push(e.eval(row)?);
-    }
-    Ok(vals)
-}
-
 #[cfg(test)]
 pub(crate) mod test_util {
+    use super::batch::{RowBatch, BATCH_SIZE};
+    use super::vector::BatchStream;
     use super::*;
-
-    /// Wrap literal rows in a stream for operator unit tests.
-    pub fn stream_of(rows: Vec<Row>) -> Box<dyn RowStream> {
-        Box::new(VecStream::new(rows))
-    }
+    use crate::error::Result;
+    use crate::storage::spill::Row;
+    use crate::value::Value;
 
     pub fn ctx() -> ExecContext {
-        ExecContext {
-            budget: MemoryBudget::unlimited(),
-            spill: SpillDir::new().unwrap(),
-            parallelism: 1,
-            instrument: None,
-            query: govern::QueryContext::unbounded(),
-        }
+        ctx_on(MemoryBudget::unlimited())
     }
 
     pub fn ctx_with_budget(bytes: usize) -> ExecContext {
+        ctx_on(MemoryBudget::with_limit(bytes))
+    }
+
+    fn ctx_on(budget: MemoryBudget) -> ExecContext {
         ExecContext {
-            budget: MemoryBudget::with_limit(bytes),
-            spill: SpillDir::new().unwrap(),
+            budget,
+            spill: SpillDir::new(),
             parallelism: 1,
             instrument: None,
             query: govern::QueryContext::unbounded(),
         }
-    }
-
-    pub fn drain(mut s: Box<dyn RowStream>) -> Result<Vec<Row>> {
-        let mut rows = Vec::new();
-        while let Some(r) = s.next_row()? {
-            rows.push(r);
-        }
-        Ok(rows)
     }
 
     pub fn int_rows(vals: &[i64]) -> Vec<Row> {
         vals.iter().map(|&v| vec![Value::Int(v)]).collect()
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::test_util::*;
-    use super::*;
-    use crate::ast::BinaryOp;
+    struct Batches(std::vec::IntoIter<RowBatch>);
 
-    #[test]
-    fn filter_project_limit_pipeline() {
-        let rows = int_rows(&[1, 2, 3, 4, 5]);
-        let filter = FilterStream {
-            input: stream_of(rows),
-            predicate: BoundExpr::Binary {
-                left: Box::new(BoundExpr::Column(0)),
-                op: BinaryOp::Gt,
-                right: Box::new(BoundExpr::Literal(Value::Int(1))),
-            },
-        };
-        let project = ProjectStream {
-            input: Box::new(filter),
-            exprs: vec![BoundExpr::Binary {
-                left: Box::new(BoundExpr::Column(0)),
-                op: BinaryOp::Mul,
-                right: Box::new(BoundExpr::Literal(Value::Int(10))),
-            }],
-        };
-        let limit = LimitStream { input: Box::new(project), remaining: 2, to_skip: 1 };
-        let out = drain(Box::new(limit)).unwrap();
-        assert_eq!(out, vec![vec![Value::Int(30)], vec![Value::Int(40)]]);
+    impl BatchStream for Batches {
+        fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+            Ok(self.0.next())
+        }
     }
 
-    #[test]
-    fn union_concatenates() {
-        let u = UnionStream {
-            streams: vec![stream_of(int_rows(&[1])), stream_of(vec![]), stream_of(int_rows(&[2, 3]))],
-            current: 0,
-        };
-        let out = drain(Box::new(u)).unwrap();
-        assert_eq!(out.len(), 3);
+    /// Literal rows as the input of an operator under test: batches of
+    /// `BATCH_SIZE` rows with the typed lanes a scan would produce.
+    pub fn batches_of(rows: Vec<Row>) -> Box<dyn BatchStream> {
+        let batches: Vec<RowBatch> = rows.chunks(BATCH_SIZE).map(RowBatch::from_rows).collect();
+        Box::new(Batches(batches.into_iter()))
     }
 
-    #[test]
-    fn one_stream_emits_single_empty_row() {
-        let out = drain(Box::new(OneStream { emitted: false })).unwrap();
-        assert_eq!(out, vec![Vec::<Value>::new()]);
+    pub fn drain_batches(mut s: Box<dyn BatchStream>) -> Vec<Row> {
+        let mut out = Vec::new();
+        while let Some(b) = s.next_batch().unwrap() {
+            out.extend(b.into_rows());
+        }
+        out
     }
 }

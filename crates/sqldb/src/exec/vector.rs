@@ -1,30 +1,28 @@
-//! Vectorized (batch-at-a-time) physical execution.
+//! Vectorized (batch-at-a-time) physical execution: the engine's executor.
 //!
-//! This is the default execution path of the engine: instead of pulling one
-//! row per virtual call through [`RowStream`], operators exchange columnar
-//! [`RowBatch`]es of ~[`BATCH_SIZE`] rows, amortizing dispatch and running
-//! the expression kernels of [`crate::vexpr`] over primitive slices. The
-//! operator set covers **every plan shape the planner emits**: scan, filter,
-//! project, hash join (inner and LEFT OUTER), nested-loop join (cross and
-//! non-equi), hash aggregate (including DISTINCT), sort/top-k (see
-//! [`super::vsort`]), limit, union, and alias. There is no row-operator
-//! fallback left in this pipeline; the row executor survives purely as the
-//! reference implementation ([`BatchToRow`]/[`RowToBatch`] remain only as
-//! boundary adapters — the result collector in [`crate::db`] and tests).
-//! One caveat, standard for vectorized
-//! engines: **error detection is batch-granular**. Expressions evaluate over
-//! a whole batch before downstream operators see any of it, so a failing row
-//! (say `10 / x` with `x = 0`) raises its error even when a downstream
-//! `LIMIT` would have stopped the row path before reaching that row.
+//! Operators exchange columnar [`RowBatch`]es of ~[`BATCH_SIZE`] rows,
+//! amortizing dispatch and running the expression kernels of [`crate::vexpr`]
+//! over primitive slices. The operator set covers **every plan shape the
+//! planner emits**: scan, filter, project, hash join (inner and LEFT OUTER),
+//! nested-loop join (cross and non-equi), hash aggregate (including
+//! DISTINCT), sort/top-k (see [`super::vsort`]), limit, union, and alias.
+//! Results leave the pipeline batch by batch through `drain`; what the
+//! executor is tested against is the reference interpreter in
+//! [`crate::reference`], which shares none of the code below.
+//! One caveat, standard for vectorized engines: **error detection is
+//! batch-granular**. Expressions evaluate over a whole batch before
+//! downstream operators see any of it, so a failing row (say `10 / x` with
+//! `x = 0`) raises its error even when a downstream `LIMIT` needs only rows
+//! ahead of it in the same batch; a failing row in a batch the `LIMIT` never
+//! pulls raises nothing. The reference evaluates every row of every node, so
+//! it reports both.
 //!
-//! Memory discipline matches the row path: join builds and aggregation
-//! tables charge the shared [`MemoryBudget`](crate::storage::budget), and the
-//! vectorized aggregate spills partial rows in the same partition format as
-//! [`aggregate::HashAggregate`](super::aggregate::HashAggregate), including
-//! the recursive re-partition merge. The one deliberate difference: budget
-//! checks happen per batch rather than per row, so a table may transiently
-//! overshoot its reservation by at most one batch of new groups before it
-//! flushes.
+//! Memory discipline: join builds and aggregation tables charge the shared
+//! [`MemoryBudget`](crate::storage::budget), and the aggregate spills partial
+//! rows (see [`super::aggregate`]) into hash partitions with a recursive
+//! re-partition merge. Budget checks happen per batch rather than per row, so
+//! a table may transiently overshoot its reservation by at most one batch of
+//! new groups before it flushes.
 //!
 //! When [`ExecContext::parallelism`] is greater than one, eligible pipeline
 //! segments (scan → filter/project/equi-join-probe chains over a base table,
@@ -53,11 +51,14 @@ use crate::storage::spill::{row_bytes, Row, SpillDir, SpillReader, SpillWriter};
 use crate::table::TableSnapshot;
 use crate::value::{GroupKey, Value};
 
-use super::aggregate::{Acc, GroupState, HashAggregate, MAX_DEPTH, PARTITIONS};
+use super::aggregate::{entry_bytes, partition_of, Acc, GroupState, MAX_DEPTH, PARTITIONS};
 use super::batch::{BatchBuilder, Column, ColumnRef, RowBatch, BATCH_SIZE};
-use super::join::BUILD_OVERDRAFT_ROWS;
 use super::parallel::{self, Segment};
-use super::{instrument_slot, set_node_label, vsort, ExecContext, NodeStats, RowStream};
+use super::{instrument_slot, set_node_label, vsort, ExecContext, NodeStats};
+
+/// Uncharged rows a join build side may hold when the shared budget is
+/// exhausted (the per-operator working-set floor).
+pub(crate) const BUILD_OVERDRAFT_ROWS: usize = 256;
 
 /// A pull-based batch iterator. `next_batch` returns `Ok(None)` at end of
 /// stream; emitted batches are never empty.
@@ -74,6 +75,20 @@ pub fn build_batch_stream(
     ctx: &ExecContext,
 ) -> Result<Box<dyn BatchStream>> {
     build_batch_stream_at(plan, catalog, ctx, 0)
+}
+
+/// Run `stream` to its end, handing every batch to `sink`, then drop it
+/// (releasing its reservations and spill files). The one way results leave
+/// the pipeline: the query collector, `EXPLAIN ANALYZE` and CTAS all drain
+/// through here.
+pub(crate) fn drain(
+    mut stream: Box<dyn BatchStream>,
+    mut sink: impl FnMut(RowBatch) -> Result<()>,
+) -> Result<()> {
+    while let Some(batch) = stream.next_batch()? {
+        sink(batch)?;
+    }
+    Ok(())
 }
 
 pub(crate) fn build_batch_stream_at(
@@ -322,77 +337,6 @@ impl BatchStream for InstrumentedBatch {
 }
 
 // ---------------------------------------------------------------------------
-// Boundary adapters (pipeline edges only — no operator runs behind these)
-// ---------------------------------------------------------------------------
-
-/// Expose a [`BatchStream`] as a [`RowStream`]. Since every operator now has
-/// a vectorized implementation, this survives only at the pipeline boundary:
-/// the result collector in [`crate::db`] materializes rows through it, and
-/// tests use it to compare paths.
-pub struct BatchToRow {
-    input: Box<dyn BatchStream>,
-    current: std::vec::IntoIter<Row>,
-}
-
-impl BatchToRow {
-    /// Wrap `input` for row-at-a-time consumption.
-    pub fn new(input: Box<dyn BatchStream>) -> Self {
-        BatchToRow { input, current: Vec::new().into_iter() }
-    }
-}
-
-impl RowStream for BatchToRow {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.current.next() {
-                return Ok(Some(row));
-            }
-            match self.input.next_batch()? {
-                Some(batch) => self.current = batch.into_rows().into_iter(),
-                None => return Ok(None),
-            }
-        }
-    }
-}
-
-/// Expose a [`RowStream`] as a [`BatchStream`] (test harnesses feed literal
-/// row sets into batch operators through this; the planner never emits it).
-pub struct RowToBatch {
-    input: Box<dyn RowStream>,
-    done: bool,
-}
-
-impl RowToBatch {
-    /// Wrap `input` for batch-at-a-time consumption.
-    pub fn new(input: Box<dyn RowStream>) -> Self {
-        RowToBatch { input, done: false }
-    }
-}
-
-impl BatchStream for RowToBatch {
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        if self.done {
-            return Ok(None);
-        }
-        let mut rows = Vec::with_capacity(BATCH_SIZE);
-        while rows.len() < BATCH_SIZE {
-            match self.input.next_row()? {
-                Some(row) => rows.push(row),
-                None => {
-                    self.done = true;
-                    break;
-                }
-            }
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(RowBatch::from_owned_rows(rows)))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Leaf and stateless operators
 // ---------------------------------------------------------------------------
 
@@ -602,7 +546,7 @@ impl JoinTableBuilder {
 
     /// Insert every non-NULL-key row of `batch` (whose join keys are already
     /// evaluated in `key_cols`), charging `reservation` per kept row. A
-    /// bounded overdraft is tolerated, matching the row join's build phase.
+    /// bounded overdraft ([`BUILD_OVERDRAFT_ROWS`]) is tolerated.
     pub(crate) fn insert_batch(
         &mut self,
         batch: &RowBatch,
@@ -1169,7 +1113,7 @@ impl AggCore {
             && aggs
                 .iter()
                 .all(|a| a.func == AggFunc::Sum && !a.distinct && a.arg.is_some());
-        let fast_bytes = HashAggregate::entry_bytes(
+        let fast_bytes = entry_bytes(
             &[Value::Int(0)],
             &aggs.iter().map(Acc::new).collect::<Vec<_>>(),
         );
@@ -1298,7 +1242,7 @@ impl AggCore {
                     for (acc, arg) in accs.iter_mut().zip(args) {
                         acc.update(arg)?;
                     }
-                    let bytes = HashAggregate::entry_bytes(&reps, &accs);
+                    let bytes = entry_bytes(&reps, &accs);
                     e.insert((reps, accs));
                     over |= !reservation.try_grow(bytes);
                 }
@@ -1308,8 +1252,7 @@ impl AggCore {
     }
 
     /// Flush the in-memory table into partition spill files as partial rows
-    /// (same format the row aggregate writes, via [`Acc::write_partial`]),
-    /// releasing `reservation`.
+    /// (via [`Acc::write_partial`]), releasing `reservation`.
     pub(crate) fn flush(
         &self,
         table: &mut AggTable,
@@ -1334,7 +1277,7 @@ impl AggCore {
                     for per_agg in sums.iter() {
                         row.push(Value::Float(per_agg[g]));
                     }
-                    let part = HashAggregate::partition_of(&[GroupKey::Int(k)], depth);
+                    let part = partition_of(&[GroupKey::Int(k)], depth);
                     ws[part].write_row(&row)?;
                 }
                 map.clear();
@@ -1349,7 +1292,7 @@ impl AggCore {
                     for a in &accs {
                         a.write_partial(&mut row)?;
                     }
-                    ws[HashAggregate::partition_of(&keys, depth)].write_row(&row)?;
+                    ws[partition_of(&keys, depth)].write_row(&row)?;
                 }
             }
         }
@@ -1388,17 +1331,17 @@ impl AggCore {
     }
 }
 
-/// The vectorized aggregation operator. Same two-phase hybrid hash/grace
-/// scheme as the row `HashAggregate` — consume (spilling partial rows into
-/// `PARTITIONS` hash partitions under memory pressure), then merge each
-/// partition recursively — with batched input and expression evaluation.
+/// The vectorized aggregation operator: a two-phase hybrid hash/grace
+/// scheme — consume (spilling partial rows into `PARTITIONS` hash partitions
+/// under memory pressure), then merge each partition recursively — with
+/// batched input and expression evaluation.
 ///
 /// With a `Segment` input the consume phase runs morsel-parallel: every
 /// worker aggregates its morsels into a private table (spilling privately
 /// under pressure), and the coordinator merges the partial tables — and any
 /// per-worker spill partitions, matched up by partition index, which is
-/// sound because `HashAggregate::partition_of` is a deterministic salted
-/// hash — exactly as if they were one run.
+/// sound because `partition_of` is a deterministic salted hash — exactly
+/// as if they were one run.
 pub struct BatchHashAggregate {
     input: AggInput,
     core: Arc<AggCore>,
@@ -1654,7 +1597,7 @@ impl BatchHashAggregate {
                             }
                         }
                         Entry::Vacant(e) => {
-                            let bytes = HashAggregate::entry_bytes(&reps, &accs);
+                            let bytes = entry_bytes(&reps, &accs);
                             e.insert((reps, accs));
                             over |= !self.reservation.try_grow(bytes);
                         }
@@ -1753,7 +1696,7 @@ impl BatchHashAggregate {
         for (reps, accs) in take {
             // Release this entry's memory as it leaves the operator, so
             // downstream operators (e.g. the final sort) can reserve it.
-            self.reservation.shrink(HashAggregate::entry_bytes(&reps, &accs));
+            self.reservation.shrink(entry_bytes(&reps, &accs));
             let mut row = reps;
             row.reserve(accs.len());
             for a in accs {
@@ -1794,21 +1737,9 @@ impl BatchStream for BatchHashAggregate {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_util::{ctx, ctx_with_budget, int_rows};
+    use super::super::test_util::{batches_of, ctx, ctx_with_budget, drain_batches, int_rows};
     use super::*;
     use crate::ast::BinaryOp;
-
-    fn batches_of(rows: Vec<Row>) -> Box<dyn BatchStream> {
-        Box::new(RowToBatch::new(Box::new(super::super::VecStream::new(rows))))
-    }
-
-    fn drain_batches(mut s: Box<dyn BatchStream>) -> Vec<Row> {
-        let mut out = Vec::new();
-        while let Some(b) = s.next_batch().unwrap() {
-            out.extend(b.into_rows());
-        }
-        out
-    }
 
     fn col(i: usize) -> BoundExpr {
         BoundExpr::Column(i)
@@ -1851,7 +1782,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_matches_row_semantics() {
+    fn hash_join_skips_null_keys_and_keeps_build_order() {
         let left: Vec<Row> = vec![
             vec![Value::Int(1), Value::Int(10)],
             vec![Value::Int(2), Value::Int(20)],
@@ -1867,6 +1798,32 @@ mod tests {
         assert_eq!(out.len(), 2, "NULL keys never match");
         assert_eq!(out[0][3], Value::Int(200));
         assert_eq!(out[1][3], Value::Int(201));
+    }
+
+    #[test]
+    fn join_build_floor_holds_then_the_budget_is_enforced() {
+        // With the shared budget exhausted, a build side within the
+        // per-operator floor (BUILD_OVERDRAFT_ROWS) still joins …
+        let small: Vec<Row> = (0..100).map(|k| vec![Value::Int(k), Value::Int(k)]).collect();
+        let j = hash_join(
+            batches_of(vec![vec![Value::Int(1), Value::Int(0)]]),
+            batches_of(small),
+            vec![col(0)],
+            vec![col(0)],
+            &ctx_with_budget(128),
+        );
+        assert_eq!(drain_batches(Box::new(j)).len(), 1);
+        // … and one past the floor is a typed error, not an unbounded overdraft.
+        let big: Vec<Row> = (0..1000).map(|k| vec![Value::Int(k), Value::Int(k)]).collect();
+        let built = JoinTable::build_from_stream(
+            batches_of(big),
+            vec![col(0)],
+            vec![col(0)],
+            None,
+            2,
+            &ctx_with_budget(128),
+        );
+        assert!(matches!(built, Err(Error::OutOfMemory { .. })));
     }
 
     #[test]
@@ -2018,14 +1975,5 @@ mod tests {
         );
         let out = drain_batches(Box::new(agg));
         assert_eq!(out, vec![vec![Value::Null, Value::Int(0)]]);
-    }
-
-    #[test]
-    fn adapters_round_trip() {
-        let rows = int_rows(&(0..2500).collect::<Vec<_>>());
-        let b = batches_of(rows.clone());
-        let r = BatchToRow::new(b);
-        let back = RowToBatch::new(Box::new(r));
-        assert_eq!(drain_batches(Box::new(back)), rows);
     }
 }

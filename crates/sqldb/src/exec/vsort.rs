@@ -1,16 +1,15 @@
 //! Vectorized sorting for the batch pipeline.
 //!
 //! `ORDER BY s` closes every Qymera query (states render in basis-state
-//! order), so the sort is the last operator every result crosses — and it
-//! was the last one still running a row implementation behind adapter shims.
-//! [`BatchSort`] closes that gap:
+//! order), so the sort is the last operator every result crosses.
+//! [`BatchSort`] is built around:
 //!
 //! * **Columnar sort keys.** Key expressions evaluate per input batch with
 //!   the [`BoundExpr::eval_batch`] kernels, and the comparator reads typed
 //!   `i64`/`f64` fast lanes whenever every buffered batch carries a key in
 //!   the same null-free lane — no per-comparison [`Value`] materialization
 //!   on the hot path. Mixed/NULL/text keys fall back to
-//!   [`Value::cmp_total`], bit-identical to the row sort's ordering.
+//!   [`Value::cmp_total`], the ordering the typed lanes reproduce.
 //! * **Stable multi-key order.** The in-memory sort is a stable index sort,
 //!   and every spilled record carries its global input ordinal, so ties
 //!   always resolve to input order — sequential and parallel runs produce
@@ -44,7 +43,6 @@ use crate::value::Value;
 
 use super::batch::{Column, ColumnRef, RowBatch, BATCH_SIZE};
 use super::parallel::{self, Segment};
-use super::sort::cmp_keys;
 use super::vector::{build_batch_stream_at, BatchStream};
 use super::{set_node_label, ExecContext};
 
@@ -55,9 +53,21 @@ use super::{set_node_label, ExecContext};
 pub(crate) const TOPK_MAX_ROWS: usize = 8192;
 
 /// Rows a worker buffers at minimum before budget pressure forces a spill
-/// run (the sort's bounded uncharged working-set floor, matching the row
-/// sort's overdraft policy at batch granularity).
+/// run (the sort's bounded uncharged working-set floor).
 const MIN_RUN_ROWS: usize = BATCH_SIZE;
+
+/// Compare two evaluated key tuples under per-key ASC/DESC flags (spilled
+/// records carry their keys as values; the run merge orders them with this).
+fn cmp_keys(a: &[Value], b: &[Value], desc: &[bool]) -> Ordering {
+    for ((x, y), d) in a.iter().zip(b.iter()).zip(desc.iter()) {
+        let ord = x.cmp_total(y);
+        let ord = if *d { ord.reverse() } else { ord };
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
+}
 
 /// Build the vectorized sort stream for a `Plan::Sort` node whose
 /// instrumentation slot the caller already registered. `topk` is
@@ -215,8 +225,8 @@ impl SortBuffer {
 
     /// Compare rows `a` and `b` (as `(batch, row)` pairs) under the per-key
     /// lanes and ASC/DESC flags. Typed lanes compare primitives directly;
-    /// the generic lane matches [`Value::cmp_total`], so ordering is
-    /// bit-identical to the row path's for every value class.
+    /// the generic lane is [`Value::cmp_total`], so the order does not
+    /// depend on which lane a key landed in.
     fn cmp_at(&self, lanes: &[KeyLane], desc: &[bool], a: (u32, u32), b: (u32, u32)) -> Ordering {
         for (j, (&lane, &d)) in lanes.iter().zip(desc).enumerate() {
             let (ka, kb) = (&self.keys[a.0 as usize][j], &self.keys[b.0 as usize][j]);
@@ -656,8 +666,7 @@ impl BatchSort {
     /// Top-k consume: a bounded max-heap of the best `k` rows. Memory is
     /// bounded by `k` rows ([`TOPK_MAX_ROWS`] at most); the reservation
     /// charge is best-effort — when the shared budget is exhausted the heap
-    /// keeps its bounded working set uncharged rather than failing, exactly
-    /// like the row sort's overdraft floor.
+    /// keeps its bounded working set uncharged rather than failing.
     fn consume_topk_stream(&mut self, mut input: Box<dyn BatchStream>, k: usize) -> Result<()> {
         let key_exprs: Vec<BoundExpr> = self.keys.iter().map(|k| k.expr.clone()).collect();
         let mut heap: BinaryHeap<TopEntry> = BinaryHeap::with_capacity(k + 1);
@@ -827,17 +836,11 @@ impl BatchStream for BatchSort {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_util::{ctx, ctx_with_budget, int_rows};
-    use super::super::vector::RowToBatch;
-    use super::super::VecStream;
+    use super::super::test_util::{batches_of, ctx, ctx_with_budget, drain_batches, int_rows};
     use super::*;
 
     fn sort_keys(desc: bool) -> Vec<SortKey> {
         vec![SortKey { expr: BoundExpr::Column(0), desc }]
-    }
-
-    fn batches_of(rows: Vec<Row>) -> Box<dyn BatchStream> {
-        Box::new(RowToBatch::new(Box::new(VecStream::new(rows))))
     }
 
     fn run_sort(
@@ -846,12 +849,7 @@ mod tests {
         topk: Option<usize>,
         ctx: ExecContext,
     ) -> Vec<Row> {
-        let mut s = BatchSort::new(batches_of(rows), keys, topk, ctx);
-        let mut out = Vec::new();
-        while let Some(b) = s.next_batch().unwrap() {
-            out.extend(b.into_rows());
-        }
-        out
+        drain_batches(Box::new(BatchSort::new(batches_of(rows), keys, topk, ctx)))
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod expr;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
+pub mod reference;
 pub mod schema;
 #[warn(missing_docs)]
 pub mod storage;
@@ -42,7 +43,7 @@ pub mod value;
 pub mod vexpr;
 
 pub use bigbits::BigBits;
-pub use db::{Database, DbStats, DurabilityOptions, ExecPath, ResultSet};
+pub use db::{Database, DbStats, DurabilityOptions, ResultSet};
 pub use error::{Error, Result};
 pub use exec::govern::{AdmissionController, AdmissionGrant, CancelHandle, QueryContext};
 pub use txn::{LockMode, LockTable, Session, SharedDb};

@@ -1,9 +1,11 @@
 //! Disk spill files for out-of-core operators.
 //!
 //! Rows are serialized in a compact self-describing binary format (one tag
-//! byte per value). Spill files live in a per-database temp directory and are
-//! deleted on drop. The paper's §3.3 highlights out-of-core simulation as a
-//! core advantage of the RDBMS approach; these files are the mechanism.
+//! byte per value). Spill files live in a per-database temp directory, made
+//! when the first of them is and deleted on drop: a database that never
+//! spills touches no filesystem. The paper's §3.3 highlights out-of-core
+//! simulation as a core advantage of the RDBMS approach; these files are the
+//! mechanism.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -23,7 +25,8 @@ pub type Row = Vec<Value>;
 
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Directory that owns all spill files for one database; removed on drop.
+/// Directory that owns all spill files for one database; created with the
+/// first spill file, removed on drop.
 #[derive(Debug)]
 pub struct SpillDir {
     path: PathBuf,
@@ -33,31 +36,29 @@ pub struct SpillDir {
 }
 
 impl SpillDir {
-    /// Create a fresh spill directory under the system temp dir.
-    pub fn new() -> Result<Arc<Self>> {
+    /// Reserve a fresh spill directory name under the system temp dir.
+    pub fn new() -> Arc<Self> {
         Self::new_with(FaultInjector::none())
     }
 
-    /// Create a spill directory whose file I/O is gated by `injector`
-    /// (shared with the WAL in durable databases so one schedule covers
-    /// every disk path).
-    pub fn new_with(injector: Arc<FaultInjector>) -> Result<Arc<Self>> {
+    /// A spill directory whose file I/O is gated by `injector` (shared with
+    /// the WAL in durable databases so one schedule covers every disk path).
+    pub fn new_with(injector: Arc<FaultInjector>) -> Arc<Self> {
         let id = SPILL_COUNTER.fetch_add(1, Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!(
             "qymera-sqldb-{}-{}",
             std::process::id(),
             id
         ));
-        fs::create_dir_all(&path)?;
-        Ok(Arc::new(SpillDir {
+        Arc::new(SpillDir {
             path,
             files_created: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
             injector,
-        }))
+        })
     }
 
-    /// Filesystem path of the spill directory.
+    /// Filesystem path of the spill directory (absent until the first spill).
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -205,8 +206,10 @@ pub struct SpillWriter {
 }
 
 impl SpillWriter {
-    /// Open a fresh spill file in `dir` for appending rows.
+    /// Open a fresh spill file in `dir` for appending rows, making the
+    /// directory first if this is the database's first spill.
     pub fn create(dir: &Arc<SpillDir>) -> Result<Self> {
+        fs::create_dir_all(&dir.path)?;
         let path = dir.next_file_path();
         let file = OpenOptions::new().create(true).write(true).truncate(true).open(&path)?;
         Ok(SpillWriter {
@@ -327,7 +330,7 @@ mod tests {
 
     #[test]
     fn round_trip_rows_through_disk() {
-        let dir = SpillDir::new().unwrap();
+        let dir = SpillDir::new();
         let mut w = SpillWriter::create(&dir).unwrap();
         let rows = sample_rows();
         for r in &rows {
@@ -353,14 +356,18 @@ mod tests {
 
     #[test]
     fn spill_dir_tracks_stats_and_cleans_up() {
-        let dir = SpillDir::new().unwrap();
+        let dir = SpillDir::new();
         let path = dir.path().to_path_buf();
-        assert!(path.exists());
+        assert!(!path.exists(), "no spill yet, so no directory");
+        assert_eq!((dir.live_files(), dir.files_created(), dir.bytes_written()), (0, 0, 0));
         {
             let mut w = SpillWriter::create(&dir).unwrap();
             w.write_row(&vec![Value::Int(1)]).unwrap();
+            assert!(path.exists());
+            assert_eq!(dir.live_files(), 1);
             let _r = w.into_reader().unwrap();
         }
+        assert_eq!(dir.live_files(), 0);
         assert_eq!(dir.files_created(), 1);
         assert!(dir.bytes_written() > 0);
         drop(dir);
@@ -368,8 +375,35 @@ mod tests {
     }
 
     #[test]
+    fn dropping_a_never_used_dir_is_quiet() {
+        let dir = SpillDir::new();
+        let path = dir.path().to_path_buf();
+        drop(dir);
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn an_uncreatable_dir_is_a_typed_error_at_the_first_spill() {
+        // A directory cannot be made below a regular file.
+        let blocker = std::env::temp_dir()
+            .join(format!("qymera-spill-blocker-{}", std::process::id()));
+        fs::write(&blocker, b"").unwrap();
+        let dir = Arc::new(SpillDir {
+            path: blocker.join("spill"),
+            files_created: AtomicU64::new(0),
+            bytes_written: AtomicU64::new(0),
+            injector: FaultInjector::none(),
+        });
+        let err = SpillWriter::create(&dir).err().expect("create must fail");
+        assert!(matches!(err, Error::Io(_)), "{err:?}");
+        assert_eq!(dir.live_files(), 0);
+        drop(dir);
+        fs::remove_file(&blocker).unwrap();
+    }
+
+    #[test]
     fn empty_reader_returns_none() {
-        let dir = SpillDir::new().unwrap();
+        let dir = SpillDir::new();
         let w = SpillWriter::create(&dir).unwrap();
         let mut r = w.into_reader().unwrap();
         assert!(r.next_row().unwrap().is_none());

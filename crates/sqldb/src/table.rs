@@ -78,7 +78,7 @@ impl TableChunk {
         self.rows
     }
 
-    /// Materialize row `i` of the chunk (row-path adapter).
+    /// Materialize row `i` of the chunk.
     pub fn row(&self, i: usize) -> Row {
         self.columns.iter().map(|c| c.value_at(i)).collect()
     }
@@ -109,7 +109,7 @@ impl TableSnapshot {
         self.rows
     }
 
-    /// Materialize every row (tests and small-table conveniences).
+    /// Materialize every row (the reference interpreter's scan, tests).
     pub fn to_rows(&self) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.rows);
         for chunk in self.chunks.iter() {

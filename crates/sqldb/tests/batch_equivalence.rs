@@ -1,21 +1,21 @@
-//! Row-path vs batch-path vs parallel-batch equivalence on randomized
-//! tables.
+//! Reference vs batch vs parallel-batch equivalence on randomized tables.
 //!
 //! The vectorized executor ([`qymera_sqldb::exec::vector`]) must produce
-//! byte-identical results to the row-at-a-time reference path for every
-//! query shape the planner can emit — at every worker count. These tests
-//! run the same SQL on databases loaded with identical randomized data —
-//! one per execution path / parallelism setting — and compare sorted result
-//! sets, plus assert the `EXPLAIN ANALYZE` batch/worker counters that only
-//! the vectorized path reports. (The float data is dyadic so sums are
-//! FP-exact regardless of accumulation order.)
+//! byte-identical results to the reference interpreter
+//! ([`Database::query_reference`]) for every query shape the planner can
+//! emit — at every worker count. These tests run the same SQL over identical
+//! randomized data through the reference, the sequential executor and the
+//! morsel-parallel executor and compare sorted result sets, plus assert the
+//! `EXPLAIN ANALYZE` batch/worker counters. (The float data is dyadic so sums
+//! are FP-exact regardless of accumulation order.)
 
 use rand::{Rng, SeedableRng, StdRng};
 
-use qymera_sqldb::{Database, ExecPath, Value};
+use qymera_sqldb::table::CHUNK_ROWS;
+use qymera_sqldb::{Database, Value};
 
-/// One randomized database on the given execution path and worker count.
-fn rand_db(seed: u64, rows: usize, path: ExecPath, parallelism: usize) -> Database {
+/// One randomized database at the given worker count.
+fn rand_db(seed: u64, rows: usize, parallelism: usize) -> Database {
     let mut rng = StdRng::seed_from_u64(seed);
     let data: Vec<Vec<Value>> = (0..rows)
         .map(|_| {
@@ -40,7 +40,6 @@ fn rand_db(seed: u64, rows: usize, path: ExecPath, parallelism: usize) -> Databa
         })
         .collect();
     let mut db = Database::new();
-    db.set_exec_path(path);
     db.set_parallelism(parallelism);
     db.execute("CREATE TABLE facts (k INTEGER, s INTEGER, v DOUBLE)").unwrap();
     db.insert_rows("facts", data).unwrap();
@@ -49,24 +48,26 @@ fn rand_db(seed: u64, rows: usize, path: ExecPath, parallelism: usize) -> Databa
     db
 }
 
-/// Build the same randomized database twice, one per execution path.
-fn rand_pair(seed: u64, rows: usize) -> (Database, Database) {
-    (rand_db(seed, rows, ExecPath::Batch, 1), rand_db(seed, rows, ExecPath::Row, 1))
-}
-
 fn sorted_rows(rows: &[Vec<Value>]) -> Vec<String> {
     let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
     v.sort();
     v
 }
 
-/// Run `sql` on both paths and require identical row sets.
+/// Worker count of the parallel leg of every three-way comparison.
+const WORKERS: usize = 4;
+
+/// Run `sql` through the reference, the sequential executor and the
+/// parallel executor and require identical row sets.
 fn assert_equivalent(seed: u64, sql: &str) {
-    let (mut batch, mut row) = rand_pair(seed, 2000);
-    let b = batch.execute(sql).unwrap_or_else(|e| panic!("batch path failed: {e}\n{sql}"));
-    let r = row.execute(sql).unwrap_or_else(|e| panic!("row path failed: {e}\n{sql}"));
-    assert_eq!(b.columns(), r.columns(), "{sql}");
-    assert_eq!(sorted_rows(b.rows()), sorted_rows(r.rows()), "{sql}");
+    let mut db = rand_db(seed, 2000, 1);
+    let want = db.query_reference(sql).unwrap_or_else(|e| panic!("reference failed: {e}\n{sql}"));
+    for workers in [1, WORKERS] {
+        db.set_parallelism(workers);
+        let got = db.execute(sql).unwrap_or_else(|e| panic!("batch({workers}) failed: {e}\n{sql}"));
+        assert_eq!(got.columns(), want.columns(), "batch({workers}): {sql}");
+        assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "batch({workers}): {sql}");
+    }
 }
 
 #[test]
@@ -149,19 +150,18 @@ fn join_equivalence() {
 /// unmatched ones padded with NULLs on the left, written column order kept.
 #[test]
 fn right_join_semantics() {
-    for path in [ExecPath::Batch, ExecPath::Row] {
-        let mut db = Database::new();
-        db.set_exec_path(path);
-        db.execute("CREATE TABLE l (a INTEGER, b INTEGER)").unwrap();
-        db.execute("INSERT INTO l VALUES (1, 10), (2, 20), (2, 21)").unwrap();
-        db.execute("CREATE TABLE r (c INTEGER, d INTEGER)").unwrap();
-        db.execute("INSERT INTO r VALUES (2, 200), (3, 300)").unwrap();
-        let rs = db
-            .execute("SELECT l.a, l.b, r.c, r.d FROM l RIGHT JOIN r ON r.c = l.a ORDER BY r.c, l.b")
-            .unwrap();
-        assert_eq!(rs.columns(), &["a", "b", "c", "d"], "{path:?}");
+    let mut db = Database::new();
+    db.execute("CREATE TABLE l (a INTEGER, b INTEGER)").unwrap();
+    db.execute("INSERT INTO l VALUES (1, 10), (2, 20), (2, 21)").unwrap();
+    db.execute("CREATE TABLE r (c INTEGER, d INTEGER)").unwrap();
+    db.execute("INSERT INTO r VALUES (2, 200), (3, 300)").unwrap();
+    let sql = "SELECT l.a, l.b, r.c, r.d FROM l RIGHT JOIN r ON r.c = l.a ORDER BY r.c, l.b";
+    let results =
+        [("reference", db.query_reference(sql).unwrap()), ("batch", db.execute(sql).unwrap())];
+    for (path, rs) in results {
+        assert_eq!(rs.columns(), &["a", "b", "c", "d"], "{path}");
         let rows = rs.rows();
-        assert_eq!(rows.len(), 3, "{path:?}: two matches for c=2, one pad for c=3");
+        assert_eq!(rows.len(), 3, "{path}: two matches for c=2, one pad for c=3");
         assert_eq!(rows[0], vec![Value::Int(2), Value::Int(20), Value::Int(2), Value::Int(200)]);
         assert_eq!(rows[1], vec![Value::Int(2), Value::Int(21), Value::Int(2), Value::Int(200)]);
         assert_eq!(rows[2], vec![Value::Null, Value::Null, Value::Int(3), Value::Int(300)]);
@@ -197,7 +197,7 @@ fn aggregate_equivalence() {
 
 /// `ORDER BY` equivalence: multi-key, NULL keys, DESC, LIMIT/OFFSET. The
 /// projections carry every sort key, so tied rows are fully identical and
-/// exact (order-sensitive) comparison is well-defined on both paths.
+/// exact (order-sensitive) comparison is well-defined.
 #[test]
 fn order_by_equivalence() {
     let shapes = [
@@ -208,11 +208,14 @@ fn order_by_equivalence() {
         "SELECT k + 1 AS k1, s & 7 AS lo, v FROM facts ORDER BY lo, v DESC, k1",
     ];
     for seed in 0..3 {
-        let (mut batch, mut row) = rand_pair(seed, 2000);
+        let mut db = rand_db(seed, 2000, 1);
         for sql in shapes {
-            let b = batch.execute(sql).unwrap_or_else(|e| panic!("batch: {e}\n{sql}"));
-            let r = row.execute(sql).unwrap_or_else(|e| panic!("row: {e}\n{sql}"));
-            assert_eq!(b.rows(), r.rows(), "exact order must agree: {sql}");
+            let want = db.query_reference(sql).unwrap_or_else(|e| panic!("reference: {e}\n{sql}"));
+            for workers in [1, WORKERS] {
+                db.set_parallelism(workers);
+                let got = db.execute(sql).unwrap_or_else(|e| panic!("batch({workers}): {e}\n{sql}"));
+                assert_eq!(got.rows(), want.rows(), "batch({workers}) exact order: {sql}");
+            }
         }
     }
 }
@@ -230,21 +233,24 @@ fn order_by_spill_equivalence() {
             ]
         })
         .collect();
-    let run = |path: ExecPath| {
+    let sql = "SELECT k, v FROM big ORDER BY v DESC, k";
+    let run = |parallelism: usize| {
         let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-        db.set_exec_path(path);
+        db.set_parallelism(parallelism);
         db.execute("CREATE TABLE big (k INTEGER, v DOUBLE)").unwrap();
         db.insert_rows("big", data.clone()).unwrap();
-        let rs = db.execute("SELECT k, v FROM big ORDER BY v DESC, k").unwrap();
-        assert!(db.stats().spill_files > 0, "{path:?} expected the sort to spill");
-        rs.into_rows()
+        let rs = db.execute(sql).unwrap();
+        assert!(db.stats().spill_files > 0, "batch({parallelism}) expected the sort to spill");
+        (rs.into_rows(), db.query_reference(sql).unwrap().into_rows())
     };
-    assert_eq!(run(ExecPath::Batch), run(ExecPath::Row));
+    let (batch, reference) = run(1);
+    assert_eq!(batch, reference);
+    assert_eq!(run(WORKERS).0, reference);
 }
 
 /// Forced-spill DISTINCT aggregation: distinct sets travel through the
-/// partition spill format on both paths (this shape errored out before the
-/// sets became spillable).
+/// partition spill format (this shape errored out before the sets became
+/// spillable); the reference never spills.
 #[test]
 fn distinct_spill_equivalence() {
     let data: Vec<Vec<Value>> = (0..60_000)
@@ -256,27 +262,23 @@ fn distinct_spill_equivalence() {
             ]
         })
         .collect();
-    let run = |path: ExecPath, parallelism: usize| {
+    let sql = "SELECT k, COUNT(DISTINCT s) AS ns, SUM(DISTINCT v) AS sv, COUNT(*) AS n \
+               FROM big GROUP BY k ORDER BY k";
+    let run = |parallelism: usize| {
         let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-        db.set_exec_path(path);
         db.set_parallelism(parallelism);
         db.execute("CREATE TABLE big (k INTEGER, s INTEGER, v DOUBLE)").unwrap();
         db.insert_rows("big", data.clone()).unwrap();
-        let rs = db
-            .execute(
-                "SELECT k, COUNT(DISTINCT s) AS ns, SUM(DISTINCT v) AS sv, COUNT(*) AS n \
-                 FROM big GROUP BY k ORDER BY k",
-            )
-            .unwrap();
-        assert!(db.stats().spill_files > 0, "{path:?}/{parallelism} expected to spill");
-        rs.into_rows()
+        let rs = db.execute(sql).unwrap();
+        assert!(db.stats().spill_files > 0, "batch({parallelism}) expected to spill");
+        (rs.into_rows(), db.query_reference(sql).unwrap().into_rows())
     };
-    let baseline = run(ExecPath::Row, 1);
+    let (batch, baseline) = run(1);
     assert_eq!(baseline.len(), 6000);
     assert_eq!(baseline[0][1], Value::Int(7), "7 distinct s per group");
     assert_eq!(baseline[0][2], Value::Float(10.0), "0+1+2+3+4 distinct v");
-    assert_eq!(run(ExecPath::Batch, 1), baseline);
-    assert_eq!(run(ExecPath::Batch, 4), baseline);
+    assert_eq!(batch, baseline);
+    assert_eq!(run(WORKERS).0, baseline);
 }
 
 #[test]
@@ -306,7 +308,8 @@ fn union_order_limit_equivalence() {
 
 #[test]
 fn spill_path_equivalence_under_tight_budget() {
-    // Both paths must agree when the aggregate is forced out of core.
+    // The executor must agree with the reference when the aggregate is forced
+    // out of core.
     let mut rng = StdRng::seed_from_u64(7);
     let data: Vec<Vec<Value>> = (0..60_000)
         .map(|_| {
@@ -316,20 +319,21 @@ fn spill_path_equivalence_under_tight_budget() {
             ]
         })
         .collect();
-    let run = |path: ExecPath| {
+    let sql = "SELECT k, SUM(v) AS t FROM big GROUP BY k ORDER BY k";
+    let run = |parallelism: usize| {
         // Columnar base-table chunks charge ~16 B/row, so the 60k-row table
         // costs ~1 MB; 2 MB leaves too little headroom for 20k groups.
         let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-        db.set_exec_path(path);
+        db.set_parallelism(parallelism);
         db.execute("CREATE TABLE big (k INTEGER, v DOUBLE)").unwrap();
         db.insert_rows("big", data.clone()).unwrap();
-        let rs = db
-            .execute("SELECT k, SUM(v) AS t FROM big GROUP BY k ORDER BY k")
-            .unwrap();
-        assert!(db.stats().spill_files > 0, "{path:?} expected to spill");
-        rs.into_rows()
+        let rs = db.execute(sql).unwrap();
+        assert!(db.stats().spill_files > 0, "batch({parallelism}) expected to spill");
+        (rs.into_rows(), db.query_reference(sql).unwrap().into_rows())
     };
-    assert_eq!(run(ExecPath::Batch), run(ExecPath::Row));
+    let (batch, reference) = run(1);
+    assert_eq!(batch, reference);
+    assert_eq!(run(WORKERS).0, reference);
 }
 
 #[test]
@@ -348,46 +352,41 @@ fn explain_analyze_reports_batch_counts() {
     // The aggregate's 4 groups fit one batch.
     assert!(text.contains("batches=1"), "aggregate should emit 1 batch:\n{text}");
     assert!(text.contains("rows=5000"), "{text}");
-
-    // The row path reports no batch counters.
-    db.set_exec_path(ExecPath::Row);
-    let text = db
-        .explain_analyze("SELECT a & 3 AS g, SUM(b) AS t FROM t GROUP BY a & 3")
-        .unwrap();
-    assert!(!text.contains("batches="), "row path must not report batches:\n{text}");
 }
 
 #[test]
 fn error_detection_is_batch_granular() {
-    // Documented divergence (see exec/vector.rs module docs): the batch path
+    // Documented divergence (see exec/vector.rs module docs): the executor
     // evaluates expressions over whole batches, so an error in a row a
-    // downstream LIMIT would have skipped still surfaces. The row path stops
-    // pulling after the LIMIT and never evaluates the failing row.
+    // downstream LIMIT does not need still surfaces when that row shares a
+    // batch with rows it does need.
     let mut db = Database::new();
+    db.set_parallelism(1);
     db.execute("CREATE TABLE t (x INTEGER)").unwrap();
     let rows: Vec<Vec<Value>> =
         (0..100).map(|i| vec![Value::Int(if i < 10 { 1 } else { 0 })]).collect();
     db.insert_rows("t", rows).unwrap();
     let sql = "SELECT 10 / x AS q FROM t LIMIT 5";
     assert!(db.execute(sql).is_err(), "batch path errors at batch granularity");
-    db.set_exec_path(ExecPath::Row);
-    assert_eq!(db.execute(sql).unwrap().rows().len(), 5, "row path stops at LIMIT");
-}
+    // The reference evaluates every row of every node, so it errors here too …
+    assert!(db.query_reference(sql).is_err(), "the reference evaluates every row");
 
-#[test]
-fn exec_path_is_switchable_and_defaults_to_batch() {
-    let db = Database::new();
-    assert_eq!(db.exec_path(), ExecPath::Batch);
-    let mut db = Database::new();
-    db.set_exec_path(ExecPath::Row);
-    assert_eq!(db.exec_path(), ExecPath::Row);
+    // … and also where the failing row sits in a batch the LIMIT never pulls:
+    // there the executor stops early and succeeds, the reference still errors.
+    db.execute("CREATE TABLE u (x INTEGER)").unwrap();
+    let rows: Vec<Vec<Value>> =
+        (0..CHUNK_ROWS + 1).map(|i| vec![Value::Int(if i < CHUNK_ROWS { 1 } else { 0 })]).collect();
+    db.insert_rows("u", rows).unwrap();
+    let sql = "SELECT 10 / x AS q FROM u LIMIT 5";
+    assert_eq!(db.execute(sql).unwrap().rows().len(), 5, "the second batch is never pulled");
+    assert!(db.query_reference(sql).is_err(), "the reference evaluates every row");
 }
 
 // ---------------------------------------------------------------------------
 // Morsel-parallel execution
 // ---------------------------------------------------------------------------
 
-/// Three-way randomized equivalence: row path vs single-threaded batch vs
+/// Three-way randomized equivalence: reference vs single-threaded batch vs
 /// morsel-parallel batch at 2–8 workers, over every parallelizable shape
 /// (filter/project pipelines, equi-join probes, fast-lane and generic
 /// aggregates, the full gate query). 5000 rows span five chunks, so the
@@ -418,14 +417,13 @@ fn three_way_equivalence_across_worker_counts() {
         "SELECT k, COUNT(DISTINCT s) AS ns, SUM(DISTINCT v) AS sv FROM facts GROUP BY k",
     ];
     for seed in 0..2 {
-        let mut row = rand_db(seed, 5000, ExecPath::Row, 1);
-        let mut batch1 = rand_db(seed, 5000, ExecPath::Batch, 1);
+        let mut batch1 = rand_db(seed, 5000, 1);
         for sql in shapes {
-            let expect = sorted_rows(row.execute(sql).unwrap().rows());
+            let expect = sorted_rows(batch1.query_reference(sql).unwrap().rows());
             let got1 = sorted_rows(batch1.execute(sql).unwrap().rows());
             assert_eq!(expect, got1, "single-threaded batch diverged: {sql}");
             for workers in [2usize, 4, 8] {
-                let mut par = rand_db(seed, 5000, ExecPath::Batch, workers);
+                let mut par = rand_db(seed, 5000, workers);
                 let got = sorted_rows(par.execute(sql).unwrap().rows());
                 assert_eq!(expect, got, "{workers} workers diverged: {sql}");
             }
@@ -439,8 +437,8 @@ fn three_way_equivalence_across_worker_counts() {
 #[test]
 fn parallel_pipeline_preserves_sequential_order() {
     for workers in [2usize, 4, 8] {
-        let mut seq = rand_db(11, 5000, ExecPath::Batch, 1);
-        let mut par = rand_db(11, 5000, ExecPath::Batch, workers);
+        let mut seq = rand_db(11, 5000, 1);
+        let mut par = rand_db(11, 5000, workers);
         let sql = "SELECT k, s, v FROM facts WHERE (s & 3) != 0 LIMIT 937";
         let a = seq.execute(sql).unwrap();
         let b = par.execute(sql).unwrap();
@@ -554,29 +552,35 @@ fn parallel_float_sums_reproducible_at_fixed_worker_count() {
 }
 
 /// `SUM(DISTINCT)` over non-representable floats must be bit-identical
-/// across runs, execution paths, and worker counts: the distinct set folds
+/// across runs, the reference and the executor, and worker counts: the distinct set folds
 /// in total order, never in (per-instance-seeded) hash order.
 #[test]
 fn sum_distinct_floats_deterministic() {
-    let run = |path: ExecPath, parallelism: usize| {
+    // `None` runs the reference, `Some(n)` the executor with `n` workers.
+    let run = |parallelism: Option<usize>| {
         let mut db = Database::new();
-        db.set_exec_path(path);
-        db.set_parallelism(parallelism);
         db.execute("CREATE TABLE t (k INTEGER, v DOUBLE)").unwrap();
         // 0.1 + 0.2 + … is order-sensitive in the last ulp.
         let rows: Vec<Vec<Value>> = (0..5000)
             .map(|i| vec![Value::Int(i % 3), Value::Float(((i % 40) as f64) / 10.0)])
             .collect();
         db.insert_rows("t", rows).unwrap();
-        db.execute("SELECT k, SUM(DISTINCT v) AS sv, AVG(DISTINCT v) AS av FROM t GROUP BY k ORDER BY k")
-            .unwrap()
-            .into_rows()
+        let sql = "SELECT k, SUM(DISTINCT v) AS sv, AVG(DISTINCT v) AS av FROM t GROUP BY k ORDER BY k";
+        match parallelism {
+            None => db.query_reference(sql),
+            Some(n) => {
+                db.set_parallelism(n);
+                db.execute(sql)
+            }
+        }
+        .unwrap()
+        .into_rows()
     };
-    let baseline = run(ExecPath::Row, 1);
+    let baseline = run(None);
     for _ in 0..3 {
-        assert_eq!(baseline, run(ExecPath::Row, 1), "row path run-to-run");
-        assert_eq!(baseline, run(ExecPath::Batch, 1), "batch path");
-        assert_eq!(baseline, run(ExecPath::Batch, 4), "parallel batch path");
+        assert_eq!(baseline, run(None), "reference run-to-run");
+        assert_eq!(baseline, run(Some(1)), "batch path");
+        assert_eq!(baseline, run(Some(4)), "parallel batch path");
     }
 }
 
@@ -586,21 +590,20 @@ fn sum_distinct_floats_deterministic() {
 #[test]
 fn parallel_sort_is_byte_identical_to_sequential() {
     let sql = "SELECT v, k, s FROM facts ORDER BY v DESC, k, s";
-    let mut seq = rand_db(17, 5000, ExecPath::Batch, 1);
+    let mut seq = rand_db(17, 5000, 1);
     let expect = seq.execute(sql).unwrap();
     for workers in [2usize, 4, 8] {
-        let mut par = rand_db(17, 5000, ExecPath::Batch, workers);
+        let mut par = rand_db(17, 5000, workers);
         let got = par.execute(sql).unwrap();
         assert_eq!(expect.rows(), got.rows(), "{workers} workers broke sort order");
     }
 }
 
-/// Every previously row-fallback shape now reports a physical batch
-/// operator (with `batches=` counters) in `EXPLAIN ANALYZE` — no plan
-/// routes through a row-operator shim anymore.
+/// Every plan shape reports a physical batch operator (with `batches=`
+/// counters) in `EXPLAIN ANALYZE`.
 #[test]
 fn explain_analyze_shows_batch_operators_for_all_shapes() {
-    let mut db = rand_db(23, 5000, ExecPath::Batch, 1);
+    let mut db = rand_db(23, 5000, 1);
     let sort = db.execute("EXPLAIN SELECT v FROM facts ORDER BY v").unwrap();
     assert!(!sort.rows().is_empty());
 
@@ -632,12 +635,6 @@ fn explain_analyze_shows_batch_operators_for_all_shapes() {
         .explain_analyze("SELECT k, COUNT(DISTINCT s) FROM facts GROUP BY k")
         .unwrap();
     assert!(text.contains("HashAggregate"), "{text}");
-
-    // The row path keeps logical labels and reports no batch counters.
-    db.set_exec_path(ExecPath::Row);
-    let text = db.explain_analyze("SELECT v, k FROM facts ORDER BY v, k").unwrap();
-    assert!(text.contains("Sort [2]"), "{text}");
-    assert!(!text.contains("batches="), "{text}");
 }
 
 /// The knob clamps to at least one worker and reads back.

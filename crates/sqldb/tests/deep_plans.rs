@@ -43,6 +43,8 @@ fn thousand_gate_chain_runs_on_a_default_test_thread() {
     let rs = db.execute(&sql).unwrap();
     // An odd number of X gates: |0⟩ → |1⟩, amplitude 1.
     assert_eq!(rs.rows(), &[vec![Value::Int(1), Value::Float(1.0), Value::Float(0.0)]]);
+    // The reference interpreter recurses once per plan level as well.
+    assert_eq!(db.query_reference(&sql).unwrap().rows(), rs.rows());
     // The passes that never execute anything are deep too.
     assert_eq!(db.query_schema(&sql).unwrap().names(), vec!["s", "r", "i"]);
     assert_eq!(db.explain(&sql).unwrap().lines().count(), 5 * 1001 + 3);

@@ -1,13 +1,13 @@
 //! Columnar↔row storage equivalence.
 //!
 //! PR 3 replaced row-major base tables with chunked columnar storage
-//! ([`qymera_sqldb::table`]). Both execution paths now read the same chunks
-//! — the batch path zero-copy, the row path through a chunk→row adapter —
-//! so these tests pin down the contract: identical results on both
-//! [`ExecPath`]s under randomized inserts and deletes, identical coercion
-//! errors, identical budget accounting, intact snapshot isolation while the
-//! table mutates between (and under) scans, and agreement on the spill
-//! paths.
+//! ([`qymera_sqldb::table`]). The executor reads the chunks zero-copy, the
+//! reference interpreter ([`Database::query_reference`]) reads the same
+//! snapshot transposed into rows, so these tests pin down the contract:
+//! identical results from both under randomized inserts and deletes, coercion
+//! errors that leave table and ledger untouched, a ledger that follows
+//! inserts, deletes and drops, intact snapshot isolation while the table
+//! mutates between (and under) scans, and agreement when the executor spills.
 
 use std::sync::Arc;
 
@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng, StdRng};
 
 use qymera_sqldb::ast::DataType;
 use qymera_sqldb::table::{Table, CHUNK_ROWS};
-use qymera_sqldb::{Database, ExecPath, MemoryBudget, Value};
+use qymera_sqldb::{Database, MemoryBudget, Value};
 
 /// A random row for a `(s INTEGER, r DOUBLE, i DOUBLE)` state table, with
 /// occasional NULLs to force generic-lane chunks.
@@ -46,110 +46,97 @@ const PROBES: &[&str] = &[
 ];
 
 /// Randomized insert/delete interleaving: after every mutation, every probe
-/// query must agree across the two execution paths.
+/// query must agree between the reference, the sequential executor and the
+/// parallel executor.
 #[test]
 fn randomized_mutations_equivalent_across_paths() {
     for seed in 0..3u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut dbs: Vec<Database> = [ExecPath::Batch, ExecPath::Row]
-            .iter()
-            .map(|&p| {
-                let mut db = Database::new();
-                db.set_exec_path(p);
-                db.execute("CREATE TABLE t (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
-                db
-            })
-            .collect();
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
         for _step in 0..8 {
             // Random-size insert: crosses chunk boundaries at CHUNK_ROWS.
             let n = rng.gen_range(1usize..(CHUNK_ROWS + 300));
             let rows: Vec<Vec<Value>> =
                 (0..n).map(|_| random_row(&mut rng)).collect();
-            for db in dbs.iter_mut() {
-                db.insert_rows("t", rows.clone()).unwrap();
-            }
+            db.insert_rows("t", rows).unwrap();
             if rng.gen_range(0u32..3) == 0 {
                 let cut = rng.gen_range(0i64..4096);
-                let deleted: Vec<usize> = dbs
-                    .iter_mut()
-                    .map(|db| {
-                        db.execute(&format!("DELETE FROM t WHERE s < {cut}"))
-                            .unwrap()
-                            .affected()
-                    })
-                    .collect();
-                assert_eq!(deleted[0], deleted[1], "seed {seed}: delete count");
+                let doomed = db
+                    .query_reference(&format!("SELECT s FROM t WHERE s < {cut}"))
+                    .unwrap()
+                    .rows()
+                    .len();
+                let deleted =
+                    db.execute(&format!("DELETE FROM t WHERE s < {cut}")).unwrap().affected();
+                assert_eq!(deleted, doomed, "seed {seed}: delete count");
             }
             for sql in PROBES {
-                let a = dbs[0].execute(sql).unwrap();
-                let b = dbs[1].execute(sql).unwrap();
-                assert_eq!(sorted_rows(&a), sorted_rows(&b), "seed {seed}: {sql}");
+                let want = sorted_rows(&db.query_reference(sql).unwrap());
+                for workers in [1, 4] {
+                    db.set_parallelism(workers);
+                    let got = db.execute(sql).unwrap();
+                    assert_eq!(sorted_rows(&got), want, "seed {seed}, batch({workers}): {sql}");
+                }
             }
+            let counted = db.query_reference("SELECT COUNT(*) FROM t").unwrap();
             assert_eq!(
-                dbs[0].table_row_count("t").unwrap(),
-                dbs[1].table_row_count("t").unwrap()
+                counted.scalar(),
+                Some(&Value::Int(db.table_row_count("t").unwrap() as i64))
             );
         }
     }
 }
 
-/// Coercion errors are path-independent (they happen in storage, before any
-/// executor runs) and leave the table and the ledger untouched.
+/// Coercion errors happen in storage, before any executor runs, and leave
+/// the table and the ledger untouched.
 #[test]
-fn coerce_errors_identical_and_atomic_on_both_paths() {
-    for path in [ExecPath::Batch, ExecPath::Row] {
-        let mut db = Database::with_memory_limit(1 << 20);
-        db.set_exec_path(path);
-        db.execute("CREATE TABLE t (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
-        db.insert_rows("t", vec![vec![Value::Int(1), Value::Float(0.5), Value::Float(0.0)]])
-            .unwrap();
-        let used = db.budget().used();
+fn coerce_errors_are_atomic() {
+    let mut db = Database::with_memory_limit(1 << 20);
+    db.execute("CREATE TABLE t (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+    db.insert_rows("t", vec![vec![Value::Int(1), Value::Float(0.5), Value::Float(0.0)]])
+        .unwrap();
+    let used = db.budget().used();
 
-        // Wrong type in the middle of a batch: all-or-nothing.
-        let bad = vec![
-            vec![Value::Int(2), Value::Float(1.0), Value::Float(0.0)],
-            vec![Value::Int(3), Value::Str("x".into()), Value::Float(0.0)],
-        ];
-        let err = db.insert_rows("t", bad).unwrap_err().to_string();
-        assert!(err.contains("column `r`"), "{path:?}: {err}");
-        assert_eq!(db.table_row_count("t").unwrap(), 1, "{path:?}");
-        assert_eq!(db.budget().used(), used, "{path:?}: failed insert must not charge");
+    // Wrong type in the middle of a batch: all-or-nothing.
+    let bad = vec![
+        vec![Value::Int(2), Value::Float(1.0), Value::Float(0.0)],
+        vec![Value::Int(3), Value::Str("x".into()), Value::Float(0.0)],
+    ];
+    let err = db.insert_rows("t", bad).unwrap_err().to_string();
+    assert!(err.contains("column `r`"), "{err}");
+    assert_eq!(db.table_row_count("t").unwrap(), 1);
+    assert_eq!(db.budget().used(), used, "failed insert must not charge");
 
-        // Fractional float into INTEGER.
-        assert!(db
-            .execute("INSERT INTO t VALUES (1.5, 0.0, 0.0)")
-            .unwrap_err()
-            .to_string()
-            .contains("column `s`"));
-        assert_eq!(db.table_row_count("t").unwrap(), 1);
-    }
+    // Fractional float into INTEGER.
+    assert!(db
+        .execute("INSERT INTO t VALUES (1.5, 0.0, 0.0)")
+        .unwrap_err()
+        .to_string()
+        .contains("column `s`"));
+    assert_eq!(db.table_row_count("t").unwrap(), 1);
 }
 
-/// Storage is shared between the paths, so the ledger must read identically
-/// whichever path the database runs — through inserts, deletes, and drops.
+/// The ledger follows storage through inserts, deletes, and drops, and the
+/// reference interpreter never touches it: it reads snapshots and charges
+/// nothing, so it cannot disturb the accounting it is used to check.
 #[test]
-fn budget_accounting_parity_across_paths() {
+fn budget_accounting_follows_storage_only() {
     let mut rng = StdRng::seed_from_u64(42);
     let rows: Vec<Vec<Value>> = (0..3000).map(|_| random_row(&mut rng)).collect();
-    let usages: Vec<Vec<usize>> = [ExecPath::Batch, ExecPath::Row]
-        .iter()
-        .map(|&p| {
-            let mut db = Database::new();
-            db.set_exec_path(p);
-            let mut trace = Vec::new();
-            db.execute("CREATE TABLE t (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
-            db.insert_rows("t", rows.clone()).unwrap();
-            trace.push(db.budget().used());
-            db.execute("DELETE FROM t WHERE s < 1000").unwrap();
-            trace.push(db.budget().used());
-            db.execute("DROP TABLE t").unwrap();
-            trace.push(db.budget().used());
-            trace
-        })
-        .collect();
-    assert_eq!(usages[0], usages[1], "ledger must not depend on the exec path");
-    assert_eq!(*usages[0].last().unwrap(), 0, "drop releases everything");
-    assert!(usages[0][1] < usages[0][0], "delete shrinks the charge");
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+    db.insert_rows("t", rows).unwrap();
+    let loaded = db.budget().used();
+    let peak = db.budget().peak();
+    for sql in PROBES {
+        db.query_reference(sql).unwrap();
+    }
+    assert_eq!((db.budget().used(), db.budget().peak()), (loaded, peak));
+    db.execute("DELETE FROM t WHERE s < 1000").unwrap();
+    assert!(db.budget().used() < loaded, "delete shrinks the charge");
+    db.execute("DROP TABLE t").unwrap();
+    assert_eq!(db.budget().used(), 0, "drop releases everything");
 }
 
 /// Snapshot isolation at the storage layer: a snapshot taken mid-chunk keeps
@@ -194,33 +181,35 @@ fn snapshot_isolation_under_mutation() {
 }
 
 /// End-to-end snapshot semantics: a table mutated between scans yields the
-/// new state on the next query, on both paths, including after deletes that
-/// re-pack chunks.
+/// new state on the next query, from the executor and the reference alike,
+/// including after deletes that re-pack chunks.
 #[test]
 fn table_mutated_between_scans_stays_consistent() {
-    for path in [ExecPath::Batch, ExecPath::Row] {
-        let mut db = Database::new();
-        db.set_exec_path(path);
-        db.execute("CREATE TABLE t (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
-        let mk = |lo: i64, hi: i64| -> Vec<Vec<Value>> {
-            (lo..hi)
-                .map(|s| vec![Value::Int(s), Value::Float(1.0), Value::Float(0.0)])
-                .collect()
-        };
-        db.insert_rows("t", mk(0, 1500)).unwrap();
-        let n1 = db.execute("SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(n1.scalar(), Some(&Value::Int(1500)), "{path:?}");
-        db.insert_rows("t", mk(1500, 1600)).unwrap();
-        db.execute("DELETE FROM t WHERE s < 100").unwrap();
-        let n2 = db.execute("SELECT COUNT(*), SUM(s) FROM t").unwrap();
-        assert_eq!(n2.rows()[0][0], Value::Int(1500), "{path:?}");
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+    let mk = |lo: i64, hi: i64| -> Vec<Vec<Value>> {
+        (lo..hi)
+            .map(|s| vec![Value::Int(s), Value::Float(1.0), Value::Float(0.0)])
+            .collect()
+    };
+    // Both the executor's and the reference's answer to `sql`.
+    let both = |db: &mut Database, sql: &str| {
+        [db.execute(sql).unwrap().into_rows(), db.query_reference(sql).unwrap().into_rows()]
+    };
+    db.insert_rows("t", mk(0, 1500)).unwrap();
+    for n1 in both(&mut db, "SELECT COUNT(*) FROM t") {
+        assert_eq!(n1, vec![vec![Value::Int(1500)]]);
+    }
+    db.insert_rows("t", mk(1500, 1600)).unwrap();
+    db.execute("DELETE FROM t WHERE s < 100").unwrap();
+    for n2 in both(&mut db, "SELECT COUNT(*), SUM(s) FROM t") {
         // sum(100..1600) = (100 + 1599) * 1500 / 2
-        assert_eq!(n2.rows()[0][1], Value::Int((100 + 1599) * 1500 / 2), "{path:?}");
+        assert_eq!(n2, vec![vec![Value::Int(1500), Value::Int((100 + 1599) * 1500 / 2)]]);
     }
 }
 
-/// The gate-shaped join + group-by forced out of core: both paths spill and
-/// agree exactly.
+/// The gate-shaped join + group-by forced out of core: the executor spills,
+/// sequentially and in parallel, and agrees exactly with the reference.
 #[test]
 fn spill_paths_agree_on_gate_query() {
     let mut rng = StdRng::seed_from_u64(9);
@@ -234,9 +223,13 @@ fn spill_paths_agree_on_gate_query() {
         })
         .collect();
     let h = std::f64::consts::FRAC_1_SQRT_2;
-    let run = |path: ExecPath| {
+    let sql = "SELECT ((T0.s & ~1) | H.out_s) AS s, \
+               SUM((T0.r * H.r) - (T0.i * H.i)) AS r \
+               FROM T0 JOIN H ON H.in_s = (T0.s & 1) \
+               GROUP BY ((T0.s & ~1) | H.out_s) ORDER BY s";
+    let run = |parallelism: usize| {
         let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-        db.set_exec_path(path);
+        db.set_parallelism(parallelism);
         db.execute("CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
         db.insert_rows("T0", state.clone()).unwrap();
         db.execute("CREATE TABLE H (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)")
@@ -246,16 +239,11 @@ fn spill_paths_agree_on_gate_query() {
             -h
         ))
         .unwrap();
-        let rs = db
-            .execute(
-                "SELECT ((T0.s & ~1) | H.out_s) AS s, \
-                 SUM((T0.r * H.r) - (T0.i * H.i)) AS r \
-                 FROM T0 JOIN H ON H.in_s = (T0.s & 1) \
-                 GROUP BY ((T0.s & ~1) | H.out_s) ORDER BY s",
-            )
-            .unwrap();
-        assert!(db.stats().spill_files > 0, "{path:?} expected to spill");
-        rs.into_rows()
+        let rs = db.execute(sql).unwrap();
+        assert!(db.stats().spill_files > 0, "batch({parallelism}) expected to spill");
+        (rs.into_rows(), db.query_reference(sql).unwrap().into_rows())
     };
-    assert_eq!(run(ExecPath::Batch), run(ExecPath::Row));
+    let (batch, reference) = run(1);
+    assert_eq!(batch, reference);
+    assert_eq!(run(4).0, reference);
 }

@@ -45,10 +45,6 @@ pub struct SqlSimConfig {
     /// Engine memory budget in bytes (tables + operators); `None` unlimited.
     /// This is what the paper's 2.0 GB experiment constrains.
     pub memory_limit: Option<usize>,
-    /// Run the engine's row-at-a-time reference path instead of the default
-    /// vectorized batch executor. Useful for A/B performance comparisons and
-    /// as a correctness oracle; results are identical on both paths.
-    pub row_engine: bool,
     /// Worker threads for the engine's morsel-parallel batch execution.
     /// `None` keeps the engine default (host core count, or the
     /// `QYMERA_PARALLELISM` environment variable); `Some(1)` forces fully
@@ -154,9 +150,6 @@ impl SqlSimulator {
                 None => Database::new(),
             },
         };
-        if self.config.row_engine {
-            db.set_exec_path(qymera_sqldb::ExecPath::Row);
-        }
         if let Some(n) = self.config.parallelism {
             db.set_parallelism(n);
         }
