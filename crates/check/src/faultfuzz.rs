@@ -6,7 +6,10 @@
 //! armed, treats the first injected error as a crash (drop, reopen with a
 //! clean injector), and checks the WAL contract at every step: the
 //! recovered state must equal exactly the acknowledged statement prefix —
-//! nothing lost, nothing torn, nothing half-applied. After the workload
+//! nothing lost, nothing torn, nothing half-applied. The one exception is a
+//! statement that failed with [`Error::CommitInDoubt`]: the engine said it
+//! cannot tell, so recovery may hold that statement whole or not at all.
+//! After the workload
 //! completes, a final reopen re-verifies the state and the accounting
 //! invariants (`budget.used() == table_bytes()`, no leaked spill files).
 //!
@@ -17,7 +20,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use qymera_sqldb::{
-    Database, DurabilityOptions, FaultInjector, FaultKind, FaultSchedule, FsyncPolicy,
+    Database, DurabilityOptions, Error, FaultInjector, FaultKind, FaultSchedule, FsyncPolicy,
 };
 
 use crate::generator::{CaseRng, SqlCase};
@@ -106,11 +109,13 @@ pub fn run_fault_schedule_case(seed: u64) -> Option<Discrepancy> {
     };
     let mut acked: Vec<String> = Vec::new();
     let mut crashed_at: Option<usize> = None;
+    let mut in_doubt = false;
     for (i, st) in workload.iter().enumerate() {
         match db.execute(st) {
             Ok(_) => acked.push(st.clone()),
-            Err(_) => {
+            Err(e) => {
                 crashed_at = Some(i);
+                in_doubt = matches!(e, Error::CommitInDoubt { .. });
                 break;
             }
         }
@@ -119,7 +124,8 @@ pub fn run_fault_schedule_case(seed: u64) -> Option<Discrepancy> {
     drop(db);
 
     // Phase 2: recover with a clean injector. The recovered state must be
-    // exactly the acknowledged prefix.
+    // exactly the acknowledged prefix — or, after an in-doubt commit, that
+    // prefix plus the whole in-doubt statement.
     let clean = FaultInjector::none();
     let mut db = match Database::open_with(&dir, opts(&clean)) {
         Ok(db) => db,
@@ -129,21 +135,31 @@ pub fn run_fault_schedule_case(seed: u64) -> Option<Discrepancy> {
         Ok(d) => d,
         Err(e) => return fail("shadow", e),
     };
-    match dump(&mut db) {
-        Ok(got) if got == expected => {}
-        Ok(got) => {
+    let got = match dump(&mut db) {
+        Ok(got) => got,
+        Err(e) => return fail("recovery", e),
+    };
+    if got != expected {
+        let prefix = acked.len();
+        let survived_in_doubt = match crashed_at {
+            Some(i) if in_doubt => {
+                acked.push(workload[i].clone());
+                crashed_at = Some(i + 1);
+                shadow_dump(&acked).is_ok_and(|with_it| with_it == got)
+            }
+            _ => false,
+        };
+        if !survived_in_doubt {
             return fail(
                 "recovery",
                 format!(
-                    "recovered state differs from the {}-statement acknowledged \
+                    "recovered state differs from the {prefix}-statement acknowledged \
                      prefix: {} tables vs {} expected",
-                    acked.len(),
                     got.len(),
                     expected.len()
                 ),
-            )
+            );
         }
-        Err(e) => return fail("recovery", e),
     }
 
     // Phase 3: finish the workload fault-free; every statement must now
@@ -205,6 +221,20 @@ mod tests {
             assert_eq!(a.to_string(), b.to_string());
             let parsed: FaultSchedule = a.to_string().parse().unwrap();
             assert_eq!(parsed.to_string(), a.to_string());
+        }
+    }
+
+    /// Fault seed 64822 (`qymera-fuzz --seed 777 --faults 100`): the commit's
+    /// fsync fails, then the repair's truncate fails too, leaving the
+    /// `Commit` record on disk behind a poisoned log while memory is rolled
+    /// back. The commit must heal the log before it answers, or answer
+    /// [`Error::CommitInDoubt`]; an ordinary error for a statement that a
+    /// crash then recovers is the bug this seed found.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn double_fault_at_commit_never_recovers_a_plainly_failed_statement() {
+        if let Some(d) = run_fault_schedule_case(64822) {
+            panic!("durability contract violated: {d}");
         }
     }
 

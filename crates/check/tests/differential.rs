@@ -139,7 +139,7 @@ fn budget_overshoot_stays_within_one_batch() {
 }
 
 /// The durable oracle above runs with `fsync: Off` for speed; this case
-/// pins the `QYMERA_FSYNC=always`-equivalent policy end to end on a
+/// pins [`FsyncPolicy::Always`] end to end on a
 /// generated workload (satellite: fsync-always coverage in the harness).
 #[test]
 fn durable_oracle_under_fsync_always() {

@@ -130,8 +130,8 @@ fn usage() -> &'static str {
                         1 = fully sequential execution)\n\
        --db DIR         persist the SQL engine's state in DIR (write-ahead\n\
                         logged, crash-recoverable; default: in-memory)\n\
-       --timeout-ms MS  per-statement deadline for the SQL engine (or the\n\
-                        QYMERA_TIMEOUT_MS env var; 0/unset = none)\n\
+       --timeout-ms MS  per-statement deadline for the SQL engine\n\
+                        (0/unset = none)\n\
        --shots N        samples for the `sample` command (default 1024)\n\
        --top K          state rows to print (default 16)\n\
      Ctrl-C cancels the SQL statement in flight cooperatively (engine\n\
@@ -286,28 +286,38 @@ fn load_circuit(args: &[String]) -> Result<QuantumCircuit, String> {
     }
     let spec = opt(args, "--circuit").ok_or("need --circuit SPEC or --file PATH")?;
     let parts: Vec<&str> = spec.split(':').collect();
-    let arg_n = |i: usize| -> Result<usize, String> {
+    // The `library` constructors assert their preconditions; user input is
+    // checked here so a bad spec is one `error:` line, not a panic.
+    let number = |i: usize| -> Result<u64, String> {
         parts
             .get(i)
             .ok_or(format!("`{spec}` needs an argument at position {i}"))?
             .parse()
             .map_err(|_| format!("bad number in `{spec}`"))
     };
-    let arg_u64 = |i: usize| -> Result<u64, String> {
-        parts
-            .get(i)
-            .ok_or(format!("`{spec}` needs an argument at position {i}"))?
-            .parse()
-            .map_err(|_| format!("bad number in `{spec}`"))
+    // The register size at position 1.
+    let size = |min: u64, max: u64| -> Result<usize, String> {
+        match number(1)? {
+            n if n < min => Err(format!("`{spec}`: size must be at least {min}")),
+            n if n > max => Err(format!("`{spec}`: size must be at most {max}")),
+            n => usize::try_from(n).map_err(|_| format!("bad number in `{spec}`")),
+        }
+    };
+    // A basis state or bit mask at position `i` of an `n ≤ 63`-bit register.
+    let fits = |i: usize, n: usize| -> Result<u64, String> {
+        match number(i)? {
+            v if v < (1u64 << n) => Ok(v),
+            v => Err(format!("`{spec}`: {v} does not fit in {n} bits")),
+        }
     };
     Ok(match parts[0] {
         "bell" => library::bell(),
-        "ghz" => library::ghz(arg_n(1)?),
-        "eqsup" => library::equal_superposition(arg_n(1)?),
-        "qft" => library::qft(arg_n(1)?),
-        "w" => library::w_state(arg_n(1)?),
+        "ghz" => library::ghz(size(1, u64::MAX)?),
+        "eqsup" => library::equal_superposition(size(1, u64::MAX)?),
+        "qft" => library::qft(size(1, u64::MAX)?),
+        "w" => library::w_state(size(2, u64::MAX)?),
         "parity" => {
-            let bits = parts.get(1).ok_or("parity:BITS")?;
+            let bits = parts.get(1).filter(|b| !b.is_empty()).ok_or("parity:BITS")?;
             let input: Vec<bool> = bits
                 .chars()
                 .map(|c| match c {
@@ -319,16 +329,29 @@ fn load_circuit(args: &[String]) -> Result<QuantumCircuit, String> {
             library::parity_check(&input)
         }
         "grover" => {
-            let n = arg_n(1)?;
-            library::grover(n, arg_u64(2)?, library::grover_optimal_iterations(n))
+            let n = size(2, 63)?;
+            library::grover(n, fits(2, n)?, library::grover_optimal_iterations(n))
         }
-        "bv" => library::bernstein_vazirani(arg_n(1)?, arg_u64(2)?),
-        "dj" => library::deutsch_jozsa(arg_n(1)?, parts.get(2).map(|m| m.parse().unwrap_or(1))),
-        "qpe" => library::phase_estimation(arg_n(1)?, arg_u64(2)?),
-        "sparse" => library::sparse_circuit(arg_n(1)?, 4, 1),
-        "dense" => library::dense_circuit(arg_n(1)?, 4, 1),
+        "bv" => {
+            let n = size(1, 63)?;
+            library::bernstein_vazirani(n, fits(2, n)?)
+        }
+        "dj" => {
+            let n = size(1, 63)?;
+            let mask = parts.get(2).map(|_| fits(2, n)).transpose()?;
+            if mask == Some(0) {
+                return Err(format!("`{spec}`: the balanced mask must be nonzero"));
+            }
+            library::deutsch_jozsa(n, mask)
+        }
+        "qpe" => {
+            let bits = size(1, 20)?;
+            library::phase_estimation(bits, fits(2, bits)?)
+        }
+        "sparse" => library::sparse_circuit(size(2, u64::MAX)?, 4, 1),
+        "dense" => library::dense_circuit(size(2, u64::MAX)?, 4, 1),
         "hea" => {
-            let pc = library::hardware_efficient_ansatz(arg_n(1)?, 2);
+            let pc = library::hardware_efficient_ansatz(size(2, u64::MAX)?, 2);
             let zeros: HashMap<String, f64> =
                 pc.symbols().into_iter().map(|s| (s, 0.25)).collect();
             pc.bind(&zeros)?

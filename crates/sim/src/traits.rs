@@ -31,14 +31,6 @@ pub enum SimError {
         /// The configured deadline in milliseconds.
         ms: u64,
     },
-    /// The backend refused admission: too many concurrent runs against the
-    /// shared engine (or database directory). Transient — retry later.
-    Overloaded {
-        /// Grants (or slots) in use when admission was refused.
-        active: usize,
-        /// The configured concurrency limit.
-        max: usize,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -55,9 +47,6 @@ impl std::fmt::Display for SimError {
             SimError::Cancelled => write!(f, "simulation cancelled"),
             SimError::Timeout { ms } => {
                 write!(f, "simulation timed out after {ms} ms")
-            }
-            SimError::Overloaded { active, max } => {
-                write!(f, "overloaded: {active} of {max} concurrent runs in use")
             }
         }
     }

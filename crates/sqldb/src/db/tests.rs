@@ -1,0 +1,203 @@
+use super::*;
+use crate::storage::spill::Row;
+use crate::value::Value;
+
+fn ghz_db() -> Database {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE); \
+         INSERT INTO T0 VALUES (0, 1.0, 0.0); \
+         CREATE TABLE H (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE); \
+         INSERT INTO H VALUES (0, 0, 0.7071067811865476, 0.0), \
+                              (0, 1, 0.7071067811865476, 0.0), \
+                              (1, 0, 0.7071067811865476, 0.0), \
+                              (1, 1, -0.7071067811865476, 0.0); \
+         CREATE TABLE CX (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE); \
+         INSERT INTO CX VALUES (0, 0, 1.0, 0.0), (1, 3, 1.0, 0.0), \
+                               (2, 2, 1.0, 0.0), (3, 1, 1.0, 0.0);",
+    )
+    .unwrap();
+    db
+}
+
+#[test]
+fn fig2_full_cte_chain_produces_ghz() {
+    // The exact query of Fig. 2c, three gates on |000⟩.
+    let mut db = ghz_db();
+    let sql = "WITH T1 AS (
+          SELECT ((T0.s & ~1) | H.out_s) AS s,
+                 SUM((T0.r * H.r) - (T0.i * H.i)) AS r,
+                 SUM((T0.r * H.i) + (T0.i * H.r)) AS i
+          FROM T0 JOIN H ON H.in_s = (T0.s & 1)
+          GROUP BY ((T0.s & ~1) | H.out_s)),
+        T2 AS (
+          SELECT ((T1.s & ~3) | CX.out_s) AS s,
+                 SUM((T1.r * CX.r) - (T1.i * CX.i)) AS r,
+                 SUM((T1.r * CX.i) + (T1.i * CX.r)) AS i
+          FROM T1 JOIN CX ON CX.in_s = (T1.s & 3)
+          GROUP BY ((T1.s & ~3) | CX.out_s)),
+        T3 AS (
+          SELECT ((T2.s & ~6) | (CX.out_s << 1)) AS s,
+                 SUM((T2.r * CX.r) - (T2.i * CX.i)) AS r,
+                 SUM((T2.r * CX.i) + (T2.i * CX.r)) AS i
+          FROM T2 JOIN CX ON CX.in_s = ((T2.s >> 1) & 3)
+          GROUP BY ((T2.s & ~6) | (CX.out_s << 1)))
+        SELECT s, r, i FROM T3 ORDER BY s";
+    let rs = db.execute(sql).unwrap();
+    assert_eq!(rs.columns(), &["s", "r", "i"]);
+    assert_eq!(rs.rows().len(), 2, "GHZ state has two basis states");
+    let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
+    assert_eq!(rs.rows()[0][0], Value::Int(0));
+    assert!((rs.rows()[0][1].as_f64().unwrap() - inv_sqrt2).abs() < 1e-12);
+    assert_eq!(rs.rows()[1][0], Value::Int(7));
+    assert!((rs.rows()[1][1].as_f64().unwrap() - inv_sqrt2).abs() < 1e-12);
+}
+
+#[test]
+fn insert_with_column_list_and_delete() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
+    let rs = db.execute("INSERT INTO t (b, a) VALUES ('x', 1), ('y', 2)").unwrap();
+    assert_eq!(rs.affected(), 2);
+    let rs = db.execute("SELECT a FROM t WHERE b = 'x'").unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(1)));
+    let rs = db.execute("DELETE FROM t WHERE a = 1").unwrap();
+    assert_eq!(rs.affected(), 1);
+    assert_eq!(db.table_row_count("t").unwrap(), 1);
+}
+
+#[test]
+fn create_table_as_streams_rows() {
+    let mut db = ghz_db();
+    let n = db
+        .create_table_as("T1", "SELECT ((T0.s & ~1) | H.out_s) AS s, \
+             SUM((T0.r * H.r) - (T0.i * H.i)) AS r, \
+             SUM((T0.r * H.i) + (T0.i * H.r)) AS i \
+             FROM T0 JOIN H ON H.in_s = (T0.s & 1) \
+             GROUP BY ((T0.s & ~1) | H.out_s)")
+        .unwrap();
+    assert_eq!(n, 2);
+    let rs = db.execute("SELECT COUNT(*) FROM T1").unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(2)));
+}
+
+#[test]
+fn stats_track_execution() {
+    let mut db = ghz_db();
+    let before = db.stats();
+    db.execute("SELECT * FROM H").unwrap();
+    let after = db.stats();
+    assert_eq!(after.statements_executed, before.statements_executed + 1);
+    assert_eq!(after.rows_returned, before.rows_returned + 4);
+    assert!(after.peak_memory_bytes > 0);
+}
+
+#[test]
+fn errors_are_reported_not_panicked() {
+    let mut db = Database::new();
+    assert!(db.execute("SELECT * FROM missing").is_err());
+    assert!(db.execute("SELEC 1").is_err());
+    db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+    assert!(db.execute("INSERT INTO t VALUES (1, 2)").is_err());
+    assert!(db.execute("INSERT INTO t VALUES ('text')").is_err());
+}
+
+#[test]
+fn memory_limited_db_spills_on_aggregate() {
+    // Budget fits the 50k-row base table (~1.2 MB in columnar chunks)
+    // but not the 20k-group aggregation state on top of it, forcing the
+    // operator to spill.
+    let mut db = Database::with_memory_limit(2 * 1024 * 1024);
+    db.execute("CREATE TABLE big (k INTEGER, v DOUBLE)").unwrap();
+    let rows: Vec<Row> = (0..50_000)
+        .map(|i| vec![Value::Int(i % 20_000), Value::Float(0.5)])
+        .collect();
+    db.insert_rows("big", rows).unwrap();
+    let rs = db
+        .execute("SELECT k, SUM(v) AS total FROM big GROUP BY k ORDER BY k LIMIT 3")
+        .unwrap();
+    assert_eq!(rs.rows().len(), 3);
+    assert!(db.stats().spill_files > 0, "expected the aggregate to spill");
+}
+
+#[test]
+fn to_table_string_renders() {
+    let mut db = ghz_db();
+    let rs = db.execute("SELECT in_s, out_s FROM CX ORDER BY in_s").unwrap();
+    let s = rs.to_table_string();
+    assert!(s.contains("in_s"));
+    assert!(s.lines().count() >= 6);
+}
+
+#[test]
+fn explain_returns_plan() {
+    let db = ghz_db();
+    let text = db.explain("SELECT s FROM T0 WHERE s = 0").unwrap();
+    assert!(text.contains("Scan T0"));
+}
+
+#[test]
+fn explain_statement_returns_plan_rows() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (a INTEGER, b INTEGER)").unwrap();
+    let rs = db.execute("EXPLAIN SELECT a FROM t WHERE a > 1 ORDER BY a").unwrap();
+    assert_eq!(rs.columns(), &["plan"]);
+    let text: Vec<String> = rs.rows().iter().map(|r| r[0].to_string()).collect();
+    assert!(text.iter().any(|l| l.contains("Scan t")), "{text:?}");
+    assert!(text.iter().any(|l| l.contains("Sort")), "{text:?}");
+}
+
+#[test]
+fn explain_shows_pushdown() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE a (x INTEGER)").unwrap();
+    db.execute("CREATE TABLE b (y INTEGER)").unwrap();
+    let rs = db
+        .execute("EXPLAIN SELECT x FROM a JOIN b ON a.x = b.y WHERE a.x > 3")
+        .unwrap();
+    let text = rs
+        .rows()
+        .iter()
+        .map(|r| r[0].to_string())
+        .collect::<Vec<_>>()
+        .join("\n");
+    // the filter on a.x must sit below the join after optimization
+    let join_pos = text.find("Join").unwrap();
+    let filter_pos = text.find("Filter").unwrap();
+    assert!(filter_pos > join_pos, "filter should be pushed under the join:\n{text}");
+}
+
+#[test]
+fn explain_analyze_reports_rows_per_operator() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+    let rows: Vec<Row> = (0..100).map(|i| vec![Value::Int(i)]).collect();
+    db.insert_rows("t", rows).unwrap();
+    let text = db
+        .explain_analyze("SELECT a FROM t WHERE a < 10 ORDER BY a DESC")
+        .unwrap();
+    assert!(text.contains("Scan t"), "{text}");
+    assert!(text.contains("rows=100"), "scan emits all rows:\n{text}");
+    assert!(text.contains("rows=10"), "filter passes 10 rows:\n{text}");
+    assert!(text.contains("total output rows: 10"), "{text}");
+}
+
+#[test]
+fn explain_analyze_join_aggregate_shape() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE s (k INTEGER, v DOUBLE); \
+         INSERT INTO s VALUES (0, 1.0), (1, 2.0), (0, 3.0); \
+         CREATE TABLE g (k INTEGER, w DOUBLE); \
+         INSERT INTO g VALUES (0, 10.0), (1, 20.0);",
+    )
+    .unwrap();
+    let text = db
+        .explain_analyze(
+            "SELECT s.k, SUM(s.v * g.w) FROM s JOIN g ON s.k = g.k GROUP BY s.k",
+        )
+        .unwrap();
+    assert!(text.contains("Join"), "{text}");
+    assert!(text.contains("Aggregate"), "{text}");
+    assert!(text.contains("total output rows: 2"), "{text}");
+}

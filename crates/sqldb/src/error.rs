@@ -38,11 +38,12 @@ pub enum Error {
     /// The statement exceeded its deadline (`ms` is the configured timeout).
     /// Same cleanup contract as [`Error::Cancelled`].
     Timeout { ms: u64 },
-    /// The admission controller rejected the statement (or a process-level
-    /// database slot could not be acquired) because `active` grants already
-    /// saturate the `max` concurrent limit, even after the bounded
-    /// retry/backoff queue. The statement never started executing.
-    Overloaded { active: usize, max: usize },
+    /// A commit failed *and* the write-ahead log could not be repaired or
+    /// reset behind it (`cause` is the commit's own I/O error): memory is
+    /// rolled back, but the `Commit` record may still be on disk, so until a
+    /// checkpoint or a reopen succeeds a crash may recover the transaction
+    /// or not. Every other statement error means "fully absent".
+    CommitInDoubt { cause: String },
     /// The lock table chose this transaction as the deadlock victim: waiting
     /// for `table` would close a cycle in the waits-for graph, and this
     /// transaction is the youngest participant. The transaction has been
@@ -90,9 +91,11 @@ impl fmt::Display for Error {
             Error::Timeout { ms } => {
                 write!(f, "statement timed out after {ms} ms")
             }
-            Error::Overloaded { active, max } => write!(
+            Error::CommitInDoubt { cause } => write!(
                 f,
-                "overloaded: {active} of {max} concurrent query grants in use"
+                "commit outcome unknown: {cause}; the write-ahead log could not be \
+                 repaired, so the transaction is rolled back in memory but may be \
+                 recovered after a crash until a checkpoint or reopen succeeds"
             ),
             Error::Deadlock { table } => write!(
                 f,

@@ -1,10 +1,7 @@
-//! Query-lifecycle governance: cooperative cancellation, deadlines, memory
-//! grants, and admission control.
+//! Query-lifecycle governance: cooperative cancellation and deadlines.
 //!
 //! Every statement executes under a [`QueryContext`] — a shared token
-//! carrying the cancel flag, the optional deadline, and the optional memory
-//! grant carved from the global [`crate::MemoryBudget`] ledger. Operators
-//! call [`QueryContext::check`] at every unit boundary (one batch, one
+//! carrying the cancel flag and the optional deadline. Operators call [`QueryContext::check`] at every unit boundary (one batch, one
 //! morsel, one spill run, one build block); the first failing check latches
 //! the outcome so every worker and operator surfaces the *same* typed error
 //! ([`Error::Cancelled`] or [`Error::Timeout`]) no matter which one observed
@@ -13,20 +10,11 @@
 //! record + `TableUndo` rollback) runs exactly as it does for any
 //! other statement error.
 //!
-//! Admission control is two-layered:
-//! - [`AdmissionController`]: in-process bounded concurrent query grants
-//!   with a small retry/backoff queue, shared across `Database` handles via
-//!   [`crate::Database::set_admission_controller`].
-//! - process slots (`QYMERA_DB_SLOTS`): bounded concurrent *processes* on
-//!   one durable database directory, implemented as `create_new` lock files
-//!   under `<dir>/slots/` and released on drop.
-//!
-//! Both reject with a typed [`Error::Overloaded`] once the backoff budget is
-//! exhausted, without starting the statement.
+//! There is no admission queue: the engine is embedded, one `Database` runs
+//! one statement at a time, and concurrent sessions serialise on
+//! [`crate::txn::SharedDb`]'s mutex and table locks.
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,8 +40,6 @@ struct QueryInner {
     timeout_ms: u64,
     /// External interrupt flag shared with [`CancelHandle`] (CLI Ctrl-C).
     interrupt: Arc<AtomicBool>,
-    /// Per-query memory grant in bytes; `None` = the full global budget.
-    grant: Option<usize>,
     /// Deterministic injection: latch a cancel once `polls` reaches this.
     cancel_at_poll: u64,
     /// Checkpoint polls so far (every `check()` call counts one).
@@ -65,7 +51,7 @@ struct QueryInner {
     units_after_cancel: AtomicU64,
 }
 
-/// Per-statement governance token: cancellation + deadline + memory grant.
+/// Per-statement governance token: cancellation + deadline.
 ///
 /// Cheap to clone (`Arc` inside) and `Send + Sync`, so parallel workers
 /// share one token. Created by `Database` for every statement; tests and
@@ -76,9 +62,11 @@ pub struct QueryContext {
 }
 
 impl QueryContext {
-    fn build(
+    /// Token for one statement. `interrupt` is the database's session flag
+    /// (shared with [`CancelHandle`]); `cancel_at_poll` arms deterministic
+    /// cancel injection at the n-th checkpoint poll.
+    pub(crate) fn begin(
         timeout_ms: Option<u64>,
-        grant: Option<usize>,
         interrupt: Arc<AtomicBool>,
         cancel_at_poll: Option<u64>,
     ) -> Self {
@@ -90,7 +78,6 @@ impl QueryContext {
                     .then(|| Instant::now() + Duration::from_millis(timeout_ms)),
                 timeout_ms,
                 interrupt,
-                grant,
                 cancel_at_poll: cancel_at_poll.unwrap_or(POLL_DISARMED),
                 polls: AtomicU64::new(0),
                 #[cfg(debug_assertions)]
@@ -99,23 +86,11 @@ impl QueryContext {
         }
     }
 
-    /// A token with no deadline, no grant, and a private interrupt flag —
-    /// the identity element of governance. Used by operator unit tests and
-    /// as the default for contexts built outside a statement.
+    /// A token with no deadline and a private interrupt flag — the identity
+    /// element of governance. Used by operator unit tests and as the default
+    /// for contexts built outside a statement.
     pub fn unbounded() -> Self {
-        Self::build(None, None, Arc::new(AtomicBool::new(false)), None)
-    }
-
-    /// Token for one statement. `interrupt` is the database's session flag
-    /// (shared with [`CancelHandle`]); `cancel_at_poll` arms deterministic
-    /// cancel injection at the n-th checkpoint poll.
-    pub(crate) fn begin(
-        timeout_ms: Option<u64>,
-        grant: Option<usize>,
-        interrupt: Arc<AtomicBool>,
-        cancel_at_poll: Option<u64>,
-    ) -> Self {
-        Self::build(timeout_ms, grant, interrupt, cancel_at_poll)
+        Self::begin(None, Arc::new(AtomicBool::new(false)), None)
     }
 
     /// Latch `kind` as the query outcome unless one is already latched.
@@ -219,25 +194,6 @@ impl QueryContext {
     pub fn latency_bound(parallelism: usize, plan_depth: usize) -> u64 {
         (parallelism + plan_depth + 1) as u64
     }
-
-    /// Fail-fast grant admission: reject a reservation request that could
-    /// never fit this query's memory grant, *before* any allocation or
-    /// spill. `requested` is the would-be total holding of the requesting
-    /// operator, not the increment.
-    #[inline]
-    pub fn admit(&self, requested: usize) -> Result<()> {
-        match self.inner.grant {
-            Some(grant) if requested > grant => {
-                Err(Error::OutOfMemory { requested, budget: grant })
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// The per-query memory grant in bytes, if one was carved.
-    pub fn grant(&self) -> Option<usize> {
-        self.inner.grant
-    }
 }
 
 impl Default for QueryContext {
@@ -285,155 +241,6 @@ impl CancelHandle {
     }
 }
 
-/// Retry/backoff schedule shared by the admission queue and process slots:
-/// exponential from 1 ms, capped at 25 ms per wait, 8 attempts (~100 ms of
-/// queueing total) before the typed [`Error::Overloaded`] rejection.
-const ADMIT_ATTEMPTS: u32 = 8;
-
-fn backoff(attempt: u32) -> Duration {
-    Duration::from_millis((1u64 << attempt.min(6)).min(25))
-}
-
-#[derive(Debug)]
-struct AdmissionInner {
-    max: usize,
-    active: AtomicUsize,
-}
-
-/// Bounded concurrent-query admission: at most `max` statements hold a
-/// grant at once. Cheap to clone; clones share one ledger, so several
-/// `Database` handles (one per session thread) can share one controller.
-#[derive(Debug, Clone)]
-pub struct AdmissionController {
-    inner: Arc<AdmissionInner>,
-}
-
-impl AdmissionController {
-    /// A controller admitting up to `max` concurrent statements (min 1).
-    pub fn new(max: usize) -> Self {
-        AdmissionController {
-            inner: Arc::new(AdmissionInner {
-                max: max.max(1),
-                active: AtomicUsize::new(0),
-            }),
-        }
-    }
-
-    /// The configured concurrency limit.
-    pub fn max_concurrent(&self) -> usize {
-        self.inner.max
-    }
-
-    /// Grants currently held.
-    pub fn active(&self) -> usize {
-        self.inner.active.load(Ordering::Relaxed)
-    }
-
-    /// Try to take a grant without queueing.
-    pub fn try_admit(&self) -> Option<AdmissionGrant> {
-        let mut cur = self.inner.active.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.inner.max {
-                return None;
-            }
-            match self.inner.active.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    return Some(AdmissionGrant { inner: Arc::clone(&self.inner) })
-                }
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Take a grant, queueing through the bounded retry/backoff schedule;
-    /// rejects with [`Error::Overloaded`] once the schedule is exhausted.
-    pub fn admit(&self) -> Result<AdmissionGrant> {
-        for attempt in 0..ADMIT_ATTEMPTS {
-            if let Some(grant) = self.try_admit() {
-                return Ok(grant);
-            }
-            std::thread::sleep(backoff(attempt));
-        }
-        Err(Error::Overloaded { active: self.active(), max: self.inner.max })
-    }
-}
-
-impl Default for AdmissionController {
-    /// Generous default: governance is opt-in, so a lone embedded `Database`
-    /// never queues, but a runaway fan-out still hits a hard ceiling.
-    fn default() -> Self {
-        Self::new(64)
-    }
-}
-
-/// RAII admission grant; releasing (drop) frees the slot for the queue.
-#[derive(Debug)]
-pub struct AdmissionGrant {
-    inner: Arc<AdmissionInner>,
-}
-
-impl Drop for AdmissionGrant {
-    fn drop(&mut self) {
-        self.inner.active.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// RAII process slot on a durable database directory (see
-/// [`acquire_process_slot`]); removes its lock file on drop.
-#[derive(Debug)]
-pub(crate) struct SlotGuard {
-    path: PathBuf,
-}
-
-impl Drop for SlotGuard {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// Bound the number of processes concurrently opening one durable database
-/// directory: try to `create_new` one of `slots` lock files under
-/// `<dir>/slots/`, retrying on the shared backoff schedule, then reject
-/// with [`Error::Overloaded`]. `slots == 0` disables the mechanism
-/// (`Ok(None)`). A process killed without running drop leaves its lock
-/// behind; deleting `<dir>/slots/` clears stale slots (the files carry no
-/// state beyond existence).
-pub(crate) fn acquire_process_slot(dir: &Path, slots: usize) -> Result<Option<SlotGuard>> {
-    if slots == 0 {
-        return Ok(None);
-    }
-    let slot_dir = dir.join("slots");
-    fs::create_dir_all(&slot_dir)?;
-    for attempt in 0..ADMIT_ATTEMPTS {
-        for i in 0..slots {
-            let path = slot_dir.join(format!("slot-{i}.lock"));
-            match fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(_) => return Ok(Some(SlotGuard { path })),
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        std::thread::sleep(backoff(attempt));
-    }
-    Err(Error::Overloaded { active: slots, max: slots })
-}
-
-/// `QYMERA_DB_SLOTS` — process-slot count for durable opens; 0 (default)
-/// disables. Panics on an unparsable value, matching the other env knobs.
-pub(crate) fn env_db_slots() -> usize {
-    match std::env::var("QYMERA_DB_SLOTS") {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("QYMERA_DB_SLOTS must be an integer, got {v:?}")),
-        Err(_) => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,7 +268,7 @@ mod tests {
     #[test]
     fn poll_armed_cancel_fires_at_nth_check() {
         let interrupt = Arc::new(AtomicBool::new(false));
-        let q = QueryContext::begin(None, None, interrupt, Some(3));
+        let q = QueryContext::begin(None, interrupt, Some(3));
         q.check().unwrap();
         q.check().unwrap();
         assert!(matches!(q.check(), Err(Error::Cancelled)));
@@ -470,7 +277,7 @@ mod tests {
     #[test]
     fn expired_deadline_latches_timeout_over_later_cancel() {
         let interrupt = Arc::new(AtomicBool::new(false));
-        let q = QueryContext::begin(Some(1), None, interrupt, None);
+        let q = QueryContext::begin(Some(1), interrupt, None);
         std::thread::sleep(Duration::from_millis(5));
         assert!(matches!(q.check(), Err(Error::Timeout { ms: 1 })));
         q.cancel();
@@ -481,14 +288,14 @@ mod tests {
     #[test]
     fn interrupt_flag_cancels_and_reset_restores() {
         let handle = CancelHandle::new();
-        let q = QueryContext::begin(None, None, handle.flag(), None);
+        let q = QueryContext::begin(None, handle.flag(), None);
         q.check().unwrap();
         handle.cancel();
         assert!(matches!(q.check(), Err(Error::Cancelled)));
         handle.reset();
         // The outcome stays latched for this statement even after reset.
         assert!(matches!(q.check(), Err(Error::Cancelled)));
-        let q2 = QueryContext::begin(None, None, handle.flag(), None);
+        let q2 = QueryContext::begin(None, handle.flag(), None);
         q2.check().unwrap();
     }
 
@@ -505,54 +312,5 @@ mod tests {
         } else {
             assert_eq!(q.units_after_cancel(), 0);
         }
-    }
-
-    #[test]
-    fn grant_admission_fails_fast() {
-        let interrupt = Arc::new(AtomicBool::new(false));
-        let q = QueryContext::begin(None, Some(1000), interrupt, None);
-        q.admit(1000).unwrap();
-        let err = q.admit(1001).unwrap_err();
-        assert!(
-            matches!(err, Error::OutOfMemory { requested: 1001, budget: 1000 }),
-            "got {err:?}"
-        );
-        QueryContext::unbounded().admit(usize::MAX).unwrap();
-    }
-
-    #[test]
-    fn admission_controller_bounds_and_releases() {
-        let ctl = AdmissionController::new(2);
-        let g1 = ctl.try_admit().unwrap();
-        let _g2 = ctl.try_admit().unwrap();
-        assert!(ctl.try_admit().is_none());
-        assert_eq!(ctl.active(), 2);
-        let err = ctl.admit().unwrap_err();
-        assert!(matches!(err, Error::Overloaded { active: 2, max: 2 }));
-        drop(g1);
-        let _g3 = ctl.admit().unwrap();
-        assert_eq!(ctl.active(), 2);
-    }
-
-    #[test]
-    fn process_slots_bound_concurrent_opens() {
-        let dir = std::env::temp_dir().join(format!(
-            "qymera-govern-slots-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        assert!(acquire_process_slot(&dir, 0).unwrap().is_none());
-        let g1 = acquire_process_slot(&dir, 2).unwrap().unwrap();
-        let g2 = acquire_process_slot(&dir, 2).unwrap().unwrap();
-        let err = acquire_process_slot(&dir, 2).unwrap_err();
-        assert!(matches!(err, Error::Overloaded { active: 2, max: 2 }));
-        drop(g1);
-        let _g3 = acquire_process_slot(&dir, 2).unwrap().unwrap();
-        drop(g2);
-        drop(_g3);
-        assert_eq!(fs::read_dir(dir.join("slots")).unwrap().count(), 0);
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -687,9 +687,6 @@ pub(crate) fn build_join_table(
     let mut reservation = Reservation::empty(&ctx.budget);
     while let Some(items) = ordered.next()? {
         for (batch, key_cols) in items {
-            // Same fail-fast grant admission as the sequential build path.
-            let est: usize = batch.columns().iter().map(|c| c.heap_bytes()).sum();
-            ctx.query.admit(reservation.bytes().saturating_add(est))?;
             builder.insert_batch(&batch, &key_cols, &mut reservation, &ctx.budget)?;
         }
     }

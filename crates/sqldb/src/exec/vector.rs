@@ -623,12 +623,6 @@ impl JoinTable {
                 .iter()
                 .map(|e| e.eval_batch(&batch))
                 .collect::<Result<Vec<_>>>()?;
-            // Fail grant admission up front when this build batch could not
-            // fit the query's memory grant (satellite of the bounded
-            // build-overdraft rule: the grant is a hard ceiling, not a floor
-            // to overdraft toward).
-            let est: usize = batch.columns().iter().map(|c| c.heap_bytes()).sum();
-            ctx.query.admit(reservation.bytes().saturating_add(est))?;
             builder.insert_batch(&batch, &key_cols, &mut reservation, &ctx.budget)?;
         }
         Ok((builder.finish(left_keys, residual, build_cols), reservation))
@@ -925,10 +919,6 @@ impl BatchNestedLoopJoin {
         let mut overdraft_rows = 0usize;
         while let Some(batch) = build.next_batch()? {
             let bytes: usize = batch.columns().iter().map(|c| c.heap_bytes()).sum();
-            // Fail grant admission before touching the ledger: a build side
-            // that could never fit this query's memory grant is rejected
-            // outright instead of overdrafting toward it.
-            ctx.query.admit(reservation.bytes().saturating_add(bytes))?;
             if !reservation.try_grow(bytes) {
                 overdraft_rows += batch.num_rows();
                 if overdraft_rows > BUILD_OVERDRAFT_ROWS {

@@ -638,10 +638,6 @@ impl BatchSort {
                 .collect::<Result<Vec<_>>>()?;
             let bytes = batch.columns().iter().map(|c| c.heap_bytes()).sum::<usize>()
                 + key_cols.iter().map(|c| c.heap_bytes()).sum::<usize>();
-            // A single batch bigger than the whole query grant can never be
-            // buffered or spilled piecemeal — reject it at admission instead
-            // of spinning through doomed spill runs.
-            self.ctx.query.admit(bytes)?;
             let fits = self.reservation.try_grow(bytes);
             buffer.push(batch, key_cols);
             if !fits && buffer.rows >= MIN_RUN_ROWS {

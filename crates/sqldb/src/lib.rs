@@ -45,7 +45,7 @@ pub mod vexpr;
 pub use bigbits::BigBits;
 pub use db::{Database, DbStats, DurabilityOptions, ResultSet};
 pub use error::{Error, Result};
-pub use exec::govern::{AdmissionController, AdmissionGrant, CancelHandle, QueryContext};
+pub use exec::govern::{CancelHandle, QueryContext};
 pub use txn::{LockMode, LockTable, Session, SharedDb};
 pub use storage::budget::MemoryBudget;
 pub use storage::fault::{FaultInjector, FaultKind, FaultSchedule, FaultSite};

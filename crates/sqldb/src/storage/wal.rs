@@ -36,10 +36,11 @@
 //!   in-flight frames stay replayable.
 //! * `checkpoint.tmp` — transient; deleted on open.
 //!
-//! Durability knob: `QYMERA_FSYNC` = `always` (fsync every record),
-//! `commit` (default — fsync once per committed frame), or `off` (no
-//! fsync; crash consistency still holds via checksums, but the tail of
-//! acknowledged transactions may be lost with the OS cache).
+//! Durability knob: [`FsyncPolicy`], set through
+//! `DurabilityOptions::fsync` — `Always` (fsync every record), `Commit`
+//! (default — fsync once per committed frame), or `Off` (no fsync; crash
+//! consistency still holds via checksums, but the tail of acknowledged
+//! transactions may be lost with the OS cache).
 //!
 //! Every file operation goes through the shared
 //! [`FaultInjector`], which is how
@@ -82,24 +83,6 @@ pub enum FsyncPolicy {
     /// Never fsync. Consistency still holds (checksummed replay), but the
     /// tail of acknowledged statements may be lost with the OS cache.
     Off,
-}
-
-impl FsyncPolicy {
-    /// Read the `QYMERA_FSYNC` environment knob (`always`/`commit`/`off`);
-    /// unset defaults to [`FsyncPolicy::Commit`], anything else panics —
-    /// the variable exists to *strengthen* guarantees in deployment, and
-    /// silently ignoring a typo would invert that.
-    pub fn from_env() -> Self {
-        match std::env::var("QYMERA_FSYNC") {
-            Err(_) => FsyncPolicy::Commit,
-            Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-                "always" => FsyncPolicy::Always,
-                "commit" | "" => FsyncPolicy::Commit,
-                "off" => FsyncPolicy::Off,
-                other => panic!("QYMERA_FSYNC must be always|commit|off, got `{other}`"),
-            },
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

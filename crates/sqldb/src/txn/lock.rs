@@ -19,8 +19,7 @@
 //!   notices at its next wakeup, so the elder requester keeps waiting and
 //!   wins the lock once the victim's session aborts and releases.
 //! * **Bounded wait** — a lock not granted within the timeout
-//!   (`QYMERA_LOCK_TIMEOUT_MS`, default 5000) returns
-//!   [`Error::LockTimeout`]. This also backstops any cycle the detector
+//!   ([`DEFAULT_LOCK_TIMEOUT_MS`]) returns [`Error::LockTimeout`]. This also backstops any cycle the detector
 //!   cannot see (e.g. through resources it does not manage).
 //!
 //! Waiters poll their [`QueryContext`] while blocked, so cancellation and
@@ -102,16 +101,11 @@ impl Default for LockTable {
 }
 
 impl LockTable {
-    /// Fresh lock table; timeout from `QYMERA_LOCK_TIMEOUT_MS` (default
-    /// 5000 ms).
+    /// Fresh lock table waiting up to [`DEFAULT_LOCK_TIMEOUT_MS`].
     pub fn new() -> Self {
-        let timeout_ms = std::env::var("QYMERA_LOCK_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_LOCK_TIMEOUT_MS);
         LockTable {
             inner: Arc::new(Inner::default()),
-            timeout_ms: AtomicU64::new(timeout_ms),
+            timeout_ms: AtomicU64::new(DEFAULT_LOCK_TIMEOUT_MS),
             next_owner: AtomicU64::new(1),
         }
     }

@@ -148,7 +148,7 @@ impl Session {
         // The wait-side governance token: carries the session's cancel
         // flag and deadline into the lock table's poll loop.
         let wait_q =
-            QueryContext::begin(self.timeout_ms, None, self.cancel.flag(), None);
+            QueryContext::begin(self.timeout_ms, self.cancel.flag(), None);
         let mut guards: Vec<LockGuard> = Vec::with_capacity(needed.len());
         for (table, mode) in needed {
             match self.shared.locks.acquire(owner, &table, mode, &wait_q) {

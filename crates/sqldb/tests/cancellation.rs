@@ -1,5 +1,4 @@
-//! Query-lifecycle governance: cooperative cancellation, deadlines, memory
-//! grants, and admission control.
+//! Query-lifecycle governance: cooperative cancellation and deadlines.
 //!
 //! The contract mirrors the fault-injection one exactly — a cancel or
 //! timeout delivered at *any* point must surface as the typed
@@ -8,9 +7,7 @@
 //! a WAL frame, and leave the database immediately usable: the same
 //! statement retried (with the trigger cleared) succeeds.
 
-use qymera_sqldb::{
-    AdmissionController, Database, DurabilityOptions, Error, QueryContext, Value,
-};
+use qymera_sqldb::{Database, DurabilityOptions, Error, QueryContext, Value};
 
 /// One-batch slack allowed past the configured memory limit (the documented
 /// admission granularity: reservations are taken per batch/chunk, so the
@@ -140,27 +137,6 @@ fn poll_armed_cancel_is_clean_at_every_injection_point() {
     }
 }
 
-/// A query-level memory grant smaller than a nested-loop build side must be
-/// rejected by admission — typed [`Error::OutOfMemory`] carrying the grant
-/// as the budget, before the operator allocates its way to the limit.
-#[test]
-fn query_grant_fails_admission_before_allocation() {
-    let mut db = scenario_db(1);
-    db.set_query_grant(Some(64 * 1024));
-    // The nested-loop join materializes its right side: `big` could never
-    // fit the 64 KiB grant, so admission must refuse before building.
-    let err = db.execute("SELECT COUNT(*) AS n FROM dim, big").unwrap_err();
-    assert!(
-        matches!(err, Error::OutOfMemory { budget: 65_536, .. }),
-        "got {err:?}"
-    );
-    assert_eq!(db.budget().used(), db.table_bytes(), "ledger residue");
-    assert_eq!(db.live_spill_files(), 0, "orphan spill files");
-    db.set_query_grant(None);
-    let rs = db.execute("SELECT COUNT(*) AS n FROM dim, big").unwrap();
-    assert_eq!(rs.rows()[0][0], Value::Int(60_000 * 64));
-}
-
 /// Cancel armed to fire at the WAL pre-commit checkpoint: the mutation must
 /// be rolled back in memory, the frame marked aborted in the log, and a reopen
 /// must see only the acknowledged prefix. The retry then commits.
@@ -228,44 +204,6 @@ fn cancelled_ctas_leaves_no_partial_table() {
     }
     let db = Database::open(&dir).unwrap();
     assert_eq!(db.table_row_count("dst").unwrap(), 30_000, "reopen sees the retried CTAS");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A saturated admission controller rejects with the typed overload error
-/// after its bounded backoff, and recovers as soon as a grant frees up.
-#[test]
-fn admission_controller_saturation_is_typed_and_transient() {
-    let ctl = AdmissionController::new(1);
-    let mut db = scenario_db(1);
-    db.set_admission_controller(ctl.clone());
-    let outstanding = ctl.try_admit().expect("first grant");
-    let err = db.execute("SELECT k FROM dim ORDER BY k").unwrap_err();
-    assert!(
-        matches!(err, Error::Overloaded { active: 1, max: 1 }),
-        "got {err:?}"
-    );
-    assert_eq!(db.budget().used(), db.table_bytes(), "rejection must not touch the ledger");
-    drop(outstanding);
-    let rs = db.execute("SELECT k FROM dim ORDER BY k").unwrap();
-    assert_eq!(rs.rows().len(), 64);
-}
-
-/// `process_slots` bounds concurrent opens of one durable directory; the
-/// loser gets the typed overload error and the slot frees on drop.
-#[test]
-fn process_slots_bound_concurrent_database_opens() {
-    let dir = std::env::temp_dir().join(format!("qymera-cancel-slots-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let opts = || DurabilityOptions { process_slots: Some(1), ..Default::default() };
-    let db1 = Database::open_with(&dir, opts()).unwrap();
-    let err = match Database::open_with(&dir, opts()) {
-        Ok(_) => panic!("second open must be refused while the slot is held"),
-        Err(e) => e,
-    };
-    assert!(matches!(err, Error::Overloaded { active: 1, max: 1 }), "got {err:?}");
-    drop(db1);
-    let db2 = Database::open_with(&dir, opts()).unwrap();
-    drop(db2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -24,7 +24,7 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Options pinned for tests: per-commit fsync regardless of `QYMERA_FSYNC`,
+/// Options pinned for tests: per-commit fsync,
 /// no auto-checkpoint (tests trigger checkpoints explicitly).
 fn test_opts() -> DurabilityOptions {
     DurabilityOptions {
@@ -427,7 +427,7 @@ fn failed_commit_rolls_back_in_memory_and_on_disk() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `QYMERA_FSYNC=always` (the [`FsyncPolicy::Always`] policy): every WAL
+/// [`FsyncPolicy::Always`]: every WAL
 /// record is forced to stable storage as it is appended, not just at commit.
 /// The rest of the suite pins `commit` (and the bulk harness uses `off`), so
 /// this is the targeted coverage for the third policy: same durability

@@ -593,6 +593,39 @@ fn poisoned_wal_heals_via_forced_checkpoint_on_next_statement() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A commit whose log can be neither written, repaired nor reset behind a
+/// checkpoint must not answer with an ordinary error ("fully absent"): it
+/// cannot know what a crash would recover, and says so.
+#[cfg(debug_assertions)]
+#[test]
+fn commit_that_cannot_repair_or_heal_the_log_is_in_doubt() {
+    use std::sync::Arc;
+    use qymera_sqldb::storage::fault::{FaultInjector, FaultKind};
+
+    let dir = tmpdir("commit-in-doubt");
+    let inj = FaultInjector::none();
+    let mut opts = test_opts();
+    opts.injector = Arc::clone(&inj);
+    let mut db = Database::open_with(&dir, opts).unwrap();
+    db.execute("CREATE TABLE t (k INTEGER)").unwrap();
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    inj.arm_seeded(1, 1, FaultKind::Error);
+    let err = db.execute("COMMIT").unwrap_err();
+    inj.disarm();
+    assert!(matches!(err, Error::CommitInDoubt { .. }), "got {err:?}");
+    assert!(db.wal_poisoned());
+    assert!(!db.in_transaction(), "the transaction is over either way");
+    assert_eq!(ints(&mut db, "SELECT k FROM t"), Vec::<i64>::new(), "memory rolled back");
+    // The read above was a statement boundary: it healed the log, so the
+    // outcome is now known — absent — and stays so across a reopen.
+    assert!(!db.wal_poisoned());
+    drop(db);
+    let mut db = open(&dir);
+    assert_eq!(ints(&mut db, "SELECT k FROM t"), Vec::<i64>::new());
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// A crash-repair truncation while a transaction is open cuts its frame's
 /// bytes. The doomed transaction's later `ROLLBACK TO` and `ROLLBACK` must
 /// leave the repaired log alone (when savepoints held byte offsets, a

@@ -57,8 +57,7 @@ pub struct SqlSimConfig {
     pub db_path: Option<std::path::PathBuf>,
     /// Per-statement deadline in milliseconds for every SQL statement the
     /// run issues; exceeding it fails the run with [`SimError::Timeout`] and
-    /// rolls the engine back cleanly. `None` falls back to the
-    /// `QYMERA_TIMEOUT_MS` environment variable (unset or 0 = no deadline).
+    /// rolls the engine back cleanly. `None` or `Some(0)` = no deadline.
     pub timeout_ms: Option<u64>,
     /// External cancel handle observed by every statement of the run (wire
     /// a Ctrl-C handler to it); a cancel surfaces as [`SimError::Cancelled`]
@@ -153,7 +152,7 @@ impl SqlSimulator {
         if let Some(n) = self.config.parallelism {
             db.set_parallelism(n);
         }
-        db.set_statement_timeout_ms(self.config.timeout_ms.or_else(env_timeout_ms));
+        db.set_statement_timeout_ms(self.config.timeout_ms);
         if let Some(handle) = &self.config.cancel {
             db.set_cancel_handle(handle.clone());
         }
@@ -285,21 +284,6 @@ fn rows_to_amplitudes(rows: Vec<Vec<Value>>) -> Result<Vec<SqlAmplitude>, SimErr
         .collect()
 }
 
-/// `QYMERA_TIMEOUT_MS` — per-statement deadline fallback when
-/// [`SqlSimConfig::timeout_ms`] is unset; 0 or unset means no deadline.
-/// Panics on an unparsable value, matching the other environment knobs.
-fn env_timeout_ms() -> Option<u64> {
-    match std::env::var("QYMERA_TIMEOUT_MS") {
-        Ok(v) => {
-            let ms: u64 = v.trim().parse().unwrap_or_else(|_| {
-                panic!("QYMERA_TIMEOUT_MS must be an integer, got {v:?}")
-            });
-            (ms > 0).then_some(ms)
-        }
-        Err(_) => None,
-    }
-}
-
 fn map_sql_error(e: SqlError) -> SimError {
     match e {
         SqlError::OutOfMemory { requested, budget } => {
@@ -307,7 +291,6 @@ fn map_sql_error(e: SqlError) -> SimError {
         }
         SqlError::Cancelled => SimError::Cancelled,
         SqlError::Timeout { ms } => SimError::Timeout { ms },
-        SqlError::Overloaded { active, max } => SimError::Overloaded { active, max },
         other => SimError::Numerical(other.to_string()),
     }
 }
