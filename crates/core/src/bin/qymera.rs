@@ -97,14 +97,34 @@ macro_rules! outln {
     ($($arg:tt)*) => { or_quit(writeln!(std::io::stdout(), $($arg)*)) };
 }
 
+/// Why a command did not finish. The usage text answers a mistake in the
+/// arguments; it says nothing about a simulation that ran and failed.
+enum Failure {
+    /// The command line cannot be carried out: unknown command or backend,
+    /// bad option value, a circuit spec or file that does not load.
+    Arguments(String),
+    /// The simulation itself failed: timeout, cancel, memory limit, SQL error.
+    Simulation(String),
+}
+
+impl<S: Into<String>> From<S> for Failure {
+    fn from(message: S) -> Self {
+        Failure::Arguments(message.into())
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Arguments(e)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{}", usage());
+            ExitCode::FAILURE
+        }
+        Err(Failure::Simulation(e)) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -146,7 +166,7 @@ fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String]) -> Result<(), Failure> {
     let command = args.first().ok_or("missing command")?.clone();
     let circuit = load_circuit(args)?;
     let opts = match opt(args, "--memory") {
@@ -208,16 +228,18 @@ fn run(args: &[String]) -> Result<(), String> {
                     out!("{}", state.render_probabilities(top));
                     Ok(())
                 }
-                None => Err(report.error.unwrap_or_default()),
+                None => Err(Failure::Simulation(report.error.unwrap_or_default())),
             }
         }
         "profile" => {
-            let text = sql_sim.profile(&circuit).map_err(|e| e.to_string())?;
+            let text =
+                sql_sim.profile(&circuit).map_err(|e| Failure::Simulation(e.to_string()))?;
             out!("{text}");
             Ok(())
         }
         "trace" => {
-            let states = sql_sim.run_trace(&circuit).map_err(|e| e.to_string())?;
+            let states =
+                sql_sim.run_trace(&circuit).map_err(|e| Failure::Simulation(e.to_string()))?;
             for (k, state) in states.iter().enumerate() {
                 outln!("state T{k} ({} rows):", state.len());
                 for a in state.iter().take(top) {
@@ -257,7 +279,9 @@ fn run(args: &[String]) -> Result<(), String> {
             let shots: usize = opt(args, "--shots").and_then(|v| v.parse().ok()).unwrap_or(1024);
             let engine = Engine::new(opts);
             let report = engine.run_sql_configured(sql_config.clone(), &circuit);
-            let state = report.output.ok_or(report.error.unwrap_or_default())?;
+            let state = report
+                .output
+                .ok_or_else(|| Failure::Simulation(report.error.unwrap_or_default()))?;
             let mut rng = rand::rngs::StdRng::from_entropy();
             let counts = state.sample_counts(shots, &mut rng);
             let mut sorted: Vec<(u64, usize)> = counts.into_iter().collect();
@@ -271,7 +295,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(format!("unknown command `{other}`").into()),
     }
 }
 

@@ -113,18 +113,22 @@ fn malformed_circuit_specs_are_one_error_line_not_a_panic() {
         let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
         assert_eq!(errors.len(), 1, "`{spec}` wants exactly one error line\n{stderr}");
         assert!(stderr.starts_with("error:"), "`{spec}`: the error line comes first\n{stderr}");
+        assert!(stderr.contains("usage: qymera"), "`{spec}`: the usage text follows\n{stderr}");
     }
     std::fs::remove_dir_all(&cwd).unwrap();
 }
 
 /// `--timeout-ms` is the only way to set the SQL engine's statement deadline
-/// from outside the program.
+/// from outside the program. A run that fails is one `error:` line: the
+/// usage text is for mistakes in the arguments, and these were fine.
 #[test]
 fn timeout_flag_stops_a_long_run_with_the_typed_error() {
     let cwd = scratch("timeout");
     let (status, stderr) = run_circuit("eqsup:17", &["--timeout-ms", "1"], &cwd);
     assert_eq!(status.code(), Some(1), "exited {status}\n{stderr}");
     assert!(stderr.contains("timed out after 1 ms"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one line, no usage text:\n{stderr}");
+    assert!(stderr.starts_with("error:"), "{stderr}");
     std::fs::remove_dir_all(&cwd).unwrap();
 }
 

@@ -18,7 +18,7 @@ use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::govern::{CancelHandle, QueryContext};
 use crate::exec::vector::{build_batch_stream, drain};
-use crate::exec::ExecContext;
+use crate::exec::{ExecContext, NodeStats};
 use crate::expr::bind;
 use crate::parser::{parse_script, parse_statement};
 use crate::plan::logical::{depth_bound, plan_query, Plan};
@@ -309,31 +309,12 @@ impl Database {
     }
 
     /// `EXPLAIN ANALYZE`: execute the query with per-operator instrumentation
-    /// and render the plan annotated with row counts and inclusive times.
+    /// and render the plan annotated with row counts, inclusive times
+    /// (`time=`) and exclusive times (`self=`, see [`NodeStats::self_nanos`]).
     pub fn explain_analyze(&mut self, sql: &str) -> Result<String> {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let st = parse_statement(sql)?;
-        let Statement::Query(q) = st else {
-            return Err(Error::Plan("EXPLAIN ANALYZE requires a query".into()));
-        };
-        let (nodes, total_rows) = with_exec_stack(&q, || {
-            let plan = optimize(plan_query(&q, &self.catalog)?);
-            let query = self.begin_query();
-            query.check()?;
-            let stats = Rc::new(RefCell::new(Vec::new()));
-            let mut ctx = self.ctx();
-            ctx.instrument = Some(Rc::clone(&stats));
-            let mut total_rows = 0u64;
-            drain(build_batch_stream(&plan, &self.catalog, &ctx)?, |batch| {
-                total_rows += batch.num_rows() as u64;
-                Ok(())
-            })?;
-            let nodes: Vec<_> = stats.borrow().clone();
-            Ok::<_, Error>((nodes, total_rows))
-        })?;
+        let (nodes, total_rows) = self.analyze(sql)?;
         let mut out = String::new();
-        for node in nodes.iter() {
+        for (node, own) in nodes.iter().zip(NodeStats::self_nanos(&nodes)) {
             let batches = if node.batches_out > 0 {
                 format!("batches={:<6} ", node.batches_out)
             } else {
@@ -345,19 +326,46 @@ impl Database {
                 String::new()
             };
             out.push_str(&format!(
-                "{}{:<28} rows={:<9} {}{}time={:.3} ms
+                "{}{:<28} rows={:<9} {}{}time={:.3} ms self={:.3} ms
 ",
                 "  ".repeat(node.depth),
                 node.label,
                 node.rows_out,
                 batches,
                 parallel,
-                node.nanos as f64 / 1e6
+                node.nanos as f64 / 1e6,
+                own as f64 / 1e6
             ));
         }
         out.push_str(&format!("total output rows: {total_rows}
 "));
         Ok(out)
+    }
+
+    /// Execute the query with per-operator instrumentation: the plan's
+    /// nodes in pre-order, and the number of rows the query produced.
+    fn analyze(&mut self, sql: &str) -> Result<(Vec<NodeStats>, u64)> {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let st = parse_statement(sql)?;
+        let Statement::Query(q) = st else {
+            return Err(Error::Plan("EXPLAIN ANALYZE requires a query".into()));
+        };
+        with_exec_stack(&q, || {
+            let plan = optimize(plan_query(&q, &self.catalog)?);
+            let query = self.begin_query();
+            query.check()?;
+            let stats = Rc::new(RefCell::new(Vec::new()));
+            let mut ctx = self.ctx();
+            ctx.instrument = Some(Rc::clone(&stats));
+            let mut total_rows = 0u64;
+            drain(build_batch_stream(&plan, &self.catalog, &ctx)?, |batch| {
+                total_rows += batch.num_rows() as u64;
+                Ok(())
+            })?;
+            let nodes = stats.borrow().clone();
+            Ok((nodes, total_rows))
+        })
     }
 
     /// Execute a single SQL statement.

@@ -182,6 +182,47 @@ fn explain_analyze_reports_rows_per_operator() {
     assert!(text.contains("total output rows: 10"), "{text}");
 }
 
+/// `self=` is inclusive time minus the direct children's: no node may
+/// report less time than its children took together (a join drains its build
+/// side while it is constructed, so construction counts), and the self times
+/// of a plan add up to the root's inclusive time, exactly.
+#[test]
+fn explain_analyze_self_times_partition_the_root_time() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE s (k INTEGER, v DOUBLE); CREATE TABLE g (k INTEGER, w DOUBLE); \
+         INSERT INTO g VALUES (0, 10.0), (1, 20.0), (1, 30.0);",
+    )
+    .unwrap();
+    let rows: Vec<Row> = (0..5000).map(|i| vec![Value::Int(i), Value::Float(0.5)]).collect();
+    db.insert_rows("s", rows).unwrap();
+    let gate = "SELECT (s.k & ~1) | g.k AS k, SUM(s.v * g.w) AS t \
+                FROM s JOIN g ON g.k = (s.k & 1) GROUP BY (s.k & ~1) | g.k";
+    let queries = [
+        gate.to_string(),
+        format!("WITH t AS ({gate}) SELECT k, t FROM t ORDER BY t DESC, k LIMIT 7"),
+        format!("WITH t AS ({gate}) SELECT t.k, s.v FROM t LEFT JOIN s ON s.k = t.k ORDER BY 1"),
+        "SELECT s.k FROM s JOIN g ON s.k < g.k UNION ALL SELECT k FROM g".to_string(),
+    ];
+    for parallelism in [1, 2] {
+        db.set_parallelism(parallelism);
+        for sql in &queries {
+            let (nodes, _) = db.analyze(sql).unwrap();
+            let own = NodeStats::self_nanos(&nodes);
+            assert_eq!(nodes[0].depth, 0, "{sql}");
+            assert!(nodes[1..].iter().all(|n| n.depth > 0), "one root: {sql}");
+            assert_eq!(
+                own.iter().sum::<u128>(),
+                nodes[0].nanos,
+                "p={parallelism}: a child outlasted its parent in {sql}: {nodes:#?}"
+            );
+            assert!(nodes.iter().zip(&own).all(|(n, own)| *own <= n.nanos), "{sql}");
+        }
+        let text = db.explain_analyze(&queries[1]).unwrap();
+        assert!(text.lines().all(|l| l.contains(" self=") || l.starts_with("total")), "{text}");
+    }
+}
+
 #[test]
 fn explain_analyze_join_aggregate_shape() {
     let mut db = Database::new();

@@ -375,6 +375,94 @@ pub(crate) fn partition_of(keys: &[GroupKey], depth: u32) -> usize {
     (h.finish() as usize) % PARTITIONS
 }
 
+/// Group lookup of the aggregate's fast lane: `INTEGER` key → dense group
+/// id, ids handed out in first-seen order. Open addressing over a
+/// power-of-two `slots` (multiplicative hash, linear probing, at most half
+/// full), so it holds O(groups) entries whatever the keys are — the 46-bit
+/// key of a one-row state costs the 16-slot floor.
+#[derive(Debug, Default)]
+pub(crate) struct IntGroupTable {
+    /// Group ids ([`Self::EMPTY`] when free), indexed by probe position.
+    slots: Vec<u32>,
+    /// The key of each group, in first-seen order.
+    keys: Vec<i64>,
+}
+
+impl IntGroupTable {
+    const EMPTY: u32 = u32::MAX;
+
+    /// The keys seen, in first-seen order (index = group id).
+    pub(crate) fn keys(&self) -> &[i64] {
+        &self.keys
+    }
+
+    /// Consume the table, keeping only its keys.
+    pub(crate) fn into_keys(self) -> Vec<i64> {
+        self.keys
+    }
+
+    /// Forget every group, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
+        self.slots.fill(Self::EMPTY);
+    }
+
+    /// The group of `key`, created if absent; the flag says whether it was.
+    #[inline]
+    pub(crate) fn find_or_insert(&mut self, key: i64) -> (u32, bool) {
+        if 2 * (self.keys.len() + 1) > self.slots.len() {
+            self.rehash(self.keys.len() + 1);
+        }
+        let mut pos = self.home(key);
+        loop {
+            let g = self.slots[pos];
+            if g == Self::EMPTY {
+                self.slots[pos] = self.push_key(key);
+                return (self.slots[pos], true);
+            }
+            if self.keys[g as usize] == key {
+                return (g, false);
+            }
+            pos = (pos + 1) & (self.slots.len() - 1);
+        }
+    }
+
+    fn push_key(&mut self, key: i64) -> u32 {
+        let g = u32::try_from(self.keys.len())
+            .ok()
+            .filter(|&g| g != Self::EMPTY)
+            .expect("group ids below the empty marker");
+        self.keys.push(key);
+        g
+    }
+
+    /// First probe position of `key`: the top bits of a Fibonacci multiply.
+    #[inline]
+    fn home(&self, key: i64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// Rebuild `slots` with room for `groups` groups.
+    fn rehash(&mut self, groups: usize) {
+        let len = (2 * groups).next_power_of_two().max(16);
+        self.slots.clear();
+        self.slots.resize(len, Self::EMPTY);
+        for g in 0..self.keys.len() {
+            let mut pos = self.home(self.keys[g]);
+            while self.slots[pos] != Self::EMPTY {
+                pos = (pos + 1) & (len - 1);
+            }
+            self.slots[pos] = g as u32;
+        }
+    }
+
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,6 +607,55 @@ mod tests {
         let mut fresh = Acc::new(&agg(AggFunc::Count, true));
         let err = fresh.consume_partial(&out[..2], &mut 0).unwrap_err();
         assert!(matches!(err, Error::Io(_)), "{err:?}");
+    }
+
+    /// Drive `keys` through a table, checking every answer against a
+    /// `HashMap` that hands out ids in first-seen order.
+    fn table_of(keys: impl IntoIterator<Item = i64>) -> IntGroupTable {
+        let mut table = IntGroupTable::default();
+        let mut want: HashMap<i64, u32> = HashMap::new();
+        for k in keys {
+            let fresh = want.len() as u32;
+            let (id, is_new) = match want.entry(k) {
+                Entry::Occupied(e) => (*e.get(), false),
+                Entry::Vacant(e) => (*e.insert(fresh), true),
+            };
+            assert_eq!(table.find_or_insert(k), (id, is_new), "key {k}");
+        }
+        assert_eq!(table.keys().len(), want.len());
+        assert!(table.keys().iter().enumerate().all(|(g, k)| want[k] == g as u32));
+        table
+    }
+
+    #[test]
+    fn int_group_table_is_sized_by_groups_not_by_key_value() {
+        // One group with a 46-bit key: a one-row state of a 47-qubit circuit.
+        let t = table_of([0x2AAA_AAAA_AAAA]);
+        assert!(t.capacity() <= 16, "capacity {}", t.capacity());
+        // Extremes and negatives: none is ever used as an index.
+        let t = table_of([i64::MIN, i64::MAX, -1, 0, i64::MAX, i64::MIN + 1]);
+        assert!(t.capacity() <= 16, "capacity {}", t.capacity());
+        // Sparse: 5 000 groups spread over 62 bits.
+        let t = table_of((0..5_000).map(|i| i * 0x0003_7A1B_9F2C_D345));
+        assert!(t.capacity() <= 8 * 5_000, "capacity {}", t.capacity());
+        // Dense, ascending and then every key again.
+        let t = table_of((0..50_000).chain(0..50_000));
+        assert!(t.capacity() <= 4 * 50_000, "capacity {}", t.capacity());
+        // Dense met from the top down (a bit-reversed gate order).
+        let t = table_of((0..64).rev().flat_map(|b| (0..1024).map(move |i| b * 1024 + i)));
+        assert!(t.capacity() <= 4 * 65_536, "capacity {}", t.capacity());
+    }
+
+    #[test]
+    fn int_group_table_keeps_its_groups_across_an_outlier_and_a_clear() {
+        // Dense, then one outlier: every earlier group keeps its id, and
+        // lookups of old and new keys agree afterwards (`table_of` checks).
+        let keys = (0..10_000).chain([1 << 40]).chain(0..10_000).chain(10_000..12_000);
+        let mut t = table_of(keys);
+        assert!(t.capacity() <= 8 * 12_001, "capacity {}", t.capacity());
+        t.clear();
+        assert_eq!(t.find_or_insert(3), (0, true));
+        assert_eq!(t.keys(), [3]);
     }
 
     #[test]

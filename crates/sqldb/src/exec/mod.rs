@@ -20,6 +20,7 @@ pub mod vsort;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::plan::logical::Plan;
 use crate::storage::budget::MemoryBudget;
@@ -36,14 +37,38 @@ pub struct NodeStats {
     pub rows_out: u64,
     /// Batches this operator emitted.
     pub batches_out: u64,
-    /// Inclusive wall time spent inside this operator's `next_batch` calls
-    /// (children included, since execution is pull-based).
+    /// Inclusive wall time spent constructing this operator and inside its
+    /// `next_batch` calls (children included both times: they are built
+    /// inside their parent, and execution is pull-based).
     pub nanos: u128,
     /// Worker threads a morsel-parallel operator ran with; 0 when the
     /// operator executed sequentially.
     pub workers: u64,
     /// Morsels (scan-chunk work units) the parallel operator processed.
     pub morsels: u64,
+}
+
+impl NodeStats {
+    /// Exclusive time of every node of a pre-order `nodes` list: its
+    /// inclusive [`nanos`](NodeStats::nanos) minus those of its direct
+    /// children (the nodes one level deeper that follow it before the next
+    /// node at its own depth or above). The values sum to the root's
+    /// inclusive time.
+    pub fn self_nanos(nodes: &[NodeStats]) -> Vec<u128> {
+        let mut own: Vec<u128> = nodes.iter().map(|n| n.nanos).collect();
+        // The ancestors of the node at hand, root first.
+        let mut path: Vec<usize> = Vec::new();
+        for (i, node) in nodes.iter().enumerate() {
+            while path.last().is_some_and(|&p| nodes[p].depth >= node.depth) {
+                path.pop();
+            }
+            if let Some(&parent) = path.last() {
+                own[parent] = own[parent].saturating_sub(node.nanos);
+            }
+            path.push(i);
+        }
+        own
+    }
 }
 
 /// Shared execution environment.
@@ -109,6 +134,28 @@ pub(crate) fn instrument_slot(ctx: &ExecContext, plan: &Plan, depth: usize) -> O
         });
         v.len() - 1
     })
+}
+
+/// Counts the time from [`BuildTimer::start`] until it is dropped toward a
+/// node's inclusive time. Every site that reserves a slot holds one while it
+/// constructs the node's operator: a hash join drains its whole build side
+/// there, and children are constructed inside their parent, so each node's
+/// time covers its children's and [`NodeStats::self_nanos`] never has to
+/// clip.
+pub(crate) struct BuildTimer<'a>(Option<(&'a RefCell<Vec<NodeStats>>, usize, Instant)>);
+
+impl<'a> BuildTimer<'a> {
+    pub(crate) fn start(ctx: &'a ExecContext, slot: Option<usize>) -> Self {
+        BuildTimer(ctx.instrument.as_deref().zip(slot).map(|(s, id)| (s, id, Instant::now())))
+    }
+}
+
+impl Drop for BuildTimer<'_> {
+    fn drop(&mut self) {
+        if let Some((stats, id, start)) = self.0 {
+            stats.borrow_mut()[id].nanos += start.elapsed().as_nanos();
+        }
+    }
 }
 
 #[cfg(test)]

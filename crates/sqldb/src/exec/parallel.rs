@@ -66,7 +66,7 @@ use super::vector::{
 };
 use super::govern::QueryContext;
 use super::vsort::{SortWorker, WorkerSort};
-use super::{instrument_slot, ExecContext};
+use super::{instrument_slot, BuildTimer, ExecContext};
 
 // ---------------------------------------------------------------------------
 // Segments: the parallelizable pipeline fragment
@@ -323,10 +323,7 @@ pub(crate) fn build_segment(
     depth: usize,
     slot: Option<usize>,
 ) -> Result<Segment> {
-    let descend = |input: &Plan| -> Result<Segment> {
-        let child_slot = instrument_slot(ctx, input, depth + 1);
-        build_segment(input, catalog, ctx, depth + 1, child_slot)
-    };
+    let descend = |input: &Plan| descend_segment(input, catalog, ctx, depth);
     Ok(match plan {
         Plan::Scan { table, .. } => {
             let snapshot = catalog.get(table)?.snapshot();
@@ -402,6 +399,7 @@ pub(crate) fn descend_segment(
     depth: usize,
 ) -> Result<Segment> {
     let slot = instrument_slot(ctx, input, depth + 1);
+    let _timer = BuildTimer::start(ctx, slot);
     build_segment(input, catalog, ctx, depth + 1, slot)
 }
 
@@ -661,6 +659,8 @@ pub(crate) fn build_join_table(
     }
 
     let slot = instrument_slot(ctx, plan, depth);
+    // The build below runs the segment to its end: all of it is this node's.
+    let _timer = BuildTimer::start(ctx, slot);
     let segment = build_segment(plan, catalog, ctx, depth, slot)?;
     let total = segment.num_morsels();
     let workers = ctx.parallelism.min(total);

@@ -51,10 +51,12 @@ use crate::storage::spill::{row_bytes, Row, SpillDir, SpillReader, SpillWriter};
 use crate::table::TableSnapshot;
 use crate::value::{GroupKey, Value};
 
-use super::aggregate::{entry_bytes, partition_of, Acc, GroupState, MAX_DEPTH, PARTITIONS};
+use super::aggregate::{
+    entry_bytes, partition_of, Acc, GroupState, IntGroupTable, MAX_DEPTH, PARTITIONS,
+};
 use super::batch::{BatchBuilder, Column, ColumnRef, RowBatch, BATCH_SIZE};
 use super::parallel::{self, Segment};
-use super::{instrument_slot, set_node_label, vsort, ExecContext, NodeStats};
+use super::{instrument_slot, set_node_label, vsort, BuildTimer, ExecContext, NodeStats};
 
 /// Uncharged rows a join build side may hold when the shared budget is
 /// exhausted (the per-operator working-set floor).
@@ -99,6 +101,7 @@ pub(crate) fn build_batch_stream_at(
 ) -> Result<Box<dyn BatchStream>> {
     // Reserve this node's stats slot before recursing (pre-order render).
     let slot = instrument_slot(ctx, plan, depth);
+    let _timer = BuildTimer::start(ctx, slot);
     let stream = build_batch_stream_inner(plan, catalog, ctx, depth, slot)?;
     Ok(Box::new(BatchCancelGuard {
         inner: instrument_wrap(stream, slot, ctx),
@@ -280,6 +283,7 @@ fn build_batch_stream_inner(
                 let k = l.saturating_add(*offset);
                 if k > 0 && k <= vsort::TOPK_MAX_ROWS as u64 {
                     let sort_slot = instrument_slot(ctx, input, depth + 1);
+                    let _timer = BuildTimer::start(ctx, sort_slot);
                     let sorted = vsort::build_sort_stream(
                         sort_input,
                         keys,
@@ -497,12 +501,44 @@ impl BatchStream for BatchUnion {
 // Vectorized hash join (inner, equi-keys)
 // ---------------------------------------------------------------------------
 
-/// Join-key hash table, specialized for the single-key case (the gate join
-/// `H.in_s = (T0.s & mask)` has exactly one key) to skip a `Vec` allocation
-/// per probed row.
+/// Join-key lookup table. `Single` specializes the one-key case (the gate
+/// join `H.in_s = (T0.s & mask)` has exactly one key) to skip a `Vec`
+/// allocation per probed row; `Direct` is what a `Single` table becomes at
+/// [`JoinTableBuilder::finish`] when every build key is an integer in
+/// `0..DIRECT_KEYS` — a gate table's `in_s` always is — so probes index
+/// instead of hashing.
 enum KeyMap {
+    /// Build rows of key `k` are `ids[offsets[k]..offsets[k + 1]]`, in
+    /// insertion order.
+    Direct { offsets: Vec<u32>, ids: Vec<u32> },
     Single(HashMap<GroupKey, Vec<u32>>),
     Multi(HashMap<Vec<GroupKey>, Vec<u32>>),
+}
+
+/// Key values the direct join index covers (a 6-qubit fused gate has 64
+/// input states; gate tables of 1–3 qubits have 2–8).
+const DIRECT_KEYS: usize = 64;
+
+impl KeyMap {
+    /// The direct index equivalent to `map`, when every key qualifies.
+    fn direct(map: &HashMap<GroupKey, Vec<u32>>) -> Option<KeyMap> {
+        let mut lists: [&[u32]; DIRECT_KEYS] = [&[]; DIRECT_KEYS];
+        for (key, rows) in map {
+            match key {
+                GroupKey::Int(k) if (0..DIRECT_KEYS as i64).contains(k) => {
+                    lists[*k as usize] = rows;
+                }
+                _ => return None,
+            }
+        }
+        let mut offsets = vec![0u32];
+        let mut ids = Vec::new();
+        for rows in lists {
+            ids.extend_from_slice(rows);
+            offsets.push(ids.len() as u32);
+        }
+        Some(KeyMap::Direct { offsets, ids })
+    }
 }
 
 /// The immutable result of a hash-join build: the kept build rows plus the
@@ -583,6 +619,7 @@ impl JoinTableBuilder {
                     .or_default()
                     .push(idx),
                 KeyMap::Multi(m) => m.entry(keys).or_default().push(idx),
+                KeyMap::Direct { .. } => unreachable!("chosen at finish"),
             }
         }
         Ok(())
@@ -595,10 +632,14 @@ impl JoinTableBuilder {
         residual: Option<BoundExpr>,
         build_cols: usize,
     ) -> JoinTable {
+        let table = match self.table {
+            KeyMap::Single(map) => KeyMap::direct(&map).unwrap_or(KeyMap::Single(map)),
+            other => other,
+        };
         JoinTable {
             build: RowBatch::from_owned_rows(self.kept),
             build_cols,
-            table: self.table,
+            table,
             left_keys,
             residual,
         }
@@ -635,6 +676,18 @@ impl JoinTable {
 
     fn matches_of(&self, key_cols: &[ColumnRef], i: usize) -> Option<&[u32]> {
         match &self.table {
+            KeyMap::Direct { offsets, ids } => {
+                let k = match &*key_cols[0] {
+                    Column::Int(v) => v[i],
+                    other => match other.group_key_at(i) {
+                        GroupKey::Int(k) => k,
+                        _ => return None,
+                    },
+                };
+                let k = usize::try_from(k).ok().filter(|&k| k < DIRECT_KEYS)?;
+                let rows = &ids[offsets[k] as usize..offsets[k + 1] as usize];
+                (!rows.is_empty()).then_some(rows)
+            }
             KeyMap::Single(m) => {
                 let k = key_cols[0].group_key_at(i);
                 if matches!(k, GroupKey::Null) {
@@ -653,6 +706,80 @@ impl JoinTable {
         }
     }
 
+    /// One probe step: pair the rows of `batch` from `*next` on with their
+    /// build matches, stopping near [`BATCH_SIZE`] pairs so a skewed
+    /// many-to-many key cannot make one output batch arbitrarily large, and
+    /// return the joined rows that pass the residual (`None` when there are
+    /// none). `*next` advances past the rows scanned; under outer semantics
+    /// `matched` (one flag per probe row, else empty) records which probe
+    /// rows produced a passing pair.
+    fn probe_step(
+        &self,
+        batch: &RowBatch,
+        key_cols: &[ColumnRef],
+        next: &mut usize,
+        matched: &mut [bool],
+    ) -> Result<Option<RowBatch>> {
+        let rows = batch.num_rows();
+        let start = *next;
+        let mut probe_sel: Vec<u32> = Vec::with_capacity(rows - start);
+        let mut build_sel: Vec<u32> = Vec::with_capacity(rows - start);
+        let mut i = start;
+        while i < rows && probe_sel.len() < BATCH_SIZE {
+            if let Some(matches) = self.matches_of(key_cols, i) {
+                for &b in matches {
+                    probe_sel.push(i as u32);
+                    build_sel.push(b);
+                }
+            }
+            i += 1;
+        }
+        *next = i;
+        if probe_sel.is_empty() {
+            return Ok(None);
+        }
+        // Every probe row matched exactly once, in order (diagonal and
+        // permutation gates): its columns pass through untouched.
+        let probe_side = if probe_sel.iter().copied().eq(0..rows as u32) {
+            batch.clone()
+        } else {
+            batch.gather(&probe_sel)
+        };
+        let joined = RowBatch::hstack(probe_side, self.build.gather(&build_sel));
+        Ok(match self.residual_selection(&joined)? {
+            None => {
+                if !matched.is_empty() {
+                    for &p in &probe_sel {
+                        matched[p as usize] = true;
+                    }
+                }
+                Some(joined)
+            }
+            Some(sel) => {
+                if !matched.is_empty() {
+                    for &j in &sel {
+                        matched[probe_sel[j as usize] as usize] = true;
+                    }
+                }
+                if sel.len() == joined.num_rows() {
+                    Some(joined)
+                } else if sel.is_empty() {
+                    None
+                } else {
+                    Some(joined.gather(&sel))
+                }
+            }
+        })
+    }
+
+    /// The null-padded rows of `batch` that `matched` leaves unmarked (the
+    /// left-outer non-matches), if any.
+    fn unmatched_pad(&self, batch: &RowBatch, matched: &[bool]) -> Option<RowBatch> {
+        let unmatched: Vec<u32> =
+            (0..matched.len() as u32).filter(|&p| !matched[p as usize]).collect();
+        (!unmatched.is_empty()).then(|| self.null_pad(batch, &unmatched))
+    }
+
     /// Probe one whole batch, emitting joined batches bounded near
     /// [`BATCH_SIZE`] pairs each (the morsel workers' probe entry point —
     /// same pair order and batch boundaries as the streaming operator).
@@ -664,55 +791,11 @@ impl JoinTable {
         let key_cols = self.eval_probe_keys(batch)?;
         let mut matched = vec![false; if outer { batch.num_rows() } else { 0 }];
         let mut out = Vec::new();
-        let mut i = 0;
-        while i < batch.num_rows() {
-            let mut probe_sel: Vec<u32> = Vec::new();
-            let mut build_sel: Vec<u32> = Vec::new();
-            while i < batch.num_rows() && probe_sel.len() < BATCH_SIZE {
-                if let Some(matches) = self.matches_of(&key_cols, i) {
-                    for &b in matches {
-                        probe_sel.push(i as u32);
-                        build_sel.push(b);
-                    }
-                }
-                i += 1;
-            }
-            if probe_sel.is_empty() {
-                continue;
-            }
-            let joined =
-                RowBatch::hstack(batch.gather(&probe_sel), self.build.gather(&build_sel));
-            match self.residual_selection(&joined)? {
-                None => {
-                    if outer {
-                        for &p in &probe_sel {
-                            matched[p as usize] = true;
-                        }
-                    }
-                    out.push(joined);
-                }
-                Some(sel) => {
-                    if outer {
-                        for &j in &sel {
-                            matched[probe_sel[j as usize] as usize] = true;
-                        }
-                    }
-                    if sel.len() == joined.num_rows() {
-                        out.push(joined);
-                    } else if !sel.is_empty() {
-                        out.push(joined.gather(&sel));
-                    }
-                }
-            }
+        let mut next = 0;
+        while next < batch.num_rows() {
+            out.extend(self.probe_step(batch, &key_cols, &mut next, &mut matched)?);
         }
-        if outer {
-            let unmatched: Vec<u32> = (0..batch.num_rows() as u32)
-                .filter(|&p| !matched[p as usize])
-                .collect();
-            if !unmatched.is_empty() {
-                out.push(self.null_pad(batch, &unmatched));
-            }
-        }
+        out.extend(self.unmatched_pad(batch, &matched));
         Ok(out)
     }
 
@@ -796,65 +879,14 @@ impl BatchStream for BatchHashJoin {
             // Fully scanned: under outer semantics the batch still owes its
             // null-padded non-matches, emitted as one final batch.
             if p.next >= p.batch.num_rows() {
-                if self.outer {
-                    let unmatched: Vec<u32> = (0..p.batch.num_rows() as u32)
-                        .filter(|&i| !p.matched[i as usize])
-                        .collect();
-                    if !unmatched.is_empty() {
-                        return Ok(Some(self.table.null_pad(&p.batch, &unmatched)));
-                    }
+                if let Some(pad) = self.table.unmatched_pad(&p.batch, &p.matched) {
+                    return Ok(Some(pad));
                 }
                 continue;
             }
-            // Selection vectors pairing probe rows with matching build rows.
-            // Stop at ~BATCH_SIZE output pairs so a skewed many-to-many key
-            // cannot make one output batch arbitrarily large; the probe
-            // position is saved and resumed on the next call.
-            let mut probe_sel: Vec<u32> = Vec::new();
-            let mut build_sel: Vec<u32> = Vec::new();
-            let mut i = p.next;
-            while i < p.batch.num_rows() && probe_sel.len() < BATCH_SIZE {
-                if let Some(matches) = self.table.matches_of(&p.key_cols, i) {
-                    for &b in matches {
-                        probe_sel.push(i as u32);
-                        build_sel.push(b);
-                    }
-                }
-                i += 1;
-            }
-            p.next = i;
-            let out = if probe_sel.is_empty() {
-                None
-            } else {
-                let joined = RowBatch::hstack(
-                    p.batch.gather(&probe_sel),
-                    self.table.build.gather(&build_sel),
-                );
-                match self.table.residual_selection(&joined)? {
-                    None => {
-                        if self.outer {
-                            for &pi in &probe_sel {
-                                p.matched[pi as usize] = true;
-                            }
-                        }
-                        Some(joined)
-                    }
-                    Some(sel) => {
-                        if self.outer {
-                            for &j in &sel {
-                                p.matched[probe_sel[j as usize] as usize] = true;
-                            }
-                        }
-                        if sel.len() == joined.num_rows() {
-                            Some(joined)
-                        } else if sel.is_empty() {
-                            None
-                        } else {
-                            Some(joined.gather(&sel))
-                        }
-                    }
-                }
-            };
+            // The probe position is saved and resumed on the next call.
+            let out =
+                self.table.probe_step(&p.batch, &p.key_cols, &mut p.next, &mut p.matched)?;
             // Keep the batch pending while rows remain to scan, or while an
             // outer batch still owes its pad pass.
             if p.next < p.batch.num_rows() || self.outer {
@@ -1064,8 +1096,7 @@ impl BatchStream for BatchNestedLoopJoin {
 /// whose lanes don't qualify) lives in the generic [`Acc`] table.
 pub(crate) enum AggTable {
     Fast {
-        map: HashMap<i64, u32>,
-        keys: Vec<i64>,
+        groups: IntGroupTable,
         /// `sums[agg][group]` running totals.
         sums: Vec<Vec<f64>>,
     },
@@ -1113,8 +1144,7 @@ impl AggCore {
     pub(crate) fn new_table(&self) -> AggTable {
         if self.fast_eligible {
             AggTable::Fast {
-                map: HashMap::new(),
-                keys: Vec::new(),
+                groups: IntGroupTable::default(),
                 sums: vec![Vec::new(); self.aggs.len()],
             }
         } else {
@@ -1125,9 +1155,9 @@ impl AggCore {
     /// Demote the fast table into generic [`Acc`] form (a batch arrived whose
     /// lanes don't qualify — e.g. `HUGEINT` indices past 63 qubits).
     fn demote(table: &mut AggTable) {
-        if let AggTable::Fast { keys, sums, .. } = table {
+        if let AggTable::Fast { groups, sums } = table {
             let mut map: HashMap<Vec<GroupKey>, GroupState> = HashMap::new();
-            for (g, &k) in keys.iter().enumerate() {
+            for (g, &k) in groups.keys().iter().enumerate() {
                 let accs: Vec<Acc> = sums
                     .iter()
                     .map(|per_agg| Acc::Sum(Some(Value::Float(per_agg[g]))))
@@ -1164,41 +1194,43 @@ impl AggCore {
             && arg_cols.iter().all(|c| matches!(c.as_deref(), Some(Column::Float(_))));
 
         if fast_ok {
-            let AggTable::Fast { map, keys, sums } = table else {
+            let AggTable::Fast { groups, sums } = table else {
                 unreachable!("fast_ok checked the variant");
             };
             let Column::Int(kv) = &*key_cols[0] else { unreachable!() };
-            let argv: Vec<&[f64]> = arg_cols
-                .iter()
-                .map(|c| match c.as_deref() {
-                    Some(Column::Float(v)) => v.as_slice(),
-                    _ => unreachable!("fast_ok checked the lanes"),
-                })
-                .collect();
-            let mut over = false;
-            for i in 0..kv.len() {
-                let g = match map.entry(kv[i]) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let g = keys.len() as u32;
-                        e.insert(g);
-                        keys.push(kv[i]);
-                        for per_agg in sums.iter_mut() {
-                            per_agg.push(0.0);
-                        }
-                        over |= !reservation.try_grow(self.fast_bytes);
-                        g
-                    }
+            let before = groups.keys().len();
+            let ids: Vec<u32> = kv.iter().map(|&k| groups.find_or_insert(k).0).collect();
+            let after = groups.keys().len();
+            for (per_agg, arg) in sums.iter_mut().zip(&arg_cols) {
+                let Some(Column::Float(vals)) = arg.as_deref() else {
+                    unreachable!("fast_ok checked the lanes");
                 };
-                for (a, vals) in argv.iter().enumerate() {
-                    sums[a][g as usize] += vals[i];
+                per_agg.resize(after, 0.0);
+                for (&g, &v) in ids.iter().zip(vals) {
+                    per_agg[g as usize] += v;
                 }
             }
-            Ok(over)
+            Ok(self.charge_fast_groups(after - before, reservation))
         } else {
             Self::demote(table);
             self.update_generic(batch, &key_cols, &arg_cols, table, reservation)
         }
+    }
+
+    /// Charge `new_groups` fast-table groups in one ledger operation. When
+    /// that does not fit, charge group by group as far as the budget goes
+    /// (what a group-at-a-time table would have reserved, so the spill
+    /// trigger and the ledger's peak do not depend on the batching) and
+    /// return `true`: the caller should flush.
+    fn charge_fast_groups(&self, new_groups: usize, reservation: &mut Reservation) -> bool {
+        if reservation.try_grow(new_groups * self.fast_bytes) {
+            return false;
+        }
+        let mut over = false;
+        for _ in 0..new_groups {
+            over |= !reservation.try_grow(self.fast_bytes);
+        }
+        over
     }
 
     /// Generic per-row update through the shared [`Acc`] machinery. Returns
@@ -1261,8 +1293,8 @@ impl AggCore {
         // SAFETY of expect: the branch above installs `Some` when absent.
         let ws = writers.as_mut().expect("just initialized");
         match table {
-            AggTable::Fast { map, keys, sums } => {
-                for (g, &k) in keys.iter().enumerate() {
+            AggTable::Fast { groups, sums } => {
+                for (g, &k) in groups.keys().iter().enumerate() {
                     let mut row = vec![Value::Int(k)];
                     for per_agg in sums.iter() {
                         row.push(Value::Float(per_agg[g]));
@@ -1270,8 +1302,7 @@ impl AggCore {
                     let part = partition_of(&[GroupKey::Int(k)], depth);
                     ws[part].write_row(&row)?;
                 }
-                map.clear();
-                keys.clear();
+                groups.clear();
                 for per_agg in sums.iter_mut() {
                     per_agg.clear();
                 }
@@ -1290,20 +1321,12 @@ impl AggCore {
         Ok(())
     }
 
-    fn table_into_groups(table: AggTable) -> Vec<GroupState> {
+    fn table_into_groups(table: AggTable) -> Groups {
         match table {
-            AggTable::Fast { keys, sums, .. } => keys
-                .iter()
-                .enumerate()
-                .map(|(g, &k)| {
-                    let accs: Vec<Acc> = sums
-                        .iter()
-                        .map(|per_agg| Acc::Sum(Some(Value::Float(per_agg[g]))))
-                        .collect();
-                    (vec![Value::Int(k)], accs)
-                })
-                .collect(),
-            AggTable::Generic(map) => map.into_values().collect(),
+            AggTable::Fast { groups, sums } => {
+                Groups::Fast { keys: groups.into_keys(), sums, next: 0 }
+            }
+            AggTable::Generic(map) => Groups::Generic(map.into_values().collect()),
         }
     }
 
@@ -1348,10 +1371,18 @@ enum AggInput {
     Consumed,
 }
 
+/// Finished groups waiting to leave the operator.
+enum Groups {
+    /// An unspilled fast table: the key and sum lanes leave as typed column
+    /// slices, in first-seen order from `next` on.
+    Fast { keys: Vec<i64>, sums: Vec<Vec<f64>>, next: usize },
+    Generic(Vec<GroupState>),
+}
+
 enum AggState {
     Pending,
     Draining {
-        groups: Vec<GroupState>,
+        groups: Groups,
         /// Spilled partitions still to merge: the readers covering one
         /// partition's key space (several under parallel consume — one per
         /// worker that spilled — plus the coordinator's), and the depth.
@@ -1466,7 +1497,7 @@ impl BatchHashAggregate {
     fn set_default_row(&mut self) {
         let accs: Vec<Acc> = self.core.aggs.iter().map(Acc::new).collect();
         self.state = AggState::Draining {
-            groups: vec![(Vec::new(), accs)],
+            groups: Groups::Generic(vec![(Vec::new(), accs)]),
             pending: Vec::new(),
         };
     }
@@ -1552,27 +1583,21 @@ impl BatchHashAggregate {
         let mut over = false;
         match (&mut *dst, src) {
             (
-                AggTable::Fast { map, keys, sums },
-                AggTable::Fast { keys: src_keys, sums: src_sums, .. },
+                AggTable::Fast { groups, sums },
+                AggTable::Fast { groups: src_groups, sums: src_sums },
             ) => {
-                for (g, &k) in src_keys.iter().enumerate() {
-                    let d = match map.entry(k) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(e) => {
-                            let d = keys.len() as u32;
-                            e.insert(d);
-                            keys.push(k);
-                            for per_agg in sums.iter_mut() {
-                                per_agg.push(0.0);
-                            }
-                            over |= !self.reservation.try_grow(self.core.fast_bytes);
-                            d
+                let before = groups.keys().len();
+                for (g, &k) in src_groups.keys().iter().enumerate() {
+                    let (d, is_new) = groups.find_or_insert(k);
+                    for (per_agg, src_per_agg) in sums.iter_mut().zip(&src_sums) {
+                        if is_new {
+                            per_agg.push(0.0);
                         }
-                    };
-                    for (a, src_per_agg) in src_sums.iter().enumerate() {
-                        sums[a][d as usize] += src_per_agg[g];
+                        per_agg[d as usize] += src_per_agg[g];
                     }
                 }
+                let new_groups = groups.keys().len() - before;
+                over = self.core.charge_fast_groups(new_groups, &mut self.reservation);
             }
             (_, src) => {
                 // Mixed or generic: merge through the shared Acc machinery.
@@ -1665,36 +1690,51 @@ impl BatchHashAggregate {
         let AggState::Draining { groups: current, pending } = &mut self.state else {
             unreachable!("merge_partition outside draining state");
         };
-        *current = groups;
+        *current = Groups::Generic(groups);
         pending.extend(extra_pending);
         Ok(())
     }
 
-    /// Finalize up to [`BATCH_SIZE`] groups into one output batch.
+    /// Finalize up to [`BATCH_SIZE`] groups into one output batch, releasing
+    /// their memory as they leave the operator, so downstream operators
+    /// (e.g. the final sort) can reserve it.
     fn drain_batch(&mut self) -> Result<Option<RowBatch>> {
-        let take: Vec<GroupState> = {
-            let AggState::Draining { groups, .. } = &mut self.state else {
-                unreachable!("drain outside draining state");
-            };
-            if groups.is_empty() {
-                return Ok(None);
-            }
-            let n = groups.len().min(BATCH_SIZE);
-            groups.drain(..n).collect()
+        let AggState::Draining { groups, .. } = &mut self.state else {
+            unreachable!("drain outside draining state");
         };
-        let mut rows: Vec<Row> = Vec::with_capacity(take.len());
-        for (reps, accs) in take {
-            // Release this entry's memory as it leaves the operator, so
-            // downstream operators (e.g. the final sort) can reserve it.
-            self.reservation.shrink(entry_bytes(&reps, &accs));
-            let mut row = reps;
-            row.reserve(accs.len());
-            for a in accs {
-                row.push(a.finalize()?);
+        match groups {
+            Groups::Fast { keys, sums, next } => {
+                let range = *next..keys.len().min(*next + BATCH_SIZE);
+                if range.is_empty() {
+                    return Ok(None);
+                }
+                *next = range.end;
+                // `keys` and `sums` stay allocated until the drain ends: the
+                // ledger under-counts by their 8 × (1 + aggs) bytes a group
+                // meanwhile (ARCHITECTURE.md, the per-batch ledger rule).
+                self.reservation.shrink(range.len() * self.core.fast_bytes);
+                let mut cols = vec![Column::Int(keys[range.clone()].to_vec())];
+                cols.extend(sums.iter().map(|s| Column::Float(s[range.clone()].to_vec())));
+                Ok(Some(RowBatch::from_columns(cols)))
             }
-            rows.push(row);
+            Groups::Generic(groups) => {
+                if groups.is_empty() {
+                    return Ok(None);
+                }
+                let n = groups.len().min(BATCH_SIZE);
+                let mut rows: Vec<Row> = Vec::with_capacity(n);
+                for (reps, accs) in groups.drain(..n) {
+                    self.reservation.shrink(entry_bytes(&reps, &accs));
+                    let mut row = reps;
+                    row.reserve(accs.len());
+                    for a in accs {
+                        row.push(a.finalize()?);
+                    }
+                    rows.push(row);
+                }
+                Ok(Some(RowBatch::from_owned_rows(rows)))
+            }
         }
-        Ok(Some(RowBatch::from_owned_rows(rows)))
     }
 }
 
@@ -1788,6 +1828,57 @@ mod tests {
         assert_eq!(out.len(), 2, "NULL keys never match");
         assert_eq!(out[0][3], Value::Int(200));
         assert_eq!(out[1][3], Value::Int(201));
+    }
+
+    fn join_table(build: Vec<Row>) -> JoinTable {
+        JoinTable::build_from_stream(batches_of(build), vec![col(0)], vec![col(0)], None, 2, &ctx())
+            .unwrap()
+            .0
+    }
+
+    #[test]
+    fn direct_join_index_is_chosen_from_the_build_keys() {
+        let keyed = |keys: &[Value]| -> Vec<Row> {
+            keys.iter().map(|k| vec![k.clone(), Value::Int(7)]).collect()
+        };
+        let ints = |keys: &[i64]| keyed(&keys.iter().map(|&k| Value::Int(k)).collect::<Vec<_>>());
+        for (build, direct) in [
+            (ints(&[0, 1, 1, 63]), true),
+            (ints(&[]), true),
+            (keyed(&[Value::Null, Value::Int(2)]), true), // NULL keys are never inserted
+            (keyed(&[Value::Float(2.0)]), true),          // groups with INTEGER 2
+            (ints(&[64]), false),
+            (ints(&[3, -1]), false),
+            (keyed(&[Value::Float(2.5)]), false),
+            (keyed(&[Value::Str("1".into())]), false),
+        ] {
+            let table = join_table(build.clone());
+            assert_eq!(matches!(table.table, KeyMap::Direct { .. }), direct, "{build:?}");
+        }
+    }
+
+    #[test]
+    fn probe_rows_matching_once_in_order_are_forwarded_not_copied() {
+        // A permutation gate's table: one build row per key.
+        let table = join_table((0..4).map(|k| vec![Value::Int(k), Value::Int(10 + k)]).collect());
+        let probe = RowBatch::from_rows(
+            &(0..100).map(|i| vec![Value::Int(i % 4), Value::Int(i)]).collect::<Vec<_>>(),
+        );
+        let out = table.probe_batch(&probe, false).unwrap();
+        assert_eq!(out.len(), 1);
+        for c in 0..2 {
+            assert!(Arc::ptr_eq(&out[0].columns()[c], &probe.columns()[c]), "column {c} copied");
+        }
+        assert_eq!(out[0].row(5), vec![Value::Int(1), Value::Int(5), Value::Int(1), Value::Int(11)]);
+
+        // One row without a match: the survivors are gathered.
+        let mut rows: Vec<Row> = (0..100).map(|i| vec![Value::Int(i % 4), Value::Int(i)]).collect();
+        rows[50][0] = Value::Int(9);
+        let probe = RowBatch::from_rows(&rows);
+        let out = table.probe_batch(&probe, false).unwrap();
+        assert_eq!(out[0].num_rows(), 99);
+        assert!(!Arc::ptr_eq(&out[0].columns()[1], &probe.columns()[1]));
+        assert_eq!(out[0].row(50)[1], Value::Int(51));
     }
 
     #[test]
@@ -1903,6 +1994,66 @@ mod tests {
         // 4000 rows over 7 groups: groups 0..=3 get 572 rows, 4..=6 get 571.
         assert_eq!(out[0][1], Value::Float(572.0 * 0.5));
         assert_eq!(out[6][1], Value::Float(571.0 * 0.5));
+    }
+
+    fn sum_of(c: usize) -> AggExpr {
+        AggExpr { func: AggFunc::Sum, arg: Some(col(c)), distinct: false }
+    }
+
+    #[test]
+    fn fast_aggregate_drains_typed_columns_in_first_seen_order() {
+        // 2 500 groups, first seen in descending key order, each hit twice.
+        let rows: Vec<Row> = (0..5000)
+            .map(|i| vec![Value::Int(2499 - i % 2500), Value::Float(0.25), Value::Float(1.0)])
+            .collect();
+        let ctx = ctx();
+        let budget = ctx.budget.clone();
+        let mut agg = BatchHashAggregate::new(
+            batches_of(rows),
+            vec![col(0)],
+            vec![sum_of(1), sum_of(2)],
+            ctx,
+        );
+        let mut sizes = Vec::new();
+        let mut keys: Vec<i64> = Vec::new();
+        while let Some(b) = agg.next_batch().unwrap() {
+            // Exactly the groups still inside stay charged: `shrink`
+            // saturates, so only the running balance shows a double release.
+            let left = 2500 - keys.len() - b.num_rows();
+            assert_eq!(budget.used(), left * agg.core.fast_bytes);
+            let (Column::Int(k), Column::Float(r), Column::Float(i)) =
+                (b.column(0), b.column(1), b.column(2))
+            else {
+                panic!("untyped lanes: {b:?}");
+            };
+            assert!(r.iter().all(|&x| x == 0.5) && i.iter().all(|&x| x == 2.0));
+            sizes.push(k.len());
+            keys.extend_from_slice(k);
+        }
+        assert_eq!(sizes, [BATCH_SIZE, BATCH_SIZE, 2500 - 2 * BATCH_SIZE]);
+        assert_eq!(keys, (0..2500).rev().collect::<Vec<i64>>());
+    }
+
+    #[test]
+    fn new_groups_are_charged_per_batch_up_to_what_a_per_group_loop_reserves() {
+        let core = AggCore::new(vec![col(0)], vec![sum_of(1)]);
+        let batch = |keys: std::ops::Range<i64>| {
+            RowBatch::from_rows(
+                &keys.map(|k| vec![Value::Int(k), Value::Float(1.0)]).collect::<Vec<_>>(),
+            )
+        };
+        // Room for ten and a half groups.
+        let budget = MemoryBudget::with_limit(10 * core.fast_bytes + core.fast_bytes / 2);
+        let mut reservation = Reservation::empty(&budget);
+        let mut table = core.new_table();
+        assert!(!core.update_batch(&batch(0..4), &mut table, &mut reservation).unwrap());
+        assert_eq!(reservation.bytes(), 4 * core.fast_bytes);
+        // 25 more do not fit at once: the fallback reserves the six that do.
+        assert!(core.update_batch(&batch(4..29), &mut table, &mut reservation).unwrap());
+        assert_eq!(reservation.bytes(), 10 * core.fast_bytes);
+        assert_eq!(budget.peak(), 10 * core.fast_bytes);
+        // No new group, nothing to charge, nothing to flush.
+        assert!(!core.update_batch(&batch(0..29), &mut table, &mut reservation).unwrap());
     }
 
     #[test]

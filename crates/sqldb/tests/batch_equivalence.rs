@@ -647,3 +647,199 @@ fn parallelism_knob_clamps() {
     db.set_parallelism(6);
     assert_eq!(db.parallelism(), 6);
 }
+
+// ---------------------------------------------------------------------------
+// Lane choices of the gate pipeline: both sides of each, against the reference
+// ---------------------------------------------------------------------------
+
+/// The paper's gate application over `state`, with `g` as the gate table.
+const GATE_SQL: &str = "SELECT ((state.s & ~1) | g.out_s) AS s, \
+     SUM((state.r * g.r) - (state.i * g.i)) AS r, \
+     SUM((state.r * g.i) + (state.i * g.r)) AS i \
+     FROM state JOIN g ON g.in_s = (state.s & 1) \
+     GROUP BY ((state.s & ~1) | g.out_s)";
+
+/// State keys of `n` rows, in the distributions the aggregate's integer
+/// group lookup has to be indifferent to.
+fn state_keys(shape: &str, n: usize, rng: &mut StdRng) -> Vec<i64> {
+    let n = n as i64;
+    match shape {
+        "dense ascending" => (0..n).collect(),
+        // Every key of 0..n, twice, in random order.
+        "dense shuffled" => {
+            let mut keys: Vec<i64> = (0..n).map(|i| i / 2).collect();
+            for i in (1..keys.len()).rev() {
+                keys.swap(i, rng.gen_range(0..i + 1));
+            }
+            keys
+        }
+        "sparse 46-bit" => (0..n).map(|_| rng.gen_range(0i64..1 << 46)).collect(),
+        "negative" => (0..n).map(|_| -rng.gen_range(1i64..1 << 40)).collect(),
+        "extremes" => (0..n)
+            .map(|i| [i64::MIN, i64::MAX, -1, 0, i64::MIN + 2, i64::MAX - 3][i as usize % 6])
+            .collect(),
+        // Dense, one far key, dense again.
+        "dense then outlier" => {
+            (0..n / 2).chain([1 << 45]).chain(n / 4..n - 1 - n / 4).collect()
+        }
+        "one row" => vec![rng.gen_range(1i64 << 45..1 << 46)],
+        other => panic!("unknown key shape {other}"),
+    }
+}
+
+/// A database holding `state` with the given keys and a random one-qubit gate
+/// table `g`. Amplitudes are dyadic, so the sums are exact in any order, and
+/// never zero: a group whose only term is `-0.0` sums to `+0.0` in the
+/// executor's `f64` lanes (they start from `0.0`) and to `-0.0` in the
+/// reference (it starts from the first term).
+fn gate_db(keys: &[i64], rng: &mut StdRng, limit: Option<usize>, workers: usize) -> Database {
+    // Dense (four rows), diagonal or permutation (two rows: each probe row
+    // then matches exactly once).
+    let outs: &[(i64, i64)] = match rng.gen_range(0u32..3) {
+        0 => &[(0, 0), (0, 1), (1, 0), (1, 1)],
+        1 => &[(0, 0), (1, 1)],
+        _ => &[(0, 1), (1, 0)],
+    };
+    let mut amp = || {
+        let magnitude = rng.gen_range(1i64..64) as f64 / 16.0;
+        Value::Float(if rng.gen_range(0u32..2) == 0 { magnitude } else { -magnitude })
+    };
+    let state: Vec<Vec<Value>> =
+        keys.iter().map(|&s| vec![Value::Int(s), amp(), amp()]).collect();
+    let gate: Vec<Vec<Value>> = outs
+        .iter()
+        .map(|&(in_s, out_s)| vec![Value::Int(in_s), Value::Int(out_s), amp(), amp()])
+        .collect();
+    let mut db = limit.map_or_else(Database::new, Database::with_memory_limit);
+    db.set_parallelism(workers);
+    db.execute("CREATE TABLE state (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+    db.insert_rows("state", state).unwrap();
+    db.execute("CREATE TABLE g (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+    db.insert_rows("g", gate).unwrap();
+    db
+}
+
+#[test]
+fn gate_queries_agree_with_the_reference_on_every_key_distribution() {
+    // 6 000 state rows are six chunks and up to 12 000 groups of 200 bytes:
+    // the tight limit holds the table but not the groups, so the aggregate
+    // spills (the one-row state fits any limit).
+    const TIGHT: usize = 512 * 1024;
+    for (case, shape) in [
+        "dense ascending",
+        "dense shuffled",
+        "sparse 46-bit",
+        "negative",
+        "extremes",
+        "dense then outlier",
+        "one row",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for seed in 0..2u64 {
+            for limit in [None, Some(TIGHT)] {
+                for workers in [1, 2] {
+                    let mut rng = StdRng::seed_from_u64(1000 * case as u64 + seed);
+                    let keys = state_keys(shape, 6000, &mut rng);
+                    let mut db = gate_db(&keys, &mut rng, limit, workers);
+                    let what = format!("{shape}, seed {seed}, limit {limit:?}, {workers} workers");
+                    let base = db.budget().used();
+                    let got = db.execute(GATE_SQL).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let spilled = db.stats().spill_files > 0;
+                    let distinct = keys.iter().collect::<std::collections::HashSet<_>>().len();
+                    if limit.is_some() && distinct > 3000 {
+                        assert!(spilled, "{what}: expected the aggregate to spill");
+                    }
+                    assert!(limit.is_some() || !spilled, "{what}: spilled without a limit");
+                    assert_eq!(db.budget().used(), base, "{what}: ledger not restored");
+                    let want = db.query_reference(GATE_SQL).unwrap();
+                    assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{what}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn joins_agree_with_the_reference_on_both_sides_of_the_direct_index() {
+    // `probe.k` runs over -2..70 with NULLs; each build below either
+    // qualifies for the direct index (every key an integer in 0..64) or
+    // falls back to the hash table for the reason named.
+    let mut rng = StdRng::seed_from_u64(17);
+    let probe: Vec<Vec<Value>> = (0..3000)
+        .map(|i| {
+            let k = match rng.gen_range(0i64..75) {
+                k if k >= 72 => Value::Null,
+                k => Value::Int(k - 2),
+            };
+            vec![k, Value::Int(i), Value::Str(format!("n{}", i % 5))]
+        })
+        .collect();
+    let ints = |keys: &[i64]| -> Vec<Vec<Value>> {
+        keys.iter()
+            .enumerate()
+            .map(|(j, &k)| vec![Value::Int(k), Value::Float(j as f64 / 4.0)])
+            .collect()
+    };
+    let builds: Vec<(&str, &str, Vec<Vec<Value>>)> = vec![
+        ("direct: one row per key", "INTEGER", ints(&(0..64).collect::<Vec<_>>())),
+        ("direct: duplicated keys, many-to-many", "INTEGER", ints(&[3, 3, 3, 7, 7, 0, 63, 3])),
+        ("direct: NULL build keys are dropped", "INTEGER", {
+            let mut b = ints(&[1, 2, 5]);
+            b.push(vec![Value::Null, Value::Float(9.0)]);
+            b
+        }),
+        ("direct: empty build", "INTEGER", Vec::new()),
+        ("direct: integral DOUBLE keys", "DOUBLE", vec![
+            vec![Value::Float(2.0), Value::Float(0.5)],
+            vec![Value::Float(40.0), Value::Float(1.5)],
+        ]),
+        ("hashed: a key of 64", "INTEGER", ints(&[0, 1, 64])),
+        ("hashed: a negative key", "INTEGER", ints(&[5, -1, 5, -2])),
+        ("hashed: a fractional key", "DOUBLE", vec![
+            vec![Value::Float(2.0), Value::Float(0.5)],
+            vec![Value::Float(2.5), Value::Float(1.5)],
+        ]),
+    ];
+    let queries = [
+        "SELECT probe.k, probe.n, b.w FROM probe JOIN b ON b.k = probe.k",
+        "SELECT probe.k, probe.n, b.w FROM probe LEFT JOIN b ON b.k = probe.k",
+        "SELECT probe.n, b.w FROM probe LEFT JOIN b ON b.k = (probe.k & 63) AND b.w > 0.5",
+        "SELECT b.k, COUNT(*) AS c, SUM(b.w) AS t FROM probe JOIN b ON b.k = probe.k GROUP BY b.k",
+    ];
+    for (what, key_type, build) in builds {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE probe (k INTEGER, n INTEGER, name TEXT)").unwrap();
+        db.insert_rows("probe", probe.clone()).unwrap();
+        db.execute(&format!("CREATE TABLE b (k {key_type}, w DOUBLE)")).unwrap();
+        db.insert_rows("b", build).unwrap();
+        for sql in queries {
+            let want = db.query_reference(sql).unwrap_or_else(|e| panic!("{what}: {e}\n{sql}"));
+            for workers in [1, 2] {
+                db.set_parallelism(workers);
+                let got = db.execute(sql).unwrap_or_else(|e| panic!("{what}: {e}\n{sql}"));
+                assert_eq!(
+                    sorted_rows(got.rows()),
+                    sorted_rows(want.rows()),
+                    "{what}, {workers} workers: {sql}"
+                );
+            }
+        }
+    }
+    // A non-numeric key: TEXT never takes the direct index.
+    let mut db = Database::new();
+    db.execute("CREATE TABLE probe (k INTEGER, n INTEGER, name TEXT)").unwrap();
+    db.insert_rows("probe", probe).unwrap();
+    db.execute_script(
+        "CREATE TABLE names (name TEXT, w DOUBLE); \
+         INSERT INTO names VALUES ('n1', 1.0), ('n3', 3.0), ('n3', 3.5), ('zz', 0.0);",
+    )
+    .unwrap();
+    let sql = "SELECT probe.n, names.w FROM probe LEFT JOIN names ON names.name = probe.name";
+    let want = db.query_reference(sql).unwrap();
+    for workers in [1, 2] {
+        db.set_parallelism(workers);
+        assert_eq!(sorted_rows(db.execute(sql).unwrap().rows()), sorted_rows(want.rows()));
+    }
+}

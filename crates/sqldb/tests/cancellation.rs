@@ -21,7 +21,12 @@ const PLAN_DEPTH_ALLOWANCE: usize = 16;
 /// A memory-limited database whose scenario queries are forced through the
 /// spill paths (same shape as the fault-injection scenarios).
 fn scenario_db(parallelism: usize) -> Database {
-    let mut db = Database::with_memory_limit(2 * 1024 * 1024);
+    scenario_db_within(Some(2 * 1024 * 1024), parallelism)
+}
+
+/// The scenario tables under `limit` (`None`: nothing spills).
+fn scenario_db_within(limit: Option<usize>, parallelism: usize) -> Database {
+    let mut db = limit.map_or_else(Database::new, Database::with_memory_limit);
     db.set_parallelism(parallelism);
     db.execute("CREATE TABLE big (k INTEGER, v DOUBLE)").unwrap();
     let rows: Vec<Vec<Value>> = (0..60_000)
@@ -232,5 +237,50 @@ fn concurrent_handle_cancel_is_clean() {
         let rs = db.execute("SELECT k FROM dim ORDER BY k LIMIT 5").unwrap();
         assert_eq!(rs.rows().len(), 5);
         assert_clean_after_error(&db, parallelism, "after concurrent cancel");
+    }
+}
+
+/// The ledger balances: whatever way a gate-shaped query ends — its groups
+/// drained from memory or merged back from spill partitions, an evaluation
+/// error after some groups have left, a cancel at any poll — `used()` is
+/// back at what the tables hold. The aggregate charges its new groups once
+/// per batch and releases them once per emitted batch; a charge that leaked
+/// shows here (a double release shows in the running balance that
+/// `exec::vector`'s drain test checks, because `shrink` saturates).
+#[test]
+fn ledger_balances_however_a_gate_query_ends() {
+    // Group 777 is first seen well into the input, so batches of finished
+    // groups have left the aggregate before the division fails.
+    let failing = "WITH t AS (SELECT b.k AS k, SUM(b.v * d.w) AS t FROM big b \
+                   JOIN dim d ON d.k = (b.k & 63) GROUP BY b.k) \
+                   SELECT k, t, 100 / (k - 777) AS q FROM t";
+    for limit in [None, Some(2 * 1024 * 1024)] {
+        for parallelism in [1usize, 2] {
+            let what = format!("limit {limit:?}, p={parallelism}");
+            let mut db = scenario_db_within(limit, parallelism);
+            let held = db.budget().used();
+            assert_eq!(held, db.table_bytes(), "{what}: before any query");
+
+            assert_eq!(db.execute(JOIN_SQL).unwrap().rows().len(), 20_000, "{what}");
+            assert_eq!(db.stats().spill_files > 0, limit.is_some(), "{what}: spilled");
+            assert_eq!(db.budget().used(), held, "{what}: after success");
+            let polls = db.last_query_context().polls();
+
+            let err = db.execute(failing).unwrap_err();
+            assert!(matches!(err, Error::Eval(_)), "{what}: got {err:?}");
+            assert_eq!(db.budget().used(), held, "{what}: after an evaluation error");
+
+            for at in (1..=polls).step_by((polls as usize / 16).max(1)) {
+                db.arm_cancel_after_polls(Some(at));
+                if let Err(err) = db.execute(JOIN_SQL) {
+                    assert!(matches!(err, Error::Cancelled), "{what}: got {err:?}");
+                }
+                assert_eq!(db.budget().used(), held, "{what}: cancel at poll {at}/{polls}");
+                assert_eq!(db.live_spill_files(), 0, "{what}: cancel at poll {at}/{polls}");
+            }
+            db.arm_cancel_after_polls(None);
+            assert_eq!(db.execute(JOIN_SQL).unwrap().rows().len(), 20_000, "{what}: retry");
+            assert_eq!(db.budget().used(), held, "{what}: after the retry");
+        }
     }
 }
