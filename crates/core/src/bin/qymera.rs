@@ -187,6 +187,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
     };
     let cancel: CancelHandle = sigint::install();
     let sql_config = SqlSimConfig {
+        memory_limit: opts.memory_limit,
         parallelism: parallel,
         db_path,
         timeout_ms,

@@ -3,12 +3,12 @@
 //! ARCHITECTURE.md and docs/*.md is run with the binary under test, in an
 //! empty working directory, and must exit 0 within a minute. Beside that:
 //! bad input is one `error:` line and exit 1, never a panic; `--timeout-ms`
-//! works; and the environment variables the sources read are exactly the
-//! ones ARCHITECTURE.md lists.
+//! works; `--memory` reaches every SQL command; and the environment variables
+//! the sources read are exactly the ones ARCHITECTURE.md lists.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitStatus, Stdio};
+use std::process::{Command, ExitStatus};
 use std::time::{Duration, Instant};
 
 /// What precedes the CLI's own arguments (the trailing space keeps
@@ -45,13 +45,14 @@ fn scratch(tag: &str) -> PathBuf {
     cwd
 }
 
-/// Run the CLI under test in `cwd`; its exit status and standard error.
+/// Run the CLI under test in `cwd`; its exit status and standard error
+/// (standard output is left in `cwd/stdout.txt`).
 fn qymera(at: &str, args: &[String], cwd: &Path) -> (ExitStatus, String) {
     let stderr_path = cwd.join("stderr.txt");
     let mut child = Command::new(env!("CARGO_BIN_EXE_qymera"))
         .args(args)
         .current_dir(cwd)
-        .stdout(Stdio::null())
+        .stdout(std::fs::File::create(cwd.join("stdout.txt")).unwrap())
         .stderr(std::fs::File::create(&stderr_path).unwrap())
         .spawn()
         .unwrap_or_else(|e| panic!("{at}: cannot spawn qymera: {e}"));
@@ -129,6 +130,43 @@ fn timeout_flag_stops_a_long_run_with_the_typed_error() {
     assert!(stderr.contains("timed out after 1 ms"), "{stderr}");
     assert_eq!(stderr.lines().count(), 1, "one line, no usage text:\n{stderr}");
     assert!(stderr.starts_with("error:"), "{stderr}");
+    std::fs::remove_dir_all(&cwd).unwrap();
+}
+
+/// `--memory` limits the engine behind `profile` and `trace` as it does
+/// behind `run`: a profile under a limit its aggregates do not fit ends with
+/// a non-zero `spill:` line, and a trace under a limit too small for its
+/// tables is the engine's typed error.
+#[test]
+fn memory_flag_reaches_profile_and_trace() {
+    let cwd = scratch("memory");
+    let spill_line = |extra: &[&str]| -> (u64, u64) {
+        let args: Vec<String> = ["profile", "--circuit", "hea:12", "--parallel", "1"]
+            .iter()
+            .chain(extra)
+            .map(|a| a.to_string())
+            .collect();
+        let (status, stderr) = qymera("profile", &args, &cwd);
+        assert!(status.success(), "`qymera {}` exited {status}\n{stderr}", args.join(" "));
+        let stdout = std::fs::read_to_string(cwd.join("stdout.txt")).unwrap();
+        let last = stdout.lines().last().unwrap_or_default();
+        let numbers: Vec<u64> = last.split_whitespace().filter_map(|w| w.parse().ok()).collect();
+        assert!(last.starts_with("spill: ") && numbers.len() == 2, "last line: `{last}`");
+        (numbers[0], numbers[1])
+    };
+    assert_eq!(spill_line(&[]), (0, 0));
+    let (files, bytes) = spill_line(&["--memory", "262144"]);
+    assert!(files > 0 && bytes > 0, "spill: {files} files, {bytes} bytes");
+
+    let trace = |memory: &str| {
+        let args = ["trace", "--circuit", "qft:6", "--memory", memory].map(str::to_string);
+        qymera("trace", &args, &cwd)
+    };
+    let (status, stderr) = trace("32768");
+    assert!(status.success(), "exited {status}\n{stderr}");
+    let (status, stderr) = trace("2048");
+    assert_eq!(status.code(), Some(1), "exited {status}\n{stderr}");
+    assert!(stderr.starts_with("error:") && stderr.contains("limit is 2048 bytes"), "{stderr}");
     std::fs::remove_dir_all(&cwd).unwrap();
 }
 

@@ -3,12 +3,14 @@
 //! Every gate application is one `GROUP BY` over the joined state (Fig. 2c),
 //! and for dense states the group table is the *entire next quantum state*,
 //! so the aggregate in [`super::vector`] spills: under memory pressure it
-//! flushes its table as *partial aggregate rows* (group key values followed
-//! by each accumulator's `Acc::write_partial` slice) into `PARTITIONS`
-//! hash partitions chosen by `partition_of`, and merges each partition back
-//! with `Acc::consume_partial`, re-partitioning up to `MAX_DEPTH` levels
-//! with a depth-salted hash. `Acc` is also what the reference interpreter
-//! ([`crate::reference`]) folds with, one row at a time.
+//! flushes its table into `PARTITIONS` hash partitions chosen by
+//! `partition_of` — the fast table as typed blocks, the generic table as
+//! *partial aggregate rows* (group key values followed by each
+//! accumulator's `Acc::write_partial` slice) — and merges each partition
+//! back (`Acc::consume_partial` for the rows), re-partitioning up to
+//! `MAX_DEPTH` levels with a depth-salted hash. `Acc` is also what the
+//! reference interpreter ([`crate::reference`]) folds with, one row at a
+//! time.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -55,13 +57,9 @@ impl Acc {
         match self {
             Acc::Sum(state) => {
                 let v = arg.expect("SUM requires an argument");
-                if v.is_null() {
-                    return Ok(());
+                if !v.is_null() {
+                    Self::sum_add(state, &v)?;
                 }
-                *state = Some(match state.take() {
-                    Some(cur) => cur.add(&v)?,
-                    None => v,
-                });
             }
             Acc::Count(n) => match arg {
                 // COUNT(*) — every row counts.
@@ -111,6 +109,18 @@ impl Acc {
                 Self::insert_distinct(seen, v);
             }
         }
+        Ok(())
+    }
+
+    /// `state += v` for SUM. A `DOUBLE` sum starts from `0.0`, as the `f64`
+    /// lanes of the aggregate's fast table do, so a group whose only term is
+    /// `-0.0` sums to `+0.0` on every path: fold, partial row, worker merge.
+    fn sum_add(state: &mut Option<Value>, v: &Value) -> Result<()> {
+        *state = Some(match (state.take(), v) {
+            (Some(cur), v) => cur.add(v)?,
+            (None, Value::Float(f)) => Value::Float(0.0 + f),
+            (None, v) => v.clone(),
+        });
         Ok(())
     }
 
@@ -185,10 +195,7 @@ impl Acc {
                 let v = &row[*pos];
                 *pos += 1;
                 if !v.is_null() {
-                    *state = Some(match state.take() {
-                        Some(cur) => cur.add(v)?,
-                        None => v.clone(),
-                    });
+                    Self::sum_add(state, v)?;
                 }
             }
             Acc::Count(n) => {
@@ -250,10 +257,7 @@ impl Acc {
         match (&mut *self, other) {
             (Acc::Sum(state), Acc::Sum(v)) => {
                 if let Some(v) = v {
-                    *state = Some(match state.take() {
-                        Some(cur) => cur.add(v)?,
-                        None => v.clone(),
-                    });
+                    Self::sum_add(state, v)?;
                 }
             }
             (Acc::Count(n), Acc::Count(m)) => *n += m,
@@ -316,10 +320,7 @@ impl Acc {
                     // paths, and worker counts.
                     let mut acc: Option<Value> = None;
                     for v in Self::sorted_distinct(&seen) {
-                        acc = Some(match acc {
-                            Some(cur) => cur.add(v)?,
-                            None => v.clone(),
-                        });
+                        Self::sum_add(&mut acc, v)?;
                     }
                     acc.unwrap_or(Value::Null)
                 }
@@ -366,13 +367,29 @@ pub(crate) fn entry_bytes(reps: &[Value], accs: &[Acc]) -> usize {
     row_bytes(reps) + accs.iter().map(Acc::heap_bytes).sum::<usize>() + 64
 }
 
-/// Spill partition of a group at re-partitioning level `depth`.
+/// Spill partition of a group at re-partitioning level `depth`. A single
+/// integer key goes through [`partition_of_int`], so the fast table's block
+/// writer and the generic table's row writer of one operator agree.
 pub(crate) fn partition_of(keys: &[GroupKey], depth: u32) -> usize {
+    if let [GroupKey::Int(k)] = keys {
+        return partition_of_int(*k, depth);
+    }
     let mut h = std::collections::hash_map::DefaultHasher::new();
     // Salt by depth so recursive re-partitioning actually redistributes.
     (0x9e3779b97f4a7c15u64 ^ u64::from(depth)).hash(&mut h);
     keys.hash(&mut h);
     (h.finish() as usize) % PARTITIONS
+}
+
+/// [`partition_of`] for the fast lane's one `INTEGER` key: the splitmix64
+/// finalizer over the key salted by `depth`. Deliberately not the Fibonacci
+/// multiply of [`IntGroupTable`]: a partition chosen by those top bits would
+/// put all of its keys into one sixteenth of the merge table's slots.
+pub(crate) fn partition_of_int(key: i64, depth: u32) -> usize {
+    let mut h = (key as u64).wrapping_add(u64::from(depth).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((h ^ (h >> 31)) % PARTITIONS as u64) as usize
 }
 
 /// Group lookup of the aggregate's fast lane: `INTEGER` key → dense group
@@ -667,5 +684,58 @@ mod tests {
             keys.iter().any(|k| partition_of(k, 0) != partition_of(k, 1)),
             "a deeper level must redistribute"
         );
+        // Keys that are not one integer take the general hash.
+        let pair = [GroupKey::Int(1), GroupKey::Str("a".into())];
+        assert!(partition_of(&pair, 0) < PARTITIONS);
+    }
+
+    /// The fast table writes blocks, the generic table rows, both into the
+    /// partitions of one operator: one integer key, one partition.
+    #[test]
+    fn both_spill_writers_agree_on_an_integer_keys_partition() {
+        for depth in 0..=MAX_DEPTH {
+            for k in (-300..300).chain([i64::MIN, i64::MAX, 1 << 45]) {
+                let p = partition_of_int(k, depth);
+                assert_eq!(partition_of(&[GroupKey::Int(k)], depth), p);
+                // However the generic table spelled the key.
+                if k.unsigned_abs() < 1 << 53 {
+                    assert_eq!(partition_of(&[Value::Float(k as f64).group_key()], depth), p);
+                }
+            }
+        }
+    }
+
+    /// A dense state's keys (0..2^14) split evenly at every level, a level's
+    /// partition splits evenly again one level down, and the keys of one
+    /// partition spread over the whole merge table — the last is what the
+    /// top bits of the table's own multiply could not give.
+    #[test]
+    fn integer_partitions_are_balanced_and_independent_of_the_table_hash() {
+        let n = 1 << 14;
+        let even = |counts: &[usize], total: usize, what: &str| {
+            let want = total / counts.len();
+            assert!(
+                counts.iter().all(|&c| c > want / 2 && c < want * 2),
+                "{what}: {counts:?}"
+            );
+        };
+        for depth in 0..MAX_DEPTH {
+            let mut counts = [0usize; PARTITIONS];
+            let mut deeper = [0usize; PARTITIONS];
+            let mut homes = [0usize; PARTITIONS];
+            let mut table = IntGroupTable::default();
+            table.rehash(n / PARTITIONS);
+            for k in 0..n as i64 {
+                let p = partition_of_int(k, depth);
+                counts[p] += 1;
+                if p == 3 {
+                    deeper[partition_of_int(k, depth + 1)] += 1;
+                    homes[table.home(k) * PARTITIONS / table.slots.len()] += 1;
+                }
+            }
+            even(&counts, n, "level");
+            even(&deeper, counts[3], "one level down");
+            even(&homes, counts[3], "home slots of one partition");
+        }
     }
 }

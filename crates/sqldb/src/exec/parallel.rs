@@ -799,7 +799,7 @@ pub(crate) fn run_agg_workers(
         ctx,
         || WorkerAgg {
             table: core.new_table(),
-            writers: None,
+            writer: None,
             reservation: Reservation::empty(&budget),
             rows_seen: 0,
         },
@@ -813,7 +813,7 @@ pub(crate) fn run_agg_workers(
                     query.check()?;
                     core.flush(
                         &mut worker.table,
-                        &mut worker.writers,
+                        &mut worker.writer,
                         0,
                         &spill,
                         &mut worker.reservation,

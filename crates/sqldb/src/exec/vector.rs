@@ -18,9 +18,9 @@
 //! it reports both.
 //!
 //! Memory discipline: join builds and aggregation tables charge the shared
-//! [`MemoryBudget`](crate::storage::budget), and the aggregate spills partial
-//! rows (see [`super::aggregate`]) into hash partitions with a recursive
-//! re-partition merge. Budget checks happen per batch rather than per row, so
+//! [`MemoryBudget`](crate::storage::budget), and the aggregate spills typed
+//! blocks or partial rows (see [`super::aggregate`]) into hash partitions
+//! with a recursive re-partition merge. Budget checks happen per batch, so
 //! a table may transiently overshoot its reservation by at most one batch of
 //! new groups before it flushes.
 //!
@@ -47,12 +47,13 @@ use crate::expr::BoundExpr;
 use crate::plan::logical::{AggExpr, AggFunc, Plan};
 use crate::plan::optimizer::extract_equi_keys;
 use crate::storage::budget::{MemoryBudget, Reservation};
-use crate::storage::spill::{row_bytes, Row, SpillDir, SpillReader, SpillWriter};
+use crate::storage::spill::{row_bytes, Row, SpillDir, SpillReader, SpillRecord, SpillWriter};
 use crate::table::TableSnapshot;
 use crate::value::{GroupKey, Value};
 
 use super::aggregate::{
-    entry_bytes, partition_of, Acc, GroupState, IntGroupTable, MAX_DEPTH, PARTITIONS,
+    entry_bytes, partition_of, partition_of_int, Acc, GroupState, IntGroupTable, MAX_DEPTH,
+    PARTITIONS,
 };
 use super::batch::{BatchBuilder, Column, ColumnRef, RowBatch, BATCH_SIZE};
 use super::parallel::{self, Segment};
@@ -1122,7 +1123,7 @@ pub(crate) struct AggCore {
 /// input rows it saw (for the empty-input global-aggregate rule).
 pub(crate) struct WorkerAgg {
     pub(crate) table: AggTable,
-    pub(crate) writers: Option<Vec<SpillWriter>>,
+    pub(crate) writer: Option<SpillWriter>,
     pub(crate) reservation: Reservation,
     pub(crate) rows_seen: u64,
 }
@@ -1153,8 +1154,9 @@ impl AggCore {
     }
 
     /// Demote the fast table into generic [`Acc`] form (a batch arrived whose
-    /// lanes don't qualify — e.g. `HUGEINT` indices past 63 qubits).
-    fn demote(table: &mut AggTable) {
+    /// lanes don't qualify — e.g. `HUGEINT` indices past 63 qubits) and hand
+    /// out the generic map.
+    fn demote(table: &mut AggTable) -> &mut HashMap<Vec<GroupKey>, GroupState> {
         if let AggTable::Fast { groups, sums } = table {
             let mut map: HashMap<Vec<GroupKey>, GroupState> = HashMap::new();
             for (g, &k) in groups.keys().iter().enumerate() {
@@ -1166,6 +1168,8 @@ impl AggCore {
             }
             *table = AggTable::Generic(map);
         }
+        let AggTable::Generic(map) = table else { unreachable!("just demoted") };
+        map
     }
 
     /// Aggregate one input batch into `table`, charging `reservation` per new
@@ -1188,32 +1192,92 @@ impl AggCore {
             .map(|a| a.arg.as_ref().map(|e| e.eval_batch(batch)).transpose())
             .collect::<Result<Vec<_>>>()?;
 
-        // Fast lane: single Int key column, every argument a Float lane.
-        let fast_ok = matches!(&table, AggTable::Fast { .. })
-            && matches!(&*key_cols[0], Column::Int(_))
-            && arg_cols.iter().all(|c| matches!(c.as_deref(), Some(Column::Float(_))));
+        let args = arg_cols.iter().map(|c| c.as_deref());
+        if let Some(over) = self.update_fast(table, key_cols.first(), args, reservation) {
+            return Ok(over);
+        }
+        self.update_generic(batch, &key_cols, &arg_cols, Self::demote(table), reservation)
+    }
 
-        if fast_ok {
-            let AggTable::Fast { groups, sums } = table else {
-                unreachable!("fast_ok checked the variant");
-            };
-            let Column::Int(kv) = &*key_cols[0] else { unreachable!() };
-            let before = groups.keys().len();
-            let ids: Vec<u32> = kv.iter().map(|&k| groups.find_or_insert(k).0).collect();
-            let after = groups.keys().len();
-            for (per_agg, arg) in sums.iter_mut().zip(&arg_cols) {
-                let Some(Column::Float(vals)) = arg.as_deref() else {
-                    unreachable!("fast_ok checked the lanes");
-                };
-                per_agg.resize(after, 0.0);
-                for (&g, &v) in ids.iter().zip(vals) {
-                    per_agg[g as usize] += v;
-                }
+    /// The fast lane: when `table` is still `Fast`, the key an `INTEGER`
+    /// lane and every argument a `DOUBLE` lane, fold them in column-wise and
+    /// charge the new groups (`true`: the caller should flush); else `None`.
+    fn update_fast<'a>(
+        &self,
+        table: &mut AggTable,
+        key: Option<&'a ColumnRef>,
+        args: impl Iterator<Item = Option<&'a Column>>,
+        reservation: &mut Reservation,
+    ) -> Option<bool> {
+        let (AggTable::Fast { groups, sums }, Column::Int(keys)) = (table, &**key?) else {
+            return None;
+        };
+        let lane = |c: Option<&'a Column>| match c {
+            Some(Column::Float(v)) => Some(v.as_slice()),
+            _ => None,
+        };
+        let lanes = args.map(lane).collect::<Option<Vec<_>>>()?;
+        let new_groups = fold_fast(groups, sums, keys, &lanes);
+        Some(self.charge_fast_groups(new_groups, reservation))
+    }
+
+    /// Merge one spilled record into `table` — consume, one level down. A
+    /// block (what a fast table flushed) folds through the same lanes as an
+    /// input batch, SUM of partial SUMs being SUM; a row record (a generic
+    /// table's partial row) demotes the table, after which a block's rows
+    /// are partial rows too. Returns `true` when the reservation could not
+    /// cover every new group.
+    fn merge_record(
+        &self,
+        record: SpillRecord,
+        table: &mut AggTable,
+        reservation: &mut Reservation,
+    ) -> Result<bool> {
+        let block = match record {
+            SpillRecord::Row(row) => {
+                return self.merge_partial(&row, Self::demote(table), reservation);
             }
-            Ok(self.charge_fast_groups(after - before, reservation))
-        } else {
-            Self::demote(table);
-            self.update_generic(batch, &key_cols, &arg_cols, table, reservation)
+            SpillRecord::Block(block) => block,
+        };
+        let cols = block.columns();
+        if cols.len() != self.group_by.len() + self.aggs.len() {
+            return Err(Error::Io("spilled block of the wrong width".into()));
+        }
+        let args = cols.iter().skip(1).map(|c| Some(&**c));
+        if let Some(over) = self.update_fast(table, cols.first(), args, reservation) {
+            return Ok(over);
+        }
+        let map = Self::demote(table);
+        let mut over = false;
+        for i in 0..block.num_rows() {
+            over |= self.merge_partial(&block.row(i), map, reservation)?;
+        }
+        Ok(over)
+    }
+
+    /// Merge one partial row (group key values, then each accumulator's
+    /// [`Acc::write_partial`] slice) into the generic table.
+    fn merge_partial(
+        &self,
+        row: &[Value],
+        map: &mut HashMap<Vec<GroupKey>, GroupState>,
+        reservation: &mut Reservation,
+    ) -> Result<bool> {
+        let k = self.group_by.len();
+        let reps = row.get(..k).ok_or_else(|| Error::Io("short partial row".into()))?;
+        let consume = |accs: &mut [Acc]| {
+            let mut pos = k;
+            accs.iter_mut().try_for_each(|acc| acc.consume_partial(row, &mut pos))
+        };
+        match map.entry(reps.iter().map(Value::group_key).collect()) {
+            Entry::Occupied(mut e) => consume(&mut e.get_mut().1).map(|()| false),
+            Entry::Vacant(e) => {
+                let mut accs: Vec<Acc> = self.aggs.iter().map(Acc::new).collect();
+                consume(&mut accs)?;
+                let fits = reservation.try_grow(entry_bytes(reps, &accs));
+                e.insert((reps.to_vec(), accs));
+                Ok(!fits)
+            }
         }
     }
 
@@ -1240,12 +1304,9 @@ impl AggCore {
         batch: &RowBatch,
         key_cols: &[ColumnRef],
         arg_cols: &[Option<ColumnRef>],
-        table: &mut AggTable,
+        map: &mut HashMap<Vec<GroupKey>, GroupState>,
         reservation: &mut Reservation,
     ) -> Result<bool> {
-        let AggTable::Generic(map) = table else {
-            unreachable!("caller demoted the table");
-        };
         let mut over = false;
         for i in 0..batch.num_rows() {
             let keys: Vec<GroupKey> = key_cols.iter().map(|c| c.group_key_at(i)).collect();
@@ -1273,34 +1334,39 @@ impl AggCore {
         Ok(over)
     }
 
-    /// Flush the in-memory table into partition spill files as partial rows
-    /// (via [`Acc::write_partial`]), releasing `reservation`.
+    /// Flush the in-memory table into the partition spill files, releasing
+    /// `reservation`: a fast table as typed blocks of at most [`BATCH_SIZE`]
+    /// groups, gathered partition by partition in first-seen order; a
+    /// generic table as partial rows (via [`Acc::write_partial`]).
     pub(crate) fn flush(
         &self,
         table: &mut AggTable,
-        writers: &mut Option<Vec<SpillWriter>>,
+        writer: &mut Option<SpillWriter>,
         depth: u32,
         spill: &Arc<SpillDir>,
         reservation: &mut Reservation,
     ) -> Result<()> {
-        if writers.is_none() {
-            let mut ws = Vec::with_capacity(PARTITIONS);
-            for _ in 0..PARTITIONS {
-                ws.push(SpillWriter::create(spill)?);
-            }
-            *writers = Some(ws);
-        }
-        // SAFETY of expect: the branch above installs `Some` when absent.
-        let ws = writers.as_mut().expect("just initialized");
+        let w = match writer {
+            Some(w) => w,
+            None => writer.insert(SpillWriter::create(spill, PARTITIONS)?),
+        };
         match table {
             AggTable::Fast { groups, sums } => {
-                for (g, &k) in groups.keys().iter().enumerate() {
-                    let mut row = vec![Value::Int(k)];
-                    for per_agg in sums.iter() {
-                        row.push(Value::Float(per_agg[g]));
+                let keys = groups.keys();
+                let mut by_part: Vec<Vec<u32>> = vec![Vec::new(); PARTITIONS];
+                for (g, &k) in keys.iter().enumerate() {
+                    by_part[partition_of_int(k, depth)].push(g as u32);
+                }
+                for (p, ids) in by_part.iter().enumerate() {
+                    for ids in ids.chunks(BATCH_SIZE) {
+                        let lane = |s: &Vec<f64>| {
+                            Column::Float(ids.iter().map(|&g| s[g as usize]).collect())
+                        };
+                        let mut cols =
+                            vec![Column::Int(ids.iter().map(|&g| keys[g as usize]).collect())];
+                        cols.extend(sums.iter().map(lane));
+                        w.write_batch(p, &RowBatch::from_columns(cols))?;
                     }
-                    let part = partition_of(&[GroupKey::Int(k)], depth);
-                    ws[part].write_row(&row)?;
                 }
                 groups.clear();
                 for per_agg in sums.iter_mut() {
@@ -1313,12 +1379,30 @@ impl AggCore {
                     for a in &accs {
                         a.write_partial(&mut row)?;
                     }
-                    ws[partition_of(&keys, depth)].write_row(&row)?;
+                    w.write_row(partition_of(&keys, depth), &row)?;
                 }
             }
         }
         reservation.free();
         Ok(())
+    }
+
+    /// Turn the writers of one level (the coordinator's and, under parallel
+    /// consume, one per worker that spilled) into the runs to merge at
+    /// `depth`: per partition index, the readers covering its key space.
+    fn into_pending(
+        writers: impl IntoIterator<Item = SpillWriter>,
+        depth: u32,
+    ) -> Result<Vec<(Vec<SpillReader>, u32)>> {
+        let mut per_part: Vec<Vec<SpillReader>> = (0..PARTITIONS).map(|_| Vec::new()).collect();
+        for w in writers {
+            for (readers, reader) in per_part.iter_mut().zip(w.into_readers()?) {
+                if !reader.is_empty() {
+                    readers.push(reader);
+                }
+            }
+        }
+        Ok(per_part.into_iter().filter(|r| !r.is_empty()).map(|r| (r, depth)).collect())
     }
 
     fn table_into_groups(table: AggTable) -> Groups {
@@ -1331,23 +1415,37 @@ impl AggCore {
     }
 
     /// Turn a table into a generic group map (for cross-worker merging).
-    fn into_generic(table: AggTable) -> HashMap<Vec<GroupKey>, GroupState> {
-        match table {
-            AggTable::Generic(map) => map,
-            fast @ AggTable::Fast { .. } => {
-                let mut t = fast;
-                Self::demote(&mut t);
-                let AggTable::Generic(map) = t else { unreachable!("just demoted") };
-                map
-            }
-        }
+    fn into_generic(mut table: AggTable) -> HashMap<Vec<GroupKey>, GroupState> {
+        std::mem::take(Self::demote(&mut table))
     }
 }
 
+/// Fold `lanes[agg][row]` into `sums[agg][group of keys[row]]`, column-wise:
+/// the group ids of the batch first, then one pass per lane. New groups
+/// start from `0.0`. Returns how many groups the batch added.
+fn fold_fast(
+    groups: &mut IntGroupTable,
+    sums: &mut [Vec<f64>],
+    keys: &[i64],
+    lanes: &[&[f64]],
+) -> usize {
+    let before = groups.keys().len();
+    let ids: Vec<u32> = keys.iter().map(|&k| groups.find_or_insert(k).0).collect();
+    let after = groups.keys().len();
+    for (per_agg, vals) in sums.iter_mut().zip(lanes) {
+        per_agg.resize(after, 0.0);
+        for (&g, &v) in ids.iter().zip(*vals) {
+            per_agg[g as usize] += v;
+        }
+    }
+    after - before
+}
+
 /// The vectorized aggregation operator: a two-phase hybrid hash/grace
-/// scheme — consume (spilling partial rows into `PARTITIONS` hash partitions
-/// under memory pressure), then merge each partition recursively — with
-/// batched input and expression evaluation.
+/// scheme — consume (spilling the table into `PARTITIONS` hash partitions
+/// under memory pressure), then merge each partition recursively, which is
+/// consume again with spilled records for input — with batched input and
+/// expression evaluation.
 ///
 /// With a `Segment` input the consume phase runs morsel-parallel: every
 /// worker aggregates its morsels into a private table (spilling privately
@@ -1361,6 +1459,10 @@ pub struct BatchHashAggregate {
     ctx: ExecContext,
     reservation: Reservation,
     state: AggState,
+    /// Spilled partitions still to merge: the readers covering one
+    /// partition's key space (several under parallel consume — one per
+    /// worker that spilled — plus the coordinator's), and the depth.
+    pending: Vec<(Vec<SpillReader>, u32)>,
 }
 
 enum AggInput {
@@ -1373,21 +1475,15 @@ enum AggInput {
 
 /// Finished groups waiting to leave the operator.
 enum Groups {
-    /// An unspilled fast table: the key and sum lanes leave as typed column
-    /// slices, in first-seen order from `next` on.
+    /// A fast table, of consume or of a partition merge: the key and sum
+    /// lanes leave as typed column slices, in first-seen order from `next` on.
     Fast { keys: Vec<i64>, sums: Vec<Vec<f64>>, next: usize },
     Generic(Vec<GroupState>),
 }
 
 enum AggState {
     Pending,
-    Draining {
-        groups: Groups,
-        /// Spilled partitions still to merge: the readers covering one
-        /// partition's key space (several under parallel consume — one per
-        /// worker that spilled — plus the coordinator's), and the depth.
-        pending: Vec<(Vec<SpillReader>, u32)>,
-    },
+    Draining(Groups),
     Done,
 }
 
@@ -1425,6 +1521,7 @@ impl BatchHashAggregate {
             ctx,
             reservation,
             state: AggState::Pending,
+            pending: Vec::new(),
         }
     }
 
@@ -1445,7 +1542,7 @@ impl BatchHashAggregate {
     fn consume_stream(&mut self, mut input: Box<dyn BatchStream>) -> Result<()> {
         let core = Arc::clone(&self.core);
         let mut table = core.new_table();
-        let mut writers: Option<Vec<SpillWriter>> = None;
+        let mut writer: Option<SpillWriter> = None;
         let mut saw_rows = false;
 
         while let Some(batch) = input.next_batch()? {
@@ -1460,13 +1557,7 @@ impl BatchHashAggregate {
                 // cancel arriving here is observed before the spill run
                 // starts, so no run is written just to be deleted.
                 self.ctx.query.check()?;
-                core.flush(
-                    &mut table,
-                    &mut writers,
-                    0,
-                    &self.ctx.spill,
-                    &mut self.reservation,
-                )?;
+                self.flush(&mut table, &mut writer, 0)?;
             }
         }
 
@@ -1476,30 +1567,44 @@ impl BatchHashAggregate {
             return Ok(());
         }
 
-        let mut pending = Vec::new();
-        if writers.is_some() {
-            // Route the residue through the partitions as well, so the merge
-            // phase sees every group exactly once per partition.
-            core.flush(&mut table, &mut writers, 0, &self.ctx.spill, &mut self.reservation)?;
-            // SAFETY of expect: guarded by `writers.is_some()` above, and
-            // `flush` never clears an already-installed writer set.
-            for w in writers.expect("writers present") {
-                if w.rows() > 0 {
-                    pending.push((vec![w.into_reader()?], 1));
-                }
-            }
+        self.finish_level(table, writer, Vec::new(), 0)
+    }
+
+    /// End one level (consume at depth 0, a partition merge below it). If
+    /// anyone spilled, the residue goes through the partitions as well, so
+    /// the next level sees every group exactly once per partition, and the
+    /// writers become runs to merge one level down; what is left of `table`
+    /// (all of it when nobody spilled) is what drains next.
+    fn finish_level(
+        &mut self,
+        mut table: AggTable,
+        mut writer: Option<SpillWriter>,
+        mut spilled: Vec<SpillWriter>,
+        depth: u32,
+    ) -> Result<()> {
+        if writer.is_some() || !spilled.is_empty() {
+            self.flush(&mut table, &mut writer, depth)?;
+            spilled.extend(writer);
         }
-        let groups = AggCore::table_into_groups(table);
-        self.state = AggState::Draining { groups, pending };
+        self.pending.extend(AggCore::into_pending(spilled, depth + 1)?);
+        self.state = AggState::Draining(AggCore::table_into_groups(table));
         Ok(())
+    }
+
+    /// [`AggCore::flush`] into the operator's own spill directory, releasing
+    /// the operator's reservation.
+    fn flush(
+        &mut self,
+        table: &mut AggTable,
+        writer: &mut Option<SpillWriter>,
+        depth: u32,
+    ) -> Result<()> {
+        self.core.flush(table, writer, depth, &self.ctx.spill, &mut self.reservation)
     }
 
     fn set_default_row(&mut self) {
         let accs: Vec<Acc> = self.core.aggs.iter().map(Acc::new).collect();
-        self.state = AggState::Draining {
-            groups: Groups::Generic(vec![(Vec::new(), accs)]),
-            pending: Vec::new(),
-        };
+        self.state = AggState::Draining(Groups::Generic(vec![(Vec::new(), accs)]));
     }
 
     /// Merge per-worker partial aggregation results into the operator's
@@ -1511,8 +1616,8 @@ impl BatchHashAggregate {
         let core = Arc::clone(&self.core);
         let mut total_rows = 0u64;
         let mut table = core.new_table();
-        let mut writers: Option<Vec<SpillWriter>> = None;
-        let mut worker_writers: Vec<Vec<SpillWriter>> = Vec::new();
+        let mut writer: Option<SpillWriter> = None;
+        let mut worker_writers: Vec<SpillWriter> = Vec::new();
 
         for (w, worker) in results.into_iter().enumerate() {
             // One check per worker merge: breaker merges are the only
@@ -1531,18 +1636,10 @@ impl BatchHashAggregate {
                 // moved into the coordinator table (re-charged above).
                 drop(worker.reservation);
                 if over {
-                    core.flush(
-                        &mut table,
-                        &mut writers,
-                        0,
-                        &self.ctx.spill,
-                        &mut self.reservation,
-                    )?;
+                    self.flush(&mut table, &mut writer, 0)?;
                 }
             }
-            if let Some(ws) = worker.writers {
-                worker_writers.push(ws);
-            }
+            worker_writers.extend(worker.writer);
         }
 
         if total_rows == 0 && core.group_by.is_empty() {
@@ -1550,30 +1647,7 @@ impl BatchHashAggregate {
             return Ok(());
         }
 
-        let mut pending: Vec<(Vec<SpillReader>, u32)> = Vec::new();
-        if writers.is_some() || !worker_writers.is_empty() {
-            // Someone spilled: route every in-memory group through the
-            // partitions too, then merge each partition's readers (from all
-            // workers plus the coordinator) as one key space.
-            core.flush(&mut table, &mut writers, 0, &self.ctx.spill, &mut self.reservation)?;
-            let mut per_part: Vec<Vec<SpillReader>> =
-                (0..PARTITIONS).map(|_| Vec::new()).collect();
-            for ws in worker_writers.into_iter().chain(writers) {
-                for (p, w) in ws.into_iter().enumerate() {
-                    if w.rows() > 0 {
-                        per_part[p].push(w.into_reader()?);
-                    }
-                }
-            }
-            for readers in per_part {
-                if !readers.is_empty() {
-                    pending.push((readers, 1));
-                }
-            }
-        }
-        let groups = AggCore::table_into_groups(table);
-        self.state = AggState::Draining { groups, pending };
-        Ok(())
+        self.finish_level(table, writer, worker_writers, 0)
     }
 
     /// Merge one worker's table into the coordinator table, charging the
@@ -1586,23 +1660,13 @@ impl BatchHashAggregate {
                 AggTable::Fast { groups, sums },
                 AggTable::Fast { groups: src_groups, sums: src_sums },
             ) => {
-                let before = groups.keys().len();
-                for (g, &k) in src_groups.keys().iter().enumerate() {
-                    let (d, is_new) = groups.find_or_insert(k);
-                    for (per_agg, src_per_agg) in sums.iter_mut().zip(&src_sums) {
-                        if is_new {
-                            per_agg.push(0.0);
-                        }
-                        per_agg[d as usize] += src_per_agg[g];
-                    }
-                }
-                let new_groups = groups.keys().len() - before;
+                let lanes: Vec<&[f64]> = src_sums.iter().map(Vec::as_slice).collect();
+                let new_groups = fold_fast(groups, sums, src_groups.keys(), &lanes);
                 over = self.core.charge_fast_groups(new_groups, &mut self.reservation);
             }
             (_, src) => {
                 // Mixed or generic: merge through the shared Acc machinery.
-                AggCore::demote(dst);
-                let AggTable::Generic(dst_map) = dst else { unreachable!("just demoted") };
+                let dst_map = AggCore::demote(dst);
                 for (keys, (reps, accs)) in AggCore::into_generic(src) {
                     match dst_map.entry(keys) {
                         Entry::Occupied(mut e) => {
@@ -1623,83 +1687,38 @@ impl BatchHashAggregate {
         Ok(over)
     }
 
-    /// Merge one spilled partition of partial rows (possibly split over
-    /// several readers under parallel consume); partitions that still exceed
-    /// the budget re-partition one level deeper (depth-salted hash).
+    /// Merge one spilled partition (possibly split over several readers
+    /// under parallel consume): consume at `depth`, with spilled records for
+    /// input. A partition that still exceeds the budget re-partitions one
+    /// level deeper (depth-salted hash).
     fn merge_partition(&mut self, readers: Vec<SpillReader>, depth: u32) -> Result<()> {
         let core = Arc::clone(&self.core);
-        let k = core.group_by.len();
-        let mut map: HashMap<Vec<GroupKey>, GroupState> = HashMap::new();
-        let mut writers: Option<Vec<SpillWriter>> = None;
+        let mut table = core.new_table();
+        let mut writer: Option<SpillWriter> = None;
 
         for mut reader in readers {
             // One spilled run is one cancellation unit: check before each
             // reader, and count the drained run against the latency meter.
             self.ctx.query.check()?;
-            while let Some(row) = reader.next_row()? {
-                let reps: Vec<Value> = row[..k].to_vec();
-                let keys: Vec<GroupKey> = reps.iter().map(Value::group_key).collect();
-                let is_new = !map.contains_key(&keys);
-                let (_, accs) = map
-                    .entry(keys)
-                    .or_insert_with(|| (reps, core.aggs.iter().map(Acc::new).collect()));
-                let mut pos = k;
-                for acc in accs.iter_mut() {
-                    acc.consume_partial(&row, &mut pos)?;
-                }
-                if is_new {
-                    let est = row_bytes(&row) + 64 + 48 * core.aggs.len();
-                    if !self.reservation.try_grow(est) {
-                        if depth >= MAX_DEPTH {
-                            // A partition at maximum depth is 16^MAX_DEPTH-fold
-                            // smaller than the input; finish it with a bounded
-                            // uncharged working set rather than fail.
-                            continue;
-                        }
-                        let mut tmp = AggTable::Generic(std::mem::take(&mut map));
-                        core.flush(
-                            &mut tmp,
-                            &mut writers,
-                            depth,
-                            &self.ctx.spill,
-                            &mut self.reservation,
-                        )?;
-                        let AggTable::Generic(flushed) = tmp else { unreachable!() };
-                        map = flushed;
-                    }
+            while let Some(record) = reader.next_record()? {
+                let over = core.merge_record(record, &mut table, &mut self.reservation)?;
+                // A partition at maximum depth is 16^MAX_DEPTH-fold smaller
+                // than the input; finish it with a bounded uncharged working
+                // set rather than fail.
+                if over && depth < MAX_DEPTH {
+                    self.flush(&mut table, &mut writer, depth)?;
                 }
             }
             self.ctx.query.note_unit();
         }
-
-        let mut extra_pending = Vec::new();
-        if writers.is_some() {
-            let mut tmp = AggTable::Generic(std::mem::take(&mut map));
-            core.flush(&mut tmp, &mut writers, depth, &self.ctx.spill, &mut self.reservation)?;
-            let AggTable::Generic(flushed) = tmp else { unreachable!() };
-            map = flushed;
-            // SAFETY of expect: guarded by `writers.is_some()` above, and
-            // `flush` never clears an already-installed writer set.
-            for w in writers.expect("writers present") {
-                if w.rows() > 0 {
-                    extra_pending.push((vec![w.into_reader()?], depth + 1));
-                }
-            }
-        }
-        let groups: Vec<GroupState> = map.into_values().collect();
-        let AggState::Draining { groups: current, pending } = &mut self.state else {
-            unreachable!("merge_partition outside draining state");
-        };
-        *current = Groups::Generic(groups);
-        pending.extend(extra_pending);
-        Ok(())
+        self.finish_level(table, writer, Vec::new(), depth)
     }
 
     /// Finalize up to [`BATCH_SIZE`] groups into one output batch, releasing
     /// their memory as they leave the operator, so downstream operators
     /// (e.g. the final sort) can reserve it.
     fn drain_batch(&mut self) -> Result<Option<RowBatch>> {
-        let AggState::Draining { groups, .. } = &mut self.state else {
+        let AggState::Draining(groups) = &mut self.state else {
             unreachable!("drain outside draining state");
         };
         match groups {
@@ -1743,18 +1762,12 @@ impl BatchStream for BatchHashAggregate {
         loop {
             match &self.state {
                 AggState::Pending => self.consume()?,
-                AggState::Draining { .. } => {
+                AggState::Draining(_) => {
                     if let Some(batch) = self.drain_batch()? {
                         return Ok(Some(batch));
                     }
-                    let next_part = {
-                        let AggState::Draining { pending, .. } = &mut self.state else {
-                            unreachable!();
-                        };
-                        pending.pop()
-                    };
                     self.reservation.free();
-                    match next_part {
+                    match self.pending.pop() {
                         Some((readers, depth)) => self.merge_partition(readers, depth)?,
                         None => self.state = AggState::Done,
                     }
@@ -2076,6 +2089,59 @@ mod tests {
         for row in &out {
             assert_eq!(row[1], Value::Float(4.0));
         }
+    }
+
+    /// The pin that fails if spilled groups detour through rows again: a
+    /// fast table that flushed (many times) and re-partitioned still drains
+    /// typed lanes, and every sum has the bits of the unspilled run.
+    #[test]
+    fn spilled_fast_aggregate_drains_typed_columns() {
+        // 10 000 groups met four times round robin, the addends not dyadic:
+        // a sum's bits depend on the order its terms are added in. No table
+        // below lives long enough to meet a key twice, so every partial is
+        // one term and the merge adds them in input order, as memory does.
+        let rows: Vec<Row> = (0..40_000i64)
+            .map(|i| {
+                let v = (i % 97) as f64 / 7.0 - 3.0;
+                vec![Value::Int((i % 10_000) * 7919), Value::Float(v), Value::Float(-v / 3.0)]
+            })
+            .collect();
+        let run = |ctx: ExecContext| {
+            let mut agg = BatchHashAggregate::new(
+                batches_of(rows.clone()),
+                vec![col(0)],
+                vec![sum_of(1), sum_of(2)],
+                ctx,
+            );
+            let mut groups: Vec<(i64, u64, u64)> = Vec::new();
+            while let Some(b) = agg.next_batch().unwrap() {
+                let (Column::Int(k), Column::Float(r), Column::Float(i)) =
+                    (b.column(0), b.column(1), b.column(2))
+                else {
+                    panic!("untyped lanes: {b:?}");
+                };
+                assert!(b.num_rows() <= BATCH_SIZE);
+                groups.extend((0..k.len()).map(|g| (k[g], r[g].to_bits(), i[g].to_bits())));
+            }
+            groups.sort_unstable();
+            groups
+        };
+        let want = run(ctx());
+        assert_eq!(want.len(), 10_000);
+        // Room for some 300 groups: every batch of input flushes, and a
+        // partition (a sixteenth: 625 groups) does not fit either, so each
+        // merge re-partitions into a file of its own.
+        let tight = ctx_with_budget(60 * 1024);
+        let (spill, budget) = (tight.spill.clone(), tight.budget.clone());
+        let got = run(tight);
+        assert!(spill.files_created() > 1, "no partition was re-partitioned");
+        assert!(
+            spill.bytes_written() > 2 * 10_000 * 24,
+            "expected every group to be flushed more than twice: {} bytes",
+            spill.bytes_written()
+        );
+        assert_eq!(got, want);
+        assert_eq!((budget.used(), spill.live_files()), (0, 0));
     }
 
     #[test]

@@ -513,12 +513,12 @@ impl SortWorker {
         let desc = Arc::clone(&self.desc);
         self.mem
             .sort_unstable_by(|a, b| cmp_keys(&a.0, &b.0, &desc).then(a.1.cmp(&b.1)));
-        let mut w = SpillWriter::create(&self.spill)?;
+        let mut w = SpillWriter::create(&self.spill, 1)?;
         for (key, ord, row) in self.mem.drain(..) {
             let mut record = key;
             record.push(Value::Int(ord as i64));
             record.extend(row);
-            w.write_row(&record)?;
+            w.write_row(0, &record)?;
         }
         self.reservation.free();
         self.runs.push(w.into_reader()?);
@@ -730,7 +730,7 @@ impl BatchSort {
         self.ctx.query.check()?;
         let order = buffer.sorted_indices(&self.desc);
         let prefix = buffer.prefix_rows();
-        let mut w = SpillWriter::create(&self.ctx.spill)?;
+        let mut w = SpillWriter::create(&self.ctx.spill, 1)?;
         for &(b, r) in &order {
             let mut record: Row = buffer.keys[b as usize]
                 .iter()
@@ -741,7 +741,7 @@ impl BatchSort {
             for c in 0..batch.num_columns() {
                 record.push(batch.column(c).value_at(r as usize));
             }
-            w.write_row(&record)?;
+            w.write_row(0, &record)?;
         }
         buffer.clear();
         self.reservation.free();

@@ -1,22 +1,35 @@
 //! Disk spill files for out-of-core operators.
 //!
-//! Rows are serialized in a compact self-describing binary format (one tag
-//! byte per value). Spill files live in a per-database temp directory, made
-//! when the first of them is and deleted on drop: a database that never
-//! spills touches no filesystem. The paper's §3.3 highlights out-of-core
-//! simulation as a core advantage of the RDBMS approach; these files are the
-//! mechanism.
+//! A spill file holds the partitions of one writer — one for a sort run,
+//! sixteen for an aggregate's flush. Records are staged per partition and
+//! written as chunks of 8 KiB or more, each with one `write_all`
+//! that counts as one fault-injection operation; the `(offset, len)` index
+//! of the chunks stays in memory and becomes one reader per partition over
+//! the shared file. A record is a kind byte and a self-delimiting payload.
+//! A *row* record (kind 0) holds one row in a compact self-describing format
+//! (one tag byte per value): sort runs and the generic aggregate's partial
+//! rows. A *block* record (kind 1) holds a whole [`RowBatch`] column by
+//! column — `u32 rows | u32 ncols`, then per column a lane tag and either
+//! `rows × 8` little-endian bytes (`Int` 0, `Float` 1) or `rows` encoded
+//! values (`Generic` 2) — so the aggregate's typed lanes reach the disk and
+//! come back without passing through a `Vec<Value>`.
+//!
+//! Spill files live in a per-database temp directory, made when the first
+//! of them is and deleted on drop: a database that never spills touches no
+//! filesystem. The paper's §3.3 highlights out-of-core simulation as a core
+//! advantage of the RDBMS approach; these files are the mechanism.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::bigbits::BigBits;
 use crate::error::{Error, Result};
+use crate::exec::batch::{Column, RowBatch};
 use crate::storage::fault::{FaultInjector, FaultSite};
 use crate::value::Value;
 
@@ -192,122 +205,217 @@ pub fn decode_row(bytes: &mut Bytes) -> Result<Row> {
     Ok(row)
 }
 
-/// Append-only spill writer. Dropping a writer without converting it into a
-/// reader removes its file, so an operator that dies mid-spill (out of
-/// memory, injected I/O fault, panic unwound by the morsel driver) never
-/// leaks a temp file.
-pub struct SpillWriter {
-    dir: Arc<SpillDir>,
-    path: PathBuf,
-    writer: BufWriter<File>,
-    rows: u64,
-    buf: BytesMut,
-    finished: bool,
-}
+const KIND_ROW: u8 = 0;
+const KIND_BLOCK: u8 = 1;
 
-impl SpillWriter {
-    /// Open a fresh spill file in `dir` for appending rows, making the
-    /// directory first if this is the database's first spill.
-    pub fn create(dir: &Arc<SpillDir>) -> Result<Self> {
-        fs::create_dir_all(&dir.path)?;
-        let path = dir.next_file_path();
-        let file = OpenOptions::new().create(true).write(true).truncate(true).open(&path)?;
-        Ok(SpillWriter {
-            dir: Arc::clone(dir),
-            path,
-            writer: BufWriter::new(file),
-            rows: 0,
-            buf: BytesMut::with_capacity(4096),
-            finished: false,
-        })
-    }
-
-    /// Append one row (length-prefixed record) to the spill file.
-    pub fn write_row(&mut self, row: &Row) -> Result<()> {
-        self.buf.clear();
-        encode_row(&mut self.buf, row);
-        // length-prefix each record so readers can stream
-        let len = self.buf.len() as u32;
-        let inj = Arc::clone(&self.dir.injector);
-        inj.write_all(FaultSite::SpillWrite, &mut self.writer, &len.to_le_bytes())?;
-        inj.write_all(FaultSite::SpillWrite, &mut self.writer, &self.buf)?;
-        self.dir.bytes_written.fetch_add(4 + len as u64, Ordering::Relaxed);
-        self.rows += 1;
-        Ok(())
-    }
-
-    /// Number of rows written so far.
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
-    /// Flush and convert into a reader over the written rows.
-    pub fn into_reader(mut self) -> Result<SpillReader> {
-        self.writer.flush()?;
-        self.finished = true; // file ownership passes to the reader
-        SpillReader::open(
-            std::mem::take(&mut self.path),
-            self.rows,
-            Arc::clone(&self.dir.injector),
-        )
-    }
-}
-
-impl Drop for SpillWriter {
-    fn drop(&mut self) {
-        if !self.finished {
-            let _ = fs::remove_file(&self.path);
+/// Encode a batch column by column (the payload of a block record).
+fn encode_block(buf: &mut BytesMut, batch: &RowBatch) {
+    buf.put_u32_le(batch.num_rows() as u32);
+    buf.put_u32_le(batch.num_columns() as u32);
+    for col in batch.columns() {
+        match &**col {
+            Column::Int(v) => {
+                buf.put_u8(0);
+                v.iter().for_each(|&x| buf.put_i64_le(x));
+            }
+            Column::Float(v) => {
+                buf.put_u8(1);
+                v.iter().for_each(|&x| buf.put_f64_le(x));
+            }
+            Column::Generic(v) => {
+                buf.put_u8(2);
+                v.iter().for_each(|x| encode_value(buf, x));
+            }
         }
     }
 }
 
-/// Streaming reader over a spill file; deletes the file on drop.
-pub struct SpillReader {
+fn decode_block(buf: &mut Bytes) -> Result<RowBatch> {
+    need(buf, 8)?;
+    let rows = buf.get_u32_le() as usize;
+    let ncols = buf.get_u32_le() as usize;
+    if ncols == 0 {
+        return Ok(RowBatch::zero_columns(rows));
+    }
+    // Every column takes at least its tag, every value at least one byte:
+    // the checks bound both allocations by the record's own length.
+    need(buf, ncols)?;
+    let mut columns = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        need(buf, 1)?;
+        let tag = buf.get_u8();
+        need(buf, if tag == 2 { rows } else { rows.saturating_mul(8) })?;
+        columns.push(match tag {
+            0 => Column::Int((0..rows).map(|_| buf.get_i64_le()).collect()),
+            1 => Column::Float((0..rows).map(|_| buf.get_f64_le()).collect()),
+            2 => Column::Generic((0..rows).map(|_| decode_value(buf)).collect::<Result<_>>()?),
+            t => return Err(Error::Io(format!("bad spill lane tag {t}"))),
+        });
+    }
+    Ok(RowBatch::from_columns(columns))
+}
+
+/// One record of a spill file.
+#[derive(Debug)]
+pub enum SpillRecord {
+    /// A single row ([`SpillWriter::write_row`]).
+    Row(Row),
+    /// A batch of rows in columnar layout ([`SpillWriter::write_batch`]).
+    Block(RowBatch),
+}
+
+fn decode_record(buf: &mut Bytes) -> Result<SpillRecord> {
+    need(buf, 1)?;
+    match buf.get_u8() {
+        KIND_ROW => decode_row(buf).map(SpillRecord::Row),
+        KIND_BLOCK => decode_block(buf).map(SpillRecord::Block),
+        k => Err(Error::Io(format!("bad spill record kind {k}"))),
+    }
+}
+
+/// Bytes a partition stages in memory before they go to the file as one
+/// chunk (a block record larger than this is a chunk of its own).
+const CHUNK_BYTES: usize = 8 * 1024;
+
+/// The file behind one writer and then its readers; removed with the last
+/// of them, so an operator that dies mid-spill (out of memory, injected I/O
+/// fault, panic unwound by the morsel driver) never leaks a temp file.
+#[derive(Debug)]
+struct SpillFile {
     path: PathBuf,
-    reader: BufReader<File>,
-    remaining: u64,
+    file: Mutex<File>,
+}
+
+impl Drop for SpillFile {
+    fn drop(&mut self) {
+        let _ = fs::remove_file(&self.path);
+    }
+}
+
+/// What one partition of a writer has staged and written.
+#[derive(Default)]
+struct Partition {
+    staged: BytesMut,
+    /// `(offset, len)` of each chunk written, in order.
+    chunks: Vec<(u64, usize)>,
+}
+
+/// Append-only writer of one spill file holding `n` partitions: a sort run
+/// is a file of one, an aggregate flushes its sixteen hash partitions into
+/// one file. Records are staged per partition and written as chunks; the
+/// chunk index stays in memory and goes to the readers.
+pub struct SpillWriter {
+    dir: Arc<SpillDir>,
+    file: SpillFile,
+    len: u64,
+    parts: Vec<Partition>,
+}
+
+impl SpillWriter {
+    /// Open a fresh spill file of `partitions` partitions in `dir`, making
+    /// the directory first if this is the database's first spill.
+    pub fn create(dir: &Arc<SpillDir>, partitions: usize) -> Result<Self> {
+        fs::create_dir_all(&dir.path)?;
+        let path = dir.next_file_path();
+        let file =
+            OpenOptions::new().create(true).read(true).write(true).truncate(true).open(&path)?;
+        Ok(SpillWriter {
+            dir: Arc::clone(dir),
+            file: SpillFile { path, file: Mutex::new(file) },
+            len: 0,
+            parts: (0..partitions).map(|_| Partition::default()).collect(),
+        })
+    }
+
+    /// Append one row to partition `part` as a row record.
+    pub fn write_row(&mut self, part: usize, row: &Row) -> Result<()> {
+        self.parts[part].staged.put_u8(KIND_ROW);
+        encode_row(&mut self.parts[part].staged, row);
+        self.write_chunk(part, CHUNK_BYTES)
+    }
+
+    /// Append a whole batch to partition `part` as one block record.
+    pub fn write_batch(&mut self, part: usize, batch: &RowBatch) -> Result<()> {
+        self.parts[part].staged.put_u8(KIND_BLOCK);
+        encode_block(&mut self.parts[part].staged, batch);
+        self.write_chunk(part, CHUNK_BYTES)
+    }
+
+    /// Write what `part` has staged as one chunk — one gated `write_all` —
+    /// once it holds at least `at_least` bytes.
+    fn write_chunk(&mut self, part: usize, at_least: usize) -> Result<()> {
+        let p = &mut self.parts[part];
+        if p.staged.len() < at_least {
+            return Ok(());
+        }
+        let file = self.file.file.get_mut().expect("spill file lock poisoned");
+        self.dir.injector.write_all(FaultSite::SpillWrite, file, &p.staged)?;
+        p.chunks.push((self.len, p.staged.len()));
+        self.len += p.staged.len() as u64;
+        self.dir.bytes_written.fetch_add(p.staged.len() as u64, Ordering::Relaxed);
+        p.staged.clear();
+        Ok(())
+    }
+
+    /// Write out what is staged and convert into one reader per partition,
+    /// in partition order.
+    pub fn into_readers(mut self) -> Result<Vec<SpillReader>> {
+        for part in 0..self.parts.len() {
+            self.write_chunk(part, 1)?;
+        }
+        let file = Arc::new(self.file); // file ownership passes to the readers
+        let injector = &self.dir.injector;
+        let reader = |p: Partition| SpillReader {
+            file: Arc::clone(&file),
+            chunks: p.chunks.into_iter(),
+            chunk: Bytes::default(),
+            injector: Arc::clone(injector),
+        };
+        Ok(self.parts.into_iter().map(reader).collect())
+    }
+
+    /// [`Self::into_readers`] of a one-partition file (a sort run).
+    pub fn into_reader(self) -> Result<SpillReader> {
+        Ok(self.into_readers()?.swap_remove(0))
+    }
+}
+
+/// Streaming reader over one partition of a spill file.
+pub struct SpillReader {
+    file: Arc<SpillFile>,
+    chunks: std::vec::IntoIter<(u64, usize)>,
+    /// The unread rest of the chunk at hand.
+    chunk: Bytes,
     injector: Arc<FaultInjector>,
 }
 
 impl SpillReader {
-    fn open(path: PathBuf, rows: u64, injector: Arc<FaultInjector>) -> Result<Self> {
-        let file = match File::open(&path) {
-            Ok(f) => f,
-            Err(e) => {
-                // Ownership landed here; don't leak the file on a failed open.
-                let _ = fs::remove_file(&path);
-                return Err(e.into());
-            }
-        };
-        Ok(SpillReader { path, reader: BufReader::new(file), remaining: rows, injector })
+    /// True when no record is left to read.
+    pub fn is_empty(&self) -> bool {
+        self.chunk.is_empty() && self.chunks.len() == 0
     }
 
-    /// Total rows left to read.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Read the next row, or `None` at end of file.
-    pub fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.remaining == 0 {
-            return Ok(None);
+    /// Read the next record, or `None` at the end of the partition.
+    pub fn next_record(&mut self) -> Result<Option<SpillRecord>> {
+        if self.chunk.is_empty() {
+            let Some((offset, len)) = self.chunks.next() else { return Ok(None) };
+            self.injector.check(FaultSite::SpillRead)?;
+            let mut data = vec![0u8; len];
+            let mut file = self.file.file.lock().expect("spill file lock poisoned");
+            file.seek(SeekFrom::Start(offset))?;
+            file.read_exact(&mut data)?;
+            self.chunk = Bytes::from(data);
         }
-        self.injector.check(FaultSite::SpillRead)?;
-        let mut len_buf = [0u8; 4];
-        self.reader.read_exact(&mut len_buf)?;
-        let len = u32::from_le_bytes(len_buf) as usize;
-        let mut data = vec![0u8; len];
-        self.reader.read_exact(&mut data)?;
-        let mut bytes = Bytes::from(data);
-        let row = decode_row(&mut bytes)?;
-        self.remaining -= 1;
-        Ok(Some(row))
+        decode_record(&mut self.chunk).map(Some)
     }
-}
 
-impl Drop for SpillReader {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
+    /// Read the next record of a partition that holds only rows (a sort run).
+    pub fn next_row(&mut self) -> Result<Option<Row>> {
+        match self.next_record()? {
+            None => Ok(None),
+            Some(SpillRecord::Row(row)) => Ok(Some(row)),
+            Some(SpillRecord::Block(_)) => Err(Error::Io("block record in a row run".into())),
+        }
     }
 }
 
@@ -319,6 +427,7 @@ pub fn row_bytes(row: &[Value]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::batch::ColumnRef;
 
     fn sample_rows() -> Vec<Row> {
         vec![
@@ -331,12 +440,11 @@ mod tests {
     #[test]
     fn round_trip_rows_through_disk() {
         let dir = SpillDir::new();
-        let mut w = SpillWriter::create(&dir).unwrap();
+        let mut w = SpillWriter::create(&dir, 1).unwrap();
         let rows = sample_rows();
         for r in &rows {
-            w.write_row(r).unwrap();
+            w.write_row(0, r).unwrap();
         }
-        assert_eq!(w.rows(), 3);
         let mut r = w.into_reader().unwrap();
         let mut out = Vec::new();
         while let Some(row) = r.next_row().unwrap() {
@@ -361,8 +469,8 @@ mod tests {
         assert!(!path.exists(), "no spill yet, so no directory");
         assert_eq!((dir.live_files(), dir.files_created(), dir.bytes_written()), (0, 0, 0));
         {
-            let mut w = SpillWriter::create(&dir).unwrap();
-            w.write_row(&vec![Value::Int(1)]).unwrap();
+            let mut w = SpillWriter::create(&dir, 1).unwrap();
+            w.write_row(0, &vec![Value::Int(1)]).unwrap();
             assert!(path.exists());
             assert_eq!(dir.live_files(), 1);
             let _r = w.into_reader().unwrap();
@@ -394,7 +502,7 @@ mod tests {
             bytes_written: AtomicU64::new(0),
             injector: FaultInjector::none(),
         });
-        let err = SpillWriter::create(&dir).err().expect("create must fail");
+        let err = SpillWriter::create(&dir, 1).err().expect("create must fail");
         assert!(matches!(err, Error::Io(_)), "{err:?}");
         assert_eq!(dir.live_files(), 0);
         drop(dir);
@@ -404,9 +512,123 @@ mod tests {
     #[test]
     fn empty_reader_returns_none() {
         let dir = SpillDir::new();
-        let w = SpillWriter::create(&dir).unwrap();
+        let w = SpillWriter::create(&dir, 1).unwrap();
         let mut r = w.into_reader().unwrap();
+        assert!(r.is_empty());
         assert!(r.next_row().unwrap().is_none());
+    }
+
+    /// Every value of a batch with floats as their bit patterns: `PartialEq`
+    /// would call two NaNs different and `0.0` and `-0.0` the same.
+    fn bits(batch: &RowBatch) -> Vec<String> {
+        let value = |v: &Value| match v {
+            Value::Float(f) => format!("f{:016x}", f.to_bits()),
+            other => format!("{other:?}"),
+        };
+        let column = |c: &ColumnRef| match &**c {
+            Column::Int(v) => format!("Int{v:?}"),
+            Column::Float(v) => format!("Float{:?}", v.iter().map(|f| f.to_bits()).collect::<Vec<_>>()),
+            Column::Generic(v) => format!("Generic{:?}", v.iter().map(value).collect::<Vec<_>>()),
+        };
+        batch.columns().iter().map(column).chain([format!("rows={}", batch.num_rows())]).collect()
+    }
+
+    fn sample_blocks() -> Vec<RowBatch> {
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let generic = vec![
+            Value::Null,
+            Value::Float(-0.0),
+            Value::Big(BigBits::ones(100, 5, 300)),
+            Value::Str("né".into()),
+        ];
+        vec![
+            RowBatch::from_columns(vec![
+                Column::Int(vec![i64::MIN, -1, 0, i64::MAX]),
+                Column::Float(vec![-0.0, nan, f64::MIN_POSITIVE, f64::NEG_INFINITY]),
+                Column::Generic(generic),
+            ]),
+            RowBatch::from_columns(vec![Column::Int(vec![]), Column::Float(vec![])]),
+            RowBatch::zero_columns(3),
+            RowBatch::from_columns(vec![Column::Float((0..3000).map(|i| i as f64 / 7.0).collect())]),
+        ]
+    }
+
+    #[test]
+    fn blocks_round_trip_bit_exact_and_partitions_stay_apart() {
+        let dir = SpillDir::new();
+        let mut w = SpillWriter::create(&dir, 3).unwrap();
+        let blocks = sample_blocks();
+        // Partition 0 takes the blocks, partition 2 rows and blocks mixed
+        // (what a table demoted between two flushes leaves), 1 nothing.
+        for (i, b) in blocks.iter().enumerate() {
+            w.write_batch(0, b).unwrap();
+            w.write_row(2, &vec![Value::Int(i as i64), Value::Float(-0.0)]).unwrap();
+            w.write_batch(2, b).unwrap();
+        }
+        assert_eq!(dir.live_files(), 1, "three partitions, one file");
+        let mut readers = w.into_readers().unwrap();
+        assert_eq!(readers.len(), 3);
+        assert!(readers[1].is_empty() && readers[1].next_record().unwrap().is_none());
+        for want in &blocks {
+            let Some(SpillRecord::Block(got)) = readers[0].next_record().unwrap() else {
+                panic!("expected a block");
+            };
+            assert_eq!(bits(&got), bits(want));
+        }
+        assert!(readers[0].next_record().unwrap().is_none());
+        for (i, want) in blocks.iter().enumerate() {
+            let Some(SpillRecord::Row(row)) = readers[2].next_record().unwrap() else {
+                panic!("expected a row");
+            };
+            assert_eq!(row[0], Value::Int(i as i64));
+            assert!(matches!(row[1], Value::Float(f) if f.to_bits() == (-0.0f64).to_bits()));
+            let Some(SpillRecord::Block(got)) = readers[2].next_record().unwrap() else {
+                panic!("expected a block");
+            };
+            assert_eq!(bits(&got), bits(want));
+        }
+        assert!(readers[2].is_empty());
+        // A sort run reader refuses a block instead of misreading it.
+        let mut w = SpillWriter::create(&dir, 1).unwrap();
+        w.write_batch(0, &blocks[0]).unwrap();
+        assert!(matches!(w.into_reader().unwrap().next_row(), Err(Error::Io(_))));
+        drop(readers);
+        assert_eq!(dir.live_files(), 0);
+    }
+
+    #[test]
+    fn a_cut_or_mistagged_block_is_a_typed_error_never_a_panic() {
+        let mut buf = BytesMut::new();
+        buf.put_u8(KIND_BLOCK);
+        encode_block(&mut buf, &sample_blocks()[0]);
+        let whole = buf.to_vec();
+        assert!(matches!(decode_record(&mut Bytes::from(whole.clone())), Ok(SpillRecord::Block(_))));
+        for cut in 0..whole.len() {
+            let err = decode_record(&mut Bytes::from(whole[..cut].to_vec())).unwrap_err();
+            assert!(matches!(err, Error::Io(_)), "cut at {cut}: {err:?}");
+        }
+        // Byte 9 is the first column's lane tag, byte 0 the record kind.
+        for (at, bad) in [(9, 3u8), (9, 255), (0, 2)] {
+            let mut bytes = whole.clone();
+            bytes[at] = bad;
+            let err = decode_record(&mut Bytes::from(bytes)).unwrap_err();
+            assert!(matches!(err, Error::Io(_)), "byte {at} = {bad}: {err:?}");
+        }
+        // A row count the record cannot hold is refused before allocating.
+        let mut bytes = whole.clone();
+        bytes[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(decode_record(&mut Bytes::from(bytes)), Err(Error::Io(_))));
+    }
+
+    #[test]
+    fn a_file_shorter_than_its_index_is_a_typed_error() {
+        let dir = SpillDir::new();
+        let mut w = SpillWriter::create(&dir, 1).unwrap();
+        w.write_batch(0, &sample_blocks()[3]).unwrap();
+        let path = w.file.path.clone();
+        let mut r = w.into_reader().unwrap();
+        OpenOptions::new().write(true).open(&path).unwrap().set_len(100).unwrap();
+        assert!(matches!(r.next_record(), Err(Error::Io(_))));
     }
 
     #[test]

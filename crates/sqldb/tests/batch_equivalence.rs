@@ -12,6 +12,7 @@
 use rand::{Rng, SeedableRng, StdRng};
 
 use qymera_sqldb::table::CHUNK_ROWS;
+use qymera_sqldb::bigbits::BigBits;
 use qymera_sqldb::{Database, Value};
 
 /// One randomized database at the given worker count.
@@ -688,10 +689,9 @@ fn state_keys(shape: &str, n: usize, rng: &mut StdRng) -> Vec<i64> {
 }
 
 /// A database holding `state` with the given keys and a random one-qubit gate
-/// table `g`. Amplitudes are dyadic, so the sums are exact in any order, and
-/// never zero: a group whose only term is `-0.0` sums to `+0.0` in the
-/// executor's `f64` lanes (they start from `0.0`) and to `-0.0` in the
-/// reference (it starts from the first term).
+/// table `g`. Amplitudes are dyadic, so the sums are exact in any order;
+/// zero and `-0.0` are among them (every `SUM` over doubles starts from
+/// `0.0`, so a group of `-0.0` terms is `+0.0` on every path).
 fn gate_db(keys: &[i64], rng: &mut StdRng, limit: Option<usize>, workers: usize) -> Database {
     // Dense (four rows), diagonal or permutation (two rows: each probe row
     // then matches exactly once).
@@ -701,7 +701,7 @@ fn gate_db(keys: &[i64], rng: &mut StdRng, limit: Option<usize>, workers: usize)
         _ => &[(0, 1), (1, 0)],
     };
     let mut amp = || {
-        let magnitude = rng.gen_range(1i64..64) as f64 / 16.0;
+        let magnitude = rng.gen_range(0i64..8) as f64 / 4.0;
         Value::Float(if rng.gen_range(0u32..2) == 0 { magnitude } else { -magnitude })
     };
     let state: Vec<Vec<Value>> =
@@ -757,6 +757,83 @@ fn gate_queries_agree_with_the_reference_on_every_key_distribution() {
                     assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{what}");
                 }
             }
+        }
+    }
+}
+
+/// `SUM` over doubles gives one sign everywhere: a group whose terms are
+/// all `-0.0` is `+0.0` in the fast lanes, in the generic table (the `COUNT`
+/// forces it), through the spill merge and in the reference.
+#[test]
+fn sum_of_negative_zeros_is_positive_zero_on_every_path() {
+    for (sql, limit) in [
+        ("SELECT k, SUM(v) AS t FROM z GROUP BY k", None),
+        ("SELECT k, SUM(v) AS t, COUNT(*) AS c FROM z GROUP BY k", None),
+        ("SELECT k, SUM(v) AS t FROM z GROUP BY k", Some(256 * 1024)),
+        ("SELECT k, SUM(v) AS t, COUNT(*) AS c FROM z GROUP BY k", Some(256 * 1024)),
+    ] {
+        for workers in [1, WORKERS] {
+            let mut db = limit.map_or_else(Database::new, Database::with_memory_limit);
+            db.set_parallelism(workers);
+            db.execute("CREATE TABLE z (k INTEGER, v DOUBLE)").unwrap();
+            let rows = (0..6000).map(|i| vec![Value::Int(i % 3000), Value::Float(-0.0)]);
+            db.insert_rows("z", rows.collect()).unwrap();
+            let got = db.execute(sql).unwrap();
+            assert_eq!(db.stats().spill_files > 0, limit.is_some(), "{sql}, {workers} workers");
+            assert_eq!(got.rows().len(), 3000);
+            for row in got.rows() {
+                assert!(
+                    matches!(row[1], Value::Float(t) if t.to_bits() == 0),
+                    "{sql}, limit {limit:?}, {workers} workers: {row:?}"
+                );
+            }
+            let want = db.query_reference(sql).unwrap();
+            assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{sql}");
+        }
+    }
+}
+
+/// One operator, both spill formats. The fast table flushes blocks while the
+/// `INTEGER` lanes last; the first batch with a `HUGEINT` key (or a NULL
+/// addend) demotes it, and what the generic table flushes afterwards is
+/// partial rows — into the same partitions, which only works because both
+/// writers agree on a key's partition. Under parallel consume the two
+/// formats also meet across workers.
+#[test]
+fn mixed_format_spill_agrees_with_the_reference() {
+    let ints = |n: i64| -> Vec<Vec<Value>> {
+        (0..n).map(|i| vec![Value::Int((i * 7919) % 9000), Value::Float((i % 64) as f64 / 8.0)]).collect()
+    };
+    let union = "SELECT k, SUM(v) AS t, SUM(v * 2) AS u \
+                 FROM (SELECT k, v FROM a UNION ALL SELECT k, v FROM b) AS ab GROUP BY k";
+    let nulls = "SELECT k, SUM(v) AS t, SUM(v * 2) AS u FROM m GROUP BY k";
+    for workers in [1, WORKERS] {
+        let mut db = Database::with_memory_limit(2 * 1024 * 1024);
+        db.set_parallelism(workers);
+        // `a`: 27 000 rows over 9 000 integer keys. `b`: the same keys as
+        // HUGEINT, and 500 past 64 bits.
+        db.execute("CREATE TABLE a (k INTEGER, v DOUBLE)").unwrap();
+        db.insert_rows("a", ints(27_000)).unwrap();
+        db.execute("CREATE TABLE b (k HUGEINT, v DOUBLE)").unwrap();
+        let mut wide = ints(6000);
+        wide.extend((0..500u64).map(|i| {
+            vec![Value::Big(BigBits::from_u64(i, 100).shl(70)), Value::Float(0.5)]
+        }));
+        db.insert_rows("b", wide).unwrap();
+        // `m`: integer keys throughout, a NULL addend in the later chunks.
+        db.execute("CREATE TABLE m (k INTEGER, v DOUBLE)").unwrap();
+        let mut holes = ints(30_000);
+        for row in holes.iter_mut().skip(20_000).step_by(700) {
+            row[1] = Value::Null;
+        }
+        db.insert_rows("m", holes).unwrap();
+        for sql in [union, nulls] {
+            let before = db.stats().spill_files;
+            let got = db.execute(sql).unwrap_or_else(|e| panic!("{workers} workers: {e}\n{sql}"));
+            assert!(db.stats().spill_files > before, "{workers} workers: no spill\n{sql}");
+            assert_eq!(db.live_spill_files(), 0);
+            let want = db.query_reference(sql).unwrap();
+            assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{workers} workers: {sql}");
         }
     }
 }

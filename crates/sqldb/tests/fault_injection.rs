@@ -111,34 +111,62 @@ fn spill_read_failure_is_clean_on_every_operator() {
 #[test]
 fn torn_spill_write_is_clean() {
     for parallelism in [1usize, 4] {
-        let mut db = scenario_db(parallelism);
-        assert_clean_failure_then_recovery(
-            &mut db,
-            SORT_SQL,
-            FaultSite::SpillWrite,
-            3,
-            FaultKind::Torn,
-        );
+        // A sort run's row chunk, and a block of the aggregate's fast table.
+        for sql in [SORT_SQL, AGG_SQL] {
+            let mut db = scenario_db(parallelism);
+            assert_clean_failure_then_recovery(
+                &mut db,
+                sql,
+                FaultSite::SpillWrite,
+                3,
+                FaultKind::Torn,
+            );
+        }
     }
 }
 
 /// Fail mid-stream rather than on the first operation: learn the clean
-/// run's spill-write count, then inject at the halfway point, where run
-/// files already exist and must all be reclaimed.
+/// run's spill-write count, then inject at the halfway point, where spill
+/// files already exist (sort runs; the aggregate's partition file, and
+/// readers over it once a merge re-partitions) and must all be reclaimed.
 #[test]
 fn midstream_spill_write_failure_is_clean() {
+    for sql in [SORT_SQL, AGG_SQL] {
+        let ops = {
+            let mut db = scenario_db(1);
+            db.execute(sql).unwrap();
+            db.fault_injector().ops(FaultSite::SpillWrite)
+        };
+        assert!(ops > 4, "did not spill enough to test midstream failure: {sql}");
+        for parallelism in [1usize, 4] {
+            let mut db = scenario_db(parallelism);
+            assert_clean_failure_then_recovery(
+                &mut db,
+                sql,
+                FaultSite::SpillWrite,
+                ops / 2,
+                FaultKind::Error,
+            );
+        }
+    }
+}
+
+/// A read that fails while a spilled partition is being merged — past the
+/// first chunk, so the merge table holds groups and readers are open.
+#[test]
+fn midstream_spill_read_failure_is_clean() {
     let ops = {
         let mut db = scenario_db(1);
-        db.execute(SORT_SQL).unwrap();
-        db.fault_injector().ops(FaultSite::SpillWrite)
+        db.execute(AGG_SQL).unwrap();
+        db.fault_injector().ops(FaultSite::SpillRead)
     };
-    assert!(ops > 4, "sort did not spill enough to test midstream failure");
+    assert!(ops > 4, "aggregate did not read enough chunks back: {ops}");
     for parallelism in [1usize, 4] {
         let mut db = scenario_db(parallelism);
         assert_clean_failure_then_recovery(
             &mut db,
-            SORT_SQL,
-            FaultSite::SpillWrite,
+            AGG_SQL,
+            FaultSite::SpillRead,
             ops / 2,
             FaultKind::Error,
         );

@@ -174,7 +174,8 @@ impl SqlSimulator {
 
     /// Execute the full translated query under `EXPLAIN ANALYZE`, returning
     /// the per-operator profile (rows and inclusive time per plan node) —
-    /// the Output Layer's performance metrics at operator granularity.
+    /// the Output Layer's performance metrics at operator granularity — and,
+    /// as its last line, what the run spilled (`spill: N files, B bytes`).
     pub fn profile(&self, circuit: &QuantumCircuit) -> Result<String, SimError> {
         let (reg, ops) = self.lower(circuit);
         let mut db = self.make_db()?;
@@ -182,7 +183,9 @@ impl SqlSimulator {
         create_initial_state_table(&mut db, "T0", circuit.num_qubits, 0)
             .map_err(map_sql_error)?;
         let sql = circuit_query(&ops, circuit.num_qubits, "T0", &self.config.sqlgen);
-        db.explain_analyze(&sql).map_err(map_sql_error)
+        let text = db.explain_analyze(&sql).map_err(map_sql_error)?;
+        let stats = db.stats();
+        Ok(format!("{text}spill: {} files, {} bytes\n", stats.spill_files, stats.spill_bytes))
     }
 
     /// Run the circuit and return the final state plus engine statistics.
@@ -641,5 +644,6 @@ mod profile_tests {
         assert_eq!(text.matches("Join").count(), 3, "{text}");
         assert!(text.contains("Sort"), "{text}");
         assert!(text.contains("total output rows: 2"), "{text}");
+        assert!(text.ends_with("\nspill: 0 files, 0 bytes\n"), "{text}");
     }
 }

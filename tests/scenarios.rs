@@ -106,6 +106,42 @@ fn sql_succeeds_where_in_memory_backends_fail() {
     assert!((out.norm_sqr() - 1.0).abs() < 1e-9);
 }
 
+/// Out-of-core runs repeat exactly: the spill counters, the ledger's peak
+/// and every amplitude bit are functions of the circuit and the limit (at
+/// one worker; the order workers finish in is not). Until the spill merge
+/// kept first-seen order, `spill_bytes` of this run moved between 949,760
+/// and 1,003,520 from one run to the next.
+#[test]
+fn out_of_core_runs_are_deterministic_at_one_worker() {
+    let circuit = library::bernstein_vazirani(12, 1234);
+    let sim = SqlSimulator::new(SqlSimConfig {
+        memory_limit: Some(2 * 1024 * 1024),
+        parallelism: Some(1),
+        ..Default::default()
+    });
+    let observe = || {
+        let run = sim.run(&circuit).expect("sql run");
+        let bits: Vec<_> = run
+            .amplitudes
+            .iter()
+            .map(|a| (a.s.clone(), a.amp.re.to_bits(), a.amp.im.to_bits()))
+            .collect();
+        (run.stats.spill_files, run.stats.spill_bytes, run.stats.peak_memory_bytes, bits)
+    };
+    let first = observe();
+    assert!(first.0 > 0 && first.1 > 0, "expected the run to spill");
+    for run in 1..5 {
+        let again = observe();
+        assert_eq!(again.0, first.0, "run {run}: spill_files");
+        assert_eq!(again.1, first.1, "run {run}: spill_bytes");
+        assert_eq!(again.2, first.2, "run {run}: ledger peak");
+        assert!(again.3 == first.3, "run {run}: amplitude bits");
+    }
+    let reference = BackendKind::StateVector.make().simulate(&circuit, &SimOptions::default());
+    let out = sim.simulate(&circuit, &SimOptions::default()).unwrap();
+    assert!(out.max_amplitude_diff(&reference.unwrap()) < 1e-8);
+}
+
 #[test]
 fn out_of_core_sweep_spills_under_pressure_only() {
     let r = experiments::out_of_core_experiment(10, &[32 * 1024, 256 * 1024 * 1024]);
