@@ -173,7 +173,7 @@ fn bench_scan(c: &mut Criterion) {
     let rows: Vec<Row> = (0..N)
         .map(|s| vec![Value::Int(s), Value::Float(0.0078125), Value::Float(0.0)])
         .collect();
-    table.insert_rows(rows.clone()).unwrap();
+    table.load_rows(rows.clone()).unwrap();
     let snapshot = table.snapshot();
 
     // The pre-columnar batch path: base tables stored Vec<Row>, and every

@@ -218,8 +218,14 @@ fn run(args: &[String]) -> Result<(), Failure> {
             };
             match report.output {
                 Some(state) => {
+                    // With `--db`, what the run cost the log and what
+                    // opening the directory replayed, on the same line.
+                    let durable = match sql_config.db_path {
+                        Some(_) if backend == BackendKind::Sql => format!(" ({})", report.detail),
+                        _ => String::new(),
+                    };
                     eprintln!(
-                        "{}: {} gates in {:.3} ms, state memory {} B, {} nonzero amplitudes",
+                        "{}: {} gates in {:.3} ms, state memory {} B, {} nonzero amplitudes{durable}",
                         report.backend,
                         report.gate_count,
                         report.wall_micros as f64 / 1000.0,

@@ -147,7 +147,7 @@ mod tests {
         c.create_table("t", cols(), false, b.clone()).unwrap();
         c.get_mut("t")
             .unwrap()
-            .insert_rows(vec![vec![crate::value::Value::Int(1)]])
+            .load_rows(vec![vec![crate::value::Value::Int(1)]])
             .unwrap();
         assert!(b.used() > 0);
         c.drop_table("t", false).unwrap();

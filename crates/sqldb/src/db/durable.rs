@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 use super::Database;
 use crate::ast::Statement;
@@ -53,29 +54,37 @@ impl Database {
 
     /// [`Database::open`] with explicit [`DurabilityOptions`].
     pub fn open_with(dir: impl AsRef<Path>, opts: DurabilityOptions) -> Result<Self> {
+        let start = Instant::now();
         let (mut store, recovered) =
             DurableStore::open(dir.as_ref(), opts.fsync, Arc::clone(&opts.injector))?;
         store.checkpoint_every_bytes = opts.checkpoint_every_bytes;
         let mut db = Self::in_memory(opts.budget, opts.injector);
         db.apply_recovered(recovered)?;
+        db.recovery.ms = start.elapsed().as_secs_f64() * 1e3;
         db.durable = Some(store);
         Ok(db)
     }
 
     /// Rebuild in-memory state from a recovered checkpoint and committed
-    /// WAL frames. Runs before the store is attached, so replay applies to
-    /// memory only and is never re-logged.
+    /// WAL frames: the image's chunks and the log's row blocks go straight
+    /// into [`Table::append_batch`]. Runs before the store is attached, so
+    /// replay applies to memory only and is never re-logged.
+    ///
+    /// [`Table::append_batch`]: crate::table::Table::append_batch
     fn apply_recovered(&mut self, recovered: Recovered) -> Result<()> {
         if let Some((_, tables)) = recovered.checkpoint {
             for t in tables {
                 self.catalog.create_table(&t.name, t.columns, false, self.budget.clone())?;
-                self.catalog.get_mut(&t.name)?.load_rows(t.rows)?;
+                let table = self.catalog.get_mut(&t.name)?;
+                for chunk in &t.chunks {
+                    table.append_batch(chunk)?;
+                }
             }
         }
-        for frame in recovered.frames {
-            for op in frame.ops {
-                self.apply_wal_op(op)?;
-            }
+        self.recovery.frames = recovered.frames.len() as u64;
+        for op in recovered.frames.into_iter().flat_map(|f| f.ops) {
+            self.apply_wal_op(op)?;
+            self.recovery.ops_applied += 1;
         }
         Ok(())
     }
@@ -90,7 +99,7 @@ impl Database {
                 self.catalog.drop_table(&name, false)?;
             }
             WalOp::Insert { table, rows } => {
-                self.catalog.get_mut(&table)?.load_rows(rows)?;
+                self.catalog.get_mut(&table)?.append_batch(&rows)?;
             }
             WalOp::Delete { table, predicate } => {
                 // Predicates are logged as SQL text; expressions are pure,

@@ -39,7 +39,7 @@ mod txn;
 mod tests;
 
 pub use durable::DurabilityOptions;
-pub use result::{DbStats, ResultSet};
+pub use result::{DbStats, RecoveryStats, ResultSet};
 
 /// Queries whose plan may be deeper than this run on a dedicated thread with
 /// a large stack. The translator emits one CTE (join + aggregate + project)
@@ -105,6 +105,8 @@ pub struct Database {
     /// Governance token of the statement in flight (or most recently run);
     /// [`Database::ctx`] embeds a clone so operators can observe it.
     query: QueryContext,
+    /// What [`Database::open_with`] recovered (zero in memory).
+    recovery: RecoveryStats,
     /// Open transactions, keyed by session id. Session `0` is the plain
     /// [`Database::execute`] caller; [`crate::txn::Session`]s get ids ≥ 1.
     txns: HashMap<u64, TxnState>,
@@ -164,6 +166,7 @@ impl Database {
             timeout_ms: None,
             cancel_after_polls: None,
             query: QueryContext::unbounded(),
+            recovery: RecoveryStats::default(),
             txns: HashMap::new(),
             locks: Arc::new(LockTable::new()),
         }
@@ -289,12 +292,17 @@ impl Database {
     }
 
     pub fn stats(&self) -> DbStats {
+        let (wal_bytes, wal_fsyncs) =
+            self.durable.as_ref().map_or((0, 0), DurableStore::io_counts);
         DbStats {
             statements_executed: self.statements,
             rows_returned: self.rows_returned,
             spill_files: self.spill.files_created(),
             spill_bytes: self.spill.bytes_written(),
             peak_memory_bytes: self.budget.peak(),
+            wal_bytes,
+            wal_fsyncs,
+            recovery: self.recovery,
         }
     }
 
@@ -484,7 +492,8 @@ impl Database {
 
     /// Bulk-load pre-built rows (bypasses SQL parsing; used by the Qymera
     /// translator for gate/state tables, mirroring a native loader API).
-    /// Rows stream into the table's typed column builders; a coercion error
+    /// The rows become one batch (`RowBatch::from_owned_rows`) that is
+    /// logged as one column block and appended in one step; a coercion error
     /// or budget overrun inserts nothing. Runs exactly like an `INSERT`
     /// statement: inside the open transaction when there is one (an error
     /// aborts it), as an implicit one otherwise.

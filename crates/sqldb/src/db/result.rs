@@ -79,6 +79,18 @@ impl ResultSet {
     }
 }
 
+/// What opening a durable database did (all zero for an in-memory one, and
+/// for a fresh directory but the time).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RecoveryStats {
+    /// Committed WAL frames beyond the checkpoint image.
+    pub frames: u64,
+    /// Logged ops replayed into memory.
+    pub ops_applied: u64,
+    /// Wall time of the open: image, log scan and replay.
+    pub ms: f64,
+}
+
 /// Execution statistics, cumulative over the database lifetime.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DbStats {
@@ -88,4 +100,10 @@ pub struct DbStats {
     pub spill_bytes: u64,
     /// High-water mark of the memory ledger in bytes.
     pub peak_memory_bytes: usize,
+    /// Bytes this handle appended to the write-ahead log (0 in memory).
+    pub wal_bytes: u64,
+    /// Fsyncs of the write-ahead log this handle did (0 in memory).
+    pub wal_fsyncs: u64,
+    /// The recovery that opened this handle.
+    pub recovery: RecoveryStats,
 }

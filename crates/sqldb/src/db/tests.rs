@@ -1,4 +1,6 @@
 use super::*;
+use crate::ast::DataType;
+use crate::exec::batch::Column;
 use crate::storage::spill::Row;
 use crate::value::Value;
 
@@ -241,4 +243,86 @@ fn explain_analyze_join_aggregate_shape() {
     assert!(text.contains("Join"), "{text}");
     assert!(text.contains("Aggregate"), "{text}");
     assert!(text.contains("total output rows: 2"), "{text}");
+}
+
+/// A `(s, r, i)` state table of `n` rows on typed lanes.
+fn state_rows(n: i64) -> Vec<Row> {
+    (0..n).map(|s| vec![Value::Int(s), Value::Float(s as f64 / 8.0), Value::Float(-0.0)]).collect()
+}
+
+/// Deterministic guard of the CTAS path: a result batch reaches the new
+/// table as the columns it was — here the very allocations the scan handed
+/// out — and never as rows. If `create_table_as_in_txn` transposes batches
+/// again, the copy's chunks stop being the source's.
+#[test]
+fn ctas_appends_batches_without_rows() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE src (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+    let n = 2 * crate::table::CHUNK_ROWS + 512;
+    db.insert_rows("src", state_rows(n as i64)).unwrap();
+    assert_eq!(db.create_table_as("copy", "SELECT s, r, i FROM src").unwrap(), n);
+    let src = db.catalog.get("src").unwrap().snapshot();
+    let copy = db.catalog.get("copy").unwrap().snapshot();
+    assert_eq!(copy.chunks().len(), 3);
+    for (ours, theirs) in copy.chunks().iter().zip(src.chunks()) {
+        for (a, b) in ours.columns().iter().zip(theirs.columns()) {
+            assert!(std::sync::Arc::ptr_eq(a, b), "a CTAS batch was copied or rebuilt");
+        }
+    }
+    assert_eq!(db.budget().used(), 2 * 24 * n, "both tables charged, 8 bytes a cell");
+    // Types come from the lanes of the first batch.
+    let types: Vec<_> = db.catalog.get("copy").unwrap().columns().iter().map(|c| c.1).collect();
+    assert_eq!(types, [DataType::Integer, DataType::Double, DataType::Double]);
+}
+
+/// Deterministic guard of recovery: a logged batch comes back as the
+/// columns it was. A log of step tables — each made from the one before,
+/// which is then dropped — is replayed block by block through
+/// `append_batch`, so the table that is left has the chunks the CTAS
+/// streamed (typed lanes, the logged batch boundaries), with and without a
+/// checkpoint image on the way, and the counters say what the open did.
+#[test]
+fn recovery_replays_blocks_into_chunks() {
+    let dir = std::env::temp_dir().join(format!("qymera-replay-{}", std::process::id()));
+    for checkpoint_after in [None, Some(2), Some(5)] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = || DurabilityOptions { checkpoint_every_bytes: 0, ..DurabilityOptions::default() };
+        let mut db = Database::open_with(&dir, opts()).unwrap();
+        db.execute("CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+        db.insert_rows("T0", state_rows(2500)).unwrap();
+        for k in 1..=5 {
+            let select = format!("SELECT s, r, i FROM T{}", k - 1);
+            assert_eq!(db.create_table_as(&format!("T{k}"), &select).unwrap(), 2500);
+            db.execute(&format!("DROP TABLE T{}", k - 1)).unwrap();
+            if checkpoint_after == Some(k) {
+                db.checkpoint().unwrap();
+            }
+        }
+        let written = db.stats();
+        assert!(written.wal_bytes > 5 * 2500 * 24 && written.wal_fsyncs == 12, "{written:?}");
+        drop(db);
+
+        let db = Database::open_with(&dir, opts()).unwrap();
+        assert_eq!(db.table_names(), ["T5"]);
+        let recovered = db.catalog.get("T5").unwrap().snapshot();
+        let sizes: Vec<usize> = recovered.chunks().iter().map(|c| c.rows()).collect();
+        assert_eq!(sizes, [1024, 1024, 452], "one chunk per logged batch");
+        for chunk in recovered.chunks() {
+            let lanes = chunk.columns();
+            assert!(matches!(&*lanes[0], Column::Int(_)) && matches!(&*lanes[2], Column::Float(_)));
+        }
+        let bits = |rows: Vec<Row>| format!("{rows:?}");
+        assert_eq!(bits(recovered.to_rows()), bits(state_rows(2500)), "-0.0 included");
+        assert_eq!(db.budget().used(), 2500 * 24);
+        let recovery = db.stats().recovery;
+        // Per CTAS frame a `CreateTable` and three `Insert` blocks; T0 is a
+        // create and an insert; five drops. An image covers what it covers.
+        let (frames, ops) = match checkpoint_after {
+            None => (12, 2 + 5 * 4 + 5),
+            Some(2) => (6, 3 * 4 + 3),
+            _ => (0, 0),
+        };
+        assert_eq!((recovery.frames, recovery.ops_applied), (frames, ops), "{recovery:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

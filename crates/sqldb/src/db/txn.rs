@@ -5,6 +5,7 @@
 use super::{with_exec_stack, Database, ResultSet};
 use crate::ast::{DataType, Expr, Statement};
 use crate::error::{Error, Result};
+use crate::exec::batch::{Column, RowBatch};
 use crate::exec::vector::{build_batch_stream, drain};
 use crate::expr::bind;
 use crate::plan::logical::{plan_query, Plan};
@@ -334,14 +335,16 @@ impl Database {
         table: &str,
         rows: Vec<Row>,
     ) -> Result<ResultSet> {
-        self.catalog.get(table)?; // validate before logging
-        if rows.is_empty() {
+        // Validate table and arity before logging; the record is the batch
+        // as the table is about to receive it.
+        let batch = self.catalog.get(table)?.batch_from_rows(rows)?;
+        if batch.is_empty() {
             return Ok(ResultSet::dml(0));
         }
-        self.log_in_txn(sess, |s, txn| s.log_insert(txn, table, &rows))?;
+        self.log_in_txn(sess, |s, txn| s.log_insert(txn, table, &batch))?;
         let t = self.catalog.get_mut(table)?;
         let undo = t.undo_state();
-        let n = t.load_rows(rows)?; // atomic: an error inserts nothing
+        let n = t.append_batch(&batch)?; // atomic: an error inserts nothing
         self.push_undo(sess, UndoEntry::Mutated { table: table.to_string(), undo });
         self.query.check()?;
         Ok(ResultSet::dml(n))
@@ -396,45 +399,49 @@ impl Database {
     }
 
     /// CTAS body: one WAL frame wraps the `CREATE TABLE` and every
-    /// streamed insert chunk, so recovery replays either the whole table
-    /// or none of it. Any failure — query error mid-stream, budget
-    /// overrun, WAL fault, cancellation — aborts the implicit transaction,
-    /// whose `Created` undo entry drops the partially built table again.
+    /// streamed batch, so recovery replays either the whole table or none
+    /// of it. A result batch is never turned into rows: each one is a
+    /// cancel point, one `Insert` record and one [`Table::append_batch`]
+    /// (which adopts typed columns by `Arc`). Any failure — query error
+    /// mid-stream, budget overrun, WAL fault, cancellation — aborts the
+    /// implicit transaction, whose `Created` undo entry drops the
+    /// partially built table again.
+    ///
+    /// [`Table::append_batch`]: crate::table::Table::append_batch
     pub(super) fn create_table_as_in_txn(&mut self, name: &str, plan: Plan) -> Result<usize> {
-        const CHUNK: usize = 4096;
         let names = plan.schema().names();
         let stream = build_batch_stream(&plan, &self.catalog, &self.ctx())?;
         let mut created = false;
-        let mut buf: Vec<Row> = Vec::new();
         let mut inserted = 0usize;
         drain(stream, |batch| {
-            buf.extend(batch.into_rows());
+            if batch.is_empty() {
+                return Ok(());
+            }
             if !created {
-                self.ctas_create(name, &names, buf.first())?;
+                self.ctas_create(name, &names, Some(&batch))?;
                 created = true;
             }
-            while buf.len() >= CHUNK {
-                let rest = buf.split_off(CHUNK);
-                inserted += self.ctas_append(name, std::mem::replace(&mut buf, rest))?;
-            }
+            // Cancel point per batch: nothing of a doomed batch is logged
+            // or applied.
+            self.query.check()?;
+            self.log_in_txn(0, |s, txn| s.log_insert(txn, name, &batch))?;
+            inserted += self.catalog.get_mut(name)?.append_batch(&batch)?;
             Ok(())
         })?;
         if !created {
             self.ctas_create(name, &names, None)?;
         }
-        if !buf.is_empty() {
-            inserted += self.ctas_append(name, buf)?;
-        }
         Ok(inserted)
     }
 
-    /// Log and create the CTAS target. Column types are inferred from the
-    /// first result row; later rows must coerce losslessly (the Qymera
-    /// translator guarantees this by casting `s` explicitly when states are
-    /// wider than 63 bits). An empty result makes every column `DOUBLE`.
-    fn ctas_create(&mut self, name: &str, names: &[String], first: Option<&Row>) -> Result<()> {
+    /// Log and create the CTAS target. Column types come from the lanes of
+    /// the first result batch (a generic lane: from its first value); later
+    /// batches must coerce losslessly (the Qymera translator guarantees
+    /// this by casting `s` explicitly when states are wider than 63 bits).
+    /// An empty result makes every column `DOUBLE`.
+    fn ctas_create(&mut self, name: &str, names: &[String], first: Option<&RowBatch>) -> Result<()> {
         let types: Vec<DataType> = match first {
-            Some(row) => row.iter().map(infer_type).collect(),
+            Some(batch) => batch.columns().iter().map(|c| infer_type(c)).collect(),
             None => vec![DataType::Double; names.len()],
         };
         let columns: Vec<(String, DataType)> = names.iter().cloned().zip(types).collect();
@@ -443,24 +450,18 @@ impl Database {
         self.push_undo(0, UndoEntry::Created { name: name.to_string() });
         Ok(())
     }
-
-    /// Log and load one CTAS chunk. Cancel point per chunk: nothing from a
-    /// doomed chunk is logged or applied. `load_rows` coerces and appends
-    /// straight into the table's typed column builders.
-    fn ctas_append(&mut self, name: &str, rows: Vec<Row>) -> Result<usize> {
-        self.query.check()?;
-        self.log_in_txn(0, |s, txn| s.log_insert(txn, name, &rows))?;
-        self.catalog.get_mut(name)?.load_rows(rows)
-    }
 }
 
-/// Infer a column type from a sample value (CTAS).
-fn infer_type(v: &Value) -> DataType {
-    match v {
-        Value::Int(_) => DataType::Integer,
-        Value::Float(_) => DataType::Double,
-        Value::Str(_) => DataType::Text,
-        Value::Big(_) => DataType::HugeInt,
-        Value::Null => DataType::Double,
+/// Infer a column type from the first batch of a CTAS result.
+fn infer_type(column: &Column) -> DataType {
+    match column {
+        Column::Int(_) => DataType::Integer,
+        Column::Float(_) => DataType::Double,
+        Column::Generic(values) => match values.first() {
+            Some(Value::Int(_)) => DataType::Integer,
+            Some(Value::Str(_)) => DataType::Text,
+            Some(Value::Big(_)) => DataType::HugeInt,
+            Some(Value::Float(_) | Value::Null) | None => DataType::Double,
+        },
     }
 }

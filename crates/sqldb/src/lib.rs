@@ -43,7 +43,7 @@ pub mod value;
 pub mod vexpr;
 
 pub use bigbits::BigBits;
-pub use db::{Database, DbStats, DurabilityOptions, ResultSet};
+pub use db::{Database, DbStats, DurabilityOptions, RecoveryStats, ResultSet};
 pub use error::{Error, Result};
 pub use exec::govern::{CancelHandle, QueryContext};
 pub use txn::{LockMode, LockTable, Session, SharedDb};

@@ -4,7 +4,9 @@
 //! [`FaultInjector`] before they reach the operating system. In debug builds
 //! the injector counts every operation per [`FaultSite`] and can be armed
 //! with a deterministic schedule — *fail the nth matching operation* (the
-//! crash-matrix driver) or *fail pseudo-randomly from a seed* (soak tests).
+//! crash-matrix driver), *fail the nth operation at each of several chosen
+//! sites* (multi-fault paths no seed happens to reach) or *fail
+//! pseudo-randomly from a seed* (soak tests).
 //! A fired fault surfaces as a typed [`Error::Io`] whose message names the
 //! site and operation index, and can optionally emulate a power cut by
 //! letting **half the bytes land** before the failure ([`FaultKind::Torn`]),
@@ -220,6 +222,10 @@ enum Schedule {
     /// Fail roughly one in `one_in` matching operations, driven by a
     /// deterministic xorshift stream from the seed.
     Seeded { state: u64, one_in: u64, kind: FaultKind },
+    /// One countdown per chosen site: each `(site, remaining)` fires once,
+    /// at the `remaining`-th next operation of its site, and the schedule
+    /// disarms when the last has fired.
+    Sites { pending: Vec<(FaultSite, u64)>, kind: FaultKind },
 }
 
 #[cfg(debug_assertions)]
@@ -274,6 +280,22 @@ impl FaultInjector {
         }
         #[cfg(not(debug_assertions))]
         let _ = (seed, one_in, kind);
+    }
+
+    /// Arm: for each `(site, nth)` pair, fail the `nth` (1-based) upcoming
+    /// operation at that site with `kind` — every pair fires once, each on
+    /// its own count. This pins a path that needs faults at two chosen
+    /// places, e.g. the commit whose fsync fails *and* whose repairing
+    /// truncate fails while the healing checkpoint's own truncate (the
+    /// second at that site) succeeds. No-op in release.
+    pub fn arm_sites(&self, faults: &[(FaultSite, u64)], kind: FaultKind) {
+        #[cfg(debug_assertions)]
+        {
+            let pending = faults.iter().map(|&(site, nth)| (site, nth.max(1))).collect();
+            self.state.lock().unwrap().schedule = Some(Schedule::Sites { pending, kind });
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = (faults, kind);
     }
 
     /// Arm a declarative [`FaultSchedule`] (the round-trippable form used
@@ -354,6 +376,19 @@ impl FaultInjector {
                 *state ^= *state >> 7;
                 *state ^= *state << 17;
                 (*state % *one_in == 0).then_some((*kind, n))
+            }
+            Some(Schedule::Sites { pending, kind }) => {
+                let kind = *kind;
+                let at = pending.iter().position(|(s, _)| *s == site)?;
+                pending[at].1 -= 1;
+                if pending[at].1 > 0 {
+                    return None;
+                }
+                pending.remove(at);
+                if pending.is_empty() {
+                    st.schedule = None;
+                }
+                Some((kind, n))
             }
             None => None,
         }
@@ -456,6 +491,22 @@ mod tests {
         let e = inj.write_all(FaultSite::WalAppend, &mut sink, b"12345678").unwrap_err();
         assert!(matches!(e, Error::Io(_)));
         assert_eq!(sink, b"1234", "half the bytes land before the cut");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn site_schedule_fires_each_pair_once_on_its_own_count() {
+        let inj = FaultInjector::none();
+        inj.arm_sites(
+            &[(FaultSite::WalFsync, 1), (FaultSite::WalTruncate, 2)],
+            FaultKind::Error,
+        );
+        inj.check(FaultSite::WalAppend).unwrap(); // an unlisted site never fires
+        inj.check(FaultSite::WalTruncate).unwrap(); // first of two
+        assert!(inj.check(FaultSite::WalFsync).is_err());
+        inj.check(FaultSite::WalFsync).unwrap(); // that pair is spent
+        assert!(inj.check(FaultSite::WalTruncate).is_err());
+        inj.check(FaultSite::WalTruncate).unwrap(); // disarmed
     }
 
     #[test]

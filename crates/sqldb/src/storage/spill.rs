@@ -12,7 +12,10 @@
 //! column — `u32 rows | u32 ncols`, then per column a lane tag and either
 //! `rows × 8` little-endian bytes (`Int` 0, `Float` 1) or `rows` encoded
 //! values (`Generic` 2) — so the aggregate's typed lanes reach the disk and
-//! come back without passing through a `Vec<Value>`.
+//! come back without passing through a `Vec<Value>`. The block payload
+//! (`encode_block`/`decode_block`) is also what the write-ahead log
+//! stores in an `Insert` record and the checkpoint image per table chunk
+//! ([`crate::storage::wal`]): one codec for every batch that touches a disk.
 //!
 //! Spill files live in a per-database temp directory, made when the first
 //! of them is and deleted on drop: a database that never spills touches no
@@ -109,7 +112,7 @@ impl Drop for SpillDir {
 }
 
 /// Serialize one value into `buf`.
-fn encode_value(buf: &mut BytesMut, v: &Value) {
+fn encode_value(buf: &mut impl BufMut, v: &Value) {
     match v {
         Value::Null => buf.put_u8(0),
         Value::Int(i) => {
@@ -193,8 +196,7 @@ pub fn encode_row(buf: &mut BytesMut, row: &Row) {
     }
 }
 
-/// Decode a full row previously written by [`encode_row`]. Shared with the
-/// WAL and checkpoint codecs so every on-disk row uses one format.
+/// Decode a full row previously written by [`encode_row`].
 pub fn decode_row(bytes: &mut Bytes) -> Result<Row> {
     need(bytes, 4)?;
     let ncols = bytes.get_u32_le() as usize;
@@ -208,19 +210,43 @@ pub fn decode_row(bytes: &mut Bytes) -> Result<Row> {
 const KIND_ROW: u8 = 0;
 const KIND_BLOCK: u8 = 1;
 
-/// Encode a batch column by column (the payload of a block record).
-fn encode_block(buf: &mut BytesMut, batch: &RowBatch) {
+/// Write a fast lane as little-endian words, staged 128 at a time so the
+/// buffer grows by slices, not by single values.
+fn put_lane<T: Copy>(buf: &mut impl BufMut, lane: &[T], le: impl Fn(T) -> [u8; 8]) {
+    let mut stage = [0u8; 8 * 128];
+    for part in lane.chunks(128) {
+        for (dst, &x) in stage.chunks_exact_mut(8).zip(part) {
+            dst.copy_from_slice(&le(x));
+        }
+        buf.put_slice(&stage[..8 * part.len()]);
+    }
+}
+
+/// Read `rows` little-endian words (the caller has checked they are there).
+fn get_lane<T>(buf: &mut Bytes, rows: usize, le: impl Fn([u8; 8]) -> T) -> Vec<T> {
+    let lane = buf.chunk()[..8 * rows]
+        .chunks_exact(8)
+        .map(|b| le(b.try_into().expect("chunks of 8")))
+        .collect();
+    buf.advance(8 * rows);
+    lane
+}
+
+/// Encode a batch column by column: the payload of a spill block record, of
+/// a WAL `Insert` record and of each table chunk in a checkpoint image.
+/// Floats travel as their bit patterns (`-0.0` and NaN payloads survive).
+pub(crate) fn encode_block(buf: &mut impl BufMut, batch: &RowBatch) {
     buf.put_u32_le(batch.num_rows() as u32);
     buf.put_u32_le(batch.num_columns() as u32);
     for col in batch.columns() {
         match &**col {
             Column::Int(v) => {
                 buf.put_u8(0);
-                v.iter().for_each(|&x| buf.put_i64_le(x));
+                put_lane(buf, v, i64::to_le_bytes);
             }
             Column::Float(v) => {
                 buf.put_u8(1);
-                v.iter().for_each(|&x| buf.put_f64_le(x));
+                put_lane(buf, v, f64::to_le_bytes);
             }
             Column::Generic(v) => {
                 buf.put_u8(2);
@@ -230,7 +256,8 @@ fn encode_block(buf: &mut BytesMut, batch: &RowBatch) {
     }
 }
 
-fn decode_block(buf: &mut Bytes) -> Result<RowBatch> {
+/// Decode a block written by [`encode_block`], lanes as they were.
+pub(crate) fn decode_block(buf: &mut Bytes) -> Result<RowBatch> {
     need(buf, 8)?;
     let rows = buf.get_u32_le() as usize;
     let ncols = buf.get_u32_le() as usize;
@@ -246,10 +273,10 @@ fn decode_block(buf: &mut Bytes) -> Result<RowBatch> {
         let tag = buf.get_u8();
         need(buf, if tag == 2 { rows } else { rows.saturating_mul(8) })?;
         columns.push(match tag {
-            0 => Column::Int((0..rows).map(|_| buf.get_i64_le()).collect()),
-            1 => Column::Float((0..rows).map(|_| buf.get_f64_le()).collect()),
+            0 => Column::Int(get_lane(buf, rows, i64::from_le_bytes)),
+            1 => Column::Float(get_lane(buf, rows, f64::from_le_bytes)),
             2 => Column::Generic((0..rows).map(|_| decode_value(buf)).collect::<Result<_>>()?),
-            t => return Err(Error::Io(format!("bad spill lane tag {t}"))),
+            t => return Err(Error::Io(format!("bad block lane tag {t}"))),
         });
     }
     Ok(RowBatch::from_columns(columns))

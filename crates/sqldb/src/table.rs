@@ -3,7 +3,7 @@
 //! A [`Table`] stores its rows decomposed into per-column chunks of up to
 //! [`CHUNK_ROWS`] rows. Each chunk column is a shared [`ColumnRef`] — the
 //! same `Arc<Column>` type the vectorized executor's
-//! [`RowBatch`](crate::exec::batch::RowBatch) carries — so a batch scan
+//! [`RowBatch`] carries — so a batch scan
 //! hands table chunks straight to the operator pipeline with **zero copy**
 //! and no row→column transpose. Qymera's state tables (`T(s, r, i)`) and
 //! gate tables (`G(in_s, out_s, r, i)`) both live here; the gate-application
@@ -21,29 +21,37 @@
 //! ever cloned, bounding the copy-on-write cost to < [`CHUNK_ROWS`] rows per
 //! insert regardless of table size.
 //!
+//! # One append path
+//!
+//! Rows enter a table through [`Table::append_batch`] alone: SQL `INSERT`,
+//! the bulk loader, `CREATE TABLE … AS`, WAL replay and the checkpoint image
+//! all hand it a [`RowBatch`]. A column that already rides its declared
+//! type's lane (`Int` for `INTEGER`, `Float` for `DOUBLE`, a checked
+//! `Generic` for `TEXT`/`HUGEINT`) is stored as it is — by `Arc` when it can
+//! become a chunk of its own, else copied into the open tail chunk; any
+//! other lane is rebuilt column-wise through [`coerce`]. A cell keeps the
+//! lane it arrived on: the tail chunk is only extended by columns of its
+//! own lanes, so what a table charges does not depend on where its chunk
+//! boundaries fall (a checkpoint image replayed into a fresh table charges
+//! what the original did).
+//!
 //! # Memory accounting
 //!
 //! Column storage charges the shared [`MemoryBudget`] through a
-//! [`Reservation`], per column chunk: fast-lane (`INTEGER`/`DOUBLE`) cells
-//! cost 8 bytes/row, generic cells their [`Value::heap_bytes`]. Inserts
-//! reserve **as they pack**: every chunk charges a staged reservation the
-//! moment it seals, so a huge `INSERT` never holds more than one chunk
-//! (≤ [`CHUNK_ROWS`] rows) of unaccounted storage — packing aborts at the
-//! first chunk the budget refuses. The mutation stays all-or-nothing: the
-//! table is only touched after every chunk is packed *and* charged, and on
-//! failure the staged reservation drops, leaving table and ledger exactly
-//! as they were. Deletes rebuild only surviving chunks, charging each
-//! rebuilt chunk through the same streaming scheme — in **overdraft** mode,
-//! since the net effect of a delete only ever shrinks the charge and must
-//! not fail against a full budget; the transient survivor copies still land
-//! on the ledger while they exist, so concurrent reservations see honest
-//! usage.
+//! [`Reservation`]: fast-lane (`INTEGER`/`DOUBLE`) cells cost 8 bytes/row,
+//! generic cells their [`Value::heap_bytes`]. An append reserves the whole
+//! batch **once, before the table is touched**: a refusal leaves table and
+//! ledger exactly as they were. Deletes rebuild only the chunks that lose
+//! rows, charging the survivor copies in **overdraft** mode — the net
+//! effect of a delete only ever shrinks the charge and must not fail
+//! against a full budget, while the transient copies still land on the
+//! ledger so concurrent reservations see honest usage.
 
 use std::sync::Arc;
 
 use crate::ast::DataType;
 use crate::error::{Error, Result};
-use crate::exec::batch::{Column, ColumnRef, BATCH_SIZE};
+use crate::exec::batch::{Column, ColumnRef, RowBatch, BATCH_SIZE};
 use crate::schema::{Field, RelSchema};
 use crate::storage::budget::{MemoryBudget, Reservation};
 use crate::storage::spill::Row;
@@ -63,11 +71,6 @@ pub struct TableChunk {
 }
 
 impl TableChunk {
-    fn from_builders(columns: Vec<Column>, rows: usize) -> TableChunk {
-        debug_assert!(columns.iter().all(|c| c.len() == rows), "ragged chunk");
-        TableChunk { columns: columns.into_iter().map(Arc::new).collect(), rows }
-    }
-
     /// The chunk's columns, in schema order. Shared with scans.
     pub fn columns(&self) -> &[ColumnRef] {
         &self.columns
@@ -119,16 +122,6 @@ impl TableSnapshot {
         }
         out
     }
-}
-
-/// How [`Table::pack_chunks_charged`] bills each sealed chunk.
-enum ChunkCharge<'a> {
-    /// Reserve against the budget limit; refusals abort the mutation
-    /// (insert path). `credit` offsets storage the mutation replaces.
-    Strict { staged: &'a mut Reservation, credit: usize },
-    /// Charge unconditionally past the limit (delete re-pack: the net
-    /// effect only shrinks, so the rebuild must not fail).
-    Overdraft { staged: &'a mut Reservation },
 }
 
 /// A table's pre-statement state, captured in O(1) via the copy-on-write
@@ -215,185 +208,161 @@ impl Table {
         TableSnapshot { chunks: Arc::clone(&self.chunks), rows: self.rows }
     }
 
-    /// An empty typed column builder for declared type `ty` (fast lanes for
-    /// `INTEGER`/`DOUBLE`; [`Column::push`] demotes on NULLs automatically).
-    fn lane_for(ty: DataType) -> Column {
-        match ty {
-            DataType::Integer => Column::Int(Vec::new()),
-            DataType::Double => Column::Float(Vec::new()),
-            DataType::Text | DataType::HugeInt => Column::Generic(Vec::new()),
-        }
+    fn arity_error(&self, got: usize) -> Error {
+        Error::Plan(format!(
+            "table `{}` expects {} values, got {got}",
+            self.name,
+            self.columns.len()
+        ))
     }
 
-    /// Validate and coerce a row to the declared column types.
-    pub fn coerce_row(&self, row: Vec<Value>) -> Result<Row> {
-        if row.len() != self.columns.len() {
-            return Err(Error::Plan(format!(
-                "table `{}` expects {} values, got {}",
-                self.name,
-                self.columns.len(),
-                row.len()
-            )));
+    /// `column` on the lane of declared type `ty`: itself (shared) when it
+    /// already is — a typed fast lane, or generic values that are all of
+    /// the type or NULL — else rebuilt value by value through [`coerce`]
+    /// ([`Column::push`] keeps the fast lane until a NULL demotes it).
+    fn conform(column: &ColumnRef, ty: DataType) -> Result<ColumnRef> {
+        let fits = match (ty, &**column) {
+            (DataType::Integer, Column::Int(_)) | (DataType::Double, Column::Float(_)) => true,
+            (_, Column::Generic(values)) => values.iter().all(|v| {
+                matches!(
+                    (ty, v),
+                    (_, Value::Null)
+                        | (DataType::Integer, Value::Int(_))
+                        | (DataType::Double, Value::Float(_))
+                        | (DataType::Text, Value::Str(_))
+                        | (DataType::HugeInt, Value::Big(_))
+                )
+            }),
+            _ => false,
+        };
+        if fits {
+            return Ok(Arc::clone(column));
         }
-        row.into_iter()
-            .zip(self.columns.iter())
-            .map(|(v, (cname, ty))| coerce(v, *ty).map_err(|e| match e {
+        let mut out = match ty {
+            DataType::Integer => Column::Int(Vec::with_capacity(column.len())),
+            DataType::Double => Column::Float(Vec::with_capacity(column.len())),
+            DataType::Text | DataType::HugeInt => Column::Generic(Vec::with_capacity(column.len())),
+        };
+        for i in 0..column.len() {
+            out.push(coerce(column.value_at(i), ty)?);
+        }
+        Ok(Arc::new(out))
+    }
+
+    /// Append `batch` in one atomic step, returning the rows inserted: the
+    /// one way rows enter a table. Columns are brought to their declared
+    /// lanes (`conform`), the whole batch is reserved with one
+    /// `try_grow`, and only then is the table touched — a coercion error or
+    /// a budget refusal leaves table and ledger as they were. A batch of at
+    /// most [`CHUNK_ROWS`] rows that finds no open tail becomes a chunk by
+    /// `Arc`, no copy; otherwise the tail is filled in place (copy-on-write
+    /// only if a snapshot still holds it) and the rest is cut into chunks.
+    pub fn append_batch(&mut self, batch: &RowBatch) -> Result<usize> {
+        let n = batch.num_rows();
+        if n == 0 {
+            return Ok(0);
+        }
+        if batch.num_columns() != self.columns.len() {
+            return Err(self.arity_error(batch.num_columns()));
+        }
+        let mut columns = Vec::with_capacity(self.columns.len());
+        for (column, (cname, ty)) in batch.columns().iter().zip(&self.columns) {
+            columns.push(Self::conform(column, *ty).map_err(|e| match e {
                 Error::Type(m) => Error::Type(format!("column `{cname}`: {m}")),
                 other => other,
-            }))
-            .collect()
-    }
-
-    /// Coerce and append `rows` in one atomic step, returning the number
-    /// inserted. This is the loader entry point ([`crate::db::Database`]'s
-    /// `INSERT` and CTAS paths): values stream straight into the typed
-    /// column builders of the tail chunk, and any coercion error or budget
-    /// overrun leaves the table untouched.
-    pub fn load_rows(&mut self, rows: Vec<Row>) -> Result<usize> {
-        let coerced: Vec<Row> =
-            rows.into_iter().map(|r| self.coerce_row(r)).collect::<Result<_>>()?;
-        let n = coerced.len();
-        self.insert_rows(coerced)?;
+            })?);
+        }
+        // The tail is topped up only by columns of its own lanes, so no
+        // stored cell ever changes what it costs.
+        let same_lanes = |tail: &TableChunk| {
+            let mut lanes = tail.columns.iter().zip(&columns);
+            lanes.all(|(a, b)| std::mem::discriminant(&**a) == std::mem::discriminant(&**b))
+        };
+        // Rows of the batch that fill the open tail.
+        let take = match self.chunks.last() {
+            Some(tail) if tail.rows < CHUNK_ROWS && same_lanes(tail) => n.min(CHUNK_ROWS - tail.rows),
+            _ => 0,
+        };
+        // Cut the batch: what fills the tail, then chunk-sized pieces. The
+        // pieces are what the table will hold, so their bytes are its charge.
+        let top_up: Vec<Column> = columns.iter().map(|c| c.slice(0..take)).collect();
+        let rest: Vec<TableChunk> = if take == 0 && n <= CHUNK_ROWS {
+            vec![TableChunk { columns, rows: n }]
+        } else {
+            (take..n)
+                .step_by(CHUNK_ROWS)
+                .map(|at| {
+                    let end = (at + CHUNK_ROWS).min(n);
+                    let cut = |c: &ColumnRef| Arc::new(c.slice(at..end));
+                    TableChunk { columns: columns.iter().map(cut).collect(), rows: end - at }
+                })
+                .collect()
+        };
+        let bytes = top_up.iter().map(Column::heap_bytes).sum::<usize>()
+            + rest.iter().map(TableChunk::heap_bytes).sum::<usize>();
+        if !self.reservation.try_grow(bytes) {
+            return Err(Error::OutOfMemory {
+                requested: bytes,
+                budget: self.reservation.budget().limit(),
+            });
+        }
+        let chunks = Arc::make_mut(&mut self.chunks);
+        if take > 0 {
+            let tail = chunks.last_mut().expect("rows were taken for a tail");
+            for (dst, src) in tail.columns.iter_mut().zip(top_up) {
+                match (Arc::make_mut(dst), src) {
+                    (Column::Int(d), Column::Int(s)) => d.extend_from_slice(&s),
+                    (Column::Float(d), Column::Float(s)) => d.extend_from_slice(&s),
+                    (Column::Generic(d), Column::Generic(mut s)) => d.append(&mut s),
+                    _ => unreachable!("the tail is only topped up by its own lanes"),
+                }
+            }
+            tail.rows += take;
+        }
+        chunks.extend(rest);
+        self.rows += n;
         Ok(n)
     }
 
-    /// Append rows (already coerced), charging the memory budget. Atomic:
-    /// on budget overrun nothing is inserted and nothing is charged.
-    pub fn insert_rows(&mut self, rows: Vec<Row>) -> Result<()> {
-        if rows.is_empty() {
-            return Ok(());
-        }
+    /// Transpose owned rows of this table's width into a batch (lanes
+    /// detected, nothing coerced yet): what the row-shaped entry points —
+    /// `INSERT` literals, the bulk loader — log and then append.
+    pub fn batch_from_rows(&self, rows: Vec<Row>) -> Result<RowBatch> {
         if let Some(r) = rows.iter().find(|r| r.len() != self.columns.len()) {
-            return Err(Error::Plan(format!(
-                "table `{}` expects {} values, got {}",
-                self.name,
-                self.columns.len(),
-                r.len()
-            )));
+            return Err(self.arity_error(r.len()));
         }
-
-        // Rebuild the tail + fresh chunks without touching the table,
-        // reserving budget per chunk as the builders fill (streaming
-        // reserve-as-you-pack): packing stops at the first chunk the budget
-        // refuses, so the unaccounted transient is bounded by one open
-        // chunk, not the mutation size. The replaced tail's existing charge
-        // is credited against the first sealed chunk, making the staged
-        // total exactly the byte delta.
-        let reopen_tail = self.chunks.last().is_some_and(|tail| tail.rows < CHUNK_ROWS);
-        let (open, open_rows, replaced_bytes, replaced_rows) = if reopen_tail {
-            let tail = self.chunks.last().expect("tail checked above");
-            // Copy-on-write: the open chunk's data is cloned once (< CHUNK_ROWS
-            // rows); snapshots holding the old Arc keep the old contents.
-            let cols: Vec<Column> = tail.columns.iter().map(|c| (**c).clone()).collect();
-            (cols, tail.rows, tail.heap_bytes(), tail.rows)
-        } else {
-            (self.empty_builders(), 0, 0, 0)
-        };
-        let mut staged = Reservation::empty(self.reservation.budget());
-        let sealed = self.pack_chunks_charged(
-            open,
-            open_rows,
-            rows,
-            ChunkCharge::Strict { staged: &mut staged, credit: replaced_bytes },
-        )?;
-
-        // All chunks packed and charged: commit. Dropping `staged` on the
-        // error path above released everything, keeping inserts atomic.
-        let new_rows: usize = sealed.iter().map(TableChunk::rows).sum();
-        let chunks = Arc::make_mut(&mut self.chunks);
-        if reopen_tail {
-            chunks.pop();
-        }
-        chunks.extend(sealed);
-        self.rows += new_rows - replaced_rows;
-        self.reservation.adopt(staged);
-        Ok(())
+        Ok(RowBatch::from_owned_rows(rows))
     }
 
-    /// Pack `rows` into sealed chunks, continuing from an open builder set
-    /// holding `open_rows` rows already. Each chunk charges its bytes the
-    /// moment it seals, per the [`ChunkCharge`] mode: `Strict` (inserts)
-    /// reserves against the limit — minus any remaining `credit` for
-    /// storage it replaces — and aborts packing with
-    /// [`Error::OutOfMemory`] when refused; `Overdraft` (delete re-pack)
-    /// always succeeds but still lands the transient bytes on the ledger.
-    fn pack_chunks_charged(
-        &self,
-        mut open: Vec<Column>,
-        mut open_rows: usize,
-        rows: Vec<Row>,
-        mut charge: ChunkCharge<'_>,
-    ) -> Result<Vec<TableChunk>> {
-        let mut sealed: Vec<TableChunk> = Vec::new();
-        let mut seal = |chunk: TableChunk, charge: &mut ChunkCharge<'_>| -> Result<()> {
-            let bytes = chunk.heap_bytes();
-            match charge {
-                ChunkCharge::Strict { staged, credit } => {
-                    let billed = bytes.saturating_sub(*credit);
-                    *credit -= bytes.min(*credit);
-                    if !staged.try_grow(billed) {
-                        return Err(Error::OutOfMemory {
-                            requested: billed,
-                            budget: staged.budget().limit(),
-                        });
-                    }
-                }
-                ChunkCharge::Overdraft { staged } => staged.grow_overdraft(bytes),
-            }
-            sealed.push(chunk);
-            Ok(())
-        };
-        for mut row in rows {
-            for col in open.iter_mut().rev() {
-                col.push(row.pop().expect("arity checked"));
-            }
-            open_rows += 1;
-            if open_rows == CHUNK_ROWS {
-                let full = std::mem::replace(&mut open, self.empty_builders());
-                seal(TableChunk::from_builders(full, CHUNK_ROWS), &mut charge)?;
-                open_rows = 0;
-            }
-        }
-        if open_rows > 0 {
-            seal(TableChunk::from_builders(open, open_rows), &mut charge)?;
-        }
-        Ok(sealed)
-    }
-
-    /// Fresh typed builders for one chunk, in schema order.
-    fn empty_builders(&self) -> Vec<Column> {
-        self.columns.iter().map(|(_, ty)| Self::lane_for(*ty)).collect()
+    /// [`Self::append_batch`] of owned rows.
+    pub fn load_rows(&mut self, rows: Vec<Row>) -> Result<usize> {
+        let batch = self.batch_from_rows(rows)?;
+        self.append_batch(&batch)
     }
 
     /// Delete rows matching `pred`; returns the number removed. Atomic: a
     /// predicate error leaves the table unchanged. Only chunks that lose
-    /// rows are re-packed — untouched sealed chunks carry over as `Arc`
-    /// clones, so a selective delete costs O(matching chunks), not
-    /// O(table). (Chunks may be left partially full; only the tail chunk is
-    /// ever reopened by inserts.)
+    /// rows are re-packed — by gathering the survivors of each column —
+    /// and untouched chunks carry over as `Arc` clones, so a selective
+    /// delete costs O(matching chunks), not O(table). (Chunks may be left
+    /// partially full; only the tail chunk is ever reopened by inserts.)
     pub fn delete_where(&mut self, mut pred: impl FnMut(&Row) -> Result<bool>) -> Result<usize> {
         // Phase 1: evaluate the predicate everywhere before mutating
-        // anything. `None` = chunk untouched; `Some(rows)` = its survivors.
-        // A reusable scratch row keeps untouched chunks allocation-free:
-        // owned rows are only built for chunks that actually lose rows.
-        let mut survivors_by_chunk: Vec<Option<Vec<Row>>> =
-            Vec::with_capacity(self.chunks.len());
+        // anything. `None` = chunk untouched; `Some(ids)` = its survivors.
+        let mut survivors_by_chunk: Vec<Option<Vec<u32>>> = Vec::with_capacity(self.chunks.len());
         let mut removed = 0usize;
         let mut scratch: Row = Vec::with_capacity(self.columns.len());
         for chunk in self.chunks.iter() {
-            let mut survivors: Option<Vec<Row>> = None;
+            let mut survivors: Option<Vec<u32>> = None;
             for i in 0..chunk.rows() {
                 scratch.clear();
                 scratch.extend(chunk.columns().iter().map(|c| c.value_at(i)));
                 if pred(&scratch)? {
                     removed += 1;
-                    if survivors.is_none() {
-                        // First hit in this chunk: back-fill the rows kept
-                        // so far.
-                        survivors = Some((0..i).map(|j| chunk.row(j)).collect());
-                    }
+                    // First hit in this chunk: every row before it stays.
+                    survivors.get_or_insert_with(|| (0..i as u32).collect());
                 } else if let Some(s) = survivors.as_mut() {
-                    s.push(std::mem::take(&mut scratch));
+                    s.push(i as u32);
                 }
             }
             survivors_by_chunk.push(survivors);
@@ -402,35 +371,27 @@ impl Table {
             return Ok(0);
         }
 
-        // Phase 2: rebuild only the chunks that lost rows. Rebuilt chunks
-        // charge a staged overdraft reservation as they seal (streaming
-        // reserve-as-you-pack, like inserts) so the transient survivor
-        // copies are visible on the ledger; overdraft mode keeps the delete
-        // infallible against a full budget.
-        let mut staged = Reservation::empty(self.reservation.budget());
+        // Phase 2: rebuild only the chunks that lost rows. The survivor
+        // copies are charged in overdraft (they exist beside the chunks
+        // they replace until the swap below), then the replaced chunks'
+        // bytes are released: the net change never grows the charge.
         let mut replaced_bytes = 0usize;
         let mut rebuilt: Vec<TableChunk> = Vec::with_capacity(self.chunks.len());
         for (chunk, survivors) in self.chunks.iter().zip(survivors_by_chunk) {
-            match survivors {
-                None => rebuilt.push(chunk.clone()),
-                Some(rows) if rows.is_empty() => replaced_bytes += chunk.heap_bytes(),
-                Some(rows) => {
-                    replaced_bytes += chunk.heap_bytes();
-                    rebuilt.extend(self.pack_chunks_charged(
-                        self.empty_builders(),
-                        0,
-                        rows,
-                        ChunkCharge::Overdraft { staged: &mut staged },
-                    )?);
-                }
+            let Some(ids) = survivors else {
+                rebuilt.push(chunk.clone());
+                continue;
+            };
+            replaced_bytes += chunk.heap_bytes();
+            if !ids.is_empty() {
+                let columns = chunk.columns.iter().map(|c| Arc::new(c.gather(&ids))).collect();
+                let kept = TableChunk { columns, rows: ids.len() };
+                self.reservation.grow_overdraft(kept.heap_bytes());
+                rebuilt.push(kept);
             }
         }
         self.rows -= removed;
         self.chunks = Arc::new(rebuilt);
-        // Commit the staged charge, then release the replaced chunks'
-        // bytes: the net change is `new survivor bytes − replaced bytes`,
-        // which never grows the charge past what phase 1 started with.
-        self.reservation.adopt(staged);
         self.reservation.shrink(replaced_bytes);
         Ok(removed)
     }
@@ -511,26 +472,29 @@ mod tests {
         )
     }
 
+    fn state_rows(range: std::ops::Range<i64>) -> Vec<Row> {
+        range.map(|s| vec![Value::Int(s), Value::Float(1.0), Value::Float(0.0)]).collect()
+    }
+
+    fn state_batch(range: std::ops::Range<i64>) -> RowBatch {
+        RowBatch::from_owned_rows(state_rows(range))
+    }
+
     #[test]
     fn insert_and_snapshot() {
         let mut t = state_table(MemoryBudget::unlimited());
-        let row = t.coerce_row(vec![Value::Int(0), Value::Int(1), Value::Float(0.0)]).unwrap();
         // int 1 coerced to float for the DOUBLE column
-        assert_eq!(row[1], Value::Float(1.0));
-        t.insert_rows(vec![row]).unwrap();
+        t.load_rows(vec![vec![Value::Int(0), Value::Int(1), Value::Float(0.0)]]).unwrap();
         assert_eq!(t.row_count(), 1);
         let snap = t.snapshot();
         assert_eq!(snap.num_rows(), 1);
-        assert_eq!(snap.to_rows()[0][0], Value::Int(0));
+        assert_eq!(snap.to_rows()[0], vec![Value::Int(0), Value::Float(1.0), Value::Float(0.0)]);
     }
 
     #[test]
     fn storage_is_columnar_with_typed_lanes() {
         let mut t = state_table(MemoryBudget::unlimited());
-        let rows: Vec<Row> = (0..10)
-            .map(|s| vec![Value::Int(s), Value::Float(1.0), Value::Float(0.0)])
-            .collect();
-        t.insert_rows(rows).unwrap();
+        t.load_rows(state_rows(0..10)).unwrap();
         let snap = t.snapshot();
         assert_eq!(snap.chunks().len(), 1);
         let chunk = &snap.chunks()[0];
@@ -542,10 +506,7 @@ mod tests {
     #[test]
     fn chunks_seal_at_chunk_rows() {
         let mut t = state_table(MemoryBudget::unlimited());
-        let rows: Vec<Row> = (0..(CHUNK_ROWS as i64 * 2 + 5))
-            .map(|s| vec![Value::Int(s), Value::Float(1.0), Value::Float(0.0)])
-            .collect();
-        t.insert_rows(rows).unwrap();
+        t.load_rows(state_rows(0..CHUNK_ROWS as i64 * 2 + 5)).unwrap();
         let snap = t.snapshot();
         assert_eq!(snap.chunks().len(), 3);
         assert_eq!(snap.chunks()[0].rows(), CHUNK_ROWS);
@@ -556,17 +517,84 @@ mod tests {
         assert_eq!(snap.chunks()[1].row(0)[0], Value::Int(CHUNK_ROWS as i64));
     }
 
+    /// A batch on the declared lanes that finds no open tail *is* the new
+    /// chunk: same allocations, nothing copied.
     #[test]
-    fn budget_enforced_on_insert() {
+    fn a_conforming_batch_is_adopted_by_arc() {
+        let budget = MemoryBudget::unlimited();
+        let mut t = state_table(budget.clone());
+        let full = state_batch(0..CHUNK_ROWS as i64);
+        let ragged = state_batch(0..700);
+        t.append_batch(&full).unwrap();
+        t.append_batch(&ragged).unwrap(); // the tail is full: adopted too
+        let snap = t.snapshot();
+        for (chunk, batch) in snap.chunks().iter().zip([&full, &ragged]) {
+            for (stored, given) in chunk.columns().iter().zip(batch.columns()) {
+                assert!(Arc::ptr_eq(stored, given));
+            }
+        }
+        assert_eq!(budget.used(), 24 * (CHUNK_ROWS + 700), "8 bytes per fast-lane cell");
+        // An open tail takes the next batch by copy, up to CHUNK_ROWS, and
+        // the rest becomes a chunk of its own.
+        t.append_batch(&full).unwrap();
+        let sizes: Vec<usize> = t.snapshot().chunks().iter().map(TableChunk::rows).collect();
+        assert_eq!(sizes, [CHUNK_ROWS, CHUNK_ROWS, 700]);
+        assert_eq!(t.snapshot().chunks()[2].row(0)[0], Value::Int(CHUNK_ROWS as i64 - 700));
+        assert_eq!(budget.used(), 24 * (2 * CHUNK_ROWS + 700));
+        // An INTEGER lane offered to a DOUBLE column is rebuilt, not adopted.
+        let ints = RowBatch::from_columns(vec![
+            Column::Int(vec![7]),
+            Column::Int(vec![2]),
+            Column::Float(vec![0.5]),
+        ]);
+        t.append_batch(&ints).unwrap();
+        let last = t.snapshot().to_rows().pop().unwrap();
+        assert_eq!(last, vec![Value::Int(7), Value::Float(2.0), Value::Float(0.5)]);
+    }
+
+    /// The tail grows in place while nobody else holds it, and by
+    /// copy-on-write while a snapshot does.
+    #[test]
+    fn tail_extension_respects_a_live_snapshot() {
+        let mut t = state_table(MemoryBudget::unlimited());
+        t.append_batch(&state_batch(0..10)).unwrap();
+        let tail_ptr = |t: &Table| Arc::as_ptr(&t.snapshot().chunks()[0].columns()[0]);
+        let before = tail_ptr(&t);
+        t.append_batch(&state_batch(10..20)).unwrap();
+        assert_eq!(tail_ptr(&t), before, "no snapshot alive: extended in place");
+        let snap = t.snapshot();
+        t.append_batch(&state_batch(20..30)).unwrap();
+        assert_ne!(tail_ptr(&t), before, "snapshot alive: the tail was copied");
+        assert_eq!(snap.num_rows(), 20, "old snapshot unchanged");
+        assert_eq!(snap.chunks()[0].rows(), 20);
+        assert_eq!(snap.to_rows()[19][0], Value::Int(19));
+        assert_eq!(t.row_count(), 30);
+        assert_eq!(t.snapshot().to_rows()[29][0], Value::Int(29));
+    }
+
+    #[test]
+    fn a_refused_append_leaves_table_and_ledger_untouched() {
         // 3 columns × 8 bytes × 2 rows = 48 bytes of fast-lane storage.
         let budget = MemoryBudget::with_limit(40);
         let mut t = state_table(budget.clone());
-        let row = vec![Value::Int(0), Value::Float(1.0), Value::Float(0.0)];
-        let e = t.insert_rows(vec![row.clone(), row]).unwrap_err();
-        assert!(matches!(e, Error::OutOfMemory { .. }));
-        // Atomic: the failed insert charged nothing and stored nothing.
-        assert_eq!(t.row_count(), 0);
-        assert_eq!(budget.used(), 0);
+        t.append_batch(&state_batch(0..1)).unwrap();
+        let (chunks, used) = (t.snapshot(), budget.used());
+        // One row more fits, two do not: the batch is charged whole, before
+        // the open tail is touched.
+        let e = t.append_batch(&state_batch(1..3)).unwrap_err();
+        assert!(matches!(e, Error::OutOfMemory { requested: 48, .. }), "{e:?}");
+        assert_eq!((t.row_count(), budget.used()), (1, used));
+        assert!(Arc::ptr_eq(&chunks.chunks()[0].columns()[0], &t.snapshot().chunks()[0].columns()[0]));
+        assert_eq!(t.snapshot().chunks()[0].rows(), 1);
+        // So does a batch that fails coercion in its last column.
+        let bad = RowBatch::from_columns(vec![
+            Column::Int(vec![1]),
+            Column::Float(vec![1.0]),
+            Column::Generic(vec![Value::Str("x".into())]),
+        ]);
+        let e = t.append_batch(&bad).unwrap_err();
+        assert!(matches!(e, Error::Type(ref m) if m.contains("column `i`")), "{e:?}");
+        assert_eq!((t.row_count(), budget.used()), (1, used));
     }
 
     #[test]
@@ -574,40 +602,22 @@ mod tests {
         let budget = MemoryBudget::unlimited();
         let mut t = state_table(budget.clone());
         for s in 0..10 {
-            let row = t.coerce_row(vec![Value::Int(s), Value::Float(1.0), Value::Float(0.0)])
-                .unwrap();
-            t.insert_rows(vec![row]).unwrap();
+            t.load_rows(state_rows(s..s + 1)).unwrap();
         }
+        assert_eq!(t.snapshot().chunks().len(), 1, "single rows fill one tail");
         let used_before = budget.used();
         let n = t.delete_where(|r| Ok(matches!(r[0], Value::Int(v) if v < 5))).unwrap();
         assert_eq!(n, 5);
-        assert!(budget.used() < used_before);
+        assert_eq!(budget.used(), used_before / 2);
         assert_eq!(t.row_count(), 5);
         assert_eq!(t.snapshot().to_rows()[0][0], Value::Int(5));
-    }
-
-    #[test]
-    fn snapshot_is_copy_on_write() {
-        let mut t = state_table(MemoryBudget::unlimited());
-        let row = t.coerce_row(vec![Value::Int(0), Value::Float(1.0), Value::Float(0.0)]).unwrap();
-        t.insert_rows(vec![row.clone()]).unwrap();
-        let snap = t.snapshot();
-        // The second insert extends the same (open) tail chunk: the table
-        // must copy it rather than mutate what `snap` sees.
-        t.insert_rows(vec![row]).unwrap();
-        assert_eq!(snap.num_rows(), 1, "old snapshot unchanged");
-        assert_eq!(snap.chunks()[0].rows(), 1);
-        assert_eq!(t.row_count(), 2);
-        assert_eq!(t.snapshot().num_rows(), 2);
+        assert!(matches!(&*t.snapshot().chunks()[0].columns()[0], Column::Int(_)), "lanes survive");
     }
 
     #[test]
     fn snapshot_survives_delete_and_drop() {
         let mut t = state_table(MemoryBudget::unlimited());
-        let rows: Vec<Row> = (0..4)
-            .map(|s| vec![Value::Int(s), Value::Float(1.0), Value::Float(0.0)])
-            .collect();
-        t.insert_rows(rows).unwrap();
+        t.load_rows(state_rows(0..4)).unwrap();
         let snap = t.snapshot();
         t.delete_where(|_| Ok(true)).unwrap();
         t.release_budget();
@@ -615,20 +625,26 @@ mod tests {
         assert_eq!(snap.to_rows()[3][0], Value::Int(3));
     }
 
+    /// A cell keeps the lane it arrived on: a NULL demotes the batch that
+    /// carries it, never a chunk stored before, and a demoted batch is not
+    /// poured into a typed tail (the charge must not depend on chunking).
     #[test]
-    fn nulls_demote_fast_lane_per_chunk_only(){
-        let mut t = state_table(MemoryBudget::unlimited());
-        let mut rows: Vec<Row> = (0..CHUNK_ROWS as i64)
-            .map(|s| vec![Value::Int(s), Value::Float(1.0), Value::Float(0.0)])
-            .collect();
-        rows.push(vec![Value::Null, Value::Float(1.0), Value::Float(0.0)]);
-        t.insert_rows(rows).unwrap();
+    fn nulls_demote_only_the_batch_that_holds_them() {
+        let budget = MemoryBudget::unlimited();
+        let mut t = state_table(budget.clone());
+        t.load_rows(state_rows(0..10)).unwrap();
+        t.load_rows(vec![vec![Value::Null, Value::Float(1.0), Value::Float(0.0)]]).unwrap();
+        t.load_rows(state_rows(11..12)).unwrap();
         let snap = t.snapshot();
-        assert!(matches!(&*snap.chunks()[0].columns()[0], Column::Int(_)),
-            "sealed chunk keeps its fast lane");
-        assert!(matches!(&*snap.chunks()[1].columns()[0], Column::Generic(_)),
-            "NULL demotes only the chunk that holds it");
+        let lanes: Vec<bool> = snap
+            .chunks()
+            .iter()
+            .map(|c| matches!(&*c.columns()[0], Column::Int(_)))
+            .collect();
+        assert_eq!(lanes, [true, false, true], "typed, demoted, typed again");
         assert!(snap.chunks()[1].row(0)[0].is_null());
+        // 11 typed rows at 24 bytes, one with a 16-byte generic `s`.
+        assert_eq!(budget.used(), 11 * 24 + 16 + 16);
     }
 
     #[test]
@@ -643,22 +659,18 @@ mod tests {
 
     #[test]
     fn arity_mismatch_rejected() {
-        let t = state_table(MemoryBudget::unlimited());
-        assert!(t.coerce_row(vec![Value::Int(0)]).is_err());
-        // insert_rows itself also hard-errors (not just in debug builds).
         let mut t = state_table(MemoryBudget::unlimited());
+        assert!(t.load_rows(vec![vec![Value::Int(0)]]).is_err());
         let too_wide = vec![Value::Int(0), Value::Float(0.0), Value::Float(0.0), Value::Int(9)];
-        assert!(t.insert_rows(vec![too_wide]).is_err());
+        assert!(t.load_rows(vec![too_wide]).is_err());
+        assert!(t.append_batch(&RowBatch::from_columns(vec![Column::Int(vec![1])])).is_err());
         assert_eq!(t.row_count(), 0);
     }
 
     #[test]
     fn selective_delete_keeps_untouched_chunks_shared() {
         let mut t = state_table(MemoryBudget::unlimited());
-        let rows: Vec<Row> = (0..(CHUNK_ROWS as i64 * 2))
-            .map(|s| vec![Value::Int(s), Value::Float(1.0), Value::Float(0.0)])
-            .collect();
-        t.insert_rows(rows).unwrap();
+        t.load_rows(state_rows(0..CHUNK_ROWS as i64 * 2)).unwrap();
         let before = t.snapshot();
         // Delete only from the second chunk; the first must carry over
         // without a re-pack (same column allocations).

@@ -386,6 +386,72 @@ fn crash_matrix_torn_writes() {
     crash_matrix(FaultKind::Torn);
 }
 
+/// `CREATE TABLE … AS` over a filter, so every batch arrives ragged and the
+/// copy spans several chunks: its frame is a `CreateTable` and one `Insert`
+/// block per batch. Kill the statement at every I/O step of that frame,
+/// clean and torn, and reopen: the copy is there with every row or not
+/// there at all, and an acknowledged CTAS is never the one that is missing.
+#[cfg(debug_assertions)]
+#[test]
+fn crash_matrix_over_a_ragged_multi_chunk_ctas() {
+    use std::sync::Arc;
+    use qymera_sqldb::storage::fault::FaultInjector;
+
+    const CTAS: &str = "SELECT k, v FROM src WHERE (k & 3) <> 1";
+    let setup = |dir: &Path, inj: &Arc<FaultInjector>| {
+        let mut opts = test_opts();
+        opts.injector = Arc::clone(inj);
+        let mut db = Database::open_with(dir, opts).unwrap();
+        db.execute("CREATE TABLE src (k INTEGER, v DOUBLE)").unwrap();
+        let rows = (0..3000).map(|k| vec![Value::Int(k), Value::Float(k as f64 / 8.0)]).collect();
+        db.insert_rows("src", rows).unwrap();
+        db
+    };
+    let copy_of = |db: &mut Database| -> Option<Vec<Vec<Value>>> {
+        let there = db.table_names().iter().any(|n| n == "copy");
+        there.then(|| db.execute("SELECT k, v FROM copy").unwrap().into_rows())
+    };
+
+    // Counting pass: what the CTAS alone does at each site, and its result.
+    let dir = tmpdir("ctas-matrix-count");
+    let inj = FaultInjector::none();
+    let mut db = setup(&dir, &inj);
+    inj.reset_counts();
+    assert_eq!(db.create_table_as("copy", CTAS).unwrap(), 2250);
+    let ops: Vec<(FaultSite, u64)> = ALL_FAULT_SITES.iter().map(|&s| (s, inj.ops(s))).collect();
+    let whole = copy_of(&mut db).unwrap();
+    assert_eq!(whole.len(), 2250);
+    drop(db);
+    assert_eq!(copy_of(&mut open(&dir)).as_ref(), Some(&whole), "the clean run recovers");
+    let appends = ops.iter().find(|(s, _)| *s == FaultSite::WalAppend).unwrap().1;
+    assert!(appends >= 6, "Begin, CreateTable, three or more Insert blocks, Commit: {appends}");
+    let _ = fs::remove_dir_all(&dir);
+
+    let mut cases = 0;
+    for kind in [FaultKind::Error, FaultKind::Torn] {
+        for &(site, n) in &ops {
+            for nth in 1..=n {
+                let dir = tmpdir(&format!("ctas-matrix-{kind:?}-{site:?}-{nth}"));
+                let inj = FaultInjector::none();
+                let mut db = setup(&dir, &inj);
+                inj.arm_nth(Some(site), nth, kind);
+                let acked = db.create_table_as("copy", CTAS).is_ok();
+                assert_eq!(copy_of(&mut db).is_some(), acked, "memory follows the answer");
+                drop(db);
+                let recovered = copy_of(&mut open(&dir));
+                let what = format!("{kind:?} fault at {site:?} op {nth}");
+                match recovered {
+                    None => assert!(!acked, "{what}: an acknowledged CTAS is gone"),
+                    Some(rows) => assert_eq!(rows, whole, "{what}: part of the copy recovered"),
+                }
+                cases += 1;
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+    }
+    assert!(cases >= 14, "only {cases} cases");
+}
+
 /// After a commit-time fsync failure the statement must be absent both in
 /// memory (rolled back) and on disk (frame discarded) — the Err ⇒ absent
 /// half of the durability contract, checked pointwise here because the

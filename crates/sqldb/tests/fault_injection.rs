@@ -4,12 +4,18 @@
 //! ledger, leave no orphan spill files, and leave the database fully
 //! usable — the same query retried without the fault succeeds.
 //!
+//! Last, the one multi-fault path of the durable side that no seeded
+//! schedule reaches: the commit whose fsync *and* repairing truncate fail.
+//!
 //! The whole file is debug-only: the fault injector compiles to a
 //! passthrough in release builds, so these schedules could never fire.
 #![cfg(debug_assertions)]
 
-use qymera_sqldb::storage::fault::{FaultKind, FaultSite};
-use qymera_sqldb::{Database, Error, Value};
+use std::sync::Arc;
+
+use qymera_sqldb::storage::fault::{FaultInjector, FaultKind, FaultSite};
+use qymera_sqldb::storage::wal::{CHECKPOINT_FILE, WAL_FILE};
+use qymera_sqldb::{Database, DurabilityOptions, Error, Value};
 
 /// A memory-limited database whose `big` table (60k rows) fits the budget
 /// but whose sorts and wide aggregations do not — every scenario query
@@ -193,4 +199,64 @@ fn seeded_fault_soak_preserves_invariants() {
     db.fault_injector().disarm();
     let rs = db.execute(AGG_SQL).unwrap();
     assert_eq!(rs.rows().len(), 20_000, "one group per distinct key");
+}
+
+/// The double-fault commit: the fsync of the `Commit` record fails and so
+/// does the truncate that should cut the frame off again, so the record may
+/// still be on disk behind a poisoned log. The healed arm — the checkpoint
+/// of the rolled-back state succeeds, its truncate being the *second* at
+/// that site — answers with the plain I/O error over a clean log; when the
+/// checkpoint fails as well the answer is `CommitInDoubt`. Seeded streams
+/// only ever found the second arm; a schedule of chosen sites pins both.
+#[test]
+fn double_fault_commit_heals_behind_a_checkpoint_or_says_in_doubt() {
+    let dir = std::env::temp_dir().join(format!("qymera-double-fault-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let inj = FaultInjector::none();
+    let open = |inj: &Arc<FaultInjector>| {
+        let opts = DurabilityOptions {
+            checkpoint_every_bytes: 0,
+            injector: Arc::clone(inj),
+            ..DurabilityOptions::default()
+        };
+        Database::open_with(&dir, opts).unwrap()
+    };
+    let keys = |db: &mut Database| -> Vec<Value> {
+        let rs = db.execute("SELECT k FROM t ORDER BY k").unwrap();
+        rs.into_rows().into_iter().map(|mut r| r.remove(0)).collect()
+    };
+    let mut db = open(&inj);
+    db.execute("CREATE TABLE t (k INTEGER)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    assert!(!dir.join(CHECKPOINT_FILE).exists());
+
+    let double_fault = [(FaultSite::WalFsync, 1), (FaultSite::WalTruncate, 1)];
+    inj.arm_sites(&double_fault, FaultKind::Error);
+    let err = db.execute("INSERT INTO t VALUES (2)").unwrap_err();
+    assert!(
+        matches!(err, Error::Io(ref m) if m.contains("injected") && m.contains("WalFsync")),
+        "healed: the first fault is the answer, got {err:?}"
+    );
+    assert!(!db.wal_poisoned(), "the checkpoint reset the log");
+    assert!(dir.join(CHECKPOINT_FILE).exists());
+    assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
+    assert_eq!(keys(&mut db), [Value::Int(1)], "rolled back in memory");
+    db.execute("INSERT INTO t VALUES (3)").unwrap();
+    drop(db);
+    let mut db = open(&inj);
+    assert_eq!(keys(&mut db), [Value::Int(1), Value::Int(3)], "and on disk");
+
+    // The same two faults and a failing checkpoint write: outcome unknown.
+    let triple = [double_fault[0], double_fault[1], (FaultSite::CheckpointWrite, 1)];
+    inj.arm_sites(&triple, FaultKind::Error);
+    let err = db.execute("INSERT INTO t VALUES (4)").unwrap_err();
+    assert!(matches!(err, Error::CommitInDoubt { .. }), "{err:?}");
+    assert!(db.wal_poisoned());
+    // The next statement boundary retries the heal, with nothing armed.
+    db.execute("INSERT INTO t VALUES (5)").unwrap();
+    assert!(!db.wal_poisoned());
+    assert_eq!(keys(&mut db), [Value::Int(1), Value::Int(3), Value::Int(5)]);
+    drop(db);
+    assert_eq!(keys(&mut open(&inj)), [Value::Int(1), Value::Int(3), Value::Int(5)]);
+    let _ = std::fs::remove_dir_all(&dir);
 }

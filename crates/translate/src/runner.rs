@@ -339,10 +339,19 @@ impl Simulator for SqlSimulator {
         }
         let mut out =
             SimOutput::from_map(circuit.num_qubits, amplitudes, result.stats.peak_memory_bytes);
+        let stats = &result.stats;
         out.detail = format!(
             "{} ops, {} spill files, {} spill bytes",
-            result.ops_executed, result.stats.spill_files, result.stats.spill_bytes
+            result.ops_executed, stats.spill_files, stats.spill_bytes
         );
+        if self.config.db_path.is_some() {
+            // Behind the three counters above, whose wording callers parse.
+            let r = stats.recovery;
+            out.detail += &format!(
+                ", {} wal bytes, {} wal fsyncs, opened in {:.1} ms ({} frames, {} ops replayed)",
+                stats.wal_bytes, stats.wal_fsyncs, r.ms, r.frames, r.ops_applied
+            );
+        }
         Ok(out)
     }
 

@@ -4,9 +4,14 @@
 // rollbacks were file truncations to recorded offsets, A's rollback cut
 // the file mid-record and later committed frames were lost at recovery.
 // Rollbacks are logical records now, so the file only grows here.
+use qymera_sqldb::exec::batch::{Column, RowBatch};
 use qymera_sqldb::storage::fault::FaultInjector;
 use qymera_sqldb::storage::wal::{DurableStore, FsyncPolicy};
-use qymera_sqldb::value::Value;
+
+/// The one-column batch an `INSERT INTO t VALUES (k), …` logs.
+fn ints(values: &[i64]) -> RowBatch {
+    RowBatch::from_columns(vec![Column::Int(values.to_vec())])
+}
 
 #[test]
 fn stale_savepoint_after_foreign_abort_truncation() {
@@ -18,16 +23,16 @@ fn stale_savepoint_after_foreign_abort_truncation() {
 
         // Txn A opens its frame and logs one op.
         let a = store.begin().unwrap();
-        store.log_insert(a, "t", &[vec![Value::Int(1)]]).unwrap();
+        store.log_insert(a, "t", &ints(&[1])).unwrap();
 
         // Txn C commits, advancing the committed boundary past A's bytes.
         let c = store.begin().unwrap();
-        store.log_insert(c, "t", &[vec![Value::Int(100)]]).unwrap();
+        store.log_insert(c, "t", &ints(&[100])).unwrap();
         store.commit(c).unwrap();
 
         // Txn B is now alone on the uncommitted tail.
         let b = store.begin().unwrap();
-        store.log_insert(b, "t", &[vec![Value::Int(200)], vec![Value::Int(201)]]).unwrap();
+        store.log_insert(b, "t", &ints(&[200, 201])).unwrap();
 
         // A sets a savepoint here (an op count — `Database::txn_savepoint`
         // records nothing about the file), then B aborts.
@@ -35,15 +40,15 @@ fn stale_savepoint_after_foreign_abort_truncation() {
 
         // A logs ten ops past the savepoint and rolls them back.
         for i in 0..10 {
-            store.log_insert(a, "t", &[vec![Value::Int(i)]]).unwrap();
+            store.log_insert(a, "t", &ints(&[i])).unwrap();
         }
         store.rollback_ops(a, 10).unwrap();
 
         // A continues and commits; then an unrelated txn D commits too.
-        store.log_insert(a, "t", &[vec![Value::Int(42)]]).unwrap();
+        store.log_insert(a, "t", &ints(&[42])).unwrap();
         store.commit(a).unwrap();
         let d = store.begin().unwrap();
-        store.log_insert(d, "t", &[vec![Value::Int(7)]]).unwrap();
+        store.log_insert(d, "t", &ints(&[7])).unwrap();
         store.commit(d).unwrap();
     }
     // Recovery: C's, A's and D's acknowledged commits must all replay.
