@@ -71,6 +71,23 @@ impl CircuitCase {
         CircuitCase { seed: 0, qubits: 4, gates }
     }
 
+    /// The shapes whose gates, Hadamards apart, cannot interfere — the
+    /// optimizer streams their aggregates, and every oracle here still
+    /// groups or multiplies matrices: a QFT (CP ladders on non-adjacent
+    /// qubits, the reversal swaps), a parity check (X and CX fan-in on a
+    /// one-row state) and Bernstein–Vazirani (CX between Hadamard layers).
+    pub fn library_shapes() -> Vec<CircuitCase> {
+        use qymera_circuit::library;
+        [
+            library::qft(5),
+            library::parity_check(&[true, false, true, true, false]),
+            library::bernstein_vazirani(4, 0b1011),
+        ]
+        .iter()
+        .map(|c| CircuitCase { seed: 0, qubits: c.num_qubits, gates: c.gates().to_vec() })
+        .collect()
+    }
+
     /// Materialize as a [`QuantumCircuit`].
     pub fn circuit(&self) -> QuantumCircuit {
         let mut c = QuantumCircuit::new(self.qubits);

@@ -92,6 +92,15 @@ fn deep_gate_chain_agrees_across_sql_and_native_backends() {
 }
 
 #[test]
+fn library_shaped_circuits_agree_across_sql_and_native_backends() {
+    for case in CircuitCase::library_shapes() {
+        if let Some(d) = qymera_check::run_circuit_case(&case) {
+            panic!("{} qubits, {} gates: {d}", case.qubits, case.gates.len());
+        }
+    }
+}
+
+#[test]
 fn fault_schedules_hold_the_durability_contract() {
     let base = base_seed() ^ 0xFA17;
     let n = case_count(30);

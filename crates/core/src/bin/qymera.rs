@@ -141,7 +141,9 @@ fn usage() -> &'static str {
        sample   sample measurement outcomes (--shots N)\n\
      options:\n\
        --circuit SPEC   built-in circuit, e.g. ghz:3, eqsup:4, qft:5,\n\
-                        w:4, bell, parity:10110, grover:3:5, bv:5:19\n\
+                        w:4, bell, parity:10110, grover:3:5, bv:5:19,\n\
+                        dj:4 (constant) or dj:4:5 (balanced by mask 5),\n\
+                        qpe:4:3, sparse:8, dense:8, hea:6 (two layers)\n\
        --file PATH      load a circuit from .json or .qasm\n\
        --backend NAME   sql | statevector | sparse | mps | dd (default sql)\n\
        --auto           let the method selector choose the backend\n\
@@ -317,6 +319,15 @@ fn load_circuit(args: &[String]) -> Result<QuantumCircuit, String> {
     }
     let spec = opt(args, "--circuit").ok_or("need --circuit SPEC or --file PATH")?;
     let parts: Vec<&str> = spec.split(':').collect();
+    // A field the family does not take would be ignored, not obeyed.
+    let fields = match parts[0] {
+        "bell" => 1,
+        "grover" | "bv" | "dj" | "qpe" => 3,
+        _ => 2,
+    };
+    if let Some(surplus) = parts.get(fields) {
+        return Err(format!("`{spec}`: `{}` takes no `:{surplus}`", parts[..fields].join(":")));
+    }
     // The `library` constructors assert their preconditions; user input is
     // checked here so a bad spec is one `error:` line, not a panic.
     let number = |i: usize| -> Result<u64, String> {

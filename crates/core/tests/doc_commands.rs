@@ -106,6 +106,8 @@ fn malformed_circuit_specs_are_one_error_line_not_a_panic() {
         "bv:10:1234", "ghz:0", "grover:3:9", "qft:0", "w:0", "bv:70:1", "ghz:", "nosuch:3",
         // further preconditions of the same constructors
         "eqsup:0", "parity:", "dj:0", "dj:3:0", "dj:3:x", "qpe:21:0", "qpe:3:9", "hea:1",
+        // a field the family does not take (`hea:14:1` ran two layers)
+        "ghz:3:9", "hea:14:1", "qft:5:x", "bell:2", "bv:5:19:0",
     ];
     for spec in specs {
         let (status, stderr) = run_circuit(spec, &[], &cwd);

@@ -22,9 +22,9 @@ use crate::exec::{ExecContext, NodeStats};
 use crate::expr::bind;
 use crate::parser::{parse_script, parse_statement};
 use crate::plan::logical::{depth_bound, plan_query, Plan};
-use crate::plan::optimizer::optimize;
+use crate::plan::optimizer::{optimize, optimize_with_facts};
 use crate::reference;
-use crate::schema::RelSchema;
+use crate::schema::{Facts, RelSchema};
 use crate::storage::budget::MemoryBudget;
 use crate::storage::fault::FaultInjector;
 use crate::storage::spill::{Row, SpillDir};
@@ -470,14 +470,14 @@ impl Database {
             return Err(Error::Plan("CREATE TABLE AS requires a query".into()));
         };
         with_exec_stack(&q, || {
-            let plan = optimize(plan_query(&q, &self.catalog)?);
-            self.create_table_as_exec(name, plan)
+            let (plan, facts) = optimize_with_facts(plan_query(&q, &self.catalog)?);
+            self.create_table_as_exec(name, plan, facts)
         })
     }
 
     /// Execution half of [`Self::create_table_as`] (runs on the execution
     /// stack for deep plans).
-    fn create_table_as_exec(&mut self, name: &str, plan: Plan) -> Result<usize> {
+    fn create_table_as_exec(&mut self, name: &str, plan: Plan, facts: Facts) -> Result<usize> {
         if self.in_transaction() {
             // CTAS frames span many streamed chunks; splicing that into an
             // open transaction's frame is not supported.
@@ -487,7 +487,7 @@ impl Database {
         }
         self.maybe_heal_poisoned();
         self.begin_query();
-        self.in_txn(0, Vec::new(), |db| db.create_table_as_in_txn(name, plan))
+        self.in_txn(0, Vec::new(), |db| db.create_table_as_in_txn(name, plan, facts))
     }
 
     /// Bulk-load pre-built rows (bypasses SQL parsing; used by the Qymera

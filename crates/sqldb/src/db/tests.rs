@@ -326,3 +326,123 @@ fn recovery_replays_blocks_into_chunks() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A 13-qubit register after a Hadamard on qubit 12: `T1` holds 8 192 rows,
+/// twice what a scan checks, so what the planner knows of `T1.s` is what the
+/// `CREATE TABLE … AS` recorded — and nothing once the rows changed.
+fn step_table_db(db: &mut Database) {
+    db.execute_script(
+        "CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE); \
+         CREATE TABLE H (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE); \
+         INSERT INTO H VALUES (0, 0, 0.5, 0.0), (0, 1, 0.5, 0.0), (1, 0, 0.5, 0.0), (1, 1, -0.5, 0.0); \
+         CREATE TABLE X (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE); \
+         INSERT INTO X VALUES (0, 1, 1.0, 0.0), (1, 0, 1.0, 0.0);",
+    )
+    .unwrap();
+    db.insert_rows("T0", state_rows(4096)).unwrap();
+    let made = db.create_table_as("T1", &gate_step("T0", "H", 12)).unwrap();
+    assert_eq!(made, 8192);
+}
+
+/// The Fig. 2c statement for one-qubit gate table `g` on qubit `q` of `t`.
+fn gate_step(t: &str, g: &str, q: u32) -> String {
+    let key = format!("(({t}.s & ~{}) | ({g}.out_s << {q}))", 1u64 << q);
+    format!(
+        "SELECT {key} AS s, SUM(({t}.r * {g}.r) - ({t}.i * {g}.i)) AS r, \
+         SUM(({t}.r * {g}.i) + ({t}.i * {g}.r)) AS i \
+         FROM {t} JOIN {g} ON {g}.in_s = (({t}.s >> {q}) & 1) GROUP BY {key}"
+    )
+}
+
+fn streams(db: &Database, sql: &str) -> bool {
+    db.explain(sql).unwrap().contains("(one row per group: streamed)")
+}
+
+fn assert_matches_reference(db: &mut Database, sql: &str) {
+    let mut got = db.execute(sql).unwrap().into_rows();
+    let mut want = db.query_reference(sql).unwrap().into_rows();
+    assert_eq!(got.len(), 8192);
+    let by_key = |a: &Row, b: &Row| a[0].cmp_total(&b[0]);
+    got.sort_by(by_key);
+    want.sort_by(by_key);
+    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+}
+
+#[test]
+fn a_recorded_key_does_not_outlive_the_rows_it_described() {
+    let mut db = Database::new();
+    step_table_db(&mut db);
+    let next = gate_step("T1", "X", 3);
+    assert!(!streams(&db, &gate_step("T0", "H", 12)), "a Hadamard interferes");
+    assert!(streams(&db, &next), "T1.s is a key: its CTAS said so");
+    assert_matches_reference(&mut db, &next);
+
+    // Fewer rows of a key are still a key; the old rows brought back by a
+    // rollback are not known to be (the undo restores chunks, not facts).
+    db.execute("DELETE FROM T1 WHERE s = 9").unwrap();
+    assert!(streams(&db, &next));
+    db.execute_script("BEGIN; DELETE FROM T1 WHERE s = 10; ROLLBACK").unwrap();
+    assert!(!streams(&db, &next));
+
+    // A second |7⟩: the statement groups, and the two rows add up.
+    for insert in [true, false] {
+        let mut db = Database::new();
+        step_table_db(&mut db);
+        if insert {
+            db.execute("INSERT INTO T1 VALUES (7, 0.25, 0.5)").unwrap();
+        } else {
+            db.insert_rows("T1", vec![vec![Value::Int(7), Value::Float(0.25), Value::Float(0.5)]])
+                .unwrap();
+        }
+        assert!(!streams(&db, &next));
+        let mut got = db.execute(&next).unwrap().into_rows();
+        assert_eq!(got.len(), 8192, "8 193 rows, two of them |7⟩");
+        got.retain(|row| row[0] == Value::Int(15));
+        let before = 7.0 / 8.0 * 0.5;
+        assert_eq!(got, [vec![Value::Int(15), Value::Float(before + 0.25), Value::Float(0.5)]]);
+        db.execute("DELETE FROM T1 WHERE s = 7 AND i = 0.5").unwrap();
+        assert!(!streams(&db, &next), "nothing brings a forgotten fact back");
+        assert_matches_reference(&mut db, &next);
+    }
+}
+
+#[test]
+fn another_session_can_take_a_recorded_key_away_between_two_gate_statements() {
+    let mut db = Database::new();
+    step_table_db(&mut db);
+    let shared = crate::SharedDb::new(db);
+    let (mut ours, mut theirs) = (shared.session(), shared.session());
+    let next = gate_step("T1", "X", 3);
+    assert!(shared.with(|db| streams(db, &next)));
+    let before = ours.execute(&next).unwrap().into_rows();
+    theirs.execute("INSERT INTO T1 VALUES (7, 0.25, 0.5)").unwrap();
+    assert!(!shared.with(|db| streams(db, &next)));
+    let after = ours.execute(&next).unwrap().into_rows();
+    assert_eq!((before.len(), after.len()), (8192, 8192));
+    let want = shared.with(|db| db.query_reference(&next).unwrap().into_rows());
+    let sorted = |mut rows: Vec<Row>| {
+        rows.sort_by(|a, b| a[0].cmp_total(&b[0]));
+        format!("{rows:?}")
+    };
+    assert_eq!(sorted(after), sorted(want));
+}
+
+#[test]
+fn a_reopened_directory_knows_no_keys_it_cannot_check() {
+    let dir = std::env::temp_dir().join(format!("qymera-keys-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = Database::open(&dir).unwrap();
+    step_table_db(&mut db);
+    let next = gate_step("T1", "X", 3);
+    assert!(streams(&db, &next));
+    drop(db);
+    let mut db = Database::open(&dir).unwrap();
+    assert!(!streams(&db, &next), "recovery appends rows; it proves nothing about them");
+    assert!(streams(&db, &gate_step("T0", "X", 3)), "4 096 rows are checked again");
+    assert_matches_reference(&mut db, &next);
+    // What the first statement after the reopen creates is known again.
+    db.create_table_as("T2", &next).unwrap();
+    assert!(streams(&db, &gate_step("T2", "X", 5)));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}

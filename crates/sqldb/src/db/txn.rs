@@ -10,7 +10,7 @@ use crate::exec::vector::{build_batch_stream, drain};
 use crate::expr::bind;
 use crate::plan::logical::{plan_query, Plan};
 use crate::plan::optimizer::optimize;
-use crate::schema::RelSchema;
+use crate::schema::{Facts, RelSchema};
 use crate::storage::spill::Row;
 use crate::storage::wal::DurableStore;
 use crate::txn::lock::LockGuard;
@@ -408,7 +408,12 @@ impl Database {
     /// partially built table again.
     ///
     /// [`Table::append_batch`]: crate::table::Table::append_batch
-    pub(super) fn create_table_as_in_txn(&mut self, name: &str, plan: Plan) -> Result<usize> {
+    pub(super) fn create_table_as_in_txn(
+        &mut self,
+        name: &str,
+        plan: Plan,
+        facts: Facts,
+    ) -> Result<usize> {
         let names = plan.schema().names();
         let stream = build_batch_stream(&plan, &self.catalog, &self.ctx())?;
         let mut created = false;
@@ -431,6 +436,8 @@ impl Database {
         if !created {
             self.ctas_create(name, &names, None)?;
         }
+        // What the plan proved of its columns holds of exactly these rows.
+        self.catalog.get_mut(name)?.record_facts(facts);
         Ok(inserted)
     }
 

@@ -22,7 +22,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::plan::logical::Plan;
+use crate::plan::logical::{streamed_note, Plan};
 use crate::storage::budget::MemoryBudget;
 use crate::storage::spill::SpillDir;
 
@@ -98,9 +98,12 @@ fn node_label(plan: &Plan) -> String {
         Plan::Filter { .. } => "Filter".into(),
         Plan::Project { exprs, .. } => format!("Project [{}]", exprs.len()),
         Plan::Join { kind, .. } => format!("Join {kind:?}"),
-        Plan::Aggregate { group_by, aggs, .. } => {
-            format!("Aggregate [{} keys, {} aggs]", group_by.len(), aggs.len())
-        }
+        Plan::Aggregate { group_by, aggs, one_row_per_group, .. } => format!(
+            "HashAggregate [{} keys, {} aggs]{}",
+            group_by.len(),
+            aggs.len(),
+            streamed_note(*one_row_per_group)
+        ),
         Plan::Sort { keys, .. } => format!("Sort [{}]", keys.len()),
         Plan::Limit { limit, offset, .. } => format!("Limit {limit:?}+{offset}"),
         Plan::UnionAll { inputs } => format!("UnionAll [{}]", inputs.len()),

@@ -225,6 +225,7 @@ fn plan_rows_bound(plan: &Plan, catalog: &Catalog) -> Option<usize> {
         Plan::Scan { table, .. } => catalog.get(table).ok().map(|t| t.row_count()),
         Plan::Filter { input, .. }
         | Plan::Project { input, .. }
+        | Plan::Aggregate { input, one_row_per_group: true, .. }
         | Plan::Alias { input, .. } => plan_rows_bound(input, catalog),
         Plan::Limit { input, limit, .. } => {
             let inner = plan_rows_bound(input, catalog);
@@ -240,7 +241,9 @@ fn plan_rows_bound(plan: &Plan, catalog: &Catalog) -> Option<usize> {
 
 /// Is `plan` a morsel-parallelizable segment: a chain of filter / project /
 /// alias nodes (with inner equi-joins probing on the left) rooted in a
-/// base-table scan, whose cumulative join fan-out is provably bounded?
+/// base-table scan, whose cumulative join fan-out is provably bounded? An
+/// aggregate with one row per group is a projection here as everywhere in
+/// the executor: it breaks no pipeline.
 fn is_segment(plan: &Plan, catalog: &Catalog) -> bool {
     segment_fanout(plan, catalog).is_some()
 }
@@ -254,6 +257,7 @@ fn segment_fanout(plan: &Plan, catalog: &Catalog) -> Option<usize> {
         Plan::Scan { .. } => Some(1),
         Plan::Filter { input, .. }
         | Plan::Project { input, .. }
+        | Plan::Aggregate { input, one_row_per_group: true, .. }
         | Plan::Alias { input, .. } => segment_fanout(input, catalog),
         // Inner and LEFT OUTER equi-probes both qualify: an outer probe's
         // null-pads are computed within each probe batch, so the stage stays
@@ -289,6 +293,7 @@ fn scan_chunks(plan: &Plan, catalog: &Catalog) -> usize {
             .unwrap_or(0),
         Plan::Filter { input, .. }
         | Plan::Project { input, .. }
+        | Plan::Aggregate { input, one_row_per_group: true, .. }
         | Plan::Alias { input, .. } => scan_chunks(input, catalog),
         Plan::Join { left, .. } => scan_chunks(left, catalog),
         _ => 0,
@@ -345,9 +350,10 @@ pub(crate) fn build_segment(
             let seg = descend(input)?;
             push_stage(seg, MorselStage::Filter(predicate.clone()), slot)?
         }
-        Plan::Project { input, exprs, .. } => {
+        Plan::Project { .. } | Plan::Aggregate { one_row_per_group: true, .. } => {
+            let (input, exprs) = plan.as_projection().expect("matched a projection");
             let seg = descend(input)?;
-            push_stage(seg, MorselStage::Project(exprs.clone()), slot)?
+            push_stage(seg, MorselStage::Project(exprs.into_owned()), slot)?
         }
         Plan::Join {
             left,

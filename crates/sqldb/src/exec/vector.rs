@@ -160,8 +160,13 @@ fn build_batch_stream_inner(
     // a base-table scan runs on a worker pool, with output batches gathered
     // back in morsel order (so downstream consumers see the sequential
     // order). Single chunks and `parallelism = 1` use the operators below.
-    if matches!(plan, Plan::Filter { .. } | Plan::Project { .. } | Plan::Join { .. })
-        && parallel::parallel_eligible(plan, catalog, ctx)
+    if matches!(
+        plan,
+        Plan::Filter { .. }
+            | Plan::Project { .. }
+            | Plan::Join { .. }
+            | Plan::Aggregate { one_row_per_group: true, .. }
+    ) && parallel::parallel_eligible(plan, catalog, ctx)
     {
         let segment = parallel::build_segment(plan, catalog, ctx, depth, slot)?;
         return parallel::spawn_pipeline(segment, ctx, slot);
@@ -176,10 +181,15 @@ fn build_batch_stream_inner(
             input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
             predicate: predicate.clone(),
         }),
-        Plan::Project { input, exprs, .. } => Box::new(BatchProject {
-            input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
-            exprs: exprs.clone(),
-        }),
+        // An aggregate with one row per group has no table to build: the
+        // projection operator computes its group key and its sums.
+        Plan::Project { .. } | Plan::Aggregate { one_row_per_group: true, .. } => {
+            let (input, exprs) = plan.as_projection().expect("matched a projection");
+            Box::new(BatchProject {
+                input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
+                exprs: exprs.into_owned(),
+            })
+        }
         Plan::Join { left, right, kind, on, .. } => {
             if *kind == JoinKind::Right {
                 return Err(Error::Plan(
@@ -243,11 +253,6 @@ fn build_batch_stream_inner(
             }
         }
         Plan::Aggregate { input, group_by, aggs, .. } => {
-            set_node_label(
-                ctx,
-                slot,
-                format!("HashAggregate [{} keys, {} aggs]", group_by.len(), aggs.len()),
-            );
             if parallel::agg_input_eligible(input, catalog, ctx) {
                 // Morsel-parallel consume: workers run the input segment and
                 // build per-worker partial tables, merged at finalize.

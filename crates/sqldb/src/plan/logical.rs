@@ -6,16 +6,18 @@
 //! produces a tree of [`Plan`] nodes carrying [`BoundExpr`]s that the
 //! executor can run directly.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::ast::{
-    self, Expr, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr, TableRef,
+    self, BinaryOp, Expr, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr, TableRef,
 };
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::{bind, BoundExpr};
-use crate::schema::{Field, RelSchema};
+use crate::schema::{Facts, Field, RelSchema};
+use crate::value::Value;
 
 /// Aggregate functions supported by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +73,11 @@ pub struct SortKey {
 /// shared subtree once per reference.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
-    /// Base table scan (snapshot taken at execution time).
-    Scan { table: String, schema: RelSchema },
+    /// Base table scan (snapshot taken at execution time). `facts` is what
+    /// the table knew of its columns when the statement was planned; a
+    /// statement is planned and executed under one `&mut Database`, so the
+    /// rows it scans are the rows the facts describe.
+    Scan { table: String, schema: RelSchema, facts: Facts },
     /// Produces exactly one zero-column row (`SELECT` without `FROM`).
     One,
     Filter { input: Arc<Plan>, predicate: BoundExpr },
@@ -89,6 +94,11 @@ pub enum Plan {
         group_by: Vec<BoundExpr>,
         aggs: Vec<AggExpr>,
         schema: RelSchema,
+        /// Derived by the optimizer ([`super::keys`]), never written by the
+        /// planner: no two input rows share a group key, every aggregate is
+        /// a plain `SUM` over `DOUBLE`s. The node means what it always
+        /// meant; the executor may stream it (`Plan::as_projection`).
+        one_row_per_group: bool,
     },
     Sort { input: Arc<Plan>, keys: Vec<SortKey> },
     Limit { input: Arc<Plan>, limit: Option<u64>, offset: u64 },
@@ -133,6 +143,25 @@ impl Plan {
         }
     }
 
+    /// The input and expressions of a node the projection operator runs: a
+    /// `Project`, or an `Aggregate` with one row per group — its group key,
+    /// then each `SUM` of a single `DOUBLE` term, which is `0.0 + term` (the
+    /// aggregate's sums start from `0.0` on every path).
+    pub(crate) fn as_projection(&self) -> Option<(&Arc<Plan>, Cow<'_, [BoundExpr]>)> {
+        match self {
+            Plan::Project { input, exprs, .. } => Some((input, Cow::Borrowed(exprs))),
+            Plan::Aggregate { input, group_by, aggs, one_row_per_group: true, .. } => {
+                let sum_of_one = |agg: &AggExpr| BoundExpr::Binary {
+                    left: Box::new(BoundExpr::Literal(Value::Float(0.0))),
+                    op: BinaryOp::Add,
+                    right: Box::new(agg.arg.clone().expect("SUM has an argument")),
+                };
+                Some((input, group_by.iter().cloned().chain(aggs.iter().map(sum_of_one)).collect()))
+            }
+            _ => None,
+        }
+    }
+
     /// Render as an indented plan tree (for debugging / EXPLAIN-style output).
     pub fn explain(&self) -> String {
         let mut out = String::new();
@@ -150,9 +179,12 @@ impl Plan {
             Plan::Join { kind, on, .. } => {
                 format!("Join {kind:?}{}", if on.is_some() { " on" } else { "" })
             }
-            Plan::Aggregate { group_by, aggs, .. } => {
-                format!("Aggregate [{} keys, {} aggs]", group_by.len(), aggs.len())
-            }
+            Plan::Aggregate { group_by, aggs, one_row_per_group, .. } => format!(
+                "Aggregate [{} keys, {} aggs]{}",
+                group_by.len(),
+                aggs.len(),
+                streamed_note(*one_row_per_group)
+            ),
             Plan::Sort { keys, .. } => format!("Sort [{} keys]", keys.len()),
             Plan::Limit { limit, offset, .. } => format!("Limit {limit:?} offset {offset}"),
             Plan::UnionAll { inputs } => format!("UnionAll [{}]", inputs.len()),
@@ -179,6 +211,16 @@ impl Plan {
             }
             _ => {}
         }
+    }
+}
+
+/// What `EXPLAIN` and `EXPLAIN ANALYZE` append to an aggregate's label: the
+/// reason it built no table, when the optimizer proved one row per group.
+pub(crate) fn streamed_note(one_row_per_group: bool) -> &'static str {
+    if one_row_per_group {
+        " (one row per group: streamed)"
+    } else {
+        ""
     }
 }
 
@@ -343,7 +385,8 @@ fn plan_table_ref(tref: &TableRef, catalog: &Catalog, scope: &CteScope) -> Resul
             if let Some(a) = alias {
                 schema = schema.with_relation(a);
             }
-            Ok(Arc::new(Plan::Scan { table: table.name().to_string(), schema }))
+            let facts = table.column_facts();
+            Ok(Arc::new(Plan::Scan { table: table.name().to_string(), schema, facts }))
         }
         TableRef::Subquery { query, alias } => {
             let plan = plan_query_scoped(query, catalog, scope)?;
@@ -468,7 +511,13 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
         // reuses the aggregation operator's spill machinery for free.
         let schema = plan.schema();
         let group_by = (0..schema.len()).map(BoundExpr::Column).collect();
-        plan = Plan::Aggregate { input: Arc::new(plan), group_by, aggs: vec![], schema };
+        plan = Plan::Aggregate {
+            input: Arc::new(plan),
+            group_by,
+            aggs: vec![],
+            schema,
+            one_row_per_group: false,
+        };
     }
 
     Ok(plan)
@@ -523,6 +572,7 @@ fn plan_aggregate(
         group_by: group_bound,
         aggs,
         schema: agg_schema.clone(),
+        one_row_per_group: false,
     });
 
     if let Some(h) = rewritten_having {

@@ -1,4 +1,5 @@
 //! Query planning and optimization.
 
+pub mod keys;
 pub mod logical;
 pub mod optimizer;

@@ -9,22 +9,34 @@
 //! * **filter → join predicate migration** — `WHERE` equi-conjuncts spanning
 //!   both join sides become join conditions eligible for hash joins;
 //! * **filter pushdown** — side-local conjuncts move below the join;
-//! * **filter fusion** — stacked filters merge into one conjunction.
+//! * **filter fusion** — stacked filters merge into one conjunction;
+//! * **one row per group** — an aggregate whose group key provably differs
+//!   on any two input rows (a gate that cannot interfere) is marked so the
+//!   executor streams it; see [`super::keys`].
 
 use std::sync::Arc;
 
 use crate::ast::{BinaryOp, JoinKind};
 use crate::expr::BoundExpr;
+use crate::plan::keys::annotate;
 use crate::plan::logical::{Plan, SortKey};
+use crate::schema::Facts;
 
 /// Apply all rules bottom-up until a fixpoint (bounded by plan depth).
 pub fn optimize(plan: Plan) -> Plan {
+    optimize_with_facts(plan).0
+}
+
+/// [`optimize`], and what the last pass derived of the result's columns
+/// (`CREATE TABLE … AS` records it with the table it fills).
+pub(crate) fn optimize_with_facts(plan: Plan) -> (Plan, Facts) {
     let mut p = plan;
     // Two passes are enough for the rule set (each rule is monotone).
     for _ in 0..2 {
         p = rewrite(p);
     }
-    p
+    let facts = annotate(&mut p);
+    (p, facts)
 }
 
 /// Rewrite a child. `Arc::unwrap_or_clone` moves a singly-referenced subtree
@@ -54,11 +66,12 @@ fn rewrite(plan: Plan) -> Plan {
             on: on.map(fold_expr),
             schema,
         },
-        Plan::Aggregate { input, group_by, aggs, schema } => Plan::Aggregate {
+        Plan::Aggregate { input, group_by, aggs, schema, one_row_per_group } => Plan::Aggregate {
             input: rewrite_child(input),
             group_by: group_by.into_iter().map(fold_expr).collect(),
             aggs,
             schema,
+            one_row_per_group,
         },
         Plan::Sort { input, keys } => Plan::Sort {
             input: rewrite_child(input),
@@ -403,8 +416,12 @@ mod tests {
         let mk_schema = |rel: &str, names: &[&str]| {
             RelSchema::new(names.iter().map(|n| Field::new(Some(rel), n)).collect())
         };
-        let left = Plan::Scan { table: "a".into(), schema: mk_schema("a", &["x", "y"]) };
-        let right = Plan::Scan { table: "b".into(), schema: mk_schema("b", &["z"]) };
+        let scan = |table: &str, schema: RelSchema| {
+            let facts = vec![None; schema.len()];
+            Plan::Scan { table: table.into(), schema, facts }
+        };
+        let left = scan("a", mk_schema("a", &["x", "y"]));
+        let right = scan("b", mk_schema("b", &["z"]));
         let joined_schema = left.schema().join(&right.schema());
         let join = Plan::Join {
             left: Arc::new(left),
@@ -433,6 +450,7 @@ mod tests {
         let scan = Plan::Scan {
             table: "t".into(),
             schema: crate::schema::RelSchema::new(vec![crate::schema::Field::new(None, "x")]),
+            facts: vec![None],
         };
         let p = Plan::Filter { input: Arc::new(scan.clone()), predicate: lit(1) };
         assert!(matches!(optimize(p), Plan::Scan { .. }));

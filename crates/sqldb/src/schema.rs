@@ -27,6 +27,20 @@ impl Field {
     }
 }
 
+/// What is known of every value of one column, as far as the optimizer needs
+/// it to reason about gate queries (see [`crate::plan::keys`]): every value
+/// is a non-NULL `INTEGER`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColFact {
+    /// Bits set in at least one value; a bit outside is 0 in all of them.
+    pub ones: u64,
+    /// No two rows hold the same value: the column is a key.
+    pub unique: bool,
+}
+
+/// One entry per column of a relation; `None` where nothing is known.
+pub type Facts = Vec<Option<ColFact>>;
+
 /// Ordered column list of a relation.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RelSchema {

@@ -52,7 +52,7 @@ use std::sync::Arc;
 use crate::ast::DataType;
 use crate::error::{Error, Result};
 use crate::exec::batch::{Column, ColumnRef, RowBatch, BATCH_SIZE};
-use crate::schema::{Field, RelSchema};
+use crate::schema::{ColFact, Facts, Field, RelSchema};
 use crate::storage::budget::{MemoryBudget, Reservation};
 use crate::storage::spill::Row;
 use crate::value::Value;
@@ -60,6 +60,11 @@ use crate::value::Value;
 /// Rows per storage chunk. Matched to the executor's [`BATCH_SIZE`] so a
 /// scan yields exactly one ready-made batch per chunk.
 pub const CHUNK_ROWS: usize = BATCH_SIZE;
+
+/// Largest table [`Table::column_facts`] checks value by value: every gate
+/// table and initial state is far below it, and the check stays in the
+/// tens of microseconds per planned statement.
+const FACT_CHECK_ROWS: usize = 4096;
 
 /// One horizontal slice of a table (≤ [`CHUNK_ROWS`] rows) in columnar
 /// layout. Chunks are immutable once sealed; the tail chunk grows by
@@ -159,6 +164,10 @@ pub struct Table {
     rows: usize,
     /// Budget charge for all chunk storage (RAII: freed on drop).
     reservation: Reservation,
+    /// Column facts the plan that filled this table proved (`CREATE TABLE …
+    /// AS`). They describe exactly the rows present when they were recorded:
+    /// whatever adds rows or brings old ones back forgets them.
+    recorded_facts: Option<Facts>,
 }
 
 impl Table {
@@ -170,6 +179,7 @@ impl Table {
             chunks: Arc::new(Vec::new()),
             rows: 0,
             reservation: Reservation::empty(&budget),
+            recorded_facts: None,
         }
     }
 
@@ -206,6 +216,46 @@ impl Table {
     /// O(1) consistent snapshot for scans (copy-on-write with inserts).
     pub fn snapshot(&self) -> TableSnapshot {
         TableSnapshot { chunks: Arc::clone(&self.chunks), rows: self.rows }
+    }
+
+    /// What the optimizer may assume of each column's current values: the
+    /// facts recorded with the rows if they still stand; else, for every
+    /// `INTEGER` column stored on the null-free lane throughout, what a scan
+    /// of its values finds — or, past 4,096 rows (`FACT_CHECK_ROWS`), only that
+    /// they are non-NULL integers.
+    pub fn column_facts(&self) -> Facts {
+        if let Some(facts) = &self.recorded_facts {
+            return facts.clone();
+        }
+        (0..self.columns.len())
+            .map(|c| {
+                if self.columns[c].1 != DataType::Integer {
+                    return None;
+                }
+                let lanes = self
+                    .chunks
+                    .iter()
+                    .map(|chunk| match &*chunk.columns[c] {
+                        Column::Int(lane) => Some(lane.as_slice()),
+                        _ => None,
+                    })
+                    .collect::<Option<Vec<_>>>()?;
+                if self.rows > FACT_CHECK_ROWS {
+                    return Some(ColFact { ones: u64::MAX, unique: false });
+                }
+                let mut values = lanes.concat();
+                let ones = values.iter().fold(0, |m, &v| m | v as u64);
+                values.sort_unstable();
+                Some(ColFact { ones, unique: values.windows(2).all(|w| w[0] != w[1]) })
+            })
+            .collect()
+    }
+
+    /// Record what the plan whose result this table holds proved of its
+    /// columns (see [`Table::column_facts`]).
+    pub(crate) fn record_facts(&mut self, facts: Facts) {
+        debug_assert_eq!(facts.len(), self.columns.len());
+        self.recorded_facts = Some(facts);
     }
 
     fn arity_error(&self, got: usize) -> Error {
@@ -306,6 +356,7 @@ impl Table {
                 budget: self.reservation.budget().limit(),
             });
         }
+        self.recorded_facts = None;
         let chunks = Arc::make_mut(&mut self.chunks);
         if take > 0 {
             let tail = chunks.last_mut().expect("rows were taken for a tail");
@@ -411,6 +462,7 @@ impl Table {
     /// an undone insert, growing (overdraft, infallible) after an undone
     /// delete.
     pub(crate) fn restore(&mut self, undo: TableUndo) {
+        self.recorded_facts = None;
         self.chunks = undo.chunks;
         self.rows = undo.rows;
         let cur = self.reservation.bytes();
@@ -704,5 +756,44 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         assert_eq!(t.snapshot().to_rows()[0][1], Value::Float(2.0), "coerced to DOUBLE");
+    }
+
+    #[test]
+    fn column_facts_are_checked_or_recorded_and_forgotten_on_writes() {
+        let fact = |ones, unique| Some(ColFact { ones, unique });
+        let mut t = state_table(MemoryBudget::unlimited());
+        assert_eq!(t.column_facts(), [fact(0, true), None, None], "no rows: trivially");
+        t.load_rows(state_rows(1..6)).unwrap();
+        assert_eq!(t.column_facts(), [fact(7, true), None, None]);
+        t.load_rows(state_rows(-2..-1)).unwrap();
+        assert_eq!(t.column_facts()[0], fact(u64::MAX, true), "a negative value sets the high bits");
+        t.load_rows(state_rows(3..4)).unwrap();
+        assert_eq!(t.column_facts()[0], fact(u64::MAX, false), "3 twice");
+
+        // Recorded facts answer for the rows they were recorded with …
+        let recorded = vec![fact(1 << 40, true), None, None];
+        t.record_facts(recorded.clone());
+        assert_eq!(t.column_facts(), recorded);
+        // … of which a delete leaves a subset, an append does not, and a
+        // restore brings back rows nobody vouches for.
+        t.delete_where(|r| Ok(r[0] == Value::Int(3))).unwrap();
+        assert_eq!(t.column_facts(), recorded);
+        let undo = t.undo_state();
+        t.load_rows(state_rows(8..9)).unwrap();
+        assert_eq!(t.column_facts()[0], fact(u64::MAX, true), "checked again");
+        t.record_facts(recorded);
+        t.restore(undo);
+        assert_eq!(t.column_facts()[0], fact(u64::MAX, true));
+
+        // A NULL demotes the lane: nothing is known. Past the check limit,
+        // only that the values are non-NULL integers.
+        let mut with_null = state_table(MemoryBudget::unlimited());
+        with_null.load_rows(vec![vec![Value::Null, Value::Float(1.0), Value::Float(0.0)]]).unwrap();
+        assert_eq!(with_null.column_facts(), [None, None, None]);
+        let mut large = state_table(MemoryBudget::unlimited());
+        large.load_rows(state_rows(0..FACT_CHECK_ROWS as i64)).unwrap();
+        assert_eq!(large.column_facts()[0], fact(FACT_CHECK_ROWS as u64 - 1, true));
+        large.load_rows(state_rows(0..1)).unwrap();
+        assert_eq!(large.column_facts()[0], fact(u64::MAX, false), "not looked at");
     }
 }

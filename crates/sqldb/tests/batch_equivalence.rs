@@ -920,3 +920,156 @@ fn joins_agree_with_the_reference_on_both_sides_of_the_direct_index() {
         assert_eq!(sorted_rows(db.execute(sql).unwrap().rows()), sorted_rows(want.rows()));
     }
 }
+
+/// `state(s, r, i)` of the given key type and `g(in_s, out_s, r, i)` with
+/// dyadic amplitudes, so sums are exact in any order.
+fn keyed_gate_db(key_type: &str, keys: Vec<Value>, gate: &[(i64, i64)]) -> Database {
+    let amp = |k: usize| Value::Float((k % 13) as f64 / 4.0 - 1.5);
+    let state = keys.into_iter().enumerate().map(|(k, s)| vec![s, amp(k), amp(k + 5)]);
+    let gate = gate
+        .iter()
+        .enumerate()
+        .map(|(k, &(in_s, out_s))| vec![Value::Int(in_s), Value::Int(out_s), amp(k + 2), amp(k + 7)]);
+    let mut db = Database::new();
+    db.execute(&format!("CREATE TABLE state (s {key_type}, r DOUBLE, i DOUBLE)")).unwrap();
+    db.insert_rows("state", state.collect()).unwrap();
+    db.execute("CREATE TABLE g (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+    db.insert_rows("g", gate.collect()).unwrap();
+    db
+}
+
+/// The Fig. 2c query with `key` for the new state and `on` for the join.
+fn gate_sql(key: &str, on: &str, having: &str) -> String {
+    format!(
+        "SELECT {key} AS s, SUM((state.r * g.r) - (state.i * g.i)) AS r, \
+         SUM((state.r * g.i) + (state.i * g.r)) AS i \
+         FROM state JOIN g ON g.in_s = {on} GROUP BY {key}{having}"
+    )
+}
+
+/// One gate query over one state and gate table, and whether the optimizer
+/// must prove it to see one row per group.
+struct GateCase {
+    what: &'static str,
+    proven: bool,
+    key_type: &'static str,
+    keys: Vec<Value>,
+    gate: &'static [(i64, i64)],
+    sql: String,
+}
+
+/// The optimizer streams an aggregate only where it proves one row per
+/// group, and the reference — which ignores the proof and groups — agrees
+/// with the executor either way. Three chunks of state, so two workers run
+/// the streamed aggregate as a stage of a morsel pipeline.
+#[test]
+fn proven_and_refused_gate_queries_agree_with_the_reference() {
+    const PERMUTATION: &[(i64, i64)] = &[(0, 0), (1, 3), (2, 2), (3, 1)];
+    let ints = |keys: std::ops::Range<i64>| keys.map(Value::Int).collect::<Vec<_>>();
+    let with = |extra: Value| ints(0..2999).into_iter().chain([extra]).collect::<Vec<_>>();
+    let case = |what, proven, keys, gate, sql: &str| GateCase {
+        what,
+        proven,
+        key_type: "INTEGER",
+        keys,
+        gate,
+        sql: sql.to_string(),
+    };
+    let contiguous = gate_sql("((state.s & ~6) | (g.out_s << 1))", "((state.s >> 1) & 3)", "");
+    // Qubits [2, 0]: the per-bit form non-adjacent qubits get.
+    let per_bit = gate_sql(
+        "((state.s & ~5) | (((g.out_s & 1) << 2) | ((g.out_s >> 1) & 1)))",
+        "(((state.s >> 2) & 1) | ((state.s & 1) << 1))",
+        "",
+    );
+    let one_qubit = gate_sql("((state.s & ~1) | g.out_s)", "(state.s & 1)", "");
+    let having = gate_sql(
+        "((state.s & ~6) | (g.out_s << 1))",
+        "((state.s >> 1) & 3)",
+        " HAVING SUM((state.r * g.r) - (state.i * g.i)) > 0.5",
+    );
+    let cases = vec![
+        case("contiguous mask form", true, ints(0..3000), PERMUTATION, &contiguous),
+        case("per-bit mask form", true, ints(0..3000), PERMUTATION, &per_bit),
+        case("diagonal gate", true, ints(-1500..1500), &[(0, 0), (1, 1)], &one_qubit),
+        // A unique `out_s` names the gate row; `in_s` may repeat.
+        case("in_s repeats, out_s does not", true, ints(0..3000), &[(0, 0), (0, 1)], &one_qubit),
+        // `prune_threshold`'s filter sits above the aggregate and changes nothing below.
+        case("HAVING above the aggregate", true, ints(0..3000), PERMUTATION, &having),
+        case("H: both columns repeat", false, ints(0..3000), &[(0, 0), (0, 1), (1, 0), (1, 1)], &one_qubit),
+        case("two in_s, one out_s", false, ints(0..3000), &[(0, 1), (1, 1)], &one_qubit),
+        case("an out_s bit outside the field", false, ints(0..3000), &[(0, 1), (1, 2)], &one_qubit),
+        case(
+            "the key clears bits the join does not read",
+            false,
+            ints(0..3000),
+            &[(0, 0), (1, 1)],
+            &gate_sql("((state.s & ~7) | g.out_s)", "(state.s & 1)", ""),
+        ),
+        case(
+            "the key keeps a bit out_s lands on",
+            false,
+            ints(0..3000),
+            &[(0, 0), (1, 1)],
+            &gate_sql("((state.s & ~6) | g.out_s)", "(state.s & 1)", ""),
+        ),
+        case("a duplicate s", false, with(Value::Int(7)), PERMUTATION, &contiguous),
+        case("a NULL s", false, with(Value::Null), PERMUTATION, &contiguous),
+        GateCase {
+            what: "a HUGEINT register",
+            proven: false,
+            key_type: "HUGEINT",
+            keys: (0..3000).map(|v| Value::Big(BigBits::from_u64(v, 100).shl(40))).collect(),
+            gate: &[(0, 1), (1, 0)],
+            sql: gate_sql(
+                "((state.s ^ (g.in_s << 70)) ^ (g.out_s << 70))",
+                "((state.s >> 70) & 0x1)",
+                "",
+            ),
+        },
+    ];
+    for GateCase { what, proven, key_type, keys, gate, sql } in cases {
+        let mut db = keyed_gate_db(key_type, keys, gate);
+        let plan = db.explain(&sql).unwrap();
+        assert_eq!(plan.contains("(one row per group: streamed)"), proven, "{what}:\n{plan}");
+        let want = db.query_reference(&sql).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert!(!want.rows().is_empty(), "{what}: an empty result compares nothing");
+        for workers in [1, 2] {
+            db.set_parallelism(workers);
+            let got = db.execute(&sql).unwrap_or_else(|e| panic!("{what}, {workers} workers: {e}"));
+            assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{what}, {workers} workers");
+        }
+    }
+}
+
+/// A streamed aggregate has no table to charge or spill: under a limit that
+/// makes the same query spill when the state's key is not known (6 000 rows
+/// are past what a scan checks), the proven one leaves the ledger where the
+/// tables put it — and `-0.0` still sums to `+0.0`.
+#[test]
+fn a_streamed_aggregate_charges_and_spills_nothing() {
+    const TIGHT: usize = 512 * 1024;
+    let sql = gate_sql("((state.s & ~1) | g.out_s)", "(state.s & 1)", "");
+    for (rows, streamed) in [(4000, true), (6000, false)] {
+        let mut db = Database::with_memory_limit(TIGHT);
+        db.set_parallelism(1);
+        db.execute("CREATE TABLE state (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+        let state = (0..rows).map(|s| vec![Value::Int(s), Value::Float(-0.0), Value::Float(0.25)]);
+        db.insert_rows("state", state.collect()).unwrap();
+        db.execute("CREATE TABLE g (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+        db.execute("INSERT INTO g VALUES (0, 1, 1.0, 0.0), (1, 0, 1.0, 0.0)").unwrap();
+        let tables = db.budget().used();
+        let profile = db.explain_analyze(&sql).unwrap();
+        assert_eq!(profile.contains("(one row per group: streamed)"), streamed, "{profile}");
+        assert_eq!(db.stats().spill_files == 0, streamed, "{rows} rows");
+        let got = db.execute(&sql).unwrap();
+        assert_eq!(db.budget().used(), tables);
+        if streamed {
+            // One batch of join output at a time, nothing per group.
+            assert!(db.budget().peak() < tables + 100 * 1024, "peak {}", db.budget().peak());
+        }
+        assert!(got.rows().iter().all(|r| matches!(r[1], Value::Float(x) if x.to_bits() == 0)));
+        let want = db.query_reference(&sql).unwrap();
+        assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()));
+    }
+}
