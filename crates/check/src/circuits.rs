@@ -1,8 +1,8 @@
 //! Differential fuzzing of the translate path: random circuits run
-//! through the SQL backend (single-query and step-table modes, and the
-//! single query answered by the engine's reference interpreter) and
-//! cross-checked against the native simulator backends (statevector,
-//! sparse, MPS, decision diagram) amplitude-by-amplitude.
+//! through the SQL backend (the fused single query, step tables fused and
+//! unfused, and the unfused single query answered by the engine's reference
+//! interpreter) and cross-checked against the native simulator backends
+//! (statevector, sparse, MPS, decision diagram) amplitude-by-amplitude.
 //!
 //! Rotation angles are dyadic multiples of π/8 — enough to produce dense,
 //! interfering states while keeping every backend well inside the
@@ -140,17 +140,15 @@ fn gen_gate(rng: &mut CaseRng, qubits: usize) -> Gate {
     Gate::new(kind, qs, params)
 }
 
-/// The SQL-backend configurations a circuit case runs under.
+/// The SQL-backend configurations a circuit case runs under: the default
+/// (fused) single query, and step tables fused and one per gate.
 fn sql_backends() -> Vec<(&'static str, SqlSimulator)> {
+    let step =
+        |fusion| SqlSimConfig { mode: ExecMode::StepTables, fusion, ..SqlSimConfig::default() };
     vec![
         ("sql-single", SqlSimulator::paper_default()),
-        (
-            "sql-step",
-            SqlSimulator::new(SqlSimConfig {
-                mode: ExecMode::StepTables,
-                ..SqlSimConfig::default()
-            }),
-        ),
+        ("sql-step", SqlSimulator::new(step(None))),
+        ("sql-step-fused", SqlSimulator::new(step(SqlSimConfig::default().fusion))),
     ]
 }
 

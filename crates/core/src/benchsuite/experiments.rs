@@ -252,7 +252,8 @@ pub struct FusionResult {
 /// A named circuit family used by the fusion ablation.
 type FusionWorkload<'a> = (&'a str, Box<dyn Fn(usize) -> QuantumCircuit>);
 
-/// Compare fusion off / 2-qubit / 3-qubit on QFT and dense workloads.
+/// Compare fusion off / 2-qubit / 3-qubit / 6-qubit (the default) on QFT
+/// and dense workloads.
 pub fn fusion_experiment(sizes: &[usize]) -> FusionResult {
     let mut rows = Vec::new();
     let workloads: Vec<FusionWorkload> = vec![
@@ -262,7 +263,7 @@ pub fn fusion_experiment(sizes: &[usize]) -> FusionResult {
     for (name, make) in &workloads {
         for &n in sizes {
             let circuit = make(n);
-            for fusion in [None, Some(2), Some(3)] {
+            for fusion in [None, Some(2), Some(3), Some(6)] {
                 let sim = SqlSimulator::new(SqlSimConfig { fusion, ..Default::default() });
                 let start = Instant::now();
                 let result = sim.run(&circuit);
@@ -528,10 +529,17 @@ mod tests {
 
     #[test]
     fn e7_fusion_reduces_ops() {
-        let r = fusion_experiment(&[5]);
-        let qft_off = r.rows.iter().find(|(w, _, f, _, _)| w == "qft" && f == "off").unwrap();
-        let qft_f3 = r.rows.iter().find(|(w, _, f, _, _)| w == "qft" && f == "≤3q").unwrap();
-        assert!(qft_f3.3 < qft_off.3, "fusion must shrink op count");
+        let r = fusion_experiment(&[8]);
+        let ops = |w: &str, f: &str| r.rows.iter().find(|row| row.0 == w && row.2 == f).unwrap().3;
+        // QFT-8: the CP ladders and swaps fuse once the support allows, and
+        // a wider block never costs an op.
+        assert_eq!(ops("qft", "off"), library::qft(8).gate_count());
+        assert!(ops("qft", "≤6q") < ops("qft", "≤3q") && ops("qft", "≤3q") < ops("qft", "off"));
+        assert!(ops("qft", "≤3q") <= ops("qft", "≤2q"));
+        // The dense circuit interleaves interfering layers; fusion may only
+        // shrink it.
+        assert!(ops("dense", "≤6q") <= ops("dense", "off"));
+        assert!(r.rows.iter().all(|row| row.2 != "err"), "{:?}", r.rows);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //!
 //! ```text
 //! qymera sql     --circuit ghz:3                    # print the Fig. 2c SQL
+//! qymera sql     --circuit qft:4 --no-fusion        # one CTE per gate
 //! qymera run     --circuit qft:5 --backend sql      # simulate & print state
 //! qymera run     --file my_circuit.json --auto      # method selector picks
 //! qymera trace   --circuit ghz:3                    # per-gate state tables
@@ -148,8 +149,10 @@ fn usage() -> &'static str {
        --backend NAME   sql | statevector | sparse | mps | dd (default sql)\n\
        --auto           let the method selector choose the backend\n\
        --memory BYTES   memory budget for the simulation\n\
-       --parallel N     SQL-engine worker threads (default: host cores;\n\
-                        1 = fully sequential execution)\n\
+       --no-fusion      one query per gate (default: gates that cannot\n\
+                        interfere fuse into blocks of up to 6 qubits;\n\
+                        `trace` never fuses)\n\
+       --parallel N     SQL-engine worker threads (default 1)\n\
        --db DIR         persist the SQL engine's state in DIR (write-ahead\n\
                         logged, crash-recoverable; default: in-memory)\n\
        --timeout-ms MS  per-statement deadline for the SQL engine\n\
@@ -188,7 +191,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
         None => None,
     };
     let cancel: CancelHandle = sigint::install();
-    let sql_config = SqlSimConfig {
+    let mut sql_config = SqlSimConfig {
         memory_limit: opts.memory_limit,
         parallelism: parallel,
         db_path,
@@ -196,11 +199,14 @@ fn run(args: &[String]) -> Result<(), Failure> {
         cancel: Some(cancel),
         ..Default::default()
     };
+    if flag(args, "--no-fusion") {
+        sql_config.fusion = None;
+    }
     let sql_sim = SqlSimulator::new(sql_config.clone());
 
     match command.as_str() {
         "sql" => {
-            outln!("{}", SqlSimulator::paper_default().generated_sql(&circuit));
+            outln!("{}", sql_sim.generated_sql(&circuit));
             Ok(())
         }
         "run" => {
@@ -241,8 +247,10 @@ fn run(args: &[String]) -> Result<(), Failure> {
             }
         }
         "profile" => {
-            let text =
-                sql_sim.profile(&circuit).map_err(|e| Failure::Simulation(e.to_string()))?;
+            // The query `run` executes, fused unless `--no-fusion`.
+            let text = sql_sim
+                .explain_analyze(&circuit)
+                .map_err(|e| Failure::Simulation(e.to_string()))?;
             out!("{text}");
             Ok(())
         }

@@ -149,7 +149,7 @@ impl Engine {
     }
 
     /// Run with an explicitly-configured simulator instance (e.g. a
-    /// [`SqlSimulator`] with fusion enabled).
+    /// [`SqlSimulator`] with fusion off).
     pub fn run_with(&self, sim: &dyn Simulator, circuit: &QuantumCircuit) -> RunReport {
         let start = Instant::now();
         let result = sim.simulate(circuit, &self.opts);

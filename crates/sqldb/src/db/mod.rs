@@ -79,7 +79,7 @@ fn with_exec_stack<T: Send>(query: &Query, f: impl FnOnce() -> T + Send) -> T {
 
 /// An embedded database instance. Statement execution is driven from the
 /// caller's thread; with [`Database::set_parallelism`] above 1 (the default
-/// follows the host's core count) the batch executor fans eligible pipeline
+/// is 1) the batch executor fans eligible pipeline
 /// stages out over a morsel-parallel worker pool.
 pub struct Database {
     catalog: Catalog,
@@ -116,21 +116,20 @@ pub struct Database {
 }
 
 /// Worker threads a fresh [`Database`] allows the batch executor: the
-/// `QYMERA_PARALLELISM` environment variable when set (a positive integer;
-/// `1` forces fully sequential execution), otherwise the host's available
-/// core count. An unparsable value panics rather than silently falling
-/// back to full parallelism — the variable exists precisely so CI can pin
-/// sequential semantics, and ignoring a typo would invert that guarantee.
+/// `QYMERA_PARALLELISM` environment variable when set (a positive integer),
+/// otherwise 1 — fully sequential. The worker pool is opt-in: on the paper's
+/// single-query chains it never engages, and in step-table mode it measured
+/// slower than one worker. An unparsable value panics rather than silently
+/// falling back — the variable exists so CI can pin a worker count for
+/// whole test suites, and ignoring a typo would invert that guarantee.
 fn default_parallelism() -> usize {
-    if let Ok(raw) = std::env::var("QYMERA_PARALLELISM") {
-        match raw.trim().parse::<usize>() {
-            Ok(n) => return n.max(1),
-            Err(_) => panic!(
-                "QYMERA_PARALLELISM must be a non-negative integer, got `{raw}`"
-            ),
-        }
+    match std::env::var("QYMERA_PARALLELISM") {
+        Ok(raw) => match raw.trim().parse::<usize>() {
+            Ok(n) => n.max(1),
+            Err(_) => panic!("QYMERA_PARALLELISM must be a non-negative integer, got `{raw}`"),
+        },
+        Err(_) => 1,
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 impl Database {
@@ -262,8 +261,8 @@ impl Database {
 
     /// Cap the batch executor's morsel-parallel worker pool at `n` threads
     /// (clamped to at least 1). `1` reproduces single-threaded execution
-    /// exactly; the default is the host core count (or `QYMERA_PARALLELISM`
-    /// when that environment variable is set).
+    /// exactly and is the default (unless the `QYMERA_PARALLELISM`
+    /// environment variable sets another).
     pub fn set_parallelism(&mut self, n: usize) {
         self.parallelism = n.max(1);
     }

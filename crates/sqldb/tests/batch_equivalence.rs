@@ -638,11 +638,13 @@ fn explain_analyze_shows_batch_operators_for_all_shapes() {
     assert!(text.contains("HashAggregate"), "{text}");
 }
 
-/// The knob clamps to at least one worker and reads back.
+/// The knob defaults to one worker (unless `QYMERA_PARALLELISM` says
+/// otherwise), clamps to at least one and reads back.
 #[test]
 fn parallelism_knob_clamps() {
     let mut db = Database::new();
-    assert!(db.parallelism() >= 1);
+    let pinned = std::env::var("QYMERA_PARALLELISM").ok().and_then(|v| v.parse().ok());
+    assert_eq!(db.parallelism(), pinned.unwrap_or(1).max(1));
     db.set_parallelism(0);
     assert_eq!(db.parallelism(), 1);
     db.set_parallelism(6);

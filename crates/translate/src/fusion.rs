@@ -1,220 +1,287 @@
 //! Gate fusion — §3.2 "Query Optimization: consecutive gates are fused into
 //! single SQL query where possible, minimizing intermediate results".
 //!
-//! Greedy scheme: consecutive gates whose combined qubit support stays within
-//! `max_fused_qubits` are multiplied into one unitary block, so the CTE chain
-//! shrinks (each CTE is one join + one aggregation over the whole state, so
-//! fewer CTEs means proportionally fewer passes).
+//! Every op is one join + aggregate pass, and the optimizer streams the
+//! aggregate of a partial permutation (one nonzero per column) but builds a
+//! group table for a gate that can interfere. So a gate joins the open block
+//! if the union has at most `max_fused_qubits` qubits and **(a)** its qubits
+//! are in the block, and the block holds no interfering gate yet or the gate
+//! is a partial permutation; or **(b)** block and gate are both partial
+//! permutations and `2^|union|` is at most the support bound of the state
+//! there: the product of the gates' column fan-outs since the one-row `T0`,
+//! capped at `2^n`. A block holds at most one interfering gate, so fusion
+//! never adds a table-building aggregate. Blocks compose sparsely; a block of
+//! one gate (which may be wider than the cap) keeps its canonical table, a
+//! wider one lists its qubits in ascending order. ARCHITECTURE.md ("Fusion:
+//! fewer passes, never more group tables") gives the reasons and measurements.
 
-use qymera_circuit::{CMatrix, Complex64, Gate, QuantumCircuit};
+use std::collections::BTreeMap;
+
+use qymera_circuit::{gate_table_entries, Complex64, Gate, QuantumCircuit};
 
 use crate::tables::{GateOp, GateTableRegistry, GATE_AMPLITUDE_TOL};
 
-/// Embed `m` (acting on `from`, local bit j = `from[j]`) into the qubit list
-/// `to` (⊇ `from`), producing a 2^|to| matrix with identity on `to ∖ from`.
-pub fn embed(m: &CMatrix, from: &[usize], to: &[usize]) -> CMatrix {
-    let pos: Vec<usize> = from
-        .iter()
-        .map(|q| {
-            to.iter()
-                .position(|t| t == q)
-                .expect("`from` qubits must be a subset of `to`")
-        })
-        .collect();
-    let dim = 1usize << to.len();
-    let rest_mask: usize = {
-        let mut used = 0usize;
-        for &p in &pos {
-            used |= 1 << p;
-        }
-        !used & (dim - 1)
-    };
-    let mut out = CMatrix::zeros(dim, dim);
-    for a in 0..dim {
-        for b in 0..dim {
-            if a & rest_mask != b & rest_mask {
-                continue; // identity on untouched qubits
-            }
-            let mut la = 0usize;
-            let mut lb = 0usize;
-            for (j, &p) in pos.iter().enumerate() {
-                la |= ((a >> p) & 1) << j;
-                lb |= ((b >> p) & 1) << j;
-            }
-            out[(a, b)] = m[(la, lb)];
-        }
-    }
-    out
+/// The default and widest block: a k-qubit block table has 2^k `in_s` keys,
+/// and the engine joins through its direct index only while every key is
+/// below 64.
+pub const MAX_FUSED_QUBITS: usize = 6;
+
+/// Σ bit(x, pos[j]) << j — the local index of `x` over the bit positions `pos`.
+fn gather(x: u64, pos: &[usize]) -> u64 {
+    pos.iter().enumerate().fold(0, |acc, (j, &p)| acc | (((x >> p) & 1) << j))
 }
 
-/// Sparse entries of an arbitrary unitary block (the fused gate's relational
-/// table).
-pub fn matrix_entries(m: &CMatrix, tol: f64) -> Vec<(u64, u64, Complex64)> {
-    let mut entries = Vec::new();
-    for in_s in 0..m.cols() {
-        for out_s in 0..m.rows() {
-            let amp = m[(out_s, in_s)];
-            if amp.norm_sqr() > tol * tol {
-                entries.push((in_s as u64, out_s as u64, amp));
-            }
-        }
-    }
-    entries
+/// Σ bit(x, j) << pos[j] — the inverse of [`gather`].
+fn scatter(x: u64, pos: &[usize]) -> u64 {
+    pos.iter().enumerate().fold(0, |acc, (j, &p)| acc | (((x >> j) & 1) << p))
 }
 
-/// One fused block before lowering.
-#[derive(Debug, Clone)]
+/// The open block: ascending qubits, per input column a map `out_s → amp`,
+/// its gate while it has only one, and whether it holds an interfering gate.
 struct Block {
     qubits: Vec<usize>,
-    matrix: CMatrix,
-    gates: Vec<Gate>,
+    columns: Vec<BTreeMap<u64, Complex64>>,
+    single: Option<Gate>,
+    interferes: bool,
 }
 
 impl Block {
-    fn from_gate(g: &Gate) -> Self {
-        Block { qubits: g.qubits.clone(), matrix: g.matrix(), gates: vec![g.clone()] }
+    fn new(g: &Gate, table: &[(u64, u64, Complex64)]) -> Self {
+        let identity = vec![BTreeMap::from([(0, Complex64::ONE)])];
+        let mut b = Block { qubits: vec![], columns: identity, single: None, interferes: false };
+        b.absorb(g, table);
+        b.single = Some(g.clone());
+        b
     }
 
-    /// Try to absorb `g`; returns false (unchanged) if the union would
-    /// exceed `max_qubits`.
-    fn try_absorb(&mut self, g: &Gate, max_qubits: usize) -> bool {
+    fn admits(&self, g: &Gate, max_qubits: usize, support: u64) -> bool {
+        let permutes = g.kind.is_permutation_like();
+        let added = g.qubits.iter().filter(|q| !self.qubits.contains(q)).count();
+        let width = self.qubits.len() + added;
+        match added {
+            _ if width > max_qubits => false,
+            0 => !self.interferes || permutes,                                        // (a)
+            _ => !self.interferes && permutes && width < 64 && 1 << width <= support, // (b)
+        }
+    }
+
+    /// Multiply `g`, whose relational table is `table`, onto the block.
+    fn absorb(&mut self, g: &Gate, table: &[(u64, u64, Complex64)]) {
         let mut union = self.qubits.clone();
-        for &q in &g.qubits {
-            if !union.contains(&q) {
-                union.push(q);
+        union.extend(g.qubits.iter().filter(|q| !self.qubits.contains(q)));
+        union.sort_unstable();
+        let at = |q: &usize| union.binary_search(q).expect("the union holds every qubit");
+        // Widen to the union: identity on the new qubits, whose bits pass through.
+        let old: Vec<usize> = self.qubits.iter().map(at).collect();
+        let new_bits = !scatter(u64::MAX, &old);
+        self.columns = (0..1u64 << union.len())
+            .map(|c| {
+                let column = &self.columns[gather(c, &old) as usize];
+                column.iter().map(|(&o, &a)| (scatter(o, &old) | (c & new_bits), a)).collect()
+            })
+            .collect();
+        let pos: Vec<usize> = g.qubits.iter().map(at).collect();
+        let touched = scatter(u64::MAX, &pos);
+        for column in &mut self.columns {
+            let mut next = BTreeMap::new();
+            for (&o, &a) in column.iter() {
+                let local = gather(o, &pos);
+                for &(_, out, amp) in table.iter().filter(|e| e.0 == local) {
+                    let s = (o & !touched) | scatter(out, &pos);
+                    *next.entry(s).or_insert(Complex64::ZERO) += a * amp;
+                }
             }
+            *column = next;
         }
-        if union.len() > max_qubits {
-            return false;
-        }
-        let lifted_block = embed(&self.matrix, &self.qubits, &union);
-        let lifted_gate = embed(&g.matrix(), &g.qubits, &union);
-        self.matrix = lifted_gate.matmul(&lifted_block);
         self.qubits = union;
-        self.gates.push(g.clone());
-        true
+        self.single = None;
+        self.interferes |= !g.kind.is_permutation_like();
     }
 
     fn lower(self, reg: &mut GateTableRegistry) -> GateOp {
-        if self.gates.len() == 1 {
-            // Single gate: keep the canonical shared table (H, CX, …).
-            return reg.lower_gate(&self.gates[0]);
+        if let Some(g) = self.single {
+            return reg.lower_gate(&g);
         }
-        let entries = matrix_entries(&self.matrix, GATE_AMPLITUDE_TOL);
-        reg.register_custom("F", self.qubits, entries)
+        let tol2 = GATE_AMPLITUDE_TOL * GATE_AMPLITUDE_TOL;
+        let entries = (0..).zip(self.columns).flat_map(|(in_s, column)| {
+            let kept = column.into_iter().filter(move |(_, a)| a.norm_sqr() > tol2);
+            kept.map(move |(out_s, a)| (in_s, out_s, a))
+        });
+        reg.register_custom("F", self.qubits, entries.collect())
     }
 }
 
-/// Lower a circuit to gate operations, optionally fusing consecutive gates
-/// up to `max_fused_qubits` (`None` disables fusion — one op per gate).
+/// Lower a circuit run on a basis state to gate operations, fused under the
+/// rule above (`max_fused_qubits: None`: one op per gate).
 pub fn lower_circuit(
     circuit: &QuantumCircuit,
     reg: &mut GateTableRegistry,
     max_fused_qubits: Option<usize>,
 ) -> Vec<GateOp> {
-    match max_fused_qubits {
-        None => circuit.gates().iter().map(|g| reg.lower_gate(g)).collect(),
-        Some(max_q) => {
-            let mut ops = Vec::new();
-            let mut current: Option<Block> = None;
-            for g in circuit.gates() {
-                let absorbed = match current.as_mut() {
-                    Some(block) => block.try_absorb(g, max_q),
-                    None => false,
-                };
-                if !absorbed {
-                    if let Some(block) = current.take() {
-                        ops.push(block.lower(reg));
-                    }
-                    current = Some(Block::from_gate(g));
-                }
-            }
-            if let Some(block) = current {
-                ops.push(block.lower(reg));
-            }
-            ops
+    let Some(max_qubits) = max_fused_qubits else {
+        return circuit.gates().iter().map(|g| reg.lower_gate(g)).collect();
+    };
+    let cap = if circuit.num_qubits < 64 { 1u64 << circuit.num_qubits } else { u64::MAX };
+    let (mut support, mut ops, mut open) = (1u64, Vec::new(), None::<Block>);
+    for g in circuit.gates() {
+        let table = gate_table_entries(g, GATE_AMPLITUDE_TOL);
+        match open.as_mut() {
+            Some(block) if block.admits(g, max_qubits, support) => block.absorb(g, &table),
+            _ => ops.extend(open.replace(Block::new(g, &table)).map(|b| b.lower(reg))),
         }
+        // The gate's column fan-out: how far it can widen the state's support.
+        let fan_out = table.chunk_by(|a, b| a.0 == b.0).map(|c| c.len() as u64).max();
+        support = support.saturating_mul(fan_out.unwrap_or(1)).min(cap);
     }
+    ops.extend(open.map(|b| b.lower(reg)));
+    ops
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qymera_circuit::{library, CircuitBuilder, GateKind};
+    use crate::tables::GateTable;
+    use qymera_circuit::{library, CMatrix, CircuitBuilder, GateKind};
 
-    #[test]
-    fn embed_identity_on_rest() {
-        // X on qubit 0, embedded into [0, 2]: |q2 q0⟩ basis, X on bit 0.
-        let x = Gate::new(GateKind::X, vec![0], vec![]).matrix();
-        let e = embed(&x, &[0], &[0, 2]);
-        assert_eq!(e.rows(), 4);
-        // |00⟩→|01⟩ (local), |10⟩→|11⟩; identity on bit 1 (qubit 2)
-        assert_eq!(e[(1, 0)], qymera_circuit::c64(1.0, 0.0));
-        assert_eq!(e[(3, 2)], qymera_circuit::c64(1.0, 0.0));
-        assert_eq!(e[(2, 0)], qymera_circuit::Complex64::ZERO);
-        assert!(e.is_unitary(1e-12));
+    /// Embed `m` (acting on `from`, local bit j = `from[j]`) into the qubit
+    /// list `to` (⊇ `from`): a 2^|to| matrix, identity on `to ∖ from`. The
+    /// dense reference the sparse composition is checked against.
+    fn embed(m: &CMatrix, from: &[usize], to: &[usize]) -> CMatrix {
+        let pos: Vec<usize> = from.iter().map(|q| to.iter().position(|t| t == q).unwrap()).collect();
+        let dim = 1usize << to.len();
+        let touched = scatter(u64::MAX, &pos) as usize;
+        let mut out = CMatrix::zeros(dim, dim);
+        for a in 0..dim {
+            for b in (0..dim).filter(|b| b & !touched == a & !touched) {
+                let (la, lb) = (gather(a as u64, &pos), gather(b as u64, &pos));
+                out[(a, b)] = m[(la as usize, lb as usize)];
+            }
+        }
+        out
+    }
+
+    fn lowered(c: &QuantumCircuit, fusion: Option<usize>) -> (Vec<GateOp>, Vec<GateTable>) {
+        let mut reg = GateTableRegistry::new();
+        let ops = lower_circuit(c, &mut reg, fusion);
+        (ops, reg.tables().to_vec())
     }
 
     #[test]
-    fn fused_block_equals_gate_product() {
-        // H(0) then X(0): block matrix must equal X·H.
-        let c = CircuitBuilder::new(1).h(0).x(0).build();
-        let mut block = Block::from_gate(&c.gates()[0]);
-        assert!(block.try_absorb(&c.gates()[1], 2));
-        let h = c.gates()[0].matrix();
-        let x = c.gates()[1].matrix();
-        let expect = x.matmul(&h);
-        assert!(block.matrix.approx_eq(&expect, 1e-12));
+    fn sparse_composition_equals_the_dense_product() {
+        for seed in 0..40 {
+            let k = 3 + (seed as usize % 4);
+            let mut c = library::random_circuit(k, 12, seed);
+            c.push(Gate::new(GateKind::Ccx, vec![2, 0, 1], vec![])).unwrap();
+            c.push(Gate::new(GateKind::CSwap, vec![k - 1, 1, 0], vec![])).unwrap();
+            let mut gates = c.gates().iter();
+            let first = gates.next().unwrap();
+            let mut block = Block::new(first, &gate_table_entries(first, GATE_AMPLITUDE_TOL));
+            for g in gates {
+                block.absorb(g, &gate_table_entries(g, GATE_AMPLITUDE_TOL));
+            }
+            assert!(block.qubits.windows(2).all(|w| w[0] < w[1]), "ascending");
+            let mut dense = CMatrix::identity(1 << block.qubits.len());
+            for g in c.gates() {
+                dense = embed(&g.matrix(), &g.qubits, &block.qubits).matmul(&dense);
+            }
+            let op = block.lower(&mut GateTableRegistry::new());
+            let mut sparse = CMatrix::zeros(dense.rows(), dense.cols());
+            for &(i, o, a) in &op.entries {
+                sparse[(o as usize, i as usize)] = a;
+            }
+            assert!(sparse.approx_eq(&dense, 1e-12), "seed {seed}");
+        }
     }
 
     #[test]
-    fn fusion_reduces_op_count_on_ghz() {
-        let c = library::ghz(3);
-        let mut reg = GateTableRegistry::new();
-        let unfused = lower_circuit(&c, &mut reg, None);
-        assert_eq!(unfused.len(), 3);
-        let mut reg = GateTableRegistry::new();
-        let fused = lower_circuit(&c, &mut reg, Some(2));
-        // H(0) and CX(0,1) fuse (2 qubits); CX(1,2) cannot join (union = 3).
-        assert_eq!(fused.len(), 2);
-        assert_eq!(fused[0].qubits, vec![0, 1]);
+    fn nothing_fuses_on_ghz3_or_the_parity_check() {
+        // The support stays below every union's 2^k: Fig. 2c verbatim.
+        let input: Vec<bool> = (0..46).map(|q| q % 2 == 0 || q % 7 == 3).collect();
+        for c in [library::ghz(3), library::parity_check(&input)] {
+            assert_eq!(lowered(&c, Some(MAX_FUSED_QUBITS)), lowered(&c, None), "{}", c.name);
+        }
     }
 
     #[test]
-    fn fusion_with_cap_3_collapses_ghz3_to_one_op() {
-        let c = library::ghz(3);
-        let mut reg = GateTableRegistry::new();
-        let fused = lower_circuit(&c, &mut reg, Some(3));
-        assert_eq!(fused.len(), 1);
-        assert_eq!(fused[0].qubits.len(), 3);
-        // The fused block must be unitary: entries form a valid table.
-        assert!(!fused[0].entries.is_empty());
+    fn one_ansatz_layer_lowers_to_17_ops() {
+        let ansatz = library::hardware_efficient_ansatz(14, 1);
+        let angles: Vec<f64> = (0..ansatz.symbols().len()).map(|k| 0.3 + 0.07 * k as f64).collect();
+        let c = ansatz.bind_values(&angles).unwrap();
+        let (ops, tables) = lowered(&c, Some(MAX_FUSED_QUBITS));
+        assert_eq!(ops.len(), 17);
+        for (q, op) in ops[..14].iter().enumerate() {
+            assert_eq!(op.qubits, vec![q], "RY·RZ on qubit {q}");
+            assert_eq!(op.entries.len(), 4, "one RY's fan-out");
+        }
+        let cx: Vec<Vec<usize>> = ops[14..].iter().map(|op| op.qubits.clone()).collect();
+        assert_eq!(cx, vec![(0..=5).collect::<Vec<_>>(), (5..=10).collect(), (10..=13).collect()]);
+        assert_eq!(tables.len(), 17, "one fresh table per block");
+    }
+
+    #[test]
+    fn a_block_holds_at_most_one_interfering_gate() {
+        // H·Z·H on one qubit: the second H starts a block of its own.
+        let c = CircuitBuilder::new(1).h(0).z(0).h(0).build();
+        let (ops, _) = lowered(&c, Some(MAX_FUSED_QUBITS));
+        assert_eq!(ops.len(), 2);
+        assert_eq!(ops[1].table, "H");
+        // A permutation on the block's qubits joins an interfering block;
+        // one on a new qubit does not, however large the support.
+        let c = CircuitBuilder::new(3).h_all().h(0).x(0).cx(1, 0).build();
+        let (ops, _) = lowered(&c, Some(MAX_FUSED_QUBITS));
+        let qubits: Vec<Vec<usize>> = ops.iter().map(|op| op.qubits.clone()).collect();
+        assert_eq!(qubits, vec![vec![0], vec![1], vec![2], vec![0], vec![1, 0]]);
+        assert!(ops[3].table.starts_with("F_") && ops[4].table == "CX");
+    }
+
+    #[test]
+    fn permutation_runs_fuse_up_to_the_width_and_the_support() {
+        // Eight Hadamards make a 256-row state; then a CX ladder over 8 qubits.
+        let mut b = CircuitBuilder::new(8).h_all();
+        for q in 0..7 {
+            b = b.cx(q, q + 1);
+        }
+        let c = b.build();
+        let widths = |fusion| lowered(&c, fusion).0.iter().map(|op| op.qubits.len()).collect::<Vec<_>>();
+        assert_eq!(widths(Some(6))[8..], [6, 3]);
+        assert_eq!(widths(Some(3))[8..], [3, 3, 3, 2]);
+        assert_eq!(widths(Some(1))[8..], [2; 7], "a CX wider than the cap stays alone");
+        assert_eq!(widths(None).len(), 15);
+        // After two Hadamards the state has 4 rows: blocks stop at 2 qubits.
+        let c = CircuitBuilder::new(4).h(0).h(1).cx(0, 1).cx(1, 2).cx(2, 3).build();
+        let (ops, _) = lowered(&c, Some(MAX_FUSED_QUBITS));
+        assert_eq!(ops.len(), 5, "{ops:?}");
+    }
+
+    #[test]
+    fn single_gate_blocks_keep_canonical_tables_and_order() {
+        let c = CircuitBuilder::new(4).h(3).cx(3, 0).build();
+        let (ops, _) = lowered(&c, Some(MAX_FUSED_QUBITS));
+        assert_eq!((ops[1].table.as_str(), ops[1].qubits.as_slice()), ("CX", &[3, 0][..]));
+        // Two gates: ascending qubits, the table's bits remapped to match.
+        let c = CircuitBuilder::new(4).h(3).h(0).cx(3, 0).z(0).build();
+        let (ops, _) = lowered(&c, Some(MAX_FUSED_QUBITS));
+        assert_eq!(ops[2].qubits, vec![0, 3]);
+        let moves: Vec<(u64, u64)> = ops[2].entries.iter().map(|&(i, o, _)| (i, o)).collect();
+        assert_eq!(moves, vec![(0, 0), (1, 1), (2, 3), (3, 2)], "control is bit 1 now");
     }
 
     #[test]
     fn oversized_gate_passes_through() {
         let c = CircuitBuilder::new(3).ccx(0, 1, 2).h(0).build();
-        let mut reg = GateTableRegistry::new();
-        let ops = lower_circuit(&c, &mut reg, Some(2));
+        let (ops, _) = lowered(&c, Some(2));
         assert_eq!(ops.len(), 2);
         assert_eq!(ops[0].qubits.len(), 3, "CCX alone in its block");
+        assert_eq!(lowered(&c, Some(3)).0.len(), 1, "H joins a 3-qubit block at N = 3");
     }
 
     #[test]
-    fn single_gate_blocks_share_canonical_tables() {
-        let c = CircuitBuilder::new(4).cx(0, 1).cx(2, 3).build();
-        let mut reg = GateTableRegistry::new();
-        let ops = lower_circuit(&c, &mut reg, Some(2));
-        assert_eq!(ops.len(), 2);
-        assert_eq!(ops[0].table, "CX");
-        assert_eq!(ops[1].table, "CX", "both blocks reuse the CX table");
-    }
-
-    #[test]
-    fn fused_matrix_entries_are_pruned() {
-        // CZ is diagonal: 4 entries, not 16.
-        let cz = Gate::new(GateKind::Cz, vec![0, 1], vec![]).matrix();
-        let entries = matrix_entries(&cz, 1e-15);
-        assert_eq!(entries.len(), 4);
+    fn qft13_fuses_its_ladders_into_fresh_tables() {
+        let c = library::qft(13);
+        let (ops, tables) = lowered(&c, Some(MAX_FUSED_QUBITS));
+        let fused = ops.iter().filter(|op| op.table.starts_with("F_")).count();
+        let named = tables.iter().filter(|(name, _)| name.starts_with("F_")).count();
+        assert_eq!((c.gate_count(), ops.len(), fused), (97, 52, 18));
+        assert_eq!(named, fused, "every block registers a table of its own");
     }
 }

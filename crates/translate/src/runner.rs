@@ -7,9 +7,11 @@
 //!   (Fig. 2c). The engine pipelines the CTEs; grouped aggregation spills to
 //!   disk under memory pressure, which is the paper's out-of-core story
 //!   (§3.3) in action.
-//! * [`ExecMode::StepTables`] — one `CREATE TABLE … AS` per gate, dropping
-//!   the previous state. Intermediate states are inspectable (Scenario 3's
-//!   educational walk-through) at the cost of materializing each state.
+//! * [`ExecMode::StepTables`] — one `CREATE TABLE … AS` per gate (per fused
+//!   block, [`crate::fusion`]), dropping the previous state. Intermediate
+//!   states are inspectable (Scenario 3's educational walk-through, which
+//!   never fuses: [`SqlSimulator::run_trace`]) at the cost of materializing
+//!   each state.
 
 use std::collections::BTreeMap;
 
@@ -19,7 +21,7 @@ use qymera_sqldb::{
     CancelHandle, Database, DbStats, DurabilityOptions, Error as SqlError, MemoryBudget, Value,
 };
 
-use crate::fusion::lower_circuit;
+use crate::fusion::{lower_circuit, MAX_FUSED_QUBITS};
 use crate::sqlgen::{circuit_query, state_table_name, step_statement, SqlGenConfig};
 use crate::tables::{create_initial_state_table, GateOp, GateTableRegistry};
 
@@ -34,11 +36,14 @@ pub enum ExecMode {
 }
 
 /// Configuration of the SQL backend.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SqlSimConfig {
     /// Single-query CTE chain vs. one materialized table per gate.
     pub mode: ExecMode,
-    /// Fuse consecutive gates up to this many qubits (§3.2); `None` = off.
+    /// Fuse consecutive gates into blocks of up to this many qubits (§3.2,
+    /// under the rule in [`crate::fusion`]); `None` = off, one op per gate.
+    /// Default `Some(`[`MAX_FUSED_QUBITS`]`)` in both modes;
+    /// [`SqlSimulator::run_trace`] and [`SqlSimulator::profile`] never fuse.
     pub fusion: Option<usize>,
     /// SQL generation options (e.g. interference pruning via `HAVING`).
     pub sqlgen: SqlGenConfig,
@@ -46,9 +51,9 @@ pub struct SqlSimConfig {
     /// This is what the paper's 2.0 GB experiment constrains.
     pub memory_limit: Option<usize>,
     /// Worker threads for the engine's morsel-parallel batch execution.
-    /// `None` keeps the engine default (host core count, or the
-    /// `QYMERA_PARALLELISM` environment variable); `Some(1)` forces fully
-    /// sequential execution.
+    /// `None` keeps the engine default (1, or the `QYMERA_PARALLELISM`
+    /// environment variable); `Some(n)` with `n > 1` opts into the worker
+    /// pool.
     pub parallelism: Option<usize>,
     /// Open the engine on a persistent on-disk database at this directory
     /// (write-ahead logged, checkpointed, crash-recoverable) instead of the
@@ -64,6 +69,21 @@ pub struct SqlSimConfig {
     /// with the engine rolled back cleanly. `None` creates a private,
     /// never-cancelled handle.
     pub cancel: Option<CancelHandle>,
+}
+
+impl Default for SqlSimConfig {
+    fn default() -> Self {
+        SqlSimConfig {
+            mode: ExecMode::default(),
+            fusion: Some(MAX_FUSED_QUBITS),
+            sqlgen: SqlGenConfig::default(),
+            memory_limit: None,
+            parallelism: None,
+            db_path: None,
+            timeout_ms: None,
+            cancel: None,
+        }
+    }
 }
 
 /// One amplitude of the final state as the engine returned it. The basis
@@ -130,7 +150,10 @@ impl SqlSimulator {
         SqlSimulator { config }
     }
 
-    /// The paper's default setup: single query, no fusion, no limit.
+    /// The paper's default setup: single query, gates fused into blocks of
+    /// up to [`MAX_FUSED_QUBITS`] qubits where they cannot interfere (§3.2;
+    /// a circuit where nothing may fuse, like `ghz:3`, is Fig. 2c verbatim),
+    /// no memory limit.
     pub fn paper_default() -> Self {
         Self::new(SqlSimConfig::default())
     }
@@ -159,27 +182,21 @@ impl SqlSimulator {
         Ok(db)
     }
 
-    fn lower(&self, circuit: &QuantumCircuit) -> (GateTableRegistry, Vec<GateOp>) {
-        let mut reg = GateTableRegistry::new();
-        let ops = lower_circuit(circuit, &mut reg, self.config.fusion);
-        (reg, ops)
-    }
-
     /// The full SQL this backend would execute for `circuit` (single-query
     /// mode text, as shown in the paper's Fig. 2c).
     pub fn generated_sql(&self, circuit: &QuantumCircuit) -> String {
-        let (_, ops) = self.lower(circuit);
+        let (_, ops) = lower(circuit, self.config.fusion);
         circuit_query(&ops, circuit.num_qubits, "T0", &self.config.sqlgen)
     }
 
-    /// Execute the full translated query under `EXPLAIN ANALYZE`, returning
-    /// the per-operator profile (per plan node: rows, batches, `time=` with
-    /// its children and `self=` without) — the Output Layer's performance
-    /// metrics at operator granularity — and, as its last line, what the run
-    /// spilled (`spill: N files, B bytes`). One `HashAggregate` line per
-    /// gate; those the optimizer streams say so.
-    pub fn profile(&self, circuit: &QuantumCircuit) -> Result<String, SimError> {
-        let (reg, ops) = self.lower(circuit);
+    /// Execute the query [`Self::run`] executes, fused as configured, under
+    /// `EXPLAIN ANALYZE`, returning the per-operator profile (per plan node:
+    /// rows, batches, `time=` with its children and `self=` without) — the
+    /// Output Layer's performance metrics at operator granularity — and, as
+    /// its last line, what the run spilled (`spill: N files, B bytes`). One
+    /// `HashAggregate` line per op; those the optimizer streams say so.
+    pub fn explain_analyze(&self, circuit: &QuantumCircuit) -> Result<String, SimError> {
+        let (reg, ops) = lower(circuit, self.config.fusion);
         let mut db = self.make_db()?;
         reg.materialize(&mut db).map_err(map_sql_error)?;
         create_initial_state_table(&mut db, "T0", circuit.num_qubits, 0)
@@ -190,9 +207,17 @@ impl SqlSimulator {
         Ok(format!("{text}spill: {} files, {} bytes\n", stats.spill_files, stats.spill_bytes))
     }
 
+    /// The per-gate profile: [`Self::explain_analyze`] of the unfused chain,
+    /// whatever [`SqlSimConfig::fusion`] says, like [`Self::run_trace`]. One
+    /// `HashAggregate` line per gate, whose `rows=` is the state after it.
+    pub fn profile(&self, circuit: &QuantumCircuit) -> Result<String, SimError> {
+        let config = SqlSimConfig { fusion: None, ..self.config.clone() };
+        SqlSimulator::new(config).explain_analyze(circuit)
+    }
+
     /// Run the circuit and return the final state plus engine statistics.
     pub fn run(&self, circuit: &QuantumCircuit) -> Result<SqlRunResult, SimError> {
-        let (reg, ops) = self.lower(circuit);
+        let (reg, ops) = lower(circuit, self.config.fusion);
         let mut db = self.make_db()?;
         reg.materialize(&mut db).map_err(map_sql_error)?;
         create_initial_state_table(&mut db, "T0", circuit.num_qubits, 0)
@@ -229,12 +254,13 @@ impl SqlSimulator {
 
     /// Step-by-step execution returning every intermediate state — the
     /// educational trace of Demonstration Scenario 3. Index 0 is the initial
-    /// state, index k the state after gate k.
+    /// state, index k the state after gate k: the trace never fuses,
+    /// whatever [`SqlSimConfig::fusion`] says.
     pub fn run_trace(
         &self,
         circuit: &QuantumCircuit,
     ) -> Result<Vec<Vec<SqlAmplitude>>, SimError> {
-        let (reg, ops) = self.lower(circuit);
+        let (reg, ops) = lower(circuit, None);
         let mut db = self.make_db()?;
         reg.materialize(&mut db).map_err(map_sql_error)?;
         create_initial_state_table(&mut db, "T0", circuit.num_qubits, 0)
@@ -256,6 +282,12 @@ impl SqlSimulator {
         }
         Ok(states)
     }
+}
+
+fn lower(circuit: &QuantumCircuit, fusion: Option<usize>) -> (GateTableRegistry, Vec<GateOp>) {
+    let mut reg = GateTableRegistry::new();
+    let ops = lower_circuit(circuit, &mut reg, fusion);
+    (reg, ops)
 }
 
 /// Drop the state tables `T1`, `T2`, … an earlier run left in a reused `--db`
@@ -456,7 +488,7 @@ mod tests {
     #[test]
     fn gates_that_cannot_interfere_stream_and_the_others_do_not() {
         let aggregates = |sim: &SqlSimulator, c: &QuantumCircuit| {
-            let profile = sim.profile(c).unwrap();
+            let profile = sim.explain_analyze(c).unwrap();
             let streamed = profile.matches("(one row per group: streamed)").count();
             (profile.matches("HashAggregate").count() - streamed, streamed)
         };
@@ -470,7 +502,7 @@ mod tests {
             .cx(0, 1).cx(5, 2).cy(1, 0).cz(3, 4).cz(0, 5).cp(0.4, 2, 3).cp(0.9, 4, 0).crz(1.1, 5, 3)
             .swap(1, 2).swap(0, 4).ccx(0, 1, 2).ccx(5, 0, 3).cswap(2, 4, 5)
             .build();
-        let plain = SqlSimulator::paper_default();
+        let plain = SqlSimulator::new(SqlSimConfig { fusion: None, ..Default::default() });
         assert_eq!(aggregates(&plain, &permuting), (6, 22));
         let mixing = CircuitBuilder::new(3)
             .h(0).ry(0.3, 1).rx(0.4, 2).sx(0).u3(0.1, 0.2, 0.3, 1).ch(0, 2).crx(0.5, 1, 0).cry(0.6, 2, 1)
@@ -496,19 +528,57 @@ mod tests {
         }
     }
 
+    /// Fusion never adds a table-building aggregate, and every block of
+    /// partial permutations streams: for every library circuit and 200
+    /// random ones, the fused profile builds as many group tables as the
+    /// unfused one and streams exactly the ops with one nonzero per column.
+    #[test]
+    fn fusion_never_adds_a_group_table() {
+        let ansatz = library::hardware_efficient_ansatz(6, 2);
+        let angles: Vec<f64> = (0..ansatz.symbols().len()).map(|k| 0.2 + 0.1 * k as f64).collect();
+        let mut circuits = vec![
+            library::bell(), library::ghz(6), library::equal_superposition(5), library::w_state(5),
+            library::parity_check(&[true, false, true, true, false]), library::parity_check_superposed(5),
+            library::qft(7), library::bernstein_vazirani(6, 0b101101), library::deutsch_jozsa(5, None),
+            library::deutsch_jozsa(5, Some(0b10110)), library::phase_estimation(4, 5),
+            library::grover(4, 9, library::grover_optimal_iterations(4)), library::sparse_circuit(9, 6, 3),
+            library::dense_circuit(6, 3, 5), ansatz.bind_values(&angles).unwrap(),
+        ];
+        circuits.extend((0..200).map(|seed| library::random_circuit(2 + seed as usize % 5, 16, seed)));
+        let fused = SqlSimulator::paper_default();
+        let counts = |profile: String| {
+            let streamed = profile.matches("(one row per group: streamed)").count();
+            (profile.matches("HashAggregate").count() - streamed, streamed)
+        };
+        for c in &circuits {
+            let (built, streamed) = counts(fused.explain_analyze(c).unwrap());
+            assert_eq!(built, counts(fused.profile(c).unwrap()).0, "{}", c.name);
+            let (_, ops) = lower(c, fused.config.fusion);
+            let permuting = ops
+                .iter()
+                .filter(|op| op.entries.windows(2).all(|w| w[0].0 != w[1].0))
+                .count();
+            assert_eq!(streamed, permuting, "{}: every all-permutation block streams", c.name);
+        }
+    }
+
     #[test]
     fn fusion_reduces_executed_ops() {
-        let c = library::qft(5);
-        let plain = SqlSimulator::paper_default().run(&c).unwrap();
-        let fused = SqlSimulator::new(SqlSimConfig { fusion: Some(3), ..Default::default() })
-            .run(&c)
-            .unwrap();
-        assert!(
-            fused.ops_executed < plain.ops_executed,
-            "fusion should shrink the CTE chain: {} vs {}",
-            fused.ops_executed,
-            plain.ops_executed
-        );
+        let run = |c: &QuantumCircuit, fusion| {
+            SqlSimulator::new(SqlSimConfig { fusion, ..Default::default() }).run(c).unwrap()
+        };
+        // QFT-8: the CP ladders fuse once the Hadamards have widened the
+        // support; the default fuses and agrees with one op per gate.
+        let c = library::qft(8);
+        let (plain, fused) = (run(&c, None), run(&c, Some(MAX_FUSED_QUBITS)));
+        assert_eq!(plain.ops_executed, c.gate_count());
+        assert!(fused.ops_executed < plain.ops_executed, "{}", fused.ops_executed);
+        assert_eq!(SqlSimulator::paper_default().run(&c).unwrap().ops_executed, fused.ops_executed);
+        assert_eq!(plain.support(), fused.support());
+        for (a, b) in plain.amplitudes.iter().zip(&fused.amplitudes) {
+            assert_eq!(a.s, b.s);
+            assert!((a.amp - b.amp).abs() < 1e-12, "fused agrees at 1e-12, not bit for bit");
+        }
     }
 
     #[test]
@@ -704,5 +774,19 @@ mod profile_tests {
         assert!(text.contains("Sort"), "{text}");
         assert!(text.contains("total output rows: 2"), "{text}");
         assert!(text.ends_with("\nspill: 0 files, 0 bytes\n"), "{text}");
+    }
+
+    /// `profile` stays per gate under the fused default (a reader of its
+    /// `rows=` gets the state after every gate); `explain_analyze` shows the
+    /// fused query `run` executes.
+    #[test]
+    fn profile_is_per_gate_and_explain_analyze_is_what_runs() {
+        let c = library::qft(8);
+        let sim = SqlSimulator::paper_default();
+        let aggregates = |text: String| text.matches("HashAggregate").count();
+        assert_eq!(aggregates(sim.profile(&c).unwrap()), c.gate_count());
+        let ops = sim.run(&c).unwrap().ops_executed;
+        assert!(ops < c.gate_count());
+        assert_eq!(aggregates(sim.explain_analyze(&c).unwrap()), ops);
     }
 }

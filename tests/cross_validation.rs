@@ -77,7 +77,7 @@ fn sql_fusion_variants_agree_with_oracle() {
     for seed in 0..4 {
         let circuit = library::random_circuit(5, 25, seed);
         let oracle = StateVectorSim.simulate(&circuit, &SimOptions::default()).unwrap();
-        for fusion in [None, Some(2), Some(3)] {
+        for fusion in std::iter::once(None).chain((2..=6).map(Some)) {
             let sim = SqlSimulator::new(SqlSimConfig { fusion, ..Default::default() });
             let out = sim.simulate(&circuit, &SimOptions::default()).unwrap();
             let diff = out.max_amplitude_diff(&oracle);
