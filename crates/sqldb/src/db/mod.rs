@@ -16,6 +16,7 @@ use std::sync::Arc;
 use crate::ast::{Expr, Query, Statement};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
+use crate::exec::batch::RowBatch;
 use crate::exec::govern::{CancelHandle, QueryContext};
 use crate::exec::vector::{build_batch_stream, drain};
 use crate::exec::{ExecContext, NodeStats};
@@ -381,6 +382,24 @@ impl Database {
         self.execute_statement(st)
     }
 
+    /// Run a query like [`Database::execute`] — one statement counted, its
+    /// rows added to `rows_returned`, under the session's timeout and
+    /// cancel handle, inside session 0's open transaction if there is one —
+    /// but hand back the batches the pipeline emitted instead of rows.
+    /// Columns keep their lanes (`ORDER BY s` over a state returns
+    /// `Column::Int` / `Column::Float` slices), and a bare scan returns the
+    /// table's own chunk columns. Errors (and aborts) exactly like
+    /// `execute`; a statement that is not a query is refused unrun.
+    pub fn query_batches(&mut self, sql: &str) -> Result<Vec<RowBatch>> {
+        let Statement::Query(q) = parse_statement(sql)? else {
+            return Err(Error::Plan("query_batches requires a query".into()));
+        };
+        self.begin_statement();
+        let mut batches = Vec::new();
+        self.in_txn(0, Vec::new(), |db| db.drain_query(&q, |batch| batches.push(batch)))?;
+        Ok(batches)
+    }
+
     /// Execute a `;`-separated script; returns the last statement's result.
     pub fn execute_script(&mut self, sql: &str) -> Result<ResultSet> {
         let statements = parse_script(sql)?;
@@ -442,9 +461,7 @@ impl Database {
         st: Statement,
         guards: Vec<LockGuard>,
     ) -> Result<ResultSet> {
-        self.statements += 1;
-        self.maybe_heal_poisoned();
-        self.begin_query();
+        self.begin_statement();
 
         // Transaction control is bookkeeping: handled before the uniform
         // abort-on-error rule, so its errors never abort anything.
@@ -458,6 +475,14 @@ impl Database {
             Statement::Savepoint { name } => self.txn_savepoint(sess, name),
             st => self.in_txn(sess, guards, |db| db.execute_in_txn(sess, st)),
         }
+    }
+
+    /// Count one statement and start its governance: heal a poisoned log
+    /// first, then mint the statement's [`QueryContext`].
+    fn begin_statement(&mut self) {
+        self.statements += 1;
+        self.maybe_heal_poisoned();
+        self.begin_query();
     }
 
     /// `CREATE TABLE <name> AS <query>`: streams the query result into a new

@@ -250,6 +250,83 @@ fn state_rows(n: i64) -> Vec<Row> {
     (0..n).map(|s| vec![Value::Int(s), Value::Float(s as f64 / 8.0), Value::Float(-0.0)]).collect()
 }
 
+/// Deterministic guard of the result path: `query_batches` hands back the
+/// pipeline's batches and never rows — a bare scan the table's very chunk
+/// columns, a sorted state typed `Int`/`Float`/`Float` lanes — and counts,
+/// cancels and times out exactly as `execute` does. If the query arm
+/// transposes into rows again, or `query_batches` grows its own drain,
+/// this fails.
+#[test]
+fn query_batches_hands_back_columns_like_execute() {
+    let mut db = Database::new();
+    db.set_parallelism(1);
+    db.execute("CREATE TABLE t (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+    let n = 2 * crate::table::CHUNK_ROWS + 512;
+    db.insert_rows("t", state_rows(n as i64).into_iter().rev().collect()).unwrap();
+
+    let table = db.catalog.get("t").unwrap().snapshot();
+    let scanned = db.query_batches("SELECT s, r, i FROM t").unwrap();
+    assert_eq!(scanned.len(), table.chunks().len());
+    for (batch, chunk) in scanned.iter().zip(table.chunks()) {
+        for (a, b) in batch.columns().iter().zip(chunk.columns()) {
+            assert!(Arc::ptr_eq(a, b), "a scanned column was copied");
+        }
+    }
+
+    let sorted = "SELECT s, r, i FROM t ORDER BY s";
+    let mut s_seen = Vec::new();
+    for batch in db.query_batches(sorted).unwrap() {
+        let [s, r, i] = batch.columns() else { panic!("three columns") };
+        let (Column::Int(s), Column::Float(_), Column::Float(_)) = (&**s, &**r, &**i) else {
+            panic!("a sorted state left its typed lanes: {batch:?}")
+        };
+        s_seen.extend_from_slice(s);
+    }
+    assert_eq!(s_seen, (0..n as i64).collect::<Vec<_>>());
+
+    let before = db.stats();
+    let rows = db.execute(sorted).unwrap().into_rows();
+    let by_execute = db.stats();
+    let batches = db.query_batches(sorted).unwrap();
+    let by_batches = db.stats();
+    assert_eq!(batches.into_iter().flat_map(|b| b.into_rows()).collect::<Vec<_>>(), rows);
+    for (from, to) in [(&before, &by_execute), (&by_execute, &by_batches)] {
+        assert_eq!(to.statements_executed - from.statements_executed, 1);
+        assert_eq!(to.rows_returned - from.rows_returned, n as u64);
+    }
+
+    // A cancelled and a timed-out statement fail alike on both paths and
+    // leave the ledger, the spill directory and the row count as they were.
+    let cross = "SELECT a.s, b.r FROM t a CROSS JOIN t b ORDER BY a.s";
+    for timeout in [false, true] {
+        for via_batches in [false, true] {
+            if timeout {
+                db.set_statement_timeout_ms(Some(1));
+            } else {
+                db.arm_cancel_after_polls(Some(2));
+            }
+            let (ledger, stats) = (db.budget().used(), db.stats());
+            let err = if via_batches {
+                db.query_batches(cross).map(|_| ()).unwrap_err()
+            } else {
+                db.execute(cross).map(|_| ()).unwrap_err()
+            };
+            match (timeout, &err) {
+                (false, Error::Cancelled) | (true, Error::Timeout { ms: 1 }) => {}
+                _ => panic!("timeout {timeout}, batches {via_batches}: got {err:?}"),
+            }
+            assert_eq!(db.budget().used(), ledger);
+            assert_eq!(db.live_spill_files(), 0);
+            assert_eq!(db.stats().statements_executed, stats.statements_executed + 1);
+            assert_eq!(db.stats().rows_returned, stats.rows_returned);
+            db.set_statement_timeout_ms(None);
+            db.arm_cancel_after_polls(None);
+        }
+    }
+    assert!(matches!(db.query_batches("DROP TABLE t"), Err(Error::Plan(_))));
+    assert!(db.catalog.contains("t"), "a refused statement ran");
+}
+
 /// Deterministic guard of the CTAS path: a result batch reaches the new
 /// table as the columns it was — here the very allocations the scan handed
 /// out — and never as rows. If `create_table_as_in_txn` transposes batches

@@ -3,7 +3,7 @@
 //! WAL frame, applies to memory, and records how to undo itself.
 
 use super::{with_exec_stack, Database, ResultSet};
-use crate::ast::{DataType, Expr, Statement};
+use crate::ast::{DataType, Expr, Query, Statement};
 use crate::error::{Error, Result};
 use crate::exec::batch::{Column, RowBatch};
 use crate::exec::vector::{build_batch_stream, drain};
@@ -306,16 +306,8 @@ impl Database {
                 Ok(ResultSet::query(vec!["plan".to_string()], rows))
             }
             Statement::Query(q) => {
-                let (columns, rows) = with_exec_stack(&q, || {
-                    let plan = optimize(plan_query(&q, &self.catalog)?);
-                    let mut rows = Vec::new();
-                    drain(build_batch_stream(&plan, &self.catalog, &self.ctx())?, |batch| {
-                        rows.extend(batch.into_rows());
-                        Ok(())
-                    })?;
-                    Ok::<_, Error>((plan.schema().names(), rows))
-                })?;
-                self.rows_returned += rows.len() as u64;
+                let mut rows = Vec::new();
+                let columns = self.drain_query(&q, |batch| rows.extend(batch.into_rows()))?;
                 Ok(ResultSet::query(columns, rows))
             }
             Statement::Begin
@@ -325,6 +317,31 @@ impl Database {
                 "transaction control must go through execute_for_session".into(),
             )),
         }
+    }
+
+    /// The one drain of a query result, behind both `execute` (whose
+    /// `sink` transposes each batch into rows) and
+    /// [`Database::query_batches`] (whose `sink` keeps the batches): plan,
+    /// run, hand every batch to `sink` as the pipeline emits it, and count
+    /// the rows as returned once the query has finished. Returns the
+    /// result's column names.
+    pub(super) fn drain_query(
+        &mut self,
+        q: &Query,
+        mut sink: impl FnMut(RowBatch) + Send,
+    ) -> Result<Vec<String>> {
+        let mut rows = 0u64;
+        let columns = with_exec_stack(q, || {
+            let plan = optimize(plan_query(q, &self.catalog)?);
+            drain(build_batch_stream(&plan, &self.catalog, &self.ctx())?, |batch| {
+                rows += batch.num_rows() as u64;
+                sink(batch);
+                Ok(())
+            })?;
+            Ok::<_, Error>(plan.schema().names())
+        })?;
+        self.rows_returned += rows;
+        Ok(columns)
     }
 
     /// Shared body of `INSERT` and [`Database::insert_rows`]: rows are

@@ -10,6 +10,9 @@
 //!   the same null-free lane — no per-comparison [`Value`] materialization
 //!   on the hot path. Mixed/NULL/text keys fall back to
 //!   [`Value::cmp_total`], the ordering the typed lanes reproduce.
+//! * **Radix for one integer key.** `ORDER BY s` over the `Int` lane skips
+//!   the comparator: a stable LSD radix sort on the key's order-preserving
+//!   `u64` image, skipping digits every key shares.
 //! * **Stable multi-key order.** The in-memory sort is a stable index sort,
 //!   and every spilled record carries its global input ordinal, so ties
 //!   always resolve to input order — sequential and parallel runs produce
@@ -29,6 +32,7 @@
 //!   the coordinator merges the runs at the breaker; the ordinal tie-break
 //!   makes the merged output identical to the sequential sort's.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -53,7 +57,11 @@ use super::{set_node_label, ExecContext};
 pub(crate) const TOPK_MAX_ROWS: usize = 8192;
 
 /// Rows a worker buffers at minimum before budget pressure forces a spill
-/// run (the sort's bounded uncharged working-set floor).
+/// run (the sort's bounded uncharged working-set floor). The sort's other
+/// uncharged working sets are per sorted row: the `(batch, row)` index
+/// vector (8 bytes, held until the last output batch) and the radix path's
+/// second index buffer (8 bytes, freed before the first:
+/// [`SortBuffer::radix_sorted`]).
 const MIN_RUN_ROWS: usize = BATCH_SIZE;
 
 /// Compare two evaluated key tuples under per-key ASC/DESC flags (spilled
@@ -92,15 +100,14 @@ pub(crate) fn build_sort_stream(
         let segment = parallel::descend_segment(input, catalog, ctx, depth)?;
         let workers = ctx.parallelism.min(segment.num_morsels());
         parallel::note_parallel(ctx, slot, workers, segment.num_morsels());
-        return Ok(Box::new(BatchSort::new_parallel(
-            segment,
-            keys.to_vec(),
-            topk,
-            ctx.clone(),
-        )));
+        let mut sort = BatchSort::new_parallel(segment, keys.to_vec(), topk, ctx.clone());
+        sort.slot = slot;
+        return Ok(Box::new(sort));
     }
     let child = build_batch_stream_at(input, catalog, ctx, depth + 1)?;
-    Ok(Box::new(BatchSort::new(child, keys.to_vec(), topk, ctx.clone())))
+    let mut sort = BatchSort::new(child, keys.to_vec(), topk, ctx.clone());
+    sort.slot = slot;
+    Ok(Box::new(sort))
 }
 
 // ---------------------------------------------------------------------------
@@ -225,7 +232,8 @@ impl SortBuffer {
 
     /// Compare rows `a` and `b` (as `(batch, row)` pairs) under the per-key
     /// lanes and ASC/DESC flags. Typed lanes compare primitives directly;
-    /// the generic lane is [`Value::cmp_total`], so the order does not
+    /// the generic lane is [`Value::cmp_total`] over borrowed values (a
+    /// `HUGEINT` key is never cloned to be compared), so the order does not
     /// depend on which lane a key landed in.
     fn cmp_at(&self, lanes: &[KeyLane], desc: &[bool], a: (u32, u32), b: (u32, u32)) -> Ordering {
         for (j, (&lane, &d)) in lanes.iter().zip(desc).enumerate() {
@@ -246,7 +254,7 @@ impl SortBuffer {
                         .unwrap_or(Ordering::Equal)
                 }
                 KeyLane::Generic => {
-                    ka.value_at(a.1 as usize).cmp_total(&kb.value_at(b.1 as usize))
+                    key_ref(ka, a.1 as usize).cmp_total(&key_ref(kb, b.1 as usize))
                 }
             };
             let ord = if d { ord.reverse() } else { ord };
@@ -258,8 +266,10 @@ impl SortBuffer {
     }
 
     /// Stable sort of all buffered rows: `(batch, row)` indices in sort
-    /// order, ties resolved to input order by the stable sort.
-    fn sorted_indices(&self, desc: &[bool]) -> Vec<(u32, u32)> {
+    /// order, ties resolved to input order. A single key on the `Int` lane
+    /// of every batch takes the radix path ([`Self::radix_sorted`]); any
+    /// other key list the comparator. The flag says whether radix sorted.
+    fn sorted_indices(&self, desc: &[bool]) -> (Vec<(u32, u32)>, bool) {
         let lanes: Vec<KeyLane> = (0..desc.len()).map(|j| self.lane_of(j)).collect();
         let mut order: Vec<(u32, u32)> = Vec::with_capacity(self.rows);
         for (b, batch) in self.batches.iter().enumerate() {
@@ -267,8 +277,64 @@ impl SortBuffer {
                 order.push((b as u32, r as u32));
             }
         }
+        if lanes == [KeyLane::Int] {
+            return (self.radix_sorted(order, desc[0]), true);
+        }
         order.sort_by(|&a, &b| self.cmp_at(&lanes, desc, a, b));
+        (order, false)
+    }
+
+    /// Stable LSD radix sort of `order` (input order) by the one `Int` key.
+    /// A key's radix image is its order-preserving `u64` (`k ^ 1 << 63`,
+    /// every bit flipped for DESC); digits are 8 bits, least significant
+    /// first, and a digit every key shares is skipped (a 14-qubit state
+    /// sorts in 2 passes, not 8). Each pass is a counting scatter that
+    /// keeps the order of equal digits, so ties keep input order: the
+    /// comparator's order exactly. Digit counts come from a sequential
+    /// sweep of the key columns (they do not depend on the order); the
+    /// scatter reads each image through the index, so the scratch is one
+    /// second index buffer, 8 bytes a row, freed on return.
+    fn radix_sorted(&self, mut order: Vec<(u32, u32)>, desc: bool) -> Vec<(u32, u32)> {
+        let keys: Vec<&[i64]> = self
+            .keys
+            .iter()
+            .map(|cols| match &*cols[0] {
+                Column::Int(v) => v.as_slice(),
+                _ => unreachable!("lane detection checked Int"),
+            })
+            .collect();
+        let flip = if desc { !(1u64 << 63) } else { 1 << 63 };
+        let image = |(b, r): (u32, u32)| keys[b as usize][r as usize] as u64 ^ flip;
+        let images = || keys.iter().flat_map(|v| v.iter()).map(|&k| k as u64 ^ flip);
+        let (all, any) = images().fold((u64::MAX, 0), |(all, any), k| (all & k, any | k));
+        let varying = all ^ any;
+        let mut out = vec![(0u32, 0u32); order.len()];
+        for shift in (0..64).step_by(8).filter(|s| (varying >> s) & 0xFF != 0) {
+            let mut offsets = [0usize; 256];
+            for k in images() {
+                offsets[(k >> shift) as usize & 0xFF] += 1;
+            }
+            let mut start = 0;
+            for slot in offsets.iter_mut() {
+                (*slot, start) = (start, start + *slot);
+            }
+            for &at in &order {
+                let d = (image(at) >> shift) as usize & 0xFF;
+                out[offsets[d]] = at;
+                offsets[d] += 1;
+            }
+            std::mem::swap(&mut order, &mut out);
+        }
         order
+    }
+}
+
+/// Key `i` of `col` for the generic comparator lane: borrowed when the
+/// column holds values, built only for a typed lane (no heap allocation).
+fn key_ref(col: &Column, i: usize) -> Cow<'_, Value> {
+    match col {
+        Column::Generic(v) => Cow::Borrowed(&v[i]),
+        typed => Cow::Owned(typed.value_at(i)),
     }
 }
 
@@ -556,6 +622,8 @@ pub struct BatchSort {
     /// `Some(k)`: retain only the first `k` rows of the sorted order.
     topk: Option<usize>,
     ctx: ExecContext,
+    /// Instrumentation slot, relabelled when the radix path sorts.
+    slot: Option<usize>,
     reservation: Reservation,
     state: SortState,
 }
@@ -607,7 +675,18 @@ impl BatchSort {
     ) -> Self {
         let desc = Arc::new(keys.iter().map(|k| k.desc).collect::<Vec<_>>());
         let reservation = Reservation::empty(&ctx.budget);
-        BatchSort { input, keys, desc, topk, ctx, reservation, state: SortState::Pending }
+        let state = SortState::Pending;
+        BatchSort { input, keys, desc, topk, ctx, slot: None, reservation, state }
+    }
+
+    /// Sort the buffered rows (see [`SortBuffer::sorted_indices`]); the
+    /// node's label names the radix path when it ran.
+    fn sort_buffer(&self, buffer: &SortBuffer) -> Vec<(u32, u32)> {
+        let (order, radix) = buffer.sorted_indices(&self.desc);
+        if radix {
+            set_node_label(&self.ctx, self.slot, "BatchSort [1 keys, radix]".to_string());
+        }
+        order
     }
 
     fn consume(&mut self) -> Result<()> {
@@ -648,7 +727,7 @@ impl BatchSort {
         }
 
         if runs.is_empty() {
-            let order = buffer.sorted_indices(&self.desc);
+            let order = self.sort_buffer(&buffer);
             self.state = SortState::Mem { buffer, order, pos: 0 };
             return Ok(());
         }
@@ -728,7 +807,7 @@ impl BatchSort {
         // One spill run is one cancellation unit: observe cancel before
         // sorting/writing so no doomed run is ever created.
         self.ctx.query.check()?;
-        let order = buffer.sorted_indices(&self.desc);
+        let order = self.sort_buffer(buffer);
         let prefix = buffer.prefix_rows();
         let mut w = SpillWriter::create(&self.ctx.spill, 1)?;
         for &(b, r) in &order {

@@ -1075,3 +1075,72 @@ fn a_streamed_aggregate_charges_and_spills_nothing() {
         assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()));
     }
 }
+
+/// `ORDER BY` one `INTEGER` key takes the radix path; two keys, a `DOUBLE`
+/// key and the morsel-parallel workers take the comparator. On every key
+/// distribution — duplicates, negatives, `i64::MIN`/`MAX`, keys sharing
+/// their high bytes (the skipped digits), digits whose only varying bit is
+/// their top one, a single row — both directions,
+/// in memory and spilled into several runs, all of them must equal the
+/// reference's stable `sort_by` byte for byte. The payload `p` is the
+/// input position, so a tie that leaves input order shows.
+#[test]
+fn radix_sort_agrees_with_the_comparator_and_the_reference() {
+    const EXTREMES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    type Key = fn(&mut StdRng) -> i64;
+    let distributions: [(&str, usize, Key); 7] = [
+        ("duplicates", 5000, |rng| rng.gen_range(-40i64..40)),
+        ("full range", 5000, |rng| rng.gen_range(i64::MIN..=i64::MAX)),
+        ("extremes", 3500, |rng| EXTREMES[rng.gen_range(0..EXTREMES.len())]),
+        ("shared high bytes", 5000, |rng| 0x5A5A_0000_0000_0000 + rng.gen_range(0i64..3000)),
+        ("one varying bit per digit", 3500, |rng| rng.gen_range(0i64..4) << 7),
+        ("negative, shared", 4000, |rng| -(1i64 << 40) - rng.gen_range(0i64..70_000)),
+        ("single row", 1, |rng| rng.gen_range(i64::MIN..=i64::MAX)),
+    ];
+    let exact = |rows: &[Vec<Value>]| format!("{rows:?}");
+    for (seed, (name, n, key)) in distributions.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(0x5eed + seed as u64);
+        let data: Vec<Vec<Value>> = (0..*n as i64)
+            .map(|p| {
+                let v = rng.gen_range(-4i64..4) as f64 / 2.0;
+                vec![Value::Int(key(&mut rng)), Value::Float(v), Value::Int(p)]
+            })
+            .collect();
+        // Table cells are 8 bytes; a buffered batch charges ~24 KiB, so the
+        // tight limit spills a run every batch or two.
+        for limit in [None, Some(24 * n + 40_000)] {
+            let mut db = limit.map_or_else(Database::new, Database::with_memory_limit);
+            db.set_parallelism(1);
+            db.execute("CREATE TABLE t (k INTEGER, v DOUBLE, p INTEGER)").unwrap();
+            db.insert_rows("t", data.clone()).unwrap();
+            for dir in ["", " DESC"] {
+                let radix = format!("SELECT k, p FROM t ORDER BY k{dir}");
+                let want = db.query_reference(&radix).unwrap();
+                let files = db.stats().spill_files;
+                let got = db.execute(&radix).unwrap();
+                let case = format!("{name}, limit {limit:?}: {radix}");
+                assert_eq!(exact(got.rows()), exact(want.rows()), "{case}");
+                if limit.is_some() && *n > 3 * 1024 {
+                    assert!(db.stats().spill_files - files >= 2, "{case}: expected ≥ 2 runs");
+                }
+                let profile = db.explain_analyze(&radix).unwrap();
+                assert!(profile.contains("BatchSort [1 keys, radix]"), "{case}\n{profile}");
+                // The comparator on the same order: the ordinal as a second
+                // key, and the parallel workers' runs.
+                let two_keys = format!("SELECT k, p FROM t ORDER BY k{dir}, p");
+                assert_eq!(exact(db.execute(&two_keys).unwrap().rows()), exact(want.rows()), "{case}");
+                let profile = db.explain_analyze(&two_keys).unwrap();
+                assert!(profile.contains("BatchSort [2 keys] "), "{case}\n{profile}");
+                db.set_parallelism(WORKERS);
+                assert_eq!(exact(db.execute(&radix).unwrap().rows()), exact(want.rows()), "{case}");
+                db.set_parallelism(1);
+                // A DOUBLE key stays on the comparator.
+                let float = format!("SELECT v, p FROM t ORDER BY v{dir}");
+                let want = db.query_reference(&float).unwrap();
+                assert_eq!(exact(db.execute(&float).unwrap().rows()), exact(want.rows()), "{case}");
+                let profile = db.explain_analyze(&float).unwrap();
+                assert!(profile.contains("BatchSort [1 keys] "), "{case}\n{profile}");
+            }
+        }
+    }
+}

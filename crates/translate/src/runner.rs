@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 
 use qymera_circuit::{c64, Complex64, QuantumCircuit};
 use qymera_sim::{SimError, SimOptions, SimOutput, Simulator};
+use qymera_sqldb::exec::batch::{Column, RowBatch};
 use qymera_sqldb::{
     CancelHandle, Database, DbStats, DurabilityOptions, Error as SqlError, MemoryBudget, Value,
 };
@@ -101,7 +102,7 @@ pub struct SqlAmplitude {
 pub struct SqlRunResult {
     /// Register width of the simulated circuit.
     pub num_qubits: usize,
-    /// The final state's nonzero amplitudes, in engine order.
+    /// The final state's nonzero amplitudes, in basis-state order.
     pub amplitudes: Vec<SqlAmplitude>,
     /// Engine statistics (peak memory, spill files/bytes, statement count).
     pub stats: DbStats,
@@ -223,10 +224,10 @@ impl SqlSimulator {
         create_initial_state_table(&mut db, "T0", circuit.num_qubits, 0)
             .map_err(map_sql_error)?;
 
-        let final_rows = match self.config.mode {
+        let batches = match self.config.mode {
             ExecMode::SingleQuery => {
                 let sql = circuit_query(&ops, circuit.num_qubits, "T0", &self.config.sqlgen);
-                db.execute(&sql).map_err(map_sql_error)?.into_rows()
+                db.query_batches(&sql).map_err(map_sql_error)?
             }
             ExecMode::StepTables => {
                 drop_leftover_state_tables(&mut db)?;
@@ -236,14 +237,11 @@ impl SqlSimulator {
                     db.create_table_as(&next, &select).map_err(map_sql_error)?;
                     db.drop_table_if_exists(&state_table_name(k)).map_err(map_sql_error)?;
                 }
-                let last = state_table_name(ops.len());
-                db.execute(&format!("SELECT s, r, i FROM {last} ORDER BY s"))
-                    .map_err(map_sql_error)?
-                    .into_rows()
+                read_state(&mut db, &state_table_name(ops.len()))?
             }
         };
 
-        let amplitudes = rows_to_amplitudes(final_rows)?;
+        let amplitudes = amplitudes_of(&batches)?;
         Ok(SqlRunResult {
             num_qubits: circuit.num_qubits,
             amplitudes,
@@ -266,13 +264,7 @@ impl SqlSimulator {
         create_initial_state_table(&mut db, "T0", circuit.num_qubits, 0)
             .map_err(map_sql_error)?;
         let mut states = Vec::with_capacity(ops.len() + 1);
-        let read = |db: &mut Database, t: &str| -> Result<Vec<SqlAmplitude>, SimError> {
-            let rows = db
-                .execute(&format!("SELECT s, r, i FROM {t} ORDER BY s"))
-                .map_err(map_sql_error)?
-                .into_rows();
-            rows_to_amplitudes(rows)
-        };
+        let read = |db: &mut Database, t: &str| amplitudes_of(&read_state(db, t)?);
         states.push(read(&mut db, "T0")?);
         drop_leftover_state_tables(&mut db)?;
         for (k, op) in ops.iter().enumerate() {
@@ -304,21 +296,46 @@ fn drop_leftover_state_tables(db: &mut Database) -> Result<(), SimError> {
     Ok(())
 }
 
-fn rows_to_amplitudes(rows: Vec<Vec<Value>>) -> Result<Vec<SqlAmplitude>, SimError> {
-    rows.into_iter()
-        .map(|row| {
-            if row.len() != 3 {
-                return Err(SimError::Numerical("state row arity mismatch".into()));
-            }
-            let mut it = row.into_iter();
-            let s = it.next().expect("len checked");
-            let r = it.next().expect("len checked");
-            let i = it.next().expect("len checked");
-            let re = r.as_f64().map_err(|e| SimError::Numerical(e.to_string()))?;
-            let im = i.as_f64().map_err(|e| SimError::Numerical(e.to_string()))?;
-            Ok(SqlAmplitude { s, amp: c64(re, im) })
-        })
-        .collect()
+/// The state table `t` in basis-state order, as the engine's batches.
+fn read_state(db: &mut Database, t: &str) -> Result<Vec<RowBatch>, SimError> {
+    db.query_batches(&format!("SELECT s, r, i FROM {t} ORDER BY s")).map_err(map_sql_error)
+}
+
+/// The amplitudes of `(s, r, i)` result batches, read off their typed
+/// columns (`Int` for `s`, `Float` for `r` and `i`); any other lane — a
+/// `HUGEINT` index past 63 qubits — goes value by value.
+fn amplitudes_of(batches: &[RowBatch]) -> Result<Vec<SqlAmplitude>, SimError> {
+    let mut out = Vec::with_capacity(batches.iter().map(RowBatch::num_rows).sum());
+    for batch in batches {
+        let [s, r, i] = batch.columns() else {
+            return Err(SimError::Numerical("state row arity mismatch".into()));
+        };
+        if let (Column::Int(s), Column::Float(r), Column::Float(i)) = (&**s, &**r, &**i) {
+            out.extend(s.iter().zip(r).zip(i).map(|((&s, &re), &im)| SqlAmplitude {
+                s: Value::Int(s),
+                amp: c64(re, im),
+            }));
+            continue;
+        }
+        let f64_at = |c: &Column, k: usize| {
+            c.value_at(k).as_f64().map_err(|e| SimError::Numerical(e.to_string()))
+        };
+        for k in 0..batch.num_rows() {
+            out.push(SqlAmplitude { s: s.value_at(k), amp: c64(f64_at(r, k)?, f64_at(i, k)?) });
+        }
+    }
+    Ok(out)
+}
+
+/// The `u64` basis index of an engine `s` value (`SimOutput`'s index).
+fn basis_index(s: &Value) -> Result<u64, SimError> {
+    match s {
+        Value::Int(v) if *v >= 0 => Ok(*v as u64),
+        Value::Big(b) => {
+            b.to_u64().ok_or_else(|| SimError::Numerical("basis index exceeds u64".into()))
+        }
+        other => Err(SimError::Numerical(format!("unexpected basis index value {other:?}"))),
+    }
 }
 
 fn map_sql_error(e: SqlError) -> SimError {
@@ -353,24 +370,14 @@ impl Simulator for SqlSimulator {
         }
         let result = this.run(circuit)?;
         let tol2 = opts.truncation_tol * opts.truncation_tol;
-        let mut amplitudes = BTreeMap::new();
-        for a in result.amplitudes {
-            if a.amp.norm_sqr() <= tol2 {
-                continue;
-            }
-            let s = match &a.s {
-                Value::Int(v) if *v >= 0 => *v as u64,
-                Value::Big(b) => b
-                    .to_u64()
-                    .ok_or_else(|| SimError::Numerical("basis index exceeds u64".into()))?,
-                other => {
-                    return Err(SimError::Numerical(format!(
-                        "unexpected basis index value {other:?}"
-                    )))
-                }
-            };
-            amplitudes.insert(s, a.amp);
-        }
+        // The amplitudes arrive in basis-state order, so `collect` builds
+        // the map in bulk rather than one insert at a time.
+        let amplitudes = result
+            .amplitudes
+            .iter()
+            .filter(|a| a.amp.norm_sqr() > tol2)
+            .map(|a| Ok((basis_index(&a.s)?, a.amp)))
+            .collect::<Result<BTreeMap<_, _>, SimError>>()?;
         let mut out =
             SimOutput::from_map(circuit.num_qubits, amplitudes, result.stats.peak_memory_bytes);
         let stats = &result.stats;
