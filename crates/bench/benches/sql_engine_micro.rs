@@ -3,16 +3,13 @@
 //! throughput — the three costs every simulated gate pays — plus a
 //! scan-only micro isolating the base-table storage layout.
 //!
-//! The gate-application query runs sequentially
-//! (`gate_join_groupby_16k_rows`), and the
-//! `gate_join_groupby_16k_rows_par{1,2,4}` group adds the morsel-parallel
-//! scaling curve (meaningful only on multi-core hosts; on a single core the
-//! parallel variants just measure coordination overhead). The `scan_16k_*`
-//! group compares two ways of delivering the same 16k-row state table to
-//! the executor: transposing row storage into columnar batches per scan (the
-//! pre-columnar layout), and handing out the table's own column chunks by
-//! `Arc` (the current zero-copy path); each variant then sums the `r` column
-//! the way a vectorized kernel would read it. End-to-end numbers live in
+//! Every statement runs on one thread, so these numbers do not depend on
+//! the host's core count. The `scan_16k_*` group compares two ways of
+//! delivering the same 16k-row state table to the executor: transposing row
+//! storage into columnar batches per scan (the pre-columnar layout), and
+//! handing out the table's own column chunks by `Arc` (the current
+//! zero-copy path); each variant then sums the `r` column the way a
+//! vectorized kernel would read it. End-to-end numbers live in
 //! `BENCH_e2e.json`, not here.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -32,14 +29,9 @@ SUM((T0.r * H.i) + (T0.i * H.r)) AS i \
 FROM T0 JOIN H ON H.in_s = (T0.s & 1) \
 GROUP BY ((T0.s & ~1) | H.out_s)";
 
-/// A 16k-amplitude uniform state plus a Hadamard gate table. Parallelism
-/// is pinned to 1 so every micro below measures exactly one effect,
-/// independent of the host's core count and comparable with historical
-/// numbers; the `_par{1,2,4}` group overrides the knob explicitly to
-/// measure scaling.
+/// A 16k-amplitude uniform state plus a Hadamard gate table.
 fn gate_db() -> Database {
     let mut db = Database::new();
-    db.set_parallelism(1);
     db.execute("CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
     let rows: Vec<Vec<Value>> = (0..16_384)
         .map(|s| vec![Value::Int(s), Value::Float(0.0078125), Value::Float(0.0)])
@@ -72,25 +64,6 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
 
-    // Morsel-parallel scaling of the same query: the 16-chunk state table
-    // fans out over 1/2/4 workers (per-worker partial aggregates merged at
-    // finalize). `par1` takes exactly the sequential code path and must
-    // match the pinned-sequential bench above within noise.
-    for (name, par) in [
-        ("gate_join_groupby_16k_rows_par1", 1usize),
-        ("gate_join_groupby_16k_rows_par2", 2),
-        ("gate_join_groupby_16k_rows_par4", 4),
-    ] {
-        let mut db = gate_db();
-        db.set_parallelism(par);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let rs = db.execute(GATE_APPLY).unwrap();
-                std::hint::black_box(rs.rows().len())
-            })
-        });
-    }
-
     // The full Fig. 2c shape end to end: CTE, join, grouped aggregation,
     // final ORDER BY.
     group.bench_function("gate_apply_fig2c_cte_16k", |b| {
@@ -111,9 +84,7 @@ fn bench_engine(c: &mut Criterion) {
 }
 
 /// Full 16k-row `ORDER BY` (no LIMIT, so the top-k shortcut cannot engage)
-/// and a LEFT OUTER equi-join whose probe side half-misses, sequentially
-/// and with the `par4` variants adding the morsel-parallel scaling curve
-/// (meaningful only on multi-core hosts).
+/// and a LEFT OUTER equi-join whose probe side half-misses.
 fn bench_sort_and_outer_join(c: &mut Criterion) {
     let mut group = c.benchmark_group("sql_engine_micro");
     group.sample_size(30);
@@ -128,15 +99,6 @@ fn bench_sort_and_outer_join(c: &mut Criterion) {
         group.bench_function(format!("{name}_batch"), |b| {
             b.iter(|| {
                 let rs = batch_db.execute(sql).unwrap();
-                std::hint::black_box(rs.rows().len())
-            })
-        });
-
-        let mut par_db = gate_db();
-        par_db.set_parallelism(4);
-        group.bench_function(format!("{name}_par4"), |b| {
-            b.iter(|| {
-                let rs = par_db.execute(sql).unwrap();
                 std::hint::black_box(rs.rows().len())
             })
         });

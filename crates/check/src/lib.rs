@@ -1,25 +1,23 @@
 //! # qymera-check — deterministic differential-fuzzing harness
 //!
 //! Correctness tooling for the whole engine: one seed-deterministic
-//! generator, five independent oracles, a metamorphic-rewrite layer, an
+//! generator, four independent oracles, a metamorphic-rewrite layer, an
 //! automatic shrinker, fault-schedule fuzzing over the durability paths,
 //! cancellation fuzzing over the query-lifecycle governance paths
-//! (seeded cancel points × worker counts × spill/WAL states), and
+//! (seeded cancel points × spill/WAL states), and
 //! transaction fuzzing over the ACID paths (seeded multi-statement
 //! scripts with a shadow oracle, crash/kill-point simulation, and
 //! fault/cancel composition). See `docs/TESTING.md` for the workflow.
 //!
-//! The five oracles every generated case can be cross-checked against:
+//! The four oracles every generated case can be cross-checked against:
 //!
 //! 1. **Row** — the reference interpreter ([`Database::query_reference`]):
 //!    one recursive function over the plan, one row at a time, sharing no
 //!    operator, spill or budget code with what it checks.
-//! 2. **Batch** — the vectorized executor, fully sequential.
-//! 3. **Parallel** — the batch executor at worker counts 2, 4, and 8
-//!    (morsel-driven; results must be identical to sequential).
-//! 4. **Durable** — the same statements through [`Database::open`] with a
+//! 2. **Batch** — the vectorized executor.
+//! 3. **Durable** — the same statements through [`Database::open`] with a
 //!    mid-run kill and reopen (WAL recovery must reconstruct the state).
-//! 5. **Sim** — for circuit cases, the translated SQL run is cross-checked
+//! 4. **Sim** — for circuit cases, the translated SQL run is cross-checked
 //!    against the `qymera-sim` statevector / MPS / DD backends within
 //!    tolerance.
 //!

@@ -24,10 +24,8 @@ pub enum SqlOracle {
     /// The row-at-a-time reference interpreter
     /// ([`Database::query_reference`]): no executor code runs.
     Row,
-    /// Vectorized batch executor, sequential.
+    /// Vectorized batch executor.
     Batch,
-    /// Morsel-parallel batch executor at this worker count.
-    Parallel(usize),
     /// Durable database with a mid-run kill and two reopens (WAL
     /// recovery in the loop).
     DurableReopen,
@@ -38,21 +36,14 @@ impl std::fmt::Display for SqlOracle {
         match self {
             SqlOracle::Row => write!(f, "row"),
             SqlOracle::Batch => write!(f, "batch"),
-            SqlOracle::Parallel(n) => write!(f, "parallel{n}"),
             SqlOracle::DurableReopen => write!(f, "durable-reopen"),
         }
     }
 }
 
 /// The oracles every SQL case runs under.
-pub const ALL_SQL_ORACLES: [SqlOracle; 6] = [
-    SqlOracle::Row,
-    SqlOracle::Batch,
-    SqlOracle::Parallel(2),
-    SqlOracle::Parallel(4),
-    SqlOracle::Parallel(8),
-    SqlOracle::DurableReopen,
-];
+pub const ALL_SQL_ORACLES: [SqlOracle; 3] =
+    [SqlOracle::Row, SqlOracle::Batch, SqlOracle::DurableReopen];
 
 /// A disagreement between oracles (or an oracle erroring out). The
 /// `detail` is human-readable; the seed pins the case.
@@ -119,13 +110,8 @@ pub fn run_oracle(case: &SqlCase, oracle: SqlOracle) -> qymera_sqldb::Result<Res
             }
             db.query_reference(&query)
         }
-        SqlOracle::Batch | SqlOracle::Parallel(_) => {
+        SqlOracle::Batch => {
             let mut db = Database::new();
-            if let SqlOracle::Parallel(n) = oracle {
-                db.set_parallelism(n);
-            } else {
-                db.set_parallelism(1);
-            }
             for st in &setup {
                 db.execute(st)?;
             }

@@ -124,10 +124,10 @@ impl Repro {
     }
 
     /// Replay the statements through the reference interpreter
-    /// ([`Database::query_reference`]) and the sequential and 4-way-parallel
-    /// executor, and compare result multisets. Returns a description of the
-    /// first disagreement (or error), `None` when all agree — i.e. `None`
-    /// means the repro no longer reproduces on this build.
+    /// ([`Database::query_reference`]) and the executor, and compare result
+    /// multisets. Returns a description of the disagreement (or error),
+    /// `None` when they agree — i.e. `None` means the repro no longer
+    /// reproduces on this build.
     pub fn replay(&self) -> Option<String> {
         let mut db = Database::new();
         for st in &self.setup {
@@ -139,21 +139,15 @@ impl Repro {
             Ok(rs) => canon_multiset(rs.rows()),
             Err(e) => return Some(format!("reference errored: `{}`: {e}", self.query)),
         };
-        for (name, par) in [("batch", 1), ("parallel4", 4)] {
-            db.set_parallelism(par);
-            match db.execute(&self.query).map(|rs| canon_multiset(rs.rows())) {
-                Ok(rows) if rows == reference => {}
-                Ok(rows) => {
-                    return Some(format!(
-                        "reference vs {name}: result multisets differ ({} vs {} rows)",
-                        reference.len(),
-                        rows.len()
-                    ))
-                }
-                Err(e) => return Some(format!("{name} errored: `{}`: {e}", self.query)),
-            }
+        match db.execute(&self.query).map(|rs| canon_multiset(rs.rows())) {
+            Ok(rows) if rows == reference => None,
+            Ok(rows) => Some(format!(
+                "reference vs batch: result multisets differ ({} vs {} rows)",
+                reference.len(),
+                rows.len()
+            )),
+            Err(e) => Some(format!("batch errored: `{}`: {e}", self.query)),
         }
-        None
     }
 }
 

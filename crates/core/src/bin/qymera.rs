@@ -152,7 +152,6 @@ fn usage() -> &'static str {
        --no-fusion      one query per gate (default: gates that cannot\n\
                         interfere fuse into blocks of up to 6 qubits;\n\
                         `trace` never fuses)\n\
-       --parallel N     SQL-engine worker threads (default 1)\n\
        --db DIR         persist the SQL engine's state in DIR (write-ahead\n\
                         logged, crash-recoverable; default: in-memory)\n\
        --timeout-ms MS  per-statement deadline for the SQL engine\n\
@@ -163,8 +162,35 @@ fn usage() -> &'static str {
      rolled back cleanly); a second Ctrl-C exits immediately (130)."
 }
 
+/// The options that take a value, and the flags that do not. Anything else
+/// after the command is a mistake, not something to ignore.
+const VALUE_OPTIONS: [&str; 8] =
+    ["--circuit", "--file", "--backend", "--memory", "--db", "--timeout-ms", "--shots", "--top"];
+const FLAGS: [&str; 2] = ["--auto", "--no-fusion"];
+
+/// Refuse any argument after the command that is not one of the known
+/// options (with its value) or flags.
+fn check_arguments(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if VALUE_OPTIONS.contains(&arg.as_str()) {
+            rest.next().ok_or(format!("`{arg}` needs a value"))?;
+        } else if !FLAGS.contains(&arg.as_str()) {
+            return Err(format!("unknown option `{arg}`"));
+        }
+    }
+    Ok(())
+}
+
 fn opt(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+}
+
+/// The value of option `name` parsed as a `T`, `None` when it is absent.
+fn parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    opt(args, name)
+        .map(|v| v.parse().map_err(|_| format!("bad {name} value `{v}`")))
+        .transpose()
 }
 
 fn flag(args: &[String], name: &str) -> bool {
@@ -173,27 +199,19 @@ fn flag(args: &[String], name: &str) -> bool {
 
 fn run(args: &[String]) -> Result<(), Failure> {
     let command = args.first().ok_or("missing command")?.clone();
+    check_arguments(args)?;
     let circuit = load_circuit(args)?;
-    let opts = match opt(args, "--memory") {
-        Some(m) => SimOptions::with_memory_limit(
-            m.parse().map_err(|_| format!("bad --memory value `{m}`"))?,
-        ),
+    let opts = match parsed(args, "--memory")? {
+        Some(bytes) => SimOptions::with_memory_limit(bytes),
         None => SimOptions::default(),
     };
-    let top: usize = opt(args, "--top").and_then(|v| v.parse().ok()).unwrap_or(16);
-    let parallel: Option<usize> = match opt(args, "--parallel") {
-        Some(v) => Some(v.parse().map_err(|_| format!("bad --parallel value `{v}`"))?),
-        None => None,
-    };
+    let top: usize = parsed(args, "--top")?.unwrap_or(16);
+    let shots: usize = parsed(args, "--shots")?.unwrap_or(1024);
     let db_path = opt(args, "--db").map(std::path::PathBuf::from);
-    let timeout_ms: Option<u64> = match opt(args, "--timeout-ms") {
-        Some(v) => Some(v.parse().map_err(|_| format!("bad --timeout-ms value `{v}`"))?),
-        None => None,
-    };
+    let timeout_ms: Option<u64> = parsed(args, "--timeout-ms")?;
     let cancel: CancelHandle = sigint::install();
     let mut sql_config = SqlSimConfig {
         memory_limit: opts.memory_limit,
-        parallelism: parallel,
         db_path,
         timeout_ms,
         cancel: Some(cancel),
@@ -293,7 +311,6 @@ fn run(args: &[String]) -> Result<(), Failure> {
         }
         "sample" => {
             use rand::SeedableRng;
-            let shots: usize = opt(args, "--shots").and_then(|v| v.parse().ok()).unwrap_or(1024);
             let engine = Engine::new(opts);
             let report = engine.run_sql_configured(sql_config.clone(), &circuit);
             let state = report

@@ -21,8 +21,8 @@ fn run_with_closed_stdout(args: &[&str]) -> std::process::Output {
 fn closed_stdout_ends_quietly() {
     // `profile` and `trace` write to stdout only: stderr must stay empty.
     for args in [
-        &["profile", "--circuit", "ghz:3", "--parallel", "1"][..],
-        &["trace", "--circuit", "ghz:3", "--parallel", "1"],
+        &["profile", "--circuit", "ghz:3"][..],
+        &["trace", "--circuit", "ghz:3"],
         &["sql", "--circuit", "ghz:3"],
     ] {
         let out = run_with_closed_stdout(args);
@@ -31,7 +31,7 @@ fn closed_stdout_ends_quietly() {
         assert!(stderr.is_empty(), "{args:?} wrote to stderr: {stderr}");
     }
     // `run` reports its timing on stderr by design; nothing else may follow.
-    let out = run_with_closed_stdout(&["run", "--circuit", "ghz:3", "--parallel", "1"]);
+    let out = run_with_closed_stdout(&["run", "--circuit", "ghz:3"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert_eq!(stderr.lines().count(), 1, "{stderr}");

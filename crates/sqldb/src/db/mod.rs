@@ -78,15 +78,12 @@ fn with_exec_stack<T: Send>(query: &Query, f: impl FnOnce() -> T + Send) -> T {
     })
 }
 
-/// An embedded database instance. Statement execution is driven from the
-/// caller's thread; with [`Database::set_parallelism`] above 1 (the default
-/// is 1) the batch executor fans eligible pipeline
-/// stages out over a morsel-parallel worker pool.
+/// An embedded database instance. A statement runs on one thread: the
+/// caller's, or a big-stack thread for a deep plan while the caller waits.
 pub struct Database {
     catalog: Catalog,
     budget: MemoryBudget,
     spill: Arc<SpillDir>,
-    parallelism: usize,
     statements: u64,
     rows_returned: u64,
     /// WAL + checkpoint store when opened with [`Database::open`];
@@ -116,23 +113,6 @@ pub struct Database {
     locks: Arc<LockTable>,
 }
 
-/// Worker threads a fresh [`Database`] allows the batch executor: the
-/// `QYMERA_PARALLELISM` environment variable when set (a positive integer),
-/// otherwise 1 — fully sequential. The worker pool is opt-in: on the paper's
-/// single-query chains it never engages, and in step-table mode it measured
-/// slower than one worker. An unparsable value panics rather than silently
-/// falling back — the variable exists so CI can pin a worker count for
-/// whole test suites, and ignoring a typo would invert that guarantee.
-fn default_parallelism() -> usize {
-    match std::env::var("QYMERA_PARALLELISM") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) => n.max(1),
-            Err(_) => panic!("QYMERA_PARALLELISM must be a non-negative integer, got `{raw}`"),
-        },
-        Err(_) => 1,
-    }
-}
-
 impl Database {
     /// Unlimited memory budget (usage is still tracked).
     pub fn new() -> Self {
@@ -157,7 +137,6 @@ impl Database {
             catalog: Catalog::new(),
             budget,
             spill: SpillDir::new_with(Arc::clone(&injector)),
-            parallelism: default_parallelism(),
             statements: 0,
             rows_returned: 0,
             durable: None,
@@ -197,16 +176,15 @@ impl Database {
 
     /// Deadline applied to every subsequent statement; exceeding it fails
     /// the statement with [`Error::Timeout`] at the next operator
-    /// checkpoint (one batch / morsel / spill run). `None` disables.
+    /// checkpoint (one batch / spill run). `None` disables.
     pub fn set_statement_timeout_ms(&mut self, ms: Option<u64>) {
         self.timeout_ms = ms.filter(|&ms| ms > 0);
     }
 
     /// Deterministic cancel injection for tests and the cancellation
     /// fuzzer: every subsequent statement latches a cooperative cancel at
-    /// its `n`-th governance poll (entry, per-batch, per-morsel, per-spill
-    /// run, pre-commit — wherever [`QueryContext::check`] runs). `None`
-    /// disarms.
+    /// its `n`-th governance poll (entry, per-batch, per-spill run,
+    /// pre-commit — wherever [`QueryContext::check`] runs). `None` disarms.
     pub fn arm_cancel_after_polls(&mut self, n: Option<u64>) {
         self.cancel_after_polls = n;
     }
@@ -260,18 +238,9 @@ impl Database {
         );
     }
 
-    /// Cap the batch executor's morsel-parallel worker pool at `n` threads
-    /// (clamped to at least 1). `1` reproduces single-threaded execution
-    /// exactly and is the default (unless the `QYMERA_PARALLELISM`
-    /// environment variable sets another).
-    pub fn set_parallelism(&mut self, n: usize) {
-        self.parallelism = n.max(1);
-    }
-
-    /// The configured worker-pool size for parallel batch execution.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
+    /// Accepted and ignored: statements run on the caller's thread; kept
+    /// only until perfbench stops calling it.
+    pub fn set_parallelism(&mut self, _n: usize) {}
 
     /// The shared memory ledger charged by tables and operators.
     pub fn budget(&self) -> &MemoryBudget {
@@ -310,7 +279,6 @@ impl Database {
         ExecContext {
             budget: self.budget.clone(),
             spill: Arc::clone(&self.spill),
-            parallelism: self.parallelism,
             instrument: None,
             query: self.query.clone(),
         }
@@ -328,19 +296,13 @@ impl Database {
             } else {
                 String::new()
             };
-            let parallel = if node.workers > 0 {
-                format!("workers={:<3} morsels={:<6} ", node.workers, node.morsels)
-            } else {
-                String::new()
-            };
             out.push_str(&format!(
-                "{}{:<28} rows={:<9} {}{}time={:.3} ms self={:.3} ms
+                "{}{:<28} rows={:<9} {}time={:.3} ms self={:.3} ms
 ",
                 "  ".repeat(node.depth),
                 node.label,
                 node.rows_out,
                 batches,
-                parallel,
                 node.nanos as f64 / 1e6,
                 own as f64 / 1e6
             ));

@@ -206,23 +206,20 @@ fn explain_analyze_self_times_partition_the_root_time() {
         format!("WITH t AS ({gate}) SELECT t.k, s.v FROM t LEFT JOIN s ON s.k = t.k ORDER BY 1"),
         "SELECT s.k FROM s JOIN g ON s.k < g.k UNION ALL SELECT k FROM g".to_string(),
     ];
-    for parallelism in [1, 2] {
-        db.set_parallelism(parallelism);
-        for sql in &queries {
-            let (nodes, _) = db.analyze(sql).unwrap();
-            let own = NodeStats::self_nanos(&nodes);
-            assert_eq!(nodes[0].depth, 0, "{sql}");
-            assert!(nodes[1..].iter().all(|n| n.depth > 0), "one root: {sql}");
-            assert_eq!(
-                own.iter().sum::<u128>(),
-                nodes[0].nanos,
-                "p={parallelism}: a child outlasted its parent in {sql}: {nodes:#?}"
-            );
-            assert!(nodes.iter().zip(&own).all(|(n, own)| *own <= n.nanos), "{sql}");
-        }
-        let text = db.explain_analyze(&queries[1]).unwrap();
-        assert!(text.lines().all(|l| l.contains(" self=") || l.starts_with("total")), "{text}");
+    for sql in &queries {
+        let (nodes, _) = db.analyze(sql).unwrap();
+        let own = NodeStats::self_nanos(&nodes);
+        assert_eq!(nodes[0].depth, 0, "{sql}");
+        assert!(nodes[1..].iter().all(|n| n.depth > 0), "one root: {sql}");
+        assert_eq!(
+            own.iter().sum::<u128>(),
+            nodes[0].nanos,
+            "a child outlasted its parent in {sql}: {nodes:#?}"
+        );
+        assert!(nodes.iter().zip(&own).all(|(n, own)| *own <= n.nanos), "{sql}");
     }
+    let text = db.explain_analyze(&queries[1]).unwrap();
+    assert!(text.lines().all(|l| l.contains(" self=") || l.starts_with("total")), "{text}");
 }
 
 #[test]
@@ -259,7 +256,6 @@ fn state_rows(n: i64) -> Vec<Row> {
 #[test]
 fn query_batches_hands_back_columns_like_execute() {
     let mut db = Database::new();
-    db.set_parallelism(1);
     db.execute("CREATE TABLE t (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
     let n = 2 * crate::table::CHUNK_ROWS + 512;
     db.insert_rows("t", state_rows(n as i64).into_iter().rev().collect()).unwrap();

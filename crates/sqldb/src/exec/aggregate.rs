@@ -35,7 +35,7 @@ pub(crate) enum Acc {
     /// DISTINCT aggregates keep the deduplicated inputs. The set spills as a
     /// count-prefixed value list inside the standard partial row (see
     /// [`Acc::write_partial`]), so DISTINCT participates in partition
-    /// spilling and parallel per-worker merging like every other aggregate.
+    /// spilling like every other aggregate.
     Distinct { func: AggFunc, seen: HashMap<GroupKey, Value> },
 }
 
@@ -114,7 +114,7 @@ impl Acc {
 
     /// `state += v` for SUM. A `DOUBLE` sum starts from `0.0`, as the `f64`
     /// lanes of the aggregate's fast table do, so a group whose only term is
-    /// `-0.0` sums to `+0.0` on every path: fold, partial row, worker merge.
+    /// `-0.0` sums to `+0.0` on every path: fold and partial row.
     fn sum_add(state: &mut Option<Value>, v: &Value) -> Result<()> {
         *state = Some(match (state.take(), v) {
             (Some(cur), v) => cur.add(v)?,
@@ -129,7 +129,8 @@ impl Acc {
     /// representations share a [`GroupKey`] (`Int 2` vs `Float 2.0`): the
     /// narrower representation wins, independent of arrival order. First-
     /// seen-wins would make `SUM(DISTINCT …)`'s result type depend on input
-    /// order — and therefore on worker count under the parallel merge.
+    /// order — and so differ between the executor, the reference and a
+    /// spilled run.
     fn insert_distinct(seen: &mut HashMap<GroupKey, Value>, v: Value) {
         fn repr_rank(v: &Value) -> u8 {
             match v {
@@ -247,60 +248,6 @@ impl Acc {
         Ok(())
     }
 
-    /// Merge another accumulator of the same shape into this one (used when
-    /// the parallel aggregate combines per-worker tables). Direct
-    /// variant-to-variant merges — no partial-row round trip, which would
-    /// allocate per group per worker. DISTINCT accumulators merge by set
-    /// union; mismatched shapes cannot occur because every table derives its
-    /// accumulators from the same aggregate list.
-    pub(crate) fn merge_from(&mut self, other: &Acc) -> Result<()> {
-        match (&mut *self, other) {
-            (Acc::Sum(state), Acc::Sum(v)) => {
-                if let Some(v) = v {
-                    Self::sum_add(state, v)?;
-                }
-            }
-            (Acc::Count(n), Acc::Count(m)) => *n += m,
-            (Acc::Min(state), Acc::Min(v)) => {
-                if let Some(v) = v {
-                    let replace = match state {
-                        Some(cur) => v.cmp_total(cur) == std::cmp::Ordering::Less,
-                        None => true,
-                    };
-                    if replace {
-                        *state = Some(v.clone());
-                    }
-                }
-            }
-            (Acc::Max(state), Acc::Max(v)) => {
-                if let Some(v) = v {
-                    let replace = match state {
-                        Some(cur) => v.cmp_total(cur) == std::cmp::Ordering::Greater,
-                        None => true,
-                    };
-                    if replace {
-                        *state = Some(v.clone());
-                    }
-                }
-            }
-            (Acc::Avg { sum, count }, Acc::Avg { sum: s, count: c }) => {
-                *sum += s;
-                *count += c;
-            }
-            (Acc::Distinct { seen, .. }, Acc::Distinct { seen: other, .. }) => {
-                for v in other.values() {
-                    Self::insert_distinct(seen, v.clone());
-                }
-            }
-            _ => {
-                return Err(Error::Eval(
-                    "internal: mismatched accumulator shapes in parallel merge".into(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
     pub(crate) fn finalize(self) -> Result<Value> {
         Ok(match self {
             Acc::Sum(v) | Acc::Min(v) | Acc::Max(v) => v.unwrap_or(Value::Null),
@@ -316,8 +263,8 @@ impl Acc {
                 AggFunc::Count => Value::Int(seen.len() as i64),
                 AggFunc::Sum => {
                     // Fold in total order (see `sorted_distinct`): float
-                    // sums are then bit-identical across runs, execution
-                    // paths, and worker counts.
+                    // sums are then bit-identical across runs and execution
+                    // paths.
                     let mut acc: Option<Value> = None;
                     for v in Self::sorted_distinct(&seen) {
                         Self::sum_add(&mut acc, v)?;
@@ -550,8 +497,8 @@ mod tests {
     fn distinct_representative_is_order_independent() {
         // Int 2 and Float 2.0 share a GroupKey; the retained representative
         // (and so SUM(DISTINCT)'s result type) must not depend on which
-        // arrives first — sequential input order and parallel worker-merge
-        // order both reduce to the same narrowest-representation rule.
+        // arrives first: every input order reduces to the same
+        // narrowest-representation rule.
         let sum = agg(AggFunc::Sum, true);
         let forward = fold(&sum, &[Value::Float(2.0), Value::Int(2)]).finalize().unwrap();
         let reversed = fold(&sum, &[Value::Int(2), Value::Float(2.0)]).finalize().unwrap();
@@ -562,7 +509,7 @@ mod tests {
     /// What a spilled group goes through: each half of the input is folded,
     /// written as a partial row, and the two partials are consumed into a
     /// fresh accumulator set. The result must equal folding the whole input
-    /// at once, and equal merging the halves directly (the parallel path).
+    /// at once.
     #[test]
     fn partial_rows_round_trip() {
         let aggs = [
@@ -602,14 +549,7 @@ mod tests {
             assert_eq!(pos, partial.len(), "every value of the record is consumed");
         }
 
-        let mut merged = fold_all(lo);
-        for (dst, src) in merged.iter_mut().zip(fold_all(hi)) {
-            dst.merge_from(&src).unwrap();
-        }
-
-        let whole = finalize(fold_all(&vals));
-        assert_eq!(finalize(from_partials), whole);
-        assert_eq!(finalize(merged), whole);
+        assert_eq!(finalize(from_partials), finalize(fold_all(&vals)));
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Query-lifecycle governance: cooperative cancellation and deadlines.
 //!
 //! Every statement executes under a [`QueryContext`] — a shared token
-//! carrying the cancel flag and the optional deadline. Operators call [`QueryContext::check`] at every unit boundary (one batch, one
-//! morsel, one spill run, one build block); the first failing check latches
-//! the outcome so every worker and operator surfaces the *same* typed error
-//! ([`Error::Cancelled`] or [`Error::Timeout`]) no matter which one observed
-//! it first. Cancellation is cooperative: nothing is killed mid-write, so
-//! the ordinary cleanup (spill files, ledger reservations, WAL `Abort`
-//! record + `TableUndo` rollback) runs exactly as it does for any
-//! other statement error.
+//! carrying the cancel flag and the optional deadline. Operators call
+//! [`QueryContext::check`] at every unit boundary (one batch, one spill
+//! run); the first failing check latches the outcome so every operator
+//! surfaces the *same* typed error ([`Error::Cancelled`] or
+//! [`Error::Timeout`]) no matter which one observed it first. Cancellation
+//! is cooperative: nothing is killed mid-write, so the ordinary cleanup
+//! (spill files, ledger reservations, WAL `Abort` record + `TableUndo`
+//! rollback) runs exactly as it does for any other statement error.
 //!
 //! There is no admission queue: the engine is embedded, one `Database` runs
 //! one statement at a time, and concurrent sessions serialise on
@@ -44,18 +44,19 @@ struct QueryInner {
     cancel_at_poll: u64,
     /// Checkpoint polls so far (every `check()` call counts one).
     polls: AtomicU64,
-    /// Work units (batch/morsel/spill-run/build-block) that *completed*
-    /// after the cancel flag was already set — the cancellation-latency
-    /// meter. Debug builds only; asserted ≤ in-flight bound by the tests.
+    /// Work units (batch/spill-run) that *completed* after the cancel flag
+    /// was already set — the cancellation-latency meter. Debug builds only;
+    /// asserted ≤ in-flight bound by the tests.
     #[cfg(debug_assertions)]
     units_after_cancel: AtomicU64,
 }
 
 /// Per-statement governance token: cancellation + deadline.
 ///
-/// Cheap to clone (`Arc` inside) and `Send + Sync`, so parallel workers
-/// share one token. Created by `Database` for every statement; tests and
-/// standalone operators use [`QueryContext::unbounded`].
+/// Cheap to clone (`Arc` inside) and `Send + Sync`: a statement may run on
+/// the big-stack execution thread while another thread cancels it.
+/// Created by `Database` for every statement; tests and standalone
+/// operators use [`QueryContext::unbounded`].
 #[derive(Debug, Clone)]
 pub struct QueryContext {
     inner: Arc<QueryInner>,
@@ -125,9 +126,9 @@ impl QueryContext {
     }
 
     /// Checkpoint poll. Operators call this before starting each unit of
-    /// work (batch, morsel, spill run, build block). Returns the latched
-    /// typed error once the query is cancelled or past its deadline; the
-    /// first failing check decides which error every later check repeats.
+    /// work (batch, spill run). Returns the latched typed error once the
+    /// query is cancelled or past its deadline; the first failing check
+    /// decides which error every later check repeats.
     #[inline]
     pub fn check(&self) -> Result<()> {
         let inner = &self.inner;
@@ -156,7 +157,7 @@ impl QueryContext {
     /// Record that one unit of work finished. In debug builds this counts
     /// units completed *after* cancellation became visible — the latency
     /// meter behind the "every operator observes cancel within one
-    /// batch/morsel/spill-run" invariant. Free in release builds.
+    /// batch/spill-run" invariant. Free in release builds.
     #[inline]
     pub fn note_unit(&self) {
         #[cfg(debug_assertions)]
@@ -167,9 +168,9 @@ impl QueryContext {
 
     /// Units of work that completed after the cancel flag was set. Always 0
     /// in release builds (the meter is debug-only) and for queries that were
-    /// never cancelled. Bounded by one in-flight unit per worker plus one
-    /// per operator on the executing stack; the cancellation tests assert
-    /// this against [`QueryContext::latency_bound`].
+    /// never cancelled. Bounded by one unit per operator on the executing
+    /// stack; the cancellation tests assert this against
+    /// [`QueryContext::latency_bound`].
     pub fn units_after_cancel(&self) -> u64 {
         #[cfg(debug_assertions)]
         {
@@ -187,12 +188,12 @@ impl QueryContext {
     }
 
     /// Debug-mode ceiling on [`QueryContext::units_after_cancel`]: when the
-    /// flag flips, each of the `parallelism` workers may finish the morsel
-    /// it already started, and each operator on the in-flight call stack
-    /// (bounded by plan depth, itself capped well under
-    /// `crate::db`'s big-stack threshold) may finish its current unit.
-    pub fn latency_bound(parallelism: usize, plan_depth: usize) -> u64 {
-        (parallelism + plan_depth + 1) as u64
+    /// flag flips, the executing thread may finish the unit it started, and
+    /// each operator on its call stack (bounded by plan depth, itself
+    /// capped well under `crate::db`'s big-stack threshold) may finish its
+    /// current unit.
+    pub fn latency_bound(plan_depth: usize) -> u64 {
+        (plan_depth + 1) as u64
     }
 }
 
@@ -278,7 +279,10 @@ mod tests {
     fn expired_deadline_latches_timeout_over_later_cancel() {
         let interrupt = Arc::new(AtomicBool::new(false));
         let q = QueryContext::begin(Some(1), interrupt, None);
-        std::thread::sleep(Duration::from_millis(5));
+        let past = Instant::now() + Duration::from_millis(2);
+        while Instant::now() < past {
+            std::hint::spin_loop();
+        }
         assert!(matches!(q.check(), Err(Error::Timeout { ms: 1 })));
         q.cancel();
         // First latched outcome wins.

@@ -1,11 +1,12 @@
 //! Physical execution: the vectorized batch executor over the bound
-//! [`Plan`]. It is the engine's only executor.
+//! [`Plan`]. It is the engine's only executor, and a statement runs on one
+//! thread: the caller's, or the big-stack thread of a deep plan.
 //!
 //! [`vector`] holds the pipeline builder and the scan, filter, project,
 //! join, aggregate, limit and union operators over the columnar [`batch`]
-//! chunks; [`vsort`] the sort and top-k; [`parallel`] the morsel-driven
-//! worker pool; [`aggregate`] the accumulators and partition constants the
-//! aggregate spills with; [`govern`] cancellation, deadlines and admission.
+//! chunks; [`vsort`] the sort and top-k; [`aggregate`] the accumulators and
+//! partition constants the aggregate spills with; [`govern`] cancellation
+//! and deadlines.
 //! This module keeps what every operator shares: the [`ExecContext`] and
 //! the `EXPLAIN ANALYZE` slot protocol. The test oracle the executor is
 //! compared against is not here: see [`crate::reference`].
@@ -13,7 +14,6 @@
 pub mod aggregate;
 pub mod batch;
 pub mod govern;
-pub mod parallel;
 pub mod vector;
 pub mod vsort;
 
@@ -41,11 +41,6 @@ pub struct NodeStats {
     /// `next_batch` calls (children included both times: they are built
     /// inside their parent, and execution is pull-based).
     pub nanos: u128,
-    /// Worker threads a morsel-parallel operator ran with; 0 when the
-    /// operator executed sequentially.
-    pub workers: u64,
-    /// Morsels (scan-chunk work units) the parallel operator processed.
-    pub morsels: u64,
 }
 
 impl NodeStats {
@@ -78,14 +73,11 @@ pub struct ExecContext {
     pub budget: MemoryBudget,
     /// Directory receiving the spill files of out-of-core operators.
     pub spill: Arc<SpillDir>,
-    /// Worker threads morsel-parallel operators may use. `1` disables
-    /// parallel execution entirely (the sequential operators run unchanged).
-    pub parallelism: usize,
     /// When set, every operator is wrapped with row/time instrumentation.
     pub instrument: Option<Rc<RefCell<Vec<NodeStats>>>>,
     /// Governance token for the statement this context executes: cancel
     /// flag, deadline, and memory grant. Operators call
-    /// [`govern::QueryContext::check`] at every batch/morsel/spill-run
+    /// [`govern::QueryContext::check`] at every batch/spill-run
     /// boundary (the builders wrap each node with a cancel guard, so plain
     /// streaming operators need no explicit checks).
     pub query: govern::QueryContext,
@@ -132,8 +124,6 @@ pub(crate) fn instrument_slot(ctx: &ExecContext, plan: &Plan, depth: usize) -> O
             rows_out: 0,
             batches_out: 0,
             nanos: 0,
-            workers: 0,
-            morsels: 0,
         });
         v.len() - 1
     })
@@ -182,7 +172,6 @@ pub(crate) mod test_util {
         ExecContext {
             budget,
             spill: SpillDir::new(),
-            parallelism: 1,
             instrument: None,
             query: govern::QueryContext::unbounded(),
         }
@@ -200,18 +189,26 @@ pub(crate) mod test_util {
         }
     }
 
-    /// Literal rows as the input of an operator under test: batches of
-    /// `BATCH_SIZE` rows with the typed lanes a scan would produce.
-    pub fn batches_of(rows: Vec<Row>) -> Box<dyn BatchStream> {
-        let batches: Vec<RowBatch> = rows.chunks(BATCH_SIZE).map(RowBatch::from_rows).collect();
+    /// `batches` as the input of an operator under test, as they are.
+    pub fn stream_of(batches: Vec<RowBatch>) -> Box<dyn BatchStream> {
         Box::new(Batches(batches.into_iter()))
     }
 
-    pub fn drain_batches(mut s: Box<dyn BatchStream>) -> Vec<Row> {
+    /// Literal rows as the input of an operator under test: batches of
+    /// `BATCH_SIZE` rows with the typed lanes a scan would produce.
+    pub fn batches_of(rows: Vec<Row>) -> Box<dyn BatchStream> {
+        stream_of(rows.chunks(BATCH_SIZE).map(RowBatch::from_rows).collect())
+    }
+
+    pub fn drain_batch_list(mut s: Box<dyn BatchStream>) -> Vec<RowBatch> {
         let mut out = Vec::new();
         while let Some(b) = s.next_batch().unwrap() {
-            out.extend(b.into_rows());
+            out.push(b);
         }
         out
+    }
+
+    pub fn drain_batches(s: Box<dyn BatchStream>) -> Vec<Row> {
+        drain_batch_list(s).into_iter().flat_map(RowBatch::into_rows).collect()
     }
 }

@@ -23,16 +23,6 @@
 //! with a recursive re-partition merge. Budget checks happen per batch, so
 //! a table may transiently overshoot its reservation by at most one batch of
 //! new groups before it flushes.
-//!
-//! When [`ExecContext::parallelism`] is greater than one, eligible pipeline
-//! segments (scan → filter/project/equi-join-probe chains over a base table,
-//! outer probes included) execute morsel-parallel on a worker pool — see
-//! [`super::parallel`] — and every pipeline breaker parallelizes its heavy
-//! phase: the hash-join build merges per-morsel key evaluations in morsel
-//! order, the hash aggregate merges per-worker partial tables (including
-//! per-worker spill partitions) at finalize, and the sort merges per-worker
-//! sorted runs at the breaker ([`super::vsort`]). `parallelism = 1` takes
-//! exactly the sequential code paths below.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -46,7 +36,7 @@ use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
 use crate::plan::logical::{AggExpr, AggFunc, Plan};
 use crate::plan::optimizer::extract_equi_keys;
-use crate::storage::budget::{MemoryBudget, Reservation};
+use crate::storage::budget::Reservation;
 use crate::storage::spill::{row_bytes, Row, SpillDir, SpillReader, SpillRecord, SpillWriter};
 use crate::table::TableSnapshot;
 use crate::value::{GroupKey, Value};
@@ -56,7 +46,6 @@ use super::aggregate::{
     PARTITIONS,
 };
 use super::batch::{BatchBuilder, Column, ColumnRef, RowBatch, BATCH_SIZE};
-use super::parallel::{self, Segment};
 use super::{instrument_slot, set_node_label, vsort, BuildTimer, ExecContext, NodeStats};
 
 /// Uncharged rows a join build side may hold when the shared budget is
@@ -156,21 +145,6 @@ fn build_batch_stream_inner(
     depth: usize,
     slot: Option<usize>,
 ) -> Result<Box<dyn BatchStream>> {
-    // Morsel-parallel pipelines: a filter/project/equi-join chain rooted in
-    // a base-table scan runs on a worker pool, with output batches gathered
-    // back in morsel order (so downstream consumers see the sequential
-    // order). Single chunks and `parallelism = 1` use the operators below.
-    if matches!(
-        plan,
-        Plan::Filter { .. }
-            | Plan::Project { .. }
-            | Plan::Join { .. }
-            | Plan::Aggregate { one_row_per_group: true, .. }
-    ) && parallel::parallel_eligible(plan, catalog, ctx)
-    {
-        let segment = parallel::build_segment(plan, catalog, ctx, depth, slot)?;
-        return parallel::spawn_pipeline(segment, ctx, slot);
-    }
     Ok(match plan {
         Plan::Scan { table, .. } => {
             let snapshot = catalog.get(table)?.snapshot();
@@ -217,17 +191,10 @@ fn build_batch_stream_inner(
                 Some((lk, rk, residual)) => {
                     set_node_label(ctx, slot, format!("HashJoin {kind:?}"));
                     let l = build_batch_stream_at(left, catalog, ctx, depth + 1)?;
-                    let (table, reservations) = parallel::build_join_table(
-                        right,
-                        catalog,
-                        ctx,
-                        depth + 1,
-                        lk,
-                        rk,
-                        residual,
-                        right_cols,
-                    )?;
-                    Box::new(BatchHashJoin::new(l, table, reservations, outer))
+                    let r = build_batch_stream_at(right, catalog, ctx, depth + 1)?;
+                    let (table, reservation) =
+                        JoinTable::build_from_stream(r, lk, rk, residual, right_cols, ctx)?;
+                    Box::new(BatchHashJoin::new(l, table, reservation, outer))
                 }
                 // Cross and non-equi conditions run the vectorized nested
                 // loop with batched predicate evaluation.
@@ -253,21 +220,6 @@ fn build_batch_stream_inner(
             }
         }
         Plan::Aggregate { input, group_by, aggs, .. } => {
-            if parallel::agg_input_eligible(input, catalog, ctx) {
-                // Morsel-parallel consume: workers run the input segment and
-                // build per-worker partial tables, merged at finalize.
-                // DISTINCT aggregates participate: per-worker distinct sets
-                // merge by union, and their spill partials carry the sets.
-                let segment = parallel::descend_segment(input, catalog, ctx, depth)?;
-                let workers = ctx.parallelism.min(segment.num_morsels());
-                parallel::note_parallel(ctx, slot, workers, segment.num_morsels());
-                return Ok(Box::new(BatchHashAggregate::new_parallel(
-                    segment,
-                    group_by.clone(),
-                    aggs.clone(),
-                    ctx.clone(),
-                )));
-            }
             let child = build_batch_stream_at(input, catalog, ctx, depth + 1)?;
             Box::new(BatchHashAggregate::new(
                 child,
@@ -387,7 +339,7 @@ impl BatchStream for OneBatch {
 }
 
 /// Row indices of `col` whose truthiness is exactly `TRUE` (NULL filters out).
-pub(crate) fn truthy_selection(col: &Column) -> Result<Vec<u32>> {
+fn truthy_selection(col: &Column) -> Result<Vec<u32>> {
     Ok(match col {
         Column::Int(v) => v
             .iter()
@@ -510,9 +462,9 @@ impl BatchStream for BatchUnion {
 /// Join-key lookup table. `Single` specializes the one-key case (the gate
 /// join `H.in_s = (T0.s & mask)` has exactly one key) to skip a `Vec`
 /// allocation per probed row; `Direct` is what a `Single` table becomes at
-/// [`JoinTableBuilder::finish`] when every build key is an integer in
-/// `0..DIRECT_KEYS` — a gate table's `in_s` always is — so probes index
-/// instead of hashing.
+/// the end of [`JoinTable::build_from_stream`] when every build key is an
+/// integer in `0..DIRECT_KEYS` — a gate table's `in_s` always is — so
+/// probes index instead of hashing.
 enum KeyMap {
     /// Build rows of key `k` are `ids[offsets[k]..offsets[k + 1]]`, in
     /// insertion order.
@@ -549,9 +501,8 @@ impl KeyMap {
 
 /// The immutable result of a hash-join build: the kept build rows plus the
 /// key → row-index table, with the probe-side key expressions and residual
-/// predicate attached. Once built it is read-only, so morsel workers probe
-/// it concurrently through a plain `Arc` (see [`super::parallel`]).
-pub(crate) struct JoinTable {
+/// predicate attached.
+struct JoinTable {
     build: RowBatch,
     /// Width of the build side's schema. Carried explicitly because an empty
     /// build produces a zero-column `RowBatch`, and outer-join null padding
@@ -562,100 +513,12 @@ pub(crate) struct JoinTable {
     residual: Option<BoundExpr>,
 }
 
-/// Accumulates build rows into a [`JoinTable`]. Insertion order defines the
-/// match order probes observe, so the parallel build feeds per-morsel
-/// results through this in morsel order — reproducing the sequential
-/// structure exactly.
-pub(crate) struct JoinTableBuilder {
-    kept: Vec<Row>,
-    table: KeyMap,
-    overdraft_rows: usize,
-}
-
-impl JoinTableBuilder {
-    /// An empty builder for `num_keys` join keys.
-    pub(crate) fn new(num_keys: usize) -> Self {
-        JoinTableBuilder {
-            kept: Vec::new(),
-            table: if num_keys == 1 {
-                KeyMap::Single(HashMap::new())
-            } else {
-                KeyMap::Multi(HashMap::new())
-            },
-            overdraft_rows: 0,
-        }
-    }
-
-    /// Insert every non-NULL-key row of `batch` (whose join keys are already
-    /// evaluated in `key_cols`), charging `reservation` per kept row. A
-    /// bounded overdraft ([`BUILD_OVERDRAFT_ROWS`]) is tolerated.
-    pub(crate) fn insert_batch(
-        &mut self,
-        batch: &RowBatch,
-        key_cols: &[ColumnRef],
-        reservation: &mut Reservation,
-        budget: &MemoryBudget,
-    ) -> Result<()> {
-        for i in 0..batch.num_rows() {
-            let keys: Vec<GroupKey> = key_cols.iter().map(|c| c.group_key_at(i)).collect();
-            // SQL semantics: NULL keys never match.
-            if keys.iter().any(|k| matches!(k, GroupKey::Null)) {
-                continue;
-            }
-            let row = batch.row(i);
-            let bytes =
-                row_bytes(&row) + keys.iter().map(GroupKey::heap_bytes).sum::<usize>();
-            if !reservation.try_grow(bytes) {
-                self.overdraft_rows += 1;
-                if self.overdraft_rows > BUILD_OVERDRAFT_ROWS {
-                    return Err(Error::OutOfMemory {
-                        requested: bytes,
-                        budget: budget.limit(),
-                    });
-                }
-            }
-            let idx = self.kept.len() as u32;
-            self.kept.push(row);
-            match &mut self.table {
-                // SAFETY of expect: `KeyMap::Single` is only constructed for
-                // one-column join keys, and every caller builds `keys` with
-                // exactly one entry per key column.
-                KeyMap::Single(m) => m
-                    .entry(keys.into_iter().next().expect("single key"))
-                    .or_default()
-                    .push(idx),
-                KeyMap::Multi(m) => m.entry(keys).or_default().push(idx),
-                KeyMap::Direct { .. } => unreachable!("chosen at finish"),
-            }
-        }
-        Ok(())
-    }
-
-    /// Seal the builder into an immutable, probe-ready [`JoinTable`].
-    pub(crate) fn finish(
-        self,
-        left_keys: Vec<BoundExpr>,
-        residual: Option<BoundExpr>,
-        build_cols: usize,
-    ) -> JoinTable {
-        let table = match self.table {
-            KeyMap::Single(map) => KeyMap::direct(&map).unwrap_or(KeyMap::Single(map)),
-            other => other,
-        };
-        JoinTable {
-            build: RowBatch::from_owned_rows(self.kept),
-            build_cols,
-            table,
-            left_keys,
-            residual,
-        }
-    }
-}
-
 impl JoinTable {
-    /// Sequential build: drain `build_input` into the table. Returns the
-    /// table plus the reservation holding its memory charge.
-    pub(crate) fn build_from_stream(
+    /// Drain `build_input` into the table: every non-NULL-key row is kept,
+    /// in input order (the match order probes observe), and charged to the
+    /// returned reservation, which holds the table's memory. A bounded
+    /// overdraft ([`BUILD_OVERDRAFT_ROWS`]) is tolerated.
+    fn build_from_stream(
         mut build_input: Box<dyn BatchStream>,
         left_keys: Vec<BoundExpr>,
         right_keys: Vec<BoundExpr>,
@@ -663,20 +526,61 @@ impl JoinTable {
         build_cols: usize,
         ctx: &ExecContext,
     ) -> Result<(JoinTable, Reservation)> {
-        let mut builder = JoinTableBuilder::new(right_keys.len());
+        let mut kept: Vec<Row> = Vec::new();
+        let mut table = if right_keys.len() == 1 {
+            KeyMap::Single(HashMap::new())
+        } else {
+            KeyMap::Multi(HashMap::new())
+        };
         let mut reservation = Reservation::empty(&ctx.budget);
+        let mut overdraft_rows = 0;
         while let Some(batch) = build_input.next_batch()? {
             let key_cols = right_keys
                 .iter()
                 .map(|e| e.eval_batch(&batch))
                 .collect::<Result<Vec<_>>>()?;
-            builder.insert_batch(&batch, &key_cols, &mut reservation, &ctx.budget)?;
+            for i in 0..batch.num_rows() {
+                let keys: Vec<GroupKey> = key_cols.iter().map(|c| c.group_key_at(i)).collect();
+                // SQL semantics: NULL keys never match.
+                if keys.iter().any(|k| matches!(k, GroupKey::Null)) {
+                    continue;
+                }
+                let row = batch.row(i);
+                let bytes =
+                    row_bytes(&row) + keys.iter().map(GroupKey::heap_bytes).sum::<usize>();
+                if !reservation.try_grow(bytes) {
+                    overdraft_rows += 1;
+                    if overdraft_rows > BUILD_OVERDRAFT_ROWS {
+                        return Err(Error::OutOfMemory {
+                            requested: bytes,
+                            budget: ctx.budget.limit(),
+                        });
+                    }
+                }
+                let idx = kept.len() as u32;
+                kept.push(row);
+                match &mut table {
+                    // SAFETY of expect: `KeyMap::Single` is only constructed
+                    // for one-column join keys, so `keys` has one entry.
+                    KeyMap::Single(m) => m
+                        .entry(keys.into_iter().next().expect("single key"))
+                        .or_default()
+                        .push(idx),
+                    KeyMap::Multi(m) => m.entry(keys).or_default().push(idx),
+                    KeyMap::Direct { .. } => unreachable!("chosen after the build"),
+                }
+            }
         }
-        Ok((builder.finish(left_keys, residual, build_cols), reservation))
+        let table = match table {
+            KeyMap::Single(map) => KeyMap::direct(&map).unwrap_or(KeyMap::Single(map)),
+            other => other,
+        };
+        let build = RowBatch::from_owned_rows(kept);
+        Ok((JoinTable { build, build_cols, table, left_keys, residual }, reservation))
     }
 
     /// Evaluate the probe-side key expressions over a probe batch.
-    pub(crate) fn eval_probe_keys(&self, batch: &RowBatch) -> Result<Vec<ColumnRef>> {
+    fn eval_probe_keys(&self, batch: &RowBatch) -> Result<Vec<ColumnRef>> {
         self.left_keys.iter().map(|e| e.eval_batch(batch)).collect()
     }
 
@@ -786,25 +690,6 @@ impl JoinTable {
         (!unmatched.is_empty()).then(|| self.null_pad(batch, &unmatched))
     }
 
-    /// Probe one whole batch, emitting joined batches bounded near
-    /// [`BATCH_SIZE`] pairs each (the morsel workers' probe entry point —
-    /// same pair order and batch boundaries as the streaming operator).
-    /// With `outer` set, probe rows that never produce a residual-passing
-    /// pair are appended as one null-padded batch — the left-outer match
-    /// bitmap lives entirely within the probe batch, which is what makes
-    /// outer probes safe to run morsel-parallel.
-    pub(crate) fn probe_batch(&self, batch: &RowBatch, outer: bool) -> Result<Vec<RowBatch>> {
-        let key_cols = self.eval_probe_keys(batch)?;
-        let mut matched = vec![false; if outer { batch.num_rows() } else { 0 }];
-        let mut out = Vec::new();
-        let mut next = 0;
-        while next < batch.num_rows() {
-            out.extend(self.probe_step(batch, &key_cols, &mut next, &mut matched)?);
-        }
-        out.extend(self.unmatched_pad(batch, &matched));
-        Ok(out)
-    }
-
     /// Row indices of `joined` passing the residual predicate, or `None`
     /// when there is no residual (every row passes).
     fn residual_selection(&self, joined: &RowBatch) -> Result<Option<Vec<u32>>> {
@@ -836,12 +721,12 @@ impl JoinTable {
 /// null-padded batch of never-matched probe rows after each batch drains.
 struct BatchHashJoin {
     probe: Box<dyn BatchStream>,
-    table: Arc<JoinTable>,
+    table: JoinTable,
     /// LEFT OUTER: unmatched probe rows survive, null-padded.
     outer: bool,
     pending: Option<PendingProbe>,
-    /// Memory charges for the build table (freed when the join drops).
-    _reservations: Vec<Reservation>,
+    /// Memory charge for the build table (freed when the join drops).
+    _reservation: Reservation,
 }
 
 /// A probe batch still being drained (skewed keys can fan one probe batch
@@ -858,11 +743,11 @@ struct PendingProbe {
 impl BatchHashJoin {
     fn new(
         probe: Box<dyn BatchStream>,
-        table: Arc<JoinTable>,
-        reservations: Vec<Reservation>,
+        table: JoinTable,
+        reservation: Reservation,
         outer: bool,
     ) -> Self {
-        BatchHashJoin { probe, table, outer, pending: None, _reservations: reservations }
+        BatchHashJoin { probe, table, outer, pending: None, _reservation: reservation }
     }
 }
 
@@ -1100,7 +985,7 @@ impl BatchStream for BatchNestedLoopJoin {
 /// — single `INTEGER` group key, all aggregates `SUM` over `DOUBLE` lanes —
 /// which keeps accumulators in flat `f64` arrays; anything else (or any batch
 /// whose lanes don't qualify) lives in the generic [`Acc`] table.
-pub(crate) enum AggTable {
+enum AggTable {
     Fast {
         groups: IntGroupTable,
         /// `sums[agg][group]` running totals.
@@ -1109,11 +994,10 @@ pub(crate) enum AggTable {
     Generic(HashMap<Vec<GroupKey>, GroupState>),
 }
 
-/// The shareable (`Send + Sync`) description of one aggregation: group-by
-/// keys, aggregate expressions, and the consume-phase update/flush machinery.
-/// The sequential operator uses it directly; morsel workers run the same
-/// methods against per-worker tables, writers, and reservations.
-pub(crate) struct AggCore {
+/// The description of one aggregation: group-by keys, aggregate expressions,
+/// and the consume-phase update/flush machinery, which works on a table,
+/// writer and reservation the caller owns.
+struct AggCore {
     group_by: Vec<BoundExpr>,
     aggs: Vec<AggExpr>,
     /// Static eligibility for the fast table (per-batch lanes still checked).
@@ -1123,18 +1007,8 @@ pub(crate) struct AggCore {
     fast_bytes: usize,
 }
 
-/// One worker's partial aggregation result: its in-memory table, any spill
-/// partitions it wrote, the reservation charging its memory, and how many
-/// input rows it saw (for the empty-input global-aggregate rule).
-pub(crate) struct WorkerAgg {
-    pub(crate) table: AggTable,
-    pub(crate) writer: Option<SpillWriter>,
-    pub(crate) reservation: Reservation,
-    pub(crate) rows_seen: u64,
-}
-
 impl AggCore {
-    pub(crate) fn new(group_by: Vec<BoundExpr>, aggs: Vec<AggExpr>) -> Self {
+    fn new(group_by: Vec<BoundExpr>, aggs: Vec<AggExpr>) -> Self {
         let fast_eligible = group_by.len() == 1
             && !aggs.is_empty()
             && aggs
@@ -1147,7 +1021,7 @@ impl AggCore {
         AggCore { group_by, aggs, fast_eligible, fast_bytes }
     }
 
-    pub(crate) fn new_table(&self) -> AggTable {
+    fn new_table(&self) -> AggTable {
         if self.fast_eligible {
             AggTable::Fast {
                 groups: IntGroupTable::default(),
@@ -1180,7 +1054,7 @@ impl AggCore {
     /// Aggregate one input batch into `table`, charging `reservation` per new
     /// group. Returns `true` when the reservation could not cover every new
     /// group (the caller should flush).
-    pub(crate) fn update_batch(
+    fn update_batch(
         &self,
         batch: &RowBatch,
         table: &mut AggTable,
@@ -1343,7 +1217,7 @@ impl AggCore {
     /// `reservation`: a fast table as typed blocks of at most [`BATCH_SIZE`]
     /// groups, gathered partition by partition in first-seen order; a
     /// generic table as partial rows (via [`Acc::write_partial`]).
-    pub(crate) fn flush(
+    fn flush(
         &self,
         table: &mut AggTable,
         writer: &mut Option<SpillWriter>,
@@ -1392,22 +1266,11 @@ impl AggCore {
         Ok(())
     }
 
-    /// Turn the writers of one level (the coordinator's and, under parallel
-    /// consume, one per worker that spilled) into the runs to merge at
-    /// `depth`: per partition index, the readers covering its key space.
-    fn into_pending(
-        writers: impl IntoIterator<Item = SpillWriter>,
-        depth: u32,
-    ) -> Result<Vec<(Vec<SpillReader>, u32)>> {
-        let mut per_part: Vec<Vec<SpillReader>> = (0..PARTITIONS).map(|_| Vec::new()).collect();
-        for w in writers {
-            for (readers, reader) in per_part.iter_mut().zip(w.into_readers()?) {
-                if !reader.is_empty() {
-                    readers.push(reader);
-                }
-            }
-        }
-        Ok(per_part.into_iter().filter(|r| !r.is_empty()).map(|r| (r, depth)).collect())
+    /// Turn the writer of one level into the partitions to merge at
+    /// `depth`, skipping those nothing was written to.
+    fn into_pending(writer: SpillWriter, depth: u32) -> Result<Vec<(SpillReader, u32)>> {
+        let readers = writer.into_readers()?.into_iter();
+        Ok(readers.filter(|r| !r.is_empty()).map(|r| (r, depth)).collect())
     }
 
     fn table_into_groups(table: AggTable) -> Groups {
@@ -1417,11 +1280,6 @@ impl AggCore {
             }
             AggTable::Generic(map) => Groups::Generic(map.into_values().collect()),
         }
-    }
-
-    /// Turn a table into a generic group map (for cross-worker merging).
-    fn into_generic(mut table: AggTable) -> HashMap<Vec<GroupKey>, GroupState> {
-        std::mem::take(Self::demote(&mut table))
     }
 }
 
@@ -1451,31 +1309,15 @@ fn fold_fast(
 /// under memory pressure), then merge each partition recursively, which is
 /// consume again with spilled records for input — with batched input and
 /// expression evaluation.
-///
-/// With a `Segment` input the consume phase runs morsel-parallel: every
-/// worker aggregates its morsels into a private table (spilling privately
-/// under pressure), and the coordinator merges the partial tables — and any
-/// per-worker spill partitions, matched up by partition index, which is
-/// sound because `partition_of` is a deterministic salted hash — exactly
-/// as if they were one run.
 pub struct BatchHashAggregate {
-    input: AggInput,
-    core: Arc<AggCore>,
+    /// The input, until consume takes it.
+    input: Option<Box<dyn BatchStream>>,
+    core: AggCore,
     ctx: ExecContext,
     reservation: Reservation,
     state: AggState,
-    /// Spilled partitions still to merge: the readers covering one
-    /// partition's key space (several under parallel consume — one per
-    /// worker that spilled — plus the coordinator's), and the depth.
-    pending: Vec<(Vec<SpillReader>, u32)>,
-}
-
-enum AggInput {
-    /// Sequential: pull batches from an input stream.
-    Stream(Box<dyn BatchStream>),
-    /// Morsel-parallel: run the segment on a worker pool.
-    Parallel(Segment),
-    Consumed,
+    /// Spilled partitions still to merge, each with its depth.
+    pending: Vec<(SpillReader, u32)>,
 }
 
 /// Finished groups waiting to leave the operator.
@@ -1493,36 +1335,17 @@ enum AggState {
 }
 
 impl BatchHashAggregate {
-    /// Create the operator over a sequential input stream.
+    /// Create the operator over an input stream.
     pub fn new(
         input: Box<dyn BatchStream>,
         group_by: Vec<BoundExpr>,
         aggs: Vec<AggExpr>,
         ctx: ExecContext,
     ) -> Self {
-        Self::with_input(AggInput::Stream(input), group_by, aggs, ctx)
-    }
-
-    /// Create the operator over a morsel-parallel input segment.
-    pub(crate) fn new_parallel(
-        segment: Segment,
-        group_by: Vec<BoundExpr>,
-        aggs: Vec<AggExpr>,
-        ctx: ExecContext,
-    ) -> Self {
-        Self::with_input(AggInput::Parallel(segment), group_by, aggs, ctx)
-    }
-
-    fn with_input(
-        input: AggInput,
-        group_by: Vec<BoundExpr>,
-        aggs: Vec<AggExpr>,
-        ctx: ExecContext,
-    ) -> Self {
         let reservation = Reservation::empty(&ctx.budget);
         BatchHashAggregate {
-            input,
-            core: Arc::new(AggCore::new(group_by, aggs)),
+            input: Some(input),
+            core: AggCore::new(group_by, aggs),
             ctx,
             reservation,
             state: AggState::Pending,
@@ -1534,19 +1357,10 @@ impl BatchHashAggregate {
     /// batch: if the reservation could not cover the batch's new groups, the
     /// whole table flushes to partitions afterwards.
     fn consume(&mut self) -> Result<()> {
-        match std::mem::replace(&mut self.input, AggInput::Consumed) {
-            AggInput::Stream(input) => self.consume_stream(input),
-            AggInput::Parallel(segment) => {
-                let results = parallel::run_agg_workers(&self.core, segment, &self.ctx)?;
-                self.merge_workers(results)
-            }
-            AggInput::Consumed => unreachable!("consume called twice"),
-        }
-    }
-
-    fn consume_stream(&mut self, mut input: Box<dyn BatchStream>) -> Result<()> {
-        let core = Arc::clone(&self.core);
-        let mut table = core.new_table();
+        let Some(mut input) = self.input.take() else {
+            unreachable!("consume called twice")
+        };
+        let mut table = self.core.new_table();
         let mut writer: Option<SpillWriter> = None;
         let mut saw_rows = false;
 
@@ -1555,7 +1369,8 @@ impl BatchHashAggregate {
                 continue;
             }
             saw_rows = true;
-            let over_budget = core.update_batch(&batch, &mut table, &mut self.reservation)?;
+            let over_budget =
+                self.core.update_batch(&batch, &mut table, &mut self.reservation)?;
             if over_budget {
                 // Budget exhausted: spill the whole table (including the
                 // entries just inserted — partials merge in phase 2). A
@@ -1567,31 +1382,32 @@ impl BatchHashAggregate {
         }
 
         // Global aggregate over empty input produces one all-default row.
-        if !saw_rows && core.group_by.is_empty() {
-            self.set_default_row();
+        if !saw_rows && self.core.group_by.is_empty() {
+            let accs: Vec<Acc> = self.core.aggs.iter().map(Acc::new).collect();
+            self.state = AggState::Draining(Groups::Generic(vec![(Vec::new(), accs)]));
             return Ok(());
         }
 
-        self.finish_level(table, writer, Vec::new(), 0)
+        self.finish_level(table, writer, 0)
     }
 
     /// End one level (consume at depth 0, a partition merge below it). If
-    /// anyone spilled, the residue goes through the partitions as well, so
-    /// the next level sees every group exactly once per partition, and the
-    /// writers become runs to merge one level down; what is left of `table`
-    /// (all of it when nobody spilled) is what drains next.
+    /// the level spilled, the residue goes through the partitions as well,
+    /// so the next level sees every group exactly once per partition, and
+    /// the writer's partitions become runs to merge one level down; what is
+    /// left of `table` (all of it when nothing spilled) is what drains next.
     fn finish_level(
         &mut self,
         mut table: AggTable,
         mut writer: Option<SpillWriter>,
-        mut spilled: Vec<SpillWriter>,
         depth: u32,
     ) -> Result<()> {
-        if writer.is_some() || !spilled.is_empty() {
+        if writer.is_some() {
             self.flush(&mut table, &mut writer, depth)?;
-            spilled.extend(writer);
         }
-        self.pending.extend(AggCore::into_pending(spilled, depth + 1)?);
+        if let Some(w) = writer {
+            self.pending.extend(AggCore::into_pending(w, depth + 1)?);
+        }
         self.state = AggState::Draining(AggCore::table_into_groups(table));
         Ok(())
     }
@@ -1607,116 +1423,26 @@ impl BatchHashAggregate {
         self.core.flush(table, writer, depth, &self.ctx.spill, &mut self.reservation)
     }
 
-    fn set_default_row(&mut self) {
-        let accs: Vec<Acc> = self.core.aggs.iter().map(Acc::new).collect();
-        self.state = AggState::Draining(Groups::Generic(vec![(Vec::new(), accs)]));
-    }
-
-    /// Merge per-worker partial aggregation results into the operator's
-    /// final state. Worker tables merge in worker order into one table
-    /// (flushing to partitions if the budget runs out mid-merge); per-worker
-    /// spill partitions are matched up by partition index and merged
-    /// together in phase 2, so every group still surfaces exactly once.
-    fn merge_workers(&mut self, results: Vec<WorkerAgg>) -> Result<()> {
-        let core = Arc::clone(&self.core);
-        let mut total_rows = 0u64;
-        let mut table = core.new_table();
+    /// Merge one spilled partition: consume at `depth`, with spilled records
+    /// for input. A partition that still exceeds the budget re-partitions
+    /// one level deeper (depth-salted hash).
+    fn merge_partition(&mut self, mut reader: SpillReader, depth: u32) -> Result<()> {
+        let mut table = self.core.new_table();
         let mut writer: Option<SpillWriter> = None;
-        let mut worker_writers: Vec<SpillWriter> = Vec::new();
-
-        for (w, worker) in results.into_iter().enumerate() {
-            // One check per worker merge: breaker merges are the only
-            // aggregate phase not already covered by the per-batch guards.
-            self.ctx.query.check()?;
-            total_rows += worker.rows_seen;
-            if w == 0 {
-                // The first worker's table seeds the merge wholesale — its
-                // groups keep their existing charge (adopted below) instead
-                // of being re-inserted one by one.
-                table = worker.table;
-                self.reservation.adopt(worker.reservation);
-            } else {
-                let over = self.merge_table(&mut table, worker.table)?;
-                // The worker's charge is released now that its entries
-                // moved into the coordinator table (re-charged above).
-                drop(worker.reservation);
-                if over {
-                    self.flush(&mut table, &mut writer, 0)?;
-                }
-            }
-            worker_writers.extend(worker.writer);
-        }
-
-        if total_rows == 0 && core.group_by.is_empty() {
-            self.set_default_row();
-            return Ok(());
-        }
-
-        self.finish_level(table, writer, worker_writers, 0)
-    }
-
-    /// Merge one worker's table into the coordinator table, charging the
-    /// operator reservation per new group. Returns `true` on budget
-    /// exhaustion (caller flushes).
-    fn merge_table(&mut self, dst: &mut AggTable, src: AggTable) -> Result<bool> {
-        let mut over = false;
-        match (&mut *dst, src) {
-            (
-                AggTable::Fast { groups, sums },
-                AggTable::Fast { groups: src_groups, sums: src_sums },
-            ) => {
-                let lanes: Vec<&[f64]> = src_sums.iter().map(Vec::as_slice).collect();
-                let new_groups = fold_fast(groups, sums, src_groups.keys(), &lanes);
-                over = self.core.charge_fast_groups(new_groups, &mut self.reservation);
-            }
-            (_, src) => {
-                // Mixed or generic: merge through the shared Acc machinery.
-                let dst_map = AggCore::demote(dst);
-                for (keys, (reps, accs)) in AggCore::into_generic(src) {
-                    match dst_map.entry(keys) {
-                        Entry::Occupied(mut e) => {
-                            let (_, dst_accs) = e.get_mut();
-                            for (d, s) in dst_accs.iter_mut().zip(&accs) {
-                                d.merge_from(s)?;
-                            }
-                        }
-                        Entry::Vacant(e) => {
-                            let bytes = entry_bytes(&reps, &accs);
-                            e.insert((reps, accs));
-                            over |= !self.reservation.try_grow(bytes);
-                        }
-                    }
-                }
+        // One spilled run is one cancellation unit: check before it, and
+        // count the drained run against the latency meter.
+        self.ctx.query.check()?;
+        while let Some(record) = reader.next_record()? {
+            let over = self.core.merge_record(record, &mut table, &mut self.reservation)?;
+            // A partition at maximum depth is 16^MAX_DEPTH-fold smaller
+            // than the input; finish it with a bounded uncharged working
+            // set rather than fail.
+            if over && depth < MAX_DEPTH {
+                self.flush(&mut table, &mut writer, depth)?;
             }
         }
-        Ok(over)
-    }
-
-    /// Merge one spilled partition (possibly split over several readers
-    /// under parallel consume): consume at `depth`, with spilled records for
-    /// input. A partition that still exceeds the budget re-partitions one
-    /// level deeper (depth-salted hash).
-    fn merge_partition(&mut self, readers: Vec<SpillReader>, depth: u32) -> Result<()> {
-        let core = Arc::clone(&self.core);
-        let mut table = core.new_table();
-        let mut writer: Option<SpillWriter> = None;
-
-        for mut reader in readers {
-            // One spilled run is one cancellation unit: check before each
-            // reader, and count the drained run against the latency meter.
-            self.ctx.query.check()?;
-            while let Some(record) = reader.next_record()? {
-                let over = core.merge_record(record, &mut table, &mut self.reservation)?;
-                // A partition at maximum depth is 16^MAX_DEPTH-fold smaller
-                // than the input; finish it with a bounded uncharged working
-                // set rather than fail.
-                if over && depth < MAX_DEPTH {
-                    self.flush(&mut table, &mut writer, depth)?;
-                }
-            }
-            self.ctx.query.note_unit();
-        }
-        self.finish_level(table, writer, Vec::new(), depth)
+        self.ctx.query.note_unit();
+        self.finish_level(table, writer, depth)
     }
 
     /// Finalize up to [`BATCH_SIZE`] groups into one output batch, releasing
@@ -1773,7 +1499,7 @@ impl BatchStream for BatchHashAggregate {
                     }
                     self.reservation.free();
                     match self.pending.pop() {
-                        Some((readers, depth)) => self.merge_partition(readers, depth)?,
+                        Some((reader, depth)) => self.merge_partition(reader, depth)?,
                         None => self.state = AggState::Done,
                     }
                 }
@@ -1785,9 +1511,12 @@ impl BatchStream for BatchHashAggregate {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_util::{batches_of, ctx, ctx_with_budget, drain_batches, int_rows};
+    use super::super::test_util::{
+        batches_of, ctx, ctx_with_budget, drain_batch_list, drain_batches, int_rows, stream_of,
+    };
     use super::*;
     use crate::ast::BinaryOp;
+    use crate::storage::budget::MemoryBudget;
 
     fn col(i: usize) -> BoundExpr {
         BoundExpr::Column(i)
@@ -1806,7 +1535,7 @@ mod tests {
     ) -> BatchHashJoin {
         let (table, reservation) =
             JoinTable::build_from_stream(build, lk, rk, None, 2, ctx).unwrap();
-        BatchHashJoin::new(probe, Arc::new(table), vec![reservation], false)
+        BatchHashJoin::new(probe, table, reservation, false)
     }
 
     #[test]
@@ -1878,11 +1607,21 @@ mod tests {
     #[test]
     fn probe_rows_matching_once_in_order_are_forwarded_not_copied() {
         // A permutation gate's table: one build row per key.
-        let table = join_table((0..4).map(|k| vec![Value::Int(k), Value::Int(10 + k)]).collect());
+        let build: Vec<Row> = (0..4).map(|k| vec![Value::Int(k), Value::Int(10 + k)]).collect();
+        let join = |probe: &RowBatch| {
+            let probe = stream_of(vec![probe.clone()]);
+            drain_batch_list(Box::new(hash_join(
+                probe,
+                batches_of(build.clone()),
+                vec![col(0)],
+                vec![col(0)],
+                &ctx(),
+            )))
+        };
         let probe = RowBatch::from_rows(
             &(0..100).map(|i| vec![Value::Int(i % 4), Value::Int(i)]).collect::<Vec<_>>(),
         );
-        let out = table.probe_batch(&probe, false).unwrap();
+        let out = join(&probe);
         assert_eq!(out.len(), 1);
         for c in 0..2 {
             assert!(Arc::ptr_eq(&out[0].columns()[c], &probe.columns()[c]), "column {c} copied");
@@ -1893,7 +1632,7 @@ mod tests {
         let mut rows: Vec<Row> = (0..100).map(|i| vec![Value::Int(i % 4), Value::Int(i)]).collect();
         rows[50][0] = Value::Int(9);
         let probe = RowBatch::from_rows(&rows);
-        let out = table.probe_batch(&probe, false).unwrap();
+        let out = join(&probe);
         assert_eq!(out[0].num_rows(), 99);
         assert!(!Arc::ptr_eq(&out[0].columns()[1], &probe.columns()[1]));
         assert_eq!(out[0].row(50)[1], Value::Int(51));

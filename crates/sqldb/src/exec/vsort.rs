@@ -15,8 +15,8 @@
 //!   `u64` image, skipping digits every key shares.
 //! * **Stable multi-key order.** The in-memory sort is a stable index sort,
 //!   and every spilled record carries its global input ordinal, so ties
-//!   always resolve to input order — sequential and parallel runs produce
-//!   the same byte-for-byte output.
+//!   always resolve to input order — in memory and spilled, the output is
+//!   the same byte for byte.
 //! * **Spill-to-run merge.** Buffered batches charge the shared
 //!   [`MemoryBudget`](crate::storage::budget::MemoryBudget) through an RAII
 //!   [`Reservation`]; when the reservation cannot grow, the buffer is sorted
@@ -26,11 +26,6 @@
 //!   keeps a bounded k-row heap instead of buffering the input — the
 //!   measurement queries' "most probable states first, LIMIT k" shape never
 //!   materializes the full state.
-//! * **Morsel parallelism.** When the input is a parallelizable segment
-//!   (see [`super::parallel`]), workers sort their statically-strided
-//!   morsels into per-worker runs (spilling privately under pressure) and
-//!   the coordinator merges the runs at the breaker; the ordinal tie-break
-//!   makes the merged output identical to the sequential sort's.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -46,7 +41,6 @@ use crate::storage::spill::{row_bytes, Row, SpillReader, SpillWriter};
 use crate::value::Value;
 
 use super::batch::{Column, ColumnRef, RowBatch, BATCH_SIZE};
-use super::parallel::{self, Segment};
 use super::vector::{build_batch_stream_at, BatchStream};
 use super::{set_node_label, ExecContext};
 
@@ -56,7 +50,7 @@ use super::{set_node_label, ExecContext};
 /// budget charge cannot meaningfully overshoot.
 pub(crate) const TOPK_MAX_ROWS: usize = 8192;
 
-/// Rows a worker buffers at minimum before budget pressure forces a spill
+/// Rows the sort buffers at minimum before budget pressure forces a spill
 /// run (the sort's bounded uncharged working-set floor). The sort's other
 /// uncharged working sets are per sorted row: the `(batch, row)` index
 /// vector (8 bytes, held until the last output batch) and the radix path's
@@ -80,8 +74,7 @@ fn cmp_keys(a: &[Value], b: &[Value], desc: &[bool]) -> Ordering {
 /// Build the vectorized sort stream for a `Plan::Sort` node whose
 /// instrumentation slot the caller already registered. `topk` is
 /// `Some(limit + offset)` when the planner pushed a small `LIMIT` down into
-/// the sort. Parallel-eligible inputs run morsel-parallel with per-worker
-/// sort runs merged at the breaker.
+/// the sort.
 pub(crate) fn build_sort_stream(
     input: &Plan,
     keys: &[SortKey],
@@ -96,14 +89,6 @@ pub(crate) fn build_sort_stream(
         None => format!("BatchSort [{} keys]", keys.len()),
     };
     set_node_label(ctx, slot, label);
-    if parallel::parallel_eligible(input, catalog, ctx) {
-        let segment = parallel::descend_segment(input, catalog, ctx, depth)?;
-        let workers = ctx.parallelism.min(segment.num_morsels());
-        parallel::note_parallel(ctx, slot, workers, segment.num_morsels());
-        let mut sort = BatchSort::new_parallel(segment, keys.to_vec(), topk, ctx.clone());
-        sort.slot = slot;
-        return Ok(Box::new(sort));
-    }
     let child = build_batch_stream_at(input, catalog, ctx, depth + 1)?;
     let mut sort = BatchSort::new(child, keys.to_vec(), topk, ctx.clone());
     sort.slot = slot;
@@ -111,57 +96,28 @@ pub(crate) fn build_sort_stream(
 }
 
 // ---------------------------------------------------------------------------
-// Keyed rows, run sources, and comparators
+// Keyed rows, spilled runs, and comparators
 // ---------------------------------------------------------------------------
 
 /// One row in sort-merge form: its evaluated key tuple, its global input
 /// ordinal (the stable tie-break), and the payload row.
-pub(crate) type KeyedRow = (Vec<Value>, u64, Row);
+type KeyedRow = (Vec<Value>, u64, Row);
 
-/// One worker's partial sort result: its sorted in-memory residue, any
-/// spill runs it wrote under budget pressure, and the reservation charging
-/// the residue (adopted by the coordinator at the merge).
-pub(crate) struct WorkerSort {
-    pub(crate) mem: Vec<KeyedRow>,
-    pub(crate) runs: Vec<SpillReader>,
-    pub(crate) reservation: Reservation,
-}
-
-/// A sorted stream of [`KeyedRow`]s feeding the k-way merge: either an
-/// in-memory run (a worker's residue or a top-k result) or a spilled run.
-enum RunSource {
-    Mem(std::vec::IntoIter<KeyedRow>),
-    Spill(SpillReader),
-}
-
-impl RunSource {
-    fn next(&mut self, key_len: usize) -> Result<Option<KeyedRow>> {
-        match self {
-            RunSource::Mem(iter) => Ok(iter.next()),
-            RunSource::Spill(reader) => match reader.next_row()? {
-                Some(mut record) => {
-                    // A spilled record is `key ++ [ordinal] ++ row`; a shorter
-                    // record means the spill file was corrupted on disk.
-                    if record.len() <= key_len {
-                        return Err(Error::Internal(
-                            "spilled sort record shorter than its key".into(),
-                        ));
-                    }
-                    let row = record.split_off(key_len + 1);
-                    let ord = match record.pop() {
-                        Some(v) => v.as_i64()? as u64,
-                        None => {
-                            return Err(Error::Internal(
-                                "spilled sort record missing its ordinal".into(),
-                            ))
-                        }
-                    };
-                    Ok(Some((record, ord, row)))
-                }
-                None => Ok(None),
-            },
-        }
+/// The next row of a spilled run, whose records are `key ++ [ordinal] ++
+/// row`; a shorter record means the spill file was corrupted on disk.
+fn next_keyed(run: &mut SpillReader, key_len: usize) -> Result<Option<KeyedRow>> {
+    let Some(mut record) = run.next_row()? else {
+        return Ok(None);
+    };
+    if record.len() <= key_len {
+        return Err(Error::Internal("spilled sort record shorter than its key".into()));
     }
+    let row = record.split_off(key_len + 1);
+    let ord = match record.pop() {
+        Some(v) => v.as_i64()? as u64,
+        None => return Err(Error::Internal("spilled sort record missing its ordinal".into())),
+    };
+    Ok(Some((record, ord, row)))
 }
 
 /// Per-key comparator lane across all buffered batches: typed when every
@@ -475,148 +431,13 @@ fn offer_topk(
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-parallel sort workers
-// ---------------------------------------------------------------------------
-
-/// Per-worker consume state for the morsel-parallel sort (driven by
-/// [`parallel::run_sort_workers`]). Each worker evaluates sort keys with
-/// the batch kernels over its strided morsels, tags every row with a global
-/// ordinal (`morsel << 32 | position`, so merged ties still resolve to
-/// sequential input order), and either accumulates a buffer that spills
-/// sorted runs under budget pressure, or keeps a bounded top-k heap.
-pub(crate) struct SortWorker {
-    key_exprs: Vec<BoundExpr>,
-    desc: Arc<Vec<bool>>,
-    topk: Option<usize>,
-    spill: Arc<crate::storage::spill::SpillDir>,
-    mem: Vec<KeyedRow>,
-    heap: BinaryHeap<TopEntry>,
-    runs: Vec<SpillReader>,
-    reservation: Reservation,
-    /// Per-spill-run cancellation checks (the governance token is `Sync`,
-    /// unlike the full context).
-    query: super::govern::QueryContext,
-    /// Next ordinal to assign (advanced per row, rebased per morsel).
-    ord: u64,
-}
-
-impl SortWorker {
-    /// A fresh worker charging `budget` and spilling into `spill` (passed
-    /// individually because workers run on threads and the full
-    /// [`ExecContext`] is not `Sync`).
-    pub(crate) fn new(
-        keys: &[SortKey],
-        desc: &Arc<Vec<bool>>,
-        topk: Option<usize>,
-        budget: &crate::storage::budget::MemoryBudget,
-        spill: &Arc<crate::storage::spill::SpillDir>,
-        query: &super::govern::QueryContext,
-    ) -> Self {
-        SortWorker {
-            key_exprs: keys.iter().map(|k| k.expr.clone()).collect(),
-            desc: Arc::clone(desc),
-            topk,
-            spill: Arc::clone(spill),
-            mem: Vec::new(),
-            heap: BinaryHeap::new(),
-            runs: Vec::new(),
-            reservation: Reservation::empty(budget),
-            query: query.clone(),
-            ord: 0,
-        }
-    }
-
-    /// Rebase ordinals for morsel `i` (call before its first batch). The
-    /// 32-bit intra-morsel field is far beyond any reachable per-morsel
-    /// output: segment admission caps the cumulative join fan-out at 64×
-    /// a 1024-row chunk (see `MAX_PARALLEL_FANOUT`), i.e. 2^16 rows.
-    pub(crate) fn begin_morsel(&mut self, morsel: usize) {
-        self.ord = (morsel as u64) << 32;
-    }
-
-    /// Consume one batch a morsel produced: evaluate keys vectorized, then
-    /// fold every row into the buffer or the top-k heap.
-    pub(crate) fn consume_batch(&mut self, batch: &RowBatch) -> Result<()> {
-        let key_cols: Vec<ColumnRef> = self
-            .key_exprs
-            .iter()
-            .map(|e| e.eval_batch(batch))
-            .collect::<Result<Vec<_>>>()?;
-        for r in 0..batch.num_rows() {
-            let key: Vec<Value> = key_cols.iter().map(|c| c.value_at(r)).collect();
-            let ord = self.ord;
-            self.ord += 1;
-            match self.topk {
-                Some(k) => {
-                    offer_topk(
-                        &mut self.heap,
-                        k,
-                        key,
-                        ord,
-                        || batch.row(r),
-                        &self.desc,
-                        &mut self.reservation,
-                    );
-                }
-                None => {
-                    let row = batch.row(r);
-                    let bytes = row_bytes(&row) + row_bytes(&key) + 32;
-                    if !self.reservation.try_grow(bytes) && self.mem.len() >= MIN_RUN_ROWS {
-                        self.spill_worker_run()?;
-                    }
-                    self.mem.push((key, ord, row));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Sort the buffer by `(key, ordinal)` and write it out as one run.
-    fn spill_worker_run(&mut self) -> Result<()> {
-        // Cancel is observed before the run is sorted and written — a
-        // cancelled worker never pays for (or leaks) a doomed spill file.
-        self.query.check()?;
-        let desc = Arc::clone(&self.desc);
-        self.mem
-            .sort_unstable_by(|a, b| cmp_keys(&a.0, &b.0, &desc).then(a.1.cmp(&b.1)));
-        let mut w = SpillWriter::create(&self.spill, 1)?;
-        for (key, ord, row) in self.mem.drain(..) {
-            let mut record = key;
-            record.push(Value::Int(ord as i64));
-            record.extend(row);
-            w.write_row(0, &record)?;
-        }
-        self.reservation.free();
-        self.runs.push(w.into_reader()?);
-        Ok(())
-    }
-
-    /// Seal the worker: the residue (or the top-k result) sorted by
-    /// `(key, ordinal)`, ready for the coordinator's k-way merge.
-    pub(crate) fn finish(mut self) -> WorkerSort {
-        let desc = Arc::clone(&self.desc);
-        if self.topk.is_some() {
-            self.mem = self
-                .heap
-                .into_sorted_vec()
-                .into_iter()
-                .map(|e| (e.key, e.ord, e.row))
-                .collect();
-        } else {
-            self.mem
-                .sort_unstable_by(|a, b| cmp_keys(&a.0, &b.0, &desc).then(a.1.cmp(&b.1)));
-        }
-        WorkerSort { mem: self.mem, runs: self.runs, reservation: self.reservation }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The operator
 // ---------------------------------------------------------------------------
 
 /// The vectorized sort operator (see the module docs for the design).
 pub struct BatchSort {
-    input: SortInput,
+    /// The input, until consume takes it.
+    input: Option<Box<dyn BatchStream>>,
     keys: Vec<SortKey>,
     desc: Arc<Vec<bool>>,
     /// `Some(k)`: retain only the first `k` rows of the sorted order.
@@ -628,18 +449,12 @@ pub struct BatchSort {
     state: SortState,
 }
 
-enum SortInput {
-    Stream(Box<dyn BatchStream>),
-    Parallel(Segment),
-    Consumed,
-}
-
 enum SortState {
     Pending,
     /// Everything fit in memory: buffered batches plus the sorted order.
     Mem { buffer: SortBuffer, order: Vec<(u32, u32)>, pos: usize },
-    /// Merging sorted runs (worker residues and spilled runs alike).
-    Merge { sources: Vec<RunSource>, heap: BinaryHeap<MergeEntry> },
+    /// Merging the spilled runs.
+    Merge { sources: Vec<SpillReader>, heap: BinaryHeap<MergeEntry> },
     /// A fully materialized sorted prefix (the top-k result).
     Rows { rows: std::vec::IntoIter<Row> },
     Done,
@@ -654,29 +469,10 @@ impl BatchSort {
         topk: Option<usize>,
         ctx: ExecContext,
     ) -> Self {
-        Self::with_input(SortInput::Stream(input), keys, topk, ctx)
-    }
-
-    /// Sort a morsel-parallel segment (per-worker runs merged here).
-    pub(crate) fn new_parallel(
-        segment: Segment,
-        keys: Vec<SortKey>,
-        topk: Option<usize>,
-        ctx: ExecContext,
-    ) -> Self {
-        Self::with_input(SortInput::Parallel(segment), keys, topk, ctx)
-    }
-
-    fn with_input(
-        input: SortInput,
-        keys: Vec<SortKey>,
-        topk: Option<usize>,
-        ctx: ExecContext,
-    ) -> Self {
         let desc = Arc::new(keys.iter().map(|k| k.desc).collect::<Vec<_>>());
         let reservation = Reservation::empty(&ctx.budget);
         let state = SortState::Pending;
-        BatchSort { input, keys, desc, topk, ctx, slot: None, reservation, state }
+        BatchSort { input: Some(input), keys, desc, topk, ctx, slot: None, reservation, state }
     }
 
     /// Sort the buffered rows (see [`SortBuffer::sorted_indices`]); the
@@ -690,13 +486,12 @@ impl BatchSort {
     }
 
     fn consume(&mut self) -> Result<()> {
-        match std::mem::replace(&mut self.input, SortInput::Consumed) {
-            SortInput::Stream(s) => match self.topk {
-                Some(k) => self.consume_topk_stream(s, k),
-                None => self.consume_stream(s),
-            },
-            SortInput::Parallel(segment) => self.consume_parallel(segment),
-            SortInput::Consumed => unreachable!("sort executed twice"),
+        let Some(input) = self.input.take() else {
+            unreachable!("sort executed twice")
+        };
+        match self.topk {
+            Some(k) => self.consume_topk_stream(input, k),
+            None => self.consume_stream(input),
         }
     }
 
@@ -707,7 +502,7 @@ impl BatchSort {
     fn consume_stream(&mut self, mut input: Box<dyn BatchStream>) -> Result<()> {
         let key_exprs: Vec<BoundExpr> = self.keys.iter().map(|k| k.expr.clone()).collect();
         let mut buffer = SortBuffer::new();
-        let mut runs: Vec<RunSource> = Vec::new();
+        let mut runs: Vec<SpillReader> = Vec::new();
         let mut base_ord = 0u64;
 
         while let Some(batch) = input.next_batch()? {
@@ -721,7 +516,7 @@ impl BatchSort {
             buffer.push(batch, key_cols);
             if !fits && buffer.rows >= MIN_RUN_ROWS {
                 let spilled = buffer.rows as u64;
-                runs.push(RunSource::Spill(self.spill_run(&mut buffer, base_ord)?));
+                runs.push(self.spill_run(&mut buffer, base_ord)?);
                 base_ord += spilled;
             }
         }
@@ -733,7 +528,7 @@ impl BatchSort {
         }
         // Spill the residue so the merge phase is uniform.
         if buffer.rows > 0 {
-            runs.push(RunSource::Spill(self.spill_run(&mut buffer, base_ord)?));
+            runs.push(self.spill_run(&mut buffer, base_ord)?);
         }
         self.start_merge(runs)
     }
@@ -766,41 +561,6 @@ impl BatchSort {
         self.state = SortState::Rows { rows: rows.into_iter() };
     }
 
-    /// Parallel consume: workers sort their morsels into per-worker runs
-    /// (see [`parallel::run_sort_workers`]); the coordinator merges every
-    /// in-memory residue and spilled run by `(key, ordinal)`, which equals
-    /// the sequential stable order because ordinals encode global input
-    /// position.
-    fn consume_parallel(&mut self, segment: Segment) -> Result<()> {
-        let workers =
-            parallel::run_sort_workers(segment, &self.keys, &self.desc, self.topk, &self.ctx)?;
-        let mut sources: Vec<RunSource> = Vec::new();
-        for w in workers {
-            self.ctx.query.check()?;
-            self.reservation.adopt(w.reservation);
-            if !w.mem.is_empty() {
-                sources.push(RunSource::Mem(w.mem.into_iter()));
-            }
-            for run in w.runs {
-                sources.push(RunSource::Spill(run));
-            }
-        }
-        if let Some(k) = self.topk {
-            // Each worker kept its own top-k; the global top-k is the best k
-            // of the merged candidates.
-            let mut heap: BinaryHeap<TopEntry> = BinaryHeap::with_capacity(k + 1);
-            for mut src in sources {
-                self.ctx.query.check()?;
-                while let Some((key, ord, row)) = src.next(self.keys.len())? {
-                    offer_topk(&mut heap, k, key, ord, || row, &self.desc, &mut self.reservation);
-                }
-            }
-            self.finish_topk(heap);
-            return Ok(());
-        }
-        self.start_merge(sources)
-    }
-
     /// Sort and spill the buffered rows as one run of
     /// `[keys…, ordinal, row…]` records; ordinals start at `base_ord`.
     fn spill_run(&mut self, buffer: &mut SortBuffer, base_ord: u64) -> Result<SpillReader> {
@@ -828,11 +588,11 @@ impl BatchSort {
     }
 
     /// Seed the k-way merge heap with each source's first row.
-    fn start_merge(&mut self, mut sources: Vec<RunSource>) -> Result<()> {
+    fn start_merge(&mut self, mut sources: Vec<SpillReader>) -> Result<()> {
         let key_len = self.keys.len();
         let mut heap = BinaryHeap::with_capacity(sources.len());
         for (i, src) in sources.iter_mut().enumerate() {
-            if let Some((key, ord, row)) = src.next(key_len)? {
+            if let Some((key, ord, row)) = next_keyed(src, key_len)? {
                 heap.push(MergeEntry { key, ord, row, src: i, desc: Arc::clone(&self.desc) });
             }
         }
@@ -861,7 +621,7 @@ impl BatchSort {
                 while rows.len() < BATCH_SIZE {
                     let Some(entry) = heap.pop() else { break };
                     // Refill from the source the popped row came from.
-                    if let Some((key, ord, row)) = sources[entry.src].next(key_len)? {
+                    if let Some((key, ord, row)) = next_keyed(&mut sources[entry.src], key_len)? {
                         heap.push(MergeEntry {
                             key,
                             ord,

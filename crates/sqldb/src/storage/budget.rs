@@ -59,11 +59,11 @@ impl MemoryBudget {
     }
 
     /// High-water mark of bytes reserved **past the limit** — the bounded
-    /// operator overdraft (batch-granular budget checks, build-side floors,
-    /// parallel run-ahead channels). Always 0 for a ledger that never
-    /// exceeded its limit, and meaningless for an unlimited budget. The
-    /// differential-fuzz harness asserts this stays within the documented
-    /// ≤1-batch transient bound on memory-limited cases.
+    /// operator overdraft (batch-granular budget checks, build-side floors).
+    /// Always 0 for a ledger that never exceeded its limit, and meaningless
+    /// for an unlimited budget. The differential-fuzz harness asserts this
+    /// stays within the documented ≤1-batch transient bound on
+    /// memory-limited cases.
     pub fn peak_overshoot(&self) -> usize {
         let limit = self.inner.limit;
         if limit == usize::MAX {
@@ -141,14 +141,6 @@ impl Reservation {
         Reservation { budget: budget.clone(), bytes: 0 }
     }
 
-    /// Reserve `bytes` unconditionally (see [`MemoryBudget::reserve_overdraft`]):
-    /// the charge lands on the ledger even past the limit. Freed normally
-    /// (RAII on drop).
-    pub(crate) fn overdraft(budget: &MemoryBudget, bytes: usize) -> Self {
-        budget.reserve_overdraft(bytes);
-        Reservation { budget: budget.clone(), bytes }
-    }
-
     /// Grow this reservation by `bytes`.
     #[must_use]
     pub fn try_grow(&mut self, bytes: usize) -> bool {
@@ -186,20 +178,6 @@ impl Reservation {
     /// the limit in out-of-memory errors).
     pub fn budget(&self) -> &MemoryBudget {
         &self.budget
-    }
-
-    /// Take over `other`'s holding without touching the ledger. Both
-    /// reservations must charge the same budget — crate-internal because a
-    /// cross-budget adopt would silently corrupt both ledgers. This is how
-    /// staged reservations (per-chunk insert charges, per-worker operator
-    /// state) transfer into a long-lived owner atomically.
-    pub(crate) fn adopt(&mut self, mut other: Reservation) {
-        debug_assert!(
-            Arc::ptr_eq(&self.budget.inner, &other.budget.inner),
-            "adopting a reservation from a different budget"
-        );
-        self.bytes += other.bytes;
-        other.bytes = 0; // drop of `other` now releases nothing
     }
 
     /// Bytes currently held by this reservation.

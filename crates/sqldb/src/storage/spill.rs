@@ -306,7 +306,7 @@ const CHUNK_BYTES: usize = 8 * 1024;
 
 /// The file behind one writer and then its readers; removed with the last
 /// of them, so an operator that dies mid-spill (out of memory, injected I/O
-/// fault, panic unwound by the morsel driver) never leaks a temp file.
+/// fault, a panic) never leaks a temp file.
 #[derive(Debug)]
 struct SpillFile {
     path: PathBuf,

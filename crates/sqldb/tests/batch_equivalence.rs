@@ -1,13 +1,12 @@
-//! Reference vs batch vs parallel-batch equivalence on randomized tables.
+//! Reference vs batch equivalence on randomized tables.
 //!
 //! The vectorized executor ([`qymera_sqldb::exec::vector`]) must produce
 //! byte-identical results to the reference interpreter
 //! ([`Database::query_reference`]) for every query shape the planner can
-//! emit — at every worker count. These tests run the same SQL over identical
-//! randomized data through the reference, the sequential executor and the
-//! morsel-parallel executor and compare sorted result sets, plus assert the
-//! `EXPLAIN ANALYZE` batch/worker counters. (The float data is dyadic so sums
-//! are FP-exact regardless of accumulation order.)
+//! emit. These tests run the same SQL over identical randomized data through
+//! the reference and the executor and compare sorted result sets, plus
+//! assert the `EXPLAIN ANALYZE` batch counters. (The float data is dyadic so
+//! sums are FP-exact regardless of accumulation order.)
 
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -15,8 +14,8 @@ use qymera_sqldb::table::CHUNK_ROWS;
 use qymera_sqldb::bigbits::BigBits;
 use qymera_sqldb::{Database, Value};
 
-/// One randomized database at the given worker count.
-fn rand_db(seed: u64, rows: usize, parallelism: usize) -> Database {
+/// One randomized database.
+fn rand_db(seed: u64, rows: usize) -> Database {
     let mut rng = StdRng::seed_from_u64(seed);
     let data: Vec<Vec<Value>> = (0..rows)
         .map(|_| {
@@ -41,7 +40,6 @@ fn rand_db(seed: u64, rows: usize, parallelism: usize) -> Database {
         })
         .collect();
     let mut db = Database::new();
-    db.set_parallelism(parallelism);
     db.execute("CREATE TABLE facts (k INTEGER, s INTEGER, v DOUBLE)").unwrap();
     db.insert_rows("facts", data).unwrap();
     db.execute("CREATE TABLE dims (k INTEGER, out_s INTEGER, w DOUBLE)").unwrap();
@@ -55,20 +53,18 @@ fn sorted_rows(rows: &[Vec<Value>]) -> Vec<String> {
     v
 }
 
-/// Worker count of the parallel leg of every three-way comparison.
-const WORKERS: usize = 4;
-
-/// Run `sql` through the reference, the sequential executor and the
-/// parallel executor and require identical row sets.
-fn assert_equivalent(seed: u64, sql: &str) {
-    let mut db = rand_db(seed, 2000, 1);
+/// Run `sql` through the reference and the executor over `rows` randomized
+/// rows and require identical row sets.
+fn assert_equivalent_over(seed: u64, rows: usize, sql: &str) {
+    let mut db = rand_db(seed, rows);
     let want = db.query_reference(sql).unwrap_or_else(|e| panic!("reference failed: {e}\n{sql}"));
-    for workers in [1, WORKERS] {
-        db.set_parallelism(workers);
-        let got = db.execute(sql).unwrap_or_else(|e| panic!("batch({workers}) failed: {e}\n{sql}"));
-        assert_eq!(got.columns(), want.columns(), "batch({workers}): {sql}");
-        assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "batch({workers}): {sql}");
-    }
+    let got = db.execute(sql).unwrap_or_else(|e| panic!("batch failed: {e}\n{sql}"));
+    assert_eq!(got.columns(), want.columns(), "{sql}");
+    assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{sql}");
+}
+
+fn assert_equivalent(seed: u64, sql: &str) {
+    assert_equivalent_over(seed, 2000, sql);
 }
 
 #[test]
@@ -209,14 +205,11 @@ fn order_by_equivalence() {
         "SELECT k + 1 AS k1, s & 7 AS lo, v FROM facts ORDER BY lo, v DESC, k1",
     ];
     for seed in 0..3 {
-        let mut db = rand_db(seed, 2000, 1);
+        let mut db = rand_db(seed, 2000);
         for sql in shapes {
             let want = db.query_reference(sql).unwrap_or_else(|e| panic!("reference: {e}\n{sql}"));
-            for workers in [1, WORKERS] {
-                db.set_parallelism(workers);
-                let got = db.execute(sql).unwrap_or_else(|e| panic!("batch({workers}): {e}\n{sql}"));
-                assert_eq!(got.rows(), want.rows(), "batch({workers}) exact order: {sql}");
-            }
+            let got = db.execute(sql).unwrap_or_else(|e| panic!("batch: {e}\n{sql}"));
+            assert_eq!(got.rows(), want.rows(), "exact order: {sql}");
         }
     }
 }
@@ -235,18 +228,12 @@ fn order_by_spill_equivalence() {
         })
         .collect();
     let sql = "SELECT k, v FROM big ORDER BY v DESC, k";
-    let run = |parallelism: usize| {
-        let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-        db.set_parallelism(parallelism);
-        db.execute("CREATE TABLE big (k INTEGER, v DOUBLE)").unwrap();
-        db.insert_rows("big", data.clone()).unwrap();
-        let rs = db.execute(sql).unwrap();
-        assert!(db.stats().spill_files > 0, "batch({parallelism}) expected the sort to spill");
-        (rs.into_rows(), db.query_reference(sql).unwrap().into_rows())
-    };
-    let (batch, reference) = run(1);
-    assert_eq!(batch, reference);
-    assert_eq!(run(WORKERS).0, reference);
+    let mut db = Database::with_memory_limit(2 * 1024 * 1024);
+    db.execute("CREATE TABLE big (k INTEGER, v DOUBLE)").unwrap();
+    db.insert_rows("big", data).unwrap();
+    let batch = db.execute(sql).unwrap().into_rows();
+    assert!(db.stats().spill_files > 0, "expected the sort to spill");
+    assert_eq!(batch, db.query_reference(sql).unwrap().into_rows());
 }
 
 /// Forced-spill DISTINCT aggregation: distinct sets travel through the
@@ -265,21 +252,16 @@ fn distinct_spill_equivalence() {
         .collect();
     let sql = "SELECT k, COUNT(DISTINCT s) AS ns, SUM(DISTINCT v) AS sv, COUNT(*) AS n \
                FROM big GROUP BY k ORDER BY k";
-    let run = |parallelism: usize| {
-        let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-        db.set_parallelism(parallelism);
-        db.execute("CREATE TABLE big (k INTEGER, s INTEGER, v DOUBLE)").unwrap();
-        db.insert_rows("big", data.clone()).unwrap();
-        let rs = db.execute(sql).unwrap();
-        assert!(db.stats().spill_files > 0, "batch({parallelism}) expected to spill");
-        (rs.into_rows(), db.query_reference(sql).unwrap().into_rows())
-    };
-    let (batch, baseline) = run(1);
+    let mut db = Database::with_memory_limit(2 * 1024 * 1024);
+    db.execute("CREATE TABLE big (k INTEGER, s INTEGER, v DOUBLE)").unwrap();
+    db.insert_rows("big", data).unwrap();
+    let batch = db.execute(sql).unwrap().into_rows();
+    assert!(db.stats().spill_files > 0, "expected to spill");
+    let baseline = db.query_reference(sql).unwrap().into_rows();
     assert_eq!(baseline.len(), 6000);
     assert_eq!(baseline[0][1], Value::Int(7), "7 distinct s per group");
     assert_eq!(baseline[0][2], Value::Float(10.0), "0+1+2+3+4 distinct v");
     assert_eq!(batch, baseline);
-    assert_eq!(run(WORKERS).0, baseline);
 }
 
 #[test]
@@ -321,20 +303,15 @@ fn spill_path_equivalence_under_tight_budget() {
         })
         .collect();
     let sql = "SELECT k, SUM(v) AS t FROM big GROUP BY k ORDER BY k";
-    let run = |parallelism: usize| {
-        // Columnar base-table chunks charge ~16 B/row, so the 60k-row table
-        // costs ~1 MB; 2 MB leaves too little headroom for 20k groups.
-        let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-        db.set_parallelism(parallelism);
-        db.execute("CREATE TABLE big (k INTEGER, v DOUBLE)").unwrap();
-        db.insert_rows("big", data.clone()).unwrap();
-        let rs = db.execute(sql).unwrap();
-        assert!(db.stats().spill_files > 0, "batch({parallelism}) expected to spill");
-        (rs.into_rows(), db.query_reference(sql).unwrap().into_rows())
-    };
-    let (batch, reference) = run(1);
-    assert_eq!(batch, reference);
-    assert_eq!(run(WORKERS).0, reference);
+    // Columnar base-table chunks charge ~16 B/row, so the 60k-row table
+    // costs ~1 MB; 2 MB leaves too little headroom for 20k groups.
+    let mut db = Database::with_memory_limit(2 * 1024 * 1024);
+    db.execute("CREATE TABLE big (k INTEGER, v DOUBLE)").unwrap();
+    db.insert_rows("big", data).unwrap();
+    let batch = db.execute(sql).unwrap().into_rows();
+    assert!(db.stats().spill_files > 0, "expected to spill");
+    assert!(batch.len() > 15_000, "expected most groups to appear");
+    assert_eq!(batch, db.query_reference(sql).unwrap().into_rows());
 }
 
 #[test]
@@ -362,7 +339,6 @@ fn error_detection_is_batch_granular() {
     // downstream LIMIT does not need still surfaces when that row shares a
     // batch with rows it does need.
     let mut db = Database::new();
-    db.set_parallelism(1);
     db.execute("CREATE TABLE t (x INTEGER)").unwrap();
     let rows: Vec<Vec<Value>> =
         (0..100).map(|i| vec![Value::Int(if i < 10 { 1 } else { 0 })]).collect();
@@ -383,17 +359,12 @@ fn error_detection_is_batch_granular() {
     assert!(db.query_reference(sql).is_err(), "the reference evaluates every row");
 }
 
-// ---------------------------------------------------------------------------
-// Morsel-parallel execution
-// ---------------------------------------------------------------------------
-
-/// Three-way randomized equivalence: reference vs single-threaded batch vs
-/// morsel-parallel batch at 2–8 workers, over every parallelizable shape
-/// (filter/project pipelines, equi-join probes, fast-lane and generic
-/// aggregates, the full gate query). 5000 rows span five chunks, so the
-/// parallel operators genuinely engage.
+/// Reference vs executor over 5000 rows, five chunks: every chunk boundary
+/// crossed by filter/project pipelines, equi-join probes (inner and LEFT
+/// OUTER), fast-lane, generic and DISTINCT aggregates, sorts (full and
+/// top-k) and the full gate query.
 #[test]
-fn three_way_equivalence_across_worker_counts() {
+fn multi_chunk_equivalence() {
     let shapes = [
         "SELECT k, s * 2 AS s2 FROM facts WHERE (s & 7) = 3",
         "SELECT (s & ~7) | 5 AS masked, v * 2.0 AS dv FROM facts WHERE v IS NOT NULL",
@@ -408,157 +379,25 @@ fn three_way_equivalence_across_worker_counts() {
          JOIN dims ON dims.k = (facts.s & 1) \
          GROUP BY ((facts.s & ~1) | dims.out_s)) \
          SELECT s, r FROM T1 ORDER BY s LIMIT 100",
-        // Parallel sort (per-worker runs merged at the breaker), full + topk.
         "SELECT v, k, s FROM facts ORDER BY v DESC, k, s",
         "SELECT v, k, s FROM facts WHERE (s & 3) = 1 ORDER BY v, k, s LIMIT 64",
-        // Parallel LEFT OUTER probe (pads are morsel-local).
         "SELECT facts.k, facts.s, dims.out_s FROM facts \
          LEFT JOIN dims ON dims.k = (facts.k & 63) AND dims.w > 5.0",
-        // Parallel DISTINCT aggregation (per-worker sets merged by union).
         "SELECT k, COUNT(DISTINCT s) AS ns, SUM(DISTINCT v) AS sv FROM facts GROUP BY k",
     ];
     for seed in 0..2 {
-        let mut batch1 = rand_db(seed, 5000, 1);
         for sql in shapes {
-            let expect = sorted_rows(batch1.query_reference(sql).unwrap().rows());
-            let got1 = sorted_rows(batch1.execute(sql).unwrap().rows());
-            assert_eq!(expect, got1, "single-threaded batch diverged: {sql}");
-            for workers in [2usize, 4, 8] {
-                let mut par = rand_db(seed, 5000, workers);
-                let got = sorted_rows(par.execute(sql).unwrap().rows());
-                assert_eq!(expect, got, "{workers} workers diverged: {sql}");
-            }
+            assert_equivalent_over(seed, 5000, sql);
         }
     }
 }
 
-/// Order-sensitive consumers must observe the sequential batch order even
-/// under parallel execution (morsel-order gathering): an unordered LIMIT
-/// over a filtered scan returns exactly the same rows.
-#[test]
-fn parallel_pipeline_preserves_sequential_order() {
-    for workers in [2usize, 4, 8] {
-        let mut seq = rand_db(11, 5000, 1);
-        let mut par = rand_db(11, 5000, workers);
-        let sql = "SELECT k, s, v FROM facts WHERE (s & 3) != 0 LIMIT 937";
-        let a = seq.execute(sql).unwrap();
-        let b = par.execute(sql).unwrap();
-        assert_eq!(a.rows(), b.rows(), "{workers} workers broke morsel order");
-    }
-}
-
-/// The spill paths must agree at every worker count: per-worker partition
-/// files merge with the coordinator's by partition index.
-#[test]
-fn parallel_spill_equivalence_under_tight_budget() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let data: Vec<Vec<Value>> = (0..60_000)
-        .map(|_| {
-            vec![Value::Int(rng.gen_range(0i64..20_000)), Value::Float(0.25)]
-        })
-        .collect();
-    let run = |parallelism: usize| {
-        let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-        db.set_parallelism(parallelism);
-        db.execute("CREATE TABLE big (k INTEGER, v DOUBLE)").unwrap();
-        db.insert_rows("big", data.clone()).unwrap();
-        let rs = db
-            .execute("SELECT k, SUM(v) AS t FROM big GROUP BY k ORDER BY k")
-            .unwrap();
-        assert!(db.stats().spill_files > 0, "{parallelism} workers expected to spill");
-        rs.into_rows()
-    };
-    let baseline = run(1);
-    assert!(baseline.len() > 15_000, "expected most groups to appear");
-    for workers in [2usize, 4, 8] {
-        assert_eq!(baseline, run(workers), "{workers} workers");
-    }
-}
-
-/// Budget parity: after a query completes, the ledger must return to the
-/// base-table charge at every worker count (all per-worker reservations are
-/// RAII-released), and the limit is honored throughout.
-#[test]
-fn parallel_budget_parity() {
-    let used_after = |parallelism: usize| {
-        let mut db = Database::with_memory_limit(4 * 1024 * 1024);
-        db.set_parallelism(parallelism);
-        db.execute("CREATE TABLE big (k INTEGER, v DOUBLE)").unwrap();
-        let rows: Vec<Vec<Value>> = (0..30_000)
-            .map(|i| vec![Value::Int(i % 5_000), Value::Float(0.5)])
-            .collect();
-        db.insert_rows("big", rows).unwrap();
-        let rs = db
-            .execute("SELECT k, SUM(v) AS t FROM big GROUP BY k ORDER BY k LIMIT 5")
-            .unwrap();
-        assert_eq!(rs.rows().len(), 5);
-        assert!(db.budget().used() > 0, "base table stays charged");
-        db.budget().used()
-    };
-    let base = used_after(1);
-    for workers in [2usize, 4, 8] {
-        assert_eq!(base, used_after(workers), "{workers} workers leaked or lost budget");
-    }
-}
-
-/// `EXPLAIN ANALYZE` exposes the parallel plan: `workers=`/`morsels=` on
-/// the aggregate, and the absorbed scan still reports its rows/batches.
-#[test]
-fn explain_analyze_reports_workers_and_morsels() {
-    let mut db = Database::new();
-    db.set_parallelism(4);
-    db.execute("CREATE TABLE t (a INTEGER, b DOUBLE)").unwrap();
-    let rows: Vec<Vec<Value>> = (0..5000)
-        .map(|i| vec![Value::Int(i), Value::Float(1.0)])
-        .collect();
-    db.insert_rows("t", rows).unwrap();
-    let text = db
-        .explain_analyze("SELECT a & 3 AS g, SUM(b) AS t FROM t GROUP BY a & 3")
-        .unwrap();
-    assert!(text.contains("workers=4"), "aggregate should report workers:\n{text}");
-    assert!(text.contains("morsels=5"), "5 chunks = 5 morsels:\n{text}");
-    assert!(text.contains("rows=5000"), "absorbed scan still reports rows:\n{text}");
-
-    // Sequential execution must not report parallel counters.
-    db.set_parallelism(1);
-    let text = db
-        .explain_analyze("SELECT a & 3 AS g, SUM(b) AS t FROM t GROUP BY a & 3")
-        .unwrap();
-    assert!(!text.contains("workers="), "sequential plan reports no workers:\n{text}");
-}
-
-/// Repeated runs at a fixed worker count must be bit-for-bit reproducible
-/// even for non-dyadic float sums (where accumulation order shows in the
-/// last ulp) — this holds because aggregate workers take morsels by static
-/// striding, not dynamic claiming.
-#[test]
-fn parallel_float_sums_reproducible_at_fixed_worker_count() {
-    let run = || {
-        let mut db = Database::new();
-        db.set_parallelism(4);
-        db.execute("CREATE TABLE t (k INTEGER, v DOUBLE)").unwrap();
-        let rows: Vec<Vec<Value>> = (0..30_000)
-            .map(|i| vec![Value::Int(i % 7), Value::Float(0.1 + (i as f64) * 1e-7)])
-            .collect();
-        db.insert_rows("t", rows).unwrap();
-        db.execute("SELECT k, SUM(v) AS s FROM t GROUP BY k ORDER BY k")
-            .unwrap()
-            .into_rows()
-    };
-    let first = run();
-    assert_eq!(first.len(), 7);
-    for _ in 0..3 {
-        assert_eq!(first, run(), "same worker count must reproduce bit-for-bit");
-    }
-}
-
 /// `SUM(DISTINCT)` over non-representable floats must be bit-identical
-/// across runs, the reference and the executor, and worker counts: the distinct set folds
-/// in total order, never in (per-instance-seeded) hash order.
+/// across runs, the reference and the executor: the distinct set folds in
+/// total order, never in (per-instance-seeded) hash order.
 #[test]
 fn sum_distinct_floats_deterministic() {
-    // `None` runs the reference, `Some(n)` the executor with `n` workers.
-    let run = |parallelism: Option<usize>| {
+    let run = |reference: bool| {
         let mut db = Database::new();
         db.execute("CREATE TABLE t (k INTEGER, v DOUBLE)").unwrap();
         // 0.1 + 0.2 + … is order-sensitive in the last ulp.
@@ -567,36 +406,12 @@ fn sum_distinct_floats_deterministic() {
             .collect();
         db.insert_rows("t", rows).unwrap();
         let sql = "SELECT k, SUM(DISTINCT v) AS sv, AVG(DISTINCT v) AS av FROM t GROUP BY k ORDER BY k";
-        match parallelism {
-            None => db.query_reference(sql),
-            Some(n) => {
-                db.set_parallelism(n);
-                db.execute(sql)
-            }
-        }
-        .unwrap()
-        .into_rows()
+        if reference { db.query_reference(sql) } else { db.execute(sql) }.unwrap().into_rows()
     };
-    let baseline = run(None);
+    let baseline = run(true);
     for _ in 0..3 {
-        assert_eq!(baseline, run(None), "reference run-to-run");
-        assert_eq!(baseline, run(Some(1)), "batch path");
-        assert_eq!(baseline, run(Some(4)), "parallel batch path");
-    }
-}
-
-/// Order-sensitive parallel sort: the merged per-worker runs must reproduce
-/// the sequential sort byte-for-byte (ordinal tie-break), at every worker
-/// count, including under forced spilling.
-#[test]
-fn parallel_sort_is_byte_identical_to_sequential() {
-    let sql = "SELECT v, k, s FROM facts ORDER BY v DESC, k, s";
-    let mut seq = rand_db(17, 5000, 1);
-    let expect = seq.execute(sql).unwrap();
-    for workers in [2usize, 4, 8] {
-        let mut par = rand_db(17, 5000, workers);
-        let got = par.execute(sql).unwrap();
-        assert_eq!(expect.rows(), got.rows(), "{workers} workers broke sort order");
+        assert_eq!(baseline, run(true), "reference run-to-run");
+        assert_eq!(baseline, run(false), "batch path");
     }
 }
 
@@ -604,7 +419,7 @@ fn parallel_sort_is_byte_identical_to_sequential() {
 /// counters) in `EXPLAIN ANALYZE`.
 #[test]
 fn explain_analyze_shows_batch_operators_for_all_shapes() {
-    let mut db = rand_db(23, 5000, 1);
+    let mut db = rand_db(23, 5000);
     let sort = db.execute("EXPLAIN SELECT v FROM facts ORDER BY v").unwrap();
     assert!(!sort.rows().is_empty());
 
@@ -636,19 +451,6 @@ fn explain_analyze_shows_batch_operators_for_all_shapes() {
         .explain_analyze("SELECT k, COUNT(DISTINCT s) FROM facts GROUP BY k")
         .unwrap();
     assert!(text.contains("HashAggregate"), "{text}");
-}
-
-/// The knob defaults to one worker (unless `QYMERA_PARALLELISM` says
-/// otherwise), clamps to at least one and reads back.
-#[test]
-fn parallelism_knob_clamps() {
-    let mut db = Database::new();
-    let pinned = std::env::var("QYMERA_PARALLELISM").ok().and_then(|v| v.parse().ok());
-    assert_eq!(db.parallelism(), pinned.unwrap_or(1).max(1));
-    db.set_parallelism(0);
-    assert_eq!(db.parallelism(), 1);
-    db.set_parallelism(6);
-    assert_eq!(db.parallelism(), 6);
 }
 
 // ---------------------------------------------------------------------------
@@ -694,7 +496,7 @@ fn state_keys(shape: &str, n: usize, rng: &mut StdRng) -> Vec<i64> {
 /// table `g`. Amplitudes are dyadic, so the sums are exact in any order;
 /// zero and `-0.0` are among them (every `SUM` over doubles starts from
 /// `0.0`, so a group of `-0.0` terms is `+0.0` on every path).
-fn gate_db(keys: &[i64], rng: &mut StdRng, limit: Option<usize>, workers: usize) -> Database {
+fn gate_db(keys: &[i64], rng: &mut StdRng, limit: Option<usize>) -> Database {
     // Dense (four rows), diagonal or permutation (two rows: each probe row
     // then matches exactly once).
     let outs: &[(i64, i64)] = match rng.gen_range(0u32..3) {
@@ -713,7 +515,6 @@ fn gate_db(keys: &[i64], rng: &mut StdRng, limit: Option<usize>, workers: usize)
         .map(|&(in_s, out_s)| vec![Value::Int(in_s), Value::Int(out_s), amp(), amp()])
         .collect();
     let mut db = limit.map_or_else(Database::new, Database::with_memory_limit);
-    db.set_parallelism(workers);
     db.execute("CREATE TABLE state (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
     db.insert_rows("state", state).unwrap();
     db.execute("CREATE TABLE g (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
@@ -741,23 +542,21 @@ fn gate_queries_agree_with_the_reference_on_every_key_distribution() {
     {
         for seed in 0..2u64 {
             for limit in [None, Some(TIGHT)] {
-                for workers in [1, 2] {
-                    let mut rng = StdRng::seed_from_u64(1000 * case as u64 + seed);
-                    let keys = state_keys(shape, 6000, &mut rng);
-                    let mut db = gate_db(&keys, &mut rng, limit, workers);
-                    let what = format!("{shape}, seed {seed}, limit {limit:?}, {workers} workers");
-                    let base = db.budget().used();
-                    let got = db.execute(GATE_SQL).unwrap_or_else(|e| panic!("{what}: {e}"));
-                    let spilled = db.stats().spill_files > 0;
-                    let distinct = keys.iter().collect::<std::collections::HashSet<_>>().len();
-                    if limit.is_some() && distinct > 3000 {
-                        assert!(spilled, "{what}: expected the aggregate to spill");
-                    }
-                    assert!(limit.is_some() || !spilled, "{what}: spilled without a limit");
-                    assert_eq!(db.budget().used(), base, "{what}: ledger not restored");
-                    let want = db.query_reference(GATE_SQL).unwrap();
-                    assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{what}");
+                let mut rng = StdRng::seed_from_u64(1000 * case as u64 + seed);
+                let keys = state_keys(shape, 6000, &mut rng);
+                let mut db = gate_db(&keys, &mut rng, limit);
+                let what = format!("{shape}, seed {seed}, limit {limit:?}");
+                let base = db.budget().used();
+                let got = db.execute(GATE_SQL).unwrap_or_else(|e| panic!("{what}: {e}"));
+                let spilled = db.stats().spill_files > 0;
+                let distinct = keys.iter().collect::<std::collections::HashSet<_>>().len();
+                if limit.is_some() && distinct > 3000 {
+                    assert!(spilled, "{what}: expected the aggregate to spill");
                 }
+                assert!(limit.is_some() || !spilled, "{what}: spilled without a limit");
+                assert_eq!(db.budget().used(), base, "{what}: ledger not restored");
+                let want = db.query_reference(GATE_SQL).unwrap();
+                assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{what}");
             }
         }
     }
@@ -774,24 +573,21 @@ fn sum_of_negative_zeros_is_positive_zero_on_every_path() {
         ("SELECT k, SUM(v) AS t FROM z GROUP BY k", Some(256 * 1024)),
         ("SELECT k, SUM(v) AS t, COUNT(*) AS c FROM z GROUP BY k", Some(256 * 1024)),
     ] {
-        for workers in [1, WORKERS] {
-            let mut db = limit.map_or_else(Database::new, Database::with_memory_limit);
-            db.set_parallelism(workers);
-            db.execute("CREATE TABLE z (k INTEGER, v DOUBLE)").unwrap();
-            let rows = (0..6000).map(|i| vec![Value::Int(i % 3000), Value::Float(-0.0)]);
-            db.insert_rows("z", rows.collect()).unwrap();
-            let got = db.execute(sql).unwrap();
-            assert_eq!(db.stats().spill_files > 0, limit.is_some(), "{sql}, {workers} workers");
-            assert_eq!(got.rows().len(), 3000);
-            for row in got.rows() {
-                assert!(
-                    matches!(row[1], Value::Float(t) if t.to_bits() == 0),
-                    "{sql}, limit {limit:?}, {workers} workers: {row:?}"
-                );
-            }
-            let want = db.query_reference(sql).unwrap();
-            assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{sql}");
+        let mut db = limit.map_or_else(Database::new, Database::with_memory_limit);
+        db.execute("CREATE TABLE z (k INTEGER, v DOUBLE)").unwrap();
+        let rows = (0..6000).map(|i| vec![Value::Int(i % 3000), Value::Float(-0.0)]);
+        db.insert_rows("z", rows.collect()).unwrap();
+        let got = db.execute(sql).unwrap();
+        assert_eq!(db.stats().spill_files > 0, limit.is_some(), "{sql}");
+        assert_eq!(got.rows().len(), 3000);
+        for row in got.rows() {
+            assert!(
+                matches!(row[1], Value::Float(t) if t.to_bits() == 0),
+                "{sql}, limit {limit:?}: {row:?}"
+            );
         }
+        let want = db.query_reference(sql).unwrap();
+        assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{sql}");
     }
 }
 
@@ -799,8 +595,7 @@ fn sum_of_negative_zeros_is_positive_zero_on_every_path() {
 /// `INTEGER` lanes last; the first batch with a `HUGEINT` key (or a NULL
 /// addend) demotes it, and what the generic table flushes afterwards is
 /// partial rows — into the same partitions, which only works because both
-/// writers agree on a key's partition. Under parallel consume the two
-/// formats also meet across workers.
+/// writers agree on a key's partition.
 #[test]
 fn mixed_format_spill_agrees_with_the_reference() {
     let ints = |n: i64| -> Vec<Vec<Value>> {
@@ -809,34 +604,31 @@ fn mixed_format_spill_agrees_with_the_reference() {
     let union = "SELECT k, SUM(v) AS t, SUM(v * 2) AS u \
                  FROM (SELECT k, v FROM a UNION ALL SELECT k, v FROM b) AS ab GROUP BY k";
     let nulls = "SELECT k, SUM(v) AS t, SUM(v * 2) AS u FROM m GROUP BY k";
-    for workers in [1, WORKERS] {
-        let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-        db.set_parallelism(workers);
-        // `a`: 27 000 rows over 9 000 integer keys. `b`: the same keys as
-        // HUGEINT, and 500 past 64 bits.
-        db.execute("CREATE TABLE a (k INTEGER, v DOUBLE)").unwrap();
-        db.insert_rows("a", ints(27_000)).unwrap();
-        db.execute("CREATE TABLE b (k HUGEINT, v DOUBLE)").unwrap();
-        let mut wide = ints(6000);
-        wide.extend((0..500u64).map(|i| {
-            vec![Value::Big(BigBits::from_u64(i, 100).shl(70)), Value::Float(0.5)]
-        }));
-        db.insert_rows("b", wide).unwrap();
-        // `m`: integer keys throughout, a NULL addend in the later chunks.
-        db.execute("CREATE TABLE m (k INTEGER, v DOUBLE)").unwrap();
-        let mut holes = ints(30_000);
-        for row in holes.iter_mut().skip(20_000).step_by(700) {
-            row[1] = Value::Null;
-        }
-        db.insert_rows("m", holes).unwrap();
-        for sql in [union, nulls] {
-            let before = db.stats().spill_files;
-            let got = db.execute(sql).unwrap_or_else(|e| panic!("{workers} workers: {e}\n{sql}"));
-            assert!(db.stats().spill_files > before, "{workers} workers: no spill\n{sql}");
-            assert_eq!(db.live_spill_files(), 0);
-            let want = db.query_reference(sql).unwrap();
-            assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{workers} workers: {sql}");
-        }
+    let mut db = Database::with_memory_limit(2 * 1024 * 1024);
+    // `a`: 27 000 rows over 9 000 integer keys. `b`: the same keys as
+    // HUGEINT, and 500 past 64 bits.
+    db.execute("CREATE TABLE a (k INTEGER, v DOUBLE)").unwrap();
+    db.insert_rows("a", ints(27_000)).unwrap();
+    db.execute("CREATE TABLE b (k HUGEINT, v DOUBLE)").unwrap();
+    let mut wide = ints(6000);
+    wide.extend((0..500u64).map(|i| {
+        vec![Value::Big(BigBits::from_u64(i, 100).shl(70)), Value::Float(0.5)]
+    }));
+    db.insert_rows("b", wide).unwrap();
+    // `m`: integer keys throughout, a NULL addend in the later chunks.
+    db.execute("CREATE TABLE m (k INTEGER, v DOUBLE)").unwrap();
+    let mut holes = ints(30_000);
+    for row in holes.iter_mut().skip(20_000).step_by(700) {
+        row[1] = Value::Null;
+    }
+    db.insert_rows("m", holes).unwrap();
+    for sql in [union, nulls] {
+        let before = db.stats().spill_files;
+        let got = db.execute(sql).unwrap_or_else(|e| panic!("{e}\n{sql}"));
+        assert!(db.stats().spill_files > before, "no spill\n{sql}");
+        assert_eq!(db.live_spill_files(), 0);
+        let want = db.query_reference(sql).unwrap();
+        assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{sql}");
     }
 }
 
@@ -895,15 +687,8 @@ fn joins_agree_with_the_reference_on_both_sides_of_the_direct_index() {
         db.insert_rows("b", build).unwrap();
         for sql in queries {
             let want = db.query_reference(sql).unwrap_or_else(|e| panic!("{what}: {e}\n{sql}"));
-            for workers in [1, 2] {
-                db.set_parallelism(workers);
-                let got = db.execute(sql).unwrap_or_else(|e| panic!("{what}: {e}\n{sql}"));
-                assert_eq!(
-                    sorted_rows(got.rows()),
-                    sorted_rows(want.rows()),
-                    "{what}, {workers} workers: {sql}"
-                );
-            }
+            let got = db.execute(sql).unwrap_or_else(|e| panic!("{what}: {e}\n{sql}"));
+            assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{what}: {sql}");
         }
     }
     // A non-numeric key: TEXT never takes the direct index.
@@ -917,10 +702,7 @@ fn joins_agree_with_the_reference_on_both_sides_of_the_direct_index() {
     .unwrap();
     let sql = "SELECT probe.n, names.w FROM probe LEFT JOIN names ON names.name = probe.name";
     let want = db.query_reference(sql).unwrap();
-    for workers in [1, 2] {
-        db.set_parallelism(workers);
-        assert_eq!(sorted_rows(db.execute(sql).unwrap().rows()), sorted_rows(want.rows()));
-    }
+    assert_eq!(sorted_rows(db.execute(sql).unwrap().rows()), sorted_rows(want.rows()));
 }
 
 /// `state(s, r, i)` of the given key type and `g(in_s, out_s, r, i)` with
@@ -962,8 +744,7 @@ struct GateCase {
 
 /// The optimizer streams an aggregate only where it proves one row per
 /// group, and the reference — which ignores the proof and groups — agrees
-/// with the executor either way. Three chunks of state, so two workers run
-/// the streamed aggregate as a stage of a morsel pipeline.
+/// with the executor either way.
 #[test]
 fn proven_and_refused_gate_queries_agree_with_the_reference() {
     const PERMUTATION: &[(i64, i64)] = &[(0, 0), (1, 3), (2, 2), (3, 1)];
@@ -1036,11 +817,8 @@ fn proven_and_refused_gate_queries_agree_with_the_reference() {
         assert_eq!(plan.contains("(one row per group: streamed)"), proven, "{what}:\n{plan}");
         let want = db.query_reference(&sql).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert!(!want.rows().is_empty(), "{what}: an empty result compares nothing");
-        for workers in [1, 2] {
-            db.set_parallelism(workers);
-            let got = db.execute(&sql).unwrap_or_else(|e| panic!("{what}, {workers} workers: {e}"));
-            assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{what}, {workers} workers");
-        }
+        let got = db.execute(&sql).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{what}");
     }
 }
 
@@ -1054,7 +832,6 @@ fn a_streamed_aggregate_charges_and_spills_nothing() {
     let sql = gate_sql("((state.s & ~1) | g.out_s)", "(state.s & 1)", "");
     for (rows, streamed) in [(4000, true), (6000, false)] {
         let mut db = Database::with_memory_limit(TIGHT);
-        db.set_parallelism(1);
         db.execute("CREATE TABLE state (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
         let state = (0..rows).map(|s| vec![Value::Int(s), Value::Float(-0.0), Value::Float(0.25)]);
         db.insert_rows("state", state.collect()).unwrap();
@@ -1076,8 +853,8 @@ fn a_streamed_aggregate_charges_and_spills_nothing() {
     }
 }
 
-/// `ORDER BY` one `INTEGER` key takes the radix path; two keys, a `DOUBLE`
-/// key and the morsel-parallel workers take the comparator. On every key
+/// `ORDER BY` one `INTEGER` key takes the radix path; two keys and a
+/// `DOUBLE` key take the comparator. On every key
 /// distribution — duplicates, negatives, `i64::MIN`/`MAX`, keys sharing
 /// their high bytes (the skipped digits), digits whose only varying bit is
 /// their top one, a single row — both directions,
@@ -1110,7 +887,6 @@ fn radix_sort_agrees_with_the_comparator_and_the_reference() {
         // tight limit spills a run every batch or two.
         for limit in [None, Some(24 * n + 40_000)] {
             let mut db = limit.map_or_else(Database::new, Database::with_memory_limit);
-            db.set_parallelism(1);
             db.execute("CREATE TABLE t (k INTEGER, v DOUBLE, p INTEGER)").unwrap();
             db.insert_rows("t", data.clone()).unwrap();
             for dir in ["", " DESC"] {
@@ -1126,14 +902,11 @@ fn radix_sort_agrees_with_the_comparator_and_the_reference() {
                 let profile = db.explain_analyze(&radix).unwrap();
                 assert!(profile.contains("BatchSort [1 keys, radix]"), "{case}\n{profile}");
                 // The comparator on the same order: the ordinal as a second
-                // key, and the parallel workers' runs.
+                // key.
                 let two_keys = format!("SELECT k, p FROM t ORDER BY k{dir}, p");
                 assert_eq!(exact(db.execute(&two_keys).unwrap().rows()), exact(want.rows()), "{case}");
                 let profile = db.explain_analyze(&two_keys).unwrap();
                 assert!(profile.contains("BatchSort [2 keys] "), "{case}\n{profile}");
-                db.set_parallelism(WORKERS);
-                assert_eq!(exact(db.execute(&radix).unwrap().rows()), exact(want.rows()), "{case}");
-                db.set_parallelism(1);
                 // A DOUBLE key stays on the comparator.
                 let float = format!("SELECT v, p FROM t ORDER BY v{dir}");
                 let want = db.query_reference(&float).unwrap();

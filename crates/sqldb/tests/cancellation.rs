@@ -11,7 +11,7 @@ use qymera_sqldb::{Database, DurabilityOptions, Error, QueryContext, Value};
 
 /// One-batch slack allowed past the configured memory limit (the documented
 /// admission granularity: reservations are taken per batch/chunk, so the
-/// peak may overshoot by at most one in-flight batch per worker).
+/// peak may overshoot by at most one in-flight batch).
 const OVERSHOOT_SLACK_BYTES: usize = 512 * 1024;
 
 /// Plan-depth allowance for [`QueryContext::latency_bound`]: every scenario
@@ -20,14 +20,13 @@ const PLAN_DEPTH_ALLOWANCE: usize = 16;
 
 /// A memory-limited database whose scenario queries are forced through the
 /// spill paths (same shape as the fault-injection scenarios).
-fn scenario_db(parallelism: usize) -> Database {
-    scenario_db_within(Some(2 * 1024 * 1024), parallelism)
+fn scenario_db() -> Database {
+    scenario_db_within(Some(2 * 1024 * 1024))
 }
 
 /// The scenario tables under `limit` (`None`: nothing spills).
-fn scenario_db_within(limit: Option<usize>, parallelism: usize) -> Database {
+fn scenario_db_within(limit: Option<usize>) -> Database {
     let mut db = limit.map_or_else(Database::new, Database::with_memory_limit);
-    db.set_parallelism(parallelism);
     db.execute("CREATE TABLE big (k INTEGER, v DOUBLE)").unwrap();
     let rows: Vec<Vec<Value>> = (0..60_000)
         .map(|i| vec![Value::Int((i * 7919) % 20_000), Value::Float((i % 97) as f64 / 8.0)])
@@ -47,7 +46,7 @@ const JOIN_SQL: &str = "SELECT b.k, SUM(b.v * d.w) AS t FROM big b \
 
 /// The shared postcondition: typed error, exact ledger restore, no spill
 /// residue, bounded overshoot, bounded cancellation latency.
-fn assert_clean_after_error(db: &Database, parallelism: usize, what: &str) {
+fn assert_clean_after_error(db: &Database, what: &str) {
     assert_eq!(
         db.budget().used(),
         db.table_bytes(),
@@ -60,7 +59,7 @@ fn assert_clean_after_error(db: &Database, parallelism: usize, what: &str) {
         db.budget().peak_overshoot()
     );
     let units = db.last_query_context().units_after_cancel();
-    let bound = QueryContext::latency_bound(parallelism, PLAN_DEPTH_ALLOWANCE);
+    let bound = QueryContext::latency_bound(PLAN_DEPTH_ALLOWANCE);
     assert!(
         units <= bound,
         "{what}: {units} work units completed after cancel (bound {bound})"
@@ -69,76 +68,57 @@ fn assert_clean_after_error(db: &Database, parallelism: usize, what: &str) {
 
 #[test]
 fn pre_armed_cancel_handle_rejects_and_reset_recovers() {
-    let mut db = scenario_db(2);
+    let mut db = scenario_db();
     let handle = db.cancel_handle();
     handle.cancel();
     let err = db.execute(SORT_SQL).unwrap_err();
     assert!(matches!(err, Error::Cancelled), "got {err:?}");
-    assert_clean_after_error(&db, 2, "pre-armed cancel");
+    assert_clean_after_error(&db, "pre-armed cancel");
     // Sticky until reset: the next statement is refused too.
     assert!(matches!(db.execute(AGG_SQL), Err(Error::Cancelled)));
     handle.reset();
     let rs = db.execute(SORT_SQL).unwrap();
     assert_eq!(rs.rows().len(), 60_000);
-    assert_clean_after_error(&db, 2, "after reset");
+    assert_clean_after_error(&db, "after reset");
 }
 
 #[test]
 fn deadline_times_out_spilling_query_and_retry_succeeds() {
-    let mut db = scenario_db(4);
+    let mut db = scenario_db();
     db.set_statement_timeout_ms(Some(1));
     let err = db.execute(JOIN_SQL).unwrap_err();
     assert!(matches!(err, Error::Timeout { ms: 1 }), "got {err:?}");
-    assert_clean_after_error(&db, 4, "deadline");
+    assert_clean_after_error(&db, "deadline");
     db.set_statement_timeout_ms(None);
     let rs = db.execute(JOIN_SQL).unwrap();
     assert_eq!(rs.rows().len(), 20_000);
 }
 
 /// Sweep deterministic cancel points through every operator: learn how many
-/// governance polls a clean run observes, then re-run with a cancel armed
-/// at the start, the quartiles, and the last poll of that window.
+/// governance polls a clean run observes — the same number every run, on
+/// one thread — then re-run with a cancel armed at the start, the
+/// quartiles, and the last poll of that window; every one of them cancels.
 #[test]
 fn poll_armed_cancel_is_clean_at_every_injection_point() {
-    for parallelism in [1usize, 2, 4, 8] {
-        for sql in [SORT_SQL, AGG_SQL, JOIN_SQL] {
-            let mut db = scenario_db(parallelism);
-            db.execute(sql).unwrap();
-            let polls = db.last_query_context().polls();
-            assert!(polls > 8, "scenario query observed only {polls} polls");
-            for at in [1, polls / 4, polls / 2, 3 * polls / 4, polls] {
-                let at = at.max(1);
-                db.arm_cancel_after_polls(Some(at));
-                match db.execute(sql) {
-                    Err(err) => {
-                        assert!(
-                            matches!(err, Error::Cancelled),
-                            "p={parallelism} poll {at}/{polls}: got {err:?}"
-                        );
-                        assert_clean_after_error(
-                            &db,
-                            parallelism,
-                            &format!("p={parallelism} poll {at}/{polls} of {sql:.24}"),
-                        );
-                    }
-                    Ok(_) => {
-                        // Parallel poll totals vary slightly between runs;
-                        // completing is legitimate only when this run
-                        // genuinely never reached the armed poll.
-                        let observed = db.last_query_context().polls();
-                        assert!(
-                            observed < at,
-                            "p={parallelism}: ran to completion past the armed \
-                             cancel point ({observed} polls, armed at {at})"
-                        );
-                    }
-                }
-            }
-            db.arm_cancel_after_polls(None);
-            let rs = db.execute(sql).unwrap();
-            assert!(!rs.rows().is_empty(), "retry after disarm must succeed");
-            assert_clean_after_error(&db, parallelism, "after disarm");
+    for sql in [SORT_SQL, AGG_SQL, JOIN_SQL] {
+        let mut db = scenario_db();
+        db.execute(sql).unwrap();
+        let polls = db.last_query_context().polls();
+        assert!(polls > 8, "scenario query observed only {polls} polls");
+        db.execute(sql).unwrap();
+        assert_eq!(db.last_query_context().polls(), polls, "poll totals differ: {sql}");
+        for at in [1, polls / 4, polls / 2, 3 * polls / 4, polls] {
+            let at = at.max(1);
+            db.arm_cancel_after_polls(Some(at));
+            let what = format!("poll {at}/{polls} of {sql:.24}");
+            let err = db.execute(sql).expect_err(&what);
+            assert!(matches!(err, Error::Cancelled), "{what}: got {err:?}");
+            assert_clean_after_error(&db, &what);
         }
+        db.arm_cancel_after_polls(None);
+        let rs = db.execute(sql).unwrap();
+        assert!(!rs.rows().is_empty(), "retry after disarm must succeed");
+        assert_clean_after_error(&db, "after disarm");
     }
 }
 
@@ -213,31 +193,29 @@ fn cancelled_ctas_leaves_no_partial_table() {
 }
 
 /// Cancelling through the public handle from another thread while a
-/// spilling query runs: the typed error wins the race cleanly at every
-/// parallelism level, and the session works again after reset.
+/// spilling query runs: the typed error wins the race cleanly, and the
+/// session works again after reset.
 #[test]
 fn concurrent_handle_cancel_is_clean() {
-    for parallelism in [2usize, 4, 8] {
-        let mut db = scenario_db(parallelism);
-        let handle = db.cancel_handle();
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(3));
-            handle.cancel();
-        });
-        match db.execute(JOIN_SQL) {
-            // The query may legitimately finish before the cancel lands.
-            Ok(rs) => assert_eq!(rs.rows().len(), 20_000),
-            Err(e) => {
-                assert!(matches!(e, Error::Cancelled), "got {e:?}");
-                assert_clean_after_error(&db, parallelism, "concurrent cancel");
-            }
+    let mut db = scenario_db();
+    let handle = db.cancel_handle();
+    let canceller = std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_millis(3));
+        handle.cancel();
+    });
+    match db.execute(JOIN_SQL) {
+        // The query may legitimately finish before the cancel lands.
+        Ok(rs) => assert_eq!(rs.rows().len(), 20_000),
+        Err(e) => {
+            assert!(matches!(e, Error::Cancelled), "got {e:?}");
+            assert_clean_after_error(&db, "concurrent cancel");
         }
-        canceller.join().unwrap();
-        db.cancel_handle().reset();
-        let rs = db.execute("SELECT k FROM dim ORDER BY k LIMIT 5").unwrap();
-        assert_eq!(rs.rows().len(), 5);
-        assert_clean_after_error(&db, parallelism, "after concurrent cancel");
     }
+    canceller.join().unwrap();
+    db.cancel_handle().reset();
+    let rs = db.execute("SELECT k FROM dim ORDER BY k LIMIT 5").unwrap();
+    assert_eq!(rs.rows().len(), 5);
+    assert_clean_after_error(&db, "after concurrent cancel");
 }
 
 /// The ledger balances: whatever way a gate-shaped query ends — its groups
@@ -255,32 +233,29 @@ fn ledger_balances_however_a_gate_query_ends() {
                    JOIN dim d ON d.k = (b.k & 63) GROUP BY b.k) \
                    SELECT k, t, 100 / (k - 777) AS q FROM t";
     for limit in [None, Some(2 * 1024 * 1024)] {
-        for parallelism in [1usize, 2] {
-            let what = format!("limit {limit:?}, p={parallelism}");
-            let mut db = scenario_db_within(limit, parallelism);
-            let held = db.budget().used();
-            assert_eq!(held, db.table_bytes(), "{what}: before any query");
+        let what = format!("limit {limit:?}");
+        let mut db = scenario_db_within(limit);
+        let held = db.budget().used();
+        assert_eq!(held, db.table_bytes(), "{what}: before any query");
 
-            assert_eq!(db.execute(JOIN_SQL).unwrap().rows().len(), 20_000, "{what}");
-            assert_eq!(db.stats().spill_files > 0, limit.is_some(), "{what}: spilled");
-            assert_eq!(db.budget().used(), held, "{what}: after success");
-            let polls = db.last_query_context().polls();
+        assert_eq!(db.execute(JOIN_SQL).unwrap().rows().len(), 20_000, "{what}");
+        assert_eq!(db.stats().spill_files > 0, limit.is_some(), "{what}: spilled");
+        assert_eq!(db.budget().used(), held, "{what}: after success");
+        let polls = db.last_query_context().polls();
 
-            let err = db.execute(failing).unwrap_err();
-            assert!(matches!(err, Error::Eval(_)), "{what}: got {err:?}");
-            assert_eq!(db.budget().used(), held, "{what}: after an evaluation error");
+        let err = db.execute(failing).unwrap_err();
+        assert!(matches!(err, Error::Eval(_)), "{what}: got {err:?}");
+        assert_eq!(db.budget().used(), held, "{what}: after an evaluation error");
 
-            for at in (1..=polls).step_by((polls as usize / 16).max(1)) {
-                db.arm_cancel_after_polls(Some(at));
-                if let Err(err) = db.execute(JOIN_SQL) {
-                    assert!(matches!(err, Error::Cancelled), "{what}: got {err:?}");
-                }
-                assert_eq!(db.budget().used(), held, "{what}: cancel at poll {at}/{polls}");
-                assert_eq!(db.live_spill_files(), 0, "{what}: cancel at poll {at}/{polls}");
-            }
-            db.arm_cancel_after_polls(None);
-            assert_eq!(db.execute(JOIN_SQL).unwrap().rows().len(), 20_000, "{what}: retry");
-            assert_eq!(db.budget().used(), held, "{what}: after the retry");
+        for at in (1..=polls).step_by((polls as usize / 16).max(1)) {
+            db.arm_cancel_after_polls(Some(at));
+            let err = db.execute(JOIN_SQL).unwrap_err();
+            assert!(matches!(err, Error::Cancelled), "{what}: got {err:?}");
+            assert_eq!(db.budget().used(), held, "{what}: cancel at poll {at}/{polls}");
+            assert_eq!(db.live_spill_files(), 0, "{what}: cancel at poll {at}/{polls}");
         }
+        db.arm_cancel_after_polls(None);
+        assert_eq!(db.execute(JOIN_SQL).unwrap().rows().len(), 20_000, "{what}: retry");
+        assert_eq!(db.budget().used(), held, "{what}: after the retry");
     }
 }

@@ -20,9 +20,8 @@ use qymera_sqldb::{Database, DurabilityOptions, Error, Value};
 /// A memory-limited database whose `big` table (60k rows) fits the budget
 /// but whose sorts and wide aggregations do not — every scenario query
 /// below is forced through the spill paths.
-fn scenario_db(parallelism: usize) -> Database {
+fn scenario_db() -> Database {
     let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-    db.set_parallelism(parallelism);
     db.execute("CREATE TABLE big (k INTEGER, v DOUBLE)").unwrap();
     let rows: Vec<Vec<Value>> = (0..60_000)
         .map(|i| vec![Value::Int((i * 7919) % 20_000), Value::Float((i % 97) as f64 / 8.0)])
@@ -81,33 +80,19 @@ fn assert_clean_failure_then_recovery(
 
 #[test]
 fn spill_write_failure_is_clean_on_every_operator() {
-    for parallelism in [1usize, 4] {
-        for sql in [SORT_SQL, AGG_SQL, JOIN_SQL] {
-            let mut db = scenario_db(parallelism);
-            assert_clean_failure_then_recovery(
-                &mut db,
-                sql,
-                FaultSite::SpillWrite,
-                1,
-                FaultKind::Error,
-            );
-        }
+    for sql in [SORT_SQL, AGG_SQL, JOIN_SQL] {
+        let mut db = scenario_db();
+        let (site, kind) = (FaultSite::SpillWrite, FaultKind::Error);
+        assert_clean_failure_then_recovery(&mut db, sql, site, 1, kind);
     }
 }
 
 #[test]
 fn spill_read_failure_is_clean_on_every_operator() {
-    for parallelism in [1usize, 4] {
-        for sql in [SORT_SQL, AGG_SQL, JOIN_SQL] {
-            let mut db = scenario_db(parallelism);
-            assert_clean_failure_then_recovery(
-                &mut db,
-                sql,
-                FaultSite::SpillRead,
-                1,
-                FaultKind::Error,
-            );
-        }
+    for sql in [SORT_SQL, AGG_SQL, JOIN_SQL] {
+        let mut db = scenario_db();
+        let (site, kind) = (FaultSite::SpillRead, FaultKind::Error);
+        assert_clean_failure_then_recovery(&mut db, sql, site, 1, kind);
     }
 }
 
@@ -116,18 +101,11 @@ fn spill_read_failure_is_clean_on_every_operator() {
 /// half-written file is removed with the rest of the run.
 #[test]
 fn torn_spill_write_is_clean() {
-    for parallelism in [1usize, 4] {
-        // A sort run's row chunk, and a block of the aggregate's fast table.
-        for sql in [SORT_SQL, AGG_SQL] {
-            let mut db = scenario_db(parallelism);
-            assert_clean_failure_then_recovery(
-                &mut db,
-                sql,
-                FaultSite::SpillWrite,
-                3,
-                FaultKind::Torn,
-            );
-        }
+    // A sort run's row chunk, and a block of the aggregate's fast table.
+    for sql in [SORT_SQL, AGG_SQL] {
+        let mut db = scenario_db();
+        let (site, kind) = (FaultSite::SpillWrite, FaultKind::Torn);
+        assert_clean_failure_then_recovery(&mut db, sql, site, 3, kind);
     }
 }
 
@@ -138,22 +116,13 @@ fn torn_spill_write_is_clean() {
 #[test]
 fn midstream_spill_write_failure_is_clean() {
     for sql in [SORT_SQL, AGG_SQL] {
-        let ops = {
-            let mut db = scenario_db(1);
-            db.execute(sql).unwrap();
-            db.fault_injector().ops(FaultSite::SpillWrite)
-        };
+        let mut db = scenario_db();
+        db.execute(sql).unwrap();
+        let ops = db.fault_injector().ops(FaultSite::SpillWrite);
         assert!(ops > 4, "did not spill enough to test midstream failure: {sql}");
-        for parallelism in [1usize, 4] {
-            let mut db = scenario_db(parallelism);
-            assert_clean_failure_then_recovery(
-                &mut db,
-                sql,
-                FaultSite::SpillWrite,
-                ops / 2,
-                FaultKind::Error,
-            );
-        }
+        let mut db = scenario_db();
+        let (site, kind) = (FaultSite::SpillWrite, FaultKind::Error);
+        assert_clean_failure_then_recovery(&mut db, sql, site, ops / 2, kind);
     }
 }
 
@@ -161,29 +130,20 @@ fn midstream_spill_write_failure_is_clean() {
 /// first chunk, so the merge table holds groups and readers are open.
 #[test]
 fn midstream_spill_read_failure_is_clean() {
-    let ops = {
-        let mut db = scenario_db(1);
-        db.execute(AGG_SQL).unwrap();
-        db.fault_injector().ops(FaultSite::SpillRead)
-    };
+    let mut db = scenario_db();
+    db.execute(AGG_SQL).unwrap();
+    let ops = db.fault_injector().ops(FaultSite::SpillRead);
     assert!(ops > 4, "aggregate did not read enough chunks back: {ops}");
-    for parallelism in [1usize, 4] {
-        let mut db = scenario_db(parallelism);
-        assert_clean_failure_then_recovery(
-            &mut db,
-            AGG_SQL,
-            FaultSite::SpillRead,
-            ops / 2,
-            FaultKind::Error,
-        );
-    }
+    let mut db = scenario_db();
+    let (site, kind) = (FaultSite::SpillRead, FaultKind::Error);
+    assert_clean_failure_then_recovery(&mut db, AGG_SQL, site, ops / 2, kind);
 }
 
 /// Seeded random faulting as a soak: whatever fails, the invariants hold
 /// and the database stays usable once the schedule is disarmed.
 #[test]
 fn seeded_fault_soak_preserves_invariants() {
-    let mut db = scenario_db(4);
+    let mut db = scenario_db();
     db.fault_injector().arm_seeded(0xDEAD_BEEF, 64, FaultKind::Error);
     for _ in 0..8 {
         match db.execute(AGG_SQL) {

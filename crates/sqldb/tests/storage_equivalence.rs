@@ -52,8 +52,7 @@ const PROBES: &[&str] = &[
 ];
 
 /// Randomized insert/delete interleaving: after every mutation, every probe
-/// query must agree between the reference, the sequential executor and the
-/// parallel executor.
+/// query must agree between the reference and the executor.
 #[test]
 fn randomized_mutations_equivalent_across_paths() {
     for seed in 0..3u64 {
@@ -79,11 +78,8 @@ fn randomized_mutations_equivalent_across_paths() {
             }
             for sql in PROBES {
                 let want = sorted_rows(&db.query_reference(sql).unwrap());
-                for workers in [1, 4] {
-                    db.set_parallelism(workers);
-                    let got = db.execute(sql).unwrap();
-                    assert_eq!(sorted_rows(&got), want, "seed {seed}, batch({workers}): {sql}");
-                }
+                let got = db.execute(sql).unwrap();
+                assert_eq!(sorted_rows(&got), want, "seed {seed}: {sql}");
             }
             let counted = db.query_reference("SELECT COUNT(*) FROM t").unwrap();
             assert_eq!(
@@ -214,8 +210,8 @@ fn table_mutated_between_scans_stays_consistent() {
     }
 }
 
-/// The gate-shaped join + group-by forced out of core: the executor spills,
-/// sequentially and in parallel, and agrees exactly with the reference.
+/// The gate-shaped join + group-by forced out of core: the executor spills
+/// and agrees exactly with the reference.
 #[test]
 fn spill_paths_agree_on_gate_query() {
     let mut rng = StdRng::seed_from_u64(9);
@@ -233,25 +229,18 @@ fn spill_paths_agree_on_gate_query() {
                SUM((T0.r * H.r) - (T0.i * H.i)) AS r \
                FROM T0 JOIN H ON H.in_s = (T0.s & 1) \
                GROUP BY ((T0.s & ~1) | H.out_s) ORDER BY s";
-    let run = |parallelism: usize| {
-        let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-        db.set_parallelism(parallelism);
-        db.execute("CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
-        db.insert_rows("T0", state.clone()).unwrap();
-        db.execute("CREATE TABLE H (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)")
-            .unwrap();
-        db.execute(&format!(
-            "INSERT INTO H VALUES (0,0,{h},0.0),(0,1,{h},0.0),(1,0,{h},0.0),(1,1,{},0.0)",
-            -h
-        ))
-        .unwrap();
-        let rs = db.execute(sql).unwrap();
-        assert!(db.stats().spill_files > 0, "batch({parallelism}) expected to spill");
-        (rs.into_rows(), db.query_reference(sql).unwrap().into_rows())
-    };
-    let (batch, reference) = run(1);
-    assert_eq!(batch, reference);
-    assert_eq!(run(4).0, reference);
+    let mut db = Database::with_memory_limit(2 * 1024 * 1024);
+    db.execute("CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+    db.insert_rows("T0", state).unwrap();
+    db.execute("CREATE TABLE H (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+    db.execute(&format!(
+        "INSERT INTO H VALUES (0,0,{h},0.0),(0,1,{h},0.0),(1,0,{h},0.0),(1,1,{},0.0)",
+        -h
+    ))
+    .unwrap();
+    let batch = db.execute(sql).unwrap().into_rows();
+    assert!(db.stats().spill_files > 0, "expected to spill");
+    assert_eq!(batch, db.query_reference(sql).unwrap().into_rows());
 }
 
 // ---------------------------------------------------------------------------

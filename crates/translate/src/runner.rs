@@ -51,10 +51,8 @@ pub struct SqlSimConfig {
     /// Engine memory budget in bytes (tables + operators); `None` unlimited.
     /// This is what the paper's 2.0 GB experiment constrains.
     pub memory_limit: Option<usize>,
-    /// Worker threads for the engine's morsel-parallel batch execution.
-    /// `None` keeps the engine default (1, or the `QYMERA_PARALLELISM`
-    /// environment variable); `Some(n)` with `n > 1` opts into the worker
-    /// pool.
+    /// Accepted and ignored: statements run on the caller's thread; kept
+    /// only until perfbench stops calling it.
     pub parallelism: Option<usize>,
     /// Open the engine on a persistent on-disk database at this directory
     /// (write-ahead logged, checkpointed, crash-recoverable) instead of the
@@ -173,9 +171,6 @@ impl SqlSimulator {
                 None => Database::new(),
             },
         };
-        if let Some(n) = self.config.parallelism {
-            db.set_parallelism(n);
-        }
         db.set_statement_timeout_ms(self.config.timeout_ms);
         if let Some(handle) = &self.config.cancel {
             db.set_cancel_handle(handle.clone());

@@ -107,16 +107,14 @@ fn sql_succeeds_where_in_memory_backends_fail() {
 }
 
 /// Out-of-core runs repeat exactly: the spill counters, the ledger's peak
-/// and every amplitude bit are functions of the circuit and the limit (at
-/// one worker; the order workers finish in is not). Until the spill merge
-/// kept first-seen order, `spill_bytes` of this run moved between 949,760
-/// and 1,003,520 from one run to the next.
+/// and every amplitude bit are functions of the circuit and the limit.
+/// Until the spill merge kept first-seen order, `spill_bytes` of this run
+/// moved between 949,760 and 1,003,520 from one run to the next.
 #[test]
 fn out_of_core_runs_are_deterministic_at_one_worker() {
     let circuit = library::bernstein_vazirani(12, 1234);
     let sim = SqlSimulator::new(SqlSimConfig {
         memory_limit: Some(2 * 1024 * 1024),
-        parallelism: Some(1),
         ..Default::default()
     });
     let observe = || {
