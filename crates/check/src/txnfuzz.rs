@@ -3,51 +3,37 @@
 //! transaction-scoped WAL, and fault/cancellation composition.
 //!
 //! Each case derives a full scenario from one seed — durable (WAL) vs.
-//! in-memory engine, one session or two interleaved sessions, and a script
-//! of `BEGIN` / DML / DDL / `SAVEPOINT` / `ROLLBACK TO` / `ROLLBACK` /
-//! `COMMIT` / checkpoint actions with seeded poll-armed cancellations and
-//! (debug builds) injected WAL faults riding along. Every rollback is a
-//! logical `Abort` / `RollbackSp` record in the log, and interleaving puts
-//! those records inside other sessions' open frames.
-//!
-//! Interleaved sessions write only their own table but **read each
-//! other's** (shared locks). The script is one thread, so a lock wait can
-//! only time out: the runner models which table locks each open
-//! transaction holds and expects a typed lock error — and the waiter's
-//! transaction aborted — exactly when the model says the request
-//! conflicts. A slice of the interleaved cases opens with a fixed
-//! [`Prologue`] that places one session's rollback or commit at a chosen
-//! point of the other's savepoint scope — the orderings behind the two
-//! stale-savepoint data losses — before the seeded script takes over.
+//! in-memory engine, and a script of `BEGIN` / DML / DDL / `SAVEPOINT` /
+//! `ROLLBACK TO` / `ROLLBACK` / `COMMIT` / checkpoint actions with seeded
+//! poll-armed cancellations and (debug builds) injected WAL faults riding
+//! along, run on one `Database` (one session). Every rollback is a logical
+//! `Abort` / `RollbackSp` record in the log, and a checkpoint inside the
+//! open transaction takes the keep-tail path.
 //!
 //! The case checks the ACID contract:
 //!
 //! 1. a **shadow** in-memory database applies each transaction's
 //!    statements only at its `COMMIT` — after the script the live state
-//!    must equal the shadow exactly (atomicity + isolation of rollback);
+//!    must equal the shadow exactly (atomicity of rollback);
 //! 2. any statement failure inside a transaction (cancellation, injected
-//!    fault, lock timeout) aborts the whole transaction with a *typed*
-//!    error, and the live state still matches the shadow;
-//! 3. a read of the other session's table returns exactly the shadow's
-//!    committed rows (strict 2PL: no dirty reads);
-//! 4. the memory ledger holds exactly the base tables and the spill
-//!    directory is empty once every transaction resolves;
-//! 5. for durable engines, a simulated crash (snapshot of the WAL +
+//!    fault) aborts the whole transaction with a *typed* error, and the
+//!    live state still matches the shadow;
+//! 3. the memory ledger holds exactly the base tables and the spill
+//!    directory is empty once the transaction resolves;
+//! 4. for durable engines, a simulated crash (snapshot of the WAL +
 //!    checkpoint files) recovers exactly the committed state — an
 //!    in-flight transaction at the crash point leaves zero trace;
-//! 6. for durable engines, truncating the WAL snapshot at seeded byte
+//! 5. for durable engines, truncating the WAL snapshot at seeded byte
 //!    offsets (kill points) always recovers one of the committed-prefix
 //!    states observed at the script's commit boundaries.
 //!
 //! Everything reproduces from the one `u64` seed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use qymera_sqldb::storage::wal::{CHECKPOINT_FILE, WAL_FILE};
-use qymera_sqldb::{
-    Database, DurabilityOptions, Error, FsyncPolicy, ResultSet, Session, SharedDb,
-};
+use qymera_sqldb::{Database, DurabilityOptions, Error, FsyncPolicy};
 
 use crate::generator::CaseRng;
 use crate::oracle::Discrepancy;
@@ -56,24 +42,6 @@ use crate::oracle::Discrepancy;
 /// loops.
 const TXN_SALT: u64 = 0xAC1D_7861_AC1D_7861;
 
-/// Bounded lock wait during a case. The script is single-threaded, so a
-/// blocked request can never be granted: waiting longer only costs time.
-const LOCK_TIMEOUT_MS: u64 = 1;
-
-/// A fixed opening that interleaves the two sessions at a chosen point of
-/// session 0's savepoint scope, run before the seeded script.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Prologue {
-    /// No opening: the seeded script from the first step.
-    None,
-    /// Session 1 opens a frame on the log's tail and rolls it back between
-    /// session 0's `SAVEPOINT` and its `ROLLBACK TO`.
-    ForeignAbort,
-    /// Session 1 commits a whole frame between session 0's `BEGIN` and its
-    /// `SAVEPOINT`.
-    ForeignCommit,
-}
-
 /// The seed-derived scenario (exposed for failure reports).
 #[derive(Debug, Clone)]
 pub struct TxnCase {
@@ -81,11 +49,6 @@ pub struct TxnCase {
     pub seed: u64,
     /// Durable (WAL) engine vs. in-memory.
     pub durable: bool,
-    /// Two interleaved sessions (own-table writes, shared reads of the
-    /// other's table) vs. one session.
-    pub interleaved: bool,
-    /// Fixed opening before the seeded script (interleaved cases only).
-    pub prologue: Prologue,
     /// Script length in actions.
     pub steps: usize,
 }
@@ -97,14 +60,8 @@ impl TxnCase {
         // Durable engines are the point of the exercise; keep a slice
         // of in-memory cases for the pure rollback machinery.
         let durable = !rng.chance(1, 4);
-        let interleaved = rng.chance(1, 2);
         let steps = 30 + rng.below(30) as usize;
-        let prologue = match rng.below(4) {
-            0 if interleaved => Prologue::ForeignAbort,
-            1 if interleaved => Prologue::ForeignCommit,
-            _ => Prologue::None,
-        };
-        TxnCase { seed, durable, interleaved, prologue, steps }
+        TxnCase { seed, durable, steps }
     }
 }
 
@@ -114,12 +71,9 @@ fn scratch_dir(seed: u64) -> PathBuf {
 
 type Dump = Vec<(String, Vec<String>)>;
 
-fn fmt_rows(rs: &ResultSet) -> Vec<String> {
-    rs.rows().iter().map(|r| format!("{r:?}")).collect()
-}
-
 fn rows_of(db: &mut Database, sql: &str) -> Vec<String> {
-    fmt_rows(&db.execute(sql).expect("dump query"))
+    let rs = db.execute(sql).expect("dump query");
+    rs.rows().iter().map(|r| format!("{r:?}")).collect()
 }
 
 /// Deterministic dump: every table's name and rows, both sorted.
@@ -137,39 +91,27 @@ fn dump(db: &mut Database) -> Dump {
 }
 
 /// What one scripted statement does to the shadow (for rewinding the
-/// pending set at savepoints and computing the visible-table model).
+/// pending set at savepoints and computing the visible tables).
 #[derive(Debug, Clone)]
 enum Effect {
     Dml,
     Create(String),
     Drop(String),
-    /// A query: nothing to replay, its result is checked on the spot.
-    Read,
 }
 
-/// One generated statement with the table lock it takes.
-struct Stmt {
-    sql: String,
-    effect: Effect,
-    table: String,
-    exclusive: bool,
-}
-
-/// Per-session script state: the open transaction's pending statements
-/// (applied to the shadow only at `COMMIT`), its savepoint marks, and the
-/// table locks it holds (table → exclusive), kept until it resolves.
+/// Script state of the open transaction: its pending statements (applied
+/// to the shadow only at `COMMIT`) and its savepoint marks.
 #[derive(Default)]
 struct ScriptTxn {
     open: bool,
     pending: Vec<(String, Effect)>,
     savepoints: Vec<(String, usize)>,
     sp_counter: usize,
-    held: BTreeMap<String, bool>,
 }
 
-/// Tables this session may run DML against right now: the shadow's
+/// Tables the script may run DML against right now: the shadow's
 /// committed tables, adjusted by the pending creates/drops.
-fn visible(shadow: &Database, txn: &ScriptTxn, own: Option<&str>) -> Vec<String> {
+fn visible(shadow: &Database, txn: &ScriptTxn) -> Vec<String> {
     let mut set: BTreeSet<String> = shadow.table_names().into_iter().collect();
     for (_, eff) in &txn.pending {
         match eff {
@@ -179,20 +121,15 @@ fn visible(shadow: &Database, txn: &ScriptTxn, own: Option<&str>) -> Vec<String>
             Effect::Drop(n) => {
                 set.remove(n);
             }
-            Effect::Dml | Effect::Read => {}
+            Effect::Dml => {}
         }
     }
-    match own {
-        // Interleaved sessions write only their own table.
-        Some(t) => set.into_iter().filter(|n| n.as_str() == t).collect(),
-        None => set.into_iter().collect(),
-    }
+    set.into_iter().collect()
 }
 
 struct Runner {
-    shared: SharedDb,
-    sessions: Vec<Session>,
-    txns: Vec<ScriptTxn>,
+    db: Database,
+    txn: ScriptTxn,
     shadow: Database,
     /// Shadow dumps at every commit boundary, in commit order — the set
     /// of states any kill point is allowed to recover.
@@ -211,16 +148,16 @@ impl Runner {
         Discrepancy {
             seed: self.case.seed,
             oracle: format!(
-                "txn[durable={} interleaved={} prologue={:?} steps={}]:{what}",
-                self.case.durable, self.case.interleaved, self.case.prologue, self.case.steps
+                "txn[durable={} steps={}]:{what}",
+                self.case.durable, self.case.steps
             ),
             detail,
         }
     }
 
-    fn trace(&self, i: usize, what: &str) {
+    fn trace(&self, what: &str) {
         if self.tracing {
-            eprintln!("TRACE step {} session {} : {what}", self.step, self.sessions[i].id());
+            eprintln!("TRACE step {} : {what}", self.step);
         }
     }
 
@@ -232,9 +169,9 @@ impl Runner {
     }
 
     /// Execute a statement that the script expects to succeed.
-    fn exec_ok(&mut self, i: usize, sql: &str) -> Result<(), Discrepancy> {
-        self.trace(i, sql);
-        match self.sessions[i].execute(sql) {
+    fn exec_ok(&mut self, sql: &str) -> Result<(), Discrepancy> {
+        self.trace(sql);
+        match self.db.execute(sql) {
             Ok(_) => Ok(()),
             Err(e) => {
                 Err(self.fail("script", format!("step {}: `{sql}` failed: {e}", self.step)))
@@ -242,182 +179,93 @@ impl Runner {
         }
     }
 
-    /// Session `i`'s own table in an interleaved case.
-    fn own_table(&self, i: usize) -> Option<String> {
-        self.case.interleaved.then(|| format!("t{i}"))
-    }
-
-    fn insert_into(&mut self, table: &str) -> Stmt {
-        let a = self.rng.range(-50, 50);
-        let b = self.rng.range(-50, 50);
-        Stmt {
-            sql: format!("INSERT INTO {table} VALUES ({a}), ({b})"),
-            effect: Effect::Dml,
-            table: table.to_string(),
-            exclusive: true,
-        }
-    }
-
-    /// Generate one statement for session `i`. `None` when no table is
-    /// visible and the dice said DML.
-    fn gen_stmt(&mut self, i: usize, ddl_ok: bool, reads_ok: bool) -> Option<Stmt> {
-        if reads_ok && self.case.interleaved && self.rng.chance(1, 5) {
-            let table = format!("t{}", 1 - i);
-            return Some(Stmt {
-                sql: format!("SELECT k FROM {table} ORDER BY k"),
-                effect: Effect::Read,
-                table,
-                exclusive: false,
-            });
-        }
-        let vis = visible(&self.shadow, &self.txns[i], self.own_table(i).as_deref());
+    /// Generate one statement. `None` when no table is visible and the
+    /// dice said DML.
+    fn gen_stmt(&mut self, ddl_ok: bool) -> Option<(String, Effect)> {
+        let vis = visible(&self.shadow, &self.txn);
         let roll = self.rng.below(10);
         if ddl_ok && roll == 9 {
             self.created += 1;
             let name = format!("x{}", self.created);
-            return Some(Stmt {
-                sql: format!("CREATE TABLE {name} (k INTEGER)"),
-                effect: Effect::Create(name.clone()),
-                table: name,
-                exclusive: true,
-            });
+            return Some((format!("CREATE TABLE {name} (k INTEGER)"), Effect::Create(name)));
         }
         if ddl_ok && roll == 8 && !vis.is_empty() {
             let name = self.rng.pick(&vis).clone();
-            return Some(Stmt {
-                sql: format!("DROP TABLE {name}"),
-                effect: Effect::Drop(name.clone()),
-                table: name,
-                exclusive: true,
-            });
+            return Some((format!("DROP TABLE {name}"), Effect::Drop(name)));
         }
         if vis.is_empty() {
             return None;
         }
         let table = self.rng.pick(&vis).clone();
         if roll < 6 {
-            Some(self.insert_into(&table))
+            let a = self.rng.range(-50, 50);
+            let b = self.rng.range(-50, 50);
+            Some((format!("INSERT INTO {table} VALUES ({a}), ({b})"), Effect::Dml))
         } else {
             let m = 2 + self.rng.below(5) as i64;
             let r = self.rng.range(0, m - 1);
-            Some(Stmt {
-                sql: format!("DELETE FROM {table} WHERE (k % {m} + {m}) % {m} = {r}"),
-                effect: Effect::Dml,
-                table,
-                exclusive: true,
-            })
+            let sql = format!("DELETE FROM {table} WHERE (k % {m} + {m}) % {m} = {r}");
+            Some((sql, Effect::Dml))
         }
     }
 
-    /// Whether another session's open transaction holds a lock that
-    /// `stmt`'s request conflicts with.
-    fn blocked(&self, i: usize, stmt: &Stmt) -> bool {
-        self.txns.iter().enumerate().any(|(j, t)| {
-            j != i && t.held.get(&stmt.table).is_some_and(|&theirs| theirs || stmt.exclusive)
-        })
-    }
-
-    /// Run one generated statement for session `i`, inside its open
-    /// transaction or auto-commit.
-    fn run_stmt(&mut self, i: usize, stmt: Stmt) -> Result<(), Discrepancy> {
-        if self.blocked(i, &stmt) {
-            // Nobody can release the lock while this thread waits: the
-            // request times out typed, and a waiter inside a transaction
-            // loses the whole transaction.
-            self.trace(i, &format!("LOCK-CONFLICT {}", stmt.sql));
-            match self.sessions[i].execute(&stmt.sql) {
-                Err(Error::LockTimeout { .. } | Error::Deadlock { .. }) => {}
-                other => {
-                    return Err(self.fail(
-                        "lock",
-                        format!("`{}` should have hit a held lock: {other:?}", stmt.sql),
-                    ))
-                }
-            }
-            if self.sessions[i].in_transaction() {
-                return Err(self.fail("lock", "lock failure left the txn open".into()));
-            }
-            self.txns[i] = ScriptTxn::default();
-            return Ok(());
-        }
-        let is_read = matches!(stmt.effect, Effect::Read);
-        if is_read {
-            // The writer's exclusive lock would have blocked this read, so
-            // the table holds committed rows only — the shadow's.
-            self.trace(i, &stmt.sql);
-            let got = match self.sessions[i].execute(&stmt.sql) {
-                Ok(rs) => fmt_rows(&rs),
-                Err(e) => {
-                    return Err(self.fail("script", format!("`{}` failed: {e}", stmt.sql)))
-                }
-            };
-            let want = rows_of(&mut self.shadow, &stmt.sql);
-            if got != want {
-                return Err(self.fail(
-                    "isolation",
-                    format!("`{}` saw {got:?}, committed state is {want:?}", stmt.sql),
-                ));
-            }
+    /// Run one generated statement, inside the open transaction or
+    /// auto-commit.
+    fn run_stmt(&mut self, (sql, effect): (String, Effect)) -> Result<(), Discrepancy> {
+        self.exec_ok(&sql)?;
+        if self.txn.open {
+            self.txn.pending.push((sql, effect));
         } else {
-            self.exec_ok(i, &stmt.sql)?;
-        }
-        if self.txns[i].open {
-            *self.txns[i].held.entry(stmt.table).or_insert(false) |= stmt.exclusive;
-            if !is_read {
-                self.txns[i].pending.push((stmt.sql, stmt.effect));
-            }
-        } else if !is_read {
-            if let Err(e) = self.shadow.execute(&stmt.sql) {
-                return Err(self.fail("shadow", format!("auto-commit `{}`: {e}", stmt.sql)));
+            if let Err(e) = self.shadow.execute(&sql) {
+                return Err(self.fail("shadow", format!("auto-commit `{sql}`: {e}")));
             }
             self.snap();
         }
         Ok(())
     }
 
-    fn begin(&mut self, i: usize) -> Result<(), Discrepancy> {
-        self.exec_ok(i, "BEGIN")?;
-        self.txns[i].open = true;
+    fn begin(&mut self) -> Result<(), Discrepancy> {
+        self.exec_ok("BEGIN")?;
+        self.txn.open = true;
         Ok(())
     }
 
-    fn savepoint(&mut self, i: usize) -> Result<(), Discrepancy> {
-        self.txns[i].sp_counter += 1;
-        let name = format!("sp{}", self.txns[i].sp_counter);
-        self.exec_ok(i, &format!("SAVEPOINT {name}"))?;
-        let depth = self.txns[i].pending.len();
-        self.txns[i].savepoints.push((name, depth));
+    fn savepoint(&mut self) -> Result<(), Discrepancy> {
+        self.txn.sp_counter += 1;
+        let name = format!("sp{}", self.txn.sp_counter);
+        self.exec_ok(&format!("SAVEPOINT {name}"))?;
+        let depth = self.txn.pending.len();
+        self.txn.savepoints.push((name, depth));
         Ok(())
     }
 
-    /// `ROLLBACK TO` session `i`'s `idx`-th active savepoint. Locks stay.
-    fn rollback_to(&mut self, i: usize, idx: usize) -> Result<(), Discrepancy> {
-        let (name, depth) = self.txns[i].savepoints[idx].clone();
-        self.exec_ok(i, &format!("ROLLBACK TO {name}"))?;
-        self.txns[i].pending.truncate(depth);
-        self.txns[i].savepoints.truncate(idx + 1);
+    /// `ROLLBACK TO` the `idx`-th active savepoint.
+    fn rollback_to(&mut self, idx: usize) -> Result<(), Discrepancy> {
+        let (name, depth) = self.txn.savepoints[idx].clone();
+        self.exec_ok(&format!("ROLLBACK TO {name}"))?;
+        self.txn.pending.truncate(depth);
+        self.txn.savepoints.truncate(idx + 1);
         Ok(())
     }
 
-    fn rollback(&mut self, i: usize) -> Result<(), Discrepancy> {
-        self.exec_ok(i, "ROLLBACK")?;
-        self.txns[i] = ScriptTxn::default();
+    fn rollback(&mut self) -> Result<(), Discrepancy> {
+        self.exec_ok("ROLLBACK")?;
+        self.txn = ScriptTxn::default();
         Ok(())
     }
 
-    /// `COMMIT` session `i`'s transaction and, if the engine accepted it,
-    /// replay its pending statements into the shadow and snapshot the new
-    /// committed state. A refusal with an accepted typed abort (an injected
-    /// fault at the frame fsync, or the log was crash-repaired while the
-    /// transaction was open — a repair in one session dooms the frames of
-    /// every other open transaction) drops the pending statements instead.
-    fn commit(&mut self, i: usize) -> Result<(), Discrepancy> {
-        self.trace(i, "COMMIT");
-        let txn = std::mem::take(&mut self.txns[i]);
-        match self.sessions[i].execute("COMMIT") {
+    /// `COMMIT` the transaction and, if the engine accepted it, replay its
+    /// pending statements into the shadow and snapshot the new committed
+    /// state. A refusal with an accepted typed abort (an injected fault at
+    /// the frame fsync, or the log was crash-repaired while the transaction
+    /// was open) drops the pending statements instead.
+    fn commit(&mut self) -> Result<(), Discrepancy> {
+        self.trace("COMMIT");
+        let txn = std::mem::take(&mut self.txn);
+        match self.db.execute("COMMIT") {
             Ok(_) => {}
             Err(Error::Io(ref m)) if m.contains("injected") || m.contains("repaired") => {
-                if self.sessions[i].in_transaction() {
+                if self.db.in_transaction() {
                     return Err(self.fail(
                         "commit",
                         format!("step {}: refused COMMIT left the txn open ({m})", self.step),
@@ -440,6 +288,17 @@ impl Runner {
         }
         self.snap();
         Ok(())
+    }
+
+    /// Durable engines: an engine-level checkpoint. With the transaction's
+    /// frame open this takes the keep-tail path, so a crash right after it
+    /// must still recover exactly the committed state.
+    fn checkpoint(&mut self) -> Result<(), Discrepancy> {
+        if !self.case.durable {
+            return Ok(());
+        }
+        self.trace("CHECKPOINT");
+        self.db.checkpoint().map_err(|e| self.fail("checkpoint", format!("{e}")))
     }
 
     /// Durable engines: a point-in-time copy of the WAL + checkpoint files
@@ -468,75 +327,22 @@ impl Runner {
         Ok(())
     }
 
-    /// The case's fixed opening (see [`Prologue`]).
-    fn prologue(&mut self) -> Result<(), Discrepancy> {
-        let insert = |r: &mut Self, i: usize| {
-            let stmt = r.insert_into(&format!("t{i}"));
-            r.run_stmt(i, stmt)
-        };
-        match self.case.prologue {
-            Prologue::None => return Ok(()),
-            Prologue::ForeignAbort => {
-                self.begin(0)?;
-                insert(self, 0)?;
-                // Auto-commit: the committed boundary moves past session
-                // 0's bytes, so session 1's next frame is alone on the tail.
-                insert(self, 1)?;
-                self.begin(1)?;
-                insert(self, 1)?;
-                self.savepoint(0)?;
-                self.rollback(1)?;
-            }
-            Prologue::ForeignCommit => {
-                self.begin(0)?;
-                insert(self, 0)?;
-                self.begin(1)?;
-                insert(self, 1)?;
-                self.commit(1)?;
-                self.savepoint(0)?;
-            }
-        }
-        // Session 0 logs past wherever session 1's bytes were, rewinds to
-        // the savepoint, and commits; one more commit lands behind it.
-        for _ in 0..1 + self.rng.below(12) {
-            insert(self, 0)?;
-        }
-        self.rollback_to(0, 0)?;
-        insert(self, 0)?;
-        self.commit(0)?;
-        insert(self, 1)
-    }
-
-    /// One seeded script action for a randomly chosen session.
-    fn random_step(&mut self) -> Result<(), Discrepancy> {
-        let i = if self.case.interleaved { self.rng.below(2) as usize } else { 0 };
-        // Interleaved sessions skip DDL: catalog changes would couple
-        // their lock footprints beyond what the lock model tracks.
-        let ddl_ok = !self.case.interleaved;
-
-        if !self.txns[i].open {
+    /// One seeded script action.
+    fn random_step(&mut self, dir: &Path) -> Result<(), Discrepancy> {
+        if !self.txn.open {
             match self.rng.below(10) {
-                0..=3 => self.begin(i)?,
+                0..=3 => self.begin()?,
                 4..=7 => {
-                    if let Some(stmt) = self.gen_stmt(i, ddl_ok, true) {
-                        self.run_stmt(i, stmt)?;
+                    if let Some(stmt) = self.gen_stmt(true) {
+                        self.run_stmt(stmt)?;
                     }
                 }
-                8 => {
-                    if self.case.durable {
-                        self.trace(i, "CHECKPOINT");
-                        // Engine-level checkpoint; with an open frame in
-                        // the other session this takes the keep-tail path.
-                        self.shared
-                            .with(|db| db.checkpoint())
-                            .map_err(|e| self.fail("checkpoint", format!("{e}")))?;
-                    }
-                }
+                8 => self.checkpoint()?,
                 _ => {
                     // Bookkeeping misuse outside a transaction: typed plan
                     // error, nothing changes.
                     let sql = *self.rng.pick(&["COMMIT", "ROLLBACK", "SAVEPOINT ghost"]);
-                    match self.sessions[i].execute(sql) {
+                    match self.db.execute(sql) {
                         Err(Error::Plan(_)) => {}
                         other => {
                             return Err(self.fail(
@@ -551,17 +357,17 @@ impl Runner {
         }
 
         // Inside an open transaction.
-        match self.rng.below(20) {
+        match self.rng.below(21) {
             0..=9 => {
-                if let Some(stmt) = self.gen_stmt(i, ddl_ok, true) {
-                    self.run_stmt(i, stmt)?;
+                if let Some(stmt) = self.gen_stmt(true) {
+                    self.run_stmt(stmt)?;
                 }
             }
-            10 | 11 => self.savepoint(i)?,
+            10 | 11 => self.savepoint()?,
             12 | 13 => {
-                if self.txns[i].savepoints.is_empty() {
+                if self.txn.savepoints.is_empty() {
                     // Unknown savepoint: bookkeeping error, txn untouched.
-                    match self.sessions[i].execute("ROLLBACK TO nosuch") {
+                    match self.db.execute("ROLLBACK TO nosuch") {
                         Err(Error::Plan(_)) => {}
                         other => {
                             return Err(self.fail(
@@ -570,32 +376,27 @@ impl Runner {
                             ))
                         }
                     }
-                    if !self.sessions[i].in_transaction() {
+                    if !self.db.in_transaction() {
                         return Err(self.fail(
                             "bookkeeping",
                             "unknown savepoint aborted the transaction".into(),
                         ));
                     }
                 } else {
-                    let idx = self.rng.below(self.txns[i].savepoints.len() as u64) as usize;
-                    self.rollback_to(i, idx)?;
+                    let idx = self.rng.below(self.txn.savepoints.len() as u64) as usize;
+                    self.rollback_to(idx)?;
                 }
             }
-            14 | 15 => self.rollback(i)?,
-            16 | 17 => self.commit(i)?,
+            14 | 15 => self.rollback()?,
+            16 | 17 => self.commit()?,
             18 => {
                 // Poll-armed cancellation of the next statement: the
                 // statement fails typed and the WHOLE transaction aborts.
-                // (A request the lock model says would block never reaches
-                // the engine's polls, so it is not a cancellation case.)
-                let Some(stmt) = self.gen_stmt(i, false, false) else { return Ok(()) };
-                if self.blocked(i, &stmt) {
-                    return Ok(());
-                }
-                self.trace(i, &format!("CANCEL-ARMED {}", stmt.sql));
-                self.shared.with(|db| db.arm_cancel_after_polls(Some(1)));
-                let got = self.sessions[i].execute(&stmt.sql);
-                self.shared.with(|db| db.arm_cancel_after_polls(None));
+                let Some((sql, _)) = self.gen_stmt(false) else { return Ok(()) };
+                self.trace(&format!("CANCEL-ARMED {sql}"));
+                self.db.arm_cancel_after_polls(Some(1));
+                let got = self.db.execute(&sql);
+                self.db.arm_cancel_after_polls(None);
                 match got {
                     Err(Error::Cancelled) => {}
                     other => {
@@ -604,14 +405,14 @@ impl Runner {
                         )
                     }
                 }
-                if self.sessions[i].in_transaction() {
+                if self.db.in_transaction() {
                     return Err(
                         self.fail("cancel", "cancelled statement left the txn open".into())
                     );
                 }
-                self.txns[i] = ScriptTxn::default();
+                self.txn = ScriptTxn::default();
             }
-            _ => {
+            19 => {
                 // Debug builds: an injected WAL fault at COMMIT. The
                 // commit either fails typed (frame fsync) and aborts, or
                 // succeeds because the (read-only / fully rewound) frame
@@ -620,11 +421,15 @@ impl Runner {
                     return Ok(());
                 }
                 use qymera_sqldb::storage::fault::{FaultKind, FaultSite};
-                let inj = self.shared.with(|db| std::sync::Arc::clone(db.fault_injector()));
+                let inj = std::sync::Arc::clone(self.db.fault_injector());
                 inj.arm_nth(Some(FaultSite::WalFsync), 1, FaultKind::Error);
-                let committed = self.commit(i);
+                let committed = self.commit();
                 inj.disarm();
                 committed?;
+            }
+            _ => {
+                self.checkpoint()?;
+                self.check_crash_recovery(dir)?;
             }
         }
         Ok(())
@@ -657,14 +462,10 @@ fn run_txn_case_inner(seed: u64) -> Result<(), Discrepancy> {
     } else {
         Database::new()
     };
-    db.lock_table().set_timeout_ms(LOCK_TIMEOUT_MS);
 
-    let shared = SharedDb::new(db);
-    let session_count = if case.interleaved { 2 } else { 1 };
     let mut r = Runner {
-        sessions: (0..session_count).map(|_| shared.session()).collect(),
-        txns: (0..session_count).map(|_| ScriptTxn::default()).collect(),
-        shared,
+        db,
+        txn: ScriptTxn::default(),
         shadow: Database::new(),
         states: Vec::new(),
         rng: CaseRng::new(seed ^ TXN_SALT ^ 0x7C),
@@ -674,24 +475,17 @@ fn run_txn_case_inner(seed: u64) -> Result<(), Discrepancy> {
         case,
     };
 
-    // Fixed base tables, created auto-commit (session i owns t{i}). A
-    // kill point may land inside the setup frames, so the empty state and
-    // every intermediate one are committed prefixes too.
+    // A fixed base table, created auto-commit. A kill point may land
+    // inside the setup frame, so the empty state is a committed prefix too.
     r.snap();
-    for i in 0..session_count {
-        let sql = format!("CREATE TABLE t{i} (k INTEGER)");
-        r.exec_ok(i, &sql)?;
-        r.shadow.execute(&sql).expect("shadow create");
-        r.snap();
-    }
+    let sql = "CREATE TABLE t0 (k INTEGER)";
+    r.exec_ok(sql)?;
+    r.shadow.execute(sql).expect("shadow create");
+    r.snap();
 
-    r.prologue()?;
-    // Checked here too: a checkpoint later in the script would paper over
-    // whatever the prologue did to the log.
-    r.check_crash_recovery(&dir)?;
     for step in 0..r.case.steps {
         r.step = step;
-        r.random_step()?;
+        r.random_step(&dir)?;
     }
     r.step = usize::MAX;
 
@@ -699,21 +493,18 @@ fn run_txn_case_inner(seed: u64) -> Result<(), Discrepancy> {
     // has its in-flight frame in the snapshot.
     r.check_crash_recovery(&dir)?;
 
-    // Resolve every open transaction (seeded commit vs. rollback), then
-    // the live state must equal the shadow.
-    for i in 0..session_count {
-        if !r.txns[i].open {
-            continue;
-        }
+    // Resolve the open transaction (seeded commit vs. rollback), then the
+    // live state must equal the shadow.
+    if r.txn.open {
         if r.rng.chance(1, 2) {
             // May be refused typed (e.g. the log was repaired under it),
             // in which case the engine already aborted.
-            r.commit(i)?;
+            r.commit()?;
         } else {
-            r.rollback(i)?;
+            r.rollback()?;
         }
     }
-    let live = r.shared.with(dump);
+    let live = dump(&mut r.db);
     let expected = dump(&mut r.shadow);
     if live != expected {
         return Err(r.fail(
@@ -723,9 +514,8 @@ fn run_txn_case_inner(seed: u64) -> Result<(), Discrepancy> {
     }
 
     // Ledger + spill cleanliness once everything resolved.
-    let (used, tables, spills) = r
-        .shared
-        .with(|db| (db.budget().used(), db.table_bytes(), db.live_spill_files()));
+    let (used, tables, spills) =
+        (r.db.budget().used(), r.db.table_bytes(), r.db.live_spill_files());
     if used != tables {
         return Err(r.fail("ledger", format!("used {used} != base tables {tables}")));
     }
@@ -804,43 +594,14 @@ mod tests {
             let a = TxnCase::generate(seed);
             let b = TxnCase::generate(seed);
             assert_eq!(a.durable, b.durable);
-            assert_eq!(a.interleaved, b.interleaved);
-            assert_eq!(a.prologue, b.prologue);
             assert_eq!(a.steps, b.steps);
         }
     }
 
     #[test]
-    fn case_space_covers_both_engines_both_shapes_and_every_prologue() {
-        let mut durable = std::collections::BTreeSet::new();
-        let mut shapes = std::collections::BTreeSet::new();
-        let mut durable_prologues = std::collections::BTreeSet::new();
-        for seed in 0..64 {
-            let c = TxnCase::generate(seed);
-            durable.insert(c.durable);
-            shapes.insert(c.interleaved);
-            assert!(c.interleaved || c.prologue == Prologue::None);
-            if c.durable {
-                durable_prologues.insert(c.prologue);
-            }
-        }
+    fn case_space_covers_both_engines() {
+        let durable: BTreeSet<bool> = (0..64).map(|seed| TxnCase::generate(seed).durable).collect();
         assert_eq!(durable.len(), 2);
-        assert_eq!(shapes.len(), 2);
-        assert_eq!(durable_prologues.len(), 3);
-    }
-
-    /// CI's `qymera-fuzz --txns 50` corpus at the default seed must keep
-    /// scheduling both deliberate interleavings against a durable engine.
-    #[test]
-    fn pinned_corpus_schedules_both_prologues_on_durable_engines() {
-        let count = |p: Prologue| {
-            (0..50u64)
-                .map(|i| TxnCase::generate(0xC0_FFEE + 0xAC1D + i))
-                .filter(|c| c.durable && c.prologue == p)
-                .count()
-        };
-        assert!(count(Prologue::ForeignAbort) >= 3, "{}", count(Prologue::ForeignAbort));
-        assert!(count(Prologue::ForeignCommit) >= 3, "{}", count(Prologue::ForeignCommit));
     }
 
     #[test]

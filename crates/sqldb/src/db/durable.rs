@@ -16,6 +16,7 @@ use crate::storage::fault::FaultInjector;
 use crate::storage::wal::{
     CkptSource, DurableStore, FsyncPolicy, Recovered, WalOp, DEFAULT_CHECKPOINT_BYTES,
 };
+use crate::table::Table;
 use crate::txn::UndoEntry;
 
 /// Configuration for [`Database::open_with`].
@@ -132,9 +133,9 @@ impl Database {
     /// Serialize the **committed** state of all tables into a new
     /// checkpoint image. Between transactions that is the live catalog and
     /// the WAL is truncated behind the image; while a transaction is open
-    /// the image is built from the transactions' undo stacks (each table's
-    /// pre-transaction state) and the WAL is kept so the in-flight frames
-    /// stay replayable. Errors with [`Error::Unsupported`] on an in-memory
+    /// the image is built from its undo stack (each table's
+    /// pre-transaction state) and the WAL is kept so the in-flight frame
+    /// stays replayable. Errors with [`Error::Unsupported`] on an in-memory
     /// database.
     pub fn checkpoint(&mut self) -> Result<()> {
         if self.durable.is_none() {
@@ -142,7 +143,7 @@ impl Database {
                 "checkpoint requires a database opened with a path".into(),
             ));
         }
-        let keep_wal = self.txns.values().any(|t| t.wal_txn.is_some());
+        let keep_wal = self.txn.as_ref().is_some_and(|t| t.wal_txn.is_some());
         let sources = self.committed_sources();
         let store = self.durable.as_mut().expect("checked above");
         store.checkpoint(&sources, keep_wal)
@@ -156,79 +157,51 @@ impl Database {
         self.durable.as_ref().is_some_and(DurableStore::is_poisoned)
     }
 
-    /// The committed view of every table, sorted by name: the live catalog,
-    /// overridden per table by the *first* undo entry any open transaction
-    /// holds for it (strict 2PL guarantees at most one transaction has
-    /// touched a given table).
+    /// The committed view of every table, sorted by name: the live catalog
+    /// with the open transaction's undo stack applied to it, newest entry
+    /// first, as a rollback would — but to snapshots, leaving the tables
+    /// alone.
     fn committed_sources(&self) -> Vec<CkptSource> {
-        enum View<'a> {
-            /// Mutated in-txn: the pre-transaction chunk snapshot.
-            Snapshot(&'a crate::table::TableUndo),
-            /// Created in-txn: absent from committed state.
-            Absent,
-            /// Dropped in-txn: the stashed table is the committed state.
-            Stashed(&'a crate::table::Table),
-        }
-        let mut views: HashMap<String, View> = HashMap::new();
-        for txn in self.txns.values() {
-            for entry in &txn.undo {
-                let (key, view) = match entry {
-                    UndoEntry::Mutated { table, undo } => {
-                        (table.to_ascii_lowercase(), View::Snapshot(undo))
+        let source = |t: &Table| CkptSource {
+            name: t.name().to_string(),
+            columns: t.columns().to_vec(),
+            rows: t.row_count(),
+            snapshot: t.snapshot(),
+        };
+        let mut views: HashMap<String, CkptSource> = self
+            .catalog
+            .tables_sorted()
+            .into_iter()
+            .map(|t| (t.name().to_ascii_lowercase(), source(t)))
+            .collect();
+        for entry in self.txn.iter().flat_map(|t| t.undo.iter()).rev() {
+            match entry {
+                UndoEntry::Mutated { table, undo } => {
+                    if let Some(view) = views.get_mut(&table.to_ascii_lowercase()) {
+                        view.rows = undo.rows();
+                        view.snapshot = undo.snapshot();
                     }
-                    UndoEntry::Created { name } => {
-                        (name.to_ascii_lowercase(), View::Absent)
-                    }
-                    UndoEntry::Dropped { table } => {
-                        (table.name().to_ascii_lowercase(), View::Stashed(table))
-                    }
-                };
-                // First touch wins: the oldest entry holds the state from
-                // before the transaction.
-                views.entry(key).or_insert(view);
+                }
+                UndoEntry::Created { name } => {
+                    views.remove(&name.to_ascii_lowercase());
+                }
+                UndoEntry::Dropped { table } => {
+                    views.insert(table.name().to_ascii_lowercase(), source(table));
+                }
             }
         }
-        let mut sources = Vec::new();
-        for t in self.catalog.tables_sorted() {
-            match views.get(&t.name().to_ascii_lowercase()) {
-                None => sources.push(CkptSource {
-                    name: t.name().to_string(),
-                    columns: t.columns().to_vec(),
-                    rows: t.row_count(),
-                    snapshot: t.snapshot(),
-                }),
-                Some(View::Snapshot(undo)) => sources.push(CkptSource {
-                    name: t.name().to_string(),
-                    columns: t.columns().to_vec(),
-                    rows: undo.rows(),
-                    snapshot: undo.snapshot(),
-                }),
-                // Created (or dropped-then-recreated) inside an open
-                // transaction: the live table is uncommitted.
-                Some(View::Absent) | Some(View::Stashed(_)) => {}
-            }
-        }
-        for view in views.values() {
-            if let View::Stashed(table) = view {
-                sources.push(CkptSource {
-                    name: table.name().to_string(),
-                    columns: table.columns().to_vec(),
-                    rows: table.row_count(),
-                    snapshot: table.snapshot(),
-                });
-            }
-        }
+        let mut sources: Vec<CkptSource> = views.into_values().collect();
         sources.sort_by(|a, b| a.name.cmp(&b.name));
         sources
     }
 
     /// Auto-checkpoint after a committed mutation once the WAL is large.
-    /// Deferred while any transaction is open (a keep-tail checkpoint
-    /// cannot shrink the log, so re-triggering every statement would just
-    /// burn I/O). Failures are swallowed: the statement already committed,
+    /// Deferred while a transaction is open (a keep-tail checkpoint cannot
+    /// shrink the log, so re-triggering every statement would just burn
+    /// I/O). Failures are swallowed: the statement already committed,
     /// the WAL still covers everything, and the next trigger will retry.
     pub(super) fn maybe_auto_checkpoint(&mut self) {
-        if !self.txns.is_empty() {
+        if self.txn.is_some() {
             return;
         }
         if self.durable.as_ref().is_some_and(DurableStore::wants_checkpoint) {
@@ -243,7 +216,7 @@ impl Database {
     /// failures; the statement then surfaces the poisoned-log error and
     /// the next statement retries the heal.
     pub(super) fn maybe_heal_poisoned(&mut self) {
-        if !self.txns.is_empty() {
+        if self.txn.is_some() {
             return;
         }
         if self.durable.as_ref().is_some_and(DurableStore::is_poisoned) {

@@ -10,7 +10,6 @@
 //! assert_eq!(rs.rows().len(), 1);
 //! ```
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::ast::{Expr, Query, Statement};
@@ -30,7 +29,6 @@ use crate::storage::budget::MemoryBudget;
 use crate::storage::fault::FaultInjector;
 use crate::storage::spill::{Row, SpillDir};
 use crate::storage::wal::DurableStore;
-use crate::txn::lock::{LockGuard, LockTable};
 use crate::txn::TxnState;
 
 mod durable;
@@ -92,7 +90,7 @@ pub struct Database {
     /// Fault-injection gate shared by every disk path (WAL, checkpoint,
     /// spill). A zero-cost passthrough in release builds.
     injector: Arc<FaultInjector>,
-    /// Session interrupt flag, exposed via [`Database::cancel_handle`] and
+    /// Interrupt flag, exposed via [`Database::cancel_handle`] and
     /// observed by every statement started while it is set.
     interrupt: CancelHandle,
     /// Per-statement deadline in milliseconds (`None` = no deadline).
@@ -105,12 +103,8 @@ pub struct Database {
     query: QueryContext,
     /// What [`Database::open_with`] recovered (zero in memory).
     recovery: RecoveryStats,
-    /// Open transactions, keyed by session id. Session `0` is the plain
-    /// [`Database::execute`] caller; [`crate::txn::Session`]s get ids ≥ 1.
-    txns: HashMap<u64, TxnState>,
-    /// Table lock manager shared with [`crate::txn::SharedDb`] sessions
-    /// (the plain session never contends, so it skips lock acquisition).
-    locks: Arc<LockTable>,
+    /// The open transaction, if any: a `Database` is one session.
+    txn: Option<TxnState>,
 }
 
 impl Database {
@@ -146,8 +140,7 @@ impl Database {
             cancel_after_polls: None,
             query: QueryContext::unbounded(),
             recovery: RecoveryStats::default(),
-            txns: HashMap::new(),
-            locks: Arc::new(LockTable::new()),
+            txn: None,
         }
     }
 
@@ -208,8 +201,8 @@ impl Database {
     }
 
     /// Debug builds: after any failed statement, the memory ledger must
-    /// hold exactly the live base tables plus the tables stashed in open
-    /// transactions' undo stacks (a dropped table keeps its charge until
+    /// hold exactly the live base tables plus the tables stashed in the
+    /// open transaction's undo stack (a dropped table keeps its charge until
     /// the transaction resolves) and the spill directory must be empty.
     /// Assumes the budget is not shared with reservations outside this
     /// database (true for every constructor here).
@@ -218,8 +211,8 @@ impl Database {
         let used = self.budget.used();
         let tables = self.catalog.total_bytes();
         let stashed: usize = self
-            .txns
-            .values()
+            .txn
+            .iter()
             .flat_map(|t| t.undo.iter())
             .map(|e| match e {
                 crate::txn::UndoEntry::Dropped { table } => table.bytes(),
@@ -346,7 +339,7 @@ impl Database {
 
     /// Run a query like [`Database::execute`] — one statement counted, its
     /// rows added to `rows_returned`, under the session's timeout and
-    /// cancel handle, inside session 0's open transaction if there is one —
+    /// cancel handle, inside the open transaction if there is one —
     /// but hand back the batches the pipeline emitted instead of rows.
     /// Columns keep their lanes (`ORDER BY s` over a state returns
     /// `Column::Int` / `Column::Float` slices), and a bare scan returns the
@@ -358,7 +351,7 @@ impl Database {
         };
         self.begin_statement();
         let mut batches = Vec::new();
-        self.in_txn(0, Vec::new(), |db| db.drain_query(&q, |batch| batches.push(batch)))?;
+        self.in_txn(|db| db.drain_query(&q, |batch| batches.push(batch)))?;
         Ok(batches)
     }
 
@@ -385,8 +378,8 @@ impl Database {
     /// [`Error::Cancelled`] / [`Error::Timeout`] with the same guarantees as
     /// any other statement error — ledger restored, no spill residue, no
     /// recoverable WAL frame — so an immediate retry is always valid.
-    /// `BEGIN` opens a multi-statement transaction for this handle
-    /// (session 0); every later statement joins its WAL frame and undo
+    /// `BEGIN` opens a multi-statement transaction for this handle; every
+    /// later statement joins its WAL frame and undo
     /// scope until `COMMIT` / `ROLLBACK`. Outside one, a statement is an
     /// implicit one-statement transaction on the same machinery. Inside an
     /// open transaction **any statement error aborts the whole
@@ -395,48 +388,23 @@ impl Database {
     /// with nothing open, `ROLLBACK TO` an unknown savepoint), which leave
     /// the transaction as it was.
     pub fn execute_statement(&mut self, st: Statement) -> Result<ResultSet> {
-        self.execute_for_session(0, st, Vec::new())
-    }
-
-    /// Whether this handle (session 0) has an open transaction.
-    pub fn in_transaction(&self) -> bool {
-        self.txns.contains_key(&0)
-    }
-
-    /// The lock table sessions coordinate through (see
-    /// [`crate::txn::SharedDb`]).
-    pub fn lock_table(&self) -> Arc<LockTable> {
-        Arc::clone(&self.locks)
-    }
-
-    /// Whether `sess` has an open transaction.
-    pub(crate) fn session_in_txn(&self, sess: u64) -> bool {
-        self.txns.contains_key(&sess)
-    }
-
-    /// Execute one statement for session `sess`, holding `guards` (the
-    /// statement's pre-acquired table locks — empty for session 0, which
-    /// owns the handle exclusively and never contends).
-    pub(crate) fn execute_for_session(
-        &mut self,
-        sess: u64,
-        st: Statement,
-        guards: Vec<LockGuard>,
-    ) -> Result<ResultSet> {
         self.begin_statement();
 
         // Transaction control is bookkeeping: handled before the uniform
         // abort-on-error rule, so its errors never abort anything.
         match st {
-            Statement::Begin => self.txn_begin(sess, guards),
-            Statement::Commit => self.txn_commit(sess),
-            Statement::Rollback { to_savepoint: None } => self.txn_rollback(sess),
-            Statement::Rollback { to_savepoint: Some(name) } => {
-                self.txn_rollback_to(sess, &name)
-            }
-            Statement::Savepoint { name } => self.txn_savepoint(sess, name),
-            st => self.in_txn(sess, guards, |db| db.execute_in_txn(sess, st)),
+            Statement::Begin => self.txn_begin(),
+            Statement::Commit => self.txn_commit(),
+            Statement::Rollback { to_savepoint: None } => self.txn_rollback(),
+            Statement::Rollback { to_savepoint: Some(name) } => self.txn_rollback_to(&name),
+            Statement::Savepoint { name } => self.txn_savepoint(name),
+            st => self.in_txn(|db| db.execute_in_txn(st)),
         }
+    }
+
+    /// Whether this handle has an open transaction.
+    pub fn in_transaction(&self) -> bool {
+        self.txn.is_some()
     }
 
     /// Count one statement and start its governance: heal a poisoned log
@@ -464,6 +432,7 @@ impl Database {
     /// Execution half of [`Self::create_table_as`] (runs on the execution
     /// stack for deep plans).
     fn create_table_as_exec(&mut self, name: &str, plan: Plan, facts: Facts) -> Result<usize> {
+        self.begin_statement();
         if self.in_transaction() {
             // CTAS frames span many streamed chunks; splicing that into an
             // open transaction's frame is not supported.
@@ -471,9 +440,7 @@ impl Database {
                 "CREATE TABLE AS inside an open transaction".into(),
             ));
         }
-        self.maybe_heal_poisoned();
-        self.begin_query();
-        self.in_txn(0, Vec::new(), |db| db.create_table_as_in_txn(name, plan, facts))
+        self.in_txn(|db| db.create_table_as_in_txn(name, plan, facts))
     }
 
     /// Bulk-load pre-built rows (bypasses SQL parsing; used by the Qymera
@@ -484,10 +451,8 @@ impl Database {
     /// statement: inside the open transaction when there is one (an error
     /// aborts it), as an implicit one otherwise.
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<usize> {
-        self.maybe_heal_poisoned();
-        self.begin_query();
-        self.in_txn(0, Vec::new(), |db| db.insert_rows_in_txn(0, table, rows))
-            .map(|rs| rs.affected())
+        self.begin_statement();
+        self.in_txn(|db| db.insert_rows_in_txn(table, rows)).map(|rs| rs.affected())
     }
 
     /// Output schema a query would produce, without executing it.

@@ -13,56 +13,50 @@ use crate::plan::optimizer::optimize;
 use crate::schema::{Facts, RelSchema};
 use crate::storage::spill::Row;
 use crate::storage::wal::DurableStore;
-use crate::txn::lock::LockGuard;
 use crate::txn::{SavepointMark, TxnState, UndoEntry};
 use crate::value::Value;
 
 impl Database {
-    /// The one write path: run `body` inside `sess`'s open transaction, or
-    /// — when none is open — as an implicit one-statement transaction that
-    /// commits as soon as `body` succeeds. `guards` join the transaction
-    /// (strict 2PL — held until it resolves). Any error aborts the whole
+    /// The one write path: run `body` inside the open transaction, or —
+    /// when none is open — as an implicit one-statement transaction that
+    /// commits as soon as `body` succeeds. Any error aborts the whole
     /// transaction with the full cleanup contract: memory and ledger
     /// restored, no orphan spill files, the WAL frame marked aborted. An
     /// immediate retry is always valid.
-    pub(super) fn in_txn<T>(
-        &mut self,
-        sess: u64,
-        guards: Vec<LockGuard>,
-        body: impl FnOnce(&mut Self) -> Result<T>,
-    ) -> Result<T> {
-        let implicit = !self.txns.contains_key(&sess);
-        self.txns.entry(sess).or_default().locks.extend(guards);
+    pub(super) fn in_txn<T>(&mut self, body: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let implicit = self.txn.is_none();
+        if implicit {
+            self.txn = Some(TxnState::default());
+        }
         let mut result = self.query.check().and_then(|()| body(self));
         if implicit {
-            result = result.and_then(|out| self.txn_commit(sess).map(|_| out));
+            result = result.and_then(|out| self.txn_commit().map(|_| out));
         }
         if result.is_err() {
-            self.abort_session_txn(sess);
+            self.abort_txn();
             #[cfg(debug_assertions)]
             self.assert_ledger_clean();
         }
         result
     }
 
-    /// Open a transaction for `sess`.
-    pub(super) fn txn_begin(&mut self, sess: u64, guards: Vec<LockGuard>) -> Result<ResultSet> {
-        if self.txns.contains_key(&sess) {
+    /// `BEGIN`: open a transaction.
+    pub(super) fn txn_begin(&mut self) -> Result<ResultSet> {
+        if self.txn.is_some() {
             return Err(Error::Plan("BEGIN: a transaction is already open".into()));
         }
-        self.txns
-            .insert(sess, TxnState { locks: guards, ..TxnState::default() });
+        self.txn = Some(TxnState::default());
         Ok(ResultSet::dml(0))
     }
 
-    /// Commit `sess`'s transaction: make its WAL frame durable, then drop
-    /// the undo stack (releasing stashed tables) and every lock. A
-    /// read-only transaction never opened a frame and commits without
-    /// touching the log. A failed commit aborts the transaction — memory
-    /// is rolled back to match what recovery would replay, or the error is
-    /// [`Error::CommitInDoubt`] when the log cannot be made to agree.
-    pub(super) fn txn_commit(&mut self, sess: u64) -> Result<ResultSet> {
-        let Some(state) = self.txns.get(&sess) else {
+    /// Commit the open transaction: make its WAL frame durable, then drop
+    /// the undo stack (releasing stashed tables). A read-only transaction
+    /// never opened a frame and commits without touching the log. A failed
+    /// commit aborts the transaction — memory is rolled back to match what
+    /// recovery would replay, or the error is [`Error::CommitInDoubt`] when
+    /// the log cannot be made to agree.
+    pub(super) fn txn_commit(&mut self) -> Result<ResultSet> {
+        let Some(state) = &self.txn else {
             return Err(Error::Plan("COMMIT: no open transaction".into()));
         };
         if let (Some(store), Some(txn)) = (self.durable.as_mut(), state.wal_txn) {
@@ -70,7 +64,7 @@ impl Database {
                 // A crash-repair truncation while this transaction was
                 // open may have cut its records; the frame cannot be
                 // trusted, so refuse to commit it.
-                self.abort_session_txn(sess);
+                self.abort_txn();
                 return Err(Error::Io(
                     "transaction aborted: the write-ahead log was repaired while \
                      it was open; retry the transaction"
@@ -78,7 +72,7 @@ impl Database {
                 ));
             }
             if let Err(e) = store.commit(txn) {
-                self.abort_session_txn(sess);
+                self.abort_txn();
                 // Double fault: the fsync failed and so did the repair's
                 // truncate, so the `Commit` record may still be on disk
                 // behind the poisoned log and a crash now would recover a
@@ -92,23 +86,23 @@ impl Database {
                 return Err(e);
             }
         }
-        self.txns.remove(&sess);
+        self.txn = None;
         self.maybe_auto_checkpoint();
         Ok(ResultSet::dml(0))
     }
 
-    /// `ROLLBACK`: abort `sess`'s transaction.
-    pub(super) fn txn_rollback(&mut self, sess: u64) -> Result<ResultSet> {
-        if !self.txns.contains_key(&sess) {
+    /// `ROLLBACK`: abort the open transaction.
+    pub(super) fn txn_rollback(&mut self) -> Result<ResultSet> {
+        if self.txn.is_none() {
             return Err(Error::Plan("ROLLBACK: no open transaction".into()));
         }
-        self.abort_session_txn(sess);
+        self.abort_txn();
         Ok(ResultSet::dml(0))
     }
 
     /// `SAVEPOINT name`: mark the current undo depth and logged-op count.
-    pub(super) fn txn_savepoint(&mut self, sess: u64, name: String) -> Result<ResultSet> {
-        let Some(state) = self.txns.get_mut(&sess) else {
+    pub(super) fn txn_savepoint(&mut self, name: String) -> Result<ResultSet> {
+        let Some(state) = &mut self.txn else {
             return Err(Error::Plan("SAVEPOINT: no open transaction".into()));
         };
         state.savepoints.push(SavepointMark {
@@ -124,8 +118,8 @@ impl Database {
     /// The savepoint survives (it can be rolled back to again); savepoints
     /// set after it are discarded. An unknown name is a bookkeeping error
     /// and leaves the transaction untouched.
-    pub(super) fn txn_rollback_to(&mut self, sess: u64, name: &str) -> Result<ResultSet> {
-        let Some(state) = self.txns.get_mut(&sess) else {
+    pub(super) fn txn_rollback_to(&mut self, name: &str) -> Result<ResultSet> {
+        let Some(state) = &mut self.txn else {
             return Err(Error::Plan(
                 "ROLLBACK TO SAVEPOINT: no open transaction".into(),
             ));
@@ -148,7 +142,7 @@ impl Database {
                     // The log cannot record the partial rollback: the
                     // whole transaction aborts so memory and recovery
                     // agree.
-                    self.abort_session_txn(sess);
+                    self.abort_txn();
                     return Err(e);
                 }
             }
@@ -160,13 +154,12 @@ impl Database {
         Ok(ResultSet::dml(0))
     }
 
-    /// Abort `sess`'s transaction (no-op when none is open): mark the WAL
-    /// frame aborted, undo every in-memory effect in reverse, release
-    /// stashed tables back into the catalog, and drop all locks. Never
-    /// fails — recovery ignores a commit-less frame even when the log
-    /// cannot be written to.
-    pub(crate) fn abort_session_txn(&mut self, sess: u64) {
-        let Some(state) = self.txns.remove(&sess) else { return };
+    /// Abort the open transaction (no-op when none is open): mark the WAL
+    /// frame aborted, undo every in-memory effect in reverse and release
+    /// stashed tables back into the catalog. Never fails — recovery ignores
+    /// a commit-less frame even when the log cannot be written to.
+    pub(super) fn abort_txn(&mut self) {
+        let Some(state) = self.txn.take() else { return };
         if let (Some(store), Some(txn)) = (self.durable.as_mut(), state.wal_txn) {
             if store.repair_epoch() == state.epoch {
                 store.abort(txn);
@@ -178,7 +171,6 @@ impl Database {
         self.apply_undo(state.undo);
         // The dead frame stays in the log until a checkpoint reclaims it.
         self.maybe_auto_checkpoint();
-        // `state.locks` drop here, releasing the transaction's tables.
     }
 
     /// Apply undo entries (a full stack or a savepoint tail), newest
@@ -199,16 +191,13 @@ impl Database {
         }
     }
 
-    /// Log one op into `sess`'s WAL frame, opening the frame lazily at the
-    /// first op (so read-only transactions never touch the log), and count
-    /// it for savepoint arithmetic. No-op on an in-memory database.
-    fn log_in_txn(
-        &mut self,
-        sess: u64,
-        log: impl FnOnce(&mut DurableStore, u64) -> Result<()>,
-    ) -> Result<()> {
+    /// Log one op into the open transaction's WAL frame, opening the frame
+    /// lazily at the first op (so read-only transactions never touch the
+    /// log), and count it for savepoint arithmetic. No-op on an in-memory
+    /// database.
+    fn log_in_txn(&mut self, log: impl FnOnce(&mut DurableStore, u64) -> Result<()>) -> Result<()> {
         let Some(store) = self.durable.as_mut() else { return Ok(()) };
-        let state = self.txns.get_mut(&sess).expect("open transaction");
+        let state = self.txn.as_mut().expect("open transaction");
         let txn = match state.wal_txn {
             Some(t) => t,
             None => {
@@ -225,21 +214,17 @@ impl Database {
         Ok(())
     }
 
-    /// Record an applied effect on `sess`'s undo stack.
-    fn push_undo(&mut self, sess: u64, entry: UndoEntry) {
-        self.txns
-            .get_mut(&sess)
-            .expect("open transaction")
-            .undo
-            .push(entry);
+    /// Record an applied effect on the open transaction's undo stack.
+    fn push_undo(&mut self, entry: UndoEntry) {
+        self.txn.as_mut().expect("open transaction").undo.push(entry);
     }
 
-    /// One statement inside `sess`'s transaction. Mutations follow
+    /// One statement inside the open transaction. Mutations follow
     /// log → apply → push-undo → cancel point: any error leaves the frame
     /// commit-less and the caller aborts the whole transaction, which
     /// unwinds every undo entry — so no per-statement rollback is needed
     /// here, and a cancelled statement can never commit.
-    pub(super) fn execute_in_txn(&mut self, sess: u64, st: Statement) -> Result<ResultSet> {
+    pub(super) fn execute_in_txn(&mut self, st: Statement) -> Result<ResultSet> {
         match st {
             Statement::CreateTable { name, columns, if_not_exists } => {
                 if self.catalog.contains(&name) {
@@ -253,9 +238,9 @@ impl Database {
                     )?;
                     return Ok(ResultSet::dml(0));
                 }
-                self.log_in_txn(sess, |s, txn| s.log_create(txn, &name, &columns))?;
+                self.log_in_txn(|s, txn| s.log_create(txn, &name, &columns))?;
                 self.catalog.create_table(&name, columns, false, self.budget.clone())?;
-                self.push_undo(sess, UndoEntry::Created { name });
+                self.push_undo(UndoEntry::Created { name });
                 self.query.check()?;
                 Ok(ResultSet::dml(0))
             }
@@ -264,11 +249,11 @@ impl Database {
                     self.catalog.drop_table(&name, if_exists)?;
                     return Ok(ResultSet::dml(0));
                 }
-                self.log_in_txn(sess, |s, txn| s.log_drop(txn, &name))?;
+                self.log_in_txn(|s, txn| s.log_drop(txn, &name))?;
                 if let Some(table) = self.catalog.drop_table(&name, if_exists)? {
                     // The stash keeps charging the budget until the
                     // transaction resolves: rollback puts it back intact.
-                    self.push_undo(sess, UndoEntry::Dropped { table });
+                    self.push_undo(UndoEntry::Dropped { table });
                 }
                 self.query.check()?;
                 Ok(ResultSet::dml(0))
@@ -278,7 +263,7 @@ impl Database {
                 // cannot observe or modify state, and the WAL records
                 // concrete values rather than expressions.
                 let evaluated = self.eval_insert_rows(&table, columns.as_deref(), rows)?;
-                self.insert_rows_in_txn(sess, &table, evaluated)
+                self.insert_rows_in_txn(&table, evaluated)
             }
             Statement::Delete { table, where_clause } => {
                 // Validate the table and predicate before logging anything.
@@ -287,12 +272,12 @@ impl Database {
                     bind(w, &schema)?;
                 }
                 let text = where_clause.as_ref().map(Expr::to_string);
-                self.log_in_txn(sess, |s, txn| {
+                self.log_in_txn(|s, txn| {
                     s.log_delete(txn, &table, text.as_deref())
                 })?;
                 let undo = self.catalog.get(&table)?.undo_state();
                 let n = self.run_delete(&table, where_clause.as_ref())?;
-                self.push_undo(sess, UndoEntry::Mutated { table, undo });
+                self.push_undo(UndoEntry::Mutated { table, undo });
                 self.query.check()?;
                 Ok(ResultSet::dml(n))
             }
@@ -314,7 +299,7 @@ impl Database {
             | Statement::Commit
             | Statement::Rollback { .. }
             | Statement::Savepoint { .. } => Err(Error::Internal(
-                "transaction control must go through execute_for_session".into(),
+                "transaction control must go through execute_statement".into(),
             )),
         }
     }
@@ -346,23 +331,18 @@ impl Database {
 
     /// Shared body of `INSERT` and [`Database::insert_rows`]: rows are
     /// already evaluated and in table order.
-    pub(super) fn insert_rows_in_txn(
-        &mut self,
-        sess: u64,
-        table: &str,
-        rows: Vec<Row>,
-    ) -> Result<ResultSet> {
+    pub(super) fn insert_rows_in_txn(&mut self, table: &str, rows: Vec<Row>) -> Result<ResultSet> {
         // Validate table and arity before logging; the record is the batch
         // as the table is about to receive it.
         let batch = self.catalog.get(table)?.batch_from_rows(rows)?;
         if batch.is_empty() {
             return Ok(ResultSet::dml(0));
         }
-        self.log_in_txn(sess, |s, txn| s.log_insert(txn, table, &batch))?;
+        self.log_in_txn(|s, txn| s.log_insert(txn, table, &batch))?;
         let t = self.catalog.get_mut(table)?;
         let undo = t.undo_state();
         let n = t.append_batch(&batch)?; // atomic: an error inserts nothing
-        self.push_undo(sess, UndoEntry::Mutated { table: table.to_string(), undo });
+        self.push_undo(UndoEntry::Mutated { table: table.to_string(), undo });
         self.query.check()?;
         Ok(ResultSet::dml(n))
     }
@@ -446,7 +426,7 @@ impl Database {
             // Cancel point per batch: nothing of a doomed batch is logged
             // or applied.
             self.query.check()?;
-            self.log_in_txn(0, |s, txn| s.log_insert(txn, name, &batch))?;
+            self.log_in_txn(|s, txn| s.log_insert(txn, name, &batch))?;
             inserted += self.catalog.get_mut(name)?.append_batch(&batch)?;
             Ok(())
         })?;
@@ -469,9 +449,9 @@ impl Database {
             None => vec![DataType::Double; names.len()],
         };
         let columns: Vec<(String, DataType)> = names.iter().cloned().zip(types).collect();
-        self.log_in_txn(0, |s, txn| s.log_create(txn, name, &columns))?;
+        self.log_in_txn(|s, txn| s.log_create(txn, name, &columns))?;
         self.catalog.create_table(name, columns, false, self.budget.clone())?;
-        self.push_undo(0, UndoEntry::Created { name: name.to_string() });
+        self.push_undo(UndoEntry::Created { name: name.to_string() });
         Ok(())
     }
 }

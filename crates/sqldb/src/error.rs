@@ -44,17 +44,6 @@ pub enum Error {
     /// checkpoint or a reopen succeeds a crash may recover the transaction
     /// or not. Every other statement error means "fully absent".
     CommitInDoubt { cause: String },
-    /// The lock table chose this transaction as the deadlock victim: waiting
-    /// for `table` would close a cycle in the waits-for graph, and this
-    /// transaction is the youngest participant. The transaction has been
-    /// rolled back (locks released, tables restored) and an immediate retry
-    /// of the whole transaction is valid.
-    Deadlock { table: String },
-    /// A table lock could not be acquired within the bounded wait (`ms` is
-    /// the configured lock timeout). Same rollback contract as
-    /// [`Error::Deadlock`]: the transaction has been aborted and may be
-    /// retried immediately.
-    LockTimeout { table: String, ms: u64 },
     /// Feature recognized but not supported by this engine.
     Unsupported(String),
     /// An engine invariant was violated. Reaching this is a bug, but it
@@ -96,14 +85,6 @@ impl fmt::Display for Error {
                 "commit outcome unknown: {cause}; the write-ahead log could not be \
                  repaired, so the transaction is rolled back in memory but may be \
                  recovered after a crash until a checkpoint or reopen succeeds"
-            ),
-            Error::Deadlock { table } => write!(
-                f,
-                "deadlock: transaction rolled back while waiting for table {table}; retry the transaction"
-            ),
-            Error::LockTimeout { table, ms } => write!(
-                f,
-                "lock timeout: could not lock table {table} within {ms} ms; transaction rolled back"
             ),
             Error::Unsupported(m) => write!(f, "unsupported: {m}"),
             Error::Internal(m) => write!(f, "internal error (engine bug): {m}"),

@@ -10,9 +10,8 @@
 //! (spill files, ledger reservations, WAL `Abort` record + `TableUndo`
 //! rollback) runs exactly as it does for any other statement error.
 //!
-//! There is no admission queue: the engine is embedded, one `Database` runs
-//! one statement at a time, and concurrent sessions serialise on
-//! [`crate::txn::SharedDb`]'s mutex and table locks.
+//! There is no admission queue: the engine is embedded, and one `Database`
+//! is one session that runs one statement at a time.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;

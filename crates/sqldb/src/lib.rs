@@ -46,7 +46,6 @@ pub use bigbits::BigBits;
 pub use db::{Database, DbStats, DurabilityOptions, RecoveryStats, ResultSet};
 pub use error::{Error, Result};
 pub use exec::govern::{CancelHandle, QueryContext};
-pub use txn::{LockMode, LockTable, Session, SharedDb};
 pub use storage::budget::MemoryBudget;
 pub use storage::fault::{FaultInjector, FaultKind, FaultSchedule, FaultSite};
 pub use storage::wal::FsyncPolicy;

@@ -13,17 +13,18 @@
 //!   rows of an `Insert` are one typed **column block** — the codec of the
 //!   spill files ([`crate::storage::spill`]) — so a batch reaches the log,
 //!   and comes back from it, without becoming rows.
-//!   Frames from concurrent sessions may interleave freely; recovery keys
-//!   pending frames by `txn` id and replays exactly the **committed
-//!   frames in commit order**: a frame with no `Commit` — because the
-//!   process died mid-transaction — is ignored, an `Abort`ed frame is
-//!   dropped, a `RollbackSp{txn, n}` record discards that frame's last
-//!   `n` ops (crash-safe savepoint rollback), and a torn or corrupted
-//!   record ends replay at the last good boundary (the tail past it is
-//!   discarded) — whereas a record that passes its checksum and does not
-//!   decode is another version's or corrupted, and makes `open` fail with
-//!   every file left as it was. Rollback is **only** ever those two logical
-//!   records:
+//!   A database is one session, so a frame is contiguous: recovery is one
+//!   forward pass holding at most one pending frame, and replays exactly
+//!   the **committed frames in commit order**. A frame with no `Commit` —
+//!   because the process died mid-transaction — is ignored (the next
+//!   `Begin` drops it), an `Abort`ed frame is dropped, a
+//!   `RollbackSp{txn, n}` record discards that frame's last `n` ops
+//!   (crash-safe savepoint rollback), and a torn or corrupted record ends
+//!   replay at the last good boundary (the tail past it is discarded) —
+//!   whereas a record that passes its checksum and does not decode, or
+//!   names another transaction than the open frame's, cannot come from a
+//!   crash, and makes `open` fail with every file left as it was.
+//!   Rollback is **only** ever those two logical records:
 //!   the file shrinks in exactly three places — `open` (the torn tail),
 //!   `repair` (after a failed append or fsync, whose on-disk result is
 //!   unknown) and `checkpoint` (the image covers the log). Rolled-back
@@ -54,7 +55,6 @@
 //! the crash-matrix test kills the engine at every one of these steps and
 //! asserts recovery.
 
-use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -215,8 +215,7 @@ pub enum WalOp {
 /// A committed transaction frame read back during recovery.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalFrame {
-    /// Transaction id the frame was logged under (allocation order — not
-    /// commit order when sessions interleave).
+    /// Transaction id the frame was logged under.
     pub txn: u64,
     /// Monotonic commit sequence number: the order frames became durable,
     /// and what a checkpoint covers.
@@ -843,13 +842,17 @@ struct WalScan {
     max_commit: u64,
 }
 
-/// Scan the WAL. Pending frames are keyed by transaction id, so frames
-/// from concurrent sessions may interleave arbitrarily; only a `Commit`
-/// record makes a frame visible, in commit-record order. Stops — without
-/// error — at the first torn record (cut short, empty, or failing its
-/// checksum): everything past the last `Commit` is a casualty of the crash,
-/// by design. A record that passes its checksum and does not decode is no
-/// crash artefact: the scan fails, naming its offset and tag, before
+/// Scan the WAL. One session writes the log, so a frame is contiguous: at
+/// most one frame is pending at a time, and only its `Commit` record makes
+/// it visible. A `Begin` while a frame is pending drops that frame (it never
+/// committed); a record of another transaction inside the pending frame —
+/// which only an interleaving writer could produce — fails the scan like an
+/// undecodable record. A record with no frame pending is ignored: it can
+/// only arise from a repair that half-succeeded. Stops — without error — at
+/// the first torn record (cut short, empty, or failing its checksum):
+/// everything past the last `Commit` is a casualty of the crash, by design.
+/// A record that passes its checksum and does not decode is no crash
+/// artefact: the scan fails, naming its offset and tag, before
 /// [`DurableStore::open`] has changed anything. The file is read once and
 /// every record is a view of that buffer.
 fn replay_committed(file: &mut File, ckpt_seq: u64) -> Result<WalScan> {
@@ -864,7 +867,8 @@ fn replay_committed(file: &mut File, ckpt_seq: u64) -> Result<WalScan> {
         max_txn: 0,
         max_commit: 0,
     };
-    let mut pending: HashMap<u64, Vec<WalOp>> = HashMap::new();
+    // The open frame: its transaction id and the ops logged so far.
+    let mut pending: Option<(u64, Vec<WalOp>)> = None;
     let mut offset = 0usize;
 
     while data.len() - offset >= 8 {
@@ -876,48 +880,44 @@ fn replay_committed(file: &mut File, ckpt_seq: u64) -> Result<WalScan> {
         if len == 0 || end > data.len() || crc32(&data[offset + 8..end]) != stored {
             break;
         }
-        let mut payload = data.slice(offset + 8..end);
-        let (txn, record) = decode_record(&mut payload).map_err(|e| {
+        let refuse = |what: String| {
             Error::Io(format!(
                 "{WAL_FILE}: the record at offset {offset} (tag {}) passes its checksum \
-                 but does not decode ({e}): written by another version, or corrupted; \
-                 the log was left untouched",
+                 but {what}; the log was left untouched",
                 data[offset + 8]
+            ))
+        };
+        let mut payload = data.slice(offset + 8..end);
+        let (txn, record) = decode_record(&mut payload).map_err(|e| {
+            refuse(format!(
+                "does not decode ({e}): written by another version, or corrupted"
             ))
         })?;
         scan.max_txn = scan.max_txn.max(txn);
-        match record {
-            // A Begin reusing a pending id cannot happen in a healthy log
-            // (ids are never reused); if it does, the older frame never
-            // committed, so dropping it is safe.
-            Record::Begin => {
-                pending.insert(txn, Vec::new());
+        match (record, &mut pending) {
+            // The pending frame, if any, never committed: drop it.
+            (Record::Begin, _) => pending = Some((txn, Vec::new())),
+            // Outside any frame: only a half-successful repair leaves one.
+            (_, None) => {}
+            (_, Some((open, _))) if *open != txn => {
+                return Err(refuse(format!(
+                    "belongs to transaction {txn} inside the open frame of transaction \
+                     {open}: written by an interleaving writer, or corrupted"
+                )))
             }
-            Record::Commit { commit_seq } => {
-                if let Some(ops) = pending.remove(&txn) {
-                    scan.max_commit = scan.max_commit.max(commit_seq);
-                    scan.committed_end = end as u64;
-                    if commit_seq > ckpt_seq {
-                        scan.frames.push(WalFrame { txn, commit_seq, ops });
-                    }
+            (Record::Commit { commit_seq }, Some(_)) => {
+                let (_, ops) = pending.take().expect("a frame is pending");
+                scan.max_commit = scan.max_commit.max(commit_seq);
+                scan.committed_end = end as u64;
+                if commit_seq > ckpt_seq {
+                    scan.frames.push(WalFrame { txn, commit_seq, ops });
                 }
             }
-            Record::Abort => {
-                pending.remove(&txn);
+            (Record::Abort, Some(_)) => pending = None,
+            (Record::RollbackSp { drop_last }, Some((_, ops))) => {
+                ops.truncate(ops.len().saturating_sub(drop_last as usize));
             }
-            Record::RollbackSp { drop_last } => {
-                if let Some(ops) = pending.get_mut(&txn) {
-                    let keep = ops.len().saturating_sub(drop_last as usize);
-                    ops.truncate(keep);
-                }
-            }
-            // An op outside any frame is tolerated and ignored — it can
-            // only arise from a repair that half-succeeded.
-            Record::Op(op) => {
-                if let Some(ops) = pending.get_mut(&txn) {
-                    ops.push(op);
-                }
-            }
+            (Record::Op(op), Some((_, ops))) => ops.push(op),
         }
         offset = end;
     }
@@ -1276,36 +1276,47 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Replay holds one pending frame: a `Begin` drops a frame that never
+    /// committed, and a record of another transaction inside the open
+    /// frame is refused with every byte left as it was.
     #[test]
-    fn interleaved_frames_commit_independently() {
-        let dir = tmpdir("interleave");
+    fn one_pending_frame_at_a_time() {
+        let dir = tmpdir("one-frame");
         {
             let (mut store, _) = open(&dir);
-            let a = store.begin().unwrap();
-            let b = store.begin().unwrap();
-            store.log_insert(a, "t", &ints(&[1])).unwrap();
-            store.log_insert(b, "t", &ints(&[2])).unwrap();
-            // b commits first, then a: replay must order by commit, not id.
-            store.commit(b).unwrap();
-            store.log_insert(a, "t", &ints(&[3])).unwrap();
-            store.commit(a).unwrap();
-            // c aborts while d's frame is open around it.
-            let c = store.begin().unwrap();
-            let d = store.begin().unwrap();
-            store.log_insert(c, "t", &ints(&[4])).unwrap();
-            store.abort(c);
-            store.log_insert(d, "t", &ints(&[5])).unwrap();
-            store.commit(d).unwrap();
+            // A dead frame: the process went on without resolving it.
+            let dead = store.begin().unwrap();
+            store.log_insert(dead, "t", &ints(&[1])).unwrap();
+            let next = store.begin().unwrap();
+            store.log_insert(next, "t", &ints(&[2])).unwrap();
+            store.commit(next).unwrap();
         }
         let (store, rec) = open(&dir);
-        assert_eq!(rec.frames.len(), 3);
-        assert_eq!(rec.frames[0].txn, 2); // b
-        assert_eq!(rec.frames[1].txn, 1); // a, two ops
-        assert_eq!(rec.frames[1].ops.len(), 2);
-        assert_eq!(rec.frames[2].txn, 4); // d; c's frame dropped
-        assert!(rec.frames.iter().all(|f| f.txn != 3));
-        // Fresh ids start above every id seen, even aborted ones.
-        assert!(store.next_txn > 4);
+        assert_eq!(rec.frames.len(), 1);
+        assert_eq!(rec.frames[0].txn, 2);
+        assert_eq!(inserts(&rec.frames[0]), vec![("t".to_string(), ints(&[2]))]);
+        // Fresh ids start above every id seen, the dead frame's included.
+        assert!(store.next_txn > 2);
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+
+        let dir = tmpdir("foreign-record");
+        let offset = {
+            let (mut store, _) = open(&dir);
+            let a = store.begin().unwrap();
+            store.log_insert(a, "t", &ints(&[1])).unwrap();
+            let offset = store.wal_len();
+            store.log_insert(a + 1, "t", &ints(&[2])).unwrap();
+            store.commit(a).unwrap();
+            offset
+        };
+        let wal = dir.join(WAL_FILE);
+        let bytes = fs::read(&wal).unwrap();
+        let err = DurableStore::open(&dir, FsyncPolicy::Commit, FaultInjector::none())
+            .unwrap_err();
+        let Error::Io(msg) = &err else { panic!("{err:?}") };
+        assert!(msg.contains(&format!("offset {offset}")), "{msg}");
+        assert_eq!(fs::read(&wal).unwrap(), bytes, "the log must be left as it was");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1329,15 +1340,15 @@ mod tests {
             store.log_insert(txn, "t", &ints(&[9])).unwrap();
             store.commit(txn).unwrap();
 
-            // Interleaved with another open frame: the same record.
+            // The next frame rewinds its last op, then an aborted frame.
             let a = store.begin().unwrap();
-            let b = store.begin().unwrap();
             store.log_insert(a, "t", &ints(&[10])).unwrap();
             store.log_insert(a, "t", &ints(&[11])).unwrap();
-            let before = store.wal_len();
             store.rollback_ops(a, 1).unwrap();
-            assert_eq!(store.wal_len(), before + 25);
             store.commit(a).unwrap();
+            let b = store.begin().unwrap();
+            store.log_insert(b, "t", &ints(&[12])).unwrap();
+            store.rollback_ops(b, 1).unwrap();
             store.abort(b);
         }
         let (_, rec) = open(&dir);

@@ -2,16 +2,13 @@
 //! `BEGIN` / `COMMIT` / `ROLLBACK` / `SAVEPOINT`, crash recovery of
 //! transaction-scoped WAL frames (truncation and corruption matrices over
 //! a transactional workload), checkpointing around open transactions,
-//! poisoned-WAL self-healing, and concurrent writers through
-//! [`SharedDb`] / [`Session`] with typed conflict errors.
+//! poisoned-WAL self-healing and cancellation inside a transaction.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use qymera_sqldb::storage::wal::{CHECKPOINT_FILE, WAL_FILE};
-use qymera_sqldb::{
-    Database, DurabilityOptions, Error, FsyncPolicy, Session, SharedDb, Value,
-};
+use qymera_sqldb::{Database, DurabilityOptions, Error, FsyncPolicy, Value};
 
 /// Fresh scratch directory for one test (removed on entry, not on exit, so
 /// a failing test leaves its evidence behind).
@@ -57,19 +54,6 @@ fn dump(db: &mut Database) -> Vec<(String, Vec<String>)> {
 
 fn ints(db: &mut Database, sql: &str) -> Vec<i64> {
     db.execute(sql)
-        .unwrap()
-        .rows()
-        .iter()
-        .map(|r| match r[0] {
-            Value::Int(k) => k,
-            ref v => panic!("unexpected value {v:?}"),
-        })
-        .collect()
-}
-
-/// `ints` through a session (sees the session's own uncommitted state).
-fn session_ints(s: &mut Session, sql: &str) -> Vec<i64> {
-    s.execute(sql)
         .unwrap()
         .rows()
         .iter()
@@ -344,13 +328,11 @@ fn read_only_txn_never_touches_the_wal() {
 /// set of dumps recovery is allowed to produce (the state after each
 /// commit boundary, in commit order).
 ///
-/// The workload interleaves two sessions so the log contains: interleaved
-/// `Begin`/op records, `Abort` and `RollbackSp` records both inside
-/// another session's open frame and from a sole writer (the case that was
-/// a file truncation before rollback became purely logical), commits out
-/// of begin order, and a trailing in-flight frame.
+/// The log contains `Abort` and `RollbackSp` records (the cases that were
+/// file truncations before rollback became purely logical), a commit
+/// behind a rolled-back frame, and a trailing in-flight frame.
 fn txn_workload(dir: &Path) -> Vec<Vec<(String, Vec<String>)>> {
-    let shared = SharedDb::new(open(dir));
+    let mut db = open(dir);
     let mut states: Vec<Vec<(String, Vec<String>)>> = Vec::new();
     // The shadow replays only what has committed, at commit time.
     let mut shadow = Database::new();
@@ -359,68 +341,64 @@ fn txn_workload(dir: &Path) -> Vec<Vec<(String, Vec<String>)>> {
     };
     snap(&mut shadow, &mut states); // empty database
 
-    let mut s1 = shared.session();
-    let mut s2 = shared.session();
-
-    s1.execute("CREATE TABLE a (k INTEGER)").unwrap();
+    db.execute("CREATE TABLE a (k INTEGER)").unwrap();
     shadow.execute("CREATE TABLE a (k INTEGER)").unwrap();
     snap(&mut shadow, &mut states);
-    s1.execute("CREATE TABLE b (k INTEGER)").unwrap();
+    db.execute("CREATE TABLE b (k INTEGER)").unwrap();
     shadow.execute("CREATE TABLE b (k INTEGER)").unwrap();
     snap(&mut shadow, &mut states);
 
-    // Interleaved frames: s1 on a, s2 on b.
-    s1.execute("BEGIN").unwrap();
-    s1.execute("INSERT INTO a VALUES (1)").unwrap();
-    s2.execute("BEGIN").unwrap();
-    s2.execute("INSERT INTO b VALUES (10)").unwrap();
-    // s2's Abort record lands in the middle of s1's open frame.
-    s1.execute("INSERT INTO a VALUES (2)").unwrap();
-    s2.execute("ROLLBACK").unwrap();
-    s1.execute("COMMIT").unwrap();
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO a VALUES (1)").unwrap();
+    db.execute("INSERT INTO a VALUES (2)").unwrap();
+    db.execute("COMMIT").unwrap();
     shadow.execute("INSERT INTO a VALUES (1)").unwrap();
     shadow.execute("INSERT INTO a VALUES (2)").unwrap();
     snap(&mut shadow, &mut states);
 
-    // Savepoint rollback in an interleaved frame → RollbackSp record.
-    s1.execute("BEGIN").unwrap();
-    s1.execute("INSERT INTO a VALUES (3)").unwrap();
-    s1.execute("SAVEPOINT sp").unwrap();
-    s1.execute("INSERT INTO a VALUES (99)").unwrap();
-    s2.execute("INSERT INTO b VALUES (20)").unwrap(); // auto-commit after s1's ops
-    s1.execute("ROLLBACK TO sp").unwrap();
-    s1.execute("DELETE FROM a WHERE k = 1").unwrap();
-    // s2's auto-commit landed before s1's commit.
-    shadow.execute("INSERT INTO b VALUES (20)").unwrap();
-    snap(&mut shadow, &mut states);
-    s1.execute("COMMIT").unwrap();
+    // ROLLBACK → Abort record.
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO b VALUES (10)").unwrap();
+    db.execute("ROLLBACK").unwrap();
+
+    // Savepoint rollback → RollbackSp record.
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO a VALUES (3)").unwrap();
+    db.execute("SAVEPOINT sp").unwrap();
+    db.execute("INSERT INTO a VALUES (99)").unwrap();
+    db.execute("ROLLBACK TO sp").unwrap();
+    db.execute("DELETE FROM a WHERE k = 1").unwrap();
+    db.execute("COMMIT").unwrap();
     shadow.execute("INSERT INTO a VALUES (3)").unwrap();
     shadow.execute("DELETE FROM a WHERE k = 1").unwrap();
     snap(&mut shadow, &mut states);
+    db.execute("INSERT INTO b VALUES (20)").unwrap();
+    shadow.execute("INSERT INTO b VALUES (20)").unwrap();
+    snap(&mut shadow, &mut states);
 
-    // Sole writer, nobody else has a frame open: ROLLBACK TO and ROLLBACK
-    // still write RollbackSp / Abort records, cut at every offset below.
-    s1.execute("BEGIN").unwrap();
-    s1.execute("INSERT INTO a VALUES (4)").unwrap();
-    s1.execute("SAVEPOINT q").unwrap();
-    s1.execute("INSERT INTO a VALUES (98)").unwrap();
-    s1.execute("ROLLBACK TO q").unwrap();
-    s1.execute("INSERT INTO a VALUES (5)").unwrap();
-    s1.execute("COMMIT").unwrap();
+    // A savepoint rewound mid-frame, then more ops and the commit.
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO a VALUES (4)").unwrap();
+    db.execute("SAVEPOINT q").unwrap();
+    db.execute("INSERT INTO a VALUES (98)").unwrap();
+    db.execute("ROLLBACK TO q").unwrap();
+    db.execute("INSERT INTO a VALUES (5)").unwrap();
+    db.execute("COMMIT").unwrap();
     shadow.execute("INSERT INTO a VALUES (4), (5)").unwrap();
     snap(&mut shadow, &mut states);
-    s1.execute("BEGIN").unwrap();
-    s1.execute("INSERT INTO a VALUES (97)").unwrap();
-    s1.execute("ROLLBACK").unwrap();
-    s2.execute("INSERT INTO b VALUES (30)").unwrap(); // behind the dead frame
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO a VALUES (97)").unwrap();
+    db.execute("ROLLBACK").unwrap();
+    db.execute("INSERT INTO b VALUES (30)").unwrap(); // behind the dead frame
     shadow.execute("INSERT INTO b VALUES (30)").unwrap();
     snap(&mut shadow, &mut states);
 
     // Trailing in-flight frame: never commits, must recover to nothing.
-    s1.execute("BEGIN").unwrap();
-    s1.execute("INSERT INTO a VALUES (1000)").unwrap();
-    s1.execute("DROP TABLE b").unwrap();
-    std::mem::forget(s1); // crash: skip the session's abort-on-drop
+    // A `Database` has no abort-on-drop, so dropping it here is the crash.
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO a VALUES (1000)").unwrap();
+    db.execute("DROP TABLE b").unwrap();
+    drop(db);
     states
 }
 
@@ -505,11 +483,20 @@ fn checkpoint_with_open_txn_serializes_committed_state_only() {
     db.execute("INSERT INTO t VALUES (1)").unwrap();
     db.execute("CREATE TABLE victim (x INTEGER)").unwrap();
     db.execute("INSERT INTO victim VALUES (5)").unwrap();
+    db.execute("CREATE TABLE remade (k INTEGER)").unwrap();
+    db.execute("INSERT INTO remade VALUES (3)").unwrap();
 
+    // The image holds each table as it was before the transaction,
+    // whatever the transaction did to it: written then dropped, or
+    // dropped and created again with other columns.
     db.execute("BEGIN").unwrap();
     db.execute("INSERT INTO t VALUES (2)").unwrap();
     db.execute("CREATE TABLE fresh (y INTEGER)").unwrap();
+    db.execute("INSERT INTO victim VALUES (6)").unwrap();
     db.execute("DROP TABLE victim").unwrap();
+    db.execute("DROP TABLE remade").unwrap();
+    db.execute("CREATE TABLE remade (name TEXT, k INTEGER)").unwrap();
+    db.execute("INSERT INTO remade VALUES ('x', 4)").unwrap();
     db.checkpoint().unwrap();
 
     // keep-tail checkpoint: the WAL still holds the in-flight frame.
@@ -519,14 +506,15 @@ fn checkpoint_with_open_txn_serializes_committed_state_only() {
     );
 
     // Crash before COMMIT: only committed state survives — the open
-    // transaction's insert, created table, and drop all vanish.
+    // transaction's inserts, created tables, and drops all vanish.
     let before = snapshot_dir(&dir, "ckpt-open-txn-before");
     let mut rec = open(&before);
     let mut names = rec.table_names();
     names.sort();
-    assert_eq!(names, vec!["t".to_string(), "victim".to_string()]);
+    assert_eq!(names, vec!["remade".to_string(), "t".to_string(), "victim".to_string()]);
     assert_eq!(ints(&mut rec, "SELECT k FROM t"), vec![1]);
     assert_eq!(ints(&mut rec, "SELECT x FROM victim"), vec![5]);
+    assert_eq!(ints(&mut rec, "SELECT * FROM remade"), vec![3]);
     drop(rec);
 
     // Crash after COMMIT: the kept frame replays on top of the image.
@@ -535,14 +523,15 @@ fn checkpoint_with_open_txn_serializes_committed_state_only() {
     let mut rec = open(&after);
     let mut names = rec.table_names();
     names.sort();
-    assert_eq!(names, vec!["fresh".to_string(), "t".to_string()]);
+    assert_eq!(names, vec!["fresh".to_string(), "remade".to_string(), "t".to_string()]);
     assert_eq!(ints(&mut rec, "SELECT k FROM t ORDER BY k"), vec![1, 2]);
+    assert_eq!(ints(&mut rec, "SELECT k FROM remade"), vec![4]);
     drop(rec);
 
     // The live database agrees with post-commit recovery.
     let mut names = db.table_names();
     names.sort();
-    assert_eq!(names, vec!["fresh".to_string(), "t".to_string()]);
+    assert_eq!(names, vec!["fresh".to_string(), "remade".to_string(), "t".to_string()]);
     for d in [dir, before, after] {
         let _ = fs::remove_dir_all(&d);
     }
@@ -626,56 +615,43 @@ fn commit_that_cannot_repair_or_heal_the_log_is_in_doubt() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A crash-repair truncation while a transaction is open cuts its frame's
-/// bytes. The doomed transaction's later `ROLLBACK TO` and `ROLLBACK` must
-/// leave the repaired log alone (when savepoints held byte offsets, a
-/// `set_len` to one past the repaired end left a zero hole that stopped
-/// replay dead, losing every transaction committed after it).
+/// A failed append inside a transaction repairs (truncates) the log back
+/// to the last committed boundary, cutting the transaction's frame, and
+/// aborts the transaction. The doomed transaction's abort must leave the
+/// repaired log alone, and a commit after it must survive a crash.
 #[cfg(debug_assertions)]
 #[test]
-fn stale_savepoint_after_wal_repair_cannot_corrupt_the_log() {
+fn wal_repair_inside_a_txn_leaves_the_log_at_the_committed_boundary() {
     use std::sync::Arc;
     use qymera_sqldb::storage::fault::{FaultInjector, FaultKind, FaultSite};
 
-    let dir = tmpdir("stale-savepoint");
+    let dir = tmpdir("repair-in-txn");
     let inj = FaultInjector::none();
     let mut opts = test_opts();
     opts.injector = Arc::clone(&inj);
-    let shared = SharedDb::new(Database::open_with(&dir, opts).unwrap());
-    let mut a = shared.session();
-    let mut b = shared.session();
-    a.execute("CREATE TABLE ta (k INTEGER)").unwrap();
-    b.execute("CREATE TABLE tb (k INTEGER)").unwrap();
+    let mut db = Database::open_with(&dir, opts).unwrap();
+    db.execute("CREATE TABLE ta (k INTEGER)").unwrap();
+    db.execute("CREATE TABLE tb (k INTEGER)").unwrap();
+    let committed = fs::metadata(dir.join(WAL_FILE)).unwrap().len();
 
-    // A's frame interleaves with B's.
-    a.execute("BEGIN").unwrap();
-    a.execute("INSERT INTO ta VALUES (1), (2)").unwrap();
-    a.execute("SAVEPOINT sp").unwrap();
-    a.execute("INSERT INTO ta VALUES (3), (4)").unwrap();
-    b.execute("BEGIN").unwrap();
-    b.execute("INSERT INTO tb VALUES (5)").unwrap();
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO ta VALUES (1), (2)").unwrap();
+    db.execute("SAVEPOINT sp").unwrap();
+    db.execute("INSERT INTO ta VALUES (3), (4)").unwrap();
 
-    // An injected fsync failure at B's COMMIT repairs (truncates) the
-    // log back to the last committed boundary, cutting A's frame bytes.
-    inj.arm_nth(Some(FaultSite::WalFsync), 1, FaultKind::Error);
-    let err = b.execute("COMMIT").unwrap_err();
+    // Half of the next record lands, then the append fails: the repair
+    // truncates the torn record and the frame before it.
+    inj.arm_nth(Some(FaultSite::WalAppend), 1, FaultKind::Torn);
+    let err = db.execute("INSERT INTO ta VALUES (9), (10)").unwrap_err();
     inj.disarm();
     assert!(matches!(err, Error::Io(_)), "got {err:?}");
-    assert!(!b.in_transaction(), "failed COMMIT must abort the txn");
+    assert!(!db.in_transaction(), "a failed statement must abort the txn");
+    assert_eq!(ints(&mut db, "SELECT k FROM ta"), Vec::<i64>::new());
+    assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), committed);
 
-    // A keeps going: another statement, then a rollback to the savepoint.
-    // Both succeed in memory; neither may damage the log.
-    a.execute("INSERT INTO ta VALUES (9), (10)").unwrap();
-    a.execute("ROLLBACK TO sp").unwrap();
-    assert_eq!(session_ints(&mut a, "SELECT k FROM ta ORDER BY k"), vec![1, 2]);
-    a.execute("ROLLBACK").unwrap();
-
-    // A post-repair commit lands after A's dead frame in the log...
-    b.execute("INSERT INTO tb VALUES (7)").unwrap();
-
-    // ...and must survive a crash: replay walks past the dead frame's
-    // remainder to reach it.
-    let snap = snapshot_dir(&dir, "stale-savepoint-snap");
+    // A post-repair commit must survive a crash.
+    db.execute("INSERT INTO tb VALUES (7)").unwrap();
+    let snap = snapshot_dir(&dir, "repair-in-txn-snap");
     let mut rec = open(&snap);
     assert_eq!(
         dump(&mut rec),
@@ -685,58 +661,10 @@ fn stale_savepoint_after_wal_repair_cannot_corrupt_the_log() {
         ]
     );
     drop(rec);
-    drop(a);
-    drop(b);
+    drop(db);
     for d in [dir, snap] {
         let _ = fs::remove_dir_all(&d);
     }
-}
-
-/// The second stale-savepoint data loss (ROADMAP item 1), from plain SQL:
-/// B's open frame sits on the log's tail when A sets a savepoint, B rolls
-/// back, and A then logs past where B's bytes were and rolls back to the
-/// savepoint. With byte-offset savepoints and B's rollback a truncation,
-/// A's `ROLLBACK TO` cut the file mid-record and recovery dropped both A's
-/// commit and the commit after it. Every rollback is a logical record now.
-#[test]
-fn foreign_rollback_between_savepoint_and_rollback_to_loses_no_commit() {
-    let dir = tmpdir("foreign-rollback");
-    let shared = SharedDb::new(open(&dir));
-    let mut a = shared.session();
-    let mut b = shared.session();
-    for t in ["ta", "tb", "tc"] {
-        a.execute(&format!("CREATE TABLE {t} (k INTEGER)")).unwrap();
-    }
-
-    a.execute("BEGIN").unwrap();
-    a.execute("INSERT INTO ta VALUES (1)").unwrap();
-    // B's auto-commit moves the committed boundary past A's bytes...
-    b.execute("INSERT INTO tb VALUES (100)").unwrap();
-    // ...so B's next frame is alone on the uncommitted tail.
-    b.execute("BEGIN").unwrap();
-    b.execute("INSERT INTO tb VALUES (200), (201)").unwrap();
-    a.execute("SAVEPOINT sp").unwrap();
-    b.execute("ROLLBACK").unwrap();
-    for i in 0..10 {
-        a.execute(&format!("INSERT INTO ta VALUES ({})", 1000 + i)).unwrap();
-    }
-    a.execute("ROLLBACK TO sp").unwrap();
-    a.execute("INSERT INTO ta VALUES (42)").unwrap();
-    a.execute("COMMIT").unwrap();
-    b.execute("INSERT INTO tc VALUES (7)").unwrap();
-    drop((a, b, shared));
-
-    let mut rec = open(&dir);
-    assert_eq!(
-        dump(&mut rec),
-        vec![
-            ("ta".to_string(), vec!["[Int(1)]".to_string(), "[Int(42)]".to_string()]),
-            ("tb".to_string(), vec!["[Int(100)]".to_string()]),
-            ("tc".to_string(), vec!["[Int(7)]".to_string()]),
-        ],
-        "every acknowledged commit must survive the reopen"
-    );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -773,244 +701,17 @@ fn cancellation_inside_txn_aborts_with_full_cleanup() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-// ---------------------------------------------------------------------------
-// Concurrent writers (SharedDb / Session)
-// ---------------------------------------------------------------------------
-
-#[test]
-fn sessions_on_disjoint_tables_commit_concurrently() {
-    let shared = SharedDb::new(Database::new());
-    shared.with(|db| {
-        db.execute("CREATE TABLE a (k INTEGER)").unwrap();
-        db.execute("CREATE TABLE b (k INTEGER)").unwrap();
-    });
-    let handles: Vec<_> = ["a", "b"]
-        .into_iter()
-        .map(|table| {
-            let shared = shared.clone();
-            std::thread::spawn(move || {
-                let mut s = shared.session();
-                for i in 0..20 {
-                    s.execute("BEGIN").unwrap();
-                    s.execute(&format!("INSERT INTO {table} VALUES ({i})"))
-                        .unwrap();
-                    s.execute("COMMIT").unwrap();
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    shared.with(|db| {
-        assert_eq!(db.table_row_count("a").unwrap(), 20);
-        assert_eq!(db.table_row_count("b").unwrap(), 20);
-    });
-}
-
-#[test]
-fn conflicting_writer_gets_typed_timeout_and_retry_succeeds() {
-    let shared = SharedDb::new(Database::new());
-    shared.with(|db| db.execute("CREATE TABLE t (k INTEGER)").unwrap());
-    shared.with(|db| db.lock_table().set_timeout_ms(50));
-
-    let mut s1 = shared.session();
-    let mut s2 = shared.session();
-    s1.execute("BEGIN").unwrap();
-    s1.execute("INSERT INTO t VALUES (1)").unwrap();
-
-    // s2 cannot take the exclusive lock while s1's transaction holds it.
-    let err = s2.execute("INSERT INTO t VALUES (2)").unwrap_err();
-    assert!(
-        matches!(err, Error::LockTimeout { ref table, .. } if table == "t"),
-        "got {err:?}"
-    );
-    // Readers queue behind the writer too (strict 2PL, no dirty reads).
-    let err = s2.execute("SELECT * FROM t").unwrap_err();
-    assert!(matches!(err, Error::LockTimeout { .. }), "got {err:?}");
-
-    s1.execute("COMMIT").unwrap();
-    // The loser's immediate retry succeeds once the winner resolves.
-    s2.execute("INSERT INTO t VALUES (2)").unwrap();
-    let rows = shared.with(|db| ints(db, "SELECT k FROM t ORDER BY k"));
-    assert_eq!(rows, vec![1, 2]);
-}
-
-#[test]
-fn lock_failure_inside_txn_aborts_it_and_releases_locks() {
-    let shared = SharedDb::new(Database::new());
-    shared.with(|db| {
-        db.execute("CREATE TABLE a (k INTEGER)").unwrap();
-        db.execute("CREATE TABLE b (k INTEGER)").unwrap();
-        db.lock_table().set_timeout_ms(50);
-    });
-
-    let mut s1 = shared.session();
-    let mut s2 = shared.session();
-    s1.execute("BEGIN").unwrap();
-    s1.execute("INSERT INTO a VALUES (1)").unwrap();
-    s2.execute("BEGIN").unwrap();
-    s2.execute("INSERT INTO b VALUES (10)").unwrap();
-
-    // s2 times out waiting for a → its whole transaction aborts and its
-    // lock on b releases, so s1 can take b immediately.
-    let err = s2.execute("INSERT INTO a VALUES (2)").unwrap_err();
-    assert!(matches!(err, Error::LockTimeout { .. }), "got {err:?}");
-    assert!(!s2.in_transaction());
-    s1.execute("INSERT INTO b VALUES (20)").unwrap();
-    s1.execute("COMMIT").unwrap();
-
-    let (a, b) = shared.with(|db| {
-        (
-            ints(db, "SELECT k FROM a ORDER BY k"),
-            ints(db, "SELECT k FROM b ORDER BY k"),
-        )
-    });
-    assert_eq!(a, vec![1]);
-    assert_eq!(b, vec![20], "s2's aborted insert must be rolled back");
-}
-
-#[test]
-fn deadlock_resolves_with_typed_victim_and_retry() {
-    let shared = SharedDb::new(Database::new());
-    shared.with(|db| {
-        db.execute("CREATE TABLE a (k INTEGER)").unwrap();
-        db.execute("CREATE TABLE b (k INTEGER)").unwrap();
-    });
-
-    let mut s1 = shared.session();
-    let mut s2 = shared.session();
-    s1.execute("BEGIN").unwrap();
-    s1.execute("INSERT INTO a VALUES (1)").unwrap();
-    s2.execute("BEGIN").unwrap();
-    s2.execute("INSERT INTO b VALUES (10)").unwrap();
-
-    // s1 blocks on b in another thread; s2 then requests a, closing the
-    // cycle — the youngest owner (s2) dies, s1 proceeds.
-    let t1 = std::thread::spawn(move || {
-        s1.execute("INSERT INTO b VALUES (2)").unwrap();
-        s1.execute("COMMIT").unwrap();
-    });
-    let err = loop {
-        match s2.execute("INSERT INTO a VALUES (11)") {
-            Err(e) => break e,
-            // s2 can win the race if s1 hasn't published its wait yet;
-            // its lock on a then blocks s1 — resolve by finishing s2.
-            Ok(_) => {
-                s2.execute("COMMIT").unwrap();
-                s2.execute("BEGIN").unwrap();
-                s2.execute("INSERT INTO b VALUES (10)").unwrap();
-            }
-        }
-    };
-    assert!(
-        matches!(err, Error::Deadlock { .. } | Error::LockTimeout { .. }),
-        "got {err:?}"
-    );
-    assert!(!s2.in_transaction(), "the victim's transaction must abort");
-    t1.join().unwrap();
-
-    // The victim retries and succeeds.
-    s2.execute("BEGIN").unwrap();
-    s2.execute("INSERT INTO b VALUES (10)").unwrap();
-    s2.execute("INSERT INTO a VALUES (11)").unwrap();
-    s2.execute("COMMIT").unwrap();
-}
-
-/// Hammer one table from several writer threads: every statement either
-/// succeeds or fails with a *typed* conflict error, every failed
-/// transaction retries until it lands, and the final row count proves no
-/// transaction was lost or double-applied.
-#[test]
-fn concurrent_writer_smoke_never_corrupts_state() {
-    let shared = SharedDb::new(Database::new());
-    shared.with(|db| {
-        db.execute("CREATE TABLE t (w INTEGER, i INTEGER)").unwrap();
-        db.lock_table().set_timeout_ms(200);
-    });
-    let writers = 4;
-    let txns_per_writer = 10;
-
-    let handles: Vec<_> = (0..writers)
-        .map(|w| {
-            let shared = shared.clone();
-            std::thread::spawn(move || {
-                let mut s = shared.session();
-                for i in 0..txns_per_writer {
-                    loop {
-                        let attempt = (|| -> Result<(), Error> {
-                            s.execute("BEGIN")?;
-                            s.execute(&format!(
-                                "INSERT INTO t VALUES ({w}, {i})"
-                            ))?;
-                            s.execute(&format!(
-                                "DELETE FROM t WHERE w = {w} AND i < {i}"
-                            ))?;
-                            s.execute("COMMIT")?;
-                            Ok(())
-                        })();
-                        match attempt {
-                            Ok(()) => break,
-                            Err(
-                                Error::Deadlock { .. }
-                                | Error::LockTimeout { .. },
-                            ) => continue, // typed conflict: retry is valid
-                            Err(e) => panic!("untyped failure: {e:?}"),
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-
-    // Each writer's last transaction deleted its earlier rows: exactly one
-    // row per writer survives, with the final index.
-    let rows = shared.with(|db| {
-        db.execute("SELECT w, i FROM t ORDER BY w")
-            .unwrap()
-            .into_rows()
-    });
-    assert_eq!(rows.len(), writers as usize);
-    for (w, row) in rows.iter().enumerate() {
-        assert_eq!(row[0], Value::Int(w as i64));
-        assert_eq!(row[1], Value::Int(txns_per_writer - 1));
-    }
-}
-
-#[test]
-fn session_drop_aborts_its_open_transaction() {
-    let shared = SharedDb::new(Database::new());
-    shared.with(|db| db.execute("CREATE TABLE t (k INTEGER)").unwrap());
-    {
-        let mut s = shared.session();
-        s.execute("BEGIN").unwrap();
-        s.execute("INSERT INTO t VALUES (1)").unwrap();
-    } // dropped without COMMIT
-    let mut s2 = shared.session();
-    assert_eq!(
-        s2.execute("SELECT * FROM t").unwrap().rows().len(),
-        0,
-        "a dropped session's transaction must roll back"
-    );
-    // Its exclusive lock is released too.
-    s2.execute("INSERT INTO t VALUES (2)").unwrap();
-}
-
 #[test]
 fn session_script_stops_at_first_error_with_txn_aborted() {
-    let shared = SharedDb::new(Database::new());
-    shared.with(|db| db.execute("CREATE TABLE t (k INTEGER)").unwrap());
-    let mut s = shared.session();
-    let err = s
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (k INTEGER)").unwrap();
+    let err = db
         .execute_script(
             "BEGIN; INSERT INTO t VALUES (1); \
              SELECT * FROM missing; INSERT INTO t VALUES (2); COMMIT",
         )
         .unwrap_err();
     assert!(matches!(err, Error::Catalog(_)), "got {err:?}");
-    assert!(!s.in_transaction());
-    assert_eq!(s.execute("SELECT * FROM t").unwrap().rows().len(), 0);
+    assert!(!db.in_transaction());
+    assert_eq!(db.execute("SELECT * FROM t").unwrap().rows().len(), 0);
 }
