@@ -3,7 +3,8 @@
 //! transaction-scoped WAL, and fault/cancellation composition.
 //!
 //! Each case derives a full scenario from one seed — durable (WAL) vs.
-//! in-memory engine, and a script of `BEGIN` / DML / DDL / `SAVEPOINT` /
+//! in-memory engine, and a script of `BEGIN` / DML / DDL (`CREATE TABLE
+//! … AS` included) / `SAVEPOINT` /
 //! `ROLLBACK TO` / `ROLLBACK` / `COMMIT` / checkpoint actions with seeded
 //! poll-armed cancellations and (debug builds) injected WAL faults riding
 //! along, run on one `Database` (one session). Every rollback is a logical
@@ -70,6 +71,17 @@ fn scratch_dir(seed: u64) -> PathBuf {
 }
 
 type Dump = Vec<(String, Vec<String>)>;
+
+/// Run one scripted statement. The engine's SQL has no `CREATE TABLE …
+/// AS`, so the script writes `CREATE TABLE x AS <query>` and it goes
+/// through [`Database::create_table_as`]; everything else through
+/// [`Database::execute`].
+fn execute(db: &mut Database, sql: &str) -> Result<(), Error> {
+    match sql.strip_prefix("CREATE TABLE ").and_then(|rest| rest.split_once(" AS ")) {
+        Some((name, query)) => db.create_table_as(name, query).map(drop),
+        None => db.execute(sql).map(drop),
+    }
+}
 
 fn rows_of(db: &mut Database, sql: &str) -> Vec<String> {
     let rs = db.execute(sql).expect("dump query");
@@ -171,8 +183,8 @@ impl Runner {
     /// Execute a statement that the script expects to succeed.
     fn exec_ok(&mut self, sql: &str) -> Result<(), Discrepancy> {
         self.trace(sql);
-        match self.db.execute(sql) {
-            Ok(_) => Ok(()),
+        match execute(&mut self.db, sql) {
+            Ok(()) => Ok(()),
             Err(e) => {
                 Err(self.fail("script", format!("step {}: `{sql}` failed: {e}", self.step)))
             }
@@ -187,7 +199,14 @@ impl Runner {
         if ddl_ok && roll == 9 {
             self.created += 1;
             let name = format!("x{}", self.created);
-            return Some((format!("CREATE TABLE {name} (k INTEGER)"), Effect::Create(name)));
+            // Half the creates copy a visible table: the new table's rows
+            // reach the log only at COMMIT, whole.
+            let sql = if !vis.is_empty() && self.rng.chance(1, 2) {
+                format!("CREATE TABLE {name} AS SELECT k FROM {}", self.rng.pick(&vis))
+            } else {
+                format!("CREATE TABLE {name} (k INTEGER)")
+            };
+            return Some((sql, Effect::Create(name)));
         }
         if ddl_ok && roll == 8 && !vis.is_empty() {
             let name = self.rng.pick(&vis).clone();
@@ -216,7 +235,7 @@ impl Runner {
         if self.txn.open {
             self.txn.pending.push((sql, effect));
         } else {
-            if let Err(e) = self.shadow.execute(&sql) {
+            if let Err(e) = execute(&mut self.shadow, &sql) {
                 return Err(self.fail("shadow", format!("auto-commit `{sql}`: {e}")));
             }
             self.snap();
@@ -280,7 +299,7 @@ impl Runner {
             }
         }
         for (sql, _) in txn.pending {
-            if let Err(e) = self.shadow.execute(&sql) {
+            if let Err(e) = execute(&mut self.shadow, &sql) {
                 return Err(
                     self.fail("shadow", format!("shadow diverged replaying `{sql}`: {e}"))
                 );

@@ -41,7 +41,7 @@ fn main() {
     let sim = SqlSimulator::paper_default();
     let circuit = qymera_circuit::library::ghz(3);
     println!("generated SQL:\n{}\n", sim.generated_sql(&circuit));
-    let states = sim.run_trace(&circuit).expect("trace");
+    let states = sim.run_trace(&circuit).expect("trace").states;
     for (k, state) in states.iter().enumerate() {
         println!("|psi>_{k}:");
         for a in state {

@@ -20,6 +20,7 @@ use std::process::ExitCode;
 use qymera_circuit::{json, library, qasm, QuantumCircuit};
 use qymera_core::{select_method, BackendKind, Engine};
 use qymera_sim::SimOptions;
+use qymera_translate::runner::wal_summary;
 use qymera_translate::{CancelHandle, SqlSimConfig, SqlSimulator};
 
 /// Ctrl-C → cooperative cancellation of the SQL engine's statement in
@@ -273,9 +274,13 @@ fn run(args: &[String]) -> Result<(), Failure> {
             Ok(())
         }
         "trace" => {
-            let states =
+            let trace =
                 sql_sim.run_trace(&circuit).map_err(|e| Failure::Simulation(e.to_string()))?;
-            for (k, state) in states.iter().enumerate() {
+            if sql_config.db_path.is_some() {
+                // What `run --db` reports, for the whole trace.
+                eprintln!("sql trace: {} states ({})", trace.states.len(), wal_summary(&trace.stats));
+            }
+            for (k, state) in trace.states.iter().enumerate() {
                 outln!("state T{k} ({} rows):", state.len());
                 for a in state.iter().take(top) {
                     outln!("  s = {:>6}  r = {:+.6}  i = {:+.6}", a.s, a.amp.re, a.amp.im);

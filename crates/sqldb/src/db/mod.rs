@@ -417,7 +417,10 @@ impl Database {
 
     /// `CREATE TABLE <name> AS <query>`: streams the query result into a new
     /// table, charging the budget incrementally (the out-of-core CTAS path
-    /// used by the Qymera runner to materialize intermediate states).
+    /// used by the Qymera runner to materialize intermediate states). Runs
+    /// like any other statement: inside the open transaction when there is
+    /// one (an error aborts it), as an implicit one otherwise; either way
+    /// the table reaches the log at `COMMIT`.
     pub fn create_table_as(&mut self, name: &str, sql: &str) -> Result<usize> {
         let st = parse_statement(sql)?;
         let Statement::Query(q) = st else {
@@ -433,13 +436,6 @@ impl Database {
     /// stack for deep plans).
     fn create_table_as_exec(&mut self, name: &str, plan: Plan, facts: Facts) -> Result<usize> {
         self.begin_statement();
-        if self.in_transaction() {
-            // CTAS frames span many streamed chunks; splicing that into an
-            // open transaction's frame is not supported.
-            return Err(Error::Unsupported(
-                "CREATE TABLE AS inside an open transaction".into(),
-            ));
-        }
         self.in_txn(|db| db.create_table_as_in_txn(name, plan, facts))
     }
 

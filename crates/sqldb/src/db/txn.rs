@@ -1,6 +1,13 @@
 //! The one write path of [`Database`]: every mutation runs inside a
 //! transaction (explicit, or an implicit one-statement one), logs into its
 //! WAL frame, applies to memory, and records how to undo itself.
+//!
+//! A table the transaction created is the exception to "logs": nothing
+//! done to it is logged as it happens. `COMMIT` writes it into the frame
+//! whole — one `CreateTable` record and one `Insert` block per chunk of
+//! its final contents — if it is still alive, so a state that is created
+//! and dropped within one transaction never reaches the log (PostgreSQL's
+//! `wal_level = minimal`).
 
 use super::{with_exec_stack, Database, ResultSet};
 use crate::ast::{DataType, Expr, Query, Statement};
@@ -59,7 +66,7 @@ impl Database {
         let Some(state) = &self.txn else {
             return Err(Error::Plan("COMMIT: no open transaction".into()));
         };
-        if let (Some(store), Some(txn)) = (self.durable.as_mut(), state.wal_txn) {
+        if let (Some(store), Some(_)) = (self.durable.as_ref(), state.wal_txn) {
             if store.repair_epoch() != state.epoch {
                 // A crash-repair truncation while this transaction was
                 // open may have cut its records; the frame cannot be
@@ -71,6 +78,14 @@ impl Database {
                         .into(),
                 ));
             }
+        }
+        if let Err(e) = self.log_created_tables() {
+            // No `Commit` record was written: recovery ignores the frame.
+            self.abort_txn();
+            return Err(e);
+        }
+        let state = self.txn.as_ref().expect("still open");
+        if let (Some(store), Some(txn)) = (self.durable.as_mut(), state.wal_txn) {
             if let Err(e) = store.commit(txn) {
                 self.abort_txn();
                 // Double fault: the fsync failed and so did the repair's
@@ -214,6 +229,45 @@ impl Database {
         Ok(())
     }
 
+    /// Log an op on `table` into the open frame — unless the transaction
+    /// created `table`, which reaches the log whole at `COMMIT`
+    /// ([`Self::log_created_tables`]).
+    fn log_unless_created(
+        &mut self,
+        table: &str,
+        log: impl FnOnce(&mut DurableStore, u64) -> Result<()>,
+    ) -> Result<()> {
+        if self.durable.is_none() || self.txn().created_at(table).is_some() {
+            return Ok(());
+        }
+        self.log_in_txn(log)
+    }
+
+    /// Write every table the open transaction created and still holds into
+    /// its frame, just before the `Commit` record: a `CreateTable` record,
+    /// then one `Insert` block per chunk of the table's snapshot. No-op on
+    /// an in-memory database.
+    fn log_created_tables(&mut self) -> Result<()> {
+        if self.durable.is_none() {
+            return Ok(());
+        }
+        for name in self.txn().created_tables() {
+            let table = self.catalog.get(&name)?;
+            let (name, columns) = (table.name().to_string(), table.columns().to_vec());
+            let snapshot = table.snapshot();
+            self.log_in_txn(|s, txn| s.log_create(txn, &name, &columns))?;
+            for chunk in snapshot.chunks() {
+                let block = RowBatch::from_shared(chunk.columns().to_vec());
+                self.log_in_txn(|s, txn| s.log_insert(txn, &name, &block))?;
+            }
+        }
+        Ok(())
+    }
+
+    fn txn(&self) -> &TxnState {
+        self.txn.as_ref().expect("open transaction")
+    }
+
     /// Record an applied effect on the open transaction's undo stack.
     fn push_undo(&mut self, entry: UndoEntry) {
         self.txn.as_mut().expect("open transaction").undo.push(entry);
@@ -238,7 +292,7 @@ impl Database {
                     )?;
                     return Ok(ResultSet::dml(0));
                 }
-                self.log_in_txn(|s, txn| s.log_create(txn, &name, &columns))?;
+                // Logged at COMMIT, if it is still alive then.
                 self.catalog.create_table(&name, columns, false, self.budget.clone())?;
                 self.push_undo(UndoEntry::Created { name });
                 self.query.check()?;
@@ -249,11 +303,21 @@ impl Database {
                     self.catalog.drop_table(&name, if_exists)?;
                     return Ok(ResultSet::dml(0));
                 }
-                self.log_in_txn(|s, txn| s.log_drop(txn, &name))?;
+                let created = self.txn().created_at(&name);
+                if created.is_none() {
+                    self.log_in_txn(|s, txn| s.log_drop(txn, &name))?;
+                }
                 if let Some(table) = self.catalog.drop_table(&name, if_exists)? {
-                    // The stash keeps charging the budget until the
-                    // transaction resolves: rollback puts it back intact.
-                    self.push_undo(UndoEntry::Dropped { table });
+                    let state = self.txn.as_mut().expect("open transaction");
+                    match created {
+                        // Created in this transaction and beyond every
+                        // savepoint's reach: freed here, with its entries.
+                        Some(at) if state.forget_created(at, &name) => drop(table),
+                        // The stash keeps charging the budget until the
+                        // transaction resolves: rollback puts it back
+                        // intact.
+                        _ => state.undo.push(UndoEntry::Dropped { table }),
+                    }
                 }
                 self.query.check()?;
                 Ok(ResultSet::dml(0))
@@ -272,7 +336,7 @@ impl Database {
                     bind(w, &schema)?;
                 }
                 let text = where_clause.as_ref().map(Expr::to_string);
-                self.log_in_txn(|s, txn| {
+                self.log_unless_created(&table, |s, txn| {
                     s.log_delete(txn, &table, text.as_deref())
                 })?;
                 let undo = self.catalog.get(&table)?.undo_state();
@@ -338,7 +402,7 @@ impl Database {
         if batch.is_empty() {
             return Ok(ResultSet::dml(0));
         }
-        self.log_in_txn(|s, txn| s.log_insert(txn, table, &batch))?;
+        self.log_unless_created(table, |s, txn| s.log_insert(txn, table, &batch))?;
         let t = self.catalog.get_mut(table)?;
         let undo = t.undo_state();
         let n = t.append_batch(&batch)?; // atomic: an error inserts nothing
@@ -395,13 +459,13 @@ impl Database {
         Ok(evaluated)
     }
 
-    /// CTAS body: one WAL frame wraps the `CREATE TABLE` and every
-    /// streamed batch, so recovery replays either the whole table or none
-    /// of it. A result batch is never turned into rows: each one is a
-    /// cancel point, one `Insert` record and one [`Table::append_batch`]
-    /// (which adopts typed columns by `Arc`). Any failure — query error
-    /// mid-stream, budget overrun, WAL fault, cancellation — aborts the
-    /// implicit transaction, whose `Created` undo entry drops the
+    /// CTAS body. The new table belongs to the open transaction, so
+    /// nothing is logged here: `COMMIT` writes the table, and recovery
+    /// replays either the whole of it or none. A result batch is never
+    /// turned into rows: each one is a cancel point and one
+    /// [`Table::append_batch`] (which adopts typed columns by `Arc`). Any
+    /// failure — query error mid-stream, budget overrun, cancellation —
+    /// aborts the transaction, whose `Created` undo entry drops the
     /// partially built table again.
     ///
     /// [`Table::append_batch`]: crate::table::Table::append_batch
@@ -423,10 +487,8 @@ impl Database {
                 self.ctas_create(name, &names, Some(&batch))?;
                 created = true;
             }
-            // Cancel point per batch: nothing of a doomed batch is logged
-            // or applied.
+            // Cancel point per batch: nothing of a doomed batch is applied.
             self.query.check()?;
-            self.log_in_txn(|s, txn| s.log_insert(txn, name, &batch))?;
             inserted += self.catalog.get_mut(name)?.append_batch(&batch)?;
             Ok(())
         })?;
@@ -438,7 +500,7 @@ impl Database {
         Ok(inserted)
     }
 
-    /// Log and create the CTAS target. Column types come from the lanes of
+    /// Create the CTAS target. Column types come from the lanes of
     /// the first result batch (a generic lane: from its first value); later
     /// batches must coerce losslessly (the Qymera translator guarantees
     /// this by casting `s` explicitly when states are wider than 63 bits).
@@ -449,7 +511,6 @@ impl Database {
             None => vec![DataType::Double; names.len()],
         };
         let columns: Vec<(String, DataType)> = names.iter().cloned().zip(types).collect();
-        self.log_in_txn(|s, txn| s.log_create(txn, name, &columns))?;
         self.catalog.create_table(name, columns, false, self.budget.clone())?;
         self.push_undo(UndoEntry::Created { name: name.to_string() });
         Ok(())

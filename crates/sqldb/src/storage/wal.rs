@@ -13,6 +13,12 @@
 //!   rows of an `Insert` are one typed **column block** — the codec of the
 //!   spill files ([`crate::storage::spill`]) — so a batch reaches the log,
 //!   and comes back from it, without becoming rows.
+//!   A table the transaction itself created is logged only at `COMMIT`,
+//!   just before the `Commit` record, and only if it is still alive: one
+//!   `CreateTable` and one `Insert` block per chunk of its final contents.
+//!   Nothing done to it before then — its rows, a `DELETE`, its `DROP` —
+//!   reaches the log, so a table created and dropped in one transaction
+//!   leaves no record. The records are the ones above; replay cannot tell.
 //!   A database is one session, so a frame is contiguous: recovery is one
 //!   forward pass holding at most one pending frame, and replays exactly
 //!   the **committed frames in commit order**. A frame with no `Commit` —

@@ -13,6 +13,13 @@
 //! dropping it, and a dropped table is kept alive in the undo stack
 //! (`UndoEntry::Dropped`) — budget charge included — until the
 //! transaction resolves.
+//!
+//! The undo stack also says which tables the transaction created: those
+//! reach the WAL only at `COMMIT`, whole and only if still alive
+//! ([`TxnState::created_at`], [`TxnState::created_tables`]). Dropping one
+//! that no later savepoint can bring back frees it at once
+//! ([`TxnState::forget_created`]): no rollback could restore it without
+//! also undoing its creation.
 
 use crate::table::{Table, TableUndo};
 
@@ -64,4 +71,66 @@ pub(crate) struct TxnState {
     pub undo: Vec<UndoEntry>,
     /// Active savepoints, oldest first.
     pub savepoints: Vec<SavepointMark>,
+}
+
+impl TxnState {
+    /// Position of the `Created` entry of the live table `name` when this
+    /// transaction created it: the newest entry naming it is a `Created`
+    /// (later `Mutated` entries aside), not a `Dropped`.
+    pub fn created_at(&self, name: &str) -> Option<usize> {
+        for (at, entry) in self.undo.iter().enumerate().rev() {
+            match entry {
+                UndoEntry::Created { name: n } if n.eq_ignore_ascii_case(name) => return Some(at),
+                UndoEntry::Dropped { table } if table.name().eq_ignore_ascii_case(name) => {
+                    return None
+                }
+                _ => {}
+            }
+        }
+        None
+    }
+
+    /// Names of the tables this transaction created and still holds, in
+    /// the order they were created.
+    pub fn created_tables(&self) -> Vec<String> {
+        let mut seen = std::collections::HashSet::new();
+        let mut names = Vec::new();
+        for entry in self.undo.iter().rev() {
+            let (name, created) = match entry {
+                UndoEntry::Created { name } => (name.as_str(), true),
+                UndoEntry::Dropped { table } => (table.name(), false),
+                UndoEntry::Mutated { .. } => continue,
+            };
+            if seen.insert(name.to_ascii_lowercase()) && created {
+                names.push(name.to_string());
+            }
+        }
+        names.reverse();
+        names
+    }
+
+    /// Forget the table `name` created at `at` (see [`Self::created_at`])
+    /// once it is dropped: its `Created` entry and its later `Mutated`
+    /// entries leave the stack, so the table is freed rather than
+    /// stashed. Refused (`false`, nothing changed) when a savepoint was
+    /// set after `at`, since `ROLLBACK TO` it must bring the table back.
+    /// Earlier savepoints mark depths at or below `at`, which the removal
+    /// leaves where they were.
+    pub fn forget_created(&mut self, at: usize, name: &str) -> bool {
+        if self.savepoints.iter().any(|m| m.undo_len > at) {
+            return false;
+        }
+        let mut index = 0;
+        self.undo.retain(|entry| {
+            let mine = index >= at
+                && match entry {
+                    UndoEntry::Created { name: n } => n.eq_ignore_ascii_case(name),
+                    UndoEntry::Mutated { table, .. } => table.eq_ignore_ascii_case(name),
+                    UndoEntry::Dropped { .. } => false,
+                };
+            index += 1;
+            !mine
+        });
+        true
+    }
 }

@@ -18,6 +18,6 @@ pub mod tables;
 
 pub use masks::{GateMasks, StateEncoding};
 pub use qymera_sqldb::CancelHandle;
-pub use runner::{ExecMode, SqlAmplitude, SqlRunResult, SqlSimConfig, SqlSimulator};
+pub use runner::{ExecMode, SqlAmplitude, SqlRunResult, SqlSimConfig, SqlSimulator, SqlTrace};
 pub use sqlgen::{circuit_query, gate_select, SqlGenConfig};
 pub use tables::{GateOp, GateTableRegistry};

@@ -12,6 +12,13 @@
 //!   states are inspectable (Scenario 3's educational walk-through, which
 //!   never fuses: [`SqlSimulator::run_trace`]) at the cost of materializing
 //!   each state.
+//!
+//! On a `--db` directory a run is one transaction: `BEGIN`, the gate tables
+//! and `T0`, then (step tables) the leftover drops and the step loop,
+//! `COMMIT`; single-query mode commits right after the loads. That makes a
+//! run one WAL frame and one fsync, and a state created and dropped inside
+//! it never reaches the log — only the tables alive at `COMMIT` do. In
+//! memory there is no log to save, and every statement auto-commits.
 
 use std::collections::BTreeMap;
 
@@ -120,6 +127,17 @@ impl SqlRunResult {
     }
 }
 
+/// Result of [`SqlSimulator::run_trace`].
+#[derive(Debug, Clone)]
+pub struct SqlTrace {
+    /// Index 0 is the initial state, index k the state after gate k, each
+    /// in basis-state order.
+    pub states: Vec<Vec<SqlAmplitude>>,
+    /// Engine statistics of the whole trace (WAL bytes and fsyncs with
+    /// `--db`).
+    pub stats: DbStats,
+}
+
 /// The SQL simulation backend.
 ///
 /// # Examples
@@ -155,6 +173,15 @@ impl SqlSimulator {
     /// no memory limit.
     pub fn paper_default() -> Self {
         Self::new(SqlSimConfig::default())
+    }
+
+    /// `BEGIN` or `COMMIT` of the run's transaction, which only a `--db`
+    /// run has (see the module doc).
+    fn run_txn(&self, db: &mut Database, sql: &str) -> Result<(), SimError> {
+        if self.config.db_path.is_none() {
+            return Ok(());
+        }
+        db.execute(sql).map(drop).map_err(map_sql_error)
     }
 
     fn make_db(&self) -> Result<Database, SimError> {
@@ -212,15 +239,19 @@ impl SqlSimulator {
     }
 
     /// Run the circuit and return the final state plus engine statistics.
+    /// On a `--db` directory one transaction: the loads and, in step-table
+    /// mode, every step (see the module doc).
     pub fn run(&self, circuit: &QuantumCircuit) -> Result<SqlRunResult, SimError> {
         let (reg, ops) = lower(circuit, self.config.fusion);
         let mut db = self.make_db()?;
+        self.run_txn(&mut db, "BEGIN")?;
         reg.materialize(&mut db).map_err(map_sql_error)?;
         create_initial_state_table(&mut db, "T0", circuit.num_qubits, 0)
             .map_err(map_sql_error)?;
 
         let batches = match self.config.mode {
             ExecMode::SingleQuery => {
+                self.run_txn(&mut db, "COMMIT")?;
                 let sql = circuit_query(&ops, circuit.num_qubits, "T0", &self.config.sqlgen);
                 db.query_batches(&sql).map_err(map_sql_error)?
             }
@@ -230,8 +261,11 @@ impl SqlSimulator {
                     let (next, select) =
                         step_statement(k, op, circuit.num_qubits, &self.config.sqlgen);
                     db.create_table_as(&next, &select).map_err(map_sql_error)?;
+                    // Freed at once; on a `--db` run, where the run's
+                    // transaction created it, never logged either.
                     db.drop_table_if_exists(&state_table_name(k)).map_err(map_sql_error)?;
                 }
+                self.run_txn(&mut db, "COMMIT")?;
                 read_state(&mut db, &state_table_name(ops.len()))?
             }
         };
@@ -248,13 +282,13 @@ impl SqlSimulator {
     /// Step-by-step execution returning every intermediate state — the
     /// educational trace of Demonstration Scenario 3. Index 0 is the initial
     /// state, index k the state after gate k: the trace never fuses,
-    /// whatever [`SqlSimConfig::fusion`] says.
-    pub fn run_trace(
-        &self,
-        circuit: &QuantumCircuit,
-    ) -> Result<Vec<Vec<SqlAmplitude>>, SimError> {
+    /// whatever [`SqlSimConfig::fusion`] says. On a `--db` directory one
+    /// transaction, like [`Self::run`]'s step tables, which keeps every
+    /// state table.
+    pub fn run_trace(&self, circuit: &QuantumCircuit) -> Result<SqlTrace, SimError> {
         let (reg, ops) = lower(circuit, None);
         let mut db = self.make_db()?;
+        self.run_txn(&mut db, "BEGIN")?;
         reg.materialize(&mut db).map_err(map_sql_error)?;
         create_initial_state_table(&mut db, "T0", circuit.num_qubits, 0)
             .map_err(map_sql_error)?;
@@ -267,8 +301,20 @@ impl SqlSimulator {
             db.create_table_as(&next, &select).map_err(map_sql_error)?;
             states.push(read(&mut db, &next)?);
         }
-        Ok(states)
+        self.run_txn(&mut db, "COMMIT")?;
+        Ok(SqlTrace { states, stats: db.stats() })
     }
+}
+
+/// What a run on a `--db` directory cost the log and what opening the
+/// directory replayed: `B wal bytes, F wal fsyncs, opened in T ms (K
+/// frames, A ops replayed)`.
+pub fn wal_summary(stats: &DbStats) -> String {
+    let r = stats.recovery;
+    format!(
+        "{} wal bytes, {} wal fsyncs, opened in {:.1} ms ({} frames, {} ops replayed)",
+        stats.wal_bytes, stats.wal_fsyncs, r.ms, r.frames, r.ops_applied
+    )
 }
 
 fn lower(circuit: &QuantumCircuit, fusion: Option<usize>) -> (GateTableRegistry, Vec<GateOp>) {
@@ -382,11 +428,7 @@ impl Simulator for SqlSimulator {
         );
         if self.config.db_path.is_some() {
             // Behind the three counters above, whose wording callers parse.
-            let r = stats.recovery;
-            out.detail += &format!(
-                ", {} wal bytes, {} wal fsyncs, opened in {:.1} ms ({} frames, {} ops replayed)",
-                stats.wal_bytes, stats.wal_fsyncs, r.ms, r.frames, r.ops_applied
-            );
+            out.detail += &format!(", {}", wal_summary(stats));
         }
         Ok(out)
     }
@@ -461,6 +503,41 @@ mod tests {
             assert!(out.max_amplitude_diff(&reference) < TOL);
             stepped.run_trace(&c).unwrap();
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A step-table run on a fresh directory is one transaction: one
+    /// fsync, one frame at reopen holding only the gate tables and the
+    /// final state, and the ledger peak of the in-memory run — each state
+    /// is freed when the next step drops it, not stashed until `COMMIT`.
+    #[test]
+    fn step_tables_log_one_frame_of_what_survives() {
+        let dir = std::env::temp_dir()
+            .join(format!("qymera-step-frame-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut c = CircuitBuilder::new(10).x(0).x(3).x(8).build();
+        c.append(&library::qft(10)).unwrap();
+        let config = |db_path| SqlSimConfig {
+            mode: ExecMode::StepTables,
+            db_path,
+            ..Default::default()
+        };
+        let durable = SqlSimulator::new(config(Some(dir.clone()))).run(&c).unwrap();
+        let in_memory = SqlSimulator::new(config(None)).run(&c).unwrap();
+        assert_eq!(durable.stats.wal_fsyncs, 1, "{:?}", durable.stats);
+        assert_eq!(durable.stats.peak_memory_bytes, in_memory.stats.peak_memory_bytes);
+        assert_eq!(durable.amplitudes, in_memory.amplitudes);
+
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(db.stats().recovery.frames, 1);
+        let (reg, ops) = lower(&c, config(None).fusion);
+        let mut want: Vec<String> = reg.tables().iter().map(|(name, _)| name.clone()).collect();
+        want.push(state_table_name(ops.len()));
+        want.sort();
+        let mut tables = db.table_names();
+        tables.sort();
+        assert_eq!(tables, want);
+        drop(db);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -585,7 +662,7 @@ mod tests {
 
     #[test]
     fn trace_shows_fig2_intermediate_states() {
-        let states = SqlSimulator::paper_default().run_trace(&library::ghz(3)).unwrap();
+        let states = SqlSimulator::paper_default().run_trace(&library::ghz(3)).unwrap().states;
         assert_eq!(states.len(), 4);
         // |ψ⟩0 = |000⟩
         assert_eq!(states[0].len(), 1);

@@ -21,7 +21,7 @@ fn main() {
 
     println!("Generated SQL (one CTE per gate):\n{}\n", sim.generated_sql(&circuit));
 
-    let states = sim.run_trace(&circuit).expect("trace runs");
+    let states = sim.run_trace(&circuit).expect("trace runs").states;
     let labels = ["|ψ⟩₀ = |000⟩", "|ψ⟩₁ after H(q0)", "|ψ⟩₂ after CX(q0→q1)",
                   "|ψ⟩₃ after CX(q1→q2)"];
     for (state, label) in states.iter().zip(labels) {

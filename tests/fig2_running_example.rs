@@ -90,7 +90,7 @@ fn executing_fig2c_verbatim_yields_fig2_output() {
 fn intermediate_tables_match_fig2c() {
     // Fig. 2c shows T1 = {0, 1}, T2 = {0, 3}, T3 = {0, 7}, all amplitudes
     // 1/√2 — verified through the step-table trace.
-    let states = SqlSimulator::paper_default().run_trace(&library::ghz(3)).unwrap();
+    let states = SqlSimulator::paper_default().run_trace(&library::ghz(3)).unwrap().states;
     let expect: [&[i64]; 4] = [&[0], &[0, 1], &[0, 3], &[0, 7]];
     for (k, (state, want)) in states.iter().zip(expect).enumerate() {
         let got: Vec<i64> = state.iter().map(|a| a.s.as_i64().unwrap()).collect();

@@ -135,7 +135,7 @@ proptest! {
 #[test]
 fn sql_trace_states_are_normalized_at_every_step() {
     let circuit = library::random_circuit(4, 12, 99);
-    let states = SqlSimulator::paper_default().run_trace(&circuit).unwrap();
+    let states = SqlSimulator::paper_default().run_trace(&circuit).unwrap().states;
     for (k, state) in states.iter().enumerate() {
         let norm: f64 = state.iter().map(|a| a.amp.norm_sqr()).sum();
         assert!((norm - 1.0).abs() < 1e-9, "step {k} norm {norm}");

@@ -68,7 +68,7 @@ fn scenario2_benchmark_shape() {
 
 #[test]
 fn ghz_evolution_shows_superposition_then_entanglement() {
-    let states = SqlSimulator::paper_default().run_trace(&library::ghz(3)).unwrap();
+    let states = SqlSimulator::paper_default().run_trace(&library::ghz(3)).unwrap().states;
     // Support sizes along the trace: 1 → 2 → 2 → 2.
     let supports: Vec<usize> = states.iter().map(Vec::len).collect();
     assert_eq!(supports, vec![1, 2, 2, 2]);
