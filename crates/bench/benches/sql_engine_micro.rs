@@ -73,18 +73,11 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("sort_16k_rows", |b| {
-        b.iter(|| {
-            let rs = db.execute("SELECT s FROM T0 ORDER BY s DESC LIMIT 5").unwrap();
-            std::hint::black_box(rs.rows().len())
-        })
-    });
-
     group.finish();
 }
 
-/// Full 16k-row `ORDER BY` (no LIMIT, so the top-k shortcut cannot engage)
-/// and a LEFT OUTER equi-join whose probe side half-misses.
+/// Full 16k-row `ORDER BY` and a LEFT OUTER equi-join whose probe side
+/// half-misses.
 fn bench_sort_and_outer_join(c: &mut Criterion) {
     let mut group = c.benchmark_group("sql_engine_micro");
     group.sample_size(30);

@@ -1,12 +1,12 @@
 //! Seed-deterministic generation of random schemas, data, and SQL queries.
 //!
 //! Every case is a pure function of one `u64` seed. The query shapes are
-//! weighted toward the operator matrix of `docs/OPERATORS.md`: inner /
-//! LEFT / RIGHT / cross / non-equi joins, plain and DISTINCT aggregates,
-//! `ORDER BY` / `LIMIT` / `OFFSET`, and deep CTE chains (the translator's
-//! one-CTE-per-gate shape). Float data is dyadic (`k/8`) so sums are
-//! FP-exact in any accumulation order — result comparison across oracles
-//! and worker counts is then *exact*, not tolerance-based.
+//! weighted toward the operator matrix of `docs/OPERATORS.md`: inner and
+//! LEFT equi-joins, plain aggregates and `COUNT(DISTINCT)`, `SELECT
+//! DISTINCT`, `ORDER BY` / `LIMIT` / `OFFSET`, and deep CTE chains (the
+//! translator's one-CTE-per-gate shape). Float data is dyadic (`k/8`) so
+//! sums are FP-exact in any accumulation order — result comparison across
+//! oracles and worker counts is then *exact*, not tolerance-based.
 
 use qymera_sqldb::Value;
 
@@ -98,21 +98,13 @@ impl TableSpec {
     }
 }
 
-/// Join flavor in a generated query.
+/// Join flavor in a generated query (both run the hash join).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
-    /// `JOIN ... ON l = r` (hash join).
+    /// `JOIN ... ON l = r`.
     Inner,
     /// `LEFT JOIN ... ON l = r`.
     Left,
-    /// `RIGHT JOIN ... ON l = r` (planner rewrite path).
-    Right,
-    /// `CROSS JOIN` (nested loop).
-    Cross,
-    /// `JOIN ... ON l < r` (non-equi nested loop).
-    NonEquiLt,
-    /// `LEFT JOIN ... ON l < r` (outer non-equi nested loop).
-    LeftNonEqui,
 }
 
 /// One join step.
@@ -161,14 +153,15 @@ pub struct AggItem {
     pub func: &'static str,
     /// Argument column, `None` for `COUNT(*)`.
     pub col: Option<String>,
-    /// `DISTINCT` aggregate.
+    /// `COUNT(DISTINCT col)` (only `COUNT` takes `DISTINCT`).
     pub distinct: bool,
     /// Output alias (`a0`, `a1`, ...).
     pub alias: String,
 }
 
 impl AggItem {
-    fn sql(&self) -> String {
+    /// The projection item, `FUNC([DISTINCT] arg) AS alias`.
+    pub fn sql(&self) -> String {
         let arg = match (&self.col, self.distinct) {
             (None, _) => "*".to_string(),
             (Some(c), true) => format!("DISTINCT {c}"),
@@ -418,10 +411,6 @@ fn gen_query(rng: &mut CaseRng, tables: &[TableSpec]) -> QuerySpec {
             JoinKind::Inner,
             JoinKind::Left,
             JoinKind::Left,
-            JoinKind::Right,
-            JoinKind::Cross,
-            JoinKind::NonEquiLt,
-            JoinKind::LeftNonEqui,
         ]);
         let left_of = *rng.pick(&in_scope);
         joins.push(JoinSpec {
@@ -454,7 +443,8 @@ fn gen_query(rng: &mut CaseRng, tables: &[TableSpec]) -> QuerySpec {
         let naggs = rng.range(1, 3) as usize;
         let aggs = (0..naggs)
             .map(|j| {
-                let func = *rng.pick(&["SUM", "COUNT", "AVG", "MIN", "MAX"]);
+                // COUNT twice: it is the one aggregate that takes DISTINCT.
+                let func = *rng.pick(&["SUM", "COUNT", "COUNT", "AVG", "MIN", "MAX"]);
                 let col = if func == "COUNT" && rng.chance(1, 2) {
                     None
                 } else {
@@ -466,7 +456,7 @@ fn gen_query(rng: &mut CaseRng, tables: &[TableSpec]) -> QuerySpec {
                         .collect();
                     Some(rng.pick(&numeric).0.clone())
                 };
-                let distinct = col.is_some() && rng.chance(1, 3);
+                let distinct = func == "COUNT" && col.is_some() && rng.chance(1, 2);
                 AggItem { func, col, distinct, alias: format!("a{j}") }
             })
             .collect();
@@ -531,24 +521,11 @@ pub fn render_from(q: &QuerySpec, tables: &[TableSpec]) -> String {
     let mut from = tables[q.base].name.clone();
     for j in &q.joins {
         let t = &tables[j.table].name;
-        match j.kind {
-            JoinKind::Inner => {
-                from = format!("{from} JOIN {t} ON {} = {}", j.left_col, j.right_col)
-            }
-            JoinKind::Left => {
-                from = format!("{from} LEFT JOIN {t} ON {} = {}", j.left_col, j.right_col)
-            }
-            JoinKind::Right => {
-                from = format!("{from} RIGHT JOIN {t} ON {} = {}", j.left_col, j.right_col)
-            }
-            JoinKind::Cross => from = format!("{from} CROSS JOIN {t}"),
-            JoinKind::NonEquiLt => {
-                from = format!("{from} JOIN {t} ON {} < {}", j.left_col, j.right_col)
-            }
-            JoinKind::LeftNonEqui => {
-                from = format!("{from} LEFT JOIN {t} ON {} < {}", j.left_col, j.right_col)
-            }
-        }
+        let kw = match j.kind {
+            JoinKind::Inner => "JOIN",
+            JoinKind::Left => "LEFT JOIN",
+        };
+        from = format!("{from} {kw} {t} ON {} = {}", j.left_col, j.right_col);
     }
     from
 }
@@ -625,32 +602,13 @@ mod tests {
     fn corpus_covers_the_operator_matrix() {
         let mut joins = 0;
         let mut outer = 0;
-        let mut nonequi = 0;
         let mut distinct_aggs = 0;
         let mut limits = 0;
         let mut deep_ctes = 0;
         for seed in 0..400 {
             let case = SqlCase::generate(seed);
             joins += case.query.joins.len();
-            outer += case
-                .query
-                .joins
-                .iter()
-                .filter(|j| {
-                    matches!(
-                        j.kind,
-                        JoinKind::Left | JoinKind::Right | JoinKind::LeftNonEqui
-                    )
-                })
-                .count();
-            nonequi += case
-                .query
-                .joins
-                .iter()
-                .filter(|j| {
-                    matches!(j.kind, JoinKind::NonEquiLt | JoinKind::LeftNonEqui | JoinKind::Cross)
-                })
-                .count();
+            outer += case.query.joins.iter().filter(|j| j.kind == JoinKind::Left).count();
             if let Some(a) = &case.query.aggregate {
                 distinct_aggs += a.aggs.iter().filter(|g| g.distinct).count();
             }
@@ -659,8 +617,7 @@ mod tests {
         }
         assert!(joins > 100, "joins: {joins}");
         assert!(outer > 20, "outer joins: {outer}");
-        assert!(nonequi > 10, "non-equi/cross joins: {nonequi}");
-        assert!(distinct_aggs > 20, "DISTINCT aggregates: {distinct_aggs}");
+        assert!(distinct_aggs > 20, "COUNT(DISTINCT) aggregates: {distinct_aggs}");
         assert!(limits > 20, "LIMIT cases: {limits}");
         assert!(deep_ctes > 20, "deep CTE chains: {deep_ctes}");
     }

@@ -20,7 +20,7 @@
 use qymera_sqldb::Database;
 
 use crate::generator::{
-    render_core, render_from, JoinKind, JoinSpec, QuerySpec, SqlCase,
+    render_core, render_from, AggItem, JoinKind, JoinSpec, QuerySpec, SqlCase,
 };
 use crate::oracle::{canon_multiset, Discrepancy};
 
@@ -58,14 +58,7 @@ fn render_tail(q: &QuerySpec, case: &SqlCase, from: &str, predicates: &[String])
     let projection = match &q.aggregate {
         Some(a) => {
             let mut items = a.keys.clone();
-            items.extend(a.aggs.iter().map(|g| {
-                let arg = match (&g.col, g.distinct) {
-                    (None, _) => "*".to_string(),
-                    (Some(c), true) => format!("DISTINCT {c}"),
-                    (Some(c), false) => c.clone(),
-                };
-                format!("{}({arg}) AS {}", g.func, g.alias)
-            }));
+            items.extend(a.aggs.iter().map(AggItem::sql));
             items.join(", ")
         }
         None => crate::generator::output_columns(q, &case.tables).join(", "),

@@ -152,13 +152,14 @@ fn usage() -> &'static str {
        --memory BYTES   memory budget for the simulation\n\
        --no-fusion      one query per gate (default: gates that cannot\n\
                         interfere fuse into blocks of up to 6 qubits;\n\
-                        `trace` never fuses)\n\
+                        `trace` never fuses, so it does not take this)\n\
        --db DIR         persist the SQL engine's state in DIR (write-ahead\n\
                         logged, crash-recoverable; default: in-memory)\n\
        --timeout-ms MS  per-statement deadline for the SQL engine\n\
                         (0/unset = none)\n\
        --shots N        samples for the `sample` command (default 1024)\n\
        --top K          state rows to print (default 16)\n\
+     An option the command does not read is an error, not ignored.\n\
      Ctrl-C cancels the SQL statement in flight cooperatively (engine\n\
      rolled back cleanly); a second Ctrl-C exits immediately (130)."
 }
@@ -169,15 +170,32 @@ const VALUE_OPTIONS: [&str; 8] =
     ["--circuit", "--file", "--backend", "--memory", "--db", "--timeout-ms", "--shots", "--top"];
 const FLAGS: [&str; 2] = ["--auto", "--no-fusion"];
 
+/// The options `command` reads besides `--circuit` and `--file`, which every
+/// command reads; `None` for an unknown command.
+fn options_of(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "sql" => &["--no-fusion"],
+        "run" => &["--backend", "--auto", "--memory", "--no-fusion", "--db", "--timeout-ms", "--top"],
+        "trace" => &["--memory", "--db", "--timeout-ms", "--top"],
+        "profile" | "bench" => &["--memory", "--no-fusion", "--db", "--timeout-ms"],
+        "sample" => &["--memory", "--no-fusion", "--db", "--timeout-ms", "--shots", "--top"],
+        _ => return None,
+    })
+}
+
 /// Refuse any argument after the command that is not one of the known
-/// options (with its value) or flags.
-fn check_arguments(args: &[String]) -> Result<(), String> {
+/// options (with its value) or flags, or that the command would not read.
+fn check_arguments(command: &str, args: &[String]) -> Result<(), String> {
+    let reads = options_of(command).ok_or(format!("unknown command `{command}`"))?;
     let mut rest = args.iter().skip(1);
     while let Some(arg) = rest.next() {
         if VALUE_OPTIONS.contains(&arg.as_str()) {
             rest.next().ok_or(format!("`{arg}` needs a value"))?;
         } else if !FLAGS.contains(&arg.as_str()) {
             return Err(format!("unknown option `{arg}`"));
+        }
+        if !["--circuit", "--file"].contains(&arg.as_str()) && !reads.contains(&arg.as_str()) {
+            return Err(format!("`{command}` does not read `{arg}`"));
         }
     }
     Ok(())
@@ -200,7 +218,7 @@ fn flag(args: &[String], name: &str) -> bool {
 
 fn run(args: &[String]) -> Result<(), Failure> {
     let command = args.first().ok_or("missing command")?.clone();
-    check_arguments(args)?;
+    check_arguments(&command, args)?;
     let circuit = load_circuit(args)?;
     let opts = match parsed(args, "--memory")? {
         Some(bytes) => SimOptions::with_memory_limit(bytes),

@@ -2,9 +2,9 @@
 //! `cargo run … --bin qymera -- <args>` line inside a code fence of README.md,
 //! ARCHITECTURE.md and docs/*.md is run with the binary under test, in an
 //! empty working directory, and must exit 0 within a minute. Beside that:
-//! bad input — a circuit spec, an option the CLI does not know, a value that
-//! does not parse — is one `error:` line and exit 1, never a panic or a
-//! silent default; `--timeout-ms`
+//! bad input — a circuit spec, an option the CLI does not know or the command
+//! does not read, a value that does not parse — is one `error:` line and
+//! exit 1, never a panic or a silent default; `--timeout-ms`
 //! works; `--memory` reaches every SQL command; and the environment variables
 //! the sources read are exactly the ones ARCHITECTURE.md lists.
 
@@ -143,6 +143,12 @@ fn unknown_options_and_bad_values_are_argument_errors() {
         (&["run", "--circuit", "ghz:3", "--top", "abc"], "--top value `abc`"),
         (&["sample", "--circuit", "ghz:3", "--shots", "many"], "--shots value `many`"),
         (&["run", "--circuit", "ghz:3", "--top"], "`--top` needs a value"),
+        // Known options the chosen command would not read.
+        (&["trace", "--circuit", "ghz:2", "--backend", "statevector"], "`trace` does not read `--backend`"),
+        (&["sql", "--circuit", "ghz:2", "--db", "unused.db"], "`sql` does not read `--db`"),
+        (&["trace", "--circuit", "ghz:2", "--no-fusion"], "`trace` does not read `--no-fusion`"),
+        (&["bench", "--circuit", "ghz:2", "--backend", "mps"], "`bench` does not read `--backend`"),
+        (&["sample", "--circuit", "ghz:2", "--auto"], "`sample` does not read `--auto`"),
     ] {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
         let what = args.join(" ");

@@ -103,18 +103,13 @@ pub enum Expr {
     Column { table: Option<String>, name: String },
     Unary { op: UnaryOp, expr: Box<Expr> },
     Binary { left: Box<Expr>, op: BinaryOp, right: Box<Expr> },
-    /// Function call — aggregates (`SUM`, `COUNT`, ...) and scalars
-    /// (`ABS`, `SQRT`, ...). `COUNT(*)` is `Function { args: [Expr::Star] }`.
+    /// Function call — aggregates (`SUM`, `COUNT`, ...) and the scalars
+    /// `SUBSTR` and `CONCAT`. `COUNT(*)` is `Function { args: [Expr::Star] }`.
     Function { name: String, args: Vec<Expr>, distinct: bool },
     Star,
     Cast { expr: Box<Expr>, ty: DataType },
     IsNull { expr: Box<Expr>, negated: bool },
     InList { expr: Box<Expr>, list: Vec<Expr>, negated: bool },
-    Case {
-        operand: Option<Box<Expr>>,
-        branches: Vec<(Expr, Expr)>,
-        else_branch: Option<Box<Expr>>,
-    },
     /// Parenthesized — kept so the printer reproduces the translator's SQL.
     Paren(Box<Expr>),
 }
@@ -156,13 +151,6 @@ impl Expr {
             Expr::InList { expr, list, .. } => {
                 expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
             }
-            Expr::Case { operand, branches, else_branch } => {
-                operand.as_deref().is_some_and(Expr::contains_aggregate)
-                    || branches
-                        .iter()
-                        .any(|(c, r)| c.contains_aggregate() || r.contains_aggregate())
-                    || else_branch.as_deref().is_some_and(Expr::contains_aggregate)
-            }
             _ => false,
         }
     }
@@ -183,18 +171,6 @@ impl Expr {
             Expr::InList { expr, list, .. } => {
                 expr.visit_columns(f);
                 list.iter().for_each(|a| a.visit_columns(f));
-            }
-            Expr::Case { operand, branches, else_branch } => {
-                if let Some(op) = operand {
-                    op.visit_columns(f);
-                }
-                for (c, r) in branches {
-                    c.visit_columns(f);
-                    r.visit_columns(f);
-                }
-                if let Some(e) = else_branch {
-                    e.visit_columns(f);
-                }
             }
             Expr::Literal(_) | Expr::Star => {}
         }
@@ -237,23 +213,19 @@ impl TableRef {
     }
 }
 
-/// Join flavor as written in the query. `RIGHT JOIN` exists only at the AST
-/// level: the planner rewrites it into a [`JoinKind::Left`] join with swapped
-/// inputs plus a column-reordering projection, so neither executor needs a
-/// right-outer operator.
+/// Join flavor: `JOIN … ON` (the gate join) or `LEFT JOIN … ON` (the state
+/// diff). Every join has an `ON` condition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
     Inner,
     Left,
-    Right,
-    Cross,
 }
 
 #[derive(Debug, Clone, PartialEq)]
 pub struct Join {
     pub kind: JoinKind,
     pub table: TableRef,
-    pub on: Option<Expr>,
+    pub on: Expr,
 }
 
 /// A single SELECT block.
@@ -268,13 +240,6 @@ pub struct Select {
     pub having: Option<Expr>,
 }
 
-/// Select or UNION ALL chain.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SetExpr {
-    Select(Box<Select>),
-    UnionAll(Box<SetExpr>, Box<SetExpr>),
-}
-
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderItem {
     pub expr: Expr,
@@ -285,7 +250,7 @@ pub struct OrderItem {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     pub ctes: Vec<(String, Query)>,
-    pub body: SetExpr,
+    pub body: Box<Select>,
     pub order_by: Vec<OrderItem>,
     pub limit: Option<u64>,
     pub offset: Option<u64>,
@@ -389,19 +354,6 @@ impl fmt::Display for Expr {
                 }
                 write!(f, ")")
             }
-            Expr::Case { operand, branches, else_branch } => {
-                write!(f, "CASE")?;
-                if let Some(op) = operand {
-                    write!(f, " {op}")?;
-                }
-                for (c, r) in branches {
-                    write!(f, " WHEN {c} THEN {r}")?;
-                }
-                if let Some(e) = else_branch {
-                    write!(f, " ELSE {e}")?;
-                }
-                write!(f, " END")
-            }
             Expr::Paren(e) => write!(f, "({e})"),
         }
     }
@@ -447,13 +399,8 @@ impl fmt::Display for Select {
             let kw = match j.kind {
                 JoinKind::Inner => "JOIN",
                 JoinKind::Left => "LEFT JOIN",
-                JoinKind::Right => "RIGHT JOIN",
-                JoinKind::Cross => "CROSS JOIN",
             };
-            write!(f, " {kw} {}", j.table)?;
-            if let Some(on) = &j.on {
-                write!(f, " ON {on}")?;
-            }
+            write!(f, " {kw} {} ON {}", j.table, j.on)?;
         }
         if let Some(w) = &self.where_clause {
             write!(f, " WHERE {w}")?;
@@ -471,15 +418,6 @@ impl fmt::Display for Select {
             write!(f, " HAVING {h}")?;
         }
         Ok(())
-    }
-}
-
-impl fmt::Display for SetExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SetExpr::Select(s) => write!(f, "{s}"),
-            SetExpr::UnionAll(a, b) => write!(f, "{a} UNION ALL {b}"),
-        }
     }
 }
 
@@ -601,7 +539,8 @@ mod tests {
         let nested = Expr::binary(sum, BinaryOp::Add, Expr::int(1));
         assert!(nested.contains_aggregate());
         assert!(!Expr::col("r").contains_aggregate());
-        let scalar = Expr::Function { name: "ABS".into(), args: vec![Expr::col("x")], distinct: false };
+        let scalar =
+            Expr::Function { name: "SUBSTR".into(), args: vec![Expr::col("x")], distinct: false };
         assert!(!scalar.contains_aggregate());
     }
 
@@ -622,18 +561,5 @@ mod tests {
             if_not_exists: false,
         };
         assert_eq!(st.to_string(), "CREATE TABLE T0 (s INTEGER, r DOUBLE)");
-    }
-
-    #[test]
-    fn case_expression_display() {
-        let e = Expr::Case {
-            operand: None,
-            branches: vec![(
-                Expr::binary(Expr::col("x"), BinaryOp::Gt, Expr::int(0)),
-                Expr::int(1),
-            )],
-            else_branch: Some(Box::new(Expr::int(0))),
-        };
-        assert_eq!(e.to_string(), "CASE WHEN (x > 0) THEN 1 ELSE 0 END");
     }
 }

@@ -12,7 +12,6 @@
 //! reference interpreter ([`crate::reference`]) folds with, one row at a
 //! time.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -32,21 +31,19 @@ pub(crate) enum Acc {
     Min(Option<Value>),
     Max(Option<Value>),
     Avg { sum: f64, count: i64 },
-    /// DISTINCT aggregates keep the deduplicated inputs. The set spills as a
-    /// count-prefixed value list inside the standard partial row (see
-    /// [`Acc::write_partial`]), so DISTINCT participates in partition
-    /// spilling like every other aggregate.
-    Distinct { func: AggFunc, seen: HashMap<GroupKey, Value> },
+    /// `COUNT(DISTINCT x)` keeps the deduplicated inputs (one value per
+    /// [`GroupKey`]). The set spills as a count-prefixed value list inside
+    /// the standard partial row (see [`Acc::write_partial`]), so it takes
+    /// part in partition spilling like every other aggregate.
+    CountDistinct(HashMap<GroupKey, Value>),
 }
 
 impl Acc {
     pub(crate) fn new(agg: &AggExpr) -> Acc {
-        if agg.distinct {
-            return Acc::Distinct { func: agg.func, seen: HashMap::new() };
-        }
         match agg.func {
             AggFunc::Sum => Acc::Sum(None),
             AggFunc::Count | AggFunc::CountStar => Acc::Count(0),
+            AggFunc::CountDistinct => Acc::CountDistinct(HashMap::new()),
             AggFunc::Min => Acc::Min(None),
             AggFunc::Max => Acc::Max(None),
             AggFunc::Avg => Acc::Avg { sum: 0.0, count: 0 },
@@ -101,12 +98,11 @@ impl Acc {
                 *sum += v.as_f64()?;
                 *count += 1;
             }
-            Acc::Distinct { seen, .. } => {
-                let v = arg.expect("DISTINCT aggregate requires an argument");
-                if v.is_null() {
-                    return Ok(());
+            Acc::CountDistinct(seen) => {
+                let v = arg.expect("COUNT(DISTINCT) requires an argument");
+                if !v.is_null() {
+                    seen.entry(v.group_key()).or_insert(v);
                 }
-                Self::insert_distinct(seen, v);
             }
         }
         Ok(())
@@ -124,39 +120,10 @@ impl Acc {
         Ok(())
     }
 
-    /// Insert one value into a distinct set, keeping a *deterministic*
-    /// representative when numerically-equal values of different
-    /// representations share a [`GroupKey`] (`Int 2` vs `Float 2.0`): the
-    /// narrower representation wins, independent of arrival order. First-
-    /// seen-wins would make `SUM(DISTINCT …)`'s result type depend on input
-    /// order — and so differ between the executor, the reference and a
-    /// spilled run.
-    fn insert_distinct(seen: &mut HashMap<GroupKey, Value>, v: Value) {
-        fn repr_rank(v: &Value) -> u8 {
-            match v {
-                Value::Int(_) => 0,
-                Value::Big(_) => 1,
-                Value::Float(_) => 2,
-                Value::Str(_) => 3,
-                Value::Null => 4,
-            }
-        }
-        match seen.entry(v.group_key()) {
-            Entry::Occupied(mut e) => {
-                if repr_rank(&v) < repr_rank(e.get()) {
-                    e.insert(v);
-                }
-            }
-            Entry::Vacant(e) => {
-                e.insert(v);
-            }
-        }
-    }
-
     /// Serialize this accumulator's partial state onto `out`. Fixed-shape
-    /// accumulators contribute one value (two for AVG); DISTINCT contributes
-    /// a count followed by that many deduplicated values, making the record
-    /// self-describing for [`Acc::consume_partial`].
+    /// accumulators contribute one value (two for AVG); `COUNT(DISTINCT)`
+    /// contributes a count followed by that many deduplicated values, making
+    /// the record self-describing for [`Acc::consume_partial`].
     pub(crate) fn write_partial(&self, out: &mut Row) -> Result<()> {
         match self {
             Acc::Sum(v) | Acc::Min(v) | Acc::Max(v) => {
@@ -167,24 +134,16 @@ impl Acc {
                 out.push(Value::Float(*sum));
                 out.push(Value::Int(*count));
             }
-            Acc::Distinct { seen, .. } => {
+            Acc::CountDistinct(seen) => {
                 out.push(Value::Int(seen.len() as i64));
-                // Serialize in total order, not HashMap order, so spill
-                // records are deterministic run to run.
-                out.extend(Self::sorted_distinct(seen).into_iter().cloned());
+                // In total order, not HashMap order, so spill records are
+                // the same bytes run to run.
+                let mut vals: Vec<&Value> = seen.values().collect();
+                vals.sort_by(|a, b| a.cmp_total(b));
+                out.extend(vals.into_iter().cloned());
             }
         }
         Ok(())
-    }
-
-    /// The distinct set's values in [`Value::cmp_total`] order. DISTINCT
-    /// folds (SUM/AVG) and spill records must not depend on HashMap
-    /// iteration order — float accumulation order shows in the last ulp,
-    /// and a per-instance-seeded hash would make repeated runs differ.
-    fn sorted_distinct(seen: &HashMap<GroupKey, Value>) -> Vec<&Value> {
-        let mut vals: Vec<&Value> = seen.values().collect();
-        vals.sort_by(|a, b| a.cmp_total(b));
-        vals
     }
 
     /// Merge one accumulator's slice of a partial row (the inverse of
@@ -234,13 +193,13 @@ impl Acc {
                 *count += row[*pos + 1].as_i64()?;
                 *pos += 2;
             }
-            Acc::Distinct { seen, .. } => {
+            Acc::CountDistinct(seen) => {
                 let n = row[*pos].as_i64()? as usize;
                 if row.len() < *pos + 1 + n {
                     return Err(Error::Io("truncated DISTINCT partial record".into()));
                 }
                 for v in &row[*pos + 1..*pos + 1 + n] {
-                    Self::insert_distinct(seen, v.clone());
+                    seen.entry(v.group_key()).or_insert_with(|| v.clone());
                 }
                 *pos += 1 + n;
             }
@@ -259,47 +218,13 @@ impl Acc {
                     Value::Float(sum / count as f64)
                 }
             }
-            Acc::Distinct { func, seen } => match func {
-                AggFunc::Count => Value::Int(seen.len() as i64),
-                AggFunc::Sum => {
-                    // Fold in total order (see `sorted_distinct`): float
-                    // sums are then bit-identical across runs and execution
-                    // paths.
-                    let mut acc: Option<Value> = None;
-                    for v in Self::sorted_distinct(&seen) {
-                        Self::sum_add(&mut acc, v)?;
-                    }
-                    acc.unwrap_or(Value::Null)
-                }
-                AggFunc::Avg => {
-                    if seen.is_empty() {
-                        Value::Null
-                    } else {
-                        let mut s = 0.0;
-                        for v in Self::sorted_distinct(&seen) {
-                            s += v.as_f64()?;
-                        }
-                        Value::Float(s / seen.len() as f64)
-                    }
-                }
-                AggFunc::Min => seen
-                    .values()
-                    .cloned()
-                    .min_by(|a, b| a.cmp_total(b))
-                    .unwrap_or(Value::Null),
-                AggFunc::Max => seen
-                    .values()
-                    .cloned()
-                    .max_by(|a, b| a.cmp_total(b))
-                    .unwrap_or(Value::Null),
-                AggFunc::CountStar => Value::Int(seen.len() as i64),
-            },
+            Acc::CountDistinct(seen) => Value::Int(seen.len() as i64),
         })
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
         match self {
-            Acc::Distinct { seen, .. } => {
+            Acc::CountDistinct(seen) => {
                 48 + seen.iter().map(|(k, v)| k.heap_bytes() + v.heap_bytes() + 16).sum::<usize>()
             }
             _ => 48,
@@ -429,12 +354,14 @@ impl IntGroupTable {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::hash_map::Entry;
+
     use super::*;
     use crate::expr::BoundExpr;
 
-    fn agg(func: AggFunc, distinct: bool) -> AggExpr {
+    fn agg(func: AggFunc) -> AggExpr {
         let arg = (func != AggFunc::CountStar).then_some(BoundExpr::Column(0));
-        AggExpr { func, arg, distinct }
+        AggExpr { func, arg }
     }
 
     /// Fold `vals` into a fresh accumulator for `agg`.
@@ -460,50 +387,37 @@ mod tests {
             (AggFunc::Max, Value::Null),
             (AggFunc::Avg, Value::Null),
         ] {
-            assert_eq!(Acc::new(&agg(func, false)).finalize().unwrap(), want, "{func:?}");
+            assert_eq!(Acc::new(&agg(func)).finalize().unwrap(), want, "{func:?}");
         }
     }
 
     #[test]
     fn min_max_avg() {
         let vals = floats(&[3.0, 1.0, 2.0]);
-        assert_eq!(fold(&agg(AggFunc::Min, false), &vals).finalize().unwrap(), Value::Float(1.0));
-        assert_eq!(fold(&agg(AggFunc::Max, false), &vals).finalize().unwrap(), Value::Float(3.0));
-        assert_eq!(fold(&agg(AggFunc::Avg, false), &vals).finalize().unwrap(), Value::Float(2.0));
+        assert_eq!(fold(&agg(AggFunc::Min), &vals).finalize().unwrap(), Value::Float(1.0));
+        assert_eq!(fold(&agg(AggFunc::Max), &vals).finalize().unwrap(), Value::Float(3.0));
+        assert_eq!(fold(&agg(AggFunc::Avg), &vals).finalize().unwrap(), Value::Float(2.0));
     }
 
     #[test]
     fn nulls_are_ignored_by_sum_and_count() {
         let vals = [Value::Null, Value::Float(2.0)];
-        assert_eq!(fold(&agg(AggFunc::Sum, false), &vals).finalize().unwrap(), Value::Float(2.0));
-        assert_eq!(fold(&agg(AggFunc::Count, false), &vals).finalize().unwrap(), Value::Int(1));
-        assert_eq!(fold(&agg(AggFunc::CountStar, false), &vals).finalize().unwrap(), Value::Int(2));
+        assert_eq!(fold(&agg(AggFunc::Sum), &vals).finalize().unwrap(), Value::Float(2.0));
+        assert_eq!(fold(&agg(AggFunc::Count), &vals).finalize().unwrap(), Value::Int(1));
+        assert_eq!(fold(&agg(AggFunc::CountStar), &vals).finalize().unwrap(), Value::Int(2));
     }
 
     #[test]
     fn sum_integer_stays_integer() {
         let vals = [Value::Int(2), Value::Int(3)];
-        assert_eq!(fold(&agg(AggFunc::Sum, false), &vals).finalize().unwrap(), Value::Int(5));
+        assert_eq!(fold(&agg(AggFunc::Sum), &vals).finalize().unwrap(), Value::Int(5));
     }
 
     #[test]
-    fn distinct_aggregates() {
-        let vals = floats(&[2.0, 2.0, 3.0]);
-        assert_eq!(fold(&agg(AggFunc::Count, true), &vals).finalize().unwrap(), Value::Int(2));
-        assert_eq!(fold(&agg(AggFunc::Sum, true), &vals).finalize().unwrap(), Value::Float(5.0));
-    }
-
-    #[test]
-    fn distinct_representative_is_order_independent() {
-        // Int 2 and Float 2.0 share a GroupKey; the retained representative
-        // (and so SUM(DISTINCT)'s result type) must not depend on which
-        // arrives first: every input order reduces to the same
-        // narrowest-representation rule.
-        let sum = agg(AggFunc::Sum, true);
-        let forward = fold(&sum, &[Value::Float(2.0), Value::Int(2)]).finalize().unwrap();
-        let reversed = fold(&sum, &[Value::Int(2), Value::Float(2.0)]).finalize().unwrap();
-        assert!(matches!(forward, Value::Int(2)), "narrower representation wins: {forward:?}");
-        assert!(matches!(reversed, Value::Int(2)), "{reversed:?}");
+    fn count_distinct() {
+        // Int 2 and Float 2.0 are one value, as they are one group key.
+        let vals = [Value::Float(2.0), Value::Int(2), Value::Null, Value::Float(3.0)];
+        assert_eq!(fold(&agg(AggFunc::CountDistinct), &vals).finalize().unwrap(), Value::Int(2));
     }
 
     /// What a spilled group goes through: each half of the input is folded,
@@ -513,14 +427,13 @@ mod tests {
     #[test]
     fn partial_rows_round_trip() {
         let aggs = [
-            agg(AggFunc::Sum, false),
-            agg(AggFunc::Count, false),
-            agg(AggFunc::CountStar, false),
-            agg(AggFunc::Min, false),
-            agg(AggFunc::Max, false),
-            agg(AggFunc::Avg, false),
-            agg(AggFunc::Count, true),
-            agg(AggFunc::Sum, true),
+            agg(AggFunc::Sum),
+            agg(AggFunc::Count),
+            agg(AggFunc::CountStar),
+            agg(AggFunc::Min),
+            agg(AggFunc::Max),
+            agg(AggFunc::Avg),
+            agg(AggFunc::CountDistinct),
         ];
         let vals = [
             Value::Float(0.5),
@@ -553,15 +466,15 @@ mod tests {
     }
 
     #[test]
-    fn distinct_partial_is_count_prefixed_and_sorted() {
-        let acc = fold(&agg(AggFunc::Count, true), &floats(&[3.0, 1.0, 3.0, 2.0]));
+    fn count_distinct_partial_is_count_prefixed_and_sorted() {
+        let acc = fold(&agg(AggFunc::CountDistinct), &floats(&[3.0, 1.0, 3.0, 2.0]));
         let mut out = Row::new();
         acc.write_partial(&mut out).unwrap();
         assert_eq!(out[0], Value::Int(3), "the set's size leads the record");
         assert_eq!(out[1..], floats(&[1.0, 2.0, 3.0])[..], "values follow in total order");
 
         // A record cut short is a typed error, not a panic.
-        let mut fresh = Acc::new(&agg(AggFunc::Count, true));
+        let mut fresh = Acc::new(&agg(AggFunc::CountDistinct));
         let err = fresh.consume_partial(&out[..2], &mut 0).unwrap_err();
         assert!(matches!(err, Error::Io(_)), "{err:?}");
     }

@@ -177,44 +177,6 @@ impl Column {
             }
         }
     }
-
-    /// Append every row of `other`, keeping the typed lane when both sides
-    /// share it and demoting to [`Column::Generic`] otherwise (vertical
-    /// concatenation — the batch-assembly dual of [`Column::gather`]).
-    pub fn extend_from(&mut self, other: &Column) {
-        match (&mut *self, other) {
-            (Column::Int(dst), Column::Int(src)) => dst.extend_from_slice(src),
-            (Column::Float(dst), Column::Float(src)) => dst.extend_from_slice(src),
-            (Column::Generic(dst), src) => {
-                dst.reserve(src.len());
-                for i in 0..src.len() {
-                    dst.push(src.value_at(i));
-                }
-            }
-            (dst, src) => {
-                let vals = dst.make_generic();
-                vals.reserve(src.len());
-                for i in 0..src.len() {
-                    vals.push(src.value_at(i));
-                }
-            }
-        }
-    }
-
-    /// Append `n` copies of `v` (the splat dual of [`Column::extend_from`];
-    /// join operators use it to repeat one probe value across a build block
-    /// or to null-pad the non-preserved side of an outer join).
-    pub fn push_n(&mut self, v: &Value, n: usize) {
-        match (&mut *self, v) {
-            (Column::Int(dst), Value::Int(i)) => dst.extend(std::iter::repeat_n(*i, n)),
-            (Column::Float(dst), Value::Float(f)) => dst.extend(std::iter::repeat_n(*f, n)),
-            (Column::Generic(dst), v) => dst.extend(std::iter::repeat_n(v, n).cloned()),
-            (dst, v) => {
-                let vals = dst.make_generic();
-                vals.extend(std::iter::repeat_n(v, n).cloned());
-            }
-        }
-    }
 }
 
 impl Default for Column {
@@ -457,70 +419,6 @@ impl Rows {
             Rows::Batch(b) => b,
             pairs => pairs.to_batch(),
         }
-    }
-}
-
-/// Incremental columnar batch assembly: operators that produce output rows
-/// from multiple sources (nested-loop joins combining probe values with
-/// gathered build blocks, sorts emitting rows drawn from many buffered
-/// batches) append into per-column builders and take a [`RowBatch`] once
-/// enough rows accumulate. Lanes stay typed as long as the appended pieces
-/// agree ([`Column::extend_from`] / [`Column::push_n`] demote on mismatch).
-#[derive(Debug)]
-pub struct BatchBuilder {
-    cols: Vec<Column>,
-    rows: usize,
-}
-
-impl BatchBuilder {
-    /// A builder for batches of `ncols` columns.
-    pub fn new(ncols: usize) -> Self {
-        BatchBuilder { cols: (0..ncols).map(|_| Column::new()).collect(), rows: 0 }
-    }
-
-    /// Rows appended so far.
-    pub fn num_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// True when no rows have been appended.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Mutable access to column `i` for direct appends. Callers must keep
-    /// all columns the same length before [`BatchBuilder::add_rows`].
-    pub fn column_mut(&mut self, i: usize) -> &mut Column {
-        &mut self.cols[i]
-    }
-
-    /// Record that `n` complete rows were appended across all columns.
-    pub fn add_rows(&mut self, n: usize) {
-        self.rows += n;
-        debug_assert!(
-            self.cols.iter().all(|c| c.len() == self.rows),
-            "ragged BatchBuilder: a column is missing values"
-        );
-    }
-
-    /// Append one whole row.
-    pub fn push_row(&mut self, row: &[Value]) {
-        debug_assert_eq!(row.len(), self.cols.len(), "row arity mismatch");
-        for (c, v) in self.cols.iter_mut().zip(row) {
-            c.push(v.clone());
-        }
-        self.rows += 1;
-    }
-
-    /// Take the accumulated rows as a batch, resetting the builder.
-    pub fn take(&mut self) -> RowBatch {
-        let ncols = self.cols.len();
-        let cols = std::mem::replace(
-            &mut self.cols,
-            (0..ncols).map(|_| Column::new()).collect(),
-        );
-        self.rows = 0;
-        RowBatch::from_columns(cols)
     }
 }
 

@@ -3,9 +3,9 @@
 //! thread: the caller's, or the big-stack thread of a deep plan.
 //!
 //! [`vector`] holds the pipeline builder and the scan, filter, project,
-//! join, aggregate, limit and union operators over the columnar [`batch`]
+//! hash join, aggregate and limit operators over the columnar [`batch`]
 //! chunks; `kernel` the compiled gate kernels that project and aggregate
-//! run over a join's index pairs; [`vsort`] the sort and top-k;
+//! run over a join's index pairs; [`vsort`] the sort;
 //! [`aggregate`] the accumulators and partition constants the aggregate
 //! spills with; [`govern`] cancellation and deadlines.
 //! This module keeps what every operator shares: the [`ExecContext`] and
@@ -91,25 +91,22 @@ fn node_label(plan: &Plan) -> String {
         Plan::One => "One".into(),
         Plan::Filter { .. } => "Filter".into(),
         Plan::Project { exprs, .. } => format!("Project [{}]", exprs.len()),
-        Plan::Join { kind, .. } => format!("Join {kind:?}"),
+        Plan::Join { kind, .. } => format!("HashJoin {kind:?}"),
         Plan::Aggregate { group_by, aggs, one_row_per_group, .. } => format!(
             "HashAggregate [{} keys, {} aggs]{}",
             group_by.len(),
             aggs.len(),
             streamed_note(*one_row_per_group)
         ),
-        Plan::Sort { keys, .. } => format!("Sort [{}]", keys.len()),
+        Plan::Sort { keys, .. } => format!("BatchSort [{} keys]", keys.len()),
         Plan::Limit { limit, offset, .. } => format!("Limit {limit:?}+{offset}"),
-        Plan::UnionAll { inputs } => format!("UnionAll [{}]", inputs.len()),
         Plan::Alias { .. } => "Alias".into(),
     }
 }
 
-/// Replace an operator's `EXPLAIN ANALYZE` label with its physical-operator
-/// name. The batch planner calls this when it picks a strategy the logical
-/// label cannot express (`HashJoin Left` vs `NestedLoopJoin Cross`,
-/// `BatchSort` vs `TopKSort`), so plans show exactly which vectorized
-/// operator ran.
+/// Replace an operator's `EXPLAIN ANALYZE` label with what its physical
+/// operator chose (`BatchSort [1 keys, radix]` when the radix path sorted),
+/// so plans show exactly which vectorized path ran.
 pub(crate) fn set_node_label(ctx: &ExecContext, slot: Option<usize>, label: String) {
     if let (Some(id), Some(stats)) = (slot, &ctx.instrument) {
         stats.borrow_mut()[id].label = label;

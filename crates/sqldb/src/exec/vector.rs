@@ -8,8 +8,8 @@
 //! them with compiled kernels (`exec/kernel.rs`), and whatever else pulls
 //! from a join gets the gathered batch. The operator set covers **every plan shape the
 //! planner emits**: scan, filter, project, hash join (inner and LEFT OUTER),
-//! nested-loop join (cross and non-equi), hash aggregate (including
-//! DISTINCT), sort/top-k (see [`super::vsort`]), limit, union, and alias.
+//! hash aggregate (including DISTINCT), sort (see [`super::vsort`]), limit
+//! and alias.
 //! Results leave the pipeline batch by batch through `drain`; what the
 //! executor is tested against is the reference interpreter in
 //! [`crate::reference`], which shares none of the code below.
@@ -49,9 +49,10 @@ use super::aggregate::{
     entry_bytes, partition_of, partition_of_int, Acc, GroupState, IntGroupTable, MAX_DEPTH,
     PARTITIONS,
 };
-use super::batch::{BatchBuilder, Column, ColumnRef, JoinPairs, RowBatch, Rows, BATCH_SIZE};
+use super::batch::{Column, ColumnRef, JoinPairs, RowBatch, Rows, BATCH_SIZE};
 use super::kernel::{CompiledExpr, ComplexPair};
-use super::{instrument_slot, set_node_label, vsort, BuildTimer, ExecContext, NodeStats};
+use super::vsort::BatchSort;
+use super::{instrument_slot, BuildTimer, ExecContext, NodeStats};
 
 /// Uncharged rows a join build side may hold when the shared budget is
 /// exhausted (the per-operator working-set floor).
@@ -106,11 +107,14 @@ pub(crate) fn build_batch_stream_at(
     let slot = instrument_slot(ctx, plan, depth);
     let _timer = BuildTimer::start(ctx, slot);
     let stream = build_batch_stream_inner(plan, catalog, ctx, depth, slot)?;
-    Ok(Box::new(BatchCancelGuard {
-        inner: instrument_wrap(stream, slot, ctx),
-        query: ctx.query.clone(),
-        pulled: false,
-    }))
+    // The `EXPLAIN ANALYZE` counter shim, when a stats slot was reserved.
+    let inner: Box<dyn BatchStream> = match (slot, &ctx.instrument) {
+        (Some(id), Some(stats)) => {
+            Box::new(InstrumentedBatch { inner: stream, id, stats: Rc::clone(stats) })
+        }
+        _ => stream,
+    };
+    Ok(Box::new(BatchCancelGuard { inner, query: ctx.query.clone(), pulled: false }))
 }
 
 /// Per-node cancellation guard: polls [`ExecContext::query`] before every
@@ -146,23 +150,6 @@ impl BatchStream for BatchCancelGuard {
     }
 }
 
-/// Wrap `stream` with the `EXPLAIN ANALYZE` counter shim when a stats slot
-/// was reserved for it.
-pub(crate) fn instrument_wrap(
-    stream: Box<dyn BatchStream>,
-    slot: Option<usize>,
-    ctx: &ExecContext,
-) -> Box<dyn BatchStream> {
-    match (slot, &ctx.instrument) {
-        (Some(id), Some(stats)) => Box::new(InstrumentedBatch {
-            inner: stream,
-            id,
-            stats: Rc::clone(stats),
-        }),
-        _ => stream,
-    }
-}
-
 fn build_batch_stream_inner(
     plan: &Plan,
     catalog: &Catalog,
@@ -194,59 +181,17 @@ fn build_batch_stream_inner(
             })
         }
         Plan::Join { left, right, kind, on, .. } => {
-            if *kind == JoinKind::Right {
-                return Err(Error::Plan(
-                    "internal: RIGHT JOIN must be rewritten at plan time".into(),
-                ));
-            }
-            let left_cols = left.schema().len();
             let right_cols = right.schema().len();
-            let outer = *kind == JoinKind::Left;
-            // Decide the strategy before building children (each child
-            // registers exactly one instrumentation slot).
-            let equi = match (kind, on) {
-                (JoinKind::Inner | JoinKind::Left, Some(cond)) => {
-                    let (lk, rk, residual) = extract_equi_keys(cond.clone(), left_cols);
-                    if lk.is_empty() {
-                        None
-                    } else {
-                        Some((lk, rk, residual))
-                    }
-                }
-                _ => None,
-            };
-            match equi {
-                // Equi-keys (inner or left outer) take the vectorized probe.
-                Some((lk, rk, residual)) => {
-                    set_node_label(ctx, slot, format!("HashJoin {kind:?}"));
-                    let l = build_batch_stream_at(left, catalog, ctx, depth + 1)?;
-                    let r = build_batch_stream_at(right, catalog, ctx, depth + 1)?;
-                    let (table, reservation) =
-                        JoinTable::build_from_stream(r, lk, rk, residual, right_cols, ctx)?;
-                    Box::new(BatchHashJoin::new(l, table, reservation, outer))
-                }
-                // Cross and non-equi conditions run the vectorized nested
-                // loop with batched predicate evaluation.
-                None => {
-                    if outer && on.is_none() {
-                        return Err(Error::Unsupported(
-                            "LEFT JOIN requires an ON condition".into(),
-                        ));
-                    }
-                    set_node_label(ctx, slot, format!("NestedLoopJoin {kind:?}"));
-                    let l = build_batch_stream_at(left, catalog, ctx, depth + 1)?;
-                    let r = build_batch_stream_at(right, catalog, ctx, depth + 1)?;
-                    Box::new(BatchNestedLoopJoin::new(
-                        l,
-                        r,
-                        left_cols,
-                        right_cols,
-                        on.clone(),
-                        outer,
-                        ctx,
-                    )?)
-                }
+            let (lk, rk, residual) = extract_equi_keys(on.clone(), left.schema().len());
+            if lk.is_empty() {
+                let what = "a join without an equi-key reached the executor";
+                return Err(Error::Internal(what.into()));
             }
+            let l = build_batch_stream_at(left, catalog, ctx, depth + 1)?;
+            let r = build_batch_stream_at(right, catalog, ctx, depth + 1)?;
+            let (table, reservation) =
+                JoinTable::build_from_stream(r, lk, rk, residual, right_cols, ctx)?;
+            Box::new(BatchHashJoin::new(l, table, reservation, *kind == JoinKind::Left))
         }
         Plan::Aggregate { input, group_by, aggs, .. } => {
             let child = build_batch_stream_at(input, catalog, ctx, depth + 1)?;
@@ -258,48 +203,14 @@ fn build_batch_stream_inner(
             ))
         }
         Plan::Sort { input, keys } => {
-            return vsort::build_sort_stream(input, keys, None, catalog, ctx, depth, slot);
+            let child = build_batch_stream_at(input, catalog, ctx, depth + 1)?;
+            Box::new(BatchSort::new(child, keys.clone(), ctx.clone(), slot))
         }
-        Plan::Limit { input, limit, offset } => {
-            // `ORDER BY … LIMIT k`: a small k turns the sort into a top-k
-            // heap — the limit node stays (it applies the offset), but the
-            // sort below only ever retains k rows.
-            if let (Some(l), Plan::Sort { input: sort_input, keys }) =
-                (*limit, input.as_ref())
-            {
-                let k = l.saturating_add(*offset);
-                if k > 0 && k <= vsort::TOPK_MAX_ROWS as u64 {
-                    let sort_slot = instrument_slot(ctx, input, depth + 1);
-                    let _timer = BuildTimer::start(ctx, sort_slot);
-                    let sorted = vsort::build_sort_stream(
-                        sort_input,
-                        keys,
-                        Some(k as usize),
-                        catalog,
-                        ctx,
-                        depth + 1,
-                        sort_slot,
-                    )?;
-                    return Ok(Box::new(BatchLimit {
-                        input: instrument_wrap(sorted, sort_slot, ctx),
-                        remaining: l,
-                        to_skip: *offset,
-                    }));
-                }
-            }
-            Box::new(BatchLimit {
-                input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
-                remaining: limit.unwrap_or(u64::MAX),
-                to_skip: *offset,
-            })
-        }
-        Plan::UnionAll { inputs } => {
-            let streams = inputs
-                .iter()
-                .map(|p| build_batch_stream_at(p, catalog, ctx, depth + 1))
-                .collect::<Result<Vec<_>>>()?;
-            Box::new(BatchUnion { streams, current: 0 })
-        }
+        Plan::Limit { input, limit, offset } => Box::new(BatchLimit {
+            input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
+            remaining: limit.unwrap_or(u64::MAX),
+            to_skip: *offset,
+        }),
         Plan::Alias { input, .. } => build_batch_stream_at(input, catalog, ctx, depth + 1)?,
     })
 }
@@ -483,25 +394,8 @@ impl BatchStream for BatchLimit {
     }
 }
 
-struct BatchUnion {
-    streams: Vec<Box<dyn BatchStream>>,
-    current: usize,
-}
-
-impl BatchStream for BatchUnion {
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        while self.current < self.streams.len() {
-            if let Some(batch) = self.streams[self.current].next_batch()? {
-                return Ok(Some(batch));
-            }
-            self.current += 1;
-        }
-        Ok(None)
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Vectorized hash join (inner, equi-keys)
+// Vectorized hash join (inner and LEFT OUTER, equi-keys)
 // ---------------------------------------------------------------------------
 
 /// Join-key lookup table. `Single` specializes the one-key case (the gate
@@ -751,11 +645,11 @@ impl JoinTable {
     }
 }
 
-/// Hash join over equi-keys: builds on the right input, probes
-/// batch-at-a-time with the left. Covers inner and LEFT OUTER semantics
-/// (RIGHT OUTER arrives as a planner-rewritten left join); under an outer
-/// probe the operator keeps a per-probe-batch match bitmap and emits one
-/// null-padded batch of never-matched probe rows after each batch drains.
+/// Hash join over equi-keys, the engine's one join operator: builds on the
+/// right input, probes batch-at-a-time with the left. Covers inner and LEFT
+/// OUTER semantics; under an outer probe the operator keeps a
+/// per-probe-batch match bitmap and emits one null-padded batch of
+/// never-matched probe rows after each batch drains.
 struct BatchHashJoin {
     probe: Box<dyn BatchStream>,
     table: JoinTable,
@@ -832,193 +726,6 @@ impl BatchStream for BatchHashJoin {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized nested-loop join (cross, non-equi, outer non-equi)
-// ---------------------------------------------------------------------------
-
-/// Nested-loop join for the shapes the hash join cannot take: cross joins
-/// and non-equi `ON` conditions, inner or LEFT OUTER. The right side is
-/// materialized once as columnar blocks; for each probe row the condition is
-/// evaluated with the [`BoundExpr::eval_batch`] kernels over one whole block
-/// at a time (the probe row's values splatted across the block), so the
-/// predicate runs vectorized along the build dimension. Output accumulates
-/// columnar in a [`BatchBuilder`] and emits near-[`BATCH_SIZE`] batches.
-struct BatchNestedLoopJoin {
-    probe: Box<dyn BatchStream>,
-    /// The materialized right side, kept in its original batch blocks.
-    blocks: Vec<RowBatch>,
-    /// `None` for cross joins (every pair passes).
-    condition: Option<BoundExpr>,
-    /// LEFT OUTER: probe rows with no passing pair survive, null-padded.
-    outer: bool,
-    left_cols: usize,
-    right_cols: usize,
-    /// Probe batch being drained, resumable at *block* granularity so a
-    /// single probe row joining a large build side still emits bounded
-    /// batches: (batch, probe row, next build block, row matched so far).
-    pending: Option<(RowBatch, usize, usize, bool)>,
-    out: BatchBuilder,
-    done: bool,
-    /// Per-block cancellation checks: one probe row crossing a huge build
-    /// side must observe cancel without finishing the whole sweep.
-    query: super::govern::QueryContext,
-    /// Memory charge for the materialized right side.
-    _reservation: Reservation,
-}
-
-impl BatchNestedLoopJoin {
-    fn new(
-        probe: Box<dyn BatchStream>,
-        mut build: Box<dyn BatchStream>,
-        left_cols: usize,
-        right_cols: usize,
-        condition: Option<BoundExpr>,
-        outer: bool,
-        ctx: &ExecContext,
-    ) -> Result<Self> {
-        // Materialize the build side under the shared budget, with the same
-        // bounded working-set floor as every other build phase (batch
-        // granularity: the batch that overflows the floor fails the build).
-        let mut blocks = Vec::new();
-        let mut reservation = Reservation::empty(&ctx.budget);
-        let mut overdraft_rows = 0usize;
-        while let Some(batch) = build.next_batch()? {
-            let bytes: usize = batch.columns().iter().map(|c| c.heap_bytes()).sum();
-            if !reservation.try_grow(bytes) {
-                overdraft_rows += batch.num_rows();
-                if overdraft_rows > BUILD_OVERDRAFT_ROWS {
-                    return Err(Error::OutOfMemory {
-                        requested: bytes,
-                        budget: ctx.budget.limit(),
-                    });
-                }
-            }
-            blocks.push(batch);
-        }
-        Ok(BatchNestedLoopJoin {
-            probe,
-            blocks,
-            condition,
-            outer,
-            left_cols,
-            right_cols,
-            pending: None,
-            out: BatchBuilder::new(left_cols + right_cols),
-            done: false,
-            query: ctx.query.clone(),
-            _reservation: reservation,
-        })
-    }
-
-    /// Join probe row `i` of `batch` against build blocks starting at
-    /// `*block`, appending passing pairs (and the outer pad once all blocks
-    /// are done and none passed) to the output. Stops early — returning
-    /// `false` with `*block`/`*matched` positioned for resumption — once
-    /// the output builder reaches [`BATCH_SIZE`], so one probe row joining
-    /// a large build side cannot balloon a single output batch.
-    fn join_row(
-        &mut self,
-        batch: &RowBatch,
-        i: usize,
-        block: &mut usize,
-        matched: &mut bool,
-    ) -> Result<bool> {
-        let probe_vals: Vec<Value> =
-            (0..self.left_cols).map(|c| batch.column(c).value_at(i)).collect();
-        while *block < self.blocks.len() {
-            if self.out.num_rows() >= BATCH_SIZE {
-                return Ok(false);
-            }
-            self.query.check()?;
-            let bi = *block;
-            *block += 1;
-            let n = self.blocks[bi].num_rows();
-            match &self.condition {
-                Some(cond) => {
-                    // Splat the probe row across the block and run the
-                    // batched kernels over the combined schema.
-                    let mut cols: Vec<ColumnRef> =
-                        Vec::with_capacity(self.left_cols + self.right_cols);
-                    for v in &probe_vals {
-                        cols.push(Arc::new(Column::splat(v, n)));
-                    }
-                    cols.extend(self.blocks[bi].columns().iter().cloned());
-                    let combined = RowBatch::from_shared(cols);
-                    let mask = cond.eval_batch(&combined)?;
-                    let sel = truthy_selection(&mask)?;
-                    if sel.is_empty() {
-                        continue;
-                    }
-                    *matched = true;
-                    for (c, v) in probe_vals.iter().enumerate() {
-                        self.out.column_mut(c).push_n(v, sel.len());
-                    }
-                    for c in 0..self.right_cols {
-                        let gathered = self.blocks[bi].column(c).gather(&sel);
-                        self.out.column_mut(self.left_cols + c).extend_from(&gathered);
-                    }
-                    self.out.add_rows(sel.len());
-                }
-                None => {
-                    // Cross join: every pair passes, no gather needed.
-                    *matched = true;
-                    for (c, v) in probe_vals.iter().enumerate() {
-                        self.out.column_mut(c).push_n(v, n);
-                    }
-                    for c in 0..self.right_cols {
-                        let dst = self.out.column_mut(self.left_cols + c);
-                        dst.extend_from(self.blocks[bi].column(c));
-                    }
-                    self.out.add_rows(n);
-                }
-            }
-        }
-        if self.outer && !*matched {
-            for (c, v) in probe_vals.iter().enumerate() {
-                self.out.column_mut(c).push_n(v, 1);
-            }
-            for c in 0..self.right_cols {
-                self.out.column_mut(self.left_cols + c).push_n(&Value::Null, 1);
-            }
-            self.out.add_rows(1);
-        }
-        Ok(true)
-    }
-}
-
-impl BatchStream for BatchNestedLoopJoin {
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        loop {
-            if self.out.num_rows() >= BATCH_SIZE || (self.done && !self.out.is_empty()) {
-                return Ok(Some(self.out.take()));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            let (batch, mut row, mut block, mut matched) = match self.pending.take() {
-                Some(p) => p,
-                None => match self.probe.next_batch()? {
-                    Some(b) => (b, 0, 0, false),
-                    None => {
-                        self.done = true;
-                        continue;
-                    }
-                },
-            };
-            while row < batch.num_rows() && self.out.num_rows() < BATCH_SIZE {
-                if self.join_row(&batch, row, &mut block, &mut matched)? {
-                    row += 1;
-                    block = 0;
-                    matched = false;
-                }
-            }
-            if row < batch.num_rows() {
-                self.pending = Some((batch, row, block, matched));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Vectorized hash aggregate
 // ---------------------------------------------------------------------------
 
@@ -1058,7 +765,7 @@ impl AggCore {
             && !aggs.is_empty()
             && aggs
                 .iter()
-                .all(|a| a.func == AggFunc::Sum && !a.distinct && a.arg.is_some());
+                .all(|a| a.func == AggFunc::Sum && a.arg.is_some());
         let fast_bytes = entry_bytes(
             &[Value::Int(0)],
             &aggs.iter().map(Acc::new).collect::<Vec<_>>(),
@@ -1739,67 +1446,13 @@ mod tests {
     }
 
     #[test]
-    fn nested_loop_cross_join_emits_bounded_batches() {
-        // A single probe row crossing a build side much larger than
-        // BATCH_SIZE must still emit bounded batches: join_row resumes at
-        // block granularity, so no batch exceeds BATCH_SIZE + one block.
-        let probe: Vec<Row> = (0..3).map(|i| vec![Value::Int(i)]).collect();
-        let build: Vec<Row> = (0..3000).map(|j| vec![Value::Int(j)]).collect();
-        let mut j = BatchNestedLoopJoin::new(
-            batches_of(probe),
-            batches_of(build),
-            1,
-            1,
-            None,
-            false,
-            &ctx(),
-        )
-        .unwrap();
-        let mut total = 0;
-        while let Some(b) = j.next_batch().unwrap() {
-            assert!(
-                b.num_rows() <= 2 * BATCH_SIZE,
-                "oversized nested-loop batch: {}",
-                b.num_rows()
-            );
-            total += b.num_rows();
-        }
-        assert_eq!(total, 9000);
-    }
-
-    #[test]
-    fn nested_loop_left_outer_pads_across_resume() {
-        // Outer pad decisions must survive block-granular resumption: the
-        // matching probe row fans out over >BATCH_SIZE pairs (forcing
-        // mid-row suspension), the other row matches nothing and pads.
-        let probe: Vec<Row> = vec![vec![Value::Int(1)], vec![Value::Int(-1)]];
-        let build: Vec<Row> = (0..2000).map(|j| vec![Value::Int(j)]).collect();
-        let cond = bin(col(0), BinaryOp::Gt, BoundExpr::Literal(Value::Int(-1)));
-        let j = BatchNestedLoopJoin::new(
-            batches_of(probe),
-            batches_of(build),
-            1,
-            1,
-            Some(cond),
-            true,
-            &ctx(),
-        )
-        .unwrap();
-        let out = drain_batches(Box::new(j));
-        assert_eq!(out.len(), 2001, "2000 pairs for row 1, one pad for row -1");
-        let pads: Vec<_> = out.iter().filter(|r| r[1].is_null()).collect();
-        assert_eq!(pads.len(), 1);
-        assert_eq!(pads[0][0], Value::Int(-1));
-    }
-
-    #[test]
     fn fast_aggregate_sums_per_group() {
         let rows: Vec<Row> =
             (0..4000).map(|i| vec![Value::Int(i % 7), Value::Float(0.5)]).collect();
         let agg = BatchHashAggregate::new(
             batches_of(rows),
             vec![col(0)],
-            vec![AggExpr { func: AggFunc::Sum, arg: Some(col(1)), distinct: false }],
+            vec![AggExpr { func: AggFunc::Sum, arg: Some(col(1)) }],
             ctx(),
         );
         let mut out = drain_batches(Box::new(agg));
@@ -1811,7 +1464,7 @@ mod tests {
     }
 
     fn sum_of(c: usize) -> AggExpr {
-        AggExpr { func: AggFunc::Sum, arg: Some(col(c)), distinct: false }
+        AggExpr { func: AggFunc::Sum, arg: Some(col(c)) }
     }
 
     #[test]
@@ -1880,7 +1533,7 @@ mod tests {
         let agg = BatchHashAggregate::new(
             batches_of(rows),
             vec![col(0)],
-            vec![AggExpr { func: AggFunc::Sum, arg: Some(col(1)), distinct: false }],
+            vec![AggExpr { func: AggFunc::Sum, arg: Some(col(1)) }],
             tight,
         );
         let mut out = drain_batches(Box::new(agg));
@@ -1953,9 +1606,9 @@ mod tests {
             vec![Value::Int(2), Value::Float(-1.0)],
         ];
         let aggs = vec![
-            AggExpr { func: AggFunc::CountStar, arg: None, distinct: false },
-            AggExpr { func: AggFunc::Min, arg: Some(col(1)), distinct: false },
-            AggExpr { func: AggFunc::Max, arg: Some(col(1)), distinct: false },
+            AggExpr { func: AggFunc::CountStar, arg: None },
+            AggExpr { func: AggFunc::Min, arg: Some(col(1)) },
+            AggExpr { func: AggFunc::Max, arg: Some(col(1)) },
         ];
         let agg = BatchHashAggregate::new(batches_of(rows), vec![col(0)], aggs, ctx());
         let mut out = drain_batches(Box::new(agg));
@@ -1976,8 +1629,8 @@ mod tests {
             batches_of(vec![]),
             vec![],
             vec![
-                AggExpr { func: AggFunc::Sum, arg: Some(col(0)), distinct: false },
-                AggExpr { func: AggFunc::CountStar, arg: None, distinct: false },
+                AggExpr { func: AggFunc::Sum, arg: Some(col(0)) },
+                AggExpr { func: AggFunc::CountStar, arg: None },
             ],
             ctx(),
         );

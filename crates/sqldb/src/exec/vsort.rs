@@ -22,33 +22,25 @@
 //!   [`Reservation`]; when the reservation cannot grow, the buffer is sorted
 //!   and written out as a run (`[keys…, ordinal, row…]` records in the
 //!   standard spill format), and runs merge through a k-way heap.
-//! * **Top-k.** `ORDER BY … LIMIT k` (small k, pushed down by the planner)
-//!   keeps a bounded k-row heap instead of buffering the input — the
-//!   measurement queries' "most probable states first, LIMIT k" shape never
-//!   materializes the full state.
+//!
+//! `ORDER BY … LIMIT k` is this sort under a `BatchLimit`: it charges the
+//! ledger and spills like any other sort.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
-use crate::plan::logical::{Plan, SortKey};
+use crate::plan::logical::SortKey;
 use crate::storage::budget::Reservation;
-use crate::storage::spill::{row_bytes, Row, SpillReader, SpillWriter};
+use crate::storage::spill::{Row, SpillReader, SpillWriter};
 use crate::value::Value;
 
 use super::batch::{Column, ColumnRef, RowBatch, BATCH_SIZE};
-use super::vector::{build_batch_stream_at, BatchStream};
+use super::vector::BatchStream;
 use super::{set_node_label, ExecContext};
-
-/// Largest `LIMIT + OFFSET` the planner turns into a top-k heap. Beyond
-/// this the full sort (with spilling) is the better strategy anyway, and
-/// the bound keeps the heap's working set small enough that the best-effort
-/// budget charge cannot meaningfully overshoot.
-pub(crate) const TOPK_MAX_ROWS: usize = 8192;
 
 /// Rows the sort buffers at minimum before budget pressure forces a spill
 /// run (the sort's bounded uncharged working-set floor). The sort's other
@@ -69,30 +61,6 @@ fn cmp_keys(a: &[Value], b: &[Value], desc: &[bool]) -> Ordering {
         }
     }
     Ordering::Equal
-}
-
-/// Build the vectorized sort stream for a `Plan::Sort` node whose
-/// instrumentation slot the caller already registered. `topk` is
-/// `Some(limit + offset)` when the planner pushed a small `LIMIT` down into
-/// the sort.
-pub(crate) fn build_sort_stream(
-    input: &Plan,
-    keys: &[SortKey],
-    topk: Option<usize>,
-    catalog: &Catalog,
-    ctx: &ExecContext,
-    depth: usize,
-    slot: Option<usize>,
-) -> Result<Box<dyn BatchStream>> {
-    let label = match topk {
-        Some(k) => format!("TopKSort [{} keys, k={k}]", keys.len()),
-        None => format!("BatchSort [{} keys]", keys.len()),
-    };
-    set_node_label(ctx, slot, label);
-    let child = build_batch_stream_at(input, catalog, ctx, depth + 1)?;
-    let mut sort = BatchSort::new(child, keys.to_vec(), topk, ctx.clone());
-    sort.slot = slot;
-    Ok(Box::new(sort))
 }
 
 // ---------------------------------------------------------------------------
@@ -372,64 +340,6 @@ impl Ord for MergeEntry {
     }
 }
 
-/// Entry of the bounded top-k heap (max-heap: the worst retained row on top).
-struct TopEntry {
-    key: Vec<Value>,
-    ord: u64,
-    row: Row,
-    bytes: usize,
-    desc: Arc<Vec<bool>>,
-}
-
-impl PartialEq for TopEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for TopEntry {}
-
-impl PartialOrd for TopEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TopEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        cmp_keys(&self.key, &other.key, &self.desc).then(self.ord.cmp(&other.ord))
-    }
-}
-
-/// Offer one row to a bounded top-k heap, evicting the worst retained entry
-/// when full. The reservation charge is best-effort (bounded by `k` rows).
-fn offer_topk(
-    heap: &mut BinaryHeap<TopEntry>,
-    k: usize,
-    key: Vec<Value>,
-    ord: u64,
-    row: impl FnOnce() -> Row,
-    desc: &Arc<Vec<bool>>,
-    reservation: &mut Reservation,
-) {
-    if heap.len() == k {
-        // Reject without materializing the row when it cannot beat the
-        // current worst (the common case on mostly-sorted input).
-        // SAFETY of expect: `heap.len() == k` and `k >= 1` (LIMIT 0 returns
-        // before building a heap), so peek/pop cannot observe an empty heap.
-        let worst = heap.peek().expect("heap is full");
-        if cmp_keys(&key, &worst.key, desc).then(ord.cmp(&worst.ord)) != Ordering::Less {
-            return;
-        }
-        let evicted = heap.pop().expect("heap is full");
-        reservation.shrink(evicted.bytes);
-    }
-    let row = row();
-    let bytes = row_bytes(&row) + row_bytes(&key) + 48;
-    let _ = reservation.try_grow(bytes); // best-effort, bounded by k
-    heap.push(TopEntry { key, ord, row, bytes, desc: Arc::clone(desc) });
-}
-
 // ---------------------------------------------------------------------------
 // The operator
 // ---------------------------------------------------------------------------
@@ -440,8 +350,6 @@ pub struct BatchSort {
     input: Option<Box<dyn BatchStream>>,
     keys: Vec<SortKey>,
     desc: Arc<Vec<bool>>,
-    /// `Some(k)`: retain only the first `k` rows of the sorted order.
-    topk: Option<usize>,
     ctx: ExecContext,
     /// Instrumentation slot, relabelled when the radix path sorts.
     slot: Option<usize>,
@@ -455,24 +363,21 @@ enum SortState {
     Mem { buffer: SortBuffer, order: Vec<(u32, u32)>, pos: usize },
     /// Merging the spilled runs.
     Merge { sources: Vec<SpillReader>, heap: BinaryHeap<MergeEntry> },
-    /// A fully materialized sorted prefix (the top-k result).
-    Rows { rows: std::vec::IntoIter<Row> },
     Done,
 }
 
 impl BatchSort {
-    /// Sort `input` by `keys`; `topk` caps the retained rows (planner-pushed
-    /// `LIMIT + OFFSET`).
+    /// Sort `input` by `keys`; `slot` is the node's `EXPLAIN ANALYZE` slot.
     pub fn new(
         input: Box<dyn BatchStream>,
         keys: Vec<SortKey>,
-        topk: Option<usize>,
         ctx: ExecContext,
+        slot: Option<usize>,
     ) -> Self {
         let desc = Arc::new(keys.iter().map(|k| k.desc).collect::<Vec<_>>());
         let reservation = Reservation::empty(&ctx.budget);
         let state = SortState::Pending;
-        BatchSort { input: Some(input), keys, desc, topk, ctx, slot: None, reservation, state }
+        BatchSort { input: Some(input), keys, desc, ctx, slot, reservation, state }
     }
 
     /// Sort the buffered rows (see [`SortBuffer::sorted_indices`]); the
@@ -485,21 +390,14 @@ impl BatchSort {
         order
     }
 
+    /// Buffer the input columnar, spilling sorted runs when the reservation
+    /// cannot grow. The batch whose charge fails is still buffered before
+    /// the spill (a bounded one-batch overdraft), so a budget below one
+    /// batch cannot wedge the pipeline.
     fn consume(&mut self) -> Result<()> {
-        let Some(input) = self.input.take() else {
+        let Some(mut input) = self.input.take() else {
             unreachable!("sort executed twice")
         };
-        match self.topk {
-            Some(k) => self.consume_topk_stream(input, k),
-            None => self.consume_stream(input),
-        }
-    }
-
-    /// Full-sort consume: buffer batches columnar, spilling sorted runs when
-    /// the reservation cannot grow. The batch whose charge fails is still
-    /// buffered before the spill (a bounded one-batch overdraft), so a
-    /// budget below one batch cannot wedge the pipeline.
-    fn consume_stream(&mut self, mut input: Box<dyn BatchStream>) -> Result<()> {
         let key_exprs: Vec<BoundExpr> = self.keys.iter().map(|k| k.expr.clone()).collect();
         let mut buffer = SortBuffer::new();
         let mut runs: Vec<SpillReader> = Vec::new();
@@ -531,34 +429,6 @@ impl BatchSort {
             runs.push(self.spill_run(&mut buffer, base_ord)?);
         }
         self.start_merge(runs)
-    }
-
-    /// Top-k consume: a bounded max-heap of the best `k` rows. Memory is
-    /// bounded by `k` rows ([`TOPK_MAX_ROWS`] at most); the reservation
-    /// charge is best-effort — when the shared budget is exhausted the heap
-    /// keeps its bounded working set uncharged rather than failing.
-    fn consume_topk_stream(&mut self, mut input: Box<dyn BatchStream>, k: usize) -> Result<()> {
-        let key_exprs: Vec<BoundExpr> = self.keys.iter().map(|k| k.expr.clone()).collect();
-        let mut heap: BinaryHeap<TopEntry> = BinaryHeap::with_capacity(k + 1);
-        let mut ord = 0u64;
-        while let Some(batch) = input.next_batch()? {
-            let key_cols: Vec<ColumnRef> = key_exprs
-                .iter()
-                .map(|e| e.eval_batch(&batch))
-                .collect::<Result<Vec<_>>>()?;
-            for i in 0..batch.num_rows() {
-                let key: Vec<Value> = key_cols.iter().map(|c| c.value_at(i)).collect();
-                offer_topk(&mut heap, k, key, ord, || batch.row(i), &self.desc, &mut self.reservation);
-                ord += 1;
-            }
-        }
-        self.finish_topk(heap);
-        Ok(())
-    }
-
-    fn finish_topk(&mut self, heap: BinaryHeap<TopEntry>) {
-        let rows: Vec<Row> = heap.into_sorted_vec().into_iter().map(|e| e.row).collect();
-        self.state = SortState::Rows { rows: rows.into_iter() };
     }
 
     /// Sort and spill the buffered rows as one run of
@@ -638,14 +508,6 @@ impl BatchSort {
                     Ok(Some(RowBatch::from_owned_rows(rows)))
                 }
             }
-            SortState::Rows { rows } => {
-                let chunk: Vec<Row> = rows.by_ref().take(BATCH_SIZE).collect();
-                if chunk.is_empty() {
-                    Ok(None)
-                } else {
-                    Ok(Some(RowBatch::from_owned_rows(chunk)))
-                }
-            }
             SortState::Pending | SortState::Done => Ok(None),
         }
     }
@@ -678,20 +540,15 @@ mod tests {
         vec![SortKey { expr: BoundExpr::Column(0), desc }]
     }
 
-    fn run_sort(
-        rows: Vec<Row>,
-        keys: Vec<SortKey>,
-        topk: Option<usize>,
-        ctx: ExecContext,
-    ) -> Vec<Row> {
-        drain_batches(Box::new(BatchSort::new(batches_of(rows), keys, topk, ctx)))
+    fn run_sort(rows: Vec<Row>, keys: Vec<SortKey>, ctx: ExecContext) -> Vec<Row> {
+        drain_batches(Box::new(BatchSort::new(batches_of(rows), keys, ctx, None)))
     }
 
     #[test]
     fn in_memory_ascending_and_descending() {
         let rows = int_rows(&[3, 1, 2]);
-        assert_eq!(run_sort(rows.clone(), sort_keys(false), None, ctx()), int_rows(&[1, 2, 3]));
-        assert_eq!(run_sort(rows, sort_keys(true), None, ctx()), int_rows(&[3, 2, 1]));
+        assert_eq!(run_sort(rows.clone(), sort_keys(false), ctx()), int_rows(&[1, 2, 3]));
+        assert_eq!(run_sort(rows, sort_keys(true), ctx()), int_rows(&[3, 2, 1]));
     }
 
     #[test]
@@ -705,7 +562,7 @@ mod tests {
             SortKey { expr: BoundExpr::Column(0), desc: false },
             SortKey { expr: BoundExpr::Column(1), desc: true },
         ];
-        let out = run_sort(rows, keys, None, ctx());
+        let out = run_sort(rows, keys, ctx());
         assert_eq!(out[0], vec![Value::Int(0), Value::Float(5.0)]);
         assert_eq!(out[1], vec![Value::Int(1), Value::Float(9.0)]);
         assert_eq!(out[2], vec![Value::Int(1), Value::Float(2.0)]);
@@ -718,7 +575,7 @@ mod tests {
             vec![Value::Null, Value::Int(20)],
             vec![Value::Int(1), Value::Int(30)],
         ];
-        let out = run_sort(rows, sort_keys(false), None, ctx());
+        let out = run_sort(rows, sort_keys(false), ctx());
         assert!(out[0][0].is_null());
         // Stable: the two key-1 rows keep their input order.
         assert_eq!(out[1][1], Value::Int(10));
@@ -731,9 +588,9 @@ mod tests {
         let rows = int_rows(&vals);
         let tight = ctx_with_budget(64 * 1024);
         let spill = tight.spill.clone();
-        let external = run_sort(rows.clone(), sort_keys(false), None, tight);
+        let external = run_sort(rows.clone(), sort_keys(false), tight);
         assert!(spill.files_created() > 1, "expected multiple runs");
-        let in_mem = run_sort(rows, sort_keys(false), None, ctx());
+        let in_mem = run_sort(rows, sort_keys(false), ctx());
         assert_eq!(external, in_mem);
         let mut expected = vals.clone();
         expected.sort_unstable();
@@ -743,32 +600,14 @@ mod tests {
     #[test]
     fn tiny_budget_still_sorts_via_overdraft() {
         let vals: Vec<i64> = (0..5000).map(|i| (i * 7919) % 1000).collect();
-        let out = run_sort(int_rows(&vals), sort_keys(false), None, ctx_with_budget(10));
+        let out = run_sort(int_rows(&vals), sort_keys(false), ctx_with_budget(10));
         let mut expected = vals.clone();
         expected.sort_unstable();
         assert_eq!(out, int_rows(&expected));
     }
 
     #[test]
-    fn topk_matches_full_sort_prefix() {
-        let vals: Vec<i64> = (0..10_000).map(|i| (i * 48_271) % 65_537).collect();
-        let rows = int_rows(&vals);
-        let full = run_sort(rows.clone(), sort_keys(true), None, ctx());
-        let top = run_sort(rows, sort_keys(true), Some(25), ctx());
-        assert_eq!(top.len(), 25);
-        assert_eq!(top, full[..25].to_vec());
-    }
-
-    #[test]
-    fn topk_larger_than_input_keeps_everything() {
-        let rows = int_rows(&[5, 3, 9]);
-        let out = run_sort(rows, sort_keys(false), Some(100), ctx());
-        assert_eq!(out, int_rows(&[3, 5, 9]));
-    }
-
-    #[test]
     fn empty_input() {
-        assert!(run_sort(vec![], sort_keys(false), None, ctx()).is_empty());
-        assert!(run_sort(vec![], sort_keys(false), Some(5), ctx()).is_empty());
+        assert!(run_sort(vec![], sort_keys(false), ctx()).is_empty());
     }
 }

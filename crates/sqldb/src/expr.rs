@@ -11,48 +11,27 @@ use crate::schema::RelSchema;
 use crate::storage::spill::Row;
 use crate::value::Value;
 
-/// Scalar (non-aggregate) built-in functions.
+/// Scalar (non-aggregate) built-in functions: the two the string-encoded
+/// states of the encoding experiment need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalarFunc {
-    Abs,
-    Sqrt,
-    Pow,
-    Floor,
-    Ceil,
-    Round,
-    Cos,
-    Sin,
-    Exp,
-    Ln,
-    Sign,
-    Coalesce,
-    Length,
-    Upper,
-    Lower,
     /// `SUBSTR(text, start, len)` — 1-based, like SQLite.
     Substr,
     /// `CONCAT(a, b, …)` — string concatenation.
     Concat,
 }
 
+/// Scalar functions no caller needs, so the engine does not implement them:
+/// binding one is [`Error::Unsupported`]; any other unknown name is a plan
+/// error.
+const UNSUPPORTED_FUNCS: [&str; 15] = [
+    "ABS", "SQRT", "POW", "FLOOR", "CEIL", "ROUND", "COS", "SIN", "EXP", "LN", "SIGN",
+    "COALESCE", "LENGTH", "UPPER", "LOWER",
+];
+
 impl ScalarFunc {
     fn by_name(name: &str) -> Option<ScalarFunc> {
         Some(match name.to_ascii_uppercase().as_str() {
-            "ABS" => ScalarFunc::Abs,
-            "SQRT" => ScalarFunc::Sqrt,
-            "POW" | "POWER" => ScalarFunc::Pow,
-            "FLOOR" => ScalarFunc::Floor,
-            "CEIL" | "CEILING" => ScalarFunc::Ceil,
-            "ROUND" => ScalarFunc::Round,
-            "COS" => ScalarFunc::Cos,
-            "SIN" => ScalarFunc::Sin,
-            "EXP" => ScalarFunc::Exp,
-            "LN" | "LOG" => ScalarFunc::Ln,
-            "SIGN" => ScalarFunc::Sign,
-            "COALESCE" => ScalarFunc::Coalesce,
-            "LENGTH" => ScalarFunc::Length,
-            "UPPER" => ScalarFunc::Upper,
-            "LOWER" => ScalarFunc::Lower,
             "SUBSTR" | "SUBSTRING" => ScalarFunc::Substr,
             "CONCAT" => ScalarFunc::Concat,
             _ => return None,
@@ -61,12 +40,8 @@ impl ScalarFunc {
 
     fn arity_ok(&self, n: usize) -> bool {
         match self {
-            ScalarFunc::Pow => n == 2,
-            ScalarFunc::Round => n == 1 || n == 2,
-            ScalarFunc::Coalesce => n >= 1,
             ScalarFunc::Substr => n == 2 || n == 3,
             ScalarFunc::Concat => n >= 1,
-            _ => n == 1,
         }
     }
 }
@@ -82,11 +57,6 @@ pub enum BoundExpr {
     Cast { expr: Box<BoundExpr>, ty: DataType },
     IsNull { expr: Box<BoundExpr>, negated: bool },
     InList { expr: Box<BoundExpr>, list: Vec<BoundExpr>, negated: bool },
-    Case {
-        operand: Option<Box<BoundExpr>>,
-        branches: Vec<(BoundExpr, BoundExpr)>,
-        else_branch: Option<Box<BoundExpr>>,
-    },
 }
 
 /// Convert an AST literal to a runtime value.
@@ -126,8 +96,13 @@ pub fn bind(expr: &Expr, schema: &RelSchema) -> Result<BoundExpr> {
             if *distinct {
                 return Err(Error::Plan("DISTINCT on a scalar function".into()));
             }
-            let func = ScalarFunc::by_name(name)
-                .ok_or_else(|| Error::Plan(format!("unknown function `{name}`")))?;
+            let func = ScalarFunc::by_name(name).ok_or_else(|| {
+                if UNSUPPORTED_FUNCS.iter().any(|f| f.eq_ignore_ascii_case(name)) {
+                    Error::Unsupported(format!("function `{name}`"))
+                } else {
+                    Error::Plan(format!("unknown function `{name}`"))
+                }
+            })?;
             if !func.arity_ok(args.len()) {
                 return Err(Error::Plan(format!(
                     "wrong number of arguments to `{name}`: {}",
@@ -152,20 +127,6 @@ pub fn bind(expr: &Expr, schema: &RelSchema) -> Result<BoundExpr> {
             expr: Box::new(bind(expr, schema)?),
             list: list.iter().map(|e| bind(e, schema)).collect::<Result<_>>()?,
             negated: *negated,
-        },
-        Expr::Case { operand, branches, else_branch } => BoundExpr::Case {
-            operand: match operand {
-                Some(o) => Some(Box::new(bind(o, schema)?)),
-                None => None,
-            },
-            branches: branches
-                .iter()
-                .map(|(c, r)| Ok((bind(c, schema)?, bind(r, schema)?)))
-                .collect::<Result<_>>()?,
-            else_branch: match else_branch {
-                Some(e) => Some(Box::new(bind(e, schema)?)),
-                None => None,
-            },
         },
         Expr::Paren(inner) => bind(inner, schema)?,
     })
@@ -217,25 +178,6 @@ impl BoundExpr {
                     Ok(Value::Int(*negated as i64))
                 }
             }
-            BoundExpr::Case { operand, branches, else_branch } => {
-                for (cond, result) in branches {
-                    let fire = match operand {
-                        Some(op) => {
-                            let lhs = op.eval(row)?;
-                            let rhs = cond.eval(row)?;
-                            !lhs.is_null() && !rhs.is_null() && lhs == rhs
-                        }
-                        None => cond.eval(row)?.as_bool()? == Some(true),
-                    };
-                    if fire {
-                        return result.eval(row);
-                    }
-                }
-                match else_branch {
-                    Some(e) => e.eval(row),
-                    None => Ok(Value::Null),
-                }
-            }
         }
     }
 
@@ -250,11 +192,6 @@ impl BoundExpr {
             BoundExpr::IsNull { expr, .. } => expr.is_constant(),
             BoundExpr::InList { expr, list, .. } => {
                 expr.is_constant() && list.iter().all(BoundExpr::is_constant)
-            }
-            BoundExpr::Case { operand, branches, else_branch } => {
-                operand.as_deref().is_none_or(BoundExpr::is_constant)
-                    && branches.iter().all(|(c, r)| c.is_constant() && r.is_constant())
-                    && else_branch.as_deref().is_none_or(BoundExpr::is_constant)
             }
         }
     }
@@ -278,18 +215,6 @@ impl BoundExpr {
             BoundExpr::InList { expr, list, .. } => {
                 expr.referenced_columns(out);
                 list.iter().for_each(|e| e.referenced_columns(out));
-            }
-            BoundExpr::Case { operand, branches, else_branch } => {
-                if let Some(o) = operand {
-                    o.referenced_columns(out);
-                }
-                for (c, r) in branches {
-                    c.referenced_columns(out);
-                    r.referenced_columns(out);
-                }
-                if let Some(e) = else_branch {
-                    e.referenced_columns(out);
-                }
             }
         }
     }
@@ -361,58 +286,11 @@ fn eval_binary(left: &BoundExpr, op: BinaryOp, right: &BoundExpr, row: &Row) -> 
 }
 
 fn eval_scalar_fn(func: ScalarFunc, args: &[BoundExpr], row: &Row) -> Result<Value> {
-    // COALESCE must not eagerly error on later args.
-    if func == ScalarFunc::Coalesce {
-        for a in args {
-            let v = a.eval(row)?;
-            if !v.is_null() {
-                return Ok(v);
-            }
-        }
-        return Ok(Value::Null);
-    }
     let vals: Vec<Value> = args.iter().map(|a| a.eval(row)).collect::<Result<_>>()?;
     if vals.iter().any(Value::is_null) {
         return Ok(Value::Null);
     }
     Ok(match func {
-        ScalarFunc::Abs => match &vals[0] {
-            Value::Int(i) => Value::Int(i.checked_abs().ok_or_else(|| {
-                Error::Eval("integer overflow in ABS".into())
-            })?),
-            v => Value::Float(v.as_f64()?.abs()),
-        },
-        ScalarFunc::Sqrt => Value::Float(vals[0].as_f64()?.sqrt()),
-        ScalarFunc::Pow => Value::Float(vals[0].as_f64()?.powf(vals[1].as_f64()?)),
-        ScalarFunc::Floor => Value::Float(vals[0].as_f64()?.floor()),
-        ScalarFunc::Ceil => Value::Float(vals[0].as_f64()?.ceil()),
-        ScalarFunc::Round => {
-            let x = vals[0].as_f64()?;
-            let d = if vals.len() == 2 { vals[1].as_i64()? } else { 0 };
-            let m = 10f64.powi(d as i32);
-            Value::Float((x * m).round() / m)
-        }
-        ScalarFunc::Cos => Value::Float(vals[0].as_f64()?.cos()),
-        ScalarFunc::Sin => Value::Float(vals[0].as_f64()?.sin()),
-        ScalarFunc::Exp => Value::Float(vals[0].as_f64()?.exp()),
-        ScalarFunc::Ln => Value::Float(vals[0].as_f64()?.ln()),
-        ScalarFunc::Sign => Value::Int(match vals[0].as_f64()? {
-            x if x > 0.0 => 1,
-            x if x < 0.0 => -1,
-            _ => 0,
-        }),
-        ScalarFunc::Length => match &vals[0] {
-            Value::Str(s) => Value::Int(s.chars().count() as i64),
-            v => return Err(Error::Type(format!("LENGTH expects TEXT, got {}", v.type_name()))),
-        },
-        ScalarFunc::Upper => match &vals[0] {
-            Value::Str(s) => Value::Str(s.to_uppercase()),
-            v => return Err(Error::Type(format!("UPPER expects TEXT, got {}", v.type_name()))),
-        },
-        ScalarFunc::Lower => match &vals[0] {
-            Value::Str(s) => Value::Str(s.to_lowercase()),
-            v => return Err(Error::Type(format!("LOWER expects TEXT, got {}", v.type_name()))),
-        },
         ScalarFunc::Substr => {
             let Value::Str(s) = &vals[0] else {
                 return Err(Error::Type(format!(
@@ -441,7 +319,6 @@ fn eval_scalar_fn(func: ScalarFunc, args: &[BoundExpr], row: &Row) -> Result<Val
             }
             Value::Str(out)
         }
-        ScalarFunc::Coalesce => unreachable!("handled above"),
     })
 }
 
@@ -535,31 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn case_expressions() {
-        assert_eq!(
-            eval_with("CASE WHEN s > 3 THEN 'big' ELSE 'small' END", row()).unwrap(),
-            Value::Str("big".into())
-        );
-        assert_eq!(
-            eval_with("CASE s WHEN 5 THEN 10 WHEN 6 THEN 20 END", row()).unwrap(),
-            Value::Int(10)
-        );
-        assert!(eval_with("CASE s WHEN 7 THEN 10 END", row()).unwrap().is_null());
-    }
-
-    #[test]
-    fn scalar_functions() {
-        assert_eq!(eval_with("ABS(-3)", row()).unwrap(), Value::Int(3));
-        assert_eq!(eval_with("SQRT(4.0)", row()).unwrap(), Value::Float(2.0));
-        assert_eq!(eval_with("POW(2, 10)", row()).unwrap(), Value::Float(1024.0));
-        assert_eq!(eval_with("ROUND(1.2345, 2)", row()).unwrap(), Value::Float(1.23));
-        assert_eq!(eval_with("COALESCE(NULL, NULL, 7)", row()).unwrap(), Value::Int(7));
-        assert_eq!(eval_with("LENGTH('abc')", row()).unwrap(), Value::Int(3));
-        assert_eq!(eval_with("SIGN(-2.5)", row()).unwrap(), Value::Int(-1));
-        assert_eq!(eval_with("UPPER('ab')", row()).unwrap(), Value::Str("AB".into()));
-    }
-
-    #[test]
     fn casts() {
         assert_eq!(eval_with("CAST('42' AS INTEGER)", row()).unwrap(), Value::Int(42));
         assert_eq!(eval_with("CAST(1.9 AS INTEGER)", row()).unwrap(), Value::Int(1));
@@ -572,8 +424,10 @@ mod tests {
     fn binder_rejects_aggregates_and_unknowns() {
         let e = parse_expr("SUM(r)").unwrap();
         assert!(bind(&e, &schema()).is_err());
-        let e = parse_expr("NOSUCHFN(r)").unwrap();
-        assert!(bind(&e, &schema()).is_err());
+        let e = parse_expr("ABS(r)").unwrap();
+        assert_eq!(bind(&e, &schema()), Err(Error::Unsupported("function `ABS`".into())));
+        let e = parse_expr("SUBTSR(r, 1)").unwrap();
+        assert_eq!(bind(&e, &schema()), Err(Error::Plan("unknown function `SUBTSR`".into())));
         let e = parse_expr("nocolumn").unwrap();
         assert!(bind(&e, &schema()).is_err());
     }

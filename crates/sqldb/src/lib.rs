@@ -7,9 +7,10 @@
 //! translation layer needs:
 //!
 //! * a SQL dialect covering `CREATE TABLE` / `INSERT` / `DELETE` / `SELECT`
-//!   with CTEs, joins, grouped aggregation, `UNION ALL`, `ORDER BY`/`LIMIT`,
-//!   and — crucially — the full bitwise operator set of the paper's Table 1
-//!   (`&`, `|`, `~`, `<<`, `>>`);
+//!   with CTEs, equi-joins (inner and `LEFT`), grouped aggregation,
+//!   `ORDER BY`/`LIMIT`, and — crucially — the full bitwise operator set of
+//!   the paper's Table 1 (`&`, `|`, `~`, `<<`, `>>`); nothing the translator
+//!   and its test harness do not use (`docs/OPERATORS.md` has the audit);
 //! * `HUGEINT` arbitrary-width integers so basis-state indices are not capped
 //!   at 63 qubits (needed for the sparse-circuit memory-limit experiment);
 //! * a rule-based optimizer (constant folding, predicate pushdown/migration,

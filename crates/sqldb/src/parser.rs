@@ -335,7 +335,7 @@ impl Parser {
                 }
             }
         }
-        let body = self.set_expr()?;
+        let body = self.body()?;
         let mut order_by = Vec::new();
         if self.eat_kw("ORDER") {
             self.expect_kw("BY")?;
@@ -374,24 +374,19 @@ impl Parser {
         }
     }
 
-    fn set_expr(&mut self) -> Result<SetExpr> {
-        let mut left = self.set_atom()?;
-        while self.peek_kw("UNION") {
-            self.advance();
-            self.expect_kw("ALL")?;
-            let right = self.set_atom()?;
-            left = SetExpr::UnionAll(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn set_atom(&mut self) -> Result<SetExpr> {
-        if self.eat_kind(&TokenKind::LParen) {
-            let inner = self.set_expr()?;
+    /// A `SELECT`, possibly parenthesized. `UNION ALL` is refused.
+    fn body(&mut self) -> Result<Box<Select>> {
+        let body = if self.eat_kind(&TokenKind::LParen) {
+            let inner = self.body()?;
             self.expect_kind(&TokenKind::RParen, "`)`")?;
-            return Ok(inner);
+            inner
+        } else {
+            Box::new(self.select()?)
+        };
+        if self.peek_kw("UNION") {
+            return Err(Error::Unsupported("UNION ALL".into()));
         }
-        Ok(SetExpr::Select(Box::new(self.select()?)))
+        Ok(body)
     }
 
     fn select(&mut self) -> Result<Select> {
@@ -420,27 +415,16 @@ impl Parser {
                     self.expect_kw("JOIN")?;
                     JoinKind::Left
                 } else if self.peek_kw("RIGHT") {
-                    self.advance();
-                    self.eat_kw("OUTER");
-                    self.expect_kw("JOIN")?;
-                    JoinKind::Right
-                } else if self.peek_kw("CROSS") {
-                    self.advance();
-                    self.expect_kw("JOIN")?;
-                    JoinKind::Cross
-                } else if self.eat_kind(&TokenKind::Comma) {
-                    // implicit cross join: FROM a, b
-                    JoinKind::Cross
+                    return Err(Error::Unsupported("RIGHT JOIN".into()));
+                } else if self.peek_kw("CROSS") || self.peek() == &TokenKind::Comma {
+                    // `FROM a, b` is a cross join too.
+                    return Err(Error::Unsupported("CROSS JOIN".into()));
                 } else {
                     break;
                 };
                 let table = self.table_ref()?;
-                let on = if kind != JoinKind::Cross {
-                    self.expect_kw("ON")?;
-                    Some(self.expr()?)
-                } else {
-                    None
-                };
+                self.expect_kw("ON")?;
+                let on = self.expr()?;
                 joins.push(Join { kind, table, on });
             }
         }
@@ -755,8 +739,7 @@ impl Parser {
                     return Ok(Expr::Cast { expr: Box::new(e), ty });
                 }
                 if name.eq_ignore_ascii_case("CASE") {
-                    self.advance();
-                    return self.case_expr();
+                    return Err(Error::Unsupported("CASE".into()));
                 }
                 // Clause keywords cannot start an expression; catching them
                 // here turns `SELECT FROM t` into a clear error instead of a
@@ -801,39 +784,15 @@ impl Parser {
         }
     }
 
-    fn case_expr(&mut self) -> Result<Expr> {
-        let operand = if self.peek_kw("WHEN") {
-            None
-        } else {
-            Some(Box::new(self.expr()?))
-        };
-        let mut branches = Vec::new();
-        while self.eat_kw("WHEN") {
-            let cond = self.expr()?;
-            self.expect_kw("THEN")?;
-            let result = self.expr()?;
-            branches.push((cond, result));
-        }
-        if branches.is_empty() {
-            return Err(Error::parse(self.peek_pos(), "CASE requires at least one WHEN".to_string()));
-        }
-        let else_branch = if self.eat_kw("ELSE") {
-            Some(Box::new(self.expr()?))
-        } else {
-            None
-        };
-        self.expect_kw("END")?;
-        Ok(Expr::Case { operand, branches, else_branch })
-    }
 }
 
-/// Keywords that terminate an implicit alias position.
+/// Keywords that terminate an implicit alias position. `RIGHT`, `CROSS`,
+/// `UNION` and `CASE` are here only to be refused as unsupported.
 fn is_clause_keyword(s: &str) -> bool {
     const KWS: &[&str] = &[
         "FROM", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "OFFSET", "JOIN", "INNER", "LEFT",
         "RIGHT", "CROSS", "ON", "UNION", "AS", "AND", "OR", "NOT", "ASC", "DESC", "SELECT", "WITH",
-        "VALUES", "SET", "BY", "IS", "IN", "BETWEEN", "CASE", "WHEN", "THEN", "ELSE", "END",
-        "OUTER", "ALL",
+        "VALUES", "SET", "BY", "IS", "IN", "BETWEEN", "CASE", "OUTER", "ALL",
     ];
     KWS.iter().any(|k| k.eq_ignore_ascii_case(s))
 }
@@ -852,7 +811,7 @@ mod tests {
                    GROUP BY ((T0.s & ~1) | H.out_s)";
         let st = parse_statement(sql).unwrap();
         let Statement::Query(q) = st else { panic!("expected query") };
-        let SetExpr::Select(sel) = &q.body else { panic!("expected select") };
+        let sel = &q.body;
         assert_eq!(sel.projection.len(), 3);
         assert_eq!(sel.joins.len(), 1);
         assert_eq!(sel.group_by.len(), 1);
@@ -971,7 +930,7 @@ mod tests {
         else {
             panic!()
         };
-        let SetExpr::Select(sel) = &q.body else { panic!() };
+        let sel = &q.body;
         match &sel.projection[0] {
             SelectItem::Expr { alias, .. } => assert_eq!(alias.as_deref(), Some("foo")),
             other => panic!("{other:?}"),
@@ -981,15 +940,13 @@ mod tests {
     }
 
     #[test]
-    fn union_all_and_subquery() {
-        let Statement::Query(q) = parse_statement(
-            "SELECT s FROM (SELECT 1 AS s UNION ALL SELECT 2 AS s) AS u WHERE s > 0",
-        )
-        .unwrap() else {
+    fn subquery_in_from() {
+        let Statement::Query(q) =
+            parse_statement("SELECT s FROM (SELECT 1 AS s) AS u WHERE s > 0").unwrap()
+        else {
             panic!()
         };
-        let SetExpr::Select(sel) = &q.body else { panic!() };
-        assert!(matches!(sel.from, Some(TableRef::Subquery { .. })));
+        assert!(matches!(q.body.from, Some(TableRef::Subquery { .. })));
     }
 
     #[test]
@@ -1007,9 +964,7 @@ mod tests {
     }
 
     #[test]
-    fn case_and_cast() {
-        let e = parse_expr("CASE WHEN x > 0 THEN 'pos' ELSE 'neg' END").unwrap();
-        assert!(matches!(e, Expr::Case { .. }));
+    fn cast() {
         let e = parse_expr("CAST(x AS DOUBLE)").unwrap();
         assert!(matches!(e, Expr::Cast { ty: DataType::Double, .. }));
     }
@@ -1038,7 +993,7 @@ mod tests {
         let sqls = [
             "SELECT ((T0.s & ~1) | H.out_s) AS s FROM T0 JOIN H ON H.in_s = (T0.s & 1) GROUP BY ((T0.s & ~1) | H.out_s)",
             "WITH a AS (SELECT 1 AS x) SELECT x FROM a ORDER BY x DESC LIMIT 3 OFFSET 1",
-            "SELECT CASE WHEN x IS NULL THEN 0 ELSE x END AS v FROM t WHERE x IN (1, 2, 3)",
+            "SELECT x AS v FROM t LEFT JOIN u ON u.y = t.x WHERE x IN (1, 2, 3) AND y IS NULL",
         ];
         for sql in sqls {
             let st1 = parse_statement(sql).unwrap();

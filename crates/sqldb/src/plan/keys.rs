@@ -218,7 +218,7 @@ fn is_double(expr: &BoundExpr, schema: &RelSchema) -> bool {
 /// operator can stand in for (`Plan::as_projection`).
 fn sums_of_doubles(aggs: &[AggExpr], schema: &RelSchema) -> bool {
     aggs.iter().all(|a| {
-        a.func == AggFunc::Sum && !a.distinct && a.arg.as_ref().is_some_and(|e| is_double(e, schema))
+        a.func == AggFunc::Sum && a.arg.as_ref().is_some_and(|e| is_double(e, schema))
     })
 }
 
@@ -230,8 +230,8 @@ fn join_facts(kind: JoinKind, left: Facts, right: Facts) -> (Facts, Vec<bool>) {
     let keep = |facts: Facts, known: bool| {
         facts.into_iter().map(move |f| f.filter(|_| known).map(|f| ColFact { unique: false, ..f }))
     };
-    let inner = matches!(kind, JoinKind::Inner | JoinKind::Cross);
-    let facts = keep(left, inner || kind == JoinKind::Left).chain(keep(right, inner)).collect();
+    let inner = kind == JoinKind::Inner;
+    let facts = keep(left, true).chain(keep(right, inner)).collect();
     (facts, side_key)
 }
 
@@ -254,12 +254,6 @@ pub(super) fn annotate(plan: &mut Plan) -> Facts {
         Plan::Join { left, right, kind, .. } => {
             join_facts(*kind, annotate(Arc::make_mut(left)), annotate(Arc::make_mut(right))).0
         }
-        Plan::UnionAll { inputs } => {
-            for input in inputs.iter_mut() {
-                annotate(Arc::make_mut(input));
-            }
-            vec![None; inputs[0].schema().len()]
-        }
         Plan::Aggregate { input, group_by, aggs, schema, one_row_per_group } => {
             // The proof wants the keys of the join's sides, which the join's
             // own facts no longer have: take the join apart here.
@@ -268,10 +262,10 @@ pub(super) fn annotate(plan: &mut Plan) -> Facts {
                     let (lf, rf) = (annotate(Arc::make_mut(left)), annotate(Arc::make_mut(right)));
                     let left_cols = lf.len();
                     let (facts, side_key) = join_facts(*kind, lf, rf);
-                    let on = on.as_ref().filter(|_| {
-                        *kind == JoinKind::Inner && group_by.len() == 1 && sums_of_doubles(aggs, schema)
-                    });
-                    (facts, on.map(|on| (on, side_key, left_cols)))
+                    let proven = *kind == JoinKind::Inner
+                        && group_by.len() == 1
+                        && sums_of_doubles(aggs, schema);
+                    (facts, proven.then_some((&*on, side_key, left_cols)))
                 }
                 other => (annotate(other), None),
             };
@@ -405,14 +399,14 @@ mod tests {
 
     #[test]
     fn only_sums_of_doubles_stream() {
-        let sum = |sql: &str, func, distinct| AggExpr { func, arg: Some(expr(sql)), distinct };
-        let ok = sum("(t.r * g.r) - (t.i * g.i)", AggFunc::Sum, false);
-        assert!(sums_of_doubles(&[ok.clone(), sum("t.s * 0.5", AggFunc::Sum, false)], &schema()));
+        let sum = |sql: &str, func| AggExpr { func, arg: Some(expr(sql)) };
+        let ok = sum("(t.r * g.r) - (t.i * g.i)", AggFunc::Sum);
+        assert!(sums_of_doubles(&[ok.clone(), sum("t.s * 0.5", AggFunc::Sum)], &schema()));
         // An INTEGER sum stays INTEGER; `0.0 + x` would not.
-        assert!(!sums_of_doubles(&[ok.clone(), sum("t.s", AggFunc::Sum, false)], &schema()));
-        assert!(!sums_of_doubles(&[sum("t.r", AggFunc::Min, false)], &schema()));
-        assert!(!sums_of_doubles(&[sum("t.r", AggFunc::Sum, true)], &schema()));
-        let count = AggExpr { func: AggFunc::CountStar, arg: None, distinct: false };
+        assert!(!sums_of_doubles(&[ok.clone(), sum("t.s", AggFunc::Sum)], &schema()));
+        assert!(!sums_of_doubles(&[sum("t.r", AggFunc::Min)], &schema()));
+        assert!(!sums_of_doubles(&[sum("t.r", AggFunc::CountDistinct)], &schema()));
+        let count = AggExpr { func: AggFunc::CountStar, arg: None };
         assert!(!sums_of_doubles(&[ok, count], &schema()));
     }
 }

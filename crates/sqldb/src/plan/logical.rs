@@ -10,12 +10,11 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::ast::{
-    self, BinaryOp, Expr, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr, TableRef,
-};
+use crate::ast::{self, BinaryOp, Expr, JoinKind, OrderItem, Query, Select, SelectItem, TableRef};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::{bind, BoundExpr};
+use crate::plan::optimizer::extract_equi_keys;
 use crate::schema::{Facts, Field, RelSchema};
 use crate::value::Value;
 
@@ -26,24 +25,30 @@ pub enum AggFunc {
     Count,
     /// `COUNT(*)` — counts rows, not non-null values.
     CountStar,
+    /// `COUNT(DISTINCT x)` — the one `DISTINCT` aggregate.
+    CountDistinct,
     Min,
     Max,
     Avg,
 }
 
 impl AggFunc {
-    fn from_call(name: &str, args: &[Expr]) -> Result<(AggFunc, Option<Expr>)> {
+    fn from_call(name: &str, args: &[Expr], distinct: bool) -> Result<(AggFunc, Option<Expr>)> {
         let upper = name.to_ascii_uppercase();
-        match (upper.as_str(), args) {
-            ("COUNT", [Expr::Star]) => Ok((AggFunc::CountStar, None)),
-            ("COUNT", [a]) => Ok((AggFunc::Count, Some(a.clone()))),
-            ("SUM", [a]) => Ok((AggFunc::Sum, Some(a.clone()))),
-            ("MIN", [a]) => Ok((AggFunc::Min, Some(a.clone()))),
-            ("MAX", [a]) => Ok((AggFunc::Max, Some(a.clone()))),
-            ("AVG", [a]) => Ok((AggFunc::Avg, Some(a.clone()))),
-            _ => Err(Error::Plan(format!(
-                "wrong number of arguments to aggregate `{name}`"
-            ))),
+        let func = match (upper.as_str(), distinct) {
+            ("COUNT", false) if args == [Expr::Star] => return Ok((AggFunc::CountStar, None)),
+            ("COUNT", false) => AggFunc::Count,
+            ("COUNT", true) => AggFunc::CountDistinct,
+            (_, true) => return Err(Error::Unsupported(format!("{upper}(DISTINCT …)"))),
+            ("SUM", _) => AggFunc::Sum,
+            ("MIN", _) => AggFunc::Min,
+            ("MAX", _) => AggFunc::Max,
+            ("AVG", _) => AggFunc::Avg,
+            _ => return Err(Error::Plan(format!("unknown aggregate `{name}`"))),
+        };
+        match args {
+            [a] if *a != Expr::Star => Ok((func, Some(a.clone()))),
+            _ => Err(Error::Plan(format!("wrong number of arguments to aggregate `{name}`"))),
         }
     }
 }
@@ -54,7 +59,6 @@ pub struct AggExpr {
     pub func: AggFunc,
     /// `None` only for `COUNT(*)`.
     pub arg: Option<BoundExpr>,
-    pub distinct: bool,
 }
 
 /// Sort key bound against the input schema.
@@ -86,7 +90,8 @@ pub enum Plan {
         left: Arc<Plan>,
         right: Arc<Plan>,
         kind: JoinKind,
-        on: Option<BoundExpr>,
+        /// Has an equi-key conjunct (the planner refuses a join without).
+        on: BoundExpr,
         schema: RelSchema,
     },
     Aggregate {
@@ -102,7 +107,6 @@ pub enum Plan {
     },
     Sort { input: Arc<Plan>, keys: Vec<SortKey> },
     Limit { input: Arc<Plan>, limit: Option<u64>, offset: u64 },
-    UnionAll { inputs: Vec<Arc<Plan>> },
     /// Renames the qualifier of the input's columns (subquery/CTE alias).
     Alias { input: Arc<Plan>, schema: RelSchema },
 }
@@ -120,7 +124,6 @@ impl Plan {
             Plan::Filter { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. } => input.schema(),
-            Plan::UnionAll { inputs } => inputs[0].schema(),
         }
     }
 
@@ -137,9 +140,6 @@ impl Plan {
             | Plan::Limit { input, .. }
             | Plan::Alias { input, .. } => input.depth(),
             Plan::Join { left, right, .. } => left.depth().max(right.depth()),
-            Plan::UnionAll { inputs } => {
-                inputs.iter().map(|i| i.depth()).max().unwrap_or(0)
-            }
         }
     }
 
@@ -176,9 +176,7 @@ impl Plan {
             Plan::One => "One".to_string(),
             Plan::Filter { .. } => "Filter".to_string(),
             Plan::Project { exprs, .. } => format!("Project [{} exprs]", exprs.len()),
-            Plan::Join { kind, on, .. } => {
-                format!("Join {kind:?}{}", if on.is_some() { " on" } else { "" })
-            }
+            Plan::Join { kind, .. } => format!("Join {kind:?} on"),
             Plan::Aggregate { group_by, aggs, one_row_per_group, .. } => format!(
                 "Aggregate [{} keys, {} aggs]{}",
                 group_by.len(),
@@ -187,7 +185,6 @@ impl Plan {
             ),
             Plan::Sort { keys, .. } => format!("Sort [{} keys]", keys.len()),
             Plan::Limit { limit, offset, .. } => format!("Limit {limit:?} offset {offset}"),
-            Plan::UnionAll { inputs } => format!("UnionAll [{}]", inputs.len()),
             Plan::Alias { .. } => "Alias".to_string(),
         };
         out.push_str(&pad);
@@ -203,11 +200,6 @@ impl Plan {
             Plan::Join { left, right, .. } => {
                 left.explain_into(depth + 1, out);
                 right.explain_into(depth + 1, out);
-            }
-            Plan::UnionAll { inputs } => {
-                for i in inputs {
-                    i.explain_into(depth + 1, out);
-                }
             }
             _ => {}
         }
@@ -252,33 +244,23 @@ pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<Plan> {
 /// the blocks' own heights add up; for a gate chain the sum is within 2x of
 /// the real depth.
 pub fn depth_bound(query: &Query) -> usize {
+    let subquery = |t: &TableRef| match t {
+        TableRef::Subquery { query, .. } => depth_bound(query),
+        TableRef::Named { .. } => 0,
+    };
+    let s = &query.body;
     // The Alias a CTE or subquery is wrapped in, one more for a renamed
-    // reference to it, then Sort and Limit.
+    // reference to it, then Sort and Limit; the block's leaf, Aggregate and
+    // Project, then a node per clause and per join.
     2 + usize::from(!query.order_by.is_empty())
         + usize::from(query.limit.is_some() || query.offset.is_some())
         + query.ctes.iter().map(|(_, q)| depth_bound(q)).sum::<usize>()
-        + set_expr_depth_bound(&query.body)
-}
-
-fn set_expr_depth_bound(body: &SetExpr) -> usize {
-    match body {
-        SetExpr::UnionAll(l, r) => 1 + set_expr_depth_bound(l) + set_expr_depth_bound(r),
-        SetExpr::Select(s) => {
-            let subquery = |t: &TableRef| match t {
-                TableRef::Subquery { query, .. } => depth_bound(query),
-                TableRef::Named { .. } => 0,
-            };
-            // Leaf, Aggregate, Project; a RIGHT JOIN is a Join under a Project.
-            3 + usize::from(s.distinct)
-                + usize::from(s.where_clause.is_some())
-                + usize::from(s.having.is_some())
-                + s.from.as_ref().map_or(0, subquery)
-                + s.joins
-                    .iter()
-                    .map(|j| 1 + usize::from(j.kind == JoinKind::Right) + subquery(&j.table))
-                    .sum::<usize>()
-        }
-    }
+        + 3
+        + usize::from(s.distinct)
+        + usize::from(s.where_clause.is_some())
+        + usize::from(s.having.is_some())
+        + s.from.as_ref().map_or(0, subquery)
+        + s.joins.iter().map(|j| 1 + subquery(&j.table)).sum::<usize>()
 }
 
 fn plan_query_scoped(query: &Query, catalog: &Catalog, outer: &CteScope) -> Result<Plan> {
@@ -293,7 +275,7 @@ fn plan_query_scoped(query: &Query, catalog: &Catalog, outer: &CteScope) -> Resu
         }
     }
 
-    let mut plan = plan_set_expr(&query.body, catalog, &scope)?;
+    let mut plan = plan_select(&query.body, catalog, &scope)?;
 
     if !query.order_by.is_empty() {
         let schema = plan.schema();
@@ -340,32 +322,6 @@ fn bind_order_item(item: &OrderItem, schema: &RelSchema) -> Result<SortKey> {
     }
 }
 
-fn plan_set_expr(body: &SetExpr, catalog: &Catalog, scope: &CteScope) -> Result<Plan> {
-    match body {
-        SetExpr::Select(select) => plan_select(select, catalog, scope),
-        SetExpr::UnionAll(left, right) => {
-            let l = plan_set_expr(left, catalog, scope)?;
-            let r = plan_set_expr(right, catalog, scope)?;
-            if l.schema().len() != r.schema().len() {
-                return Err(Error::Plan(format!(
-                    "UNION ALL arity mismatch: {} vs {} columns",
-                    l.schema().len(),
-                    r.schema().len()
-                )));
-            }
-            // Flatten nested unions for cheaper execution.
-            let mut inputs = Vec::new();
-            for side in [l, r] {
-                match side {
-                    Plan::UnionAll { inputs: nested } => inputs.extend(nested),
-                    other => inputs.push(Arc::new(other)),
-                }
-            }
-            Ok(Plan::UnionAll { inputs })
-        }
-    }
-}
-
 fn plan_table_ref(tref: &TableRef, catalog: &Catalog, scope: &CteScope) -> Result<Arc<Plan>> {
     match tref {
         TableRef::Named { name, alias } => {
@@ -404,45 +360,16 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
     };
     for join in &select.joins {
         let right = plan_table_ref(&join.table, catalog, scope)?;
-        if join.kind == JoinKind::Right {
-            // RIGHT JOIN ≡ LEFT JOIN with the inputs swapped, followed by a
-            // projection that restores the written column order. Rewriting
-            // here means neither executor needs a right-outer operator, and
-            // the batch hash join's left-outer machinery covers both
-            // directions.
-            let left_schema = plan.schema();
-            let right_schema = right.schema();
-            let (llen, rlen) = (left_schema.len(), right_schema.len());
-            // Bind the ON condition against the *swapped* input order; names
-            // resolve by qualifier, so indices land in the swapped layout.
-            let swapped_schema = right_schema.join(&left_schema);
-            let on = match &join.on {
-                Some(e) => Some(bind(e, &swapped_schema)?),
-                None => None,
-            };
-            let swapped = Plan::Join {
-                left: right,
-                right: plan,
-                kind: JoinKind::Left,
-                on,
-                schema: swapped_schema,
-            };
-            let exprs: Vec<BoundExpr> = (rlen..rlen + llen)
-                .chain(0..rlen)
-                .map(BoundExpr::Column)
-                .collect();
-            plan = Arc::new(Plan::Project {
-                input: Arc::new(swapped),
-                exprs,
-                schema: left_schema.join(&right_schema),
-            });
-            continue;
-        }
+        let left_cols = plan.schema().len();
         let schema = plan.schema().join(&right.schema());
-        let on = match &join.on {
-            Some(e) => Some(bind(e, &schema)?),
-            None => None,
-        };
+        let on = bind(&join.on, &schema)?;
+        // The hash join is the only join operator: it needs an equi-key.
+        if extract_equi_keys(on.clone(), left_cols).0.is_empty() {
+            return Err(Error::Unsupported(format!(
+                "join condition without an equality between the joined tables: {}",
+                join.on
+            )));
+        }
         plan = Arc::new(Plan::Join { left: plan, right, kind: join.kind, on, schema });
     }
 
@@ -611,12 +538,12 @@ fn rewrite_over_aggregate(
             if args.iter().any(Expr::contains_aggregate) {
                 return Err(Error::Plan("nested aggregate calls are not allowed".into()));
             }
-            let (func, arg_ast) = AggFunc::from_call(name, args)?;
+            let (func, arg_ast) = AggFunc::from_call(name, args, *distinct)?;
             let arg = match &arg_ast {
                 Some(a) => Some(bind(a, input_schema)?),
                 None => None,
             };
-            let agg = AggExpr { func, arg, distinct: *distinct };
+            let agg = AggExpr { func, arg };
             // Deduplicate structurally identical aggregate calls.
             let idx = match collected.iter().position(|(e, _)| exprs_equivalent(e, expr)) {
                 Some(i) => i,
@@ -667,35 +594,6 @@ fn rewrite_over_aggregate(
                 .map(|e| rewrite_over_aggregate(e, group_by, collected, input_schema))
                 .collect::<Result<_>>()?,
             negated: *negated,
-        }),
-        Expr::Case { operand, branches, else_branch } => Ok(Expr::Case {
-            operand: match operand {
-                Some(o) => Some(Box::new(rewrite_over_aggregate(
-                    o,
-                    group_by,
-                    collected,
-                    input_schema,
-                )?)),
-                None => None,
-            },
-            branches: branches
-                .iter()
-                .map(|(c, r)| {
-                    Ok((
-                        rewrite_over_aggregate(c, group_by, collected, input_schema)?,
-                        rewrite_over_aggregate(r, group_by, collected, input_schema)?,
-                    ))
-                })
-                .collect::<Result<_>>()?,
-            else_branch: match else_branch {
-                Some(e) => Some(Box::new(rewrite_over_aggregate(
-                    e,
-                    group_by,
-                    collected,
-                    input_schema,
-                )?)),
-                None => None,
-            },
         }),
         Expr::Paren(inner) => rewrite_over_aggregate(inner, group_by, collected, input_schema),
     }
@@ -832,11 +730,12 @@ mod tests {
     fn inner_with_may_shadow_an_outer_cte() {
         let p = plan(
             "WITH a AS (SELECT s FROM T0) \
-             SELECT * FROM (WITH a AS (SELECT r, i FROM T0) SELECT * FROM a) AS u, a",
+             SELECT * FROM (WITH a AS (SELECT s, r FROM T0) SELECT * FROM a) AS u \
+             JOIN a ON a.s = u.s",
         )
         .unwrap();
         // `u` sees the inner `a`, the outer FROM item the outer one.
-        assert_eq!(p.schema().names(), vec!["r", "i", "s"]);
+        assert_eq!(p.schema().names(), vec!["s", "r", "s"]);
     }
 
     #[test]
@@ -859,8 +758,8 @@ mod tests {
             "SELECT 1",
             "SELECT DISTINCT s FROM T0 WHERE s > 0 GROUP BY s HAVING COUNT(*) > 0 \
              ORDER BY s LIMIT 1",
-            "SELECT * FROM T0 RIGHT JOIN H ON H.in_s = T0.s JOIN H AS g ON g.in_s = T0.s",
-            "SELECT s FROM T0 UNION ALL SELECT s FROM (SELECT s FROM T0 ORDER BY s) AS u",
+            "SELECT * FROM T0 LEFT JOIN H ON H.in_s = T0.s JOIN H AS g ON g.in_s = T0.s",
+            "SELECT s FROM (SELECT s FROM T0 ORDER BY s) AS u",
             "WITH T1 AS (SELECT s, SUM(T0.r) AS r FROM T0 JOIN H ON H.in_s = T0.s GROUP BY s), \
              T2 AS (SELECT x.s FROM T1 AS x ORDER BY 1 LIMIT 3) SELECT * FROM T2 AS y",
         ] {
@@ -913,9 +812,18 @@ mod tests {
     }
 
     #[test]
-    fn union_arity_mismatch_rejected() {
-        assert!(plan("SELECT s FROM T0 UNION ALL SELECT s, r FROM T0").is_err());
-        assert!(plan("SELECT s FROM T0 UNION ALL SELECT in_s FROM H").is_ok());
+    fn join_without_equi_key_and_non_count_distinct_are_unsupported() {
+        for sql in [
+            "SELECT * FROM T0 JOIN H ON H.in_s < T0.s",
+            "SELECT * FROM T0 LEFT JOIN H ON H.in_s = 1",
+            "SELECT SUM(DISTINCT r) FROM T0",
+            "SELECT MAX(DISTINCT s) FROM T0",
+        ] {
+            assert!(matches!(plan(sql), Err(Error::Unsupported(_))), "{sql}");
+        }
+        assert!(matches!(plan("SELECT COUNT(DISTINCT *) FROM T0"), Err(Error::Plan(_))));
+        assert!(plan("SELECT * FROM T0 JOIN H ON H.in_s = T0.s AND H.r < T0.r").is_ok());
+        assert!(plan("SELECT COUNT(DISTINCT s) FROM T0").is_ok());
     }
 
     #[test]

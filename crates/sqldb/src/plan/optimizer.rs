@@ -6,8 +6,8 @@
 //!
 //! * **constant folding** — gate-table literals and mask arithmetic collapse
 //!   at plan time;
-//! * **filter → join predicate migration** — `WHERE` equi-conjuncts spanning
-//!   both join sides become join conditions eligible for hash joins;
+//! * **filter → join predicate migration** — `WHERE` conjuncts spanning
+//!   both sides of an inner join join its `ON` condition;
 //! * **filter pushdown** — side-local conjuncts move below the join;
 //! * **filter fusion** — stacked filters merge into one conjunction;
 //! * **one row per group** — an aggregate whose group key provably differs
@@ -63,7 +63,7 @@ fn rewrite(plan: Plan) -> Plan {
             left: rewrite_child(left),
             right: rewrite_child(right),
             kind,
-            on: on.map(fold_expr),
+            on: fold_expr(on),
             schema,
         },
         Plan::Aggregate { input, group_by, aggs, schema, one_row_per_group } => Plan::Aggregate {
@@ -82,9 +82,6 @@ fn rewrite(plan: Plan) -> Plan {
         },
         Plan::Limit { input, limit, offset } => {
             Plan::Limit { input: rewrite_child(input), limit, offset }
-        }
-        Plan::UnionAll { inputs } => {
-            Plan::UnionAll { inputs: inputs.into_iter().map(rewrite_child).collect() }
         }
         Plan::Alias { input, schema } => Plan::Alias { input: rewrite_child(input), schema },
         leaf @ (Plan::Scan { .. } | Plan::One) => leaf,
@@ -116,14 +113,6 @@ pub fn fold_expr(expr: BoundExpr) -> BoundExpr {
             expr: Box::new(fold_expr(*expr)),
             list: list.into_iter().map(fold_expr).collect(),
             negated,
-        },
-        BoundExpr::Case { operand, branches, else_branch } => BoundExpr::Case {
-            operand: operand.map(|o| Box::new(fold_expr(*o))),
-            branches: branches
-                .into_iter()
-                .map(|(c, r)| (fold_expr(c), fold_expr(r)))
-                .collect(),
-            else_branch: else_branch.map(|e| Box::new(fold_expr(*e))),
         },
         leaf => leaf,
     };
@@ -212,14 +201,6 @@ fn map_columns(expr: BoundExpr, f: &impl Fn(usize) -> usize) -> BoundExpr {
             list: list.into_iter().map(|e| map_columns(e, f)).collect(),
             negated,
         },
-        BoundExpr::Case { operand, branches, else_branch } => BoundExpr::Case {
-            operand: operand.map(|o| Box::new(map_columns(*o, f))),
-            branches: branches
-                .into_iter()
-                .map(|(c, r)| (map_columns(c, f), map_columns(r, f)))
-                .collect(),
-            else_branch: else_branch.map(|e| Box::new(map_columns(*e, f))),
-        },
     }
 }
 
@@ -264,12 +245,12 @@ fn apply_filter_rules(input: Plan, predicate: BoundExpr) -> Plan {
             };
             let left = push_down(left, to_left);
             let right = push_down(right, to_right);
-            let mut on_parts = Vec::new();
-            if let Some(o) = on {
-                split_conjuncts(o, &mut on_parts);
-            }
-            on_parts.extend(to_on);
-            Plan::Join { left, right, kind: JoinKind::Inner, on: conjoin(on_parts), schema }
+            let on = to_on.into_iter().fold(on, |on, c| BoundExpr::Binary {
+                left: Box::new(on),
+                op: BinaryOp::And,
+                right: Box::new(c),
+            });
+            Plan::Join { left, right, kind: JoinKind::Inner, on, schema }
         }
         other => Plan::Filter { input: Arc::new(other), predicate },
     }
@@ -291,24 +272,23 @@ pub fn extract_equi_keys(
     let mut rk = Vec::new();
     let mut residual = Vec::new();
     for c in conjuncts {
-        if let BoundExpr::Binary { left, op: BinaryOp::Eq, right } = &c {
-            let ls = classify_sides(left, left_cols);
-            let rs = classify_sides(right, left_cols);
-            match (ls, rs) {
-                (Sides::LeftOnly, Sides::RightOnly) => {
-                    lk.push((**left).clone());
-                    rk.push(shift_columns((**right).clone(), left_cols));
-                    continue;
+        let key = match &c {
+            BoundExpr::Binary { left, op: BinaryOp::Eq, right } => {
+                match (classify_sides(left, left_cols), classify_sides(right, left_cols)) {
+                    (Sides::LeftOnly, Sides::RightOnly) => Some((left, right)),
+                    (Sides::RightOnly, Sides::LeftOnly) => Some((right, left)),
+                    _ => None,
                 }
-                (Sides::RightOnly, Sides::LeftOnly) => {
-                    lk.push((**right).clone());
-                    rk.push(shift_columns((**left).clone(), left_cols));
-                    continue;
-                }
-                _ => {}
             }
+            _ => None,
+        };
+        match key {
+            Some((l, r)) => {
+                lk.push((**l).clone());
+                rk.push(shift_columns((**r).clone(), left_cols));
+            }
+            None => residual.push(c),
         }
-        residual.push(c);
     }
     (lk, rk, conjoin(residual))
 }
@@ -427,17 +407,17 @@ mod tests {
             left: Arc::new(left),
             right: Arc::new(right),
             kind: JoinKind::Inner,
-            on: None,
+            on: eq(col(0), col(2)),
             schema: joined_schema,
         };
-        // WHERE a.x = 1 AND b.z = 2 AND a.y = b.z
+        // ON a.x = b.z WHERE a.x = 1 AND b.z = 2 AND a.y = b.z
         let pred = and(and(eq(col(0), lit(1)), eq(col(2), lit(2))), eq(col(1), col(2)));
         let plan = Plan::Filter { input: Arc::new(join), predicate: pred };
         let opt = optimize(plan);
         let Plan::Join { left, right, on, .. } = opt else { panic!("expected join on top") };
         assert!(matches!(*left, Plan::Filter { .. }), "left conjunct pushed down");
         assert!(matches!(*right, Plan::Filter { .. }), "right conjunct pushed down");
-        assert!(on.is_some(), "cross-side conjunct became the join condition");
+        assert_eq!(on, and(eq(col(0), col(2)), eq(col(1), col(2))), "cross-side conjunct joined ON");
         // The pushed-down right-side predicate must reference column 0 of b.
         let Plan::Filter { predicate, .. } = &*right else { unreachable!() };
         let mut cols = Vec::new();

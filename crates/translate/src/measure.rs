@@ -77,7 +77,7 @@ fn bit_expr(table: &str, qubit: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qymera_sqldb::{parser, Database, Value};
+    use qymera_sqldb::{Database, Value};
 
     fn ghz_state_db() -> Database {
         let mut db = Database::new();
@@ -88,20 +88,39 @@ mod tests {
         db
     }
 
+    /// Every measurement query runs — not only parses — on a GHZ(3) state
+    /// stored with `INTEGER` and with `HUGEINT` basis states, and answers
+    /// what GHZ means. These are the engine's translator callers
+    /// (`docs/OPERATORS.md`): a construct they need cannot go unnoticed.
     #[test]
-    fn all_queries_parse() {
-        for sql in [
-            norm_query("T"),
-            probabilities_query("T", Some(5)),
-            probabilities_query("T", None),
-            marginal_query("T", 2),
-            expectation_z_query("T", 0),
-            pattern_probability_query("T", 3, 1),
-            support_size_query("T"),
-            mask_support_query("T", 5),
-            state_diff_query("T", "U"),
-        ] {
-            parser::parse_statement(&sql).unwrap_or_else(|e| panic!("{e}: {sql}"));
+    fn all_queries_run_on_ghz_in_both_encodings() {
+        let a = std::f64::consts::FRAC_1_SQRT_2;
+        for ty in ["INTEGER", "HUGEINT"] {
+            let mut db = Database::new();
+            for (table, states) in [("T", "(0, {a}, 0.0), (7, {a}, 0.0)"), ("U", "(0, {a}, 0.0)")] {
+                db.execute(&format!("CREATE TABLE {table} (s {ty}, r DOUBLE, i DOUBLE)")).unwrap();
+                let rows = states.replace("{a}", &a.to_string());
+                db.execute(&format!("INSERT INTO {table} VALUES {rows}")).unwrap();
+            }
+            let mut run = |sql: String| {
+                db.execute(&sql).unwrap_or_else(|e| panic!("{ty}: {e}: {sql}")).into_rows()
+            };
+            let float = |v: &Value| v.as_f64().unwrap();
+            let near = |x: f64, want: f64| (x - want).abs() < 1e-12;
+
+            assert!(near(float(&run(norm_query("T"))[0][0]), 1.0), "{ty}: norm");
+            assert_eq!(run(probabilities_query("T", Some(1))).len(), 1, "{ty}");
+            assert_eq!(run(probabilities_query("T", None)).len(), 2, "{ty}");
+            let marginal = run(marginal_query("T", 2));
+            assert_eq!(marginal.len(), 2, "{ty}: bit 0 and bit 1");
+            assert!(marginal.iter().all(|row| near(float(&row[1]), 0.5)), "{ty}: {marginal:?}");
+            assert!(near(float(&run(expectation_z_query("T", 0))[0][0]), 0.0), "{ty}: <Z>");
+            assert!(near(float(&run(pattern_probability_query("T", 3, 3))[0][0]), 0.5), "{ty}");
+            assert_eq!(run(support_size_query("T"))[0][0], Value::Int(2), "{ty}");
+            assert_eq!(run(mask_support_query("T", 5))[0][0], Value::Int(2), "{ty}");
+            let diff = run(state_diff_query("T", "U"));
+            assert_eq!(diff.len(), 2, "{ty}: one row per state of T");
+            assert!(!diff[0][3].is_null() && diff[1][3].is_null(), "{ty}: |111⟩ is NULL-padded");
         }
     }
 
