@@ -14,7 +14,10 @@ use qymera_circuit::{c64, Gate, GateKind, QuantumCircuit};
 use qymera_sim::{
     DdSim, MpsSim, SimError, SimOptions, SimOutput, Simulator, SparseSim, StateVectorSim,
 };
-use qymera_sqldb::Database;
+use qymera_sqldb::ast::Statement;
+use qymera_sqldb::catalog::Catalog;
+use qymera_sqldb::parser::parse_statement;
+use qymera_sqldb::{Database, MemoryBudget};
 use qymera_translate::fusion::lower_circuit;
 use qymera_translate::tables::create_initial_state_table;
 use qymera_translate::{
@@ -150,6 +153,28 @@ fn sql_backends() -> Vec<(&'static str, SqlSimulator)> {
         ("sql-step", SqlSimulator::new(step(None))),
         ("sql-step-fused", SqlSimulator::new(step(SqlSimConfig::default().fusion))),
     ]
+}
+
+/// The single-query translation of `circuit` (default fusion) and a catalog
+/// holding its tables' columns but no rows: enough to parse, plan and
+/// optimize the query without running it.
+pub fn translation_with_catalog(circuit: &QuantumCircuit) -> (String, Catalog) {
+    let mut reg = GateTableRegistry::new();
+    let ops = lower_circuit(circuit, &mut reg, None);
+    let mut catalog = Catalog::new();
+    let mut create = |name: &str, ddl: &str| {
+        let Statement::CreateTable { columns, .. } =
+            parse_statement(&format!("CREATE TABLE {name} {ddl}")).unwrap()
+        else {
+            unreachable!()
+        };
+        catalog.create_table(name, columns, false, MemoryBudget::unlimited()).unwrap();
+    };
+    for (name, _) in reg.tables() {
+        create(name, "(in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)");
+    }
+    create("T0", "(s INTEGER, r DOUBLE, i DOUBLE)");
+    (circuit_query(&ops, circuit.num_qubits, "T0", &SqlGenConfig::default()), catalog)
 }
 
 /// The translator's tables and single-query text for `circuit`, answered by

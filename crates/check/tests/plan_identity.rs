@@ -7,12 +7,19 @@
 //! generated cases were re-pinned when the generator stopped drawing joins
 //! and aggregates the engine no longer has: the engine of the commit before
 //! renders the new cases to the same text.
+//!
+//! The labels do not show which column an expression reads, so the three
+//! benchmark translations are also pinned by their bound expressions: every
+//! plan node's, in pre-order, rendered with `{:?}`. These hashes were
+//! recorded before the front end stopped binding aggregate queries twice.
 
+use qymera_check::circuits::translation_with_catalog;
 use qymera_check::SqlCase;
 use qymera_circuit::{library, QuantumCircuit};
 use qymera_sqldb::ast::Statement;
 use qymera_sqldb::parser::parse_statement;
-use qymera_sqldb::plan::logical::depth_bound;
+use qymera_sqldb::plan::logical::{depth_bound, plan_query, Plan};
+use qymera_sqldb::plan::optimizer::optimize;
 use qymera_sqldb::Database;
 use qymera_translate::fusion::lower_circuit;
 use qymera_translate::sqlgen::{circuit_query, step_statement};
@@ -33,6 +40,44 @@ fn explain_circuit(circuit: &QuantumCircuit) -> String {
     create_initial_state_table(&mut db, "T0", circuit.num_qubits, 0).unwrap();
     let sql = circuit_query(&ops, circuit.num_qubits, "T0", &SqlGenConfig::default());
     db.explain(&sql).unwrap()
+}
+
+/// Every node's bound expressions of the optimized single-query
+/// translation of `circuit`, one line per node in pre-order. Binding needs
+/// the tables' columns only, so the catalog holds no rows.
+fn bound_exprs_circuit(circuit: &QuantumCircuit) -> String {
+    let (sql, catalog) = translation_with_catalog(circuit);
+    let Statement::Query(query) = parse_statement(&sql).unwrap() else { unreachable!() };
+    let plan = optimize(plan_query(&query, &catalog).unwrap());
+    let mut out = String::new();
+    render_bound(&plan, &mut out);
+    out
+}
+
+fn render_bound(plan: &Plan, out: &mut String) {
+    let line = match plan {
+        Plan::Filter { predicate, .. } => format!("{predicate:?}"),
+        Plan::Project { exprs, .. } => format!("{exprs:?}"),
+        Plan::Join { on, .. } => format!("{on:?}"),
+        Plan::Aggregate { group_by, aggs, .. } => format!("{group_by:?} {aggs:?}"),
+        Plan::Sort { keys, .. } => format!("{keys:?}"),
+        Plan::Scan { .. } | Plan::One | Plan::Limit { .. } | Plan::Alias { .. } => String::new(),
+    };
+    out.push_str(&line);
+    out.push('\n');
+    match plan {
+        Plan::Filter { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Aggregate { input, .. }
+        | Plan::Sort { input, .. }
+        | Plan::Limit { input, .. }
+        | Plan::Alias { input, .. } => render_bound(input, out),
+        Plan::Join { left, right, .. } => {
+            render_bound(left, out);
+            render_bound(right, out);
+        }
+        Plan::Scan { .. } | Plan::One => {}
+    }
 }
 
 fn assert_plan(what: &str, text: &str, lines: usize, hash: u64) {
@@ -56,6 +101,8 @@ fn deep_sparse_plan_is_unchanged() {
     assert_plan("deep_sparse", &text, 353, 8_780_452_115_840_028_341);
     // X and CX only: no gate builds a group table.
     assert_eq!(aggregates(&text), (0, 70));
+    let bound = bound_exprs_circuit(&library::parity_check(&input));
+    assert_plan("deep_sparse bound expressions", &bound, 353, 14_801_420_637_632_251_740);
 }
 
 #[test]
@@ -67,6 +114,14 @@ fn wide_dense_plan_is_unchanged() {
     assert_plan("wide_dense", &text, 208, 17_926_480_232_214_115_492);
     // The 14 RY build a table; the 14 RZ and the 13 CX stream.
     assert_eq!(aggregates(&text), (14, 27));
+    let bound = bound_exprs_circuit(&ansatz.bind_values(&angles).unwrap());
+    assert_plan("wide_dense bound expressions", &bound, 208, 15_297_289_258_910_485_199);
+}
+
+#[test]
+fn qft13_bound_expressions_are_unchanged() {
+    let bound = bound_exprs_circuit(&library::qft(13));
+    assert_plan("qft:13 bound expressions", &bound, 488, 3_431_268_540_974_136_051);
 }
 
 /// Step-table mode (perfbench's `durable_steps` circuit): each statement is

@@ -179,10 +179,7 @@ impl Expr {
 
 /// Names treated as aggregate functions by the planner.
 pub fn is_aggregate_name(name: &str) -> bool {
-    matches!(
-        name.to_ascii_uppercase().as_str(),
-        "SUM" | "COUNT" | "MIN" | "MAX" | "AVG"
-    )
+    ["SUM", "COUNT", "MIN", "MAX", "AVG"].iter().any(|agg| name.eq_ignore_ascii_case(agg))
 }
 
 /// One item of the SELECT projection list.

@@ -457,7 +457,7 @@ impl Database {
         let Statement::Query(q) = st else {
             return Err(Error::Plan("not a query".into()));
         };
-        with_exec_stack(&q, || Ok(plan_query(&q, &self.catalog)?.schema()))
+        with_exec_stack(&q, || Ok(plan_query(&q, &self.catalog)?.schema().clone()))
     }
 
     /// EXPLAIN-style plan rendering.

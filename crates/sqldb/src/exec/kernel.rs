@@ -289,7 +289,9 @@ mod tests {
     }
 
     fn bound(sql: &str) -> BoundExpr {
-        fold_expr(crate::expr::bind(&parse_expr(sql).unwrap(), &schema()).unwrap())
+        let mut e = crate::expr::bind(&parse_expr(sql).unwrap(), &schema()).unwrap();
+        fold_expr(&mut e);
+        e
     }
 
     /// 40 amplitudes, the first `-0.0 + 0.0i`: `0.0 + …` must not lose

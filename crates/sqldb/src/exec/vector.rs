@@ -173,7 +173,7 @@ fn build_batch_stream_inner(
             let (input, exprs) = plan.as_projection().expect("matched a projection");
             let pair = (1..exprs.len())
                 .find_map(|j| Some((j - 1, ComplexPair::compile(&exprs[j - 1], &exprs[j])?)));
-            let exprs = exprs.iter().cloned().map(CompiledExpr::new).collect();
+            let exprs = exprs.into_owned().into_iter().map(CompiledExpr::new).collect();
             Box::new(BatchProject {
                 input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
                 exprs,
@@ -182,7 +182,7 @@ fn build_batch_stream_inner(
         }
         Plan::Join { left, right, kind, on, .. } => {
             let right_cols = right.schema().len();
-            let (lk, rk, residual) = extract_equi_keys(on.clone(), left.schema().len());
+            let (lk, rk, residual) = extract_equi_keys(on, left.schema().len());
             if lk.is_empty() {
                 let what = "a join without an equi-key reached the executor";
                 return Err(Error::Internal(what.into()));

@@ -31,11 +31,14 @@ const UNSUPPORTED_FUNCS: [&str; 15] = [
 
 impl ScalarFunc {
     fn by_name(name: &str) -> Option<ScalarFunc> {
-        Some(match name.to_ascii_uppercase().as_str() {
-            "SUBSTR" | "SUBSTRING" => ScalarFunc::Substr,
-            "CONCAT" => ScalarFunc::Concat,
-            _ => return None,
-        })
+        let is = |f: &str| name.eq_ignore_ascii_case(f);
+        if is("SUBSTR") || is("SUBSTRING") {
+            Some(ScalarFunc::Substr)
+        } else if is("CONCAT") {
+            Some(ScalarFunc::Concat)
+        } else {
+            None
+        }
     }
 
     fn arity_ok(&self, n: usize) -> bool {
@@ -73,19 +76,38 @@ pub fn literal_value(l: &Literal) -> Value {
 
 /// Bind `expr` against `schema`, resolving column references to indices.
 pub fn bind(expr: &Expr, schema: &RelSchema) -> Result<BoundExpr> {
+    bind_with(expr, &mut |e| match e {
+        Expr::Column { table, name } => {
+            Ok(Some(BoundExpr::Column(schema.resolve(table.as_deref(), name)?)))
+        }
+        _ => Ok(None),
+    })
+}
+
+/// Bind `expr`, offering every subtree to `leaf` first: `Some` is that
+/// subtree's binding, `None` binds it here. Column references are `leaf`'s
+/// to bind; the planner's binder over an aggregate also takes group keys
+/// and aggregate calls there.
+pub(crate) fn bind_with<'e>(
+    expr: &'e Expr,
+    leaf: &mut impl FnMut(&'e Expr) -> Result<Option<BoundExpr>>,
+) -> Result<BoundExpr> {
+    if let Some(bound) = leaf(expr)? {
+        return Ok(bound);
+    }
     Ok(match expr {
         Expr::Literal(l) => BoundExpr::Literal(literal_value(l)),
-        Expr::Column { table, name } => {
-            BoundExpr::Column(schema.resolve(table.as_deref(), name)?)
+        Expr::Column { .. } => {
+            return Err(Error::Internal(format!("column `{expr}` left unbound")));
         }
         Expr::Unary { op, expr } => BoundExpr::Unary {
             op: *op,
-            expr: Box::new(bind(expr, schema)?),
+            expr: Box::new(bind_with(expr, leaf)?),
         },
         Expr::Binary { left, op, right } => BoundExpr::Binary {
-            left: Box::new(bind(left, schema)?),
+            left: Box::new(bind_with(left, leaf)?),
             op: *op,
-            right: Box::new(bind(right, schema)?),
+            right: Box::new(bind_with(right, leaf)?),
         },
         Expr::Function { name, args, distinct } => {
             if ast::is_aggregate_name(name) {
@@ -111,24 +133,24 @@ pub fn bind(expr: &Expr, schema: &RelSchema) -> Result<BoundExpr> {
             }
             BoundExpr::ScalarFn {
                 func,
-                args: args.iter().map(|a| bind(a, schema)).collect::<Result<_>>()?,
+                args: args.iter().map(|a| bind_with(a, leaf)).collect::<Result<_>>()?,
             }
         }
         Expr::Star => return Err(Error::Plan("`*` is not a scalar expression".into())),
         Expr::Cast { expr, ty } => BoundExpr::Cast {
-            expr: Box::new(bind(expr, schema)?),
+            expr: Box::new(bind_with(expr, leaf)?),
             ty: *ty,
         },
         Expr::IsNull { expr, negated } => BoundExpr::IsNull {
-            expr: Box::new(bind(expr, schema)?),
+            expr: Box::new(bind_with(expr, leaf)?),
             negated: *negated,
         },
         Expr::InList { expr, list, negated } => BoundExpr::InList {
-            expr: Box::new(bind(expr, schema)?),
-            list: list.iter().map(|e| bind(e, schema)).collect::<Result<_>>()?,
+            expr: Box::new(bind_with(expr, leaf)?),
+            list: list.iter().map(|e| bind_with(e, leaf)).collect::<Result<_>>()?,
             negated: *negated,
         },
-        Expr::Paren(inner) => bind(inner, schema)?,
+        Expr::Paren(inner) => bind_with(inner, leaf)?,
     })
 }
 
@@ -177,21 +199,6 @@ impl BoundExpr {
                 } else {
                     Ok(Value::Int(*negated as i64))
                 }
-            }
-        }
-    }
-
-    /// True if the expression references no columns (safe to pre-evaluate).
-    pub fn is_constant(&self) -> bool {
-        match self {
-            BoundExpr::Literal(_) => true,
-            BoundExpr::Column(_) => false,
-            BoundExpr::Unary { expr, .. } | BoundExpr::Cast { expr, .. } => expr.is_constant(),
-            BoundExpr::Binary { left, right, .. } => left.is_constant() && right.is_constant(),
-            BoundExpr::ScalarFn { args, .. } => args.iter().all(BoundExpr::is_constant),
-            BoundExpr::IsNull { expr, .. } => expr.is_constant(),
-            BoundExpr::InList { expr, list, .. } => {
-                expr.is_constant() && list.iter().all(BoundExpr::is_constant)
             }
         }
     }
@@ -433,12 +440,10 @@ mod tests {
     }
 
     #[test]
-    fn constant_detection_and_column_collection() {
+    fn constant_evaluation_and_column_collection() {
         let b = bind(&parse_expr("1 + 2 * 3").unwrap(), &schema()).unwrap();
-        assert!(b.is_constant());
         assert_eq!(b.eval(&vec![]).unwrap(), Value::Int(7));
         let b = bind(&parse_expr("s + r").unwrap(), &schema()).unwrap();
-        assert!(!b.is_constant());
         let mut cols = Vec::new();
         b.referenced_columns(&mut cols);
         assert_eq!(cols, vec![0, 1]);

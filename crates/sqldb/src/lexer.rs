@@ -5,27 +5,35 @@
 //! Notable inclusions: the bitwise operator set of Table 1 (`&`, `|`, `~`,
 //! `<<`, `>>`), `0x…` hexadecimal literals (which become `HUGEINT` when they
 //! exceed 63 bits), and `--`/`/* */` comments.
+//!
+//! Tokens borrow the SQL text: a name costs no allocation until the parser
+//! puts it in the tree. A bare word carries the keyword it spells, looked up
+//! once here; a `"quoted"` identifier is never a keyword.
 
 use crate::bigbits::BigBits;
 use crate::error::{Error, Result};
 
 /// A lexical token with its byte position (for error messages).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+pub struct Token<'a> {
+    pub kind: TokenKind<'a>,
     pub pos: usize,
 }
 
-/// Token kinds. Keywords are lexed as `Ident` and matched case-insensitively
-/// by the parser, which keeps the lexer keyword-agnostic.
+/// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    Ident(String),
+pub enum TokenKind<'a> {
+    /// A bare word and the keyword it spells, if any. A keyword still names
+    /// a table, column or alias where the grammar expects a name.
+    Word(&'a str, Option<Keyword>),
+    /// The text between the quotes of a `"quoted"` identifier.
+    Quoted(&'a str),
     Int(i64),
     /// Integer literal too large for `i64` (decimal or hex) — HUGEINT.
-    BigInt(BigBits),
+    BigInt(Box<BigBits>),
     Float(f64),
-    Str(String),
+    /// The text between the quotes of a string literal, `''` still doubled.
+    Str(&'a str),
     LParen,
     RParen,
     Comma,
@@ -51,11 +59,160 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+/// The words the parser reads as keywords, in any case.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Keyword {
+    All,
+    And,
+    As,
+    Asc,
+    Begin,
+    Between,
+    By,
+    Case,
+    Cast,
+    Commit,
+    Create,
+    Cross,
+    Delete,
+    Desc,
+    Distinct,
+    Drop,
+    End,
+    Exists,
+    Explain,
+    False,
+    From,
+    Group,
+    Having,
+    If,
+    In,
+    Inner,
+    Insert,
+    Into,
+    Is,
+    Join,
+    Left,
+    Limit,
+    Not,
+    Null,
+    Offset,
+    On,
+    Or,
+    Order,
+    Outer,
+    Precision,
+    Recursive,
+    Right,
+    Rollback,
+    Savepoint,
+    Select,
+    Set,
+    Start,
+    Table,
+    To,
+    Transaction,
+    True,
+    Union,
+    Values,
+    Where,
+    With,
+    Work,
+}
+
+impl Keyword {
+    /// The keyword `word` spells, if any.
+    pub(crate) fn lookup(word: &str) -> Option<Keyword> {
+        use Keyword::*;
+        const LONGEST: usize = "TRANSACTION".len();
+        if word.len() < 2 || word.len() > LONGEST {
+            return None;
+        }
+        let mut buf = [0u8; LONGEST];
+        let upper = &mut buf[..word.len()];
+        upper.copy_from_slice(word.as_bytes());
+        upper.make_ascii_uppercase();
+        Some(match &*upper {
+            b"ALL" => All,
+            b"AND" => And,
+            b"AS" => As,
+            b"ASC" => Asc,
+            b"BEGIN" => Begin,
+            b"BETWEEN" => Between,
+            b"BY" => By,
+            b"CASE" => Case,
+            b"CAST" => Cast,
+            b"COMMIT" => Commit,
+            b"CREATE" => Create,
+            b"CROSS" => Cross,
+            b"DELETE" => Delete,
+            b"DESC" => Desc,
+            b"DISTINCT" => Distinct,
+            b"DROP" => Drop,
+            b"END" => End,
+            b"EXISTS" => Exists,
+            b"EXPLAIN" => Explain,
+            b"FALSE" => False,
+            b"FROM" => From,
+            b"GROUP" => Group,
+            b"HAVING" => Having,
+            b"IF" => If,
+            b"IN" => In,
+            b"INNER" => Inner,
+            b"INSERT" => Insert,
+            b"INTO" => Into,
+            b"IS" => Is,
+            b"JOIN" => Join,
+            b"LEFT" => Left,
+            b"LIMIT" => Limit,
+            b"NOT" => Not,
+            b"NULL" => Null,
+            b"OFFSET" => Offset,
+            b"ON" => On,
+            b"OR" => Or,
+            b"ORDER" => Order,
+            b"OUTER" => Outer,
+            b"PRECISION" => Precision,
+            b"RECURSIVE" => Recursive,
+            b"RIGHT" => Right,
+            b"ROLLBACK" => Rollback,
+            b"SAVEPOINT" => Savepoint,
+            b"SELECT" => Select,
+            b"SET" => Set,
+            b"START" => Start,
+            b"TABLE" => Table,
+            b"TO" => To,
+            b"TRANSACTION" => Transaction,
+            b"TRUE" => True,
+            b"UNION" => Union,
+            b"VALUES" => Values,
+            b"WHERE" => Where,
+            b"WITH" => With,
+            b"WORK" => Work,
+            _ => return None,
+        })
+    }
+
+    /// Keywords that can neither start an expression nor be a bare alias.
+    /// `RIGHT`, `CROSS`, `UNION` and `CASE` are here only to be refused as
+    /// unsupported.
+    pub(crate) fn is_clause(self) -> bool {
+        use Keyword::*;
+        matches!(
+            self,
+            From | Where | Group | Having | Order | Limit | Offset | Join | Inner | Left | Right
+                | Cross | On | Union | As | And | Or | Not | Asc | Desc | Select | With | Values
+                | Set | By | Is | In | Between | Case | Outer | All
+        )
+    }
+}
+
+impl TokenKind<'_> {
     /// Human-readable rendering for diagnostics.
     pub fn describe(&self) -> String {
         match self {
-            TokenKind::Ident(s) => format!("identifier `{s}`"),
+            TokenKind::Word(s, _) => format!("identifier `{s}`"),
+            TokenKind::Quoted(s) => format!("identifier `\"{s}\"`"),
             TokenKind::Int(i) => format!("integer `{i}`"),
             TokenKind::BigInt(_) => "huge integer literal".to_string(),
             TokenKind::Float(f) => format!("float `{f}`"),
@@ -95,9 +252,10 @@ impl TokenKind {
 }
 
 /// Tokenize `sql` fully. Returns tokens terminated by `Eof`.
-pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
+pub fn tokenize(sql: &str) -> Result<Vec<Token<'_>>> {
     let bytes = sql.as_bytes();
-    let mut tokens = Vec::new();
+    // The translator's SQL runs over two bytes a token: one allocation.
+    let mut tokens = Vec::with_capacity(sql.len() / 2 + 2);
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i];
@@ -125,7 +283,6 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
             b'\'' => {
                 let start = i;
                 i += 1;
-                let mut s = String::new();
                 loop {
                     if i >= bytes.len() {
                         return Err(Error::lex(start, "unterminated string literal"));
@@ -133,17 +290,15 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                     if bytes[i] == b'\'' {
                         // '' is an escaped quote
                         if bytes.get(i + 1) == Some(&b'\'') {
-                            s.push('\'');
                             i += 2;
                             continue;
                         }
-                        i += 1;
                         break;
                     }
-                    s.push(bytes[i] as char);
                     i += 1;
                 }
-                tokens.push(Token { kind: TokenKind::Str(s), pos: start });
+                tokens.push(Token { kind: TokenKind::Str(&sql[start + 1..i]), pos: start });
+                i += 1;
             }
             b'0'..=b'9' => {
                 let start = i;
@@ -163,7 +318,8 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                         Some(v) if hex.len() <= 15 => {
                             tokens.push(Token { kind: TokenKind::Int(v), pos: start })
                         }
-                        _ => tokens.push(Token { kind: TokenKind::BigInt(big), pos: start }),
+                        _ => tokens
+                            .push(Token { kind: TokenKind::BigInt(Box::new(big)), pos: start }),
                     }
                 } else {
                     while i < bytes.len() && bytes[i].is_ascii_digit() {
@@ -203,7 +359,10 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                                 let big = BigBits::from_decimal(text).ok_or_else(|| {
                                     Error::lex(start, format!("invalid integer `{text}`"))
                                 })?;
-                                tokens.push(Token { kind: TokenKind::BigInt(big), pos: start });
+                                tokens.push(Token {
+                                    kind: TokenKind::BigInt(Box::new(big)),
+                                    pos: start,
+                                });
                             }
                         }
                     }
@@ -216,10 +375,9 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                 {
                     i += 1;
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Ident(sql[start..i].to_string()),
-                    pos: start,
-                });
+                let word = &sql[start..i];
+                let kind = TokenKind::Word(word, Keyword::lookup(word));
+                tokens.push(Token { kind, pos: start });
             }
             b'"' => {
                 // quoted identifier
@@ -232,22 +390,18 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                 if i >= bytes.len() {
                     return Err(Error::lex(start, "unterminated quoted identifier"));
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Ident(sql[id_start..i].to_string()),
-                    pos: start,
-                });
+                tokens.push(Token { kind: TokenKind::Quoted(&sql[id_start..i]), pos: start });
                 i += 1;
             }
             _ => {
                 let start = i;
-                let two = if i + 1 < bytes.len() { &sql[i..i + 2] } else { "" };
-                let kind = match two {
-                    "<<" => Some((TokenKind::Shl, 2)),
-                    ">>" => Some((TokenKind::Shr, 2)),
-                    "<=" => Some((TokenKind::LtEq, 2)),
-                    ">=" => Some((TokenKind::GtEq, 2)),
-                    "!=" | "<>" => Some((TokenKind::NotEq, 2)),
-                    "==" => Some((TokenKind::Eq, 2)),
+                let kind = match bytes.get(i..i + 2).unwrap_or(&[]) {
+                    b"<<" => Some((TokenKind::Shl, 2)),
+                    b">>" => Some((TokenKind::Shr, 2)),
+                    b"<=" => Some((TokenKind::LtEq, 2)),
+                    b">=" => Some((TokenKind::GtEq, 2)),
+                    b"!=" | b"<>" => Some((TokenKind::NotEq, 2)),
+                    b"==" => Some((TokenKind::Eq, 2)),
                     _ => None,
                 };
                 let (kind, adv) = match kind {
@@ -294,7 +448,7 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
 mod tests {
     use super::*;
 
-    fn kinds(sql: &str) -> Vec<TokenKind> {
+    fn kinds(sql: &str) -> Vec<TokenKind<'_>> {
         tokenize(sql).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -336,12 +490,12 @@ mod tests {
 
     #[test]
     fn strings_with_escapes_and_comments() {
-        assert_eq!(kinds("'it''s'")[0], TokenKind::Str("it's".into()));
+        assert_eq!(kinds("'it''s'")[0], TokenKind::Str("it''s"));
         let ks = kinds("SELECT -- trailing comment\n 1 /* block */ , 2");
         assert_eq!(
             ks,
             vec![
-                TokenKind::Ident("SELECT".into()),
+                TokenKind::Word("SELECT", Some(Keyword::Select)),
                 TokenKind::Int(1),
                 TokenKind::Comma,
                 TokenKind::Int(2),
@@ -360,7 +514,22 @@ mod tests {
 
     #[test]
     fn quoted_identifiers() {
-        assert_eq!(kinds("\"weird name\"")[0], TokenKind::Ident("weird name".into()));
+        assert_eq!(kinds("\"weird name\"")[0], TokenKind::Quoted("weird name"));
+        assert_eq!(kinds("\"from\" from")[..2], [
+            TokenKind::Quoted("from"),
+            TokenKind::Word("from", Some(Keyword::From)),
+        ]);
+    }
+
+    #[test]
+    fn keywords_are_tagged_in_any_case_and_only_whole() {
+        assert_eq!(kinds("select")[0], TokenKind::Word("select", Some(Keyword::Select)));
+        let transaction = Some(Keyword::Transaction);
+        assert_eq!(kinds("TRANSACTION")[0], TokenKind::Word("TRANSACTION", transaction));
+        for word in ["selects", "s", "T0", "transactions", "out_s"] {
+            assert_eq!(kinds(word)[0], TokenKind::Word(word, None), "{word}");
+        }
+        assert!(Keyword::From.is_clause() && !Keyword::Null.is_clause());
     }
 
     #[test]

@@ -4,16 +4,18 @@
 //! for the bitwise family, which is what Qymera's generated queries rely on:
 //! comparisons bind *looser* than `|`, `^`, `&`, shifts, and arithmetic, so
 //! `H.in_s = (T0.s & 1)` parses as expected even without the parentheses.
+//! Binary operators are parsed by one precedence-climbing loop over
+//! `infix`'s table.
 
 use crate::ast::*;
 use crate::error::{Error, Result};
-use crate::lexer::{tokenize, Token, TokenKind};
+use crate::lexer::{tokenize, Keyword, Token, TokenKind};
 
 /// Parse a single SQL statement (a trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
     let mut p = Parser::new(sql)?;
     let st = p.statement()?;
-    p.eat_kind(&TokenKind::Semicolon);
+    p.eat(&TokenKind::Semicolon);
     p.expect_eof()?;
     Ok(st)
 }
@@ -23,12 +25,12 @@ pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
     let mut p = Parser::new(sql)?;
     let mut out = Vec::new();
     loop {
-        while p.eat_kind(&TokenKind::Semicolon) {}
+        while p.eat(&TokenKind::Semicolon) {}
         if p.at_eof() {
             break;
         }
         out.push(p.statement()?);
-        if !p.eat_kind(&TokenKind::Semicolon) {
+        if !p.eat(&TokenKind::Semicolon) {
             break;
         }
     }
@@ -44,17 +46,49 @@ pub fn parse_expr(sql: &str) -> Result<Expr> {
     Ok(e)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// Precedence of `NOT x`: between `AND` and the comparisons.
+const NOT_PREC: u8 = 3;
+/// Precedence of the comparisons, `IS [NOT] NULL`, `[NOT] IN` and
+/// `BETWEEN`. They do not associate: `a = b = c` is an error.
+const CMP_PREC: u8 = 4;
+
+/// The binary operator a token spells, with its precedence (higher binds
+/// tighter). Every level is left-associative except the comparisons.
+fn infix(kind: &TokenKind) -> Option<(BinaryOp, u8)> {
+    Some(match kind {
+        TokenKind::Word(_, Some(Keyword::Or)) => (BinaryOp::Or, 1),
+        TokenKind::Word(_, Some(Keyword::And)) => (BinaryOp::And, 2),
+        TokenKind::Eq => (BinaryOp::Eq, CMP_PREC),
+        TokenKind::NotEq => (BinaryOp::NotEq, CMP_PREC),
+        TokenKind::Lt => (BinaryOp::Lt, CMP_PREC),
+        TokenKind::LtEq => (BinaryOp::LtEq, CMP_PREC),
+        TokenKind::Gt => (BinaryOp::Gt, CMP_PREC),
+        TokenKind::GtEq => (BinaryOp::GtEq, CMP_PREC),
+        TokenKind::Pipe => (BinaryOp::BitOr, 5),
+        TokenKind::Caret => (BinaryOp::BitXor, 6),
+        TokenKind::Amp => (BinaryOp::BitAnd, 7),
+        TokenKind::Shl => (BinaryOp::Shl, 8),
+        TokenKind::Shr => (BinaryOp::Shr, 8),
+        TokenKind::Plus => (BinaryOp::Add, 9),
+        TokenKind::Minus => (BinaryOp::Sub, 9),
+        TokenKind::Star => (BinaryOp::Mul, 10),
+        TokenKind::Slash => (BinaryOp::Div, 10),
+        TokenKind::Percent => (BinaryOp::Mod, 10),
+        _ => return None,
+    })
+}
+
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn new(sql: &str) -> Result<Self> {
+impl<'a> Parser<'a> {
+    fn new(sql: &'a str) -> Result<Self> {
         Ok(Parser { tokens: tokenize(sql)?, pos: 0 })
     }
 
-    fn peek(&self) -> &TokenKind {
+    fn peek(&self) -> &TokenKind<'a> {
         &self.tokens[self.pos].kind
     }
 
@@ -62,167 +96,171 @@ impl Parser {
         self.tokens[self.pos].pos
     }
 
-    fn advance(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
+    /// Step past the current token (never past `Eof`).
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn at_eof(&self) -> bool {
         matches!(self.peek(), TokenKind::Eof)
     }
 
+    /// A parse error at the current token: "expected `what`, found …".
+    fn expected(&self, what: &str) -> Error {
+        Error::parse(self.peek_pos(), format!("expected {what}, found {}", self.peek().describe()))
+    }
+
     fn expect_eof(&self) -> Result<()> {
         if self.at_eof() {
             Ok(())
         } else {
-            Err(Error::parse(
-                self.peek_pos(),
-                format!("unexpected {}", self.peek().describe()),
-            ))
+            Err(Error::parse(self.peek_pos(), format!("unexpected {}", self.peek().describe())))
         }
+    }
+
+    fn peek_kw(&self, kw: Keyword) -> bool {
+        matches!(self.peek(), TokenKind::Word(_, Some(k)) if *k == kw)
     }
 
     /// True (and consumes) if the next token is the given keyword.
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        if let TokenKind::Ident(s) = self.peek() {
-            if s.eq_ignore_ascii_case(kw) {
-                self.advance();
-                return true;
-            }
+    fn eat_kw(&mut self, kw: Keyword) -> bool {
+        let found = self.peek_kw(kw);
+        if found {
+            self.bump();
         }
-        false
+        found
     }
 
-    fn peek_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw))
-    }
-
-    fn expect_kw(&mut self, kw: &str) -> Result<()> {
+    fn expect_kw(&mut self, kw: Keyword) -> Result<()> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
-            Err(Error::parse(
-                self.peek_pos(),
-                format!("expected `{kw}`, found {}", self.peek().describe()),
-            ))
+            Err(self.expected(&format!("`{}`", format!("{kw:?}").to_ascii_uppercase())))
         }
     }
 
-    fn eat_kind(&mut self, kind: &TokenKind) -> bool {
-        if self.peek() == kind {
-            self.advance();
-            true
-        } else {
-            false
+    fn eat(&mut self, kind: &TokenKind) -> bool {
+        let found = self.peek() == kind;
+        if found {
+            self.bump();
         }
+        found
     }
 
-    fn expect_kind(&mut self, kind: &TokenKind, what: &str) -> Result<()> {
-        if self.eat_kind(kind) {
+    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<()> {
+        if self.eat(kind) {
             Ok(())
         } else {
-            Err(Error::parse(
-                self.peek_pos(),
-                format!("expected {what}, found {}", self.peek().describe()),
-            ))
+            Err(self.expected(what))
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String> {
-        match self.peek().clone() {
-            TokenKind::Ident(s) => {
-                self.advance();
-                Ok(s)
+    /// A name: any bare word, keywords included, or a quoted identifier.
+    fn ident(&mut self, what: &str) -> Result<&'a str> {
+        match *self.peek() {
+            TokenKind::Word(name, _) | TokenKind::Quoted(name) => {
+                self.bump();
+                Ok(name)
             }
-            other => Err(Error::parse(
-                self.peek_pos(),
-                format!("expected {what}, found {}", other.describe()),
-            )),
+            _ => Err(self.expected(what)),
         }
+    }
+
+    /// `AS name`, or a bare name that is not a clause keyword.
+    fn alias(&mut self) -> Result<Option<String>> {
+        if self.eat_kw(Keyword::As) {
+            return Ok(Some(self.ident("alias")?.to_string()));
+        }
+        let name = match *self.peek() {
+            TokenKind::Word(name, kw) if !kw.is_some_and(Keyword::is_clause) => name,
+            TokenKind::Quoted(name) => name,
+            _ => return Ok(None),
+        };
+        self.bump();
+        Ok(Some(name.to_string()))
+    }
+
+    /// `item (, item)*`.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let mut out = vec![item(self)?];
+        while self.eat(&TokenKind::Comma) {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
 
     // ---- statements -------------------------------------------------------
 
     fn statement(&mut self) -> Result<Statement> {
-        if self.peek_kw("CREATE") {
-            return self.create_table();
-        }
-        if self.peek_kw("DROP") {
-            return self.drop_table();
-        }
-        if self.peek_kw("INSERT") {
-            return self.insert();
-        }
-        if self.peek_kw("DELETE") {
-            return self.delete();
-        }
-        if self.eat_kw("EXPLAIN") {
-            return Ok(Statement::Explain(self.query()?));
-        }
-        if self.eat_kw("BEGIN") || self.eat_kw("START") {
-            // BEGIN [TRANSACTION | WORK] / START TRANSACTION
-            if !self.eat_kw("TRANSACTION") {
-                self.eat_kw("WORK");
+        let kw = match *self.peek() {
+            TokenKind::Word(_, kw) => kw,
+            TokenKind::LParen => return Ok(Statement::Query(self.query()?)),
+            _ => None,
+        };
+        match kw {
+            Some(Keyword::Create) => self.create_table(),
+            Some(Keyword::Drop) => self.drop_table(),
+            Some(Keyword::Insert) => self.insert(),
+            Some(Keyword::Delete) => self.delete(),
+            Some(Keyword::Select | Keyword::With) => Ok(Statement::Query(self.query()?)),
+            Some(Keyword::Explain) => {
+                self.bump();
+                Ok(Statement::Explain(self.query()?))
             }
-            return Ok(Statement::Begin);
-        }
-        if self.eat_kw("COMMIT") || self.eat_kw("END") {
-            if !self.eat_kw("TRANSACTION") {
-                self.eat_kw("WORK");
+            Some(Keyword::Begin | Keyword::Start) => {
+                self.bump();
+                self.transaction_noise();
+                Ok(Statement::Begin)
             }
-            return Ok(Statement::Commit);
-        }
-        if self.eat_kw("ROLLBACK") {
-            if !self.eat_kw("TRANSACTION") {
-                self.eat_kw("WORK");
+            Some(Keyword::Commit | Keyword::End) => {
+                self.bump();
+                self.transaction_noise();
+                Ok(Statement::Commit)
             }
-            let to_savepoint = if self.eat_kw("TO") {
-                self.eat_kw("SAVEPOINT");
-                Some(self.ident("savepoint name")?)
-            } else {
-                None
-            };
-            return Ok(Statement::Rollback { to_savepoint });
+            Some(Keyword::Rollback) => {
+                self.bump();
+                self.transaction_noise();
+                let to_savepoint = if self.eat_kw(Keyword::To) {
+                    self.eat_kw(Keyword::Savepoint);
+                    Some(self.ident("savepoint name")?.to_string())
+                } else {
+                    None
+                };
+                Ok(Statement::Rollback { to_savepoint })
+            }
+            Some(Keyword::Savepoint) => {
+                self.bump();
+                let name = self.ident("savepoint name")?.to_string();
+                Ok(Statement::Savepoint { name })
+            }
+            _ => Err(self.expected("a statement")),
         }
-        if self.eat_kw("SAVEPOINT") {
-            let name = self.ident("savepoint name")?;
-            return Ok(Statement::Savepoint { name });
+    }
+
+    /// The optional `TRANSACTION` or `WORK` after `BEGIN`, `COMMIT`, ….
+    fn transaction_noise(&mut self) {
+        if !self.eat_kw(Keyword::Transaction) {
+            self.eat_kw(Keyword::Work);
         }
-        if self.peek_kw("SELECT") || self.peek_kw("WITH") || matches!(self.peek(), TokenKind::LParen)
-        {
-            return Ok(Statement::Query(self.query()?));
-        }
-        Err(Error::parse(
-            self.peek_pos(),
-            format!("expected a statement, found {}", self.peek().describe()),
-        ))
     }
 
     fn create_table(&mut self) -> Result<Statement> {
-        self.expect_kw("CREATE")?;
-        self.expect_kw("TABLE")?;
-        let if_not_exists = if self.eat_kw("IF") {
-            self.expect_kw("NOT")?;
-            self.expect_kw("EXISTS")?;
+        self.expect_kw(Keyword::Create)?;
+        self.expect_kw(Keyword::Table)?;
+        let if_not_exists = if self.eat_kw(Keyword::If) {
+            self.expect_kw(Keyword::Not)?;
+            self.expect_kw(Keyword::Exists)?;
             true
         } else {
             false
         };
-        let name = self.ident("table name")?;
-        self.expect_kind(&TokenKind::LParen, "`(`")?;
-        let mut columns = Vec::new();
-        loop {
-            let col = self.ident("column name")?;
-            let ty = self.data_type()?;
-            columns.push((col, ty));
-            if !self.eat_kind(&TokenKind::Comma) {
-                break;
-            }
-        }
-        self.expect_kind(&TokenKind::RParen, "`)`")?;
+        let name = self.ident("table name")?.to_string();
+        self.expect(&TokenKind::LParen, "`(`")?;
+        let columns =
+            self.list(|p| Ok((p.ident("column name")?.to_string(), p.data_type()?)))?;
+        self.expect(&TokenKind::RParen, "`)`")?;
         Ok(Statement::CreateTable { name, columns, if_not_exists })
     }
 
@@ -233,22 +271,17 @@ impl Parser {
             "HUGEINT" => DataType::HugeInt,
             "DOUBLE" | "REAL" | "FLOAT" | "NUMERIC" | "DECIMAL" => {
                 // allow DOUBLE PRECISION
-                self.eat_kw("PRECISION");
+                self.eat_kw(Keyword::Precision);
                 DataType::Double
             }
             "TEXT" | "VARCHAR" | "STRING" | "CHAR" => {
                 // allow VARCHAR(255)
-                if self.eat_kind(&TokenKind::LParen) {
-                    match self.advance() {
-                        TokenKind::Int(_) => {}
-                        other => {
-                            return Err(Error::parse(
-                                self.peek_pos(),
-                                format!("expected length, found {}", other.describe()),
-                            ))
-                        }
+                if self.eat(&TokenKind::LParen) {
+                    if !matches!(self.peek(), TokenKind::Int(_)) {
+                        return Err(self.expected("length"));
                     }
-                    self.expect_kind(&TokenKind::RParen, "`)`")?;
+                    self.bump();
+                    self.expect(&TokenKind::RParen, "`)`")?;
                 }
                 DataType::Text
             }
@@ -258,326 +291,236 @@ impl Parser {
     }
 
     fn drop_table(&mut self) -> Result<Statement> {
-        self.expect_kw("DROP")?;
-        self.expect_kw("TABLE")?;
-        let if_exists = if self.eat_kw("IF") {
-            self.expect_kw("EXISTS")?;
+        self.expect_kw(Keyword::Drop)?;
+        self.expect_kw(Keyword::Table)?;
+        let if_exists = if self.eat_kw(Keyword::If) {
+            self.expect_kw(Keyword::Exists)?;
             true
         } else {
             false
         };
-        let name = self.ident("table name")?;
+        let name = self.ident("table name")?.to_string();
         Ok(Statement::DropTable { name, if_exists })
     }
 
     fn insert(&mut self) -> Result<Statement> {
-        self.expect_kw("INSERT")?;
-        self.expect_kw("INTO")?;
-        let table = self.ident("table name")?;
-        let columns = if self.eat_kind(&TokenKind::LParen) {
-            let mut cols = Vec::new();
-            loop {
-                cols.push(self.ident("column name")?);
-                if !self.eat_kind(&TokenKind::Comma) {
-                    break;
-                }
-            }
-            self.expect_kind(&TokenKind::RParen, "`)`")?;
+        self.expect_kw(Keyword::Insert)?;
+        self.expect_kw(Keyword::Into)?;
+        let table = self.ident("table name")?.to_string();
+        let columns = if self.eat(&TokenKind::LParen) {
+            let cols = self.list(|p| Ok(p.ident("column name")?.to_string()))?;
+            self.expect(&TokenKind::RParen, "`)`")?;
             Some(cols)
         } else {
             None
         };
-        self.expect_kw("VALUES")?;
-        let mut rows = Vec::new();
-        loop {
-            self.expect_kind(&TokenKind::LParen, "`(`")?;
-            let mut row = Vec::new();
-            loop {
-                row.push(self.expr()?);
-                if !self.eat_kind(&TokenKind::Comma) {
-                    break;
-                }
-            }
-            self.expect_kind(&TokenKind::RParen, "`)`")?;
-            rows.push(row);
-            if !self.eat_kind(&TokenKind::Comma) {
-                break;
-            }
-        }
+        self.expect_kw(Keyword::Values)?;
+        let rows = self.list(|p| {
+            p.expect(&TokenKind::LParen, "`(`")?;
+            let row = p.list(Self::expr)?;
+            p.expect(&TokenKind::RParen, "`)`")?;
+            Ok(row)
+        })?;
         Ok(Statement::Insert { table, columns, rows })
     }
 
     fn delete(&mut self) -> Result<Statement> {
-        self.expect_kw("DELETE")?;
-        self.expect_kw("FROM")?;
-        let table = self.ident("table name")?;
-        let where_clause = if self.eat_kw("WHERE") { Some(self.expr()?) } else { None };
+        self.expect_kw(Keyword::Delete)?;
+        self.expect_kw(Keyword::From)?;
+        let table = self.ident("table name")?.to_string();
+        let where_clause = if self.eat_kw(Keyword::Where) { Some(self.expr()?) } else { None };
         Ok(Statement::Delete { table, where_clause })
     }
 
     // ---- queries ----------------------------------------------------------
 
-    pub(crate) fn query(&mut self) -> Result<Query> {
+    fn query(&mut self) -> Result<Query> {
         let mut ctes = Vec::new();
-        if self.eat_kw("WITH") {
+        if self.eat_kw(Keyword::With) {
             // RECURSIVE is accepted but recursion is not supported (detected
             // at plan time when a CTE references itself).
-            self.eat_kw("RECURSIVE");
-            loop {
-                let name = self.ident("CTE name")?;
-                self.expect_kw("AS")?;
-                self.expect_kind(&TokenKind::LParen, "`(`")?;
-                let q = self.query()?;
-                self.expect_kind(&TokenKind::RParen, "`)`")?;
-                ctes.push((name, q));
-                if !self.eat_kind(&TokenKind::Comma) {
-                    break;
-                }
-            }
+            self.eat_kw(Keyword::Recursive);
+            ctes = self.list(|p| {
+                let name = p.ident("CTE name")?.to_string();
+                p.expect_kw(Keyword::As)?;
+                p.expect(&TokenKind::LParen, "`(`")?;
+                let q = p.query()?;
+                p.expect(&TokenKind::RParen, "`)`")?;
+                Ok((name, q))
+            })?;
         }
         let body = self.body()?;
         let mut order_by = Vec::new();
-        if self.eat_kw("ORDER") {
-            self.expect_kw("BY")?;
-            loop {
-                let expr = self.expr()?;
-                let desc = if self.eat_kw("DESC") {
-                    true
-                } else {
-                    self.eat_kw("ASC");
-                    false
-                };
-                order_by.push(OrderItem { expr, desc });
-                if !self.eat_kind(&TokenKind::Comma) {
-                    break;
+        if self.eat_kw(Keyword::Order) {
+            self.expect_kw(Keyword::By)?;
+            order_by = self.list(|p| {
+                let expr = p.expr()?;
+                let desc = p.eat_kw(Keyword::Desc);
+                if !desc {
+                    p.eat_kw(Keyword::Asc);
                 }
-            }
+                Ok(OrderItem { expr, desc })
+            })?;
         }
-        let mut limit = None;
-        let mut offset = None;
-        if self.eat_kw("LIMIT") {
-            limit = Some(self.unsigned()?);
-        }
-        if self.eat_kw("OFFSET") {
-            offset = Some(self.unsigned()?);
-        }
+        let limit = if self.eat_kw(Keyword::Limit) { Some(self.unsigned()?) } else { None };
+        let offset = if self.eat_kw(Keyword::Offset) { Some(self.unsigned()?) } else { None };
         Ok(Query { ctes, body, order_by, limit, offset })
     }
 
     fn unsigned(&mut self) -> Result<u64> {
-        match self.advance() {
-            TokenKind::Int(v) if v >= 0 => Ok(v as u64),
-            other => Err(Error::parse(
-                self.peek_pos(),
-                format!("expected nonnegative integer, found {}", other.describe()),
-            )),
+        match *self.peek() {
+            TokenKind::Int(v) if v >= 0 => {
+                self.bump();
+                Ok(v as u64)
+            }
+            _ => Err(self.expected("nonnegative integer")),
         }
     }
 
     /// A `SELECT`, possibly parenthesized. `UNION ALL` is refused.
     fn body(&mut self) -> Result<Box<Select>> {
-        let body = if self.eat_kind(&TokenKind::LParen) {
+        let body = if self.eat(&TokenKind::LParen) {
             let inner = self.body()?;
-            self.expect_kind(&TokenKind::RParen, "`)`")?;
+            self.expect(&TokenKind::RParen, "`)`")?;
             inner
         } else {
             Box::new(self.select()?)
         };
-        if self.peek_kw("UNION") {
+        if self.peek_kw(Keyword::Union) {
             return Err(Error::Unsupported("UNION ALL".into()));
         }
         Ok(body)
     }
 
     fn select(&mut self) -> Result<Select> {
-        self.expect_kw("SELECT")?;
-        let distinct = self.eat_kw("DISTINCT");
-        self.eat_kw("ALL");
-        let mut projection = Vec::new();
-        loop {
-            projection.push(self.select_item()?);
-            if !self.eat_kind(&TokenKind::Comma) {
-                break;
-            }
-        }
+        self.expect_kw(Keyword::Select)?;
+        let distinct = self.eat_kw(Keyword::Distinct);
+        self.eat_kw(Keyword::All);
+        let projection = self.list(Self::select_item)?;
         let mut from = None;
         let mut joins = Vec::new();
-        if self.eat_kw("FROM") {
+        if self.eat_kw(Keyword::From) {
             from = Some(self.table_ref()?);
             loop {
-                let kind = if self.peek_kw("JOIN") || self.peek_kw("INNER") {
-                    self.eat_kw("INNER");
-                    self.expect_kw("JOIN")?;
-                    JoinKind::Inner
-                } else if self.peek_kw("LEFT") {
-                    self.advance();
-                    self.eat_kw("OUTER");
-                    self.expect_kw("JOIN")?;
-                    JoinKind::Left
-                } else if self.peek_kw("RIGHT") {
-                    return Err(Error::Unsupported("RIGHT JOIN".into()));
-                } else if self.peek_kw("CROSS") || self.peek() == &TokenKind::Comma {
+                let kind = match *self.peek() {
+                    TokenKind::Word(_, Some(Keyword::Join | Keyword::Inner)) => {
+                        self.eat_kw(Keyword::Inner);
+                        self.expect_kw(Keyword::Join)?;
+                        JoinKind::Inner
+                    }
+                    TokenKind::Word(_, Some(Keyword::Left)) => {
+                        self.bump();
+                        self.eat_kw(Keyword::Outer);
+                        self.expect_kw(Keyword::Join)?;
+                        JoinKind::Left
+                    }
+                    TokenKind::Word(_, Some(Keyword::Right)) => {
+                        return Err(Error::Unsupported("RIGHT JOIN".into()))
+                    }
                     // `FROM a, b` is a cross join too.
-                    return Err(Error::Unsupported("CROSS JOIN".into()));
-                } else {
-                    break;
+                    TokenKind::Word(_, Some(Keyword::Cross)) | TokenKind::Comma => {
+                        return Err(Error::Unsupported("CROSS JOIN".into()))
+                    }
+                    _ => break,
                 };
                 let table = self.table_ref()?;
-                self.expect_kw("ON")?;
+                self.expect_kw(Keyword::On)?;
                 let on = self.expr()?;
                 joins.push(Join { kind, table, on });
             }
         }
-        let where_clause = if self.eat_kw("WHERE") { Some(self.expr()?) } else { None };
+        let where_clause = if self.eat_kw(Keyword::Where) { Some(self.expr()?) } else { None };
         let mut group_by = Vec::new();
-        if self.eat_kw("GROUP") {
-            self.expect_kw("BY")?;
-            loop {
-                group_by.push(self.expr()?);
-                if !self.eat_kind(&TokenKind::Comma) {
-                    break;
-                }
-            }
+        if self.eat_kw(Keyword::Group) {
+            self.expect_kw(Keyword::By)?;
+            group_by = self.list(Self::expr)?;
         }
-        let having = if self.eat_kw("HAVING") { Some(self.expr()?) } else { None };
+        let having = if self.eat_kw(Keyword::Having) { Some(self.expr()?) } else { None };
         Ok(Select { distinct, projection, from, joins, where_clause, group_by, having })
     }
 
     fn select_item(&mut self) -> Result<SelectItem> {
-        if self.eat_kind(&TokenKind::Star) {
+        if self.eat(&TokenKind::Star) {
             return Ok(SelectItem::Wildcard);
         }
         // table.* needs two tokens of lookahead
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            if self.tokens.get(self.pos + 1).map(|t| &t.kind) == Some(&TokenKind::Dot)
-                && self.tokens.get(self.pos + 2).map(|t| &t.kind) == Some(&TokenKind::Star)
-            {
-                self.advance();
-                self.advance();
-                self.advance();
-                return Ok(SelectItem::QualifiedWildcard(name));
+        if let TokenKind::Word(name, _) | TokenKind::Quoted(name) = *self.peek() {
+            let next = |k: usize| self.tokens.get(self.pos + k).map(|t| &t.kind);
+            if next(1) == Some(&TokenKind::Dot) && next(2) == Some(&TokenKind::Star) {
+                self.pos += 3;
+                return Ok(SelectItem::QualifiedWildcard(name.to_string()));
             }
         }
         let expr = self.expr()?;
-        let alias = if self.eat_kw("AS") {
-            Some(self.ident("alias")?)
-        } else if let TokenKind::Ident(s) = self.peek() {
-            // bare alias, but don't swallow clause keywords
-            if is_clause_keyword(s) {
-                None
-            } else {
-                let a = s.clone();
-                self.advance();
-                Some(a)
-            }
-        } else {
-            None
-        };
+        let alias = self.alias()?;
         Ok(SelectItem::Expr { expr, alias })
     }
 
     fn table_ref(&mut self) -> Result<TableRef> {
-        if self.eat_kind(&TokenKind::LParen) {
+        if self.eat(&TokenKind::LParen) {
             let query = self.query()?;
-            self.expect_kind(&TokenKind::RParen, "`)`")?;
-            self.eat_kw("AS");
-            let alias = self.ident("subquery alias")?;
+            self.expect(&TokenKind::RParen, "`)`")?;
+            self.eat_kw(Keyword::As);
+            let alias = self.ident("subquery alias")?.to_string();
             return Ok(TableRef::Subquery { query: Box::new(query), alias });
         }
-        let name = self.ident("table name")?;
-        let alias = if self.eat_kw("AS") {
-            Some(self.ident("alias")?)
-        } else if let TokenKind::Ident(s) = self.peek() {
-            if is_clause_keyword(s) {
-                None
-            } else {
-                let a = s.clone();
-                self.advance();
-                Some(a)
-            }
-        } else {
-            None
-        };
+        let name = self.ident("table name")?.to_string();
+        let alias = self.alias()?;
         Ok(TableRef::Named { name, alias })
     }
 
     // ---- expressions ------------------------------------------------------
 
-    pub(crate) fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+    fn expr(&mut self) -> Result<Expr> {
+        self.binary(1)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut left = self.and_expr()?;
-        while self.eat_kw("OR") {
-            let right = self.and_expr()?;
-            left = Expr::binary(left, BinaryOp::Or, right);
-        }
-        Ok(left)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut left = self.not_expr()?;
-        while self.eat_kw("AND") {
-            let right = self.not_expr()?;
-            left = Expr::binary(left, BinaryOp::And, right);
-        }
-        Ok(left)
-    }
-
-    fn not_expr(&mut self) -> Result<Expr> {
-        if self.eat_kw("NOT") {
-            let inner = self.not_expr()?;
-            return Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) });
-        }
-        self.comparison()
-    }
-
-    fn comparison(&mut self) -> Result<Expr> {
-        let left = self.bitor_expr()?;
-        let op = match self.peek() {
-            TokenKind::Eq => Some(BinaryOp::Eq),
-            TokenKind::NotEq => Some(BinaryOp::NotEq),
-            TokenKind::Lt => Some(BinaryOp::Lt),
-            TokenKind::LtEq => Some(BinaryOp::LtEq),
-            TokenKind::Gt => Some(BinaryOp::Gt),
-            TokenKind::GtEq => Some(BinaryOp::GtEq),
-            _ => None,
+    /// An expression of operators binding at least as tight as `min`
+    /// (precedence climbing). `ceiling` is the loosest operator that may
+    /// still follow what is parsed so far: after a comparison only `AND` and
+    /// `OR`, and after `NOT x` the same.
+    fn binary(&mut self, min: u8) -> Result<Expr> {
+        let (mut left, mut ceiling) = if min <= NOT_PREC && self.eat_kw(Keyword::Not) {
+            let inner = self.binary(NOT_PREC)?;
+            (Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) }, NOT_PREC - 1)
+        } else {
+            (self.unary()?, u8::MAX)
         };
-        if let Some(op) = op {
-            self.advance();
-            let right = self.bitor_expr()?;
-            return Ok(Expr::binary(left, op, right));
+        let admits = |prec: u8, ceiling: u8| (min..=ceiling).contains(&prec);
+        loop {
+            if admits(CMP_PREC, ceiling) && self.at_predicate() {
+                left = self.predicate(left)?;
+                ceiling = CMP_PREC - 1;
+                continue;
+            }
+            let Some((op, prec)) = infix(self.peek()).filter(|&(_, p)| admits(p, ceiling)) else {
+                return Ok(left);
+            };
+            self.bump();
+            let right = self.binary(prec + 1)?;
+            left = Expr::binary(left, op, right);
+            ceiling = if prec == CMP_PREC { CMP_PREC - 1 } else { prec };
         }
-        if self.peek_kw("IS") {
-            self.advance();
-            let negated = self.eat_kw("NOT");
-            self.expect_kw("NULL")?;
+    }
+
+    /// Whether a comparison-level postfix form follows: `IS [NOT] NULL`,
+    /// `[NOT] IN (…)` or `BETWEEN lo AND hi`.
+    fn at_predicate(&self) -> bool {
+        use Keyword::{Between, In, Is, Not};
+        matches!(self.peek(), TokenKind::Word(_, Some(Is | In | Not | Between)))
+    }
+
+    /// The postfix form [`Self::at_predicate`] found, applied to `left`.
+    fn predicate(&mut self, left: Expr) -> Result<Expr> {
+        if self.eat_kw(Keyword::Is) {
+            let negated = self.eat_kw(Keyword::Not);
+            self.expect_kw(Keyword::Null)?;
             return Ok(Expr::IsNull { expr: Box::new(left), negated });
         }
-        if self.peek_kw("IN") || self.peek_kw("NOT") {
-            let negated = self.eat_kw("NOT");
-            if negated && !self.peek_kw("IN") {
-                return Err(Error::parse(self.peek_pos(), "expected IN after NOT".to_string()));
-            }
-            if self.eat_kw("IN") {
-                self.expect_kind(&TokenKind::LParen, "`(`")?;
-                let mut list = Vec::new();
-                loop {
-                    list.push(self.expr()?);
-                    if !self.eat_kind(&TokenKind::Comma) {
-                        break;
-                    }
-                }
-                self.expect_kind(&TokenKind::RParen, "`)`")?;
-                return Ok(Expr::InList { expr: Box::new(left), list, negated });
-            }
-        }
-        if self.peek_kw("BETWEEN") {
-            self.advance();
-            let lo = self.bitor_expr()?;
-            self.expect_kw("AND")?;
-            let hi = self.bitor_expr()?;
+        if self.eat_kw(Keyword::Between) {
+            let lo = self.binary(CMP_PREC + 1)?;
+            self.expect_kw(Keyword::And)?;
+            let hi = self.binary(CMP_PREC + 1)?;
             // desugar: left >= lo AND left <= hi
             return Ok(Expr::binary(
                 Expr::binary(left.clone(), BinaryOp::GtEq, lo),
@@ -585,87 +528,21 @@ impl Parser {
                 Expr::binary(left, BinaryOp::LtEq, hi),
             ));
         }
-        Ok(left)
-    }
-
-    fn bitor_expr(&mut self) -> Result<Expr> {
-        let mut left = self.bitxor_expr()?;
-        while self.eat_kind(&TokenKind::Pipe) {
-            let right = self.bitxor_expr()?;
-            left = Expr::binary(left, BinaryOp::BitOr, right);
+        let negated = self.eat_kw(Keyword::Not);
+        if !self.eat_kw(Keyword::In) {
+            return Err(Error::parse(self.peek_pos(), "expected IN after NOT".to_string()));
         }
-        Ok(left)
+        self.expect(&TokenKind::LParen, "`(`")?;
+        let list = self.list(Self::expr)?;
+        self.expect(&TokenKind::RParen, "`)`")?;
+        Ok(Expr::InList { expr: Box::new(left), list, negated })
     }
 
-    fn bitxor_expr(&mut self) -> Result<Expr> {
-        let mut left = self.bitand_expr()?;
-        while self.eat_kind(&TokenKind::Caret) {
-            let right = self.bitand_expr()?;
-            left = Expr::binary(left, BinaryOp::BitXor, right);
-        }
-        Ok(left)
-    }
-
-    fn bitand_expr(&mut self) -> Result<Expr> {
-        let mut left = self.shift_expr()?;
-        while self.eat_kind(&TokenKind::Amp) {
-            let right = self.shift_expr()?;
-            left = Expr::binary(left, BinaryOp::BitAnd, right);
-        }
-        Ok(left)
-    }
-
-    fn shift_expr(&mut self) -> Result<Expr> {
-        let mut left = self.add_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Shl => BinaryOp::Shl,
-                TokenKind::Shr => BinaryOp::Shr,
-                _ => break,
-            };
-            self.advance();
-            let right = self.add_expr()?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
-    }
-
-    fn add_expr(&mut self) -> Result<Expr> {
-        let mut left = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinaryOp::Add,
-                TokenKind::Minus => BinaryOp::Sub,
-                _ => break,
-            };
-            self.advance();
-            let right = self.mul_expr()?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr> {
-        let mut left = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinaryOp::Mul,
-                TokenKind::Slash => BinaryOp::Div,
-                TokenKind::Percent => BinaryOp::Mod,
-                _ => break,
-            };
-            self.advance();
-            let right = self.unary_expr()?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr> {
+    fn unary(&mut self) -> Result<Expr> {
         match self.peek() {
             TokenKind::Minus => {
-                self.advance();
-                let inner = self.unary_expr()?;
+                self.bump();
+                let inner = self.unary()?;
                 // fold negative literals for nicer plans
                 if let Expr::Literal(Literal::Int(v)) = inner {
                     return Ok(Expr::Literal(Literal::Int(-v)));
@@ -676,12 +553,12 @@ impl Parser {
                 Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) })
             }
             TokenKind::Plus => {
-                self.advance();
-                self.unary_expr()
+                self.bump();
+                self.unary()
             }
             TokenKind::Tilde => {
-                self.advance();
-                let inner = self.unary_expr()?;
+                self.bump();
+                let inner = self.unary()?;
                 Ok(Expr::Unary { op: UnaryOp::BitNot, expr: Box::new(inner) })
             }
             _ => self.primary(),
@@ -689,112 +566,78 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr> {
-        match self.peek().clone() {
-            TokenKind::Int(v) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Int(v)))
-            }
-            TokenKind::BigInt(b) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Big(b)))
-            }
-            TokenKind::Float(v) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Float(v)))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Str(s)))
-            }
+        let literal = match self.peek() {
+            TokenKind::Int(v) => Literal::Int(*v),
+            TokenKind::BigInt(b) => Literal::Big((**b).clone()),
+            TokenKind::Float(v) => Literal::Float(*v),
+            TokenKind::Str(s) => Literal::Str(s.replace("''", "'")),
             TokenKind::Star => {
-                self.advance();
-                Ok(Expr::Star)
+                self.bump();
+                return Ok(Expr::Star);
             }
             TokenKind::LParen => {
-                self.advance();
+                self.bump();
                 let e = self.expr()?;
-                self.expect_kind(&TokenKind::RParen, "`)`")?;
-                Ok(e)
+                self.expect(&TokenKind::RParen, "`)`")?;
+                return Ok(e);
             }
-            TokenKind::Ident(name) => {
-                if name.eq_ignore_ascii_case("NULL") {
-                    self.advance();
-                    return Ok(Expr::Literal(Literal::Null));
-                }
-                if name.eq_ignore_ascii_case("TRUE") {
-                    self.advance();
-                    return Ok(Expr::Literal(Literal::Bool(true)));
-                }
-                if name.eq_ignore_ascii_case("FALSE") {
-                    self.advance();
-                    return Ok(Expr::Literal(Literal::Bool(false)));
-                }
-                if name.eq_ignore_ascii_case("CAST") {
-                    self.advance();
-                    self.expect_kind(&TokenKind::LParen, "`(`")?;
-                    let e = self.expr()?;
-                    self.expect_kw("AS")?;
-                    let ty = self.data_type()?;
-                    self.expect_kind(&TokenKind::RParen, "`)`")?;
-                    return Ok(Expr::Cast { expr: Box::new(e), ty });
-                }
-                if name.eq_ignore_ascii_case("CASE") {
-                    return Err(Error::Unsupported("CASE".into()));
-                }
+            &TokenKind::Word(name, kw) => match kw {
+                Some(Keyword::Null) => Literal::Null,
+                Some(Keyword::True) => Literal::Bool(true),
+                Some(Keyword::False) => Literal::Bool(false),
+                Some(Keyword::Cast) => return self.cast(),
+                Some(Keyword::Case) => return Err(Error::Unsupported("CASE".into())),
                 // Clause keywords cannot start an expression; catching them
                 // here turns `SELECT FROM t` into a clear error instead of a
                 // column named `FROM`.
-                if is_clause_keyword(&name) {
+                Some(kw) if kw.is_clause() => {
                     return Err(Error::parse(
                         self.peek_pos(),
                         format!("expected expression, found keyword `{name}`"),
-                    ));
+                    ))
                 }
-                self.advance();
-                // function call?
-                if self.eat_kind(&TokenKind::LParen) {
-                    let distinct = self.eat_kw("DISTINCT");
-                    let mut args = Vec::new();
-                    if !self.eat_kind(&TokenKind::RParen) {
-                        loop {
-                            if self.eat_kind(&TokenKind::Star) {
-                                args.push(Expr::Star);
-                            } else {
-                                args.push(self.expr()?);
-                            }
-                            if !self.eat_kind(&TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect_kind(&TokenKind::RParen, "`)`")?;
-                    }
-                    return Ok(Expr::Function { name, args, distinct });
-                }
-                // qualified column?
-                if self.eat_kind(&TokenKind::Dot) {
-                    let col = self.ident("column name")?;
-                    return Ok(Expr::Column { table: Some(name), name: col });
-                }
-                Ok(Expr::Column { table: None, name })
-            }
-            other => Err(Error::parse(
-                self.peek_pos(),
-                format!("expected expression, found {}", other.describe()),
-            )),
-        }
+                _ => return self.named(name),
+            },
+            &TokenKind::Quoted(name) => return self.named(name),
+            _ => return Err(self.expected("expression")),
+        };
+        self.bump();
+        Ok(Expr::Literal(literal))
     }
 
-}
+    /// `CAST(expr AS type)`.
+    fn cast(&mut self) -> Result<Expr> {
+        self.bump();
+        self.expect(&TokenKind::LParen, "`(`")?;
+        let e = self.expr()?;
+        self.expect_kw(Keyword::As)?;
+        let ty = self.data_type()?;
+        self.expect(&TokenKind::RParen, "`)`")?;
+        Ok(Expr::Cast { expr: Box::new(e), ty })
+    }
 
-/// Keywords that terminate an implicit alias position. `RIGHT`, `CROSS`,
-/// `UNION` and `CASE` are here only to be refused as unsupported.
-fn is_clause_keyword(s: &str) -> bool {
-    const KWS: &[&str] = &[
-        "FROM", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "OFFSET", "JOIN", "INNER", "LEFT",
-        "RIGHT", "CROSS", "ON", "UNION", "AS", "AND", "OR", "NOT", "ASC", "DESC", "SELECT", "WITH",
-        "VALUES", "SET", "BY", "IS", "IN", "BETWEEN", "CASE", "OUTER", "ALL",
-    ];
-    KWS.iter().any(|k| k.eq_ignore_ascii_case(s))
+    /// What starts with the name at the current token: a function call, a
+    /// qualified column or a bare one.
+    fn named(&mut self, name: &'a str) -> Result<Expr> {
+        self.bump();
+        if self.eat(&TokenKind::LParen) {
+            let distinct = self.eat_kw(Keyword::Distinct);
+            let mut args = Vec::new();
+            if !self.eat(&TokenKind::RParen) {
+                args = self.list(|p| match p.eat(&TokenKind::Star) {
+                    true => Ok(Expr::Star),
+                    false => p.expr(),
+                })?;
+                self.expect(&TokenKind::RParen, "`)`")?;
+            }
+            return Ok(Expr::Function { name: name.to_string(), args, distinct });
+        }
+        if self.eat(&TokenKind::Dot) {
+            let col = self.ident("column name")?;
+            return Ok(Expr::Column { table: Some(name.to_string()), name: col.to_string() });
+        }
+        Ok(Expr::Column { table: None, name: name.to_string() })
+    }
 }
 
 #[cfg(test)]
@@ -857,6 +700,13 @@ mod tests {
         let Statement::Query(q) = parse_statement(sql).unwrap() else { panic!() };
         assert_eq!(q.ctes.len(), 2);
         assert_eq!(q.order_by.len(), 1);
+    }
+
+    #[test]
+    fn string_literals_decode_doubled_quotes_and_keep_utf8() {
+        assert_eq!(parse_expr("'it''s'").unwrap(), Expr::Literal(Literal::Str("it's".into())));
+        assert_eq!(parse_expr("''''").unwrap(), Expr::Literal(Literal::Str("'".into())));
+        assert_eq!(parse_expr("'é'").unwrap(), Expr::Literal(Literal::Str("é".into())));
     }
 
     #[test]
@@ -1001,6 +851,53 @@ mod tests {
             let st2 = parse_statement(&printed).unwrap();
             assert_eq!(printed, st2.to_string(), "unstable print for {sql}");
         }
+    }
+
+    /// Every parse error points at the token that is wrong, not the one
+    /// after it.
+    #[test]
+    fn parse_errors_point_at_the_offending_token() {
+        let cases = [
+            ("SELECT s FROM t LIMIT x", 22, "expected nonnegative integer, found identifier `x`"),
+            ("SELECT s FROM t OFFSET -1", 23, "expected nonnegative integer, found `-`"),
+            ("CREATE TABLE t (a VARCHAR(x))", 26, "expected length, found identifier `x`"),
+            ("SELECT CAST(x AS VARCHAR(-1))", 25, "expected length, found `-`"),
+            ("SELECT FROM t", 7, "expected expression, found keyword `FROM`"),
+            ("SELECT (1", 9, "expected `)`, found end of input"),
+            ("SELECT 1 2", 9, "unexpected integer `2`"),
+            ("SELECT a = b = c", 13, "unexpected `=`"),
+            ("SELECT a NOT b FROM t", 13, "expected IN after NOT"),
+            ("SELECT x IS 1", 12, "expected `NULL`, found integer `1`"),
+            ("WITH x AS SELECT 1", 10, "expected `(`, found identifier `SELECT`"),
+            ("SELECT a FROM t JOIN u", 22, "expected `ON`, found end of input"),
+            ("DELETE t", 7, "expected `FROM`, found identifier `t`"),
+            ("CREATE TABLE t (a", 17, "expected type name, found end of input"),
+            ("ROLLBACK TO", 11, "expected savepoint name, found end of input"),
+            ("UPDATE t", 0, "expected a statement, found identifier `UPDATE`"),
+        ];
+        for (sql, want_pos, want) in cases {
+            match parse_statement(sql) {
+                Err(Error::Parse { pos, message }) => {
+                    assert_eq!((pos, message.as_str()), (want_pos, want), "{sql}")
+                }
+                other => panic!("{sql}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_quoted_identifier_is_never_a_keyword() {
+        let Statement::Query(q) = parse_statement("SELECT \"from\" FROM t AS \"select\"").unwrap()
+        else {
+            panic!()
+        };
+        match &q.body.projection[0] {
+            SelectItem::Expr { expr, alias: None } => assert_eq!(expr, &Expr::col("from")),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(q.body.from.as_ref().unwrap().visible_name(), "select");
+        // Bare, the same word is the keyword.
+        assert!(parse_statement("SELECT from FROM t").is_err());
     }
 
     #[test]

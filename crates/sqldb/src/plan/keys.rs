@@ -30,6 +30,7 @@ use std::sync::Arc;
 use crate::ast::{BinaryOp, DataType, JoinKind};
 use crate::expr::BoundExpr;
 use crate::plan::logical::{AggExpr, AggFunc, Plan};
+use crate::plan::optimizer::conjuncts;
 use crate::schema::{ColFact, Facts, RelSchema};
 use crate::value::Value;
 
@@ -137,16 +138,6 @@ fn expr_fact(expr: &BoundExpr, facts: &[Option<ColFact>]) -> Option<ColFact> {
     match expr {
         BoundExpr::Column(c) => facts[*c],
         _ => bits_of(expr, facts).map(|bits| bits.fact()),
-    }
-}
-
-fn conjuncts<'a>(expr: &'a BoundExpr, out: &mut Vec<&'a BoundExpr>) {
-    match expr {
-        BoundExpr::Binary { left, op: BinaryOp::And, right } => {
-            conjuncts(left, out);
-            conjuncts(right, out);
-        }
-        other => out.push(other),
     }
 }
 
@@ -304,7 +295,9 @@ mod tests {
     }
 
     fn expr(sql: &str) -> BoundExpr {
-        fold_expr(bind(&parse_expr(sql).unwrap(), &schema()).unwrap())
+        let mut e = bind(&parse_expr(sql).unwrap(), &schema()).unwrap();
+        fold_expr(&mut e);
+        e
     }
 
     /// Facts of the join: `t.s` with `s_ones`, both gate columns with

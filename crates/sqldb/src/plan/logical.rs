@@ -1,10 +1,11 @@
 //! Query planning: AST → bound logical plan.
 //!
-//! The planner resolves names bottom-up, rewrites aggregate queries into an
-//! explicit `Aggregate` node (replacing `GROUP BY`-matching subtrees and
-//! aggregate calls in the projection/`HAVING` with column references), and
-//! produces a tree of [`Plan`] nodes carrying [`BoundExpr`]s that the
-//! executor can run directly.
+//! The planner resolves names bottom-up and binds every expression once: an
+//! aggregate query becomes an explicit `Aggregate` node, and its projection
+//! and `HAVING` are bound straight over that node's output (a subtree equal
+//! to a `GROUP BY` expression, or an aggregate call, reads the aggregate's
+//! column by index). The result is a tree of [`Plan`] nodes carrying
+//! [`BoundExpr`]s that the executor can run directly.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -13,8 +14,8 @@ use std::sync::Arc;
 use crate::ast::{self, BinaryOp, Expr, JoinKind, OrderItem, Query, Select, SelectItem, TableRef};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
-use crate::expr::{bind, BoundExpr};
-use crate::plan::optimizer::extract_equi_keys;
+use crate::expr::{bind, bind_with, BoundExpr};
+use crate::plan::optimizer::equi_keys;
 use crate::schema::{Facts, Field, RelSchema};
 use crate::value::Value;
 
@@ -33,21 +34,28 @@ pub enum AggFunc {
 }
 
 impl AggFunc {
-    fn from_call(name: &str, args: &[Expr], distinct: bool) -> Result<(AggFunc, Option<Expr>)> {
-        let upper = name.to_ascii_uppercase();
-        let func = match (upper.as_str(), distinct) {
-            ("COUNT", false) if args == [Expr::Star] => return Ok((AggFunc::CountStar, None)),
-            ("COUNT", false) => AggFunc::Count,
-            ("COUNT", true) => AggFunc::CountDistinct,
-            (_, true) => return Err(Error::Unsupported(format!("{upper}(DISTINCT …)"))),
-            ("SUM", _) => AggFunc::Sum,
-            ("MIN", _) => AggFunc::Min,
-            ("MAX", _) => AggFunc::Max,
-            ("AVG", _) => AggFunc::Avg,
+    fn from_call<'e>(
+        name: &str,
+        args: &'e [Expr],
+        distinct: bool,
+    ) -> Result<(AggFunc, Option<&'e Expr>)> {
+        let is = |agg: &str| name.eq_ignore_ascii_case(agg);
+        let func = match distinct {
+            false if is("COUNT") && args == [Expr::Star] => return Ok((AggFunc::CountStar, None)),
+            false if is("COUNT") => AggFunc::Count,
+            true if is("COUNT") => AggFunc::CountDistinct,
+            true => {
+                let upper = name.to_ascii_uppercase();
+                return Err(Error::Unsupported(format!("{upper}(DISTINCT …)")));
+            }
+            _ if is("SUM") => AggFunc::Sum,
+            _ if is("MIN") => AggFunc::Min,
+            _ if is("MAX") => AggFunc::Max,
+            _ if is("AVG") => AggFunc::Avg,
             _ => return Err(Error::Plan(format!("unknown aggregate `{name}`"))),
         };
         match args {
-            [a] if *a != Expr::Star => Ok((func, Some(a.clone()))),
+            [a] if *a != Expr::Star => Ok((func, Some(a))),
             _ => Err(Error::Plan(format!("wrong number of arguments to aggregate `{name}`"))),
         }
     }
@@ -94,6 +102,9 @@ pub enum Plan {
         on: BoundExpr,
         schema: RelSchema,
     },
+    /// Output: the group keys, then the aggregates. Under a `GROUP BY` the
+    /// columns have no names: the projection and `HAVING` above read them
+    /// by index.
     Aggregate {
         input: Arc<Plan>,
         group_by: Vec<BoundExpr>,
@@ -113,14 +124,15 @@ pub enum Plan {
 
 impl Plan {
     /// Output schema of this node.
-    pub fn schema(&self) -> RelSchema {
+    pub fn schema(&self) -> &RelSchema {
+        static NO_COLUMNS: RelSchema = RelSchema { fields: Vec::new() };
         match self {
             Plan::Scan { schema, .. }
             | Plan::Project { schema, .. }
             | Plan::Join { schema, .. }
             | Plan::Aggregate { schema, .. }
-            | Plan::Alias { schema, .. } => schema.clone(),
-            Plan::One => RelSchema::default(),
+            | Plan::Alias { schema, .. } => schema,
+            Plan::One => &NO_COLUMNS,
             Plan::Filter { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. } => input.schema(),
@@ -282,7 +294,7 @@ fn plan_query_scoped(query: &Query, catalog: &Catalog, outer: &CteScope) -> Resu
         let keys = query
             .order_by
             .iter()
-            .map(|item| bind_order_item(item, &schema))
+            .map(|item| bind_order_item(item, schema))
             .collect::<Result<Vec<_>>>()?;
         plan = Plan::Sort { input: Arc::new(plan), keys };
     }
@@ -337,10 +349,10 @@ fn plan_table_ref(tref: &TableRef, catalog: &Catalog, scope: &CteScope) -> Resul
                 });
             }
             let table = catalog.get(name)?;
-            let mut schema = table.schema();
-            if let Some(a) = alias {
-                schema = schema.with_relation(a);
-            }
+            let schema = match alias {
+                Some(a) => table.schema().with_relation(a),
+                None => table.schema(),
+            };
             let facts = table.column_facts();
             Ok(Arc::new(Plan::Scan { table: table.name().to_string(), schema, facts }))
         }
@@ -361,10 +373,10 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
     for join in &select.joins {
         let right = plan_table_ref(&join.table, catalog, scope)?;
         let left_cols = plan.schema().len();
-        let schema = plan.schema().join(&right.schema());
+        let schema = plan.schema().join(right.schema());
         let on = bind(&join.on, &schema)?;
         // The hash join is the only join operator: it needs an equi-key.
-        if extract_equi_keys(on.clone(), left_cols).0.is_empty() {
+        if equi_keys(&on, left_cols).0.is_empty() {
             return Err(Error::Unsupported(format!(
                 "join condition without an equality between the joined tables: {}",
                 join.on
@@ -378,37 +390,31 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
         if w.contains_aggregate() {
             return Err(Error::Plan("aggregates are not allowed in WHERE".into()));
         }
-        let predicate = bind(w, &plan.schema())?;
+        let predicate = bind(w, plan.schema())?;
         plan = Arc::new(Plan::Filter { input: plan, predicate });
     }
 
-    // Expand wildcards in the projection.
-    let input_schema = plan.schema();
-    let mut items: Vec<(Expr, Option<String>)> = Vec::new();
+    // The projection, wildcards expanded: (expression, alias).
+    let mut items: Vec<(Cow<Expr>, Option<&str>)> = Vec::new();
     for item in &select.projection {
-        match item {
-            SelectItem::Wildcard => {
-                for f in &input_schema.fields {
-                    items.push((
-                        Expr::Column { table: f.relation.clone(), name: f.name.clone() },
-                        Some(f.name.clone()),
-                    ));
-                }
+        let columns = match item {
+            SelectItem::Expr { expr, alias } => {
+                items.push((Cow::Borrowed(expr), alias.as_deref()));
+                continue;
             }
+            SelectItem::Wildcard => (0..plan.schema().len()).collect(),
             SelectItem::QualifiedWildcard(rel) => {
-                let idxs = input_schema.relation_indices(rel);
+                let idxs = plan.schema().relation_indices(rel);
                 if idxs.is_empty() {
                     return Err(Error::Plan(format!("unknown relation `{rel}` in `{rel}.*`")));
                 }
-                for i in idxs {
-                    let f = &input_schema.fields[i];
-                    items.push((
-                        Expr::Column { table: f.relation.clone(), name: f.name.clone() },
-                        Some(f.name.clone()),
-                    ));
-                }
+                idxs
             }
-            SelectItem::Expr { expr, alias } => items.push((expr.clone(), alias.clone())),
+        };
+        for i in columns {
+            let f = &plan.schema().fields[i];
+            let column = Expr::Column { table: f.relation.clone(), name: f.name.clone() };
+            items.push((Cow::Owned(column), None));
         }
     }
 
@@ -416,27 +422,23 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
         || items.iter().any(|(e, _)| e.contains_aggregate())
         || select.having.as_ref().is_some_and(Expr::contains_aggregate);
 
-    let (plan, proj_exprs, proj_schema) = if has_aggs {
-        plan_aggregate(plan, select, &items, &input_schema)?
+    let (plan, exprs) = if has_aggs {
+        plan_aggregate(plan, select, &items)?
     } else {
         if select.having.is_some() {
             return Err(Error::Plan("HAVING requires GROUP BY or aggregates".into()));
         }
-        let mut exprs = Vec::with_capacity(items.len());
-        let mut fields = Vec::with_capacity(items.len());
-        for (e, alias) in &items {
-            exprs.push(bind(e, &input_schema)?);
-            fields.push(Field::new(None, &output_name(e, alias)));
-        }
-        (plan, exprs, RelSchema::new(fields))
+        let exprs = items.iter().map(|(e, _)| bind(e, plan.schema())).collect::<Result<_>>()?;
+        (plan, exprs)
     };
+    let fields = items.iter().map(|(e, alias)| Field::named(output_name(e, *alias))).collect();
 
-    let mut plan = Plan::Project { input: plan, exprs: proj_exprs, schema: proj_schema };
+    let mut plan = Plan::Project { input: plan, exprs, schema: RelSchema::new(fields) };
 
     if select.distinct {
         // DISTINCT ≡ GROUP BY all output columns with no aggregates; this
         // reuses the aggregation operator's spill machinery for free.
-        let schema = plan.schema();
+        let schema = plan.schema().clone();
         let group_by = (0..schema.len()).map(BoundExpr::Column).collect();
         plan = Plan::Aggregate {
             input: Arc::new(plan),
@@ -450,153 +452,77 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
     Ok(plan)
 }
 
-/// Build the `Aggregate` node and rewrite projection/`HAVING` over its output.
-///
-/// Returns (plan including any HAVING filter, projection exprs, projection
-/// schema).
-fn plan_aggregate(
+/// Build the `Aggregate` node, with any `HAVING` filter above it, and bind
+/// the projection `items` over its output. Each expression is bound once:
+/// group keys and aggregate arguments against the input, everything else
+/// against the aggregate's columns — a subtree structurally equal to the
+/// i-th `GROUP BY` expression reads column i, the j-th distinct aggregate
+/// call column `group_by.len() + j`. A bare column outside both is an
+/// error, as strict SQL `GROUP BY` rules have it.
+fn plan_aggregate<'e>(
     input: Arc<Plan>,
-    select: &Select,
-    items: &[(Expr, Option<String>)],
-    input_schema: &RelSchema,
-) -> Result<(Arc<Plan>, Vec<BoundExpr>, RelSchema)> {
-    // 1. Bind group-by expressions against the input.
-    let mut group_bound = Vec::with_capacity(select.group_by.len());
+    select: &'e Select,
+    items: &'e [(Cow<'_, Expr>, Option<&str>)],
+) -> Result<(Arc<Plan>, Vec<BoundExpr>)> {
+    let input_schema = input.schema();
+    let mut group_by = Vec::with_capacity(select.group_by.len());
     for g in &select.group_by {
         if g.contains_aggregate() {
             return Err(Error::Plan("aggregates are not allowed in GROUP BY".into()));
         }
-        group_bound.push(bind(g, input_schema)?);
+        group_by.push(bind(g, input_schema)?);
     }
 
-    // 2. Collect aggregate calls from projection and HAVING (deduplicated
-    //    structurally) and rewrite both over the aggregate output schema.
-    let mut collected: Vec<(Expr, AggExpr)> = Vec::new();
-    let mut rewritten_items = Vec::with_capacity(items.len());
-    for (e, alias) in items {
-        let r = rewrite_over_aggregate(e, &select.group_by, &mut collected, input_schema)?;
-        rewritten_items.push((r, e, alias));
-    }
-    let rewritten_having = match &select.having {
-        Some(h) => Some(rewrite_over_aggregate(h, &select.group_by, &mut collected, input_schema)?),
-        None => None,
+    // Aggregate calls found so far (deduplicated structurally).
+    let mut calls: Vec<(&Expr, AggExpr)> = Vec::new();
+    let mut over_aggregate = |expr: &'e Expr| -> Result<Option<BoundExpr>> {
+        if let Some(i) = select.group_by.iter().position(|g| exprs_equivalent(expr, g)) {
+            return Ok(Some(BoundExpr::Column(i)));
+        }
+        match expr {
+            Expr::Function { name, args, distinct } if ast::is_aggregate_name(name) => {
+                if args.iter().any(Expr::contains_aggregate) {
+                    return Err(Error::Plan("nested aggregate calls are not allowed".into()));
+                }
+                let j = match calls.iter().position(|(call, _)| exprs_equivalent(call, expr)) {
+                    Some(j) => j,
+                    None => {
+                        let (func, arg) = AggFunc::from_call(name, args, *distinct)?;
+                        let arg = arg.map(|a| bind(a, input_schema)).transpose()?;
+                        calls.push((expr, AggExpr { func, arg }));
+                        calls.len() - 1
+                    }
+                };
+                Ok(Some(BoundExpr::Column(select.group_by.len() + j)))
+            }
+            Expr::Column { table, name } => Err(Error::Plan(format!(
+                "column `{}` must appear in GROUP BY or inside an aggregate",
+                match table {
+                    Some(t) => format!("{t}.{name}"),
+                    None => name.clone(),
+                }
+            ))),
+            _ => Ok(None),
+        }
     };
+    let exprs = items
+        .iter()
+        .map(|(e, _)| bind_with(e, &mut over_aggregate))
+        .collect::<Result<Vec<_>>>()?;
+    let having = select.having.as_ref().map(|h| bind_with(h, &mut over_aggregate)).transpose()?;
 
-    // 3. The aggregate node's output: group keys then agg results, with
-    //    synthetic names the rewrite step referenced.
-    let mut agg_fields = Vec::new();
-    for i in 0..group_bound.len() {
-        agg_fields.push(Field::new(None, &format!("__g{i}")));
-    }
-    for i in 0..collected.len() {
-        agg_fields.push(Field::new(None, &format!("__a{i}")));
-    }
-    let agg_schema = RelSchema::new(agg_fields);
-    let aggs = collected.into_iter().map(|(_, a)| a).collect();
-
+    let columns = group_by.len() + calls.len();
     let mut plan = Arc::new(Plan::Aggregate {
         input,
-        group_by: group_bound,
-        aggs,
-        schema: agg_schema.clone(),
+        group_by,
+        aggs: calls.into_iter().map(|(_, agg)| agg).collect(),
+        schema: RelSchema::new(vec![Field::named(String::new()); columns]),
         one_row_per_group: false,
     });
-
-    if let Some(h) = rewritten_having {
-        let predicate = bind(&h, &agg_schema)?;
+    if let Some(predicate) = having {
         plan = Arc::new(Plan::Filter { input: plan, predicate });
     }
-
-    let mut exprs = Vec::with_capacity(rewritten_items.len());
-    let mut fields = Vec::with_capacity(rewritten_items.len());
-    for (rewritten, original, alias) in rewritten_items {
-        exprs.push(bind(&rewritten, &agg_schema)?);
-        fields.push(Field::new(None, &output_name(original, alias)));
-    }
-    Ok((plan, exprs, RelSchema::new(fields)))
-}
-
-/// Rewrite `expr` so it refers to the aggregate output schema:
-/// subtrees structurally equal to a GROUP BY expression become `__gN`,
-/// aggregate calls become `__aN`, anything else recurses. A bare column that
-/// survives to the leaves (i.e. is not part of any group expression) is a
-/// semantic error, matching strict SQL GROUP BY rules.
-fn rewrite_over_aggregate(
-    expr: &Expr,
-    group_by: &[Expr],
-    collected: &mut Vec<(Expr, AggExpr)>,
-    input_schema: &RelSchema,
-) -> Result<Expr> {
-    // Structural match against a grouping expression?
-    for (i, g) in group_by.iter().enumerate() {
-        if exprs_equivalent(expr, g) {
-            return Ok(Expr::Column { table: None, name: format!("__g{i}") });
-        }
-    }
-    match expr {
-        Expr::Function { name, args, distinct } if ast::is_aggregate_name(name) => {
-            if args.iter().any(Expr::contains_aggregate) {
-                return Err(Error::Plan("nested aggregate calls are not allowed".into()));
-            }
-            let (func, arg_ast) = AggFunc::from_call(name, args, *distinct)?;
-            let arg = match &arg_ast {
-                Some(a) => Some(bind(a, input_schema)?),
-                None => None,
-            };
-            let agg = AggExpr { func, arg };
-            // Deduplicate structurally identical aggregate calls.
-            let idx = match collected.iter().position(|(e, _)| exprs_equivalent(e, expr)) {
-                Some(i) => i,
-                None => {
-                    collected.push((expr.clone(), agg));
-                    collected.len() - 1
-                }
-            };
-            Ok(Expr::Column { table: None, name: format!("__a{idx}") })
-        }
-        Expr::Column { table, name } => Err(Error::Plan(format!(
-            "column `{}` must appear in GROUP BY or inside an aggregate",
-            match table {
-                Some(t) => format!("{t}.{name}"),
-                None => name.clone(),
-            }
-        ))),
-        Expr::Literal(_) | Expr::Star => Ok(expr.clone()),
-        Expr::Unary { op, expr: inner } => Ok(Expr::Unary {
-            op: *op,
-            expr: Box::new(rewrite_over_aggregate(inner, group_by, collected, input_schema)?),
-        }),
-        Expr::Binary { left, op, right } => Ok(Expr::Binary {
-            left: Box::new(rewrite_over_aggregate(left, group_by, collected, input_schema)?),
-            op: *op,
-            right: Box::new(rewrite_over_aggregate(right, group_by, collected, input_schema)?),
-        }),
-        Expr::Function { name, args, distinct } => Ok(Expr::Function {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| rewrite_over_aggregate(a, group_by, collected, input_schema))
-                .collect::<Result<_>>()?,
-            distinct: *distinct,
-        }),
-        Expr::Cast { expr: inner, ty } => Ok(Expr::Cast {
-            expr: Box::new(rewrite_over_aggregate(inner, group_by, collected, input_schema)?),
-            ty: *ty,
-        }),
-        Expr::IsNull { expr: inner, negated } => Ok(Expr::IsNull {
-            expr: Box::new(rewrite_over_aggregate(inner, group_by, collected, input_schema)?),
-            negated: *negated,
-        }),
-        Expr::InList { expr: inner, list, negated } => Ok(Expr::InList {
-            expr: Box::new(rewrite_over_aggregate(inner, group_by, collected, input_schema)?),
-            list: list
-                .iter()
-                .map(|e| rewrite_over_aggregate(e, group_by, collected, input_schema))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        }),
-        Expr::Paren(inner) => rewrite_over_aggregate(inner, group_by, collected, input_schema),
-    }
+    Ok((plan, exprs))
 }
 
 /// Structural equivalence ignoring redundant parentheses.
@@ -636,9 +562,9 @@ fn exprs_equivalent(a: &Expr, b: &Expr) -> bool {
 }
 
 /// Output column name: alias, else column name, else printed expression.
-fn output_name(expr: &Expr, alias: &Option<String>) -> String {
+fn output_name(expr: &Expr, alias: Option<&str>) -> String {
     if let Some(a) = alias {
-        return a.clone();
+        return a.to_string();
     }
     match expr {
         Expr::Column { name, .. } => name.clone(),

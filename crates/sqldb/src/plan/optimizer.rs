@@ -19,7 +19,7 @@ use std::sync::Arc;
 use crate::ast::{BinaryOp, JoinKind};
 use crate::expr::BoundExpr;
 use crate::plan::keys::annotate;
-use crate::plan::logical::{Plan, SortKey};
+use crate::plan::logical::Plan;
 use crate::schema::Facts;
 
 /// Apply all rules bottom-up until a fixpoint (bounded by plan depth).
@@ -33,98 +33,77 @@ pub(crate) fn optimize_with_facts(plan: Plan) -> (Plan, Facts) {
     let mut p = plan;
     // Two passes are enough for the rule set (each rule is monotone).
     for _ in 0..2 {
-        p = rewrite(p);
+        rewrite(&mut p);
     }
     let facts = annotate(&mut p);
     (p, facts)
 }
 
-/// Rewrite a child. `Arc::unwrap_or_clone` moves a singly-referenced subtree
-/// through the rules, so a gate chain is never copied; a shared node (a CTE
-/// referenced twice) is copied one node at a time, once per reference.
-fn rewrite_child(child: Arc<Plan>) -> Arc<Plan> {
-    Arc::new(rewrite(Arc::unwrap_or_clone(child)))
-}
-
-fn rewrite(plan: Plan) -> Plan {
-    // Recurse first so children are already optimized.
+/// Apply the rules to `plan` in place, children first. `Arc::make_mut`
+/// reaches a singly-referenced child without copying it, so a gate chain is
+/// never copied; a shared node (a CTE referenced twice) is copied one node
+/// at a time, once per reference.
+fn rewrite(plan: &mut Plan) {
     match plan {
         Plan::Filter { input, predicate } => {
-            let input = rewrite(Arc::unwrap_or_clone(input));
-            let predicate = fold_expr(predicate);
-            apply_filter_rules(input, predicate)
+            rewrite(Arc::make_mut(input));
+            fold_expr(predicate);
+            let Plan::Filter { input, predicate } = std::mem::replace(plan, Plan::One) else {
+                unreachable!("matched a filter")
+            };
+            *plan = apply_filter_rules(Arc::unwrap_or_clone(input), predicate);
         }
-        Plan::Project { input, exprs, schema } => Plan::Project {
-            input: rewrite_child(input),
-            exprs: exprs.into_iter().map(fold_expr).collect(),
-            schema,
-        },
-        Plan::Join { left, right, kind, on, schema } => Plan::Join {
-            left: rewrite_child(left),
-            right: rewrite_child(right),
-            kind,
-            on: fold_expr(on),
-            schema,
-        },
-        Plan::Aggregate { input, group_by, aggs, schema, one_row_per_group } => Plan::Aggregate {
-            input: rewrite_child(input),
-            group_by: group_by.into_iter().map(fold_expr).collect(),
-            aggs,
-            schema,
-            one_row_per_group,
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: rewrite_child(input),
-            keys: keys
-                .into_iter()
-                .map(|k| SortKey { expr: fold_expr(k.expr), desc: k.desc })
-                .collect(),
-        },
-        Plan::Limit { input, limit, offset } => {
-            Plan::Limit { input: rewrite_child(input), limit, offset }
+        Plan::Project { input, exprs, .. } => {
+            rewrite(Arc::make_mut(input));
+            exprs.iter_mut().for_each(fold_expr);
         }
-        Plan::Alias { input, schema } => Plan::Alias { input: rewrite_child(input), schema },
-        leaf @ (Plan::Scan { .. } | Plan::One) => leaf,
+        Plan::Join { left, right, on, .. } => {
+            rewrite(Arc::make_mut(left));
+            rewrite(Arc::make_mut(right));
+            fold_expr(on);
+        }
+        Plan::Aggregate { input, group_by, .. } => {
+            rewrite(Arc::make_mut(input));
+            group_by.iter_mut().for_each(fold_expr);
+        }
+        Plan::Sort { input, keys } => {
+            rewrite(Arc::make_mut(input));
+            keys.iter_mut().for_each(|k| fold_expr(&mut k.expr));
+        }
+        Plan::Limit { input, .. } | Plan::Alias { input, .. } => rewrite(Arc::make_mut(input)),
+        Plan::Scan { .. } | Plan::One => {}
     }
 }
 
-/// Fold constant subexpressions. Evaluation errors (e.g. `1/0`) leave the
-/// expression in place so they surface at execution time, per SQL semantics.
-pub fn fold_expr(expr: BoundExpr) -> BoundExpr {
-    // Fold children first.
-    let expr = match expr {
-        BoundExpr::Unary { op, expr } => {
-            BoundExpr::Unary { op, expr: Box::new(fold_expr(*expr)) }
+/// Fold constant subexpressions in place, in one pass. Evaluation errors
+/// (e.g. `1/0`) leave the expression in place so they surface at execution
+/// time, per SQL semantics.
+pub fn fold_expr(expr: &mut BoundExpr) {
+    fold(expr);
+}
+
+/// [`fold_expr`], returning whether `expr` references no column: such a
+/// node is evaluated once its children are folded.
+fn fold(expr: &mut BoundExpr) -> bool {
+    let constant = match expr {
+        BoundExpr::Literal(_) => return true,
+        BoundExpr::Column(_) => return false,
+        BoundExpr::Unary { expr, .. }
+        | BoundExpr::Cast { expr, .. }
+        | BoundExpr::IsNull { expr, .. } => fold(expr),
+        // Every child is folded: no short-circuit.
+        BoundExpr::Binary { left, right, .. } => fold(left) & fold(right),
+        BoundExpr::ScalarFn { args, .. } => args.iter_mut().fold(true, |c, a| fold(a) & c),
+        BoundExpr::InList { expr, list, .. } => {
+            list.iter_mut().fold(fold(expr), |c, e| fold(e) & c)
         }
-        BoundExpr::Binary { left, op, right } => BoundExpr::Binary {
-            left: Box::new(fold_expr(*left)),
-            op,
-            right: Box::new(fold_expr(*right)),
-        },
-        BoundExpr::ScalarFn { func, args } => BoundExpr::ScalarFn {
-            func,
-            args: args.into_iter().map(fold_expr).collect(),
-        },
-        BoundExpr::Cast { expr, ty } => BoundExpr::Cast { expr: Box::new(fold_expr(*expr)), ty },
-        BoundExpr::IsNull { expr, negated } => {
-            BoundExpr::IsNull { expr: Box::new(fold_expr(*expr)), negated }
-        }
-        BoundExpr::InList { expr, list, negated } => BoundExpr::InList {
-            expr: Box::new(fold_expr(*expr)),
-            list: list.into_iter().map(fold_expr).collect(),
-            negated,
-        },
-        leaf => leaf,
     };
-    if matches!(expr, BoundExpr::Literal(_)) {
-        return expr;
-    }
-    if expr.is_constant() {
-        if let Ok(v) = expr.eval(&vec![]) {
-            return BoundExpr::Literal(v);
+    if constant {
+        if let Ok(v) = expr.eval(&Vec::new()) {
+            *expr = BoundExpr::Literal(v);
         }
     }
-    expr
+    constant
 }
 
 /// Split a predicate into its AND-conjuncts.
@@ -133,6 +112,17 @@ pub fn split_conjuncts(expr: BoundExpr, out: &mut Vec<BoundExpr>) {
         BoundExpr::Binary { left, op: BinaryOp::And, right } => {
             split_conjuncts(*left, out);
             split_conjuncts(*right, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// [`split_conjuncts`] without taking the predicate apart.
+pub(crate) fn conjuncts<'a>(expr: &'a BoundExpr, out: &mut Vec<&'a BoundExpr>) {
+    match expr {
+        BoundExpr::Binary { left, op: BinaryOp::And, right } => {
+            conjuncts(left, out);
+            conjuncts(right, out);
         }
         other => out.push(other),
     }
@@ -170,37 +160,22 @@ fn classify_sides(expr: &BoundExpr, left_cols: usize) -> Sides {
 }
 
 /// Shift all column indices by `-delta` (for pushing below the right side).
-fn shift_columns(expr: BoundExpr, delta: usize) -> BoundExpr {
-    map_columns(expr, &|i| i - delta)
-}
-
-fn map_columns(expr: BoundExpr, f: &impl Fn(usize) -> usize) -> BoundExpr {
+fn shift_columns(expr: &mut BoundExpr, delta: usize) {
     match expr {
-        BoundExpr::Column(i) => BoundExpr::Column(f(i)),
-        BoundExpr::Literal(v) => BoundExpr::Literal(v),
-        BoundExpr::Unary { op, expr } => {
-            BoundExpr::Unary { op, expr: Box::new(map_columns(*expr, f)) }
+        BoundExpr::Column(i) => *i -= delta,
+        BoundExpr::Literal(_) => {}
+        BoundExpr::Unary { expr, .. }
+        | BoundExpr::Cast { expr, .. }
+        | BoundExpr::IsNull { expr, .. } => shift_columns(expr, delta),
+        BoundExpr::Binary { left, right, .. } => {
+            shift_columns(left, delta);
+            shift_columns(right, delta);
         }
-        BoundExpr::Binary { left, op, right } => BoundExpr::Binary {
-            left: Box::new(map_columns(*left, f)),
-            op,
-            right: Box::new(map_columns(*right, f)),
-        },
-        BoundExpr::ScalarFn { func, args } => BoundExpr::ScalarFn {
-            func,
-            args: args.into_iter().map(|a| map_columns(a, f)).collect(),
-        },
-        BoundExpr::Cast { expr, ty } => {
-            BoundExpr::Cast { expr: Box::new(map_columns(*expr, f)), ty }
+        BoundExpr::ScalarFn { args, .. } => args.iter_mut().for_each(|a| shift_columns(a, delta)),
+        BoundExpr::InList { expr, list, .. } => {
+            shift_columns(expr, delta);
+            list.iter_mut().for_each(|e| shift_columns(e, delta));
         }
-        BoundExpr::IsNull { expr, negated } => {
-            BoundExpr::IsNull { expr: Box::new(map_columns(*expr, f)), negated }
-        }
-        BoundExpr::InList { expr, list, negated } => BoundExpr::InList {
-            expr: Box::new(map_columns(*expr, f)),
-            list: list.into_iter().map(|e| map_columns(e, f)).collect(),
-            negated,
-        },
     }
 }
 
@@ -231,10 +206,13 @@ fn apply_filter_rules(input: Plan, predicate: BoundExpr) -> Plan {
             let mut to_left = Vec::new();
             let mut to_right = Vec::new();
             let mut to_on = Vec::new();
-            for c in conjuncts {
+            for mut c in conjuncts {
                 match classify_sides(&c, left_cols) {
                     Sides::LeftOnly => to_left.push(c),
-                    Sides::RightOnly => to_right.push(shift_columns(c, left_cols)),
+                    Sides::RightOnly => {
+                        shift_columns(&mut c, left_cols);
+                        to_right.push(c);
+                    }
                     // constants and both-sided predicates stay on the join
                     _ => to_on.push(c),
                 }
@@ -256,6 +234,36 @@ fn apply_filter_rules(input: Plan, predicate: BoundExpr) -> Plan {
     }
 }
 
+/// The hash-join keys of a join condition, borrowed from it: the
+/// `(left, right)` sides of every conjunct `left = right` whose sides each
+/// read one input only, and the other conjuncts.
+pub(crate) fn equi_keys(
+    on: &BoundExpr,
+    left_cols: usize,
+) -> (Vec<(&BoundExpr, &BoundExpr)>, Vec<&BoundExpr>) {
+    let mut all = Vec::new();
+    conjuncts(on, &mut all);
+    let mut keys = Vec::new();
+    let mut residual = Vec::new();
+    for c in all {
+        let key = match c {
+            BoundExpr::Binary { left, op: BinaryOp::Eq, right } => {
+                match (classify_sides(left, left_cols), classify_sides(right, left_cols)) {
+                    (Sides::LeftOnly, Sides::RightOnly) => Some((&**left, &**right)),
+                    (Sides::RightOnly, Sides::LeftOnly) => Some((&**right, &**left)),
+                    _ => None,
+                }
+            }
+            _ => None,
+        };
+        match key {
+            Some(pair) => keys.push(pair),
+            None => residual.push(c),
+        }
+    }
+    (keys, residual)
+}
+
 /// Extract hash-join key pairs from a join condition.
 ///
 /// Returns `(left_keys, right_keys, residual)` where `left_keys[i]` evaluated
@@ -263,34 +271,19 @@ fn apply_filter_rules(input: Plan, predicate: BoundExpr) -> Plan {
 /// residual (if any) is evaluated on the concatenated row after a key match.
 /// Right-key expressions are shifted to the right child's own schema.
 pub fn extract_equi_keys(
-    on: BoundExpr,
+    on: &BoundExpr,
     left_cols: usize,
 ) -> (Vec<BoundExpr>, Vec<BoundExpr>, Option<BoundExpr>) {
-    let mut conjuncts = Vec::new();
-    split_conjuncts(on, &mut conjuncts);
-    let mut lk = Vec::new();
-    let mut rk = Vec::new();
-    let mut residual = Vec::new();
-    for c in conjuncts {
-        let key = match &c {
-            BoundExpr::Binary { left, op: BinaryOp::Eq, right } => {
-                match (classify_sides(left, left_cols), classify_sides(right, left_cols)) {
-                    (Sides::LeftOnly, Sides::RightOnly) => Some((left, right)),
-                    (Sides::RightOnly, Sides::LeftOnly) => Some((right, left)),
-                    _ => None,
-                }
-            }
-            _ => None,
-        };
-        match key {
-            Some((l, r)) => {
-                lk.push((**l).clone());
-                rk.push(shift_columns((**r).clone(), left_cols));
-            }
-            None => residual.push(c),
-        }
-    }
-    (lk, rk, conjoin(residual))
+    let (keys, residual) = equi_keys(on, left_cols);
+    let (lk, rk) = keys
+        .into_iter()
+        .map(|(l, r)| {
+            let mut r = r.clone();
+            shift_columns(&mut r, left_cols);
+            (l.clone(), r)
+        })
+        .unzip();
+    (lk, rk, conjoin(residual.into_iter().cloned().collect()))
 }
 
 #[cfg(test)]
@@ -315,6 +308,11 @@ mod tests {
         BoundExpr::Binary { left: Box::new(a), op: BinaryOp::And, right: Box::new(b) }
     }
 
+    fn folded(mut e: BoundExpr) -> BoundExpr {
+        fold_expr(&mut e);
+        e
+    }
+
     #[test]
     fn folds_constants() {
         // (1 + 2) * 3 → 9
@@ -327,7 +325,7 @@ mod tests {
             op: BinaryOp::Mul,
             right: Box::new(lit(3)),
         };
-        assert_eq!(fold_expr(e), BoundExpr::Literal(Value::Int(9)));
+        assert_eq!(folded(e), BoundExpr::Literal(Value::Int(9)));
     }
 
     #[test]
@@ -338,15 +336,14 @@ mod tests {
             op: BinaryOp::Div,
             right: Box::new(lit(0)),
         };
-        let folded = fold_expr(e.clone());
-        assert_eq!(folded, e);
+        assert_eq!(folded(e.clone()), e);
     }
 
     #[test]
     fn folds_bitnot_mask() {
         // ~1 → -2, the Fig. 2 mask idiom pre-computed at plan time
         let e = BoundExpr::Unary { op: UnaryOp::BitNot, expr: Box::new(lit(1)) };
-        assert_eq!(fold_expr(e), BoundExpr::Literal(Value::Int(-2)));
+        assert_eq!(folded(e), BoundExpr::Literal(Value::Int(-2)));
     }
 
     #[test]
@@ -372,7 +369,7 @@ mod tests {
                 right: Box::new(lit(0)),
             },
         );
-        let (lk, rk, residual) = extract_equi_keys(on, 2);
+        let (lk, rk, residual) = extract_equi_keys(&on, 2);
         assert_eq!(lk.len(), 2);
         assert_eq!(rk, vec![col(0), col(1)], "right keys shifted into right schema");
         assert!(residual.is_some());
@@ -385,7 +382,7 @@ mod tests {
             op: BinaryOp::Lt,
             right: Box::new(col(2)),
         };
-        let (lk, rk, residual) = extract_equi_keys(on, 2);
+        let (lk, rk, residual) = extract_equi_keys(&on, 2);
         assert!(lk.is_empty() && rk.is_empty());
         assert!(residual.is_some());
     }
@@ -402,7 +399,7 @@ mod tests {
         };
         let left = scan("a", mk_schema("a", &["x", "y"]));
         let right = scan("b", mk_schema("b", &["z"]));
-        let joined_schema = left.schema().join(&right.schema());
+        let joined_schema = left.schema().join(right.schema());
         let join = Plan::Join {
             left: Arc::new(left),
             right: Arc::new(right),

@@ -18,6 +18,11 @@ impl Field {
         Field { relation: relation.map(str::to_string), name: name.to_string(), ty: None }
     }
 
+    /// An unqualified column of a derived relation.
+    pub fn named(name: String) -> Self {
+        Field { relation: None, name, ty: None }
+    }
+
     pub fn typed(relation: Option<&str>, name: &str, ty: DataType) -> Self {
         Field {
             relation: relation.map(str::to_string),
@@ -94,12 +99,15 @@ impl RelSchema {
         })
     }
 
-    /// Re-qualify every field under a new relation name (for `AS alias`).
-    pub fn with_relation(mut self, relation: &str) -> Self {
-        for f in &mut self.fields {
-            f.relation = Some(relation.to_string());
-        }
-        self
+    /// This schema with every field qualified by `relation` (for `AS alias`
+    /// and CTE names).
+    pub fn with_relation(&self, relation: &str) -> Self {
+        let requalify = |f: &Field| Field {
+            relation: Some(relation.to_string()),
+            name: f.name.clone(),
+            ty: f.ty,
+        };
+        RelSchema { fields: self.fields.iter().map(requalify).collect() }
     }
 
     /// Concatenate two schemas (join output).

@@ -16,9 +16,9 @@
 //!
 //! The undo stack also says which tables the transaction created: those
 //! reach the WAL only at `COMMIT`, whole and only if still alive
-//! ([`TxnState::created_at`], [`TxnState::created_tables`]). Dropping one
+//! (`TxnState::created_at`, `TxnState::created_tables`). Dropping one
 //! that no later savepoint can bring back frees it at once
-//! ([`TxnState::forget_created`]): no rollback could restore it without
+//! (`TxnState::forget_created`): no rollback could restore it without
 //! also undoing its creation.
 
 use crate::table::{Table, TableUndo};

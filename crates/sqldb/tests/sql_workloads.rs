@@ -38,6 +38,24 @@ fn group_by_having_and_aggregates() {
     assert_eq!(rs.rows()[0][4], Value::Int(12));
 }
 
+/// `"from"` names a column; bare, the word is the keyword.
+#[test]
+fn quoted_keywords_name_columns() {
+    let mut db = Database::new();
+    db.execute_script("CREATE TABLE t (\"from\" INTEGER); INSERT INTO t VALUES (3), (5);").unwrap();
+    let rs = db.execute("SELECT \"from\" FROM t WHERE \"from\" > 4").unwrap();
+    assert_eq!(rs.rows(), [vec![Value::Int(5)]]);
+    assert!(db.execute("SELECT from FROM t").is_err());
+}
+
+/// `''` inside a string literal is one quote; non-ASCII text comes back as written.
+#[test]
+fn string_literals_round_trip() {
+    let mut db = Database::new();
+    let rs = db.execute("SELECT 'it''s', 'é'").unwrap();
+    assert_eq!(rs.rows(), [vec![Value::Str("it's".into()), Value::Str("é".into())]]);
+}
+
 #[test]
 fn left_join_pads_missing_side() {
     let mut db = fixture();
