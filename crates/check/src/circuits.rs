@@ -2,7 +2,10 @@
 //! through the SQL backend (the fused single query, step tables fused and
 //! unfused, and the unfused single query answered by the engine's reference
 //! interpreter) and cross-checked against the native simulator backends
-//! (statevector, sparse, MPS, decision diagram) amplitude-by-amplitude.
+//! (statevector, sparse, MPS, decision diagram) amplitude-by-amplitude. The
+//! single query, whose lone permutation gates are projections, must also
+//! agree with the paper's, where every gate is a join, to [`JOIN_TOL`],
+//! basis state by basis state.
 //!
 //! Rotation angles are dyadic multiples of π/8 — enough to produce dense,
 //! interfering states while keeping every backend well inside the
@@ -32,6 +35,14 @@ use crate::oracle::Discrepancy;
 /// gates (300 in the deep chain), so 1e-8 leaves at least 6 digits of slack
 /// over accumulated rounding.
 pub const AMPLITUDE_TOL: f64 = 1e-8;
+
+/// Maximum |Δamplitude| between the projected and the joined translation
+/// of one circuit: a projection multiplies by the same table coefficients
+/// as the join, so only the order of additions may differ.
+pub const JOIN_TOL: f64 = 1e-12;
+
+/// Maximum |1 − Σ|a|²| of the projected translation's final state.
+pub const NORM_TOL: f64 = 1e-9;
 
 /// A generated circuit case: the seed plus the explicit gate list (the
 /// shrinker edits the list directly, so it is not re-derived from the
@@ -144,22 +155,23 @@ fn gen_gate(rng: &mut CaseRng, qubits: usize) -> Gate {
 }
 
 /// The SQL-backend configurations a circuit case runs under: the default
-/// (fused) single query, and step tables fused and one per gate.
+/// (fused, projecting) single query, and step tables fused and one per gate.
+/// The paper's single query runs in [`projections_match_joins`].
 fn sql_backends() -> Vec<(&'static str, SqlSimulator)> {
     let step =
         |fusion| SqlSimConfig { mode: ExecMode::StepTables, fusion, ..SqlSimConfig::default() };
     vec![
-        ("sql-single", SqlSimulator::paper_default()),
+        ("sql-single", SqlSimulator::default()),
         ("sql-step", SqlSimulator::new(step(None))),
         ("sql-step-fused", SqlSimulator::new(step(SqlSimConfig::default().fusion))),
     ]
 }
 
-/// The single-query translation of `circuit` (default fusion) and a catalog
-/// holding its tables' columns but no rows: enough to parse, plan and
-/// optimize the query without running it.
-pub fn translation_with_catalog(circuit: &QuantumCircuit) -> (String, Catalog) {
-    let mut reg = GateTableRegistry::new();
+/// The unfused single-query translation of `circuit` under `cfg` and a
+/// catalog holding its gate tables' columns but no rows: enough to parse,
+/// plan and optimize the query without running it.
+pub fn translation_with_catalog(circuit: &QuantumCircuit, cfg: &SqlGenConfig) -> (String, Catalog) {
+    let mut reg = GateTableRegistry::for_sql(cfg);
     let ops = lower_circuit(circuit, &mut reg, None);
     let mut catalog = Catalog::new();
     let mut create = |name: &str, ddl: &str| {
@@ -170,11 +182,38 @@ pub fn translation_with_catalog(circuit: &QuantumCircuit) -> (String, Catalog) {
         };
         catalog.create_table(name, columns, false, MemoryBudget::unlimited()).unwrap();
     };
-    for (name, _) in reg.tables() {
+    for (name, _) in reg.joined() {
         create(name, "(in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)");
     }
     create("T0", "(s INTEGER, r DOUBLE, i DOUBLE)");
-    (circuit_query(&ops, circuit.num_qubits, "T0", &SqlGenConfig::default()), catalog)
+    (circuit_query(&ops, circuit.num_qubits, "T0", cfg), catalog)
+}
+
+/// The default translation of `circuit` against [`SqlSimulator::paper_default`]'s
+/// joins: the same basis states, amplitudes within [`JOIN_TOL`], and the
+/// projected state's norm within [`NORM_TOL`] of 1.
+pub fn projections_match_joins(circuit: &QuantumCircuit) -> Result<(), String> {
+    let run = |sim: SqlSimulator| sim.run(circuit).map_err(|e| e.to_string());
+    let (projected, joined) = (run(SqlSimulator::default())?, run(SqlSimulator::paper_default())?);
+    if projected.amplitudes.len() != joined.amplitudes.len() {
+        return Err(format!(
+            "{} amplitudes projected, {} joined",
+            projected.amplitudes.len(),
+            joined.amplitudes.len()
+        ));
+    }
+    for (p, j) in projected.amplitudes.iter().zip(&joined.amplitudes) {
+        let diff = (p.amp - j.amp).abs();
+        if p.s != j.s || diff > JOIN_TOL {
+            let (s, p, j) = (&p.s, p.amp, j.amp);
+            return Err(format!("basis {s:?} projected to {p:?}, joined to {j:?} ({diff:.3e})"));
+        }
+    }
+    let norm = (projected.norm_sqr() - 1.0).abs();
+    if norm > NORM_TOL {
+        return Err(format!("projected norm off by {norm:.3e}"));
+    }
+    Ok(())
 }
 
 /// The translator's tables and single-query text for `circuit`, answered by
@@ -246,6 +285,9 @@ pub fn run_circuit_case(case: &CircuitCase) -> Option<Discrepancy> {
     }
     if let Some(d) = check("sql-reference", simulate_with_reference(&circuit)) {
         return Some(d);
+    }
+    if let Err(detail) = projections_match_joins(&circuit) {
+        return Some(Discrepancy { seed: case.seed, oracle: "sql-single vs sql-fig2c".into(), detail });
     }
     if let Some(d) = check("sparse", SparseSim.simulate(&circuit, &opts)) {
         return Some(d);

@@ -14,6 +14,7 @@ use qymera_sqldb::ast::Statement;
 use qymera_sqldb::parser::parse_statement;
 use qymera_sqldb::plan::logical::plan_query;
 use qymera_sqldb::plan::optimizer::optimize;
+use qymera_translate::SqlGenConfig;
 
 /// Counts the allocations (and reallocations) of the calling thread only,
 /// so tests running beside this one add nothing.
@@ -62,7 +63,8 @@ fn deep_sparse_front_end_allocations_stay_bounded() {
     // perfbench's `deep_sparse`: a parity check of 46 bits, 24 set, is 70
     // gates, one CTE each.
     let input: Vec<bool> = (0..46).map(|q| q % 2 == 0 || q == 45).collect();
-    let (sql, catalog) = translation_with_catalog(&library::parity_check(&input));
+    let (sql, catalog) =
+        translation_with_catalog(&library::parity_check(&input), &SqlGenConfig::FIG_2C);
     let before = allocations();
     let Statement::Query(query) = parse_statement(&sql).unwrap() else {
         panic!("not a query")

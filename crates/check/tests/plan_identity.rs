@@ -12,6 +12,11 @@
 //! benchmark translations are also pinned by their bound expressions: every
 //! plan node's, in pre-order, rendered with `{:?}`. These hashes were
 //! recorded before the front end stopped binding aggregate queries twice.
+//!
+//! All of these are Fig. 2c's translation ([`SqlGenConfig::FIG_2C`]: every
+//! gate a join), which the default no longer is. The default translation,
+//! which writes lone permutation gates as projections, is pinned beside
+//! them for `deep_sparse` and `qft:13`.
 
 use qymera_check::circuits::translation_with_catalog;
 use qymera_check::SqlCase;
@@ -26,27 +31,32 @@ use qymera_translate::sqlgen::{circuit_query, step_statement};
 use qymera_translate::tables::create_initial_state_table;
 use qymera_translate::{GateTableRegistry, SqlGenConfig};
 
+/// (`EXPLAIN` lines, hash, bound-expression lines, hash) of the default
+/// translations.
+const DEEP_SPARSE_PROJECTED: (usize, u64, usize, u64) = (143, 81_576_898_285_483_659, 143, 3_852_582_857_348_530_560);
+const QFT13_PROJECTED: (usize, u64, usize, u64) = (236, 8_226_431_546_367_662_179, 236, 6_351_803_627_552_042_117);
+
 fn fnv1a(text: &str) -> u64 {
     text.bytes()
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-/// `EXPLAIN` of the single-query translation of `circuit`.
-fn explain_circuit(circuit: &QuantumCircuit) -> String {
-    let mut reg = GateTableRegistry::new();
+/// `EXPLAIN` of the unfused single-query translation of `circuit`.
+fn explain_circuit(circuit: &QuantumCircuit, cfg: &SqlGenConfig) -> String {
+    let mut reg = GateTableRegistry::for_sql(cfg);
     let ops = lower_circuit(circuit, &mut reg, None);
     let mut db = Database::new();
     reg.materialize(&mut db).unwrap();
     create_initial_state_table(&mut db, "T0", circuit.num_qubits, 0).unwrap();
-    let sql = circuit_query(&ops, circuit.num_qubits, "T0", &SqlGenConfig::default());
+    let sql = circuit_query(&ops, circuit.num_qubits, "T0", cfg);
     db.explain(&sql).unwrap()
 }
 
 /// Every node's bound expressions of the optimized single-query
 /// translation of `circuit`, one line per node in pre-order. Binding needs
 /// the tables' columns only, so the catalog holds no rows.
-fn bound_exprs_circuit(circuit: &QuantumCircuit) -> String {
-    let (sql, catalog) = translation_with_catalog(circuit);
+fn bound_exprs_circuit(circuit: &QuantumCircuit, cfg: &SqlGenConfig) -> String {
+    let (sql, catalog) = translation_with_catalog(circuit, cfg);
     let Statement::Query(query) = parse_statement(&sql).unwrap() else { unreachable!() };
     let plan = optimize(plan_query(&query, &catalog).unwrap());
     let mut out = String::new();
@@ -97,12 +107,25 @@ fn deep_sparse_plan_is_unchanged() {
     // perfbench's `deep_sparse`: parity check of 46 bits, 24 of them set.
     let input: Vec<bool> = (0..46).map(|q| q % 2 == 0 || q == 45).collect();
     assert_eq!(input.iter().filter(|&&b| b).count(), 24);
-    let text = explain_circuit(&library::parity_check(&input));
+    let text = explain_circuit(&library::parity_check(&input), &SqlGenConfig::FIG_2C);
     assert_plan("deep_sparse", &text, 353, 8_780_452_115_840_028_341);
     // X and CX only: no gate builds a group table.
     assert_eq!(aggregates(&text), (0, 70));
-    let bound = bound_exprs_circuit(&library::parity_check(&input));
+    let bound = bound_exprs_circuit(&library::parity_check(&input), &SqlGenConfig::FIG_2C);
     assert_plan("deep_sparse bound expressions", &bound, 353, 14_801_420_637_632_251_740);
+}
+
+/// The default translation of `deep_sparse`: 70 projections, no join, no
+/// aggregate.
+#[test]
+fn deep_sparse_projections_are_unchanged() {
+    let input: Vec<bool> = (0..46).map(|q| q % 2 == 0 || q == 45).collect();
+    let text = explain_circuit(&library::parity_check(&input), &SqlGenConfig::default());
+    assert_eq!((aggregates(&text), text.matches("Join").count()), ((0, 0), 0));
+    assert_eq!(text.matches("Project").count(), 71, "one per gate and the final SELECT");
+    assert_plan("deep_sparse (default)", &text, DEEP_SPARSE_PROJECTED.0, DEEP_SPARSE_PROJECTED.1);
+    let bound = bound_exprs_circuit(&library::parity_check(&input), &SqlGenConfig::default());
+    assert_plan("deep_sparse (default) bound expressions", &bound, DEEP_SPARSE_PROJECTED.2, DEEP_SPARSE_PROJECTED.3);
 }
 
 #[test]
@@ -110,18 +133,29 @@ fn wide_dense_plan_is_unchanged() {
     // perfbench's `wide_dense`: one layer of the 14-qubit ansatz.
     let ansatz = library::hardware_efficient_ansatz(14, 1);
     let angles: Vec<f64> = (0..ansatz.symbols().len()).map(|k| 0.3 + 0.05 * k as f64).collect();
-    let text = explain_circuit(&ansatz.bind_values(&angles).unwrap());
+    let text = explain_circuit(&ansatz.bind_values(&angles).unwrap(), &SqlGenConfig::FIG_2C);
     assert_plan("wide_dense", &text, 208, 17_926_480_232_214_115_492);
     // The 14 RY build a table; the 14 RZ and the 13 CX stream.
     assert_eq!(aggregates(&text), (14, 27));
-    let bound = bound_exprs_circuit(&ansatz.bind_values(&angles).unwrap());
+    let bound = bound_exprs_circuit(&ansatz.bind_values(&angles).unwrap(), &SqlGenConfig::FIG_2C);
     assert_plan("wide_dense bound expressions", &bound, 208, 15_297_289_258_910_485_199);
 }
 
 #[test]
 fn qft13_bound_expressions_are_unchanged() {
-    let bound = bound_exprs_circuit(&library::qft(13));
+    let bound = bound_exprs_circuit(&library::qft(13), &SqlGenConfig::FIG_2C);
     assert_plan("qft:13 bound expressions", &bound, 488, 3_431_268_540_974_136_051);
+}
+
+/// The default translation of `qft:13`: the 13 Hadamards join (and build
+/// a group table), the 78 CP and 6 SWAP gates are projections.
+#[test]
+fn qft13_projections_are_unchanged() {
+    let text = explain_circuit(&library::qft(13), &SqlGenConfig::default());
+    assert_eq!(aggregates(&text), (13, 0));
+    assert_plan("qft:13 (default)", &text, QFT13_PROJECTED.0, QFT13_PROJECTED.1);
+    let bound = bound_exprs_circuit(&library::qft(13), &SqlGenConfig::default());
+    assert_plan("qft:13 (default) bound expressions", &bound, QFT13_PROJECTED.2, QFT13_PROJECTED.3);
 }
 
 /// Step-table mode (perfbench's `durable_steps` circuit): each statement is
@@ -130,14 +164,14 @@ fn qft13_bound_expressions_are_unchanged() {
 #[test]
 fn qft13_step_statements_stream_all_but_the_hadamards() {
     let circuit = library::qft(13);
-    let mut reg = GateTableRegistry::new();
+    let mut reg = GateTableRegistry::for_sql(&SqlGenConfig::FIG_2C);
     let ops = lower_circuit(&circuit, &mut reg, None);
     let mut db = Database::new();
     reg.materialize(&mut db).unwrap();
     create_initial_state_table(&mut db, "T0", 13, 0).unwrap();
     let (mut far_cp, mut recorded) = (0, 0);
     for (k, op) in ops.iter().enumerate() {
-        let (next, select) = step_statement(k, op, 13, &SqlGenConfig::default());
+        let (next, select) = step_statement(k, op, 13, &SqlGenConfig::FIG_2C);
         let want = if op.table == "H" { (1, 0) } else { (0, 1) };
         let text = db.explain(&select).unwrap();
         assert_eq!(aggregates(&text), want, "step {k} ({} on {:?}):\n{text}", op.table, op.qubits);

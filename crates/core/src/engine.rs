@@ -55,7 +55,7 @@ impl BackendKind {
     /// Instantiate the backend with default configuration.
     pub fn make(&self) -> Box<dyn Simulator> {
         match self {
-            BackendKind::Sql => Box::new(SqlSimulator::paper_default()),
+            BackendKind::Sql => Box::new(SqlSimulator::default()),
             BackendKind::StateVector => Box::new(StateVectorSim),
             BackendKind::Sparse => Box::new(SparseSim),
             BackendKind::Mps => Box::new(MpsSim),

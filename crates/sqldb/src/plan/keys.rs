@@ -132,12 +132,129 @@ fn bits_of(expr: &BoundExpr, facts: &[Option<ColFact>]) -> Option<Bits> {
     }
 }
 
+/// What an integer expression over one column can set and what it reads:
+/// `writes` are the bits that can be 1, `from[p]` the bits of the column
+/// that bit `p` depends on (0 wherever `writes` is).
+struct Deps {
+    writes: u64,
+    from: [u64; 64],
+}
+
+impl Deps {
+    fn reads(&self) -> u64 {
+        self.from.iter().fold(0, |m, f| m | f)
+    }
+
+    /// Every bit `p` of `writes` reads `from(p)`; the others are 0.
+    fn with(writes: u64, from: impl Fn(usize) -> u64) -> Deps {
+        Deps { writes, from: std::array::from_fn(|p| if writes >> p & 1 == 1 { from(p) } else { 0 }) }
+    }
+}
+
+/// The dependencies of `expr` on column `col`, or `None` when it reads
+/// another column or is not arithmetic the walk follows: `&`, `|`, `^`,
+/// `<<` and `>>` by a literal, `*` by a literal, over `col` (a non-NULL
+/// `INTEGER` with facts) and integer literals. Like [`bits_of`], a `<<`
+/// that could reach the sign bit (and widen into `HUGEINT`) is refused, and
+/// so is a `*` that could overflow.
+fn deps_of(expr: &BoundExpr, col: usize, facts: &[Option<ColFact>]) -> Option<Deps> {
+    use BinaryOp::{BitAnd, BitOr, BitXor, Mul, Shl, Shr};
+    let lit = |e: &BoundExpr| match e {
+        BoundExpr::Literal(Value::Int(v)) => Some(*v),
+        _ => None,
+    };
+    match expr {
+        BoundExpr::Literal(Value::Int(v)) => Some(Deps { writes: *v as u64, from: [0; 64] }),
+        BoundExpr::Column(c) if *c == col => {
+            Some(Deps::with(facts.get(col)?.as_ref()?.ones, |p| 1 << p))
+        }
+        BoundExpr::Binary { left, op: op @ (BitAnd | BitOr | BitXor), right } => {
+            let (l, r) = (deps_of(left, col, facts)?, deps_of(right, col, facts)?);
+            let writes = if *op == BitAnd { l.writes & r.writes } else { l.writes | r.writes };
+            Some(Deps::with(writes, |p| l.from[p] | r.from[p]))
+        }
+        BoundExpr::Binary { left, op: op @ (Shl | Shr), right } => {
+            let k = u32::try_from(lit(right)?).ok().filter(|&k| k < 64)? as usize;
+            let l = deps_of(left, col, facts)?;
+            if *op == Shr {
+                return Some(Deps::with(l.writes >> k, |p| l.from[p + k]));
+            }
+            if k > 0 && l.writes >> (63 - k) != 0 {
+                return None;
+            }
+            Some(Deps::with(l.writes << k, |p| l.from[p - k]))
+        }
+        BoundExpr::Binary { left, op: Mul, right } => {
+            let (factor, other) = match (lit(left), lit(right)) {
+                (_, Some(v)) => (v, left),
+                (Some(v), None) => (v, right),
+                (None, None) => return None,
+            };
+            let (l, factor) = (deps_of(other, col, facts)?, u64::try_from(factor).ok()?);
+            if l.writes == 0 || factor == 0 {
+                return Some(Deps { writes: 0, from: [0; 64] });
+            }
+            // The product is below 2^(len + len) and a multiple of both
+            // lowest set bits; carries make bit `p` read every bit below it.
+            let high = 128 - l.writes.leading_zeros() - factor.leading_zeros();
+            let low = l.writes.trailing_zeros() + factor.trailing_zeros();
+            if high > 63 {
+                return None;
+            }
+            let writes = (1u64 << high) - (1u64 << low);
+            Some(Deps::with(writes, |p| l.from[..=p].iter().fold(0, |m, f| m | f)))
+        }
+        _ => None,
+    }
+}
+
+/// The terms of an `^` chain, in order.
+fn xor_terms<'a>(expr: &'a BoundExpr, out: &mut Vec<&'a BoundExpr>) {
+    match expr {
+        BoundExpr::Binary { left, op: BinaryOp::BitXor, right } => {
+            xor_terms(left, out);
+            xor_terms(right, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// The fact of `c ^ g1 ^ … ^ gn` for a column `c` with facts and terms `gk`
+/// over `c` ([`deps_of`]): the bits of `c` and every bit a term can write
+/// can be set, and it is a key if `c` is and no term reads a bit that any
+/// term writes. Then the read bits pass unchanged, so the output determines
+/// the terms, which XOR it back to `c`. The terms must be taken together: in
+/// `s ^ ((s & 1) << 1) ^ ((s >> 1) & 1)` neither term reads what it writes,
+/// but 01 and 10 both go to 11.
+fn xor_fact(expr: &BoundExpr, facts: &[Option<ColFact>]) -> Option<ColFact> {
+    let mut terms = Vec::new();
+    xor_terms(expr, &mut terms);
+    let at = terms.iter().position(|t| matches!(t, BoundExpr::Column(c) if facts[*c].is_some()))?;
+    let BoundExpr::Column(c) = terms.remove(at) else { unreachable!() };
+    let fact = facts[*c]?;
+    let (mut reads, mut writes) = (0, 0);
+    for term in terms {
+        let deps = deps_of(term, *c, facts)?;
+        reads |= deps.reads();
+        writes |= deps.writes;
+    }
+    Some(ColFact { ones: fact.ones | writes, unique: fact.unique && reads & writes == 0 })
+}
+
 /// The fact of a projected expression: a bare column keeps its own, key
-/// included; mask arithmetic gets what [`bits_of`] finds.
+/// included; an `^` chain over a column gets [`xor_fact`]'s; mask
+/// arithmetic gets what [`bits_of`] finds, and is a key if it copies every
+/// bit a key column can set (SWAP's copy form).
 fn expr_fact(expr: &BoundExpr, facts: &[Option<ColFact>]) -> Option<ColFact> {
     match expr {
         BoundExpr::Column(c) => facts[*c],
-        _ => bits_of(expr, facts).map(|bits| bits.fact()),
+        BoundExpr::Binary { op: BinaryOp::BitXor, .. } => xor_fact(expr, facts),
+        _ => {
+            let bits = bits_of(expr, facts)?;
+            let keeps_key = |c: usize, f: &ColFact| f.unique && f.ones & !bits.copied(c) == 0;
+            let unique = facts.iter().enumerate().any(|(c, f)| f.is_some_and(|f| keeps_key(c, &f)));
+            Some(ColFact { unique, ..bits.fact() })
+        }
     }
 }
 
@@ -401,5 +518,158 @@ mod tests {
         assert!(!sums_of_doubles(&[sum("t.r", AggFunc::CountDistinct)], &schema()));
         let count = AggExpr { func: AggFunc::CountStar, arg: None };
         assert!(!sums_of_doubles(&[ok, count], &schema()));
+    }
+
+    /// The index expression the translator's projection of a lone gate
+    /// writes, for the permutation `perm` of `k` local bits on `qubits`
+    /// (local bit `j` is `qubits[j]`): the XOR normal form `s ^ g1 ^ …`
+    /// term by term, or, when `copy`, its terms read what they write and
+    /// it permutes the bits (SWAP), the copy form `(s & ~M) | (((s >> a) &
+    /// 1) << b) | …`.
+    fn gate_form(perm: impl Fn(u64) -> u64, k: usize, qubits: &[usize], copy: bool) -> String {
+        let n = 1u64 << k;
+        let bit = |q: usize| if q == 0 { "(s & 1)".to_string() } else { format!("((s >> {q}) & 1)") };
+        let place = |v: String, q: usize| if q == 0 { v } else { format!("({v} << {q})") };
+        let mut terms = Vec::new();
+        for j in 0..k {
+            let mut anf: Vec<u64> = (0..n).map(|x| ((perm(x) ^ x) >> j) & 1).collect();
+            for b in 0..k {
+                for x in (0..n).filter(|x| x >> b & 1 == 1) {
+                    anf[x as usize] ^= anf[(x ^ 1 << b) as usize];
+                }
+            }
+            terms.extend((0..n).filter(|&m| anf[m as usize] == 1).map(|m| (m, j)));
+        }
+        let (reads, writes) = terms.iter().fold((0, 0), |(r, w), &(m, j)| (r | m, w | 1 << j));
+        let from: Option<Vec<usize>> =
+            (0..k).map(|j| (0..k).find(|&b| (0..n).all(|x| perm(x) >> j & 1 == x >> b & 1))).collect();
+        if let Some(from) = from.filter(|_| copy && reads & writes != 0) {
+            let moved: Vec<usize> = (0..k).filter(|&j| from[j] != j).collect();
+            let mask = moved.iter().fold(0, |m, &j| m | 1u64 << qubits[j]);
+            return moved.iter().fold(format!("(s & ~{mask})"), |acc, &j| {
+                format!("({acc} | {})", place(bit(qubits[from[j]]), qubits[j]))
+            });
+        }
+        let mut out = "s".to_string();
+        let mut flips = 0u64;
+        for (m, j) in terms {
+            let read: Vec<usize> = (0..k).filter(|b| m >> b & 1 == 1).map(|b| qubits[b]).collect();
+            let term = match read.as_slice() {
+                [] => {
+                    flips |= 1 << qubits[j];
+                    continue;
+                }
+                [q] => bit(*q),
+                _ => {
+                    let and: Vec<String> =
+                        read.iter().map(|&q| if q == 0 { "s".into() } else { format!("(s >> {q})") }).collect();
+                    format!("({} & 1)", and.join(" & "))
+                }
+            };
+            out = format!("({out} ^ {})", place(term, qubits[j]));
+        }
+        if flips != 0 {
+            out = format!("({out} ^ {flips})");
+        }
+        out
+    }
+
+    /// Push `keys` (as `t.s`, with the facts they really have) through the
+    /// projection `sql`: what `expr_fact` claims must hold of the output —
+    /// every output bit is under `ones`, and `unique` only if no output
+    /// repeats. Returns the claim.
+    fn check_claim(sql: &str, keys: &[i64]) -> Option<ColFact> {
+        let ones = keys.iter().fold(0, |m, &v| m | v as u64);
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        let unique = sorted.windows(2).all(|w| w[0] != w[1]);
+        let mut facts = facts(ones, 0);
+        facts[S] = Some(ColFact { ones, unique });
+        let e = expr(sql);
+        let claim = expr_fact(&e, &facts)?;
+        let row = |v: i64| vec![Value::Int(v), Value::Null, Value::Null, Value::Null, Value::Null, Value::Null, Value::Null];
+        let mut out: Vec<i64> = keys
+            .iter()
+            .map(|&v| match e.eval(&row(v)).unwrap() {
+                Value::Int(o) => o,
+                other => panic!("{sql}: {other:?}"),
+            })
+            .collect();
+        for o in &out {
+            assert_eq!(*o as u64 & !claim.ones, 0, "{sql}: output {o:#b} outside ones {:#b}", claim.ones);
+        }
+        out.sort_unstable();
+        if claim.unique {
+            assert!(out.windows(2).all(|w| w[0] != w[1]), "{sql}: claimed a key, got repeats from {keys:?}");
+        }
+        Some(claim)
+    }
+
+    #[test]
+    fn projection_facts_are_sound_for_every_emitted_form() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // Index maps of the gates the translator projects (the phase gates
+        // Z, S, T, RZ, P, CZ and CP leave `s` bare: the column's own fact),
+        // and of CSWAP, whose normal form reads what it writes.
+        let x = |v: u64| v ^ 1;
+        let cx = |v: u64| v ^ ((v & 1) << 1);
+        let ccx = |v: u64| v ^ ((v & (v >> 1) & 1) << 2);
+        let swap = |v: u64| (v & !3) | ((v & 1) << 1) | ((v >> 1) & 1);
+        let cswap = |v: u64| if v & 1 == 1 { (v & 1) | ((v & 2) << 1) | ((v & 4) >> 1) } else { v };
+        let placements: [&[usize]; 9] =
+            [&[0], &[5], &[2, 3], &[3, 2], &[0, 6], &[6, 1], &[1, 2, 3], &[4, 3, 2], &[0, 6, 3]];
+        let mut forms = vec!["s".to_string()];
+        for qubits in placements {
+            let k = qubits.len();
+            let gates: Vec<(&dyn Fn(u64) -> u64, usize)> = vec![(&x, 1), (&cx, 2), (&swap, 2), (&ccx, 3), (&cswap, 3)];
+            for (perm, arity) in gates.into_iter().filter(|g| g.1 == k) {
+                forms.push(gate_form(perm, arity, qubits, true));
+                forms.push(gate_form(perm, arity, qubits, false));
+            }
+        }
+        forms.extend(
+            [
+                "((s ^ ((s & 3) * 4)) ^ 64)",
+                "(s ^ ((s & 3) * 3))",
+                "(s ^ ((s >> 2) * 0))",
+                "((s ^ (((s >> 3) & 1) << 5)) ^ (((s >> 5) & 1) << 3))",
+            ]
+            .map(String::from),
+        );
+        let mut rng = StdRng::seed_from_u64(31);
+        let (mut claimed, mut refused) = (0, 0);
+        for form in &forms {
+            for round in 0..60 {
+                // Keys over a random field of the low 8 bits, plus a high bit;
+                // every third set repeats a key.
+                let field = rng.gen_range(1u64..256) | if round % 2 == 0 { 1 << 40 } else { 0 };
+                let mut keys: Vec<i64> =
+                    (0..rng.gen_range(1..24)).map(|_| (rng.gen_range(0..u64::MAX) & field) as i64).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                if round % 3 == 0 {
+                    keys.push(keys[0]);
+                }
+                let claim = check_claim(form, &keys).unwrap_or_else(|| panic!("{form}: no fact"));
+                if claim.unique { claimed += 1 } else { refused += 1 }
+            }
+        }
+        assert!(claimed > 1000 && refused > 300, "{claimed} claimed, {refused} refused");
+        // Single terms that each read no bit they write, taken together do:
+        // 01 and 10 both go to 11. Term by term would claim a key.
+        let chain = "s ^ ((s & 1) << 1) ^ ((s >> 1) & 1)";
+        assert_eq!(check_claim(chain, &[0, 1, 2, 3]), Some(ColFact { ones: 3, unique: false }));
+        // CX, CCX and X keep the key; CSWAP's and SWAP's normal forms do not
+        // say so, SWAP's copy form does.
+        let key = |form: &str| check_claim(form, &[0, 1, 2, 5, 6, 7]).unwrap().unique;
+        assert!(key(&gate_form(cx, 2, &[1, 0], false)) && key(&gate_form(ccx, 3, &[2, 0, 1], false)));
+        assert!(key(&gate_form(x, 1, &[2], false)));
+        assert!(!key(&gate_form(cswap, 3, &[0, 1, 2], false)) && !key(&gate_form(swap, 2, &[0, 2], false)));
+        assert!(key(&gate_form(swap, 2, &[0, 2], true)));
+        // Another column, a HUGEINT-widening shift, a non-literal factor:
+        // no fact.
+        for refused in ["s ^ in_s", "s ^ (s << 30)", "s ^ ((s & 1) * s)"] {
+            assert_eq!(check_claim(refused, &[1 << 40, 3]), None, "{refused}");
+        }
     }
 }

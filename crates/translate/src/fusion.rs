@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 
 use qymera_circuit::{gate_table_entries, Complex64, Gate, QuantumCircuit};
 
+use crate::masks::StateEncoding;
 use crate::tables::{GateOp, GateTableRegistry, GATE_AMPLITUDE_TOL};
 
 /// The default and widest block: a k-qubit block table has 2^k `in_s` keys,
@@ -112,12 +113,17 @@ impl Block {
 }
 
 /// Lower a circuit run on a basis state to gate operations, fused under the
-/// rule above (`max_fused_qubits: None`: one op per gate).
+/// rule above (`max_fused_qubits: None`: one op per gate). A register past
+/// 63 qubits (a `HUGEINT` index) joins every gate: the closed forms of
+/// [`crate::sqlgen`] are `INTEGER` arithmetic.
 pub fn lower_circuit(
     circuit: &QuantumCircuit,
     reg: &mut GateTableRegistry,
     max_fused_qubits: Option<usize>,
 ) -> Vec<GateOp> {
+    if StateEncoding::for_qubits(circuit.num_qubits) == StateEncoding::Huge {
+        reg.join_every_gate = true;
+    }
     let Some(max_qubits) = max_fused_qubits else {
         return circuit.gates().iter().map(|g| reg.lower_gate(g)).collect();
     };

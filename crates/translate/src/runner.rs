@@ -53,7 +53,9 @@ pub struct SqlSimConfig {
     /// Default `Some(`[`MAX_FUSED_QUBITS`]`)` in both modes;
     /// [`SqlSimulator::run_trace`] and [`SqlSimulator::profile`] never fuse.
     pub fusion: Option<usize>,
-    /// SQL generation options (e.g. interference pruning via `HAVING`).
+    /// SQL generation options (interference pruning via `HAVING`; Fig. 2c's
+    /// join for every gate instead of projections for the lone ones that
+    /// cannot interfere).
     pub sqlgen: SqlGenConfig,
     /// Engine memory budget in bytes (tables + operators); `None` unlimited.
     /// This is what the paper's 2.0 GB experiment constrains.
@@ -151,9 +153,13 @@ pub struct SqlTrace {
 /// assert_eq!(result.support(), 2); // |000⟩ and |111⟩
 /// assert!((result.norm_sqr() - 1.0).abs() < 1e-12);
 ///
-/// // The generated SQL is the paper's Fig. 2c CTE chain.
+/// // The generated SQL is the paper's Fig. 2c CTE chain …
 /// let sql = SqlSimulator::paper_default().generated_sql(&library::ghz(3));
 /// assert!(sql.starts_with("WITH T1 AS ("));
+/// assert_eq!(sql.matches(" JOIN ").count(), 3);
+/// // … while the default writes the two CX gates as projections.
+/// let sql = SqlSimulator::default().generated_sql(&library::ghz(3));
+/// assert_eq!(sql.matches(" JOIN ").count(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SqlSimulator {
@@ -167,12 +173,14 @@ impl SqlSimulator {
         SqlSimulator { config }
     }
 
-    /// The paper's default setup: single query, gates fused into blocks of
-    /// up to [`MAX_FUSED_QUBITS`] qubits where they cannot interfere (§3.2;
-    /// a circuit where nothing may fuse, like `ghz:3`, is Fig. 2c verbatim),
-    /// no memory limit.
+    /// The paper's setup: single query, gates fused into blocks of up to
+    /// [`MAX_FUSED_QUBITS`] qubits where they cannot interfere (§3.2), every
+    /// op a join with its gate table ([`SqlGenConfig::FIG_2C`]; a circuit
+    /// where nothing may fuse, like `ghz:3`, is Fig. 2c verbatim), no memory
+    /// limit. The default config differs only in writing lone gates that
+    /// cannot interfere as projections.
     pub fn paper_default() -> Self {
-        Self::new(SqlSimConfig::default())
+        Self::new(SqlSimConfig { sqlgen: SqlGenConfig::FIG_2C, ..SqlSimConfig::default() })
     }
 
     /// `BEGIN` or `COMMIT` of the run's transaction, which only a `--db`
@@ -208,7 +216,7 @@ impl SqlSimulator {
     /// The full SQL this backend would execute for `circuit` (single-query
     /// mode text, as shown in the paper's Fig. 2c).
     pub fn generated_sql(&self, circuit: &QuantumCircuit) -> String {
-        let (_, ops) = lower(circuit, self.config.fusion);
+        let (_, ops) = self.lower(circuit, self.config.fusion);
         circuit_query(&ops, circuit.num_qubits, "T0", &self.config.sqlgen)
     }
 
@@ -217,9 +225,11 @@ impl SqlSimulator {
     /// rows, batches, `time=` with its children and `self=` without) — the
     /// Output Layer's performance metrics at operator granularity — and, as
     /// its last line, what the run spilled (`spill: N files, B bytes`). One
-    /// `HashAggregate` line per op; those the optimizer streams say so.
+    /// `HashAggregate` line per joined op, of which those the optimizer
+    /// streams say so, and per projected op one `Project [3]` straight over
+    /// the previous state.
     pub fn explain_analyze(&self, circuit: &QuantumCircuit) -> Result<String, SimError> {
-        let (reg, ops) = lower(circuit, self.config.fusion);
+        let (reg, ops) = self.lower(circuit, self.config.fusion);
         let mut db = self.make_db()?;
         reg.materialize(&mut db).map_err(map_sql_error)?;
         create_initial_state_table(&mut db, "T0", circuit.num_qubits, 0)
@@ -230,11 +240,13 @@ impl SqlSimulator {
         Ok(format!("{text}spill: {} files, {} bytes\n", stats.spill_files, stats.spill_bytes))
     }
 
-    /// The per-gate profile: [`Self::explain_analyze`] of the unfused chain,
-    /// whatever [`SqlSimConfig::fusion`] says, like [`Self::run_trace`]. One
-    /// `HashAggregate` line per gate, whose `rows=` is the state after it.
+    /// The per-gate profile: [`Self::explain_analyze`] of the unfused chain
+    /// of joins, whatever [`SqlSimConfig::fusion`] and
+    /// [`SqlGenConfig::join_every_gate`] say. One `HashAggregate` line per
+    /// gate, whose `rows=` is the state after it.
     pub fn profile(&self, circuit: &QuantumCircuit) -> Result<String, SimError> {
-        let config = SqlSimConfig { fusion: None, ..self.config.clone() };
+        let sqlgen = SqlGenConfig { join_every_gate: true, ..self.config.sqlgen.clone() };
+        let config = SqlSimConfig { fusion: None, sqlgen, ..self.config.clone() };
         SqlSimulator::new(config).explain_analyze(circuit)
     }
 
@@ -242,7 +254,7 @@ impl SqlSimulator {
     /// On a `--db` directory one transaction: the loads and, in step-table
     /// mode, every step (see the module doc).
     pub fn run(&self, circuit: &QuantumCircuit) -> Result<SqlRunResult, SimError> {
-        let (reg, ops) = lower(circuit, self.config.fusion);
+        let (reg, ops) = self.lower(circuit, self.config.fusion);
         let mut db = self.make_db()?;
         self.run_txn(&mut db, "BEGIN")?;
         reg.materialize(&mut db).map_err(map_sql_error)?;
@@ -286,7 +298,7 @@ impl SqlSimulator {
     /// transaction, like [`Self::run`]'s step tables, which keeps every
     /// state table.
     pub fn run_trace(&self, circuit: &QuantumCircuit) -> Result<SqlTrace, SimError> {
-        let (reg, ops) = lower(circuit, None);
+        let (reg, ops) = self.lower(circuit, None);
         let mut db = self.make_db()?;
         self.run_txn(&mut db, "BEGIN")?;
         reg.materialize(&mut db).map_err(map_sql_error)?;
@@ -304,6 +316,17 @@ impl SqlSimulator {
         self.run_txn(&mut db, "COMMIT")?;
         Ok(SqlTrace { states, stats: db.stats() })
     }
+
+    /// The gate tables and ops of `circuit` for this config's SQL.
+    fn lower(
+        &self,
+        circuit: &QuantumCircuit,
+        fusion: Option<usize>,
+    ) -> (GateTableRegistry, Vec<GateOp>) {
+        let mut reg = GateTableRegistry::for_sql(&self.config.sqlgen);
+        let ops = lower_circuit(circuit, &mut reg, fusion);
+        (reg, ops)
+    }
 }
 
 /// What a run on a `--db` directory cost the log and what opening the
@@ -315,12 +338,6 @@ pub fn wal_summary(stats: &DbStats) -> String {
         "{} wal bytes, {} wal fsyncs, opened in {:.1} ms ({} frames, {} ops replayed)",
         stats.wal_bytes, stats.wal_fsyncs, r.ms, r.frames, r.ops_applied
     )
-}
-
-fn lower(circuit: &QuantumCircuit, fusion: Option<usize>) -> (GateTableRegistry, Vec<GateOp>) {
-    let mut reg = GateTableRegistry::new();
-    let ops = lower_circuit(circuit, &mut reg, fusion);
-    (reg, ops)
 }
 
 /// Drop the state tables `T1`, `T2`, … an earlier run left in a reused `--db`
@@ -530,8 +547,8 @@ mod tests {
 
         let db = Database::open(&dir).unwrap();
         assert_eq!(db.stats().recovery.frames, 1);
-        let (reg, ops) = lower(&c, config(None).fusion);
-        let mut want: Vec<String> = reg.tables().iter().map(|(name, _)| name.clone()).collect();
+        let (reg, ops) = SqlSimulator::new(config(None)).lower(&c, config(None).fusion);
+        let mut want: Vec<String> = reg.joined().map(|(name, _)| name.clone()).collect();
         want.push(state_table_name(ops.len()));
         want.sort();
         let mut tables = db.table_names();
@@ -562,8 +579,9 @@ mod tests {
     /// The optimizer's rule fires for every gate whose table is a partial
     /// permutation, in both mask forms (adjacent and non-adjacent qubits),
     /// plain or fused, in one query or step by step — and for no gate that
-    /// mixes amplitudes. What streams is read off the profile; that it is
-    /// right, off the dense simulator.
+    /// mixes amplitudes. By default the lone ones are projections, all but
+    /// CSWAP, which has no closed form and streams. What streams is read off
+    /// the profile; that it is right, off the dense simulator.
     #[test]
     fn gates_that_cannot_interfere_stream_and_the_others_do_not() {
         let aggregates = |sim: &SqlSimulator, c: &QuantumCircuit| {
@@ -571,6 +589,7 @@ mod tests {
             let streamed = profile.matches("(one row per group: streamed)").count();
             (profile.matches("HashAggregate").count() - streamed, streamed)
         };
+        let joins = |fusion| SqlSimConfig { fusion, sqlgen: SqlGenConfig::FIG_2C, ..Default::default() };
         // Six Hadamards make the state dense; nothing after them interferes.
         let mut b = CircuitBuilder::new(6);
         for q in 0..6 {
@@ -581,8 +600,11 @@ mod tests {
             .cx(0, 1).cx(5, 2).cy(1, 0).cz(3, 4).cz(0, 5).cp(0.4, 2, 3).cp(0.9, 4, 0).crz(1.1, 5, 3)
             .swap(1, 2).swap(0, 4).ccx(0, 1, 2).ccx(5, 0, 3).cswap(2, 4, 5)
             .build();
-        let plain = SqlSimulator::new(SqlSimConfig { fusion: None, ..Default::default() });
+        let plain = SqlSimulator::new(joins(None));
         assert_eq!(aggregates(&plain, &permuting), (6, 22));
+        let projected = SqlSimulator::new(SqlSimConfig { fusion: None, ..Default::default() });
+        assert_eq!(aggregates(&projected, &permuting), (6, 1));
+        assert_eq!(projected.generated_sql(&permuting).matches(" JOIN ").count(), 7);
         let mixing = CircuitBuilder::new(3)
             .h(0).ry(0.3, 1).rx(0.4, 2).sx(0).u3(0.1, 0.2, 0.3, 1).ch(0, 2).crx(0.5, 1, 0).cry(0.6, 2, 1)
             .build();
@@ -590,13 +612,15 @@ mod tests {
         // Fused: the Hadamards fuse into mixing blocks, the rest into
         // blocks with one nonzero per column, each one aggregate.
         for fuse in [2, 3] {
-            let fused = SqlSimulator::new(SqlSimConfig { fusion: Some(fuse), ..Default::default() });
+            let fused = SqlSimulator::new(joins(Some(fuse)));
             let (tables, streamed) = aggregates(&fused, &permuting);
             assert!(tables <= 6 && streamed >= 4, "fuse {fuse}: {tables} tables, {streamed} streamed");
         }
         let want = StateVectorSim.simulate(&permuting, &SimOptions::default()).unwrap();
         for config in [
             SqlSimConfig::default(),
+            joins(None),
+            SqlSimConfig { mode: ExecMode::StepTables, fusion: None, ..Default::default() },
             SqlSimConfig { mode: ExecMode::StepTables, ..Default::default() },
             SqlSimConfig { fusion: Some(3), ..Default::default() },
             SqlSimConfig { fusion: Some(2), mode: ExecMode::StepTables, ..Default::default() },
@@ -632,7 +656,7 @@ mod tests {
         for c in &circuits {
             let (built, streamed) = counts(fused.explain_analyze(c).unwrap());
             assert_eq!(built, counts(fused.profile(c).unwrap()).0, "{}", c.name);
-            let (_, ops) = lower(c, fused.config.fusion);
+            let (_, ops) = fused.lower(c, fused.config.fusion);
             let permuting = ops
                 .iter()
                 .filter(|op| op.entries.windows(2).all(|w| w[0].0 != w[1].0))
@@ -732,7 +756,7 @@ mod tests {
         assert_eq!(plain.support(), 2);
         // with HAVING pruning it is dropped inside the engine
         let pruned = SqlSimulator::new(SqlSimConfig {
-            sqlgen: SqlGenConfig { prune_threshold: Some(1e-20) },
+            sqlgen: SqlGenConfig { prune_threshold: Some(1e-20), ..Default::default() },
             ..Default::default()
         })
         .run(&c)
@@ -778,6 +802,20 @@ mod huge_register_tests {
         assert!(idx.bit(0) && idx.bit(69));
         assert_eq!(idx.bit_len(), 70);
         assert!((result.norm_sqr() - 1.0).abs() < 1e-12);
+    }
+
+    /// Past 63 qubits the index is a `HUGEINT` and the closed forms are
+    /// `INTEGER` arithmetic: the default translation joins every gate too.
+    #[test]
+    fn huge_registers_join_every_gate_by_default() {
+        let c = CircuitBuilder::new(70).x(0).cx(0, 69).z(69).swap(3, 68).build();
+        let sim = SqlSimulator::default();
+        let result = sim.run(&c).unwrap();
+        assert_eq!(sim.generated_sql(&c).matches(" JOIN ").count(), result.ops_executed);
+        assert_eq!(result.support(), 1);
+        let idx = &big_index(&result)[0];
+        assert!(idx.bit(0) && idx.bit(69) && !idx.bit(3) && !idx.bit(68));
+        assert_eq!(result.amplitudes[0].amp, c64(-1.0, 0.0));
     }
 
     #[test]

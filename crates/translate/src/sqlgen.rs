@@ -1,26 +1,244 @@
 //! SQL generation (§2.2, Fig. 2c): one `JOIN … GROUP BY` block per gate,
 //! chained through CTEs, with the complex product expanded into the
 //! real/imaginary sum-of-products columns.
+//!
+//! A gate that cannot interfere needs neither: a lone gate (a block of one,
+//! [`crate::fusion`]) whose table sends every basis state to one output
+//! times a phase — X, Y, Z, S, T, RZ, P, CX, CY, CZ, CP, CCX, SWAP — is
+//! `SELECT <f(s)> AS s, <r'> AS r, <i'> AS i FROM prev`, with `f` and the
+//! phase read off its table ([`closed_form`]). No gate table, no join, no
+//! `GROUP BY`, and no `HAVING`: a projection cannot create a zero.
+//! [`SqlGenConfig::FIG_2C`] joins every gate, as the paper does.
 
-use crate::masks::GateMasks;
+use qymera_circuit::Complex64;
+
+use crate::masks::{GateMasks, StateEncoding};
 use crate::tables::GateOp;
 
 /// Generation options.
-#[derive(Debug, Clone)]
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SqlGenConfig {
     /// If set, add a `HAVING` clause that drops result amplitudes whose
     /// squared magnitude falls below the threshold (the paper stores "only
     /// nonzero basis states"; interference can otherwise leave exact-zero
     /// rows in the table). `None` reproduces Fig. 2c verbatim.
     pub prune_threshold: Option<f64>,
+    /// Join every gate with its table, as Fig. 2c does, instead of writing
+    /// lone permutation gates as projections. Tables are created for the
+    /// joins the config asks for ([`crate::GateTableRegistry::for_sql`]).
+    pub join_every_gate: bool,
 }
 
+impl SqlGenConfig {
+    /// The paper's translation, verbatim: one `JOIN … GROUP BY` per op.
+    pub const FIG_2C: SqlGenConfig = SqlGenConfig { prune_threshold: None, join_every_gate: true };
+}
+
+/// Where a permutation table sends the bits of its local input.
+#[derive(Debug, Clone, PartialEq)]
+enum Index {
+    /// Output = input XOR the listed `(monomial, bit)` terms: the AND of the
+    /// input bits in the monomial (1 if empty), placed at local bit `bit`.
+    /// No term reads a bit any term writes.
+    Xor(Vec<(u64, usize)>),
+    /// Output bit `j` is a copy of input bit `from[j]` (SWAP).
+    Copy(Vec<usize>),
+}
+
+/// A gate table in closed form: the index map and, per local input, the
+/// phase its one output picks up.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClosedForm {
+    index: Index,
+    phase: Vec<Complex64>,
+}
+
+/// The closed form of a `k`-qubit gate table, if it is a permutation with
+/// phases whose index map is an XOR of terms that read no bit they write
+/// (the algebraic normal form of `out ^ in`, bit by bit) or a permutation
+/// of the bits. CSWAP, whose normal form reads the bits it swaps, has none.
+pub fn closed_form(entries: &[(u64, u64, Complex64)], k: usize) -> Option<ClosedForm> {
+    let n = 1usize << k;
+    // One entry per input, in input order, and no output twice.
+    if entries.len() != n || entries.iter().enumerate().any(|(x, e)| e.0 != x as u64) {
+        return None;
+    }
+    let mut seen = vec![false; n];
+    for &(_, out, _) in entries {
+        if std::mem::replace(seen.get_mut(out as usize)?, true) {
+            return None;
+        }
+    }
+    let out = |x: usize| entries[x].1 as usize;
+    let phase = entries.iter().map(|e| e.2).collect();
+    let mut terms = Vec::new();
+    for j in 0..k {
+        // Möbius transform of `x ↦ bit j of out(x) ^ x`: its ones are the
+        // monomials of the normal form.
+        let mut anf: Vec<u8> = (0..n).map(|x| (((out(x) ^ x) >> j) & 1) as u8).collect();
+        for b in 0..k {
+            for x in (0..n).filter(|x| x & (1 << b) != 0) {
+                anf[x] ^= anf[x ^ (1 << b)];
+            }
+        }
+        terms.extend((0..n).filter(|&m| anf[m] == 1).map(|m| (m as u64, j)));
+    }
+    let reads = terms.iter().fold(0, |m, t| m | t.0);
+    let writes = terms.iter().fold(0, |m, t| m | 1 << t.1);
+    if reads & writes == 0 {
+        return Some(ClosedForm { index: Index::Xor(terms), phase });
+    }
+    let from: Option<Vec<usize>> = (0..k)
+        .map(|j| (0..k).find(|&b| (0..n).all(|x| (out(x) >> j) & 1 == (x >> b) & 1)))
+        .collect();
+    Some(ClosedForm { index: Index::Copy(from?), phase })
+}
+
+/// `((s >> q) & 1)`: bit `q` of the state index.
+fn bit(q: usize) -> String {
+    match q {
+        0 => "(s & 1)".to_string(),
+        _ => format!("((s >> {q}) & 1)"),
+    }
+}
+
+/// `v` placed at bit `q`.
+fn placed(v: String, q: usize) -> String {
+    match q {
+        0 => v,
+        _ => format!("({v} << {q})"),
+    }
+}
+
+/// A literal the engine reads back to the same `f64`.
+fn float(v: f64) -> String {
+    format!("{v:?}")
+}
+
+/// One coefficient (real or imaginary part of the phase) as a function of
+/// the local input bits: a constant, or `lo` unless every bit of the
+/// monomial `bits` is set, then `hi`.
+#[derive(Debug, PartialEq)]
+enum Coef {
+    Const(f64),
+    Pick { bits: u64, lo: Box<Coef>, hi: Box<Coef> },
+}
+
+impl Coef {
+    /// `coef[x]` for local input `x`, picked bit by bit from the top, with
+    /// equal branches merged and a pick whose `lo` equals its parent's
+    /// folded into the parent's monomial (CP: 1 unless both bits are set).
+    fn of(coef: &[f64]) -> Coef {
+        let half = coef.len() / 2;
+        if half == 0 {
+            return Coef::Const(coef[0]);
+        }
+        let top = half.trailing_zeros();
+        let (lo, hi) = (Coef::of(&coef[..half]), Coef::of(&coef[half..]));
+        match hi {
+            _ if hi == lo => lo,
+            Coef::Pick { bits, lo: inner, hi } if *inner == lo => {
+                Coef::Pick { bits: bits | 1 << top, lo: inner, hi }
+            }
+            hi => Coef::Pick { bits: 1 << top, lo: Box::new(lo), hi: Box::new(hi) },
+        }
+    }
+
+    /// `c0*(1-m) + c1*m` for the monomial's value `m`, which returns each
+    /// coefficient exactly: `r*C - i*D` is then the arithmetic of the join.
+    fn sql(&self, qubits: &[usize]) -> String {
+        match self {
+            Coef::Const(v) => float(*v),
+            Coef::Pick { bits, lo, hi } => {
+                let m = monomial(&at(*bits, qubits));
+                format!("(({} * (1 - {m})) + ({} * {m}))", lo.sql(qubits), hi.sql(qubits))
+            }
+        }
+    }
+}
+
+/// The qubits of the local bits set in `local`.
+fn at(local: u64, qubits: &[usize]) -> Vec<usize> {
+    (0..qubits.len()).filter(|j| local >> j & 1 == 1).map(|j| qubits[j]).collect()
+}
+
+/// `1` if every bit `read` of the state index is set, else `0`.
+fn monomial(read: &[usize]) -> String {
+    match read {
+        [q] => bit(*q),
+        _ => {
+            let and: Vec<String> = read
+                .iter()
+                .map(|&q| match q {
+                    0 => "s".to_string(),
+                    q => format!("(s >> {q})"),
+                })
+                .collect();
+            format!("({} & 1)", and.join(" & "))
+        }
+    }
+}
+
+/// The projection applying a lone permutation gate on `qubits`, in
+/// closed form `form`, to state table `prev`.
+fn projection_select(prev: &str, qubits: &[usize], form: &ClosedForm) -> String {
+    let mut s = "s".to_string();
+    match &form.index {
+        Index::Xor(terms) => {
+            let mut flips = 0u64;
+            for &(m, j) in terms {
+                let t = qubits[j];
+                if m == 0 {
+                    flips |= 1 << t;
+                    continue;
+                }
+                let term = monomial(&at(m, qubits));
+                s = format!("({s} ^ {})", placed(term, t));
+            }
+            if flips != 0 {
+                s = format!("({s} ^ {flips})");
+            }
+        }
+        Index::Copy(from) => {
+            let moved: Vec<usize> = (0..from.len()).filter(|&j| from[j] != j).collect();
+            if !moved.is_empty() {
+                let mask = moved.iter().fold(0u64, |m, &j| m | 1 << qubits[j]);
+                s = format!("(s & ~{mask})");
+                for j in moved {
+                    s = format!("({s} | {})", placed(bit(qubits[from[j]]), qubits[j]));
+                }
+            }
+        }
+    }
+    let re: Vec<f64> = form.phase.iter().map(|p| p.re).collect();
+    let im: Vec<f64> = form.phase.iter().map(|p| p.im).collect();
+    let (c, d) = (Coef::of(&re), Coef::of(&im));
+    let times = |x: &str, coef: &Coef| match coef {
+        Coef::Const(v) if *v == 1.0 => x.to_string(),
+        _ => format!("({x} * {})", coef.sql(qubits)),
+    };
+    let (r, i) = if d == Coef::Const(0.0) {
+        (times("r", &c), times("i", &c))
+    } else {
+        (
+            format!("({} - {})", times("r", &c), times("i", &d)),
+            format!("({} + {})", times("r", &d), times("i", &c)),
+        )
+    };
+    let alias = |e: String, name: &str| if e == name { e } else { format!("{e} AS {name}") };
+    format!("SELECT {}, {}, {} FROM {prev}", alias(s, "s"), alias(r, "r"), alias(i, "i"))
+}
 
 /// The `SELECT` block applying `op` to state table `prev` (no `WITH`
-/// wrapper) — query `q_k` of Fig. 2c.
+/// wrapper): a projection for a lone permutation gate on an `INTEGER`
+/// index (unless `cfg` joins every gate), else query `q_k` of Fig. 2c.
 pub fn gate_select(prev: &str, op: &GateOp, num_qubits: usize, cfg: &SqlGenConfig) -> String {
     let masks = GateMasks::new(&op.qubits, num_qubits);
+    if let Some(form) = &op.closed_form {
+        if !cfg.join_every_gate && masks.encoding() == StateEncoding::Int {
+            return projection_select(prev, &op.qubits, form);
+        }
+    }
     let g = &op.table;
     let new_s = masks.new_state_expr(prev, g);
     let in_s = masks.in_expr(prev);
@@ -101,7 +319,7 @@ mod tests {
     #[test]
     fn q1_matches_fig2c_text() {
         let ops = ghz_ops();
-        let sql = gate_select("T0", &ops[0], 3, &SqlGenConfig::default());
+        let sql = gate_select("T0", &ops[0], 3, &SqlGenConfig::FIG_2C);
         assert_eq!(
             sql,
             "SELECT ((T0.s & ~1) | H.out_s) AS s, \
@@ -115,7 +333,7 @@ mod tests {
     #[test]
     fn q3_matches_fig2c_text() {
         let ops = ghz_ops();
-        let sql = gate_select("T2", &ops[2], 3, &SqlGenConfig::default());
+        let sql = gate_select("T2", &ops[2], 3, &SqlGenConfig::FIG_2C);
         assert_eq!(
             sql,
             "SELECT ((T2.s & ~6) | (CX.out_s << 1)) AS s, \
@@ -129,7 +347,7 @@ mod tests {
     #[test]
     fn full_chain_structure() {
         let ops = ghz_ops();
-        let sql = circuit_query(&ops, 3, "T0", &SqlGenConfig::default());
+        let sql = circuit_query(&ops, 3, "T0", &SqlGenConfig::FIG_2C);
         assert!(sql.starts_with("WITH T1 AS (SELECT"));
         assert!(sql.contains(", T2 AS ("));
         assert!(sql.contains(", T3 AS ("));
@@ -147,7 +365,7 @@ mod tests {
     #[test]
     fn prune_threshold_adds_having() {
         let ops = ghz_ops();
-        let cfg = SqlGenConfig { prune_threshold: Some(1e-30) };
+        let cfg = SqlGenConfig { prune_threshold: Some(1e-30), ..Default::default() };
         let sql = gate_select("T0", &ops[0], 3, &cfg);
         assert!(sql.contains("HAVING"), "{sql}");
         assert!(qymera_sqldb::parser::parse_statement(&sql).is_ok());
@@ -167,7 +385,7 @@ mod tests {
     fn parameterized_gate_table_names_appear() {
         let mut reg = GateTableRegistry::new();
         let op = reg.lower_gate(&Gate::new(GateKind::Rz, vec![1], vec![0.5]));
-        let sql = gate_select("T0", &op, 2, &SqlGenConfig::default());
+        let sql = gate_select("T0", &op, 2, &SqlGenConfig::FIG_2C);
         assert!(sql.contains("RZ_1"), "{sql}");
         assert!(qymera_sqldb::parser::parse_statement(&sql).is_ok());
     }
@@ -182,5 +400,71 @@ mod tests {
             qymera_sqldb::parser::parse_statement(&sql)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{sql}"));
         }
+    }
+
+    /// The projection `op` lowers to under the default config.
+    fn projection(kind: GateKind, qubits: Vec<usize>, params: Vec<f64>) -> String {
+        let op = GateTableRegistry::new().lower_gate(&Gate::new(kind, qubits, params));
+        assert!(op.closed_form.is_some(), "{kind:?}");
+        let sql = gate_select("T4", &op, 8, &SqlGenConfig::default());
+        qymera_sqldb::parser::parse_statement(&sql).unwrap_or_else(|e| panic!("{e}\n{sql}"));
+        sql
+    }
+
+    #[test]
+    fn lone_permutations_are_projections_in_normal_form() {
+        use GateKind::*;
+        assert_eq!(projection(X, vec![2], vec![]), "SELECT (s ^ 4) AS s, r, i FROM T4");
+        assert_eq!(
+            projection(Cx, vec![1, 3], vec![]),
+            "SELECT (s ^ (((s >> 1) & 1) << 3)) AS s, r, i FROM T4"
+        );
+        assert_eq!(
+            projection(Cx, vec![3, 0], vec![]),
+            "SELECT (s ^ ((s >> 3) & 1)) AS s, r, i FROM T4"
+        );
+        assert_eq!(
+            projection(Ccx, vec![0, 5, 2], vec![]),
+            "SELECT (s ^ ((s & (s >> 5) & 1) << 2)) AS s, r, i FROM T4"
+        );
+        // SWAP reads the bits it writes: the copy form, not the XOR form.
+        assert_eq!(
+            projection(Swap, vec![1, 4], vec![]),
+            "SELECT (((s & ~18) | (((s >> 4) & 1) << 1)) | (((s >> 1) & 1) << 4)) AS s, r, i FROM T4"
+        );
+        // Phases: each coefficient chosen by `c0*(1-b) + c1*b`.
+        assert_eq!(
+            projection(Z, vec![6], vec![]),
+            "SELECT s, (r * ((1.0 * (1 - ((s >> 6) & 1))) + (-1.0 * ((s >> 6) & 1)))) AS r, \
+             (i * ((1.0 * (1 - ((s >> 6) & 1))) + (-1.0 * ((s >> 6) & 1)))) AS i FROM T4"
+        );
+        let y = projection(Y, vec![0], vec![]);
+        assert!(y.starts_with("SELECT (s ^ 1) AS s, ((r * 0.0) - (i * ((1.0 * (1 - (s & 1))) + (-1.0 * (s & 1)))))"), "{y}");
+        // CP's phase is 1 unless both bits are set: one pick on their AND.
+        let cp = projection(CPhase, vec![2, 0], vec![0.5]);
+        assert!(cp.contains("(r * ((1.0 * (1 - ((s >> 2) & s & 1))) + (0.8775825618903728 * ((s >> 2) & s & 1))))"), "{cp}");
+        for (kind, qubits, params) in [(S, vec![1], vec![]), (T, vec![7], vec![]), (Rz, vec![3], vec![0.3]), (Phase, vec![5], vec![1.1]), (Cy, vec![4, 6], vec![]), (Cz, vec![0, 7], vec![]), (CRz, vec![2, 1], vec![0.9]), (I, vec![3], vec![])] {
+            assert!(!projection(kind, qubits, params).contains("JOIN"));
+        }
+    }
+
+    #[test]
+    fn what_has_no_closed_form_joins() {
+        let mut reg = GateTableRegistry::new();
+        // CSWAP's normal form reads the bits it swaps; H interferes.
+        for g in [Gate::new(GateKind::CSwap, vec![0, 1, 2], vec![]), Gate::new(GateKind::H, vec![1], vec![])] {
+            let op = reg.lower_gate(&g);
+            assert!(op.closed_form.is_none());
+            assert!(gate_select("T0", &op, 3, &SqlGenConfig::default()).contains(" JOIN "));
+        }
+        // A fused block joins its fresh table whatever it holds.
+        let x = reg.lower_gate(&Gate::new(GateKind::X, vec![0], vec![]));
+        let block = reg.register_custom("F", x.qubits.clone(), x.entries.clone());
+        assert!(block.closed_form.is_none() && gate_select("T0", &block, 3, &SqlGenConfig::default()).contains(" JOIN "));
+        // A HUGEINT index joins.
+        assert!(gate_select("T0", &x, 70, &SqlGenConfig::default()).contains(" JOIN "));
+        // No pruning: a projection cannot create a zero.
+        let cfg = SqlGenConfig { prune_threshold: Some(1e-30), ..Default::default() };
+        assert!(!gate_select("T0", &x, 3, &cfg).contains("HAVING"));
     }
 }

@@ -5,7 +5,9 @@
 //!
 //! [`GateTableRegistry`] deduplicates gate tables: every `H` in a circuit
 //! shares one `H` table (as in Fig. 2b, where both CX gates reuse the same
-//! `CX` table), while parameterized gates get distinct numbered tables.
+//! `CX` table), while parameterized gates get distinct numbered tables. It
+//! creates only the tables some query joins: a lone gate with a closed form
+//! ([`crate::sqlgen::closed_form`]) is a projection and reads none.
 
 use std::collections::HashMap;
 
@@ -13,6 +15,7 @@ use qymera_circuit::{gate_table_entries, Complex64, Gate};
 use qymera_sqldb::{BigBits, Database, Result as SqlResult, Value};
 
 use crate::masks::StateEncoding;
+use crate::sqlgen::{closed_form, ClosedForm, SqlGenConfig};
 
 /// Amplitudes smaller than this (in magnitude) are omitted from gate tables.
 pub const GATE_AMPLITUDE_TOL: f64 = 1e-15;
@@ -28,6 +31,10 @@ pub struct GateOp {
     pub qubits: Vec<usize>,
     /// Nonzero transition amplitudes.
     pub entries: Vec<(u64, u64, Complex64)>,
+    /// What the SQL projects instead of joining `table`: the closed form of
+    /// a lone gate's table, lowered by a registry that does not join every
+    /// gate. Its table is not created.
+    pub closed_form: Option<ClosedForm>,
 }
 
 impl GateOp {
@@ -56,15 +63,25 @@ pub type GateTable = (String, Vec<(u64, u64, Complex64)>);
 pub struct GateTableRegistry {
     /// (kind name, param bit patterns) → table name
     by_shape: HashMap<(String, Vec<u64>), String>,
-    /// Tables in creation order: (name, entries).
+    /// Tables in registration order: (name, entries).
     tables: Vec<GateTable>,
+    /// Per table: the closed form of a gate's own table, which a query
+    /// joins only when every gate joins.
+    closed: Vec<Option<ClosedForm>>,
     param_counter: usize,
+    /// Lower for [`SqlGenConfig::join_every_gate`]: every op joins.
+    pub(crate) join_every_gate: bool,
 }
 
 impl GateTableRegistry {
-    /// An empty registry.
+    /// An empty registry for the default translation.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty registry for the translation `cfg` asks for.
+    pub fn for_sql(cfg: &SqlGenConfig) -> Self {
+        GateTableRegistry { join_every_gate: cfg.join_every_gate, ..Self::default() }
     }
 
     /// Lower a circuit gate, registering its table if unseen.
@@ -83,19 +100,16 @@ impl GateTableRegistry {
                     format!("{}_{}", gate.kind.name().to_uppercase(), self.param_counter)
                 };
                 let entries = gate_table_entries(gate, GATE_AMPLITUDE_TOL);
+                self.closed.push(closed_form(&entries, gate.qubits.len()));
                 self.tables.push((name.clone(), entries));
                 self.by_shape.insert(key, name.clone());
                 name
             }
         };
-        let entries = self
-            .tables
-            .iter()
-            .find(|(n, _)| *n == table)
-            .expect("registered above")
-            .1
-            .clone();
-        GateOp { table, qubits: gate.qubits.clone(), entries }
+        let at = self.tables.iter().position(|(n, _)| *n == table).expect("registered above");
+        let entries = self.tables[at].1.clone();
+        let closed_form = self.closed[at].clone().filter(|_| !self.join_every_gate);
+        GateOp { table, qubits: gate.qubits.clone(), entries, closed_form }
     }
 
     /// Register a pre-built operation (fused blocks) under a fresh name.
@@ -108,19 +122,28 @@ impl GateTableRegistry {
         self.param_counter += 1;
         let name = format!("{}_{}", label.to_uppercase(), self.param_counter);
         self.tables.push((name.clone(), entries.clone()));
-        GateOp { table: name, qubits, entries }
+        self.closed.push(None);
+        GateOp { table: name, qubits, entries, closed_form: None }
     }
 
-    /// Distinct gate tables in creation order.
+    /// Distinct gate tables in registration order, created or not (see
+    /// [`Self::joined`]).
     pub fn tables(&self) -> &[GateTable] {
         &self.tables
     }
 
-    /// `CREATE TABLE` + bulk-load every registered gate table into `db`.
-    /// Pre-existing tables of the same name are replaced, so re-running a
-    /// circuit against a persistent database stays idempotent.
+    /// The tables some op lowered here joins, in creation order.
+    pub fn joined(&self) -> impl Iterator<Item = &GateTable> {
+        let every = self.join_every_gate;
+        let joined = move |(table, form): (_, &Option<_>)| (form.is_none() || every).then_some(table);
+        self.tables.iter().zip(&self.closed).filter_map(joined)
+    }
+
+    /// `CREATE TABLE` + bulk-load every [joined](Self::joined) gate table
+    /// into `db`. Pre-existing tables of the same name are replaced, so
+    /// re-running a circuit against a persistent database stays idempotent.
     pub fn materialize(&self, db: &mut Database) -> SqlResult<()> {
-        for (name, entries) in &self.tables {
+        for (name, entries) in self.joined() {
             db.drop_table_if_exists(name)?;
             db.execute(&format!(
                 "CREATE TABLE {name} (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)"
