@@ -40,25 +40,42 @@ mod tests;
 pub use durable::DurabilityOptions;
 pub use result::{DbStats, RecoveryStats, ResultSet};
 
-/// Queries whose plan may be deeper than this run on a dedicated thread with
-/// a large stack. The translator emits one CTE (join + aggregate + project)
-/// per gate, so plan depth grows linearly with circuit length; the optimizer,
-/// `Plan::depth`, the pipeline builder, the reference interpreter and the
-/// plan's drop all recurse once per level, and the executor keeps one live
-/// frame set per pipeline stage while the top aggregate's consume phase is in
-/// flight.
-const DEEP_PLAN_DEPTH: usize = 64;
+/// The stack a statement may use on its caller's thread: half of the 2 MiB
+/// a Rust thread gets by default, so the caller's own frames keep the
+/// other half. The engine therefore needs a caller stack of at least 2 MiB.
+pub const CALLER_STACK_BYTES: usize = 1 << 20;
+
+/// The stack one [`depth_bound`] unit may cost: the heaviest plan shape, a
+/// chain of joined gates, measured at most 4.9 KiB per unit in a debug
+/// build and 0.65 KiB in a release one (a chain of projections or of
+/// pass-through CTEs costs about 60 % of that), plus about a sixth. The
+/// optimizer, `Plan::depth`, the pipeline builder, the reference
+/// interpreter and the plan's drop all recurse once per level, and the
+/// executor keeps one live frame set per pipeline stage while the top
+/// operator pulls. The figures are the deepest chain of each shape that
+/// ran on a thread of [`CALLER_STACK_BYTES`]; `tests/caller_stack.rs` runs
+/// the deepest plan the budget admits on such a thread, in both profiles.
+pub const STACK_PER_LEVEL: usize = if cfg!(debug_assertions) { 5632 } else { 768 };
 
 /// Stack size for the dedicated execution thread (fits thousands of gates).
 const EXEC_STACK_BYTES: usize = 512 * 1024 * 1024;
 
+/// Whether `query` runs on its caller's thread: its [`depth_bound`] times
+/// [`STACK_PER_LEVEL`] fits [`CALLER_STACK_BYTES`]. Anything deeper runs on
+/// a dedicated 512 MiB-stack thread while the caller waits.
+pub fn runs_on_caller_stack(query: &Query) -> bool {
+    depth_bound(query).saturating_mul(STACK_PER_LEVEL) <= CALLER_STACK_BYTES
+}
+
 /// Run `f` — plan `query`, optimize, execute, drop the plan — on the caller's
-/// stack when the plan is sure to be shallow, or on a dedicated big-stack
-/// thread otherwise (a CTE chain of hundreds of gates would overflow the
-/// default thread stack). The choice is made from the AST, before planning:
-/// nothing that recurses over the plan may run ahead of it.
+/// stack when the plan fits the budget ([`runs_on_caller_stack`]), or on a
+/// dedicated big-stack thread otherwise (a CTE chain of thousands of gates
+/// would overflow a default thread stack). The choice is made from the AST,
+/// before planning: nothing that recurses over the plan may run ahead of it.
+/// A thread costs a statement 0.15–0.2 ms (spawn, cold stack pages, a cold
+/// allocator arena), so only plans that need one get one.
 fn with_exec_stack<T: Send>(query: &Query, f: impl FnOnce() -> T + Send) -> T {
-    if depth_bound(query) <= DEEP_PLAN_DEPTH {
+    if runs_on_caller_stack(query) {
         return f();
     }
     std::thread::scope(|s| {
@@ -77,7 +94,10 @@ fn with_exec_stack<T: Send>(query: &Query, f: impl FnOnce() -> T + Send) -> T {
 }
 
 /// An embedded database instance. A statement runs on one thread: the
-/// caller's, or a big-stack thread for a deep plan while the caller waits.
+/// caller's, or a big-stack thread for a plan deeper than the caller's
+/// budget ([`runs_on_caller_stack`]) while the caller waits. A caller needs
+/// a stack of at least 2 MiB, the Rust default: a statement may use
+/// [`CALLER_STACK_BYTES`] of it.
 pub struct Database {
     catalog: Catalog,
     budget: MemoryBudget,

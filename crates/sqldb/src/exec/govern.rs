@@ -53,7 +53,8 @@ struct QueryInner {
 /// Per-statement governance token: cancellation + deadline.
 ///
 /// Cheap to clone (`Arc` inside) and `Send + Sync`: a statement may run on
-/// the big-stack execution thread while another thread cancels it.
+/// the big-stack execution thread (a plan over the caller's stack budget)
+/// while another thread cancels it.
 /// Created by `Database` for every statement; tests and standalone
 /// operators use [`QueryContext::unbounded`].
 #[derive(Debug, Clone)]
@@ -188,9 +189,9 @@ impl QueryContext {
 
     /// Debug-mode ceiling on [`QueryContext::units_after_cancel`]: when the
     /// flag flips, the executing thread may finish the unit it started, and
-    /// each operator on its call stack (bounded by plan depth, itself
-    /// capped well under `crate::db`'s big-stack threshold) may finish its
-    /// current unit.
+    /// each operator on its call stack (at most one per plan level, so the
+    /// bound grows with the plan: a gate chain adds a few levels per gate)
+    /// may finish its current unit.
     pub fn latency_bound(plan_depth: usize) -> u64 {
         (plan_depth + 1) as u64
     }

@@ -1,11 +1,13 @@
 //! Gate chains: one CTE per gate, each reading its predecessor, so circuit
 //! depth is plan depth. Planning must stay linear in the number of gates and
 //! every recursive pass over the plan must run on a stack chosen before it.
+//! `caller_stack.rs` checks the budget that decides which stack that is.
 
 use std::time::{Duration, Instant};
 
 use qymera_sqldb::ast::{DataType, Statement};
 use qymera_sqldb::catalog::Catalog;
+use qymera_sqldb::db::runs_on_caller_stack;
 use qymera_sqldb::parser::parse_statement;
 use qymera_sqldb::plan::logical::{depth_bound, plan_query};
 use qymera_sqldb::plan::optimizer::optimize;
@@ -40,6 +42,8 @@ fn thousand_gate_chain_runs_on_a_default_test_thread() {
     )
     .unwrap();
     let sql = x_chain_sql(1001);
+    let Statement::Query(query) = parse_statement(&sql).unwrap() else { panic!("not a query") };
+    assert!(!runs_on_caller_stack(&query), "over the budget: a thread of its own");
     let rs = db.execute(&sql).unwrap();
     // An odd number of X gates: |0⟩ → |1⟩, amplitude 1.
     assert_eq!(rs.rows(), &[vec![Value::Int(1), Value::Float(1.0), Value::Float(0.0)]]);

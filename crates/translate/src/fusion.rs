@@ -37,33 +37,33 @@ fn scatter(x: u64, pos: &[usize]) -> u64 {
     pos.iter().enumerate().fold(0, |acc, (j, &p)| acc | (((x >> j) & 1) << p))
 }
 
-/// The open block: ascending qubits, per input column a map `out_s → amp`,
-/// its gate while it has only one, and whether it holds an interfering gate.
+/// Whether a gate `g` may join an op on `qubits` that holds an interfering
+/// gate if `interferes`, under the rule above.
+fn admits(qubits: &[usize], interferes: bool, g: &Gate, max_qubits: usize, support: u64) -> bool {
+    let permutes = g.kind.is_permutation_like();
+    let added = g.qubits.iter().filter(|q| !qubits.contains(q)).count();
+    let width = qubits.len() + added;
+    match added {
+        _ if width > max_qubits => false,
+        0 => !interferes || permutes,                                        // (a)
+        _ => !interferes && permutes && width < 64 && 1 << width <= support, // (b)
+    }
+}
+
+/// A block of two gates or more: ascending qubits, per input column a map
+/// `out_s → amp`, and whether it holds an interfering gate.
 struct Block {
     qubits: Vec<usize>,
     columns: Vec<BTreeMap<u64, Complex64>>,
-    single: Option<Gate>,
     interferes: bool,
 }
 
 impl Block {
     fn new(g: &Gate, table: &[(u64, u64, Complex64)]) -> Self {
         let identity = vec![BTreeMap::from([(0, Complex64::ONE)])];
-        let mut b = Block { qubits: vec![], columns: identity, single: None, interferes: false };
+        let mut b = Block { qubits: vec![], columns: identity, interferes: false };
         b.absorb(g, table);
-        b.single = Some(g.clone());
         b
-    }
-
-    fn admits(&self, g: &Gate, max_qubits: usize, support: u64) -> bool {
-        let permutes = g.kind.is_permutation_like();
-        let added = g.qubits.iter().filter(|q| !self.qubits.contains(q)).count();
-        let width = self.qubits.len() + added;
-        match added {
-            _ if width > max_qubits => false,
-            0 => !self.interferes || permutes,                                        // (a)
-            _ => !self.interferes && permutes && width < 64 && 1 << width <= support, // (b)
-        }
     }
 
     /// Multiply `g`, whose relational table is `table`, onto the block.
@@ -95,20 +95,52 @@ impl Block {
             *column = next;
         }
         self.qubits = union;
-        self.single = None;
         self.interferes |= !g.kind.is_permutation_like();
     }
 
     fn lower(self, reg: &mut GateTableRegistry) -> GateOp {
-        if let Some(g) = self.single {
-            return reg.lower_gate(&g);
-        }
         let tol2 = GATE_AMPLITUDE_TOL * GATE_AMPLITUDE_TOL;
         let entries = (0..).zip(self.columns).flat_map(|(in_s, column)| {
             let kept = column.into_iter().filter(move |(_, a)| a.norm_sqr() > tol2);
             kept.map(move |(out_s, a)| (in_s, out_s, a))
         });
         reg.register_custom("F", self.qubits, entries.collect())
+    }
+}
+
+/// The op being built: a lone gate with its table, which lowers to the
+/// gate's own (shared, canonical) table, until a second gate joins it and
+/// makes it a [`Block`]. Most gates stay alone, so only a fusion pays for
+/// composing tables.
+enum Open<'c> {
+    Lone(&'c Gate, Vec<(u64, u64, Complex64)>),
+    Block(Block),
+}
+
+impl<'c> Open<'c> {
+    fn admits(&self, g: &Gate, max_qubits: usize, support: u64) -> bool {
+        match self {
+            Open::Lone(first, _) => {
+                admits(&first.qubits, !first.kind.is_permutation_like(), g, max_qubits, support)
+            }
+            Open::Block(b) => admits(&b.qubits, b.interferes, g, max_qubits, support),
+        }
+    }
+
+    fn absorb(self, g: &Gate, table: &[(u64, u64, Complex64)]) -> Open<'c> {
+        let mut block = match self {
+            Open::Lone(first, first_table) => Block::new(first, &first_table),
+            Open::Block(block) => block,
+        };
+        block.absorb(g, table);
+        Open::Block(block)
+    }
+
+    fn lower(self, reg: &mut GateTableRegistry) -> GateOp {
+        match self {
+            Open::Lone(g, table) => reg.lower_gate_with(g, || table),
+            Open::Block(block) => block.lower(reg),
+        }
     }
 }
 
@@ -128,18 +160,21 @@ pub fn lower_circuit(
         return circuit.gates().iter().map(|g| reg.lower_gate(g)).collect();
     };
     let cap = if circuit.num_qubits < 64 { 1u64 << circuit.num_qubits } else { u64::MAX };
-    let (mut support, mut ops, mut open) = (1u64, Vec::new(), None::<Block>);
+    let (mut support, mut ops, mut open) = (1u64, Vec::new(), None::<Open>);
     for g in circuit.gates() {
         let table = gate_table_entries(g, GATE_AMPLITUDE_TOL);
-        match open.as_mut() {
-            Some(block) if block.admits(g, max_qubits, support) => block.absorb(g, &table),
-            _ => ops.extend(open.replace(Block::new(g, &table)).map(|b| b.lower(reg))),
-        }
         // The gate's column fan-out: how far it can widen the state's support.
         let fan_out = table.chunk_by(|a, b| a.0 == b.0).map(|c| c.len() as u64).max();
+        open = Some(match open.take() {
+            Some(op) if op.admits(g, max_qubits, support) => op.absorb(g, &table),
+            closed => {
+                ops.extend(closed.map(|op| op.lower(reg)));
+                Open::Lone(g, table)
+            }
+        });
         support = support.saturating_mul(fan_out.unwrap_or(1)).min(cap);
     }
-    ops.extend(open.map(|b| b.lower(reg)));
+    ops.extend(open.map(|op| op.lower(reg)));
     ops
 }
 

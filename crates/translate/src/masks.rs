@@ -14,6 +14,8 @@
 //! `HUGEINT` hex literals, and `~mask` is emitted as a precomputed complement
 //! (bitwise NOT needs an explicit width on arbitrary-precision integers).
 
+use std::fmt::{self, Display};
+
 use qymera_sqldb::BigBits;
 
 /// How basis-state integers are represented in SQL.
@@ -44,24 +46,21 @@ impl StateEncoding {
     }
 }
 
-/// Mask expressions for one gate application.
+/// Mask expressions for one gate application. Each is a [`Display`] value
+/// written straight into the caller's SQL text: no intermediate `String`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GateMasks {
-    qubits: Vec<usize>,
+pub struct GateMasks<'q> {
+    qubits: &'q [usize],
     num_qubits: usize,
     encoding: StateEncoding,
 }
 
-impl GateMasks {
+impl<'q> GateMasks<'q> {
     /// Masks for a gate acting on `qubits` of an `num_qubits`-wide register.
-    pub fn new(qubits: &[usize], num_qubits: usize) -> Self {
+    pub fn new(qubits: &'q [usize], num_qubits: usize) -> Self {
         assert!(!qubits.is_empty());
         assert!(qubits.iter().all(|&q| q < num_qubits));
-        GateMasks {
-            qubits: qubits.to_vec(),
-            num_qubits,
-            encoding: StateEncoding::for_qubits(num_qubits),
-        }
+        GateMasks { qubits, num_qubits, encoding: StateEncoding::for_qubits(num_qubits) }
     }
 
     /// The index encoding (native `INTEGER` vs `HUGEINT`) this register needs.
@@ -79,103 +78,88 @@ impl GateMasks {
         self.qubits.iter().fold(0u64, |m, &q| m | (1u64 << q.min(63)))
     }
 
-    /// SQL literal for an arbitrary-width constant.
-    fn literal(&self, small: u64, big: impl FnOnce() -> BigBits) -> String {
-        match self.encoding {
-            StateEncoding::Int => format!("{small}"),
-            StateEncoding::Huge => format!("0x{}", big().to_hex()),
-        }
-    }
-
     /// The *input-extraction* expression: the local index of the gate's
     /// qubits inside `{t}.s` (e.g. `(T0.s & 1)`, `((T2.s >> 1) & 3)`).
-    pub fn in_expr(&self, t: &str) -> String {
-        let k = self.qubits.len();
-        let local_mask = (1u64 << k) - 1;
-        if self.contiguous_ascending() {
-            let q0 = self.qubits[0];
-            let mask_lit = self.literal(local_mask, || BigBits::from_u64(local_mask, 64));
-            if q0 == 0 {
-                format!("({t}.s & {mask_lit})")
-            } else {
-                format!("(({t}.s >> {q0}) & {mask_lit})")
+    pub fn in_expr<'a>(&'a self, t: &'a str) -> impl Display + 'a {
+        fmt::from_fn(move |f| {
+            if self.contiguous_ascending() {
+                match self.qubits[0] {
+                    0 => write!(f, "({t}.s & ")?,
+                    q0 => write!(f, "(({t}.s >> {q0}) & ")?,
+                }
+                let mask = (1u64 << self.qubits.len()) - 1;
+                return match self.encoding {
+                    StateEncoding::Int => write!(f, "{mask})"),
+                    StateEncoding::Huge => write!(f, "0x{mask:x})"),
+                };
             }
-        } else {
             // Per-bit extraction: (((s >> qj) & 1) << j) OR-ed together.
-            let parts: Vec<String> = self
-                .qubits
-                .iter()
-                .enumerate()
-                .map(|(j, &q)| {
-                    let extract = if q == 0 {
-                        format!("({t}.s & 1)")
-                    } else {
-                        format!("(({t}.s >> {q}) & 1)")
-                    };
-                    if j == 0 {
-                        extract
-                    } else {
-                        format!("({extract} << {j})")
-                    }
-                })
-                .collect();
-            format!("({})", parts.join(" | "))
-        }
+            f.write_str("(")?;
+            for (j, &q) in self.qubits.iter().enumerate() {
+                if j > 0 {
+                    f.write_str(" | (")?;
+                }
+                match q {
+                    0 => write!(f, "({t}.s & 1)")?,
+                    _ => write!(f, "(({t}.s >> {q}) & 1)")?,
+                }
+                if j > 0 {
+                    write!(f, " << {j})")?;
+                }
+            }
+            f.write_str(")")
+        })
     }
 
     /// The *bit-clearing* expression `({t}.s & ~mask)` — for `HUGEINT`, the
     /// complement is precomputed into a hex literal of the register's width.
-    pub fn clear_expr(&self, t: &str) -> String {
-        match self.encoding {
-            StateEncoding::Int => {
-                format!("({t}.s & ~{})", self.touched_mask_u64())
-            }
+    pub fn clear_expr<'a>(&'a self, t: &'a str) -> impl Display + 'a {
+        fmt::from_fn(move |f| match self.encoding {
+            StateEncoding::Int => write!(f, "({t}.s & ~{})", self.touched_mask_u64()),
             StateEncoding::Huge => {
                 let mut mask = BigBits::zero(self.num_qubits);
-                for &q in &self.qubits {
+                for &q in self.qubits {
                     mask.set_bit(q, true);
                 }
-                format!("({t}.s & 0x{})", mask.not().to_hex())
+                write!(f, "({t}.s & 0x{})", mask.not().to_hex())
             }
-        }
+        })
     }
 
     /// The *output-placement* expression for the gate table's `out_s`
     /// (e.g. `H.out_s`, `(CX.out_s << 1)`).
-    pub fn out_expr(&self, g: &str) -> String {
+    pub fn out_expr<'a>(&'a self, g: &'a str) -> impl Display + 'a {
         self.place_expr(g, "out_s")
     }
 
     /// Like [`Self::out_expr`] but placing an arbitrary gate-table column
     /// (`in_s` or `out_s`) at this gate's qubit positions.
-    fn place_expr(&self, g: &str, col: &str) -> String {
-        if self.contiguous_ascending() {
-            let q0 = self.qubits[0];
-            if q0 == 0 {
-                format!("{g}.{col}")
-            } else {
-                format!("({g}.{col} << {q0})")
+    fn place_expr<'a>(&'a self, g: &'a str, col: &'a str) -> impl Display + 'a {
+        fmt::from_fn(move |f| {
+            if self.contiguous_ascending() {
+                return match self.qubits[0] {
+                    0 => write!(f, "{g}.{col}"),
+                    q0 => write!(f, "({g}.{col} << {q0})"),
+                };
             }
-        } else {
-            let parts: Vec<String> = self
-                .qubits
-                .iter()
-                .enumerate()
-                .map(|(j, &q)| {
-                    let extract = if j == 0 {
-                        format!("({g}.{col} & 1)")
-                    } else {
-                        format!("(({g}.{col} >> {j}) & 1)")
-                    };
-                    if q == 0 {
-                        extract
-                    } else {
-                        format!("({extract} << {q})")
-                    }
-                })
-                .collect();
-            format!("({})", parts.join(" | "))
-        }
+            f.write_str("(")?;
+            for (j, &q) in self.qubits.iter().enumerate() {
+                if j > 0 {
+                    f.write_str(" | ")?;
+                }
+                if q != 0 {
+                    f.write_str("(")?;
+                }
+                match j {
+                    0 => write!(f, "({g}.{col} & 1)")?,
+                    _ => write!(f, "(({g}.{col} >> {j}) & 1)")?,
+                }
+                if q != 0 {
+                    write!(f, " << {q})")?;
+                }
+            }
+            f.write_str(")")
+        })
     }
 
     /// The full new-state expression.
@@ -187,15 +171,16 @@ impl GateMasks {
     ///   literal. This keeps generated SQL O(1) in the register width, which
     ///   is what makes the paper's thousands-of-qubits sparse experiment
     ///   practical to drive through SQL text.
-    pub fn new_state_expr(&self, t: &str, g: &str) -> String {
-        match self.encoding {
-            StateEncoding::Int => format!("({} | {})", self.clear_expr(t), self.out_expr(g)),
-            StateEncoding::Huge => format!(
+    pub fn new_state_expr<'a>(&'a self, t: &'a str, g: &'a str) -> impl Display + 'a {
+        fmt::from_fn(move |f| match self.encoding {
+            StateEncoding::Int => write!(f, "({} | {})", self.clear_expr(t), self.out_expr(g)),
+            StateEncoding::Huge => write!(
+                f,
                 "(({t}.s ^ {}) ^ {})",
                 self.place_expr(g, "in_s"),
                 self.place_expr(g, "out_s")
             ),
-        }
+        })
     }
 }
 
@@ -206,23 +191,23 @@ mod tests {
     #[test]
     fn fig2_q1_h_on_qubit0() {
         let m = GateMasks::new(&[0], 3);
-        assert_eq!(m.in_expr("T0"), "(T0.s & 1)");
-        assert_eq!(m.new_state_expr("T0", "H"), "((T0.s & ~1) | H.out_s)");
+        assert_eq!(m.in_expr("T0").to_string(), "(T0.s & 1)");
+        assert_eq!(m.new_state_expr("T0", "H").to_string(), "((T0.s & ~1) | H.out_s)");
     }
 
     #[test]
     fn fig2_q2_cx_on_01() {
         let m = GateMasks::new(&[0, 1], 3);
-        assert_eq!(m.in_expr("T1"), "(T1.s & 3)");
-        assert_eq!(m.new_state_expr("T1", "CX"), "((T1.s & ~3) | CX.out_s)");
+        assert_eq!(m.in_expr("T1").to_string(), "(T1.s & 3)");
+        assert_eq!(m.new_state_expr("T1", "CX").to_string(), "((T1.s & ~3) | CX.out_s)");
     }
 
     #[test]
     fn fig2_q3_cx_on_12() {
         let m = GateMasks::new(&[1, 2], 3);
-        assert_eq!(m.in_expr("T2"), "((T2.s >> 1) & 3)");
+        assert_eq!(m.in_expr("T2").to_string(), "((T2.s >> 1) & 3)");
         assert_eq!(
-            m.new_state_expr("T2", "CX"),
+            m.new_state_expr("T2", "CX").to_string(),
             "((T2.s & ~6) | (CX.out_s << 1))"
         );
     }
@@ -231,48 +216,48 @@ mod tests {
     fn non_contiguous_qubits() {
         // CX with control 2, target 0 (listed [2, 0]): not contiguous.
         let m = GateMasks::new(&[2, 0], 4);
-        let e = m.in_expr("T");
+        let e = m.in_expr("T").to_string();
         assert!(e.contains("(T.s >> 2) & 1"), "{e}");
         assert!(e.contains("(T.s & 1) << 1"), "{e}");
-        let o = m.out_expr("G");
+        let o = m.out_expr("G").to_string();
         assert!(o.contains("(G.out_s & 1) << 2"), "{o}");
-        assert_eq!(m.clear_expr("T"), "(T.s & ~5)");
+        assert_eq!(m.clear_expr("T").to_string(), "(T.s & ~5)");
     }
 
     #[test]
     fn descending_pair_is_non_contiguous() {
         let m = GateMasks::new(&[1, 0], 3);
         // [1, 0] must NOT be treated as contiguous-ascending.
-        assert!(m.in_expr("T").contains("|"));
+        assert!(m.in_expr("T").to_string().contains("|"));
     }
 
     #[test]
     fn huge_encoding_uses_hex_complements() {
         let m = GateMasks::new(&[0], 100);
         assert_eq!(m.encoding(), StateEncoding::Huge);
-        let c = m.clear_expr("T");
+        let c = m.clear_expr("T").to_string();
         assert!(c.starts_with("(T.s & 0x"), "{c}");
         // complement of bit 0 over 100 bits: ...fffe (25 hex digits)
         assert!(c.contains("fffe"), "{c}");
-        assert_eq!(m.in_expr("T"), "(T.s & 0x1)");
+        assert_eq!(m.in_expr("T").to_string(), "(T.s & 0x1)");
     }
 
     #[test]
     fn huge_new_state_uses_xor_form() {
         // Wide registers avoid O(n)-sized complement literals entirely.
         let m = GateMasks::new(&[70, 71], 100_000);
-        let e = m.new_state_expr("T", "G");
+        let e = m.new_state_expr("T", "G").to_string();
         assert_eq!(e, "((T.s ^ (G.in_s << 70)) ^ (G.out_s << 70))");
         assert!(e.len() < 64, "expression must be O(1) in register width");
         let m0 = GateMasks::new(&[0], 100_000);
-        assert_eq!(m0.new_state_expr("T", "H"), "((T.s ^ H.in_s) ^ H.out_s)");
+        assert_eq!(m0.new_state_expr("T", "H").to_string(), "((T.s ^ H.in_s) ^ H.out_s)");
     }
 
     #[test]
     fn huge_high_qubit_shift() {
         let m = GateMasks::new(&[70, 71], 100);
-        assert_eq!(m.in_expr("T"), "((T.s >> 70) & 0x3)");
-        assert_eq!(m.out_expr("G"), "(G.out_s << 70)");
+        assert_eq!(m.in_expr("T").to_string(), "((T.s >> 70) & 0x3)");
+        assert_eq!(m.out_expr("G").to_string(), "(G.out_s << 70)");
     }
 
     #[test]
@@ -286,8 +271,8 @@ mod tests {
     #[test]
     fn three_qubit_contiguous() {
         let m = GateMasks::new(&[2, 3, 4], 8);
-        assert_eq!(m.in_expr("T"), "((T.s >> 2) & 7)");
-        assert_eq!(m.clear_expr("T"), "(T.s & ~28)");
-        assert_eq!(m.out_expr("G"), "(G.out_s << 2)");
+        assert_eq!(m.in_expr("T").to_string(), "((T.s >> 2) & 7)");
+        assert_eq!(m.clear_expr("T").to_string(), "(T.s & ~28)");
+        assert_eq!(m.out_expr("G").to_string(), "(G.out_s << 2)");
     }
 }

@@ -10,6 +10,9 @@
 //! `GROUP BY`, and no `HAVING`: a projection cannot create a zero.
 //! [`SqlGenConfig::FIG_2C`] joins every gate, as the paper does.
 
+use std::fmt::{self, Display, Write};
+use std::sync::Arc;
+
 use qymera_circuit::Complex64;
 
 use crate::masks::{GateMasks, StateEncoding};
@@ -35,7 +38,7 @@ impl SqlGenConfig {
 }
 
 /// Where a permutation table sends the bits of its local input.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 enum Index {
     /// Output = input XOR the listed `(monomial, bit)` terms: the AND of the
     /// input bits in the monomial (1 if empty), placed at local bit `bit`.
@@ -45,12 +48,18 @@ enum Index {
     Copy(Vec<usize>),
 }
 
-/// A gate table in closed form: the index map and, per local input, the
-/// phase its one output picks up.
+/// A gate table in closed form, computed once per table and shared by
+/// every op that projects it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClosedForm {
+pub struct ClosedForm(Arc<Form>);
+
+/// The index map, and the real and imaginary parts of the phase each local
+/// input's one output picks up.
+#[derive(Debug, PartialEq)]
+struct Form {
     index: Index,
-    phase: Vec<Complex64>,
+    re: Coef,
+    im: Coef,
 }
 
 /// The closed form of a `k`-qubit gate table, if it is a permutation with
@@ -70,7 +79,8 @@ pub fn closed_form(entries: &[(u64, u64, Complex64)], k: usize) -> Option<Closed
         }
     }
     let out = |x: usize| entries[x].1 as usize;
-    let phase = entries.iter().map(|e| e.2).collect();
+    let re = Coef::of(&entries.iter().map(|e| e.2.re).collect::<Vec<_>>());
+    let im = Coef::of(&entries.iter().map(|e| e.2.im).collect::<Vec<_>>());
     let mut terms = Vec::new();
     for j in 0..k {
         // Möbius transform of `x ↦ bit j of out(x) ^ x`: its ones are the
@@ -85,34 +95,31 @@ pub fn closed_form(entries: &[(u64, u64, Complex64)], k: usize) -> Option<Closed
     }
     let reads = terms.iter().fold(0, |m, t| m | t.0);
     let writes = terms.iter().fold(0, |m, t| m | 1 << t.1);
-    if reads & writes == 0 {
-        return Some(ClosedForm { index: Index::Xor(terms), phase });
-    }
-    let from: Option<Vec<usize>> = (0..k)
-        .map(|j| (0..k).find(|&b| (0..n).all(|x| (out(x) >> j) & 1 == (x >> b) & 1)))
-        .collect();
-    Some(ClosedForm { index: Index::Copy(from?), phase })
+    let index = if reads & writes == 0 {
+        Index::Xor(terms)
+    } else {
+        let from: Option<Vec<usize>> = (0..k)
+            .map(|j| (0..k).find(|&b| (0..n).all(|x| (out(x) >> j) & 1 == (x >> b) & 1)))
+            .collect();
+        Index::Copy(from?)
+    };
+    Some(ClosedForm(Arc::new(Form { index, re, im })))
 }
 
 /// `((s >> q) & 1)`: bit `q` of the state index.
-fn bit(q: usize) -> String {
-    match q {
-        0 => "(s & 1)".to_string(),
-        _ => format!("((s >> {q}) & 1)"),
-    }
+fn bit(q: usize) -> impl Display {
+    fmt::from_fn(move |f| match q {
+        0 => f.write_str("(s & 1)"),
+        _ => write!(f, "((s >> {q}) & 1)"),
+    })
 }
 
 /// `v` placed at bit `q`.
-fn placed(v: String, q: usize) -> String {
-    match q {
-        0 => v,
-        _ => format!("({v} << {q})"),
-    }
-}
-
-/// A literal the engine reads back to the same `f64`.
-fn float(v: f64) -> String {
-    format!("{v:?}")
+fn placed(v: impl Display, q: usize) -> impl Display {
+    fmt::from_fn(move |f| match q {
+        0 => write!(f, "{v}"),
+        _ => write!(f, "({v} << {q})"),
+    })
 }
 
 /// One coefficient (real or imaginary part of the phase) as a function of
@@ -146,115 +153,145 @@ impl Coef {
 
     /// `c0*(1-m) + c1*m` for the monomial's value `m`, which returns each
     /// coefficient exactly: `r*C - i*D` is then the arithmetic of the join.
-    fn sql(&self, qubits: &[usize]) -> String {
-        match self {
-            Coef::Const(v) => float(*v),
+    /// A constant is a literal the engine reads back to the same `f64`.
+    fn sql<'a>(&'a self, qubits: &'a [usize]) -> impl Display + 'a {
+        fmt::from_fn(move |f| match self {
+            Coef::Const(v) => write!(f, "{v:?}"),
             Coef::Pick { bits, lo, hi } => {
-                let m = monomial(&at(*bits, qubits));
-                format!("(({} * (1 - {m})) + ({} * {m}))", lo.sql(qubits), hi.sql(qubits))
+                let m = monomial(*bits, qubits);
+                write!(f, "(({} * (1 - {m})) + ({} * {m}))", lo.sql(qubits), hi.sql(qubits))
+            }
+        })
+    }
+
+    /// `x` times this coefficient: `x` itself for the constant 1.
+    fn times<'a>(&'a self, x: &'a str, qubits: &'a [usize]) -> impl Display + 'a {
+        fmt::from_fn(move |f| match self {
+            Coef::Const(v) if *v == 1.0 => f.write_str(x),
+            _ => write!(f, "({x} * {})", self.sql(qubits)),
+        })
+    }
+}
+
+/// `1` if every bit of the state index that the local bits `local` stand
+/// for (through `qubits`) is set, else `0`.
+fn monomial(local: u64, qubits: &[usize]) -> impl Display + '_ {
+    fmt::from_fn(move |f| {
+        let mut read = (0..qubits.len()).filter(move |j| local >> j & 1 == 1).map(|j| qubits[j]);
+        if local.count_ones() == 1 {
+            return write!(f, "{}", bit(read.next().expect("one bit")));
+        }
+        f.write_str("(")?;
+        for (n, q) in read.enumerate() {
+            if n > 0 {
+                f.write_str(" & ")?;
+            }
+            match q {
+                0 => f.write_str("s")?,
+                q => write!(f, "(s >> {q})")?,
             }
         }
-    }
+        f.write_str(" & 1)")
+    })
 }
 
-/// The qubits of the local bits set in `local`.
-fn at(local: u64, qubits: &[usize]) -> Vec<usize> {
-    (0..qubits.len()).filter(|j| local >> j & 1 == 1).map(|j| qubits[j]).collect()
+/// `n` opening parentheses: the wrappers a left-nested expression built
+/// term by term needs before its innermost operand.
+fn open_parens(out: &mut String, n: usize) {
+    out.extend(std::iter::repeat_n('(', n));
 }
 
-/// `1` if every bit `read` of the state index is set, else `0`.
-fn monomial(read: &[usize]) -> String {
-    match read {
-        [q] => bit(*q),
-        _ => {
-            let and: Vec<String> = read
-                .iter()
-                .map(|&q| match q {
-                    0 => "s".to_string(),
-                    q => format!("(s >> {q})"),
-                })
-                .collect();
-            format!("({} & 1)", and.join(" & "))
-        }
-    }
-}
-
-/// The projection applying a lone permutation gate on `qubits`, in
+/// Write the projection applying a lone permutation gate on `qubits`, in
 /// closed form `form`, to state table `prev`.
-fn projection_select(prev: &str, qubits: &[usize], form: &ClosedForm) -> String {
-    let mut s = "s".to_string();
-    match &form.index {
+fn projection_select(
+    out: &mut String,
+    prev: &str,
+    qubits: &[usize],
+    form: &ClosedForm,
+) -> fmt::Result {
+    let Form { index, re: c, im: d } = &*form.0;
+    out.push_str("SELECT ");
+    match index {
         Index::Xor(terms) => {
-            let mut flips = 0u64;
-            for &(m, j) in terms {
-                let t = qubits[j];
-                if m == 0 {
-                    flips |= 1 << t;
-                    continue;
-                }
-                let term = monomial(&at(m, qubits));
-                s = format!("({s} ^ {})", placed(term, t));
+            let flips = terms.iter().filter(|t| t.0 == 0).fold(0u64, |m, t| m | 1 << qubits[t.1]);
+            let wraps = terms.iter().filter(|t| t.0 != 0).count() + usize::from(flips != 0);
+            open_parens(out, wraps);
+            out.push('s');
+            for &(m, j) in terms.iter().filter(|t| t.0 != 0) {
+                write!(out, " ^ {})", placed(monomial(m, qubits), qubits[j]))?;
             }
             if flips != 0 {
-                s = format!("({s} ^ {flips})");
+                write!(out, " ^ {flips})")?;
+            }
+            if wraps != 0 {
+                out.push_str(" AS s");
             }
         }
         Index::Copy(from) => {
-            let moved: Vec<usize> = (0..from.len()).filter(|&j| from[j] != j).collect();
-            if !moved.is_empty() {
-                let mask = moved.iter().fold(0u64, |m, &j| m | 1 << qubits[j]);
-                s = format!("(s & ~{mask})");
-                for j in moved {
-                    s = format!("({s} | {})", placed(bit(qubits[from[j]]), qubits[j]));
+            let moved = || (0..from.len()).filter(|&j| from[j] != j);
+            if moved().next().is_none() {
+                out.push('s');
+            } else {
+                open_parens(out, moved().count());
+                let mask = moved().fold(0u64, |m, j| m | 1 << qubits[j]);
+                write!(out, "(s & ~{mask})")?;
+                for j in moved() {
+                    write!(out, " | {})", placed(bit(qubits[from[j]]), qubits[j]))?;
                 }
+                out.push_str(" AS s");
             }
         }
     }
-    let re: Vec<f64> = form.phase.iter().map(|p| p.re).collect();
-    let im: Vec<f64> = form.phase.iter().map(|p| p.im).collect();
-    let (c, d) = (Coef::of(&re), Coef::of(&im));
-    let times = |x: &str, coef: &Coef| match coef {
-        Coef::Const(v) if *v == 1.0 => x.to_string(),
-        _ => format!("({x} * {})", coef.sql(qubits)),
-    };
-    let (r, i) = if d == Coef::Const(0.0) {
-        (times("r", &c), times("i", &c))
+    let (rc, ic) = (c.times("r", qubits), c.times("i", qubits));
+    if *d != Coef::Const(0.0) {
+        let (rd, id) = (d.times("r", qubits), d.times("i", qubits));
+        write!(out, ", ({rc} - {id}) AS r, ({rd} + {ic}) AS i")?;
+    } else if *c != Coef::Const(1.0) {
+        write!(out, ", {rc} AS r, {ic} AS i")?;
     } else {
-        (
-            format!("({} - {})", times("r", &c), times("i", &d)),
-            format!("({} + {})", times("r", &d), times("i", &c)),
-        )
-    };
-    let alias = |e: String, name: &str| if e == name { e } else { format!("{e} AS {name}") };
-    format!("SELECT {}, {}, {} FROM {prev}", alias(s, "s"), alias(r, "r"), alias(i, "i"))
+        out.push_str(", r, i");
+    }
+    write!(out, " FROM {prev}")
 }
 
 /// The `SELECT` block applying `op` to state table `prev` (no `WITH`
 /// wrapper): a projection for a lone permutation gate on an `INTEGER`
 /// index (unless `cfg` joins every gate), else query `q_k` of Fig. 2c.
 pub fn gate_select(prev: &str, op: &GateOp, num_qubits: usize, cfg: &SqlGenConfig) -> String {
+    let mut sql = String::new();
+    write_gate_select(&mut sql, prev, op, num_qubits, cfg).expect("a String takes any text");
+    sql
+}
+
+/// [`gate_select`], appended to `out`.
+fn write_gate_select(
+    out: &mut String,
+    prev: &str,
+    op: &GateOp,
+    num_qubits: usize,
+    cfg: &SqlGenConfig,
+) -> fmt::Result {
     let masks = GateMasks::new(&op.qubits, num_qubits);
     if let Some(form) = &op.closed_form {
         if !cfg.join_every_gate && masks.encoding() == StateEncoding::Int {
-            return projection_select(prev, &op.qubits, form);
+            return projection_select(out, prev, &op.qubits, form);
         }
     }
     let g = &op.table;
     let new_s = masks.new_state_expr(prev, g);
     let in_s = masks.in_expr(prev);
-    let r_sum = format!("SUM(({prev}.r * {g}.r) - ({prev}.i * {g}.i))");
-    let i_sum = format!("SUM(({prev}.r * {g}.i) + ({prev}.i * {g}.r))");
-    let mut sql = format!(
+    let r_sum = fmt::from_fn(|f| write!(f, "SUM(({prev}.r * {g}.r) - ({prev}.i * {g}.i))"));
+    let i_sum = fmt::from_fn(|f| write!(f, "SUM(({prev}.r * {g}.i) + ({prev}.i * {g}.r))"));
+    write!(
+        out,
         "SELECT {new_s} AS s, {r_sum} AS r, {i_sum} AS i \
          FROM {prev} JOIN {g} ON {g}.in_s = {in_s} \
          GROUP BY {new_s}"
-    );
+    )?;
     if let Some(tol) = cfg.prune_threshold {
-        sql.push_str(&format!(
-            " HAVING ({r_sum} * {r_sum}) + ({i_sum} * {i_sum}) > {tol:e}"
-        ));
+        write!(out, " HAVING ({r_sum} * {r_sum}) + ({i_sum} * {i_sum}) > {tol:e}")?;
     }
-    sql
+    Ok(())
 }
 
 /// State-table name for step `k` (`T0` is the initial state).
@@ -264,7 +301,8 @@ pub fn state_table_name(step: usize) -> String {
 
 /// The full single-statement translation of a circuit: a `WITH` chain with
 /// one CTE per lowered gate operation, reading the initial state from
-/// `initial` and emitting the final state ordered by basis index.
+/// `initial` and emitting the final state ordered by basis index. The text
+/// is written into one buffer.
 pub fn circuit_query(
     ops: &[GateOp],
     num_qubits: usize,
@@ -274,21 +312,33 @@ pub fn circuit_query(
     if ops.is_empty() {
         return format!("SELECT s, r, i FROM {initial} ORDER BY s");
     }
-    let mut sql = String::from("WITH ");
-    let mut prev = initial.to_string();
-    for (k, op) in ops.iter().enumerate() {
-        let name = state_table_name(k + 1);
-        if k > 0 {
-            sql.push_str(", ");
-        }
-        sql.push_str(&name);
-        sql.push_str(" AS (");
-        sql.push_str(&gate_select(&prev, op, num_qubits, cfg));
-        sql.push(')');
-        prev = name;
-    }
-    sql.push_str(&format!(" SELECT s, r, i FROM {prev} ORDER BY s"));
+    let mut sql = String::new();
+    write_circuit_query(&mut sql, ops, num_qubits, initial, cfg).expect("a String takes any text");
     sql
+}
+
+/// [`circuit_query`] for at least one op, appended to `out`.
+fn write_circuit_query(
+    out: &mut String,
+    ops: &[GateOp],
+    num_qubits: usize,
+    initial: &str,
+    cfg: &SqlGenConfig,
+) -> fmt::Result {
+    out.push_str("WITH ");
+    // `prev` is `initial`, then the name of the CTE just written.
+    let mut prev = String::from(initial);
+    for (k, op) in ops.iter().enumerate() {
+        if k > 0 {
+            out.push_str(", ");
+        }
+        write!(out, "T{} AS (", k + 1)?;
+        write_gate_select(out, &prev, op, num_qubits, cfg)?;
+        out.push(')');
+        prev.clear();
+        write!(prev, "T{}", k + 1)?;
+    }
+    write!(out, " SELECT s, r, i FROM {prev} ORDER BY s")
 }
 
 /// A `CREATE TABLE … AS` step statement pair for the materialized

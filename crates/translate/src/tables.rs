@@ -9,9 +9,10 @@
 //! creates only the tables some query joins: a lone gate with a closed form
 //! ([`crate::sqlgen::closed_form`]) is a projection and reads none.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use qymera_circuit::{gate_table_entries, Complex64, Gate};
+use qymera_circuit::{gate_table_entries, Complex64, Gate, GateKind};
 use qymera_sqldb::{BigBits, Database, Result as SqlResult, Value};
 
 use crate::masks::StateEncoding;
@@ -58,11 +59,23 @@ impl GateOp {
 /// entries.
 pub type GateTable = (String, Vec<(u64, u64, Complex64)>);
 
+/// What a gate's table is a function of: its kind and the bits of its
+/// parameters (three at most, `U3`'s). A key that needs no allocation.
+type Shape = (GateKind, [u64; 3]);
+
+fn shape(gate: &Gate) -> Shape {
+    let mut bits = [0; 3];
+    for (b, p) in bits.iter_mut().zip(&gate.params) {
+        *b = p.to_bits();
+    }
+    (gate.kind, bits)
+}
+
 /// Deduplicating registry of gate tables for one translation.
 #[derive(Debug, Default)]
 pub struct GateTableRegistry {
-    /// (kind name, param bit patterns) → table name
-    by_shape: HashMap<(String, Vec<u64>), String>,
+    /// Gate shape → index of its table in `tables`.
+    by_shape: HashMap<Shape, usize>,
     /// Tables in registration order: (name, entries).
     tables: Vec<GateTable>,
     /// Per table: the closed form of a gate's own table, which a query
@@ -86,29 +99,34 @@ impl GateTableRegistry {
 
     /// Lower a circuit gate, registering its table if unseen.
     pub fn lower_gate(&mut self, gate: &Gate) -> GateOp {
-        let key = (
-            gate.kind.name().to_string(),
-            gate.params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-        );
-        let table = match self.by_shape.get(&key) {
-            Some(name) => name.clone(),
-            None => {
+        self.lower_gate_with(gate, || gate_table_entries(gate, GATE_AMPLITUDE_TOL))
+    }
+
+    /// [`Self::lower_gate`] for a caller that holds the gate's table:
+    /// `entries` is called only if the gate's shape is unseen.
+    pub(crate) fn lower_gate_with(
+        &mut self,
+        gate: &Gate,
+        entries: impl FnOnce() -> Vec<(u64, u64, Complex64)>,
+    ) -> GateOp {
+        let at = match self.by_shape.entry(shape(gate)) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(slot) => {
                 let name = if gate.params.is_empty() {
                     gate.kind.name().to_uppercase()
                 } else {
                     self.param_counter += 1;
                     format!("{}_{}", gate.kind.name().to_uppercase(), self.param_counter)
                 };
-                let entries = gate_table_entries(gate, GATE_AMPLITUDE_TOL);
+                let entries = entries();
                 self.closed.push(closed_form(&entries, gate.qubits.len()));
-                self.tables.push((name.clone(), entries));
-                self.by_shape.insert(key, name.clone());
-                name
+                self.tables.push((name, entries));
+                *slot.insert(self.tables.len() - 1)
             }
         };
-        let at = self.tables.iter().position(|(n, _)| *n == table).expect("registered above");
-        let entries = self.tables[at].1.clone();
-        let closed_form = self.closed[at].clone().filter(|_| !self.join_every_gate);
+        let (table, entries) = &self.tables[at];
+        let closed_form = if self.join_every_gate { None } else { self.closed[at].clone() };
+        let (table, entries) = (table.clone(), entries.clone());
         GateOp { table, qubits: gate.qubits.clone(), entries, closed_form }
     }
 
