@@ -10,8 +10,8 @@
 //! 1. **Join commutativity** — `A JOIN B ON a = b` ⇒ `B JOIN A ON b = a`
 //!    (inner equi-joins only).
 //! 2. **Filter-pushdown inverse** — `SELECT p FROM F WHERE c1 AND c2` ⇒
-//!    `WITH s AS (SELECT * FROM F WHERE c1) SELECT p FROM s WHERE c2`,
-//!    the inverse of the optimizer's pushdown rule.
+//!    `WITH s AS (SELECT * FROM F WHERE c1) SELECT p FROM s WHERE c2`:
+//!    a filter split across a CTE boundary.
 //! 3. **DISTINCT idempotence** — `SELECT DISTINCT ...` ⇒ the same query
 //!    wrapped in one more `SELECT DISTINCT *`.
 //! 4. **Join associativity** — `(A ⋈ B) ⋈ C` ⇒ the `A ⋈ B` prefix

@@ -101,11 +101,6 @@ fn candidates(case: &SqlCase) -> Vec<SqlCase> {
         c.query.predicates.remove(i);
         push(c);
     }
-    for i in 0..case.deletes.len() {
-        let mut c = case.clone();
-        c.deletes.remove(i);
-        push(c);
-    }
     if let Some(a) = &case.query.aggregate {
         for i in 0..a.aggs.len() {
             if a.aggs.len() > 1 {
@@ -181,8 +176,7 @@ fn narrow(v: &Value) -> Option<Value> {
     }
 }
 
-/// Remove tables the query never touches (deletes targeting them go too),
-/// remapping indices. `None` when every table is referenced.
+/// Remove tables the query never touches, remapping indices. `None` when every table is referenced.
 fn drop_unused_tables(case: &SqlCase) -> Option<SqlCase> {
     let mut used = vec![false; case.tables.len()];
     used[case.query.base] = true;
@@ -205,10 +199,6 @@ fn drop_unused_tables(case: &SqlCase) -> Option<SqlCase> {
     c.query.base = remap[case.query.base];
     for j in &mut c.query.joins {
         j.table = remap[j.table];
-    }
-    c.deletes.retain(|d| used[d.table]);
-    for d in &mut c.deletes {
-        d.table = remap[d.table];
     }
     Some(c)
 }

@@ -216,16 +216,9 @@ impl Runner {
             return None;
         }
         let table = self.rng.pick(&vis).clone();
-        if roll < 6 {
-            let a = self.rng.range(-50, 50);
-            let b = self.rng.range(-50, 50);
-            Some((format!("INSERT INTO {table} VALUES ({a}), ({b})"), Effect::Dml))
-        } else {
-            let m = 2 + self.rng.below(5) as i64;
-            let r = self.rng.range(0, m - 1);
-            let sql = format!("DELETE FROM {table} WHERE (k % {m} + {m}) % {m} = {r}");
-            Some((sql, Effect::Dml))
-        }
+        let a = self.rng.range(-50, 50);
+        let b = if roll < 6 { self.rng.range(-50, 50).to_string() } else { "NULL".into() };
+        Some((format!("INSERT INTO {table} VALUES ({a}), ({b})"), Effect::Dml))
     }
 
     /// Run one generated statement, inside the open transaction or

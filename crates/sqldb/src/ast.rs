@@ -14,7 +14,6 @@ pub enum Literal {
     Big(BigBits),
     Float(f64),
     Str(String),
-    Bool(bool),
 }
 
 /// Column data types accepted by `CREATE TABLE` and `CAST`.
@@ -44,13 +43,11 @@ pub enum UnaryOp {
     Neg,
     /// Bitwise NOT `~` (Table 1 of the paper).
     BitNot,
-    Not,
 }
 
 /// Binary operators in increasing precedence order groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinaryOp {
-    Or,
     And,
     Eq,
     NotEq,
@@ -66,14 +63,11 @@ pub enum BinaryOp {
     Add,
     Sub,
     Mul,
-    Div,
-    Mod,
 }
 
 impl BinaryOp {
     pub fn symbol(&self) -> &'static str {
         match self {
-            BinaryOp::Or => "OR",
             BinaryOp::And => "AND",
             BinaryOp::Eq => "=",
             BinaryOp::NotEq => "!=",
@@ -89,8 +83,6 @@ impl BinaryOp {
             BinaryOp::Add => "+",
             BinaryOp::Sub => "-",
             BinaryOp::Mul => "*",
-            BinaryOp::Div => "/",
-            BinaryOp::Mod => "%",
         }
     }
 }
@@ -109,7 +101,7 @@ pub enum Expr {
     Star,
     Cast { expr: Box<Expr>, ty: DataType },
     IsNull { expr: Box<Expr>, negated: bool },
-    InList { expr: Box<Expr>, list: Vec<Expr>, negated: bool },
+    InList { expr: Box<Expr>, list: Vec<Expr> },
     /// Parenthesized — kept so the printer reproduces the translator's SQL.
     Paren(Box<Expr>),
 }
@@ -189,24 +181,19 @@ pub enum SelectItem {
     Expr { expr: Expr, alias: Option<String> },
     /// `*`
     Wildcard,
-    /// `table.*`
-    QualifiedWildcard(String),
 }
 
-/// A table in FROM: a named table or a derived subquery.
+/// A table (or CTE) in FROM, with its alias.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TableRef {
-    Named { name: String, alias: Option<String> },
-    Subquery { query: Box<Query>, alias: String },
+pub struct TableRef {
+    pub name: String,
+    pub alias: Option<String>,
 }
 
 impl TableRef {
     /// The name this relation is addressable by in the enclosing scope.
     pub fn visible_name(&self) -> &str {
-        match self {
-            TableRef::Named { name, alias } => alias.as_deref().unwrap_or(name),
-            TableRef::Subquery { alias, .. } => alias,
-        }
+        self.alias.as_deref().unwrap_or(&self.name)
     }
 }
 
@@ -230,7 +217,7 @@ pub struct Join {
 pub struct Select {
     pub distinct: bool,
     pub projection: Vec<SelectItem>,
-    pub from: Option<TableRef>,
+    pub from: TableRef,
     pub joins: Vec<Join>,
     pub where_clause: Option<Expr>,
     pub group_by: Vec<Expr>,
@@ -259,30 +246,24 @@ pub enum Statement {
     CreateTable {
         name: String,
         columns: Vec<(String, DataType)>,
-        if_not_exists: bool,
     },
+    /// `DROP TABLE name`. `if_exists` is never parsed: only
+    /// [`crate::Database::drop_table_if_exists`] builds it.
     DropTable {
         name: String,
         if_exists: bool,
     },
     Insert {
         table: String,
-        columns: Option<Vec<String>>,
         rows: Vec<Vec<Expr>>,
     },
-    Delete {
-        table: String,
-        where_clause: Option<Expr>,
-    },
     Query(Query),
-    /// `EXPLAIN <query>` — returns the optimized plan as text rows.
-    Explain(Query),
-    /// `BEGIN [TRANSACTION]` — open a multi-statement transaction.
+    /// `BEGIN` — open a multi-statement transaction.
     Begin,
     /// `COMMIT` — make every statement since `BEGIN` durable atomically.
     Commit,
-    /// `ROLLBACK [TO [SAVEPOINT] name]` — discard the whole transaction, or
-    /// just the statements after the named savepoint.
+    /// `ROLLBACK [TO name]` — discard the whole transaction, or just the
+    /// statements after the named savepoint.
     Rollback { to_savepoint: Option<String> },
     /// `SAVEPOINT name` — mark a partial-rollback point inside a transaction.
     Savepoint { name: String },
@@ -306,7 +287,6 @@ impl fmt::Display for Literal {
                 }
             }
             Literal::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
-            Literal::Bool(b) => write!(f, "{}", if *b { "TRUE" } else { "FALSE" }),
         }
     }
 }
@@ -320,7 +300,6 @@ impl fmt::Display for Expr {
             Expr::Unary { op, expr } => match op {
                 UnaryOp::Neg => write!(f, "-{expr}"),
                 UnaryOp::BitNot => write!(f, "~{expr}"),
-                UnaryOp::Not => write!(f, "NOT {expr}"),
             },
             Expr::Binary { left, op, right } => write!(f, "({left} {} {right})", op.symbol()),
             Expr::Function { name, args, distinct } => {
@@ -341,8 +320,8 @@ impl fmt::Display for Expr {
             Expr::IsNull { expr, negated } => {
                 write!(f, "{expr} IS {}NULL", if *negated { "NOT " } else { "" })
             }
-            Expr::InList { expr, list, negated } => {
-                write!(f, "{expr} {}IN (", if *negated { "NOT " } else { "" })?;
+            Expr::InList { expr, list } => {
+                write!(f, "{expr} IN (")?;
                 for (i, e) in list.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
@@ -362,17 +341,15 @@ impl fmt::Display for SelectItem {
             SelectItem::Expr { expr, alias: Some(a) } => write!(f, "{expr} AS {a}"),
             SelectItem::Expr { expr, alias: None } => write!(f, "{expr}"),
             SelectItem::Wildcard => write!(f, "*"),
-            SelectItem::QualifiedWildcard(t) => write!(f, "{t}.*"),
         }
     }
 }
 
 impl fmt::Display for TableRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TableRef::Named { name, alias: Some(a) } => write!(f, "{name} AS {a}"),
-            TableRef::Named { name, alias: None } => write!(f, "{name}"),
-            TableRef::Subquery { query, alias } => write!(f, "({query}) AS {alias}"),
+        match &self.alias {
+            Some(a) => write!(f, "{} AS {a}", self.name),
+            None => write!(f, "{}", self.name),
         }
     }
 }
@@ -389,9 +366,7 @@ impl fmt::Display for Select {
             }
             write!(f, "{item}")?;
         }
-        if let Some(from) = &self.from {
-            write!(f, " FROM {from}")?;
-        }
+        write!(f, " FROM {}", self.from)?;
         for j in &self.joins {
             let kw = match j.kind {
                 JoinKind::Inner => "JOIN",
@@ -453,12 +428,8 @@ impl fmt::Display for Query {
 impl fmt::Display for Statement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Statement::CreateTable { name, columns, if_not_exists } => {
-                write!(
-                    f,
-                    "CREATE TABLE {}{name} (",
-                    if *if_not_exists { "IF NOT EXISTS " } else { "" }
-                )?;
+            Statement::CreateTable { name, columns } => {
+                write!(f, "CREATE TABLE {name} (")?;
                 for (i, (c, t)) in columns.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
@@ -470,12 +441,8 @@ impl fmt::Display for Statement {
             Statement::DropTable { name, if_exists } => {
                 write!(f, "DROP TABLE {}{name}", if *if_exists { "IF EXISTS " } else { "" })
             }
-            Statement::Insert { table, columns, rows } => {
-                write!(f, "INSERT INTO {table}")?;
-                if let Some(cols) = columns {
-                    write!(f, " ({})", cols.join(", "))?;
-                }
-                write!(f, " VALUES ")?;
+            Statement::Insert { table, rows } => {
+                write!(f, "INSERT INTO {table} VALUES ")?;
                 for (i, row) in rows.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
@@ -491,20 +458,12 @@ impl fmt::Display for Statement {
                 }
                 Ok(())
             }
-            Statement::Delete { table, where_clause } => {
-                write!(f, "DELETE FROM {table}")?;
-                if let Some(w) = where_clause {
-                    write!(f, " WHERE {w}")?;
-                }
-                Ok(())
-            }
             Statement::Query(q) => write!(f, "{q}"),
-            Statement::Explain(q) => write!(f, "EXPLAIN {q}"),
             Statement::Begin => write!(f, "BEGIN"),
             Statement::Commit => write!(f, "COMMIT"),
             Statement::Rollback { to_savepoint: None } => write!(f, "ROLLBACK"),
             Statement::Rollback { to_savepoint: Some(name) } => {
-                write!(f, "ROLLBACK TO SAVEPOINT {name}")
+                write!(f, "ROLLBACK TO {name}")
             }
             Statement::Savepoint { name } => write!(f, "SAVEPOINT {name}"),
         }
@@ -555,7 +514,6 @@ mod tests {
         let st = Statement::CreateTable {
             name: "T0".into(),
             columns: vec![("s".into(), DataType::Integer), ("r".into(), DataType::Double)],
-            if_not_exists: false,
         };
         assert_eq!(st.to_string(), "CREATE TABLE T0 (s INTEGER, r DOUBLE)");
     }

@@ -8,9 +8,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use super::Database;
-use crate::ast::Statement;
 use crate::error::{Error, Result};
-use crate::parser::parse_statement;
 use crate::storage::budget::MemoryBudget;
 use crate::storage::fault::FaultInjector;
 use crate::storage::wal::{
@@ -90,7 +88,8 @@ impl Database {
         Ok(())
     }
 
-    /// Apply one recovered WAL operation to the in-memory catalog.
+    /// Apply one recovered WAL operation to the in-memory catalog. Every
+    /// operation carries data, not SQL text: replay never parses.
     fn apply_wal_op(&mut self, op: WalOp) -> Result<()> {
         match op {
             WalOp::CreateTable { name, columns } => {
@@ -101,25 +100,6 @@ impl Database {
             }
             WalOp::Insert { table, rows } => {
                 self.catalog.get_mut(&table)?.append_batch(&rows)?;
-            }
-            WalOp::Delete { table, predicate } => {
-                // Predicates are logged as SQL text; expressions are pure,
-                // so re-parsing and re-evaluating replays deterministically.
-                let where_clause = match predicate {
-                    None => None,
-                    Some(text) => {
-                        let sql = format!("DELETE FROM {table} WHERE {text}");
-                        match parse_statement(&sql)? {
-                            Statement::Delete { where_clause, .. } => where_clause,
-                            _ => {
-                                return Err(Error::Internal(
-                                    "logged DELETE predicate did not re-parse".into(),
-                                ))
-                            }
-                        }
-                    }
-                };
-                self.run_delete(&table, where_clause.as_ref())?;
             }
         }
         Ok(())

@@ -12,15 +12,14 @@
 
 use std::sync::Arc;
 
-use crate::ast::{Expr, Query, Statement};
+use crate::ast::{Query, Statement};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::batch::RowBatch;
 use crate::exec::govern::{CancelHandle, QueryContext};
 use crate::exec::vector::{build_batch_stream, drain};
 use crate::exec::{ExecContext, NodeStats};
-use crate::expr::bind;
-use crate::parser::{parse_script, parse_statement};
+use crate::parser::parse_statement;
 use crate::plan::logical::{depth_bound, plan_query, Plan};
 use crate::plan::optimizer::{optimize, optimize_with_facts};
 use crate::reference;
@@ -375,16 +374,6 @@ impl Database {
         Ok(batches)
     }
 
-    /// Execute a `;`-separated script; returns the last statement's result.
-    pub fn execute_script(&mut self, sql: &str) -> Result<ResultSet> {
-        let statements = parse_script(sql)?;
-        let mut last = ResultSet::dml(0);
-        for st in statements {
-            last = self.execute_statement(st)?;
-        }
-        Ok(last)
-    }
-
     /// Execute an already-parsed statement. In a durable database every
     /// mutation is framed in the write-ahead log: `Ok` means the statement
     /// is both applied and crash-durable (per the fsync policy); `Err`
@@ -480,17 +469,13 @@ impl Database {
         with_exec_stack(&q, || Ok(plan_query(&q, &self.catalog)?.schema().clone()))
     }
 
-    /// EXPLAIN-style plan rendering.
+    /// The optimized plan of a query, rendered as an indented tree.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let st = parse_statement(sql)?;
         let Statement::Query(q) = st else {
             return Err(Error::Plan("EXPLAIN requires a query".into()));
         };
-        self.explain_query(&q)
-    }
-
-    fn explain_query(&self, q: &Query) -> Result<String> {
-        with_exec_stack(q, || Ok(optimize(plan_query(q, &self.catalog)?).explain()))
+        with_exec_stack(&q, || Ok(optimize(plan_query(&q, &self.catalog)?).explain()))
     }
 
     /// What `sql` (a query) means over the current tables, computed by the
@@ -518,7 +503,8 @@ impl Database {
         Ok(self.catalog.get(name)?.row_count())
     }
 
-    /// Drop `name` if present (WAL-framed like `DROP TABLE IF EXISTS`).
+    /// Drop `name` if present: a `DROP TABLE` that is a no-op for a missing
+    /// table, WAL-framed like any other (SQL text has no `IF EXISTS`).
     pub fn drop_table_if_exists(&mut self, name: &str) -> Result<()> {
         self.execute_statement(Statement::DropTable {
             name: name.to_string(),
@@ -526,22 +512,6 @@ impl Database {
         })
         .map(|_| ())
     }
-
-    /// Apply a delete to the in-memory table (shared by `DELETE` execution
-    /// and WAL replay; the caller owns logging and rollback).
-    fn run_delete(&mut self, table: &str, where_clause: Option<&Expr>) -> Result<usize> {
-        let schema = self.catalog.get(table)?.schema();
-        let predicate = match where_clause {
-            Some(w) => Some(bind(w, &schema)?),
-            None => None,
-        };
-        let t = self.catalog.get_mut(table)?;
-        t.delete_where(|row| match &predicate {
-            Some(p) => Ok(p.eval(row)?.as_bool()? == Some(true)),
-            None => Ok(true),
-        })
-    }
-
 }
 
 impl Default for Database {

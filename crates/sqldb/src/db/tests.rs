@@ -6,19 +6,19 @@ use crate::value::Value;
 
 fn ghz_db() -> Database {
     let mut db = Database::new();
-    db.execute_script(
-        "CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE); \
-         INSERT INTO T0 VALUES (0, 1.0, 0.0); \
-         CREATE TABLE H (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE); \
-         INSERT INTO H VALUES (0, 0, 0.7071067811865476, 0.0), \
-                              (0, 1, 0.7071067811865476, 0.0), \
-                              (1, 0, 0.7071067811865476, 0.0), \
-                              (1, 1, -0.7071067811865476, 0.0); \
-         CREATE TABLE CX (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE); \
-         INSERT INTO CX VALUES (0, 0, 1.0, 0.0), (1, 3, 1.0, 0.0), \
-                               (2, 2, 1.0, 0.0), (3, 1, 1.0, 0.0);",
-    )
-    .unwrap();
+    for sql in [
+        "CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE)",
+        "INSERT INTO T0 VALUES (0, 1.0, 0.0)",
+        "CREATE TABLE H (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)",
+        "INSERT INTO H VALUES (0, 0, 0.7071067811865476, 0.0), \
+             (0, 1, 0.7071067811865476, 0.0), (1, 0, 0.7071067811865476, 0.0), \
+             (1, 1, -0.7071067811865476, 0.0)",
+        "CREATE TABLE CX (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)",
+        "INSERT INTO CX VALUES (0, 0, 1.0, 0.0), (1, 3, 1.0, 0.0), (2, 2, 1.0, 0.0), \
+             (3, 1, 1.0, 0.0)",
+    ] {
+        db.execute(sql).unwrap();
+    }
     db
 }
 
@@ -56,16 +56,16 @@ fn fig2_full_cte_chain_produces_ghz() {
 }
 
 #[test]
-fn insert_with_column_list_and_delete() {
+fn insert_takes_every_column_in_table_order() {
     let mut db = Database::new();
     db.execute("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
-    let rs = db.execute("INSERT INTO t (b, a) VALUES ('x', 1), ('y', 2)").unwrap();
+    let rs = db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')").unwrap();
     assert_eq!(rs.affected(), 2);
     let rs = db.execute("SELECT a FROM t WHERE b = 'x'").unwrap();
     assert_eq!(rs.scalar(), Some(&Value::Int(1)));
-    let rs = db.execute("DELETE FROM t WHERE a = 1").unwrap();
-    assert_eq!(rs.affected(), 1);
-    assert_eq!(db.table_row_count("t").unwrap(), 1);
+    let err = db.execute("INSERT INTO t VALUES (3)").unwrap_err();
+    assert_eq!(err, Error::Plan("INSERT expects 2 values, got 1".into()));
+    assert_eq!(db.table_row_count("t").unwrap(), 2);
 }
 
 #[test]
@@ -142,37 +142,6 @@ fn explain_returns_plan() {
 }
 
 #[test]
-fn explain_statement_returns_plan_rows() {
-    let mut db = Database::new();
-    db.execute("CREATE TABLE t (a INTEGER, b INTEGER)").unwrap();
-    let rs = db.execute("EXPLAIN SELECT a FROM t WHERE a > 1 ORDER BY a").unwrap();
-    assert_eq!(rs.columns(), &["plan"]);
-    let text: Vec<String> = rs.rows().iter().map(|r| r[0].to_string()).collect();
-    assert!(text.iter().any(|l| l.contains("Scan t")), "{text:?}");
-    assert!(text.iter().any(|l| l.contains("Sort")), "{text:?}");
-}
-
-#[test]
-fn explain_shows_pushdown() {
-    let mut db = Database::new();
-    db.execute("CREATE TABLE a (x INTEGER)").unwrap();
-    db.execute("CREATE TABLE b (y INTEGER)").unwrap();
-    let rs = db
-        .execute("EXPLAIN SELECT x FROM a JOIN b ON a.x = b.y WHERE a.x > 3")
-        .unwrap();
-    let text = rs
-        .rows()
-        .iter()
-        .map(|r| r[0].to_string())
-        .collect::<Vec<_>>()
-        .join("\n");
-    // the filter on a.x must sit below the join after optimization
-    let join_pos = text.find("Join").unwrap();
-    let filter_pos = text.find("Filter").unwrap();
-    assert!(filter_pos > join_pos, "filter should be pushed under the join:\n{text}");
-}
-
-#[test]
 fn explain_analyze_reports_rows_per_operator() {
     let mut db = Database::new();
     db.execute("CREATE TABLE t (a INTEGER)").unwrap();
@@ -194,11 +163,13 @@ fn explain_analyze_reports_rows_per_operator() {
 #[test]
 fn explain_analyze_self_times_partition_the_root_time() {
     let mut db = Database::new();
-    db.execute_script(
-        "CREATE TABLE s (k INTEGER, v DOUBLE); CREATE TABLE g (k INTEGER, w DOUBLE); \
-         INSERT INTO g VALUES (0, 10.0), (1, 20.0), (1, 30.0);",
-    )
-    .unwrap();
+    for sql in [
+        "CREATE TABLE s (k INTEGER, v DOUBLE)",
+        "CREATE TABLE g (k INTEGER, w DOUBLE)",
+        "INSERT INTO g VALUES (0, 10.0), (1, 20.0), (1, 30.0)",
+    ] {
+        db.execute(sql).unwrap();
+    }
     let rows: Vec<Row> = (0..5000).map(|i| vec![Value::Int(i), Value::Float(0.5)]).collect();
     db.insert_rows("s", rows).unwrap();
     let gate = "SELECT (s.k & ~1) | g.k AS k, SUM(s.v * g.w) AS t \
@@ -206,8 +177,8 @@ fn explain_analyze_self_times_partition_the_root_time() {
     let queries = [
         gate.to_string(),
         format!("WITH t AS ({gate}) SELECT k, t FROM t ORDER BY t DESC, k LIMIT 7"),
-        format!("WITH t AS ({gate}) SELECT t.k, s.v FROM t LEFT JOIN s ON s.k = t.k ORDER BY 1"),
-        "SELECT s.k FROM s JOIN g ON g.k = s.k AND s.v < g.w".to_string(),
+        format!("WITH t AS ({gate}) SELECT t.k, s.v FROM t LEFT JOIN s ON s.k = t.k ORDER BY k"),
+        "SELECT s.k FROM s JOIN g ON g.k = s.k WHERE s.v < g.w".to_string(),
     ];
     for sql in &queries {
         let (nodes, _) = db.analyze(sql).unwrap();
@@ -228,13 +199,14 @@ fn explain_analyze_self_times_partition_the_root_time() {
 #[test]
 fn explain_analyze_join_aggregate_shape() {
     let mut db = Database::new();
-    db.execute_script(
-        "CREATE TABLE s (k INTEGER, v DOUBLE); \
-         INSERT INTO s VALUES (0, 1.0), (1, 2.0), (0, 3.0); \
-         CREATE TABLE g (k INTEGER, w DOUBLE); \
-         INSERT INTO g VALUES (0, 10.0), (1, 20.0);",
-    )
-    .unwrap();
+    for sql in [
+        "CREATE TABLE s (k INTEGER, v DOUBLE)",
+        "INSERT INTO s VALUES (0, 1.0), (1, 2.0), (0, 3.0)",
+        "CREATE TABLE g (k INTEGER, w DOUBLE)",
+        "INSERT INTO g VALUES (0, 10.0), (1, 20.0)",
+    ] {
+        db.execute(sql).unwrap();
+    }
     let text = db
         .explain_analyze(
             "SELECT s.k, SUM(s.v * g.w) FROM s JOIN g ON s.k = g.k GROUP BY s.k",
@@ -408,14 +380,16 @@ fn recovery_replays_blocks_into_chunks() {
 /// twice what a scan checks, so what the planner knows of `T1.s` is what the
 /// `CREATE TABLE … AS` recorded — and nothing once the rows changed.
 fn step_table_db(db: &mut Database) {
-    db.execute_script(
-        "CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE); \
-         CREATE TABLE H (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE); \
-         INSERT INTO H VALUES (0, 0, 0.5, 0.0), (0, 1, 0.5, 0.0), (1, 0, 0.5, 0.0), (1, 1, -0.5, 0.0); \
-         CREATE TABLE X (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE); \
-         INSERT INTO X VALUES (0, 1, 1.0, 0.0), (1, 0, 1.0, 0.0);",
-    )
-    .unwrap();
+    for sql in [
+        "CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE)",
+        "CREATE TABLE H (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)",
+        "INSERT INTO H VALUES (0, 0, 0.5, 0.0), (0, 1, 0.5, 0.0), (1, 0, 0.5, 0.0), \
+             (1, 1, -0.5, 0.0)",
+        "CREATE TABLE X (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)",
+        "INSERT INTO X VALUES (0, 1, 1.0, 0.0), (1, 0, 1.0, 0.0)",
+    ] {
+        db.execute(sql).unwrap();
+    }
     db.insert_rows("T0", state_rows(4096)).unwrap();
     let made = db.create_table_as("T1", &gate_step("T0", "H", 12)).unwrap();
     assert_eq!(made, 8192);
@@ -454,11 +428,11 @@ fn a_recorded_key_does_not_outlive_the_rows_it_described() {
     assert!(streams(&db, &next), "T1.s is a key: its CTAS said so");
     assert_matches_reference(&mut db, &next);
 
-    // Fewer rows of a key are still a key; the old rows brought back by a
-    // rollback are not known to be (the undo restores chunks, not facts).
-    db.execute("DELETE FROM T1 WHERE s = 9").unwrap();
-    assert!(streams(&db, &next));
-    db.execute_script("BEGIN; DELETE FROM T1 WHERE s = 10; ROLLBACK").unwrap();
+    // The rows a rollback brings back are not known to be a key (the undo
+    // restores chunks, not facts).
+    for sql in ["BEGIN", "INSERT INTO T1 VALUES (1048576, 0.0, 0.0)", "ROLLBACK"] {
+        db.execute(sql).unwrap();
+    }
     assert!(!streams(&db, &next));
 
     // A second |7⟩: the statement groups, and the two rows add up.
@@ -477,8 +451,6 @@ fn a_recorded_key_does_not_outlive_the_rows_it_described() {
         got.retain(|row| row[0] == Value::Int(15));
         let before = 7.0 / 8.0 * 0.5;
         assert_eq!(got, [vec![Value::Int(15), Value::Float(before + 0.25), Value::Float(0.5)]]);
-        db.execute("DELETE FROM T1 WHERE s = 7 AND i = 0.5").unwrap();
-        assert!(!streams(&db, &next), "nothing brings a forgotten fact back");
         assert_matches_reference(&mut db, &next);
     }
 }

@@ -280,19 +280,9 @@ impl Database {
     /// here, and a cancelled statement can never commit.
     pub(super) fn execute_in_txn(&mut self, st: Statement) -> Result<ResultSet> {
         match st {
-            Statement::CreateTable { name, columns, if_not_exists } => {
-                if self.catalog.contains(&name) {
-                    // Duplicate: an IF NOT EXISTS no-op or an error —
-                    // nothing changes, so nothing is logged.
-                    self.catalog.create_table(
-                        &name,
-                        columns,
-                        if_not_exists,
-                        self.budget.clone(),
-                    )?;
-                    return Ok(ResultSet::dml(0));
-                }
-                // Logged at COMMIT, if it is still alive then.
+            Statement::CreateTable { name, columns } => {
+                // Logged at COMMIT, if it is still alive then; a duplicate
+                // name is an error that changes nothing.
                 self.catalog.create_table(&name, columns, false, self.budget.clone())?;
                 self.push_undo(UndoEntry::Created { name });
                 self.query.check()?;
@@ -322,38 +312,14 @@ impl Database {
                 self.query.check()?;
                 Ok(ResultSet::dml(0))
             }
-            Statement::Insert { table, columns, rows } => {
+            Statement::Insert { table, rows } => {
                 // Evaluate first: INSERT expressions are pure, so this
                 // cannot observe or modify state, and the WAL records
                 // concrete values rather than expressions.
-                let evaluated = self.eval_insert_rows(&table, columns.as_deref(), rows)?;
+                let evaluated = self.eval_insert_rows(&table, rows)?;
                 self.insert_rows_in_txn(&table, evaluated)
             }
-            Statement::Delete { table, where_clause } => {
-                // Validate the table and predicate before logging anything.
-                let schema = self.catalog.get(&table)?.schema();
-                if let Some(w) = &where_clause {
-                    bind(w, &schema)?;
-                }
-                let text = where_clause.as_ref().map(Expr::to_string);
-                self.log_unless_created(&table, |s, txn| {
-                    s.log_delete(txn, &table, text.as_deref())
-                })?;
-                let undo = self.catalog.get(&table)?.undo_state();
-                let n = self.run_delete(&table, where_clause.as_ref())?;
-                self.push_undo(UndoEntry::Mutated { table, undo });
-                self.query.check()?;
-                Ok(ResultSet::dml(n))
-            }
             // Reads don't touch the frame.
-            Statement::Explain(q) => {
-                let rows: Vec<Row> = self
-                    .explain_query(&q)?
-                    .lines()
-                    .map(|l| vec![Value::Str(l.to_string())])
-                    .collect();
-                Ok(ResultSet::query(vec!["plan".to_string()], rows))
-            }
             Statement::Query(q) => {
                 let mut rows = Vec::new();
                 let columns = self.drain_query(&q, |batch| rows.extend(batch.into_rows()))?;
@@ -411,52 +377,20 @@ impl Database {
         Ok(ResultSet::dml(n))
     }
 
-    /// Evaluate `INSERT` value expressions into concrete rows in table
-    /// column order (expressions are pure; nothing is applied yet).
-    fn eval_insert_rows(
-        &self,
-        table: &str,
-        columns: Option<&[String]>,
-        rows: Vec<Vec<crate::ast::Expr>>,
-    ) -> Result<Vec<Row>> {
-        let empty_schema = RelSchema::default();
-        let t = self.catalog.get(table)?;
-        let ncols = t.columns().len();
-        // Map provided column order to table order.
-        let mapping: Vec<usize> = match columns {
-            Some(cols) => {
-                let mut m = Vec::with_capacity(cols.len());
-                for c in cols {
-                    let idx = t
-                        .columns()
-                        .iter()
-                        .position(|(n, _)| n.eq_ignore_ascii_case(c))
-                        .ok_or_else(|| {
-                            Error::Plan(format!("unknown column `{c}` in INSERT"))
-                        })?;
-                    m.push(idx);
+    /// Evaluate `INSERT` value expressions into concrete rows (expressions
+    /// are pure; nothing is applied yet).
+    fn eval_insert_rows(&self, table: &str, rows: Vec<Vec<Expr>>) -> Result<Vec<Row>> {
+        let ncols = self.catalog.get(table)?.columns().len();
+        let no_columns = RelSchema::default();
+        rows.iter()
+            .map(|exprs| {
+                if exprs.len() != ncols {
+                    let n = exprs.len();
+                    return Err(Error::Plan(format!("INSERT expects {ncols} values, got {n}")));
                 }
-                m
-            }
-            None => (0..ncols).collect(),
-        };
-        let mut evaluated = Vec::with_capacity(rows.len());
-        for exprs in rows {
-            if exprs.len() != mapping.len() {
-                return Err(Error::Plan(format!(
-                    "INSERT expects {} values, got {}",
-                    mapping.len(),
-                    exprs.len()
-                )));
-            }
-            let mut full = vec![Value::Null; ncols];
-            for (expr, &target) in exprs.iter().zip(&mapping) {
-                let bexpr = bind(expr, &empty_schema)?;
-                full[target] = bexpr.eval(&vec![])?;
-            }
-            evaluated.push(full);
-        }
-        Ok(evaluated)
+                exprs.iter().map(|e| bind(e, &no_columns)?.eval(&Vec::new())).collect()
+            })
+            .collect()
     }
 
     /// CTAS body. The new table belongs to the open transaction, so

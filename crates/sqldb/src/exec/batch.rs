@@ -245,7 +245,7 @@ impl RowBatch {
         RowBatch { columns, rows: nrows }
     }
 
-    /// A batch of `n` zero-column rows (the `One` operator / `SELECT 1`).
+    /// A batch of `n` zero-column rows (a spilled block of no columns).
     pub fn zero_columns(n: usize) -> RowBatch {
         RowBatch { columns: Vec::new(), rows: n }
     }

@@ -88,7 +88,6 @@ pub struct ExecContext {
 fn node_label(plan: &Plan) -> String {
     match plan {
         Plan::Scan { table, .. } => format!("Scan {table}"),
-        Plan::One => "One".into(),
         Plan::Filter { .. } => "Filter".into(),
         Plan::Project { exprs, .. } => format!("Project [{}]", exprs.len()),
         Plan::Join { kind, .. } => format!("HashJoin {kind:?}"),

@@ -15,8 +15,8 @@
 //! [`crate::reference`], which shares none of the code below.
 //! One caveat, standard for vectorized engines: **error detection is
 //! batch-granular**. Expressions evaluate over a whole batch before
-//! downstream operators see any of it, so a failing row (say `10 / x` with
-//! `x = 0`) raises its error even when a downstream `LIMIT` needs only rows
+//! downstream operators see any of it, so a failing row (say `1 >> (x - 1)`
+//! with `x = 0`, a negative shift) raises its error even when a downstream `LIMIT` needs only rows
 //! ahead of it in the same batch; a failing row in a batch the `LIMIT` never
 //! pulls raises nothing. The reference evaluates every row of every node, so
 //! it reports both.
@@ -39,7 +39,7 @@ use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
 use crate::plan::logical::{AggExpr, AggFunc, Plan};
-use crate::plan::optimizer::extract_equi_keys;
+use crate::plan::optimizer::join_keys;
 use crate::storage::budget::Reservation;
 use crate::storage::spill::{row_bytes, Row, SpillDir, SpillReader, SpillRecord, SpillWriter};
 use crate::table::TableSnapshot;
@@ -162,7 +162,6 @@ fn build_batch_stream_inner(
             let snapshot = catalog.get(table)?.snapshot();
             Box::new(BatchScan { snapshot, next_chunk: 0 })
         }
-        Plan::One => Box::new(OneBatch { emitted: false }),
         Plan::Filter { input, predicate } => Box::new(BatchFilter {
             input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
             predicate: predicate.clone(),
@@ -182,15 +181,13 @@ fn build_batch_stream_inner(
         }
         Plan::Join { left, right, kind, on, .. } => {
             let right_cols = right.schema().len();
-            let (lk, rk, residual) = extract_equi_keys(on, left.schema().len());
-            if lk.is_empty() {
-                let what = "a join without an equi-key reached the executor";
-                return Err(Error::Internal(what.into()));
-            }
+            let (lk, rk) = join_keys(on, left.schema().len()).ok_or_else(|| {
+                let what = "a join condition with a non-key conjunct reached the executor";
+                Error::Internal(what.into())
+            })?;
             let l = build_batch_stream_at(left, catalog, ctx, depth + 1)?;
             let r = build_batch_stream_at(right, catalog, ctx, depth + 1)?;
-            let (table, reservation) =
-                JoinTable::build_from_stream(r, lk, rk, residual, right_cols, ctx)?;
+            let (table, reservation) = JoinTable::build_from_stream(r, lk, rk, right_cols, ctx)?;
             Box::new(BatchHashJoin::new(l, table, reservation, *kind == JoinKind::Left))
         }
         Plan::Aggregate { input, group_by, aggs, .. } => {
@@ -260,7 +257,7 @@ impl BatchStream for InstrumentedBatch {
 /// Zero-copy base-table scan: each stored chunk becomes one [`RowBatch`]
 /// whose columns **are** the table's chunk columns (`Arc` clones — no
 /// row→column transpose, no per-value copy). The snapshot pins the chunks,
-/// so scans stay consistent under concurrent inserts/deletes.
+/// so a scan reads the rows that existed when it started.
 struct BatchScan {
     snapshot: TableSnapshot,
     next_chunk: usize,
@@ -275,21 +272,6 @@ impl BatchStream for BatchScan {
         let chunk = &chunks[self.next_chunk];
         self.next_chunk += 1;
         Ok(Some(RowBatch::from_shared(chunk.columns().to_vec())))
-    }
-}
-
-struct OneBatch {
-    emitted: bool,
-}
-
-impl BatchStream for OneBatch {
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        if self.emitted {
-            Ok(None)
-        } else {
-            self.emitted = true;
-            Ok(Some(RowBatch::zero_columns(1)))
-        }
     }
 }
 
@@ -439,8 +421,7 @@ impl KeyMap {
 }
 
 /// The immutable result of a hash-join build: the kept build rows plus the
-/// key → row-index table, with the probe-side key expressions and residual
-/// predicate attached.
+/// key → row-index table, with the probe-side key expressions attached.
 struct JoinTable {
     build: RowBatch,
     /// Width of the build side's schema. Carried explicitly because an empty
@@ -449,7 +430,6 @@ struct JoinTable {
     build_cols: usize,
     table: KeyMap,
     left_keys: Vec<CompiledExpr>,
-    residual: Option<BoundExpr>,
 }
 
 impl JoinTable {
@@ -461,7 +441,6 @@ impl JoinTable {
         mut build_input: Box<dyn BatchStream>,
         left_keys: Vec<BoundExpr>,
         right_keys: Vec<BoundExpr>,
-        residual: Option<BoundExpr>,
         build_cols: usize,
         ctx: &ExecContext,
     ) -> Result<(JoinTable, Reservation)> {
@@ -516,7 +495,7 @@ impl JoinTable {
         };
         let build = RowBatch::from_owned_rows(kept);
         let left_keys = left_keys.into_iter().map(CompiledExpr::new).collect();
-        Ok((JoinTable { build, build_cols, table, left_keys, residual }, reservation))
+        Ok((JoinTable { build, build_cols, table, left_keys }, reservation))
     }
 
     /// Evaluate the probe-side key expressions over a probe batch.
@@ -559,18 +538,16 @@ impl JoinTable {
     /// One probe step: pair the rows of `batch` from `*next` on with their
     /// build matches, stopping near [`BATCH_SIZE`] pairs so a skewed
     /// many-to-many key cannot make one output batch arbitrarily large, and
-    /// return the joined rows that pass the residual (`None` when there are
-    /// none): the index pairs themselves when there is no residual, else
-    /// the gathered survivors. `*next` advances past the rows scanned; under
-    /// outer semantics `matched` (one flag per probe row, else empty)
-    /// records which probe rows produced a passing pair.
+    /// return the index pairs (`None` when there are none). `*next` advances
+    /// past the rows scanned; under outer semantics `matched` (one flag per
+    /// probe row, else empty) records which probe rows found a match.
     fn probe_step(
         &self,
         batch: &RowBatch,
         key_cols: &[ColumnRef],
         next: &mut usize,
         matched: &mut [bool],
-    ) -> Result<Option<Rows>> {
+    ) -> Option<Rows> {
         let rows = batch.num_rows();
         let start = *next;
         let mut probe_sel: Vec<u32> = Vec::with_capacity(rows - start);
@@ -588,41 +565,22 @@ impl JoinTable {
         }
         *next = i;
         if probe_sel.is_empty() {
-            return Ok(None);
+            return None;
+        }
+        if !matched.is_empty() {
+            for &p in &probe_sel {
+                matched[p as usize] = true;
+            }
         }
         // Every probe row matched exactly once, in order (diagonal and
         // permutation gates): its columns pass through untouched.
         let identity = start == 0 && i == rows && one_each;
-        let pairs = |probe_sel: Vec<u32>, build_sel| {
-            Rows::Pairs(JoinPairs {
-                probe: batch.clone(),
-                probe_sel: (!identity).then_some(probe_sel),
-                build: self.build.clone(),
-                build_sel,
-            })
-        };
-        let Some(pred) = &self.residual else {
-            if !matched.is_empty() {
-                for &p in &probe_sel {
-                    matched[p as usize] = true;
-                }
-            }
-            return Ok(Some(pairs(probe_sel, build_sel)));
-        };
-        let joined = pairs(probe_sel.clone(), build_sel).into_batch();
-        let sel = truthy_selection(&*pred.eval_batch(&joined)?)?;
-        if !matched.is_empty() {
-            for &j in &sel {
-                matched[probe_sel[j as usize] as usize] = true;
-            }
-        }
-        Ok(if sel.len() == joined.num_rows() {
-            Some(Rows::Batch(joined))
-        } else if sel.is_empty() {
-            None
-        } else {
-            Some(Rows::Batch(joined.gather(&sel)))
-        })
+        Some(Rows::Pairs(JoinPairs {
+            probe: batch.clone(),
+            probe_sel: (!identity).then_some(probe_sel),
+            build: self.build.clone(),
+            build_sel,
+        }))
     }
 
     /// The null-padded rows of `batch` that `matched` leaves unmarked (the
@@ -663,7 +621,7 @@ struct BatchHashJoin {
 /// A probe batch still being drained (skewed keys can fan one probe batch
 /// out into many output batches): the batch, its evaluated key columns, the
 /// next probe row to resume from, and — for outer joins — which probe rows
-/// have produced at least one residual-passing pair so far.
+/// have found a match so far.
 struct PendingProbe {
     batch: RowBatch,
     key_cols: Vec<ColumnRef>,
@@ -711,8 +669,7 @@ impl BatchStream for BatchHashJoin {
                 continue;
             }
             // The probe position is saved and resumed on the next call.
-            let out =
-                self.table.probe_step(&p.batch, &p.key_cols, &mut p.next, &mut p.matched)?;
+            let out = self.table.probe_step(&p.batch, &p.key_cols, &mut p.next, &mut p.matched);
             // Keep the batch pending while rows remain to scan, or while an
             // outer batch still owes its pad pass.
             if p.next < p.batch.num_rows() || self.outer {
@@ -1298,7 +1255,7 @@ mod tests {
         ctx: &ExecContext,
     ) -> BatchHashJoin {
         let (table, reservation) =
-            JoinTable::build_from_stream(build, lk, rk, None, 2, ctx).unwrap();
+            JoinTable::build_from_stream(build, lk, rk, 2, ctx).unwrap();
         BatchHashJoin::new(probe, table, reservation, false)
     }
 
@@ -1342,7 +1299,7 @@ mod tests {
     }
 
     fn join_table(build: Vec<Row>) -> JoinTable {
-        JoinTable::build_from_stream(batches_of(build), vec![col(0)], vec![col(0)], None, 2, &ctx())
+        JoinTable::build_from_stream(batches_of(build), vec![col(0)], vec![col(0)], 2, &ctx())
             .unwrap()
             .0
     }
@@ -1421,7 +1378,6 @@ mod tests {
             batches_of(big),
             vec![col(0)],
             vec![col(0)],
-            None,
             2,
             &ctx_with_budget(128),
         );

@@ -59,7 +59,7 @@ pub enum BoundExpr {
     ScalarFn { func: ScalarFunc, args: Vec<BoundExpr> },
     Cast { expr: Box<BoundExpr>, ty: DataType },
     IsNull { expr: Box<BoundExpr>, negated: bool },
-    InList { expr: Box<BoundExpr>, list: Vec<BoundExpr>, negated: bool },
+    InList { expr: Box<BoundExpr>, list: Vec<BoundExpr> },
 }
 
 /// Convert an AST literal to a runtime value.
@@ -70,7 +70,6 @@ pub fn literal_value(l: &Literal) -> Value {
         Literal::Big(b) => Value::Big(b.clone()),
         Literal::Float(f) => Value::Float(*f),
         Literal::Str(s) => Value::Str(s.clone()),
-        Literal::Bool(b) => Value::Int(*b as i64),
     }
 }
 
@@ -145,10 +144,9 @@ pub(crate) fn bind_with<'e>(
             expr: Box::new(bind_with(expr, leaf)?),
             negated: *negated,
         },
-        Expr::InList { expr, list, negated } => BoundExpr::InList {
+        Expr::InList { expr, list } => BoundExpr::InList {
             expr: Box::new(bind_with(expr, leaf)?),
             list: list.iter().map(|e| bind_with(e, leaf)).collect::<Result<_>>()?,
-            negated: *negated,
         },
         Expr::Paren(inner) => bind_with(inner, leaf)?,
     })
@@ -165,10 +163,6 @@ impl BoundExpr {
                 match op {
                     UnaryOp::Neg => v.neg(),
                     UnaryOp::BitNot => v.bit_not(),
-                    UnaryOp::Not => match v.as_bool()? {
-                        None => Ok(Value::Null),
-                        Some(b) => Ok(Value::Int(!b as i64)),
-                    },
                 }
             }
             BoundExpr::Binary { left, op, right } => eval_binary(left, *op, right, row),
@@ -178,7 +172,7 @@ impl BoundExpr {
                 let isnull = expr.eval(row)?.is_null();
                 Ok(Value::Int((isnull != *negated) as i64))
             }
-            BoundExpr::InList { expr, list, negated } => {
+            BoundExpr::InList { expr, list } => {
                 let v = expr.eval(row)?;
                 if v.is_null() {
                     return Ok(Value::Null);
@@ -191,104 +185,75 @@ impl BoundExpr {
                         continue;
                     }
                     if v == iv {
-                        return Ok(Value::Int(!*negated as i64));
+                        return Ok(Value::Int(1));
                     }
                 }
-                if saw_null {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Int(*negated as i64))
-                }
+                Ok(if saw_null { Value::Null } else { Value::Int(0) })
             }
         }
     }
 
-    /// Collect all referenced column indices.
-    pub fn referenced_columns(&self, out: &mut Vec<usize>) {
+    /// Apply `f` to every column index the expression reads.
+    pub fn columns_mut(&mut self, f: &mut impl FnMut(&mut usize)) {
         match self {
             BoundExpr::Literal(_) => {}
-            BoundExpr::Column(i) => out.push(*i),
-            BoundExpr::Unary { expr, .. } | BoundExpr::Cast { expr, .. } => {
-                expr.referenced_columns(out)
-            }
+            BoundExpr::Column(i) => f(i),
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::Cast { expr, .. }
+            | BoundExpr::IsNull { expr, .. } => expr.columns_mut(f),
             BoundExpr::Binary { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
+                left.columns_mut(f);
+                right.columns_mut(f);
             }
-            BoundExpr::ScalarFn { args, .. } => {
-                args.iter().for_each(|a| a.referenced_columns(out))
-            }
-            BoundExpr::IsNull { expr, .. } => expr.referenced_columns(out),
-            BoundExpr::InList { expr, list, .. } => {
-                expr.referenced_columns(out);
-                list.iter().for_each(|e| e.referenced_columns(out));
+            BoundExpr::ScalarFn { args, .. } => args.iter_mut().for_each(|a| a.columns_mut(f)),
+            BoundExpr::InList { expr, list } => {
+                expr.columns_mut(f);
+                list.iter_mut().for_each(|e| e.columns_mut(f));
             }
         }
     }
 }
 
 fn eval_binary(left: &BoundExpr, op: BinaryOp, right: &BoundExpr, row: &Row) -> Result<Value> {
-    // Short-circuit three-valued AND/OR.
-    match op {
-        BinaryOp::And => {
-            let l = left.eval(row)?.as_bool()?;
-            if l == Some(false) {
-                return Ok(Value::Int(0));
-            }
-            let r = right.eval(row)?.as_bool()?;
-            return Ok(match (l, r) {
-                (_, Some(false)) => Value::Int(0),
-                (Some(true), Some(true)) => Value::Int(1),
-                _ => Value::Null,
-            });
+    // Short-circuit three-valued AND.
+    if op == BinaryOp::And {
+        let l = left.eval(row)?.as_bool()?;
+        if l == Some(false) {
+            return Ok(Value::Int(0));
         }
-        BinaryOp::Or => {
-            let l = left.eval(row)?.as_bool()?;
-            if l == Some(true) {
-                return Ok(Value::Int(1));
-            }
-            let r = right.eval(row)?.as_bool()?;
-            return Ok(match (l, r) {
-                (_, Some(true)) => Value::Int(1),
-                (Some(false), Some(false)) => Value::Int(0),
-                _ => Value::Null,
-            });
-        }
-        _ => {}
+        let r = right.eval(row)?.as_bool()?;
+        return Ok(match (l, r) {
+            (_, Some(false)) => Value::Int(0),
+            (Some(true), Some(true)) => Value::Int(1),
+            _ => Value::Null,
+        });
     }
-    let l = left.eval(row)?;
-    let r = right.eval(row)?;
+    apply_binary(&left.eval(row)?, op, &right.eval(row)?)
+}
+
+/// A binary operator other than `AND` over two values: the row path, and
+/// the batch path's lane for rows its typed kernels do not cover.
+pub(crate) fn apply_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let cmp = |holds: fn(std::cmp::Ordering) -> bool| -> Result<Value> {
+        Ok(l.sql_cmp(r)?.map_or(Value::Null, |ord| Value::Int(holds(ord) as i64)))
+    };
     match op {
-        BinaryOp::Add => l.add(&r),
-        BinaryOp::Sub => l.sub(&r),
-        BinaryOp::Mul => l.mul(&r),
-        BinaryOp::Div => l.div(&r),
-        BinaryOp::Mod => l.rem(&r),
-        BinaryOp::BitAnd => l.bit_and(&r),
-        BinaryOp::BitOr => l.bit_or(&r),
-        BinaryOp::BitXor => l.bit_xor(&r),
-        BinaryOp::Shl => l.shl(&r),
-        BinaryOp::Shr => l.shr(&r),
-        BinaryOp::Eq | BinaryOp::NotEq | BinaryOp::Lt | BinaryOp::LtEq | BinaryOp::Gt
-        | BinaryOp::GtEq => {
-            let cmp = l.sql_cmp(&r)?;
-            Ok(match cmp {
-                None => Value::Null,
-                Some(ord) => {
-                    let b = match op {
-                        BinaryOp::Eq => ord == std::cmp::Ordering::Equal,
-                        BinaryOp::NotEq => ord != std::cmp::Ordering::Equal,
-                        BinaryOp::Lt => ord == std::cmp::Ordering::Less,
-                        BinaryOp::LtEq => ord != std::cmp::Ordering::Greater,
-                        BinaryOp::Gt => ord == std::cmp::Ordering::Greater,
-                        BinaryOp::GtEq => ord != std::cmp::Ordering::Less,
-                        _ => unreachable!(),
-                    };
-                    Value::Int(b as i64)
-                }
-            })
-        }
-        BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
+        BinaryOp::Add => l.add(r),
+        BinaryOp::Sub => l.sub(r),
+        BinaryOp::Mul => l.mul(r),
+        BinaryOp::BitAnd => l.bit_and(r),
+        BinaryOp::BitOr => l.bit_or(r),
+        BinaryOp::BitXor => l.bit_xor(r),
+        BinaryOp::Shl => l.shl(r),
+        BinaryOp::Shr => l.shr(r),
+        BinaryOp::Eq => cmp(|o| o == Equal),
+        BinaryOp::NotEq => cmp(|o| o != Equal),
+        BinaryOp::Lt => cmp(|o| o == Less),
+        BinaryOp::LtEq => cmp(|o| o != Greater),
+        BinaryOp::Gt => cmp(|o| o == Greater),
+        BinaryOp::GtEq => cmp(|o| o != Less),
+        BinaryOp::And => Err(Error::Internal("AND is evaluated row by row".into())),
     }
 }
 
@@ -404,8 +369,8 @@ mod tests {
     #[test]
     fn three_valued_logic() {
         let null_row = vec![Value::Null, Value::Float(0.5), Value::Null];
-        assert_eq!(eval_with("s = 1 OR 1 = 1", null_row.clone()).unwrap(), Value::Int(1));
         assert!(eval_with("s = 1", null_row.clone()).unwrap().is_null());
+        assert!(eval_with("s = 1 AND 1 = 1", null_row.clone()).unwrap().is_null());
         assert_eq!(eval_with("s = 1 AND 1 = 0", null_row).unwrap(), Value::Int(0));
     }
 
@@ -414,7 +379,7 @@ mod tests {
         assert_eq!(eval_with("s IS NULL", row()).unwrap(), Value::Int(0));
         assert_eq!(eval_with("s IS NOT NULL", row()).unwrap(), Value::Int(1));
         assert_eq!(eval_with("s IN (1, 5, 9)", row()).unwrap(), Value::Int(1));
-        assert_eq!(eval_with("s NOT IN (1, 9)", row()).unwrap(), Value::Int(1));
+        assert_eq!(eval_with("s IN (1, 9)", row()).unwrap(), Value::Int(0));
         assert!(eval_with("s IN (1, NULL)", row()).unwrap().is_null());
     }
 
@@ -443,9 +408,9 @@ mod tests {
     fn constant_evaluation_and_column_collection() {
         let b = bind(&parse_expr("1 + 2 * 3").unwrap(), &schema()).unwrap();
         assert_eq!(b.eval(&vec![]).unwrap(), Value::Int(7));
-        let b = bind(&parse_expr("s + r").unwrap(), &schema()).unwrap();
+        let mut b = bind(&parse_expr("s + r").unwrap(), &schema()).unwrap();
         let mut cols = Vec::new();
-        b.referenced_columns(&mut cols);
+        b.columns_mut(&mut |c| cols.push(*c));
         assert_eq!(cols, vec![0, 1]);
     }
 

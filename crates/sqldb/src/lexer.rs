@@ -1,10 +1,11 @@
 //! SQL tokenizer.
 //!
-//! Covers the dialect Qymera's translator emits (Fig. 2c of the paper) plus
-//! enough general SQL for hand-written queries in tests and examples.
-//! Notable inclusions: the bitwise operator set of Table 1 (`&`, `|`, `~`,
-//! `<<`, `>>`), `0x…` hexadecimal literals (which become `HUGEINT` when they
-//! exceed 63 bits), and `--`/`/* */` comments.
+//! Covers the dialect Qymera's callers speak (`docs/OPERATORS.md` lists
+//! them): the bitwise operator set of Table 1 (`&`, `|`, `~`, `<<`, `>>`),
+//! `0x…` hexadecimal literals (which become `HUGEINT` when they exceed 63
+//! bits), and `--`/`/* */` comments. The words and characters of constructs
+//! the engine does not have (`OR`, `DELETE`, `/`, `;`, …) are refused here
+//! with [`Error::Unsupported`], before anything is parsed.
 //!
 //! Tokens borrow the SQL text: a name costs no allocation until the parser
 //! puts it in the tree. A bare word carries the keyword it spells, looked up
@@ -38,12 +39,9 @@ pub enum TokenKind<'a> {
     RParen,
     Comma,
     Dot,
-    Semicolon,
     Star,
     Plus,
     Minus,
-    Slash,
-    Percent,
     Amp,
     Pipe,
     Tilde,
@@ -59,7 +57,9 @@ pub enum TokenKind<'a> {
     Eof,
 }
 
-/// The words the parser reads as keywords, in any case.
+/// The words the parser reads as keywords, in any case. `All`, `Asc`,
+/// `Inner` and `Outer` are in no rule: they stay reserved so that a query
+/// using them fails to parse instead of reading them as an alias.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Keyword {
     All,
@@ -67,25 +67,16 @@ pub enum Keyword {
     As,
     Asc,
     Begin,
-    Between,
     By,
-    Case,
     Cast,
     Commit,
     Create,
-    Cross,
-    Delete,
     Desc,
     Distinct,
     Drop,
-    End,
-    Exists,
-    Explain,
-    False,
     From,
     Group,
     Having,
-    If,
     In,
     Inner,
     Insert,
@@ -98,33 +89,40 @@ pub enum Keyword {
     Null,
     Offset,
     On,
-    Or,
     Order,
     Outer,
-    Precision,
-    Recursive,
-    Right,
     Rollback,
     Savepoint,
     Select,
-    Set,
-    Start,
     Table,
     To,
-    Transaction,
-    True,
-    Union,
     Values,
     Where,
     With,
-    Work,
 }
+
+/// Words that begin a construct the engine does not have, with the name
+/// [`Error::Unsupported`] gives it: refused wherever they appear.
+const REFUSED_WORDS: [(&str, &str); 12] = [
+    ("BETWEEN", "BETWEEN"),
+    ("CASE", "CASE"),
+    ("CROSS", "CROSS JOIN"),
+    ("DELETE", "DELETE"),
+    ("EXPLAIN", "EXPLAIN (call `Database::explain`)"),
+    ("FALSE", "FALSE"),
+    ("IF", "IF [NOT] EXISTS"),
+    ("OR", "OR"),
+    ("RECURSIVE", "WITH RECURSIVE"),
+    ("RIGHT", "RIGHT JOIN"),
+    ("TRUE", "TRUE"),
+    ("UNION", "UNION ALL"),
+];
 
 impl Keyword {
     /// The keyword `word` spells, if any.
     pub(crate) fn lookup(word: &str) -> Option<Keyword> {
         use Keyword::*;
-        const LONGEST: usize = "TRANSACTION".len();
+        const LONGEST: usize = "SAVEPOINT".len();
         if word.len() < 2 || word.len() > LONGEST {
             return None;
         }
@@ -138,25 +136,16 @@ impl Keyword {
             b"AS" => As,
             b"ASC" => Asc,
             b"BEGIN" => Begin,
-            b"BETWEEN" => Between,
             b"BY" => By,
-            b"CASE" => Case,
             b"CAST" => Cast,
             b"COMMIT" => Commit,
             b"CREATE" => Create,
-            b"CROSS" => Cross,
-            b"DELETE" => Delete,
             b"DESC" => Desc,
             b"DISTINCT" => Distinct,
             b"DROP" => Drop,
-            b"END" => End,
-            b"EXISTS" => Exists,
-            b"EXPLAIN" => Explain,
-            b"FALSE" => False,
             b"FROM" => From,
             b"GROUP" => Group,
             b"HAVING" => Having,
-            b"IF" => If,
             b"IN" => In,
             b"INNER" => Inner,
             b"INSERT" => Insert,
@@ -169,40 +158,28 @@ impl Keyword {
             b"NULL" => Null,
             b"OFFSET" => Offset,
             b"ON" => On,
-            b"OR" => Or,
             b"ORDER" => Order,
             b"OUTER" => Outer,
-            b"PRECISION" => Precision,
-            b"RECURSIVE" => Recursive,
-            b"RIGHT" => Right,
             b"ROLLBACK" => Rollback,
             b"SAVEPOINT" => Savepoint,
             b"SELECT" => Select,
-            b"SET" => Set,
-            b"START" => Start,
             b"TABLE" => Table,
             b"TO" => To,
-            b"TRANSACTION" => Transaction,
-            b"TRUE" => True,
-            b"UNION" => Union,
             b"VALUES" => Values,
             b"WHERE" => Where,
             b"WITH" => With,
-            b"WORK" => Work,
             _ => return None,
         })
     }
 
     /// Keywords that can neither start an expression nor be a bare alias.
-    /// `RIGHT`, `CROSS`, `UNION` and `CASE` are here only to be refused as
-    /// unsupported.
     pub(crate) fn is_clause(self) -> bool {
         use Keyword::*;
         matches!(
             self,
-            From | Where | Group | Having | Order | Limit | Offset | Join | Inner | Left | Right
-                | Cross | On | Union | As | And | Or | Not | Asc | Desc | Select | With | Values
-                | Set | By | Is | In | Between | Case | Outer | All
+            From | Where | Group | Having | Order | Limit | Offset | Join | Inner | Left | On
+                | As | And | Not | Asc | Desc | Select | With | Values | By | Is | In | Outer
+                | All
         )
     }
 }
@@ -228,12 +205,9 @@ impl TokenKind<'_> {
             TokenKind::RParen => ")",
             TokenKind::Comma => ",",
             TokenKind::Dot => ".",
-            TokenKind::Semicolon => ";",
             TokenKind::Star => "*",
             TokenKind::Plus => "+",
             TokenKind::Minus => "-",
-            TokenKind::Slash => "/",
-            TokenKind::Percent => "%",
             TokenKind::Amp => "&",
             TokenKind::Pipe => "|",
             TokenKind::Tilde => "~",
@@ -376,6 +350,11 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token<'_>>> {
                     i += 1;
                 }
                 let word = &sql[start..i];
+                if let Some(&(_, what)) =
+                    REFUSED_WORDS.iter().find(|(w, _)| w.eq_ignore_ascii_case(word))
+                {
+                    return Err(Error::Unsupported(what.into()));
+                }
                 let kind = TokenKind::Word(word, Keyword::lookup(word));
                 tokens.push(Token { kind, pos: start });
             }
@@ -412,12 +391,16 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token<'_>>> {
                             b')' => TokenKind::RParen,
                             b',' => TokenKind::Comma,
                             b'.' => TokenKind::Dot,
-                            b';' => TokenKind::Semicolon,
                             b'*' => TokenKind::Star,
                             b'+' => TokenKind::Plus,
                             b'-' => TokenKind::Minus,
-                            b'/' => TokenKind::Slash,
-                            b'%' => TokenKind::Percent,
+                            b'/' | b'%' => {
+                                return Err(Error::Unsupported(format!("`{}`", c as char)))
+                            }
+                            b';' => {
+                                let what = "`;` (one statement per call)";
+                                return Err(Error::Unsupported(what.into()));
+                            }
                             b'&' => TokenKind::Amp,
                             b'|' => TokenKind::Pipe,
                             b'~' => TokenKind::Tilde,
@@ -524,9 +507,9 @@ mod tests {
     #[test]
     fn keywords_are_tagged_in_any_case_and_only_whole() {
         assert_eq!(kinds("select")[0], TokenKind::Word("select", Some(Keyword::Select)));
-        let transaction = Some(Keyword::Transaction);
-        assert_eq!(kinds("TRANSACTION")[0], TokenKind::Word("TRANSACTION", transaction));
-        for word in ["selects", "s", "T0", "transactions", "out_s"] {
+        let savepoint = Some(Keyword::Savepoint);
+        assert_eq!(kinds("SAVEPOINT")[0], TokenKind::Word("SAVEPOINT", savepoint));
+        for word in ["selects", "s", "T0", "savepoints", "out_s", "TRANSACTION"] {
             assert_eq!(kinds(word)[0], TokenKind::Word(word, None), "{word}");
         }
         assert!(Keyword::From.is_clause() && !Keyword::Null.is_clause());

@@ -6,15 +6,16 @@
 //! DuckDB; this crate provides the equivalent capability surface the
 //! translation layer needs:
 //!
-//! * a SQL dialect covering `CREATE TABLE` / `INSERT` / `DELETE` / `SELECT`
-//!   with CTEs, equi-joins (inner and `LEFT`), grouped aggregation,
+//! * a SQL dialect covering `CREATE TABLE` / `INSERT` / `DROP TABLE` /
+//!   `SELECT` with CTEs, equi-joins (inner and `LEFT`), grouped aggregation,
 //!   `ORDER BY`/`LIMIT`, and — crucially — the full bitwise operator set of
-//!   the paper's Table 1 (`&`, `|`, `~`, `<<`, `>>`); nothing the translator
-//!   and its test harness do not use (`docs/OPERATORS.md` has the audit);
+//!   the paper's Table 1 (`&`, `|`, `~`, `<<`, `>>`); nothing the translator,
+//!   the CLI and the benchmark do not use (`docs/OPERATORS.md` has the
+//!   audit);
 //! * `HUGEINT` arbitrary-width integers so basis-state indices are not capped
 //!   at 63 qubits (needed for the sparse-circuit memory-limit experiment);
-//! * a rule-based optimizer (constant folding, predicate pushdown/migration,
-//!   hash-join key extraction);
+//! * a rule-based optimizer (constant folding, filter fusion, hash-join key
+//!   extraction);
 //! * byte-accurate memory accounting with **out-of-core** hash aggregation
 //!   and external merge sort, so the paper's 2.0 GB-limit experiment is
 //!   reproducible in software.

@@ -11,31 +11,12 @@ use crate::ast::*;
 use crate::error::{Error, Result};
 use crate::lexer::{tokenize, Keyword, Token, TokenKind};
 
-/// Parse a single SQL statement (a trailing `;` is allowed).
+/// Parse a single SQL statement.
 pub fn parse_statement(sql: &str) -> Result<Statement> {
     let mut p = Parser::new(sql)?;
     let st = p.statement()?;
-    p.eat(&TokenKind::Semicolon);
     p.expect_eof()?;
     Ok(st)
-}
-
-/// Parse a `;`-separated script into statements.
-pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
-    let mut p = Parser::new(sql)?;
-    let mut out = Vec::new();
-    loop {
-        while p.eat(&TokenKind::Semicolon) {}
-        if p.at_eof() {
-            break;
-        }
-        out.push(p.statement()?);
-        if !p.eat(&TokenKind::Semicolon) {
-            break;
-        }
-    }
-    p.expect_eof()?;
-    Ok(out)
 }
 
 /// Parse a standalone scalar expression (used by tests and the translator).
@@ -46,36 +27,36 @@ pub fn parse_expr(sql: &str) -> Result<Expr> {
     Ok(e)
 }
 
-/// Precedence of `NOT x`: between `AND` and the comparisons.
-const NOT_PREC: u8 = 3;
-/// Precedence of the comparisons, `IS [NOT] NULL`, `[NOT] IN` and
-/// `BETWEEN`. They do not associate: `a = b = c` is an error.
-const CMP_PREC: u8 = 4;
+/// Precedence of the comparisons, `IS [NOT] NULL` and `IN`. They do not
+/// associate: `a = b = c` is an error.
+const CMP_PREC: u8 = 2;
 
 /// The binary operator a token spells, with its precedence (higher binds
 /// tighter). Every level is left-associative except the comparisons.
 fn infix(kind: &TokenKind) -> Option<(BinaryOp, u8)> {
     Some(match kind {
-        TokenKind::Word(_, Some(Keyword::Or)) => (BinaryOp::Or, 1),
-        TokenKind::Word(_, Some(Keyword::And)) => (BinaryOp::And, 2),
+        TokenKind::Word(_, Some(Keyword::And)) => (BinaryOp::And, 1),
         TokenKind::Eq => (BinaryOp::Eq, CMP_PREC),
         TokenKind::NotEq => (BinaryOp::NotEq, CMP_PREC),
         TokenKind::Lt => (BinaryOp::Lt, CMP_PREC),
         TokenKind::LtEq => (BinaryOp::LtEq, CMP_PREC),
         TokenKind::Gt => (BinaryOp::Gt, CMP_PREC),
         TokenKind::GtEq => (BinaryOp::GtEq, CMP_PREC),
-        TokenKind::Pipe => (BinaryOp::BitOr, 5),
-        TokenKind::Caret => (BinaryOp::BitXor, 6),
-        TokenKind::Amp => (BinaryOp::BitAnd, 7),
-        TokenKind::Shl => (BinaryOp::Shl, 8),
-        TokenKind::Shr => (BinaryOp::Shr, 8),
-        TokenKind::Plus => (BinaryOp::Add, 9),
-        TokenKind::Minus => (BinaryOp::Sub, 9),
-        TokenKind::Star => (BinaryOp::Mul, 10),
-        TokenKind::Slash => (BinaryOp::Div, 10),
-        TokenKind::Percent => (BinaryOp::Mod, 10),
+        TokenKind::Pipe => (BinaryOp::BitOr, 3),
+        TokenKind::Caret => (BinaryOp::BitXor, 4),
+        TokenKind::Amp => (BinaryOp::BitAnd, 5),
+        TokenKind::Shl => (BinaryOp::Shl, 6),
+        TokenKind::Shr => (BinaryOp::Shr, 6),
+        TokenKind::Plus => (BinaryOp::Add, 7),
+        TokenKind::Minus => (BinaryOp::Sub, 7),
+        TokenKind::Star => (BinaryOp::Mul, 8),
         _ => return None,
     })
+}
+
+/// The error for a construct the engine does not have.
+fn unsupported<T>(what: &str) -> Result<T> {
+    Err(Error::Unsupported(what.into()))
 }
 
 struct Parser<'a> {
@@ -103,17 +84,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn at_eof(&self) -> bool {
-        matches!(self.peek(), TokenKind::Eof)
-    }
-
     /// A parse error at the current token: "expected `what`, found …".
     fn expected(&self, what: &str) -> Error {
         Error::parse(self.peek_pos(), format!("expected {what}, found {}", self.peek().describe()))
     }
 
     fn expect_eof(&self) -> Result<()> {
-        if self.at_eof() {
+        if matches!(self.peek(), TokenKind::Eof) {
             Ok(())
         } else {
             Err(Error::parse(self.peek_pos(), format!("unexpected {}", self.peek().describe())))
@@ -196,34 +173,30 @@ impl<'a> Parser<'a> {
     fn statement(&mut self) -> Result<Statement> {
         let kw = match *self.peek() {
             TokenKind::Word(_, kw) => kw,
-            TokenKind::LParen => return Ok(Statement::Query(self.query()?)),
+            TokenKind::LParen => return unsupported("a parenthesized query"),
             _ => None,
         };
         match kw {
             Some(Keyword::Create) => self.create_table(),
-            Some(Keyword::Drop) => self.drop_table(),
-            Some(Keyword::Insert) => self.insert(),
-            Some(Keyword::Delete) => self.delete(),
-            Some(Keyword::Select | Keyword::With) => Ok(Statement::Query(self.query()?)),
-            Some(Keyword::Explain) => {
+            Some(Keyword::Drop) => {
                 self.bump();
-                Ok(Statement::Explain(self.query()?))
+                self.expect_kw(Keyword::Table)?;
+                let name = self.ident("table name")?.to_string();
+                Ok(Statement::DropTable { name, if_exists: false })
             }
-            Some(Keyword::Begin | Keyword::Start) => {
+            Some(Keyword::Insert) => self.insert(),
+            Some(Keyword::Select | Keyword::With) => Ok(Statement::Query(self.query()?)),
+            Some(Keyword::Begin) => {
                 self.bump();
-                self.transaction_noise();
                 Ok(Statement::Begin)
             }
-            Some(Keyword::Commit | Keyword::End) => {
+            Some(Keyword::Commit) => {
                 self.bump();
-                self.transaction_noise();
                 Ok(Statement::Commit)
             }
             Some(Keyword::Rollback) => {
                 self.bump();
-                self.transaction_noise();
                 let to_savepoint = if self.eat_kw(Keyword::To) {
-                    self.eat_kw(Keyword::Savepoint);
                     Some(self.ident("savepoint name")?.to_string())
                 } else {
                     None
@@ -239,81 +212,37 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// The optional `TRANSACTION` or `WORK` after `BEGIN`, `COMMIT`, ….
-    fn transaction_noise(&mut self) {
-        if !self.eat_kw(Keyword::Transaction) {
-            self.eat_kw(Keyword::Work);
-        }
-    }
-
     fn create_table(&mut self) -> Result<Statement> {
         self.expect_kw(Keyword::Create)?;
         self.expect_kw(Keyword::Table)?;
-        let if_not_exists = if self.eat_kw(Keyword::If) {
-            self.expect_kw(Keyword::Not)?;
-            self.expect_kw(Keyword::Exists)?;
-            true
-        } else {
-            false
-        };
         let name = self.ident("table name")?.to_string();
         self.expect(&TokenKind::LParen, "`(`")?;
         let columns =
             self.list(|p| Ok((p.ident("column name")?.to_string(), p.data_type()?)))?;
         self.expect(&TokenKind::RParen, "`)`")?;
-        Ok(Statement::CreateTable { name, columns, if_not_exists })
+        Ok(Statement::CreateTable { name, columns })
     }
 
     fn data_type(&mut self) -> Result<DataType> {
-        let name = self.ident("type name")?.to_ascii_uppercase();
-        let ty = match name.as_str() {
-            "INTEGER" | "INT" | "BIGINT" | "SMALLINT" | "TINYINT" => DataType::Integer,
+        let pos = self.peek_pos();
+        let name = self.ident("type name")?;
+        let ty = match name.to_ascii_uppercase().as_str() {
+            "INTEGER" => DataType::Integer,
             "HUGEINT" => DataType::HugeInt,
-            "DOUBLE" | "REAL" | "FLOAT" | "NUMERIC" | "DECIMAL" => {
-                // allow DOUBLE PRECISION
-                self.eat_kw(Keyword::Precision);
-                DataType::Double
-            }
-            "TEXT" | "VARCHAR" | "STRING" | "CHAR" => {
-                // allow VARCHAR(255)
-                if self.eat(&TokenKind::LParen) {
-                    if !matches!(self.peek(), TokenKind::Int(_)) {
-                        return Err(self.expected("length"));
-                    }
-                    self.bump();
-                    self.expect(&TokenKind::RParen, "`)`")?;
-                }
-                DataType::Text
-            }
-            other => return Err(Error::Plan(format!("unknown type `{other}`"))),
+            "DOUBLE" => DataType::Double,
+            "TEXT" => DataType::Text,
+            _ => return Err(Error::parse(pos, format!("unknown type `{name}`"))),
         };
         Ok(ty)
-    }
-
-    fn drop_table(&mut self) -> Result<Statement> {
-        self.expect_kw(Keyword::Drop)?;
-        self.expect_kw(Keyword::Table)?;
-        let if_exists = if self.eat_kw(Keyword::If) {
-            self.expect_kw(Keyword::Exists)?;
-            true
-        } else {
-            false
-        };
-        let name = self.ident("table name")?.to_string();
-        Ok(Statement::DropTable { name, if_exists })
     }
 
     fn insert(&mut self) -> Result<Statement> {
         self.expect_kw(Keyword::Insert)?;
         self.expect_kw(Keyword::Into)?;
         let table = self.ident("table name")?.to_string();
-        let columns = if self.eat(&TokenKind::LParen) {
-            let cols = self.list(|p| Ok(p.ident("column name")?.to_string()))?;
-            self.expect(&TokenKind::RParen, "`)`")?;
-            Some(cols)
-        } else {
-            None
-        };
+        if self.peek() == &TokenKind::LParen {
+            return unsupported("an INSERT column list");
+        }
         self.expect_kw(Keyword::Values)?;
         let rows = self.list(|p| {
             p.expect(&TokenKind::LParen, "`(`")?;
@@ -321,15 +250,7 @@ impl<'a> Parser<'a> {
             p.expect(&TokenKind::RParen, "`)`")?;
             Ok(row)
         })?;
-        Ok(Statement::Insert { table, columns, rows })
-    }
-
-    fn delete(&mut self) -> Result<Statement> {
-        self.expect_kw(Keyword::Delete)?;
-        self.expect_kw(Keyword::From)?;
-        let table = self.ident("table name")?.to_string();
-        let where_clause = if self.eat_kw(Keyword::Where) { Some(self.expr()?) } else { None };
-        Ok(Statement::Delete { table, where_clause })
+        Ok(Statement::Insert { table, rows })
     }
 
     // ---- queries ----------------------------------------------------------
@@ -337,9 +258,6 @@ impl<'a> Parser<'a> {
     fn query(&mut self) -> Result<Query> {
         let mut ctes = Vec::new();
         if self.eat_kw(Keyword::With) {
-            // RECURSIVE is accepted but recursion is not supported (detected
-            // at plan time when a CTE references itself).
-            self.eat_kw(Keyword::Recursive);
             ctes = self.list(|p| {
                 let name = p.ident("CTE name")?.to_string();
                 p.expect_kw(Keyword::As)?;
@@ -349,17 +267,19 @@ impl<'a> Parser<'a> {
                 Ok((name, q))
             })?;
         }
-        let body = self.body()?;
+        if self.peek() == &TokenKind::LParen {
+            return unsupported("a parenthesized query");
+        }
+        let body = Box::new(self.select()?);
         let mut order_by = Vec::new();
         if self.eat_kw(Keyword::Order) {
             self.expect_kw(Keyword::By)?;
             order_by = self.list(|p| {
                 let expr = p.expr()?;
-                let desc = p.eat_kw(Keyword::Desc);
-                if !desc {
-                    p.eat_kw(Keyword::Asc);
+                if let Expr::Literal(Literal::Int(_)) = expr {
+                    return unsupported("ORDER BY an ordinal");
                 }
-                Ok(OrderItem { expr, desc })
+                Ok(OrderItem { expr, desc: p.eat_kw(Keyword::Desc) })
             })?;
         }
         let limit = if self.eat_kw(Keyword::Limit) { Some(self.unsigned()?) } else { None };
@@ -377,57 +297,34 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// A `SELECT`, possibly parenthesized. `UNION ALL` is refused.
-    fn body(&mut self) -> Result<Box<Select>> {
-        let body = if self.eat(&TokenKind::LParen) {
-            let inner = self.body()?;
-            self.expect(&TokenKind::RParen, "`)`")?;
-            inner
-        } else {
-            Box::new(self.select()?)
-        };
-        if self.peek_kw(Keyword::Union) {
-            return Err(Error::Unsupported("UNION ALL".into()));
-        }
-        Ok(body)
-    }
-
     fn select(&mut self) -> Result<Select> {
         self.expect_kw(Keyword::Select)?;
         let distinct = self.eat_kw(Keyword::Distinct);
-        self.eat_kw(Keyword::All);
         let projection = self.list(Self::select_item)?;
-        let mut from = None;
+        if !self.eat_kw(Keyword::From) {
+            return match self.peek() {
+                TokenKind::Eof | TokenKind::RParen => unsupported("SELECT without FROM"),
+                _ => Err(self.expected("`FROM`")),
+            };
+        }
+        let from = self.table_ref()?;
         let mut joins = Vec::new();
-        if self.eat_kw(Keyword::From) {
-            from = Some(self.table_ref()?);
-            loop {
-                let kind = match *self.peek() {
-                    TokenKind::Word(_, Some(Keyword::Join | Keyword::Inner)) => {
-                        self.eat_kw(Keyword::Inner);
-                        self.expect_kw(Keyword::Join)?;
-                        JoinKind::Inner
-                    }
-                    TokenKind::Word(_, Some(Keyword::Left)) => {
-                        self.bump();
-                        self.eat_kw(Keyword::Outer);
-                        self.expect_kw(Keyword::Join)?;
-                        JoinKind::Left
-                    }
-                    TokenKind::Word(_, Some(Keyword::Right)) => {
-                        return Err(Error::Unsupported("RIGHT JOIN".into()))
-                    }
-                    // `FROM a, b` is a cross join too.
-                    TokenKind::Word(_, Some(Keyword::Cross)) | TokenKind::Comma => {
-                        return Err(Error::Unsupported("CROSS JOIN".into()))
-                    }
-                    _ => break,
-                };
-                let table = self.table_ref()?;
-                self.expect_kw(Keyword::On)?;
-                let on = self.expr()?;
-                joins.push(Join { kind, table, on });
-            }
+        loop {
+            let kind = match *self.peek() {
+                TokenKind::Word(_, Some(Keyword::Join)) => JoinKind::Inner,
+                TokenKind::Word(_, Some(Keyword::Left)) => {
+                    self.bump();
+                    JoinKind::Left
+                }
+                // `FROM a, b` is a cross join.
+                TokenKind::Comma => return unsupported("CROSS JOIN"),
+                _ => break,
+            };
+            self.expect_kw(Keyword::Join)?;
+            let table = self.table_ref()?;
+            self.expect_kw(Keyword::On)?;
+            let on = self.expr()?;
+            joins.push(Join { kind, table, on });
         }
         let where_clause = if self.eat_kw(Keyword::Where) { Some(self.expr()?) } else { None };
         let mut group_by = Vec::new();
@@ -443,13 +340,9 @@ impl<'a> Parser<'a> {
         if self.eat(&TokenKind::Star) {
             return Ok(SelectItem::Wildcard);
         }
-        // table.* needs two tokens of lookahead
-        if let TokenKind::Word(name, _) | TokenKind::Quoted(name) = *self.peek() {
-            let next = |k: usize| self.tokens.get(self.pos + k).map(|t| &t.kind);
-            if next(1) == Some(&TokenKind::Dot) && next(2) == Some(&TokenKind::Star) {
-                self.pos += 3;
-                return Ok(SelectItem::QualifiedWildcard(name.to_string()));
-            }
+        let next = |k: usize| self.tokens.get(self.pos + k).map(|t| &t.kind);
+        if next(1) == Some(&TokenKind::Dot) && next(2) == Some(&TokenKind::Star) {
+            return unsupported("`table.*`");
         }
         let expr = self.expr()?;
         let alias = self.alias()?;
@@ -457,16 +350,12 @@ impl<'a> Parser<'a> {
     }
 
     fn table_ref(&mut self) -> Result<TableRef> {
-        if self.eat(&TokenKind::LParen) {
-            let query = self.query()?;
-            self.expect(&TokenKind::RParen, "`)`")?;
-            self.eat_kw(Keyword::As);
-            let alias = self.ident("subquery alias")?.to_string();
-            return Ok(TableRef::Subquery { query: Box::new(query), alias });
+        if self.peek() == &TokenKind::LParen {
+            return unsupported("a subquery in FROM");
         }
         let name = self.ident("table name")?.to_string();
         let alias = self.alias()?;
-        Ok(TableRef::Named { name, alias })
+        Ok(TableRef { name, alias })
     }
 
     // ---- expressions ------------------------------------------------------
@@ -476,16 +365,10 @@ impl<'a> Parser<'a> {
     }
 
     /// An expression of operators binding at least as tight as `min`
-    /// (precedence climbing). `ceiling` is the loosest operator that may
-    /// still follow what is parsed so far: after a comparison only `AND` and
-    /// `OR`, and after `NOT x` the same.
+    /// (precedence climbing). After a comparison only `AND` may follow.
     fn binary(&mut self, min: u8) -> Result<Expr> {
-        let (mut left, mut ceiling) = if min <= NOT_PREC && self.eat_kw(Keyword::Not) {
-            let inner = self.binary(NOT_PREC)?;
-            (Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) }, NOT_PREC - 1)
-        } else {
-            (self.unary()?, u8::MAX)
-        };
+        let mut left = self.unary()?;
+        let mut ceiling = u8::MAX;
         let admits = |prec: u8, ceiling: u8| (min..=ceiling).contains(&prec);
         loop {
             if admits(CMP_PREC, ceiling) && self.at_predicate() {
@@ -503,11 +386,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Whether a comparison-level postfix form follows: `IS [NOT] NULL`,
-    /// `[NOT] IN (…)` or `BETWEEN lo AND hi`.
+    /// Whether a comparison-level postfix form follows: `IS [NOT] NULL` or
+    /// `IN (…)` (or the refused `NOT IN`).
     fn at_predicate(&self) -> bool {
-        use Keyword::{Between, In, Is, Not};
-        matches!(self.peek(), TokenKind::Word(_, Some(Is | In | Not | Between)))
+        matches!(self.peek(), TokenKind::Word(_, Some(Keyword::Is | Keyword::In | Keyword::Not)))
     }
 
     /// The postfix form [`Self::at_predicate`] found, applied to `left`.
@@ -517,25 +399,14 @@ impl<'a> Parser<'a> {
             self.expect_kw(Keyword::Null)?;
             return Ok(Expr::IsNull { expr: Box::new(left), negated });
         }
-        if self.eat_kw(Keyword::Between) {
-            let lo = self.binary(CMP_PREC + 1)?;
-            self.expect_kw(Keyword::And)?;
-            let hi = self.binary(CMP_PREC + 1)?;
-            // desugar: left >= lo AND left <= hi
-            return Ok(Expr::binary(
-                Expr::binary(left.clone(), BinaryOp::GtEq, lo),
-                BinaryOp::And,
-                Expr::binary(left, BinaryOp::LtEq, hi),
-            ));
+        if self.peek_kw(Keyword::Not) {
+            return unsupported("NOT IN");
         }
-        let negated = self.eat_kw(Keyword::Not);
-        if !self.eat_kw(Keyword::In) {
-            return Err(Error::parse(self.peek_pos(), "expected IN after NOT".to_string()));
-        }
+        self.expect_kw(Keyword::In)?;
         self.expect(&TokenKind::LParen, "`(`")?;
         let list = self.list(Self::expr)?;
         self.expect(&TokenKind::RParen, "`)`")?;
-        Ok(Expr::InList { expr: Box::new(left), list, negated })
+        Ok(Expr::InList { expr: Box::new(left), list })
     }
 
     fn unary(&mut self) -> Result<Expr> {
@@ -551,10 +422,6 @@ impl<'a> Parser<'a> {
                     return Ok(Expr::Literal(Literal::Float(-v)));
                 }
                 Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) })
-            }
-            TokenKind::Plus => {
-                self.bump();
-                self.unary()
             }
             TokenKind::Tilde => {
                 self.bump();
@@ -583,10 +450,8 @@ impl<'a> Parser<'a> {
             }
             &TokenKind::Word(name, kw) => match kw {
                 Some(Keyword::Null) => Literal::Null,
-                Some(Keyword::True) => Literal::Bool(true),
-                Some(Keyword::False) => Literal::Bool(false),
                 Some(Keyword::Cast) => return self.cast(),
-                Some(Keyword::Case) => return Err(Error::Unsupported("CASE".into())),
+                Some(Keyword::Not) => return unsupported("NOT"),
                 // Clause keywords cannot start an expression; catching them
                 // here turns `SELECT FROM t` into a clear error instead of a
                 // column named `FROM`.
@@ -662,12 +527,8 @@ mod tests {
 
     #[test]
     fn parses_transaction_statements() {
-        assert_eq!(parse_statement("BEGIN").unwrap(), Statement::Begin);
-        assert_eq!(parse_statement("begin transaction").unwrap(), Statement::Begin);
-        assert_eq!(parse_statement("START TRANSACTION").unwrap(), Statement::Begin);
+        assert_eq!(parse_statement("begin").unwrap(), Statement::Begin);
         assert_eq!(parse_statement("COMMIT").unwrap(), Statement::Commit);
-        assert_eq!(parse_statement("COMMIT WORK").unwrap(), Statement::Commit);
-        assert_eq!(parse_statement("END").unwrap(), Statement::Commit);
         assert_eq!(
             parse_statement("ROLLBACK").unwrap(),
             Statement::Rollback { to_savepoint: None }
@@ -677,16 +538,12 @@ mod tests {
             Statement::Rollback { to_savepoint: Some("sp1".into()) }
         );
         assert_eq!(
-            parse_statement("ROLLBACK TO SAVEPOINT sp1").unwrap(),
-            Statement::Rollback { to_savepoint: Some("sp1".into()) }
-        );
-        assert_eq!(
             parse_statement("SAVEPOINT mark").unwrap(),
             Statement::Savepoint { name: "mark".into() }
         );
         assert!(parse_statement("SAVEPOINT").is_err());
         // Round-trip through the pretty-printer.
-        for sql in ["BEGIN", "COMMIT", "ROLLBACK", "ROLLBACK TO SAVEPOINT sp1", "SAVEPOINT sp1"] {
+        for sql in ["BEGIN", "COMMIT", "ROLLBACK", "ROLLBACK TO sp1", "SAVEPOINT sp1"] {
             let st = parse_statement(sql).unwrap();
             assert_eq!(parse_statement(&st.to_string()).unwrap(), st);
         }
@@ -760,17 +617,12 @@ mod tests {
     }
 
     #[test]
-    fn create_insert_delete_statements() {
-        let st = parse_statement("CREATE TABLE IF NOT EXISTS T0 (s INTEGER, r DOUBLE, i DOUBLE)")
-            .unwrap();
-        assert!(matches!(st, Statement::CreateTable { if_not_exists: true, .. }));
-        let st =
-            parse_statement("INSERT INTO T0 (s, r, i) VALUES (0, 1.0, 0.0), (1, 0.5, 0.5)").unwrap();
-        let Statement::Insert { rows, columns, .. } = st else { panic!() };
+    fn create_and_insert_statements() {
+        let st = parse_statement("CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+        assert!(matches!(st, Statement::CreateTable { columns, .. } if columns.len() == 3));
+        let st = parse_statement("INSERT INTO T0 VALUES (0, 1.0, 0.0), (1, 0.5, 0.5)").unwrap();
+        let Statement::Insert { rows, .. } = st else { panic!() };
         assert_eq!(rows.len(), 2);
-        assert_eq!(columns.unwrap().len(), 3);
-        let st = parse_statement("DELETE FROM T0 WHERE s = 3").unwrap();
-        assert!(matches!(st, Statement::Delete { where_clause: Some(_), .. }));
     }
 
     #[test]
@@ -785,18 +637,8 @@ mod tests {
             SelectItem::Expr { alias, .. } => assert_eq!(alias.as_deref(), Some("foo")),
             other => panic!("{other:?}"),
         }
-        assert_eq!(sel.from.as_ref().unwrap().visible_name(), "u");
+        assert_eq!(sel.from.visible_name(), "u");
         assert_eq!(sel.joins[0].table.visible_name(), "w");
-    }
-
-    #[test]
-    fn subquery_in_from() {
-        let Statement::Query(q) =
-            parse_statement("SELECT s FROM (SELECT 1 AS s) AS u WHERE s > 0").unwrap()
-        else {
-            panic!()
-        };
-        assert!(matches!(q.body.from, Some(TableRef::Subquery { .. })));
     }
 
     #[test]
@@ -808,24 +650,9 @@ mod tests {
     }
 
     #[test]
-    fn between_desugars() {
-        let e = parse_expr("x BETWEEN 1 AND 3").unwrap();
-        assert!(matches!(e, Expr::Binary { op: BinaryOp::And, .. }));
-    }
-
-    #[test]
     fn cast() {
         let e = parse_expr("CAST(x AS DOUBLE)").unwrap();
         assert!(matches!(e, Expr::Cast { ty: DataType::Double, .. }));
-    }
-
-    #[test]
-    fn script_parsing() {
-        let sts = parse_script(
-            "CREATE TABLE t (x INTEGER); INSERT INTO t VALUES (1); SELECT * FROM t;",
-        )
-        .unwrap();
-        assert_eq!(sts.len(), 3);
     }
 
     #[test]
@@ -834,15 +661,15 @@ mod tests {
             Err(Error::Parse { .. }) => {}
             other => panic!("expected parse error, got {other:?}"),
         }
-        assert!(parse_statement("SELECT 1 2").is_err());
-        assert!(parse_statement("WITH x AS SELECT 1 SELECT 2").is_err());
+        assert!(parse_statement("SELECT 1 2 FROM t").is_err());
+        assert!(parse_statement("WITH x AS SELECT 1 FROM t SELECT 2 FROM x").is_err());
     }
 
     #[test]
     fn display_round_trip_is_stable() {
         let sqls = [
             "SELECT ((T0.s & ~1) | H.out_s) AS s FROM T0 JOIN H ON H.in_s = (T0.s & 1) GROUP BY ((T0.s & ~1) | H.out_s)",
-            "WITH a AS (SELECT 1 AS x) SELECT x FROM a ORDER BY x DESC LIMIT 3 OFFSET 1",
+            "WITH a AS (SELECT 1 AS x FROM t) SELECT x FROM a ORDER BY x DESC LIMIT 3 OFFSET 1",
             "SELECT x AS v FROM t LEFT JOIN u ON u.y = t.x WHERE x IN (1, 2, 3) AND y IS NULL",
         ];
         for sql in sqls {
@@ -860,17 +687,17 @@ mod tests {
         let cases = [
             ("SELECT s FROM t LIMIT x", 22, "expected nonnegative integer, found identifier `x`"),
             ("SELECT s FROM t OFFSET -1", 23, "expected nonnegative integer, found `-`"),
-            ("CREATE TABLE t (a VARCHAR(x))", 26, "expected length, found identifier `x`"),
-            ("SELECT CAST(x AS VARCHAR(-1))", 25, "expected length, found `-`"),
+            ("CREATE TABLE t (a VARCHAR)", 18, "unknown type `VARCHAR`"),
+            ("SELECT CAST(x AS INT) FROM t", 17, "unknown type `INT`"),
             ("SELECT FROM t", 7, "expected expression, found keyword `FROM`"),
             ("SELECT (1", 9, "expected `)`, found end of input"),
-            ("SELECT 1 2", 9, "unexpected integer `2`"),
-            ("SELECT a = b = c", 13, "unexpected `=`"),
-            ("SELECT a NOT b FROM t", 13, "expected IN after NOT"),
-            ("SELECT x IS 1", 12, "expected `NULL`, found integer `1`"),
+            ("SELECT 1 2 FROM t", 9, "expected `FROM`, found integer `2`"),
+            ("SELECT a FROM t 2", 16, "unexpected integer `2`"),
+            ("SELECT a = b = c FROM t", 13, "expected `FROM`, found `=`"),
+            ("SELECT x IS 1 FROM t", 12, "expected `NULL`, found integer `1`"),
             ("WITH x AS SELECT 1", 10, "expected `(`, found identifier `SELECT`"),
             ("SELECT a FROM t JOIN u", 22, "expected `ON`, found end of input"),
-            ("DELETE t", 7, "expected `FROM`, found identifier `t`"),
+            ("SELECT a FROM t LEFT OUTER JOIN u ON a = b", 21, "expected `JOIN`, found identifier `OUTER`"),
             ("CREATE TABLE t (a", 17, "expected type name, found end of input"),
             ("ROLLBACK TO", 11, "expected savepoint name, found end of input"),
             ("UPDATE t", 0, "expected a statement, found identifier `UPDATE`"),
@@ -895,16 +722,15 @@ mod tests {
             SelectItem::Expr { expr, alias: None } => assert_eq!(expr, &Expr::col("from")),
             other => panic!("{other:?}"),
         }
-        assert_eq!(q.body.from.as_ref().unwrap().visible_name(), "select");
+        assert_eq!(q.body.from.visible_name(), "select");
         // Bare, the same word is the keyword.
         assert!(parse_statement("SELECT from FROM t").is_err());
     }
 
     #[test]
-    fn is_null_and_in_negated() {
+    fn is_not_null_keeps_its_not() {
         let e = parse_expr("x IS NOT NULL").unwrap();
         assert!(matches!(e, Expr::IsNull { negated: true, .. }));
-        let e = parse_expr("x NOT IN (1, 2)").unwrap();
-        assert!(matches!(e, Expr::InList { negated: true, .. }));
+        assert!(matches!(parse_expr("x IN (1, 2)").unwrap(), Expr::InList { .. }));
     }
 }

@@ -311,11 +311,11 @@ fn key_is_injective(
 /// Is every value of `expr` a `DOUBLE` or NULL (where it evaluates at all)?
 /// Arithmetic with one such operand is: the engine promotes the other.
 fn is_double(expr: &BoundExpr, schema: &RelSchema) -> bool {
-    use BinaryOp::{Add, Div, Mod, Mul, Sub};
+    use BinaryOp::{Add, Mul, Sub};
     match expr {
         BoundExpr::Literal(Value::Float(_)) => true,
         BoundExpr::Column(c) => schema.fields[*c].ty == Some(DataType::Double),
-        BoundExpr::Binary { left, op: Add | Sub | Mul | Div | Mod, right } => {
+        BoundExpr::Binary { left, op: Add | Sub | Mul, right } => {
             is_double(left, schema) || is_double(right, schema)
         }
         _ => false,
@@ -350,7 +350,6 @@ fn join_facts(kind: JoinKind, left: Facts, right: Facts) -> (Facts, Vec<bool>) {
 pub(super) fn annotate(plan: &mut Plan) -> Facts {
     match plan {
         Plan::Scan { facts, .. } => facts.clone(),
-        Plan::One => Facts::new(),
         Plan::Filter { input, .. }
         | Plan::Sort { input, .. }
         | Plan::Limit { input, .. }

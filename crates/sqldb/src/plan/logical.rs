@@ -15,7 +15,7 @@ use crate::ast::{self, BinaryOp, Expr, JoinKind, OrderItem, Query, Select, Selec
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::{bind, bind_with, BoundExpr};
-use crate::plan::optimizer::equi_keys;
+use crate::plan::optimizer::join_keys;
 use crate::schema::{Facts, Field, RelSchema};
 use crate::value::Value;
 
@@ -90,15 +90,14 @@ pub enum Plan {
     /// statement is planned and executed under one `&mut Database`, so the
     /// rows it scans are the rows the facts describe.
     Scan { table: String, schema: RelSchema, facts: Facts },
-    /// Produces exactly one zero-column row (`SELECT` without `FROM`).
-    One,
     Filter { input: Arc<Plan>, predicate: BoundExpr },
     Project { input: Arc<Plan>, exprs: Vec<BoundExpr>, schema: RelSchema },
     Join {
         left: Arc<Plan>,
         right: Arc<Plan>,
         kind: JoinKind,
-        /// Has an equi-key conjunct (the planner refuses a join without).
+        /// A conjunction of equalities, each between an expression of the
+        /// left input and one of the right (`optimizer::join_keys`).
         on: BoundExpr,
         schema: RelSchema,
     },
@@ -118,21 +117,19 @@ pub enum Plan {
     },
     Sort { input: Arc<Plan>, keys: Vec<SortKey> },
     Limit { input: Arc<Plan>, limit: Option<u64>, offset: u64 },
-    /// Renames the qualifier of the input's columns (subquery/CTE alias).
+    /// Renames the qualifier of the input's columns (CTE name or alias).
     Alias { input: Arc<Plan>, schema: RelSchema },
 }
 
 impl Plan {
     /// Output schema of this node.
     pub fn schema(&self) -> &RelSchema {
-        static NO_COLUMNS: RelSchema = RelSchema { fields: Vec::new() };
         match self {
             Plan::Scan { schema, .. }
             | Plan::Project { schema, .. }
             | Plan::Join { schema, .. }
             | Plan::Aggregate { schema, .. }
             | Plan::Alias { schema, .. } => schema,
-            Plan::One => &NO_COLUMNS,
             Plan::Filter { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. } => input.schema(),
@@ -144,7 +141,7 @@ impl Plan {
     /// that must pick a stack before a plan exists.
     pub fn depth(&self) -> usize {
         1 + match self {
-            Plan::Scan { .. } | Plan::One => 0,
+            Plan::Scan { .. } => 0,
             Plan::Filter { input, .. }
             | Plan::Project { input, .. }
             | Plan::Aggregate { input, .. }
@@ -185,7 +182,6 @@ impl Plan {
         let pad = "  ".repeat(depth);
         let line = match self {
             Plan::Scan { table, .. } => format!("Scan {table}"),
-            Plan::One => "One".to_string(),
             Plan::Filter { .. } => "Filter".to_string(),
             Plan::Project { exprs, .. } => format!("Project [{} exprs]", exprs.len()),
             Plan::Join { kind, .. } => format!("Join {kind:?} on"),
@@ -213,7 +209,7 @@ impl Plan {
                 left.explain_into(depth + 1, out);
                 right.explain_into(depth + 1, out);
             }
-            _ => {}
+            Plan::Scan { .. } => {}
         }
     }
 }
@@ -229,9 +225,10 @@ pub(crate) fn streamed_note(one_row_per_group: bool) -> &'static str {
 }
 
 /// CTEs visible to one query: its own `WITH` list so far, then the enclosing
-/// queries' through `parent`. A frame holds only its own `WITH`'s names, so
-/// entering a subquery copies nothing, a name already in the frame is a
-/// duplicate, and a name found further out is shadowed.
+/// queries' through `parent` (a CTE's body may have a `WITH` of its own). A
+/// frame holds only its own `WITH`'s names, so entering one copies nothing,
+/// a name already in the frame is a duplicate, and a name found further out
+/// is shadowed.
 #[derive(Default)]
 struct CteScope<'a> {
     parent: Option<&'a CteScope<'a>>,
@@ -256,12 +253,8 @@ pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<Plan> {
 /// the blocks' own heights add up; for a gate chain the sum is within 2x of
 /// the real depth.
 pub fn depth_bound(query: &Query) -> usize {
-    let subquery = |t: &TableRef| match t {
-        TableRef::Subquery { query, .. } => depth_bound(query),
-        TableRef::Named { .. } => 0,
-    };
     let s = &query.body;
-    // The Alias a CTE or subquery is wrapped in, one more for a renamed
+    // The Alias a CTE is wrapped in, one more for a renamed
     // reference to it, then Sort and Limit; the block's leaf, Aggregate and
     // Project, then a node per clause and per join.
     2 + usize::from(!query.order_by.is_empty())
@@ -271,8 +264,7 @@ pub fn depth_bound(query: &Query) -> usize {
         + usize::from(s.distinct)
         + usize::from(s.where_clause.is_some())
         + usize::from(s.having.is_some())
-        + s.from.as_ref().map_or(0, subquery)
-        + s.joins.iter().map(|j| 1 + subquery(&j.table)).sum::<usize>()
+        + s.joins.len()
 }
 
 fn plan_query_scoped(query: &Query, catalog: &Catalog, outer: &CteScope) -> Result<Plan> {
@@ -308,16 +300,9 @@ fn plan_query_scoped(query: &Query, catalog: &Catalog, outer: &CteScope) -> Resu
     Ok(plan)
 }
 
-/// ORDER BY items may be output-column references, arbitrary expressions over
-/// the output schema, or 1-based ordinals (`ORDER BY 2`).
+/// ORDER BY items may be output-column references or arbitrary expressions
+/// over the output schema.
 fn bind_order_item(item: &OrderItem, schema: &RelSchema) -> Result<SortKey> {
-    if let Expr::Literal(ast::Literal::Int(n)) = &item.expr {
-        let idx = *n;
-        if idx < 1 || idx as usize > schema.len() {
-            return Err(Error::Plan(format!("ORDER BY ordinal {idx} out of range")));
-        }
-        return Ok(SortKey { expr: BoundExpr::Column(idx as usize - 1), desc: item.desc });
-    }
     match bind(&item.expr, schema) {
         Ok(expr) => Ok(SortKey { expr, desc: item.desc }),
         Err(first_err) => {
@@ -335,50 +320,40 @@ fn bind_order_item(item: &OrderItem, schema: &RelSchema) -> Result<SortKey> {
 }
 
 fn plan_table_ref(tref: &TableRef, catalog: &Catalog, scope: &CteScope) -> Result<Arc<Plan>> {
-    match tref {
-        TableRef::Named { name, alias } => {
-            // CTEs shadow base tables. A reference shares the CTE's plan.
-            if let Some(cte) = scope.get(&name.to_ascii_lowercase()) {
-                let plan = Arc::clone(cte);
-                return Ok(match alias {
-                    Some(a) => {
-                        let schema = plan.schema().with_relation(a);
-                        Arc::new(Plan::Alias { input: plan, schema })
-                    }
-                    None => plan,
-                });
+    let TableRef { name, alias } = tref;
+    // CTEs shadow base tables. A reference shares the CTE's plan.
+    if let Some(cte) = scope.get(&name.to_ascii_lowercase()) {
+        let plan = Arc::clone(cte);
+        return Ok(match alias {
+            Some(a) => {
+                let schema = plan.schema().with_relation(a);
+                Arc::new(Plan::Alias { input: plan, schema })
             }
-            let table = catalog.get(name)?;
-            let schema = match alias {
-                Some(a) => table.schema().with_relation(a),
-                None => table.schema(),
-            };
-            let facts = table.column_facts();
-            Ok(Arc::new(Plan::Scan { table: table.name().to_string(), schema, facts }))
-        }
-        TableRef::Subquery { query, alias } => {
-            let plan = plan_query_scoped(query, catalog, scope)?;
-            let schema = plan.schema().with_relation(alias);
-            Ok(Arc::new(Plan::Alias { input: Arc::new(plan), schema }))
-        }
+            None => plan,
+        });
     }
+    let table = catalog.get(name)?;
+    let schema = match alias {
+        Some(a) => table.schema().with_relation(a),
+        None => table.schema(),
+    };
+    let facts = table.column_facts();
+    Ok(Arc::new(Plan::Scan { table: table.name().to_string(), schema, facts }))
 }
 
 fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<Plan> {
     // FROM and JOINs.
-    let mut plan = match &select.from {
-        Some(tref) => plan_table_ref(tref, catalog, scope)?,
-        None => Arc::new(Plan::One),
-    };
+    let mut plan = plan_table_ref(&select.from, catalog, scope)?;
     for join in &select.joins {
         let right = plan_table_ref(&join.table, catalog, scope)?;
         let left_cols = plan.schema().len();
         let schema = plan.schema().join(right.schema());
         let on = bind(&join.on, &schema)?;
-        // The hash join is the only join operator: it needs an equi-key.
-        if equi_keys(&on, left_cols).0.is_empty() {
+        // The hash join is the only join operator, and it has no residual.
+        if join_keys(&on, left_cols).is_none() {
             return Err(Error::Unsupported(format!(
-                "join condition without an equality between the joined tables: {}",
+                "join condition that is not a conjunction of equalities between the joined \
+                 tables: {}",
                 join.on
             )));
         }
@@ -397,24 +372,14 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
     // The projection, wildcards expanded: (expression, alias).
     let mut items: Vec<(Cow<Expr>, Option<&str>)> = Vec::new();
     for item in &select.projection {
-        let columns = match item {
-            SelectItem::Expr { expr, alias } => {
-                items.push((Cow::Borrowed(expr), alias.as_deref()));
-                continue;
-            }
-            SelectItem::Wildcard => (0..plan.schema().len()).collect(),
-            SelectItem::QualifiedWildcard(rel) => {
-                let idxs = plan.schema().relation_indices(rel);
-                if idxs.is_empty() {
-                    return Err(Error::Plan(format!("unknown relation `{rel}` in `{rel}.*`")));
+        match item {
+            SelectItem::Expr { expr, alias } => items.push((Cow::Borrowed(expr), alias.as_deref())),
+            SelectItem::Wildcard => {
+                for f in &plan.schema().fields {
+                    let column = Expr::Column { table: f.relation.clone(), name: f.name.clone() };
+                    items.push((Cow::Owned(column), None));
                 }
-                idxs
             }
-        };
-        for i in columns {
-            let f = &plan.schema().fields[i];
-            let column = Expr::Column { table: f.relation.clone(), name: f.name.clone() };
-            items.push((Cow::Owned(column), None));
         }
     }
 
@@ -655,9 +620,9 @@ mod tests {
     #[test]
     fn inner_with_may_shadow_an_outer_cte() {
         let p = plan(
-            "WITH a AS (SELECT s FROM T0) \
-             SELECT * FROM (WITH a AS (SELECT s, r FROM T0) SELECT * FROM a) AS u \
-             JOIN a ON a.s = u.s",
+            "WITH a AS (SELECT s FROM T0), \
+             u AS (WITH a AS (SELECT s, r FROM T0) SELECT * FROM a) \
+             SELECT * FROM u JOIN a ON a.s = u.s",
         )
         .unwrap();
         // `u` sees the inner `a`, the outer FROM item the outer one.
@@ -681,13 +646,12 @@ mod tests {
     #[test]
     fn depth_bound_covers_every_clause() {
         for sql in [
-            "SELECT 1",
             "SELECT DISTINCT s FROM T0 WHERE s > 0 GROUP BY s HAVING COUNT(*) > 0 \
              ORDER BY s LIMIT 1",
             "SELECT * FROM T0 LEFT JOIN H ON H.in_s = T0.s JOIN H AS g ON g.in_s = T0.s",
-            "SELECT s FROM (SELECT s FROM T0 ORDER BY s) AS u",
+            "WITH u AS (SELECT s FROM T0 ORDER BY s) SELECT s FROM u",
             "WITH T1 AS (SELECT s, SUM(T0.r) AS r FROM T0 JOIN H ON H.in_s = T0.s GROUP BY s), \
-             T2 AS (SELECT x.s FROM T1 AS x ORDER BY 1 LIMIT 3) SELECT * FROM T2 AS y",
+             T2 AS (SELECT x.s FROM T1 AS x ORDER BY s LIMIT 3) SELECT * FROM T2 AS y",
         ] {
             let ast::Statement::Query(q) = parse_statement(sql).unwrap() else { panic!() };
             let depth = plan_query(&q, &catalog()).unwrap().depth();
@@ -699,8 +663,8 @@ mod tests {
     fn wildcard_expansion() {
         let p = plan("SELECT * FROM T0").unwrap();
         assert_eq!(p.schema().names(), vec!["s", "r", "i"]);
-        let p = plan("SELECT H.* FROM T0 JOIN H ON H.in_s = T0.s").unwrap();
-        assert_eq!(p.schema().names(), vec!["in_s", "out_s", "r", "i"]);
+        let p = plan("SELECT * FROM T0 JOIN H ON H.in_s = T0.s").unwrap();
+        assert_eq!(p.schema().names(), vec!["s", "r", "i", "in_s", "out_s", "r", "i"]);
     }
 
     #[test]
@@ -725,30 +689,26 @@ mod tests {
     }
 
     #[test]
-    fn order_by_ordinal_and_alias() {
+    fn order_by_alias_and_expression() {
         assert!(plan("SELECT s AS q FROM T0 ORDER BY q").is_ok());
-        assert!(plan("SELECT s, r FROM T0 ORDER BY 2 DESC").is_ok());
-        assert!(plan("SELECT s FROM T0 ORDER BY 5").is_err());
+        assert!(plan("SELECT s, r FROM T0 ORDER BY r * 2.0 DESC").is_ok());
+        assert!(plan("SELECT s FROM T0 ORDER BY nope").is_err());
     }
 
     #[test]
-    fn select_without_from() {
-        let p = plan("SELECT 1 AS one, 2 AS two").unwrap();
-        assert_eq!(p.schema().names(), vec!["one", "two"]);
-    }
-
-    #[test]
-    fn join_without_equi_key_and_non_count_distinct_are_unsupported() {
+    fn join_without_only_equi_keys_and_non_count_distinct_are_unsupported() {
         for sql in [
             "SELECT * FROM T0 JOIN H ON H.in_s < T0.s",
             "SELECT * FROM T0 LEFT JOIN H ON H.in_s = 1",
+            "SELECT * FROM T0 JOIN H ON H.in_s = T0.s AND H.r < T0.r",
+            "SELECT * FROM T0 JOIN H ON H.in_s = T0.s AND T0.s = 1",
             "SELECT SUM(DISTINCT r) FROM T0",
             "SELECT MAX(DISTINCT s) FROM T0",
         ] {
             assert!(matches!(plan(sql), Err(Error::Unsupported(_))), "{sql}");
         }
         assert!(matches!(plan("SELECT COUNT(DISTINCT *) FROM T0"), Err(Error::Plan(_))));
-        assert!(plan("SELECT * FROM T0 JOIN H ON H.in_s = T0.s AND H.r < T0.r").is_ok());
+        assert!(plan("SELECT * FROM T0 JOIN H ON T0.s = H.in_s AND H.out_s = (T0.s & 1)").is_ok());
         assert!(plan("SELECT COUNT(DISTINCT s) FROM T0").is_ok());
     }
 
@@ -770,10 +730,10 @@ mod tests {
     }
 
     #[test]
-    fn subquery_alias_scopes_names() {
-        let p = plan("SELECT u.s FROM (SELECT s FROM T0) AS u").unwrap();
+    fn cte_name_scopes_names() {
+        let p = plan("WITH u AS (SELECT s FROM T0) SELECT u.s FROM u").unwrap();
         assert_eq!(p.schema().names(), vec!["s"]);
-        assert!(plan("SELECT T0.s FROM (SELECT s FROM T0) AS u").is_err());
+        assert!(plan("WITH u AS (SELECT s FROM T0) SELECT T0.s FROM u").is_err());
     }
 
     #[test]

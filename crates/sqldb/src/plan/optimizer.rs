@@ -6,21 +6,19 @@
 //!
 //! * **constant folding** — gate-table literals and mask arithmetic collapse
 //!   at plan time;
-//! * **filter → join predicate migration** — `WHERE` conjuncts spanning
-//!   both sides of an inner join join its `ON` condition;
-//! * **filter pushdown** — side-local conjuncts move below the join;
-//! * **filter fusion** — stacked filters merge into one conjunction;
+//! * **filter fusion** — stacked filters merge into one conjunction, and an
+//!   always-true filter is dropped;
 //! * **one row per group** — an aggregate whose group key provably differs
 //!   on any two input rows (a gate that cannot interfere) is marked so the
 //!   executor streams it; see [`super::keys`].
 
 use std::sync::Arc;
 
-use crate::ast::{BinaryOp, JoinKind};
+use crate::ast::BinaryOp;
 use crate::expr::BoundExpr;
 use crate::plan::keys::annotate;
 use crate::plan::logical::Plan;
-use crate::schema::Facts;
+use crate::schema::{Facts, RelSchema};
 
 /// Apply all rules bottom-up until a fixpoint (bounded by plan depth).
 pub fn optimize(plan: Plan) -> Plan {
@@ -48,7 +46,10 @@ fn rewrite(plan: &mut Plan) {
         Plan::Filter { input, predicate } => {
             rewrite(Arc::make_mut(input));
             fold_expr(predicate);
-            let Plan::Filter { input, predicate } = std::mem::replace(plan, Plan::One) else {
+            // An empty scan holds the slot (no allocation) until the rules
+            // have rebuilt the filter.
+            let slot = Plan::Scan { table: String::new(), schema: RelSchema::default(), facts: Facts::new() };
+            let Plan::Filter { input, predicate } = std::mem::replace(plan, slot) else {
                 unreachable!("matched a filter")
             };
             *plan = apply_filter_rules(Arc::unwrap_or_clone(input), predicate);
@@ -71,12 +72,12 @@ fn rewrite(plan: &mut Plan) {
             keys.iter_mut().for_each(|k| fold_expr(&mut k.expr));
         }
         Plan::Limit { input, .. } | Plan::Alias { input, .. } => rewrite(Arc::make_mut(input)),
-        Plan::Scan { .. } | Plan::One => {}
+        Plan::Scan { .. } => {}
     }
 }
 
 /// Fold constant subexpressions in place, in one pass. Evaluation errors
-/// (e.g. `1/0`) leave the expression in place so they surface at execution
+/// (e.g. `1 << -1`) leave the expression in place so they surface at execution
 /// time, per SQL semantics.
 pub fn fold_expr(expr: &mut BoundExpr) {
     fold(expr);
@@ -106,18 +107,7 @@ fn fold(expr: &mut BoundExpr) -> bool {
     constant
 }
 
-/// Split a predicate into its AND-conjuncts.
-pub fn split_conjuncts(expr: BoundExpr, out: &mut Vec<BoundExpr>) {
-    match expr {
-        BoundExpr::Binary { left, op: BinaryOp::And, right } => {
-            split_conjuncts(*left, out);
-            split_conjuncts(*right, out);
-        }
-        other => out.push(other),
-    }
-}
-
-/// [`split_conjuncts`] without taking the predicate apart.
+/// The AND-conjuncts of `expr`, borrowed.
 pub(crate) fn conjuncts<'a>(expr: &'a BoundExpr, out: &mut Vec<&'a BoundExpr>) {
     match expr {
         BoundExpr::Binary { left, op: BinaryOp::And, right } => {
@@ -128,68 +118,14 @@ pub(crate) fn conjuncts<'a>(expr: &'a BoundExpr, out: &mut Vec<&'a BoundExpr>) {
     }
 }
 
-/// Rebuild a conjunction from parts (`None` for the empty conjunction).
-pub fn conjoin(mut parts: Vec<BoundExpr>) -> Option<BoundExpr> {
-    let mut acc = parts.pop()?;
-    while let Some(p) = parts.pop() {
-        acc = BoundExpr::Binary { left: Box::new(p), op: BinaryOp::And, right: Box::new(acc) };
-    }
-    Some(acc)
-}
-
-/// Which join sides a bound expression touches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Sides {
-    Neither,
-    LeftOnly,
-    RightOnly,
-    Both,
-}
-
-fn classify_sides(expr: &BoundExpr, left_cols: usize) -> Sides {
-    let mut cols = Vec::new();
-    expr.referenced_columns(&mut cols);
-    let l = cols.iter().any(|&c| c < left_cols);
-    let r = cols.iter().any(|&c| c >= left_cols);
-    match (l, r) {
-        (false, false) => Sides::Neither,
-        (true, false) => Sides::LeftOnly,
-        (false, true) => Sides::RightOnly,
-        (true, true) => Sides::Both,
-    }
-}
-
-/// Shift all column indices by `-delta` (for pushing below the right side).
-fn shift_columns(expr: &mut BoundExpr, delta: usize) {
-    match expr {
-        BoundExpr::Column(i) => *i -= delta,
-        BoundExpr::Literal(_) => {}
-        BoundExpr::Unary { expr, .. }
-        | BoundExpr::Cast { expr, .. }
-        | BoundExpr::IsNull { expr, .. } => shift_columns(expr, delta),
-        BoundExpr::Binary { left, right, .. } => {
-            shift_columns(left, delta);
-            shift_columns(right, delta);
-        }
-        BoundExpr::ScalarFn { args, .. } => args.iter_mut().for_each(|a| shift_columns(a, delta)),
-        BoundExpr::InList { expr, list, .. } => {
-            shift_columns(expr, delta);
-            list.iter_mut().for_each(|e| shift_columns(e, delta));
-        }
-    }
-}
-
-/// Filter-specific rules: fuse stacked filters, migrate predicates into
-/// inner joins, drop always-true filters.
+/// Filter rules: drop an always-true filter, fuse stacked filters.
 fn apply_filter_rules(input: Plan, predicate: BoundExpr) -> Plan {
-    // Always-true predicate → drop the filter entirely.
     if let BoundExpr::Literal(v) = &predicate {
         if v.as_bool().ok().flatten() == Some(true) {
             return input;
         }
     }
     match input {
-        // Filter fusion.
         Plan::Filter { input: inner, predicate: p2 } => {
             let combined = BoundExpr::Binary {
                 left: Box::new(p2),
@@ -198,92 +134,48 @@ fn apply_filter_rules(input: Plan, predicate: BoundExpr) -> Plan {
             };
             apply_filter_rules(Arc::unwrap_or_clone(inner), combined)
         }
-        // Predicate migration and pushdown around inner joins.
-        Plan::Join { left, right, kind: JoinKind::Inner, on, schema } => {
-            let left_cols = left.schema().len();
-            let mut conjuncts = Vec::new();
-            split_conjuncts(predicate, &mut conjuncts);
-            let mut to_left = Vec::new();
-            let mut to_right = Vec::new();
-            let mut to_on = Vec::new();
-            for mut c in conjuncts {
-                match classify_sides(&c, left_cols) {
-                    Sides::LeftOnly => to_left.push(c),
-                    Sides::RightOnly => {
-                        shift_columns(&mut c, left_cols);
-                        to_right.push(c);
-                    }
-                    // constants and both-sided predicates stay on the join
-                    _ => to_on.push(c),
-                }
-            }
-            let push_down = |side: Arc<Plan>, conjuncts| match conjoin(conjuncts) {
-                Some(predicate) => Arc::new(Plan::Filter { input: side, predicate }),
-                None => side,
-            };
-            let left = push_down(left, to_left);
-            let right = push_down(right, to_right);
-            let on = to_on.into_iter().fold(on, |on, c| BoundExpr::Binary {
-                left: Box::new(on),
-                op: BinaryOp::And,
-                right: Box::new(c),
-            });
-            Plan::Join { left, right, kind: JoinKind::Inner, on, schema }
-        }
         other => Plan::Filter { input: Arc::new(other), predicate },
     }
 }
 
-/// The hash-join keys of a join condition, borrowed from it: the
-/// `(left, right)` sides of every conjunct `left = right` whose sides each
-/// read one input only, and the other conjuncts.
-pub(crate) fn equi_keys(
+/// The hash-join keys of a join condition: `(left keys, right keys)`, one
+/// pair per conjunct `l = r` whose operands each read one input, the right
+/// key rebased onto the right input's columns. `None` when any conjunct is
+/// something else: the hash join has no residual, so the planner refuses
+/// such a join.
+pub(crate) fn join_keys(
     on: &BoundExpr,
     left_cols: usize,
-) -> (Vec<(&BoundExpr, &BoundExpr)>, Vec<&BoundExpr>) {
-    let mut all = Vec::new();
-    conjuncts(on, &mut all);
-    let mut keys = Vec::new();
-    let mut residual = Vec::new();
-    for c in all {
-        let key = match c {
-            BoundExpr::Binary { left, op: BinaryOp::Eq, right } => {
-                match (classify_sides(left, left_cols), classify_sides(right, left_cols)) {
-                    (Sides::LeftOnly, Sides::RightOnly) => Some((&**left, &**right)),
-                    (Sides::RightOnly, Sides::LeftOnly) => Some((&**right, &**left)),
-                    _ => None,
-                }
-            }
-            _ => None,
+) -> Option<(Vec<BoundExpr>, Vec<BoundExpr>)> {
+    let mut eqs = Vec::new();
+    conjuncts(on, &mut eqs);
+    let (mut lk, mut rk) = (Vec::new(), Vec::new());
+    for eq in eqs {
+        let BoundExpr::Binary { left, op: BinaryOp::Eq, right } = eq else { return None };
+        let (mut a, mut b) = ((**left).clone(), (**right).clone());
+        match (rebase(&mut a, left_cols)?, rebase(&mut b, left_cols)?) {
+            (false, true) => (lk.push(a), rk.push(b)),
+            (true, false) => (lk.push(b), rk.push(a)),
+            _ => return None,
         };
-        match key {
-            Some(pair) => keys.push(pair),
-            None => residual.push(c),
-        }
     }
-    (keys, residual)
+    Some((lk, rk))
 }
 
-/// Extract hash-join key pairs from a join condition.
-///
-/// Returns `(left_keys, right_keys, residual)` where `left_keys[i]` evaluated
-/// on a left row must equal `right_keys[i]` evaluated on a right row. The
-/// residual (if any) is evaluated on the concatenated row after a key match.
-/// Right-key expressions are shifted to the right child's own schema.
-pub fn extract_equi_keys(
-    on: &BoundExpr,
-    left_cols: usize,
-) -> (Vec<BoundExpr>, Vec<BoundExpr>, Option<BoundExpr>) {
-    let (keys, residual) = equi_keys(on, left_cols);
-    let (lk, rk) = keys
-        .into_iter()
-        .map(|(l, r)| {
-            let mut r = r.clone();
-            shift_columns(&mut r, left_cols);
-            (l.clone(), r)
-        })
-        .unzip();
-    (lk, rk, conjoin(residual.into_iter().cloned().collect()))
+/// Which input of a join `expr` reads: `Some(true)` the right one only,
+/// whose columns it is then rebased onto, `Some(false)` the left one only,
+/// `None` both or neither.
+fn rebase(expr: &mut BoundExpr, left_cols: usize) -> Option<bool> {
+    let (mut left, mut right) = (false, false);
+    expr.columns_mut(&mut |c| {
+        if *c < left_cols {
+            left = true;
+        } else {
+            *c -= left_cols;
+            right = true;
+        }
+    });
+    (left != right).then_some(right)
 }
 
 #[cfg(test)]
@@ -330,11 +222,11 @@ mod tests {
 
     #[test]
     fn folding_preserves_runtime_errors() {
-        // 1/0 must not fold (and must not panic)
+        // 1 << -1 must not fold (and must not panic)
         let e = BoundExpr::Binary {
             left: Box::new(lit(1)),
-            op: BinaryOp::Div,
-            right: Box::new(lit(0)),
+            op: BinaryOp::Shl,
+            right: Box::new(lit(-1)),
         };
         assert_eq!(folded(e.clone()), e);
     }
@@ -347,79 +239,42 @@ mod tests {
     }
 
     #[test]
-    fn split_and_conjoin_round_trip() {
-        let e = and(and(eq(col(0), lit(1)), eq(col(1), lit(2))), eq(col(2), lit(3)));
-        let mut parts = Vec::new();
-        split_conjuncts(e, &mut parts);
-        assert_eq!(parts.len(), 3);
-        let rebuilt = conjoin(parts).unwrap();
-        let mut parts2 = Vec::new();
-        split_conjuncts(rebuilt, &mut parts2);
-        assert_eq!(parts2.len(), 3);
+    fn join_keys_take_both_orientations_and_nothing_else() {
+        // The left input has 2 columns: ON col0 = col2 AND col3 = col1.
+        let on = and(eq(col(0), col(2)), eq(col(3), col(1)));
+        let (lk, rk) = join_keys(&on, 2).unwrap();
+        assert_eq!(lk, vec![col(0), col(1)]);
+        assert_eq!(rk, vec![col(0), col(1)], "right keys rebased onto the right input");
+        let gt = BoundExpr::Binary { left: Box::new(col(0)), op: BinaryOp::Gt, right: Box::new(lit(0)) };
+        for not_keys in [
+            and(on.clone(), gt),
+            BoundExpr::Binary { left: Box::new(col(0)), op: BinaryOp::Lt, right: Box::new(col(2)) },
+            eq(col(0), lit(1)),
+            eq(col(0), col(1)),
+        ] {
+            assert_eq!(join_keys(&not_keys, 2), None, "{not_keys:?}");
+        }
     }
 
     #[test]
-    fn extract_equi_keys_both_orientations() {
-        // left has 2 columns; ON col0 = col2 AND col3 = col1 AND col0 > 0
-        let on = and(
-            and(eq(col(0), col(2)), eq(col(3), col(1))),
-            BoundExpr::Binary {
-                left: Box::new(col(0)),
-                op: BinaryOp::Gt,
-                right: Box::new(lit(0)),
-            },
-        );
-        let (lk, rk, residual) = extract_equi_keys(&on, 2);
-        assert_eq!(lk.len(), 2);
-        assert_eq!(rk, vec![col(0), col(1)], "right keys shifted into right schema");
-        assert!(residual.is_some());
-    }
-
-    #[test]
-    fn no_equi_keys_all_residual() {
-        let on = BoundExpr::Binary {
-            left: Box::new(col(0)),
-            op: BinaryOp::Lt,
-            right: Box::new(col(2)),
+    fn a_filter_over_an_inner_join_stays_above_it() {
+        use crate::schema::Field;
+        let scan = |table: &str, names: &[&str]| {
+            let schema = RelSchema::new(names.iter().map(|n| Field::new(Some(table), n)).collect());
+            Plan::Scan { table: table.into(), facts: vec![None; schema.len()], schema }
         };
-        let (lk, rk, residual) = extract_equi_keys(&on, 2);
-        assert!(lk.is_empty() && rk.is_empty());
-        assert!(residual.is_some());
-    }
-
-    #[test]
-    fn filter_pushdown_through_inner_join() {
-        use crate::schema::{Field, RelSchema};
-        let mk_schema = |rel: &str, names: &[&str]| {
-            RelSchema::new(names.iter().map(|n| Field::new(Some(rel), n)).collect())
-        };
-        let scan = |table: &str, schema: RelSchema| {
-            let facts = vec![None; schema.len()];
-            Plan::Scan { table: table.into(), schema, facts }
-        };
-        let left = scan("a", mk_schema("a", &["x", "y"]));
-        let right = scan("b", mk_schema("b", &["z"]));
-        let joined_schema = left.schema().join(right.schema());
+        let (left, right) = (scan("a", &["x", "y"]), scan("b", &["z"]));
+        let schema = left.schema().join(right.schema());
         let join = Plan::Join {
             left: Arc::new(left),
             right: Arc::new(right),
-            kind: JoinKind::Inner,
+            kind: crate::ast::JoinKind::Inner,
             on: eq(col(0), col(2)),
-            schema: joined_schema,
+            schema,
         };
-        // ON a.x = b.z WHERE a.x = 1 AND b.z = 2 AND a.y = b.z
-        let pred = and(and(eq(col(0), lit(1)), eq(col(2), lit(2))), eq(col(1), col(2)));
-        let plan = Plan::Filter { input: Arc::new(join), predicate: pred };
-        let opt = optimize(plan);
-        let Plan::Join { left, right, on, .. } = opt else { panic!("expected join on top") };
-        assert!(matches!(*left, Plan::Filter { .. }), "left conjunct pushed down");
-        assert!(matches!(*right, Plan::Filter { .. }), "right conjunct pushed down");
-        assert_eq!(on, and(eq(col(0), col(2)), eq(col(1), col(2))), "cross-side conjunct joined ON");
-        // The pushed-down right-side predicate must reference column 0 of b.
-        let Plan::Filter { predicate, .. } = &*right else { unreachable!() };
-        let mut cols = Vec::new();
-        predicate.referenced_columns(&mut cols);
-        assert_eq!(cols, vec![0]);
+        let predicate = and(eq(col(0), lit(1)), eq(col(1), col(2)));
+        let plan = Plan::Filter { input: Arc::new(join.clone()), predicate: predicate.clone() };
+        assert_eq!(optimize(plan), Plan::Filter { input: Arc::new(join), predicate });
     }
 
     #[test]
@@ -443,7 +298,7 @@ mod tests {
         let Plan::Filter { input, predicate } = opt else { panic!("expected single filter") };
         assert!(matches!(*input, Plan::Scan { .. }));
         let mut parts = Vec::new();
-        split_conjuncts(predicate, &mut parts);
+        conjuncts(&predicate, &mut parts);
         assert_eq!(parts.len(), 2);
     }
 }

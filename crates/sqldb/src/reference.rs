@@ -33,7 +33,6 @@ type Row = Vec<Value>;
 pub(crate) fn run(plan: &Plan, catalog: &Catalog) -> Result<Vec<Row>> {
     Ok(match plan {
         Plan::Scan { table, .. } => catalog.get(table)?.snapshot().to_rows(),
-        Plan::One => vec![Row::new()],
         Plan::Alias { input, .. } => run(input, catalog)?,
         Plan::Filter { input, predicate } => {
             let mut out = Vec::new();
@@ -141,14 +140,15 @@ mod tests {
     /// `l(a, b)`, `r(c, d)` and an empty `e(x)`; NULLs in every key column.
     fn db() -> Database {
         let mut db = Database::new();
-        db.execute_script(
-            "CREATE TABLE l (a INTEGER, b INTEGER);
-             INSERT INTO l VALUES (1, 10), (2, 20), (NULL, 30), (2, 21), (NULL, 31), (3, 5);
-             CREATE TABLE r (c INTEGER, d INTEGER);
-             INSERT INTO r VALUES (2, 15), (2, 25), (NULL, 0), (3, 1);
-             CREATE TABLE e (x INTEGER);",
-        )
-        .unwrap();
+        for sql in [
+            "CREATE TABLE l (a INTEGER, b INTEGER)",
+            "INSERT INTO l VALUES (1, 10), (2, 20), (NULL, 30), (2, 21), (NULL, 31), (3, 5)",
+            "CREATE TABLE r (c INTEGER, d INTEGER)",
+            "INSERT INTO r VALUES (2, 15), (2, 25), (NULL, 0), (3, 1)",
+            "CREATE TABLE e (x INTEGER)",
+        ] {
+            db.execute(sql).unwrap();
+        }
         db
     }
 
@@ -190,17 +190,17 @@ mod tests {
     fn left_join_pads_only_when_no_pair_passes_the_full_on() {
         let got = rows(
             &db(),
-            "SELECT l.a, l.b, r.c, r.d FROM l LEFT JOIN r ON r.c = l.a AND r.d > l.b",
+            "SELECT l.a, l.b, r.c, r.d FROM l LEFT JOIN r ON r.c = l.a AND r.d = l.b - 5",
         );
         assert_eq!(
             got,
             vec![
                 ints(&[Some(1), Some(10), None, None]), // no key match
-                ints(&[Some(2), Some(20), Some(2), Some(25)]), // one of two pairs passes: no pad
+                ints(&[Some(2), Some(20), Some(2), Some(15)]), // one of two pairs passes: no pad
                 ints(&[None, Some(30), None, None]),    // NULL = NULL is not true
-                ints(&[Some(2), Some(21), Some(2), Some(25)]),
+                ints(&[Some(2), Some(21), None, None]), // `c` matches, `d` does not
                 ints(&[None, Some(31), None, None]),
-                ints(&[Some(3), Some(5), None, None]), // key matches, the rest of ON fails
+                ints(&[Some(3), Some(5), None, None]),
             ]
         );
     }
@@ -237,11 +237,6 @@ mod tests {
              WHERE a = 2 GROUP BY (a << (b - 20) * 70) >> ((b - 20) * 70)",
         );
         assert_eq!(got, vec![ints(&[Some(2), Some(2)])]);
-    }
-
-    #[test]
-    fn select_without_from_is_one_row() {
-        assert_eq!(rows(&db(), "SELECT 1 + 1 AS two"), vec![ints(&[Some(2)])]);
     }
 
     #[test]

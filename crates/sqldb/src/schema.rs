@@ -116,18 +116,6 @@ impl RelSchema {
         fields.extend(other.fields.iter().cloned());
         RelSchema { fields }
     }
-
-    /// Indices of all fields belonging to `relation`.
-    pub fn relation_indices(&self, relation: &str) -> Vec<usize> {
-        self.fields
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| {
-                f.relation.as_deref().is_some_and(|r| r.eq_ignore_ascii_case(relation))
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 fn display_ref(relation: Option<&str>, name: &str) -> String {
@@ -187,6 +175,5 @@ mod tests {
         let j = a.join(&b);
         assert_eq!(j.len(), 2);
         assert_eq!(j.resolve(Some("b"), "y").unwrap(), 1);
-        assert_eq!(j.relation_indices("a"), vec![0]);
     }
 }

@@ -58,12 +58,11 @@ impl MemoryBudget {
         self.inner.peak.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of bytes reserved **past the limit** — the bounded
-    /// operator overdraft (batch-granular budget checks, build-side floors).
-    /// Always 0 for a ledger that never exceeded its limit, and meaningless
-    /// for an unlimited budget. The differential-fuzz harness asserts this
-    /// stays within the documented ≤1-batch transient bound on
-    /// memory-limited cases.
+    /// High-water mark of bytes reserved **past the limit**. Every
+    /// reservation is refused past the limit (an operator's working-set
+    /// floor goes uncharged instead), so this stays 0; the differential-fuzz
+    /// harness asserts it on memory-limited cases. Meaningless for an
+    /// unlimited budget.
     pub fn peak_overshoot(&self) -> usize {
         let limit = self.inner.limit;
         if limit == usize::MAX {
@@ -94,16 +93,6 @@ impl MemoryBudget {
                 Err(actual) => cur = actual,
             }
         }
-    }
-
-    /// Reserve unconditionally, allowing the ledger to exceed its limit (a
-    /// bounded overdraft). For transient in-flight state that already
-    /// exists in memory — charging it keeps the ledger honest so other
-    /// reservations fail/spill sooner, instead of pretending the memory is
-    /// free.
-    pub(crate) fn reserve_overdraft(&self, bytes: usize) {
-        let next = self.inner.used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.inner.peak.fetch_max(next, Ordering::Relaxed);
     }
 
     /// Release previously reserved bytes.
@@ -150,15 +139,6 @@ impl Reservation {
         } else {
             false
         }
-    }
-
-    /// Grow this reservation by `bytes` unconditionally (see
-    /// [`MemoryBudget::reserve_overdraft`]). Used where failure is not an
-    /// option: restoring a table's pre-statement charge during WAL rollback
-    /// and charging transient survivor copies during delete re-pack.
-    pub(crate) fn grow_overdraft(&mut self, bytes: usize) {
-        self.budget.reserve_overdraft(bytes);
-        self.bytes += bytes;
     }
 
     /// Shrink this reservation by `bytes` (saturating).
@@ -222,13 +202,12 @@ mod tests {
     }
 
     #[test]
-    fn peak_overshoot_measures_overdraft_past_the_limit() {
+    fn a_refused_reservation_leaves_no_overshoot() {
         let b = MemoryBudget::with_limit(100);
         assert!(b.try_reserve(90));
-        assert_eq!(b.peak_overshoot(), 0, "within limit");
-        b.reserve_overdraft(30);
-        b.release(120);
-        assert_eq!(b.peak_overshoot(), 20);
+        assert!(!b.try_reserve(30));
+        b.release(90);
+        assert_eq!((b.peak(), b.peak_overshoot()), (90, 0));
         assert_eq!(MemoryBudget::unlimited().peak_overshoot(), 0);
     }
 

@@ -6,8 +6,8 @@
 //! * `wal.qwl` — the write-ahead log. A flat sequence of checksummed,
 //!   length-prefixed records: `[u32 len][u32 crc32(payload)][payload]`.
 //!   Work is framed by **transactions**: a `Begin{txn}` record opens a
-//!   frame, logical payloads (`CreateTable`, `DropTable`, `Insert`,
-//!   `Delete`) each carry the `txn` id they belong to, and the frame ends
+//!   frame, logical payloads (`CreateTable`, `DropTable`, `Insert`) each
+//!   carry the `txn` id they belong to, and the frame ends
 //!   with `Commit{txn, commit_seq}` (durable) or `Abort{txn}` (discarded).
 //!   An auto-commit statement is simply a one-statement transaction. The
 //!   rows of an `Insert` are one typed **column block** — the codec of the
@@ -16,7 +16,7 @@
 //!   A table the transaction itself created is logged only at `COMMIT`,
 //!   just before the `Commit` record, and only if it is still alive: one
 //!   `CreateTable` and one `Insert` block per chunk of its final contents.
-//!   Nothing done to it before then — its rows, a `DELETE`, its `DROP` —
+//!   Nothing done to it before then — its rows, its `DROP` —
 //!   reaches the log, so a table created and dropped in one transaction
 //!   leaves no record. The records are the ones above; replay cannot tell.
 //!   A database is one session, so a frame is contiguous: recovery is one
@@ -191,6 +191,7 @@ const TAG_BEGIN: u8 = 1;
 const TAG_COMMIT: u8 = 2;
 const TAG_CREATE: u8 = 3;
 const TAG_DROP: u8 = 4;
+/// The `DELETE` of logs written while the engine had one: refused at open.
 const TAG_DELETE: u8 = 6;
 /// Transaction rolled back: replay drops its pending frame.
 const TAG_ABORT: u8 = 7;
@@ -212,10 +213,6 @@ pub enum WalOp {
     DropTable { name: String },
     /// The logged batch, lanes and float bit patterns as they were.
     Insert { table: String, rows: RowBatch },
-    /// The predicate is stored as SQL text (`None` = unconditional):
-    /// expressions are pure, so re-parsing and re-evaluating at replay is
-    /// deterministic and avoids a second serialization format.
-    Delete { table: String, predicate: Option<String> },
 }
 
 /// A committed transaction frame read back during recovery.
@@ -332,14 +329,7 @@ fn decode_record(payload: &mut Bytes) -> Result<(u64, Record)> {
             table: get_string(payload)?,
             rows: decode_block(payload)?,
         }),
-        TAG_DELETE => {
-            let table = get_string(payload)?;
-            let predicate = match get_u8(payload)? {
-                0 => None,
-                _ => Some(get_string(payload)?),
-            };
-            Record::Op(WalOp::Delete { table, predicate })
-        }
+        TAG_DELETE => return Err(Error::Io("a `DELETE`, which the engine no longer has".into())),
         t => return Err(Error::Io(format!("unknown record tag {t}"))),
     };
     if !payload.is_empty() {
@@ -651,20 +641,6 @@ impl DurableStore {
         let mut record = Self::record(TAG_INSERT, txn);
         put_string(&mut record, table);
         encode_block(&mut record, rows);
-        self.append_record(record)
-    }
-
-    /// Log a `DELETE` inside transaction `txn` (predicate as SQL text).
-    pub fn log_delete(&mut self, txn: u64, table: &str, predicate: Option<&str>) -> Result<()> {
-        let mut record = Self::record(TAG_DELETE, txn);
-        put_string(&mut record, table);
-        match predicate {
-            None => record.put_u8(0),
-            Some(p) => {
-                record.put_u8(1);
-                put_string(&mut record, p);
-            }
-        }
         self.append_record(record)
     }
 
@@ -1116,10 +1092,21 @@ mod tests {
             p[lane_tag] = 7;
             p
         };
+        // A `DELETE` as the engine logged it while it had one: the predicate
+        // as SQL text, which replay would have had to parse.
+        let old_delete: Vec<u8> = {
+            let mut p = vec![TAG_DELETE];
+            p.put_u64_le(1);
+            put_string(&mut p, "t");
+            p.put_u8(1);
+            put_string(&mut p, "k = 7");
+            p
+        };
         let truncated_commit: Vec<u8> = vec![TAG_COMMIT, 1, 0, 0, 0, 0, 0, 0, 0, 9];
         let trailing_abort: Vec<u8> = vec![TAG_ABORT, 1, 0, 0, 0, 0, 0, 0, 0, 0xEE];
         for (what, payload, tag) in [
             ("retired tag", old_insert, 5),
+            ("DELETE", old_delete, TAG_DELETE),
             ("bad block", bad_block, TAG_INSERT),
             ("short body", truncated_commit, TAG_COMMIT),
             ("long body", trailing_abort, TAG_ABORT),
@@ -1154,6 +1141,7 @@ mod tests {
                 msg.contains(&format!("offset {offset}")) && msg.contains(&format!("tag {tag}")),
                 "{what}: {msg}"
             );
+            assert!(tag != TAG_DELETE || msg.contains("`DELETE`"), "{what}: {msg}");
             assert_eq!(fs::read(&wal).unwrap(), bytes, "{what}: the log must be left as it was");
             let _ = fs::remove_dir_all(&dir);
         }

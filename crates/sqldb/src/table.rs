@@ -41,11 +41,8 @@
 //! [`Reservation`]: fast-lane (`INTEGER`/`DOUBLE`) cells cost 8 bytes/row,
 //! generic cells their [`Value::heap_bytes`]. An append reserves the whole
 //! batch **once, before the table is touched**: a refusal leaves table and
-//! ledger exactly as they were. Deletes rebuild only the chunks that lose
-//! rows, charging the survivor copies in **overdraft** mode — the net
-//! effect of a delete only ever shrinks the charge and must not fail
-//! against a full budget, while the transient copies still land on the
-//! ledger so concurrent reservations see honest usage.
+//! ledger exactly as they were. Rows leave a table only with the whole
+//! table, or when a rollback restores it to what it held before an append.
 
 use std::sync::Arc;
 
@@ -98,8 +95,8 @@ impl TableChunk {
 }
 
 /// An immutable, consistent view of a table's rows at a point in time.
-/// Cloning is cheap (`Arc` of the chunk list); concurrent inserts and
-/// deletes on the table never show through an existing snapshot.
+/// Cloning is cheap (`Arc` of the chunk list); later inserts into the table
+/// never show through an existing snapshot.
 #[derive(Debug, Clone)]
 pub struct TableSnapshot {
     chunks: Arc<Vec<TableChunk>>,
@@ -391,62 +388,6 @@ impl Table {
         self.append_batch(&batch)
     }
 
-    /// Delete rows matching `pred`; returns the number removed. Atomic: a
-    /// predicate error leaves the table unchanged. Only chunks that lose
-    /// rows are re-packed — by gathering the survivors of each column —
-    /// and untouched chunks carry over as `Arc` clones, so a selective
-    /// delete costs O(matching chunks), not O(table). (Chunks may be left
-    /// partially full; only the tail chunk is ever reopened by inserts.)
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&Row) -> Result<bool>) -> Result<usize> {
-        // Phase 1: evaluate the predicate everywhere before mutating
-        // anything. `None` = chunk untouched; `Some(ids)` = its survivors.
-        let mut survivors_by_chunk: Vec<Option<Vec<u32>>> = Vec::with_capacity(self.chunks.len());
-        let mut removed = 0usize;
-        let mut scratch: Row = Vec::with_capacity(self.columns.len());
-        for chunk in self.chunks.iter() {
-            let mut survivors: Option<Vec<u32>> = None;
-            for i in 0..chunk.rows() {
-                scratch.clear();
-                scratch.extend(chunk.columns().iter().map(|c| c.value_at(i)));
-                if pred(&scratch)? {
-                    removed += 1;
-                    // First hit in this chunk: every row before it stays.
-                    survivors.get_or_insert_with(|| (0..i as u32).collect());
-                } else if let Some(s) = survivors.as_mut() {
-                    s.push(i as u32);
-                }
-            }
-            survivors_by_chunk.push(survivors);
-        }
-        if removed == 0 {
-            return Ok(0);
-        }
-
-        // Phase 2: rebuild only the chunks that lost rows. The survivor
-        // copies are charged in overdraft (they exist beside the chunks
-        // they replace until the swap below), then the replaced chunks'
-        // bytes are released: the net change never grows the charge.
-        let mut replaced_bytes = 0usize;
-        let mut rebuilt: Vec<TableChunk> = Vec::with_capacity(self.chunks.len());
-        for (chunk, survivors) in self.chunks.iter().zip(survivors_by_chunk) {
-            let Some(ids) = survivors else {
-                rebuilt.push(chunk.clone());
-                continue;
-            };
-            replaced_bytes += chunk.heap_bytes();
-            if !ids.is_empty() {
-                let columns = chunk.columns.iter().map(|c| Arc::new(c.gather(&ids))).collect();
-                let kept = TableChunk { columns, rows: ids.len() };
-                self.reservation.grow_overdraft(kept.heap_bytes());
-                rebuilt.push(kept);
-            }
-        }
-        self.rows -= removed;
-        self.chunks = Arc::new(rebuilt);
-        self.reservation.shrink(replaced_bytes);
-        Ok(removed)
-    }
-
     /// Capture this table's pre-statement state in O(1) (shared chunk
     /// list). See [`TableUndo`].
     pub(crate) fn undo_state(&self) -> TableUndo {
@@ -457,20 +398,14 @@ impl Table {
         }
     }
 
-    /// Roll the table back to a previously captured [`TableUndo`]. The
-    /// budget charge is re-aligned to the captured value — shrinking after
-    /// an undone insert, growing (overdraft, infallible) after an undone
-    /// delete.
+    /// Roll the table back to a previously captured [`TableUndo`]. Only
+    /// appends happen after a capture, so the charge shrinks back to the
+    /// captured value.
     pub(crate) fn restore(&mut self, undo: TableUndo) {
         self.recorded_facts = None;
         self.chunks = undo.chunks;
         self.rows = undo.rows;
-        let cur = self.reservation.bytes();
-        if cur > undo.bytes {
-            self.reservation.shrink(cur - undo.bytes);
-        } else {
-            self.reservation.grow_overdraft(undo.bytes - cur);
-        }
+        self.reservation.shrink(self.reservation.bytes().saturating_sub(undo.bytes));
     }
 
     /// Release all budget held by this table and drop its chunk list early.
@@ -650,28 +585,10 @@ mod tests {
     }
 
     #[test]
-    fn delete_releases_budget() {
-        let budget = MemoryBudget::unlimited();
-        let mut t = state_table(budget.clone());
-        for s in 0..10 {
-            t.load_rows(state_rows(s..s + 1)).unwrap();
-        }
-        assert_eq!(t.snapshot().chunks().len(), 1, "single rows fill one tail");
-        let used_before = budget.used();
-        let n = t.delete_where(|r| Ok(matches!(r[0], Value::Int(v) if v < 5))).unwrap();
-        assert_eq!(n, 5);
-        assert_eq!(budget.used(), used_before / 2);
-        assert_eq!(t.row_count(), 5);
-        assert_eq!(t.snapshot().to_rows()[0][0], Value::Int(5));
-        assert!(matches!(&*t.snapshot().chunks()[0].columns()[0], Column::Int(_)), "lanes survive");
-    }
-
-    #[test]
-    fn snapshot_survives_delete_and_drop() {
+    fn snapshot_survives_drop() {
         let mut t = state_table(MemoryBudget::unlimited());
         t.load_rows(state_rows(0..4)).unwrap();
         let snap = t.snapshot();
-        t.delete_where(|_| Ok(true)).unwrap();
         t.release_budget();
         assert_eq!(snap.num_rows(), 4, "snapshot pins the old chunks");
         assert_eq!(snap.to_rows()[3][0], Value::Int(3));
@@ -720,26 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn selective_delete_keeps_untouched_chunks_shared() {
-        let mut t = state_table(MemoryBudget::unlimited());
-        t.load_rows(state_rows(0..CHUNK_ROWS as i64 * 2)).unwrap();
-        let before = t.snapshot();
-        // Delete only from the second chunk; the first must carry over
-        // without a re-pack (same column allocations).
-        let n = t
-            .delete_where(|r| Ok(matches!(r[0], Value::Int(v) if v >= CHUNK_ROWS as i64 + 10)))
-            .unwrap();
-        assert_eq!(n, CHUNK_ROWS - 10);
-        let after = t.snapshot();
-        assert!(Arc::ptr_eq(
-            &before.chunks()[0].columns()[0],
-            &after.chunks()[0].columns()[0]
-        ));
-        assert_eq!(after.chunks()[1].rows(), 10);
-        assert_eq!(t.row_count(), CHUNK_ROWS + 10);
-    }
-
-    #[test]
     fn load_rows_coerces_atomically() {
         let budget = MemoryBudget::unlimited();
         let mut t = state_table(budget.clone());
@@ -774,16 +671,14 @@ mod tests {
         let recorded = vec![fact(1 << 40, true), None, None];
         t.record_facts(recorded.clone());
         assert_eq!(t.column_facts(), recorded);
-        // … of which a delete leaves a subset, an append does not, and a
-        // restore brings back rows nobody vouches for.
-        t.delete_where(|r| Ok(r[0] == Value::Int(3))).unwrap();
-        assert_eq!(t.column_facts(), recorded);
+        // … which an append does not keep, and a restore brings back rows
+        // nobody vouches for.
         let undo = t.undo_state();
         t.load_rows(state_rows(8..9)).unwrap();
-        assert_eq!(t.column_facts()[0], fact(u64::MAX, true), "checked again");
+        assert_eq!(t.column_facts()[0], fact(u64::MAX, false), "checked again: 3 twice");
         t.record_facts(recorded);
         t.restore(undo);
-        assert_eq!(t.column_facts()[0], fact(u64::MAX, true));
+        assert_eq!(t.column_facts()[0], fact(u64::MAX, false));
 
         // A NULL demotes the lane: nothing is known. Past the check limit,
         // only that the values are non-NULL integers.

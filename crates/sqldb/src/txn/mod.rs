@@ -27,7 +27,7 @@ use crate::table::{Table, TableUndo};
 /// *after* the in-memory apply succeeds. Rollback pops these in reverse.
 #[derive(Debug)]
 pub(crate) enum UndoEntry {
-    /// A table was mutated (INSERT / DELETE): `undo` restores the
+    /// A table was appended to (INSERT, bulk load): `undo` restores the
     /// pre-statement chunk list in O(1).
     Mutated { table: String, undo: TableUndo },
     /// A table was created: rollback drops it.

@@ -113,27 +113,6 @@ impl Value {
         }, |a, b| a * b)
     }
 
-    pub fn div(&self, rhs: &Value) -> Result<Value> {
-        numeric_binop(self, rhs, |a, b| {
-            if b == 0 {
-                Err(Error::Eval("integer division by zero".into()))
-            } else {
-                // checked_div also rejects i64::MIN / -1 (overflow).
-                a.checked_div(b).ok_or_else(|| Error::Eval("integer overflow in /".into()))
-            }
-        }, |a, b| a / b)
-    }
-
-    pub fn rem(&self, rhs: &Value) -> Result<Value> {
-        numeric_binop(self, rhs, |a, b| {
-            if b == 0 {
-                Err(Error::Eval("integer modulo by zero".into()))
-            } else {
-                a.checked_rem(b).ok_or_else(|| Error::Eval("integer overflow in %".into()))
-            }
-        }, |a, b| a % b)
-    }
-
     pub fn neg(&self) -> Result<Value> {
         match self {
             Value::Null => Ok(Value::Null),
@@ -425,13 +404,6 @@ mod tests {
         assert_eq!(Value::Int(2).add(&Value::Float(0.5)).unwrap(), Value::Float(2.5));
         assert_eq!(Value::Float(1.0).mul(&Value::Float(2.0)).unwrap(), Value::Float(2.0));
         assert!(Value::Null.add(&Value::Int(1)).unwrap().is_null());
-    }
-
-    #[test]
-    fn division_semantics() {
-        assert_eq!(Value::Int(7).div(&Value::Int(2)).unwrap(), Value::Int(3));
-        assert!(Value::Int(1).div(&Value::Int(0)).is_err());
-        assert_eq!(Value::Float(1.0).div(&Value::Float(0.0)).unwrap(), Value::Float(f64::INFINITY));
     }
 
     #[test]

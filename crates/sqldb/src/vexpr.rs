@@ -6,8 +6,8 @@
 //! including the bitwise mask arithmetic (`&`, `|`, `~`, `<<`, `>>`) that
 //! dominates Qymera's gate joins — and falls back to the scalar
 //! [`BoundExpr::eval`] row loop for anything the kernels don't cover
-//! (`AND`/`OR` short-circuiting, `IN`, `SUBSTR`/`CONCAT`, `HUGEINT`
-//! columns, NULLs).
+//! (`AND` short-circuiting, `IN`, `SUBSTR`/`CONCAT`, `HUGEINT` columns,
+//! NULLs).
 //!
 //! Semantics contract: for every expression and input, `eval_batch` produces
 //! exactly the values the row-at-a-time `eval` would produce, and errors
@@ -18,7 +18,7 @@
 use crate::ast::{BinaryOp, DataType, UnaryOp};
 use crate::error::{Error, Result};
 use crate::exec::batch::{Column, ColumnRef, RowBatch};
-use crate::expr::BoundExpr;
+use crate::expr::{apply_binary, BoundExpr};
 use crate::value::Value;
 
 /// A binary operand: either a shared column handle or a scalar literal kept
@@ -71,9 +71,9 @@ impl BoundExpr {
             BoundExpr::Literal(v) => Ok(ColumnRef::new(Column::splat(v, n))),
             BoundExpr::Column(i) => Ok(batch.column_shared(*i)),
             BoundExpr::Binary { left, op, right } => match op {
-                // AND/OR short-circuit per row (e.g. `x <> 0 AND 1/x > 2`
-                // must not divide by zero); keep the scalar loop.
-                BinaryOp::And | BinaryOp::Or => self.eval_fallback(batch),
+                // AND short-circuits per row (`x >= 0 AND 1 << x > 2` must
+                // not shift by a negative amount); keep the scalar loop.
+                BinaryOp::And => self.eval_fallback(batch),
                 _ => {
                     let l = eval_operand(left, batch)?;
                     let r = eval_operand(right, batch)?;
@@ -164,7 +164,7 @@ fn eval_binary_kernel(l: &Operand, op: BinaryOp, r: &Operand, n: usize) -> Resul
             for i in 0..n {
                 let a = operand_value(l, i);
                 let b = operand_value(r, i);
-                out.push(apply_value_op(&a, op, &b)?);
+                out.push(apply_binary(&a, op, &b)?);
             }
             Ok(out)
         }
@@ -222,17 +222,6 @@ fn int_kernel(op: BinaryOp, n: usize, at: impl Fn(usize) -> (i64, i64)) -> Resul
         BinaryOp::Mul => map_checked!(|a: i64, b: i64| a
             .checked_mul(b)
             .ok_or_else(|| Error::Eval("integer overflow in *".into()))),
-        BinaryOp::Div => map_checked!(|a: i64, b: i64| if b == 0 {
-            Err(Error::Eval("integer division by zero".into()))
-        } else {
-            // checked_div also rejects i64::MIN / -1 (overflow).
-            a.checked_div(b).ok_or_else(|| Error::Eval("integer overflow in /".into()))
-        }),
-        BinaryOp::Mod => map_checked!(|a: i64, b: i64| if b == 0 {
-            Err(Error::Eval("integer modulo by zero".into()))
-        } else {
-            a.checked_rem(b).ok_or_else(|| Error::Eval("integer overflow in %".into()))
-        }),
         BinaryOp::BitAnd => map_infallible!(|a, b| a & b),
         BinaryOp::BitOr => map_infallible!(|a, b| a | b),
         BinaryOp::BitXor => map_infallible!(|a, b| a ^ b),
@@ -276,7 +265,7 @@ fn int_kernel(op: BinaryOp, n: usize, at: impl Fn(usize) -> (i64, i64)) -> Resul
         #[cfg(feature = "canary")]
         BinaryOp::Gt => map_infallible!(|a, b| (a >= b) as i64),
         BinaryOp::GtEq => map_infallible!(|a, b| (a >= b) as i64),
-        BinaryOp::And | BinaryOp::Or => unreachable!("handled before kernel dispatch"),
+        BinaryOp::And => unreachable!("handled before kernel dispatch"),
     }
 }
 
@@ -309,8 +298,6 @@ fn float_kernel(op: BinaryOp, n: usize, at: impl Fn(usize) -> (f64, f64)) -> Res
         BinaryOp::Add => map_float!(|a, b| a + b),
         BinaryOp::Sub => map_float!(|a, b| a - b),
         BinaryOp::Mul => map_float!(|a, b| a * b),
-        BinaryOp::Div => map_float!(|a, b| a / b),
-        BinaryOp::Mod => map_float!(|a: f64, b: f64| a % b),
         BinaryOp::Eq => map_cmp!(|o| o == Ordering::Equal),
         BinaryOp::NotEq => map_cmp!(|o| o != Ordering::Equal),
         BinaryOp::Lt => map_cmp!(|o| o == Ordering::Less),
@@ -324,45 +311,7 @@ fn float_kernel(op: BinaryOp, n: usize, at: impl Fn(usize) -> (f64, f64)) -> Res
         | BinaryOp::Shr => Err(Error::Type(
             "bitwise operator requires integer operands, got DOUBLE and DOUBLE".into(),
         )),
-        BinaryOp::And | BinaryOp::Or => unreachable!("handled before kernel dispatch"),
-    }
-}
-
-/// Apply a non-logical binary operator through [`Value`] semantics (the slow
-/// lane of the binary kernel, handling NULL/text/HUGEINT/mixed rows).
-fn apply_value_op(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
-    match op {
-        BinaryOp::Add => l.add(r),
-        BinaryOp::Sub => l.sub(r),
-        BinaryOp::Mul => l.mul(r),
-        BinaryOp::Div => l.div(r),
-        BinaryOp::Mod => l.rem(r),
-        BinaryOp::BitAnd => l.bit_and(r),
-        BinaryOp::BitOr => l.bit_or(r),
-        BinaryOp::BitXor => l.bit_xor(r),
-        BinaryOp::Shl => l.shl(r),
-        BinaryOp::Shr => l.shr(r),
-        BinaryOp::Eq | BinaryOp::NotEq | BinaryOp::Lt | BinaryOp::LtEq | BinaryOp::Gt
-        | BinaryOp::GtEq => {
-            let cmp = l.sql_cmp(r)?;
-            Ok(match cmp {
-                None => Value::Null,
-                Some(ord) => {
-                    use std::cmp::Ordering;
-                    let b = match op {
-                        BinaryOp::Eq => ord == Ordering::Equal,
-                        BinaryOp::NotEq => ord != Ordering::Equal,
-                        BinaryOp::Lt => ord == Ordering::Less,
-                        BinaryOp::LtEq => ord != Ordering::Greater,
-                        BinaryOp::Gt => ord == Ordering::Greater,
-                        BinaryOp::GtEq => ord != Ordering::Less,
-                        _ => unreachable!(),
-                    };
-                    Value::Int(b as i64)
-                }
-            })
-        }
-        BinaryOp::And | BinaryOp::Or => unreachable!("handled before kernel dispatch"),
+        BinaryOp::And => unreachable!("handled before kernel dispatch"),
     }
 }
 
@@ -380,12 +329,6 @@ fn eval_unary_kernel(op: UnaryOp, col: &Column) -> Result<Column> {
         }
         (UnaryOp::Neg, Column::Float(v)) => Ok(Column::Float(v.iter().map(|f| -f).collect())),
         (UnaryOp::BitNot, Column::Int(v)) => Ok(Column::Int(v.iter().map(|i| !i).collect())),
-        (UnaryOp::Not, Column::Int(v)) => {
-            Ok(Column::Int(v.iter().map(|&i| (i == 0) as i64).collect()))
-        }
-        (UnaryOp::Not, Column::Float(v)) => {
-            Ok(Column::Int(v.iter().map(|&f| (f == 0.0) as i64).collect()))
-        }
         (op, col) => {
             let mut out = Column::new();
             for i in 0..col.len() {
@@ -393,10 +336,6 @@ fn eval_unary_kernel(op: UnaryOp, col: &Column) -> Result<Column> {
                 out.push(match op {
                     UnaryOp::Neg => v.neg()?,
                     UnaryOp::BitNot => v.bit_not()?,
-                    UnaryOp::Not => match v.as_bool()? {
-                        None => Value::Null,
-                        Some(b) => Value::Int(!b as i64),
-                    },
                 });
             }
             Ok(out)
@@ -487,7 +426,7 @@ mod tests {
         check("r <= s");
         check("s + r");
         check("s * 2");
-        check("2.5 / r");
+        check("2.5 - r");
         check("x + 1");
         check("x IS NULL");
         check("s IS NOT NULL");
@@ -497,9 +436,8 @@ mod tests {
     fn fallback_constructs_match_row_path() {
         check("s IN (5, 6)");
         check("CONCAT(s, x)");
-        check("NOT (s > 0)");
         check("s > 0 AND r > 0.0");
-        check("s > 0 OR r > 0.0");
+        check("x > 0 AND s > 0");
         check("CAST(s AS DOUBLE)");
         check("CAST(r AS INTEGER)");
         check("-s");
@@ -536,11 +474,11 @@ mod tests {
     }
 
     #[test]
-    fn min_div_neg_one_errors_not_panics() {
-        // i64::MIN / -1 and % -1 overflow; both paths must error, not abort.
+    fn min_times_neg_one_errors_not_panics() {
+        // i64::MIN * -1 and -i64::MIN overflow; both paths must error, not abort.
         let row = vec![Value::Int(i64::MIN), Value::Float(0.0), Value::Float(0.0), Value::Null];
         let batch = RowBatch::from_rows(std::slice::from_ref(&row));
-        for sql in ["s / -1", "s % -1"] {
+        for sql in ["s * -1", "-s"] {
             let expr = crate::expr::bind(&parse_expr(sql).unwrap(), &schema()).unwrap();
             assert!(expr.eval_batch(&batch).is_err(), "{sql} batch");
             assert!(expr.eval(&row).is_err(), "{sql} row");

@@ -96,16 +96,19 @@ fn query(sql: &str) -> Query {
 /// A database holding `T0 = |0⟩` and the gate tables the chains join.
 fn gate_db() -> Database {
     let mut db = Database::new();
-    db.execute_script(
-        "CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE);
-         INSERT INTO T0 VALUES (0, 1.0, 0.0);
-         CREATE TABLE H (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE);
-         INSERT INTO H VALUES (0, 0, 0.7071067811865476, 0.0), (0, 1, 0.7071067811865476, 0.0),
-                              (1, 0, 0.7071067811865476, 0.0), (1, 1, -0.7071067811865476, 0.0);
-         CREATE TABLE F (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE);
-         INSERT INTO F VALUES (0, 3, 1.0, 0.0), (1, 2, 1.0, 0.0), (2, 1, 1.0, 0.0), (3, 0, 1.0, 0.0);",
-    )
-    .unwrap();
+    for sql in [
+        "CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE)",
+        "INSERT INTO T0 VALUES (0, 1.0, 0.0)",
+        "CREATE TABLE H (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)",
+        "INSERT INTO H VALUES (0, 0, 0.7071067811865476, 0.0), \
+             (0, 1, 0.7071067811865476, 0.0), (1, 0, 0.7071067811865476, 0.0), \
+             (1, 1, -0.7071067811865476, 0.0)",
+        "CREATE TABLE F (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)",
+        "INSERT INTO F VALUES (0, 3, 1.0, 0.0), (1, 2, 1.0, 0.0), (2, 1, 1.0, 0.0), \
+             (3, 0, 1.0, 0.0)",
+    ] {
+        db.execute(sql).unwrap();
+    }
     db
 }
 

@@ -34,13 +34,14 @@ fn x_chain_sql(gates: usize) -> String {
 fn thousand_gate_chain_runs_on_a_default_test_thread() {
     // This thread has the 2 MiB default stack; the plan is ~4000 levels deep.
     let mut db = Database::new();
-    db.execute_script(
-        "CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE);
-         INSERT INTO T0 VALUES (0, 1.0, 0.0);
-         CREATE TABLE X (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE);
-         INSERT INTO X VALUES (0, 1, 1.0, 0.0), (1, 0, 1.0, 0.0);",
-    )
-    .unwrap();
+    for sql in [
+        "CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE)",
+        "INSERT INTO T0 VALUES (0, 1.0, 0.0)",
+        "CREATE TABLE X (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)",
+        "INSERT INTO X VALUES (0, 1, 1.0, 0.0), (1, 0, 1.0, 0.0)",
+    ] {
+        db.execute(sql).unwrap();
+    }
     let sql = x_chain_sql(1001);
     let Statement::Query(query) = parse_statement(&sql).unwrap() else { panic!("not a query") };
     assert!(!runs_on_caller_stack(&query), "over the budget: a thread of its own");

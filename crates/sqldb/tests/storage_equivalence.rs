@@ -4,10 +4,11 @@
 //! ([`qymera_sqldb::table`]). The executor reads the chunks zero-copy, the
 //! reference interpreter ([`Database::query_reference`]) reads the same
 //! snapshot transposed into rows, so these tests pin down the contract:
-//! identical results from both under randomized inserts and deletes, coercion
-//! errors that leave table and ledger untouched, a ledger that follows
-//! inserts, deletes and drops, intact snapshot isolation while the table
-//! mutates between (and under) scans, and agreement when the executor spills.
+//! identical results from both under randomized inserts and rolled-back
+//! inserts, coercion errors that leave table and ledger untouched, a ledger
+//! that follows inserts, rollbacks and drops, intact snapshot isolation
+//! while the table mutates between (and under) scans, and agreement when the
+//! executor spills.
 //!
 //! The same contract holds across a restart: a durable database reopened —
 //! from its log alone, or from a checkpoint image and the log behind it —
@@ -51,8 +52,8 @@ const PROBES: &[&str] = &[
     "SELECT s FROM t WHERE r > 0.0 AND s IS NOT NULL",
 ];
 
-/// Randomized insert/delete interleaving: after every mutation, every probe
-/// query must agree between the reference and the executor.
+/// Randomized inserts, some of them rolled back: after every mutation, every
+/// probe query must agree between the reference and the executor.
 #[test]
 fn randomized_mutations_equivalent_across_paths() {
     for seed in 0..3u64 {
@@ -64,17 +65,15 @@ fn randomized_mutations_equivalent_across_paths() {
             let n = rng.gen_range(1usize..(CHUNK_ROWS + 300));
             let rows: Vec<Vec<Value>> =
                 (0..n).map(|_| random_row(&mut rng)).collect();
-            db.insert_rows("t", rows).unwrap();
             if rng.gen_range(0u32..3) == 0 {
-                let cut = rng.gen_range(0i64..4096);
-                let doomed = db
-                    .query_reference(&format!("SELECT s FROM t WHERE s < {cut}"))
-                    .unwrap()
-                    .rows()
-                    .len();
-                let deleted =
-                    db.execute(&format!("DELETE FROM t WHERE s < {cut}")).unwrap().affected();
-                assert_eq!(deleted, doomed, "seed {seed}: delete count");
+                // Undone: the table rolls back to its chunks before the insert.
+                let before = db.table_row_count("t").unwrap();
+                db.execute("BEGIN").unwrap();
+                db.insert_rows("t", rows).unwrap();
+                db.execute("ROLLBACK").unwrap();
+                assert_eq!(db.table_row_count("t").unwrap(), before, "seed {seed}: rollback");
+            } else {
+                db.insert_rows("t", rows).unwrap();
             }
             for sql in PROBES {
                 let want = sorted_rows(&db.query_reference(sql).unwrap());
@@ -119,7 +118,7 @@ fn coerce_errors_are_atomic() {
     assert_eq!(db.table_row_count("t").unwrap(), 1);
 }
 
-/// The ledger follows storage through inserts, deletes, and drops, and the
+/// The ledger follows storage through inserts, rollbacks and drops, and the
 /// reference interpreter never touches it: it reads snapshots and charges
 /// nothing, so it cannot disturb the accounting it is used to check.
 #[test]
@@ -135,15 +134,18 @@ fn budget_accounting_follows_storage_only() {
         db.query_reference(sql).unwrap();
     }
     assert_eq!((db.budget().used(), db.budget().peak()), (loaded, peak));
-    db.execute("DELETE FROM t WHERE s < 1000").unwrap();
-    assert!(db.budget().used() < loaded, "delete shrinks the charge");
+    db.execute("BEGIN").unwrap();
+    db.insert_rows("t", (0..500).map(|_| random_row(&mut rng)).collect()).unwrap();
+    assert!(db.budget().used() > loaded, "an insert grows the charge");
+    db.execute("ROLLBACK").unwrap();
+    assert_eq!(db.budget().used(), loaded, "its rollback shrinks it back");
     db.execute("DROP TABLE t").unwrap();
     assert_eq!(db.budget().used(), 0, "drop releases everything");
 }
 
 /// Snapshot isolation at the storage layer: a snapshot taken mid-chunk keeps
-/// its contents while the table grows (copy-on-write tail), shrinks
-/// (delete re-pack), and even after the table is dropped.
+/// its contents while the table grows (copy-on-write tail), and even after
+/// the table is dropped.
 #[test]
 fn snapshot_isolation_under_mutation() {
     let budget = MemoryBudget::unlimited();
@@ -172,19 +174,14 @@ fn snapshot_isolation_under_mutation() {
     let snap3 = t.snapshot();
     assert!(Arc::ptr_eq(&snap2.chunks()[0].columns()[0], &snap3.chunks()[0].columns()[0]));
 
-    // Delete re-packs survivors into new chunks; old snapshots unaffected.
-    t.delete_where(|r| Ok(matches!(r[0], Value::Int(v) if v % 2 == 0))).unwrap();
-    assert_eq!(t.row_count(), 1000);
-    assert_eq!(snap2.num_rows(), 2000);
-    assert_eq!(snap2.to_rows()[0][0], Value::Int(0), "deleted row still visible");
-
     t.release_budget();
+    assert_eq!(t.row_count(), 0);
     assert_eq!(snap2.num_rows(), 2000, "snapshot outlives the table's storage");
 }
 
 /// End-to-end snapshot semantics: a table mutated between scans yields the
 /// new state on the next query, from the executor and the reference alike,
-/// including after deletes that re-pack chunks.
+/// including after a rolled-back insert.
 #[test]
 fn table_mutated_between_scans_stays_consistent() {
     let mut db = Database::new();
@@ -203,10 +200,12 @@ fn table_mutated_between_scans_stays_consistent() {
         assert_eq!(n1, vec![vec![Value::Int(1500)]]);
     }
     db.insert_rows("t", mk(1500, 1600)).unwrap();
-    db.execute("DELETE FROM t WHERE s < 100").unwrap();
+    db.execute("BEGIN").unwrap();
+    db.insert_rows("t", mk(1600, 3000)).unwrap();
+    db.execute("ROLLBACK").unwrap();
     for n2 in both(&mut db, "SELECT COUNT(*), SUM(s) FROM t") {
-        // sum(100..1600) = (100 + 1599) * 1500 / 2
-        assert_eq!(n2, vec![vec![Value::Int(1500), Value::Int((100 + 1599) * 1500 / 2)]]);
+        // sum(0..1600) = 1599 * 1600 / 2
+        assert_eq!(n2, vec![vec![Value::Int(1600), Value::Int(1599 * 1600 / 2)]]);
     }
 }
 
@@ -305,8 +304,8 @@ fn full_state(db: &mut Database) -> (Vec<String>, usize, usize) {
 /// on an in-memory twin: bulk inserts over every lane mix (one row to
 /// several chunks), `CREATE TABLE … AS` whole and ragged (a filter cuts
 /// every batch short), `DROP` and re-creation of a name under another
-/// schema, `DELETE`, transactions committed, rolled back and rolled back to
-/// a savepoint, and now and then a checkpoint. Whenever the durable side is
+/// schema, transactions committed, rolled back and rolled back to a
+/// savepoint, and now and then a checkpoint. Whenever the durable side is
 /// reopened — and at the end — both sides must be equal, ledger included.
 #[test]
 fn a_recovered_database_equals_its_in_memory_twin() {
@@ -364,18 +363,14 @@ fn a_recovered_database_equals_its_in_memory_twin() {
                         reached[0] += 1;
                     }
                 }
-                (Some(at), 0) => {
+                (Some(at), 0 | 1) => {
                     let text = format!("DROP TABLE {name}");
                     assert!(both(&mut durable, &mut twin, &text, &sql(text.clone())));
                     schemas.remove(at);
                 }
-                (Some(_), 1) => {
-                    let text = format!("DELETE FROM {name} WHERE (k & 7) = {}", rng.gen_range(0i64..8));
-                    both(&mut durable, &mut twin, &text, &sql(text.clone()));
-                }
                 (Some(at), 2) => {
-                    // A transaction: rows, a savepoint, more rows and a
-                    // delete rolled back to it, then COMMIT or ROLLBACK.
+                    // A transaction: rows, a savepoint, more rows rolled
+                    // back to it, then COMMIT or ROLLBACK.
                     let Some(types) = schemas[at].1.clone() else { continue };
                     let rows = |rng: &mut StdRng, n: usize| -> Vec<Vec<Value>> {
                         (0..n).map(|_| types.iter().map(|t| random_value(rng, t, true)).collect()).collect()
@@ -387,7 +382,6 @@ fn a_recovered_database_equals_its_in_memory_twin() {
                         db.insert_rows(name, kept.clone())?;
                         db.execute("SAVEPOINT sp")?;
                         db.insert_rows(name, undone.clone())?;
-                        db.execute(&format!("DELETE FROM {name} WHERE k < 0"))?;
                         db.execute("ROLLBACK TO sp")?;
                         db.execute(end).map(|_| 0)
                     };

@@ -105,8 +105,11 @@ fn intermediate_tables_match_fig2c() {
 
 #[test]
 fn bitwise_operator_table1_end_to_end() {
-    // Every operator in the paper's Table 1, evaluated by the engine.
+    // Every operator in the paper's Table 1, evaluated by the engine over a
+    // one-row table (a SELECT needs a FROM).
     let mut db = Database::new();
+    db.execute("CREATE TABLE one (x INTEGER)").unwrap();
+    db.execute("INSERT INTO one VALUES (0)").unwrap();
     let cases = [
         ("SELECT 12 & 10", 8),
         ("SELECT 12 | 10", 14),
@@ -118,7 +121,7 @@ fn bitwise_operator_table1_end_to_end() {
         ("SELECT (6 >> 1) & 3", 3),
     ];
     for (sql, want) in cases {
-        let rs = db.execute(sql).unwrap();
+        let rs = db.execute(&format!("{sql} FROM one")).unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Int(want)), "{sql}");
     }
 }
