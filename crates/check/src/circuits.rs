@@ -5,7 +5,9 @@
 //! (statevector, sparse, MPS, decision diagram) amplitude-by-amplitude. The
 //! single query, whose lone permutation gates are projections, must also
 //! agree with the paper's, where every gate is a join, to [`JOIN_TOL`],
-//! basis state by basis state.
+//! basis state by basis state. Every state table of a step-table run holds
+//! each basis state once ([`state_keys_are_unique`]), which is what lets a
+//! permutation join without a `GROUP BY`.
 //!
 //! Rotation angles are dyadic multiples of π/8 — enough to produce dense,
 //! interfering states while keeping every backend well inside the
@@ -22,6 +24,7 @@ use qymera_sqldb::catalog::Catalog;
 use qymera_sqldb::parser::parse_statement;
 use qymera_sqldb::{Database, MemoryBudget};
 use qymera_translate::fusion::lower_circuit;
+use qymera_translate::sqlgen::step_statement;
 use qymera_translate::tables::create_initial_state_table;
 use qymera_translate::{
     circuit_query, ExecMode, GateTableRegistry, SqlGenConfig, SqlSimConfig, SqlSimulator,
@@ -86,8 +89,8 @@ impl CircuitCase {
     }
 
     /// The shapes whose gates, Hadamards apart, cannot interfere — the
-    /// optimizer streams their aggregates, and every oracle here still
-    /// groups or multiplies matrices: a QFT (CP ladders on non-adjacent
+    /// translator writes them without a `GROUP BY`, and every oracle here
+    /// still groups or multiplies matrices: a QFT (CP ladders on non-adjacent
     /// qubits, the reversal swaps), a parity check (X and CX fan-in on a
     /// one-row state) and Bernstein–Vazirani (CX between Hadamard layers).
     pub fn library_shapes() -> Vec<CircuitCase> {
@@ -216,6 +219,38 @@ pub fn projections_match_joins(circuit: &QuantumCircuit) -> Result<(), String> {
     Ok(())
 }
 
+/// Every state table of `circuit`'s step-table run under the default
+/// translation, fused and one op per gate, holds each basis state once:
+/// `COUNT(*) = COUNT(DISTINCT s)`, checked statement by statement. A
+/// permutation's join has no `GROUP BY` on the strength of this.
+pub fn state_keys_are_unique(circuit: &QuantumCircuit) -> Result<(), String> {
+    let err = |e: qymera_sqldb::Error| e.to_string();
+    let cfg = SqlGenConfig::default();
+    for fusion in [None, SqlSimConfig::default().fusion] {
+        let mut reg = GateTableRegistry::for_sql(&cfg);
+        let ops = lower_circuit(circuit, &mut reg, fusion);
+        let mut db = Database::new();
+        reg.materialize(&mut db).map_err(err)?;
+        create_initial_state_table(&mut db, "T0", circuit.num_qubits, 0).map_err(err)?;
+        for (k, op) in ops.iter().enumerate() {
+            let (next, select) = step_statement(k, op, circuit.num_qubits, &cfg);
+            db.create_table_as(&next, &select).map_err(err)?;
+            let count = format!("SELECT COUNT(*), COUNT(DISTINCT s) FROM {next}");
+            let counts = db.execute(&count).map_err(err)?;
+            if let [rows, distinct] = &counts.rows()[0][..] {
+                if rows != distinct {
+                    let (table, qubits) = (&op.table, &op.qubits);
+                    return Err(format!(
+                        "{next} ({table} on {qubits:?}, fusion {fusion:?}): {rows:?} rows, \
+                         {distinct:?} distinct s"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The translator's tables and single-query text for `circuit`, answered by
 /// `Database::query_reference` instead of the executor.
 fn simulate_with_reference(circuit: &QuantumCircuit) -> Result<SimOutput, SimError> {
@@ -288,6 +323,9 @@ pub fn run_circuit_case(case: &CircuitCase) -> Option<Discrepancy> {
     }
     if let Err(detail) = projections_match_joins(&circuit) {
         return Some(Discrepancy { seed: case.seed, oracle: "sql-single vs sql-fig2c".into(), detail });
+    }
+    if let Err(detail) = state_keys_are_unique(&circuit) {
+        return Some(Discrepancy { seed: case.seed, oracle: "sql-step unique s".into(), detail });
     }
     if let Some(d) = check("sparse", SparseSim.simulate(&circuit, &opts)) {
         return Some(d);

@@ -41,7 +41,7 @@ pub mod shrink;
 pub mod txnfuzz;
 
 pub use cancelfuzz::{run_cancel_case, CancelCase};
-pub use circuits::{run_circuit_case, CircuitCase};
+pub use circuits::{run_circuit_case, state_keys_are_unique, CircuitCase};
 pub use faultfuzz::run_fault_schedule_case;
 pub use generator::{CaseRng, SqlCase};
 pub use oracle::{run_sql_case_all_oracles, Discrepancy, SqlOracle};

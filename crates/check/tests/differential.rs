@@ -91,6 +91,20 @@ fn deep_gate_chain_agrees_across_sql_and_native_backends() {
     }
 }
 
+/// Past 63 qubits (a `HUGEINT` index) the permutations the default
+/// translation joins without a `GROUP BY` — lone gates and fused blocks,
+/// CSWAP among them — still leave each basis state in one row of every
+/// state table, and the last two Hadamards, whose joined rows meet in
+/// pairs, group them. No dense oracle reaches this width.
+#[test]
+fn state_keys_stay_unique_past_63_qubits() {
+    let circuit = qymera_circuit::CircuitBuilder::new(70)
+        .h(0).h(66).x(67).cx(66, 69).cswap(0, 66, 68).ccx(0, 66, 1)
+        .h(1).cz(1, 69).swap(0, 68).cx(1, 0).cx(0, 1).cx(69, 67).h(66).h(68)
+        .build();
+    qymera_check::state_keys_are_unique(&circuit).unwrap();
+}
+
 #[test]
 fn library_shaped_circuits_agree_across_sql_and_native_backends() {
     for case in CircuitCase::library_shapes() {

@@ -2,8 +2,11 @@
 //! `EXPLAIN` of the benchmark's two single-query circuits and of the
 //! generator's deep-CTE cases is pinned as line count plus FNV-1a hash of
 //! the rendered tree. The two circuits were re-pinned when the optimizer
-//! began to mark the aggregates it proves to see one row per group, and the
-//! number of marked and unmarked ones is asserted next to each hash. The
+//! began to mark the aggregates it proved to see one row per group, and
+//! again when that proof was deleted (the translator now writes such gates
+//! without a `GROUP BY`, and Fig. 2c groups every gate): the new texts are
+//! the old ones with the mark removed, and the number of aggregates is
+//! asserted next to each hash. The
 //! generated cases were re-pinned when the generator stopped drawing joins
 //! and aggregates the engine no longer has: the engine of the commit before
 //! renders the new cases to the same text. They were re-pinned again when
@@ -99,11 +102,9 @@ fn assert_plan(what: &str, text: &str, lines: usize, hash: u64) {
     assert_eq!(got, (lines, hash), "{what}: (lines, hash) differ from the recorded plan's");
 }
 
-/// Aggregates of `text` that build a group table, and those the optimizer
-/// proved to see one row per group.
-fn aggregates(text: &str) -> (usize, usize) {
-    let streamed = text.matches("(one row per group: streamed)").count();
-    (text.matches("Aggregate [").count() - streamed, streamed)
+/// Aggregates (each builds a group table) and joins in `text`.
+fn aggregates_and_joins(text: &str) -> (usize, usize) {
+    (text.matches("Aggregate [").count(), text.matches("Join ").count())
 }
 
 #[test]
@@ -112,9 +113,9 @@ fn deep_sparse_plan_is_unchanged() {
     let input: Vec<bool> = (0..46).map(|q| q % 2 == 0 || q == 45).collect();
     assert_eq!(input.iter().filter(|&&b| b).count(), 24);
     let text = explain_circuit(&library::parity_check(&input), &SqlGenConfig::FIG_2C);
-    assert_plan("deep_sparse", &text, 353, 8_780_452_115_840_028_341);
-    // X and CX only: no gate builds a group table.
-    assert_eq!(aggregates(&text), (0, 70));
+    assert_plan("deep_sparse", &text, 353, 17_099_976_798_079_467_809);
+    // X and CX only, yet Fig. 2c groups every gate.
+    assert_eq!(aggregates_and_joins(&text), (70, 70));
     let bound = bound_exprs_circuit(&library::parity_check(&input), &SqlGenConfig::FIG_2C);
     assert_plan("deep_sparse bound expressions", &bound, 353, 14_801_420_637_632_251_740);
 }
@@ -125,7 +126,7 @@ fn deep_sparse_plan_is_unchanged() {
 fn deep_sparse_projections_are_unchanged() {
     let input: Vec<bool> = (0..46).map(|q| q % 2 == 0 || q == 45).collect();
     let text = explain_circuit(&library::parity_check(&input), &SqlGenConfig::default());
-    assert_eq!((aggregates(&text), text.matches("Join").count()), ((0, 0), 0));
+    assert_eq!(aggregates_and_joins(&text), (0, 0));
     assert_eq!(text.matches("Project").count(), 71, "one per gate and the final SELECT");
     assert_plan("deep_sparse (default)", &text, DEEP_SPARSE_PROJECTED.0, DEEP_SPARSE_PROJECTED.1);
     let bound = bound_exprs_circuit(&library::parity_check(&input), &SqlGenConfig::default());
@@ -138,9 +139,9 @@ fn wide_dense_plan_is_unchanged() {
     let ansatz = library::hardware_efficient_ansatz(14, 1);
     let angles: Vec<f64> = (0..ansatz.symbols().len()).map(|k| 0.3 + 0.05 * k as f64).collect();
     let text = explain_circuit(&ansatz.bind_values(&angles).unwrap(), &SqlGenConfig::FIG_2C);
-    assert_plan("wide_dense", &text, 208, 17_926_480_232_214_115_492);
-    // The 14 RY build a table; the 14 RZ and the 13 CX stream.
-    assert_eq!(aggregates(&text), (14, 27));
+    assert_plan("wide_dense", &text, 208, 261_500_769_636_905_870);
+    // 14 RY, 14 RZ and 13 CX: Fig. 2c groups every gate.
+    assert_eq!(aggregates_and_joins(&text), (41, 41));
     let bound = bound_exprs_circuit(&ansatz.bind_values(&angles).unwrap(), &SqlGenConfig::FIG_2C);
     assert_plan("wide_dense bound expressions", &bound, 208, 15_297_289_258_910_485_199);
 }
@@ -156,36 +157,41 @@ fn qft13_bound_expressions_are_unchanged() {
 #[test]
 fn qft13_projections_are_unchanged() {
     let text = explain_circuit(&library::qft(13), &SqlGenConfig::default());
-    assert_eq!(aggregates(&text), (13, 0));
+    assert_eq!(aggregates_and_joins(&text), (13, 13));
     assert_plan("qft:13 (default)", &text, QFT13_PROJECTED.0, QFT13_PROJECTED.1);
     let bound = bound_exprs_circuit(&library::qft(13), &SqlGenConfig::default());
     assert_plan("qft:13 (default) bound expressions", &bound, QFT13_PROJECTED.2, QFT13_PROJECTED.3);
 }
 
-/// Step-table mode (perfbench's `durable_steps` circuit): each statement is
-/// planned over the table the previous one created, whose key is the fact
-/// its `CREATE TABLE … AS` recorded — past 4,096 rows nothing else says so.
+/// Step-table mode as perfbench's `durable_steps` runs it: `qft:13`,
+/// fused, under the default translation. Each statement is planned over
+/// the table the one before created; the 13 ops holding a Hadamard group
+/// their join, the 15 permutation blocks join without a `GROUP BY`, and
+/// the other 24 are lone projections.
 #[test]
-fn qft13_step_statements_stream_all_but_the_hadamards() {
+fn qft13_step_statements_group_only_the_hadamards() {
     let circuit = library::qft(13);
-    let mut reg = GateTableRegistry::for_sql(&SqlGenConfig::FIG_2C);
-    let ops = lower_circuit(&circuit, &mut reg, None);
+    let cfg = SqlGenConfig::default();
+    let mut reg = GateTableRegistry::for_sql(&cfg);
+    let ops = lower_circuit(&circuit, &mut reg, Some(6));
     let mut db = Database::new();
     reg.materialize(&mut db).unwrap();
     create_initial_state_table(&mut db, "T0", 13, 0).unwrap();
-    let (mut far_cp, mut recorded) = (0, 0);
+    let mut shapes = [0; 3];
     for (k, op) in ops.iter().enumerate() {
-        let (next, select) = step_statement(k, op, 13, &SqlGenConfig::FIG_2C);
-        let want = if op.table == "H" { (1, 0) } else { (0, 1) };
+        let (next, select) = step_statement(k, op, 13, &cfg);
         let text = db.explain(&select).unwrap();
-        assert_eq!(aggregates(&text), want, "step {k} ({} on {:?}):\n{text}", op.table, op.qubits);
-        far_cp += usize::from(op.table.starts_with("CP") && op.qubits[0] + 1 != op.qubits[1]);
-        recorded += usize::from(db.table_row_count(&format!("T{k}")).unwrap() > 4096);
+        let shape = aggregates_and_joins(&text);
+        let want = match (op.permutes, op.closed_form.is_some()) {
+            (false, _) => (1, 1),
+            (true, false) => (0, 1),
+            (true, true) => (0, 0),
+        };
+        assert_eq!(shape, want, "step {k} ({} on {:?}):\n{text}", op.table, op.qubits);
+        shapes[shape.0 + shape.1] += 1;
         db.create_table_as(&next, &select).unwrap();
     }
-    assert_eq!(ops.len(), 97);
-    assert_eq!(far_cp, 66, "CP gates on non-adjacent qubits");
-    assert_eq!(recorded, 6, "statements whose state table is too large to check: the swaps");
+    assert_eq!(shapes, [24, 15, 13], "(projections, permutation joins, grouped joins)");
 }
 
 /// `EXPLAIN` of a generated case's query over its own tables.

@@ -21,9 +21,9 @@ use crate::exec::vector::{build_batch_stream, drain};
 use crate::exec::{ExecContext, NodeStats};
 use crate::parser::parse_statement;
 use crate::plan::logical::{depth_bound, plan_query, Plan};
-use crate::plan::optimizer::{optimize, optimize_with_facts};
+use crate::plan::optimizer::optimize;
 use crate::reference;
-use crate::schema::{Facts, RelSchema};
+use crate::schema::RelSchema;
 use crate::storage::budget::MemoryBudget;
 use crate::storage::fault::FaultInjector;
 use crate::storage::spill::{Row, SpillDir};
@@ -436,16 +436,16 @@ impl Database {
             return Err(Error::Plan("CREATE TABLE AS requires a query".into()));
         };
         with_exec_stack(&q, || {
-            let (plan, facts) = optimize_with_facts(plan_query(&q, &self.catalog)?);
-            self.create_table_as_exec(name, plan, facts)
+            let plan = optimize(plan_query(&q, &self.catalog)?);
+            self.create_table_as_exec(name, plan)
         })
     }
 
     /// Execution half of [`Self::create_table_as`] (runs on the execution
     /// stack for deep plans).
-    fn create_table_as_exec(&mut self, name: &str, plan: Plan, facts: Facts) -> Result<usize> {
+    fn create_table_as_exec(&mut self, name: &str, plan: Plan) -> Result<usize> {
         self.begin_statement();
-        self.in_txn(|db| db.create_table_as_in_txn(name, plan, facts))
+        self.in_txn(|db| db.create_table_as_in_txn(name, plan))
     }
 
     /// Bulk-load pre-built rows (bypasses SQL parsing; used by the Qymera

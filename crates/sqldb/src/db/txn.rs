@@ -17,7 +17,7 @@ use crate::exec::vector::{build_batch_stream, drain};
 use crate::expr::bind;
 use crate::plan::logical::{plan_query, Plan};
 use crate::plan::optimizer::optimize;
-use crate::schema::{Facts, RelSchema};
+use crate::schema::RelSchema;
 use crate::storage::spill::Row;
 use crate::storage::wal::DurableStore;
 use crate::txn::{SavepointMark, TxnState, UndoEntry};
@@ -403,12 +403,7 @@ impl Database {
     /// partially built table again.
     ///
     /// [`Table::append_batch`]: crate::table::Table::append_batch
-    pub(super) fn create_table_as_in_txn(
-        &mut self,
-        name: &str,
-        plan: Plan,
-        facts: Facts,
-    ) -> Result<usize> {
+    pub(super) fn create_table_as_in_txn(&mut self, name: &str, plan: Plan) -> Result<usize> {
         let names = plan.schema().names();
         let stream = build_batch_stream(&plan, &self.catalog, &self.ctx())?;
         let mut created = false;
@@ -429,8 +424,6 @@ impl Database {
         if !created {
             self.ctas_create(name, &names, None)?;
         }
-        // What the plan proved of its columns holds of exactly these rows.
-        self.catalog.get_mut(name)?.record_facts(facts);
         Ok(inserted)
     }
 

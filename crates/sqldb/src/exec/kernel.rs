@@ -6,10 +6,9 @@
 //! per-bit scatter `((out_s & 1) << a) | (((out_s >> 1) & 1) << b)` of a
 //! fused block on non-adjacent qubits, or the probe key `(s >> k) & m`. The
 //! other is the complex multiply `(r * gr) - (i * gi)`, `(r * gi) + (i * gr)`
-//! of an amplitude by a gate entry, behind `0.0 + …` when the aggregate
-//! streams. Through [`BoundExpr::eval_batch`] every operator node of those
-//! is one kernel and one temporary column, over columns the join gathered
-//! first.
+//! of an amplitude by a gate entry. Through [`BoundExpr::eval_batch`] every
+//! operator node of those is one kernel and one temporary column, over
+//! columns the join gathered first.
 //!
 //! [`CompiledExpr`] and [`ComplexPair`] recognize the shapes when an
 //! operator is built and run each as one loop that reads its inputs through
@@ -148,12 +147,11 @@ fn shift(expr: &BoundExpr) -> Option<u32> {
 }
 
 /// The complex multiply of an amplitude `(r, i)` by a gate entry
-/// `(gr, gi)`: the pair `[k +] ((r * gr) - (i * gi))`,
-/// `[k +] ((r * gi) + (i * gr))` every gate query computes, run as one loop
-/// that reads each of the four lanes once per row.
+/// `(gr, gi)`: the pair `(r * gr) - (i * gi)`, `(r * gi) + (i * gr)` every
+/// gate query computes, run as one loop that reads each of the four lanes
+/// once per row.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ComplexPair {
-    k: Option<f64>,
     /// `r`, `gr`, `i`, `gi`.
     cols: [usize; 4],
 }
@@ -161,11 +159,9 @@ pub(crate) struct ComplexPair {
 impl ComplexPair {
     /// The pair `re`, `im`, when they are one.
     pub(crate) fn compile(re: &BoundExpr, im: &BoundExpr) -> Option<ComplexPair> {
-        let (k, [r, gr, i, gi], BinaryOp::Sub) = products(re)? else { return None };
-        let (k2, [r2, gi2, i2, gr2], BinaryOp::Add) = products(im)? else { return None };
-        let same_k = k.map(f64::to_bits) == k2.map(f64::to_bits);
-        (same_k && [r2, gi2, i2, gr2] == [r, gi, i, gr])
-            .then_some(ComplexPair { k, cols: [r, gr, i, gi] })
+        let ([r, gr, i, gi], BinaryOp::Sub) = products(re)? else { return None };
+        let ([r2, gi2, i2, gr2], BinaryOp::Add) = products(im)? else { return None };
+        ([r2, gi2, i2, gr2] == [r, gi, i, gr]).then_some(ComplexPair { cols: [r, gr, i, gi] })
     }
 
     /// The two columns over `rows`, or `None` when a lane is not `DOUBLE`
@@ -184,26 +180,19 @@ impl ComplexPair {
         if !same_index(p, p2) || !same_index(g, g2) {
             return None;
         }
-        let (n, k, amp, gate) = (rows.num_rows(), self.k, [r, i], [gr, gi]);
+        let (n, amp, gate) = (rows.num_rows(), [r, i], [gr, gi]);
         let out = match (p, g) {
-            (None, None) => complex_rows(n, (), (), amp, gate, k),
-            (None, Some(g)) => complex_rows(n, (), g, amp, gate, k),
-            (Some(p), None) => complex_rows(n, p, (), amp, gate, k),
-            (Some(p), Some(g)) => complex_rows(n, p, g, amp, gate, k),
+            (None, None) => complex_rows(n, (), (), amp, gate),
+            (None, Some(g)) => complex_rows(n, (), g, amp, gate),
+            (Some(p), None) => complex_rows(n, p, (), amp, gate),
+            (Some(p), Some(g)) => complex_rows(n, p, g, amp, gate),
         };
         Some(out.map(|lane| ColumnRef::new(Column::Float(lane))))
     }
 }
 
-/// `[k +] ((a * b) op (c * d))` over four columns, `op` being `+` or `-`.
-fn products(expr: &BoundExpr) -> Option<(Option<f64>, [usize; 4], BinaryOp)> {
-    let (k, sum) = match expr {
-        BoundExpr::Binary { left, op: BinaryOp::Add, right } => match &**left {
-            BoundExpr::Literal(Value::Float(k)) => (Some(*k), &**right),
-            _ => (None, expr),
-        },
-        _ => (None, expr),
-    };
+/// `(a * b) op (c * d)` over four columns, `op` being `+` or `-`.
+fn products(expr: &BoundExpr) -> Option<([usize; 4], BinaryOp)> {
     let product = |e: &BoundExpr| match e {
         BoundExpr::Binary { left, op: BinaryOp::Mul, right } => match (&**left, &**right) {
             (BoundExpr::Column(a), BoundExpr::Column(b)) => Some((*a, *b)),
@@ -211,10 +200,10 @@ fn products(expr: &BoundExpr) -> Option<(Option<f64>, [usize; 4], BinaryOp)> {
         },
         _ => None,
     };
-    match sum {
+    match expr {
         BoundExpr::Binary { left, op: op @ (BinaryOp::Add | BinaryOp::Sub), right } => {
             let ((a, b), (c, d)) = (product(left)?, product(right)?);
-            Some((k, [a, b, c, d], *op))
+            Some(([a, b, c, d], *op))
         }
         _ => None,
     }
@@ -227,19 +216,13 @@ fn complex_rows(
     g: impl At,
     [r, i]: [&[f64]; 2],
     [gr, gi]: [&[f64]; 2],
-    k: Option<f64>,
 ) -> [Vec<f64>; 2] {
     let (mut re, mut im) = (Vec::with_capacity(n), Vec::with_capacity(n));
     for j in 0..n {
         let (pj, gj) = (p.at(j), g.at(j));
         let (x, u, y, v) = (r[pj], i[pj], gr[gj], gi[gj]);
-        let (a, b) = ((x * y) - (u * v), (x * v) + (u * y));
-        let (a, b) = match k {
-            Some(k) => (k + a, k + b),
-            None => (a, b),
-        };
-        re.push(a);
-        im.push(b);
+        re.push((x * y) - (u * v));
+        im.push((x * v) + (u * y));
     }
     [re, im]
 }
@@ -294,8 +277,8 @@ mod tests {
         e
     }
 
-    /// 40 amplitudes, the first `-0.0 + 0.0i`: `0.0 + …` must not lose
-    /// the sign of a zero it does not add.
+    /// 40 amplitudes, the first `-0.0 + 0.0i`: a kernel must keep the sign
+    /// of every zero `eval_batch` keeps.
     fn state_rows(s: impl Fn(i64) -> Value) -> Vec<Row> {
         (0..40)
             .map(|k| {
@@ -353,10 +336,7 @@ mod tests {
         "s & 63",
     ];
 
-    const PAIRS: [(&str, &str); 2] = [
-        ("(r * gr) - (i * gi)", "(r * gi) + (i * gr)"),
-        ("0.0 + ((r * gr) - (i * gi))", "0.0 + ((r * gi) + (i * gr))"),
-    ];
+    const PAIR: (&str, &str) = ("(r * gr) - (i * gi)", "(r * gi) + (i * gr)");
 
     #[test]
     fn gate_shapes_compile_and_others_do_not() {
@@ -366,13 +346,12 @@ mod tests {
         for sql in ["s", "s + 1", "(s & ~1) | 1", "(s << 1) & 3", "s >> 64", "s & out_s"] {
             assert!(CompiledExpr::new(bound(sql)).fields.is_none(), "{sql}");
         }
-        for (re, im) in PAIRS {
-            assert!(ComplexPair::compile(&bound(re), &bound(im)).is_some(), "{re}, {im}");
-        }
+        let (re, im) = PAIR;
+        assert!(ComplexPair::compile(&bound(re), &bound(im)).is_some(), "{re}, {im}");
         for (re, im) in [
             ("(r * gr) - (i * gi)", "(r * gr) + (i * gi)"),
             ("(r * gr) + (i * gi)", "(r * gi) + (i * gr)"),
-            ("0.0 + ((r * gr) - (i * gi))", "(r * gi) + (i * gr)"),
+            ("0.0 + ((r * gr) - (i * gi))", "0.0 + ((r * gi) + (i * gr))"),
             ("(r * 2.0) - (i * gi)", "(r * gi) + (i * 2.0)"),
         ] {
             assert!(ComplexPair::compile(&bound(re), &bound(im)).is_none(), "{re}, {im}");
@@ -393,12 +372,11 @@ mod tests {
                 assert!(same(&got, &want), "{sql}: {got:?} vs {want:?}");
                 assert!(same(&e.eval_batch(&gathered).unwrap(), &want), "{sql} over the batch");
             }
-            for (re, im) in PAIRS {
-                let pair = ComplexPair::compile(&bound(re), &bound(im)).unwrap();
-                let [got_re, got_im] = pair.columns(&rows).unwrap();
-                assert!(same(&got_re, &bound(re).eval_batch(&gathered).unwrap()), "{re}");
-                assert!(same(&got_im, &bound(im).eval_batch(&gathered).unwrap()), "{im}");
-            }
+            let (re, im) = PAIR;
+            let pair = ComplexPair::compile(&bound(re), &bound(im)).unwrap();
+            let [got_re, got_im] = pair.columns(&rows).unwrap();
+            assert!(same(&got_re, &bound(re).eval_batch(&gathered).unwrap()), "{re}");
+            assert!(same(&got_im, &bound(im).eval_batch(&gathered).unwrap()), "{im}");
         }
     }
 
@@ -420,7 +398,7 @@ mod tests {
         let got = e.eval(&rows, &mut None).unwrap();
         assert!(matches!(&*got, Column::Generic(_)));
         // An `INTEGER` amplitude lane is no pair for the `DOUBLE` loop.
-        let (re, im) = PAIRS[0];
+        let (re, im) = PAIR;
         let pair = ComplexPair::compile(&bound(re), &bound(im)).unwrap();
         let ints: Vec<Row> = state_rows(Value::Int).into_iter().map(|mut r| {
             r[1] = Value::Int(1);

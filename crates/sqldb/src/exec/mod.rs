@@ -24,7 +24,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::plan::logical::{streamed_note, Plan};
+use crate::plan::logical::Plan;
 use crate::storage::budget::MemoryBudget;
 use crate::storage::spill::SpillDir;
 
@@ -91,12 +91,9 @@ fn node_label(plan: &Plan) -> String {
         Plan::Filter { .. } => "Filter".into(),
         Plan::Project { exprs, .. } => format!("Project [{}]", exprs.len()),
         Plan::Join { kind, .. } => format!("HashJoin {kind:?}"),
-        Plan::Aggregate { group_by, aggs, one_row_per_group, .. } => format!(
-            "HashAggregate [{} keys, {} aggs]{}",
-            group_by.len(),
-            aggs.len(),
-            streamed_note(*one_row_per_group)
-        ),
+        Plan::Aggregate { group_by, aggs, .. } => {
+            format!("HashAggregate [{} keys, {} aggs]", group_by.len(), aggs.len())
+        }
         Plan::Sort { keys, .. } => format!("BatchSort [{} keys]", keys.len()),
         Plan::Limit { limit, offset, .. } => format!("Limit {limit:?}+{offset}"),
         Plan::Alias { .. } => "Alias".into(),

@@ -166,13 +166,10 @@ fn build_batch_stream_inner(
             input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
             predicate: predicate.clone(),
         }),
-        // An aggregate with one row per group has no table to build: the
-        // projection operator computes its group key and its sums.
-        Plan::Project { .. } | Plan::Aggregate { one_row_per_group: true, .. } => {
-            let (input, exprs) = plan.as_projection().expect("matched a projection");
+        Plan::Project { input, exprs, .. } => {
             let pair = (1..exprs.len())
                 .find_map(|j| Some((j - 1, ComplexPair::compile(&exprs[j - 1], &exprs[j])?)));
-            let exprs = exprs.into_owned().into_iter().map(CompiledExpr::new).collect();
+            let exprs = exprs.iter().cloned().map(CompiledExpr::new).collect();
             Box::new(BatchProject {
                 input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
                 exprs,

@@ -11,13 +11,12 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::ast::{self, BinaryOp, Expr, JoinKind, OrderItem, Query, Select, SelectItem, TableRef};
+use crate::ast::{self, Expr, JoinKind, OrderItem, Query, Select, SelectItem, TableRef};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::{bind, bind_with, BoundExpr};
 use crate::plan::optimizer::join_keys;
-use crate::schema::{Facts, Field, RelSchema};
-use crate::value::Value;
+use crate::schema::{Field, RelSchema};
 
 /// Aggregate functions supported by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,11 +84,8 @@ pub struct SortKey {
 /// shared subtree once per reference.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
-    /// Base table scan (snapshot taken at execution time). `facts` is what
-    /// the table knew of its columns when the statement was planned; a
-    /// statement is planned and executed under one `&mut Database`, so the
-    /// rows it scans are the rows the facts describe.
-    Scan { table: String, schema: RelSchema, facts: Facts },
+    /// Base table scan (snapshot taken at execution time).
+    Scan { table: String, schema: RelSchema },
     Filter { input: Arc<Plan>, predicate: BoundExpr },
     Project { input: Arc<Plan>, exprs: Vec<BoundExpr>, schema: RelSchema },
     Join {
@@ -109,11 +105,6 @@ pub enum Plan {
         group_by: Vec<BoundExpr>,
         aggs: Vec<AggExpr>,
         schema: RelSchema,
-        /// Derived by the optimizer ([`super::keys`]), never written by the
-        /// planner: no two input rows share a group key, every aggregate is
-        /// a plain `SUM` over `DOUBLE`s. The node means what it always
-        /// meant; the executor may stream it (`Plan::as_projection`).
-        one_row_per_group: bool,
     },
     Sort { input: Arc<Plan>, keys: Vec<SortKey> },
     Limit { input: Arc<Plan>, limit: Option<u64>, offset: u64 },
@@ -152,25 +143,6 @@ impl Plan {
         }
     }
 
-    /// The input and expressions of a node the projection operator runs: a
-    /// `Project`, or an `Aggregate` with one row per group — its group key,
-    /// then each `SUM` of a single `DOUBLE` term, which is `0.0 + term` (the
-    /// aggregate's sums start from `0.0` on every path).
-    pub(crate) fn as_projection(&self) -> Option<(&Arc<Plan>, Cow<'_, [BoundExpr]>)> {
-        match self {
-            Plan::Project { input, exprs, .. } => Some((input, Cow::Borrowed(exprs))),
-            Plan::Aggregate { input, group_by, aggs, one_row_per_group: true, .. } => {
-                let sum_of_one = |agg: &AggExpr| BoundExpr::Binary {
-                    left: Box::new(BoundExpr::Literal(Value::Float(0.0))),
-                    op: BinaryOp::Add,
-                    right: Box::new(agg.arg.clone().expect("SUM has an argument")),
-                };
-                Some((input, group_by.iter().cloned().chain(aggs.iter().map(sum_of_one)).collect()))
-            }
-            _ => None,
-        }
-    }
-
     /// Render as an indented plan tree (for debugging / EXPLAIN-style output).
     pub fn explain(&self) -> String {
         let mut out = String::new();
@@ -185,12 +157,9 @@ impl Plan {
             Plan::Filter { .. } => "Filter".to_string(),
             Plan::Project { exprs, .. } => format!("Project [{} exprs]", exprs.len()),
             Plan::Join { kind, .. } => format!("Join {kind:?} on"),
-            Plan::Aggregate { group_by, aggs, one_row_per_group, .. } => format!(
-                "Aggregate [{} keys, {} aggs]{}",
-                group_by.len(),
-                aggs.len(),
-                streamed_note(*one_row_per_group)
-            ),
+            Plan::Aggregate { group_by, aggs, .. } => {
+                format!("Aggregate [{} keys, {} aggs]", group_by.len(), aggs.len())
+            }
             Plan::Sort { keys, .. } => format!("Sort [{} keys]", keys.len()),
             Plan::Limit { limit, offset, .. } => format!("Limit {limit:?} offset {offset}"),
             Plan::Alias { .. } => "Alias".to_string(),
@@ -211,16 +180,6 @@ impl Plan {
             }
             Plan::Scan { .. } => {}
         }
-    }
-}
-
-/// What `EXPLAIN` and `EXPLAIN ANALYZE` append to an aggregate's label: the
-/// reason it built no table, when the optimizer proved one row per group.
-pub(crate) fn streamed_note(one_row_per_group: bool) -> &'static str {
-    if one_row_per_group {
-        " (one row per group: streamed)"
-    } else {
-        ""
     }
 }
 
@@ -337,8 +296,7 @@ fn plan_table_ref(tref: &TableRef, catalog: &Catalog, scope: &CteScope) -> Resul
         Some(a) => table.schema().with_relation(a),
         None => table.schema(),
     };
-    let facts = table.column_facts();
-    Ok(Arc::new(Plan::Scan { table: table.name().to_string(), schema, facts }))
+    Ok(Arc::new(Plan::Scan { table: table.name().to_string(), schema }))
 }
 
 fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<Plan> {
@@ -410,7 +368,6 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
             group_by,
             aggs: vec![],
             schema,
-            one_row_per_group: false,
         };
     }
 
@@ -482,7 +439,6 @@ fn plan_aggregate<'e>(
         group_by,
         aggs: calls.into_iter().map(|(_, agg)| agg).collect(),
         schema: RelSchema::new(vec![Field::named(String::new()); columns]),
-        one_row_per_group: false,
     });
     if let Some(predicate) = having {
         plan = Arc::new(Plan::Filter { input: plan, predicate });

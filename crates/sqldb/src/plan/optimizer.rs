@@ -7,34 +7,23 @@
 //! * **constant folding** — gate-table literals and mask arithmetic collapse
 //!   at plan time;
 //! * **filter fusion** — stacked filters merge into one conjunction, and an
-//!   always-true filter is dropped;
-//! * **one row per group** — an aggregate whose group key provably differs
-//!   on any two input rows (a gate that cannot interfere) is marked so the
-//!   executor streams it; see [`super::keys`].
+//!   always-true filter is dropped.
 
 use std::sync::Arc;
 
 use crate::ast::BinaryOp;
 use crate::expr::BoundExpr;
-use crate::plan::keys::annotate;
 use crate::plan::logical::Plan;
-use crate::schema::{Facts, RelSchema};
+use crate::schema::RelSchema;
 
 /// Apply all rules bottom-up until a fixpoint (bounded by plan depth).
 pub fn optimize(plan: Plan) -> Plan {
-    optimize_with_facts(plan).0
-}
-
-/// [`optimize`], and what the last pass derived of the result's columns
-/// (`CREATE TABLE … AS` records it with the table it fills).
-pub(crate) fn optimize_with_facts(plan: Plan) -> (Plan, Facts) {
     let mut p = plan;
     // Two passes are enough for the rule set (each rule is monotone).
     for _ in 0..2 {
         rewrite(&mut p);
     }
-    let facts = annotate(&mut p);
-    (p, facts)
+    p
 }
 
 /// Apply the rules to `plan` in place, children first. `Arc::make_mut`
@@ -48,7 +37,7 @@ fn rewrite(plan: &mut Plan) {
             fold_expr(predicate);
             // An empty scan holds the slot (no allocation) until the rules
             // have rebuilt the filter.
-            let slot = Plan::Scan { table: String::new(), schema: RelSchema::default(), facts: Facts::new() };
+            let slot = Plan::Scan { table: String::new(), schema: RelSchema::default() };
             let Plan::Filter { input, predicate } = std::mem::replace(plan, slot) else {
                 unreachable!("matched a filter")
             };
@@ -261,7 +250,7 @@ mod tests {
         use crate::schema::Field;
         let scan = |table: &str, names: &[&str]| {
             let schema = RelSchema::new(names.iter().map(|n| Field::new(Some(table), n)).collect());
-            Plan::Scan { table: table.into(), facts: vec![None; schema.len()], schema }
+            Plan::Scan { table: table.into(), schema }
         };
         let (left, right) = (scan("a", &["x", "y"]), scan("b", &["z"]));
         let schema = left.schema().join(right.schema());
@@ -282,7 +271,6 @@ mod tests {
         let scan = Plan::Scan {
             table: "t".into(),
             schema: crate::schema::RelSchema::new(vec![crate::schema::Field::new(None, "x")]),
-            facts: vec![None],
         };
         let p = Plan::Filter { input: Arc::new(scan.clone()), predicate: lit(1) };
         assert!(matches!(optimize(p), Plan::Scan { .. }));

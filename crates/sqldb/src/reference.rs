@@ -67,8 +67,6 @@ pub(crate) fn run(plan: &Plan, catalog: &Catalog) -> Result<Vec<Row>> {
             }
             out
         }
-        // `one_row_per_group` is the optimizer's claim about this node, and
-        // grouping regardless is what checks it: not read here, on purpose.
         Plan::Aggregate { input, group_by, aggs, .. } => {
             let rows = run(input, catalog)?;
             // Groups in first-seen order: (key values of the first row, accumulators).

@@ -640,90 +640,92 @@ fn gate_sql(key: &str, on: &str, having: &str) -> String {
     )
 }
 
-/// One gate query over one state and gate table, and whether the optimizer
-/// must prove it to see one row per group.
+/// The translation of a gate whose table permutes: Fig. 2c's join without
+/// the `GROUP BY`.
+fn permutation_sql(key: &str, on: &str) -> String {
+    format!(
+        "SELECT {key} AS s, (state.r * g.r) - (state.i * g.i) AS r, \
+         (state.r * g.i) + (state.i * g.r) AS i FROM state JOIN g ON g.in_s = {on}"
+    )
+}
+
+/// One gate query over one state and gate table.
 struct GateCase {
     what: &'static str,
-    proven: bool,
     key_type: &'static str,
     keys: Vec<Value>,
     gate: &'static [(i64, i64)],
     sql: String,
 }
 
-/// The optimizer streams an aggregate only where it proves one row per
-/// group, and the reference — which ignores the proof and groups — agrees
-/// with the executor either way.
+/// Gate queries in both mask forms, grouped or not, over tables that
+/// permute and tables that do not, and over keys that repeat, are NULL or
+/// are `HUGEINT`: the executor agrees with the reference on each.
 #[test]
-fn proven_and_refused_gate_queries_agree_with_the_reference() {
+fn gate_queries_agree_with_the_reference() {
     const PERMUTATION: &[(i64, i64)] = &[(0, 0), (1, 3), (2, 2), (3, 1)];
     let ints = |keys: std::ops::Range<i64>| keys.map(Value::Int).collect::<Vec<_>>();
     let with = |extra: Value| ints(0..2999).into_iter().chain([extra]).collect::<Vec<_>>();
-    let case = |what, proven, keys, gate, sql: &str| GateCase {
+    let case = |what, keys, gate, sql: &str| GateCase {
         what,
-        proven,
         key_type: "INTEGER",
         keys,
         gate,
         sql: sql.to_string(),
     };
-    let contiguous = gate_sql("((state.s & ~6) | (g.out_s << 1))", "((state.s >> 1) & 3)", "");
+    let (contiguous_key, contiguous_on) = ("((state.s & ~6) | (g.out_s << 1))", "((state.s >> 1) & 3)");
+    let contiguous = gate_sql(contiguous_key, contiguous_on, "");
     // Qubits [2, 0]: the per-bit form non-adjacent qubits get.
-    let per_bit = gate_sql(
+    let (per_bit_key, per_bit_on) = (
         "((state.s & ~5) | (((g.out_s & 1) << 2) | ((g.out_s >> 1) & 1)))",
         "(((state.s >> 2) & 1) | ((state.s & 1) << 1))",
-        "",
     );
+    let per_bit = gate_sql(per_bit_key, per_bit_on, "");
     let one_qubit = gate_sql("((state.s & ~1) | g.out_s)", "(state.s & 1)", "");
     let having = gate_sql(
-        "((state.s & ~6) | (g.out_s << 1))",
-        "((state.s >> 1) & 3)",
+        contiguous_key,
+        contiguous_on,
         " HAVING SUM((state.r * g.r) - (state.i * g.i)) > 0.5",
     );
+    let huge_key = "((state.s ^ (g.in_s << 70)) ^ (g.out_s << 70))";
+    let huge = |sql: String| GateCase {
+        what: "a HUGEINT register",
+        key_type: "HUGEINT",
+        keys: (0..3000).map(|v| Value::Big(BigBits::from_u64(v, 100).shl(40))).collect(),
+        gate: &[(0, 1), (1, 0)],
+        sql,
+    };
     let cases = vec![
-        case("contiguous mask form", true, ints(0..3000), PERMUTATION, &contiguous),
-        case("per-bit mask form", true, ints(0..3000), PERMUTATION, &per_bit),
-        case("diagonal gate", true, ints(-1500..1500), &[(0, 0), (1, 1)], &one_qubit),
-        // A unique `out_s` names the gate row; `in_s` may repeat.
-        case("in_s repeats, out_s does not", true, ints(0..3000), &[(0, 0), (0, 1)], &one_qubit),
-        // `prune_threshold`'s filter sits above the aggregate and changes nothing below.
-        case("HAVING above the aggregate", true, ints(0..3000), PERMUTATION, &having),
-        case("H: both columns repeat", false, ints(0..3000), &[(0, 0), (0, 1), (1, 0), (1, 1)], &one_qubit),
-        case("two in_s, one out_s", false, ints(0..3000), &[(0, 1), (1, 1)], &one_qubit),
-        case("an out_s bit outside the field", false, ints(0..3000), &[(0, 1), (1, 2)], &one_qubit),
+        case("contiguous mask form", ints(0..3000), PERMUTATION, &contiguous),
+        case("per-bit mask form", ints(0..3000), PERMUTATION, &per_bit),
+        case("diagonal gate", ints(-1500..1500), &[(0, 0), (1, 1)], &one_qubit),
+        case("in_s repeats, out_s does not", ints(0..3000), &[(0, 0), (0, 1)], &one_qubit),
+        case("HAVING above the aggregate", ints(0..3000), PERMUTATION, &having),
+        case("H: both columns repeat", ints(0..3000), &[(0, 0), (0, 1), (1, 0), (1, 1)], &one_qubit),
+        case("two in_s, one out_s", ints(0..3000), &[(0, 1), (1, 1)], &one_qubit),
+        case("an out_s bit outside the field", ints(0..3000), &[(0, 1), (1, 2)], &one_qubit),
         case(
             "the key clears bits the join does not read",
-            false,
             ints(0..3000),
             &[(0, 0), (1, 1)],
             &gate_sql("((state.s & ~7) | g.out_s)", "(state.s & 1)", ""),
         ),
         case(
             "the key keeps a bit out_s lands on",
-            false,
             ints(0..3000),
             &[(0, 0), (1, 1)],
             &gate_sql("((state.s & ~6) | g.out_s)", "(state.s & 1)", ""),
         ),
-        case("a duplicate s", false, with(Value::Int(7)), PERMUTATION, &contiguous),
-        case("a NULL s", false, with(Value::Null), PERMUTATION, &contiguous),
-        GateCase {
-            what: "a HUGEINT register",
-            proven: false,
-            key_type: "HUGEINT",
-            keys: (0..3000).map(|v| Value::Big(BigBits::from_u64(v, 100).shl(40))).collect(),
-            gate: &[(0, 1), (1, 0)],
-            sql: gate_sql(
-                "((state.s ^ (g.in_s << 70)) ^ (g.out_s << 70))",
-                "((state.s >> 70) & 0x1)",
-                "",
-            ),
-        },
+        case("a duplicate s", with(Value::Int(7)), PERMUTATION, &contiguous),
+        case("a NULL s", with(Value::Null), PERMUTATION, &contiguous),
+        case("permutation, contiguous", ints(0..3000), PERMUTATION, &permutation_sql(contiguous_key, contiguous_on)),
+        case("permutation, per-bit", ints(0..3000), PERMUTATION, &permutation_sql(per_bit_key, per_bit_on)),
+        case("permutation, a NULL s", with(Value::Null), PERMUTATION, &permutation_sql(contiguous_key, contiguous_on)),
+        huge(gate_sql(huge_key, "((state.s >> 70) & 0x1)", "")),
+        huge(permutation_sql(huge_key, "((state.s >> 70) & 0x1)")),
     ];
-    for GateCase { what, proven, key_type, keys, gate, sql } in cases {
+    for GateCase { what, key_type, keys, gate, sql } in cases {
         let mut db = keyed_gate_db(key_type, keys, gate);
-        let plan = db.explain(&sql).unwrap();
-        assert_eq!(plan.contains("(one row per group: streamed)"), proven, "{what}:\n{plan}");
         let want = db.query_reference(&sql).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert!(!want.rows().is_empty(), "{what}: an empty result compares nothing");
         let got = db.execute(&sql).unwrap_or_else(|e| panic!("{what}: {e}"));
@@ -731,32 +733,33 @@ fn proven_and_refused_gate_queries_agree_with_the_reference() {
     }
 }
 
-/// A streamed aggregate has no table to charge or spill: under a limit that
-/// makes the same query spill when the state's key is not known (6 000 rows
-/// are past what a scan checks), the proven one leaves the ledger where the
-/// tables put it — and `-0.0` still sums to `+0.0`.
+/// A permutation's join has no group table to charge or spill: under a
+/// limit that makes Fig. 2c's `GROUP BY` of the same gate spill, the join
+/// alone leaves the ledger where the tables put it. The aggregate sums
+/// `-0.0` to `+0.0`; the join keeps the sign its product has.
 #[test]
-fn a_streamed_aggregate_charges_and_spills_nothing() {
+fn a_permutation_join_charges_and_spills_nothing() {
     const TIGHT: usize = 512 * 1024;
-    let sql = gate_sql("((state.s & ~1) | g.out_s)", "(state.s & 1)", "");
-    for (rows, streamed) in [(4000, true), (6000, false)] {
+    let (key, on) = ("((state.s & ~1) | g.out_s)", "(state.s & 1)");
+    for (sql, grouped) in [(gate_sql(key, on, ""), true), (permutation_sql(key, on), false)] {
         let mut db = Database::with_memory_limit(TIGHT);
         db.execute("CREATE TABLE state (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
-        let state = (0..rows).map(|s| vec![Value::Int(s), Value::Float(-0.0), Value::Float(0.25)]);
+        let state = (0..6000).map(|s| vec![Value::Int(s), Value::Float(-0.0), Value::Float(0.25)]);
         db.insert_rows("state", state.collect()).unwrap();
         db.execute("CREATE TABLE g (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
         db.execute("INSERT INTO g VALUES (0, 1, 1.0, 0.0), (1, 0, 1.0, 0.0)").unwrap();
         let tables = db.budget().used();
         let profile = db.explain_analyze(&sql).unwrap();
-        assert_eq!(profile.contains("(one row per group: streamed)"), streamed, "{profile}");
-        assert_eq!(db.stats().spill_files == 0, streamed, "{rows} rows");
+        assert_eq!(profile.contains("HashAggregate"), grouped, "{profile}");
+        assert_eq!(db.stats().spill_files > 0, grouped, "{profile}");
         let got = db.execute(&sql).unwrap();
         assert_eq!(db.budget().used(), tables);
-        if streamed {
+        if !grouped {
             // One batch of join output at a time, nothing per group.
             assert!(db.budget().peak() < tables + 100 * 1024, "peak {}", db.budget().peak());
         }
-        assert!(got.rows().iter().all(|r| matches!(r[1], Value::Float(x) if x.to_bits() == 0)));
+        let zero = if grouped { 0.0f64 } else { -0.0 };
+        assert!(got.rows().iter().all(|r| matches!(r[1], Value::Float(x) if x.to_bits() == zero.to_bits())));
         let want = db.query_reference(&sql).unwrap();
         assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()));
     }

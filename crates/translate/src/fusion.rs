@@ -1,19 +1,20 @@
 //! Gate fusion — §3.2 "Query Optimization: consecutive gates are fused into
 //! single SQL query where possible, minimizing intermediate results".
 //!
-//! Every op is one join + aggregate pass, and the optimizer streams the
-//! aggregate of a partial permutation (one nonzero per column) but builds a
-//! group table for a gate that can interfere. So a gate joins the open block
-//! if the union has at most `max_fused_qubits` qubits and **(a)** its qubits
-//! are in the block, and the block holds no interfering gate yet or the gate
-//! is a partial permutation; or **(b)** block and gate are both partial
-//! permutations and `2^|union|` is at most the support bound of the state
-//! there: the product of the gates' column fan-outs since the one-row `T0`,
-//! capped at `2^n`. A block holds at most one interfering gate, so fusion
-//! never adds a table-building aggregate. Blocks compose sparsely; a block of
-//! one gate (which may be wider than the cap) keeps its canonical table, a
-//! wider one lists its qubits in ascending order. ARCHITECTURE.md ("Fusion:
-//! fewer passes, never more group tables") gives the reasons and measurements.
+//! Every op is one pass: a block of partial permutations (one nonzero per
+//! column, [`crate::tables::permutes`]) joins its table without a `GROUP
+//! BY`, a block holding a gate that can interfere groups the join in a hash
+//! table. So a gate joins the open block if the union has at most
+//! `max_fused_qubits` qubits and **(a)** its qubits are in the block, and the
+//! block holds no interfering gate yet or the gate is a partial permutation;
+//! or **(b)** block and gate are both partial permutations and `2^|union|` is
+//! at most the support bound of the state there: the product of the gates'
+//! column fan-outs since the one-row `T0`, capped at `2^n`. A block holds at
+//! most one interfering gate, so fusion never adds a group table. Blocks
+//! compose sparsely; a block of one gate (which may be wider than the cap)
+//! keeps its canonical table, a wider one lists its qubits in ascending
+//! order. ARCHITECTURE.md ("Fusion: fewer passes, never more group tables")
+//! gives the reasons and measurements.
 
 use std::collections::BTreeMap;
 

@@ -225,8 +225,8 @@ impl SqlSimulator {
     /// rows, batches, `time=` with its children and `self=` without) — the
     /// Output Layer's performance metrics at operator granularity — and, as
     /// its last line, what the run spilled (`spill: N files, B bytes`). One
-    /// `HashAggregate` line per joined op, of which those the optimizer
-    /// streams say so, and per projected op one `Project [3]` straight over
+    /// `HashJoin` line per joined op, with a `HashAggregate` above it where
+    /// the op groups, and per projected op one `Project [3]` straight over
     /// the previous state.
     pub fn explain_analyze(&self, circuit: &QuantumCircuit) -> Result<String, SimError> {
         let (reg, ops) = self.lower(circuit, self.config.fusion);
@@ -576,19 +576,22 @@ mod tests {
         }
     }
 
-    /// The optimizer's rule fires for every gate whose table is a partial
-    /// permutation, in both mask forms (adjacent and non-adjacent qubits),
-    /// plain or fused, in one query or step by step — and for no gate that
-    /// mixes amplitudes. By default the lone ones are projections, all but
-    /// CSWAP, which has no closed form and streams. What streams is read off
+    /// (group tables, joins without one) in the profile of `c`.
+    fn groups_and_joins(sim: &SqlSimulator, c: &QuantumCircuit) -> (usize, usize) {
+        let profile = sim.explain_analyze(c).unwrap();
+        let tables = profile.matches("HashAggregate").count();
+        assert_eq!(sim.generated_sql(c).matches(" GROUP BY ").count(), tables, "{}", c.name);
+        (tables, profile.matches("HashJoin").count() - tables)
+    }
+
+    /// Every gate whose table is a partial permutation joins without a
+    /// `GROUP BY`, in both mask forms (adjacent and non-adjacent qubits),
+    /// plain or fused, in one query or step by step — and no gate that mixes
+    /// amplitudes does. By default the lone ones are projections, all but
+    /// CSWAP, which has no closed form and joins. What groups is read off
     /// the profile; that it is right, off the dense simulator.
     #[test]
-    fn gates_that_cannot_interfere_stream_and_the_others_do_not() {
-        let aggregates = |sim: &SqlSimulator, c: &QuantumCircuit| {
-            let profile = sim.explain_analyze(c).unwrap();
-            let streamed = profile.matches("(one row per group: streamed)").count();
-            (profile.matches("HashAggregate").count() - streamed, streamed)
-        };
+    fn gates_that_cannot_interfere_are_not_grouped_and_the_others_are() {
         let joins = |fusion| SqlSimConfig { fusion, sqlgen: SqlGenConfig::FIG_2C, ..Default::default() };
         // Six Hadamards make the state dense; nothing after them interferes.
         let mut b = CircuitBuilder::new(6);
@@ -601,20 +604,20 @@ mod tests {
             .swap(1, 2).swap(0, 4).ccx(0, 1, 2).ccx(5, 0, 3).cswap(2, 4, 5)
             .build();
         let plain = SqlSimulator::new(joins(None));
-        assert_eq!(aggregates(&plain, &permuting), (6, 22));
+        assert_eq!(groups_and_joins(&plain, &permuting), (28, 0), "Fig. 2c groups every gate");
         let projected = SqlSimulator::new(SqlSimConfig { fusion: None, ..Default::default() });
-        assert_eq!(aggregates(&projected, &permuting), (6, 1));
+        assert_eq!(groups_and_joins(&projected, &permuting), (6, 1));
         assert_eq!(projected.generated_sql(&permuting).matches(" JOIN ").count(), 7);
         let mixing = CircuitBuilder::new(3)
             .h(0).ry(0.3, 1).rx(0.4, 2).sx(0).u3(0.1, 0.2, 0.3, 1).ch(0, 2).crx(0.5, 1, 0).cry(0.6, 2, 1)
             .build();
-        assert_eq!(aggregates(&plain, &mixing), (8, 0));
+        assert_eq!(groups_and_joins(&projected, &mixing), (8, 0));
         // Fused: the Hadamards fuse into mixing blocks, the rest into
-        // blocks with one nonzero per column, each one aggregate.
+        // blocks with one nonzero per column, each one join.
         for fuse in [2, 3] {
-            let fused = SqlSimulator::new(joins(Some(fuse)));
-            let (tables, streamed) = aggregates(&fused, &permuting);
-            assert!(tables <= 6 && streamed >= 4, "fuse {fuse}: {tables} tables, {streamed} streamed");
+            let fused = SqlSimulator::new(SqlSimConfig { fusion: Some(fuse), ..Default::default() });
+            let (tables, joins) = groups_and_joins(&fused, &permuting);
+            assert!(tables <= 6 && joins >= 4, "fuse {fuse}: {tables} tables, {joins} joins");
         }
         let want = StateVectorSim.simulate(&permuting, &SimOptions::default()).unwrap();
         for config in [
@@ -631,10 +634,10 @@ mod tests {
         }
     }
 
-    /// Fusion never adds a table-building aggregate, and every block of
-    /// partial permutations streams: for every library circuit and 200
-    /// random ones, the fused profile builds as many group tables as the
-    /// unfused one and streams exactly the ops with one nonzero per column.
+    /// Fusion never adds a group table, and no block of partial
+    /// permutations groups: for every library circuit and 200 random ones,
+    /// the fused default builds as many group tables as the unfused one,
+    /// one per op whose table does not permute.
     #[test]
     fn fusion_never_adds_a_group_table() {
         let ansatz = library::hardware_efficient_ansatz(6, 2);
@@ -648,20 +651,13 @@ mod tests {
             library::dense_circuit(6, 3, 5), ansatz.bind_values(&angles).unwrap(),
         ];
         circuits.extend((0..200).map(|seed| library::random_circuit(2 + seed as usize % 5, 16, seed)));
-        let fused = SqlSimulator::paper_default();
-        let counts = |profile: String| {
-            let streamed = profile.matches("(one row per group: streamed)").count();
-            (profile.matches("HashAggregate").count() - streamed, streamed)
-        };
+        let fused = SqlSimulator::default();
+        let unfused = SqlSimulator::new(SqlSimConfig { fusion: None, ..Default::default() });
         for c in &circuits {
-            let (built, streamed) = counts(fused.explain_analyze(c).unwrap());
-            assert_eq!(built, counts(fused.profile(c).unwrap()).0, "{}", c.name);
+            let (built, _) = groups_and_joins(&fused, c);
+            assert_eq!(built, groups_and_joins(&unfused, c).0, "{}", c.name);
             let (_, ops) = fused.lower(c, fused.config.fusion);
-            let permuting = ops
-                .iter()
-                .filter(|op| op.entries.windows(2).all(|w| w[0].0 != w[1].0))
-                .count();
-            assert_eq!(streamed, permuting, "{}: every all-permutation block streams", c.name);
+            assert_eq!(built, ops.iter().filter(|op| !op.permutes).count(), "{}", c.name);
         }
     }
 
@@ -893,15 +889,16 @@ mod profile_tests {
         assert!(text.ends_with("\nspill: 0 files, 0 bytes\n"), "{text}");
     }
 
-    /// `profile` stays per gate under the fused default (a reader of its
-    /// `rows=` gets the state after every gate); `explain_analyze` shows the
-    /// fused query `run` executes.
+    /// `profile` stays per gate and grouped under the fused default and the
+    /// projecting one (a reader of its `rows=` gets the state after every
+    /// gate); `explain_analyze` shows the fused query `run` executes.
     #[test]
     fn profile_is_per_gate_and_explain_analyze_is_what_runs() {
         let c = library::qft(8);
         let sim = SqlSimulator::paper_default();
         let aggregates = |text: String| text.matches("HashAggregate").count();
         assert_eq!(aggregates(sim.profile(&c).unwrap()), c.gate_count());
+        assert_eq!(aggregates(SqlSimulator::default().profile(&c).unwrap()), c.gate_count());
         let ops = sim.run(&c).unwrap().ops_executed;
         assert!(ops < c.gate_count());
         assert_eq!(aggregates(sim.explain_analyze(&c).unwrap()), ops);

@@ -2,13 +2,16 @@
 //! chained through CTEs, with the complex product expanded into the
 //! real/imaginary sum-of-products columns.
 //!
-//! A gate that cannot interfere needs neither: a lone gate (a block of one,
-//! [`crate::fusion`]) whose table sends every basis state to one output
-//! times a phase — X, Y, Z, S, T, RZ, P, CX, CY, CZ, CP, CCX, SWAP — is
-//! `SELECT <f(s)> AS s, <r'> AS r, <i'> AS i FROM prev`, with `f` and the
-//! phase read off its table ([`closed_form`]). No gate table, no join, no
-//! `GROUP BY`, and no `HAVING`: a projection cannot create a zero.
-//! [`SqlGenConfig::FIG_2C`] joins every gate, as the paper does.
+//! A gate that cannot interfere needs no `GROUP BY`. Its table
+//! [permutes](crate::tables::permutes): every `in_s` and every `out_s`
+//! occurs once, so each state row lands on its own new `s`. A lone gate (a
+//! block of one, [`crate::fusion`]) of that kind — X, Y, Z, S, T, RZ, P, CX,
+//! CY, CZ, CP, CCX, SWAP — is `SELECT <f(s)> AS s, <r'> AS r, <i'> AS i FROM
+//! prev`, with `f` and the phase read off its table ([`closed_form`]): no
+//! gate table and no join. One without a closed form (a fused block, CSWAP,
+//! any gate past 63 qubits) joins its table and multiplies, row by row.
+//! Neither has a `HAVING`: a phase of modulus 1 cannot create a zero.
+//! [`SqlGenConfig::FIG_2C`] joins and groups every gate, as the paper does.
 
 use std::fmt::{self, Display, Write};
 use std::sync::Arc;
@@ -26,9 +29,10 @@ pub struct SqlGenConfig {
     /// nonzero basis states"; interference can otherwise leave exact-zero
     /// rows in the table). `None` reproduces Fig. 2c verbatim.
     pub prune_threshold: Option<f64>,
-    /// Join every gate with its table, as Fig. 2c does, instead of writing
-    /// lone permutation gates as projections. Tables are created for the
-    /// joins the config asks for ([`crate::GateTableRegistry::for_sql`]).
+    /// Join and group every gate, as Fig. 2c does, instead of writing lone
+    /// permutation gates as projections and the other permutations as joins
+    /// without a `GROUP BY`. Tables are created for the joins the config
+    /// asks for ([`crate::GateTableRegistry::for_sql`]).
     pub join_every_gate: bool,
 }
 
@@ -255,8 +259,10 @@ fn projection_select(
 }
 
 /// The `SELECT` block applying `op` to state table `prev` (no `WITH`
-/// wrapper): a projection for a lone permutation gate on an `INTEGER`
-/// index (unless `cfg` joins every gate), else query `q_k` of Fig. 2c.
+/// wrapper): unless `cfg` joins every gate, a projection for a lone
+/// permutation gate on an `INTEGER` index and a join without `GROUP BY` for
+/// any other op that [permutes](GateOp::permutes); else query `q_k` of
+/// Fig. 2c.
 pub fn gate_select(prev: &str, op: &GateOp, num_qubits: usize, cfg: &SqlGenConfig) -> String {
     let mut sql = String::new();
     write_gate_select(&mut sql, prev, op, num_qubits, cfg).expect("a String takes any text");
@@ -280,8 +286,16 @@ fn write_gate_select(
     let g = &op.table;
     let new_s = masks.new_state_expr(prev, g);
     let in_s = masks.in_expr(prev);
-    let r_sum = fmt::from_fn(|f| write!(f, "SUM(({prev}.r * {g}.r) - ({prev}.i * {g}.i))"));
-    let i_sum = fmt::from_fn(|f| write!(f, "SUM(({prev}.r * {g}.i) + ({prev}.i * {g}.r))"));
+    let r = fmt::from_fn(|f| write!(f, "({prev}.r * {g}.r) - ({prev}.i * {g}.i)"));
+    let i = fmt::from_fn(|f| write!(f, "({prev}.r * {g}.i) + ({prev}.i * {g}.r)"));
+    if op.permutes && !cfg.join_every_gate {
+        return write!(
+            out,
+            "SELECT {new_s} AS s, {r} AS r, {i} AS i FROM {prev} JOIN {g} ON {g}.in_s = {in_s}"
+        );
+    }
+    let r_sum = fmt::from_fn(|f| write!(f, "SUM({r})"));
+    let i_sum = fmt::from_fn(|f| write!(f, "SUM({i})"));
     write!(
         out,
         "SELECT {new_s} AS s, {r_sum} AS r, {i_sum} AS i \
@@ -495,6 +509,78 @@ mod tests {
         assert!(cp.contains("(r * ((1.0 * (1 - ((s >> 2) & s & 1))) + (0.8775825618903728 * ((s >> 2) & s & 1))))"), "{cp}");
         for (kind, qubits, params) in [(S, vec![1], vec![]), (T, vec![7], vec![]), (Rz, vec![3], vec![0.3]), (Phase, vec![5], vec![1.1]), (Cy, vec![4, 6], vec![]), (Cz, vec![0, 7], vec![]), (CRz, vec![2, 1], vec![0.9]), (I, vec![3], vec![])] {
             assert!(!projection(kind, qubits, params).contains("JOIN"));
+        }
+    }
+
+    /// Each `in_s` and each `out_s` of `op`'s table once: the rule, counted
+    /// apart from [`crate::tables::permutes`].
+    fn each_once(op: &GateOp) -> bool {
+        let once = |col: fn(&(u64, u64, Complex64)) -> u64| {
+            let mut seen = std::collections::HashSet::new();
+            op.entries.iter().all(|e| seen.insert(col(e)))
+        };
+        once(|e| e.0) && once(|e| e.1)
+    }
+
+    /// Gate `SELECT`s under the default and Fig. 2c for a register of
+    /// `n` qubits: a `GROUP BY` exactly when the table does not permute, and
+    /// a pruning `HAVING` only with it; always a `GROUP BY` under Fig. 2c.
+    fn assert_grouped_unless_permuting(op: &GateOp, n: usize) {
+        let what = format!("{} on {:?} of {n}", op.table, op.qubits);
+        let default = gate_select("T0", op, n, &SqlGenConfig::default());
+        assert_eq!(default.contains(" GROUP BY "), !op.permutes, "{what}: {default}");
+        let pruned = SqlGenConfig { prune_threshold: Some(1e-30), ..Default::default() };
+        let pruned = gate_select("T0", op, n, &pruned);
+        assert_eq!(pruned.contains(" HAVING "), !op.permutes, "{what}: {pruned}");
+        let fig2c = gate_select("T0", op, n, &SqlGenConfig::FIG_2C);
+        assert!(fig2c.contains(" GROUP BY "), "{what}: {fig2c}");
+        for sql in [default, pruned, fig2c] {
+            qymera_sqldb::parser::parse_statement(&sql).unwrap_or_else(|e| panic!("{what}: {e}\n{sql}"));
+        }
+    }
+
+    /// The translator's permutation rule, read off the entries: for every
+    /// gate kind on contiguous, descending and non-adjacent qubits, and for
+    /// fused blocks, the flag is set exactly when each `in_s` and each
+    /// `out_s` occurs once — for a single gate, exactly the kinds that send
+    /// a basis state to one output — and it alone decides the `GROUP BY`.
+    #[test]
+    fn a_table_permutes_when_each_in_s_and_out_s_occurs_once() {
+        use GateKind::*;
+        let kinds = [
+            I, X, Y, Z, H, S, Sdg, T, Tdg, SqrtX, Rx, Ry, Rz, Phase, U3, Cx, Cy, Cz, Ch, CPhase,
+            CRx, CRy, CRz, Swap, Ccx, CSwap,
+        ];
+        let placements = [[0, 1, 2], [5, 4, 3], [0, 3, 7]];
+        for kind in kinds {
+            for at in placements {
+                let params = (0..kind.param_count()).map(|k| 0.3 + 0.2 * k as f64).collect();
+                let gate = Gate::new(kind, at[..kind.arity()].to_vec(), params);
+                let op = GateTableRegistry::new().lower_gate(&gate);
+                assert_eq!(op.permutes, each_once(&op), "{kind:?} on {at:?}");
+                assert_eq!(op.permutes, kind.is_permutation_like(), "{kind:?} on {at:?}");
+                for n in [8, 70] {
+                    assert_grouped_unless_permuting(&op, n);
+                }
+            }
+        }
+        // Fused blocks (from the one-row `T0` a block grows only inside its
+        // first gate's qubits): a CX ladder permutes, CX·RY does not, and a
+        // CSWAP (no closed form) joins without a `GROUP BY` on its own.
+        let fused = |c: &qymera_circuit::QuantumCircuit| {
+            crate::fusion::lower_circuit(c, &mut GateTableRegistry::new(), Some(6))
+        };
+        let ladder = qymera_circuit::CircuitBuilder::new(8).ccx(4, 1, 6).cx(1, 4).cx(4, 6).build();
+        let mixing = qymera_circuit::CircuitBuilder::new(8).cx(0, 1).ry(0.4, 0).build();
+        let cswap = qymera_circuit::CircuitBuilder::new(8).x(0).x(1).cswap(0, 1, 6).build();
+        let (ladder, mixing, cswap) = (fused(&ladder), fused(&mixing), fused(&cswap));
+        assert_eq!((ladder.len(), mixing.len()), (1, 1), "each fuses into one block");
+        assert!(ladder[0].permutes && ladder[0].closed_form.is_none());
+        assert!(!mixing[0].permutes);
+        assert!(cswap[2].permutes && cswap[2].closed_form.is_none());
+        for op in ladder.iter().chain(&mixing).chain(&cswap) {
+            assert_eq!(op.permutes, each_once(op), "{}", op.table);
+            assert_grouped_unless_permuting(op, 8);
         }
     }
 

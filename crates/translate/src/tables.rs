@@ -7,7 +7,9 @@
 //! shares one `H` table (as in Fig. 2b, where both CX gates reuse the same
 //! `CX` table), while parameterized gates get distinct numbered tables. It
 //! creates only the tables some query joins: a lone gate with a closed form
-//! ([`crate::sqlgen::closed_form`]) is a projection and reads none.
+//! ([`crate::sqlgen::closed_form`]) is a projection and reads none. Per table
+//! it also records whether the table [permutes], which decides whether a
+//! join with it needs a `GROUP BY`.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -36,6 +38,10 @@ pub struct GateOp {
     /// a lone gate's table, lowered by a registry that does not join every
     /// gate. Its table is not created.
     pub closed_form: Option<ClosedForm>,
+    /// The table [permutes] basis states: a join with it sends each state
+    /// row to its own new `s`, so the SQL has no `GROUP BY` (unless every op
+    /// groups, [`SqlGenConfig::FIG_2C`]).
+    pub permutes: bool,
 }
 
 impl GateOp {
@@ -59,6 +65,18 @@ impl GateOp {
 /// entries.
 pub type GateTable = (String, Vec<(u64, u64, Complex64)>);
 
+/// Whether a gate table is a permutation with phases: no `in_s` and no
+/// `out_s` occurs twice. Read off the entries, whatever gate or block made
+/// them. A unitary's entries then have modulus 1, so a join with the table
+/// neither adds two amplitudes nor creates a zero.
+pub fn permutes(entries: &[(u64, u64, Complex64)]) -> bool {
+    let unique = |mut v: Vec<u64>| {
+        v.sort_unstable();
+        v.windows(2).all(|w| w[0] != w[1])
+    };
+    unique(entries.iter().map(|e| e.0).collect()) && unique(entries.iter().map(|e| e.1).collect())
+}
+
 /// What a gate's table is a function of: its kind and the bits of its
 /// parameters (three at most, `U3`'s). A key that needs no allocation.
 type Shape = (GateKind, [u64; 3]);
@@ -81,6 +99,8 @@ pub struct GateTableRegistry {
     /// Per table: the closed form of a gate's own table, which a query
     /// joins only when every gate joins.
     closed: Vec<Option<ClosedForm>>,
+    /// Per table: whether it [permutes].
+    permutes: Vec<bool>,
     param_counter: usize,
     /// Lower for [`SqlGenConfig::join_every_gate`]: every op joins.
     pub(crate) join_every_gate: bool,
@@ -120,14 +140,15 @@ impl GateTableRegistry {
                 };
                 let entries = entries();
                 self.closed.push(closed_form(&entries, gate.qubits.len()));
+                self.permutes.push(permutes(&entries));
                 self.tables.push((name, entries));
                 *slot.insert(self.tables.len() - 1)
             }
         };
         let (table, entries) = &self.tables[at];
         let closed_form = if self.join_every_gate { None } else { self.closed[at].clone() };
-        let (table, entries) = (table.clone(), entries.clone());
-        GateOp { table, qubits: gate.qubits.clone(), entries, closed_form }
+        let (table, entries, permutes) = (table.clone(), entries.clone(), self.permutes[at]);
+        GateOp { table, qubits: gate.qubits.clone(), entries, closed_form, permutes }
     }
 
     /// Register a pre-built operation (fused blocks) under a fresh name.
@@ -139,9 +160,11 @@ impl GateTableRegistry {
     ) -> GateOp {
         self.param_counter += 1;
         let name = format!("{}_{}", label.to_uppercase(), self.param_counter);
+        let permutes = permutes(&entries);
         self.tables.push((name.clone(), entries.clone()));
         self.closed.push(None);
-        GateOp { table: name, qubits, entries, closed_form: None }
+        self.permutes.push(permutes);
+        GateOp { table: name, qubits, entries, closed_form: None, permutes }
     }
 
     /// Distinct gate tables in registration order, created or not (see
