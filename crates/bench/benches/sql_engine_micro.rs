@@ -218,8 +218,8 @@ fn bench_wal_overhead(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(nosync_db.insert_rows("T0", rows.clone()).unwrap()))
     });
 
-    // A rolled-back transaction: the 1024 rows are logged, applied, undone,
-    // and the frame ends in an `Abort` record instead of a `Commit` + fsync.
+    // A rolled-back transaction: the 1024 rows are applied and undone in
+    // memory; nothing reaches the log, which only `COMMIT` writes.
     let mut rollback_db = setup_wal("rollback", FsyncPolicy::Commit);
     group.bench_function("txn_rollback_1k_rows_wal", |b| {
         b.iter(|| {

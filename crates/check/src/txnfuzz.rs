@@ -7,9 +7,11 @@
 //! … AS` included) / `SAVEPOINT` /
 //! `ROLLBACK TO` / `ROLLBACK` / `COMMIT` / checkpoint actions with seeded
 //! poll-armed cancellations and (debug builds) injected WAL faults riding
-//! along, run on one `Database` (one session). Every rollback is a logical
-//! `Abort` / `RollbackSp` record in the log, and a checkpoint inside the
-//! open transaction takes the keep-tail path.
+//! along, run on one `Database` (one session). Nothing of an open
+//! transaction reaches the log — `COMMIT` writes its frame, derived from the
+//! undo stack, and a rollback (whole or to a savepoint) writes nothing — so a
+//! checkpoint inside the open transaction images the committed state and
+//! empties the log.
 //!
 //! The case checks the ACID contract:
 //!
@@ -302,9 +304,9 @@ impl Runner {
         Ok(())
     }
 
-    /// Durable engines: an engine-level checkpoint. With the transaction's
-    /// frame open this takes the keep-tail path, so a crash right after it
-    /// must still recover exactly the committed state.
+    /// Durable engines: an engine-level checkpoint. With a transaction open
+    /// it images the committed state and empties the log, so a crash right
+    /// after it must still recover exactly the committed state.
     fn checkpoint(&mut self) -> Result<(), Discrepancy> {
         if !self.case.durable {
             return Ok(());

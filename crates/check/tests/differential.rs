@@ -162,17 +162,17 @@ fn budget_overshoot_stays_within_one_batch() {
 }
 
 /// The durable oracle above runs with `fsync: Off` for speed; this case
-/// pins [`FsyncPolicy::Always`] end to end on a
-/// generated workload (satellite: fsync-always coverage in the harness).
+/// pins the default [`FsyncPolicy::Commit`] end to end on a generated
+/// workload split across a reopen, with checkpoints along the way.
 #[test]
-fn durable_oracle_under_fsync_always() {
+fn durable_oracle_under_fsync_commit() {
     use qymera_sqldb::{Database, DurabilityOptions, FsyncPolicy};
     let case = SqlCase::generate(base_seed() ^ 0xA1_3A75);
     let dir = std::env::temp_dir()
-        .join(format!("qymera-check-fsync-always-{}", std::process::id()));
+        .join(format!("qymera-check-fsync-commit-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let opts = || DurabilityOptions {
-        fsync: FsyncPolicy::Always,
+        fsync: FsyncPolicy::Commit,
         checkpoint_every_bytes: 4096,
         ..DurabilityOptions::default()
     };
@@ -196,7 +196,7 @@ fn durable_oracle_under_fsync_always() {
     assert_eq!(
         qymera_check::oracle::canon_multiset(durable.rows()),
         qymera_check::oracle::canon_multiset(expected.rows()),
-        "fsync=always database diverged from the in-memory reference"
+        "fsync=commit database diverged from the in-memory reference"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -111,27 +111,24 @@ impl Database {
     }
 
     /// Serialize the **committed** state of all tables into a new
-    /// checkpoint image. Between transactions that is the live catalog and
-    /// the WAL is truncated behind the image; while a transaction is open
-    /// the image is built from its undo stack (each table's
-    /// pre-transaction state) and the WAL is kept so the in-flight frame
-    /// stays replayable. Errors with [`Error::Unsupported`] on an in-memory
-    /// database.
+    /// checkpoint image and truncate the WAL behind it. Between
+    /// transactions that is the live catalog; while one is open the image
+    /// is built from its undo stack (each table's pre-transaction state),
+    /// and the log holds nothing of it to keep. Errors with
+    /// [`Error::Unsupported`] on an in-memory database.
     pub fn checkpoint(&mut self) -> Result<()> {
         if self.durable.is_none() {
             return Err(Error::Unsupported(
                 "checkpoint requires a database opened with a path".into(),
             ));
         }
-        let keep_wal = self.txn.as_ref().is_some_and(|t| t.wal_txn.is_some());
         let sources = self.committed_sources();
-        let store = self.durable.as_mut().expect("checked above");
-        store.checkpoint(&sources, keep_wal)
+        self.durable.as_mut().expect("checked above").checkpoint(&sources)
     }
 
     /// Whether the write-ahead log is poisoned (a failed truncate-repair
     /// left it refusing appends). A poisoned log self-heals via a forced
-    /// checkpoint at the next statement boundary with no open transaction.
+    /// checkpoint at the next statement boundary.
     /// Always `false` for in-memory databases.
     pub fn wal_poisoned(&self) -> bool {
         self.durable.as_ref().is_some_and(DurableStore::is_poisoned)
@@ -175,30 +172,23 @@ impl Database {
         sources
     }
 
-    /// Auto-checkpoint after a committed mutation once the WAL is large.
-    /// Deferred while a transaction is open (a keep-tail checkpoint cannot
-    /// shrink the log, so re-triggering every statement would just burn
-    /// I/O). Failures are swallowed: the statement already committed,
-    /// the WAL still covers everything, and the next trigger will retry.
+    /// Auto-checkpoint after a commit once the WAL is large. Failures are
+    /// swallowed: the transaction already committed, the WAL still covers
+    /// everything, and the next trigger will retry.
     pub(super) fn maybe_auto_checkpoint(&mut self) {
-        if self.txn.is_some() {
-            return;
-        }
         if self.durable.as_ref().is_some_and(DurableStore::wants_checkpoint) {
             let _ = self.checkpoint();
         }
     }
 
     /// Self-heal a poisoned WAL (a failed truncate-repair left the log
-    /// refusing appends): once no transaction is open, force a full
-    /// checkpoint at the next statement boundary — the image captures the
-    /// current committed state and the log is reset behind it. Swallows
-    /// failures; the statement then surfaces the poisoned-log error and
-    /// the next statement retries the heal.
+    /// refusing appends): force a full checkpoint at the next statement
+    /// boundary — the image captures the committed state and the log is
+    /// reset behind it. An open transaction does not stand in the way: the
+    /// log holds nothing of it. Swallows failures; the next commit then
+    /// surfaces the poisoned-log error and the next statement retries the
+    /// heal.
     pub(super) fn maybe_heal_poisoned(&mut self) {
-        if self.txn.is_some() {
-            return;
-        }
         if self.durable.as_ref().is_some_and(DurableStore::is_poisoned) {
             let _ = self.checkpoint();
         }

@@ -365,9 +365,10 @@ fn recovery_replays_blocks_into_chunks() {
         assert_eq!(db.budget().used(), 2500 * 24);
         let recovery = db.stats().recovery;
         // Per CTAS frame a `CreateTable` and three `Insert` blocks; T0 is a
-        // create and an insert; five drops. An image covers what it covers.
+        // create and, its bulk load logged chunk by chunk, three `Insert`
+        // blocks; five drops. An image covers what it covers.
         let (frames, ops) = match checkpoint_after {
-            None => (12, 2 + 5 * 4 + 5),
+            None => (12, 4 + 5 * 4 + 5),
             Some(2) => (6, 3 * 4 + 3),
             _ => (0, 0),
         };

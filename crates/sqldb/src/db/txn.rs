@@ -1,13 +1,14 @@
 //! The one write path of [`Database`]: every mutation runs inside a
-//! transaction (explicit, or an implicit one-statement one), logs into its
-//! WAL frame, applies to memory, and records how to undo itself.
-//!
-//! A table the transaction created is the exception to "logs": nothing
-//! done to it is logged as it happens. `COMMIT` writes it into the frame
-//! whole — one `CreateTable` record and one `Insert` block per chunk of
-//! its final contents — if it is still alive, so a state that is created
-//! and dropped within one transaction never reaches the log (PostgreSQL's
-//! `wal_level = minimal`).
+//! transaction (explicit, or an implicit one-statement one), applies to
+//! memory, and records how to undo itself. Nothing reaches the log before
+//! `COMMIT`, which writes the transaction's frame in one go, derived from
+//! its undo stack (`TxnState::frame`): a `DropTable` record for each
+//! committed table it dropped, one `Insert` block per chunk slice of the
+//! rows it appended to each committed table still alive, and a
+//! `CreateTable` record and one `Insert` block per chunk for each table it
+//! created and still holds — so a state that is created and dropped within
+//! one transaction never reaches the log (PostgreSQL's `wal_level =
+//! minimal`), and `ROLLBACK` writes nothing.
 
 use super::{with_exec_stack, Database, ResultSet};
 use crate::ast::{DataType, Expr, Query, Statement};
@@ -20,6 +21,7 @@ use crate::plan::optimizer::optimize;
 use crate::schema::RelSchema;
 use crate::storage::spill::Row;
 use crate::storage::wal::DurableStore;
+use crate::table::Table;
 use crate::txn::{SavepointMark, TxnState, UndoEntry};
 use crate::value::Value;
 
@@ -28,8 +30,8 @@ impl Database {
     /// when none is open — as an implicit one-statement transaction that
     /// commits as soon as `body` succeeds. Any error aborts the whole
     /// transaction with the full cleanup contract: memory and ledger
-    /// restored, no orphan spill files, the WAL frame marked aborted. An
-    /// immediate retry is always valid.
+    /// restored, no orphan spill files, nothing in the log. An immediate
+    /// retry is always valid.
     pub(super) fn in_txn<T>(&mut self, body: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         let implicit = self.txn.is_none();
         if implicit {
@@ -56,36 +58,25 @@ impl Database {
         Ok(ResultSet::dml(0))
     }
 
-    /// Commit the open transaction: make its WAL frame durable, then drop
-    /// the undo stack (releasing stashed tables). A read-only transaction
-    /// never opened a frame and commits without touching the log. A failed
-    /// commit aborts the transaction — memory is rolled back to match what
-    /// recovery would replay, or the error is [`Error::CommitInDoubt`] when
-    /// the log cannot be made to agree.
+    /// Commit the open transaction: write its frame and make it durable,
+    /// then drop the undo stack (releasing stashed tables). A transaction
+    /// that changed nothing the log holds writes nothing and syncs nothing.
+    /// A failed commit aborts the transaction — memory is rolled back to
+    /// match what recovery would replay, or the error is
+    /// [`Error::CommitInDoubt`] when the log cannot be made to agree.
     pub(super) fn txn_commit(&mut self) -> Result<ResultSet> {
-        let Some(state) = &self.txn else {
+        if self.txn.is_none() {
             return Err(Error::Plan("COMMIT: no open transaction".into()));
-        };
-        if let (Some(store), Some(_)) = (self.durable.as_ref(), state.wal_txn) {
-            if store.repair_epoch() != state.epoch {
-                // A crash-repair truncation while this transaction was
-                // open may have cut its records; the frame cannot be
-                // trusted, so refuse to commit it.
+        }
+        let frame = match self.log_frame() {
+            Ok(frame) => frame,
+            Err(e) => {
+                // No `Commit` record was written: recovery ignores the frame.
                 self.abort_txn();
-                return Err(Error::Io(
-                    "transaction aborted: the write-ahead log was repaired while \
-                     it was open; retry the transaction"
-                        .into(),
-                ));
+                return Err(e);
             }
-        }
-        if let Err(e) = self.log_created_tables() {
-            // No `Commit` record was written: recovery ignores the frame.
-            self.abort_txn();
-            return Err(e);
-        }
-        let state = self.txn.as_ref().expect("still open");
-        if let (Some(store), Some(txn)) = (self.durable.as_mut(), state.wal_txn) {
+        };
+        if let (Some(store), Some(txn)) = (self.durable.as_mut(), frame) {
             if let Err(e) = store.commit(txn) {
                 self.abort_txn();
                 // Double fault: the fsync failed and so did the repair's
@@ -115,24 +106,20 @@ impl Database {
         Ok(ResultSet::dml(0))
     }
 
-    /// `SAVEPOINT name`: mark the current undo depth and logged-op count.
+    /// `SAVEPOINT name`: mark the current undo depth.
     pub(super) fn txn_savepoint(&mut self, name: String) -> Result<ResultSet> {
         let Some(state) = &mut self.txn else {
             return Err(Error::Plan("SAVEPOINT: no open transaction".into()));
         };
-        state.savepoints.push(SavepointMark {
-            name,
-            undo_len: state.undo.len(),
-            ops_logged: state.ops_logged,
-        });
+        state.savepoints.push(SavepointMark { name, undo_len: state.undo.len() });
         Ok(ResultSet::dml(0))
     }
 
-    /// `ROLLBACK TO SAVEPOINT name`: rewind the transaction — WAL frame
-    /// and in-memory state — to the most recent savepoint with that name.
-    /// The savepoint survives (it can be rolled back to again); savepoints
-    /// set after it are discarded. An unknown name is a bookkeeping error
-    /// and leaves the transaction untouched.
+    /// `ROLLBACK TO SAVEPOINT name`: rewind the transaction's in-memory
+    /// state to the most recent savepoint with that name. The savepoint
+    /// survives (it can be rolled back to again); savepoints set after it
+    /// are discarded. An unknown name is a bookkeeping error and leaves the
+    /// transaction untouched.
     pub(super) fn txn_rollback_to(&mut self, name: &str) -> Result<ResultSet> {
         let Some(state) = &mut self.txn else {
             return Err(Error::Plan(
@@ -146,46 +133,20 @@ impl Database {
         else {
             return Err(Error::Plan(format!("no such savepoint: {name}")));
         };
-        let mark_undo = state.savepoints[idx].undo_len;
-        let mark_ops = state.savepoints[idx].ops_logged;
-        if let (Some(store), Some(txn)) = (self.durable.as_mut(), state.wal_txn) {
-            // After a crash-repair truncation cut this frame it can never
-            // commit (`txn_commit` refuses on the same mismatch), so there
-            // is nothing left to tell replay about.
-            if store.repair_epoch() == state.epoch {
-                if let Err(e) = store.rollback_ops(txn, state.ops_logged - mark_ops) {
-                    // The log cannot record the partial rollback: the
-                    // whole transaction aborts so memory and recovery
-                    // agree.
-                    self.abort_txn();
-                    return Err(e);
-                }
-            }
-        }
         state.savepoints.truncate(idx + 1);
-        state.ops_logged = mark_ops;
-        let tail = state.undo.split_off(mark_undo);
+        let tail = state.undo.split_off(state.savepoints[idx].undo_len);
         self.apply_undo(tail);
         Ok(ResultSet::dml(0))
     }
 
-    /// Abort the open transaction (no-op when none is open): mark the WAL
-    /// frame aborted, undo every in-memory effect in reverse and release
-    /// stashed tables back into the catalog. Never fails — recovery ignores
-    /// a commit-less frame even when the log cannot be written to.
+    /// Abort the open transaction (no-op when none is open): undo every
+    /// in-memory effect in reverse and release stashed tables back into
+    /// the catalog. Never fails, and never touches the log, which holds
+    /// nothing of an open transaction.
     pub(super) fn abort_txn(&mut self) {
-        let Some(state) = self.txn.take() else { return };
-        if let (Some(store), Some(txn)) = (self.durable.as_mut(), state.wal_txn) {
-            if store.repair_epoch() == state.epoch {
-                store.abort(txn);
-            }
-            // else: a repair already rolled the log back past (some of)
-            // this frame's bytes; the commit-less remainder is dropped at
-            // recovery, so appending an Abort record is pointless.
+        if let Some(state) = self.txn.take() {
+            self.apply_undo(state.undo);
         }
-        self.apply_undo(state.undo);
-        // The dead frame stays in the log until a checkpoint reclaims it.
-        self.maybe_auto_checkpoint();
     }
 
     /// Apply undo entries (a full stack or a savepoint tail), newest
@@ -206,62 +167,29 @@ impl Database {
         }
     }
 
-    /// Log one op into the open transaction's WAL frame, opening the frame
-    /// lazily at the first op (so read-only transactions never touch the
-    /// log), and count it for savepoint arithmetic. No-op on an in-memory
-    /// database.
-    fn log_in_txn(&mut self, log: impl FnOnce(&mut DurableStore, u64) -> Result<()>) -> Result<()> {
-        let Some(store) = self.durable.as_mut() else { return Ok(()) };
-        let state = self.txn.as_mut().expect("open transaction");
-        let txn = match state.wal_txn {
-            Some(t) => t,
-            None => {
-                let t = store.begin()?;
-                state.wal_txn = Some(t);
-                // The frame's bytes start here: only repairs from now on
-                // can cut them.
-                state.epoch = store.repair_epoch();
-                t
-            }
-        };
-        log(store, txn)?;
-        state.ops_logged += 1;
-        Ok(())
-    }
-
-    /// Log an op on `table` into the open frame — unless the transaction
-    /// created `table`, which reaches the log whole at `COMMIT`
-    /// ([`Self::log_created_tables`]).
-    fn log_unless_created(
-        &mut self,
-        table: &str,
-        log: impl FnOnce(&mut DurableStore, u64) -> Result<()>,
-    ) -> Result<()> {
-        if self.durable.is_none() || self.txn().created_at(table).is_some() {
-            return Ok(());
+    /// Write the open transaction's frame, all but its `Commit` record,
+    /// and return its id — `None` on an in-memory database or when the
+    /// frame is empty. Rows are encoded from the live tables' chunks, one
+    /// `Insert` block per chunk or chunk slice, never turned into rows.
+    fn log_frame(&mut self) -> Result<Option<u64>> {
+        let Some(store) = self.durable.as_mut() else { return Ok(None) };
+        let frame = self.txn.as_ref().expect("open transaction").frame();
+        if frame.is_empty() {
+            return Ok(None);
         }
-        self.log_in_txn(log)
-    }
-
-    /// Write every table the open transaction created and still holds into
-    /// its frame, just before the `Commit` record: a `CreateTable` record,
-    /// then one `Insert` block per chunk of the table's snapshot. No-op on
-    /// an in-memory database.
-    fn log_created_tables(&mut self) -> Result<()> {
-        if self.durable.is_none() {
-            return Ok(());
+        let txn = store.begin()?;
+        for name in &frame.dropped {
+            store.log_drop(txn, name)?;
         }
-        for name in self.txn().created_tables() {
-            let table = self.catalog.get(&name)?;
-            let (name, columns) = (table.name().to_string(), table.columns().to_vec());
-            let snapshot = table.snapshot();
-            self.log_in_txn(|s, txn| s.log_create(txn, &name, &columns))?;
-            for chunk in snapshot.chunks() {
-                let block = RowBatch::from_shared(chunk.columns().to_vec());
-                self.log_in_txn(|s, txn| s.log_insert(txn, &name, &block))?;
-            }
+        for (name, rows_at_begin) in &frame.appended {
+            log_rows(store, txn, self.catalog.get(name)?, *rows_at_begin)?;
         }
-        Ok(())
+        for name in &frame.created {
+            let table = self.catalog.get(name)?;
+            store.log_create(txn, table.name(), table.columns())?;
+            log_rows(store, txn, table, 0)?;
+        }
+        Ok(Some(txn))
     }
 
     fn txn(&self) -> &TxnState {
@@ -274,15 +202,13 @@ impl Database {
     }
 
     /// One statement inside the open transaction. Mutations follow
-    /// log → apply → push-undo → cancel point: any error leaves the frame
-    /// commit-less and the caller aborts the whole transaction, which
-    /// unwinds every undo entry — so no per-statement rollback is needed
-    /// here, and a cancelled statement can never commit.
+    /// apply → push-undo → cancel point: any error aborts the whole
+    /// transaction, which unwinds every undo entry — so no per-statement
+    /// rollback is needed here, and a cancelled statement can never commit.
     pub(super) fn execute_in_txn(&mut self, st: Statement) -> Result<ResultSet> {
         match st {
             Statement::CreateTable { name, columns } => {
-                // Logged at COMMIT, if it is still alive then; a duplicate
-                // name is an error that changes nothing.
+                // A duplicate name is an error that changes nothing.
                 self.catalog.create_table(&name, columns, false, self.budget.clone())?;
                 self.push_undo(UndoEntry::Created { name });
                 self.query.check()?;
@@ -294,9 +220,6 @@ impl Database {
                     return Ok(ResultSet::dml(0));
                 }
                 let created = self.txn().created_at(&name);
-                if created.is_none() {
-                    self.log_in_txn(|s, txn| s.log_drop(txn, &name))?;
-                }
                 if let Some(table) = self.catalog.drop_table(&name, if_exists)? {
                     let state = self.txn.as_mut().expect("open transaction");
                     match created {
@@ -314,12 +237,10 @@ impl Database {
             }
             Statement::Insert { table, rows } => {
                 // Evaluate first: INSERT expressions are pure, so this
-                // cannot observe or modify state, and the WAL records
-                // concrete values rather than expressions.
+                // cannot observe or modify state.
                 let evaluated = self.eval_insert_rows(&table, rows)?;
                 self.insert_rows_in_txn(&table, evaluated)
             }
-            // Reads don't touch the frame.
             Statement::Query(q) => {
                 let mut rows = Vec::new();
                 let columns = self.drain_query(&q, |batch| rows.extend(batch.into_rows()))?;
@@ -362,13 +283,10 @@ impl Database {
     /// Shared body of `INSERT` and [`Database::insert_rows`]: rows are
     /// already evaluated and in table order.
     pub(super) fn insert_rows_in_txn(&mut self, table: &str, rows: Vec<Row>) -> Result<ResultSet> {
-        // Validate table and arity before logging; the record is the batch
-        // as the table is about to receive it.
         let batch = self.catalog.get(table)?.batch_from_rows(rows)?;
         if batch.is_empty() {
             return Ok(ResultSet::dml(0));
         }
-        self.log_unless_created(table, |s, txn| s.log_insert(txn, table, &batch))?;
         let t = self.catalog.get_mut(table)?;
         let undo = t.undo_state();
         let n = t.append_batch(&batch)?; // atomic: an error inserts nothing
@@ -393,10 +311,10 @@ impl Database {
             .collect()
     }
 
-    /// CTAS body. The new table belongs to the open transaction, so
-    /// nothing is logged here: `COMMIT` writes the table, and recovery
-    /// replays either the whole of it or none. A result batch is never
-    /// turned into rows: each one is a cancel point and one
+    /// CTAS body. The new table belongs to the open transaction: `COMMIT`
+    /// writes it, and recovery replays either the whole of it or none. A
+    /// result batch is never turned into rows: each one is a cancel point
+    /// and one
     /// [`Table::append_batch`] (which adopts typed columns by `Arc`). Any
     /// failure — query error mid-stream, budget overrun, cancellation —
     /// aborts the transaction, whose `Created` undo entry drops the
@@ -442,6 +360,27 @@ impl Database {
         self.push_undo(UndoEntry::Created { name: name.to_string() });
         Ok(())
     }
+}
+
+/// Log the rows of `table` past the first `from` into frame `txn`: one
+/// `Insert` block per chunk, or per part of the chunk `from` falls in, on
+/// the lanes the table holds them.
+fn log_rows(store: &mut DurableStore, txn: u64, table: &Table, from: usize) -> Result<()> {
+    let mut start = 0;
+    for chunk in table.snapshot().chunks() {
+        let (skip, rows) = (from.saturating_sub(start), chunk.rows());
+        start += rows;
+        let block = match skip {
+            0 => RowBatch::from_shared(chunk.columns().to_vec()),
+            _ if skip >= rows => continue,
+            _ => {
+                let tail = chunk.columns().iter().map(|c| c.slice(skip..rows)).collect();
+                RowBatch::from_columns(tail)
+            }
+        };
+        store.log_insert(txn, table.name(), &block)?;
+    }
+    Ok(())
 }
 
 /// Infer a column type from the first batch of a CTAS result.

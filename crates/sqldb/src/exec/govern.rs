@@ -7,8 +7,9 @@
 //! surfaces the *same* typed error ([`Error::Cancelled`] or
 //! [`Error::Timeout`]) no matter which one observed it first. Cancellation
 //! is cooperative: nothing is killed mid-write, so the ordinary cleanup
-//! (spill files, ledger reservations, WAL `Abort` record + `TableUndo`
-//! rollback) runs exactly as it does for any other statement error.
+//! (spill files, ledger reservations, `TableUndo` rollback — the log holds
+//! nothing before `COMMIT`) runs exactly as it does for any other
+//! statement error.
 //!
 //! There is no admission queue: the engine is embedded, and one `Database`
 //! is one session that runs one statement at a time.

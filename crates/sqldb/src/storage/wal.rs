@@ -1,40 +1,31 @@
 //! Write-ahead log and checkpointing: the crash-safe durability layer.
 //!
-//! ROADMAP item 3. A durable database directory contains at most three
-//! files:
+//! A durable database directory contains at most three files:
 //!
 //! * `wal.qwl` — the write-ahead log. A flat sequence of checksummed,
 //!   length-prefixed records: `[u32 len][u32 crc32(payload)][payload]`.
 //!   Work is framed by **transactions**: a `Begin{txn}` record opens a
 //!   frame, logical payloads (`CreateTable`, `DropTable`, `Insert`) each
-//!   carry the `txn` id they belong to, and the frame ends
-//!   with `Commit{txn, commit_seq}` (durable) or `Abort{txn}` (discarded).
-//!   An auto-commit statement is simply a one-statement transaction. The
-//!   rows of an `Insert` are one typed **column block** — the codec of the
-//!   spill files ([`crate::storage::spill`]) — so a batch reaches the log,
-//!   and comes back from it, without becoming rows.
-//!   A table the transaction itself created is logged only at `COMMIT`,
-//!   just before the `Commit` record, and only if it is still alive: one
-//!   `CreateTable` and one `Insert` block per chunk of its final contents.
-//!   Nothing done to it before then — its rows, its `DROP` —
-//!   reaches the log, so a table created and dropped in one transaction
-//!   leaves no record. The records are the ones above; replay cannot tell.
-//!   A database is one session, so a frame is contiguous: recovery is one
-//!   forward pass holding at most one pending frame, and replays exactly
-//!   the **committed frames in commit order**. A frame with no `Commit` —
-//!   because the process died mid-transaction — is ignored (the next
-//!   `Begin` drops it), an `Abort`ed frame is dropped, a
-//!   `RollbackSp{txn, n}` record discards that frame's last `n` ops
-//!   (crash-safe savepoint rollback), and a torn or corrupted record ends
-//!   replay at the last good boundary (the tail past it is discarded) —
-//!   whereas a record that passes its checksum and does not decode, or
-//!   names another transaction than the open frame's, cannot come from a
-//!   crash, and makes `open` fail with every file left as it was.
-//!   Rollback is **only** ever those two logical records:
-//!   the file shrinks in exactly three places — `open` (the torn tail),
-//!   `repair` (after a failed append or fsync, whose on-disk result is
-//!   unknown) and `checkpoint` (the image covers the log). Rolled-back
-//!   frames stay in the log until the next checkpoint reclaims them.
+//!   carry the `txn` id they belong to, and the frame ends with
+//!   `Commit{txn, commit_seq}`. The rows of an `Insert` are one typed
+//!   **column block** — the codec of the spill files
+//!   ([`crate::storage::spill`]) — so a table's chunks reach the log, and
+//!   come back from it, without becoming rows.
+//!   `COMMIT` is the only writer: it writes the whole frame, derived from
+//!   the transaction's undo stack, and nothing of a transaction reaches
+//!   the log before it — a rollback, to a savepoint or of the whole
+//!   transaction, writes nothing. A database is one session, so a frame is
+//!   contiguous: recovery is one forward pass holding at most one pending
+//!   frame, and replays exactly the **committed frames in commit order**.
+//!   A frame with no `Commit` — because the process died while writing
+//!   it — is ignored (the next `Begin` drops it), and a torn or corrupted
+//!   record ends replay at the last good boundary (the tail past it is
+//!   discarded) — whereas a record that passes its checksum and does not
+//!   decode, or names another transaction than the open frame's, cannot
+//!   come from a crash, and makes `open` fail with every file left as it
+//!   was. The file shrinks in exactly three places — `open` (the torn
+//!   tail), `repair` (after a failed append or fsync, whose on-disk result
+//!   is unknown) and `checkpoint` (the image covers the log).
 //! * `checkpoint.qck` — a full serialized image of every table, stamped
 //!   with the commit sequence number it covers. Produced by walking each
 //!   table's O(1) `Arc` chunk snapshot, one column block per chunk
@@ -44,17 +35,14 @@
 //!   image, directory fsynced, and only then is the WAL truncated behind
 //!   it. A crash in *any* window of that protocol recovers correctly: the
 //!   tmp file is ignored and deleted, and replay skips WAL frames whose
-//!   `commit_seq` the surviving checkpoint already covers. While a
-//!   transaction is open a checkpoint runs in *keep-tail* mode: the image
-//!   serializes only committed state and the WAL is left intact so the
-//!   in-flight frames stay replayable.
+//!   `commit_seq` the surviving checkpoint already covers.
 //! * `checkpoint.tmp` — transient; deleted on open.
 //!
 //! Durability knob: [`FsyncPolicy`], set through
-//! `DurabilityOptions::fsync` — `Always` (fsync every record), `Commit`
-//! (default — fsync once per committed frame), or `Off` (no fsync; crash
-//! consistency still holds via checksums, but the tail of acknowledged
-//! transactions may be lost with the OS cache).
+//! `DurabilityOptions::fsync` — `Commit` (default — fsync once per
+//! committed frame) or `Off` (no fsync; crash consistency still holds via
+//! checksums, but the tail of acknowledged transactions may be lost with
+//! the OS cache).
 //!
 //! Every file operation goes through the shared
 //! [`FaultInjector`], which is how
@@ -86,13 +74,13 @@ pub const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 /// column blocks; an `01` image (rows) is refused at open.
 const CHECKPOINT_MAGIC: &[u8; 8] = b"QYCKPT02";
 
-/// When to force WAL bytes to stable storage.
+/// When to force WAL bytes to stable storage. A frame is recovered only
+/// with its `Commit` record, so syncing once, behind that record, is all a
+/// commit needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// fsync after every record append (slowest, strongest).
-    Always,
-    /// fsync once per committed statement frame (the default): an
-    /// acknowledged statement survives power loss.
+    /// fsync once per committed frame (the default): an acknowledged
+    /// transaction survives power loss.
     #[default]
     Commit,
     /// Never fsync. Consistency still holds (checksummed replay), but the
@@ -193,19 +181,13 @@ const TAG_CREATE: u8 = 3;
 const TAG_DROP: u8 = 4;
 /// The `DELETE` of logs written while the engine had one: refused at open.
 const TAG_DELETE: u8 = 6;
-/// Transaction rolled back: replay drops its pending frame.
-const TAG_ABORT: u8 = 7;
-/// `ROLLBACK TO SAVEPOINT`: replay drops the last `n` ops of the pending
-/// frame.
-const TAG_RBSP: u8 = 8;
 /// Rows as one column block. (Tag 5 was the row-encoded `Insert` of logs
 /// written before the block format; such a log is refused at open.)
 const TAG_INSERT: u8 = 9;
 
-/// A logical operation recovered from the WAL. An auto-commit statement
-/// frame carries one of these — except CTAS, which logs a `CreateTable`
-/// followed by one `Insert` per streamed batch; a multi-statement
-/// transaction carries one per logged statement.
+/// A logical operation recovered from the WAL: a frame carries the drops,
+/// then the appends to existing tables (one `Insert` per chunk slice), then
+/// each created table as a `CreateTable` and one `Insert` per chunk.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // field names mirror the statements they log
 pub enum WalOp {
@@ -305,8 +287,6 @@ fn decode_columns(buf: &mut Bytes) -> Result<Vec<(String, DataType)>> {
 enum Record {
     Begin,
     Commit { commit_seq: u64 },
-    Abort,
-    RollbackSp { drop_last: u64 },
     Op(WalOp),
 }
 
@@ -318,8 +298,6 @@ fn decode_record(payload: &mut Bytes) -> Result<(u64, Record)> {
     let record = match tag {
         TAG_BEGIN => Record::Begin,
         TAG_COMMIT => Record::Commit { commit_seq: get_u64(payload)? },
-        TAG_ABORT => Record::Abort,
-        TAG_RBSP => Record::RollbackSp { drop_last: get_u64(payload)? },
         TAG_CREATE => Record::Op(WalOp::CreateTable {
             name: get_string(payload)?,
             columns: decode_columns(payload)?,
@@ -330,6 +308,8 @@ fn decode_record(payload: &mut Bytes) -> Result<(u64, Record)> {
             rows: decode_block(payload)?,
         }),
         TAG_DELETE => return Err(Error::Io("a `DELETE`, which the engine no longer has".into())),
+        // `Abort` (7) and `RollbackSp` (8), logged while rollbacks were.
+        7 | 8 => return Err(Error::Io("a rollback record, which the engine no longer writes".into())),
         t => return Err(Error::Io(format!("unknown record tag {t}"))),
     };
     if !payload.is_empty() {
@@ -354,10 +334,6 @@ struct Wal {
     /// Set when a repair itself failed: the on-disk tail is unknown, so all
     /// further appends are refused until a checkpoint resets the log.
     poisoned: bool,
-    /// Bumped on every crash-repair truncation. An open transaction whose
-    /// records may have been cut records the epoch at `BEGIN` and aborts
-    /// when it no longer matches.
-    repair_epoch: u64,
     /// Bytes appended and fsyncs done since open ([`DurableStore::io_counts`]).
     appended: u64,
     fsyncs: u64,
@@ -394,8 +370,8 @@ pub struct DurableStore {
     policy: FsyncPolicy,
     injector: Arc<FaultInjector>,
     /// Transaction id the next frame will carry. Advanced past every id
-    /// *seen* in the log at open — committed, aborted, or in-flight — so a
-    /// dead frame's records can never merge with a new frame's.
+    /// *seen* in the log at open — committed or cut short — so a dead
+    /// frame's records can never merge with a new frame's.
     next_txn: u64,
     /// Commit sequence number the next `Commit` record will carry.
     next_commit: u64,
@@ -467,7 +443,6 @@ impl DurableStore {
                 len: scan.committed_end,
                 good_end: scan.committed_end,
                 poisoned: false,
-                repair_epoch: 0,
                 appended: 0,
                 fsyncs: 0,
             },
@@ -486,20 +461,10 @@ impl DurableStore {
         &self.dir
     }
 
-    /// Current WAL length in bytes: committed frames, rolled-back frames
-    /// not yet reclaimed by a checkpoint, and any open frames.
+    /// Current WAL length in bytes: the committed frames since the last
+    /// checkpoint.
     pub fn wal_len(&self) -> u64 {
         self.wal.len
-    }
-
-    /// The fsync policy in force.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
-
-    /// The injector gating this store's file I/O.
-    pub fn injector(&self) -> &Arc<FaultInjector> {
-        &self.injector
     }
 
     /// `(bytes appended to the log, fsyncs of it)` since open.
@@ -513,16 +478,9 @@ impl DurableStore {
     }
 
     /// Whether a failed truncate-repair left the log refusing appends.
-    /// A full (non-keep-tail) checkpoint resets the log and clears this.
+    /// A checkpoint resets the log and clears this.
     pub fn is_poisoned(&self) -> bool {
         self.wal.poisoned
-    }
-
-    /// Monotonic count of crash-repair truncations. A transaction records
-    /// this at `BEGIN`; a mismatch later means some of its records may have
-    /// been cut and the transaction must abort.
-    pub fn repair_epoch(&self) -> u64 {
-        self.wal.repair_epoch
     }
 
     /// A record under construction: eight bytes kept free for the header,
@@ -552,9 +510,6 @@ impl DurableStore {
             Ok(()) => {
                 self.wal.len += record.len() as u64;
                 self.wal.appended += record.len() as u64;
-                if self.policy == FsyncPolicy::Always {
-                    self.fsync()?;
-                }
                 Ok(())
             }
             Err(e) => {
@@ -584,13 +539,12 @@ impl DurableStore {
     }
 
     /// Truncate the log back to the last committed frame boundary after a
-    /// failed append or fsync: the tail's on-disk content is unknown, so
-    /// every open transaction with bytes at risk is invalidated via the
-    /// repair epoch. On failure the log is poisoned (appends refused) until
-    /// a checkpoint resets it — recovery tolerates the garbage tail either
-    /// way via checksums and commit framing.
+    /// failed append or fsync: the tail — the frame being committed — has
+    /// unknown on-disk content, and its commit fails. On failure the log is
+    /// poisoned (appends refused) until a checkpoint resets it — recovery
+    /// tolerates the garbage tail either way via checksums and commit
+    /// framing.
     fn repair(&mut self) {
-        self.wal.repair_epoch += 1;
         let to = self.wal.good_end;
         let ok = self.injector.check(FaultSite::WalTruncate).is_ok()
             && self.wal.file.set_len(to).is_ok()
@@ -603,10 +557,10 @@ impl DurableStore {
     }
 
     /// Start a transaction frame; returns its id and writes the `Begin`
-    /// record. The frame holds no locks and buffers nothing — records land
-    /// in the file as they are logged, and only `commit` makes them
-    /// recoverable. The id is consumed even if the append fails, so a
-    /// retried frame can never collide with a half-written one.
+    /// record. The caller writes the whole frame, then `commit`s it:
+    /// records land in the file as they are logged, and only `commit`
+    /// makes them recoverable. The id is consumed even if the append
+    /// fails, so a retried frame can never collide with a half-written one.
     pub fn begin(&mut self) -> Result<u64> {
         let txn = self.next_txn;
         self.next_txn += 1;
@@ -635,8 +589,8 @@ impl DurableStore {
     }
 
     /// Log the rows `rows` appended to `table` inside transaction `txn`, as
-    /// one column block: `INSERT`, the bulk loader and every batch a CTAS
-    /// streams log this record, lanes as the table is about to receive them.
+    /// one column block: a chunk of the table, or the part of one the
+    /// transaction appended, on the lanes the table holds it.
     pub fn log_insert(&mut self, txn: u64, table: &str, rows: &RowBatch) -> Result<()> {
         let mut record = Self::record(TAG_INSERT, txn);
         put_string(&mut record, table);
@@ -655,7 +609,7 @@ impl DurableStore {
         let mut record = Self::record(TAG_COMMIT, txn);
         record.put_u64_le(commit_seq);
         self.append_record(record)?;
-        if self.policy != FsyncPolicy::Off {
+        if self.policy == FsyncPolicy::Commit {
             // Unknown durability of the frame on failure: `fsync` discards
             // it so the in-memory rollback and recovery agree.
             self.fsync()?;
@@ -666,34 +620,13 @@ impl DurableStore {
         Ok(commit_seq)
     }
 
-    /// Abandon transaction `txn`'s frame: append an `Abort` record so
-    /// replay drops it. If the append fails, recovery still ignores the
-    /// frame (no `Commit` record), so this never errors.
-    pub fn abort(&mut self, txn: u64) {
-        let _ = self.append_record(Self::record(TAG_ABORT, txn));
-    }
-
-    /// Roll transaction `txn` back to a savepoint: append a `RollbackSp`
-    /// record telling replay to discard the frame's last `drop_last`
-    /// logged ops.
-    pub fn rollback_ops(&mut self, txn: u64, drop_last: u64) -> Result<()> {
-        if drop_last == 0 {
-            return Ok(());
-        }
-        let mut record = Self::record(TAG_RBSP, txn);
-        record.put_u64_le(drop_last);
-        self.append_record(record)
-    }
-
     /// Write a checkpoint covering every committed transaction, publish it
-    /// atomically, and — unless `keep_wal` — truncate the WAL behind it.
-    /// `sources` must be the *committed* state in sorted-name order (the
-    /// live catalog between transactions; the undo-stack views while one is
-    /// open). `keep_wal` leaves the log intact so in-flight frames stay
-    /// replayable: replay skips frames the image already covers by
-    /// `commit_seq`. On error the durable state is unchanged — the tmp
-    /// image is removed and the WAL still covers everything.
-    pub fn checkpoint(&mut self, sources: &[CkptSource], keep_wal: bool) -> Result<()> {
+    /// atomically, and truncate the WAL behind it. `sources` must be the
+    /// *committed* state in sorted-name order (the live catalog between
+    /// transactions; the undo-stack views while one is open, which has
+    /// nothing in the log). On error the durable state is unchanged — the
+    /// tmp image is removed and the WAL still covers everything.
+    pub fn checkpoint(&mut self, sources: &[CkptSource]) -> Result<()> {
         let seq = self.last_committed;
         let tmp = self.dir.join(CHECKPOINT_TMP);
         let result = self.write_checkpoint_tmp(&tmp, seq, sources);
@@ -705,12 +638,9 @@ impl DurableStore {
         // the directory so the rename itself is durable.
         self.injector.check(FaultSite::CheckpointRename)?;
         fs::rename(&tmp, self.dir.join(CHECKPOINT_FILE))?;
-        if self.policy != FsyncPolicy::Off {
+        if self.policy == FsyncPolicy::Commit {
             let dirf = File::open(&self.dir)?;
             self.injector.fsync(FaultSite::CheckpointFsync, &dirf)?;
-        }
-        if keep_wal {
-            return Ok(());
         }
         // The WAL's frames are all covered by the image now. A failure
         // here is benign (replay skips frames with commit_seq ≤ checkpoint
@@ -817,7 +747,7 @@ struct WalScan {
     /// Byte offset just past the last `Commit` record.
     committed_end: u64,
     /// Highest transaction id seen *anywhere* in the scanned prefix —
-    /// committed, aborted, or in-flight. New ids must start above this so
+    /// committed or cut short. New ids must start above this so
     /// a dead frame's records can never merge with a live frame's.
     max_txn: u64,
     /// Highest commit sequence seen.
@@ -894,10 +824,6 @@ fn replay_committed(file: &mut File, ckpt_seq: u64) -> Result<WalScan> {
                 if commit_seq > ckpt_seq {
                     scan.frames.push(WalFrame { txn, commit_seq, ops });
                 }
-            }
-            (Record::Abort, Some(_)) => pending = None,
-            (Record::RollbackSp { drop_last }, Some((_, ops))) => {
-                ops.truncate(ops.len().saturating_sub(drop_last as usize));
             }
             (Record::Op(op), Some((_, ops))) => ops.push(op),
         }
@@ -1103,13 +1029,19 @@ mod tests {
             p
         };
         let truncated_commit: Vec<u8> = vec![TAG_COMMIT, 1, 0, 0, 0, 0, 0, 0, 0, 9];
-        let trailing_abort: Vec<u8> = vec![TAG_ABORT, 1, 0, 0, 0, 0, 0, 0, 0, 0xEE];
+        let trailing_begin: Vec<u8> = vec![TAG_BEGIN, 1, 0, 0, 0, 0, 0, 0, 0, 0xEE];
+        // The rollback records of logs written while rollbacks were logged:
+        // `Abort{txn}` and `RollbackSp{txn, n}`.
+        let old_abort: Vec<u8> = vec![7, 1, 0, 0, 0, 0, 0, 0, 0];
+        let old_rollback_sp: Vec<u8> = vec![8, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0];
         for (what, payload, tag) in [
             ("retired tag", old_insert, 5),
             ("DELETE", old_delete, TAG_DELETE),
+            ("Abort", old_abort, 7),
+            ("RollbackSp", old_rollback_sp, 8),
             ("bad block", bad_block, TAG_INSERT),
             ("short body", truncated_commit, TAG_COMMIT),
-            ("long body", trailing_abort, TAG_ABORT),
+            ("long body", trailing_begin, TAG_BEGIN),
         ] {
             let dir = tmpdir("skew");
             let offset = {
@@ -1142,6 +1074,7 @@ mod tests {
                 "{what}: {msg}"
             );
             assert!(tag != TAG_DELETE || msg.contains("`DELETE`"), "{what}: {msg}");
+            assert!(!matches!(tag, 7 | 8) || msg.contains("rollback record"), "{what}: {msg}");
             assert_eq!(fs::read(&wal).unwrap(), bytes, "{what}: the log must be left as it was");
             let _ = fs::remove_dir_all(&dir);
         }
@@ -1178,7 +1111,7 @@ mod tests {
             store.log_create(txn, "t", &[("a".into(), DataType::Integer)]).unwrap();
             store.commit(txn).unwrap();
             let t = Table::new("t", vec![("a".into(), DataType::Integer)], MemoryBudget::unlimited());
-            store.checkpoint(&[source(&t)], true).unwrap();
+            store.checkpoint(&[source(&t)]).unwrap();
         }
         let path = dir.join(CHECKPOINT_FILE);
         let mut img = fs::read(&path).unwrap();
@@ -1236,40 +1169,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn aborted_sole_writer_frame_grows_the_log_by_one_abort_record() {
-        let dir = tmpdir("abort-record");
-        {
-            let (mut store, _) = open(&dir);
-            let txn = store.begin().unwrap();
-            store.log_drop(txn, "t").unwrap();
-            store.commit(txn).unwrap();
-            // This frame is alone on the tail: the case that used to be a
-            // truncation. Abort must append, never shrink the file.
-            let txn = store.begin().unwrap();
-            store.log_insert(txn, "t", &ints(&[1])).unwrap();
-            let before = store.wal_len();
-            store.abort(txn);
-            // [len][crc][tag][txn] = 4 + 4 + 1 + 8 bytes.
-            assert_eq!(store.wal_len(), before + 17);
-            assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), before + 17);
-            let txn = store.begin().unwrap();
-            store.log_drop(txn, "u").unwrap();
-            store.commit(txn).unwrap();
-        }
-        // Replay walks over the dead frame and reaches the commit behind it.
-        let (_, rec) = open(&dir);
-        let dropped: Vec<_> = rec.frames.iter().map(|f| f.ops.clone()).collect();
-        assert_eq!(
-            dropped,
-            vec![
-                vec![WalOp::DropTable { name: "t".into() }],
-                vec![WalOp::DropTable { name: "u".into() }],
-            ]
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
     /// Replay holds one pending frame: a `Begin` drops a frame that never
     /// committed, and a record of another transaction inside the open
     /// frame is refused with every byte left as it was.
@@ -1311,46 +1210,6 @@ mod tests {
         let Error::Io(msg) = &err else { panic!("{err:?}") };
         assert!(msg.contains(&format!("offset {offset}")), "{msg}");
         assert_eq!(fs::read(&wal).unwrap(), bytes, "the log must be left as it was");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn rollback_to_savepoint_drops_tail_ops() {
-        let dir = tmpdir("rbsp");
-        {
-            let (mut store, _) = open(&dir);
-            let txn = store.begin().unwrap();
-            store.log_insert(txn, "t", &ints(&[1])).unwrap();
-            store.log_insert(txn, "t", &ints(&[2])).unwrap();
-            store.log_insert(txn, "t", &ints(&[3])).unwrap();
-            // Alone on the tail (the old truncation case): one RollbackSp
-            // record, [len][crc][tag][txn][n] = 4 + 4 + 1 + 8 + 8 bytes.
-            let before = store.wal_len();
-            store.rollback_ops(txn, 2).unwrap();
-            assert_eq!(store.wal_len(), before + 25);
-            // Dropping nothing writes nothing.
-            store.rollback_ops(txn, 0).unwrap();
-            assert_eq!(store.wal_len(), before + 25);
-            store.log_insert(txn, "t", &ints(&[9])).unwrap();
-            store.commit(txn).unwrap();
-
-            // The next frame rewinds its last op, then an aborted frame.
-            let a = store.begin().unwrap();
-            store.log_insert(a, "t", &ints(&[10])).unwrap();
-            store.log_insert(a, "t", &ints(&[11])).unwrap();
-            store.rollback_ops(a, 1).unwrap();
-            store.commit(a).unwrap();
-            let b = store.begin().unwrap();
-            store.log_insert(b, "t", &ints(&[12])).unwrap();
-            store.rollback_ops(b, 1).unwrap();
-            store.abort(b);
-        }
-        let (_, rec) = open(&dir);
-        assert_eq!(rec.frames.len(), 2);
-        let t = || "t".to_string();
-        assert_eq!(inserts(&rec.frames[0]), [(t(), ints(&[1])), (t(), ints(&[9]))]);
-        assert_eq!(inserts(&rec.frames[1]), [(t(), ints(&[10]))]);
-        assert_eq!(rec.frames[0].ops.len() + rec.frames[1].ops.len(), 3);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1405,7 +1264,7 @@ mod tests {
                 budget.clone(),
             );
             t.append_batch(&ints(&[1, 2])).unwrap();
-            store.checkpoint(&[source(&t)], false).unwrap();
+            store.checkpoint(&[source(&t)]).unwrap();
             assert_eq!(store.wal_len(), 0);
 
             // One more statement after the checkpoint.
@@ -1425,45 +1284,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_wal_checkpoint_leaves_inflight_frames_replayable() {
-        let dir = tmpdir("keepwal");
-        {
-            let (mut store, _) = open(&dir);
-            let txn = store.begin().unwrap();
-            store
-                .log_create(txn, "t", &[("a".into(), DataType::Integer)])
-                .unwrap();
-            store.commit(txn).unwrap();
-
-            // An open transaction has logged ops when the checkpoint runs.
-            let open_txn = store.begin().unwrap();
-            store.log_insert(open_txn, "t", &ints(&[7])).unwrap();
-
-            let mut t = Table::new(
-                "t",
-                vec![("a".into(), DataType::Integer)],
-                MemoryBudget::unlimited(),
-            );
-            t.append_batch(&ints(&[1])).unwrap();
-            let len_before = store.wal_len();
-            store.checkpoint(&[source(&t)], true).unwrap();
-            // keep_wal: the log was not truncated.
-            assert_eq!(store.wal_len(), len_before);
-
-            store.commit(open_txn).unwrap();
-        }
-        let (_, rec) = open(&dir);
-        let (seq, tables) = rec.checkpoint.expect("checkpoint written");
-        assert_eq!(seq, 1);
-        assert_eq!(tables[0].chunks, [ints(&[1])]);
-        // The open transaction committed after the checkpoint: its frame
-        // must replay on top of the image.
-        assert_eq!(rec.frames.len(), 1);
-        assert_eq!(inserts(&rec.frames[0]), [("t".to_string(), ints(&[7]))]);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn corrupted_checkpoint_is_a_typed_error() {
         let dir = tmpdir("badckpt");
         {
@@ -1476,7 +1296,7 @@ mod tests {
             let txn = store.begin().unwrap();
             store.log_create(txn, "t", &[("a".into(), DataType::Integer)]).unwrap();
             store.commit(txn).unwrap();
-            store.checkpoint(&[source(&t)], false).unwrap();
+            store.checkpoint(&[source(&t)]).unwrap();
         }
         let path = dir.join(CHECKPOINT_FILE);
         let mut img = fs::read(&path).unwrap();

@@ -1,25 +1,26 @@
 //! Multi-statement transactions: `BEGIN` / `COMMIT` / `ROLLBACK` with
-//! savepoints, and the in-memory rollback machinery that pairs with the
-//! WAL's transaction-scoped frames.
+//! savepoints, and the one record of an open transaction — its undo stack.
 //!
 //! A [`Database`](crate::db::Database) is one session: it has at most one
 //! open transaction, the `TxnState` below (crate-private) — an undo stack
-//! of O(1) copy-on-write table states, savepoint marks into that stack and
-//! the WAL frame id. Its frame is therefore contiguous in the log.
+//! of O(1) copy-on-write table states and savepoint marks into that stack.
 //!
 //! Rollback is purely in-memory and O(statements), not O(rows): each
 //! mutated table's pre-statement chunk list is captured once per
 //! statement (`UndoEntry::Mutated`), a created table is undone by
 //! dropping it, and a dropped table is kept alive in the undo stack
 //! (`UndoEntry::Dropped`) — budget charge included — until the
-//! transaction resolves.
+//! transaction resolves. `ROLLBACK` and `ROLLBACK TO` touch nothing else.
 //!
-//! The undo stack also says which tables the transaction created: those
-//! reach the WAL only at `COMMIT`, whole and only if still alive
-//! (`TxnState::created_at`, `TxnState::created_tables`). Dropping one
-//! that no later savepoint can bring back frees it at once
-//! (`TxnState::forget_created`): no rollback could restore it without
-//! also undoing its creation.
+//! Nothing of an open transaction is in the write-ahead log: `COMMIT`
+//! derives the frame from the undo stack (`TxnState::frame`) — the
+//! committed tables it dropped, the rows it appended to the ones still
+//! alive (an existing table is only ever appended to, so they are the rows
+//! past the oldest `Mutated` entry's count) and the tables it created and
+//! still holds, whole. A table created and dropped within the transaction
+//! therefore never reaches the log, and dropping one that no later
+//! savepoint can bring back frees it at once (`TxnState::forget_created`):
+//! no rollback could restore it without also undoing its creation.
 
 use crate::table::{Table, TableUndo};
 
@@ -38,18 +39,14 @@ pub(crate) enum UndoEntry {
     Dropped { table: Table },
 }
 
-/// A `SAVEPOINT` mark: the undo-stack depth and logged-op count that
-/// `ROLLBACK TO SAVEPOINT` rewinds to. Counts only — no byte offset into
-/// the log, so nothing a repair does to the file can make a mark stale.
+/// A `SAVEPOINT` mark: the undo-stack depth that `ROLLBACK TO SAVEPOINT`
+/// rewinds to.
 #[derive(Debug)]
 pub(crate) struct SavepointMark {
     /// Savepoint name (case-insensitive lookup, latest wins).
     pub name: String,
     /// Undo-stack depth when the savepoint was set.
     pub undo_len: usize,
-    /// Ops logged to the WAL frame when the savepoint was set (0 when the
-    /// frame had not been opened yet).
-    pub ops_logged: u64,
 }
 
 /// State of the open transaction — a `BEGIN` … `COMMIT` block or the
@@ -58,19 +55,32 @@ pub(crate) struct SavepointMark {
 /// its undo stack.
 #[derive(Debug, Default)]
 pub(crate) struct TxnState {
-    /// WAL frame id, opened lazily at the first logged op — a read-only
-    /// transaction commits without touching the log at all.
-    pub wal_txn: Option<u64>,
-    /// WAL repair epoch observed when the frame was opened. If a
-    /// crash-repair truncation bumps it before the transaction resolves,
-    /// some of its records may have been cut and `COMMIT` must refuse.
-    pub epoch: u64,
-    /// Count of op records logged to the frame (savepoint arithmetic).
-    pub ops_logged: u64,
     /// Undo stack, oldest first.
     pub undo: Vec<UndoEntry>,
     /// Active savepoints, oldest first.
     pub savepoints: Vec<SavepointMark>,
+}
+
+/// What `COMMIT` writes to the log, read off the undo stack
+/// (`TxnState::frame`) and replayed in this order.
+#[derive(Debug, Default)]
+pub(crate) struct Frame {
+    /// Tables that existed at `BEGIN` and that the transaction dropped
+    /// (whatever it did to the name afterwards).
+    pub dropped: Vec<String>,
+    /// Tables that existed at `BEGIN`, still do, and were appended to,
+    /// each with its row count at `BEGIN`: the rows past it are the
+    /// transaction's.
+    pub appended: Vec<(String, usize)>,
+    /// Tables the transaction created and still holds, logged whole.
+    pub created: Vec<String>,
+}
+
+impl Frame {
+    /// Whether the transaction changed nothing the log holds.
+    pub fn is_empty(&self) -> bool {
+        self.dropped.is_empty() && self.appended.is_empty() && self.created.is_empty()
+    }
 }
 
 impl TxnState {
@@ -90,23 +100,38 @@ impl TxnState {
         None
     }
 
-    /// Names of the tables this transaction created and still holds, in
-    /// the order they were created.
-    pub fn created_tables(&self) -> Vec<String> {
-        let mut seen = std::collections::HashSet::new();
-        let mut names = Vec::new();
-        for entry in self.undo.iter().rev() {
-            let (name, created) = match entry {
-                UndoEntry::Created { name } => (name.as_str(), true),
-                UndoEntry::Dropped { table } => (table.name(), false),
-                UndoEntry::Mutated { .. } => continue,
+    /// The frame `COMMIT` logs. Per table, in order of first mention: the
+    /// oldest entry naming it says whether it existed at `BEGIN` (a
+    /// `Mutated` or `Dropped` one) and with how many rows; any `Dropped` or
+    /// `Created` entry means that table is gone, and the newest of those
+    /// whether the name now holds a table the transaction created.
+    pub fn frame(&self) -> Frame {
+        let mut seen: Vec<(&str, Option<usize>, Option<bool>)> = Vec::new();
+        for entry in &self.undo {
+            let (name, at_begin, created) = match entry {
+                UndoEntry::Mutated { table, undo } => (table.as_str(), Some(undo.rows()), None),
+                UndoEntry::Dropped { table } => {
+                    (table.name(), Some(table.row_count()), Some(false))
+                }
+                UndoEntry::Created { name } => (name.as_str(), None, Some(true)),
             };
-            if seen.insert(name.to_ascii_lowercase()) && created {
-                names.push(name.to_string());
+            match seen.iter_mut().find(|s| s.0.eq_ignore_ascii_case(name)) {
+                Some(s) => s.2 = created.or(s.2),
+                None => seen.push((name, at_begin, created)),
             }
         }
-        names.reverse();
-        names
+        let mut frame = Frame::default();
+        for (name, at_begin, created) in seen {
+            match (at_begin, created) {
+                (Some(_), Some(_)) => frame.dropped.push(name.to_string()),
+                (Some(rows), None) => frame.appended.push((name.to_string(), rows)),
+                (None, _) => {}
+            }
+            if created == Some(true) {
+                frame.created.push(name.to_string());
+            }
+        }
+        frame
     }
 
     /// Forget the table `name` created at `at` (see [`Self::created_at`])

@@ -11,6 +11,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+#[cfg(debug_assertions)]
 use qymera_sqldb::storage::fault::{FaultKind, FaultSite, ALL_FAULT_SITES};
 use qymera_sqldb::storage::wal::{CHECKPOINT_FILE, WAL_FILE};
 use qymera_sqldb::{Database, DurabilityOptions, FsyncPolicy, Value};
@@ -492,56 +493,4 @@ fn failed_commit_rolls_back_in_memory_and_on_disk() {
         &[vec![Value::Int(1)], vec![Value::Int(3)]]
     );
     let _ = fs::remove_dir_all(&dir);
-}
-
-/// [`FsyncPolicy::Always`]: every WAL
-/// record is forced to stable storage as it is appended, not just at commit.
-/// The rest of the suite pins `commit` (and the bulk harness uses `off`), so
-/// this is the targeted coverage for the third policy: same durability
-/// contract across reopen, plus — in debug builds, where the injector
-/// counts operations — strictly more `WalFsync` operations than the
-/// per-commit policy on the identical workload.
-#[test]
-fn fsync_always_persists_and_syncs_per_record() {
-    use std::sync::Arc;
-    use qymera_sqldb::storage::fault::FaultInjector;
-
-    let workload = |policy: FsyncPolicy, dir: &Path| -> u64 {
-        let inj = FaultInjector::none();
-        let opts = DurabilityOptions {
-            fsync: policy,
-            checkpoint_every_bytes: 0,
-            injector: Arc::clone(&inj),
-            ..DurabilityOptions::default()
-        };
-        let mut db = Database::open_with(dir, opts).unwrap();
-        db.execute("CREATE TABLE t (k INTEGER, v TEXT)").unwrap();
-        db.execute("INSERT INTO t VALUES (1, 'one')").unwrap();
-        db.execute("INSERT INTO t VALUES (2, 'two')").unwrap();
-        inj.ops(FaultSite::WalFsync)
-    };
-
-    let dir_always = tmpdir("fsync-always");
-    let dir_commit = tmpdir("fsync-commit");
-    let always_syncs = workload(FsyncPolicy::Always, &dir_always);
-    let commit_syncs = workload(FsyncPolicy::Commit, &dir_commit);
-
-    // Durability across a reopen is identical under `always`.
-    let mut db = open(&dir_always);
-    assert_eq!(
-        db.execute("SELECT k, v FROM t ORDER BY k").unwrap().rows(),
-        &[vec![Value::Int(1), Value::Str("one".into())], vec![Value::Int(2), Value::Str("two".into())]]
-    );
-
-    if cfg!(debug_assertions) {
-        // 3 statements → ≥3 sync points under `commit`; `always` adds one
-        // per record (begin/op/commit make ≥3 records per statement).
-        assert!(
-            always_syncs > commit_syncs,
-            "per-record fsync must sync more often: always={always_syncs} commit={commit_syncs}"
-        );
-        assert!(commit_syncs >= 3, "one sync per committed statement, got {commit_syncs}");
-    }
-    let _ = fs::remove_dir_all(&dir_always);
-    let _ = fs::remove_dir_all(&dir_commit);
 }

@@ -1,8 +1,10 @@
 //! Multi-statement transaction integration tests: ACID semantics of
-//! `BEGIN` / `COMMIT` / `ROLLBACK` / `SAVEPOINT`, crash recovery of
-//! transaction-scoped WAL frames (truncation and corruption matrices over
-//! a transactional workload), checkpointing around open transactions,
-//! poisoned-WAL self-healing and cancellation inside a transaction.
+//! `BEGIN` / `COMMIT` / `ROLLBACK` / `SAVEPOINT`, the write rule (nothing
+//! of an open transaction reaches the log; `COMMIT` writes its frame),
+//! crash recovery of transaction frames (truncation and corruption
+//! matrices over a transactional workload), checkpointing around open
+//! transactions, poisoned-WAL self-healing and cancellation inside a
+//! transaction.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -280,14 +282,14 @@ fn committed_txn_survives_reopen_in_flight_does_not() {
 }
 
 #[test]
-fn rolled_back_txn_leaves_zero_recovered_trace_and_one_abort_record() {
+fn rolled_back_txn_leaves_zero_recovered_trace_and_no_log_bytes() {
     let dir = tmpdir("residue-rollback");
     let mut db = open(&dir);
     db.execute("CREATE TABLE t (k INTEGER)").unwrap();
     db.execute("INSERT INTO t VALUES (1)").unwrap();
 
-    // Even a sole writer's rollback is a logical record: the file never
-    // shrinks, it grows by one 17-byte `Abort` ([len][crc][tag][txn]).
+    // A rollback is in-memory undo: the log holds nothing of the
+    // transaction, so there is nothing to mark dead.
     db.execute("BEGIN").unwrap();
     db.execute("INSERT INTO t VALUES (2)").unwrap();
     db.execute("INSERT INTO t VALUES (4)").unwrap();
@@ -295,13 +297,13 @@ fn rolled_back_txn_leaves_zero_recovered_trace_and_one_abort_record() {
     db.execute("ROLLBACK").unwrap();
     assert_eq!(
         fs::metadata(dir.join(WAL_FILE)).unwrap().len(),
-        before + 17,
-        "rollback must append exactly one Abort record"
+        before,
+        "rollback must write nothing"
     );
     assert_eq!(ints(&mut db, "SELECT k FROM t"), vec![1]);
 
-    // A commit lands behind the dead frame; recovery walks past the frame
-    // to reach it and shows no trace of the rolled-back statements.
+    // A commit after it recovers with no trace of the rolled-back
+    // statements.
     db.execute("INSERT INTO t VALUES (3)").unwrap();
     drop(db);
     let mut db = open(&dir);
@@ -309,34 +311,92 @@ fn rolled_back_txn_leaves_zero_recovered_trace_and_one_abort_record() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Rolled-back frames stay in the log until a checkpoint, so a workload
-/// that only ever rolls back must still reach the auto-checkpoint.
+/// A workload that only ever rolls back never grows the log.
 #[test]
-fn rollback_only_workload_keeps_the_log_bounded() {
-    const THRESHOLD: u64 = 4096;
-    let dir = tmpdir("rollback-bounded");
-    let opts = || DurabilityOptions {
-        fsync: FsyncPolicy::Off,
-        checkpoint_every_bytes: THRESHOLD,
-        ..DurabilityOptions::default()
-    };
-    let mut db = Database::open_with(&dir, opts()).unwrap();
+fn rollback_only_workload_never_grows_the_log() {
+    let dir = tmpdir("rollback-only");
+    let mut db = open(&dir);
     db.execute("CREATE TABLE t (k INTEGER)").unwrap();
     db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
     let expected = dump(&mut db);
+    let len = fs::metadata(dir.join(WAL_FILE)).unwrap().len();
 
-    for i in 0..1_000 {
+    for i in 0..100 {
         db.execute("BEGIN").unwrap();
         db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+        db.execute("SAVEPOINT sp").unwrap();
+        db.execute("DROP TABLE t").unwrap();
+        db.execute("ROLLBACK TO sp").unwrap();
         db.execute("ROLLBACK").unwrap();
-        let len = fs::metadata(dir.join(WAL_FILE)).unwrap().len();
-        assert!(len < 2 * THRESHOLD, "iteration {i}: wal.qwl grew to {len} bytes");
+        assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), len, "iteration {i}");
     }
     assert_eq!(dump(&mut db), expected);
     drop(db);
-    let mut db = Database::open_with(&dir, opts()).unwrap();
+    let mut db = open(&dir);
     assert_eq!(dump(&mut db), expected, "recovery must see the pre-loop state");
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// `COMMIT` is the only writer of the log. Inside one transaction: an
+/// append to a committed table, a committed table dropped and created
+/// again, a savepoint rolled back to, and a `CREATE TABLE … AS` — the log
+/// keeps its length throughout, a crash recovers the state before `BEGIN`,
+/// and after `COMMIT` recovery sees exactly what the transaction left.
+#[test]
+fn nothing_of_an_open_transaction_reaches_the_log() {
+    let dir = tmpdir("nothing-open");
+    let mut db = open(&dir);
+    db.execute("CREATE TABLE t (k INTEGER)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    db.execute("CREATE TABLE remade (k INTEGER)").unwrap();
+    db.execute("INSERT INTO remade VALUES (2)").unwrap();
+    db.execute("CREATE TABLE src (k INTEGER)").unwrap();
+    db.execute("INSERT INTO src VALUES (5), (6)").unwrap();
+    let wal_len = || fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+    let committed = wal_len();
+    let before = dump(&mut db);
+
+    db.execute("BEGIN").unwrap();
+    for st in [
+        "INSERT INTO t VALUES (3)",
+        "DROP TABLE remade",
+        "CREATE TABLE remade (name TEXT)",
+        "INSERT INTO remade VALUES ('x')",
+        "SAVEPOINT sp",
+        "INSERT INTO t VALUES (99)",
+        "DROP TABLE src",
+        "ROLLBACK TO sp",
+        "INSERT INTO t VALUES (4)",
+    ] {
+        db.execute(st).unwrap();
+        assert_eq!(wal_len(), committed, "after `{st}`");
+    }
+    assert_eq!(db.create_table_as("copy", "SELECT k FROM src").unwrap(), 2);
+    assert_eq!(wal_len(), committed, "after the CTAS");
+    let crashed = snapshot_dir(&dir, "nothing-open-before");
+    assert_eq!(dump(&mut open(&crashed)), before, "a crash before COMMIT");
+
+    let inside = dump(&mut db);
+    db.execute("COMMIT").unwrap();
+    assert!(wal_len() > committed, "COMMIT writes the frame");
+    let committed_dir = snapshot_dir(&dir, "nothing-open-after");
+    assert_eq!(dump(&mut open(&committed_dir)), inside, "a crash after COMMIT");
+    assert_eq!(ints(&mut db, "SELECT k FROM t ORDER BY k"), vec![1, 3, 4]);
+
+    // ROLLBACK writes 0 bytes, whatever the transaction did.
+    let committed = wal_len();
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO t VALUES (7)").unwrap();
+    db.execute("DROP TABLE copy").unwrap();
+    db.create_table_as("more", "SELECT k FROM t").unwrap();
+    db.execute("ROLLBACK").unwrap();
+    assert_eq!(wal_len(), committed, "ROLLBACK");
+    assert_eq!(dump(&mut db), inside);
+    drop(db);
+    assert_eq!(dump(&mut open(&dir)), inside, "reopened");
+    for d in [dir, crashed, committed_dir] {
+        let _ = fs::remove_dir_all(&d);
+    }
 }
 
 #[test]
@@ -366,13 +426,14 @@ fn read_only_txn_never_touches_the_wal() {
 // Crash matrices over a transactional workload
 // ---------------------------------------------------------------------------
 
-/// Build a WAL exercising every transactional record shape, returning the
-/// set of dumps recovery is allowed to produce (the state after each
-/// commit boundary, in commit order).
+/// Build a WAL of transaction frames in every ordering `COMMIT` derives
+/// one from, returning the set of dumps recovery is allowed to produce
+/// (the state after each commit boundary, in commit order).
 ///
-/// The log contains `Abort` and `RollbackSp` records (the cases that were
-/// file truncations before rollback became purely logical), a commit
-/// behind a rolled-back frame, and a trailing in-flight frame.
+/// The frames are written by transactions that rolled back to savepoints
+/// (before and after appending), dropped a committed table and created it
+/// again, and committed after a rolled-back transaction; a trailing
+/// in-flight transaction leaves nothing in the log.
 fn txn_workload(dir: &Path) -> Vec<Vec<(String, Vec<String>)>> {
     let mut db = open(dir);
     let mut states: Vec<Vec<(String, Vec<String>)>> = Vec::new();
@@ -398,12 +459,12 @@ fn txn_workload(dir: &Path) -> Vec<Vec<(String, Vec<String>)>> {
     shadow.execute("INSERT INTO a VALUES (2)").unwrap();
     snap(&mut shadow, &mut states);
 
-    // ROLLBACK → Abort record.
+    // A rollback writes nothing.
     db.execute("BEGIN").unwrap();
     db.execute("INSERT INTO b VALUES (10)").unwrap();
     db.execute("ROLLBACK").unwrap();
 
-    // Savepoint rollback → RollbackSp record.
+    // A savepoint rolled back to: the frame holds the rows that are left.
     db.execute("BEGIN").unwrap();
     db.execute("INSERT INTO a VALUES (3)").unwrap();
     db.execute("SAVEPOINT sp").unwrap();
@@ -431,12 +492,42 @@ fn txn_workload(dir: &Path) -> Vec<Vec<(String, Vec<String>)>> {
     db.execute("BEGIN").unwrap();
     db.execute("INSERT INTO a VALUES (97)").unwrap();
     db.execute("ROLLBACK").unwrap();
-    db.execute("INSERT INTO b VALUES (30)").unwrap(); // behind the dead frame
+    db.execute("INSERT INTO b VALUES (30)").unwrap();
     shadow.execute("INSERT INTO b VALUES (30)").unwrap();
     snap(&mut shadow, &mut states);
 
-    // Trailing in-flight frame: never commits, must recover to nothing.
-    // A `Database` has no abort-on-drop, so dropping it here is the crash.
+    // Drop then re-create: the frame drops the committed table, then
+    // creates the new one whole; the rows appended before the drop are not
+    // in it.
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO b VALUES (40)").unwrap();
+    db.execute("DROP TABLE b").unwrap();
+    db.execute("CREATE TABLE b (k INTEGER, tag TEXT)").unwrap();
+    db.execute("INSERT INTO b VALUES (41, 'x')").unwrap();
+    db.execute("COMMIT").unwrap();
+    shadow.execute("DROP TABLE b").unwrap();
+    shadow.execute("CREATE TABLE b (k INTEGER, tag TEXT)").unwrap();
+    shadow.execute("INSERT INTO b VALUES (41, 'x')").unwrap();
+    snap(&mut shadow, &mut states);
+
+    // Appends after a savepoint: the first one rolled back, so the rows
+    // are those past the count of the oldest append left.
+    db.execute("BEGIN").unwrap();
+    db.execute("SAVEPOINT s").unwrap();
+    db.execute("INSERT INTO a VALUES (96)").unwrap();
+    db.execute("ROLLBACK TO s").unwrap();
+    db.execute("INSERT INTO a VALUES (8)").unwrap();
+    db.execute("SAVEPOINT t").unwrap();
+    db.execute("INSERT INTO a VALUES (9)").unwrap();
+    db.execute("INSERT INTO b VALUES (42, 'y')").unwrap();
+    db.execute("COMMIT").unwrap();
+    shadow.execute("INSERT INTO a VALUES (8), (9)").unwrap();
+    shadow.execute("INSERT INTO b VALUES (42, 'y')").unwrap();
+    snap(&mut shadow, &mut states);
+
+    // Trailing in-flight transaction: never commits, never reaches the
+    // log. A `Database` has no abort-on-drop, so dropping it here is the
+    // crash.
     db.execute("BEGIN").unwrap();
     db.execute("INSERT INTO a VALUES (1000)").unwrap();
     db.execute("DROP TABLE b").unwrap();
@@ -445,13 +536,13 @@ fn txn_workload(dir: &Path) -> Vec<Vec<(String, Vec<String>)>> {
 }
 
 /// Truncate the transactional WAL at every byte offset and reopen: the
-/// recovered state must be exactly one of the committed-prefix states —
-/// in-flight and rolled-back frames leave zero trace at any crash point.
+/// recovered state must be exactly one of the committed-prefix states — a
+/// frame cut short leaves zero trace at any crash point.
 #[test]
 fn every_truncation_point_recovers_a_committed_txn_prefix() {
     let dir = tmpdir("txn-truncate");
     let states = txn_workload(&dir);
-    assert!(states.len() >= 7, "workload produced too few commit points");
+    assert!(states.len() >= 9, "workload produced too few commit points");
     let full = fs::read(dir.join(WAL_FILE)).unwrap();
     assert!(full.len() > 200, "workload produced a suspiciously small WAL");
 
@@ -541,10 +632,12 @@ fn checkpoint_with_open_txn_serializes_committed_state_only() {
     db.execute("INSERT INTO remade VALUES ('x', 4)").unwrap();
     db.checkpoint().unwrap();
 
-    // keep-tail checkpoint: the WAL still holds the in-flight frame.
-    assert!(
-        fs::metadata(dir.join(WAL_FILE)).unwrap().len() > 0,
-        "checkpoint with an open transaction must keep the WAL"
+    // The log holds nothing of the open transaction: the checkpoint
+    // truncates it.
+    assert_eq!(
+        fs::metadata(dir.join(WAL_FILE)).unwrap().len(),
+        0,
+        "checkpoint with an open transaction must empty the WAL"
     );
 
     // Crash before COMMIT: only committed state survives — the open
@@ -559,7 +652,7 @@ fn checkpoint_with_open_txn_serializes_committed_state_only() {
     assert_eq!(ints(&mut rec, "SELECT * FROM remade"), vec![3]);
     drop(rec);
 
-    // Crash after COMMIT: the kept frame replays on top of the image.
+    // Crash after COMMIT: the frame it wrote replays on top of the image.
     db.execute("COMMIT").unwrap();
     let after = snapshot_dir(&dir, "ckpt-open-txn-after");
     let mut rec = open(&after);
@@ -597,22 +690,24 @@ fn poisoned_wal_heals_via_forced_checkpoint_on_next_statement() {
     db.execute("CREATE TABLE t (k INTEGER)").unwrap();
     db.execute("INSERT INTO t VALUES (1)").unwrap();
 
-    // The only truncation left outside open/checkpoint is the repair after
-    // a failed append. Fail every I/O operation during ROLLBACK: the Abort
-    // record's append fails, then the repair's truncate fails, and that
-    // poisons the log.
+    // COMMIT writes `Begin`, `Insert`, `Commit`. The `Insert`'s append
+    // fails, then the repair's truncate fails too: the log is poisoned,
+    // with no `Commit` record on disk, so the answer is an ordinary error.
     db.execute("BEGIN").unwrap();
     db.execute("INSERT INTO t VALUES (2)").unwrap();
-    inj.arm_seeded(1, 1, FaultKind::Error);
-    db.execute("ROLLBACK").unwrap();
+    let appends = inj.ops(FaultSite::WalAppend);
+    inj.arm_sites(&[(FaultSite::WalAppend, 2), (FaultSite::WalTruncate, 1)], FaultKind::Error);
+    let err = db.execute("COMMIT").unwrap_err();
     inj.disarm();
+    assert!(matches!(err, Error::Io(ref m) if m.contains("WalAppend")), "got {err:?}");
+    assert_eq!(inj.ops(FaultSite::WalAppend), appends + 2, "Begin, then the failed Insert");
     assert_eq!(inj.ops(FaultSite::WalTruncate), 1, "the repair must have tried");
     assert!(db.wal_poisoned(), "failed append + failed repair must poison the log");
-    // Memory already rolled back despite the poisoned log.
-    assert_eq!(ints(&mut db, "SELECT k FROM t"), vec![1]);
+    assert!(!db.in_transaction(), "a failed COMMIT ends the transaction");
 
     // The next statement self-heals: forced checkpoint, WAL reset, and the
-    // statement itself succeeds.
+    // statement itself succeeds. Memory was rolled back despite the
+    // poisoned log.
     db.execute("INSERT INTO t VALUES (3)").unwrap();
     assert!(!db.wal_poisoned(), "statement boundary must heal the log");
     assert_eq!(ints(&mut db, "SELECT k FROM t ORDER BY k"), vec![1, 3]);
@@ -624,14 +719,16 @@ fn poisoned_wal_heals_via_forced_checkpoint_on_next_statement() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A commit whose log can be neither written, repaired nor reset behind a
-/// checkpoint must not answer with an ordinary error ("fully absent"): it
-/// cannot know what a crash would recover, and says so.
+/// A commit whose `Commit` record can be neither written, repaired nor
+/// reset behind a checkpoint must not answer with an ordinary error
+/// ("fully absent"): it cannot know what a crash would recover, and says
+/// so. (Every I/O failing from the frame's first record on is an ordinary
+/// error: no `Commit` record can be on disk.)
 #[cfg(debug_assertions)]
 #[test]
 fn commit_that_cannot_repair_or_heal_the_log_is_in_doubt() {
     use std::sync::Arc;
-    use qymera_sqldb::storage::fault::{FaultInjector, FaultKind};
+    use qymera_sqldb::storage::fault::{FaultInjector, FaultKind, FaultSite};
 
     let dir = tmpdir("commit-in-doubt");
     let inj = FaultInjector::none();
@@ -641,7 +738,14 @@ fn commit_that_cannot_repair_or_heal_the_log_is_in_doubt() {
     db.execute("CREATE TABLE t (k INTEGER)").unwrap();
     db.execute("BEGIN").unwrap();
     db.execute("INSERT INTO t VALUES (1)").unwrap();
-    inj.arm_seeded(1, 1, FaultKind::Error);
+    // The frame is `Begin`, `Insert`, `Commit`: the `Commit` append fails,
+    // then the repair's truncate and the healing checkpoint's write.
+    let faults = [
+        (FaultSite::WalAppend, 3),
+        (FaultSite::WalTruncate, 1),
+        (FaultSite::CheckpointWrite, 1),
+    ];
+    inj.arm_sites(&faults, FaultKind::Error);
     let err = db.execute("COMMIT").unwrap_err();
     inj.disarm();
     assert!(matches!(err, Error::CommitInDoubt { .. }), "got {err:?}");
@@ -657,17 +761,16 @@ fn commit_that_cannot_repair_or_heal_the_log_is_in_doubt() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A failed append inside a transaction repairs (truncates) the log back
-/// to the last committed boundary, cutting the transaction's frame, and
-/// aborts the transaction. The doomed transaction's abort must leave the
-/// repaired log alone, and a commit after it must survive a crash.
+/// A failed append while `COMMIT` writes the frame repairs (truncates) the
+/// log back to the last committed boundary, cutting the frame, and aborts
+/// the transaction; a commit after it must survive a crash.
 #[cfg(debug_assertions)]
 #[test]
-fn wal_repair_inside_a_txn_leaves_the_log_at_the_committed_boundary() {
+fn wal_repair_at_commit_leaves_the_log_at_the_committed_boundary() {
     use std::sync::Arc;
     use qymera_sqldb::storage::fault::{FaultInjector, FaultKind, FaultSite};
 
-    let dir = tmpdir("repair-in-txn");
+    let dir = tmpdir("repair-at-commit");
     let inj = FaultInjector::none();
     let mut opts = test_opts();
     opts.injector = Arc::clone(&inj);
@@ -680,20 +783,23 @@ fn wal_repair_inside_a_txn_leaves_the_log_at_the_committed_boundary() {
     db.execute("INSERT INTO ta VALUES (1), (2)").unwrap();
     db.execute("SAVEPOINT sp").unwrap();
     db.execute("INSERT INTO ta VALUES (3), (4)").unwrap();
+    db.execute("CREATE TABLE tc (k INTEGER)").unwrap();
 
-    // Half of the next record lands, then the append fails: the repair
-    // truncates the torn record and the frame before it.
-    inj.arm_nth(Some(FaultSite::WalAppend), 1, FaultKind::Torn);
-    let err = db.execute("INSERT INTO ta VALUES (9), (10)").unwrap_err();
+    // The frame is `Begin`, `Insert` (ta), `CreateTable` (tc), `Commit`:
+    // half of the `CreateTable` lands, then the append fails, and the
+    // repair truncates the torn record and the frame before it.
+    inj.arm_nth(Some(FaultSite::WalAppend), 3, FaultKind::Torn);
+    let err = db.execute("COMMIT").unwrap_err();
     inj.disarm();
     assert!(matches!(err, Error::Io(_)), "got {err:?}");
-    assert!(!db.in_transaction(), "a failed statement must abort the txn");
+    assert!(!db.in_transaction(), "a failed COMMIT must abort the txn");
     assert_eq!(ints(&mut db, "SELECT k FROM ta"), Vec::<i64>::new());
+    assert_eq!(db.table_names().len(), 2, "tc is gone again");
     assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), committed);
 
     // A post-repair commit must survive a crash.
     db.execute("INSERT INTO tb VALUES (7)").unwrap();
-    let snap = snapshot_dir(&dir, "repair-in-txn-snap");
+    let snap = snapshot_dir(&dir, "repair-at-commit-snap");
     let mut rec = open(&snap);
     assert_eq!(
         dump(&mut rec),

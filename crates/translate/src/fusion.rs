@@ -38,10 +38,31 @@ fn scatter(x: u64, pos: &[usize]) -> u64 {
     pos.iter().enumerate().fold(0, |acc, (j, &p)| acc | (((x >> j) & 1) << p))
 }
 
-/// Whether a gate `g` may join an op on `qubits` that holds an interfering
-/// gate if `interferes`, under the rule above.
-fn admits(qubits: &[usize], interferes: bool, g: &Gate, max_qubits: usize, support: u64) -> bool {
-    let permutes = g.kind.is_permutation_like();
+/// Whether a gate's table is a partial permutation: no `in_s` and no
+/// `out_s` occurs twice, the rule [`crate::tables::permutes`] applies to
+/// the table the SQL joins, so fusion and the SQL agree at special angles
+/// (`RY(π)` permutes). A gate's keys are below 64, so two bit masks do
+/// without an allocation.
+fn permutes(table: &[(u64, u64, Complex64)]) -> bool {
+    let (mut ins, mut outs) = (0u64, 0u64);
+    table.iter().all(|&(i, o, _)| {
+        let fresh = (ins >> i) & 1 == 0 && (outs >> o) & 1 == 0;
+        (ins, outs) = (ins | 1 << i, outs | 1 << o);
+        fresh
+    })
+}
+
+/// Whether a gate `g`, whose table [`permutes`] if `permutes`, may join an
+/// op on `qubits` that holds an interfering gate if `interferes`, under
+/// the rule above.
+fn admits(
+    qubits: &[usize],
+    interferes: bool,
+    g: &Gate,
+    permutes: bool,
+    max_qubits: usize,
+    support: u64,
+) -> bool {
     let added = g.qubits.iter().filter(|q| !qubits.contains(q)).count();
     let width = qubits.len() + added;
     match added {
@@ -96,7 +117,7 @@ impl Block {
             *column = next;
         }
         self.qubits = union;
-        self.interferes |= !g.kind.is_permutation_like();
+        self.interferes |= !permutes(table);
     }
 
     fn lower(self, reg: &mut GateTableRegistry) -> GateOp {
@@ -119,13 +140,12 @@ enum Open<'c> {
 }
 
 impl<'c> Open<'c> {
-    fn admits(&self, g: &Gate, max_qubits: usize, support: u64) -> bool {
-        match self {
-            Open::Lone(first, _) => {
-                admits(&first.qubits, !first.kind.is_permutation_like(), g, max_qubits, support)
-            }
-            Open::Block(b) => admits(&b.qubits, b.interferes, g, max_qubits, support),
-        }
+    fn admits(&self, g: &Gate, permutes: bool, max_qubits: usize, support: u64) -> bool {
+        let (qubits, interferes) = match self {
+            Open::Lone(first, table) => (&first.qubits, !self::permutes(table)),
+            Open::Block(b) => (&b.qubits, b.interferes),
+        };
+        admits(qubits, interferes, g, permutes, max_qubits, support)
     }
 
     fn absorb(self, g: &Gate, table: &[(u64, u64, Complex64)]) -> Open<'c> {
@@ -167,7 +187,7 @@ pub fn lower_circuit(
         // The gate's column fan-out: how far it can widen the state's support.
         let fan_out = table.chunk_by(|a, b| a.0 == b.0).map(|c| c.len() as u64).max();
         open = Some(match open.take() {
-            Some(op) if op.admits(g, max_qubits, support) => op.absorb(g, &table),
+            Some(op) if op.admits(g, permutes(&table), max_qubits, support) => op.absorb(g, &table),
             closed => {
                 ops.extend(closed.map(|op| op.lower(reg)));
                 Open::Lone(g, table)
@@ -274,6 +294,19 @@ mod tests {
         let qubits: Vec<Vec<usize>> = ops.iter().map(|op| op.qubits.clone()).collect();
         assert_eq!(qubits, vec![vec![0], vec![1], vec![2], vec![0], vec![1, 0]]);
         assert!(ops[3].table.starts_with("F_") && ops[4].table == "CX");
+    }
+
+    #[test]
+    fn a_gate_permutes_by_its_table_not_its_kind() {
+        // RY(π) is a permutation with phases, as the SQL reads its table:
+        // the H after it joins its block.
+        let c = CircuitBuilder::new(1).ry(std::f64::consts::PI, 0).h(0).build();
+        let (ops, _) = lowered(&c, Some(MAX_FUSED_QUBITS));
+        assert_eq!(ops.len(), 1, "{ops:?}");
+        assert!(!ops[0].permutes);
+        // A generic RY interferes, and so does the H after it.
+        let c = CircuitBuilder::new(1).ry(0.3, 0).h(0).build();
+        assert_eq!(lowered(&c, Some(MAX_FUSED_QUBITS)).0.len(), 2);
     }
 
     #[test]
