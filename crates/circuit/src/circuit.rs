@@ -2,12 +2,10 @@
 //! fixed qubit register, mirroring the paper's `QuantumCircuit` object
 //! (Fig. 1: "Circuit Conversion — QuantumCircuit: gates, num_qubits").
 
-use serde::{Deserialize, Serialize};
-
 use crate::gate::{Gate, GateKind};
 
 /// An immutable-once-built quantum circuit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantumCircuit {
     pub name: String,
     pub num_qubits: usize,
@@ -224,14 +222,6 @@ mod tests {
         assert_eq!(ghz3().repeated(3).gate_count(), 9);
         let mut tiny = QuantumCircuit::new(1);
         assert!(tiny.append(&ghz3()).is_err());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = ghz3();
-        let s = serde_json::to_string(&c).unwrap();
-        let back: QuantumCircuit = serde_json::from_str(&s).unwrap();
-        assert_eq!(c, back);
     }
 
     #[test]

@@ -9,10 +9,8 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number with `f64` components.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex64 {
     pub re: f64,
     pub im: f64,
@@ -230,13 +228,5 @@ mod tests {
     fn display_formats_sign() {
         assert_eq!(c64(1.0, -2.0).to_string(), "1-2i");
         assert_eq!(c64(0.5, 0.25).to_string(), "0.5+0.25i");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let z = c64(0.25, -0.75);
-        let s = serde_json::to_string(&z).unwrap();
-        let back: Complex64 = serde_json::from_str(&s).unwrap();
-        assert_eq!(z, back);
     }
 }

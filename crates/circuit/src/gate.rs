@@ -10,15 +10,12 @@
 
 use std::f64::consts::FRAC_1_SQRT_2;
 
-use serde::{Deserialize, Serialize};
-
 use crate::complex::{c64, Complex64};
 use crate::matrix::{m2, m2r, CMatrix};
 
 /// Gate kinds. Parameter counts are fixed per kind (see [`GateKind::arity`]
 /// and [`GateKind::param_count`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GateKind {
     I,
     X,
@@ -157,13 +154,12 @@ impl GateKind {
 }
 
 /// One gate application in a circuit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gate {
     pub kind: GateKind,
     /// Qubits in the gate's own order; for controlled gates the controls
     /// come first (e.g. `Cx` = `[control, target]`).
     pub qubits: Vec<usize>,
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub params: Vec<f64>,
 }
 

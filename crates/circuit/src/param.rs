@@ -9,14 +9,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::circuit::QuantumCircuit;
 use crate::gate::{Gate, GateKind};
 
 /// A (possibly symbolic) real parameter expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(untagged)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParamExpr {
     /// A literal value.
     Const(f64),
@@ -63,16 +60,15 @@ impl From<f64> for ParamExpr {
 }
 
 /// A gate whose parameters may be symbolic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamGate {
     pub kind: GateKind,
     pub qubits: Vec<usize>,
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub params: Vec<ParamExpr>,
 }
 
 /// A circuit template over named parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamCircuit {
     pub name: String,
     pub num_qubits: usize,
@@ -234,13 +230,5 @@ mod tests {
         assert_eq!(v[4], 1.0);
         assert_eq!(linspace(3.0, 9.0, 1), vec![3.0]);
         assert!(linspace(0.0, 1.0, 0).is_empty());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let pc = rotation_family();
-        let s = serde_json::to_string(&pc).unwrap();
-        let back: ParamCircuit = serde_json::from_str(&s).unwrap();
-        assert_eq!(pc, back);
     }
 }

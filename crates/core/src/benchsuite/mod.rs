@@ -1,17 +1,16 @@
 //! The benchmarking framework (§3.3 "Parameterized Simulations" and §3.4
 //! Output Layer): sweep workloads across backends and parameter grids,
-//! collect wall time / memory / support, render and export reports.
+//! collect wall time / memory / support, render reports and export CSV.
 
 pub mod experiments;
 pub mod report;
 
 use qymera_circuit::QuantumCircuit;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{BackendKind, Engine, RunReport};
 
-/// One measurement row, flattened for CSV/JSON export.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One measurement row, flattened for CSV export.
+#[derive(Debug, Clone)]
 pub struct BenchRecord {
     /// Name of the experiment this row belongs to.
     pub experiment: String,

@@ -114,11 +114,6 @@ pub fn to_csv(records: &[BenchRecord]) -> String {
     out
 }
 
-/// JSON export via serde.
-pub fn to_json(records: &[BenchRecord]) -> String {
-    serde_json::to_string_pretty(records).expect("records serialize")
-}
-
 fn csv_escape(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
         format!("\"{}\"", s.replace('"', "\"\""))
@@ -187,14 +182,6 @@ mod tests {
         let csv = to_csv(&[rec("sql", 3, false)]);
         assert!(csv.contains("\"boom, with comma\""));
         assert_eq!(csv.lines().count(), 2);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let recs = vec![rec("sql", 3, true)];
-        let json = to_json(&recs);
-        let back: Vec<BenchRecord> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back[0].backend, "sql");
     }
 
     #[test]

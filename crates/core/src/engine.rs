@@ -8,11 +8,9 @@ use qymera_sim::{
     DdSim, MpsSim, SimError, SimOptions, SimOutput, Simulator, SparseSim, StateVectorSim,
 };
 use qymera_translate::{SqlSimConfig, SqlSimulator};
-use serde::{Deserialize, Serialize};
 
 /// Every simulation backend the system supports (§3.3's method list).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The paper's contribution: circuits translated to SQL (`qymera-translate`).
     Sql,
@@ -72,7 +70,7 @@ impl std::fmt::Display for BackendKind {
 
 /// One backend's measured run on one circuit — the Output Layer's
 /// "performance metrics … logged and displayed for each simulation method".
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Backend name (see [`BackendKind::name`]).
     pub backend: String,
@@ -94,8 +92,7 @@ pub struct RunReport {
     pub detail: String,
     /// The failure, if the run errored (out of memory, too many qubits, …).
     pub error: Option<String>,
-    /// The final state, if the run succeeded (not serialized).
-    #[serde(skip)]
+    /// The final state, if the run succeeded.
     pub output: Option<SimOutput>,
 }
 
@@ -248,15 +245,6 @@ mod tests {
         let r = engine.run(BackendKind::StateVector, &library::ghz(20));
         assert!(!r.ok());
         assert!(r.error.as_ref().unwrap().contains("bytes"));
-    }
-
-    #[test]
-    fn report_serializes_without_state() {
-        let engine = Engine::with_defaults();
-        let r = engine.run(BackendKind::Sparse, &library::bell());
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(json.contains("\"backend\":\"sparse\""));
-        assert!(!json.contains("\"output\""), "state must not serialize");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   (SQL, state vector, sparse, MPS, decision diagram) under shared options,
 //!   with [`select`] implementing the Method Selector;
 //! * **Output Layer** — [`benchsuite`] collects metrics, renders tables, and
-//!   exports CSV/JSON; `benchsuite::experiments` regenerates every
+//!   exports CSV; `benchsuite::experiments` regenerates every
 //!   quantitative artifact of the paper (see DESIGN.md's experiment index).
 
 #![warn(missing_docs)]

@@ -28,8 +28,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::bigbits::BigBits;
 use crate::error::{Error, Result};
 use crate::exec::batch::{Column, RowBatch};
@@ -111,77 +109,109 @@ impl Drop for SpillDir {
     }
 }
 
+/// A checked little-endian reader over the bytes of a record: a read past
+/// the end is an [`Error::Io`], never a panic, so a cut or corrupted spill
+/// record, log record or checkpoint image is a typed error.
+pub(crate) struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        Reader(bytes)
+    }
+
+    /// Bytes not read yet.
+    pub(crate) fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Fail unless `n` more bytes are left: decoders check this before they
+    /// allocate for `n` items of a byte or more, so a corrupted count cannot
+    /// ask for more memory than the record holds.
+    pub(crate) fn need(&self, n: usize) -> Result<()> {
+        if self.0.len() < n {
+            let left = self.0.len();
+            return Err(Error::Io(format!("record cut short: {n} bytes wanted, {left} left")));
+        }
+        Ok(())
+    }
+
+    /// The next `n` bytes.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        self.need(n)?;
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+
+    pub(crate) fn u8(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A `u32` length, then that many bytes of UTF-8.
+    pub(crate) fn string(&mut self) -> Result<String> {
+        let len = self.u32()? as usize;
+        let bytes = self.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|e| Error::Io(e.to_string()))
+    }
+}
+
+/// Append a `u32` length and the bytes of `s` (read by [`Reader::string`]).
+pub(crate) fn put_string(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
+}
+
 /// Serialize one value into `buf`.
-fn encode_value(buf: &mut impl BufMut, v: &Value) {
+fn encode_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => buf.put_u8(0),
+        Value::Null => buf.push(0),
         Value::Int(i) => {
-            buf.put_u8(1);
-            buf.put_i64_le(*i);
+            buf.push(1);
+            buf.extend_from_slice(&i.to_le_bytes());
         }
         Value::Float(f) => {
-            buf.put_u8(2);
-            buf.put_f64_le(*f);
+            buf.push(2);
+            buf.extend_from_slice(&f.to_le_bytes());
         }
         Value::Str(s) => {
-            buf.put_u8(3);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            buf.push(3);
+            put_string(buf, s);
         }
         Value::Big(b) => {
-            buf.put_u8(4);
-            buf.put_u64_le(b.width() as u64);
-            buf.put_u32_le(b.words().len() as u32);
+            buf.push(4);
+            buf.extend_from_slice(&(b.width() as u64).to_le_bytes());
+            buf.extend_from_slice(&(b.words().len() as u32).to_le_bytes());
             for w in b.words() {
-                buf.put_u64_le(*w);
+                buf.extend_from_slice(&w.to_le_bytes());
             }
         }
     }
 }
 
-/// Require `n` more bytes in `buf`; `bytes::Buf` getters panic on underflow,
-/// so every fixed-width read below is guarded to turn a corrupted or
-/// truncated record into a typed [`Error::Io`] instead of a panic.
-fn need(buf: &Bytes, n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(Error::Io("truncated spill record".into()));
-    }
-    Ok(())
-}
-
-fn decode_value(buf: &mut Bytes) -> Result<Value> {
-    need(buf, 1)?;
-    let tag = buf.get_u8();
-    Ok(match tag {
+fn decode_value(r: &mut Reader) -> Result<Value> {
+    Ok(match r.u8()? {
         0 => Value::Null,
-        1 => {
-            need(buf, 8)?;
-            Value::Int(buf.get_i64_le())
-        }
-        2 => {
-            need(buf, 8)?;
-            Value::Float(buf.get_f64_le())
-        }
-        3 => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return Err(Error::Io("truncated spill string".into()));
-            }
-            let bytes = buf.copy_to_bytes(len);
-            Value::Str(String::from_utf8(bytes.to_vec()).map_err(|e| Error::Io(e.to_string()))?)
-        }
+        1 => Value::Int(i64::from_le_bytes(r.array()?)),
+        2 => Value::Float(f64::from_le_bytes(r.array()?)),
+        3 => Value::Str(r.string()?),
         4 => {
-            need(buf, 12)?;
-            let width = buf.get_u64_le() as usize;
-            let n = buf.get_u32_le() as usize;
-            need(buf, n.checked_mul(8).ok_or_else(|| {
-                Error::Io("bad spill bigint length".into())
-            })?)?;
-            let mut words = Vec::with_capacity(n);
-            for _ in 0..n {
-                words.push(buf.get_u64_le());
-            }
+            let width = r.u64()? as usize;
+            let n = r.u32()? as usize;
+            let len = n.checked_mul(8).ok_or_else(|| Error::Io("bad spill bigint length".into()))?;
+            let words = r.take(len)?.chunks_exact(8);
+            let words = words.map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes"))).collect();
             Value::Big(BigBits::from_words(words, width))
         }
         t => return Err(Error::Io(format!("bad spill value tag {t}"))),
@@ -189,20 +219,19 @@ fn decode_value(buf: &mut Bytes) -> Result<Value> {
 }
 
 /// Encode a full row (u32 column count + values).
-pub fn encode_row(buf: &mut BytesMut, row: &Row) {
-    buf.put_u32_le(row.len() as u32);
+fn encode_row(buf: &mut Vec<u8>, row: &Row) {
+    buf.extend_from_slice(&(row.len() as u32).to_le_bytes());
     for v in row {
         encode_value(buf, v);
     }
 }
 
 /// Decode a full row previously written by [`encode_row`].
-pub fn decode_row(bytes: &mut Bytes) -> Result<Row> {
-    need(bytes, 4)?;
-    let ncols = bytes.get_u32_le() as usize;
+fn decode_row(r: &mut Reader) -> Result<Row> {
+    let ncols = r.u32()? as usize;
     let mut row = Vec::with_capacity(ncols.min(1 << 16));
     for _ in 0..ncols {
-        row.push(decode_value(bytes)?);
+        row.push(decode_value(r)?);
     }
     Ok(row)
 }
@@ -212,44 +241,40 @@ const KIND_BLOCK: u8 = 1;
 
 /// Write a fast lane as little-endian words, staged 128 at a time so the
 /// buffer grows by slices, not by single values.
-fn put_lane<T: Copy>(buf: &mut impl BufMut, lane: &[T], le: impl Fn(T) -> [u8; 8]) {
+fn put_lane<T: Copy>(buf: &mut Vec<u8>, lane: &[T], le: impl Fn(T) -> [u8; 8]) {
     let mut stage = [0u8; 8 * 128];
     for part in lane.chunks(128) {
         for (dst, &x) in stage.chunks_exact_mut(8).zip(part) {
             dst.copy_from_slice(&le(x));
         }
-        buf.put_slice(&stage[..8 * part.len()]);
+        buf.extend_from_slice(&stage[..8 * part.len()]);
     }
 }
 
-/// Read `rows` little-endian words (the caller has checked they are there).
-fn get_lane<T>(buf: &mut Bytes, rows: usize, le: impl Fn([u8; 8]) -> T) -> Vec<T> {
-    let lane = buf.chunk()[..8 * rows]
-        .chunks_exact(8)
-        .map(|b| le(b.try_into().expect("chunks of 8")))
-        .collect();
-    buf.advance(8 * rows);
-    lane
+/// Read `rows` little-endian words.
+fn get_lane<T>(r: &mut Reader, rows: usize, le: impl Fn([u8; 8]) -> T) -> Result<Vec<T>> {
+    let lane = r.take(rows.checked_mul(8).ok_or_else(|| Error::Io("bad block row count".into()))?)?;
+    Ok(lane.chunks_exact(8).map(|b| le(b.try_into().expect("chunks of 8"))).collect())
 }
 
 /// Encode a batch column by column: the payload of a spill block record, of
 /// a WAL `Insert` record and of each table chunk in a checkpoint image.
 /// Floats travel as their bit patterns (`-0.0` and NaN payloads survive).
-pub(crate) fn encode_block(buf: &mut impl BufMut, batch: &RowBatch) {
-    buf.put_u32_le(batch.num_rows() as u32);
-    buf.put_u32_le(batch.num_columns() as u32);
+pub(crate) fn encode_block(buf: &mut Vec<u8>, batch: &RowBatch) {
+    buf.extend_from_slice(&(batch.num_rows() as u32).to_le_bytes());
+    buf.extend_from_slice(&(batch.num_columns() as u32).to_le_bytes());
     for col in batch.columns() {
         match &**col {
             Column::Int(v) => {
-                buf.put_u8(0);
+                buf.push(0);
                 put_lane(buf, v, i64::to_le_bytes);
             }
             Column::Float(v) => {
-                buf.put_u8(1);
+                buf.push(1);
                 put_lane(buf, v, f64::to_le_bytes);
             }
             Column::Generic(v) => {
-                buf.put_u8(2);
+                buf.push(2);
                 v.iter().for_each(|x| encode_value(buf, x));
             }
         }
@@ -257,25 +282,24 @@ pub(crate) fn encode_block(buf: &mut impl BufMut, batch: &RowBatch) {
 }
 
 /// Decode a block written by [`encode_block`], lanes as they were.
-pub(crate) fn decode_block(buf: &mut Bytes) -> Result<RowBatch> {
-    need(buf, 8)?;
-    let rows = buf.get_u32_le() as usize;
-    let ncols = buf.get_u32_le() as usize;
+pub(crate) fn decode_block(r: &mut Reader) -> Result<RowBatch> {
+    let rows = r.u32()? as usize;
+    let ncols = r.u32()? as usize;
     if ncols == 0 {
         return Ok(RowBatch::zero_columns(rows));
     }
     // Every column takes at least its tag, every value at least one byte:
     // the checks bound both allocations by the record's own length.
-    need(buf, ncols)?;
+    r.need(ncols)?;
     let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        need(buf, 1)?;
-        let tag = buf.get_u8();
-        need(buf, if tag == 2 { rows } else { rows.saturating_mul(8) })?;
-        columns.push(match tag {
-            0 => Column::Int(get_lane(buf, rows, i64::from_le_bytes)),
-            1 => Column::Float(get_lane(buf, rows, f64::from_le_bytes)),
-            2 => Column::Generic((0..rows).map(|_| decode_value(buf)).collect::<Result<_>>()?),
+        columns.push(match r.u8()? {
+            0 => Column::Int(get_lane(r, rows, i64::from_le_bytes)?),
+            1 => Column::Float(get_lane(r, rows, f64::from_le_bytes)?),
+            2 => {
+                r.need(rows)?;
+                Column::Generic((0..rows).map(|_| decode_value(r)).collect::<Result<_>>()?)
+            }
             t => return Err(Error::Io(format!("bad block lane tag {t}"))),
         });
     }
@@ -291,11 +315,10 @@ pub enum SpillRecord {
     Block(RowBatch),
 }
 
-fn decode_record(buf: &mut Bytes) -> Result<SpillRecord> {
-    need(buf, 1)?;
-    match buf.get_u8() {
-        KIND_ROW => decode_row(buf).map(SpillRecord::Row),
-        KIND_BLOCK => decode_block(buf).map(SpillRecord::Block),
+fn decode_record(r: &mut Reader) -> Result<SpillRecord> {
+    match r.u8()? {
+        KIND_ROW => decode_row(r).map(SpillRecord::Row),
+        KIND_BLOCK => decode_block(r).map(SpillRecord::Block),
         k => Err(Error::Io(format!("bad spill record kind {k}"))),
     }
 }
@@ -322,7 +345,7 @@ impl Drop for SpillFile {
 /// What one partition of a writer has staged and written.
 #[derive(Default)]
 struct Partition {
-    staged: BytesMut,
+    staged: Vec<u8>,
     /// `(offset, len)` of each chunk written, in order.
     chunks: Vec<(u64, usize)>,
 }
@@ -356,14 +379,14 @@ impl SpillWriter {
 
     /// Append one row to partition `part` as a row record.
     pub fn write_row(&mut self, part: usize, row: &Row) -> Result<()> {
-        self.parts[part].staged.put_u8(KIND_ROW);
+        self.parts[part].staged.push(KIND_ROW);
         encode_row(&mut self.parts[part].staged, row);
         self.write_chunk(part, CHUNK_BYTES)
     }
 
     /// Append a whole batch to partition `part` as one block record.
     pub fn write_batch(&mut self, part: usize, batch: &RowBatch) -> Result<()> {
-        self.parts[part].staged.put_u8(KIND_BLOCK);
+        self.parts[part].staged.push(KIND_BLOCK);
         encode_block(&mut self.parts[part].staged, batch);
         self.write_chunk(part, CHUNK_BYTES)
     }
@@ -395,7 +418,8 @@ impl SpillWriter {
         let reader = |p: Partition| SpillReader {
             file: Arc::clone(&file),
             chunks: p.chunks.into_iter(),
-            chunk: Bytes::default(),
+            chunk: Vec::new(),
+            read: 0,
             injector: Arc::clone(injector),
         };
         Ok(self.parts.into_iter().map(reader).collect())
@@ -411,29 +435,33 @@ impl SpillWriter {
 pub struct SpillReader {
     file: Arc<SpillFile>,
     chunks: std::vec::IntoIter<(u64, usize)>,
-    /// The unread rest of the chunk at hand.
-    chunk: Bytes,
+    /// The chunk at hand and how much of it was read.
+    chunk: Vec<u8>,
+    read: usize,
     injector: Arc<FaultInjector>,
 }
 
 impl SpillReader {
     /// True when no record is left to read.
     pub fn is_empty(&self) -> bool {
-        self.chunk.is_empty() && self.chunks.len() == 0
+        self.read == self.chunk.len() && self.chunks.len() == 0
     }
 
     /// Read the next record, or `None` at the end of the partition.
     pub fn next_record(&mut self) -> Result<Option<SpillRecord>> {
-        if self.chunk.is_empty() {
+        if self.read == self.chunk.len() {
             let Some((offset, len)) = self.chunks.next() else { return Ok(None) };
             self.injector.check(FaultSite::SpillRead)?;
             let mut data = vec![0u8; len];
             let mut file = self.file.file.lock().expect("spill file lock poisoned");
             file.seek(SeekFrom::Start(offset))?;
             file.read_exact(&mut data)?;
-            self.chunk = Bytes::from(data);
+            (self.chunk, self.read) = (data, 0);
         }
-        decode_record(&mut self.chunk).map(Some)
+        let mut r = Reader::new(&self.chunk[self.read..]);
+        let record = decode_record(&mut r)?;
+        self.read = self.chunk.len() - r.remaining();
+        Ok(Some(record))
     }
 
     /// Read the next record of a partition that holds only rows (a sort run).
@@ -625,26 +653,39 @@ mod tests {
 
     #[test]
     fn a_cut_or_mistagged_block_is_a_typed_error_never_a_panic() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(KIND_BLOCK);
-        encode_block(&mut buf, &sample_blocks()[0]);
-        let whole = buf.to_vec();
-        assert!(matches!(decode_record(&mut Bytes::from(whole.clone())), Ok(SpillRecord::Block(_))));
-        for cut in 0..whole.len() {
-            let err = decode_record(&mut Bytes::from(whole[..cut].to_vec())).unwrap_err();
-            assert!(matches!(err, Error::Io(_)), "cut at {cut}: {err:?}");
+        let decode = |bytes: &[u8]| decode_record(&mut Reader::new(bytes));
+        let mut block = vec![KIND_BLOCK];
+        encode_block(&mut block, &sample_blocks()[0]);
+        // Rows 1 and 2 hold a string, a wide integer and a NULL.
+        let rows: Vec<Vec<u8>> = sample_rows()[1..]
+            .iter()
+            .map(|row| {
+                let mut record = vec![KIND_ROW];
+                encode_row(&mut record, row);
+                record
+            })
+            .collect();
+        assert!(matches!(decode(&block), Ok(SpillRecord::Block(_))));
+        for (record, want) in rows.iter().zip(&sample_rows()[1..]) {
+            assert!(matches!(decode(record), Ok(SpillRecord::Row(got)) if got == *want));
+        }
+        for whole in rows.iter().chain([&block]) {
+            for cut in 0..whole.len() {
+                let err = decode(&whole[..cut]).unwrap_err();
+                assert!(matches!(err, Error::Io(_)), "cut at {cut} of {}: {err:?}", whole.len());
+            }
         }
         // Byte 9 is the first column's lane tag, byte 0 the record kind.
         for (at, bad) in [(9, 3u8), (9, 255), (0, 2)] {
-            let mut bytes = whole.clone();
+            let mut bytes = block.clone();
             bytes[at] = bad;
-            let err = decode_record(&mut Bytes::from(bytes)).unwrap_err();
+            let err = decode(&bytes).unwrap_err();
             assert!(matches!(err, Error::Io(_)), "byte {at} = {bad}: {err:?}");
         }
         // A row count the record cannot hold is refused before allocating.
-        let mut bytes = whole.clone();
+        let mut bytes = block.clone();
         bytes[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(decode_record(&mut Bytes::from(bytes)), Err(Error::Io(_))));
+        assert!(matches!(decode(&bytes), Err(Error::Io(_))));
     }
 
     #[test]

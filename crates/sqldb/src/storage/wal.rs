@@ -54,13 +54,11 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes};
-
 use crate::ast::DataType;
 use crate::error::{Error, Result};
 use crate::exec::batch::RowBatch;
 use crate::storage::fault::{FaultInjector, FaultSite};
-use crate::storage::spill::{decode_block, encode_block};
+use crate::storage::spill::{decode_block, encode_block, put_string, Reader};
 use crate::table::TableSnapshot;
 
 /// WAL file name inside a database directory.
@@ -228,56 +226,20 @@ fn type_from_tag(tag: u8) -> Result<DataType> {
     })
 }
 
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-/// Require `n` more bytes: `bytes::Buf` getters panic on underflow, so all
-/// decode paths bounds-check first and surface corruption as [`Error::Io`].
-fn need(buf: &Bytes, n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(Error::Io("truncated log record".into()));
-    }
-    Ok(())
-}
-
-fn get_u8(buf: &mut Bytes) -> Result<u8> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32> {
-    need(buf, 4)?;
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut Bytes) -> Result<u64> {
-    need(buf, 8)?;
-    Ok(buf.get_u64_le())
-}
-
-fn get_string(buf: &mut Bytes) -> Result<String> {
-    let len = get_u32(buf)? as usize;
-    need(buf, len)?;
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|e| Error::Io(e.to_string()))
-}
-
 fn encode_columns(buf: &mut Vec<u8>, columns: &[(String, DataType)]) {
-    buf.put_u32_le(columns.len() as u32);
+    buf.extend_from_slice(&(columns.len() as u32).to_le_bytes());
     for (name, ty) in columns {
         put_string(buf, name);
-        buf.put_u8(type_tag(*ty));
+        buf.push(type_tag(*ty));
     }
 }
 
-fn decode_columns(buf: &mut Bytes) -> Result<Vec<(String, DataType)>> {
-    let n = get_u32(buf)? as usize;
+fn decode_columns(r: &mut Reader) -> Result<Vec<(String, DataType)>> {
+    let n = r.u32()? as usize;
     let mut columns = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
-        let name = get_string(buf)?;
-        let ty = type_from_tag(get_u8(buf)?)?;
+        let name = r.string()?;
+        let ty = type_from_tag(r.u8()?)?;
         columns.push((name, ty));
     }
     Ok(columns)
@@ -292,19 +254,19 @@ enum Record {
 
 /// Decode a record payload: `[tag][u64 txn][body]`; the body must be
 /// consumed to its last byte.
-fn decode_record(payload: &mut Bytes) -> Result<(u64, Record)> {
-    let tag = get_u8(payload)?;
-    let txn = get_u64(payload)?;
+fn decode_record(payload: &mut Reader) -> Result<(u64, Record)> {
+    let tag = payload.u8()?;
+    let txn = payload.u64()?;
     let record = match tag {
         TAG_BEGIN => Record::Begin,
-        TAG_COMMIT => Record::Commit { commit_seq: get_u64(payload)? },
+        TAG_COMMIT => Record::Commit { commit_seq: payload.u64()? },
         TAG_CREATE => Record::Op(WalOp::CreateTable {
-            name: get_string(payload)?,
+            name: payload.string()?,
             columns: decode_columns(payload)?,
         }),
-        TAG_DROP => Record::Op(WalOp::DropTable { name: get_string(payload)? }),
+        TAG_DROP => Record::Op(WalOp::DropTable { name: payload.string()? }),
         TAG_INSERT => Record::Op(WalOp::Insert {
-            table: get_string(payload)?,
+            table: payload.string()?,
             rows: decode_block(payload)?,
         }),
         TAG_DELETE => return Err(Error::Io("a `DELETE`, which the engine no longer has".into())),
@@ -312,7 +274,7 @@ fn decode_record(payload: &mut Bytes) -> Result<(u64, Record)> {
         7 | 8 => return Err(Error::Io("a rollback record, which the engine no longer writes".into())),
         t => return Err(Error::Io(format!("unknown record tag {t}"))),
     };
-    if !payload.is_empty() {
+    if payload.remaining() > 0 {
         return Err(Error::Io(format!("{} bytes left over", payload.remaining())));
     }
     Ok((txn, record))
@@ -488,8 +450,8 @@ impl DurableStore {
     /// buffer to [`Self::append_record`].
     fn record(tag: u8, txn: u64) -> Vec<u8> {
         let mut record = vec![0u8; 8];
-        record.put_u8(tag);
-        record.put_u64_le(txn);
+        record.push(tag);
+        record.extend_from_slice(&txn.to_le_bytes());
         record
     }
 
@@ -607,7 +569,7 @@ impl DurableStore {
     pub fn commit(&mut self, txn: u64) -> Result<u64> {
         let commit_seq = self.next_commit;
         let mut record = Self::record(TAG_COMMIT, txn);
-        record.put_u64_le(commit_seq);
+        record.extend_from_slice(&commit_seq.to_le_bytes());
         self.append_record(record)?;
         if self.policy == FsyncPolicy::Commit {
             // Unknown durability of the frame on failure: `fsync` discards
@@ -671,16 +633,16 @@ impl DurableStore {
 
         self.injector.write_all(FaultSite::CheckpointWrite, &mut file, CHECKPOINT_MAGIC)?;
         let mut buf: Vec<u8> = Vec::new();
-        buf.put_u64_le(seq);
-        buf.put_u32_le(sources.len() as u32);
+        buf.extend_from_slice(&seq.to_le_bytes());
+        buf.extend_from_slice(&(sources.len() as u32).to_le_bytes());
         write(&mut file, &mut crc, &buf)?;
 
         for source in sources {
             buf.clear();
             put_string(&mut buf, &source.name);
             encode_columns(&mut buf, &source.columns);
-            buf.put_u64_le(source.rows as u64);
-            buf.put_u32_le(source.snapshot.chunks().len() as u32);
+            buf.extend_from_slice(&(source.rows as u64).to_le_bytes());
+            buf.extend_from_slice(&(source.snapshot.chunks().len() as u32).to_le_bytes());
             write(&mut file, &mut crc, &buf)?;
             // Walk the O(1) Arc snapshot: one block per chunk, its columns
             // shared with the table, never materialized as rows.
@@ -716,21 +678,22 @@ fn read_checkpoint(path: &Path) -> Result<Option<(u64, Vec<CkptTable>)>> {
     }
     let body_end = data.len() - 4;
     let stored = u32::from_le_bytes(data[body_end..].try_into().expect("4-byte trailer"));
-    let mut buf = Bytes::from(data).slice(8..body_end);
-    if crc32(&buf) != stored {
+    let body = &data[8..body_end];
+    if crc32(body) != stored {
         return Err(Error::Io("checkpoint image failed checksum".into()));
     }
-    let seq = get_u64(&mut buf)?;
-    let ntables = get_u32(&mut buf)? as usize;
+    let mut r = Reader::new(body);
+    let seq = r.u64()?;
+    let ntables = r.u32()? as usize;
     let mut tables = Vec::with_capacity(ntables.min(1 << 12));
     for _ in 0..ntables {
-        let name = get_string(&mut buf)?;
-        let columns = decode_columns(&mut buf)?;
-        let nrows = get_u64(&mut buf)?;
-        let nchunks = get_u32(&mut buf)? as usize;
+        let name = r.string()?;
+        let columns = decode_columns(&mut r)?;
+        let nrows = r.u64()?;
+        let nchunks = r.u32()? as usize;
         let mut chunks = Vec::with_capacity(nchunks.min(1 << 16));
         for _ in 0..nchunks {
-            chunks.push(decode_block(&mut buf)?);
+            chunks.push(decode_block(&mut r)?);
         }
         if chunks.iter().map(|c| c.num_rows() as u64).sum::<u64>() != nrows {
             return Err(Error::Io(format!("checkpoint image: table `{name}` row count mismatch")));
@@ -771,7 +734,6 @@ fn replay_committed(file: &mut File, ckpt_seq: u64) -> Result<WalScan> {
     let mut data = Vec::new();
     file.seek(SeekFrom::Start(0))?;
     file.read_to_end(&mut data)?;
-    let data = Bytes::from(data);
 
     let mut scan = WalScan {
         frames: Vec::new(),
@@ -799,8 +761,7 @@ fn replay_committed(file: &mut File, ckpt_seq: u64) -> Result<WalScan> {
                 data[offset + 8]
             ))
         };
-        let mut payload = data.slice(offset + 8..end);
-        let (txn, record) = decode_record(&mut payload).map_err(|e| {
+        let (txn, record) = decode_record(&mut Reader::new(&data[offset + 8..end])).map_err(|e| {
             refuse(format!(
                 "does not decode ({e}): written by another version, or corrupted"
             ))
@@ -1000,18 +961,18 @@ mod tests {
         // encoded one by one.
         let old_insert: Vec<u8> = {
             let mut p = vec![5u8];
-            p.put_u64_le(1);
+            p.extend_from_slice(&1u64.to_le_bytes());
             put_string(&mut p, "t");
-            p.put_u32_le(1); // one row
-            p.put_u32_le(1); // of one value
-            p.put_u8(1);
-            p.put_i64_le(7);
+            p.extend_from_slice(&1u32.to_le_bytes()); // one row
+            p.extend_from_slice(&1u32.to_le_bytes()); // of one value
+            p.push(1);
+            p.extend_from_slice(&7i64.to_le_bytes());
             p
         };
         // An `Insert` of this format whose block names a lane that is none.
         let bad_block: Vec<u8> = {
             let mut p = vec![TAG_INSERT];
-            p.put_u64_le(1);
+            p.extend_from_slice(&1u64.to_le_bytes());
             put_string(&mut p, "t");
             encode_block(&mut p, &ints(&[7]));
             let lane_tag = p.len() - 9;
@@ -1022,9 +983,9 @@ mod tests {
         // as SQL text, which replay would have had to parse.
         let old_delete: Vec<u8> = {
             let mut p = vec![TAG_DELETE];
-            p.put_u64_le(1);
+            p.extend_from_slice(&1u64.to_le_bytes());
             put_string(&mut p, "t");
-            p.put_u8(1);
+            p.push(1);
             put_string(&mut p, "k = 7");
             p
         };
@@ -1061,8 +1022,8 @@ mod tests {
             let wal = dir.join(WAL_FILE);
             let mut bytes = fs::read(&wal).unwrap();
             let mut record = Vec::new();
-            record.put_u32_le(payload.len() as u32);
-            record.put_u32_le(crc32(&payload));
+            record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            record.extend_from_slice(&crc32(&payload).to_le_bytes());
             record.extend_from_slice(&payload);
             bytes.splice(offset..offset, record);
             fs::write(&wal, &bytes).unwrap();
