@@ -100,13 +100,16 @@ macro_rules! outln {
 }
 
 /// Why a command did not finish. The usage text answers a mistake in the
-/// arguments; it says nothing about a simulation that ran and failed.
+/// arguments; it says nothing about a circuit file that does not load or a
+/// simulation that ran and failed.
 enum Failure {
     /// The command line cannot be carried out: unknown command or backend,
-    /// bad option value, a circuit spec or file that does not load.
+    /// bad option value, a circuit spec that does not parse.
     Arguments(String),
-    /// The simulation itself failed: timeout, cancel, memory limit, SQL error.
-    Simulation(String),
+    /// The command line was fine, what it asked for failed: the circuit
+    /// file cannot be read or parsed, or the simulation itself failed
+    /// (timeout, cancel, memory limit, SQL error).
+    Execution(String),
 }
 
 impl<S: Into<String>> From<S> for Failure {
@@ -125,7 +128,7 @@ fn main() -> ExitCode {
             eprintln!("{}", usage());
             ExitCode::FAILURE
         }
-        Err(Failure::Simulation(e)) => {
+        Err(Failure::Execution(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
@@ -280,20 +283,20 @@ fn run(args: &[String]) -> Result<(), Failure> {
                     out!("{}", state.render_probabilities(top));
                     Ok(())
                 }
-                None => Err(Failure::Simulation(report.error.unwrap_or_default())),
+                None => Err(Failure::Execution(report.error.unwrap_or_default())),
             }
         }
         "profile" => {
             // The query `run` executes, fused unless `--no-fusion`.
             let text = sql_sim
                 .explain_analyze(&circuit)
-                .map_err(|e| Failure::Simulation(e.to_string()))?;
+                .map_err(|e| Failure::Execution(e.to_string()))?;
             out!("{text}");
             Ok(())
         }
         "trace" => {
             let trace =
-                sql_sim.run_trace(&circuit).map_err(|e| Failure::Simulation(e.to_string()))?;
+                sql_sim.run_trace(&circuit).map_err(|e| Failure::Execution(e.to_string()))?;
             if sql_config.db_path.is_some() {
                 // What `run --db` reports, for the whole trace.
                 eprintln!("sql trace: {} states ({})", trace.states.len(), wal_summary(&trace.stats));
@@ -338,7 +341,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
             let report = engine.run_sql_configured(sql_config.clone(), &circuit);
             let state = report
                 .output
-                .ok_or_else(|| Failure::Simulation(report.error.unwrap_or_default()))?;
+                .ok_or_else(|| Failure::Execution(report.error.unwrap_or_default()))?;
             let mut rng = rand::rngs::StdRng::from_entropy();
             let counts = state.sample_counts(shots, &mut rng);
             let mut sorted: Vec<(u64, usize)> = counts.into_iter().collect();
@@ -356,16 +359,22 @@ fn run(args: &[String]) -> Result<(), Failure> {
     }
 }
 
-fn load_circuit(args: &[String]) -> Result<QuantumCircuit, String> {
-    if let Some(path) = opt(args, "--file") {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-        return if path.ends_with(".qasm") {
-            qasm::from_qasm(&text)
-        } else {
-            json::from_json(&text)
-        };
-    }
-    let spec = opt(args, "--circuit").ok_or("need --circuit SPEC or --file PATH")?;
+fn load_circuit(args: &[String]) -> Result<QuantumCircuit, Failure> {
+    let Some(path) = opt(args, "--file") else {
+        let spec = opt(args, "--circuit").ok_or("need --circuit SPEC or --file PATH")?;
+        return Ok(circuit_from_spec(&spec)?);
+    };
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| Failure::Execution(format!("{path}: {e}")))?;
+    let circuit = if path.ends_with(".qasm") {
+        qasm::from_qasm(&text)
+    } else {
+        json::from_json(&text)
+    };
+    circuit.map_err(Failure::Execution)
+}
+
+fn circuit_from_spec(spec: &str) -> Result<QuantumCircuit, String> {
     let parts: Vec<&str> = spec.split(':').collect();
     // A field the family does not take would be ignored, not obeyed.
     let fields = match parts[0] {

@@ -118,6 +118,29 @@ fn malformed_circuit_specs_are_one_error_line_not_a_panic() {
     std::fs::remove_dir_all(&cwd).unwrap();
 }
 
+/// A `--file` that cannot be read or parsed is not a mistake in the
+/// arguments: exit 1 and one `error:` line naming what is wrong with the
+/// file, no usage text.
+#[test]
+fn circuit_files_that_do_not_load_are_one_error_line_without_usage() {
+    let cwd = scratch("bad-files");
+    std::fs::write(cwd.join("bad.json"), r#"{"num_qubits": 2, "gates": ["#).unwrap();
+    std::fs::write(cwd.join("bad.qasm"), "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n").unwrap();
+    for (file, named) in [
+        ("missing.json", "missing.json: "),
+        ("bad.json", "invalid circuit JSON: "),
+        ("bad.qasm", "frobnicate"),
+    ] {
+        let args: Vec<String> = ["run", "--file", file].iter().map(|a| a.to_string()).collect();
+        let (status, stderr) = qymera(file, &args, &cwd);
+        assert_eq!(status.code(), Some(1), "`{file}` exited {status}\n{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "`{file}`: one line, no usage text:\n{stderr}");
+        assert!(stderr.starts_with("error: "), "{stderr}");
+        assert!(stderr.contains(named), "`{file}` should name `{named}`:\n{stderr}");
+    }
+    std::fs::remove_dir_all(&cwd).unwrap();
+}
+
 /// Exit 1, no panic, one `error:` line first, the usage text after it.
 fn assert_argument_error(what: &str, status: ExitStatus, stderr: &str) {
     assert_eq!(status.code(), Some(1), "`{what}` exited {status}\n{stderr}");

@@ -10,11 +10,11 @@
 //! nodes at any `n`), while unstructured dense states degenerate to 2ⁿ
 //! paths — the same asymmetry the relational encoding exhibits.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use qymera_circuit::{Complex64, Gate, QuantumCircuit};
 
-use crate::traits::{SimError, SimOptions, SimOutput, Simulator};
+use crate::traits::{Amplitudes, SimError, SimOptions, SimOutput, Simulator};
 
 type NodeId = u32;
 const TERMINAL: NodeId = 0;
@@ -353,20 +353,20 @@ impl DdPackage {
     }
 
     /// Enumerate all nonzero amplitudes (cost proportional to the support).
-    pub fn nonzeros(&self, root: VEdge, tol: f64) -> BTreeMap<u64, Complex64> {
-        let mut out = BTreeMap::new();
+    pub fn nonzeros(&self, root: VEdge, tol: f64) -> Vec<(u64, Complex64)> {
+        let mut out = Vec::new();
         let tol2 = tol * tol;
         self.collect(root, 0u64, &mut out, tol2);
         out
     }
 
-    fn collect(&self, e: VEdge, bits: u64, out: &mut BTreeMap<u64, Complex64>, tol2: f64) {
+    fn collect(&self, e: VEdge, bits: u64, out: &mut Vec<(u64, Complex64)>, tol2: f64) {
         if e.w.norm_sqr() <= tol2 && e.node == TERMINAL {
             return;
         }
         if e.node == TERMINAL {
             if e.w.norm_sqr() > tol2 {
-                out.insert(bits, e.w);
+                out.push((bits, e.w));
             }
             return;
         }
@@ -439,10 +439,12 @@ impl Simulator for DdSim {
         opts: &SimOptions,
     ) -> Result<SimOutput, SimError> {
         let (pkg, root, peak) = self.run_dd(circuit, opts)?;
-        let amplitudes = pkg.nonzeros(root, opts.truncation_tol);
-        let mut out = SimOutput::from_map(circuit.num_qubits, amplitudes, peak);
-        out.detail = format!("{} vector nodes", pkg.vnode_count());
-        Ok(out)
+        Ok(SimOutput {
+            num_qubits: circuit.num_qubits,
+            amplitudes: Amplitudes::from_unsorted(pkg.nonzeros(root, opts.truncation_tol))?,
+            memory_bytes: peak,
+            detail: format!("{} vector nodes", pkg.vnode_count()),
+        })
     }
 
     fn max_qubits(&self, _opts: &SimOptions) -> usize {

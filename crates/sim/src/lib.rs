@@ -19,4 +19,4 @@ pub use decompose::decompose_to_two_qubit;
 pub use mps::MpsSim;
 pub use sparse::SparseSim;
 pub use statevector::StateVectorSim;
-pub use traits::{SimError, SimOptions, SimOutput, Simulator};
+pub use traits::{Amplitudes, SimError, SimOptions, SimOutput, Simulator};

@@ -15,12 +15,10 @@
 
 pub mod linalg;
 
-use std::collections::BTreeMap;
-
 use qymera_circuit::{CMatrix, Complex64, Gate, QuantumCircuit};
 
 use crate::decompose::decompose_to_two_qubit;
-use crate::traits::{SimError, SimOptions, SimOutput, Simulator};
+use crate::traits::{Amplitudes, SimError, SimOptions, SimOutput, Simulator};
 
 use linalg::svd;
 
@@ -278,7 +276,7 @@ impl MpsState {
     }
 
     /// Reconstruct all amplitudes (exponential; guarded by the caller).
-    fn reconstruct(&self, tol: f64) -> BTreeMap<u64, Complex64> {
+    fn reconstruct(&self, tol: f64) -> Vec<(u64, Complex64)> {
         let n = self.num_qubits();
         // Running contraction: for each partial basis prefix, a bond vector.
         let mut partial: Vec<(u64, Vec<Complex64>)> = vec![(0, vec![Complex64::ONE])];
@@ -383,13 +381,15 @@ impl Simulator for MpsSim {
             });
         }
         let state = self.run_mps(circuit, opts)?;
-        let amplitudes = state.reconstruct(opts.truncation_tol);
-        let mut out = SimOutput::from_map(circuit.num_qubits, amplitudes, state.peak_bytes());
-        out.detail = format!(
-            "max bond {} / truncation error {:.3e}",
-            state.max_bond_seen, state.truncation_error
-        );
-        Ok(out)
+        Ok(SimOutput {
+            num_qubits: circuit.num_qubits,
+            amplitudes: Amplitudes::from_unsorted(state.reconstruct(opts.truncation_tol))?,
+            memory_bytes: state.peak_bytes(),
+            detail: format!(
+                "max bond {} / truncation error {:.3e}",
+                state.max_bond_seen, state.truncation_error
+            ),
+        })
     }
 
     fn max_qubits(&self, _opts: &SimOptions) -> usize {

@@ -6,11 +6,11 @@
 //! circuit families this is the fair non-SQL baseline; on dense circuits it
 //! degenerates to a (slower) state vector.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use qymera_circuit::{Complex64, Gate, QuantumCircuit};
 
-use crate::traits::{SimError, SimOptions, SimOutput, Simulator};
+use crate::traits::{Amplitudes, SimError, SimOptions, SimOutput, Simulator};
 
 /// Sparse map backend.
 #[derive(Debug, Clone, Default)]
@@ -92,10 +92,12 @@ impl Simulator for SparseSim {
             state = Self::apply_gate(state, gate, tol2, opts.memory_limit)?;
             peak = peak.max(state.len() * BYTES_PER_ENTRY);
         }
-        let amplitudes: BTreeMap<u64, Complex64> = state.into_iter().collect();
-        let mut out = SimOutput::from_map(n, amplitudes, peak);
-        out.detail = format!("peak {} nonzero amplitudes", peak / BYTES_PER_ENTRY);
-        Ok(out)
+        Ok(SimOutput {
+            num_qubits: n,
+            amplitudes: Amplitudes::from_unsorted(state.into_iter().collect())?,
+            memory_bytes: peak,
+            detail: format!("peak {} nonzero amplitudes", peak / BYTES_PER_ENTRY),
+        })
     }
 
     fn max_qubits(&self, _opts: &SimOptions) -> usize {

@@ -5,11 +5,9 @@
 //! under the 2.0 GB budget of the paper's intro experiment this caps out at
 //! n = 27, which is the denominator of the "3,118× more qubits" claim.
 
-use std::collections::BTreeMap;
-
 use qymera_circuit::{Complex64, Gate, QuantumCircuit};
 
-use crate::traits::{SimError, SimOptions, SimOutput, Simulator};
+use crate::traits::{Amplitudes, SimError, SimOptions, SimOutput, Simulator};
 
 /// Dense state-vector backend.
 #[derive(Debug, Clone, Default)]
@@ -131,19 +129,18 @@ impl Simulator for StateVectorSim {
     ) -> Result<SimOutput, SimError> {
         let state = self.run_dense(circuit, opts)?;
         let tol2 = opts.truncation_tol * opts.truncation_tol;
-        let mut amplitudes = BTreeMap::new();
+        let mut amplitudes = Amplitudes::default();
         for (s, &a) in state.iter().enumerate() {
             if a.norm_sqr() > tol2 {
-                amplitudes.insert(s as u64, a);
+                amplitudes.push(s as u64, a)?;
             }
         }
-        let mut out = SimOutput::from_map(
-            circuit.num_qubits,
+        Ok(SimOutput {
+            num_qubits: circuit.num_qubits,
             amplitudes,
-            dense_state_bytes(circuit.num_qubits),
-        );
-        out.detail = format!("dense 2^{} amplitudes", circuit.num_qubits);
-        Ok(out)
+            memory_bytes: dense_state_bytes(circuit.num_qubits),
+            detail: format!("dense 2^{} amplitudes", circuit.num_qubits),
+        })
     }
 
     fn max_qubits(&self, opts: &SimOptions) -> usize {

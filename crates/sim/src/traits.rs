@@ -2,9 +2,10 @@
 //!
 //! Every backend (§3.3 of the paper: state-vector, sparse, tensor-network
 //! MPS, decision diagram — plus the SQL engine in `qymera-translate`)
-//! produces a [`SimOutput`]: the final state's nonzero amplitudes plus the
-//! representation's peak memory footprint, which is the metric the paper's
-//! benchmarking suite reports alongside wall time.
+//! produces a [`SimOutput`]: the final state's nonzero amplitudes, as
+//! [`Amplitudes`] in basis-state order, plus the representation's peak
+//! memory footprint, which is the metric the paper's benchmarking suite
+//! reports alongside wall time.
 
 use std::collections::BTreeMap;
 
@@ -31,6 +32,9 @@ pub enum SimError {
         /// The configured deadline in milliseconds.
         ms: u64,
     },
+    /// A backend handed over its final state out of basis-state order or
+    /// with a basis state twice: `index` came right after `previous`.
+    Unordered { index: u64, previous: u64 },
 }
 
 impl std::fmt::Display for SimError {
@@ -47,6 +51,9 @@ impl std::fmt::Display for SimError {
             SimError::Cancelled => write!(f, "simulation cancelled"),
             SimError::Timeout { ms } => {
                 write!(f, "simulation timed out after {ms} ms")
+            }
+            SimError::Unordered { index, previous } => {
+                write!(f, "basis state {index} follows {previous}: amplitudes out of order")
             }
         }
     }
@@ -78,12 +85,138 @@ impl SimOptions {
     }
 }
 
-/// Final state: nonzero amplitudes keyed by basis-state index, plus metrics.
+/// The nonzero amplitudes of a final state: `(basis index, amplitude)`
+/// pairs with strictly ascending indices, so a lookup is a binary search
+/// and two states compare in one merge. Every constructor refuses an index
+/// that does not exceed the one before it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Amplitudes(Vec<(u64, Complex64)>);
+
+impl Amplitudes {
+    /// An empty state with room for `n` amplitudes.
+    pub fn with_capacity(n: usize) -> Self {
+        Amplitudes(Vec::with_capacity(n))
+    }
+
+    /// Append basis state `s`, which must exceed every index held so far.
+    pub fn push(&mut self, s: u64, a: Complex64) -> Result<(), SimError> {
+        match self.0.last() {
+            Some(&(previous, _)) if s <= previous => {
+                Err(SimError::Unordered { index: s, previous })
+            }
+            _ => {
+                self.0.push((s, a));
+                Ok(())
+            }
+        }
+    }
+
+    /// Sort `pairs` by basis index; refused if an index occurs twice.
+    pub fn from_unsorted(mut pairs: Vec<(u64, Complex64)>) -> Result<Self, SimError> {
+        pairs.sort_unstable_by_key(|&(s, _)| s);
+        match pairs.windows(2).find(|w| w[1].0 == w[0].0) {
+            Some(w) => Err(SimError::Unordered { index: w[1].0, previous: w[0].0 }),
+            None => Ok(Amplitudes(pairs)),
+        }
+    }
+
+    /// The amplitude of basis state `s`, if stored.
+    pub fn get(&self, s: &u64) -> Option<&Complex64> {
+        let k = self.0.binary_search_by_key(s, |&(t, _)| t).ok()?;
+        Some(&self.0[k].1)
+    }
+
+    /// Number of stored amplitudes.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True if no amplitude is stored.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// `(basis index, amplitude)` in ascending index order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(self.0.iter())
+    }
+
+    /// The basis indices, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &u64> {
+        self.0.iter().map(|(s, _)| s)
+    }
+
+    /// The amplitudes, in basis-index order.
+    pub fn values(&self) -> impl Iterator<Item = &Complex64> {
+        self.0.iter().map(|(_, a)| a)
+    }
+}
+
+/// Iterator over [`Amplitudes`], yielding `(&index, &amplitude)` like a
+/// map's.
+#[derive(Debug, Clone)]
+pub struct Iter<'a>(std::slice::Iter<'a, (u64, Complex64)>);
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a u64, &'a Complex64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(s, a)| (s, a))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl<'a> IntoIterator for &'a Amplitudes {
+    type Item = (&'a u64, &'a Complex64);
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// Call `f` on every basis index in the union of two supports, ascending,
+/// with each side's amplitude there (zero where it stores none).
+fn merge_union(
+    a: &[(u64, Complex64)],
+    b: &[(u64, Complex64)],
+    mut f: impl FnMut(Complex64, Complex64),
+) {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let (x, y) = match (a.get(i), b.get(j)) {
+            (None, None) => break,
+            (Some(&(s, x)), Some(&(t, y))) if s == t => {
+                i += 1;
+                j += 1;
+                (x, y)
+            }
+            (Some(&(s, x)), Some(&(t, _))) if s < t => {
+                i += 1;
+                (x, Complex64::ZERO)
+            }
+            (Some(&(_, x)), None) => {
+                i += 1;
+                (x, Complex64::ZERO)
+            }
+            (_, Some(&(_, y))) => {
+                j += 1;
+                (Complex64::ZERO, y)
+            }
+        };
+        f(x, y);
+    }
+}
+
+/// Final state: nonzero amplitudes in basis-state order, plus metrics.
 #[derive(Debug, Clone)]
 pub struct SimOutput {
     pub num_qubits: usize,
-    /// Sorted nonzero amplitudes (basis index → amplitude).
-    pub amplitudes: BTreeMap<u64, Complex64>,
+    /// Nonzero amplitudes, ascending by basis index.
+    pub amplitudes: Amplitudes,
     /// Peak bytes the backend's state representation occupied.
     pub memory_bytes: usize,
     /// Backend-specific note (e.g. max bond dimension, DD node count).
@@ -91,11 +224,14 @@ pub struct SimOutput {
 }
 
 impl SimOutput {
+    /// An output built from a map, for callers that collect the state into
+    /// one.
     pub fn from_map(
         num_qubits: usize,
         amplitudes: BTreeMap<u64, Complex64>,
         memory_bytes: usize,
     ) -> Self {
+        let amplitudes = Amplitudes(amplitudes.into_iter().collect());
         SimOutput { num_qubits, amplitudes, memory_bytes, detail: String::new() }
     }
 
@@ -131,9 +267,7 @@ impl SimOutput {
     /// |⟨self|other⟩|² — state fidelity between two pure outputs.
     pub fn fidelity(&self, other: &SimOutput) -> f64 {
         let mut dot = Complex64::ZERO;
-        for (s, a) in &self.amplitudes {
-            dot += a.conj() * other.amplitude(*s);
-        }
+        merge_union(&self.amplitudes.0, &other.amplitudes.0, |a, b| dot += a.conj() * b);
         dot.norm_sqr()
     }
 
@@ -159,13 +293,11 @@ impl SimOutput {
                 }
             })
             .unwrap_or(Complex64::ONE);
-        let mut keys: Vec<u64> = self.amplitudes.keys().copied().collect();
-        keys.extend(other.amplitudes.keys().copied());
-        keys.sort_unstable();
-        keys.dedup();
-        keys.into_iter()
-            .map(|s| (self.amplitude(s) * phase - other.amplitude(s)).abs())
-            .fold(0.0, f64::max)
+        let mut diff = 0.0;
+        merge_union(&self.amplitudes.0, &other.amplitudes.0, |a, b| {
+            diff = f64::max(diff, (a * phase - b).abs());
+        });
+        diff
     }
 
     /// Sample `shots` measurement outcomes in the computational basis using
@@ -265,16 +397,133 @@ mod tests {
     #[test]
     fn max_diff_ignores_global_phase() {
         let o = ghz_output();
-        let mut rotated = o.clone();
         let phase = Complex64::from_phase(1.2);
-        for a in rotated.amplitudes.values_mut() {
-            *a *= phase;
-        }
-        assert!(o.max_amplitude_diff(&rotated) < 1e-12);
+        let map: BTreeMap<u64, Complex64> = o.amplitudes.iter().map(|(&s, &a)| (s, a)).collect();
+        let rotated = map.iter().map(|(&s, &a)| (s, a * phase)).collect();
+        assert!(o.max_amplitude_diff(&SimOutput::from_map(3, rotated, 32)) < 1e-12);
         // but a genuinely different state has a large diff
-        let mut different = o.clone();
-        different.amplitudes.insert(3, c64(0.5, 0.0));
-        assert!(o.max_amplitude_diff(&different) > 0.4);
+        let mut different = map;
+        different.insert(3, c64(0.5, 0.0));
+        assert!(o.max_amplitude_diff(&SimOutput::from_map(3, different, 32)) > 0.4);
+    }
+
+    #[test]
+    fn amplitudes_refuse_unsorted_and_duplicate_input() {
+        let a = |s: u64| (s, c64(s as f64, 0.0));
+        let unordered = |index, previous| SimError::Unordered { index, previous };
+        assert_eq!(Amplitudes::from_unsorted(vec![a(5), a(1), a(5)]), Err(unordered(5, 5)));
+        let sorted = Amplitudes::from_unsorted(vec![a(9), a(0), a(4)]).unwrap();
+        assert_eq!(sorted.iter().map(|(&s, &x)| (s, x)).collect::<Vec<_>>(), [a(0), a(4), a(9)]);
+
+        let mut pushed = Amplitudes::with_capacity(2);
+        assert_eq!(pushed.push(4, c64(4.0, 0.0)), Ok(()));
+        assert_eq!(pushed.push(4, c64(4.0, 0.0)), Err(unordered(4, 4)));
+        assert_eq!(pushed.push(2, c64(2.0, 0.0)), Err(unordered(2, 4)));
+        assert_eq!(pushed.push(7, c64(7.0, 0.0)), Ok(()));
+        assert_eq!(pushed.keys().copied().collect::<Vec<_>>(), [4, 7]);
+    }
+
+    #[test]
+    fn get_finds_present_and_absent_keys() {
+        let pairs = (0..50).rev().map(|k| (3 * k + 1, c64(k as f64, 1.0)));
+        let amps = Amplitudes::from_unsorted(pairs.collect()).unwrap();
+        for k in 0..50u64 {
+            assert_eq!(amps.get(&(3 * k + 1)), Some(&c64(k as f64, 1.0)));
+            assert_eq!(amps.get(&(3 * k)), None);
+            assert_eq!(amps.get(&(3 * k + 2)), None);
+        }
+        assert_eq!(amps.get(&u64::MAX), None);
+        assert_eq!(Amplitudes::default().get(&0), None);
+    }
+
+    #[test]
+    fn from_map_round_trips() {
+        let map: BTreeMap<u64, Complex64> =
+            [(7, c64(0.5, -0.5)), (0, c64(-0.0, 0.25)), (u64::MAX, c64(1e-300, 0.0))].into();
+        let out = SimOutput::from_map(64, map.clone(), 0);
+        assert_eq!(out.amplitudes.len(), 3);
+        let back: BTreeMap<u64, Complex64> = out.amplitudes.iter().map(|(&s, &a)| (s, a)).collect();
+        assert_eq!(back, map);
+        assert!((&out.amplitudes).into_iter().map(|(s, _)| *s).eq(map.keys().copied()));
+        assert!(out.amplitudes.values().eq(map.values()));
+    }
+
+    /// `fidelity` and `max_amplitude_diff` as they were written over maps:
+    /// a lookup per key of `self`, then the sorted union of both key sets.
+    fn map_fidelity(a: &BTreeMap<u64, Complex64>, b: &BTreeMap<u64, Complex64>) -> f64 {
+        let at = |m: &BTreeMap<u64, Complex64>, s: u64| m.get(&s).copied().unwrap_or_default();
+        let mut dot = Complex64::ZERO;
+        for (s, x) in a {
+            dot += x.conj() * at(b, *s);
+        }
+        dot.norm_sqr()
+    }
+
+    fn map_max_diff(a: &BTreeMap<u64, Complex64>, b: &BTreeMap<u64, Complex64>) -> f64 {
+        let at = |m: &BTreeMap<u64, Complex64>, s: u64| m.get(&s).copied().unwrap_or_default();
+        let phase = a
+            .iter()
+            .max_by(|x, y| x.1.norm_sqr().total_cmp(&y.1.norm_sqr()))
+            .map(|(s, x)| {
+                let o = at(b, *s);
+                if o.norm_sqr() > 0.0 && x.norm_sqr() > 0.0 {
+                    let ratio = o * x.conj();
+                    let mag = ratio.abs();
+                    if mag > 0.0 {
+                        return ratio.scale(1.0 / mag);
+                    }
+                }
+                Complex64::ONE
+            })
+            .unwrap_or(Complex64::ONE);
+        let mut keys: Vec<u64> = a.keys().chain(b.keys()).copied().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter().map(|s| (at(a, s) * phase - at(b, s)).abs()).fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn merged_comparisons_equal_the_map_formulas_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(37);
+        let state = |rng: &mut StdRng, len: usize, keys: &dyn Fn(u64) -> u64| {
+            let mut m = BTreeMap::new();
+            for _ in 0..len {
+                let s = keys(rng.gen_range(0..40u64));
+                m.insert(s, c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)));
+            }
+            m
+        };
+        let any = |k: u64| k;
+        let even = |k: u64| 2 * k;
+        let odd = |k: u64| 2 * k + 1;
+        for case in 0..400 {
+            let (la, lb) = (rng.gen_range(0..30usize), rng.gen_range(0..30usize));
+            let (a, b) = match case % 4 {
+                0 => (state(&mut rng, la, &any), state(&mut rng, lb, &any)),
+                1 => (state(&mut rng, la, &even), state(&mut rng, lb, &odd)),
+                2 => (BTreeMap::new(), state(&mut rng, lb, &any)),
+                _ => {
+                    // The same support, rotated: the phase alignment matters.
+                    let a = state(&mut rng, la, &any);
+                    let phase = Complex64::from_phase(rng.gen_range(-3.0..3.0));
+                    let b = a.iter().map(|(&s, &x)| (s, x * phase)).collect();
+                    (a, b)
+                }
+            };
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let (ox, oy) =
+                    (SimOutput::from_map(6, x.clone(), 0), SimOutput::from_map(6, y.clone(), 0));
+                let ctx = format!("case {case}: {x:?} vs {y:?}");
+                assert_eq!(ox.fidelity(&oy).to_bits(), map_fidelity(x, y).to_bits(), "{ctx}");
+                assert_eq!(
+                    ox.max_amplitude_diff(&oy).to_bits(),
+                    map_max_diff(x, y).to_bits(),
+                    "{ctx}"
+                );
+            }
+        }
     }
 
     #[test]

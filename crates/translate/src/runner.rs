@@ -20,10 +20,8 @@
 //! it never reaches the log — only the tables alive at `COMMIT` do. In
 //! memory there is no log to save, and every statement auto-commits.
 
-use std::collections::BTreeMap;
-
 use qymera_circuit::{c64, Complex64, QuantumCircuit};
-use qymera_sim::{SimError, SimOptions, SimOutput, Simulator};
+use qymera_sim::{Amplitudes, SimError, SimOptions, SimOutput, Simulator};
 use qymera_sqldb::exec::batch::{Column, RowBatch};
 use qymera_sqldb::{
     CancelHandle, Database, DbStats, DurabilityOptions, Error as SqlError, MemoryBudget, Value,
@@ -254,6 +252,18 @@ impl SqlSimulator {
     /// On a `--db` directory one transaction: the loads and, in step-table
     /// mode, every step (see the module doc).
     pub fn run(&self, circuit: &QuantumCircuit) -> Result<SqlRunResult, SimError> {
+        let (batches, stats, ops_executed) = self.execute(circuit)?;
+        let amplitudes = amplitudes_of(&batches)?;
+        Ok(SqlRunResult { num_qubits: circuit.num_qubits, amplitudes, stats, ops_executed })
+    }
+
+    /// What [`Self::run`] and [`Simulator::simulate`] share: the final state
+    /// as the engine's batches in basis-state order, the engine statistics
+    /// and the number of ops after fusion.
+    fn execute(
+        &self,
+        circuit: &QuantumCircuit,
+    ) -> Result<(Vec<RowBatch>, DbStats, usize), SimError> {
         let (reg, ops) = self.lower(circuit, self.config.fusion);
         let mut db = self.make_db()?;
         self.run_txn(&mut db, "BEGIN")?;
@@ -281,14 +291,7 @@ impl SqlSimulator {
                 read_state(&mut db, &state_table_name(ops.len()))?
             }
         };
-
-        let amplitudes = amplitudes_of(&batches)?;
-        Ok(SqlRunResult {
-            num_qubits: circuit.num_qubits,
-            amplitudes,
-            stats: db.stats(),
-            ops_executed: ops.len(),
-        })
+        Ok((batches, db.stats(), ops.len()))
     }
 
     /// Step-by-step execution returning every intermediate state — the
@@ -359,30 +362,41 @@ fn read_state(db: &mut Database, t: &str) -> Result<Vec<RowBatch>, SimError> {
     db.query_batches(&format!("SELECT s, r, i FROM {t} ORDER BY s")).map_err(map_sql_error)
 }
 
-/// The amplitudes of `(s, r, i)` result batches, read off their typed
-/// columns (`Int` for `s`, `Float` for `r` and `i`); any other lane — a
-/// `HUGEINT` index past 63 qubits — goes value by value.
+/// The amplitudes of `(s, r, i)` result batches.
 fn amplitudes_of(batches: &[RowBatch]) -> Result<Vec<SqlAmplitude>, SimError> {
     let mut out = Vec::with_capacity(batches.iter().map(RowBatch::num_rows).sum());
+    for_each_amplitude(batches, |s, amp| {
+        out.push(SqlAmplitude { s, amp });
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// Call `f` on each row of `(s, r, i)` result batches, in order, read off
+/// their typed columns (`Int` for `s`, `Float` for `r` and `i`); any other
+/// lane — a `HUGEINT` index past 63 qubits — goes value by value.
+fn for_each_amplitude(
+    batches: &[RowBatch],
+    mut f: impl FnMut(Value, Complex64) -> Result<(), SimError>,
+) -> Result<(), SimError> {
     for batch in batches {
         let [s, r, i] = batch.columns() else {
             return Err(SimError::Numerical("state row arity mismatch".into()));
         };
         if let (Column::Int(s), Column::Float(r), Column::Float(i)) = (&**s, &**r, &**i) {
-            out.extend(s.iter().zip(r).zip(i).map(|((&s, &re), &im)| SqlAmplitude {
-                s: Value::Int(s),
-                amp: c64(re, im),
-            }));
+            for ((&s, &re), &im) in s.iter().zip(r).zip(i) {
+                f(Value::Int(s), c64(re, im))?;
+            }
             continue;
         }
         let f64_at = |c: &Column, k: usize| {
             c.value_at(k).as_f64().map_err(|e| SimError::Numerical(e.to_string()))
         };
         for k in 0..batch.num_rows() {
-            out.push(SqlAmplitude { s: s.value_at(k), amp: c64(f64_at(r, k)?, f64_at(i, k)?) });
+            f(s.value_at(k), c64(f64_at(r, k)?, f64_at(i, k)?))?;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The `u64` basis index of an engine `s` value (`SimOutput`'s index).
@@ -426,28 +440,32 @@ impl Simulator for SqlSimulator {
         if this.config.memory_limit.is_none() {
             this.config.memory_limit = opts.memory_limit;
         }
-        let result = this.run(circuit)?;
+        let (batches, stats, ops) = this.execute(circuit)?;
         let tol2 = opts.truncation_tol * opts.truncation_tol;
-        // The amplitudes arrive in basis-state order, so `collect` builds
-        // the map in bulk rather than one insert at a time.
-        let amplitudes = result
-            .amplitudes
-            .iter()
-            .filter(|a| a.amp.norm_sqr() > tol2)
-            .map(|a| Ok((basis_index(&a.s)?, a.amp)))
-            .collect::<Result<BTreeMap<_, _>, SimError>>()?;
-        let mut out =
-            SimOutput::from_map(circuit.num_qubits, amplitudes, result.stats.peak_memory_bytes);
-        let stats = &result.stats;
-        out.detail = format!(
-            "{} ops, {} spill files, {} spill bytes",
-            result.ops_executed, stats.spill_files, stats.spill_bytes
+        // `ORDER BY s` hands the rows over in basis-state order, so they go
+        // straight into the vector; `push` refuses any that are not.
+        let mut amplitudes =
+            Amplitudes::with_capacity(batches.iter().map(RowBatch::num_rows).sum());
+        for_each_amplitude(&batches, |s, amp| {
+            if amp.norm_sqr() > tol2 {
+                amplitudes.push(basis_index(&s)?, amp)?;
+            }
+            Ok(())
+        })?;
+        let mut detail = format!(
+            "{ops} ops, {} spill files, {} spill bytes",
+            stats.spill_files, stats.spill_bytes
         );
         if self.config.db_path.is_some() {
             // Behind the three counters above, whose wording callers parse.
-            out.detail += &format!(", {}", wal_summary(stats));
+            detail += &format!(", {}", wal_summary(&stats));
         }
-        Ok(out)
+        Ok(SimOutput {
+            num_qubits: circuit.num_qubits,
+            amplitudes,
+            memory_bytes: stats.peak_memory_bytes,
+            detail,
+        })
     }
 
     fn max_qubits(&self, _opts: &SimOptions) -> usize {
@@ -487,6 +505,44 @@ mod tests {
             let diff = sql.max_amplitude_diff(&sv);
             assert!(diff < 1e-8, "seed {seed}: SQL differs from dense by {diff}");
         }
+    }
+
+    /// `simulate` keeps exactly the rows `run` returns above
+    /// `truncation_tol`: the same basis states, in the same order, with the
+    /// same bits, in both modes, fused and not.
+    #[test]
+    fn simulate_keeps_the_bits_and_order_run_returns() {
+        let angles: Vec<f64> = (0..28).map(|k| 0.3 + 0.09 * k as f64).collect();
+        // RY(1) then RY(−1 + 1e-13) leaves an amplitude near 5e-14 on |1⟩.
+        let tiny = CircuitBuilder::new(3).h(2).ry(1.0, 0).ry(-1.0 + 1e-13, 0).cx(2, 1).build();
+        let circuits = [
+            library::hardware_efficient_ansatz(7, 2).bind_values(&angles).unwrap(),
+            library::qft(5),
+            tiny,
+        ];
+        let opts = SimOptions::default();
+        let tol2 = opts.truncation_tol * opts.truncation_tol;
+        let mut dropped = 0;
+        for mode in [ExecMode::SingleQuery, ExecMode::StepTables] {
+            for fusion in [Some(MAX_FUSED_QUBITS), None] {
+                let sim = SqlSimulator::new(SqlSimConfig { mode, fusion, ..Default::default() });
+                for c in &circuits {
+                    let bits = |s: u64, a: Complex64| (s, a.re.to_bits(), a.im.to_bits());
+                    let run = sim.run(c).unwrap();
+                    let want: Vec<_> = run
+                        .amplitudes
+                        .iter()
+                        .filter(|a| a.amp.norm_sqr() > tol2)
+                        .map(|a| bits(basis_index(&a.s).unwrap(), a.amp))
+                        .collect();
+                    dropped += run.support() - want.len();
+                    let out = sim.simulate(c, &opts).unwrap();
+                    let got: Vec<_> = out.amplitudes.iter().map(|(&s, &a)| bits(s, a)).collect();
+                    assert_eq!(got, want, "{mode:?}, fusion {fusion:?}: {c:?}");
+                }
+            }
+        }
+        assert!(dropped > 0, "no amplitude fell under truncation_tol");
     }
 
     #[test]
