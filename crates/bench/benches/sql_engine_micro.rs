@@ -170,13 +170,11 @@ fn bench_scan(c: &mut Criterion) {
 }
 
 /// WAL overhead on the mutation path: the same 1024-row insert against an
-/// in-memory database, a durable one with per-commit fsync (the default),
-/// and a durable one with fsync off (isolating serialization + the write
-/// syscall from the disk flush), plus the same insert rolled back inside a
-/// transaction. Reads are identical on every variant — durability wraps
+/// in-memory database and a durable one (one fsync per commit), plus the
+/// same insert rolled back inside a transaction. Reads are identical on every variant — durability wraps
 /// mutations only — so an insert micro is the honest worst case.
 fn bench_wal_overhead(c: &mut Criterion) {
-    use qymera_sqldb::{DurabilityOptions, FsyncPolicy};
+    use qymera_sqldb::DurabilityOptions;
 
     let mut group = c.benchmark_group("sql_engine_micro");
     group.sample_size(20);
@@ -189,14 +187,13 @@ fn bench_wal_overhead(c: &mut Criterion) {
         db.execute("CREATE TABLE T0 (s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
         db
     };
-    let setup_wal = |tag: &str, fsync: FsyncPolicy| {
+    let setup_wal = |tag: &str| {
         let dir = std::env::temp_dir()
             .join(format!("qymera-bench-wal-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // No auto-checkpoint: the micro measures the log append + fsync,
         // not a periodic full-table serialization.
         let opts = DurabilityOptions {
-            fsync,
             checkpoint_every_bytes: 0,
             ..DurabilityOptions::default()
         };
@@ -209,18 +206,14 @@ fn bench_wal_overhead(c: &mut Criterion) {
     group.bench_function("insert_1k_rows_inmemory", |b| {
         b.iter(|| std::hint::black_box(mem_db.insert_rows("T0", rows.clone()).unwrap()))
     });
-    let mut wal_db = setup_wal("commit", FsyncPolicy::Commit);
+    let mut wal_db = setup_wal("commit");
     group.bench_function("insert_1k_rows_wal_fsync_commit", |b| {
         b.iter(|| std::hint::black_box(wal_db.insert_rows("T0", rows.clone()).unwrap()))
-    });
-    let mut nosync_db = setup_wal("off", FsyncPolicy::Off);
-    group.bench_function("insert_1k_rows_wal_fsync_off", |b| {
-        b.iter(|| std::hint::black_box(nosync_db.insert_rows("T0", rows.clone()).unwrap()))
     });
 
     // A rolled-back transaction: the 1024 rows are applied and undone in
     // memory; nothing reaches the log, which only `COMMIT` writes.
-    let mut rollback_db = setup_wal("rollback", FsyncPolicy::Commit);
+    let mut rollback_db = setup_wal("rollback");
     group.bench_function("txn_rollback_1k_rows_wal", |b| {
         b.iter(|| {
             rollback_db.execute("BEGIN").unwrap();
@@ -229,7 +222,7 @@ fn bench_wal_overhead(c: &mut Criterion) {
         })
     });
 
-    for db in [&wal_db, &nosync_db, &rollback_db] {
+    for db in [&wal_db, &rollback_db] {
         let dir = db.storage_dir().unwrap().to_path_buf();
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -26,9 +26,7 @@
 //!
 //! Everything reproduces from the one `u64` seed.
 
-use qymera_sqldb::{
-    Database, DurabilityOptions, Error, FsyncPolicy, MemoryBudget, QueryContext, Value,
-};
+use qymera_sqldb::{Database, DurabilityOptions, Error, MemoryBudget, QueryContext, Value};
 
 use crate::faultfuzz::derived_schedule;
 use crate::generator::CaseRng;
@@ -70,8 +68,8 @@ pub struct CancelCase {
 
 const SORT_SQL: &str = "SELECT k, v FROM big ORDER BY v DESC, k";
 const AGG_SQL: &str = "SELECT k, SUM(v) AS t FROM big GROUP BY k ORDER BY k";
-const JOIN_SQL: &str = "SELECT b.k, SUM(b.v * d.w) AS t FROM big b \
-                        JOIN dim d ON d.k = (b.k & 63) GROUP BY b.k ORDER BY b.k";
+const JOIN_SQL: &str = "SELECT b.k, SUM(b.v * d.w) AS t FROM big AS b \
+                        JOIN dim AS d ON d.k = (b.k & 63) GROUP BY b.k ORDER BY b.k";
 
 impl CancelCase {
     /// Derive the scenario for `seed` (deterministic).
@@ -106,7 +104,6 @@ fn build_db(case: &CancelCase) -> Result<Database, Error> {
         Database::open_with(
             &dir,
             DurabilityOptions {
-                fsync: FsyncPolicy::Commit,
                 budget: MemoryBudget::with_limit(limit),
                 ..DurabilityOptions::default()
             },

@@ -19,9 +19,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use qymera_sqldb::{
-    Database, DurabilityOptions, Error, FaultInjector, FaultKind, FaultSchedule, FsyncPolicy,
-};
+use qymera_sqldb::{Database, DurabilityOptions, Error, FaultInjector, FaultKind, FaultSchedule};
 
 use crate::generator::{CaseRng, SqlCase};
 use crate::oracle::{canon_multiset, Discrepancy};
@@ -34,8 +32,10 @@ fn dump(db: &mut Database) -> Result<Vec<(String, Vec<String>)>, String> {
     names
         .into_iter()
         .map(|name| {
+            let columns = db.table_columns(&name).map_err(|e| e.to_string())?;
+            let columns: Vec<&str> = columns.iter().map(|(c, _)| c.as_str()).collect();
             let rs = db
-                .execute(&format!("SELECT * FROM {name}"))
+                .execute(&format!("SELECT {} FROM {name}", columns.join(", ")))
                 .map_err(|e| format!("dump of {name} failed: {e}"))?;
             Ok((name, canon_multiset(rs.rows())))
         })
@@ -58,7 +58,6 @@ fn scratch_dir(seed: u64) -> PathBuf {
 
 fn opts(injector: &Arc<FaultInjector>) -> DurabilityOptions {
     DurabilityOptions {
-        fsync: FsyncPolicy::Commit,
         // Tiny threshold: the workload crosses several checkpoint
         // boundaries, so checkpoint-site faults get real chances to fire.
         checkpoint_every_bytes: 4096,

@@ -1,12 +1,14 @@
 //! Seed-deterministic generation of random schemas, data, and SQL queries.
 //!
-//! Every case is a pure function of one `u64` seed. The query shapes are
-//! weighted toward the operator matrix of `docs/OPERATORS.md`: inner and
-//! LEFT equi-joins, plain aggregates and `COUNT(DISTINCT)`, `SELECT
-//! DISTINCT`, `ORDER BY` / `LIMIT` / `OFFSET`, and deep CTE chains (the
-//! translator's one-CTE-per-gate shape). Float data is dyadic (`k/8`) so
-//! sums are FP-exact in any accumulation order — result comparison across
-//! oracles and worker counts is then *exact*, not tolerance-based.
+//! Every case is a pure function of one `u64` seed. The queries speak the
+//! engine's language (`docs/OPERATORS.md`) and are weighted toward its
+//! operator matrix: inner and LEFT equi-joins, one `WHERE` predicate (`=` or
+//! `>`, against a literal or another `INTEGER` column), `SUM`, `COUNT(*)`
+//! and `COUNT(DISTINCT)` with `GROUP BY` and `HAVING`, `ORDER BY` / `LIMIT`,
+//! and deep CTE chains (the translator's one-CTE-per-gate shape). NULLs
+//! enter through the row data and through `LEFT JOIN` padding. Float data is
+//! dyadic (`k/8`) so sums are FP-exact in any accumulation order — result
+//! comparison across oracles is then *exact*, not tolerance-based.
 
 use qymera_sqldb::Value;
 
@@ -73,9 +75,8 @@ impl ColTy {
 }
 
 /// One generated table: globally-unique column names (`k0`, `n0`, `f0`,
-/// `s0` for table 0) so unqualified references and `SELECT *` stay
-/// unambiguous under any join, which is what makes the metamorphic
-/// rewrites purely syntactic.
+/// `s0` for table 0) so unqualified references stay unambiguous under any
+/// join, which is what makes the metamorphic rewrites purely syntactic.
 #[derive(Debug, Clone)]
 pub struct TableSpec {
     /// Table name (`t0`, `t1`, ...).
@@ -120,54 +121,64 @@ pub struct JoinSpec {
     pub right_col: String,
 }
 
-/// One conjunct of the `WHERE` clause: `col op literal`, `col IS [NOT]
-/// NULL`, or `col IN (...)`.
+/// The right side of the `WHERE` predicate.
+#[derive(Debug, Clone)]
+pub enum Rhs {
+    /// A literal of the column's type.
+    Value(Value),
+    /// Another `INTEGER` column in scope (`n0 > k1`): both sides on the
+    /// typed lanes, with ties.
+    Column(String),
+}
+
+/// The `WHERE` predicate: `col = rhs` or `col > rhs`.
 #[derive(Debug, Clone)]
 pub struct PredSpec {
     /// Column the predicate tests.
     pub col: String,
-    /// Operator text (`=`, `!=`, `<`, `<=`, `>`, `>=`, `IS NULL`,
-    /// `IS NOT NULL`, `IN`).
+    /// `=` or `>`.
     pub op: &'static str,
-    /// Comparison literals (empty for `IS [NOT] NULL`, several for `IN`).
-    pub values: Vec<Value>,
+    /// What the column is compared with.
+    pub rhs: Rhs,
 }
 
 impl PredSpec {
-    fn sql(&self) -> String {
-        match self.op {
-            "IS NULL" | "IS NOT NULL" => format!("{} {}", self.col, self.op),
-            "IN" => {
-                let list: Vec<String> = self.values.iter().map(literal).collect();
-                format!("{} IN ({})", self.col, list.join(", "))
-            }
-            op => format!("{} {} {}", self.col, op, literal(&self.values[0])),
+    /// The predicate as SQL.
+    pub fn sql(&self) -> String {
+        match &self.rhs {
+            Rhs::Value(v) => format!("{} {} {}", self.col, self.op, literal(v)),
+            Rhs::Column(c) => format!("{} {} {c}", self.col, self.op),
         }
     }
 }
 
-/// One aggregate in the projection.
+/// One aggregate in the projection: `SUM(col)`, `COUNT(*)` or
+/// `COUNT(DISTINCT col)`.
 #[derive(Debug, Clone)]
 pub struct AggItem {
-    /// Function name (`SUM`, `COUNT`, `AVG`, `MIN`, `MAX`).
+    /// Function name (`SUM` or `COUNT`).
     pub func: &'static str,
     /// Argument column, `None` for `COUNT(*)`.
     pub col: Option<String>,
-    /// `COUNT(DISTINCT col)` (only `COUNT` takes `DISTINCT`).
+    /// `COUNT(DISTINCT col)`.
     pub distinct: bool,
     /// Output alias (`a0`, `a1`, ...).
     pub alias: String,
 }
 
 impl AggItem {
+    /// The call, `FUNC([DISTINCT] arg)`.
+    pub fn call(&self) -> String {
+        match (&self.col, self.distinct) {
+            (None, _) => format!("{}(*)", self.func),
+            (Some(c), true) => format!("{}(DISTINCT {c})", self.func),
+            (Some(c), false) => format!("{}({c})", self.func),
+        }
+    }
+
     /// The projection item, `FUNC([DISTINCT] arg) AS alias`.
     pub fn sql(&self) -> String {
-        let arg = match (&self.col, self.distinct) {
-            (None, _) => "*".to_string(),
-            (Some(c), true) => format!("DISTINCT {c}"),
-            (Some(c), false) => c.clone(),
-        };
-        format!("{}({arg}) AS {}", self.func, self.alias)
+        format!("{} AS {}", self.call(), self.alias)
     }
 }
 
@@ -178,6 +189,8 @@ pub struct AggSpec {
     pub keys: Vec<String>,
     /// Aggregates in the projection (at least one).
     pub aggs: Vec<AggItem>,
+    /// `HAVING aggs[i] > value`.
+    pub having: Option<(usize, Value)>,
 }
 
 /// The structured query under test. Rendering is deterministic; the
@@ -189,16 +202,14 @@ pub struct QuerySpec {
     pub base: usize,
     /// Join chain applied to the base.
     pub joins: Vec<JoinSpec>,
-    /// `WHERE` conjunction.
-    pub predicates: Vec<PredSpec>,
+    /// The `WHERE` predicate.
+    pub predicate: Option<PredSpec>,
     /// Optional aggregation.
     pub aggregate: Option<AggSpec>,
-    /// `SELECT DISTINCT` (only without aggregation).
-    pub distinct: bool,
     /// `ORDER BY` columns (name, DESC?).
     pub order_by: Vec<(String, bool)>,
-    /// `LIMIT n OFFSET m`.
-    pub limit: Option<(u64, u64)>,
+    /// `LIMIT n`.
+    pub limit: Option<u64>,
     /// Wrap the core in this many pass-through CTE stages (deep chains —
     /// the translator's per-gate shape).
     pub cte_depth: usize,
@@ -243,13 +254,6 @@ impl SqlCase {
         let mut rng = CaseRng::new(seed ^ 0x5EED_CA5E);
         let ntables = rng.range(1, 3) as usize;
         let tables: Vec<TableSpec> = (0..ntables).map(|i| gen_table(&mut rng, i)).collect();
-        // Setup drew a `DELETE` per table here while the engine had one:
-        // drawing the same numbers keeps every seed's case as it was.
-        for t in &tables {
-            if rng.chance(1, 4) {
-                gen_predicate(&mut rng, &t.columns);
-            }
-        }
         let query = gen_query(&mut rng, &tables);
         SqlCase { seed, tables, query }
     }
@@ -281,7 +285,7 @@ impl SqlCase {
         render_query(&self.query, &self.tables)
     }
 
-    /// Column names the core query block (before DISTINCT/ORDER/LIMIT)
+    /// Column names the core query block (before ORDER BY / LIMIT)
     /// exposes, in projection order.
     pub fn output_columns(&self) -> Vec<String> {
         output_columns(&self.query, &self.tables)
@@ -319,14 +323,9 @@ fn gen_table(rng: &mut CaseRng, i: usize) -> TableSpec {
                 .zip(&nullable)
                 .map(|((_, ty), nullable)| {
                     if *nullable && rng.chance(1, 8) {
-                        return Value::Null;
-                    }
-                    match ty {
-                        ColTy::Int => Value::Int(rng.range(0, KEY_RANGE - 1)),
-                        ColTy::Float => Value::Float(rng.range(-160, 160) as f64 / 8.0),
-                        ColTy::Text => {
-                            Value::Str(rng.pick(&TEXT_POOL).to_string())
-                        }
+                        Value::Null
+                    } else {
+                        gen_value(rng, *ty)
                     }
                 })
                 .collect()
@@ -335,35 +334,29 @@ fn gen_table(rng: &mut CaseRng, i: usize) -> TableSpec {
     TableSpec { name: format!("t{i}"), columns, rows }
 }
 
-/// A predicate over one of `columns`, weighted toward `>` on INTEGER
-/// columns (the richest comparison path on the typed fast lanes).
-fn gen_predicate(rng: &mut CaseRng, columns: &[(String, ColTy)]) -> PredSpec {
-    let (col, ty) = rng.pick(columns).clone();
-    let value = |rng: &mut CaseRng| match ty {
+/// A non-NULL value of type `ty`.
+fn gen_value(rng: &mut CaseRng, ty: ColTy) -> Value {
+    match ty {
         ColTy::Int => Value::Int(rng.range(0, KEY_RANGE - 1)),
         ColTy::Float => Value::Float(rng.range(-160, 160) as f64 / 8.0),
         ColTy::Text => Value::Str(rng.pick(&TEXT_POOL).to_string()),
-    };
-    match rng.below(10) {
-        0 => PredSpec { col, op: "IS NULL", values: vec![] },
-        1 => PredSpec { col, op: "IS NOT NULL", values: vec![] },
-        2 => {
-            let n = rng.range(1, 3);
-            let values = (0..n).map(|_| value(rng)).collect();
-            PredSpec { col, op: "IN", values }
-        }
-        k => {
-            let op = match k {
-                3 => "=",
-                4 => "!=",
-                5 => "<",
-                6 => "<=",
-                7 => ">=",
-                _ => ">", // two slots: weighted toward `>`
-            };
-            PredSpec { col, op, values: vec![value(rng)] }
-        }
     }
+}
+
+/// A predicate over one of `columns`, weighted toward `>` (the richest
+/// comparison path on the typed fast lanes); an `INTEGER` column is
+/// compared with another one a third of the time.
+fn gen_predicate(rng: &mut CaseRng, columns: &[(String, ColTy)]) -> PredSpec {
+    let (col, ty) = rng.pick(columns).clone();
+    let op = *rng.pick(&["=", ">", ">"]);
+    let others: Vec<&String> =
+        columns.iter().filter(|(c, t)| *t == ColTy::Int && *c != col).map(|(c, _)| c).collect();
+    let rhs = if ty == ColTy::Int && !others.is_empty() && rng.chance(1, 3) {
+        Rhs::Column(rng.pick(&others).to_string())
+    } else {
+        Rhs::Value(gen_value(rng, ty))
+    };
+    PredSpec { col, op, rhs }
 }
 
 fn gen_query(rng: &mut CaseRng, tables: &[TableSpec]) -> QuerySpec {
@@ -403,9 +396,7 @@ fn gen_query(rng: &mut CaseRng, tables: &[TableSpec]) -> QuerySpec {
         .flat_map(|&i| tables[i].columns.iter().cloned())
         .collect();
 
-    let npreds = rng.below(4) as usize;
-    let predicates =
-        (0..npreds).map(|_| gen_predicate(rng, &scope_columns)).collect::<Vec<_>>();
+    let predicate = rng.chance(2, 3).then(|| gen_predicate(rng, &scope_columns));
 
     let aggregate = if rng.chance(2, 5) {
         let nkeys = rng.below(3) as usize;
@@ -417,31 +408,25 @@ fn gen_query(rng: &mut CaseRng, tables: &[TableSpec]) -> QuerySpec {
             }
         }
         let naggs = rng.range(1, 3) as usize;
+        let numeric: Vec<&String> =
+            scope_columns.iter().filter(|(_, ty)| *ty != ColTy::Text).map(|(c, _)| c).collect();
         let aggs = (0..naggs)
             .map(|j| {
-                // COUNT twice: it is the one aggregate that takes DISTINCT.
-                let func = *rng.pick(&["SUM", "COUNT", "COUNT", "AVG", "MIN", "MAX"]);
-                let col = if func == "COUNT" && rng.chance(1, 2) {
-                    None
-                } else {
-                    // Aggregate numeric columns only (MIN/MAX over text is
-                    // legal but keeps the comparison surface numeric).
-                    let numeric: Vec<&(String, ColTy)> = scope_columns
-                        .iter()
-                        .filter(|(_, ty)| *ty != ColTy::Text)
-                        .collect();
-                    Some(rng.pick(&numeric).0.clone())
+                let (func, col, distinct) = match rng.below(3) {
+                    0 => ("SUM", Some(rng.pick(&numeric).to_string()), false),
+                    1 => ("COUNT", None, false),
+                    _ => ("COUNT", Some(rng.pick(&scope_columns).0.clone()), true),
                 };
-                let distinct = func == "COUNT" && col.is_some() && rng.chance(1, 2);
                 AggItem { func, col, distinct, alias: format!("a{j}") }
             })
             .collect();
-        Some(AggSpec { keys, aggs })
+        let having = rng
+            .chance(1, 3)
+            .then(|| (rng.below(naggs as u64) as usize, Value::Int(rng.range(0, 5))));
+        Some(AggSpec { keys, aggs, having })
     } else {
         None
     };
-
-    let distinct = aggregate.is_none() && rng.chance(1, 4);
 
     // ORDER BY over output columns; LIMIT only when ordered.
     let out_cols: Vec<String> = match &aggregate {
@@ -458,11 +443,7 @@ fn gen_query(rng: &mut CaseRng, tables: &[TableSpec]) -> QuerySpec {
             }
         }
     }
-    let limit = if !order_by.is_empty() && rng.chance(1, 3) {
-        Some((rng.range(1, 20) as u64, if rng.chance(1, 3) { rng.range(1, 5) as u64 } else { 0 }))
-    } else {
-        None
-    };
+    let limit = (!order_by.is_empty() && rng.chance(1, 3)).then(|| rng.range(1, 20) as u64);
 
     let cte_depth = match rng.below(6) {
         0..=2 => 0,
@@ -471,7 +452,7 @@ fn gen_query(rng: &mut CaseRng, tables: &[TableSpec]) -> QuerySpec {
         _ => rng.range(9, 16) as usize,
     };
 
-    QuerySpec { base, joins, predicates, aggregate, distinct, order_by, limit, cte_depth }
+    QuerySpec { base, joins, predicate, aggregate, order_by, limit, cte_depth }
 }
 
 /// Column names the core SELECT block exposes, in projection order.
@@ -506,8 +487,10 @@ pub fn render_from(q: &QuerySpec, tables: &[TableSpec]) -> String {
     from
 }
 
-/// The core SELECT block (no ORDER BY / LIMIT / CTE wrapping).
-pub fn render_core(q: &QuerySpec, tables: &[TableSpec]) -> String {
+/// The core SELECT block over the relation `from` (the query's own `FROM`
+/// clause, or what a metamorphic rewrite puts in its place): projection,
+/// `WHERE`, `GROUP BY` and `HAVING`.
+pub fn render_select(q: &QuerySpec, tables: &[TableSpec], from: &str) -> String {
     let projection = match &q.aggregate {
         Some(a) => {
             let mut items = a.keys.clone();
@@ -516,18 +499,24 @@ pub fn render_core(q: &QuerySpec, tables: &[TableSpec]) -> String {
         }
         None => output_columns(q, tables).join(", "),
     };
-    let distinct = if q.distinct { "DISTINCT " } else { "" };
-    let mut sql = format!("SELECT {distinct}{projection} FROM {}", render_from(q, tables));
-    if !q.predicates.is_empty() {
-        let preds: Vec<String> = q.predicates.iter().map(PredSpec::sql).collect();
-        sql.push_str(&format!(" WHERE {}", preds.join(" AND ")));
+    let mut sql = format!("SELECT {projection} FROM {from}");
+    if let Some(p) = &q.predicate {
+        sql.push_str(&format!(" WHERE {}", p.sql()));
     }
     if let Some(a) = &q.aggregate {
         if !a.keys.is_empty() {
             sql.push_str(&format!(" GROUP BY {}", a.keys.join(", ")));
         }
+        if let Some((i, v)) = &a.having {
+            sql.push_str(&format!(" HAVING {} > {}", a.aggs[*i].call(), literal(v)));
+        }
     }
     sql
+}
+
+/// The core SELECT block (no ORDER BY / LIMIT / CTE wrapping).
+pub fn render_core(q: &QuerySpec, tables: &[TableSpec]) -> String {
+    render_select(q, tables, &render_from(q, tables))
 }
 
 /// The full query: core, optionally wrapped in a pass-through CTE chain,
@@ -537,11 +526,12 @@ pub fn render_query(q: &QuerySpec, tables: &[TableSpec]) -> String {
     let mut sql = if q.cte_depth == 0 {
         core
     } else {
+        let cols = output_columns(q, tables).join(", ");
         let mut ctes = vec![format!("q0 AS ({core})")];
         for d in 1..q.cte_depth {
-            ctes.push(format!("q{d} AS (SELECT * FROM q{})", d - 1));
+            ctes.push(format!("q{d} AS (SELECT {cols} FROM q{})", d - 1));
         }
-        format!("WITH {} SELECT * FROM q{}", ctes.join(", "), q.cte_depth - 1)
+        format!("WITH {} SELECT {cols} FROM q{}", ctes.join(", "), q.cte_depth - 1)
     };
     if !q.order_by.is_empty() {
         let items: Vec<String> = q
@@ -551,11 +541,8 @@ pub fn render_query(q: &QuerySpec, tables: &[TableSpec]) -> String {
             .collect();
         sql.push_str(&format!(" ORDER BY {}", items.join(", ")));
     }
-    if let Some((n, off)) = q.limit {
+    if let Some(n) = q.limit {
         sql.push_str(&format!(" LIMIT {n}"));
-        if off > 0 {
-            sql.push_str(&format!(" OFFSET {off}"));
-        }
     }
     sql
 }
@@ -574,28 +561,109 @@ mod tests {
         assert_ne!(a.query_sql(), c.query_sql(), "different seeds, different cases");
     }
 
+    /// The values of column `col` of `table`.
+    fn values_of<'t>(table: &'t TableSpec, col: &str) -> Vec<&'t Value> {
+        let c = table.columns.iter().position(|(n, _)| n == col).unwrap();
+        table.rows.iter().map(|r| &r[c]).collect()
+    }
+
+    /// The table holding column `col` (names are unique across tables).
+    fn table_of<'c>(case: &'c SqlCase, col: &str) -> &'c TableSpec {
+        case.tables.iter().find(|t| t.columns.iter().any(|(n, _)| n == col)).unwrap()
+    }
+
+    /// Whether a LEFT JOIN of the query has a probe row without a match.
+    fn left_join_pads(case: &SqlCase, j: &JoinSpec) -> bool {
+        let right = values_of(&case.tables[j.table], &j.right_col);
+        j.kind == JoinKind::Left
+            && (values_of(table_of(case, &j.left_col), &j.left_col).iter())
+                .any(|v| v.is_null() || !right.contains(v))
+    }
+
+    /// Whether column `col` reaches the query with NULLs in it: stored
+    /// ones, or a LEFT JOIN's padding of its table.
+    fn has_nulls(case: &SqlCase, col: &str) -> bool {
+        let table = table_of(case, col);
+        values_of(table, col).iter().any(|v| v.is_null())
+            || case.query.joins.iter().any(|j| {
+                case.tables[j.table].name == table.name && left_join_pads(case, j)
+            })
+    }
+
+    /// Whether `a > b` between two `INTEGER` columns meets a tie: a row
+    /// where they are equal, or a value both columns hold.
+    fn ties(case: &SqlCase, a: &str, b: &str) -> bool {
+        let (ta, tb) = (table_of(case, a), table_of(case, b));
+        let (va, vb) = (values_of(ta, a), values_of(tb, b));
+        if ta.name == tb.name {
+            va.iter().zip(&vb).any(|(x, y)| !x.is_null() && x == y)
+        } else {
+            va.iter().any(|x| !x.is_null() && vb.contains(x))
+        }
+    }
+
+    /// The pinned corpus (`qymera-fuzz --cases 500`'s) reaches every form
+    /// the engine keeps, including the shapes the `canary` mutation and
+    /// three-valued logic need: a `>` between two `INTEGER` columns with
+    /// tied values (the canary turns it into `>=` on that lane), a LEFT
+    /// JOIN whose probe rows miss, NULLs in the input of each aggregate,
+    /// `HAVING`, `LIMIT` and `ORDER BY … DESC`.
     #[test]
     fn corpus_covers_the_operator_matrix() {
-        let mut joins = 0;
-        let mut outer = 0;
-        let mut distinct_aggs = 0;
-        let mut limits = 0;
-        let mut deep_ctes = 0;
-        for seed in 0..400 {
-            let case = SqlCase::generate(seed);
-            joins += case.query.joins.len();
-            outer += case.query.joins.iter().filter(|j| j.kind == JoinKind::Left).count();
-            if let Some(a) = &case.query.aggregate {
-                distinct_aggs += a.aggs.iter().filter(|g| g.distinct).count();
+        let mut seen = std::collections::BTreeMap::<&str, usize>::new();
+        let mut count = |what, hit: bool| *seen.entry(what).or_default() += usize::from(hit);
+        for i in 0..500 {
+            let case = SqlCase::generate(crate::base_seed().wrapping_add(i));
+            let q = &case.query;
+            count("join", !q.joins.is_empty());
+            count("left join, unmatched rows", q.joins.iter().any(|j| left_join_pads(&case, j)));
+            count("deep CTE chain", q.cte_depth >= 9);
+            count("LIMIT", q.limit.is_some());
+            count("ORDER BY … DESC", q.order_by.iter().any(|(_, desc)| *desc));
+            if let Some(p) = &q.predicate {
+                count("WHERE =", p.op == "=");
+                count("WHERE >", p.op == ">");
+                if let Rhs::Column(rhs) = &p.rhs {
+                    count("Int > Int, tied", p.op == ">" && ties(&case, &p.col, rhs));
+                }
             }
-            limits += case.query.limit.is_some() as usize;
-            deep_ctes += (case.query.cte_depth >= 9) as usize;
+            let Some(a) = &q.aggregate else { continue };
+            let mut scope = case.tables[q.base].column_names();
+            q.joins.iter().for_each(|j| scope.extend(case.tables[j.table].column_names()));
+            count("HAVING", a.having.is_some());
+            count("GROUP BY", !a.keys.is_empty());
+            for g in &a.aggs {
+                // `COUNT(*)` counts rows: NULLs anywhere in scope.
+                let nulls = match &g.col {
+                    Some(c) => has_nulls(&case, c),
+                    None => scope.iter().any(|c| has_nulls(&case, c)),
+                };
+                let what = match (g.func, g.distinct) {
+                    ("SUM", _) => "SUM over NULLs",
+                    (_, false) => "COUNT(*) over NULLs",
+                    (_, true) => "COUNT(DISTINCT) over NULLs",
+                };
+                count(what, nulls);
+            }
         }
-        assert!(joins > 100, "joins: {joins}");
-        assert!(outer > 20, "outer joins: {outer}");
-        assert!(distinct_aggs > 20, "COUNT(DISTINCT) aggregates: {distinct_aggs}");
-        assert!(limits > 20, "LIMIT cases: {limits}");
-        assert!(deep_ctes > 20, "deep CTE chains: {deep_ctes}");
+        for (what, at_least) in [
+            ("join", 100),
+            ("left join, unmatched rows", 20),
+            ("deep CTE chain", 20),
+            ("LIMIT", 20),
+            ("ORDER BY … DESC", 20),
+            ("WHERE =", 20),
+            ("WHERE >", 20),
+            ("Int > Int, tied", 10),
+            ("HAVING", 20),
+            ("GROUP BY", 20),
+            ("SUM over NULLs", 10),
+            ("COUNT(*) over NULLs", 10),
+            ("COUNT(DISTINCT) over NULLs", 10),
+        ] {
+            let n = seen.get(what).copied().unwrap_or(0);
+            assert!(n >= at_least, "{what}: {n} cases, want at least {at_least}: {seen:?}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * Any oracle returning an error is a discrepancy outright — the
 //!   generator only emits queries that cannot legitimately fail.
 
-use qymera_sqldb::{Database, DurabilityOptions, FsyncPolicy, ResultSet, Value};
+use qymera_sqldb::{Database, DurabilityOptions, ResultSet, Value};
 
 use crate::generator::SqlCase;
 
@@ -121,7 +121,6 @@ pub fn run_oracle(case: &SqlCase, oracle: SqlOracle) -> qymera_sqldb::Result<Res
             let dir = scratch_dir(case.seed);
             let _ = std::fs::remove_dir_all(&dir);
             let opts = || DurabilityOptions {
-                fsync: FsyncPolicy::Off,
                 // Tiny threshold so the workload crosses checkpoint
                 // boundaries and recovery replays a real WAL tail.
                 checkpoint_every_bytes: 4096,

@@ -13,7 +13,7 @@
 use qymera_sqldb::Value;
 
 use crate::circuits::CircuitCase;
-use crate::generator::{SqlCase, TableSpec};
+use crate::generator::{Rhs, SqlCase, TableSpec};
 
 /// Hard cap on property evaluations per shrink, so a pathological case
 /// cannot stall CI. Greedy minimization of generator-sized cases uses a
@@ -21,9 +21,8 @@ use crate::generator::{SqlCase, TableSpec};
 const MAX_TRIALS: usize = 4000;
 
 /// Repair a structurally-reduced case: drop clauses that reference
-/// columns no longer in scope and restore generator invariants
-/// (`DISTINCT` never combines with aggregation, `LIMIT` requires
-/// `ORDER BY`).
+/// columns no longer in scope and restore generator invariants (`HAVING`
+/// names an aggregate of the projection, `LIMIT` requires `ORDER BY`).
 fn sanitize(case: &mut SqlCase) {
     let in_scope: Vec<String> = {
         let q = &case.query;
@@ -34,19 +33,25 @@ fn sanitize(case: &mut SqlCase) {
         cols
     };
     let q = &mut case.query;
-    q.predicates.retain(|p| in_scope.contains(&p.col));
+    let dangling = |p: &crate::generator::PredSpec| match &p.rhs {
+        Rhs::Column(c) => !in_scope.contains(&p.col) || !in_scope.contains(c),
+        Rhs::Value(_) => !in_scope.contains(&p.col),
+    };
+    if q.predicate.as_ref().is_some_and(dangling) {
+        q.predicate = None;
+    }
     if let Some(a) = &mut q.aggregate {
         a.keys.retain(|k| in_scope.contains(k));
         a.aggs.retain(|g| match &g.col {
             None => true,
             Some(c) => in_scope.contains(c),
         });
+        if a.having.as_ref().is_some_and(|(i, _)| *i >= a.aggs.len()) {
+            a.having = None;
+        }
         if a.aggs.is_empty() {
             q.aggregate = None;
         }
-    }
-    if q.aggregate.is_some() {
-        q.distinct = false;
     }
     let out = crate::generator::output_columns(q, &case.tables);
     q.order_by.retain(|(c, _)| out.contains(c));
@@ -91,17 +96,17 @@ fn candidates(case: &SqlCase) -> Vec<SqlCase> {
         c.query.order_by.clear();
         push(c);
     }
-    if case.query.distinct {
+    if case.query.predicate.is_some() {
         let mut c = case.clone();
-        c.query.distinct = false;
-        push(c);
-    }
-    for i in 0..case.query.predicates.len() {
-        let mut c = case.clone();
-        c.query.predicates.remove(i);
+        c.query.predicate = None;
         push(c);
     }
     if let Some(a) = &case.query.aggregate {
+        if a.having.is_some() {
+            let mut c = case.clone();
+            c.query.aggregate.as_mut().unwrap().having = None;
+            push(c);
+        }
         for i in 0..a.aggs.len() {
             if a.aggs.len() > 1 {
                 let mut c = case.clone();
@@ -153,13 +158,11 @@ fn candidates(case: &SqlCase) -> Vec<SqlCase> {
                 }
             }
         }
-        for (pi, p) in case.query.predicates.iter().enumerate() {
-            for (vi, v) in p.values.iter().enumerate() {
-                if let Some(simpler) = narrow(v) {
-                    let mut c = case.clone();
-                    c.query.predicates[pi].values[vi] = simpler;
-                    push(c);
-                }
+        if let Some(Rhs::Value(v)) = case.query.predicate.as_ref().map(|p| &p.rhs) {
+            if let Some(simpler) = narrow(v) {
+                let mut c = case.clone();
+                c.query.predicate.as_mut().unwrap().rhs = Rhs::Value(simpler);
+                push(c);
             }
         }
     }

@@ -36,7 +36,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use qymera_sqldb::storage::wal::{CHECKPOINT_FILE, WAL_FILE};
-use qymera_sqldb::{Database, DurabilityOptions, Error, FsyncPolicy};
+use qymera_sqldb::{Database, DurabilityOptions, Error};
 
 use crate::generator::CaseRng;
 use crate::oracle::Discrepancy;
@@ -90,14 +90,15 @@ fn rows_of(db: &mut Database, sql: &str) -> Vec<String> {
     rs.rows().iter().map(|r| format!("{r:?}")).collect()
 }
 
-/// Deterministic dump: every table's name and rows, both sorted.
+/// Deterministic dump: every table's name and rows, both sorted. Every
+/// table the scripts create has the one column `k`.
 fn dump(db: &mut Database) -> Dump {
     let mut names = db.table_names();
     names.sort();
     names
         .into_iter()
         .map(|name| {
-            let mut rows = rows_of(db, &format!("SELECT * FROM {name}"));
+            let mut rows = rows_of(db, &format!("SELECT k FROM {name}"));
             rows.sort();
             (name, rows)
         })
@@ -463,7 +464,6 @@ fn run_txn_case_inner(seed: u64) -> Result<(), Discrepancy> {
         Database::open_with(
             &dir,
             DurabilityOptions {
-                fsync: FsyncPolicy::Commit,
                 checkpoint_every_bytes: 0,
                 ..DurabilityOptions::default()
             },
@@ -590,7 +590,6 @@ fn reopen(dir: &Path, r: &Runner, what: &str) -> Result<Database, Discrepancy> {
     Database::open_with(
         dir,
         DurabilityOptions {
-            fsync: FsyncPolicy::Commit,
             checkpoint_every_bytes: 0,
             ..DurabilityOptions::default()
         },

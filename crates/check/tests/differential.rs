@@ -161,46 +161,6 @@ fn budget_overshoot_stays_within_one_batch() {
     }
 }
 
-/// The durable oracle above runs with `fsync: Off` for speed; this case
-/// pins the default [`FsyncPolicy::Commit`] end to end on a generated
-/// workload split across a reopen, with checkpoints along the way.
-#[test]
-fn durable_oracle_under_fsync_commit() {
-    use qymera_sqldb::{Database, DurabilityOptions, FsyncPolicy};
-    let case = SqlCase::generate(base_seed() ^ 0xA1_3A75);
-    let dir = std::env::temp_dir()
-        .join(format!("qymera-check-fsync-commit-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let opts = || DurabilityOptions {
-        fsync: FsyncPolicy::Commit,
-        checkpoint_every_bytes: 4096,
-        ..DurabilityOptions::default()
-    };
-    let setup = case.setup_statements();
-    let mid = setup.len() / 2;
-    let mut db = Database::open_with(&dir, opts()).unwrap();
-    for st in &setup[..mid] {
-        db.execute(st).unwrap();
-    }
-    drop(db);
-    let mut db = Database::open_with(&dir, opts()).unwrap();
-    for st in &setup[mid..] {
-        db.execute(st).unwrap();
-    }
-    let durable = db.execute(&case.query_sql()).unwrap();
-    let mut mem = Database::new();
-    for st in &setup {
-        mem.execute(st).unwrap();
-    }
-    let expected = mem.execute(&case.query_sql()).unwrap();
-    assert_eq!(
-        qymera_check::oracle::canon_multiset(durable.rows()),
-        qymera_check::oracle::canon_multiset(expected.rows()),
-        "fsync=commit database diverged from the in-memory reference"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// End-to-end repro workflow on a healthy build: a shrunk case emits a
 /// file that parses back and replays clean.
 #[test]

@@ -162,7 +162,9 @@ fn usage() -> &'static str {
                         (0/unset = none)\n\
        --shots N        samples for the `sample` command (default 1024)\n\
        --top K          state rows to print (default 16)\n\
-     An option the command does not read is an error, not ignored.\n\
+     An option the command does not read is an error, not ignored: `run`\n\
+     reads --db, --no-fusion and --timeout-ms with the sql backend only,\n\
+     so not with --auto.\n\
      Ctrl-C cancels the SQL statement in flight cooperatively (engine\n\
      rolled back cleanly); a second Ctrl-C exits immediately (130)."
 }
@@ -251,13 +253,28 @@ fn run(args: &[String]) -> Result<(), Failure> {
         }
         "run" => {
             let engine = Engine::new(opts.clone());
+            // Only the SQL engine reads these: refused, not ignored, with a
+            // backend that is not `sql`, and with `--auto`, which may pick one.
+            let sql_only = ["--db", "--no-fusion", "--timeout-ms"]
+                .into_iter()
+                .find(|o| flag(args, o));
+            let refuse = |why: &str| match sql_only {
+                Some(o) => Err(format!("`{o}` is read by the sql backend only, {why}")),
+                None => Ok(()),
+            };
             let backend = if flag(args, "--auto") {
+                refuse("and `--auto` may pick another")?;
                 let sel = select_method(&circuit, &opts);
                 eprintln!("method selector: {}", sel.rationale);
                 sel.backend
             } else {
                 let name = opt(args, "--backend").unwrap_or_else(|| "sql".to_string());
-                BackendKind::from_name(&name).ok_or(format!("unknown backend `{name}`"))?
+                let backend =
+                    BackendKind::from_name(&name).ok_or(format!("unknown backend `{name}`"))?;
+                if backend != BackendKind::Sql {
+                    refuse(&format!("not `{name}`"))?;
+                }
+                backend
             };
             let report = if backend == BackendKind::Sql {
                 engine.run_sql_configured(sql_config.clone(), &circuit)

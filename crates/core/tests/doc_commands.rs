@@ -172,12 +172,45 @@ fn unknown_options_and_bad_values_are_argument_errors() {
         (&["trace", "--circuit", "ghz:2", "--no-fusion"], "`trace` does not read `--no-fusion`"),
         (&["bench", "--circuit", "ghz:2", "--backend", "mps"], "`bench` does not read `--backend`"),
         (&["sample", "--circuit", "ghz:2", "--auto"], "`sample` does not read `--auto`"),
+        // Options only the SQL engine reads, with another backend or with a
+        // selector that may pick one.
+        (
+            &["run", "--circuit", "ghz:3", "--backend", "statevector", "--db", "sv.db"],
+            "`--db` is read by the sql backend only, not `statevector`",
+        ),
+        (
+            &["run", "--circuit", "ghz:3", "--backend", "mps", "--no-fusion"],
+            "`--no-fusion` is read by the sql backend only, not `mps`",
+        ),
+        (
+            &["run", "--circuit", "ghz:3", "--backend", "sparse", "--timeout-ms", "100"],
+            "`--timeout-ms` is read by the sql backend only, not `sparse`",
+        ),
+        (
+            &["run", "--circuit", "ghz:3", "--backend", "dd", "--db", "dd.db"],
+            "`--db` is read by the sql backend only, not `dd`",
+        ),
+        (
+            &["run", "--circuit", "ghz:3", "--auto", "--db", "auto.db"],
+            "`--db` is read by the sql backend only, and `--auto` may pick another",
+        ),
+        (
+            &["run", "--circuit", "ghz:3", "--auto", "--no-fusion"],
+            "`--no-fusion` is read by the sql backend only, and `--auto` may pick another",
+        ),
+        (
+            &["run", "--circuit", "ghz:3", "--auto", "--timeout-ms", "100"],
+            "`--timeout-ms` is read by the sql backend only, and `--auto` may pick another",
+        ),
     ] {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
         let what = args.join(" ");
         let (status, stderr) = qymera(&what, &args, &cwd);
         assert_argument_error(&what, status, &stderr);
         assert!(stderr.lines().next().unwrap().contains(named), "`{what}`\n{stderr}");
+    }
+    for refused in ["sv.db", "dd.db", "auto.db"] {
+        assert!(!cwd.join(refused).exists(), "a refused `--db {refused}` created it");
     }
     std::fs::remove_dir_all(&cwd).unwrap();
 }

@@ -48,13 +48,8 @@ pub enum UnaryOp {
 /// Binary operators in increasing precedence order groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinaryOp {
-    And,
     Eq,
-    NotEq,
-    Lt,
-    LtEq,
     Gt,
-    GtEq,
     BitOr,
     BitXor,
     BitAnd,
@@ -68,13 +63,8 @@ pub enum BinaryOp {
 impl BinaryOp {
     pub fn symbol(&self) -> &'static str {
         match self {
-            BinaryOp::And => "AND",
             BinaryOp::Eq => "=",
-            BinaryOp::NotEq => "!=",
-            BinaryOp::Lt => "<",
-            BinaryOp::LtEq => "<=",
             BinaryOp::Gt => ">",
-            BinaryOp::GtEq => ">=",
             BinaryOp::BitOr => "|",
             BinaryOp::BitXor => "^",
             BinaryOp::BitAnd => "&",
@@ -100,10 +90,6 @@ pub enum Expr {
     Function { name: String, args: Vec<Expr>, distinct: bool },
     Star,
     Cast { expr: Box<Expr>, ty: DataType },
-    IsNull { expr: Box<Expr>, negated: bool },
-    InList { expr: Box<Expr>, list: Vec<Expr> },
-    /// Parenthesized — kept so the printer reproduces the translator's SQL.
-    Paren(Box<Expr>),
 }
 
 impl Expr {
@@ -133,15 +119,9 @@ impl Expr {
             Expr::Function { name, args, .. } => {
                 is_aggregate_name(name) || args.iter().any(Expr::contains_aggregate)
             }
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::Paren(expr) => {
-                expr.contains_aggregate()
-            }
+            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => expr.contains_aggregate(),
             Expr::Binary { left, right, .. } => {
                 left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
             }
             _ => false,
         }
@@ -151,19 +131,12 @@ impl Expr {
     pub fn visit_columns(&self, f: &mut impl FnMut(&Option<String>, &str)) {
         match self {
             Expr::Column { table, name } => f(table, name),
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::Paren(expr) => {
-                expr.visit_columns(f)
-            }
+            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => expr.visit_columns(f),
             Expr::Binary { left, right, .. } => {
                 left.visit_columns(f);
                 right.visit_columns(f);
             }
             Expr::Function { args, .. } => args.iter().for_each(|a| a.visit_columns(f)),
-            Expr::IsNull { expr, .. } => expr.visit_columns(f),
-            Expr::InList { expr, list, .. } => {
-                expr.visit_columns(f);
-                list.iter().for_each(|a| a.visit_columns(f));
-            }
             Expr::Literal(_) | Expr::Star => {}
         }
     }
@@ -171,16 +144,14 @@ impl Expr {
 
 /// Names treated as aggregate functions by the planner.
 pub fn is_aggregate_name(name: &str) -> bool {
-    ["SUM", "COUNT", "MIN", "MAX", "AVG"].iter().any(|agg| name.eq_ignore_ascii_case(agg))
+    name.eq_ignore_ascii_case("SUM") || name.eq_ignore_ascii_case("COUNT")
 }
 
-/// One item of the SELECT projection list.
+/// One item of the SELECT projection list: `expr [AS alias]`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SelectItem {
-    /// `expr [AS alias]`
-    Expr { expr: Expr, alias: Option<String> },
-    /// `*`
-    Wildcard,
+pub struct SelectItem {
+    pub expr: Expr,
+    pub alias: Option<String>,
 }
 
 /// A table (or CTE) in FROM, with its alias.
@@ -215,7 +186,6 @@ pub struct Join {
 /// A single SELECT block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Select {
-    pub distinct: bool,
     pub projection: Vec<SelectItem>,
     pub from: TableRef,
     pub joins: Vec<Join>,
@@ -230,14 +200,13 @@ pub struct OrderItem {
     pub desc: bool,
 }
 
-/// A full query: optional CTEs, a body, and ordering/limits.
+/// A full query: optional CTEs, a body, ordering and a limit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     pub ctes: Vec<(String, Query)>,
     pub body: Box<Select>,
     pub order_by: Vec<OrderItem>,
     pub limit: Option<u64>,
-    pub offset: Option<u64>,
 }
 
 /// Top-level statements.
@@ -297,9 +266,11 @@ impl fmt::Display for Expr {
             Expr::Literal(l) => write!(f, "{l}"),
             Expr::Column { table: Some(t), name } => write!(f, "{t}.{name}"),
             Expr::Column { table: None, name } => write!(f, "{name}"),
-            Expr::Unary { op, expr } => match op {
-                UnaryOp::Neg => write!(f, "-{expr}"),
-                UnaryOp::BitNot => write!(f, "~{expr}"),
+            Expr::Unary { op: UnaryOp::BitNot, expr } => write!(f, "~{expr}"),
+            Expr::Unary { op: UnaryOp::Neg, expr } => match expr.to_string() {
+                // `--` would start a comment, which the lexer refuses.
+                text if text.starts_with('-') => write!(f, "-({text})"),
+                text => write!(f, "-{text}"),
             },
             Expr::Binary { left, op, right } => write!(f, "({left} {} {right})", op.symbol()),
             Expr::Function { name, args, distinct } => {
@@ -317,30 +288,15 @@ impl fmt::Display for Expr {
             }
             Expr::Star => write!(f, "*"),
             Expr::Cast { expr, ty } => write!(f, "CAST({expr} AS {ty})"),
-            Expr::IsNull { expr, negated } => {
-                write!(f, "{expr} IS {}NULL", if *negated { "NOT " } else { "" })
-            }
-            Expr::InList { expr, list } => {
-                write!(f, "{expr} IN (")?;
-                for (i, e) in list.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{e}")?;
-                }
-                write!(f, ")")
-            }
-            Expr::Paren(e) => write!(f, "({e})"),
         }
     }
 }
 
 impl fmt::Display for SelectItem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SelectItem::Expr { expr, alias: Some(a) } => write!(f, "{expr} AS {a}"),
-            SelectItem::Expr { expr, alias: None } => write!(f, "{expr}"),
-            SelectItem::Wildcard => write!(f, "*"),
+        match &self.alias {
+            Some(a) => write!(f, "{} AS {a}", self.expr),
+            None => write!(f, "{}", self.expr),
         }
     }
 }
@@ -357,9 +313,6 @@ impl fmt::Display for TableRef {
 impl fmt::Display for Select {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "SELECT ")?;
-        if self.distinct {
-            write!(f, "DISTINCT ")?;
-        }
         for (i, item) in self.projection.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
@@ -417,9 +370,6 @@ impl fmt::Display for Query {
         }
         if let Some(l) = self.limit {
             write!(f, " LIMIT {l}")?;
-        }
-        if let Some(o) = self.offset {
-            write!(f, " OFFSET {o}")?;
         }
         Ok(())
     }

@@ -11,16 +11,13 @@ use super::Database;
 use crate::error::{Error, Result};
 use crate::storage::budget::MemoryBudget;
 use crate::storage::fault::FaultInjector;
-use crate::storage::wal::{
-    CkptSource, DurableStore, FsyncPolicy, Recovered, WalOp, DEFAULT_CHECKPOINT_BYTES,
-};
+use crate::storage::wal::{CkptSource, DurableStore, Recovered, WalOp, DEFAULT_CHECKPOINT_BYTES};
 use crate::table::Table;
 use crate::txn::UndoEntry;
 
-/// Configuration for [`Database::open_with`].
+/// Configuration for [`Database::open_with`]. Every commit and checkpoint
+/// fsyncs; nothing here turns that off.
 pub struct DurabilityOptions {
-    /// When WAL bytes are forced to stable storage (default: per commit).
-    pub fsync: FsyncPolicy,
     /// Auto-checkpoint once the WAL exceeds this many bytes (0 = never).
     pub checkpoint_every_bytes: u64,
     /// Memory ledger shared by tables and operators.
@@ -33,7 +30,6 @@ pub struct DurabilityOptions {
 impl Default for DurabilityOptions {
     fn default() -> Self {
         DurabilityOptions {
-            fsync: FsyncPolicy::default(),
             checkpoint_every_bytes: DEFAULT_CHECKPOINT_BYTES,
             budget: MemoryBudget::unlimited(),
             injector: FaultInjector::none(),
@@ -54,8 +50,7 @@ impl Database {
     /// [`Database::open`] with explicit [`DurabilityOptions`].
     pub fn open_with(dir: impl AsRef<Path>, opts: DurabilityOptions) -> Result<Self> {
         let start = Instant::now();
-        let (mut store, recovered) =
-            DurableStore::open(dir.as_ref(), opts.fsync, Arc::clone(&opts.injector))?;
+        let (mut store, recovered) = DurableStore::open(dir.as_ref(), Arc::clone(&opts.injector))?;
         store.checkpoint_every_bytes = opts.checkpoint_every_bytes;
         let mut db = Self::in_memory(opts.budget, opts.injector);
         db.apply_recovered(recovered)?;

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use crate::ast::{Query, Statement};
+use crate::ast::{DataType, Query, Statement};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::batch::RowBatch;
@@ -23,7 +23,6 @@ use crate::parser::parse_statement;
 use crate::plan::logical::{depth_bound, plan_query, Plan};
 use crate::plan::optimizer::optimize;
 use crate::reference;
-use crate::schema::RelSchema;
 use crate::storage::budget::MemoryBudget;
 use crate::storage::fault::FaultInjector;
 use crate::storage::spill::{Row, SpillDir};
@@ -460,15 +459,6 @@ impl Database {
         self.in_txn(|db| db.insert_rows_in_txn(table, rows)).map(|rs| rs.affected())
     }
 
-    /// Output schema a query would produce, without executing it.
-    pub fn query_schema(&self, sql: &str) -> Result<RelSchema> {
-        let st = parse_statement(sql)?;
-        let Statement::Query(q) = st else {
-            return Err(Error::Plan("not a query".into()));
-        };
-        with_exec_stack(&q, || Ok(plan_query(&q, &self.catalog)?.schema().clone()))
-    }
-
     /// The optimized plan of a query, rendered as an indented tree.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let st = parse_statement(sql)?;
@@ -501,6 +491,11 @@ impl Database {
 
     pub fn table_row_count(&self, name: &str) -> Result<usize> {
         Ok(self.catalog.get(name)?.row_count())
+    }
+
+    /// The columns of table `name`, in order: SQL text has no `SELECT *`.
+    pub fn table_columns(&self, name: &str) -> Result<&[(String, DataType)]> {
+        Ok(self.catalog.get(name)?.columns())
     }
 
     /// Drop `name` if present: a `DROP TABLE` that is a no-op for a missing

@@ -87,10 +87,10 @@ fn create_table_as_streams_rows() {
 fn stats_track_execution() {
     let mut db = ghz_db();
     let before = db.stats();
-    db.execute("SELECT * FROM H").unwrap();
+    db.execute("SELECT in_s, out_s, r, i FROM H").unwrap();
     db.insert_rows("T0", vec![vec![Value::Int(1), Value::Float(0.0), Value::Float(0.0)]])
         .unwrap();
-    db.create_table_as("T1", "SELECT * FROM H").unwrap();
+    db.create_table_as("T1", "SELECT in_s, out_s, r, i FROM H").unwrap();
     let after = db.stats();
     assert_eq!(after.statements_executed, before.statements_executed + 3);
     assert_eq!(after.rows_returned, before.rows_returned + 4);
@@ -100,7 +100,7 @@ fn stats_track_execution() {
 #[test]
 fn errors_are_reported_not_panicked() {
     let mut db = Database::new();
-    assert!(db.execute("SELECT * FROM missing").is_err());
+    assert!(db.execute("SELECT a FROM missing").is_err());
     assert!(db.execute("SELEC 1").is_err());
     db.execute("CREATE TABLE t (a INTEGER)").unwrap();
     assert!(db.execute("INSERT INTO t VALUES (1, 2)").is_err());
@@ -148,7 +148,7 @@ fn explain_analyze_reports_rows_per_operator() {
     let rows: Vec<Row> = (0..100).map(|i| vec![Value::Int(i)]).collect();
     db.insert_rows("t", rows).unwrap();
     let text = db
-        .explain_analyze("SELECT a FROM t WHERE a < 10 ORDER BY a DESC")
+        .explain_analyze("SELECT a FROM t WHERE 10 > a ORDER BY a DESC")
         .unwrap();
     assert!(text.contains("Scan t"), "{text}");
     assert!(text.contains("rows=100"), "scan emits all rows:\n{text}");
@@ -178,7 +178,7 @@ fn explain_analyze_self_times_partition_the_root_time() {
         gate.to_string(),
         format!("WITH t AS ({gate}) SELECT k, t FROM t ORDER BY t DESC, k LIMIT 7"),
         format!("WITH t AS ({gate}) SELECT t.k, s.v FROM t LEFT JOIN s ON s.k = t.k ORDER BY k"),
-        "SELECT s.k FROM s JOIN g ON g.k = s.k WHERE s.v < g.w".to_string(),
+        "SELECT s.k FROM s JOIN g ON g.k = s.k WHERE g.w > s.v".to_string(),
     ];
     for sql in &queries {
         let (nodes, _) = db.analyze(sql).unwrap();
@@ -269,7 +269,7 @@ fn query_batches_hands_back_columns_like_execute() {
     // A cancelled and a timed-out statement fail alike on both paths and
     // leave the ledger, the spill directory and the row count as they were.
     // Every row of `a` matches every row of `b`: a cross product.
-    let cross = "SELECT a.s, b.r FROM t a JOIN t b ON (b.s & 0) = (a.s & 0) ORDER BY a.s";
+    let cross = "SELECT a.s, b.r FROM t AS a JOIN t AS b ON (b.s & 0) = (a.s & 0) ORDER BY a.s";
     for timeout in [false, true] {
         for via_batches in [false, true] {
             if timeout {

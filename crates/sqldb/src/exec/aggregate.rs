@@ -27,10 +27,8 @@ pub(crate) const MAX_DEPTH: u32 = 4;
 #[derive(Debug, Clone)]
 pub(crate) enum Acc {
     Sum(Option<Value>),
+    /// `COUNT(*)`.
     Count(i64),
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Avg { sum: f64, count: i64 },
     /// `COUNT(DISTINCT x)` keeps the deduplicated inputs (one value per
     /// [`GroupKey`]). The set spills as a count-prefixed value list inside
     /// the standard partial row (see [`Acc::write_partial`]), so it takes
@@ -42,11 +40,8 @@ impl Acc {
     pub(crate) fn new(agg: &AggExpr) -> Acc {
         match agg.func {
             AggFunc::Sum => Acc::Sum(None),
-            AggFunc::Count | AggFunc::CountStar => Acc::Count(0),
+            AggFunc::CountStar => Acc::Count(0),
             AggFunc::CountDistinct => Acc::CountDistinct(HashMap::new()),
-            AggFunc::Min => Acc::Min(None),
-            AggFunc::Max => Acc::Max(None),
-            AggFunc::Avg => Acc::Avg { sum: 0.0, count: 0 },
         }
     }
 
@@ -58,46 +53,7 @@ impl Acc {
                     Self::sum_add(state, &v)?;
                 }
             }
-            Acc::Count(n) => match arg {
-                // COUNT(*) — every row counts.
-                None => *n += 1,
-                Some(v) if !v.is_null() => *n += 1,
-                Some(_) => {}
-            },
-            Acc::Min(state) => {
-                let v = arg.expect("MIN requires an argument");
-                if v.is_null() {
-                    return Ok(());
-                }
-                let replace = match state {
-                    Some(cur) => v.cmp_total(cur) == std::cmp::Ordering::Less,
-                    None => true,
-                };
-                if replace {
-                    *state = Some(v);
-                }
-            }
-            Acc::Max(state) => {
-                let v = arg.expect("MAX requires an argument");
-                if v.is_null() {
-                    return Ok(());
-                }
-                let replace = match state {
-                    Some(cur) => v.cmp_total(cur) == std::cmp::Ordering::Greater,
-                    None => true,
-                };
-                if replace {
-                    *state = Some(v);
-                }
-            }
-            Acc::Avg { sum, count } => {
-                let v = arg.expect("AVG requires an argument");
-                if v.is_null() {
-                    return Ok(());
-                }
-                *sum += v.as_f64()?;
-                *count += 1;
-            }
+            Acc::Count(n) => *n += 1,
             Acc::CountDistinct(seen) => {
                 let v = arg.expect("COUNT(DISTINCT) requires an argument");
                 if !v.is_null() {
@@ -120,20 +76,14 @@ impl Acc {
         Ok(())
     }
 
-    /// Serialize this accumulator's partial state onto `out`. Fixed-shape
-    /// accumulators contribute one value (two for AVG); `COUNT(DISTINCT)`
+    /// Serialize this accumulator's partial state onto `out`. `SUM` and
+    /// `COUNT(*)` contribute one value; `COUNT(DISTINCT)`
     /// contributes a count followed by that many deduplicated values, making
     /// the record self-describing for [`Acc::consume_partial`].
     pub(crate) fn write_partial(&self, out: &mut Row) -> Result<()> {
         match self {
-            Acc::Sum(v) | Acc::Min(v) | Acc::Max(v) => {
-                out.push(v.clone().unwrap_or(Value::Null))
-            }
+            Acc::Sum(v) => out.push(v.clone().unwrap_or(Value::Null)),
             Acc::Count(n) => out.push(Value::Int(*n)),
-            Acc::Avg { sum, count } => {
-                out.push(Value::Float(*sum));
-                out.push(Value::Int(*count));
-            }
             Acc::CountDistinct(seen) => {
                 out.push(Value::Int(seen.len() as i64));
                 // In total order, not HashMap order, so spill records are
@@ -162,37 +112,6 @@ impl Acc {
                 *n += row[*pos].as_i64()?;
                 *pos += 1;
             }
-            Acc::Min(state) => {
-                let v = &row[*pos];
-                *pos += 1;
-                if !v.is_null() {
-                    let replace = match state {
-                        Some(cur) => v.cmp_total(cur) == std::cmp::Ordering::Less,
-                        None => true,
-                    };
-                    if replace {
-                        *state = Some(v.clone());
-                    }
-                }
-            }
-            Acc::Max(state) => {
-                let v = &row[*pos];
-                *pos += 1;
-                if !v.is_null() {
-                    let replace = match state {
-                        Some(cur) => v.cmp_total(cur) == std::cmp::Ordering::Greater,
-                        None => true,
-                    };
-                    if replace {
-                        *state = Some(v.clone());
-                    }
-                }
-            }
-            Acc::Avg { sum, count } => {
-                *sum += row[*pos].as_f64()?;
-                *count += row[*pos + 1].as_i64()?;
-                *pos += 2;
-            }
             Acc::CountDistinct(seen) => {
                 let n = row[*pos].as_i64()? as usize;
                 if row.len() < *pos + 1 + n {
@@ -209,15 +128,8 @@ impl Acc {
 
     pub(crate) fn finalize(self) -> Result<Value> {
         Ok(match self {
-            Acc::Sum(v) | Acc::Min(v) | Acc::Max(v) => v.unwrap_or(Value::Null),
+            Acc::Sum(v) => v.unwrap_or(Value::Null),
             Acc::Count(n) => Value::Int(n),
-            Acc::Avg { sum, count } => {
-                if count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum / count as f64)
-                }
-            }
             Acc::CountDistinct(seen) => Value::Int(seen.len() as i64),
         })
     }
@@ -381,29 +293,17 @@ mod tests {
     fn empty_accumulators_finalize_to_sql_defaults() {
         for (func, want) in [
             (AggFunc::Sum, Value::Null),
-            (AggFunc::Count, Value::Int(0)),
             (AggFunc::CountStar, Value::Int(0)),
-            (AggFunc::Min, Value::Null),
-            (AggFunc::Max, Value::Null),
-            (AggFunc::Avg, Value::Null),
+            (AggFunc::CountDistinct, Value::Int(0)),
         ] {
             assert_eq!(Acc::new(&agg(func)).finalize().unwrap(), want, "{func:?}");
         }
     }
 
     #[test]
-    fn min_max_avg() {
-        let vals = floats(&[3.0, 1.0, 2.0]);
-        assert_eq!(fold(&agg(AggFunc::Min), &vals).finalize().unwrap(), Value::Float(1.0));
-        assert_eq!(fold(&agg(AggFunc::Max), &vals).finalize().unwrap(), Value::Float(3.0));
-        assert_eq!(fold(&agg(AggFunc::Avg), &vals).finalize().unwrap(), Value::Float(2.0));
-    }
-
-    #[test]
-    fn nulls_are_ignored_by_sum_and_count() {
+    fn nulls_are_ignored_by_sum_and_counted_by_count_star() {
         let vals = [Value::Null, Value::Float(2.0)];
         assert_eq!(fold(&agg(AggFunc::Sum), &vals).finalize().unwrap(), Value::Float(2.0));
-        assert_eq!(fold(&agg(AggFunc::Count), &vals).finalize().unwrap(), Value::Int(1));
         assert_eq!(fold(&agg(AggFunc::CountStar), &vals).finalize().unwrap(), Value::Int(2));
     }
 
@@ -428,11 +328,7 @@ mod tests {
     fn partial_rows_round_trip() {
         let aggs = [
             agg(AggFunc::Sum),
-            agg(AggFunc::Count),
             agg(AggFunc::CountStar),
-            agg(AggFunc::Min),
-            agg(AggFunc::Max),
-            agg(AggFunc::Avg),
             agg(AggFunc::CountDistinct),
         ];
         let vals = [

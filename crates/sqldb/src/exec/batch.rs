@@ -11,11 +11,10 @@
 //! [`ColumnRef`]s. Scans hand out batches whose columns **are** the base
 //! table's chunks (zero-copy; see [`crate::table`]), projections of bare
 //! column references forward the same `Arc`s, and gathering (join probe,
-//! filter selection) produces fresh columns. The rare in-place mutations
-//! ([`RowBatch::truncate`]/[`RowBatch::skip`]) copy-on-write via
-//! [`Arc::make_mut`], so nothing an operator does to a batch can be observed
-//! through another reference — batches can always be buffered, spilled, or
-//! reordered freely.
+//! filter selection) produces fresh columns. The rare in-place mutation
+//! ([`RowBatch::truncate`]) copies on write, so nothing an operator does to
+//! a batch can be observed through another reference — batches can always
+//! be buffered, spilled, or reordered freely.
 
 use std::sync::Arc;
 
@@ -318,30 +317,6 @@ impl RowBatch {
         self.rows = n;
     }
 
-    /// Drop the first `n` rows (OFFSET). Shared columns copy only the
-    /// surviving suffix, like [`truncate`](RowBatch::truncate).
-    pub fn skip(&mut self, n: usize) {
-        let n = n.min(self.rows);
-        if n == 0 {
-            return;
-        }
-        for c in &mut self.columns {
-            match Arc::get_mut(c) {
-                Some(Column::Int(v)) => {
-                    v.drain(..n);
-                }
-                Some(Column::Float(v)) => {
-                    v.drain(..n);
-                }
-                Some(Column::Generic(v)) => {
-                    v.drain(..n);
-                }
-                None => *c = Arc::new(c.slice(n..c.len())),
-            }
-        }
-        self.rows -= n;
-    }
-
     /// Glue two batches side by side (join output: left ++ right columns).
     pub fn hstack(left: RowBatch, right: RowBatch) -> RowBatch {
         debug_assert_eq!(left.rows, right.rows, "hstack row mismatch");
@@ -469,14 +444,13 @@ mod tests {
     }
 
     #[test]
-    fn truncate_and_skip() {
+    fn truncate() {
         let rows: Vec<Row> = (0..10).map(|i| vec![Value::Int(i)]).collect();
         let mut b = RowBatch::from_rows(&rows);
-        b.skip(3);
         b.truncate(4);
         assert_eq!(b.num_rows(), 4);
-        assert_eq!(b.row(0), vec![Value::Int(3)]);
-        assert_eq!(b.row(3), vec![Value::Int(6)]);
+        assert_eq!(b.row(0), vec![Value::Int(0)]);
+        assert_eq!(b.row(3), vec![Value::Int(3)]);
     }
 
     #[test]

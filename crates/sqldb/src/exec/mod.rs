@@ -95,7 +95,7 @@ fn node_label(plan: &Plan) -> String {
             format!("HashAggregate [{} keys, {} aggs]", group_by.len(), aggs.len())
         }
         Plan::Sort { keys, .. } => format!("BatchSort [{} keys]", keys.len()),
-        Plan::Limit { limit, offset, .. } => format!("Limit {limit:?}+{offset}"),
+        Plan::Limit { limit, .. } => format!("Limit {limit}"),
         Plan::Alias { .. } => "Alias".into(),
     }
 }

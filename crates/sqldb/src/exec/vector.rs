@@ -39,7 +39,7 @@ use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
 use crate::plan::logical::{AggExpr, AggFunc, Plan};
-use crate::plan::optimizer::join_keys;
+use crate::plan::optimizer::join_key;
 use crate::storage::budget::Reservation;
 use crate::storage::spill::{row_bytes, Row, SpillDir, SpillReader, SpillRecord, SpillWriter};
 use crate::table::TableSnapshot;
@@ -178,9 +178,8 @@ fn build_batch_stream_inner(
         }
         Plan::Join { left, right, kind, on, .. } => {
             let right_cols = right.schema().len();
-            let (lk, rk) = join_keys(on, left.schema().len()).ok_or_else(|| {
-                let what = "a join condition with a non-key conjunct reached the executor";
-                Error::Internal(what.into())
+            let (lk, rk) = join_key(on, left.schema().len()).ok_or_else(|| {
+                Error::Internal("a join condition that is not one key reached the executor".into())
             })?;
             let l = build_batch_stream_at(left, catalog, ctx, depth + 1)?;
             let r = build_batch_stream_at(right, catalog, ctx, depth + 1)?;
@@ -200,10 +199,9 @@ fn build_batch_stream_inner(
             let child = build_batch_stream_at(input, catalog, ctx, depth + 1)?;
             Box::new(BatchSort::new(child, keys.clone(), ctx.clone(), slot))
         }
-        Plan::Limit { input, limit, offset } => Box::new(BatchLimit {
+        Plan::Limit { input, limit } => Box::new(BatchLimit {
             input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
-            remaining: limit.unwrap_or(u64::MAX),
-            to_skip: *offset,
+            remaining: *limit,
         }),
         Plan::Alias { input, .. } => build_batch_stream_at(input, catalog, ctx, depth + 1)?,
     })
@@ -346,7 +344,6 @@ impl BatchStream for BatchProject {
 struct BatchLimit {
     input: Box<dyn BatchStream>,
     remaining: u64,
-    to_skip: u64,
 }
 
 impl BatchStream for BatchLimit {
@@ -354,22 +351,12 @@ impl BatchStream for BatchLimit {
         if self.remaining == 0 {
             return Ok(None);
         }
-        while let Some(mut batch) = self.input.next_batch()? {
-            if self.to_skip > 0 {
-                let skip = (self.to_skip).min(batch.num_rows() as u64) as usize;
-                batch.skip(skip);
-                self.to_skip -= skip as u64;
-            }
-            if batch.is_empty() {
-                continue;
-            }
-            if (batch.num_rows() as u64) > self.remaining {
-                batch.truncate(self.remaining as usize);
-            }
-            self.remaining -= batch.num_rows() as u64;
-            return Ok(Some(batch));
+        let Some(mut batch) = self.input.next_batch()? else { return Ok(None) };
+        if (batch.num_rows() as u64) > self.remaining {
+            batch.truncate(self.remaining as usize);
         }
-        Ok(None)
+        self.remaining -= batch.num_rows() as u64;
+        Ok(Some(batch))
     }
 }
 
@@ -377,9 +364,8 @@ impl BatchStream for BatchLimit {
 // Vectorized hash join (inner and LEFT OUTER, equi-keys)
 // ---------------------------------------------------------------------------
 
-/// Join-key lookup table. `Single` specializes the one-key case (the gate
-/// join `H.in_s = (T0.s & mask)` has exactly one key) to skip a `Vec`
-/// allocation per probed row; `Direct` is what a `Single` table becomes at
+/// Join-key lookup table: a join has one key (the gate join
+/// `H.in_s = (T0.s & mask)`). `Direct` is what a `Hashed` table becomes at
 /// the end of [`JoinTable::build_from_stream`] when every build key is an
 /// integer in `0..DIRECT_KEYS` — a gate table's `in_s` always is — so
 /// probes index instead of hashing.
@@ -387,8 +373,7 @@ enum KeyMap {
     /// Build rows of key `k` are `ids[offsets[k]..offsets[k + 1]]`, in
     /// insertion order.
     Direct { offsets: Vec<u32>, ids: Vec<u32> },
-    Single(HashMap<GroupKey, Vec<u32>>),
-    Multi(HashMap<Vec<GroupKey>, Vec<u32>>),
+    Hashed(HashMap<GroupKey, Vec<u32>>),
 }
 
 /// Key values the direct join index covers (a 6-qubit fused gate has 64
@@ -418,7 +403,7 @@ impl KeyMap {
 }
 
 /// The immutable result of a hash-join build: the kept build rows plus the
-/// key → row-index table, with the probe-side key expressions attached.
+/// key → row-index table, with the probe-side key expression attached.
 struct JoinTable {
     build: RowBatch,
     /// Width of the build side's schema. Carried explicitly because an empty
@@ -426,7 +411,7 @@ struct JoinTable {
     /// must still widen unmatched probe rows by the full build arity.
     build_cols: usize,
     table: KeyMap,
-    left_keys: Vec<CompiledExpr>,
+    left_key: CompiledExpr,
 }
 
 impl JoinTable {
@@ -436,33 +421,25 @@ impl JoinTable {
     /// overdraft ([`BUILD_OVERDRAFT_ROWS`]) is tolerated.
     fn build_from_stream(
         mut build_input: Box<dyn BatchStream>,
-        left_keys: Vec<BoundExpr>,
-        right_keys: Vec<BoundExpr>,
+        left_key: BoundExpr,
+        right_key: BoundExpr,
         build_cols: usize,
         ctx: &ExecContext,
     ) -> Result<(JoinTable, Reservation)> {
         let mut kept: Vec<Row> = Vec::new();
-        let mut table = if right_keys.len() == 1 {
-            KeyMap::Single(HashMap::new())
-        } else {
-            KeyMap::Multi(HashMap::new())
-        };
+        let mut map: HashMap<GroupKey, Vec<u32>> = HashMap::new();
         let mut reservation = Reservation::empty(&ctx.budget);
         let mut overdraft_rows = 0;
         while let Some(batch) = build_input.next_batch()? {
-            let key_cols = right_keys
-                .iter()
-                .map(|e| e.eval_batch(&batch))
-                .collect::<Result<Vec<_>>>()?;
+            let key_col = right_key.eval_batch(&batch)?;
             for i in 0..batch.num_rows() {
-                let keys: Vec<GroupKey> = key_cols.iter().map(|c| c.group_key_at(i)).collect();
+                let key = key_col.group_key_at(i);
                 // SQL semantics: NULL keys never match.
-                if keys.iter().any(|k| matches!(k, GroupKey::Null)) {
+                if key == GroupKey::Null {
                     continue;
                 }
                 let row = batch.row(i);
-                let bytes =
-                    row_bytes(&row) + keys.iter().map(GroupKey::heap_bytes).sum::<usize>();
+                let bytes = row_bytes(&row) + key.heap_bytes();
                 if !reservation.try_grow(bytes) {
                     overdraft_rows += 1;
                     if overdraft_rows > BUILD_OVERDRAFT_ROWS {
@@ -472,38 +449,20 @@ impl JoinTable {
                         });
                     }
                 }
-                let idx = kept.len() as u32;
+                map.entry(key).or_default().push(kept.len() as u32);
                 kept.push(row);
-                match &mut table {
-                    // SAFETY of expect: `KeyMap::Single` is only constructed
-                    // for one-column join keys, so `keys` has one entry.
-                    KeyMap::Single(m) => m
-                        .entry(keys.into_iter().next().expect("single key"))
-                        .or_default()
-                        .push(idx),
-                    KeyMap::Multi(m) => m.entry(keys).or_default().push(idx),
-                    KeyMap::Direct { .. } => unreachable!("chosen after the build"),
-                }
             }
         }
-        let table = match table {
-            KeyMap::Single(map) => KeyMap::direct(&map).unwrap_or(KeyMap::Single(map)),
-            other => other,
-        };
+        let table = KeyMap::direct(&map).unwrap_or(KeyMap::Hashed(map));
         let build = RowBatch::from_owned_rows(kept);
-        let left_keys = left_keys.into_iter().map(CompiledExpr::new).collect();
-        Ok((JoinTable { build, build_cols, table, left_keys }, reservation))
+        let left_key = CompiledExpr::new(left_key);
+        Ok((JoinTable { build, build_cols, table, left_key }, reservation))
     }
 
-    /// Evaluate the probe-side key expressions over a probe batch.
-    fn eval_probe_keys(&self, batch: &RowBatch) -> Result<Vec<ColumnRef>> {
-        self.left_keys.iter().map(|e| e.eval_batch(batch)).collect()
-    }
-
-    fn matches_of(&self, key_cols: &[ColumnRef], i: usize) -> Option<&[u32]> {
+    fn matches_of(&self, key_col: &Column, i: usize) -> Option<&[u32]> {
         match &self.table {
             KeyMap::Direct { offsets, ids } => {
-                let k = match &*key_cols[0] {
+                let k = match key_col {
                     Column::Int(v) => v[i],
                     other => match other.group_key_at(i) {
                         GroupKey::Int(k) => k,
@@ -514,21 +473,10 @@ impl JoinTable {
                 let rows = &ids[offsets[k] as usize..offsets[k + 1] as usize];
                 (!rows.is_empty()).then_some(rows)
             }
-            KeyMap::Single(m) => {
-                let k = key_cols[0].group_key_at(i);
-                if matches!(k, GroupKey::Null) {
-                    return None;
-                }
-                m.get(&k).map(Vec::as_slice)
-            }
-            KeyMap::Multi(m) => {
-                let keys: Vec<GroupKey> =
-                    key_cols.iter().map(|c| c.group_key_at(i)).collect();
-                if keys.iter().any(|k| matches!(k, GroupKey::Null)) {
-                    return None;
-                }
-                m.get(&keys).map(Vec::as_slice)
-            }
+            KeyMap::Hashed(m) => match key_col.group_key_at(i) {
+                GroupKey::Null => None,
+                k => m.get(&k).map(Vec::as_slice),
+            },
         }
     }
 
@@ -541,7 +489,7 @@ impl JoinTable {
     fn probe_step(
         &self,
         batch: &RowBatch,
-        key_cols: &[ColumnRef],
+        key_col: &Column,
         next: &mut usize,
         matched: &mut [bool],
     ) -> Option<Rows> {
@@ -552,7 +500,7 @@ impl JoinTable {
         let mut one_each = true;
         let mut i = start;
         while i < rows && probe_sel.len() < BATCH_SIZE {
-            let matches = self.matches_of(key_cols, i).unwrap_or(&[]);
+            let matches = self.matches_of(key_col, i).unwrap_or(&[]);
             one_each &= matches.len() == 1;
             for &b in matches {
                 probe_sel.push(i as u32);
@@ -616,12 +564,12 @@ struct BatchHashJoin {
 }
 
 /// A probe batch still being drained (skewed keys can fan one probe batch
-/// out into many output batches): the batch, its evaluated key columns, the
+/// out into many output batches): the batch, its evaluated key column, the
 /// next probe row to resume from, and — for outer joins — which probe rows
 /// have found a match so far.
 struct PendingProbe {
     batch: RowBatch,
-    key_cols: Vec<ColumnRef>,
+    key_col: ColumnRef,
     next: usize,
     matched: Vec<bool>,
 }
@@ -649,10 +597,10 @@ impl BatchStream for BatchHashJoin {
                 Some(p) => p,
                 None => match self.probe.next_batch()? {
                     Some(batch) => {
-                        let key_cols = self.table.eval_probe_keys(&batch)?;
+                        let key_col = self.table.left_key.eval_batch(&batch)?;
                         let matched =
                             vec![false; if self.outer { batch.num_rows() } else { 0 }];
-                        PendingProbe { batch, key_cols, next: 0, matched }
+                        PendingProbe { batch, key_col, next: 0, matched }
                     }
                     None => return Ok(None),
                 },
@@ -666,7 +614,7 @@ impl BatchStream for BatchHashJoin {
                 continue;
             }
             // The probe position is saved and resumed on the next call.
-            let out = self.table.probe_step(&p.batch, &p.key_cols, &mut p.next, &mut p.matched);
+            let out = self.table.probe_step(&p.batch, &p.key_col, &mut p.next, &mut p.matched);
             // Keep the batch pending while rows remain to scan, or while an
             // outer batch still owes its pad pass.
             if p.next < p.batch.num_rows() || self.outer {
@@ -1247,8 +1195,8 @@ mod tests {
     fn hash_join(
         probe: Box<dyn BatchStream>,
         build: Box<dyn BatchStream>,
-        lk: Vec<BoundExpr>,
-        rk: Vec<BoundExpr>,
+        lk: BoundExpr,
+        rk: BoundExpr,
         ctx: &ExecContext,
     ) -> BatchHashJoin {
         let (table, reservation) =
@@ -1269,11 +1217,11 @@ mod tests {
     #[test]
     fn limit_spans_batches() {
         let rows = int_rows(&(0..3000).collect::<Vec<_>>());
-        let l = BatchLimit { input: batches_of(rows), remaining: 1500, to_skip: 1000 };
+        let l = BatchLimit { input: batches_of(rows), remaining: 1500 };
         let out = drain_batches(Box::new(l));
         assert_eq!(out.len(), 1500);
-        assert_eq!(out[0], vec![Value::Int(1000)]);
-        assert_eq!(out[1499], vec![Value::Int(2499)]);
+        assert_eq!(out[0], vec![Value::Int(0)]);
+        assert_eq!(out[1499], vec![Value::Int(1499)]);
     }
 
     #[test]
@@ -1288,7 +1236,7 @@ mod tests {
             vec![Value::Int(2), Value::Int(201)],
             vec![Value::Null, Value::Int(202)],
         ];
-        let j = hash_join(batches_of(left), batches_of(right), vec![col(0)], vec![col(0)], &ctx());
+        let j = hash_join(batches_of(left), batches_of(right), col(0), col(0), &ctx());
         let out = drain_batches(Box::new(j));
         assert_eq!(out.len(), 2, "NULL keys never match");
         assert_eq!(out[0][3], Value::Int(200));
@@ -1296,7 +1244,7 @@ mod tests {
     }
 
     fn join_table(build: Vec<Row>) -> JoinTable {
-        JoinTable::build_from_stream(batches_of(build), vec![col(0)], vec![col(0)], 2, &ctx())
+        JoinTable::build_from_stream(batches_of(build), col(0), col(0), 2, &ctx())
             .unwrap()
             .0
     }
@@ -1331,8 +1279,8 @@ mod tests {
             drain_batch_list(Box::new(hash_join(
                 probe,
                 batches_of(build.clone()),
-                vec![col(0)],
-                vec![col(0)],
+                col(0),
+                col(0),
                 &ctx(),
             )))
         };
@@ -1364,8 +1312,8 @@ mod tests {
         let j = hash_join(
             batches_of(vec![vec![Value::Int(1), Value::Int(0)]]),
             batches_of(small),
-            vec![col(0)],
-            vec![col(0)],
+            col(0),
+            col(0),
             &ctx_with_budget(128),
         );
         assert_eq!(drain_batches(Box::new(j)).len(), 1);
@@ -1373,8 +1321,8 @@ mod tests {
         let big: Vec<Row> = (0..1000).map(|k| vec![Value::Int(k), Value::Int(k)]).collect();
         let built = JoinTable::build_from_stream(
             batches_of(big),
-            vec![col(0)],
-            vec![col(0)],
+            col(0),
+            col(0),
             2,
             &ctx_with_budget(128),
         );
@@ -1389,7 +1337,7 @@ mod tests {
         let probe: Vec<Row> = (0..2000).map(|i| vec![Value::Int(1), Value::Int(i)]).collect();
         let build: Vec<Row> = (0..5).map(|j| vec![Value::Int(1), Value::Int(j)]).collect();
         let mut j =
-            hash_join(batches_of(probe), batches_of(build), vec![col(0)], vec![col(0)], &ctx());
+            hash_join(batches_of(probe), batches_of(build), col(0), col(0), &ctx());
         let mut total = 0;
         while let Some(b) = j.next_batch().unwrap() {
             assert!(b.num_rows() <= BATCH_SIZE + 5, "oversized batch: {}", b.num_rows());
@@ -1552,28 +1500,22 @@ mod tests {
     }
 
     #[test]
-    fn generic_aggregate_handles_count_min_max() {
+    fn generic_aggregate_handles_count_and_count_distinct() {
         let rows: Vec<Row> = vec![
             vec![Value::Int(1), Value::Float(3.0)],
             vec![Value::Int(1), Value::Null],
+            vec![Value::Int(1), Value::Float(3.0)],
             vec![Value::Int(2), Value::Float(-1.0)],
         ];
         let aggs = vec![
             AggExpr { func: AggFunc::CountStar, arg: None },
-            AggExpr { func: AggFunc::Min, arg: Some(col(1)) },
-            AggExpr { func: AggFunc::Max, arg: Some(col(1)) },
+            AggExpr { func: AggFunc::CountDistinct, arg: Some(col(1)) },
         ];
         let agg = BatchHashAggregate::new(batches_of(rows), vec![col(0)], aggs, ctx());
         let mut out = drain_batches(Box::new(agg));
         out.sort_by(|a, b| a[0].cmp_total(&b[0]));
-        assert_eq!(
-            out[0],
-            vec![Value::Int(1), Value::Int(2), Value::Float(3.0), Value::Float(3.0)]
-        );
-        assert_eq!(
-            out[1],
-            vec![Value::Int(2), Value::Int(1), Value::Float(-1.0), Value::Float(-1.0)]
-        );
+        assert_eq!(out[0], vec![Value::Int(1), Value::Int(3), Value::Int(1)]);
+        assert_eq!(out[1], vec![Value::Int(2), Value::Int(1), Value::Int(1)]);
     }
 
     #[test]

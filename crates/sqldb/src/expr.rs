@@ -21,12 +21,11 @@ pub enum ScalarFunc {
     Concat,
 }
 
-/// Scalar functions no caller needs, so the engine does not implement them:
-/// binding one is [`Error::Unsupported`]; any other unknown name is a plan
-/// error.
-const UNSUPPORTED_FUNCS: [&str; 15] = [
+/// Functions no caller needs, so the engine does not implement them: binding
+/// one is [`Error::Unsupported`]; any other unknown name is a plan error.
+const UNSUPPORTED_FUNCS: [&str; 18] = [
     "ABS", "SQRT", "POW", "FLOOR", "CEIL", "ROUND", "COS", "SIN", "EXP", "LN", "SIGN",
-    "COALESCE", "LENGTH", "UPPER", "LOWER",
+    "COALESCE", "LENGTH", "UPPER", "LOWER", "MIN", "MAX", "AVG",
 ];
 
 impl ScalarFunc {
@@ -58,8 +57,6 @@ pub enum BoundExpr {
     Binary { left: Box<BoundExpr>, op: BinaryOp, right: Box<BoundExpr> },
     ScalarFn { func: ScalarFunc, args: Vec<BoundExpr> },
     Cast { expr: Box<BoundExpr>, ty: DataType },
-    IsNull { expr: Box<BoundExpr>, negated: bool },
-    InList { expr: Box<BoundExpr>, list: Vec<BoundExpr> },
 }
 
 /// Convert an AST literal to a runtime value.
@@ -114,9 +111,6 @@ pub(crate) fn bind_with<'e>(
                     "aggregate `{name}` is not allowed in this context"
                 )));
             }
-            if *distinct {
-                return Err(Error::Plan("DISTINCT on a scalar function".into()));
-            }
             let func = ScalarFunc::by_name(name).ok_or_else(|| {
                 if UNSUPPORTED_FUNCS.iter().any(|f| f.eq_ignore_ascii_case(name)) {
                     Error::Unsupported(format!("function `{name}`"))
@@ -124,6 +118,9 @@ pub(crate) fn bind_with<'e>(
                     Error::Plan(format!("unknown function `{name}`"))
                 }
             })?;
+            if *distinct {
+                return Err(Error::Plan("DISTINCT on a scalar function".into()));
+            }
             if !func.arity_ok(args.len()) {
                 return Err(Error::Plan(format!(
                     "wrong number of arguments to `{name}`: {}",
@@ -140,15 +137,6 @@ pub(crate) fn bind_with<'e>(
             expr: Box::new(bind_with(expr, leaf)?),
             ty: *ty,
         },
-        Expr::IsNull { expr, negated } => BoundExpr::IsNull {
-            expr: Box::new(bind_with(expr, leaf)?),
-            negated: *negated,
-        },
-        Expr::InList { expr, list } => BoundExpr::InList {
-            expr: Box::new(bind_with(expr, leaf)?),
-            list: list.iter().map(|e| bind_with(e, leaf)).collect::<Result<_>>()?,
-        },
-        Expr::Paren(inner) => bind_with(inner, leaf)?,
     })
 }
 
@@ -165,31 +153,11 @@ impl BoundExpr {
                     UnaryOp::BitNot => v.bit_not(),
                 }
             }
-            BoundExpr::Binary { left, op, right } => eval_binary(left, *op, right, row),
+            BoundExpr::Binary { left, op, right } => {
+                apply_binary(&left.eval(row)?, *op, &right.eval(row)?)
+            }
             BoundExpr::ScalarFn { func, args } => eval_scalar_fn(*func, args, row),
             BoundExpr::Cast { expr, ty } => cast_value(expr.eval(row)?, *ty),
-            BoundExpr::IsNull { expr, negated } => {
-                let isnull = expr.eval(row)?.is_null();
-                Ok(Value::Int((isnull != *negated) as i64))
-            }
-            BoundExpr::InList { expr, list } => {
-                let v = expr.eval(row)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_null = false;
-                for item in list {
-                    let iv = item.eval(row)?;
-                    if iv.is_null() {
-                        saw_null = true;
-                        continue;
-                    }
-                    if v == iv {
-                        return Ok(Value::Int(1));
-                    }
-                }
-                Ok(if saw_null { Value::Null } else { Value::Int(0) })
-            }
         }
     }
 
@@ -198,43 +166,20 @@ impl BoundExpr {
         match self {
             BoundExpr::Literal(_) => {}
             BoundExpr::Column(i) => f(i),
-            BoundExpr::Unary { expr, .. }
-            | BoundExpr::Cast { expr, .. }
-            | BoundExpr::IsNull { expr, .. } => expr.columns_mut(f),
+            BoundExpr::Unary { expr, .. } | BoundExpr::Cast { expr, .. } => expr.columns_mut(f),
             BoundExpr::Binary { left, right, .. } => {
                 left.columns_mut(f);
                 right.columns_mut(f);
             }
             BoundExpr::ScalarFn { args, .. } => args.iter_mut().for_each(|a| a.columns_mut(f)),
-            BoundExpr::InList { expr, list } => {
-                expr.columns_mut(f);
-                list.iter_mut().for_each(|e| e.columns_mut(f));
-            }
         }
     }
 }
 
-fn eval_binary(left: &BoundExpr, op: BinaryOp, right: &BoundExpr, row: &Row) -> Result<Value> {
-    // Short-circuit three-valued AND.
-    if op == BinaryOp::And {
-        let l = left.eval(row)?.as_bool()?;
-        if l == Some(false) {
-            return Ok(Value::Int(0));
-        }
-        let r = right.eval(row)?.as_bool()?;
-        return Ok(match (l, r) {
-            (_, Some(false)) => Value::Int(0),
-            (Some(true), Some(true)) => Value::Int(1),
-            _ => Value::Null,
-        });
-    }
-    apply_binary(&left.eval(row)?, op, &right.eval(row)?)
-}
-
-/// A binary operator other than `AND` over two values: the row path, and
-/// the batch path's lane for rows its typed kernels do not cover.
+/// A binary operator over two values: the row path, and the batch path's
+/// lane for rows its typed kernels do not cover.
 pub(crate) fn apply_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
-    use std::cmp::Ordering::{Equal, Greater, Less};
+    use std::cmp::Ordering::{Equal, Greater};
     let cmp = |holds: fn(std::cmp::Ordering) -> bool| -> Result<Value> {
         Ok(l.sql_cmp(r)?.map_or(Value::Null, |ord| Value::Int(holds(ord) as i64)))
     };
@@ -248,12 +193,7 @@ pub(crate) fn apply_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> 
         BinaryOp::Shl => l.shl(r),
         BinaryOp::Shr => l.shr(r),
         BinaryOp::Eq => cmp(|o| o == Equal),
-        BinaryOp::NotEq => cmp(|o| o != Equal),
-        BinaryOp::Lt => cmp(|o| o == Less),
-        BinaryOp::LtEq => cmp(|o| o != Greater),
         BinaryOp::Gt => cmp(|o| o == Greater),
-        BinaryOp::GtEq => cmp(|o| o != Less),
-        BinaryOp::And => Err(Error::Internal("AND is evaluated row by row".into())),
     }
 }
 
@@ -367,20 +307,12 @@ mod tests {
     }
 
     #[test]
-    fn three_valued_logic() {
+    fn comparisons_with_null_are_null() {
         let null_row = vec![Value::Null, Value::Float(0.5), Value::Null];
         assert!(eval_with("s = 1", null_row.clone()).unwrap().is_null());
-        assert!(eval_with("s = 1 AND 1 = 1", null_row.clone()).unwrap().is_null());
-        assert_eq!(eval_with("s = 1 AND 1 = 0", null_row).unwrap(), Value::Int(0));
-    }
-
-    #[test]
-    fn is_null_and_in_list() {
-        assert_eq!(eval_with("s IS NULL", row()).unwrap(), Value::Int(0));
-        assert_eq!(eval_with("s IS NOT NULL", row()).unwrap(), Value::Int(1));
-        assert_eq!(eval_with("s IN (1, 5, 9)", row()).unwrap(), Value::Int(1));
-        assert_eq!(eval_with("s IN (1, 9)", row()).unwrap(), Value::Int(0));
-        assert!(eval_with("s IN (1, NULL)", row()).unwrap().is_null());
+        assert!(eval_with("r > i", null_row).unwrap().is_null());
+        assert_eq!(eval_with("s > 4", row()).unwrap(), Value::Int(1));
+        assert_eq!(eval_with("s > 5", row()).unwrap(), Value::Int(0));
     }
 
     #[test]
@@ -398,6 +330,8 @@ mod tests {
         assert!(bind(&e, &schema()).is_err());
         let e = parse_expr("ABS(r)").unwrap();
         assert_eq!(bind(&e, &schema()), Err(Error::Unsupported("function `ABS`".into())));
+        let e = parse_expr("MIN(DISTINCT r)").unwrap();
+        assert_eq!(bind(&e, &schema()), Err(Error::Unsupported("function `MIN`".into())));
         let e = parse_expr("SUBTSR(r, 1)").unwrap();
         assert_eq!(bind(&e, &schema()), Err(Error::Plan("unknown function `SUBTSR`".into())));
         let e = parse_expr("nocolumn").unwrap();

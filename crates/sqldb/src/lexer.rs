@@ -3,13 +3,14 @@
 //! Covers the dialect Qymera's callers speak (`docs/OPERATORS.md` lists
 //! them): the bitwise operator set of Table 1 (`&`, `|`, `~`, `<<`, `>>`),
 //! `0x…` hexadecimal literals (which become `HUGEINT` when they exceed 63
-//! bits), and `--`/`/* */` comments. The words and characters of constructs
-//! the engine does not have (`OR`, `DELETE`, `/`, `;`, …) are refused here
-//! with [`Error::Unsupported`], before anything is parsed.
+//! bits), `=` and `>`. The words and characters of constructs the engine does
+//! not have (`AND`, `OR`, `DELETE`, `<`, `/`, `;`, comments, `"quoted"`
+//! names, …) are refused here with [`Error::Unsupported`], before anything
+//! is parsed.
 //!
 //! Tokens borrow the SQL text: a name costs no allocation until the parser
-//! puts it in the tree. A bare word carries the keyword it spells, looked up
-//! once here; a `"quoted"` identifier is never a keyword.
+//! puts it in the tree. A word carries the keyword it spells, looked up once
+//! here.
 
 use crate::bigbits::BigBits;
 use crate::error::{Error, Result};
@@ -24,11 +25,9 @@ pub struct Token<'a> {
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TokenKind<'a> {
-    /// A bare word and the keyword it spells, if any. A keyword still names
-    /// a table, column or alias where the grammar expects a name.
+    /// A word and the keyword it spells, if any. A keyword still names a
+    /// table, column or alias where the grammar expects a name.
     Word(&'a str, Option<Keyword>),
-    /// The text between the quotes of a `"quoted"` identifier.
-    Quoted(&'a str),
     Int(i64),
     /// Integer literal too large for `i64` (decimal or hex) — HUGEINT.
     BigInt(Box<BigBits>),
@@ -49,11 +48,7 @@ pub enum TokenKind<'a> {
     Shl,
     Shr,
     Eq,
-    NotEq,
-    Lt,
-    LtEq,
     Gt,
-    GtEq,
     Eof,
 }
 
@@ -63,7 +58,6 @@ pub enum TokenKind<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Keyword {
     All,
-    And,
     As,
     Asc,
     Begin,
@@ -77,17 +71,13 @@ pub enum Keyword {
     From,
     Group,
     Having,
-    In,
     Inner,
     Insert,
     Into,
-    Is,
     Join,
     Left,
     Limit,
-    Not,
     Null,
-    Offset,
     On,
     Order,
     Outer,
@@ -103,7 +93,8 @@ pub enum Keyword {
 
 /// Words that begin a construct the engine does not have, with the name
 /// [`Error::Unsupported`] gives it: refused wherever they appear.
-const REFUSED_WORDS: [(&str, &str); 12] = [
+const REFUSED_WORDS: [(&str, &str); 17] = [
+    ("AND", "AND"),
     ("BETWEEN", "BETWEEN"),
     ("CASE", "CASE"),
     ("CROSS", "CROSS JOIN"),
@@ -111,6 +102,10 @@ const REFUSED_WORDS: [(&str, &str); 12] = [
     ("EXPLAIN", "EXPLAIN (call `Database::explain`)"),
     ("FALSE", "FALSE"),
     ("IF", "IF [NOT] EXISTS"),
+    ("IN", "IN"),
+    ("IS", "IS [NOT] NULL"),
+    ("NOT", "NOT"),
+    ("OFFSET", "OFFSET"),
     ("OR", "OR"),
     ("RECURSIVE", "WITH RECURSIVE"),
     ("RIGHT", "RIGHT JOIN"),
@@ -132,7 +127,6 @@ impl Keyword {
         upper.make_ascii_uppercase();
         Some(match &*upper {
             b"ALL" => All,
-            b"AND" => And,
             b"AS" => As,
             b"ASC" => Asc,
             b"BEGIN" => Begin,
@@ -146,17 +140,13 @@ impl Keyword {
             b"FROM" => From,
             b"GROUP" => Group,
             b"HAVING" => Having,
-            b"IN" => In,
             b"INNER" => Inner,
             b"INSERT" => Insert,
             b"INTO" => Into,
-            b"IS" => Is,
             b"JOIN" => Join,
             b"LEFT" => Left,
             b"LIMIT" => Limit,
-            b"NOT" => Not,
             b"NULL" => Null,
-            b"OFFSET" => Offset,
             b"ON" => On,
             b"ORDER" => Order,
             b"OUTER" => Outer,
@@ -177,9 +167,8 @@ impl Keyword {
         use Keyword::*;
         matches!(
             self,
-            From | Where | Group | Having | Order | Limit | Offset | Join | Inner | Left | On
-                | As | And | Not | Asc | Desc | Select | With | Values | By | Is | In | Outer
-                | All
+            From | Where | Group | Having | Order | Limit | Join | Inner | Left | On | As
+                | Asc | Desc | Select | With | Values | By | Outer | All
         )
     }
 }
@@ -189,7 +178,6 @@ impl TokenKind<'_> {
     pub fn describe(&self) -> String {
         match self {
             TokenKind::Word(s, _) => format!("identifier `{s}`"),
-            TokenKind::Quoted(s) => format!("identifier `\"{s}\"`"),
             TokenKind::Int(i) => format!("integer `{i}`"),
             TokenKind::BigInt(_) => "huge integer literal".to_string(),
             TokenKind::Float(f) => format!("float `{f}`"),
@@ -215,11 +203,7 @@ impl TokenKind<'_> {
             TokenKind::Shl => "<<",
             TokenKind::Shr => ">>",
             TokenKind::Eq => "=",
-            TokenKind::NotEq => "!=",
-            TokenKind::Lt => "<",
-            TokenKind::LtEq => "<=",
             TokenKind::Gt => ">",
-            TokenKind::GtEq => ">=",
             _ => "?",
         }
     }
@@ -235,25 +219,6 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token<'_>>> {
         let c = bytes[i];
         match c {
             b' ' | b'\t' | b'\r' | b'\n' => i += 1,
-            b'-' if bytes.get(i + 1) == Some(&b'-') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                let start = i;
-                i += 2;
-                loop {
-                    if i + 1 >= bytes.len() {
-                        return Err(Error::lex(start, "unterminated block comment"));
-                    }
-                    if bytes[i] == b'*' && bytes[i + 1] == b'/' {
-                        i += 2;
-                        break;
-                    }
-                    i += 1;
-                }
-            }
             b'\'' => {
                 let start = i;
                 i += 1;
@@ -358,68 +323,40 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token<'_>>> {
                 let kind = TokenKind::Word(word, Keyword::lookup(word));
                 tokens.push(Token { kind, pos: start });
             }
-            b'"' => {
-                // quoted identifier
-                let start = i;
-                i += 1;
-                let id_start = i;
-                while i < bytes.len() && bytes[i] != b'"' {
-                    i += 1;
-                }
-                if i >= bytes.len() {
-                    return Err(Error::lex(start, "unterminated quoted identifier"));
-                }
-                tokens.push(Token { kind: TokenKind::Quoted(&sql[id_start..i]), pos: start });
-                i += 1;
-            }
             _ => {
-                let start = i;
-                let kind = match bytes.get(i..i + 2).unwrap_or(&[]) {
-                    b"<<" => Some((TokenKind::Shl, 2)),
-                    b">>" => Some((TokenKind::Shr, 2)),
-                    b"<=" => Some((TokenKind::LtEq, 2)),
-                    b">=" => Some((TokenKind::GtEq, 2)),
-                    b"!=" | b"<>" => Some((TokenKind::NotEq, 2)),
-                    b"==" => Some((TokenKind::Eq, 2)),
-                    _ => None,
-                };
-                let (kind, adv) = match kind {
-                    Some(k) => k,
-                    None => {
-                        let k = match c {
-                            b'(' => TokenKind::LParen,
-                            b')' => TokenKind::RParen,
-                            b',' => TokenKind::Comma,
-                            b'.' => TokenKind::Dot,
-                            b'*' => TokenKind::Star,
-                            b'+' => TokenKind::Plus,
-                            b'-' => TokenKind::Minus,
-                            b'/' | b'%' => {
-                                return Err(Error::Unsupported(format!("`{}`", c as char)))
-                            }
-                            b';' => {
-                                let what = "`;` (one statement per call)";
-                                return Err(Error::Unsupported(what.into()));
-                            }
-                            b'&' => TokenKind::Amp,
-                            b'|' => TokenKind::Pipe,
-                            b'~' => TokenKind::Tilde,
-                            b'^' => TokenKind::Caret,
-                            b'=' => TokenKind::Eq,
-                            b'<' => TokenKind::Lt,
-                            b'>' => TokenKind::Gt,
-                            other => {
-                                return Err(Error::lex(
-                                    start,
-                                    format!("unexpected character `{}`", other as char),
-                                ))
-                            }
-                        };
-                        (k, 1)
+                let refuse = |what: &str| Err(Error::Unsupported(what.into()));
+                let (kind, len) = match (bytes.get(i..i + 2).unwrap_or(&[]), c) {
+                    (b"<<", _) => (TokenKind::Shl, 2),
+                    (b">>", _) => (TokenKind::Shr, 2),
+                    // Refused by name: `a --b` is never `a - (-b)`.
+                    (b"--", _) => return refuse("`--` comment"),
+                    (b"/*", _) => return refuse("`/* */` comment"),
+                    (b"!=" | b"<>" | b"<=" | b">=", _) => {
+                        return refuse(&format!("`{}`", &sql[i..i + 2]))
+                    }
+                    (_, b'<' | b'/' | b'%') => return refuse(&format!("`{}`", c as char)),
+                    (_, b'"') => return refuse("`\"quoted\"` identifier"),
+                    (_, b';') => return refuse("`;` (one statement per call)"),
+                    (_, b'(') => (TokenKind::LParen, 1),
+                    (_, b')') => (TokenKind::RParen, 1),
+                    (_, b',') => (TokenKind::Comma, 1),
+                    (_, b'.') => (TokenKind::Dot, 1),
+                    (_, b'*') => (TokenKind::Star, 1),
+                    (_, b'+') => (TokenKind::Plus, 1),
+                    (_, b'-') => (TokenKind::Minus, 1),
+                    (_, b'&') => (TokenKind::Amp, 1),
+                    (_, b'|') => (TokenKind::Pipe, 1),
+                    (_, b'~') => (TokenKind::Tilde, 1),
+                    (_, b'^') => (TokenKind::Caret, 1),
+                    (_, b'=') => (TokenKind::Eq, 1),
+                    (_, b'>') => (TokenKind::Gt, 1),
+                    _ => {
+                        let what = format!("unexpected character `{}`", c as char);
+                        return Err(Error::lex(i, what));
                     }
                 };
-                tokens.push(Token { kind, pos: start });
-                i += adv;
+                tokens.push(Token { kind, pos: i });
+                i += len;
             }
         }
     }
@@ -472,36 +409,36 @@ mod tests {
     }
 
     #[test]
-    fn strings_with_escapes_and_comments() {
+    fn strings_with_escapes() {
         assert_eq!(kinds("'it''s'")[0], TokenKind::Str("it''s"));
-        let ks = kinds("SELECT -- trailing comment\n 1 /* block */ , 2");
-        assert_eq!(
-            ks,
-            vec![
-                TokenKind::Word("SELECT", Some(Keyword::Select)),
-                TokenKind::Int(1),
-                TokenKind::Comma,
-                TokenKind::Int(2),
-                TokenKind::Eof
-            ]
-        );
     }
 
+    /// A comment is refused by name, never lexed as two minus signs (`a --b`
+    /// would then be `a - (-b)`); the comparisons but `=` and `>`, and quoted
+    /// names, are refused too, while `<<` and `>>` stay.
     #[test]
-    fn comparison_operators() {
-        let ks = kinds("a <= b >= c <> d != e == f");
-        assert_eq!(ks.iter().filter(|k| **k == TokenKind::NotEq).count(), 2);
-        assert!(ks.contains(&TokenKind::LtEq));
-        assert!(ks.contains(&TokenKind::GtEq));
-    }
-
-    #[test]
-    fn quoted_identifiers() {
-        assert_eq!(kinds("\"weird name\"")[0], TokenKind::Quoted("weird name"));
-        assert_eq!(kinds("\"from\" from")[..2], [
-            TokenKind::Quoted("from"),
-            TokenKind::Word("from", Some(Keyword::From)),
-        ]);
+    fn deleted_forms_are_refused_by_name() {
+        for (sql, what) in [
+            ("SELECT a --b FROM t", "`--` comment"),
+            ("a -- trailing", "`--` comment"),
+            ("a /* block */ b", "`/* */` comment"),
+            ("a != b", "`!=`"),
+            ("a <> b", "`<>`"),
+            ("a < b", "`<`"),
+            ("a <= b", "`<=`"),
+            ("a >= b", "`>=`"),
+            ("\"from\"", "`\"quoted\"` identifier"),
+            ("a and b", "AND"),
+            ("a IN (1)", "IN"),
+            ("a is null", "IS [NOT] NULL"),
+            ("NOT a", "NOT"),
+            ("LIMIT 1 OFFSET 2", "OFFSET"),
+        ] {
+            assert_eq!(tokenize(sql), Err(Error::Unsupported(what.into())), "{sql}");
+        }
+        assert_eq!(kinds("a - -b")[1..3], [TokenKind::Minus, TokenKind::Minus]);
+        assert_eq!(kinds("a == b")[1..3], [TokenKind::Eq, TokenKind::Eq]);
+        assert_eq!(kinds("a << b >> c > d")[3], TokenKind::Shr);
     }
 
     #[test]
@@ -522,7 +459,6 @@ mod tests {
             other => panic!("expected lex error, got {other:?}"),
         }
         assert!(tokenize("a ? b").is_err());
-        assert!(tokenize("/* never closed").is_err());
     }
 
     #[test]

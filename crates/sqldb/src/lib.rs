@@ -50,6 +50,5 @@ pub use error::{Error, Result};
 pub use exec::govern::{CancelHandle, QueryContext};
 pub use storage::budget::MemoryBudget;
 pub use storage::fault::{FaultInjector, FaultKind, FaultSchedule, FaultSite};
-pub use storage::wal::FsyncPolicy;
 pub use storage::spill::Row;
 pub use value::Value;

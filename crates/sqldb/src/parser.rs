@@ -27,29 +27,24 @@ pub fn parse_expr(sql: &str) -> Result<Expr> {
     Ok(e)
 }
 
-/// Precedence of the comparisons, `IS [NOT] NULL` and `IN`. They do not
+/// Precedence of the comparisons, the loosest binding. They do not
 /// associate: `a = b = c` is an error.
-const CMP_PREC: u8 = 2;
+const CMP_PREC: u8 = 1;
 
 /// The binary operator a token spells, with its precedence (higher binds
 /// tighter). Every level is left-associative except the comparisons.
 fn infix(kind: &TokenKind) -> Option<(BinaryOp, u8)> {
     Some(match kind {
-        TokenKind::Word(_, Some(Keyword::And)) => (BinaryOp::And, 1),
         TokenKind::Eq => (BinaryOp::Eq, CMP_PREC),
-        TokenKind::NotEq => (BinaryOp::NotEq, CMP_PREC),
-        TokenKind::Lt => (BinaryOp::Lt, CMP_PREC),
-        TokenKind::LtEq => (BinaryOp::LtEq, CMP_PREC),
         TokenKind::Gt => (BinaryOp::Gt, CMP_PREC),
-        TokenKind::GtEq => (BinaryOp::GtEq, CMP_PREC),
-        TokenKind::Pipe => (BinaryOp::BitOr, 3),
-        TokenKind::Caret => (BinaryOp::BitXor, 4),
-        TokenKind::Amp => (BinaryOp::BitAnd, 5),
-        TokenKind::Shl => (BinaryOp::Shl, 6),
-        TokenKind::Shr => (BinaryOp::Shr, 6),
-        TokenKind::Plus => (BinaryOp::Add, 7),
-        TokenKind::Minus => (BinaryOp::Sub, 7),
-        TokenKind::Star => (BinaryOp::Mul, 8),
+        TokenKind::Pipe => (BinaryOp::BitOr, 2),
+        TokenKind::Caret => (BinaryOp::BitXor, 3),
+        TokenKind::Amp => (BinaryOp::BitAnd, 4),
+        TokenKind::Shl => (BinaryOp::Shl, 5),
+        TokenKind::Shr => (BinaryOp::Shr, 5),
+        TokenKind::Plus => (BinaryOp::Add, 6),
+        TokenKind::Minus => (BinaryOp::Sub, 6),
+        TokenKind::Star => (BinaryOp::Mul, 7),
         _ => return None,
     })
 }
@@ -134,10 +129,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// A name: any bare word, keywords included, or a quoted identifier.
+    /// A name: any word, keywords included.
     fn ident(&mut self, what: &str) -> Result<&'a str> {
         match *self.peek() {
-            TokenKind::Word(name, _) | TokenKind::Quoted(name) => {
+            TokenKind::Word(name, _) => {
                 self.bump();
                 Ok(name)
             }
@@ -145,18 +140,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// `AS name`, or a bare name that is not a clause keyword.
+    /// `AS name`, if it follows. A word that is not a clause keyword would
+    /// be a bare alias.
     fn alias(&mut self) -> Result<Option<String>> {
         if self.eat_kw(Keyword::As) {
             return Ok(Some(self.ident("alias")?.to_string()));
         }
-        let name = match *self.peek() {
-            TokenKind::Word(name, kw) if !kw.is_some_and(Keyword::is_clause) => name,
-            TokenKind::Quoted(name) => name,
-            _ => return Ok(None),
-        };
-        self.bump();
-        Ok(Some(name.to_string()))
+        match *self.peek() {
+            TokenKind::Word(_, kw) if !kw.is_some_and(Keyword::is_clause) => {
+                unsupported("a bare alias (write `AS name`)")
+            }
+            _ => Ok(None),
+        }
     }
 
     /// `item (, item)*`.
@@ -282,24 +277,22 @@ impl<'a> Parser<'a> {
                 Ok(OrderItem { expr, desc: p.eat_kw(Keyword::Desc) })
             })?;
         }
-        let limit = if self.eat_kw(Keyword::Limit) { Some(self.unsigned()?) } else { None };
-        let offset = if self.eat_kw(Keyword::Offset) { Some(self.unsigned()?) } else { None };
-        Ok(Query { ctes, body, order_by, limit, offset })
-    }
-
-    fn unsigned(&mut self) -> Result<u64> {
-        match *self.peek() {
-            TokenKind::Int(v) if v >= 0 => {
-                self.bump();
-                Ok(v as u64)
+        let mut limit = None;
+        if self.eat_kw(Keyword::Limit) {
+            match *self.peek() {
+                TokenKind::Int(v) if v >= 0 => limit = Some(v as u64),
+                _ => return Err(self.expected("nonnegative integer")),
             }
-            _ => Err(self.expected("nonnegative integer")),
+            self.bump();
         }
+        Ok(Query { ctes, body, order_by, limit })
     }
 
     fn select(&mut self) -> Result<Select> {
         self.expect_kw(Keyword::Select)?;
-        let distinct = self.eat_kw(Keyword::Distinct);
+        if self.peek_kw(Keyword::Distinct) {
+            return unsupported("SELECT DISTINCT");
+        }
         let projection = self.list(Self::select_item)?;
         if !self.eat_kw(Keyword::From) {
             return match self.peek() {
@@ -333,12 +326,12 @@ impl<'a> Parser<'a> {
             group_by = self.list(Self::expr)?;
         }
         let having = if self.eat_kw(Keyword::Having) { Some(self.expr()?) } else { None };
-        Ok(Select { distinct, projection, from, joins, where_clause, group_by, having })
+        Ok(Select { projection, from, joins, where_clause, group_by, having })
     }
 
     fn select_item(&mut self) -> Result<SelectItem> {
-        if self.eat(&TokenKind::Star) {
-            return Ok(SelectItem::Wildcard);
+        if self.peek() == &TokenKind::Star {
+            return unsupported("`*` in a select list");
         }
         let next = |k: usize| self.tokens.get(self.pos + k).map(|t| &t.kind);
         if next(1) == Some(&TokenKind::Dot) && next(2) == Some(&TokenKind::Star) {
@@ -346,7 +339,7 @@ impl<'a> Parser<'a> {
         }
         let expr = self.expr()?;
         let alias = self.alias()?;
-        Ok(SelectItem::Expr { expr, alias })
+        Ok(SelectItem { expr, alias })
     }
 
     fn table_ref(&mut self) -> Result<TableRef> {
@@ -365,48 +358,19 @@ impl<'a> Parser<'a> {
     }
 
     /// An expression of operators binding at least as tight as `min`
-    /// (precedence climbing). After a comparison only `AND` may follow.
+    /// (precedence climbing). Nothing follows a comparison at its level.
     fn binary(&mut self, min: u8) -> Result<Expr> {
         let mut left = self.unary()?;
         let mut ceiling = u8::MAX;
-        let admits = |prec: u8, ceiling: u8| (min..=ceiling).contains(&prec);
-        loop {
-            if admits(CMP_PREC, ceiling) && self.at_predicate() {
-                left = self.predicate(left)?;
-                ceiling = CMP_PREC - 1;
-                continue;
-            }
-            let Some((op, prec)) = infix(self.peek()).filter(|&(_, p)| admits(p, ceiling)) else {
-                return Ok(left);
-            };
+        while let Some((op, prec)) =
+            infix(self.peek()).filter(|&(_, p)| (min..=ceiling).contains(&p))
+        {
             self.bump();
             let right = self.binary(prec + 1)?;
             left = Expr::binary(left, op, right);
             ceiling = if prec == CMP_PREC { CMP_PREC - 1 } else { prec };
         }
-    }
-
-    /// Whether a comparison-level postfix form follows: `IS [NOT] NULL` or
-    /// `IN (…)` (or the refused `NOT IN`).
-    fn at_predicate(&self) -> bool {
-        matches!(self.peek(), TokenKind::Word(_, Some(Keyword::Is | Keyword::In | Keyword::Not)))
-    }
-
-    /// The postfix form [`Self::at_predicate`] found, applied to `left`.
-    fn predicate(&mut self, left: Expr) -> Result<Expr> {
-        if self.eat_kw(Keyword::Is) {
-            let negated = self.eat_kw(Keyword::Not);
-            self.expect_kw(Keyword::Null)?;
-            return Ok(Expr::IsNull { expr: Box::new(left), negated });
-        }
-        if self.peek_kw(Keyword::Not) {
-            return unsupported("NOT IN");
-        }
-        self.expect_kw(Keyword::In)?;
-        self.expect(&TokenKind::LParen, "`(`")?;
-        let list = self.list(Self::expr)?;
-        self.expect(&TokenKind::RParen, "`)`")?;
-        Ok(Expr::InList { expr: Box::new(left), list })
+        Ok(left)
     }
 
     fn unary(&mut self) -> Result<Expr> {
@@ -438,10 +402,6 @@ impl<'a> Parser<'a> {
             TokenKind::BigInt(b) => Literal::Big((**b).clone()),
             TokenKind::Float(v) => Literal::Float(*v),
             TokenKind::Str(s) => Literal::Str(s.replace("''", "'")),
-            TokenKind::Star => {
-                self.bump();
-                return Ok(Expr::Star);
-            }
             TokenKind::LParen => {
                 self.bump();
                 let e = self.expr()?;
@@ -451,7 +411,6 @@ impl<'a> Parser<'a> {
             &TokenKind::Word(name, kw) => match kw {
                 Some(Keyword::Null) => Literal::Null,
                 Some(Keyword::Cast) => return self.cast(),
-                Some(Keyword::Not) => return unsupported("NOT"),
                 // Clause keywords cannot start an expression; catching them
                 // here turns `SELECT FROM t` into a clear error instead of a
                 // column named `FROM`.
@@ -463,7 +422,6 @@ impl<'a> Parser<'a> {
                 }
                 _ => return self.named(name),
             },
-            &TokenKind::Quoted(name) => return self.named(name),
             _ => return Err(self.expected("expression")),
         };
         self.bump();
@@ -626,19 +584,34 @@ mod tests {
     }
 
     #[test]
-    fn aliases_implicit_and_explicit() {
+    fn aliases_need_as() {
         let Statement::Query(q) =
-            parse_statement("SELECT x foo, y AS bar FROM t u JOIN v AS w ON u.a = w.b").unwrap()
+            parse_statement("SELECT x AS foo, y FROM t AS u JOIN v AS w ON u.a = w.b").unwrap()
         else {
             panic!()
         };
         let sel = &q.body;
-        match &sel.projection[0] {
-            SelectItem::Expr { alias, .. } => assert_eq!(alias.as_deref(), Some("foo")),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(sel.projection[0].alias.as_deref(), Some("foo"));
+        assert_eq!(sel.projection[1].alias, None);
         assert_eq!(sel.from.visible_name(), "u");
         assert_eq!(sel.joins[0].table.visible_name(), "w");
+    }
+
+    /// The select-list forms no caller sends are refused by name while
+    /// parsing; `COUNT(*)`, `COUNT(DISTINCT x)` and `*` as multiplication stay.
+    #[test]
+    fn deleted_select_forms_are_refused() {
+        for (sql, what) in [
+            ("SELECT DISTINCT s FROM t", "SELECT DISTINCT"),
+            ("SELECT * FROM t", "`*` in a select list"),
+            ("SELECT s, * FROM t", "`*` in a select list"),
+            ("SELECT s x FROM t", "a bare alias (write `AS name`)"),
+            ("SELECT s FROM t u", "a bare alias (write `AS name`)"),
+            ("SELECT s FROM t JOIN u v ON v.s = t.s", "a bare alias (write `AS name`)"),
+        ] {
+            assert_eq!(parse_statement(sql), Err(Error::Unsupported(what.into())), "{sql}");
+        }
+        assert!(parse_statement("SELECT COUNT(*), COUNT(DISTINCT s), s * 2 FROM t").is_ok());
     }
 
     #[test]
@@ -669,8 +642,8 @@ mod tests {
     fn display_round_trip_is_stable() {
         let sqls = [
             "SELECT ((T0.s & ~1) | H.out_s) AS s FROM T0 JOIN H ON H.in_s = (T0.s & 1) GROUP BY ((T0.s & ~1) | H.out_s)",
-            "WITH a AS (SELECT 1 AS x FROM t) SELECT x FROM a ORDER BY x DESC LIMIT 3 OFFSET 1",
-            "SELECT x AS v FROM t LEFT JOIN u ON u.y = t.x WHERE x IN (1, 2, 3) AND y IS NULL",
+            "WITH a AS (SELECT 1 AS x FROM t) SELECT x FROM a ORDER BY x DESC LIMIT 3",
+            "SELECT x AS v, -(-x) AS w FROM t LEFT JOIN u ON u.y = t.x WHERE x > NULL",
         ];
         for sql in sqls {
             let st1 = parse_statement(sql).unwrap();
@@ -686,7 +659,7 @@ mod tests {
     fn parse_errors_point_at_the_offending_token() {
         let cases = [
             ("SELECT s FROM t LIMIT x", 22, "expected nonnegative integer, found identifier `x`"),
-            ("SELECT s FROM t OFFSET -1", 23, "expected nonnegative integer, found `-`"),
+            ("SELECT s FROM t LIMIT -1", 22, "expected nonnegative integer, found `-`"),
             ("CREATE TABLE t (a VARCHAR)", 18, "unknown type `VARCHAR`"),
             ("SELECT CAST(x AS INT) FROM t", 17, "unknown type `INT`"),
             ("SELECT FROM t", 7, "expected expression, found keyword `FROM`"),
@@ -694,7 +667,7 @@ mod tests {
             ("SELECT 1 2 FROM t", 9, "expected `FROM`, found integer `2`"),
             ("SELECT a FROM t 2", 16, "unexpected integer `2`"),
             ("SELECT a = b = c FROM t", 13, "expected `FROM`, found `=`"),
-            ("SELECT x IS 1 FROM t", 12, "expected `NULL`, found integer `1`"),
+            ("SELECT a == b FROM t", 10, "expected expression, found `=`"),
             ("WITH x AS SELECT 1", 10, "expected `(`, found identifier `SELECT`"),
             ("SELECT a FROM t JOIN u", 22, "expected `ON`, found end of input"),
             ("SELECT a FROM t LEFT OUTER JOIN u ON a = b", 21, "expected `JOIN`, found identifier `OUTER`"),
@@ -710,27 +683,5 @@ mod tests {
                 other => panic!("{sql}: expected a parse error, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn a_quoted_identifier_is_never_a_keyword() {
-        let Statement::Query(q) = parse_statement("SELECT \"from\" FROM t AS \"select\"").unwrap()
-        else {
-            panic!()
-        };
-        match &q.body.projection[0] {
-            SelectItem::Expr { expr, alias: None } => assert_eq!(expr, &Expr::col("from")),
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(q.body.from.visible_name(), "select");
-        // Bare, the same word is the keyword.
-        assert!(parse_statement("SELECT from FROM t").is_err());
-    }
-
-    #[test]
-    fn is_not_null_keeps_its_not() {
-        let e = parse_expr("x IS NOT NULL").unwrap();
-        assert!(matches!(e, Expr::IsNull { negated: true, .. }));
-        assert!(matches!(parse_expr("x IN (1, 2)").unwrap(), Expr::InList { .. }));
     }
 }

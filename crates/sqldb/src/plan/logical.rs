@@ -7,7 +7,6 @@
 //! column by index). The result is a tree of [`Plan`] nodes carrying
 //! [`BoundExpr`]s that the executor can run directly.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -15,43 +14,35 @@ use crate::ast::{self, Expr, JoinKind, OrderItem, Query, Select, SelectItem, Tab
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::{bind, bind_with, BoundExpr};
-use crate::plan::optimizer::join_keys;
+use crate::plan::optimizer::join_key;
 use crate::schema::{Field, RelSchema};
 
-/// Aggregate functions supported by the engine.
+/// Aggregate functions supported by the engine (`MIN`, `MAX` and `AVG`
+/// are refused as removed functions, `expr::UNSUPPORTED_FUNCS`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
     Sum,
-    Count,
-    /// `COUNT(*)` — counts rows, not non-null values.
+    /// `COUNT(*)` — counts rows; `COUNT(x)` is refused.
     CountStar,
     /// `COUNT(DISTINCT x)` — the one `DISTINCT` aggregate.
     CountDistinct,
-    Min,
-    Max,
-    Avg,
 }
 
 impl AggFunc {
+    /// The aggregate `name(args)` calls; `name` is `SUM` or `COUNT`
+    /// ([`ast::is_aggregate_name`]).
     fn from_call<'e>(
         name: &str,
         args: &'e [Expr],
         distinct: bool,
     ) -> Result<(AggFunc, Option<&'e Expr>)> {
-        let is = |agg: &str| name.eq_ignore_ascii_case(agg);
+        let count = name.eq_ignore_ascii_case("COUNT");
         let func = match distinct {
-            false if is("COUNT") && args == [Expr::Star] => return Ok((AggFunc::CountStar, None)),
-            false if is("COUNT") => AggFunc::Count,
-            true if is("COUNT") => AggFunc::CountDistinct,
-            true => {
-                let upper = name.to_ascii_uppercase();
-                return Err(Error::Unsupported(format!("{upper}(DISTINCT …)")));
-            }
-            _ if is("SUM") => AggFunc::Sum,
-            _ if is("MIN") => AggFunc::Min,
-            _ if is("MAX") => AggFunc::Max,
-            _ if is("AVG") => AggFunc::Avg,
-            _ => return Err(Error::Plan(format!("unknown aggregate `{name}`"))),
+            true if count => AggFunc::CountDistinct,
+            true => return Err(Error::Unsupported("SUM(DISTINCT …)".into())),
+            false if !count => AggFunc::Sum,
+            false if args == [Expr::Star] => return Ok((AggFunc::CountStar, None)),
+            false => return Err(Error::Unsupported("COUNT(expr) (write COUNT(*))".into())),
         };
         match args {
             [a] if *a != Expr::Star => Ok((func, Some(a))),
@@ -92,8 +83,8 @@ pub enum Plan {
         left: Arc<Plan>,
         right: Arc<Plan>,
         kind: JoinKind,
-        /// A conjunction of equalities, each between an expression of the
-        /// left input and one of the right (`optimizer::join_keys`).
+        /// One equality between an expression of the left input and one of
+        /// the right (`optimizer::join_key`).
         on: BoundExpr,
         schema: RelSchema,
     },
@@ -107,7 +98,7 @@ pub enum Plan {
         schema: RelSchema,
     },
     Sort { input: Arc<Plan>, keys: Vec<SortKey> },
-    Limit { input: Arc<Plan>, limit: Option<u64>, offset: u64 },
+    Limit { input: Arc<Plan>, limit: u64 },
     /// Renames the qualifier of the input's columns (CTE name or alias).
     Alias { input: Arc<Plan>, schema: RelSchema },
 }
@@ -161,7 +152,7 @@ impl Plan {
                 format!("Aggregate [{} keys, {} aggs]", group_by.len(), aggs.len())
             }
             Plan::Sort { keys, .. } => format!("Sort [{} keys]", keys.len()),
-            Plan::Limit { limit, offset, .. } => format!("Limit {limit:?} offset {offset}"),
+            Plan::Limit { limit, .. } => format!("Limit {limit}"),
             Plan::Alias { .. } => "Alias".to_string(),
         };
         out.push_str(&pad);
@@ -217,10 +208,9 @@ pub fn depth_bound(query: &Query) -> usize {
     // reference to it, then Sort and Limit; the block's leaf, Aggregate and
     // Project, then a node per clause and per join.
     2 + usize::from(!query.order_by.is_empty())
-        + usize::from(query.limit.is_some() || query.offset.is_some())
+        + usize::from(query.limit.is_some())
         + query.ctes.iter().map(|(_, q)| depth_bound(q)).sum::<usize>()
         + 3
-        + usize::from(s.distinct)
         + usize::from(s.where_clause.is_some())
         + usize::from(s.having.is_some())
         + s.joins.len()
@@ -249,12 +239,8 @@ fn plan_query_scoped(query: &Query, catalog: &Catalog, outer: &CteScope) -> Resu
             .collect::<Result<Vec<_>>>()?;
         plan = Plan::Sort { input: Arc::new(plan), keys };
     }
-    if query.limit.is_some() || query.offset.is_some() {
-        plan = Plan::Limit {
-            input: Arc::new(plan),
-            limit: query.limit,
-            offset: query.offset.unwrap_or(0),
-        };
+    if let Some(limit) = query.limit {
+        plan = Plan::Limit { input: Arc::new(plan), limit };
     }
     Ok(plan)
 }
@@ -307,11 +293,10 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
         let left_cols = plan.schema().len();
         let schema = plan.schema().join(right.schema());
         let on = bind(&join.on, &schema)?;
-        // The hash join is the only join operator, and it has no residual.
-        if join_keys(&on, left_cols).is_none() {
+        // The hash join is the only join operator: one key, no residual.
+        if join_key(&on, left_cols).is_none() {
             return Err(Error::Unsupported(format!(
-                "join condition that is not a conjunction of equalities between the joined \
-                 tables: {}",
+                "join condition that is not one equality between the joined tables: {}",
                 join.on
             )));
         }
@@ -327,65 +312,33 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
         plan = Arc::new(Plan::Filter { input: plan, predicate });
     }
 
-    // The projection, wildcards expanded: (expression, alias).
-    let mut items: Vec<(Cow<Expr>, Option<&str>)> = Vec::new();
-    for item in &select.projection {
-        match item {
-            SelectItem::Expr { expr, alias } => items.push((Cow::Borrowed(expr), alias.as_deref())),
-            SelectItem::Wildcard => {
-                for f in &plan.schema().fields {
-                    let column = Expr::Column { table: f.relation.clone(), name: f.name.clone() };
-                    items.push((Cow::Owned(column), None));
-                }
-            }
-        }
-    }
-
+    let items = &select.projection;
     let has_aggs = !select.group_by.is_empty()
-        || items.iter().any(|(e, _)| e.contains_aggregate())
+        || items.iter().any(|item| item.expr.contains_aggregate())
         || select.having.as_ref().is_some_and(Expr::contains_aggregate);
 
     let (plan, exprs) = if has_aggs {
-        plan_aggregate(plan, select, &items)?
+        plan_aggregate(plan, select)?
     } else {
         if select.having.is_some() {
             return Err(Error::Plan("HAVING requires GROUP BY or aggregates".into()));
         }
-        let exprs = items.iter().map(|(e, _)| bind(e, plan.schema())).collect::<Result<_>>()?;
+        let exprs =
+            items.iter().map(|item| bind(&item.expr, plan.schema())).collect::<Result<_>>()?;
         (plan, exprs)
     };
-    let fields = items.iter().map(|(e, alias)| Field::named(output_name(e, *alias))).collect();
-
-    let mut plan = Plan::Project { input: plan, exprs, schema: RelSchema::new(fields) };
-
-    if select.distinct {
-        // DISTINCT ≡ GROUP BY all output columns with no aggregates; this
-        // reuses the aggregation operator's spill machinery for free.
-        let schema = plan.schema().clone();
-        let group_by = (0..schema.len()).map(BoundExpr::Column).collect();
-        plan = Plan::Aggregate {
-            input: Arc::new(plan),
-            group_by,
-            aggs: vec![],
-            schema,
-        };
-    }
-
-    Ok(plan)
+    let fields = items.iter().map(|item| Field::named(output_name(item))).collect();
+    Ok(Plan::Project { input: plan, exprs, schema: RelSchema::new(fields) })
 }
 
 /// Build the `Aggregate` node, with any `HAVING` filter above it, and bind
-/// the projection `items` over its output. Each expression is bound once:
+/// the projection over its output. Each expression is bound once:
 /// group keys and aggregate arguments against the input, everything else
 /// against the aggregate's columns — a subtree structurally equal to the
 /// i-th `GROUP BY` expression reads column i, the j-th distinct aggregate
 /// call column `group_by.len() + j`. A bare column outside both is an
 /// error, as strict SQL `GROUP BY` rules have it.
-fn plan_aggregate<'e>(
-    input: Arc<Plan>,
-    select: &'e Select,
-    items: &'e [(Cow<'_, Expr>, Option<&str>)],
-) -> Result<(Arc<Plan>, Vec<BoundExpr>)> {
+fn plan_aggregate(input: Arc<Plan>, select: &Select) -> Result<(Arc<Plan>, Vec<BoundExpr>)> {
     let input_schema = input.schema();
     let mut group_by = Vec::with_capacity(select.group_by.len());
     for g in &select.group_by {
@@ -397,7 +350,7 @@ fn plan_aggregate<'e>(
 
     // Aggregate calls found so far (deduplicated structurally).
     let mut calls: Vec<(&Expr, AggExpr)> = Vec::new();
-    let mut over_aggregate = |expr: &'e Expr| -> Result<Option<BoundExpr>> {
+    let mut over_aggregate = |expr| -> Result<Option<BoundExpr>> {
         if let Some(i) = select.group_by.iter().position(|g| exprs_equivalent(expr, g)) {
             return Ok(Some(BoundExpr::Column(i)));
         }
@@ -427,9 +380,8 @@ fn plan_aggregate<'e>(
             _ => Ok(None),
         }
     };
-    let exprs = items
-        .iter()
-        .map(|(e, _)| bind_with(e, &mut over_aggregate))
+    let exprs = (select.projection.iter())
+        .map(|item| bind_with(&item.expr, &mut over_aggregate))
         .collect::<Result<Vec<_>>>()?;
     let having = select.having.as_ref().map(|h| bind_with(h, &mut over_aggregate)).transpose()?;
 
@@ -446,11 +398,9 @@ fn plan_aggregate<'e>(
     Ok((plan, exprs))
 }
 
-/// Structural equivalence ignoring redundant parentheses.
+/// Structural equivalence, names compared without regard to case.
 fn exprs_equivalent(a: &Expr, b: &Expr) -> bool {
     match (a, b) {
-        (Expr::Paren(x), y) => exprs_equivalent(x, y),
-        (x, Expr::Paren(y)) => exprs_equivalent(x, y),
         (Expr::Unary { op: oa, expr: ea }, Expr::Unary { op: ob, expr: eb }) => {
             oa == ob && exprs_equivalent(ea, eb)
         }
@@ -483,13 +433,11 @@ fn exprs_equivalent(a: &Expr, b: &Expr) -> bool {
 }
 
 /// Output column name: alias, else column name, else printed expression.
-fn output_name(expr: &Expr, alias: Option<&str>) -> String {
-    if let Some(a) = alias {
-        return a.to_string();
-    }
-    match expr {
-        Expr::Column { name, .. } => name.clone(),
-        other => other.to_string(),
+fn output_name(item: &SelectItem) -> String {
+    match (&item.alias, &item.expr) {
+        (Some(a), _) => a.clone(),
+        (None, Expr::Column { name, .. }) => name.clone(),
+        (None, other) => other.to_string(),
     }
 }
 
@@ -568,7 +516,7 @@ mod tests {
 
     #[test]
     fn duplicate_cte_name_in_one_with_is_a_plan_error() {
-        let e = plan("WITH a AS (SELECT s FROM T0), A AS (SELECT r FROM T0) SELECT * FROM a")
+        let e = plan("WITH a AS (SELECT s FROM T0), A AS (SELECT r FROM T0) SELECT s FROM a")
             .unwrap_err();
         assert!(matches!(e, Error::Plan(m) if m.contains("duplicate CTE name `A`")));
     }
@@ -577,8 +525,8 @@ mod tests {
     fn inner_with_may_shadow_an_outer_cte() {
         let p = plan(
             "WITH a AS (SELECT s FROM T0), \
-             u AS (WITH a AS (SELECT s, r FROM T0) SELECT * FROM a) \
-             SELECT * FROM u JOIN a ON a.s = u.s",
+             u AS (WITH a AS (SELECT s, r FROM T0) SELECT s, r FROM a) \
+             SELECT u.s, u.r, a.s FROM u JOIN a ON a.s = u.s",
         )
         .unwrap();
         // `u` sees the inner `a`, the outer FROM item the outer one.
@@ -602,25 +550,16 @@ mod tests {
     #[test]
     fn depth_bound_covers_every_clause() {
         for sql in [
-            "SELECT DISTINCT s FROM T0 WHERE s > 0 GROUP BY s HAVING COUNT(*) > 0 \
-             ORDER BY s LIMIT 1",
-            "SELECT * FROM T0 LEFT JOIN H ON H.in_s = T0.s JOIN H AS g ON g.in_s = T0.s",
+            "SELECT s FROM T0 WHERE s > 0 GROUP BY s HAVING COUNT(*) > 0 ORDER BY s LIMIT 1",
+            "SELECT T0.s FROM T0 LEFT JOIN H ON H.in_s = T0.s JOIN H AS g ON g.in_s = T0.s",
             "WITH u AS (SELECT s FROM T0 ORDER BY s) SELECT s FROM u",
             "WITH T1 AS (SELECT s, SUM(T0.r) AS r FROM T0 JOIN H ON H.in_s = T0.s GROUP BY s), \
-             T2 AS (SELECT x.s FROM T1 AS x ORDER BY s LIMIT 3) SELECT * FROM T2 AS y",
+             T2 AS (SELECT x.s FROM T1 AS x ORDER BY s LIMIT 3) SELECT y.s FROM T2 AS y",
         ] {
             let ast::Statement::Query(q) = parse_statement(sql).unwrap() else { panic!() };
             let depth = plan_query(&q, &catalog()).unwrap().depth();
             assert!(depth_bound(&q) >= depth, "{sql}: {} < {depth}", depth_bound(&q));
         }
-    }
-
-    #[test]
-    fn wildcard_expansion() {
-        let p = plan("SELECT * FROM T0").unwrap();
-        assert_eq!(p.schema().names(), vec!["s", "r", "i"]);
-        let p = plan("SELECT * FROM T0 JOIN H ON H.in_s = T0.s").unwrap();
-        assert_eq!(p.schema().names(), vec!["s", "r", "i", "in_s", "out_s", "r", "i"]);
     }
 
     #[test]
@@ -652,26 +591,22 @@ mod tests {
     }
 
     #[test]
-    fn join_without_only_equi_keys_and_non_count_distinct_are_unsupported() {
+    fn joins_but_on_one_key_and_aggregates_but_three_are_unsupported() {
         for sql in [
-            "SELECT * FROM T0 JOIN H ON H.in_s < T0.s",
-            "SELECT * FROM T0 LEFT JOIN H ON H.in_s = 1",
-            "SELECT * FROM T0 JOIN H ON H.in_s = T0.s AND H.r < T0.r",
-            "SELECT * FROM T0 JOIN H ON H.in_s = T0.s AND T0.s = 1",
+            "SELECT T0.s FROM T0 JOIN H ON H.in_s > T0.s",
+            "SELECT T0.s FROM T0 LEFT JOIN H ON H.in_s = 1",
+            "SELECT T0.s FROM T0 JOIN H ON H.in_s = H.out_s",
             "SELECT SUM(DISTINCT r) FROM T0",
-            "SELECT MAX(DISTINCT s) FROM T0",
+            "SELECT COUNT(s) FROM T0",
+            "SELECT MIN(s) FROM T0",
+            "SELECT s, MAX(r) AS m FROM T0 GROUP BY s",
+            "SELECT AVG(r) FROM T0",
         ] {
             assert!(matches!(plan(sql), Err(Error::Unsupported(_))), "{sql}");
         }
         assert!(matches!(plan("SELECT COUNT(DISTINCT *) FROM T0"), Err(Error::Plan(_))));
-        assert!(plan("SELECT * FROM T0 JOIN H ON T0.s = H.in_s AND H.out_s = (T0.s & 1)").is_ok());
-        assert!(plan("SELECT COUNT(DISTINCT s) FROM T0").is_ok());
-    }
-
-    #[test]
-    fn distinct_becomes_aggregate() {
-        let p = plan("SELECT DISTINCT s FROM T0").unwrap();
-        assert!(matches!(p, Plan::Aggregate { ref aggs, .. } if aggs.is_empty()));
+        assert!(plan("SELECT T0.s FROM T0 JOIN H ON T0.s = H.out_s").is_ok());
+        assert!(plan("SELECT COUNT(DISTINCT s), COUNT(*), SUM(r) FROM T0").is_ok());
     }
 
     #[test]
@@ -681,7 +616,7 @@ mod tests {
 
     #[test]
     fn unknown_table_and_column() {
-        assert!(matches!(plan("SELECT * FROM nope"), Err(Error::Catalog(_))));
+        assert!(matches!(plan("SELECT s FROM nope"), Err(Error::Catalog(_))));
         assert!(matches!(plan("SELECT nope FROM T0"), Err(Error::Plan(_))));
     }
 

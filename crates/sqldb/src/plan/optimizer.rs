@@ -6,15 +6,13 @@
 //!
 //! * **constant folding** — gate-table literals and mask arithmetic collapse
 //!   at plan time;
-//! * **filter fusion** — stacked filters merge into one conjunction, and an
-//!   always-true filter is dropped.
+//! * an always-true filter is dropped.
 
 use std::sync::Arc;
 
 use crate::ast::BinaryOp;
 use crate::expr::BoundExpr;
 use crate::plan::logical::Plan;
-use crate::schema::RelSchema;
 
 /// Apply all rules bottom-up until a fixpoint (bounded by plan depth).
 pub fn optimize(plan: Plan) -> Plan {
@@ -35,13 +33,11 @@ fn rewrite(plan: &mut Plan) {
         Plan::Filter { input, predicate } => {
             rewrite(Arc::make_mut(input));
             fold_expr(predicate);
-            // An empty scan holds the slot (no allocation) until the rules
-            // have rebuilt the filter.
-            let slot = Plan::Scan { table: String::new(), schema: RelSchema::default() };
-            let Plan::Filter { input, predicate } = std::mem::replace(plan, slot) else {
-                unreachable!("matched a filter")
-            };
-            *plan = apply_filter_rules(Arc::unwrap_or_clone(input), predicate);
+            if let BoundExpr::Literal(v) = predicate {
+                if v.as_bool().ok().flatten() == Some(true) {
+                    *plan = (**input).clone();
+                }
+            }
         }
         Plan::Project { input, exprs, .. } => {
             rewrite(Arc::make_mut(input));
@@ -78,15 +74,10 @@ fn fold(expr: &mut BoundExpr) -> bool {
     let constant = match expr {
         BoundExpr::Literal(_) => return true,
         BoundExpr::Column(_) => return false,
-        BoundExpr::Unary { expr, .. }
-        | BoundExpr::Cast { expr, .. }
-        | BoundExpr::IsNull { expr, .. } => fold(expr),
+        BoundExpr::Unary { expr, .. } | BoundExpr::Cast { expr, .. } => fold(expr),
         // Every child is folded: no short-circuit.
         BoundExpr::Binary { left, right, .. } => fold(left) & fold(right),
         BoundExpr::ScalarFn { args, .. } => args.iter_mut().fold(true, |c, a| fold(a) & c),
-        BoundExpr::InList { expr, list, .. } => {
-            list.iter_mut().fold(fold(expr), |c, e| fold(e) & c)
-        }
     };
     if constant {
         if let Ok(v) = expr.eval(&Vec::new()) {
@@ -96,59 +87,18 @@ fn fold(expr: &mut BoundExpr) -> bool {
     constant
 }
 
-/// The AND-conjuncts of `expr`, borrowed.
-pub(crate) fn conjuncts<'a>(expr: &'a BoundExpr, out: &mut Vec<&'a BoundExpr>) {
-    match expr {
-        BoundExpr::Binary { left, op: BinaryOp::And, right } => {
-            conjuncts(left, out);
-            conjuncts(right, out);
-        }
-        other => out.push(other),
+/// The hash-join key of a join condition `l = r` whose operands each read
+/// one input: `(left key, right key)`, the right key rebased onto the right
+/// input's columns. `None` for any other condition: the hash join has one
+/// key and no residual, so the planner refuses such a join.
+pub(crate) fn join_key(on: &BoundExpr, left_cols: usize) -> Option<(BoundExpr, BoundExpr)> {
+    let BoundExpr::Binary { left, op: BinaryOp::Eq, right } = on else { return None };
+    let (mut a, mut b) = ((**left).clone(), (**right).clone());
+    match (rebase(&mut a, left_cols)?, rebase(&mut b, left_cols)?) {
+        (false, true) => Some((a, b)),
+        (true, false) => Some((b, a)),
+        _ => None,
     }
-}
-
-/// Filter rules: drop an always-true filter, fuse stacked filters.
-fn apply_filter_rules(input: Plan, predicate: BoundExpr) -> Plan {
-    if let BoundExpr::Literal(v) = &predicate {
-        if v.as_bool().ok().flatten() == Some(true) {
-            return input;
-        }
-    }
-    match input {
-        Plan::Filter { input: inner, predicate: p2 } => {
-            let combined = BoundExpr::Binary {
-                left: Box::new(p2),
-                op: BinaryOp::And,
-                right: Box::new(predicate),
-            };
-            apply_filter_rules(Arc::unwrap_or_clone(inner), combined)
-        }
-        other => Plan::Filter { input: Arc::new(other), predicate },
-    }
-}
-
-/// The hash-join keys of a join condition: `(left keys, right keys)`, one
-/// pair per conjunct `l = r` whose operands each read one input, the right
-/// key rebased onto the right input's columns. `None` when any conjunct is
-/// something else: the hash join has no residual, so the planner refuses
-/// such a join.
-pub(crate) fn join_keys(
-    on: &BoundExpr,
-    left_cols: usize,
-) -> Option<(Vec<BoundExpr>, Vec<BoundExpr>)> {
-    let mut eqs = Vec::new();
-    conjuncts(on, &mut eqs);
-    let (mut lk, mut rk) = (Vec::new(), Vec::new());
-    for eq in eqs {
-        let BoundExpr::Binary { left, op: BinaryOp::Eq, right } = eq else { return None };
-        let (mut a, mut b) = ((**left).clone(), (**right).clone());
-        match (rebase(&mut a, left_cols)?, rebase(&mut b, left_cols)?) {
-            (false, true) => (lk.push(a), rk.push(b)),
-            (true, false) => (lk.push(b), rk.push(a)),
-            _ => return None,
-        };
-    }
-    Some((lk, rk))
 }
 
 /// Which input of a join `expr` reads: `Some(true)` the right one only,
@@ -171,6 +121,7 @@ fn rebase(expr: &mut BoundExpr, left_cols: usize) -> Option<bool> {
 mod tests {
     use super::*;
     use crate::ast::UnaryOp;
+    use crate::schema::RelSchema;
     use crate::value::Value;
 
     fn lit(v: i64) -> BoundExpr {
@@ -183,10 +134,6 @@ mod tests {
 
     fn eq(a: BoundExpr, b: BoundExpr) -> BoundExpr {
         BoundExpr::Binary { left: Box::new(a), op: BinaryOp::Eq, right: Box::new(b) }
-    }
-
-    fn and(a: BoundExpr, b: BoundExpr) -> BoundExpr {
-        BoundExpr::Binary { left: Box::new(a), op: BinaryOp::And, right: Box::new(b) }
     }
 
     fn folded(mut e: BoundExpr) -> BoundExpr {
@@ -228,20 +175,14 @@ mod tests {
     }
 
     #[test]
-    fn join_keys_take_both_orientations_and_nothing_else() {
-        // The left input has 2 columns: ON col0 = col2 AND col3 = col1.
-        let on = and(eq(col(0), col(2)), eq(col(3), col(1)));
-        let (lk, rk) = join_keys(&on, 2).unwrap();
-        assert_eq!(lk, vec![col(0), col(1)]);
-        assert_eq!(rk, vec![col(0), col(1)], "right keys rebased onto the right input");
-        let gt = BoundExpr::Binary { left: Box::new(col(0)), op: BinaryOp::Gt, right: Box::new(lit(0)) };
-        for not_keys in [
-            and(on.clone(), gt),
-            BoundExpr::Binary { left: Box::new(col(0)), op: BinaryOp::Lt, right: Box::new(col(2)) },
-            eq(col(0), lit(1)),
-            eq(col(0), col(1)),
-        ] {
-            assert_eq!(join_keys(&not_keys, 2), None, "{not_keys:?}");
+    fn a_join_key_takes_both_orientations_and_nothing_else() {
+        // The left input has 2 columns: ON col3 = col1.
+        assert_eq!(join_key(&eq(col(3), col(1)), 2), Some((col(1), col(1))));
+        assert_eq!(join_key(&eq(col(0), col(2)), 2), Some((col(0), col(0))));
+        let gt =
+            BoundExpr::Binary { left: Box::new(col(0)), op: BinaryOp::Gt, right: Box::new(col(2)) };
+        for not_a_key in [gt, eq(col(0), lit(1)), eq(col(0), col(1)), eq(col(2), col(3))] {
+            assert_eq!(join_key(&not_a_key, 2), None, "{not_a_key:?}");
         }
     }
 
@@ -261,32 +202,20 @@ mod tests {
             on: eq(col(0), col(2)),
             schema,
         };
-        let predicate = and(eq(col(0), lit(1)), eq(col(1), col(2)));
+        let predicate = eq(col(1), col(2));
         let plan = Plan::Filter { input: Arc::new(join.clone()), predicate: predicate.clone() };
         assert_eq!(optimize(plan), Plan::Filter { input: Arc::new(join), predicate });
     }
 
     #[test]
-    fn true_filter_dropped_and_filters_fused() {
+    fn true_filter_dropped() {
         let scan = Plan::Scan {
             table: "t".into(),
             schema: crate::schema::RelSchema::new(vec![crate::schema::Field::new(None, "x")]),
         };
-        let p = Plan::Filter { input: Arc::new(scan.clone()), predicate: lit(1) };
-        assert!(matches!(optimize(p), Plan::Scan { .. }));
-
-        let stacked = Plan::Filter {
-            input: Arc::new(Plan::Filter {
-                input: Arc::new(scan),
-                predicate: eq(col(0), lit(1)),
-            }),
-            predicate: eq(col(0), lit(2)),
-        };
-        let opt = optimize(stacked);
-        let Plan::Filter { input, predicate } = opt else { panic!("expected single filter") };
-        assert!(matches!(*input, Plan::Scan { .. }));
-        let mut parts = Vec::new();
-        conjuncts(&predicate, &mut parts);
-        assert_eq!(parts.len(), 2);
+        let p = Plan::Filter { input: Arc::new(scan.clone()), predicate: eq(lit(1), lit(1)) };
+        assert_eq!(optimize(p), scan);
+        let p = Plan::Filter { input: Arc::new(scan), predicate: eq(col(0), lit(1)) };
+        assert!(matches!(optimize(p), Plan::Filter { .. }));
     }
 }

@@ -38,11 +38,9 @@
 //!   `commit_seq` the surviving checkpoint already covers.
 //! * `checkpoint.tmp` — transient; deleted on open.
 //!
-//! Durability knob: [`FsyncPolicy`], set through
-//! `DurabilityOptions::fsync` — `Commit` (default — fsync once per
-//! committed frame) or `Off` (no fsync; crash consistency still holds via
-//! checksums, but the tail of acknowledged transactions may be lost with
-//! the OS cache).
+//! Every commit fsyncs the log once, behind its `Commit` record (a frame is
+//! recovered only with that record), and every checkpoint fsyncs its image
+//! and the directory: an acknowledged transaction survives power loss.
 //!
 //! Every file operation goes through the shared
 //! [`FaultInjector`], which is how
@@ -71,20 +69,6 @@ pub const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 /// 8-byte magic prefixing a checkpoint image. `02`: tables are written as
 /// column blocks; an `01` image (rows) is refused at open.
 const CHECKPOINT_MAGIC: &[u8; 8] = b"QYCKPT02";
-
-/// When to force WAL bytes to stable storage. A frame is recovered only
-/// with its `Commit` record, so syncing once, behind that record, is all a
-/// commit needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncPolicy {
-    /// fsync once per committed frame (the default): an acknowledged
-    /// transaction survives power loss.
-    #[default]
-    Commit,
-    /// Never fsync. Consistency still holds (checksummed replay), but the
-    /// tail of acknowledged statements may be lost with the OS cache.
-    Off,
-}
 
 // ---------------------------------------------------------------------------
 // crc32 (IEEE 802.3, slicing-by-8) — hand-rolled; the engine vendors no
@@ -329,7 +313,6 @@ pub struct CkptTable {
 pub struct DurableStore {
     dir: PathBuf,
     wal: Wal,
-    policy: FsyncPolicy,
     injector: Arc<FaultInjector>,
     /// Transaction id the next frame will carry. Advanced past every id
     /// *seen* in the log at open — committed or cut short — so a dead
@@ -373,11 +356,7 @@ impl DurableStore {
     /// image with another magic, was written by another version (or is
     /// corrupted beyond what a crash does): that is an [`Error::Io`], and
     /// no file is touched.
-    pub fn open(
-        dir: &Path,
-        policy: FsyncPolicy,
-        injector: Arc<FaultInjector>,
-    ) -> Result<(Self, Recovered)> {
+    pub fn open(dir: &Path, injector: Arc<FaultInjector>) -> Result<(Self, Recovered)> {
         fs::create_dir_all(dir)?;
         let checkpoint = read_checkpoint(&dir.join(CHECKPOINT_FILE))?;
         let ckpt_seq = checkpoint.as_ref().map_or(0, |(seq, _)| *seq);
@@ -408,7 +387,6 @@ impl DurableStore {
                 appended: 0,
                 fsyncs: 0,
             },
-            policy,
             injector,
             next_txn: scan.max_txn.max(ckpt_seq) + 1,
             next_commit: scan.max_commit.max(ckpt_seq) + 1,
@@ -561,7 +539,7 @@ impl DurableStore {
     }
 
     /// Commit transaction `txn`: append the `Commit` record carrying the
-    /// next commit sequence, force it down per the fsync policy, and
+    /// next commit sequence, fsync it, and
     /// advance the committed boundary. After `Ok`, the transaction survives
     /// a crash; on `Err` the log was repaired back to the last committed
     /// boundary (or poisoned — recovery ignores the commit-less frame
@@ -571,11 +549,9 @@ impl DurableStore {
         let mut record = Self::record(TAG_COMMIT, txn);
         record.extend_from_slice(&commit_seq.to_le_bytes());
         self.append_record(record)?;
-        if self.policy == FsyncPolicy::Commit {
-            // Unknown durability of the frame on failure: `fsync` discards
-            // it so the in-memory rollback and recovery agree.
-            self.fsync()?;
-        }
+        // Unknown durability of the frame on failure: `fsync` discards it so
+        // the in-memory rollback and recovery agree.
+        self.fsync()?;
         self.wal.good_end = self.wal.len;
         self.last_committed = commit_seq;
         self.next_commit = commit_seq + 1;
@@ -600,10 +576,8 @@ impl DurableStore {
         // the directory so the rename itself is durable.
         self.injector.check(FaultSite::CheckpointRename)?;
         fs::rename(&tmp, self.dir.join(CHECKPOINT_FILE))?;
-        if self.policy == FsyncPolicy::Commit {
-            let dirf = File::open(&self.dir)?;
-            self.injector.fsync(FaultSite::CheckpointFsync, &dirf)?;
-        }
+        let dirf = File::open(&self.dir)?;
+        self.injector.fsync(FaultSite::CheckpointFsync, &dirf)?;
         // The WAL's frames are all covered by the image now. A failure
         // here is benign (replay skips frames with commit_seq ≤ checkpoint
         // seq), but surfaces as an error so operators see the log not
@@ -834,7 +808,7 @@ mod tests {
     }
 
     fn open(dir: &Path) -> (DurableStore, Recovered) {
-        DurableStore::open(dir, FsyncPolicy::Commit, FaultInjector::none()).unwrap()
+        DurableStore::open(dir, FaultInjector::none()).unwrap()
     }
 
     #[test]
@@ -1027,7 +1001,7 @@ mod tests {
             record.extend_from_slice(&payload);
             bytes.splice(offset..offset, record);
             fs::write(&wal, &bytes).unwrap();
-            let err = DurableStore::open(&dir, FsyncPolicy::Commit, FaultInjector::none())
+            let err = DurableStore::open(&dir, FaultInjector::none())
                 .unwrap_err();
             let Error::Io(msg) = &err else { panic!("{what}: {err:?}") };
             assert!(
@@ -1079,7 +1053,7 @@ mod tests {
         img[..8].copy_from_slice(b"QYCKPT01");
         fs::write(&path, &img).unwrap();
         let wal_before = fs::read(dir.join(WAL_FILE)).unwrap();
-        let err = DurableStore::open(&dir, FsyncPolicy::Commit, FaultInjector::none()).unwrap_err();
+        let err = DurableStore::open(&dir, FaultInjector::none()).unwrap_err();
         assert!(matches!(&err, Error::Io(m) if m.contains("bad magic") && m.contains("QYCKPT02")), "{err:?}");
         assert_eq!(fs::read(&path).unwrap(), img);
         assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), wal_before);
@@ -1166,7 +1140,7 @@ mod tests {
         };
         let wal = dir.join(WAL_FILE);
         let bytes = fs::read(&wal).unwrap();
-        let err = DurableStore::open(&dir, FsyncPolicy::Commit, FaultInjector::none())
+        let err = DurableStore::open(&dir, FaultInjector::none())
             .unwrap_err();
         let Error::Io(msg) = &err else { panic!("{err:?}") };
         assert!(msg.contains(&format!("offset {offset}")), "{msg}");
@@ -1264,7 +1238,7 @@ mod tests {
         let mid = img.len() / 2;
         img[mid] ^= 0xFF;
         fs::write(&path, &img).unwrap();
-        let err = DurableStore::open(&dir, FsyncPolicy::Commit, FaultInjector::none())
+        let err = DurableStore::open(&dir, FaultInjector::none())
             .unwrap_err();
         assert!(matches!(err, Error::Io(m) if m.contains("checksum")));
         let _ = fs::remove_dir_all(&dir);

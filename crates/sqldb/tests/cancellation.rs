@@ -41,8 +41,8 @@ fn scenario_db_within(limit: Option<usize>) -> Database {
 
 const SORT_SQL: &str = "SELECT k, v FROM big ORDER BY v DESC, k";
 const AGG_SQL: &str = "SELECT k, SUM(v) AS t FROM big GROUP BY k ORDER BY k";
-const JOIN_SQL: &str = "SELECT b.k, SUM(b.v * d.w) AS t FROM big b \
-                        JOIN dim d ON d.k = (b.k & 63) GROUP BY b.k ORDER BY b.k";
+const JOIN_SQL: &str = "SELECT b.k, SUM(b.v * d.w) AS t FROM big AS b \
+                        JOIN dim AS d ON d.k = (b.k & 63) GROUP BY b.k ORDER BY b.k";
 
 /// The shared postcondition: typed error, exact ledger restore, no spill
 /// residue, bounded overshoot, bounded cancellation latency.
@@ -229,8 +229,8 @@ fn concurrent_handle_cancel_is_clean() {
 fn ledger_balances_however_a_gate_query_ends() {
     // Group 777 is first seen well into the input, so batches of finished
     // groups have left the aggregate before its shift by -1 fails.
-    let failing = "WITH t AS (SELECT b.k AS k, SUM(b.v * d.w) AS t FROM big b \
-                   JOIN dim d ON d.k = (b.k & 63) GROUP BY b.k) \
+    let failing = "WITH t AS (SELECT b.k AS k, SUM(b.v * d.w) AS t FROM big AS b \
+                   JOIN dim AS d ON d.k = (b.k & 63) GROUP BY b.k) \
                    SELECT k, t, 1 >> ((k - 777) * (k - 777) - 1) AS q FROM t";
     for limit in [None, Some(2 * 1024 * 1024)] {
         let what = format!("limit {limit:?}");

@@ -38,8 +38,8 @@ const SORT_SQL: &str = "SELECT k, v FROM big ORDER BY v DESC, k";
 const AGG_SQL: &str = "SELECT k, SUM(v) AS t FROM big GROUP BY k ORDER BY k";
 // Every probe row matches one dim row, so the join's full 60k-row output
 // flows into a 20k-group aggregation that must spill under the budget.
-const JOIN_SQL: &str = "SELECT b.k, SUM(b.v * d.w) AS t FROM big b \
-                        JOIN dim d ON d.k = (b.k & 63) GROUP BY b.k ORDER BY b.k";
+const JOIN_SQL: &str = "SELECT b.k, SUM(b.v * d.w) AS t FROM big AS b \
+                        JOIN dim AS d ON d.k = (b.k & 63) GROUP BY b.k ORDER BY b.k";
 
 /// Arm a one-shot fault, run `sql`, and require: a typed injected error,
 /// a ledger holding exactly the base tables, an empty spill directory,

@@ -48,8 +48,8 @@ fn sorted_rows(rs: &qymera_sqldb::ResultSet) -> Vec<String> {
 const PROBES: &[&str] = &[
     "SELECT s, r, i FROM t",
     "SELECT s & 7 AS g, SUM(r) AS sr, SUM(i) AS si FROM t GROUP BY s & 7",
-    "SELECT COUNT(*) AS n, COUNT(s) AS ns FROM t",
-    "SELECT s FROM t WHERE r > 0.0 AND s IS NOT NULL",
+    "SELECT COUNT(*) AS n, COUNT(DISTINCT s) AS ns FROM t",
+    "SELECT s FROM t WHERE r > 0.0",
 ];
 
 /// Randomized inserts, some of them rolled back: after every mutation, every
@@ -280,6 +280,13 @@ fn random_value(rng: &mut StdRng, ty: &str, nulls: bool) -> Value {
     }
 }
 
+/// A `SELECT` of every column of `name`, in table order.
+fn select_all(db: &Database, name: &str) -> String {
+    let cols: Vec<&str> =
+        db.table_columns(name).unwrap().iter().map(|(c, _)| c.as_str()).collect();
+    format!("SELECT {} FROM {name}", cols.join(", "))
+}
+
 /// Every table's schema and rows in storage order with floats as bit
 /// patterns, and what the ledger holds for them.
 fn full_state(db: &mut Database) -> (Vec<String>, usize, usize) {
@@ -287,8 +294,8 @@ fn full_state(db: &mut Database) -> (Vec<String>, usize, usize) {
     names.sort();
     let mut out = Vec::new();
     for name in names {
-        out.push(format!("{name}: {:?}", db.query_schema(&format!("SELECT * FROM {name}")).unwrap()));
-        let rows = db.execute(&format!("SELECT * FROM {name}")).unwrap().into_rows();
+        out.push(format!("{name}: {:?}", db.table_columns(&name).unwrap()));
+        let rows = db.execute(&select_all(db, &name)).unwrap().into_rows();
         out.extend(rows.iter().map(|row| {
             let cell = |v: &Value| match v {
                 Value::Float(f) => format!("f{:016x}", f.to_bits()),
@@ -353,8 +360,9 @@ fn a_recovered_database_equals_its_in_memory_twin() {
                     // DOUBLE and may then refuse a later value — on both
                     // sides alike.
                     let Some((src, _)) = schemas.first().cloned() else { continue };
-                    let filter = if rng.gen_range(0u32..2) == 0 { " WHERE (k & 3) <> 1" } else { "" };
-                    let text = format!("SELECT * FROM {src}{filter}");
+                    let filter =
+                        if rng.gen_range(0u32..2) == 0 { " WHERE ((k + 3) & 3) > 0" } else { "" };
+                    let text = format!("{}{filter}", select_all(&durable, &src));
                     let ctas = move |db: &mut Database| db.create_table_as(name, &text);
                     if both(&mut durable, &mut twin, "CTAS", &ctas) {
                         // What the first batch made of each column is not
