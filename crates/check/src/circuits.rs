@@ -7,7 +7,11 @@
 //! agree with the paper's, where every gate is a join, to [`JOIN_TOL`],
 //! basis state by basis state. Every state table of a step-table run holds
 //! each basis state once ([`state_keys_are_unique`]), which is what lets a
-//! permutation join without a `GROUP BY`.
+//! permutation join without a `GROUP BY`. Fusion composes only the columns
+//! a state can reach, so every qubit it takes as known must hold its value
+//! in every row of the unfused trace ([`known_qubits_hold`]), and the fused
+//! run must agree with one op per gate to [`JOIN_TOL`]
+//! ([`fusion_matches_unfused`]).
 //!
 //! Rotation angles are dyadic multiples of π/8 — enough to produce dense,
 //! interfering states while keeping every backend well inside the
@@ -23,7 +27,7 @@ use qymera_sqldb::ast::Statement;
 use qymera_sqldb::catalog::Catalog;
 use qymera_sqldb::parser::parse_statement;
 use qymera_sqldb::{Database, MemoryBudget};
-use qymera_translate::fusion::lower_circuit;
+use qymera_translate::fusion::{known_after_each_gate, lower_circuit};
 use qymera_translate::sqlgen::step_statement;
 use qymera_translate::tables::create_initial_state_table;
 use qymera_translate::{
@@ -251,6 +255,41 @@ pub fn state_keys_are_unique(circuit: &QuantumCircuit) -> Result<(), String> {
     Ok(())
 }
 
+/// Every qubit [`known_after_each_gate`] takes as known after a gate holds
+/// its value in every row, zero amplitudes included, of the unfused trace's
+/// state after that gate: the columns a fused block leaves out meet no row.
+pub fn known_qubits_hold(circuit: &QuantumCircuit) -> Result<(), String> {
+    let trace = SqlSimulator::default().run_trace(circuit).map_err(|e| e.to_string())?;
+    let after = known_after_each_gate(circuit).into_iter().zip(&trace.states[1..]);
+    for (k, (known, state)) in after.enumerate() {
+        for a in state {
+            let s = a.s.as_i64().map_err(|e| e.to_string())? as u64;
+            if (s ^ known.ones) & known.mask != 0 {
+                let gate = &circuit.gates()[k];
+                let (mask, ones) = (known.mask, known.ones);
+                return Err(format!(
+                    "after gate {k} ({gate:?}) row s = {s:#b} breaks known qubits {mask:#b} = {ones:#b}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The fused default agrees with one op per gate within [`JOIN_TOL`]: a
+/// block takes the same products in another order.
+pub fn fusion_matches_unfused(circuit: &QuantumCircuit) -> Result<(), String> {
+    let run = |fusion| {
+        let sim = SqlSimulator::new(SqlSimConfig { fusion, ..SqlSimConfig::default() });
+        sim.simulate(circuit, &SimOptions::default()).map_err(|e| e.to_string())
+    };
+    let diff = run(None)?.max_amplitude_diff(&run(SqlSimConfig::default().fusion)?);
+    if diff > JOIN_TOL {
+        return Err(format!("fused differs from unfused by {diff:.3e}"));
+    }
+    Ok(())
+}
+
 /// The translator's tables and single-query text for `circuit`, answered by
 /// `Database::query_reference` instead of the executor.
 fn simulate_with_reference(circuit: &QuantumCircuit) -> Result<SimOutput, SimError> {
@@ -326,6 +365,12 @@ pub fn run_circuit_case(case: &CircuitCase) -> Option<Discrepancy> {
     }
     if let Err(detail) = state_keys_are_unique(&circuit) {
         return Some(Discrepancy { seed: case.seed, oracle: "sql-step unique s".into(), detail });
+    }
+    if let Err(detail) = known_qubits_hold(&circuit) {
+        return Some(Discrepancy { seed: case.seed, oracle: "fusion known qubits".into(), detail });
+    }
+    if let Err(detail) = fusion_matches_unfused(&circuit) {
+        return Some(Discrepancy { seed: case.seed, oracle: "sql fused vs unfused".into(), detail });
     }
     if let Some(d) = check("sparse", SparseSim.simulate(&circuit, &opts)) {
         return Some(d);

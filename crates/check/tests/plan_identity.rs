@@ -170,9 +170,10 @@ fn qft13_projections_are_unchanged() {
 
 /// Step-table mode as perfbench's `durable_steps` runs it: `qft:13`,
 /// fused, under the default translation. Each statement is planned over
-/// the table the one before created; the 13 ops holding a Hadamard group
-/// their join, the 15 permutation blocks join without a `GROUP BY`, and
-/// the other 24 are lone projections.
+/// the table the one before created; the 9 ops holding the 13 Hadamards
+/// group their join (the last five, on qubits still at 0, fuse with their
+/// ladders into one block), the 15 permutation blocks join without a
+/// `GROUP BY`, and the other 24 are lone projections.
 #[test]
 fn qft13_step_statements_group_only_the_hadamards() {
     let circuit = library::qft(13);
@@ -196,7 +197,7 @@ fn qft13_step_statements_group_only_the_hadamards() {
         shapes[shape.0 + shape.1] += 1;
         db.create_table_as(&next, &select).unwrap();
     }
-    assert_eq!(shapes, [24, 15, 13], "(projections, permutation joins, grouped joins)");
+    assert_eq!(shapes, [24, 15, 9], "(projections, permutation joins, grouped joins)");
 }
 
 /// `EXPLAIN` of a generated case's query over its own tables.

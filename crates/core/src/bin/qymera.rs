@@ -136,37 +136,41 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage: qymera <command> [options]\n\
-     commands:\n\
-       sql      print the SQL translation of a circuit\n\
-       run      simulate a circuit (--backend NAME | --auto)\n\
-       trace    show the state table after every gate (SQL backend)\n\
-       profile  EXPLAIN ANALYZE the translated query (rows/time per operator)\n\
-       bench    run the circuit on every backend and compare\n\
-       sample   sample measurement outcomes (--shots N)\n\
-     options:\n\
-       --circuit SPEC   built-in circuit, e.g. ghz:3, eqsup:4, qft:5,\n\
-                        w:4, bell, parity:10110, grover:3:5, bv:5:19,\n\
-                        dj:4 (constant) or dj:4:5 (balanced by mask 5),\n\
-                        qpe:4:3, sparse:8, dense:8, hea:6 (two layers)\n\
-       --file PATH      load a circuit from .json or .qasm\n\
-       --backend NAME   sql | statevector | sparse | mps | dd (default sql)\n\
-       --auto           let the method selector choose the backend\n\
-       --memory BYTES   memory budget for the simulation\n\
-       --no-fusion      one query per gate (default: gates that cannot\n\
-                        interfere fuse into blocks of up to 6 qubits;\n\
-                        `trace` never fuses, so it does not take this)\n\
-       --db DIR         persist the SQL engine's state in DIR (write-ahead\n\
-                        logged, crash-recoverable; default: in-memory)\n\
-       --timeout-ms MS  per-statement deadline for the SQL engine\n\
-                        (0/unset = none)\n\
-       --shots N        samples for the `sample` command (default 1024)\n\
-       --top K          state rows to print (default 16)\n\
-     An option the command does not read is an error, not ignored: `run`\n\
-     reads --db, --no-fusion and --timeout-ms with the sql backend only,\n\
-     so not with --auto.\n\
-     Ctrl-C cancels the SQL statement in flight cooperatively (engine\n\
-     rolled back cleanly); a second Ctrl-C exits immediately (130)."
+    // One literal whose lines keep their indentation: only the first line
+    // break is escaped.
+    "\
+usage: qymera <command> [options]
+commands:
+  sql      print the SQL translation of a circuit
+  run      simulate a circuit (--backend NAME | --auto)
+  trace    show the state table after every gate (SQL backend)
+  profile  EXPLAIN ANALYZE the translated query (rows/time per operator)
+  bench    run the circuit on every backend and compare
+  sample   sample measurement outcomes (--shots N)
+options:
+  --circuit SPEC   built-in circuit, e.g. ghz:3, eqsup:4, qft:5,
+                   w:4, bell, parity:10110, grover:3:5, bv:5:19,
+                   dj:4 (constant) or dj:4:5 (balanced by mask 5),
+                   qpe:4:3, sparse:8, dense:8, hea:6 (two layers)
+  --file PATH      load a circuit from .json or .qasm
+  --backend NAME   sql | statevector | sparse | mps | dd (default sql)
+  --auto           let the method selector choose the backend
+  --memory BYTES   memory budget for the simulation
+  --no-fusion      one query per gate (default: consecutive gates fuse
+                   into blocks of up to 6 qubits where the block joins
+                   no more rows than its gates would; `trace` never
+                   fuses, so it does not take this)
+  --db DIR         persist the SQL engine's state in DIR (write-ahead
+                   logged, crash-recoverable; default: in-memory)
+  --timeout-ms MS  per-statement deadline for the SQL engine
+                   (0/unset = none)
+  --shots N        samples for the `sample` command (default 1024)
+  --top K          state rows to print (default 16)
+An option the command does not read is an error, not ignored: `run`
+reads --db, --no-fusion and --timeout-ms with the sql backend only,
+so not with --auto.
+Ctrl-C cancels the SQL statement in flight cooperatively (engine
+rolled back cleanly); a second Ctrl-C exits immediately (130)."
 }
 
 /// The options that take a value, and the flags that do not. Anything else

@@ -149,6 +149,13 @@ fn assert_argument_error(what: &str, status: ExitStatus, stderr: &str) {
     assert_eq!(errors.len(), 1, "`{what}` wants exactly one error line\n{stderr}");
     assert!(stderr.starts_with("error:"), "`{what}`: the error line comes first\n{stderr}");
     assert!(stderr.contains("usage: qymera"), "`{what}`: the usage text follows\n{stderr}");
+    // The usage text keeps its layout: commands and options indented under
+    // their headings, an option's continuation lines under its text.
+    for line in ["\n  sql      print", "\n  --circuit SPEC   built-in", "\n                   w:4, bell"] {
+        assert!(stderr.contains(line), "`{what}`: the usage text lost its indentation\n{stderr}");
+    }
+    let options = stderr.lines().filter(|l| l.trim_start().starts_with("--"));
+    assert!(options.clone().count() >= 10 && options.clone().all(|l| l.starts_with("  --")), "{stderr}");
 }
 
 /// An option the CLI does not know — misspelled, or one it no longer has —

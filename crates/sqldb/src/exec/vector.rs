@@ -741,7 +741,56 @@ impl AggCore {
             return Ok(over);
         }
         let n = rows.num_rows();
+        if self.group_by.is_empty() {
+            return self.update_global(n, &arg_cols, Self::demote(table), reservation);
+        }
         self.update_generic(n, &key_cols, &arg_cols, Self::demote(table), reservation)
+    }
+
+    /// The global lane: with no `GROUP BY` the one group's accumulators fold
+    /// a batch of `rows` rows column-wise. `COUNT(*)` adds the row count, a
+    /// `SUM` over an `INTEGER` or a `DOUBLE` lane adds in input order (a
+    /// `DOUBLE` sum from `0.0`), bit for bit what [`Acc::update`] makes of
+    /// the rows one at a time, which every other argument still goes
+    /// through. Returns `true` when the reservation could not cover the
+    /// group.
+    fn update_global(
+        &self,
+        rows: usize,
+        arg_cols: &[Option<ColumnRef>],
+        map: &mut HashMap<Vec<GroupKey>, GroupState>,
+        reservation: &mut Reservation,
+    ) -> Result<bool> {
+        let mut over = false;
+        let (_, accs) = map.entry(Vec::new()).or_insert_with(|| {
+            let accs: Vec<Acc> = self.aggs.iter().map(Acc::new).collect();
+            over = !reservation.try_grow(entry_bytes(&[], &accs));
+            (Vec::new(), accs)
+        });
+        for (acc, col) in accs.iter_mut().zip(arg_cols) {
+            match (acc, col.as_deref()) {
+                (Acc::Count(n), _) => *n += rows as i64,
+                (Acc::Sum(sum @ (None | Some(Value::Float(_)))), Some(Column::Float(lane))) => {
+                    let from = if let Some(Value::Float(f)) = sum { *f } else { 0.0 };
+                    *sum = Some(Value::Float(lane.iter().fold(from, |a, &x| a + x)));
+                }
+                (Acc::Sum(sum @ (None | Some(Value::Int(_)))), Some(Column::Int(lane))) => {
+                    let overflow = || Error::Eval("integer overflow in +".into());
+                    let (from, lane) = match sum {
+                        Some(Value::Int(i)) => (*i, &lane[..]),
+                        _ => (lane[0], &lane[1..]),
+                    };
+                    let total = lane.iter().try_fold(from, |a, &x| a.checked_add(x));
+                    *sum = Some(Value::Int(total.ok_or_else(overflow)?));
+                }
+                (acc, col) => {
+                    for i in 0..rows {
+                        acc.update(col.map(|c| c.value_at(i)))?;
+                    }
+                }
+            }
+        }
+        Ok(over)
     }
 
     /// The fast lane: when `table` is still `Fast`, the key an `INTEGER`
@@ -1516,6 +1565,50 @@ mod tests {
         out.sort_by(|a, b| a[0].cmp_total(&b[0]));
         assert_eq!(out[0], vec![Value::Int(1), Value::Int(3), Value::Int(1)]);
         assert_eq!(out[1], vec![Value::Int(2), Value::Int(1), Value::Int(1)]);
+    }
+
+    /// `COUNT(*)` and `SUM` over one `DOUBLE` and one `INTEGER` lane,
+    /// with no `GROUP BY`, over `rows` in batches.
+    fn global_sums(rows: Vec<Row>) -> Result<Vec<Row>> {
+        let aggs = vec![
+            AggExpr { func: AggFunc::CountStar, arg: None },
+            AggExpr { func: AggFunc::Sum, arg: Some(col(0)) },
+            AggExpr { func: AggFunc::Sum, arg: Some(col(1)) },
+        ];
+        let mut agg = BatchHashAggregate::new(batches_of(rows), vec![], aggs, ctx());
+        let mut out = Vec::new();
+        while let Some(batch) = agg.next_batch()? {
+            out.extend((0..batch.num_rows()).map(|i| batch.row(i)));
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn global_aggregate_folds_lanes_bit_for_bit_as_acc() {
+        let rows: Vec<Row> = (0..3000)
+            .map(|k| vec![Value::Float(((k * 7919) % 1013) as f64 * 1e-3 - 0.4), Value::Int(k - 1500)])
+            .collect();
+        let mut accs = [Acc::Count(0), Acc::Sum(None), Acc::Sum(None)];
+        for row in &rows {
+            accs[0].update(None).unwrap();
+            accs[1].update(Some(row[0].clone())).unwrap();
+            accs[2].update(Some(row[1].clone())).unwrap();
+        }
+        let want: Row = accs.into_iter().map(|a| a.finalize().unwrap()).collect();
+        let got = global_sums(rows).unwrap();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0][0], want[0]);
+        let (Value::Float(g), Value::Float(w)) = (&got[0][1], &want[1]) else { panic!("{got:?}") };
+        assert_eq!(g.to_bits(), w.to_bits());
+        assert_eq!(got[0][2], want[2]);
+        // A `-0.0` term sums to `+0.0`, an overflowing `INTEGER` sum is an
+        // error, and a lane with a NULL goes row by row.
+        let got = global_sums(vec![vec![Value::Float(-0.0), Value::Int(1)]]).unwrap();
+        assert_eq!(got[0][1].as_f64().unwrap().to_bits(), 0.0f64.to_bits());
+        let rows = vec![vec![Value::Float(0.0), Value::Int(i64::MAX)], vec![Value::Float(0.0), Value::Int(1)]];
+        assert!(matches!(global_sums(rows), Err(Error::Eval(_))));
+        let rows = vec![vec![Value::Null, Value::Int(2)], vec![Value::Float(0.5), Value::Null]];
+        assert_eq!(global_sums(rows).unwrap(), vec![vec![Value::Int(2), Value::Float(0.5), Value::Int(2)]]);
     }
 
     #[test]

@@ -692,8 +692,8 @@ mod tests {
 
     /// Fusion never adds a group table, and no block of partial
     /// permutations groups: for every library circuit and 200 random ones,
-    /// the fused default builds as many group tables as the unfused one,
-    /// one per op whose table does not permute.
+    /// the fused default builds at most as many group tables as the unfused
+    /// one, one per op whose table does not permute.
     #[test]
     fn fusion_never_adds_a_group_table() {
         let ansatz = library::hardware_efficient_ansatz(6, 2);
@@ -711,7 +711,8 @@ mod tests {
         let unfused = SqlSimulator::new(SqlSimConfig { fusion: None, ..Default::default() });
         for c in &circuits {
             let (built, _) = groups_and_joins(&fused, c);
-            assert_eq!(built, groups_and_joins(&unfused, c).0, "{}", c.name);
+            let plain = groups_and_joins(&unfused, c).0;
+            assert!(built <= plain, "{}: {built} group tables fused, {plain} unfused", c.name);
             let (_, ops) = fused.lower(c, fused.config.fusion);
             assert_eq!(built, ops.iter().filter(|op| !op.permutes).count(), "{}", c.name);
         }
@@ -802,13 +803,15 @@ mod tests {
 
     #[test]
     fn interference_prunes_with_having() {
+        // Unfused: fused, H·H is the identity, and no zero row is made.
         let c = CircuitBuilder::new(1).h(0).h(0).build();
         // without pruning the engine returns the structural zero row
-        let plain = SqlSimulator::paper_default().run(&c).unwrap();
-        assert_eq!(plain.support(), 2);
+        let plain = SqlSimulator::new(SqlSimConfig { fusion: None, ..Default::default() });
+        assert_eq!(plain.run(&c).unwrap().support(), 2);
         // with HAVING pruning it is dropped inside the engine
         let pruned = SqlSimulator::new(SqlSimConfig {
             sqlgen: SqlGenConfig { prune_threshold: Some(1e-20), ..Default::default() },
+            fusion: None,
             ..Default::default()
         })
         .run(&c)
