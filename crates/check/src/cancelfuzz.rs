@@ -66,7 +66,7 @@ pub struct CancelCase {
     trigger: Trigger,
 }
 
-const SORT_SQL: &str = "SELECT k, v FROM big ORDER BY v DESC, k";
+const SORT_SQL: &str = "SELECT k, v FROM big ORDER BY v";
 const AGG_SQL: &str = "SELECT k, SUM(v) AS t FROM big GROUP BY k ORDER BY k";
 const JOIN_SQL: &str = "SELECT b.k, SUM(b.v * d.w) AS t FROM big AS b \
                         JOIN dim AS d ON d.k = (b.k & 63) GROUP BY b.k ORDER BY b.k";
@@ -283,7 +283,7 @@ pub fn run_cancel_case(seed: u64) -> Option<Discrepancy> {
             Ok(db) => db,
             Err(e) => return fail("durable", format!("final reopen failed: {e}")),
         };
-        match db.execute("SELECT COUNT(*) AS n FROM dim WHERE k = 999") {
+        match db.execute("SELECT COUNT(*) AS n FROM dim GROUP BY k HAVING k = 999") {
             Ok(rs) if rs.rows() == [vec![Value::Int(1)]] => {}
             Ok(rs) => return fail("durable", format!("retried INSERT lost: {:?}", rs.rows())),
             Err(e) => return fail("durable", format!("final count failed: {e}")),

@@ -17,7 +17,7 @@
 //! interfering states while keeping every backend well inside the
 //! comparison tolerance.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use qymera_circuit::{c64, Gate, GateKind, QuantumCircuit};
 use qymera_sim::{
@@ -224,8 +224,8 @@ pub fn projections_match_joins(circuit: &QuantumCircuit) -> Result<(), String> {
 }
 
 /// Every state table of `circuit`'s step-table run under the default
-/// translation, fused and one op per gate, holds each basis state once:
-/// `COUNT(*) = COUNT(DISTINCT s)`, checked statement by statement. A
+/// translation, fused and one op per gate, holds each basis state once: no
+/// value of its `s` column twice, checked statement by statement. A
 /// permutation's join has no `GROUP BY` on the strength of this.
 pub fn state_keys_are_unique(circuit: &QuantumCircuit) -> Result<(), String> {
     let err = |e: qymera_sqldb::Error| e.to_string();
@@ -239,20 +239,24 @@ pub fn state_keys_are_unique(circuit: &QuantumCircuit) -> Result<(), String> {
         for (k, op) in ops.iter().enumerate() {
             let (next, select) = step_statement(k, op, circuit.num_qubits, &cfg);
             db.create_table_as(&next, &select).map_err(err)?;
-            let count = format!("SELECT COUNT(*), COUNT(DISTINCT s) FROM {next}");
-            let counts = db.execute(&count).map_err(err)?;
-            if let [rows, distinct] = &counts.rows()[0][..] {
-                if rows != distinct {
-                    let (table, qubits) = (&op.table, &op.qubits);
-                    return Err(format!(
-                        "{next} ({table} on {qubits:?}, fusion {fusion:?}): {rows:?} rows, \
-                         {distinct:?} distinct s"
-                    ));
-                }
-            }
+            states_are_unique(&mut db, &next).map_err(|e| {
+                let (table, qubits) = (&op.table, &op.qubits);
+                format!("{e} ({table} on {qubits:?}, fusion {fusion:?})")
+            })?;
         }
     }
     Ok(())
+}
+
+/// The `s` column of `table` holds no value twice; the error names the
+/// table and the first repeated state.
+fn states_are_unique(db: &mut Database, table: &str) -> Result<(), String> {
+    let rows = db.execute(&format!("SELECT s FROM {table}")).map_err(|e| e.to_string())?;
+    let mut seen = HashSet::with_capacity(rows.rows().len());
+    match rows.rows().iter().find(|row| !seen.insert(row[0].group_key())) {
+        Some(row) => Err(format!("{table}: s = {} twice", row[0])),
+        None => Ok(()),
+    }
 }
 
 /// Every qubit [`known_after_each_gate`] takes as known after a gate holds
@@ -396,6 +400,23 @@ mod tests {
             assert_eq!(a.gates, b.gates);
             a.circuit(); // panics if any gate is invalid
         }
+    }
+
+    /// The check fires: a state table with a repeated `s` is reported by
+    /// name, one without passes.
+    #[test]
+    fn a_repeated_state_is_reported() {
+        let mut db = Database::new();
+        for sql in [
+            "CREATE TABLE T3 (s INTEGER, r DOUBLE, i DOUBLE)",
+            "INSERT INTO T3 VALUES (0, 0.5, 0.0), (5, 0.5, 0.0), (0, 0.5, 0.0)",
+            "CREATE TABLE T4 (s INTEGER, r DOUBLE, i DOUBLE)",
+            "INSERT INTO T4 VALUES (0, 0.5, 0.0), (5, 0.5, 0.0), (6, 0.5, 0.0)",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        assert_eq!(states_are_unique(&mut db, "T3"), Err("T3: s = 0 twice".to_string()));
+        assert_eq!(states_are_unique(&mut db, "T4"), Ok(()));
     }
 
     #[test]

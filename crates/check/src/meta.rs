@@ -1,22 +1,19 @@
 //! Metamorphic testing: algebraically-equal rewrites of a generated query
 //! must produce identical result multisets.
 //!
-//! Each rewrite operates on the *core* query block (`ORDER BY` / `LIMIT` /
-//! CTE wrapping stripped — those are orthogonal to the algebra), renders a
+//! Each rewrite operates on the *core* query block (`ORDER BY` and CTE
+//! wrapping stripped — those are orthogonal to the algebra), renders a
 //! second SQL text, and both texts run in the same database on the batch
 //! path. Because every generated column name is globally unique and all
 //! references are bare, the rewrites are purely syntactic:
 //!
-//! 1. **Join commutativity** — `A JOIN B ON a = b` ⇒ `B JOIN A ON b = a`
-//!    (inner equi-joins only).
+//! 1. **Join commutativity** — `A JOIN B ON a = b` ⇒ `B JOIN A ON b = a`.
 //! 2. **Join associativity** — `(A ⋈ B) ⋈ C` ⇒ the `A ⋈ B` prefix
-//!    materialized through a CTE, then joined with `C` (inner joins only).
+//!    materialized through a CTE, then joined with `C`.
 
 use qymera_sqldb::Database;
 
-use crate::generator::{
-    render_core, render_from, render_select, JoinKind, JoinSpec, QuerySpec, SqlCase,
-};
+use crate::generator::{render_core, render_from, render_select, JoinSpec, QuerySpec, SqlCase};
 use crate::oracle::{canon_multiset, Discrepancy};
 
 /// One applicable rewrite: a human-readable name plus the rewritten SQL.
@@ -27,23 +24,19 @@ pub struct Rewrite {
     pub sql: String,
 }
 
-/// The core query with ORDER BY / LIMIT / CTE wrapping stripped — the
-/// block the algebraic identities apply to.
+/// The core query with ORDER BY and CTE wrapping stripped — the block the
+/// algebraic identities apply to.
 fn core_query(case: &SqlCase) -> QuerySpec {
     let mut q = case.query.clone();
-    q.order_by.clear();
-    q.limit = None;
+    q.order_by = None;
     q.cte_depth = 0;
     q
 }
 
 /// Join commutativity: swap the base table with the first join when that
-/// join is an inner equi-join anchored on a base-table column.
+/// join is anchored on a base-table column.
 fn rewrite_join_commute(q: &QuerySpec, case: &SqlCase) -> Option<Rewrite> {
     let first = q.joins.first()?;
-    if first.kind != JoinKind::Inner {
-        return None;
-    }
     // The swap is only syntactically clean when the left side of the ON
     // condition lives in the base table (the generator may anchor later
     // joins on any in-scope table).
@@ -56,7 +49,6 @@ fn rewrite_join_commute(q: &QuerySpec, case: &SqlCase) -> Option<Rewrite> {
     let mut swapped = q.clone();
     swapped.base = first.table;
     swapped.joins[0] = JoinSpec {
-        kind: JoinKind::Inner,
         table: q.base,
         left_col: first.right_col.clone(),
         right_col: first.left_col.clone(),
@@ -67,13 +59,10 @@ fn rewrite_join_commute(q: &QuerySpec, case: &SqlCase) -> Option<Rewrite> {
     Some(Rewrite { name: "join-commutativity", sql })
 }
 
-/// Join associativity: materialize the first inner join through a CTE,
-/// then apply the remaining joins on top.
+/// Join associativity: materialize the first join through a CTE, then
+/// apply the remaining joins on top.
 fn rewrite_join_assoc(q: &QuerySpec, case: &SqlCase) -> Option<Rewrite> {
     if q.joins.len() < 2 {
-        return None;
-    }
-    if q.joins[0].kind != JoinKind::Inner || q.joins[1].kind != JoinKind::Inner {
         return None;
     }
     let mut prefix = q.clone();

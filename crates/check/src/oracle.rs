@@ -4,12 +4,12 @@
 //! Comparison rules (designed so every mismatch is a real engine bug, not
 //! a tie-breaking artifact):
 //!
-//! * Without `LIMIT`, the full result multiset must agree across oracles
-//!   (rows canonicalized and sorted — group output order is not part of
-//!   the contract between the reference and the executor).
-//! * With `ORDER BY`, the *sequence* of order-key columns must agree
+//! * The full result multiset must agree across oracles (rows
+//!   canonicalized and sorted — group output order is not part of the
+//!   contract between the reference and the executor).
+//! * With `ORDER BY`, the *sequence* of the order-key column must agree
 //!   exactly: sorting fixes the key sequence regardless of how ties among
-//!   full rows are broken, so this comparison stays sound under `LIMIT`.
+//!   full rows are broken.
 //! * Row counts always agree.
 //! * Any oracle returning an error is a discrepancy outright — the
 //!   generator only emits queries that cannot legitimately fail.
@@ -150,25 +150,16 @@ pub fn run_oracle(case: &SqlCase, oracle: SqlOracle) -> qymera_sqldb::Result<Res
     }
 }
 
-/// Indices of the `ORDER BY` columns within the output projection.
-fn order_key_indices(case: &SqlCase) -> Vec<usize> {
-    let cols = case.output_columns();
-    case.query
-        .order_by
-        .iter()
-        .filter_map(|(name, _)| cols.iter().position(|c| c == name))
-        .collect()
+/// Index of the `ORDER BY` column within the output projection.
+fn order_key_index(case: &SqlCase) -> Option<usize> {
+    let name = case.query.order_by.as_ref()?;
+    case.output_columns().iter().position(|c| c == name)
 }
 
-/// Projection of `rows` onto the order-key columns, canonicalized but
-/// *kept in output order* — the sequence sorting fixes.
-fn key_sequence(rows: &[Vec<Value>], key_idx: &[usize]) -> Vec<String> {
-    rows.iter()
-        .map(|r| {
-            let keys: Vec<String> = key_idx.iter().map(|&i| canon_value(&r[i])).collect();
-            keys.join("|")
-        })
-        .collect()
+/// The order-key column of `rows`, canonicalized but *kept in output
+/// order* — the sequence sorting fixes.
+fn key_sequence(rows: &[Vec<Value>], key: usize) -> Vec<String> {
+    rows.iter().map(|r| canon_value(&r[key])).collect()
 }
 
 /// Run `case` under every oracle in [`ALL_SQL_ORACLES`] and cross-check.
@@ -198,9 +189,8 @@ pub fn run_sql_case(case: &SqlCase, oracles: &[SqlOracle]) -> Option<Discrepancy
     let (ref_oracle, reference) = &results[0];
     let ref_rows = reference.rows();
     let ref_multiset = canon_multiset(ref_rows);
-    let key_idx = order_key_indices(case);
-    let ref_keys = key_sequence(ref_rows, &key_idx);
-    let compare_full = case.query.limit.is_none();
+    let key = order_key_index(case);
+    let ref_keys = key.map(|k| key_sequence(ref_rows, k));
     for (oracle, rs) in &results[1..] {
         let rows = rs.rows();
         if rows.len() != ref_rows.len() {
@@ -210,14 +200,14 @@ pub fn run_sql_case(case: &SqlCase, oracles: &[SqlOracle]) -> Option<Discrepancy
                 detail: format!("row counts differ: {} vs {}", ref_rows.len(), rows.len()),
             });
         }
-        if compare_full && canon_multiset(rows) != ref_multiset {
+        if canon_multiset(rows) != ref_multiset {
             return Some(Discrepancy {
                 seed: case.seed,
                 oracle: format!("{ref_oracle} vs {oracle}"),
                 detail: first_diff(&ref_multiset, &canon_multiset(rows)),
             });
         }
-        if !key_idx.is_empty() && key_sequence(rows, &key_idx) != ref_keys {
+        if key.map(|k| key_sequence(rows, k)) != ref_keys {
             return Some(Discrepancy {
                 seed: case.seed,
                 oracle: format!("{ref_oracle} vs {oracle}"),

@@ -14,9 +14,9 @@
 //! fault: none
 //! -- setup
 //! CREATE TABLE t0 (k0 INTEGER);
-//! INSERT INTO t0 VALUES (7);
+//! INSERT INTO t0 VALUES (7), (7);
 //! -- query
-//! SELECT k0 FROM t0 WHERE k0 > 3;
+//! SELECT k0, COUNT(*) AS a0 FROM t0 GROUP BY k0 HAVING COUNT(*) > 2;
 //! ```
 
 use std::path::{Path, PathBuf};

@@ -13,7 +13,7 @@
 use qymera_sqldb::Value;
 
 use crate::circuits::CircuitCase;
-use crate::generator::{Rhs, SqlCase, TableSpec};
+use crate::generator::{SqlCase, TableSpec};
 
 /// Hard cap on property evaluations per shrink, so a pathological case
 /// cannot stall CI. Greedy minimization of generator-sized cases uses a
@@ -22,7 +22,7 @@ const MAX_TRIALS: usize = 4000;
 
 /// Repair a structurally-reduced case: drop clauses that reference
 /// columns no longer in scope and restore generator invariants (`HAVING`
-/// names an aggregate of the projection, `LIMIT` requires `ORDER BY`).
+/// names an aggregate of the projection, `ORDER BY` an output column).
 fn sanitize(case: &mut SqlCase) {
     let in_scope: Vec<String> = {
         let q = &case.query;
@@ -33,13 +33,6 @@ fn sanitize(case: &mut SqlCase) {
         cols
     };
     let q = &mut case.query;
-    let dangling = |p: &crate::generator::PredSpec| match &p.rhs {
-        Rhs::Column(c) => !in_scope.contains(&p.col) || !in_scope.contains(c),
-        Rhs::Value(_) => !in_scope.contains(&p.col),
-    };
-    if q.predicate.as_ref().is_some_and(dangling) {
-        q.predicate = None;
-    }
     if let Some(a) = &mut q.aggregate {
         a.keys.retain(|k| in_scope.contains(k));
         a.aggs.retain(|g| match &g.col {
@@ -54,9 +47,8 @@ fn sanitize(case: &mut SqlCase) {
         }
     }
     let out = crate::generator::output_columns(q, &case.tables);
-    q.order_by.retain(|(c, _)| out.contains(c));
-    if q.order_by.is_empty() {
-        q.limit = None;
+    if q.order_by.as_ref().is_some_and(|c| !out.contains(c)) {
+        q.order_by = None;
     }
 }
 
@@ -86,19 +78,9 @@ fn candidates(case: &SqlCase) -> Vec<SqlCase> {
         c.query.aggregate = None;
         push(c);
     }
-    if case.query.limit.is_some() {
+    if case.query.order_by.is_some() {
         let mut c = case.clone();
-        c.query.limit = None;
-        push(c);
-    }
-    if !case.query.order_by.is_empty() {
-        let mut c = case.clone();
-        c.query.order_by.clear();
-        push(c);
-    }
-    if case.query.predicate.is_some() {
-        let mut c = case.clone();
-        c.query.predicate = None;
+        c.query.order_by = None;
         push(c);
     }
     if let Some(a) = &case.query.aggregate {
@@ -156,13 +138,6 @@ fn candidates(case: &SqlCase) -> Vec<SqlCase> {
                         push(c);
                     }
                 }
-            }
-        }
-        if let Some(Rhs::Value(v)) = case.query.predicate.as_ref().map(|p| &p.rhs) {
-            if let Some(simpler) = narrow(v) {
-                let mut c = case.clone();
-                c.query.predicate.as_mut().unwrap().rhs = Rhs::Value(simpler);
-                push(c);
             }
         }
     }

@@ -16,7 +16,7 @@ pub enum Literal {
     Str(String),
 }
 
-/// Column data types accepted by `CREATE TABLE` and `CAST`.
+/// Column data types accepted by `CREATE TABLE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataType {
     Integer,
@@ -87,9 +87,8 @@ pub enum Expr {
     Binary { left: Box<Expr>, op: BinaryOp, right: Box<Expr> },
     /// Function call — aggregates (`SUM`, `COUNT`, ...) and the scalars
     /// `SUBSTR` and `CONCAT`. `COUNT(*)` is `Function { args: [Expr::Star] }`.
-    Function { name: String, args: Vec<Expr>, distinct: bool },
+    Function { name: String, args: Vec<Expr> },
     Star,
-    Cast { expr: Box<Expr>, ty: DataType },
 }
 
 impl Expr {
@@ -119,7 +118,7 @@ impl Expr {
             Expr::Function { name, args, .. } => {
                 is_aggregate_name(name) || args.iter().any(Expr::contains_aggregate)
             }
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => expr.contains_aggregate(),
+            Expr::Unary { expr, .. } => expr.contains_aggregate(),
             Expr::Binary { left, right, .. } => {
                 left.contains_aggregate() || right.contains_aggregate()
             }
@@ -131,7 +130,7 @@ impl Expr {
     pub fn visit_columns(&self, f: &mut impl FnMut(&Option<String>, &str)) {
         match self {
             Expr::Column { table, name } => f(table, name),
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => expr.visit_columns(f),
+            Expr::Unary { expr, .. } => expr.visit_columns(f),
             Expr::Binary { left, right, .. } => {
                 left.visit_columns(f);
                 right.visit_columns(f);
@@ -168,17 +167,10 @@ impl TableRef {
     }
 }
 
-/// Join flavor: `JOIN … ON` (the gate join) or `LEFT JOIN … ON` (the state
-/// diff). Every join has an `ON` condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinKind {
-    Inner,
-    Left,
-}
-
+/// `JOIN table ON condition`, the gate join: an inner join, and the only
+/// kind there is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Join {
-    pub kind: JoinKind,
     pub table: TableRef,
     pub on: Expr,
 }
@@ -189,24 +181,17 @@ pub struct Select {
     pub projection: Vec<SelectItem>,
     pub from: TableRef,
     pub joins: Vec<Join>,
-    pub where_clause: Option<Expr>,
     pub group_by: Vec<Expr>,
     pub having: Option<Expr>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub struct OrderItem {
-    pub expr: Expr,
-    pub desc: bool,
-}
-
-/// A full query: optional CTEs, a body, ordering and a limit.
+/// A full query: optional CTEs, a body and an ordering.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     pub ctes: Vec<(String, Query)>,
     pub body: Box<Select>,
-    pub order_by: Vec<OrderItem>,
-    pub limit: Option<u64>,
+    /// `ORDER BY expr`: one key, ascending.
+    pub order_by: Option<Expr>,
 }
 
 /// Top-level statements.
@@ -273,11 +258,8 @@ impl fmt::Display for Expr {
                 text => write!(f, "-{text}"),
             },
             Expr::Binary { left, op, right } => write!(f, "({left} {} {right})", op.symbol()),
-            Expr::Function { name, args, distinct } => {
+            Expr::Function { name, args } => {
                 write!(f, "{name}(")?;
-                if *distinct {
-                    write!(f, "DISTINCT ")?;
-                }
                 for (i, a) in args.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
@@ -287,7 +269,6 @@ impl fmt::Display for Expr {
                 write!(f, ")")
             }
             Expr::Star => write!(f, "*"),
-            Expr::Cast { expr, ty } => write!(f, "CAST({expr} AS {ty})"),
         }
     }
 }
@@ -321,14 +302,7 @@ impl fmt::Display for Select {
         }
         write!(f, " FROM {}", self.from)?;
         for j in &self.joins {
-            let kw = match j.kind {
-                JoinKind::Inner => "JOIN",
-                JoinKind::Left => "LEFT JOIN",
-            };
-            write!(f, " {kw} {} ON {}", j.table, j.on)?;
-        }
-        if let Some(w) = &self.where_clause {
-            write!(f, " WHERE {w}")?;
+            write!(f, " JOIN {} ON {}", j.table, j.on)?;
         }
         if !self.group_by.is_empty() {
             write!(f, " GROUP BY ")?;
@@ -359,17 +333,8 @@ impl fmt::Display for Query {
             write!(f, " ")?;
         }
         write!(f, "{}", self.body)?;
-        if !self.order_by.is_empty() {
-            write!(f, " ORDER BY ")?;
-            for (i, o) in self.order_by.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{}{}", o.expr, if o.desc { " DESC" } else { "" })?;
-            }
-        }
-        if let Some(l) = self.limit {
-            write!(f, " LIMIT {l}")?;
+        if let Some(key) = &self.order_by {
+            write!(f, " ORDER BY {key}")?;
         }
         Ok(())
     }
@@ -436,17 +401,12 @@ mod tests {
 
     #[test]
     fn contains_aggregate_detection() {
-        let sum = Expr::Function {
-            name: "SUM".into(),
-            args: vec![Expr::col("r")],
-            distinct: false,
-        };
+        let sum = Expr::Function { name: "SUM".into(), args: vec![Expr::col("r")] };
         assert!(sum.contains_aggregate());
         let nested = Expr::binary(sum, BinaryOp::Add, Expr::int(1));
         assert!(nested.contains_aggregate());
         assert!(!Expr::col("r").contains_aggregate());
-        let scalar =
-            Expr::Function { name: "SUBSTR".into(), args: vec![Expr::col("x")], distinct: false };
+        let scalar = Expr::Function { name: "SUBSTR".into(), args: vec![Expr::col("x")] };
         assert!(!scalar.contains_aggregate());
     }
 

@@ -347,8 +347,12 @@ impl Database {
 
     /// Create the CTAS target. Column types come from the lanes of
     /// the first result batch (a generic lane: from its first value); later
-    /// batches must coerce losslessly (the Qymera translator guarantees
-    /// this by casting `s` explicitly when states are wider than 63 bits).
+    /// batches must coerce losslessly. Past 63 qubits the translator's `s`
+    /// is `HUGEINT` from `T0` on, and a bitwise operator with a `HUGEINT`
+    /// operand yields `HUGEINT` whatever the value (`value.rs`
+    /// `bitwise_binop`), so every batch of a step statement carries `s` as
+    /// `HUGEINT` and the step table is `HUGEINT` too
+    /// (`runner.rs::step_mode_matches_single_query_beyond_63` pins it).
     /// An empty result makes every column `DOUBLE`.
     fn ctas_create(&mut self, name: &str, names: &[String], first: Option<&RowBatch>) -> Result<()> {
         let types: Vec<DataType> = match first {

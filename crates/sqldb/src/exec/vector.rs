@@ -7,19 +7,11 @@
 //! project and aggregate read a gate's key and complex multiply through
 //! them with compiled kernels (`exec/kernel.rs`), and whatever else pulls
 //! from a join gets the gathered batch. The operator set covers **every plan shape the
-//! planner emits**: scan, filter, project, hash join (inner and LEFT OUTER),
-//! hash aggregate (including DISTINCT), sort (see [`super::vsort`]), limit
-//! and alias.
+//! planner emits**: scan, filter (`HAVING`), project, inner hash join, hash
+//! aggregate, sort (see [`super::vsort`]) and alias.
 //! Results leave the pipeline batch by batch through `drain`; what the
 //! executor is tested against is the reference interpreter in
 //! [`crate::reference`], which shares none of the code below.
-//! One caveat, standard for vectorized engines: **error detection is
-//! batch-granular**. Expressions evaluate over a whole batch before
-//! downstream operators see any of it, so a failing row (say `1 >> (x - 1)`
-//! with `x = 0`, a negative shift) raises its error even when a downstream `LIMIT` needs only rows
-//! ahead of it in the same batch; a failing row in a batch the `LIMIT` never
-//! pulls raises nothing. The reference evaluates every row of every node, so
-//! it reports both.
 //!
 //! Memory discipline: join builds and aggregation tables charge the shared
 //! [`MemoryBudget`](crate::storage::budget), and the aggregate spills typed
@@ -34,7 +26,6 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::ast::JoinKind;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
@@ -176,15 +167,14 @@ fn build_batch_stream_inner(
                 pair,
             })
         }
-        Plan::Join { left, right, kind, on, .. } => {
-            let right_cols = right.schema().len();
+        Plan::Join { left, right, on, .. } => {
             let (lk, rk) = join_key(on, left.schema().len()).ok_or_else(|| {
                 Error::Internal("a join condition that is not one key reached the executor".into())
             })?;
             let l = build_batch_stream_at(left, catalog, ctx, depth + 1)?;
             let r = build_batch_stream_at(right, catalog, ctx, depth + 1)?;
-            let (table, reservation) = JoinTable::build_from_stream(r, lk, rk, right_cols, ctx)?;
-            Box::new(BatchHashJoin::new(l, table, reservation, *kind == JoinKind::Left))
+            let (table, reservation) = JoinTable::build_from_stream(r, lk, rk, ctx)?;
+            Box::new(BatchHashJoin { probe: l, table, pending: None, _reservation: reservation })
         }
         Plan::Aggregate { input, group_by, aggs, .. } => {
             let child = build_batch_stream_at(input, catalog, ctx, depth + 1)?;
@@ -195,14 +185,10 @@ fn build_batch_stream_inner(
                 ctx.clone(),
             ))
         }
-        Plan::Sort { input, keys } => {
+        Plan::Sort { input, key } => {
             let child = build_batch_stream_at(input, catalog, ctx, depth + 1)?;
-            Box::new(BatchSort::new(child, keys.clone(), ctx.clone(), slot))
+            Box::new(BatchSort::new(child, key.clone(), ctx.clone(), slot))
         }
-        Plan::Limit { input, limit } => Box::new(BatchLimit {
-            input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
-            remaining: *limit,
-        }),
         Plan::Alias { input, .. } => build_batch_stream_at(input, catalog, ctx, depth + 1)?,
     })
 }
@@ -341,27 +327,8 @@ impl BatchStream for BatchProject {
     }
 }
 
-struct BatchLimit {
-    input: Box<dyn BatchStream>,
-    remaining: u64,
-}
-
-impl BatchStream for BatchLimit {
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let Some(mut batch) = self.input.next_batch()? else { return Ok(None) };
-        if (batch.num_rows() as u64) > self.remaining {
-            batch.truncate(self.remaining as usize);
-        }
-        self.remaining -= batch.num_rows() as u64;
-        Ok(Some(batch))
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Vectorized hash join (inner and LEFT OUTER, equi-keys)
+// Vectorized hash join (inner, one equi-key)
 // ---------------------------------------------------------------------------
 
 /// Join-key lookup table: a join has one key (the gate join
@@ -406,10 +373,6 @@ impl KeyMap {
 /// key → row-index table, with the probe-side key expression attached.
 struct JoinTable {
     build: RowBatch,
-    /// Width of the build side's schema. Carried explicitly because an empty
-    /// build produces a zero-column `RowBatch`, and outer-join null padding
-    /// must still widen unmatched probe rows by the full build arity.
-    build_cols: usize,
     table: KeyMap,
     left_key: CompiledExpr,
 }
@@ -423,7 +386,6 @@ impl JoinTable {
         mut build_input: Box<dyn BatchStream>,
         left_key: BoundExpr,
         right_key: BoundExpr,
-        build_cols: usize,
         ctx: &ExecContext,
     ) -> Result<(JoinTable, Reservation)> {
         let mut kept: Vec<Row> = Vec::new();
@@ -456,7 +418,7 @@ impl JoinTable {
         let table = KeyMap::direct(&map).unwrap_or(KeyMap::Hashed(map));
         let build = RowBatch::from_owned_rows(kept);
         let left_key = CompiledExpr::new(left_key);
-        Ok((JoinTable { build, build_cols, table, left_key }, reservation))
+        Ok((JoinTable { build, table, left_key }, reservation))
     }
 
     fn matches_of(&self, key_col: &Column, i: usize) -> Option<&[u32]> {
@@ -484,15 +446,8 @@ impl JoinTable {
     /// build matches, stopping near [`BATCH_SIZE`] pairs so a skewed
     /// many-to-many key cannot make one output batch arbitrarily large, and
     /// return the index pairs (`None` when there are none). `*next` advances
-    /// past the rows scanned; under outer semantics `matched` (one flag per
-    /// probe row, else empty) records which probe rows found a match.
-    fn probe_step(
-        &self,
-        batch: &RowBatch,
-        key_col: &Column,
-        next: &mut usize,
-        matched: &mut [bool],
-    ) -> Option<Rows> {
+    /// past the rows scanned.
+    fn probe_step(&self, batch: &RowBatch, key_col: &Column, next: &mut usize) -> Option<Rows> {
         let rows = batch.num_rows();
         let start = *next;
         let mut probe_sel: Vec<u32> = Vec::with_capacity(rows - start);
@@ -512,11 +467,6 @@ impl JoinTable {
         if probe_sel.is_empty() {
             return None;
         }
-        if !matched.is_empty() {
-            for &p in &probe_sel {
-                matched[p as usize] = true;
-            }
-        }
         // Every probe row matched exactly once, in order (diagonal and
         // permutation gates): its columns pass through untouched.
         let identity = start == 0 && i == rows && one_each;
@@ -527,62 +477,25 @@ impl JoinTable {
             build_sel,
         }))
     }
-
-    /// The null-padded rows of `batch` that `matched` leaves unmarked (the
-    /// left-outer non-matches), if any.
-    fn unmatched_pad(&self, batch: &RowBatch, matched: &[bool]) -> Option<RowBatch> {
-        let unmatched: Vec<u32> =
-            (0..matched.len() as u32).filter(|&p| !matched[p as usize]).collect();
-        (!unmatched.is_empty()).then(|| self.null_pad(batch, &unmatched))
-    }
-
-    /// The probe rows at `unmatched`, each widened with NULL for every build
-    /// column (left-outer non-match output).
-    fn null_pad(&self, probe: &RowBatch, unmatched: &[u32]) -> RowBatch {
-        let pad = RowBatch::from_columns(
-            (0..self.build_cols)
-                .map(|_| Column::splat(&Value::Null, unmatched.len()))
-                .collect(),
-        );
-        RowBatch::hstack(probe.gather(unmatched), pad)
-    }
 }
 
-/// Hash join over equi-keys, the engine's one join operator: builds on the
-/// right input, probes batch-at-a-time with the left. Covers inner and LEFT
-/// OUTER semantics; under an outer probe the operator keeps a
-/// per-probe-batch match bitmap and emits one null-padded batch of
-/// never-matched probe rows after each batch drains.
+/// Inner hash join over one equi-key, the engine's one join operator:
+/// builds on the right input, probes batch-at-a-time with the left.
 struct BatchHashJoin {
     probe: Box<dyn BatchStream>,
     table: JoinTable,
-    /// LEFT OUTER: unmatched probe rows survive, null-padded.
-    outer: bool,
     pending: Option<PendingProbe>,
     /// Memory charge for the build table (freed when the join drops).
     _reservation: Reservation,
 }
 
 /// A probe batch still being drained (skewed keys can fan one probe batch
-/// out into many output batches): the batch, its evaluated key column, the
-/// next probe row to resume from, and — for outer joins — which probe rows
-/// have found a match so far.
+/// out into many output batches): the batch, its evaluated key column and
+/// the next probe row to resume from.
 struct PendingProbe {
     batch: RowBatch,
     key_col: ColumnRef,
     next: usize,
-    matched: Vec<bool>,
-}
-
-impl BatchHashJoin {
-    fn new(
-        probe: Box<dyn BatchStream>,
-        table: JoinTable,
-        reservation: Reservation,
-        outer: bool,
-    ) -> Self {
-        BatchHashJoin { probe, table, outer, pending: None, _reservation: reservation }
-    }
 }
 
 impl BatchStream for BatchHashJoin {
@@ -598,26 +511,15 @@ impl BatchStream for BatchHashJoin {
                 None => match self.probe.next_batch()? {
                     Some(batch) => {
                         let key_col = self.table.left_key.eval_batch(&batch)?;
-                        let matched =
-                            vec![false; if self.outer { batch.num_rows() } else { 0 }];
-                        PendingProbe { batch, key_col, next: 0, matched }
+                        PendingProbe { batch, key_col, next: 0 }
                     }
                     None => return Ok(None),
                 },
             };
-            // Fully scanned: under outer semantics the batch still owes its
-            // null-padded non-matches, emitted as one final batch.
-            if p.next >= p.batch.num_rows() {
-                if let Some(pad) = self.table.unmatched_pad(&p.batch, &p.matched) {
-                    return Ok(Some(Rows::Batch(pad)));
-                }
-                continue;
-            }
             // The probe position is saved and resumed on the next call.
-            let out = self.table.probe_step(&p.batch, &p.key_col, &mut p.next, &mut p.matched);
-            // Keep the batch pending while rows remain to scan, or while an
-            // outer batch still owes its pad pass.
-            if p.next < p.batch.num_rows() || self.outer {
+            let out = self.table.probe_step(&p.batch, &p.key_col, &mut p.next);
+            // Keep the batch pending while rows remain to scan.
+            if p.next < p.batch.num_rows() {
                 self.pending = Some(p);
             }
             if let Some(b) = out {
@@ -668,10 +570,7 @@ impl AggCore {
             && aggs
                 .iter()
                 .all(|a| a.func == AggFunc::Sum && a.arg.is_some());
-        let fast_bytes = entry_bytes(
-            &[Value::Int(0)],
-            &aggs.iter().map(Acc::new).collect::<Vec<_>>(),
-        );
+        let fast_bytes = entry_bytes(&[Value::Int(0)], aggs.len());
         let complex = match aggs.as_slice() {
             [AggExpr { arg: Some(re), .. }, AggExpr { arg: Some(im), .. }] => {
                 ComplexPair::compile(re, im)
@@ -764,7 +663,7 @@ impl AggCore {
         let mut over = false;
         let (_, accs) = map.entry(Vec::new()).or_insert_with(|| {
             let accs: Vec<Acc> = self.aggs.iter().map(Acc::new).collect();
-            over = !reservation.try_grow(entry_bytes(&[], &accs));
+            over = !reservation.try_grow(entry_bytes(&[], accs.len()));
             (Vec::new(), accs)
         });
         for (acc, col) in accs.iter_mut().zip(arg_cols) {
@@ -850,7 +749,7 @@ impl AggCore {
     }
 
     /// Merge one partial row (group key values, then each accumulator's
-    /// [`Acc::write_partial`] slice) into the generic table.
+    /// [`Acc::partial`] value) into the generic table.
     fn merge_partial(
         &self,
         row: &[Value],
@@ -858,17 +757,19 @@ impl AggCore {
         reservation: &mut Reservation,
     ) -> Result<bool> {
         let k = self.group_by.len();
-        let reps = row.get(..k).ok_or_else(|| Error::Io("short partial row".into()))?;
+        if row.len() != k + self.aggs.len() {
+            return Err(Error::Io("spilled partial row of the wrong width".into()));
+        }
+        let (reps, partials) = row.split_at(k);
         let consume = |accs: &mut [Acc]| {
-            let mut pos = k;
-            accs.iter_mut().try_for_each(|acc| acc.consume_partial(row, &mut pos))
+            accs.iter_mut().zip(partials).try_for_each(|(acc, v)| acc.merge_partial(v))
         };
         match map.entry(reps.iter().map(Value::group_key).collect()) {
             Entry::Occupied(mut e) => consume(&mut e.get_mut().1).map(|()| false),
             Entry::Vacant(e) => {
                 let mut accs: Vec<Acc> = self.aggs.iter().map(Acc::new).collect();
                 consume(&mut accs)?;
-                let fits = reservation.try_grow(entry_bytes(reps, &accs));
+                let fits = reservation.try_grow(entry_bytes(reps, accs.len()));
                 e.insert((reps.to_vec(), accs));
                 Ok(!fits)
             }
@@ -919,7 +820,7 @@ impl AggCore {
                     for (acc, arg) in accs.iter_mut().zip(args) {
                         acc.update(arg)?;
                     }
-                    let bytes = entry_bytes(&reps, &accs);
+                    let bytes = entry_bytes(&reps, accs.len());
                     e.insert((reps, accs));
                     over |= !reservation.try_grow(bytes);
                 }
@@ -931,7 +832,7 @@ impl AggCore {
     /// Flush the in-memory table into the partition spill files, releasing
     /// `reservation`: a fast table as typed blocks of at most [`BATCH_SIZE`]
     /// groups, gathered partition by partition in first-seen order; a
-    /// generic table as partial rows (via [`Acc::write_partial`]).
+    /// generic table as partial rows (via [`Acc::partial`]).
     fn flush(
         &self,
         table: &mut AggTable,
@@ -970,9 +871,7 @@ impl AggCore {
             AggTable::Generic(map) => {
                 for (keys, (reps, accs)) in map.drain() {
                     let mut row = reps;
-                    for a in &accs {
-                        a.write_partial(&mut row)?;
-                    }
+                    row.extend(accs.iter().map(Acc::partial));
                     w.write_row(partition_of(&keys, depth), &row)?;
                 }
             }
@@ -1189,12 +1088,9 @@ impl BatchHashAggregate {
                 let n = groups.len().min(BATCH_SIZE);
                 let mut rows: Vec<Row> = Vec::with_capacity(n);
                 for (reps, accs) in groups.drain(..n) {
-                    self.reservation.shrink(entry_bytes(&reps, &accs));
+                    self.reservation.shrink(entry_bytes(&reps, accs.len()));
                     let mut row = reps;
-                    row.reserve(accs.len());
-                    for a in accs {
-                        row.push(a.finalize()?);
-                    }
+                    row.extend(accs.into_iter().map(Acc::finalize));
                     rows.push(row);
                 }
                 Ok(Some(RowBatch::from_owned_rows(rows)))
@@ -1248,9 +1144,8 @@ mod tests {
         rk: BoundExpr,
         ctx: &ExecContext,
     ) -> BatchHashJoin {
-        let (table, reservation) =
-            JoinTable::build_from_stream(build, lk, rk, 2, ctx).unwrap();
-        BatchHashJoin::new(probe, table, reservation, false)
+        let (table, reservation) = JoinTable::build_from_stream(build, lk, rk, ctx).unwrap();
+        BatchHashJoin { probe, table, pending: None, _reservation: reservation }
     }
 
     #[test]
@@ -1261,16 +1156,6 @@ mod tests {
         };
         let out = drain_batches(Box::new(f));
         assert_eq!(out, int_rows(&[1, 3, 5]));
-    }
-
-    #[test]
-    fn limit_spans_batches() {
-        let rows = int_rows(&(0..3000).collect::<Vec<_>>());
-        let l = BatchLimit { input: batches_of(rows), remaining: 1500 };
-        let out = drain_batches(Box::new(l));
-        assert_eq!(out.len(), 1500);
-        assert_eq!(out[0], vec![Value::Int(0)]);
-        assert_eq!(out[1499], vec![Value::Int(1499)]);
     }
 
     #[test]
@@ -1293,7 +1178,7 @@ mod tests {
     }
 
     fn join_table(build: Vec<Row>) -> JoinTable {
-        JoinTable::build_from_stream(batches_of(build), col(0), col(0), 2, &ctx())
+        JoinTable::build_from_stream(batches_of(build), col(0), col(0), &ctx())
             .unwrap()
             .0
     }
@@ -1368,13 +1253,8 @@ mod tests {
         assert_eq!(drain_batches(Box::new(j)).len(), 1);
         // … and one past the floor is a typed error, not an unbounded overdraft.
         let big: Vec<Row> = (0..1000).map(|k| vec![Value::Int(k), Value::Int(k)]).collect();
-        let built = JoinTable::build_from_stream(
-            batches_of(big),
-            col(0),
-            col(0),
-            2,
-            &ctx_with_budget(128),
-        );
+        let built =
+            JoinTable::build_from_stream(batches_of(big), col(0), col(0), &ctx_with_budget(128));
         assert!(matches!(built, Err(Error::OutOfMemory { .. })));
     }
 
@@ -1549,22 +1429,19 @@ mod tests {
     }
 
     #[test]
-    fn generic_aggregate_handles_count_and_count_distinct() {
+    fn generic_aggregate_handles_count_and_null_sums() {
         let rows: Vec<Row> = vec![
             vec![Value::Int(1), Value::Float(3.0)],
             vec![Value::Int(1), Value::Null],
             vec![Value::Int(1), Value::Float(3.0)],
-            vec![Value::Int(2), Value::Float(-1.0)],
+            vec![Value::Int(2), Value::Null],
         ];
-        let aggs = vec![
-            AggExpr { func: AggFunc::CountStar, arg: None },
-            AggExpr { func: AggFunc::CountDistinct, arg: Some(col(1)) },
-        ];
+        let aggs = vec![AggExpr { func: AggFunc::CountStar, arg: None }, sum_of(1)];
         let agg = BatchHashAggregate::new(batches_of(rows), vec![col(0)], aggs, ctx());
         let mut out = drain_batches(Box::new(agg));
         out.sort_by(|a, b| a[0].cmp_total(&b[0]));
-        assert_eq!(out[0], vec![Value::Int(1), Value::Int(3), Value::Int(1)]);
-        assert_eq!(out[1], vec![Value::Int(2), Value::Int(1), Value::Int(1)]);
+        assert_eq!(out[0], vec![Value::Int(1), Value::Int(3), Value::Float(6.0)]);
+        assert_eq!(out[1], vec![Value::Int(2), Value::Int(1), Value::Null]);
     }
 
     /// `COUNT(*)` and `SUM` over one `DOUBLE` and one `INTEGER` lane,
@@ -1594,7 +1471,7 @@ mod tests {
             accs[1].update(Some(row[0].clone())).unwrap();
             accs[2].update(Some(row[1].clone())).unwrap();
         }
-        let want: Row = accs.into_iter().map(|a| a.finalize().unwrap()).collect();
+        let want: Row = accs.into_iter().map(Acc::finalize).collect();
         let got = global_sums(rows).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0][0], want[0]);

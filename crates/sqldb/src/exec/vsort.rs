@@ -1,39 +1,35 @@
 //! Vectorized sorting for the batch pipeline.
 //!
 //! `ORDER BY s` closes every Qymera query (states render in basis-state
-//! order), so the sort is the last operator every result crosses.
-//! [`BatchSort`] is built around:
+//! order), so the sort is the last operator every result crosses. It sorts
+//! ascending by one key, which is all any caller asks for. [`BatchSort`] is
+//! built around:
 //!
-//! * **Columnar sort keys.** Key expressions evaluate per input batch with
-//!   the [`BoundExpr::eval_batch`] kernels, and the comparator reads typed
-//!   `i64`/`f64` fast lanes whenever every buffered batch carries a key in
-//!   the same null-free lane — no per-comparison [`Value`] materialization
-//!   on the hot path. Mixed/NULL/text keys fall back to
+//! * **A columnar sort key.** The key expression evaluates per input batch
+//!   with the [`BoundExpr::eval_batch`] kernels, and the comparator reads a
+//!   typed `i64`/`f64` fast lane whenever every buffered batch carries the
+//!   key in the same null-free lane — no per-comparison [`Value`]
+//!   materialization on the hot path. Mixed/NULL/text keys fall back to
 //!   [`Value::cmp_total`], the ordering the typed lanes reproduce.
-//! * **Radix for one integer key.** `ORDER BY s` over the `Int` lane skips
+//! * **Radix for an integer key.** `ORDER BY s` over the `Int` lane skips
 //!   the comparator: a stable LSD radix sort on the key's order-preserving
 //!   `u64` image, skipping digits every key shares.
-//! * **Stable multi-key order.** The in-memory sort is a stable index sort,
-//!   and every spilled record carries its global input ordinal, so ties
-//!   always resolve to input order — in memory and spilled, the output is
-//!   the same byte for byte.
+//! * **Stable order.** The in-memory sort is a stable index sort, and every
+//!   spilled record carries its global input ordinal, so ties always
+//!   resolve to input order — in memory and spilled, the output is the same
+//!   byte for byte.
 //! * **Spill-to-run merge.** Buffered batches charge the shared
 //!   [`MemoryBudget`](crate::storage::budget::MemoryBudget) through an RAII
 //!   [`Reservation`]; when the reservation cannot grow, the buffer is sorted
-//!   and written out as a run (`[keys…, ordinal, row…]` records in the
+//!   and written out as a run (`[key, ordinal, row…]` records in the
 //!   standard spill format), and runs merge through a k-way heap.
-//!
-//! `ORDER BY … LIMIT k` is this sort under a `BatchLimit`: it charges the
-//! ledger and spills like any other sort.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
-use crate::plan::logical::SortKey;
 use crate::storage::budget::Reservation;
 use crate::storage::spill::{Row, SpillReader, SpillWriter};
 use crate::value::Value;
@@ -50,46 +46,31 @@ use super::{set_node_label, ExecContext};
 /// [`SortBuffer::radix_sorted`]).
 const MIN_RUN_ROWS: usize = BATCH_SIZE;
 
-/// Compare two evaluated key tuples under per-key ASC/DESC flags (spilled
-/// records carry their keys as values; the run merge orders them with this).
-fn cmp_keys(a: &[Value], b: &[Value], desc: &[bool]) -> Ordering {
-    for ((x, y), d) in a.iter().zip(b.iter()).zip(desc.iter()) {
-        let ord = x.cmp_total(y);
-        let ord = if *d { ord.reverse() } else { ord };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
 // ---------------------------------------------------------------------------
 // Keyed rows, spilled runs, and comparators
 // ---------------------------------------------------------------------------
 
-/// One row in sort-merge form: its evaluated key tuple, its global input
-/// ordinal (the stable tie-break), and the payload row.
-type KeyedRow = (Vec<Value>, u64, Row);
+/// One row in sort-merge form: its evaluated key, its global input ordinal
+/// (the stable tie-break), and the payload row.
+type KeyedRow = (Value, u64, Row);
 
-/// The next row of a spilled run, whose records are `key ++ [ordinal] ++
+/// The next row of a spilled run, whose records are `[key, ordinal] ++
 /// row`; a shorter record means the spill file was corrupted on disk.
-fn next_keyed(run: &mut SpillReader, key_len: usize) -> Result<Option<KeyedRow>> {
+fn next_keyed(run: &mut SpillReader) -> Result<Option<KeyedRow>> {
     let Some(mut record) = run.next_row()? else {
         return Ok(None);
     };
-    if record.len() <= key_len {
-        return Err(Error::Internal("spilled sort record shorter than its key".into()));
+    if record.len() < 2 {
+        return Err(Error::Internal("spilled sort record missing its key or ordinal".into()));
     }
-    let row = record.split_off(key_len + 1);
-    let ord = match record.pop() {
-        Some(v) => v.as_i64()? as u64,
-        None => return Err(Error::Internal("spilled sort record missing its ordinal".into())),
-    };
-    Ok(Some((record, ord, row)))
+    let row = record.split_off(2);
+    let ord = record[1].as_i64()? as u64;
+    let key = record.swap_remove(0);
+    Ok(Some((key, ord, row)))
 }
 
-/// Per-key comparator lane across all buffered batches: typed when every
-/// batch carries the key in the same null-free fast lane.
+/// Comparator lane of the key across all buffered batches: typed when every
+/// batch carries it in the same null-free fast lane.
 #[derive(Clone, Copy, PartialEq)]
 enum KeyLane {
     Int,
@@ -101,8 +82,8 @@ enum KeyLane {
 /// columns, kept columnar so the comparator can read primitive slices.
 struct SortBuffer {
     batches: Vec<RowBatch>,
-    /// `keys[batch][key]` — evaluated key columns, aligned with `batches`.
-    keys: Vec<Vec<ColumnRef>>,
+    /// The evaluated key column of each batch, aligned with `batches`.
+    keys: Vec<ColumnRef>,
     rows: usize,
 }
 
@@ -111,10 +92,10 @@ impl SortBuffer {
         SortBuffer { batches: Vec::new(), keys: Vec::new(), rows: 0 }
     }
 
-    fn push(&mut self, batch: RowBatch, key_cols: Vec<ColumnRef>) {
+    fn push(&mut self, batch: RowBatch, key_col: ColumnRef) {
         self.rows += batch.num_rows();
         self.batches.push(batch);
-        self.keys.push(key_cols);
+        self.keys.push(key_col);
     }
 
     fn clear(&mut self) {
@@ -136,11 +117,11 @@ impl SortBuffer {
             .collect()
     }
 
-    /// Detect the comparator lane of key `j` across every buffered batch.
-    fn lane_of(&self, j: usize) -> KeyLane {
+    /// Detect the comparator lane of the key across every buffered batch.
+    fn lane(&self) -> KeyLane {
         let mut lane: Option<KeyLane> = None;
-        for cols in &self.keys {
-            let this = match &*cols[j] {
+        for col in &self.keys {
+            let this = match &**col {
                 Column::Int(_) => KeyLane::Int,
                 Column::Float(_) => KeyLane::Float,
                 Column::Generic(_) => KeyLane::Generic,
@@ -154,63 +135,45 @@ impl SortBuffer {
         lane.unwrap_or(KeyLane::Generic)
     }
 
-    /// Compare rows `a` and `b` (as `(batch, row)` pairs) under the per-key
-    /// lanes and ASC/DESC flags. Typed lanes compare primitives directly;
-    /// the generic lane is [`Value::cmp_total`] over borrowed values (a
-    /// `HUGEINT` key is never cloned to be compared), so the order does not
-    /// depend on which lane a key landed in.
-    fn cmp_at(&self, lanes: &[KeyLane], desc: &[bool], a: (u32, u32), b: (u32, u32)) -> Ordering {
-        for (j, (&lane, &d)) in lanes.iter().zip(desc).enumerate() {
-            let (ka, kb) = (&self.keys[a.0 as usize][j], &self.keys[b.0 as usize][j]);
-            let ord = match lane {
-                KeyLane::Int => {
-                    let (Column::Int(va), Column::Int(vb)) = (&**ka, &**kb) else {
-                        unreachable!("lane detection checked Int")
-                    };
-                    va[a.1 as usize].cmp(&vb[b.1 as usize])
-                }
-                KeyLane::Float => {
-                    let (Column::Float(va), Column::Float(vb)) = (&**ka, &**kb) else {
-                        unreachable!("lane detection checked Float")
-                    };
-                    va[a.1 as usize]
-                        .partial_cmp(&vb[b.1 as usize])
-                        .unwrap_or(Ordering::Equal)
-                }
-                KeyLane::Generic => {
-                    key_ref(ka, a.1 as usize).cmp_total(&key_ref(kb, b.1 as usize))
-                }
-            };
-            let ord = if d { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
+    /// Compare the keys of rows `a` and `b` (as `(batch, row)` pairs) on
+    /// `lane`. Typed lanes compare primitives directly; the generic lane is
+    /// [`Value::cmp_total`] over borrowed values (a `HUGEINT` key is never
+    /// cloned to be compared), so the order does not depend on which lane a
+    /// key landed in.
+    fn cmp_at(&self, lane: KeyLane, a: (u32, u32), b: (u32, u32)) -> Ordering {
+        let (ka, kb) = (&*self.keys[a.0 as usize], &*self.keys[b.0 as usize]);
+        let (ia, ib) = (a.1 as usize, b.1 as usize);
+        match (lane, ka, kb) {
+            (KeyLane::Int, Column::Int(va), Column::Int(vb)) => va[ia].cmp(&vb[ib]),
+            (KeyLane::Float, Column::Float(va), Column::Float(vb)) => {
+                va[ia].partial_cmp(&vb[ib]).unwrap_or(Ordering::Equal)
             }
+            _ => key_ref(ka, ia).cmp_total(&key_ref(kb, ib)),
         }
-        Ordering::Equal
     }
 
     /// Stable sort of all buffered rows: `(batch, row)` indices in sort
-    /// order, ties resolved to input order. A single key on the `Int` lane
-    /// of every batch takes the radix path ([`Self::radix_sorted`]); any
-    /// other key list the comparator. The flag says whether radix sorted.
-    fn sorted_indices(&self, desc: &[bool]) -> (Vec<(u32, u32)>, bool) {
-        let lanes: Vec<KeyLane> = (0..desc.len()).map(|j| self.lane_of(j)).collect();
+    /// order, ties resolved to input order. A key on the `Int` lane of every
+    /// batch takes the radix path ([`Self::radix_sorted`]); any other the
+    /// comparator. The flag says whether radix sorted.
+    fn sorted_indices(&self) -> (Vec<(u32, u32)>, bool) {
+        let lane = self.lane();
         let mut order: Vec<(u32, u32)> = Vec::with_capacity(self.rows);
         for (b, batch) in self.batches.iter().enumerate() {
             for r in 0..batch.num_rows() {
                 order.push((b as u32, r as u32));
             }
         }
-        if lanes == [KeyLane::Int] {
-            return (self.radix_sorted(order, desc[0]), true);
+        if lane == KeyLane::Int {
+            return (self.radix_sorted(order), true);
         }
-        order.sort_by(|&a, &b| self.cmp_at(&lanes, desc, a, b));
+        order.sort_by(|&a, &b| self.cmp_at(lane, a, b));
         (order, false)
     }
 
-    /// Stable LSD radix sort of `order` (input order) by the one `Int` key.
-    /// A key's radix image is its order-preserving `u64` (`k ^ 1 << 63`,
-    /// every bit flipped for DESC); digits are 8 bits, least significant
+    /// Stable LSD radix sort of `order` (input order) by the `Int` key. A
+    /// key's radix image is its order-preserving `u64` (`k ^ 1 << 63`);
+    /// digits are 8 bits, least significant
     /// first, and a digit every key shares is skipped (a 14-qubit state
     /// sorts in 2 passes, not 8). Each pass is a counting scatter that
     /// keeps the order of equal digits, so ties keep input order: the
@@ -218,16 +181,16 @@ impl SortBuffer {
     /// sweep of the key columns (they do not depend on the order); the
     /// scatter reads each image through the index, so the scratch is one
     /// second index buffer, 8 bytes a row, freed on return.
-    fn radix_sorted(&self, mut order: Vec<(u32, u32)>, desc: bool) -> Vec<(u32, u32)> {
+    fn radix_sorted(&self, mut order: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
         let keys: Vec<&[i64]> = self
             .keys
             .iter()
-            .map(|cols| match &*cols[0] {
+            .map(|col| match &**col {
                 Column::Int(v) => v.as_slice(),
                 _ => unreachable!("lane detection checked Int"),
             })
             .collect();
-        let flip = if desc { !(1u64 << 63) } else { 1 << 63 };
+        let flip = 1u64 << 63;
         let image = |(b, r): (u32, u32)| keys[b as usize][r as usize] as u64 ^ flip;
         let images = || keys.iter().flat_map(|v| v.iter()).map(|&k| k as u64 ^ flip);
         let (all, any) = images().fold((u64::MAX, 0), |(all, any), k| (all & k, any | k));
@@ -309,11 +272,10 @@ fn gather_column(batches: &[RowBatch], c: usize, idx: &[(u32, u32)]) -> Column {
 
 /// Entry of the k-way run merge (min-heap via reversed `Ord`).
 struct MergeEntry {
-    key: Vec<Value>,
+    key: Value,
     ord: u64,
     row: Row,
     src: usize,
-    desc: Arc<Vec<bool>>,
 }
 
 impl PartialEq for MergeEntry {
@@ -334,9 +296,7 @@ impl Ord for MergeEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse for ascending merge output. The
         // ordinal tie-break reproduces the stable in-memory order exactly.
-        cmp_keys(&self.key, &other.key, &self.desc)
-            .then(self.ord.cmp(&other.ord))
-            .reverse()
+        self.key.cmp_total(&other.key).then(self.ord.cmp(&other.ord)).reverse()
     }
 }
 
@@ -348,8 +308,7 @@ impl Ord for MergeEntry {
 pub struct BatchSort {
     /// The input, until consume takes it.
     input: Option<Box<dyn BatchStream>>,
-    keys: Vec<SortKey>,
-    desc: Arc<Vec<bool>>,
+    key: BoundExpr,
     ctx: ExecContext,
     /// Instrumentation slot, relabelled when the radix path sorts.
     slot: Option<usize>,
@@ -367,23 +326,22 @@ enum SortState {
 }
 
 impl BatchSort {
-    /// Sort `input` by `keys`; `slot` is the node's `EXPLAIN ANALYZE` slot.
+    /// Sort `input` by `key`; `slot` is the node's `EXPLAIN ANALYZE` slot.
     pub fn new(
         input: Box<dyn BatchStream>,
-        keys: Vec<SortKey>,
+        key: BoundExpr,
         ctx: ExecContext,
         slot: Option<usize>,
     ) -> Self {
-        let desc = Arc::new(keys.iter().map(|k| k.desc).collect::<Vec<_>>());
         let reservation = Reservation::empty(&ctx.budget);
         let state = SortState::Pending;
-        BatchSort { input: Some(input), keys, desc, ctx, slot, reservation, state }
+        BatchSort { input: Some(input), key, ctx, slot, reservation, state }
     }
 
     /// Sort the buffered rows (see [`SortBuffer::sorted_indices`]); the
     /// node's label names the radix path when it ran.
     fn sort_buffer(&self, buffer: &SortBuffer) -> Vec<(u32, u32)> {
-        let (order, radix) = buffer.sorted_indices(&self.desc);
+        let (order, radix) = buffer.sorted_indices();
         if radix {
             set_node_label(&self.ctx, self.slot, "BatchSort [1 keys, radix]".to_string());
         }
@@ -398,20 +356,16 @@ impl BatchSort {
         let Some(mut input) = self.input.take() else {
             unreachable!("sort executed twice")
         };
-        let key_exprs: Vec<BoundExpr> = self.keys.iter().map(|k| k.expr.clone()).collect();
         let mut buffer = SortBuffer::new();
         let mut runs: Vec<SpillReader> = Vec::new();
         let mut base_ord = 0u64;
 
         while let Some(batch) = input.next_batch()? {
-            let key_cols: Vec<ColumnRef> = key_exprs
-                .iter()
-                .map(|e| e.eval_batch(&batch))
-                .collect::<Result<Vec<_>>>()?;
+            let key_col = self.key.eval_batch(&batch)?;
             let bytes = batch.columns().iter().map(|c| c.heap_bytes()).sum::<usize>()
-                + key_cols.iter().map(|c| c.heap_bytes()).sum::<usize>();
+                + key_col.heap_bytes();
             let fits = self.reservation.try_grow(bytes);
-            buffer.push(batch, key_cols);
+            buffer.push(batch, key_col);
             if !fits && buffer.rows >= MIN_RUN_ROWS {
                 let spilled = buffer.rows as u64;
                 runs.push(self.spill_run(&mut buffer, base_ord)?);
@@ -432,7 +386,7 @@ impl BatchSort {
     }
 
     /// Sort and spill the buffered rows as one run of
-    /// `[keys…, ordinal, row…]` records; ordinals start at `base_ord`.
+    /// `[key, ordinal, row…]` records; ordinals start at `base_ord`.
     fn spill_run(&mut self, buffer: &mut SortBuffer, base_ord: u64) -> Result<SpillReader> {
         // One spill run is one cancellation unit: observe cancel before
         // sorting/writing so no doomed run is ever created.
@@ -441,12 +395,10 @@ impl BatchSort {
         let prefix = buffer.prefix_rows();
         let mut w = SpillWriter::create(&self.ctx.spill, 1)?;
         for &(b, r) in &order {
-            let mut record: Row = buffer.keys[b as usize]
-                .iter()
-                .map(|c| c.value_at(r as usize))
-                .collect();
-            record.push(Value::Int((base_ord + prefix[b as usize] + r as u64) as i64));
             let batch = &buffer.batches[b as usize];
+            let mut record: Row = Vec::with_capacity(2 + batch.num_columns());
+            record.push(buffer.keys[b as usize].value_at(r as usize));
+            record.push(Value::Int((base_ord + prefix[b as usize] + r as u64) as i64));
             for c in 0..batch.num_columns() {
                 record.push(batch.column(c).value_at(r as usize));
             }
@@ -459,11 +411,10 @@ impl BatchSort {
 
     /// Seed the k-way merge heap with each source's first row.
     fn start_merge(&mut self, mut sources: Vec<SpillReader>) -> Result<()> {
-        let key_len = self.keys.len();
         let mut heap = BinaryHeap::with_capacity(sources.len());
         for (i, src) in sources.iter_mut().enumerate() {
-            if let Some((key, ord, row)) = next_keyed(src, key_len)? {
-                heap.push(MergeEntry { key, ord, row, src: i, desc: Arc::clone(&self.desc) });
+            if let Some((key, ord, row)) = next_keyed(src)? {
+                heap.push(MergeEntry { key, ord, row, src: i });
             }
         }
         self.state = SortState::Merge { sources, heap };
@@ -486,19 +437,12 @@ impl BatchSort {
                 Ok(Some(RowBatch::from_columns(cols)))
             }
             SortState::Merge { sources, heap } => {
-                let key_len = self.keys.len();
                 let mut rows: Vec<Row> = Vec::with_capacity(BATCH_SIZE);
                 while rows.len() < BATCH_SIZE {
                     let Some(entry) = heap.pop() else { break };
                     // Refill from the source the popped row came from.
-                    if let Some((key, ord, row)) = next_keyed(&mut sources[entry.src], key_len)? {
-                        heap.push(MergeEntry {
-                            key,
-                            ord,
-                            row,
-                            src: entry.src,
-                            desc: Arc::clone(&self.desc),
-                        });
+                    if let Some((key, ord, row)) = next_keyed(&mut sources[entry.src])? {
+                        heap.push(MergeEntry { key, ord, row, src: entry.src });
                     }
                     rows.push(entry.row);
                 }
@@ -536,36 +480,26 @@ mod tests {
     use super::super::test_util::{batches_of, ctx, ctx_with_budget, drain_batches, int_rows};
     use super::*;
 
-    fn sort_keys(desc: bool) -> Vec<SortKey> {
-        vec![SortKey { expr: BoundExpr::Column(0), desc }]
-    }
-
-    fn run_sort(rows: Vec<Row>, keys: Vec<SortKey>, ctx: ExecContext) -> Vec<Row> {
-        drain_batches(Box::new(BatchSort::new(batches_of(rows), keys, ctx, None)))
+    fn run_sort(rows: Vec<Row>, ctx: ExecContext) -> Vec<Row> {
+        let sort = BatchSort::new(batches_of(rows), BoundExpr::Column(0), ctx, None);
+        drain_batches(Box::new(sort))
     }
 
     #[test]
-    fn in_memory_ascending_and_descending() {
+    fn in_memory_ascending() {
         let rows = int_rows(&[3, 1, 2]);
-        assert_eq!(run_sort(rows.clone(), sort_keys(false), ctx()), int_rows(&[1, 2, 3]));
-        assert_eq!(run_sort(rows, sort_keys(true), ctx()), int_rows(&[3, 2, 1]));
+        assert_eq!(run_sort(rows, ctx()), int_rows(&[1, 2, 3]));
     }
 
     #[test]
-    fn multi_key_mixed_lane_sort() {
-        let rows = vec![
-            vec![Value::Int(1), Value::Float(9.0)],
-            vec![Value::Int(0), Value::Float(5.0)],
-            vec![Value::Int(1), Value::Float(2.0)],
-        ];
-        let keys = vec![
-            SortKey { expr: BoundExpr::Column(0), desc: false },
-            SortKey { expr: BoundExpr::Column(1), desc: true },
-        ];
-        let out = run_sort(rows, keys, ctx());
-        assert_eq!(out[0], vec![Value::Int(0), Value::Float(5.0)]);
-        assert_eq!(out[1], vec![Value::Int(1), Value::Float(9.0)]);
-        assert_eq!(out[2], vec![Value::Int(1), Value::Float(2.0)]);
+    fn float_and_mixed_lane_keys_sort_by_value() {
+        let floats: Vec<Row> = [2.5, -1.0, 0.5].iter().map(|&f| vec![Value::Float(f)]).collect();
+        let out = run_sort(floats, ctx());
+        assert_eq!(out, [-1.0, 0.5, 2.5].map(|f| vec![Value::Float(f)]));
+        // An INTEGER and a DOUBLE key in one column take the generic lane.
+        let mixed = vec![vec![Value::Int(2)], vec![Value::Float(1.5)], vec![Value::Int(1)]];
+        let out = run_sort(mixed, ctx());
+        assert_eq!(out, vec![vec![Value::Int(1)], vec![Value::Float(1.5)], vec![Value::Int(2)]]);
     }
 
     #[test]
@@ -575,7 +509,7 @@ mod tests {
             vec![Value::Null, Value::Int(20)],
             vec![Value::Int(1), Value::Int(30)],
         ];
-        let out = run_sort(rows, sort_keys(false), ctx());
+        let out = run_sort(rows, ctx());
         assert!(out[0][0].is_null());
         // Stable: the two key-1 rows keep their input order.
         assert_eq!(out[1][1], Value::Int(10));
@@ -588,9 +522,9 @@ mod tests {
         let rows = int_rows(&vals);
         let tight = ctx_with_budget(64 * 1024);
         let spill = tight.spill.clone();
-        let external = run_sort(rows.clone(), sort_keys(false), tight);
+        let external = run_sort(rows.clone(), tight);
         assert!(spill.files_created() > 1, "expected multiple runs");
-        let in_mem = run_sort(rows, sort_keys(false), ctx());
+        let in_mem = run_sort(rows, ctx());
         assert_eq!(external, in_mem);
         let mut expected = vals.clone();
         expected.sort_unstable();
@@ -600,7 +534,7 @@ mod tests {
     #[test]
     fn tiny_budget_still_sorts_via_overdraft() {
         let vals: Vec<i64> = (0..5000).map(|i| (i * 7919) % 1000).collect();
-        let out = run_sort(int_rows(&vals), sort_keys(false), ctx_with_budget(10));
+        let out = run_sort(int_rows(&vals), ctx_with_budget(10));
         let mut expected = vals.clone();
         expected.sort_unstable();
         assert_eq!(out, int_rows(&expected));
@@ -608,6 +542,6 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(run_sort(vec![], sort_keys(false), ctx()).is_empty());
+        assert!(run_sort(vec![], ctx()).is_empty());
     }
 }

@@ -5,7 +5,7 @@
 //! layer — the planner replaces them with column references into the
 //! aggregation operator's output before binding.
 
-use crate::ast::{self, BinaryOp, DataType, Expr, Literal, UnaryOp};
+use crate::ast::{self, BinaryOp, Expr, Literal, UnaryOp};
 use crate::error::{Error, Result};
 use crate::schema::RelSchema;
 use crate::storage::spill::Row;
@@ -56,7 +56,6 @@ pub enum BoundExpr {
     Unary { op: UnaryOp, expr: Box<BoundExpr> },
     Binary { left: Box<BoundExpr>, op: BinaryOp, right: Box<BoundExpr> },
     ScalarFn { func: ScalarFunc, args: Vec<BoundExpr> },
-    Cast { expr: Box<BoundExpr>, ty: DataType },
 }
 
 /// Convert an AST literal to a runtime value.
@@ -105,7 +104,7 @@ pub(crate) fn bind_with<'e>(
             op: *op,
             right: Box::new(bind_with(right, leaf)?),
         },
-        Expr::Function { name, args, distinct } => {
+        Expr::Function { name, args } => {
             if ast::is_aggregate_name(name) {
                 return Err(Error::Plan(format!(
                     "aggregate `{name}` is not allowed in this context"
@@ -118,9 +117,6 @@ pub(crate) fn bind_with<'e>(
                     Error::Plan(format!("unknown function `{name}`"))
                 }
             })?;
-            if *distinct {
-                return Err(Error::Plan("DISTINCT on a scalar function".into()));
-            }
             if !func.arity_ok(args.len()) {
                 return Err(Error::Plan(format!(
                     "wrong number of arguments to `{name}`: {}",
@@ -133,10 +129,6 @@ pub(crate) fn bind_with<'e>(
             }
         }
         Expr::Star => return Err(Error::Plan("`*` is not a scalar expression".into())),
-        Expr::Cast { expr, ty } => BoundExpr::Cast {
-            expr: Box::new(bind_with(expr, leaf)?),
-            ty: *ty,
-        },
     })
 }
 
@@ -157,7 +149,6 @@ impl BoundExpr {
                 apply_binary(&left.eval(row)?, *op, &right.eval(row)?)
             }
             BoundExpr::ScalarFn { func, args } => eval_scalar_fn(*func, args, row),
-            BoundExpr::Cast { expr, ty } => cast_value(expr.eval(row)?, *ty),
         }
     }
 
@@ -166,7 +157,7 @@ impl BoundExpr {
         match self {
             BoundExpr::Literal(_) => {}
             BoundExpr::Column(i) => f(i),
-            BoundExpr::Unary { expr, .. } | BoundExpr::Cast { expr, .. } => expr.columns_mut(f),
+            BoundExpr::Unary { expr, .. } => expr.columns_mut(f),
             BoundExpr::Binary { left, right, .. } => {
                 left.columns_mut(f);
                 right.columns_mut(f);
@@ -234,38 +225,6 @@ fn eval_scalar_fn(func: ScalarFunc, args: &[BoundExpr], row: &Row) -> Result<Val
     })
 }
 
-/// Runtime CAST semantics (more permissive than column coercion: parses
-/// strings, truncates floats).
-pub fn cast_value(v: Value, ty: DataType) -> Result<Value> {
-    if v.is_null() {
-        return Ok(Value::Null);
-    }
-    Ok(match (ty, &v) {
-        (DataType::Integer, Value::Int(_)) => v,
-        (DataType::Integer, Value::Float(f)) => Value::Int(*f as i64),
-        (DataType::Integer, Value::Str(s)) => Value::Int(
-            s.trim()
-                .parse::<i64>()
-                .map_err(|_| Error::Eval(format!("cannot cast '{s}' to INTEGER")))?,
-        ),
-        (DataType::Integer, Value::Big(b)) => Value::Int(
-            b.to_i64()
-                .ok_or_else(|| Error::Eval("HUGEINT out of INTEGER range".into()))?,
-        ),
-        (DataType::HugeInt, Value::Int(i)) if *i >= 0 => {
-            Value::Big(crate::bigbits::BigBits::from_u64(*i as u64, 64))
-        }
-        (DataType::HugeInt, Value::Big(_)) => v,
-        (DataType::Double, Value::Float(_)) => v,
-        (DataType::Double, _) => Value::Float(v.as_f64()?),
-        (DataType::Text, Value::Str(_)) => v,
-        (DataType::Text, other) => Value::Str(other.to_string()),
-        (ty, v) => {
-            return Err(Error::Eval(format!("cannot cast {} to {}", v.type_name(), ty)))
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,21 +275,12 @@ mod tests {
     }
 
     #[test]
-    fn casts() {
-        assert_eq!(eval_with("CAST('42' AS INTEGER)", row()).unwrap(), Value::Int(42));
-        assert_eq!(eval_with("CAST(1.9 AS INTEGER)", row()).unwrap(), Value::Int(1));
-        assert_eq!(eval_with("CAST(5 AS TEXT)", row()).unwrap(), Value::Str("5".into()));
-        assert!(eval_with("CAST('nope' AS INTEGER)", row()).is_err());
-        assert!(matches!(eval_with("CAST(5 AS HUGEINT)", row()).unwrap(), Value::Big(_)));
-    }
-
-    #[test]
     fn binder_rejects_aggregates_and_unknowns() {
         let e = parse_expr("SUM(r)").unwrap();
         assert!(bind(&e, &schema()).is_err());
         let e = parse_expr("ABS(r)").unwrap();
         assert_eq!(bind(&e, &schema()), Err(Error::Unsupported("function `ABS`".into())));
-        let e = parse_expr("MIN(DISTINCT r)").unwrap();
+        let e = parse_expr("MIN(r)").unwrap();
         assert_eq!(bind(&e, &schema()), Err(Error::Unsupported("function `MIN`".into())));
         let e = parse_expr("SUBTSR(r, 1)").unwrap();
         assert_eq!(bind(&e, &schema()), Err(Error::Plan("unknown function `SUBTSR`".into())));

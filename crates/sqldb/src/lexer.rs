@@ -4,9 +4,9 @@
 //! them): the bitwise operator set of Table 1 (`&`, `|`, `~`, `<<`, `>>`),
 //! `0x…` hexadecimal literals (which become `HUGEINT` when they exceed 63
 //! bits), `=` and `>`. The words and characters of constructs the engine does
-//! not have (`AND`, `OR`, `DELETE`, `<`, `/`, `;`, comments, `"quoted"`
-//! names, …) are refused here with [`Error::Unsupported`], before anything
-//! is parsed.
+//! not have (`AND`, `OR`, `WHERE`, `LIMIT`, `LEFT`, `DESC`, `CAST`, `DELETE`,
+//! `<`, `/`, `;`, comments, `"quoted"` names, …) are refused here with
+//! [`Error::Unsupported`], before anything is parsed.
 //!
 //! Tokens borrow the SQL text: a name costs no allocation until the parser
 //! puts it in the tree. A word carries the keyword it spells, looked up once
@@ -62,10 +62,8 @@ pub enum Keyword {
     Asc,
     Begin,
     By,
-    Cast,
     Commit,
     Create,
-    Desc,
     Distinct,
     Drop,
     From,
@@ -75,8 +73,6 @@ pub enum Keyword {
     Insert,
     Into,
     Join,
-    Left,
-    Limit,
     Null,
     On,
     Order,
@@ -87,54 +83,32 @@ pub enum Keyword {
     Table,
     To,
     Values,
-    Where,
     With,
 }
 
-/// Words that begin a construct the engine does not have, with the name
-/// [`Error::Unsupported`] gives it: refused wherever they appear.
-const REFUSED_WORDS: [(&str, &str); 17] = [
-    ("AND", "AND"),
-    ("BETWEEN", "BETWEEN"),
-    ("CASE", "CASE"),
-    ("CROSS", "CROSS JOIN"),
-    ("DELETE", "DELETE"),
-    ("EXPLAIN", "EXPLAIN (call `Database::explain`)"),
-    ("FALSE", "FALSE"),
-    ("IF", "IF [NOT] EXISTS"),
-    ("IN", "IN"),
-    ("IS", "IS [NOT] NULL"),
-    ("NOT", "NOT"),
-    ("OFFSET", "OFFSET"),
-    ("OR", "OR"),
-    ("RECURSIVE", "WITH RECURSIVE"),
-    ("RIGHT", "RIGHT JOIN"),
-    ("TRUE", "TRUE"),
-    ("UNION", "UNION ALL"),
-];
-
 impl Keyword {
-    /// The keyword `word` spells, if any.
-    pub(crate) fn lookup(word: &str) -> Option<Keyword> {
+    /// The keyword `word` spells, if any. A word that begins a construct the
+    /// engine does not have is refused wherever it appears, as
+    /// [`Error::Unsupported`] naming the construct.
+    pub(crate) fn lookup(word: &str) -> Result<Option<Keyword>> {
         use Keyword::*;
         const LONGEST: usize = "SAVEPOINT".len();
         if word.len() < 2 || word.len() > LONGEST {
-            return None;
+            return Ok(None);
         }
         let mut buf = [0u8; LONGEST];
         let upper = &mut buf[..word.len()];
         upper.copy_from_slice(word.as_bytes());
         upper.make_ascii_uppercase();
-        Some(match &*upper {
+        let refused = |what: &str| Err(Error::Unsupported(what.into()));
+        Ok(Some(match &*upper {
             b"ALL" => All,
             b"AS" => As,
             b"ASC" => Asc,
             b"BEGIN" => Begin,
             b"BY" => By,
-            b"CAST" => Cast,
             b"COMMIT" => Commit,
             b"CREATE" => Create,
-            b"DESC" => Desc,
             b"DISTINCT" => Distinct,
             b"DROP" => Drop,
             b"FROM" => From,
@@ -144,8 +118,6 @@ impl Keyword {
             b"INSERT" => Insert,
             b"INTO" => Into,
             b"JOIN" => Join,
-            b"LEFT" => Left,
-            b"LIMIT" => Limit,
             b"NULL" => Null,
             b"ON" => On,
             b"ORDER" => Order,
@@ -156,10 +128,31 @@ impl Keyword {
             b"TABLE" => Table,
             b"TO" => To,
             b"VALUES" => Values,
-            b"WHERE" => Where,
             b"WITH" => With,
-            _ => return None,
-        })
+            b"AND" => return refused("AND"),
+            b"BETWEEN" => return refused("BETWEEN"),
+            b"CASE" => return refused("CASE"),
+            b"CAST" => return refused("CAST"),
+            b"CROSS" => return refused("CROSS JOIN"),
+            b"DELETE" => return refused("DELETE"),
+            b"DESC" => return refused("ORDER BY … DESC"),
+            b"EXPLAIN" => return refused("EXPLAIN (call `Database::explain`)"),
+            b"FALSE" => return refused("FALSE"),
+            b"IF" => return refused("IF [NOT] EXISTS"),
+            b"IN" => return refused("IN"),
+            b"IS" => return refused("IS [NOT] NULL"),
+            b"LEFT" => return refused("LEFT JOIN"),
+            b"LIMIT" => return refused("LIMIT"),
+            b"NOT" => return refused("NOT"),
+            b"OFFSET" => return refused("OFFSET"),
+            b"OR" => return refused("OR"),
+            b"RECURSIVE" => return refused("WITH RECURSIVE"),
+            b"RIGHT" => return refused("RIGHT JOIN"),
+            b"TRUE" => return refused("TRUE"),
+            b"UNION" => return refused("UNION ALL"),
+            b"WHERE" => return refused("WHERE"),
+            _ => return Ok(None),
+        }))
     }
 
     /// Keywords that can neither start an expression nor be a bare alias.
@@ -167,8 +160,8 @@ impl Keyword {
         use Keyword::*;
         matches!(
             self,
-            From | Where | Group | Having | Order | Limit | Join | Inner | Left | On | As
-                | Asc | Desc | Select | With | Values | By | Outer | All
+            From | Group | Having | Order | Join | Inner | On | As | Asc | Select | With
+                | Values | By | Outer | All
         )
     }
 }
@@ -315,12 +308,7 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token<'_>>> {
                     i += 1;
                 }
                 let word = &sql[start..i];
-                if let Some(&(_, what)) =
-                    REFUSED_WORDS.iter().find(|(w, _)| w.eq_ignore_ascii_case(word))
-                {
-                    return Err(Error::Unsupported(what.into()));
-                }
-                let kind = TokenKind::Word(word, Keyword::lookup(word));
+                let kind = TokenKind::Word(word, Keyword::lookup(word)?);
                 tokens.push(Token { kind, pos: start });
             }
             _ => {
@@ -414,8 +402,9 @@ mod tests {
     }
 
     /// A comment is refused by name, never lexed as two minus signs (`a --b`
-    /// would then be `a - (-b)`); the comparisons but `=` and `>`, and quoted
-    /// names, are refused too, while `<<` and `>>` stay.
+    /// would then be `a - (-b)`); the comparisons but `=` and `>`, quoted
+    /// names and the words of deleted clauses are refused too, in any case,
+    /// while `<<` and `>>` stay.
     #[test]
     fn deleted_forms_are_refused_by_name() {
         for (sql, what) in [
@@ -432,7 +421,12 @@ mod tests {
             ("a IN (1)", "IN"),
             ("a is null", "IS [NOT] NULL"),
             ("NOT a", "NOT"),
-            ("LIMIT 1 OFFSET 2", "OFFSET"),
+            ("ORDER BY k OFFSET 2", "OFFSET"),
+            ("SELECT s FROM t WHERE s > 0", "WHERE"),
+            ("SELECT s FROM t LIMIT 1", "LIMIT"),
+            ("t left join u", "LEFT JOIN"),
+            ("ORDER BY s desc", "ORDER BY … DESC"),
+            ("Cast(s AS INTEGER)", "CAST"),
         ] {
             assert_eq!(tokenize(sql), Err(Error::Unsupported(what.into())), "{sql}");
         }

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::ast::{self, Expr, JoinKind, OrderItem, Query, Select, SelectItem, TableRef};
+use crate::ast::{self, Expr, Query, Select, SelectItem, TableRef};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::{bind, bind_with, BoundExpr};
@@ -24,28 +24,20 @@ pub enum AggFunc {
     Sum,
     /// `COUNT(*)` — counts rows; `COUNT(x)` is refused.
     CountStar,
-    /// `COUNT(DISTINCT x)` — the one `DISTINCT` aggregate.
-    CountDistinct,
 }
 
 impl AggFunc {
     /// The aggregate `name(args)` calls; `name` is `SUM` or `COUNT`
     /// ([`ast::is_aggregate_name`]).
-    fn from_call<'e>(
-        name: &str,
-        args: &'e [Expr],
-        distinct: bool,
-    ) -> Result<(AggFunc, Option<&'e Expr>)> {
-        let count = name.eq_ignore_ascii_case("COUNT");
-        let func = match distinct {
-            true if count => AggFunc::CountDistinct,
-            true => return Err(Error::Unsupported("SUM(DISTINCT …)".into())),
-            false if !count => AggFunc::Sum,
-            false if args == [Expr::Star] => return Ok((AggFunc::CountStar, None)),
-            false => return Err(Error::Unsupported("COUNT(expr) (write COUNT(*))".into())),
-        };
+    fn from_call<'e>(name: &str, args: &'e [Expr]) -> Result<(AggFunc, Option<&'e Expr>)> {
+        if name.eq_ignore_ascii_case("COUNT") {
+            return match args {
+                [Expr::Star] => Ok((AggFunc::CountStar, None)),
+                _ => Err(Error::Unsupported("COUNT(expr) (write COUNT(*))".into())),
+            };
+        }
         match args {
-            [a] if *a != Expr::Star => Ok((func, Some(a))),
+            [a] if *a != Expr::Star => Ok((AggFunc::Sum, Some(a))),
             _ => Err(Error::Plan(format!("wrong number of arguments to aggregate `{name}`"))),
         }
     }
@@ -57,13 +49,6 @@ pub struct AggExpr {
     pub func: AggFunc,
     /// `None` only for `COUNT(*)`.
     pub arg: Option<BoundExpr>,
-}
-
-/// Sort key bound against the input schema.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SortKey {
-    pub expr: BoundExpr,
-    pub desc: bool,
 }
 
 /// Bound logical plan. Every node knows its output schema.
@@ -79,10 +64,10 @@ pub enum Plan {
     Scan { table: String, schema: RelSchema },
     Filter { input: Arc<Plan>, predicate: BoundExpr },
     Project { input: Arc<Plan>, exprs: Vec<BoundExpr>, schema: RelSchema },
+    /// The inner hash join.
     Join {
         left: Arc<Plan>,
         right: Arc<Plan>,
-        kind: JoinKind,
         /// One equality between an expression of the left input and one of
         /// the right (`optimizer::join_key`).
         on: BoundExpr,
@@ -97,8 +82,8 @@ pub enum Plan {
         aggs: Vec<AggExpr>,
         schema: RelSchema,
     },
-    Sort { input: Arc<Plan>, keys: Vec<SortKey> },
-    Limit { input: Arc<Plan>, limit: u64 },
+    /// Ascending by one key; ties keep input order.
+    Sort { input: Arc<Plan>, key: BoundExpr },
     /// Renames the qualifier of the input's columns (CTE name or alias).
     Alias { input: Arc<Plan>, schema: RelSchema },
 }
@@ -112,9 +97,7 @@ impl Plan {
             | Plan::Join { schema, .. }
             | Plan::Aggregate { schema, .. }
             | Plan::Alias { schema, .. } => schema,
-            Plan::Filter { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => input.schema(),
+            Plan::Filter { input, .. } | Plan::Sort { input, .. } => input.schema(),
         }
     }
 
@@ -128,7 +111,6 @@ impl Plan {
             | Plan::Project { input, .. }
             | Plan::Aggregate { input, .. }
             | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. }
             | Plan::Alias { input, .. } => input.depth(),
             Plan::Join { left, right, .. } => left.depth().max(right.depth()),
         }
@@ -147,12 +129,11 @@ impl Plan {
             Plan::Scan { table, .. } => format!("Scan {table}"),
             Plan::Filter { .. } => "Filter".to_string(),
             Plan::Project { exprs, .. } => format!("Project [{} exprs]", exprs.len()),
-            Plan::Join { kind, .. } => format!("Join {kind:?} on"),
+            Plan::Join { .. } => "Join Inner on".to_string(),
             Plan::Aggregate { group_by, aggs, .. } => {
                 format!("Aggregate [{} keys, {} aggs]", group_by.len(), aggs.len())
             }
-            Plan::Sort { keys, .. } => format!("Sort [{} keys]", keys.len()),
-            Plan::Limit { limit, .. } => format!("Limit {limit}"),
+            Plan::Sort { .. } => "Sort [1 keys]".to_string(),
             Plan::Alias { .. } => "Alias".to_string(),
         };
         out.push_str(&pad);
@@ -163,7 +144,6 @@ impl Plan {
             | Plan::Project { input, .. }
             | Plan::Aggregate { input, .. }
             | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. }
             | Plan::Alias { input, .. } => input.explain_into(depth + 1, out),
             Plan::Join { left, right, .. } => {
                 left.explain_into(depth + 1, out);
@@ -205,13 +185,11 @@ pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<Plan> {
 pub fn depth_bound(query: &Query) -> usize {
     let s = &query.body;
     // The Alias a CTE is wrapped in, one more for a renamed
-    // reference to it, then Sort and Limit; the block's leaf, Aggregate and
-    // Project, then a node per clause and per join.
-    2 + usize::from(!query.order_by.is_empty())
-        + usize::from(query.limit.is_some())
+    // reference to it, then Sort; the block's leaf, Aggregate and Project,
+    // then one for `HAVING` and one per join.
+    2 + usize::from(query.order_by.is_some())
         + query.ctes.iter().map(|(_, q)| depth_bound(q)).sum::<usize>()
         + 3
-        + usize::from(s.where_clause.is_some())
         + usize::from(s.having.is_some())
         + s.joins.len()
 }
@@ -228,40 +206,28 @@ fn plan_query_scoped(query: &Query, catalog: &Catalog, outer: &CteScope) -> Resu
         }
     }
 
-    let mut plan = plan_select(&query.body, catalog, &scope)?;
-
-    if !query.order_by.is_empty() {
-        let schema = plan.schema();
-        let keys = query
-            .order_by
-            .iter()
-            .map(|item| bind_order_item(item, schema))
-            .collect::<Result<Vec<_>>>()?;
-        plan = Plan::Sort { input: Arc::new(plan), keys };
-    }
-    if let Some(limit) = query.limit {
-        plan = Plan::Limit { input: Arc::new(plan), limit };
-    }
-    Ok(plan)
+    let plan = plan_select(&query.body, catalog, &scope)?;
+    Ok(match &query.order_by {
+        Some(key) => {
+            let key = bind_order_key(key, plan.schema())?;
+            Plan::Sort { input: Arc::new(plan), key }
+        }
+        None => plan,
+    })
 }
 
-/// ORDER BY items may be output-column references or arbitrary expressions
-/// over the output schema.
-fn bind_order_item(item: &OrderItem, schema: &RelSchema) -> Result<SortKey> {
-    match bind(&item.expr, schema) {
-        Ok(expr) => Ok(SortKey { expr, desc: item.desc }),
-        Err(first_err) => {
-            // Projection output columns are unqualified; allow `t.col` to
-            // fall back to the bare output name `col` (standard SQL permits
-            // ordering by input columns that survive the projection).
-            if let Expr::Column { table: Some(_), name } = &item.expr {
-                if let Ok(idx) = schema.resolve(None, name) {
-                    return Ok(SortKey { expr: BoundExpr::Column(idx), desc: item.desc });
-                }
-            }
-            Err(first_err)
+/// The `ORDER BY` key may be an output-column reference or an arbitrary
+/// expression over the output schema.
+fn bind_order_key(key: &Expr, schema: &RelSchema) -> Result<BoundExpr> {
+    bind(key, schema).or_else(|first_err| match key {
+        // Projection output columns are unqualified; allow `t.col` to fall
+        // back to the bare output name `col` (standard SQL permits ordering
+        // by input columns that survive the projection).
+        Expr::Column { table: Some(_), name } => {
+            schema.resolve(None, name).map(BoundExpr::Column).map_err(|_| first_err)
         }
-    }
+        _ => Err(first_err),
+    })
 }
 
 fn plan_table_ref(tref: &TableRef, catalog: &Catalog, scope: &CteScope) -> Result<Arc<Plan>> {
@@ -300,16 +266,7 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
                 join.on
             )));
         }
-        plan = Arc::new(Plan::Join { left: plan, right, kind: join.kind, on, schema });
-    }
-
-    // WHERE.
-    if let Some(w) = &select.where_clause {
-        if w.contains_aggregate() {
-            return Err(Error::Plan("aggregates are not allowed in WHERE".into()));
-        }
-        let predicate = bind(w, plan.schema())?;
-        plan = Arc::new(Plan::Filter { input: plan, predicate });
+        plan = Arc::new(Plan::Join { left: plan, right, on, schema });
     }
 
     let items = &select.projection;
@@ -355,14 +312,14 @@ fn plan_aggregate(input: Arc<Plan>, select: &Select) -> Result<(Arc<Plan>, Vec<B
             return Ok(Some(BoundExpr::Column(i)));
         }
         match expr {
-            Expr::Function { name, args, distinct } if ast::is_aggregate_name(name) => {
+            Expr::Function { name, args } if ast::is_aggregate_name(name) => {
                 if args.iter().any(Expr::contains_aggregate) {
                     return Err(Error::Plan("nested aggregate calls are not allowed".into()));
                 }
                 let j = match calls.iter().position(|(call, _)| exprs_equivalent(call, expr)) {
                     Some(j) => j,
                     None => {
-                        let (func, arg) = AggFunc::from_call(name, args, *distinct)?;
+                        let (func, arg) = AggFunc::from_call(name, args)?;
                         let arg = arg.map(|a| bind(a, input_schema)).transpose()?;
                         calls.push((expr, AggExpr { func, arg }));
                         calls.len() - 1
@@ -408,17 +365,10 @@ fn exprs_equivalent(a: &Expr, b: &Expr) -> bool {
             Expr::Binary { left: la, op: oa, right: ra },
             Expr::Binary { left: lb, op: ob, right: rb },
         ) => oa == ob && exprs_equivalent(la, lb) && exprs_equivalent(ra, rb),
-        (
-            Expr::Function { name: na, args: aa, distinct: da },
-            Expr::Function { name: nb, args: ab, distinct: db },
-        ) => {
+        (Expr::Function { name: na, args: aa }, Expr::Function { name: nb, args: ab }) => {
             na.eq_ignore_ascii_case(nb)
-                && da == db
                 && aa.len() == ab.len()
                 && aa.iter().zip(ab).all(|(x, y)| exprs_equivalent(x, y))
-        }
-        (Expr::Cast { expr: ea, ty: ta }, Expr::Cast { expr: eb, ty: tb }) => {
-            ta == tb && exprs_equivalent(ea, eb)
         }
         (Expr::Column { table: ta, name: na }, Expr::Column { table: tb, name: nb }) => {
             na.eq_ignore_ascii_case(nb)
@@ -550,11 +500,11 @@ mod tests {
     #[test]
     fn depth_bound_covers_every_clause() {
         for sql in [
-            "SELECT s FROM T0 WHERE s > 0 GROUP BY s HAVING COUNT(*) > 0 ORDER BY s LIMIT 1",
-            "SELECT T0.s FROM T0 LEFT JOIN H ON H.in_s = T0.s JOIN H AS g ON g.in_s = T0.s",
+            "SELECT s FROM T0 GROUP BY s HAVING COUNT(*) > 0 ORDER BY s",
+            "SELECT T0.s FROM T0 JOIN H ON H.in_s = T0.s JOIN H AS g ON g.in_s = T0.s",
             "WITH u AS (SELECT s FROM T0 ORDER BY s) SELECT s FROM u",
             "WITH T1 AS (SELECT s, SUM(T0.r) AS r FROM T0 JOIN H ON H.in_s = T0.s GROUP BY s), \
-             T2 AS (SELECT x.s FROM T1 AS x ORDER BY s LIMIT 3) SELECT y.s FROM T2 AS y",
+             T2 AS (SELECT x.s FROM T1 AS x ORDER BY s) SELECT y.s FROM T2 AS y",
         ] {
             let ast::Statement::Query(q) = parse_statement(sql).unwrap() else { panic!() };
             let depth = plan_query(&q, &catalog()).unwrap().depth();
@@ -586,7 +536,8 @@ mod tests {
     #[test]
     fn order_by_alias_and_expression() {
         assert!(plan("SELECT s AS q FROM T0 ORDER BY q").is_ok());
-        assert!(plan("SELECT s, r FROM T0 ORDER BY r * 2.0 DESC").is_ok());
+        assert!(plan("SELECT s, r FROM T0 ORDER BY r * 2.0").is_ok());
+        assert!(plan("SELECT T0.s FROM T0 ORDER BY T0.s").is_ok());
         assert!(plan("SELECT s FROM T0 ORDER BY nope").is_err());
     }
 
@@ -594,9 +545,8 @@ mod tests {
     fn joins_but_on_one_key_and_aggregates_but_three_are_unsupported() {
         for sql in [
             "SELECT T0.s FROM T0 JOIN H ON H.in_s > T0.s",
-            "SELECT T0.s FROM T0 LEFT JOIN H ON H.in_s = 1",
+            "SELECT T0.s FROM T0 JOIN H ON H.in_s = 1",
             "SELECT T0.s FROM T0 JOIN H ON H.in_s = H.out_s",
-            "SELECT SUM(DISTINCT r) FROM T0",
             "SELECT COUNT(s) FROM T0",
             "SELECT MIN(s) FROM T0",
             "SELECT s, MAX(r) AS m FROM T0 GROUP BY s",
@@ -604,14 +554,9 @@ mod tests {
         ] {
             assert!(matches!(plan(sql), Err(Error::Unsupported(_))), "{sql}");
         }
-        assert!(matches!(plan("SELECT COUNT(DISTINCT *) FROM T0"), Err(Error::Plan(_))));
+        assert!(matches!(plan("SELECT SUM(*) FROM T0"), Err(Error::Plan(_))));
         assert!(plan("SELECT T0.s FROM T0 JOIN H ON T0.s = H.out_s").is_ok());
-        assert!(plan("SELECT COUNT(DISTINCT s), COUNT(*), SUM(r) FROM T0").is_ok());
-    }
-
-    #[test]
-    fn where_with_aggregate_rejected() {
-        assert!(plan("SELECT s FROM T0 WHERE SUM(r) > 1").is_err());
+        assert!(plan("SELECT COUNT(*), SUM(r) FROM T0").is_ok());
     }
 
     #[test]
@@ -629,11 +574,10 @@ mod tests {
 
     #[test]
     fn explain_renders_tree() {
-        let p = plan("SELECT s FROM T0 WHERE s > 0 ORDER BY s LIMIT 1").unwrap();
+        let p = plan("SELECT s FROM T0 GROUP BY s HAVING COUNT(*) > 0 ORDER BY s").unwrap();
         let text = p.explain();
         assert!(text.contains("Scan T0"));
         assert!(text.contains("Filter"));
-        assert!(text.contains("Sort"));
-        assert!(text.contains("Limit"));
+        assert!(text.contains("Sort [1 keys]"));
     }
 }

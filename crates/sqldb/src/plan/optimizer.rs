@@ -52,11 +52,11 @@ fn rewrite(plan: &mut Plan) {
             rewrite(Arc::make_mut(input));
             group_by.iter_mut().for_each(fold_expr);
         }
-        Plan::Sort { input, keys } => {
+        Plan::Sort { input, key } => {
             rewrite(Arc::make_mut(input));
-            keys.iter_mut().for_each(|k| fold_expr(&mut k.expr));
+            fold_expr(key);
         }
-        Plan::Limit { input, .. } | Plan::Alias { input, .. } => rewrite(Arc::make_mut(input)),
+        Plan::Alias { input, .. } => rewrite(Arc::make_mut(input)),
         Plan::Scan { .. } => {}
     }
 }
@@ -74,7 +74,7 @@ fn fold(expr: &mut BoundExpr) -> bool {
     let constant = match expr {
         BoundExpr::Literal(_) => return true,
         BoundExpr::Column(_) => return false,
-        BoundExpr::Unary { expr, .. } | BoundExpr::Cast { expr, .. } => fold(expr),
+        BoundExpr::Unary { expr, .. } => fold(expr),
         // Every child is folded: no short-circuit.
         BoundExpr::Binary { left, right, .. } => fold(left) & fold(right),
         BoundExpr::ScalarFn { args, .. } => args.iter_mut().fold(true, |c, a| fold(a) & c),
@@ -198,7 +198,6 @@ mod tests {
         let join = Plan::Join {
             left: Arc::new(left),
             right: Arc::new(right),
-            kind: crate::ast::JoinKind::Inner,
             on: eq(col(0), col(2)),
             schema,
         };

@@ -73,7 +73,7 @@ impl Value {
         }
     }
 
-    /// Truthiness for WHERE/HAVING: NULL ⇒ None, numeric 0 ⇒ false.
+    /// Truthiness for HAVING and a join's ON: NULL ⇒ None, numeric 0 ⇒ false.
     pub fn as_bool(&self) -> Result<Option<bool>> {
         match self {
             Value::Null => Ok(None),
@@ -229,7 +229,7 @@ impl Value {
         }
     }
 
-    /// Canonical key for GROUP BY / DISTINCT / hash joins: numerically equal
+    /// Canonical key for GROUP BY and hash joins: numerically equal
     /// values of different representations map to the same key.
     pub fn group_key(&self) -> GroupKey {
         match self {

@@ -14,7 +14,7 @@
 //! differ when several rows fail, since kernels evaluate operands column-wise
 //! rather than row-wise).
 
-use crate::ast::{BinaryOp, DataType, UnaryOp};
+use crate::ast::{BinaryOp, UnaryOp};
 use crate::error::{Error, Result};
 use crate::exec::batch::{Column, ColumnRef, RowBatch};
 use crate::expr::{apply_binary, BoundExpr};
@@ -77,10 +77,6 @@ impl BoundExpr {
             BoundExpr::Unary { op, expr } => {
                 let col = expr.eval_batch(batch)?;
                 eval_unary_kernel(*op, &col).map(ColumnRef::new)
-            }
-            BoundExpr::Cast { expr, ty } => {
-                let col = expr.eval_batch(batch)?;
-                eval_cast_kernel(col, *ty)
             }
             // SUBSTR and CONCAT (the encoding experiment's): the scalar
             // path, once per materialized row.
@@ -312,23 +308,6 @@ fn eval_unary_kernel(op: UnaryOp, col: &Column) -> Result<Column> {
     }
 }
 
-fn eval_cast_kernel(col: ColumnRef, ty: DataType) -> Result<ColumnRef> {
-    match (ty, &*col) {
-        // Identity casts forward the shared column untouched.
-        (DataType::Integer, Column::Int(_)) | (DataType::Double, Column::Float(_)) => Ok(col),
-        (DataType::Double, Column::Int(v)) => {
-            Ok(ColumnRef::new(Column::Float(v.iter().map(|&i| i as f64).collect())))
-        }
-        (ty, c) => {
-            let mut out = Column::new();
-            for i in 0..c.len() {
-                out.push(crate::expr::cast_value(c.value_at(i), ty)?);
-            }
-            Ok(ColumnRef::new(out))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,8 +383,6 @@ mod tests {
     #[test]
     fn fallback_constructs_match_row_path() {
         check("CONCAT(s, x)");
-        check("CAST(s AS DOUBLE)");
-        check("CAST(r AS INTEGER)");
         check("-s");
         check("-r");
     }

@@ -72,18 +72,14 @@ fn projection_chain_sql(gates: usize) -> String {
     )
 }
 
-/// The shape of `crates/check`'s deep-CTE cases: a join, a filter and an
-/// aggregate, `ctes - 1` pass-through CTEs over it, sorted and limited.
+/// The shape of `crates/check`'s deep-CTE cases: a join, an aggregate and
+/// its `HAVING` filter, `ctes - 1` pass-through CTEs over it, sorted.
 fn generated_chain_sql(ctes: usize) -> String {
     let mut chain = vec!["q0 AS (SELECT T0.s, COUNT(*) AS n, SUM(H.r) AS t FROM T0 \
-                          LEFT JOIN H ON H.in_s = T0.s WHERE T0.r > 0.5 GROUP BY T0.s)"
+                          JOIN H ON H.in_s = T0.s GROUP BY T0.s HAVING SUM(H.r) > 0.5)"
         .to_string()];
     chain.extend((1..ctes).map(|d| format!("q{d} AS (SELECT s, n, t FROM q{})", d - 1)));
-    format!(
-        "WITH {} SELECT s, n, t FROM q{} ORDER BY t DESC, s LIMIT 3",
-        chain.join(", "),
-        ctes - 1
-    )
+    format!("WITH {} SELECT s, n, t FROM q{} ORDER BY t", chain.join(", "), ctes - 1)
 }
 
 fn query(sql: &str) -> Query {

@@ -394,8 +394,9 @@ fn crash_matrix_torn_writes() {
     crash_matrix(FaultKind::Torn);
 }
 
-/// `CREATE TABLE … AS` over a filter, so every batch arrives ragged and the
-/// copy spans several chunks: its frame is a `CreateTable` and one `Insert`
+/// `CREATE TABLE … AS` over a join that drops a quarter of the rows (the
+/// table `keep` holds the keys 1, 2 and 3), so every batch arrives ragged
+/// and the copy spans several chunks: its frame is a `CreateTable` and one `Insert`
 /// block per batch. Kill the statement at every I/O step of that frame,
 /// clean and torn, and reopen: the copy is there with every row or not
 /// there at all, and an acknowledged CTAS is never the one that is missing.
@@ -405,7 +406,7 @@ fn crash_matrix_over_a_ragged_multi_chunk_ctas() {
     use std::sync::Arc;
     use qymera_sqldb::storage::fault::FaultInjector;
 
-    const CTAS: &str = "SELECT k, v FROM src WHERE ((k + 3) & 3) > 0";
+    const CTAS: &str = "SELECT k, v FROM src JOIN keep ON keep.m = ((k + 3) & 3)";
     let setup = |dir: &Path, inj: &Arc<FaultInjector>| {
         let mut opts = test_opts();
         opts.injector = Arc::clone(inj);
@@ -413,6 +414,8 @@ fn crash_matrix_over_a_ragged_multi_chunk_ctas() {
         db.execute("CREATE TABLE src (k INTEGER, v DOUBLE)").unwrap();
         let rows = (0..3000).map(|k| vec![Value::Int(k), Value::Float(k as f64 / 8.0)]).collect();
         db.insert_rows("src", rows).unwrap();
+        db.execute("CREATE TABLE keep (m INTEGER)").unwrap();
+        db.execute("INSERT INTO keep VALUES (1), (2), (3)").unwrap();
         db
     };
     let copy_of = |db: &mut Database| -> Option<Vec<Vec<Value>>> {

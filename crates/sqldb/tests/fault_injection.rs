@@ -34,7 +34,7 @@ fn scenario_db() -> Database {
     db
 }
 
-const SORT_SQL: &str = "SELECT k, v FROM big ORDER BY v DESC, k";
+const SORT_SQL: &str = "SELECT k, v FROM big ORDER BY v";
 const AGG_SQL: &str = "SELECT k, SUM(v) AS t FROM big GROUP BY k ORDER BY k";
 // Every probe row matches one dim row, so the join's full 60k-row output
 // flows into a 20k-group aggregation that must spill under the budget.

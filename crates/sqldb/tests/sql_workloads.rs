@@ -1,7 +1,7 @@
 //! Engine-level integration tests: the SQL surface beyond the translator's
-//! gate query — CTEs, outer joins, HAVING, `COUNT(DISTINCT)`, multi-key
-//! ordering, CTAS, `explain` — exercised end-to-end, and the constructs the
-//! engine refuses (`docs/OPERATORS.md`'s audit) refused everywhere.
+//! gate query — CTEs, join chains, `HAVING`, NULL sums, ordering, CTAS,
+//! `explain` — exercised end-to-end, and the constructs the engine refuses
+//! (`docs/OPERATORS.md`'s audit) refused everywhere.
 
 use qymera_sqldb::{Database, Error, Value};
 
@@ -25,7 +25,7 @@ fn group_by_having_and_aggregates() {
     let mut db = fixture();
     let rs = db
         .execute(
-            "SELECT backend, COUNT(*) AS n, SUM(ms) AS total, COUNT(DISTINCT qubits) AS sizes \
+            "SELECT backend, COUNT(*) AS n, SUM(ms) AS total \
              FROM runs GROUP BY backend HAVING COUNT(*) > 2 ORDER BY backend",
         )
         .unwrap();
@@ -33,43 +33,42 @@ fn group_by_having_and_aggregates() {
     assert_eq!(rs.rows()[0][0], Value::Str("sql".into()));
     assert_eq!(rs.rows()[0][1], Value::Int(3));
     assert_eq!(rs.rows()[0][2], Value::Float(1.5 + 6.0 + 40.0));
-    assert_eq!(rs.rows()[0][3], Value::Int(3));
 }
 
 /// `''` inside a string literal is one quote; non-ASCII text comes back as written.
 #[test]
 fn string_literals_round_trip() {
     let mut db = fixture();
-    let rs = db.execute("SELECT 'it''s', 'é' FROM runs WHERE id = 1").unwrap();
-    assert_eq!(rs.rows(), [vec![Value::Str("it's".into()), Value::Str("é".into())]]);
+    let rs = db.execute("SELECT 'it''s', 'é', COUNT(*) FROM runs").unwrap();
+    let want = [Value::Str("it's".into()), Value::Str("é".into()), Value::Int(7)];
+    assert_eq!(rs.rows(), [want]);
 }
 
+/// An inner join keeps the rows that match: `sparse` has no cap row.
 #[test]
-fn left_join_pads_missing_side() {
+fn join_keeps_only_matching_rows() {
     let mut db = fixture();
     let rs = db
         .execute(
             "SELECT runs.backend, caps.max_qubits FROM runs \
-             LEFT JOIN caps ON runs.backend = caps.backend \
-             WHERE runs.qubits = 4 ORDER BY runs.backend",
+             JOIN caps ON runs.backend = caps.backend ORDER BY runs.backend",
         )
         .unwrap();
-    assert_eq!(rs.rows().len(), 3);
-    // sparse has no cap row → NULL
-    assert_eq!(rs.rows()[0][0], Value::Str("sparse".into()));
-    assert!(rs.rows()[0][1].is_null());
-    assert_eq!(rs.rows()[1][1], Value::Int(63));
+    assert_eq!(rs.rows().len(), 5);
+    assert_eq!(rs.rows()[0], [Value::Str("sql".into()), Value::Int(63)]);
+    assert_eq!(rs.rows()[4], [Value::Str("statevector".into()), Value::Int(27)]);
 }
 
 #[test]
-fn aggregate_in_a_cte_then_where() {
+fn aggregate_with_having_in_a_cte() {
     let mut db = fixture();
     let rs = db
         .execute(
-            "WITH agg AS (SELECT backend, SUM(ms) AS total FROM runs GROUP BY backend) \
-             SELECT backend, total FROM agg WHERE total > 0.5 ORDER BY total DESC",
+            "WITH agg AS (SELECT backend, SUM(ms) AS total FROM runs GROUP BY backend \
+             HAVING SUM(ms) > 0.5) SELECT backend, total FROM agg ORDER BY total",
         )
         .unwrap();
+    assert_eq!(rs.rows().len(), 1, "sparse and statevector sum to 0.5");
     assert_eq!(rs.rows()[0][0], Value::Str("sql".into()));
     assert!((rs.rows()[0][1].as_f64().unwrap() - 47.5).abs() < 1e-12);
 }
@@ -79,7 +78,7 @@ fn group_by_over_a_cte() {
     let mut db = fixture();
     let rs = db
         .execute(
-            "WITH u AS (SELECT backend FROM runs WHERE qubits > 4) \
+            "WITH u AS (SELECT backend, qubits FROM runs) \
              SELECT backend FROM u GROUP BY backend ORDER BY backend",
         )
         .unwrap();
@@ -87,48 +86,42 @@ fn group_by_over_a_cte() {
     assert_eq!(names, vec!["sparse", "sql", "statevector"]);
 }
 
-/// The NULLs a `LEFT JOIN` pads with: `COUNT(*)` counts their rows,
-/// `COUNT(DISTINCT)` and `SUM` skip them, and a comparison with one is not
+/// `HAVING` filters groups with `=` and `>`; over a NULL, `COUNT(*)`
+/// counts the row, `SUM` skips it, and a comparison with a NULL sum is not
 /// true.
 #[test]
-fn filters_and_left_join_nulls() {
+fn having_filters_and_nulls() {
     let mut db = fixture();
-    let rs = db.execute("SELECT COUNT(*) FROM runs WHERE qubits = 4").unwrap();
-    assert_eq!(rs.scalar(), Some(&Value::Int(3)));
-    let rs = db.execute("SELECT COUNT(*) FROM runs WHERE ms > qubits").unwrap();
-    assert_eq!(rs.scalar(), Some(&Value::Int(1)));
+    let rs = db.execute("SELECT COUNT(*) FROM runs GROUP BY qubits HAVING qubits = 4").unwrap();
+    assert_eq!(rs.rows(), [[Value::Int(3)]]);
     let rs = db
-        .execute(
-            "SELECT COUNT(*) AS n, COUNT(DISTINCT caps.max_qubits) AS caps, \
-             SUM(caps.max_qubits) AS total FROM runs LEFT JOIN caps ON runs.backend = caps.backend",
-        )
+        .execute("SELECT id FROM runs GROUP BY id HAVING SUM(ms) > SUM(qubits)")
         .unwrap();
-    assert_eq!(rs.rows(), [vec![Value::Int(7), Value::Int(2), Value::Int(3 * 63 + 2 * 27)]]);
+    assert_eq!(rs.rows(), [[Value::Int(7)]]);
+    db.execute("INSERT INTO caps VALUES ('sparse', NULL)").unwrap();
+    let rs = db.execute("SELECT COUNT(*) AS n, SUM(max_qubits) AS total FROM caps").unwrap();
+    assert_eq!(rs.rows(), [[Value::Int(3), Value::Int(63 + 27)]]);
     let rs = db
-        .execute(
-            "SELECT COUNT(*) FROM runs LEFT JOIN caps ON runs.backend = caps.backend \
-             WHERE caps.max_qubits > 0",
-        )
+        .execute("SELECT backend FROM caps GROUP BY backend HAVING SUM(max_qubits) > 0")
         .unwrap();
-    assert_eq!(rs.scalar(), Some(&Value::Int(5)), "sparse rows have no cap");
+    assert_eq!(rs.rows().len(), 2, "the sparse sum is NULL");
 }
 
 #[test]
-fn multi_key_order_with_limit() {
+fn order_by_one_key_keeps_ties_in_input_order() {
     let mut db = fixture();
-    let rs = db
-        .execute("SELECT backend, qubits FROM runs ORDER BY backend, qubits DESC LIMIT 3")
-        .unwrap();
-    assert_eq!(rs.rows().len(), 3);
-    assert_eq!(rs.rows()[0], [Value::Str("sparse".into()), Value::Int(8)]);
-    assert_eq!(rs.rows()[2], [Value::Str("sql".into()), Value::Int(12)]);
+    let rs = db.execute("SELECT backend, qubits FROM runs ORDER BY backend").unwrap();
+    assert_eq!(rs.rows().len(), 7);
+    assert_eq!(rs.rows()[0], [Value::Str("sparse".into()), Value::Int(4)]);
+    assert_eq!(rs.rows()[1], [Value::Str("sparse".into()), Value::Int(8)]);
+    assert_eq!(rs.rows()[4], [Value::Str("sql".into()), Value::Int(12)]);
 }
 
 #[test]
 fn ctas_then_query_then_drop() {
     let mut db = fixture();
     let n = db
-        .create_table_as("fast_runs", "SELECT id, ms FROM runs WHERE 1.0 > ms")
+        .create_table_as("fast_runs", "SELECT id, SUM(ms) AS ms FROM runs GROUP BY id HAVING 1.0 > SUM(ms)")
         .unwrap();
     assert_eq!(n, 4);
     let rs = db.execute("SELECT COUNT(*) FROM fast_runs").unwrap();
@@ -151,7 +144,9 @@ fn explain_renders_the_plan() {
 #[test]
 fn arithmetic_edge_cases_surface_as_errors() {
     let mut db = fixture();
-    let one_row = |sql: &str| format!("SELECT {sql} FROM runs WHERE id = 1");
+    db.execute("CREATE TABLE one (x INTEGER)").unwrap();
+    db.execute("INSERT INTO one VALUES (1)").unwrap();
+    let one_row = |sql: &str| format!("SELECT {sql} FROM one");
     assert!(matches!(db.execute(&one_row("1 >> -1")), Err(Error::Eval(_))));
     assert!(matches!(db.execute(&one_row("9223372036854775807 + 1")), Err(Error::Eval(_))));
     // but a float overflow is IEEE infinity, not an error
@@ -173,31 +168,20 @@ fn three_way_join_chain() {
             "SELECT runs.id, caps.max_qubits, teams.team FROM runs \
              JOIN caps ON runs.backend = caps.backend \
              JOIN teams ON caps.backend = teams.backend \
-             WHERE runs.qubits = 8 ORDER BY runs.id",
+             ORDER BY runs.id",
         )
         .unwrap();
-    assert_eq!(rs.rows().len(), 2);
-    assert_eq!(rs.rows()[0][2], Value::Str("db".into()));
-    assert_eq!(rs.rows()[1][2], Value::Str("hpc".into()));
+    let teams: Vec<String> = rs.rows().iter().map(|r| r[2].to_string()).collect();
+    assert_eq!(teams, ["db", "db", "hpc", "hpc", "db"]);
 }
 
 #[test]
 fn string_functions_in_queries() {
     let mut db = fixture();
     let rs = db
-        .execute("SELECT CONCAT(SUBSTR(backend, 1, 2), '!') AS b FROM runs WHERE id = 3")
+        .execute("SELECT CONCAT(SUBSTR(backend, 1, 2), '!') AS b FROM caps ORDER BY b")
         .unwrap();
-    assert_eq!(rs.scalar(), Some(&Value::Str("st!".into())));
-}
-
-#[test]
-fn count_distinct() {
-    let mut db = fixture();
-    let rs = db
-        .execute("SELECT COUNT(DISTINCT backend), COUNT(DISTINCT qubits) FROM runs")
-        .unwrap();
-    assert_eq!(rs.rows()[0][0], Value::Int(3));
-    assert_eq!(rs.rows()[0][1], Value::Int(3));
+    assert_eq!(rs.rows(), [[Value::Str("sq!".into())], [Value::Str("st!".into())]]);
 }
 
 /// Every construct without a caller is refused before it reaches an
@@ -209,11 +193,13 @@ fn count_distinct() {
 fn deleted_constructs_are_unsupported_everywhere() {
     let cases: &[(&str, Option<&str>)] = &[
         ("SELECT COUNT(*) FROM caps CROSS JOIN caps AS c2", Some("CROSS JOIN")),
-        ("SELECT COUNT(*) FROM caps, caps AS c2 WHERE caps.backend = c2.backend", Some("CROSS JOIN")),
+        ("SELECT COUNT(*) FROM caps, caps AS c2", Some("CROSS JOIN")),
         ("SELECT runs.id FROM runs JOIN caps ON runs.qubits > caps.max_qubits", Some("join condition")),
-        ("SELECT runs.id FROM runs LEFT JOIN caps ON caps.max_qubits > 4", Some("join condition")),
+        ("SELECT runs.id FROM runs JOIN caps ON caps.max_qubits > 4", Some("join condition")),
         ("SELECT runs.id FROM runs JOIN caps ON runs.backend = runs.backend", Some("join condition")),
         ("SELECT runs.id FROM runs RIGHT JOIN caps ON runs.backend = caps.backend", Some("RIGHT JOIN")),
+        ("SELECT runs.id FROM runs LEFT JOIN caps ON runs.backend = caps.backend", Some("LEFT JOIN")),
+        ("SELECT runs.id FROM runs LEFT OUTER JOIN caps ON runs.backend = caps.backend", Some("LEFT JOIN")),
         ("SELECT backend FROM runs UNION ALL SELECT backend FROM caps", Some("UNION ALL")),
         ("SELECT CASE WHEN ms > 1.0 THEN 'slow' ELSE 'fast' END FROM runs", Some("CASE")),
         ("SELECT ABS(ms) FROM runs", Some("ABS")),
@@ -231,7 +217,10 @@ fn deleted_constructs_are_unsupported_everywhere() {
         ("SELECT LENGTH(backend) FROM runs", Some("LENGTH")),
         ("SELECT UPPER(backend) FROM runs", Some("UPPER")),
         ("SELECT LOWER(backend) FROM runs", Some("LOWER")),
+        ("SELECT CAST(ms AS INTEGER) FROM runs", Some("CAST")),
+        ("SELECT CAST(id AS INT) FROM runs", Some("CAST")),
         // Aggregates.
+        ("SELECT COUNT(DISTINCT qubits) FROM runs", Some("COUNT(DISTINCT")),
         ("SELECT SUM(DISTINCT ms) FROM runs", Some("SUM(DISTINCT")),
         ("SELECT COUNT(ms) FROM runs", Some("COUNT(expr)")),
         ("SELECT backend, AVG(ms) AS avg_ms FROM runs GROUP BY backend", Some("AVG")),
@@ -258,32 +247,36 @@ fn deleted_constructs_are_unsupported_everywhere() {
         ("SELECT 1 + 1", Some("SELECT without FROM")),
         ("WITH RECURSIVE a AS (SELECT id FROM runs) SELECT id FROM a", Some("WITH RECURSIVE")),
         ("SELECT id FROM runs ORDER BY 1", Some("ORDER BY an ordinal")),
-        ("SELECT id FROM runs ORDER BY id LIMIT 2 OFFSET 1", Some("OFFSET")),
+        ("SELECT id FROM runs ORDER BY id OFFSET 1", Some("OFFSET")),
+        ("SELECT id FROM runs WHERE qubits = 4", Some("WHERE")),
+        ("SELECT id FROM runs ORDER BY id LIMIT 2", Some("LIMIT")),
+        ("SELECT id FROM runs ORDER BY id DESC", Some("ORDER BY … DESC")),
+        ("SELECT id, qubits FROM runs ORDER BY qubits, id", Some("a second ORDER BY key")),
         // Expressions and names.
-        ("SELECT id FROM runs WHERE id = 1 OR id = 2", Some("OR")),
-        ("SELECT id FROM runs WHERE id = 1 AND qubits = 4", Some("AND")),
-        ("SELECT id FROM runs WHERE NOT id = 1", Some("NOT")),
-        ("SELECT id FROM runs WHERE id NOT IN (1, 2)", Some("NOT")),
-        ("SELECT id FROM runs WHERE qubits IN (4, 8)", Some("IN")),
-        ("SELECT id FROM runs WHERE ms IS NULL", Some("IS [NOT] NULL")),
-        ("SELECT id FROM runs WHERE ms IS NOT NULL", Some("IS [NOT] NULL")),
-        ("SELECT id FROM runs WHERE id != 1", Some("`!=`")),
-        ("SELECT id FROM runs WHERE id <> 1", Some("`<>`")),
-        ("SELECT id FROM runs WHERE id < 2", Some("`<`")),
-        ("SELECT id FROM runs WHERE id <= 2", Some("`<=`")),
-        ("SELECT id FROM runs WHERE id >= 2", Some("`>=`")),
+        ("SELECT id = 1 OR id = 2 FROM runs", Some("OR")),
+        ("SELECT id = 1 AND qubits = 4 FROM runs", Some("AND")),
+        ("SELECT NOT id = 1 FROM runs", Some("NOT")),
+        ("SELECT id NOT IN (1, 2) FROM runs", Some("NOT")),
+        ("SELECT qubits IN (4, 8) FROM runs", Some("IN")),
+        ("SELECT ms IS NULL FROM runs", Some("IS [NOT] NULL")),
+        ("SELECT ms IS NOT NULL FROM runs", Some("IS [NOT] NULL")),
+        ("SELECT id != 1 FROM runs", Some("`!=`")),
+        ("SELECT id <> 1 FROM runs", Some("`<>`")),
+        ("SELECT id < 2 FROM runs", Some("`<`")),
+        ("SELECT id <= 2 FROM runs", Some("`<=`")),
+        ("SELECT id >= 2 FROM runs", Some("`>=`")),
         ("SELECT ms / 2.0 FROM runs", Some("`/`")),
         ("SELECT id % 2 FROM runs", Some("`%`")),
-        ("SELECT id FROM runs WHERE ms BETWEEN 0.2 AND 1.5", Some("BETWEEN")),
+        ("SELECT ms BETWEEN 0.2 AND 1.5 FROM runs", Some("BETWEEN")),
         ("SELECT TRUE FROM runs", Some("TRUE")),
-        ("SELECT id FROM runs WHERE FALSE", Some("FALSE")),
+        ("SELECT FALSE FROM runs", Some("FALSE")),
         ("SELECT \"id\" FROM runs", Some("quoted")),
         // Not `id - (-qubits)`: a comment is refused, never skipped.
         ("SELECT id --qubits FROM runs", Some("`--` comment")),
         ("SELECT id FROM runs -- trailing", Some("`--` comment")),
         ("SELECT id /* block */ FROM runs", Some("`/* */` comment")),
         // Spellings.
-        ("SELECT id FROM runs WHERE id == 1", None),
+        ("SELECT id == 1 FROM runs", None),
         ("START TRANSACTION", None),
         ("BEGIN TRANSACTION", None),
         ("BEGIN WORK", None),
@@ -293,7 +286,6 @@ fn deleted_constructs_are_unsupported_everywhere() {
         ("ROLLBACK TO SAVEPOINT sp", None),
         ("SELECT ALL id FROM runs", None),
         ("SELECT runs.id FROM runs INNER JOIN caps ON runs.backend = caps.backend", None),
-        ("SELECT runs.id FROM runs LEFT OUTER JOIN caps ON runs.backend = caps.backend", None),
         ("SELECT id FROM runs ORDER BY id ASC", None),
         ("SELECT +id FROM runs", None),
         ("CREATE TABLE t2 (a INT)", None),
@@ -301,7 +293,6 @@ fn deleted_constructs_are_unsupported_everywhere() {
         ("CREATE TABLE t2 (a REAL)", None),
         ("CREATE TABLE t2 (a VARCHAR(8))", None),
         ("CREATE TABLE t2 (a DOUBLE PRECISION)", None),
-        ("SELECT CAST(id AS INT) FROM runs", None),
     ];
     let mut db = fixture();
     for &(sql, names) in cases {

@@ -199,12 +199,15 @@ fn statement_error_aborts_the_whole_transaction() {
 /// a crash image taken before `COMMIT` recovers none of it.
 #[test]
 fn ctas_joins_the_open_transaction() {
-    const CTAS: &str = "SELECT k, v FROM src WHERE ((k + 3) & 3) > 0";
+    // The join keeps the rows whose `(k + 3) & 3` is 1, 2 or 3.
+    const CTAS: &str = "SELECT k, v FROM src JOIN keep ON keep.m = ((k + 3) & 3)";
     let dir = tmpdir("ctas-in-txn");
     let mut db = open(&dir);
     db.execute("CREATE TABLE src (k INTEGER, v DOUBLE)").unwrap();
     let rows = (0..3000).map(|k| vec![Value::Int(k), Value::Float(-(k as f64) / 8.0)]).collect();
     db.insert_rows("src", rows).unwrap();
+    db.execute("CREATE TABLE keep (m INTEGER)").unwrap();
+    db.execute("INSERT INTO keep VALUES (1), (2), (3)").unwrap();
     let committed = dump(&mut db);
     let clean = |db: &Database| db.budget().used() == db.table_bytes();
 

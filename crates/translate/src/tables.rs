@@ -295,7 +295,7 @@ mod tests {
         let rs = db.execute("SELECT COUNT(*) FROM H").unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Int(4)));
         let rs = db
-            .execute("SELECT r FROM H WHERE ((in_s << 1) | out_s) = 3")
+            .execute("SELECT r FROM H GROUP BY ((in_s << 1) | out_s), r HAVING ((in_s << 1) | out_s) = 3")
             .unwrap();
         let v = rs.scalar().unwrap().as_f64().unwrap();
         assert!((v + std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
