@@ -1,6 +1,7 @@
 //! E3b — the intro's dense-circuit claim: the RDBMS pays a constant-factor
 //! penalty against the dense state-vector kernel (the paper measured ~14%
-//! on DuckDB; a row-at-a-time engine pays more, same direction).
+//! on DuckDB's vectorized engine; this embedded engine, vectorized too, pays
+//! more, same direction).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qymera_circuit::library;

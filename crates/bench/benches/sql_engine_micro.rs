@@ -143,7 +143,7 @@ fn bench_scan(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0f64;
             for slice in rows.chunks(BATCH_SIZE) {
-                let batch = RowBatch::from_rows(slice);
+                let batch = RowBatch::from_rows(slice).unwrap();
                 acc += sum_r(&batch);
             }
             std::hint::black_box(acc)

@@ -5,8 +5,8 @@
 //! operator matrix: equi-joins, `SUM` and `COUNT(*)` with `GROUP BY` and
 //! `HAVING agg > k` (an `INTEGER` aggregate against a small constant, so
 //! groups tie with it on the typed `>` lane), a one-key `ORDER BY`, and
-//! deep CTE chains (the translator's one-CTE-per-gate shape). NULLs enter
-//! through the row data. Float data is dyadic (`k/8`) so sums are FP-exact
+//! deep CTE chains (the translator's one-CTE-per-gate shape). Float data is
+//! dyadic (`k/8`) so sums are FP-exact
 //! in any accumulation order — result comparison across oracles is then
 //! *exact*, not tolerance-based.
 
@@ -180,7 +180,6 @@ pub struct SqlCase {
 /// Render a [`Value`] as a SQL literal.
 pub fn literal(v: &Value) -> String {
     match v {
-        Value::Null => "NULL".to_string(),
         Value::Int(i) => i.to_string(),
         Value::Float(f) => {
             if f.fract() == 0.0 {
@@ -262,30 +261,13 @@ fn gen_table(rng: &mut CaseRng, i: usize) -> TableSpec {
         columns.push((format!("s{i}"), ColTy::Text));
     }
     let nrows = rng.range(4, 56) as usize;
-    // NULLs are decided per column: roughly half the columns stay
-    // null-free so the engine's null-free typed fast lanes (which only
-    // engage on columns without a validity mask) get real coverage, the
-    // rest carry ~1-in-8 NULLs for three-valued-logic coverage.
-    let nullable: Vec<bool> = columns.iter().map(|_| rng.chance(1, 2)).collect();
     let rows = (0..nrows)
-        .map(|_| {
-            columns
-                .iter()
-                .zip(&nullable)
-                .map(|((_, ty), nullable)| {
-                    if *nullable && rng.chance(1, 8) {
-                        Value::Null
-                    } else {
-                        gen_value(rng, *ty)
-                    }
-                })
-                .collect()
-        })
+        .map(|_| columns.iter().map(|(_, ty)| gen_value(rng, *ty)).collect())
         .collect();
     TableSpec { name: format!("t{i}"), columns, rows }
 }
 
-/// A non-NULL value of type `ty`.
+/// A value of type `ty`.
 fn gen_value(rng: &mut CaseRng, ty: ColTy) -> Value {
     match ty {
         ColTy::Int => Value::Int(rng.range(0, KEY_RANGE - 1)),
@@ -476,22 +458,6 @@ mod tests {
         assert_ne!(a.query_sql(), c.query_sql(), "different seeds, different cases");
     }
 
-    /// The values of column `col` of `table`.
-    fn values_of<'t>(table: &'t TableSpec, col: &str) -> Vec<&'t Value> {
-        let c = table.columns.iter().position(|(n, _)| n == col).unwrap();
-        table.rows.iter().map(|r| &r[c]).collect()
-    }
-
-    /// The table holding column `col` (names are unique across tables).
-    fn table_of<'c>(case: &'c SqlCase, col: &str) -> &'c TableSpec {
-        case.tables.iter().find(|t| t.columns.iter().any(|(n, _)| n == col)).unwrap()
-    }
-
-    /// Whether column `col` holds NULLs.
-    fn has_nulls(case: &SqlCase, col: &str) -> bool {
-        values_of(table_of(case, col), col).iter().any(|v| v.is_null())
-    }
-
     /// Whether `HAVING a_j > k` meets a tie: a group whose `a_j` is `k`,
     /// read off the reference's answer to the query without its `HAVING`.
     fn having_ties(case: &SqlCase) -> bool {
@@ -510,11 +476,10 @@ mod tests {
     }
 
     /// The pinned corpus (`qymera-fuzz --cases 500`'s) reaches every form
-    /// the engine keeps, including the shapes the `canary` mutation and
-    /// three-valued logic need: a `HAVING a > k` where some group's `a` is
-    /// `k` (the canary turns `>` into `>=` on the `INTEGER` lane), NULLs in
-    /// the input of each aggregate, `GROUP BY`, `ORDER BY` and deep CTE
-    /// chains.
+    /// the engine keeps, including the shape the `canary` mutation needs: a
+    /// `HAVING a > k` where some group's `a` is `k` (the canary turns `>`
+    /// into `>=` on the `INTEGER` lane), `GROUP BY`, `ORDER BY` and deep
+    /// CTE chains.
     #[test]
     fn corpus_covers_the_operator_matrix() {
         let mut seen = std::collections::BTreeMap::<&str, usize>::new();
@@ -526,19 +491,9 @@ mod tests {
             count("deep CTE chain", q.cte_depth >= 9);
             count("ORDER BY", q.order_by.is_some());
             let Some(a) = &q.aggregate else { continue };
-            let mut scope = case.tables[q.base].column_names();
-            q.joins.iter().for_each(|j| scope.extend(case.tables[j.table].column_names()));
             count("HAVING", a.having.is_some());
             count("HAVING >, tied on the Int lane", having_ties(&case));
             count("GROUP BY", !a.keys.is_empty());
-            for g in &a.aggs {
-                // `COUNT(*)` counts rows: NULLs anywhere in scope.
-                let (what, nulls) = match &g.col {
-                    Some(c) => ("SUM over NULLs", has_nulls(&case, c)),
-                    None => ("COUNT(*) over NULLs", scope.iter().any(|c| has_nulls(&case, c))),
-                };
-                count(what, nulls);
-            }
         }
         for (what, at_least) in [
             ("join", 100),
@@ -547,8 +502,6 @@ mod tests {
             ("HAVING", 20),
             ("HAVING >, tied on the Int lane", 10),
             ("GROUP BY", 20),
-            ("SUM over NULLs", 10),
-            ("COUNT(*) over NULLs", 10),
         ] {
             let n = seen.get(what).copied().unwrap_or(0);
             assert!(n >= at_least, "{what}: {n} cases, want at least {at_least}: {seen:?}");

@@ -219,8 +219,7 @@ impl Runner {
             return None;
         }
         let table = self.rng.pick(&vis).clone();
-        let a = self.rng.range(-50, 50);
-        let b = if roll < 6 { self.rng.range(-50, 50).to_string() } else { "NULL".into() };
+        let (a, b) = (self.rng.range(-50, 50), self.rng.range(-50, 50));
         Some((format!("INSERT INTO {table} VALUES ({a}), ({b})"), Effect::Dml))
     }
 

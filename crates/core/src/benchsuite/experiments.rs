@@ -169,7 +169,7 @@ impl DenseOverheadResult {
         }
         out.push_str(
             "  (paper reports ~14% slower on DuckDB's vectorized engine; this\n\
-             \x20 row-at-a-time engine pays a larger constant, same direction)\n",
+             \x20 embedded engine, vectorized too, pays a larger constant, same direction)\n",
         );
         out
     }

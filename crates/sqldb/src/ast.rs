@@ -9,7 +9,6 @@ use crate::bigbits::BigBits;
 /// A literal constant in SQL text.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
-    Null,
     Int(i64),
     Big(BigBits),
     Float(f64),
@@ -230,7 +229,6 @@ pub enum Statement {
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Literal::Null => write!(f, "NULL"),
             Literal::Int(i) => write!(f, "{i}"),
             Literal::Big(b) => write!(f, "0x{}", b.to_hex()),
             Literal::Float(v) => {

@@ -13,7 +13,7 @@
 use super::{with_exec_stack, Database, ResultSet};
 use crate::ast::{DataType, Expr, Query, Statement};
 use crate::error::{Error, Result};
-use crate::exec::batch::{Column, RowBatch};
+use crate::exec::batch::RowBatch;
 use crate::exec::vector::{build_batch_stream, drain};
 use crate::expr::bind;
 use crate::plan::logical::{plan_query, Plan};
@@ -23,7 +23,6 @@ use crate::storage::spill::Row;
 use crate::storage::wal::DurableStore;
 use crate::table::Table;
 use crate::txn::{SavepointMark, TxnState, UndoEntry};
-use crate::value::Value;
 
 impl Database {
     /// The one write path: run `body` inside the open transaction, or —
@@ -345,9 +344,8 @@ impl Database {
         Ok(inserted)
     }
 
-    /// Create the CTAS target. Column types come from the lanes of
-    /// the first result batch (a generic lane: from its first value); later
-    /// batches must coerce losslessly. Past 63 qubits the translator's `s`
+    /// Create the CTAS target. Column types are the lanes of the first
+    /// result batch; later batches must coerce losslessly. Past 63 qubits the translator's `s`
     /// is `HUGEINT` from `T0` on, and a bitwise operator with a `HUGEINT`
     /// operand yields `HUGEINT` whatever the value (`value.rs`
     /// `bitwise_binop`), so every batch of a step statement carries `s` as
@@ -356,7 +354,7 @@ impl Database {
     /// An empty result makes every column `DOUBLE`.
     fn ctas_create(&mut self, name: &str, names: &[String], first: Option<&RowBatch>) -> Result<()> {
         let types: Vec<DataType> = match first {
-            Some(batch) => batch.columns().iter().map(|c| infer_type(c)).collect(),
+            Some(batch) => batch.columns().iter().map(|c| c.data_type()).collect(),
             None => vec![DataType::Double; names.len()],
         };
         let columns: Vec<(String, DataType)> = names.iter().cloned().zip(types).collect();
@@ -387,16 +385,4 @@ fn log_rows(store: &mut DurableStore, txn: u64, table: &Table, from: usize) -> R
     Ok(())
 }
 
-/// Infer a column type from the first batch of a CTAS result.
-fn infer_type(column: &Column) -> DataType {
-    match column {
-        Column::Int(_) => DataType::Integer,
-        Column::Float(_) => DataType::Double,
-        Column::Generic(values) => match values.first() {
-            Some(Value::Int(_)) => DataType::Integer,
-            Some(Value::Str(_)) => DataType::Text,
-            Some(Value::Big(_)) => DataType::HugeInt,
-            Some(Value::Float(_) | Value::Null) | None => DataType::Double,
-        },
-    }
-}
+

@@ -13,6 +13,7 @@
 
 use std::hash::{Hash, Hasher};
 
+use crate::ast::DataType;
 use crate::error::Result;
 use crate::plan::logical::{AggExpr, AggFunc};
 use crate::storage::spill::row_bytes;
@@ -24,6 +25,7 @@ pub(crate) const MAX_DEPTH: u32 = 4;
 /// Accumulator state for one aggregate in one group.
 #[derive(Debug, Clone)]
 pub(crate) enum Acc {
+    /// `SUM`; `None` until its first term.
     Sum(Option<Value>),
     /// `COUNT(*)`.
     Count(i64),
@@ -42,12 +44,7 @@ impl Acc {
 
     pub(crate) fn update(&mut self, arg: Option<Value>) -> Result<()> {
         match self {
-            Acc::Sum(state) => {
-                let v = arg.expect("SUM requires an argument");
-                if !v.is_null() {
-                    Self::sum_add(state, &v)?;
-                }
-            }
+            Acc::Sum(state) => Self::sum_add(state, &arg.expect("SUM requires an argument"))?,
             Acc::Count(n) => *n += 1,
         }
         Ok(())
@@ -66,10 +63,10 @@ impl Acc {
     }
 
     /// This accumulator's partial state: the one value it contributes to a
-    /// spilled partial row.
+    /// spilled partial row. A spilled group has a row, so its sum a term.
     pub(crate) fn partial(&self) -> Value {
         match self {
-            Acc::Sum(v) => v.clone().unwrap_or(Value::Null),
+            Acc::Sum(v) => v.clone().unwrap_or(Value::Int(0)),
             Acc::Count(n) => Value::Int(*n),
         }
     }
@@ -77,17 +74,25 @@ impl Acc {
     /// Merge a partial state written by [`Acc::partial`].
     pub(crate) fn merge_partial(&mut self, v: &Value) -> Result<()> {
         match self {
-            Acc::Sum(state) if !v.is_null() => Self::sum_add(state, v)?,
-            Acc::Sum(_) => {}
+            Acc::Sum(state) => Self::sum_add(state, v)?,
             Acc::Count(n) => *n += v.as_i64()?,
         }
         Ok(())
     }
 
+    /// The final value: a `SUM` over no rows is `INTEGER` 0.
     pub(crate) fn finalize(self) -> Value {
         match self {
-            Acc::Sum(v) => v.unwrap_or(Value::Null),
+            Acc::Sum(v) => v.unwrap_or(Value::Int(0)),
             Acc::Count(n) => Value::Int(n),
+        }
+    }
+
+    /// The type of [`Acc::finalize`]'s value.
+    pub(crate) fn data_type(&self) -> DataType {
+        match self {
+            Acc::Sum(Some(v)) => v.data_type(),
+            Acc::Sum(None) | Acc::Count(_) => DataType::Integer,
         }
     }
 }
@@ -235,24 +240,24 @@ mod tests {
         acc
     }
 
+    /// The sum of no rows is `INTEGER` 0, the count 0.
     #[test]
-    fn empty_accumulators_finalize_to_sql_defaults() {
-        for (func, want) in [(AggFunc::Sum, Value::Null), (AggFunc::CountStar, Value::Int(0))] {
-            assert_eq!(Acc::new(&agg(func)).finalize(), want, "{func:?}");
+    fn empty_accumulators_finalize_to_zero() {
+        for func in [AggFunc::Sum, AggFunc::CountStar] {
+            let got = Acc::new(&agg(func)).finalize();
+            assert!(matches!(got, Value::Int(0)), "{func:?}: {got:?}");
         }
     }
 
+    /// `INTEGER` terms sum to an `INTEGER`, `DOUBLE` terms to a `DOUBLE`
+    /// from `0.0` (so a lone `-0.0` sums to `+0.0`, as the fast table's
+    /// lanes do).
     #[test]
-    fn nulls_are_ignored_by_sum_and_counted_by_count_star() {
-        let vals = [Value::Null, Value::Float(2.0)];
-        assert_eq!(fold(&agg(AggFunc::Sum), &vals).finalize(), Value::Float(2.0));
-        assert_eq!(fold(&agg(AggFunc::CountStar), &vals).finalize(), Value::Int(2));
-    }
-
-    #[test]
-    fn sum_integer_stays_integer() {
+    fn sum_keeps_the_type_of_its_terms() {
         let vals = [Value::Int(2), Value::Int(3)];
-        assert_eq!(fold(&agg(AggFunc::Sum), &vals).finalize(), Value::Int(5));
+        assert!(matches!(fold(&agg(AggFunc::Sum), &vals).finalize(), Value::Int(5)));
+        let got = fold(&agg(AggFunc::Sum), &[Value::Float(-0.0)]).finalize();
+        assert!(matches!(got, Value::Float(f) if f.to_bits() == 0.0f64.to_bits()), "{got:?}");
     }
 
     /// What a spilled group goes through: each half of the input is folded,
@@ -264,7 +269,7 @@ mod tests {
         let aggs = [agg(AggFunc::Sum), agg(AggFunc::CountStar)];
         let vals = [
             Value::Float(0.5),
-            Value::Null,
+            Value::Float(-0.0),
             Value::Float(-2.0),
             Value::Float(0.5),
             Value::Float(4.0),
@@ -281,10 +286,6 @@ mod tests {
             }
         }
         assert_eq!(finalize(from_partials), finalize(fold_all(&vals)));
-        // A group whose sum saw only NULLs writes NULL, which merges as nothing.
-        let mut sum = Acc::new(&aggs[0]);
-        sum.merge_partial(&fold(&aggs[0], &[Value::Null]).partial()).unwrap();
-        assert_eq!(sum.finalize(), Value::Null);
     }
 
     /// Drive `keys` through a table, checking every answer against a

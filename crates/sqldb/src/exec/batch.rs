@@ -1,11 +1,14 @@
 //! Columnar row batches — the unit of data flow in the vectorized executor.
 //!
 //! A [`RowBatch`] holds up to ~[`BATCH_SIZE`] rows decomposed into columns.
-//! Columns containing only non-null `INTEGER` or only non-null `DOUBLE`
-//! values ride a null-free fast lane ([`Column::Int`] / [`Column::Float`])
-//! so the expression kernels in [`crate::vexpr`] can run tight loops over
-//! primitive slices; any mixed/null/text/`HUGEINT` column falls back to
-//! [`Column::Generic`].
+//! A column is one typed array, and its lane is its type: [`Column::Int`]
+//! for `INTEGER`, [`Column::Float`] for `DOUBLE`, [`Column::Big`] for
+//! `HUGEINT` and [`Column::Text`] for `TEXT`. There is no NULL, so the
+//! expression kernels in [`crate::vexpr`] run tight loops over primitive
+//! slices. A column never changes lane: where the values of one column
+//! change type part-way through a batch — only `INTEGER << n`, which widens
+//! into `HUGEINT` when it overflows `i64`, makes them — the batch is cut
+//! there ([`Rows::split_at`], `Error::Cut`), so every value keeps its type.
 //!
 //! Ownership rules: a batch's columns are immutable, reference-counted
 //! [`ColumnRef`]s. Scans hand out batches whose columns **are** the base
@@ -17,8 +20,11 @@
 
 use std::sync::Arc;
 
+use crate::ast::DataType;
+use crate::bigbits::BigBits;
+use crate::error::{Error, Result};
 use crate::storage::spill::Row;
-use crate::value::{GroupKey, Value};
+use crate::value::{big_bytes, str_bytes, GroupKey, Value};
 
 /// A shared, immutable reference to a column. Cloning is one atomic
 /// refcount bump; mutation goes through [`Arc::make_mut`] (copy-on-write).
@@ -29,15 +35,29 @@ pub type ColumnRef = Arc<Column>;
 /// dispatch overhead to noise.
 pub const BATCH_SIZE: usize = 1024;
 
-/// One column of a [`RowBatch`].
+/// One column of a [`RowBatch`]: one typed array per SQL type.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
-    /// Null-free `INTEGER` fast lane.
+    /// `INTEGER`.
     Int(Vec<i64>),
-    /// Null-free `DOUBLE` fast lane.
+    /// `DOUBLE`.
     Float(Vec<f64>),
-    /// Everything else: nulls, text, `HUGEINT`, or mixed types.
-    Generic(Vec<Value>),
+    /// `HUGEINT`.
+    Big(Vec<BigBits>),
+    /// `TEXT`.
+    Text(Vec<String>),
+}
+
+/// `$body` over the lane vector `$v` of `$col`, rewrapped in the same lane.
+macro_rules! each_lane {
+    ($col:expr, $v:ident => $body:expr) => {
+        match $col {
+            Column::Int($v) => Column::Int($body),
+            Column::Float($v) => Column::Float($body),
+            Column::Big($v) => Column::Big($body),
+            Column::Text($v) => Column::Text($body),
+        }
+    };
 }
 
 impl Column {
@@ -46,7 +66,8 @@ impl Column {
         match self {
             Column::Int(v) => v.len(),
             Column::Float(v) => v.len(),
-            Column::Generic(v) => v.len(),
+            Column::Big(v) => v.len(),
+            Column::Text(v) => v.len(),
         }
     }
 
@@ -55,9 +76,14 @@ impl Column {
         self.len() == 0
     }
 
-    /// An empty column ready to receive values of any type.
-    pub fn new() -> Column {
-        Column::Generic(Vec::new())
+    /// The SQL type the lane holds.
+    pub fn data_type(&self) -> DataType {
+        match self {
+            Column::Int(_) => DataType::Integer,
+            Column::Float(_) => DataType::Double,
+            Column::Big(_) => DataType::HugeInt,
+            Column::Text(_) => DataType::Text,
+        }
     }
 
     /// A column holding `n` copies of `v` (constant/literal splat).
@@ -65,7 +91,8 @@ impl Column {
         match v {
             Value::Int(i) => Column::Int(vec![*i; n]),
             Value::Float(f) => Column::Float(vec![*f; n]),
-            other => Column::Generic(vec![other.clone(); n]),
+            Value::Big(b) => Column::Big(vec![b.clone(); n]),
+            Value::Str(s) => Column::Text(vec![s.clone(); n]),
         }
     }
 
@@ -74,7 +101,8 @@ impl Column {
         match self {
             Column::Int(v) => Value::Int(v[i]),
             Column::Float(v) => Value::Float(v[i]),
-            Column::Generic(v) => v[i].clone(),
+            Column::Big(v) => Value::Big(v[i].clone()),
+            Column::Text(v) => Value::Str(v[i].clone()),
         }
     }
 
@@ -83,103 +111,70 @@ impl Column {
         match self {
             Column::Int(v) => GroupKey::Int(v[i]),
             Column::Float(v) => Value::Float(v[i]).group_key(),
-            Column::Generic(v) => v[i].group_key(),
+            Column::Big(v) => v[i].to_i64().map_or_else(|| GroupKey::Big(v[i].clone()), GroupKey::Int),
+            Column::Text(v) => GroupKey::Str(v[i].clone()),
         }
     }
 
-    /// Demote a typed lane to [`Column::Generic`] in place.
-    fn make_generic(&mut self) -> &mut Vec<Value> {
-        match self {
-            Column::Int(v) => {
-                *self = Column::Generic(v.iter().map(|&i| Value::Int(i)).collect());
-            }
-            Column::Float(v) => {
-                *self = Column::Generic(v.iter().map(|&f| Value::Float(f)).collect());
-            }
-            Column::Generic(_) => {}
+    /// Append one value. An empty column takes the value's lane; a value
+    /// of another type than the column's is a type error.
+    pub fn push(&mut self, v: Value) -> Result<()> {
+        if self.is_empty() {
+            *self = Column::splat(&v, 0);
         }
-        match self {
-            Column::Generic(v) => v,
-            _ => unreachable!("just demoted"),
-        }
-    }
-
-    /// Append one value, demoting the lane if the type no longer fits.
-    pub fn push(&mut self, v: Value) {
         match (&mut *self, v) {
             (Column::Int(col), Value::Int(i)) => col.push(i),
             (Column::Float(col), Value::Float(f)) => col.push(f),
-            (Column::Generic(col), v) => col.push(v),
-            (col @ Column::Int(_), v) | (col @ Column::Float(_), v) => {
-                col.make_generic().push(v)
+            (Column::Big(col), Value::Big(b)) => col.push(b),
+            (Column::Text(col), Value::Str(s)) => col.push(s),
+            (col, v) => {
+                return Err(Error::Type(format!(
+                    "a {} value in a {} column",
+                    v.data_type(),
+                    col.data_type()
+                )))
             }
         }
+        Ok(())
     }
 
-    /// Build from owned values, detecting a uniform fast lane.
-    pub fn from_values(values: Vec<Value>) -> Column {
-        if !values.is_empty() && values.iter().all(|v| matches!(v, Value::Int(_))) {
-            return Column::Int(
-                values
-                    .into_iter()
-                    .map(|v| match v {
-                        Value::Int(i) => i,
-                        _ => unreachable!("checked above"),
-                    })
-                    .collect(),
-            );
+    /// Build from values, one [`Column::push`] each.
+    pub fn from_values(values: impl IntoIterator<Item = Result<Value>>) -> Result<Column> {
+        let mut col = Column::default();
+        for v in values {
+            col.push(v?)?;
         }
-        if !values.is_empty() && values.iter().all(|v| matches!(v, Value::Float(_))) {
-            return Column::Float(
-                values
-                    .into_iter()
-                    .map(|v| match v {
-                        Value::Float(f) => f,
-                        _ => unreachable!("checked above"),
-                    })
-                    .collect(),
-            );
-        }
-        Column::Generic(values)
+        Ok(col)
     }
 
-    /// Approximate in-memory footprint of the column's row data in bytes
-    /// (fast lanes are 8 bytes/row; generic lanes charge per [`Value`]).
-    /// Base-table chunks charge this against the shared memory budget.
+    /// Approximate in-memory footprint of the column's row data in bytes:
+    /// 8 bytes a row on the `INTEGER`/`DOUBLE` lanes, a value's
+    /// [`Value::heap_bytes`] on the others. Base-table chunks charge this
+    /// against the shared memory budget.
     pub fn heap_bytes(&self) -> usize {
         match self {
             Column::Int(v) => 8 * v.len(),
             Column::Float(v) => 8 * v.len(),
-            Column::Generic(v) => v.iter().map(Value::heap_bytes).sum(),
+            Column::Big(v) => v.iter().map(big_bytes).sum(),
+            Column::Text(v) => v.iter().map(str_bytes).sum(),
         }
     }
 
-    /// Copy out a contiguous row range (types preserved).
+    /// Copy out a contiguous row range (lane preserved).
     pub fn slice(&self, range: std::ops::Range<usize>) -> Column {
-        match self {
-            Column::Int(v) => Column::Int(v[range].to_vec()),
-            Column::Float(v) => Column::Float(v[range].to_vec()),
-            Column::Generic(v) => Column::Generic(v[range].to_vec()),
-        }
+        each_lane!(self, v => v[range].to_vec())
     }
 
-    /// Copy out the rows at `indices` (types preserved).
+    /// Copy out the rows at `indices` (lane preserved).
     pub fn gather(&self, indices: &[u32]) -> Column {
-        match self {
-            Column::Int(v) => Column::Int(indices.iter().map(|&i| v[i as usize]).collect()),
-            Column::Float(v) => {
-                Column::Float(indices.iter().map(|&i| v[i as usize]).collect())
-            }
-            Column::Generic(v) => {
-                Column::Generic(indices.iter().map(|&i| v[i as usize].clone()).collect())
-            }
-        }
+        each_lane!(self, v => indices.iter().map(|&i| &v[i as usize]).cloned().collect())
     }
 }
 
 impl Default for Column {
+    /// An empty column; its first value picks the lane.
     fn default() -> Self {
-        Column::new()
+        Column::Int(Vec::new())
     }
 }
 
@@ -208,39 +203,21 @@ impl RowBatch {
     }
 
     /// Transpose a row slice into a columnar batch.
-    pub fn from_rows(rows: &[Row]) -> RowBatch {
-        let ncols = rows.first().map_or(0, Row::len);
-        let mut columns: Vec<ColumnRef> = Vec::with_capacity(ncols);
-        for c in 0..ncols {
-            columns.push(Arc::new(Column::from_values(
-                rows.iter().map(|r| r[c].clone()).collect(),
-            )));
-        }
-        RowBatch { columns, rows: rows.len() }
+    pub fn from_rows(rows: &[Row]) -> Result<RowBatch> {
+        Self::from_owned_rows(rows.to_vec())
     }
 
-    /// Transpose owned rows into a columnar batch without cloning values
-    /// (lanes still detected, one [`Column::push`] per value).
-    pub fn from_owned_rows(rows: Vec<Row>) -> RowBatch {
+    /// Transpose owned rows into a columnar batch, one [`Column::push`] a
+    /// value: each column's lane is its values' type.
+    pub fn from_owned_rows(rows: Vec<Row>) -> Result<RowBatch> {
         let nrows = rows.len();
-        let ncols = rows.first().map_or(0, Row::len);
-        let mut columns: Vec<ColumnRef> = Vec::with_capacity(ncols);
-        let mut rows = rows;
-        for c in 0..ncols {
-            let mut col = match rows.first() {
-                Some(r) => match &r[c] {
-                    Value::Int(_) => Column::Int(Vec::with_capacity(nrows)),
-                    Value::Float(_) => Column::Float(Vec::with_capacity(nrows)),
-                    _ => Column::Generic(Vec::with_capacity(nrows)),
-                },
-                None => Column::new(),
-            };
-            for r in &mut rows {
-                col.push(std::mem::replace(&mut r[c], Value::Null));
+        let mut columns = vec![Column::default(); rows.first().map_or(0, Row::len)];
+        for row in rows {
+            for (col, v) in columns.iter_mut().zip(row) {
+                col.push(v)?;
             }
-            columns.push(Arc::new(col));
         }
-        RowBatch { columns, rows: nrows }
+        Ok(RowBatch { columns: columns.into_iter().map(Arc::new).collect(), rows: nrows })
     }
 
     /// A batch of `n` zero-column rows (a spilled block of no columns).
@@ -288,6 +265,15 @@ impl RowBatch {
     /// Materialize every row (the batch → row compatibility shim).
     pub fn into_rows(self) -> Vec<Row> {
         (0..self.rows).map(|i| self.row(i)).collect()
+    }
+
+    /// The first `at` rows and the rest.
+    pub fn split_at(&self, at: usize) -> (RowBatch, RowBatch) {
+        let part = |r: std::ops::Range<usize>| RowBatch {
+            columns: self.columns.iter().map(|c| Arc::new(c.slice(r.clone()))).collect(),
+            rows: r.len(),
+        };
+        (part(0..at), part(at..self.rows))
     }
 
     /// Copy out the rows at `indices` (join/filter selection).
@@ -369,6 +355,14 @@ impl Rows {
         }
     }
 
+    /// The first `at` rows and the rest: where an expression's values change
+    /// type at row `at` (`Error::Cut`), an operator takes the head now and
+    /// the tail next.
+    pub fn split_at(self, at: usize) -> (Rows, Rows) {
+        let (head, tail) = self.into_batch().split_at(at);
+        (Rows::Batch(head), Rows::Batch(tail))
+    }
+
     /// [`Rows::to_batch`], by value.
     pub fn into_batch(self) -> RowBatch {
         match self {
@@ -385,58 +379,65 @@ mod tests {
     fn mixed_rows() -> Vec<Row> {
         vec![
             vec![Value::Int(1), Value::Float(0.5), Value::Str("a".into())],
-            vec![Value::Int(2), Value::Float(1.5), Value::Null],
+            vec![Value::Int(2), Value::Float(1.5), Value::Str("b".into())],
         ]
     }
 
     #[test]
-    fn from_rows_detects_fast_lanes() {
-        let b = RowBatch::from_rows(&mixed_rows());
+    fn a_columns_lane_is_its_type() {
+        let b = RowBatch::from_rows(&mixed_rows()).unwrap();
         assert!(matches!(b.column(0), Column::Int(_)));
         assert!(matches!(b.column(1), Column::Float(_)));
-        assert!(matches!(b.column(2), Column::Generic(_)));
+        assert!(matches!(b.column(2), Column::Text(_)));
         assert_eq!(b.num_rows(), 2);
-        assert_eq!(b.row(1), vec![Value::Int(2), Value::Float(1.5), Value::Null]);
+        assert_eq!(b.row(1), vec![Value::Int(2), Value::Float(1.5), Value::Str("b".into())]);
+        let mixed = [vec![Value::Int(1)], vec![Value::Str("x".into())]];
+        assert!(matches!(RowBatch::from_rows(&mixed), Err(Error::Type(_))));
     }
 
     #[test]
     fn round_trip_rows() {
         let rows = mixed_rows();
-        assert_eq!(RowBatch::from_rows(&rows).into_rows(), rows);
+        assert_eq!(RowBatch::from_rows(&rows).unwrap().into_rows(), rows);
     }
 
+    /// A column holds one type: `INTEGER` and `HUGEINT` do not mix either.
     #[test]
-    fn push_demotes_lane_on_type_change() {
-        let mut c = Column::Int(vec![1, 2]);
-        c.push(Value::Null);
-        assert!(matches!(c, Column::Generic(_)));
-        assert_eq!(c.value_at(0), Value::Int(1));
-        assert!(c.value_at(2).is_null());
+    fn a_value_of_another_type_is_refused() {
+        let big = Value::Big(BigBits::ones(0, 70, 70));
+        assert!(matches!(Column::Int(vec![1, 2]).push(big.clone()), Err(Error::Type(_))));
+        assert!(Column::Big(Vec::new()).push(Value::Int(3)).is_ok());
+        assert!(Column::Int(vec![1]).push(Value::Float(1.0)).is_err());
+        let mut empty = Column::default();
+        empty.push(Value::Float(0.5)).unwrap();
+        assert_eq!(empty, Column::Float(vec![0.5]));
     }
 
     #[test]
     fn gather_preserves_types_and_order() {
-        let b = RowBatch::from_rows(&mixed_rows());
+        let b = RowBatch::from_rows(&mixed_rows()).unwrap();
         let g = b.gather(&[1, 0, 1]);
         assert_eq!(g.num_rows(), 3);
         assert!(matches!(g.column(0), Column::Int(_)));
         assert_eq!(g.row(0)[0], Value::Int(2));
-        assert_eq!(g.row(1)[0], Value::Int(1));
+        assert_eq!(g.row(1)[2], Value::Str("a".into()));
     }
 
     #[test]
     fn hstack_joins_columns() {
-        let l = RowBatch::from_rows(&[vec![Value::Int(1)], vec![Value::Int(2)]]);
-        let r = RowBatch::from_rows(&[vec![Value::Float(0.1)], vec![Value::Float(0.2)]]);
+        let l = RowBatch::from_columns(vec![Column::Int(vec![1, 2])]);
+        let r = RowBatch::from_columns(vec![Column::Float(vec![0.1, 0.2])]);
         let j = RowBatch::hstack(l, r);
         assert_eq!(j.num_columns(), 2);
         assert_eq!(j.row(1), vec![Value::Int(2), Value::Float(0.2)]);
     }
 
     #[test]
-    fn group_keys_unify_int_and_integral_float() {
+    fn group_keys_unify_int_integral_float_and_small_hugeint() {
         let int_col = Column::Int(vec![3]);
         let float_col = Column::Float(vec![3.0]);
+        let big_col = Column::Big(vec![BigBits::from_u64(3, 100)]);
         assert_eq!(int_col.group_key_at(0), float_col.group_key_at(0));
+        assert_eq!(int_col.group_key_at(0), big_col.group_key_at(0));
     }
 }

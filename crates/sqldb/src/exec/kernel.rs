@@ -13,8 +13,8 @@
 //! [`CompiledExpr`] and [`ComplexPair`] recognize the shapes when an
 //! operator is built and run each as one loop that reads its inputs through
 //! the join's index pairs ([`Rows::Pairs`]). Anything else — another shape,
-//! a lane that is not typed (NULLs, `HUGEINT` indices past 63 qubits), a
-//! `<<` that would widen — takes `eval_batch` over the gathered rows. The
+//! a lane other than `Int` (the `HUGEINT` indices past 63 qubits), a `<<`
+//! that would widen — takes `eval_batch` over the gathered rows. The
 //! kernels cover only operators that cannot fail, in the order `eval_batch`
 //! applies them, so they produce its values bit for bit.
 
@@ -307,9 +307,9 @@ mod tests {
             false => (0..n).map(|p| (p, 3 - p % 4)).unzip(),
         };
         Rows::Pairs(JoinPairs {
-            probe: RowBatch::from_rows(state),
+            probe: RowBatch::from_rows(state).unwrap(),
             probe_sel: twice.then_some(probe_sel),
-            build: RowBatch::from_rows(&gate_rows()),
+            build: RowBatch::from_rows(&gate_rows()).unwrap(),
             build_sel,
         })
     }
@@ -382,8 +382,8 @@ mod tests {
 
     #[test]
     fn untyped_lanes_and_widening_shifts_fall_back() {
-        // `s` past 63 bits (HUGEINT) is a generic lane: no kernel runs, and
-        // `eval` answers through the gathered batch.
+        // `s` past 63 bits is the HUGEINT lane: no kernel runs, and `eval`
+        // answers through the gathered batch.
         let big = |k: i64| Value::Int(k + 1).shl(&Value::Int(70)).unwrap();
         let rows = pairs(&state_rows(big), true);
         let e = CompiledExpr::new(bound("((s >> 3) & 7) | (out_s << 1)"));
@@ -391,12 +391,15 @@ mod tests {
         let mut gathered = None;
         let got = e.eval(&rows, &mut gathered).unwrap();
         assert!(same(&got, &e.expr.eval_batch(gathered.as_ref().unwrap()).unwrap()));
-        // 3 << 62 leaves `i64`: the row widens into HUGEINT.
+        // 3 << 62 leaves `i64`: that row widens into HUGEINT and the rows
+        // before it stay INTEGER, so the batch is cut there.
         let rows = pairs(&state_rows(Value::Int), true);
         let e = CompiledExpr::new(bound("s << 62"));
         assert!(kernel_eval(&e, &rows).is_none());
-        let got = e.eval(&rows, &mut None).unwrap();
-        assert!(matches!(&*got, Column::Generic(_)));
+        let Err(crate::Error::Cut(at)) = e.eval(&rows, &mut None) else { panic!("no cut") };
+        let (head, tail) = rows.split_at(at);
+        assert!(matches!(&*e.eval(&head, &mut None).unwrap(), Column::Int(_)));
+        assert!(matches!(&*e.eval(&tail, &mut None).unwrap(), Column::Big(_)));
         // An `INTEGER` amplitude lane is no pair for the `DOUBLE` loop.
         let (re, im) = PAIR;
         let pair = ComplexPair::compile(&bound(re), &bound(im)).unwrap();

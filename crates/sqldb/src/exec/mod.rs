@@ -191,7 +191,7 @@ pub(crate) mod test_util {
     /// Literal rows as the input of an operator under test: batches of
     /// `BATCH_SIZE` rows with the typed lanes a scan would produce.
     pub fn batches_of(rows: Vec<Row>) -> Box<dyn BatchStream> {
-        stream_of(rows.chunks(BATCH_SIZE).map(RowBatch::from_rows).collect())
+        stream_of(rows.chunks(BATCH_SIZE).map(|c| RowBatch::from_rows(c).unwrap()).collect())
     }
 
     pub fn drain_batch_list(mut s: Box<dyn BatchStream>) -> Vec<RowBatch> {

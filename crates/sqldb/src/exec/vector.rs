@@ -26,6 +26,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::ast::DataType;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
@@ -61,6 +62,64 @@ pub trait BatchStream {
     /// pull this way; the rest take [`Self::next_batch`].
     fn next_rows(&mut self) -> Result<Option<Rows>> {
         Ok(self.next_batch()?.map(Rows::Batch))
+    }
+}
+
+/// An operator's input. A column holds one type, so where the values an
+/// operator evaluates change type part-way through a batch (`Error::Cut`,
+/// see [`crate::vexpr`]), the operator runs over the rows before the cut
+/// and the rest wait here for its next pull.
+pub(crate) struct Input {
+    stream: Box<dyn BatchStream>,
+    /// Cut-off tails, the next one last.
+    held: Vec<Rows>,
+}
+
+impl Input {
+    pub(crate) fn new(stream: Box<dyn BatchStream>) -> Input {
+        Input { stream, held: Vec::new() }
+    }
+
+    /// The next rows, a held tail first.
+    pub(crate) fn next_rows(&mut self) -> Result<Option<Rows>> {
+        match self.held.pop() {
+            Some(rows) => Ok(Some(rows)),
+            None => self.stream.next_rows(),
+        }
+    }
+
+    /// `f` over `rows`, cut where `f` asks: the rows it ran over and its
+    /// result; the tail waits for the next pull. Kept out of the
+    /// operators' frames, which stay live while their inputs pull.
+    #[inline(never)]
+    pub(crate) fn cut<T>(
+        &mut self,
+        mut rows: Rows,
+        mut f: impl FnMut(&Rows) -> Result<T>,
+    ) -> Result<(Rows, T)> {
+        loop {
+            match f(&rows) {
+                Err(Error::Cut(at)) if 0 < at && at < rows.num_rows() => {
+                    let (head, tail) = rows.split_at(at);
+                    self.held.push(tail);
+                    rows = head;
+                }
+                out => return out.map(|t| (rows, t)),
+            }
+        }
+    }
+
+    /// [`Input::cut`] over a batch.
+    pub(crate) fn cut_batch<T>(
+        &mut self,
+        batch: RowBatch,
+        mut f: impl FnMut(&RowBatch) -> Result<T>,
+    ) -> Result<(RowBatch, T)> {
+        let (rows, t) = self.cut(Rows::Batch(batch), |rows| match rows {
+            Rows::Batch(b) => f(b),
+            pairs => f(&pairs.to_batch()),
+        })?;
+        Ok((rows.into_batch(), t))
     }
 }
 
@@ -154,7 +213,7 @@ fn build_batch_stream_inner(
             Box::new(BatchScan { snapshot, next_chunk: 0 })
         }
         Plan::Filter { input, predicate } => Box::new(BatchFilter {
-            input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
+            input: Input::new(build_batch_stream_at(input, catalog, ctx, depth + 1)?),
             predicate: predicate.clone(),
         }),
         Plan::Project { input, exprs, .. } => {
@@ -162,7 +221,7 @@ fn build_batch_stream_inner(
                 .find_map(|j| Some((j - 1, ComplexPair::compile(&exprs[j - 1], &exprs[j])?)));
             let exprs = exprs.iter().cloned().map(CompiledExpr::new).collect();
             Box::new(BatchProject {
-                input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
+                input: Input::new(build_batch_stream_at(input, catalog, ctx, depth + 1)?),
                 exprs,
                 pair,
             })
@@ -174,7 +233,8 @@ fn build_batch_stream_inner(
             let l = build_batch_stream_at(left, catalog, ctx, depth + 1)?;
             let r = build_batch_stream_at(right, catalog, ctx, depth + 1)?;
             let (table, reservation) = JoinTable::build_from_stream(r, lk, rk, ctx)?;
-            Box::new(BatchHashJoin { probe: l, table, pending: None, _reservation: reservation })
+            let probe = Input::new(l);
+            Box::new(BatchHashJoin { probe, table, pending: None, _reservation: reservation })
         }
         Plan::Aggregate { input, group_by, aggs, .. } => {
             let child = build_batch_stream_at(input, catalog, ctx, depth + 1)?;
@@ -256,7 +316,7 @@ impl BatchStream for BatchScan {
     }
 }
 
-/// Row indices of `col` whose truthiness is exactly `TRUE` (NULL filters out).
+/// Row indices of `col` whose value is true (not zero).
 fn truthy_selection(col: &Column) -> Result<Vec<u32>> {
     Ok(match col {
         Column::Int(v) => v
@@ -271,10 +331,10 @@ fn truthy_selection(col: &Column) -> Result<Vec<u32>> {
             .filter(|(_, &x)| x != 0.0)
             .map(|(i, _)| i as u32)
             .collect(),
-        Column::Generic(vals) => {
+        other => {
             let mut sel = Vec::new();
-            for (i, v) in vals.iter().enumerate() {
-                if v.as_bool()? == Some(true) {
+            for i in 0..other.len() {
+                if other.value_at(i).as_bool()? {
                     sel.push(i as u32);
                 }
             }
@@ -284,14 +344,14 @@ fn truthy_selection(col: &Column) -> Result<Vec<u32>> {
 }
 
 struct BatchFilter {
-    input: Box<dyn BatchStream>,
+    input: Input,
     predicate: BoundExpr,
 }
 
 impl BatchStream for BatchFilter {
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        while let Some(batch) = self.input.next_batch()? {
-            let mask = self.predicate.eval_batch(&batch)?;
+        while let Some(batch) = self.input.next_rows()?.map(Rows::into_batch) {
+            let (batch, mask) = self.input.cut_batch(batch, |b| self.predicate.eval_batch(b))?;
             let sel = truthy_selection(&mask)?;
             if sel.is_empty() {
                 continue;
@@ -306,7 +366,7 @@ impl BatchStream for BatchFilter {
 }
 
 struct BatchProject {
-    input: Box<dyn BatchStream>,
+    input: Input,
     exprs: Vec<CompiledExpr>,
     /// Expressions `j` and `j + 1` are a complex multiply pair.
     pair: Option<(usize, ComplexPair)>,
@@ -314,16 +374,19 @@ struct BatchProject {
 
 impl BatchStream for BatchProject {
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+        let (exprs, pair) = (&self.exprs, &self.pair);
+        let eval = |rows: &Rows| {
+            let pair = pair.as_ref().and_then(|(j, p)| Some((*j, p.columns(rows)?)));
+            let mut gathered = None;
+            (exprs.iter().enumerate())
+                .map(|(j, e)| match &pair {
+                    Some((at, cols)) if (*at..*at + 2).contains(&j) => Ok(cols[j - at].clone()),
+                    _ => e.eval(rows, &mut gathered),
+                })
+                .collect::<Result<Vec<_>>>()
+        };
         let Some(rows) = self.input.next_rows()? else { return Ok(None) };
-        let pair = self.pair.as_ref().and_then(|(j, p)| Some((*j, p.columns(&rows)?)));
-        let mut gathered = None;
-        let cols = (self.exprs.iter().enumerate())
-            .map(|(j, e)| match &pair {
-                Some((at, cols)) if (*at..*at + 2).contains(&j) => Ok(cols[j - at].clone()),
-                _ => e.eval(&rows, &mut gathered),
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Some(RowBatch::from_shared(cols)))
+        Ok(Some(RowBatch::from_shared(self.input.cut(rows, eval)?.1)))
     }
 }
 
@@ -378,12 +441,12 @@ struct JoinTable {
 }
 
 impl JoinTable {
-    /// Drain `build_input` into the table: every non-NULL-key row is kept,
-    /// in input order (the match order probes observe), and charged to the
-    /// returned reservation, which holds the table's memory. A bounded
-    /// overdraft ([`BUILD_OVERDRAFT_ROWS`]) is tolerated.
+    /// Drain `build_input` into the table: every row is kept, in input
+    /// order (the match order probes observe), and charged to the returned
+    /// reservation, which holds the table's memory. A bounded overdraft
+    /// ([`BUILD_OVERDRAFT_ROWS`]) is tolerated.
     fn build_from_stream(
-        mut build_input: Box<dyn BatchStream>,
+        build_input: Box<dyn BatchStream>,
         left_key: BoundExpr,
         right_key: BoundExpr,
         ctx: &ExecContext,
@@ -392,14 +455,11 @@ impl JoinTable {
         let mut map: HashMap<GroupKey, Vec<u32>> = HashMap::new();
         let mut reservation = Reservation::empty(&ctx.budget);
         let mut overdraft_rows = 0;
-        while let Some(batch) = build_input.next_batch()? {
-            let key_col = right_key.eval_batch(&batch)?;
+        let mut input = Input::new(build_input);
+        while let Some(batch) = input.next_rows()?.map(Rows::into_batch) {
+            let (batch, key_col) = input.cut_batch(batch, |b| right_key.eval_batch(b))?;
             for i in 0..batch.num_rows() {
                 let key = key_col.group_key_at(i);
-                // SQL semantics: NULL keys never match.
-                if key == GroupKey::Null {
-                    continue;
-                }
                 let row = batch.row(i);
                 let bytes = row_bytes(&row) + key.heap_bytes();
                 if !reservation.try_grow(bytes) {
@@ -416,7 +476,7 @@ impl JoinTable {
             }
         }
         let table = KeyMap::direct(&map).unwrap_or(KeyMap::Hashed(map));
-        let build = RowBatch::from_owned_rows(kept);
+        let build = RowBatch::from_owned_rows(kept)?;
         let left_key = CompiledExpr::new(left_key);
         Ok((JoinTable { build, table, left_key }, reservation))
     }
@@ -435,10 +495,7 @@ impl JoinTable {
                 let rows = &ids[offsets[k] as usize..offsets[k + 1] as usize];
                 (!rows.is_empty()).then_some(rows)
             }
-            KeyMap::Hashed(m) => match key_col.group_key_at(i) {
-                GroupKey::Null => None,
-                k => m.get(&k).map(Vec::as_slice),
-            },
+            KeyMap::Hashed(m) => m.get(&key_col.group_key_at(i)).map(Vec::as_slice),
         }
     }
 
@@ -482,7 +539,7 @@ impl JoinTable {
 /// Inner hash join over one equi-key, the engine's one join operator:
 /// builds on the right input, probes batch-at-a-time with the left.
 struct BatchHashJoin {
-    probe: Box<dyn BatchStream>,
+    probe: Input,
     table: JoinTable,
     pending: Option<PendingProbe>,
     /// Memory charge for the build table (freed when the join drops).
@@ -508,9 +565,10 @@ impl BatchStream for BatchHashJoin {
             // Get a probe batch: resume a partially drained one, else pull.
             let mut p = match self.pending.take() {
                 Some(p) => p,
-                None => match self.probe.next_batch()? {
+                None => match self.probe.next_rows()?.map(Rows::into_batch) {
                     Some(batch) => {
-                        let key_col = self.table.left_key.eval_batch(&batch)?;
+                        let key = &self.table.left_key;
+                        let (batch, key_col) = self.probe.cut_batch(batch, |b| key.eval_batch(b))?;
                         PendingProbe { batch, key_col, next: 0 }
                     }
                     None => return Ok(None),
@@ -648,11 +706,10 @@ impl AggCore {
 
     /// The global lane: with no `GROUP BY` the one group's accumulators fold
     /// a batch of `rows` rows column-wise. `COUNT(*)` adds the row count, a
-    /// `SUM` over an `INTEGER` or a `DOUBLE` lane adds in input order (a
-    /// `DOUBLE` sum from `0.0`), bit for bit what [`Acc::update`] makes of
-    /// the rows one at a time, which every other argument still goes
-    /// through. Returns `true` when the reservation could not cover the
-    /// group.
+    /// `SUM` over an `INTEGER` or a `DOUBLE` lane adds in input order, bit
+    /// for bit what [`Acc::update`] makes of the rows one at a time, which
+    /// every other argument still goes through. Returns `true` when the
+    /// reservation could not cover the group.
     fn update_global(
         &self,
         rows: usize,
@@ -674,13 +731,10 @@ impl AggCore {
                     *sum = Some(Value::Float(lane.iter().fold(from, |a, &x| a + x)));
                 }
                 (Acc::Sum(sum @ (None | Some(Value::Int(_)))), Some(Column::Int(lane))) => {
-                    let overflow = || Error::Eval("integer overflow in +".into());
-                    let (from, lane) = match sum {
-                        Some(Value::Int(i)) => (*i, &lane[..]),
-                        _ => (lane[0], &lane[1..]),
-                    };
+                    let from = if let Some(Value::Int(i)) = sum { *i } else { 0 };
                     let total = lane.iter().try_fold(from, |a, &x| a.checked_add(x));
-                    *sum = Some(Value::Int(total.ok_or_else(overflow)?));
+                    let total = total.ok_or_else(|| Error::Eval("integer overflow in +".into()))?;
+                    *sum = Some(Value::Int(total));
                 }
                 (acc, col) => {
                     for i in 0..rows {
@@ -925,7 +979,7 @@ fn fold_fast(
 /// expression evaluation.
 pub struct BatchHashAggregate {
     /// The input, until consume takes it.
-    input: Option<Box<dyn BatchStream>>,
+    input: Option<Input>,
     core: AggCore,
     ctx: ExecContext,
     reservation: Reservation,
@@ -958,7 +1012,7 @@ impl BatchHashAggregate {
     ) -> Self {
         let reservation = Reservation::empty(&ctx.budget);
         BatchHashAggregate {
-            input: Some(input),
+            input: Some(Input::new(input)),
             core: AggCore::new(group_by, aggs),
             ctx,
             reservation,
@@ -983,8 +1037,9 @@ impl BatchHashAggregate {
                 continue;
             }
             saw_rows = true;
-            let over_budget =
-                self.core.update_batch(&rows, &mut table, &mut self.reservation)?;
+            let (_, over_budget) = input.cut(rows, |rows| {
+                self.core.update_batch(rows, &mut table, &mut self.reservation)
+            })?;
             if over_budget {
                 // Budget exhausted: spill the whole table (including the
                 // entries just inserted — partials merge in phase 2). A
@@ -1085,7 +1140,10 @@ impl BatchHashAggregate {
                 if groups.is_empty() {
                     return Ok(None);
                 }
-                let n = groups.len().min(BATCH_SIZE);
+                // A batch column holds one type: cut where the groups'
+                // types change (`<<`-widened keys, sums of their terms).
+                let same = |g: &&GroupState| group_types(g).eq(group_types(&groups[0]));
+                let n = groups.iter().take(BATCH_SIZE).take_while(same).count();
                 let mut rows: Vec<Row> = Vec::with_capacity(n);
                 for (reps, accs) in groups.drain(..n) {
                     self.reservation.shrink(entry_bytes(&reps, accs.len()));
@@ -1093,10 +1151,15 @@ impl BatchHashAggregate {
                     row.extend(accs.into_iter().map(Acc::finalize));
                     rows.push(row);
                 }
-                Ok(Some(RowBatch::from_owned_rows(rows)))
+                RowBatch::from_owned_rows(rows).map(Some)
             }
         }
     }
+}
+
+/// The types of the row a group finalizes to.
+fn group_types((reps, accs): &GroupState) -> impl Iterator<Item = DataType> + '_ {
+    reps.iter().map(Value::data_type).chain(accs.iter().map(Acc::data_type))
 }
 
 impl BatchStream for BatchHashAggregate {
@@ -1145,36 +1208,36 @@ mod tests {
         ctx: &ExecContext,
     ) -> BatchHashJoin {
         let (table, reservation) = JoinTable::build_from_stream(build, lk, rk, ctx).unwrap();
-        BatchHashJoin { probe, table, pending: None, _reservation: reservation }
+        BatchHashJoin { probe: Input::new(probe), table, pending: None, _reservation: reservation }
     }
 
     #[test]
     fn filter_selects_and_preserves_order() {
         let f = BatchFilter {
-            input: batches_of(int_rows(&[1, -2, 3, -4, 5])),
+            input: Input::new(batches_of(int_rows(&[1, -2, 3, -4, 5]))),
             predicate: bin(col(0), BinaryOp::Gt, BoundExpr::Literal(Value::Int(0))),
         };
         let out = drain_batches(Box::new(f));
         assert_eq!(out, int_rows(&[1, 3, 5]));
     }
 
+    /// A build side of several batches keeps every row in input order.
     #[test]
-    fn hash_join_skips_null_keys_and_keeps_build_order() {
+    fn hash_join_keeps_build_order_across_build_batches() {
         let left: Vec<Row> = vec![
             vec![Value::Int(1), Value::Int(10)],
             vec![Value::Int(2), Value::Int(20)],
-            vec![Value::Null, Value::Int(30)],
+            vec![Value::Int(9), Value::Int(30)],
         ];
-        let right: Vec<Row> = vec![
-            vec![Value::Int(2), Value::Int(200)],
-            vec![Value::Int(2), Value::Int(201)],
-            vec![Value::Null, Value::Int(202)],
-        ];
-        let j = hash_join(batches_of(left), batches_of(right), col(0), col(0), &ctx());
+        let right = |k: i64, v: &str| RowBatch::from_columns(vec![Column::Int(vec![k]), Column::Text(vec![v.into()])]);
+        let build = stream_of(vec![right(2, "a"), right(3, "b"), right(2, "c")]);
+        let j = hash_join(batches_of(left), build, col(0), col(0), &ctx());
         let out = drain_batches(Box::new(j));
-        assert_eq!(out.len(), 2, "NULL keys never match");
-        assert_eq!(out[0][3], Value::Int(200));
-        assert_eq!(out[1][3], Value::Int(201));
+        let text = |v: &str| Value::Str(v.into());
+        assert_eq!(out, vec![
+            vec![Value::Int(2), Value::Int(20), Value::Int(2), text("a")],
+            vec![Value::Int(2), Value::Int(20), Value::Int(2), text("c")],
+        ]);
     }
 
     fn join_table(build: Vec<Row>) -> JoinTable {
@@ -1192,8 +1255,7 @@ mod tests {
         for (build, direct) in [
             (ints(&[0, 1, 1, 63]), true),
             (ints(&[]), true),
-            (keyed(&[Value::Null, Value::Int(2)]), true), // NULL keys are never inserted
-            (keyed(&[Value::Float(2.0)]), true),          // groups with INTEGER 2
+            (keyed(&[Value::Float(2.0)]), true), // groups with INTEGER 2
             (ints(&[64]), false),
             (ints(&[3, -1]), false),
             (keyed(&[Value::Float(2.5)]), false),
@@ -1220,7 +1282,8 @@ mod tests {
         };
         let probe = RowBatch::from_rows(
             &(0..100).map(|i| vec![Value::Int(i % 4), Value::Int(i)]).collect::<Vec<_>>(),
-        );
+        )
+        .unwrap();
         let out = join(&probe);
         assert_eq!(out.len(), 1);
         for c in 0..2 {
@@ -1231,7 +1294,7 @@ mod tests {
         // One row without a match: the survivors are gathered.
         let mut rows: Vec<Row> = (0..100).map(|i| vec![Value::Int(i % 4), Value::Int(i)]).collect();
         rows[50][0] = Value::Int(9);
-        let probe = RowBatch::from_rows(&rows);
+        let probe = RowBatch::from_rows(&rows).unwrap();
         let out = join(&probe);
         assert_eq!(out[0].num_rows(), 99);
         assert!(!Arc::ptr_eq(&out[0].columns()[1], &probe.columns()[1]));
@@ -1335,9 +1398,12 @@ mod tests {
     fn new_groups_are_charged_per_batch_up_to_what_a_per_group_loop_reserves() {
         let core = AggCore::new(vec![col(0)], vec![sum_of(1)]);
         let batch = |keys: std::ops::Range<i64>| {
-            Rows::Batch(RowBatch::from_rows(
-                &keys.map(|k| vec![Value::Int(k), Value::Float(1.0)]).collect::<Vec<_>>(),
-            ))
+            Rows::Batch(
+                RowBatch::from_rows(
+                    &keys.map(|k| vec![Value::Int(k), Value::Float(1.0)]).collect::<Vec<_>>(),
+                )
+                .unwrap(),
+            )
         };
         // Room for ten and a half groups.
         let budget = MemoryBudget::with_limit(10 * core.fast_bytes + core.fast_bytes / 2);
@@ -1428,20 +1494,21 @@ mod tests {
         assert_eq!((budget.used(), spill.live_files()), (0, 0));
     }
 
+    /// `COUNT(*)` and a `SUM` of an `INTEGER` lane take the generic table.
     #[test]
-    fn generic_aggregate_handles_count_and_null_sums() {
+    fn generic_aggregate_counts_and_sums_integers() {
         let rows: Vec<Row> = vec![
-            vec![Value::Int(1), Value::Float(3.0)],
-            vec![Value::Int(1), Value::Null],
-            vec![Value::Int(1), Value::Float(3.0)],
-            vec![Value::Int(2), Value::Null],
+            vec![Value::Int(1), Value::Int(3)],
+            vec![Value::Int(1), Value::Int(-1)],
+            vec![Value::Int(1), Value::Int(3)],
+            vec![Value::Int(2), Value::Int(7)],
         ];
         let aggs = vec![AggExpr { func: AggFunc::CountStar, arg: None }, sum_of(1)];
         let agg = BatchHashAggregate::new(batches_of(rows), vec![col(0)], aggs, ctx());
         let mut out = drain_batches(Box::new(agg));
         out.sort_by(|a, b| a[0].cmp_total(&b[0]));
-        assert_eq!(out[0], vec![Value::Int(1), Value::Int(3), Value::Float(6.0)]);
-        assert_eq!(out[1], vec![Value::Int(2), Value::Int(1), Value::Null]);
+        assert_eq!(out[0], vec![Value::Int(1), Value::Int(3), Value::Int(5)]);
+        assert_eq!(out[1], vec![Value::Int(2), Value::Int(1), Value::Int(7)]);
     }
 
     /// `COUNT(*)` and `SUM` over one `DOUBLE` and one `INTEGER` lane,
@@ -1478,14 +1545,12 @@ mod tests {
         let (Value::Float(g), Value::Float(w)) = (&got[0][1], &want[1]) else { panic!("{got:?}") };
         assert_eq!(g.to_bits(), w.to_bits());
         assert_eq!(got[0][2], want[2]);
-        // A `-0.0` term sums to `+0.0`, an overflowing `INTEGER` sum is an
-        // error, and a lane with a NULL goes row by row.
+        // A `-0.0` term sums to `+0.0`, and an overflowing `INTEGER` sum is
+        // an error.
         let got = global_sums(vec![vec![Value::Float(-0.0), Value::Int(1)]]).unwrap();
         assert_eq!(got[0][1].as_f64().unwrap().to_bits(), 0.0f64.to_bits());
         let rows = vec![vec![Value::Float(0.0), Value::Int(i64::MAX)], vec![Value::Float(0.0), Value::Int(1)]];
         assert!(matches!(global_sums(rows), Err(Error::Eval(_))));
-        let rows = vec![vec![Value::Null, Value::Int(2)], vec![Value::Float(0.5), Value::Null]];
-        assert_eq!(global_sums(rows).unwrap(), vec![vec![Value::Int(2), Value::Float(0.5), Value::Int(2)]]);
     }
 
     #[test]
@@ -1500,6 +1565,7 @@ mod tests {
             ctx(),
         );
         let out = drain_batches(Box::new(agg));
-        assert_eq!(out, vec![vec![Value::Null, Value::Int(0)]]);
+        let zeros = |row: &Row| matches!(row[..], [Value::Int(0), Value::Int(0)]);
+        assert!(matches!(out.as_slice(), [row] if zeros(row)), "{out:?}");
     }
 }

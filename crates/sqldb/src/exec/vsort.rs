@@ -6,14 +6,15 @@
 //! built around:
 //!
 //! * **A columnar sort key.** The key expression evaluates per input batch
-//!   with the [`BoundExpr::eval_batch`] kernels, and the comparator reads a
-//!   typed `i64`/`f64` fast lane whenever every buffered batch carries the
-//!   key in the same null-free lane — no per-comparison [`Value`]
-//!   materialization on the hot path. Mixed/NULL/text keys fall back to
-//!   [`Value::cmp_total`], the ordering the typed lanes reproduce.
+//!   with the [`BoundExpr::eval_batch`] kernels, and the comparator reads
+//!   the two keys' typed lanes — no per-comparison [`Value`]
+//!   materialization. Only keys of two batches on different lanes (an
+//!   `INTEGER` key next to one `<<` widened into `HUGEINT`) compare as
+//!   values, through [`Value::cmp_total`], the order the lanes reproduce.
 //! * **Radix for an integer key.** `ORDER BY s` over the `Int` lane skips
 //!   the comparator: a stable LSD radix sort on the key's order-preserving
-//!   `u64` image, skipping digits every key shares.
+//!   `u64` image, skipping digits every key shares. The node is labelled
+//!   `[1 keys, radix]` when every sorted run took this path.
 //! * **Stable order.** The in-memory sort is a stable index sort, and every
 //!   spilled record carries its global input ordinal, so ties always
 //!   resolve to input order — in memory and spilled, the output is the same
@@ -24,7 +25,6 @@
 //!   and written out as a run (`[key, ordinal, row…]` records in the
 //!   standard spill format), and runs merge through a k-way heap.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -34,8 +34,8 @@ use crate::storage::budget::Reservation;
 use crate::storage::spill::{Row, SpillReader, SpillWriter};
 use crate::value::Value;
 
-use super::batch::{Column, ColumnRef, RowBatch, BATCH_SIZE};
-use super::vector::BatchStream;
+use super::batch::{Column, ColumnRef, RowBatch, Rows, BATCH_SIZE};
+use super::vector::{BatchStream, Input};
 use super::{set_node_label, ExecContext};
 
 /// Rows the sort buffers at minimum before budget pressure forces a spill
@@ -67,15 +67,6 @@ fn next_keyed(run: &mut SpillReader) -> Result<Option<KeyedRow>> {
     let ord = record[1].as_i64()? as u64;
     let key = record.swap_remove(0);
     Ok(Some((key, ord, row)))
-}
-
-/// Comparator lane of the key across all buffered batches: typed when every
-/// batch carries it in the same null-free fast lane.
-#[derive(Clone, Copy, PartialEq)]
-enum KeyLane {
-    Int,
-    Float,
-    Generic,
 }
 
 /// The buffered consume-phase state: input batches plus their evaluated key
@@ -117,38 +108,20 @@ impl SortBuffer {
             .collect()
     }
 
-    /// Detect the comparator lane of the key across every buffered batch.
-    fn lane(&self) -> KeyLane {
-        let mut lane: Option<KeyLane> = None;
-        for col in &self.keys {
-            let this = match &**col {
-                Column::Int(_) => KeyLane::Int,
-                Column::Float(_) => KeyLane::Float,
-                Column::Generic(_) => KeyLane::Generic,
-            };
-            match lane {
-                None => lane = Some(this),
-                Some(l) if l == this => {}
-                Some(_) => return KeyLane::Generic,
-            }
-        }
-        lane.unwrap_or(KeyLane::Generic)
-    }
-
     /// Compare the keys of rows `a` and `b` (as `(batch, row)` pairs) on
-    /// `lane`. Typed lanes compare primitives directly; the generic lane is
-    /// [`Value::cmp_total`] over borrowed values (a `HUGEINT` key is never
-    /// cloned to be compared), so the order does not depend on which lane a
-    /// key landed in.
-    fn cmp_at(&self, lane: KeyLane, a: (u32, u32), b: (u32, u32)) -> Ordering {
+    /// their lanes; keys on two different lanes compare as values, so the
+    /// order does not depend on which lane a key landed in.
+    fn cmp_at(&self, a: (u32, u32), b: (u32, u32)) -> Ordering {
         let (ka, kb) = (&*self.keys[a.0 as usize], &*self.keys[b.0 as usize]);
         let (ia, ib) = (a.1 as usize, b.1 as usize);
-        match (lane, ka, kb) {
-            (KeyLane::Int, Column::Int(va), Column::Int(vb)) => va[ia].cmp(&vb[ib]),
-            (KeyLane::Float, Column::Float(va), Column::Float(vb)) => {
+        match (ka, kb) {
+            (Column::Int(va), Column::Int(vb)) => va[ia].cmp(&vb[ib]),
+            (Column::Float(va), Column::Float(vb)) => {
                 va[ia].partial_cmp(&vb[ib]).unwrap_or(Ordering::Equal)
             }
-            _ => key_ref(ka, ia).cmp_total(&key_ref(kb, ib)),
+            (Column::Big(va), Column::Big(vb)) => va[ia].cmp_value(&vb[ib]),
+            (Column::Text(va), Column::Text(vb)) => va[ia].cmp(&vb[ib]),
+            _ => ka.value_at(ia).cmp_total(&kb.value_at(ib)),
         }
     }
 
@@ -157,17 +130,16 @@ impl SortBuffer {
     /// batch takes the radix path ([`Self::radix_sorted`]); any other the
     /// comparator. The flag says whether radix sorted.
     fn sorted_indices(&self) -> (Vec<(u32, u32)>, bool) {
-        let lane = self.lane();
         let mut order: Vec<(u32, u32)> = Vec::with_capacity(self.rows);
         for (b, batch) in self.batches.iter().enumerate() {
             for r in 0..batch.num_rows() {
                 order.push((b as u32, r as u32));
             }
         }
-        if lane == KeyLane::Int {
+        if self.keys.iter().all(|k| matches!(**k, Column::Int(_))) {
             return (self.radix_sorted(order), true);
         }
-        order.sort_by(|&a, &b| self.cmp_at(lane, a, b));
+        order.sort_by(|&a, &b| self.cmp_at(a, b));
         (order, false)
     }
 
@@ -216,58 +188,29 @@ impl SortBuffer {
     }
 }
 
-/// Key `i` of `col` for the generic comparator lane: borrowed when the
-/// column holds values, built only for a typed lane (no heap allocation).
-fn key_ref(col: &Column, i: usize) -> Cow<'_, Value> {
-    match col {
-        Column::Generic(v) => Cow::Borrowed(&v[i]),
-        typed => Cow::Owned(typed.value_at(i)),
-    }
-}
-
 /// Gather column `c` of the buffered batches at the (batch, row) positions
-/// in `idx` — the cross-batch dual of [`Column::gather`], keeping the typed
-/// lane when every source batch carries it (the sorted-output hot path
-/// never boxes a [`Value`] then).
+/// in `idx` — the cross-batch dual of [`Column::gather`]. The batches of
+/// `idx` hold the same lanes: the drain cuts where they change.
 fn gather_column(batches: &[RowBatch], c: usize, idx: &[(u32, u32)]) -> Column {
-    let (mut all_int, mut all_float) = (true, true);
-    for b in batches {
-        match b.column(c) {
-            Column::Int(_) => all_float = false,
-            Column::Float(_) => all_int = false,
-            Column::Generic(_) => {
-                all_int = false;
-                all_float = false;
-            }
-        }
+    let col = |b: u32| batches[b as usize].column(c);
+    macro_rules! gather {
+        ($lane:ident) => {
+            Column::$lane(
+                (idx.iter())
+                    .map(|&(b, r)| match col(b) {
+                        Column::$lane(v) => v[r as usize].clone(),
+                        _ => unreachable!("the drain cuts where the lanes change"),
+                    })
+                    .collect(),
+            )
+        };
     }
-    if all_int {
-        return Column::Int(
-            idx.iter()
-                .map(|&(b, r)| {
-                    let Column::Int(v) = batches[b as usize].column(c) else {
-                        unreachable!("checked Int lane")
-                    };
-                    v[r as usize]
-                })
-                .collect(),
-        );
+    match col(idx[0].0) {
+        Column::Int(_) => gather!(Int),
+        Column::Float(_) => gather!(Float),
+        Column::Big(_) => gather!(Big),
+        Column::Text(_) => gather!(Text),
     }
-    if all_float {
-        return Column::Float(
-            idx.iter()
-                .map(|&(b, r)| {
-                    let Column::Float(v) = batches[b as usize].column(c) else {
-                        unreachable!("checked Float lane")
-                    };
-                    v[r as usize]
-                })
-                .collect(),
-        );
-    }
-    Column::Generic(
-        idx.iter().map(|&(b, r)| batches[b as usize].column(c).value_at(r as usize)).collect(),
-    )
 }
 
 /// Entry of the k-way run merge (min-heap via reversed `Ord`).
@@ -307,11 +250,13 @@ impl Ord for MergeEntry {
 /// The vectorized sort operator (see the module docs for the design).
 pub struct BatchSort {
     /// The input, until consume takes it.
-    input: Option<Box<dyn BatchStream>>,
+    input: Option<Input>,
     key: BoundExpr,
     ctx: ExecContext,
     /// Instrumentation slot, relabelled when the radix path sorts.
     slot: Option<usize>,
+    /// Whether every run sorted so far took the radix path.
+    all_radix: bool,
     reservation: Reservation,
     state: SortState,
 }
@@ -335,17 +280,22 @@ impl BatchSort {
     ) -> Self {
         let reservation = Reservation::empty(&ctx.budget);
         let state = SortState::Pending;
-        BatchSort { input: Some(input), key, ctx, slot, reservation, state }
+        BatchSort { input: Some(Input::new(input)), key, ctx, slot, all_radix: true, reservation, state }
     }
 
-    /// Sort the buffered rows (see [`SortBuffer::sorted_indices`]); the
-    /// node's label names the radix path when it ran.
-    fn sort_buffer(&self, buffer: &SortBuffer) -> Vec<(u32, u32)> {
+    /// Sort the buffered rows (see [`SortBuffer::sorted_indices`]),
+    /// noting whether the radix path ran.
+    fn sort_buffer(&mut self, buffer: &SortBuffer) -> Vec<(u32, u32)> {
         let (order, radix) = buffer.sorted_indices();
-        if radix {
+        self.all_radix &= radix;
+        order
+    }
+
+    /// Name the radix path in the node's label once every run took it.
+    fn label_radix(&self) {
+        if self.all_radix {
             set_node_label(&self.ctx, self.slot, "BatchSort [1 keys, radix]".to_string());
         }
-        order
     }
 
     /// Buffer the input columnar, spilling sorted runs when the reservation
@@ -360,8 +310,8 @@ impl BatchSort {
         let mut runs: Vec<SpillReader> = Vec::new();
         let mut base_ord = 0u64;
 
-        while let Some(batch) = input.next_batch()? {
-            let key_col = self.key.eval_batch(&batch)?;
+        while let Some(batch) = input.next_rows()?.map(Rows::into_batch) {
+            let (batch, key_col) = input.cut_batch(batch, |b| self.key.eval_batch(b))?;
             let bytes = batch.columns().iter().map(|c| c.heap_bytes()).sum::<usize>()
                 + key_col.heap_bytes();
             let fits = self.reservation.try_grow(bytes);
@@ -375,6 +325,7 @@ impl BatchSort {
 
         if runs.is_empty() {
             let order = self.sort_buffer(&buffer);
+            self.label_radix();
             self.state = SortState::Mem { buffer, order, pos: 0 };
             return Ok(());
         }
@@ -382,6 +333,7 @@ impl BatchSort {
         if buffer.rows > 0 {
             runs.push(self.spill_run(&mut buffer, base_ord)?);
         }
+        self.label_radix();
         self.start_merge(runs)
     }
 
@@ -428,17 +380,32 @@ impl BatchSort {
                 if *pos >= order.len() {
                     return Ok(None);
                 }
-                let ncols = buffer.batches[0].num_columns();
-                let end = (*pos + BATCH_SIZE).min(order.len());
-                let slice = &order[*pos..end];
-                let cols: Vec<Column> =
-                    (0..ncols).map(|c| gather_column(&buffer.batches, c, slice)).collect();
-                *pos = end;
+                let batches = &buffer.batches;
+                let slice = &order[*pos..(*pos + BATCH_SIZE).min(order.len())];
+                // A batch column holds one type: cut where the rows'
+                // batches change lanes (`<<` widening).
+                let lanes = |b: u32| batches[b as usize].columns().iter().map(|c| c.data_type());
+                let same = |&&(b, _): &&(u32, u32)| lanes(b).eq(lanes(slice[0].0));
+                let n = match (0..batches.len() as u32).all(|b| lanes(b).eq(lanes(0))) {
+                    true => slice.len(),
+                    false => slice.iter().take_while(same).count(),
+                };
+                let slice = &slice[..n];
+                let ncols = batches[0].num_columns();
+                let cols = (0..ncols).map(|c| gather_column(batches, c, slice)).collect();
+                *pos += n;
                 Ok(Some(RowBatch::from_columns(cols)))
             }
             SortState::Merge { sources, heap } => {
                 let mut rows: Vec<Row> = Vec::with_capacity(BATCH_SIZE);
                 while rows.len() < BATCH_SIZE {
+                    let Some(next) = heap.peek() else { break };
+                    // Cut where the rows' types change (`<<` widening).
+                    if rows.first().is_some_and(|r: &Row| {
+                        !r.iter().map(Value::data_type).eq(next.row.iter().map(Value::data_type))
+                    }) {
+                        break;
+                    }
                     let Some(entry) = heap.pop() else { break };
                     // Refill from the source the popped row came from.
                     if let Some((key, ord, row)) = next_keyed(&mut sources[entry.src])? {
@@ -449,7 +416,7 @@ impl BatchSort {
                 if rows.is_empty() {
                     Ok(None)
                 } else {
-                    Ok(Some(RowBatch::from_owned_rows(rows)))
+                    RowBatch::from_owned_rows(rows).map(Some)
                 }
             }
             SortState::Pending | SortState::Done => Ok(None),
@@ -477,7 +444,9 @@ impl BatchStream for BatchSort {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_util::{batches_of, ctx, ctx_with_budget, drain_batches, int_rows};
+    use super::super::test_util::{
+        batches_of, ctx, ctx_with_budget, drain_batch_list, drain_batches, int_rows, stream_of,
+    };
     use super::*;
 
     fn run_sort(rows: Vec<Row>, ctx: ExecContext) -> Vec<Row> {
@@ -492,25 +461,36 @@ mod tests {
     }
 
     #[test]
-    fn float_and_mixed_lane_keys_sort_by_value() {
+    fn float_text_and_mixed_lane_keys_sort_by_value() {
         let floats: Vec<Row> = [2.5, -1.0, 0.5].iter().map(|&f| vec![Value::Float(f)]).collect();
         let out = run_sort(floats, ctx());
         assert_eq!(out, [-1.0, 0.5, 2.5].map(|f| vec![Value::Float(f)]));
-        // An INTEGER and a DOUBLE key in one column take the generic lane.
-        let mixed = vec![vec![Value::Int(2)], vec![Value::Float(1.5)], vec![Value::Int(1)]];
-        let out = run_sort(mixed, ctx());
-        assert_eq!(out, vec![vec![Value::Int(1)], vec![Value::Float(1.5)], vec![Value::Int(2)]]);
+        let text: Vec<Row> = ["b", "", "ab"].iter().map(|&t| vec![Value::Str(t.into())]).collect();
+        let out = run_sort(text, ctx());
+        assert_eq!(out, ["", "ab", "b"].map(|t| vec![Value::Str(t.into())]));
+        // An INTEGER batch and a HUGEINT batch: compared as values, and
+        // each row keeps its type, so the output is cut where it changes.
+        let big = |k: u64| crate::bigbits::BigBits::from_u64(k, 70);
+        let batches = vec![
+            RowBatch::from_columns(vec![Column::Int(vec![3, 1])]),
+            RowBatch::from_columns(vec![Column::Big(vec![big(2), big(1).shl(69)])]),
+        ];
+        let sort = BatchSort::new(stream_of(batches), BoundExpr::Column(0), ctx(), None);
+        let out = drain_batch_list(Box::new(sort));
+        let got: Vec<Row> = out.into_iter().flat_map(RowBatch::into_rows).collect();
+        let want = [Value::Int(1), Value::Big(big(2)), Value::Int(3), Value::Big(big(1).shl(69))];
+        assert_eq!(format!("{got:?}"), format!("{:?}", want.map(|v| vec![v])));
     }
 
     #[test]
-    fn nulls_sort_first_and_ties_keep_input_order() {
+    fn ties_keep_input_order() {
         let rows = vec![
             vec![Value::Int(1), Value::Int(10)],
-            vec![Value::Null, Value::Int(20)],
+            vec![Value::Int(0), Value::Int(20)],
             vec![Value::Int(1), Value::Int(30)],
         ];
         let out = run_sort(rows, ctx());
-        assert!(out[0][0].is_null());
+        assert_eq!(out[0][1], Value::Int(20));
         // Stable: the two key-1 rows keep their input order.
         assert_eq!(out[1][1], Value::Int(10));
         assert_eq!(out[2][1], Value::Int(30));

@@ -61,7 +61,6 @@ pub enum BoundExpr {
 /// Convert an AST literal to a runtime value.
 pub fn literal_value(l: &Literal) -> Value {
     match l {
-        Literal::Null => Value::Null,
         Literal::Int(i) => Value::Int(*i),
         Literal::Big(b) => Value::Big(b.clone()),
         Literal::Float(f) => Value::Float(*f),
@@ -172,7 +171,7 @@ impl BoundExpr {
 pub(crate) fn apply_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
     use std::cmp::Ordering::{Equal, Greater};
     let cmp = |holds: fn(std::cmp::Ordering) -> bool| -> Result<Value> {
-        Ok(l.sql_cmp(r)?.map_or(Value::Null, |ord| Value::Int(holds(ord) as i64)))
+        Ok(Value::Int(holds(l.sql_cmp(r)?) as i64))
     };
     match op {
         BinaryOp::Add => l.add(r),
@@ -190,15 +189,12 @@ pub(crate) fn apply_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> 
 
 fn eval_scalar_fn(func: ScalarFunc, args: &[BoundExpr], row: &Row) -> Result<Value> {
     let vals: Vec<Value> = args.iter().map(|a| a.eval(row)).collect::<Result<_>>()?;
-    if vals.iter().any(Value::is_null) {
-        return Ok(Value::Null);
-    }
     Ok(match func {
         ScalarFunc::Substr => {
             let Value::Str(s) = &vals[0] else {
                 return Err(Error::Type(format!(
                     "SUBSTR expects TEXT, got {}",
-                    vals[0].type_name()
+                    vals[0].data_type()
                 )));
             };
             let chars: Vec<char> = s.chars().collect();
@@ -266,10 +262,8 @@ mod tests {
     }
 
     #[test]
-    fn comparisons_with_null_are_null() {
-        let null_row = vec![Value::Null, Value::Float(0.5), Value::Null];
-        assert!(eval_with("s = 1", null_row.clone()).unwrap().is_null());
-        assert!(eval_with("r > i", null_row).unwrap().is_null());
+    fn comparisons_are_true_or_false() {
+        assert_eq!(eval_with("r > i", row()).unwrap(), Value::Int(1));
         assert_eq!(eval_with("s > 4", row()).unwrap(), Value::Int(1));
         assert_eq!(eval_with("s > 5", row()).unwrap(), Value::Int(0));
     }
@@ -330,6 +324,5 @@ mod string_fn_tests {
     fn concat_semantics() {
         assert_eq!(eval("CONCAT('0', '1', '1')").unwrap(), Value::Str("011".into()));
         assert_eq!(eval("CONCAT('p=', 1)").unwrap(), Value::Str("p=1".into()));
-        assert!(eval("CONCAT(NULL, 'x')").unwrap().is_null());
     }
 }

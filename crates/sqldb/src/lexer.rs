@@ -73,7 +73,6 @@ pub enum Keyword {
     Insert,
     Into,
     Join,
-    Null,
     On,
     Order,
     Outer,
@@ -118,7 +117,6 @@ impl Keyword {
             b"INSERT" => Insert,
             b"INTO" => Into,
             b"JOIN" => Join,
-            b"NULL" => Null,
             b"ON" => On,
             b"ORDER" => Order,
             b"OUTER" => Outer,
@@ -144,6 +142,7 @@ impl Keyword {
             b"LEFT" => return refused("LEFT JOIN"),
             b"LIMIT" => return refused("LIMIT"),
             b"NOT" => return refused("NOT"),
+            b"NULL" => return refused("NULL"),
             b"OFFSET" => return refused("OFFSET"),
             b"OR" => return refused("OR"),
             b"RECURSIVE" => return refused("WITH RECURSIVE"),
@@ -421,6 +420,7 @@ mod tests {
             ("a IN (1)", "IN"),
             ("a is null", "IS [NOT] NULL"),
             ("NOT a", "NOT"),
+            ("x > null", "NULL"),
             ("ORDER BY k OFFSET 2", "OFFSET"),
             ("SELECT s FROM t WHERE s > 0", "WHERE"),
             ("SELECT s FROM t LIMIT 1", "LIMIT"),
@@ -443,7 +443,7 @@ mod tests {
         for word in ["selects", "s", "T0", "savepoints", "out_s", "TRANSACTION"] {
             assert_eq!(kinds(word)[0], TokenKind::Word(word, None), "{word}");
         }
-        assert!(Keyword::From.is_clause() && !Keyword::Null.is_clause());
+        assert!(Keyword::From.is_clause() && !Keyword::Savepoint.is_clause());
     }
 
     #[test]

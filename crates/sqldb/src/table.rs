@@ -25,21 +25,18 @@
 //!
 //! Rows enter a table through [`Table::append_batch`] alone: SQL `INSERT`,
 //! the bulk loader, `CREATE TABLE … AS`, WAL replay and the checkpoint image
-//! all hand it a [`RowBatch`]. A column that already rides its declared
-//! type's lane (`Int` for `INTEGER`, `Float` for `DOUBLE`, a checked
-//! `Generic` for `TEXT`/`HUGEINT`) is stored as it is — by `Arc` when it can
-//! become a chunk of its own, else copied into the open tail chunk; any
-//! other lane is rebuilt column-wise through [`coerce`]. A cell keeps the
-//! lane it arrived on: the tail chunk is only extended by columns of its
-//! own lanes, so what a table charges does not depend on where its chunk
-//! boundaries fall (a checkpoint image replayed into a fresh table charges
-//! what the original did).
+//! all hand it a [`RowBatch`]. A column's lane is its type, so a column on
+//! its declared type's lane (`Int` for `INTEGER`, `Float` for `DOUBLE`,
+//! `Big` for `HUGEINT`, `Text` for `TEXT`) is stored as it is — by `Arc`
+//! when it can become a chunk of its own, else copied into the open tail
+//! chunk; a column on another lane is rebuilt through [`coerce`]. Every
+//! chunk of a table therefore holds the same lanes.
 //!
 //! # Memory accounting
 //!
 //! Column storage charges the shared [`MemoryBudget`] through a
-//! [`Reservation`]: fast-lane (`INTEGER`/`DOUBLE`) cells cost 8 bytes/row,
-//! generic cells their [`Value::heap_bytes`]. An append reserves the whole
+//! [`Reservation`]: `INTEGER`/`DOUBLE` cells cost 8 bytes/row, `HUGEINT`
+//! and `TEXT` cells their [`Value::heap_bytes`]. An append reserves the whole
 //! batch **once, before the table is touched**: a refusal leaves table and
 //! ledger exactly as they were. Rows leave a table only with the whole
 //! table, or when a rollback restores it to what it held before an append.
@@ -214,36 +211,13 @@ impl Table {
     }
 
     /// `column` on the lane of declared type `ty`: itself (shared) when it
-    /// already is — a typed fast lane, or generic values that are all of
-    /// the type or NULL — else rebuilt value by value through [`coerce`]
-    /// ([`Column::push`] keeps the fast lane until a NULL demotes it).
+    /// already is, else rebuilt value by value through [`coerce`].
     fn conform(column: &ColumnRef, ty: DataType) -> Result<ColumnRef> {
-        let fits = match (ty, &**column) {
-            (DataType::Integer, Column::Int(_)) | (DataType::Double, Column::Float(_)) => true,
-            (_, Column::Generic(values)) => values.iter().all(|v| {
-                matches!(
-                    (ty, v),
-                    (_, Value::Null)
-                        | (DataType::Integer, Value::Int(_))
-                        | (DataType::Double, Value::Float(_))
-                        | (DataType::Text, Value::Str(_))
-                        | (DataType::HugeInt, Value::Big(_))
-                )
-            }),
-            _ => false,
-        };
-        if fits {
+        if column.data_type() == ty {
             return Ok(Arc::clone(column));
         }
-        let mut out = match ty {
-            DataType::Integer => Column::Int(Vec::with_capacity(column.len())),
-            DataType::Double => Column::Float(Vec::with_capacity(column.len())),
-            DataType::Text | DataType::HugeInt => Column::Generic(Vec::with_capacity(column.len())),
-        };
-        for i in 0..column.len() {
-            out.push(coerce(column.value_at(i), ty)?);
-        }
-        Ok(Arc::new(out))
+        let values = (0..column.len()).map(|i| coerce(column.value_at(i), ty));
+        Column::from_values(values).map(Arc::new)
     }
 
     /// Append `batch` in one atomic step, returning the rows inserted: the
@@ -264,20 +238,11 @@ impl Table {
         }
         let mut columns = Vec::with_capacity(self.columns.len());
         for (column, (cname, ty)) in batch.columns().iter().zip(&self.columns) {
-            columns.push(Self::conform(column, *ty).map_err(|e| match e {
-                Error::Type(m) => Error::Type(format!("column `{cname}`: {m}")),
-                other => other,
-            })?);
+            columns.push(Self::conform(column, *ty).map_err(in_column(cname))?);
         }
-        // The tail is topped up only by columns of its own lanes, so no
-        // stored cell ever changes what it costs.
-        let same_lanes = |tail: &TableChunk| {
-            let mut lanes = tail.columns.iter().zip(&columns);
-            lanes.all(|(a, b)| std::mem::discriminant(&**a) == std::mem::discriminant(&**b))
-        };
         // Rows of the batch that fill the open tail.
         let take = match self.chunks.last() {
-            Some(tail) if tail.rows < CHUNK_ROWS && same_lanes(tail) => n.min(CHUNK_ROWS - tail.rows),
+            Some(tail) if tail.rows < CHUNK_ROWS => n.min(CHUNK_ROWS - tail.rows),
             _ => 0,
         };
         // Cut the batch: what fills the tail, then chunk-sized pieces. The
@@ -310,8 +275,9 @@ impl Table {
                 match (Arc::make_mut(dst), src) {
                     (Column::Int(d), Column::Int(s)) => d.extend_from_slice(&s),
                     (Column::Float(d), Column::Float(s)) => d.extend_from_slice(&s),
-                    (Column::Generic(d), Column::Generic(mut s)) => d.append(&mut s),
-                    _ => unreachable!("the tail is only topped up by its own lanes"),
+                    (Column::Big(d), Column::Big(mut s)) => d.append(&mut s),
+                    (Column::Text(d), Column::Text(mut s)) => d.append(&mut s),
+                    _ => unreachable!("every chunk holds the declared lanes"),
                 }
             }
             tail.rows += take;
@@ -321,14 +287,20 @@ impl Table {
         Ok(n)
     }
 
-    /// Transpose owned rows of this table's width into a batch (lanes
-    /// detected, nothing coerced yet): what the row-shaped entry points —
+    /// Owned rows of this table's width as a batch on the declared lanes
+    /// (each value through [`coerce`]): what the row-shaped entry points —
     /// `INSERT` literals, the bulk loader — log and then append.
     pub fn batch_from_rows(&self, rows: Vec<Row>) -> Result<RowBatch> {
         if let Some(r) = rows.iter().find(|r| r.len() != self.columns.len()) {
             return Err(self.arity_error(r.len()));
         }
-        Ok(RowBatch::from_owned_rows(rows))
+        let mut columns = vec![Column::default(); self.columns.len()];
+        for row in rows {
+            for ((col, v), (cname, ty)) in columns.iter_mut().zip(row).zip(&self.columns) {
+                coerce(v, *ty).and_then(|v| col.push(v)).map_err(in_column(cname))?;
+            }
+        }
+        Ok(RowBatch::from_columns(columns))
     }
 
     /// [`Self::append_batch`] of owned rows.
@@ -368,10 +340,17 @@ impl Table {
     }
 }
 
+/// A type error of column `cname`, named in its message.
+fn in_column(cname: &str) -> impl Fn(Error) -> Error + '_ {
+    move |e| match e {
+        Error::Type(m) => Error::Type(format!("column `{cname}`: {m}")),
+        other => other,
+    }
+}
+
 /// Coerce a value to a column type (lossless widenings only).
 pub fn coerce(v: Value, ty: DataType) -> Result<Value> {
     match (ty, v) {
-        (_, Value::Null) => Ok(Value::Null),
         (DataType::Integer, Value::Int(i)) => Ok(Value::Int(i)),
         (DataType::Integer, Value::Float(f)) if f.fract() == 0.0 && f.abs() < 9.2e18 => {
             Ok(Value::Int(f as i64))
@@ -387,7 +366,7 @@ pub fn coerce(v: Value, ty: DataType) -> Result<Value> {
         (DataType::Double, Value::Float(f)) => Ok(Value::Float(f)),
         (DataType::Double, Value::Int(i)) => Ok(Value::Float(i as f64)),
         (DataType::Text, Value::Str(s)) => Ok(Value::Str(s)),
-        (ty, v) => Err(Error::Type(format!("cannot store {} in {} column", v.type_name(), ty))),
+        (ty, v) => Err(Error::Type(format!("cannot store {} in {} column", v.data_type(), ty))),
     }
 }
 
@@ -412,7 +391,7 @@ mod tests {
     }
 
     fn state_batch(range: std::ops::Range<i64>) -> RowBatch {
-        RowBatch::from_owned_rows(state_rows(range))
+        RowBatch::from_owned_rows(state_rows(range)).unwrap()
     }
 
     #[test]
@@ -525,7 +504,7 @@ mod tests {
         let bad = RowBatch::from_columns(vec![
             Column::Int(vec![1]),
             Column::Float(vec![1.0]),
-            Column::Generic(vec![Value::Str("x".into())]),
+            Column::Text(vec!["x".into()]),
         ]);
         let e = t.append_batch(&bad).unwrap_err();
         assert!(matches!(e, Error::Type(ref m) if m.contains("column `i`")), "{e:?}");
@@ -542,26 +521,30 @@ mod tests {
         assert_eq!(snap.to_rows()[3][0], Value::Int(3));
     }
 
-    /// A cell keeps the lane it arrived on: a NULL demotes the batch that
-    /// carries it, never a chunk stored before, and a demoted batch is not
-    /// poured into a typed tail (the charge must not depend on chunking).
+    /// A column's lane is its declared type: a `HUGEINT` table stores
+    /// `Big` lanes however its rows arrive, and an `INTEGER` batch tops up
+    /// its open tail.
     #[test]
-    fn nulls_demote_only_the_batch_that_holds_them() {
+    fn every_chunk_holds_the_declared_lanes() {
         let budget = MemoryBudget::unlimited();
-        let mut t = state_table(budget.clone());
-        t.load_rows(state_rows(0..10)).unwrap();
-        t.load_rows(vec![vec![Value::Null, Value::Float(1.0), Value::Float(0.0)]]).unwrap();
-        t.load_rows(state_rows(11..12)).unwrap();
+        let cols = vec![("s".into(), DataType::HugeInt), ("name".into(), DataType::Text)];
+        let mut t = Table::new("W", cols, budget.clone());
+        let big = crate::bigbits::BigBits::from_u64(5, 80).shl(70);
+        t.load_rows(vec![vec![Value::Int(3), Value::Str("a".into())]]).unwrap();
+        t.append_batch(&RowBatch::from_columns(vec![
+            Column::Big(vec![big.clone()]),
+            Column::Text(vec!["b".into()]),
+        ]))
+        .unwrap();
         let snap = t.snapshot();
-        let lanes: Vec<bool> = snap
-            .chunks()
-            .iter()
-            .map(|c| matches!(&*c.columns()[0], Column::Int(_)))
-            .collect();
-        assert_eq!(lanes, [true, false, true], "typed, demoted, typed again");
-        assert!(snap.chunks()[1].row(0)[0].is_null());
-        // 11 typed rows at 24 bytes, one with a 16-byte generic `s`.
-        assert_eq!(budget.used(), 11 * 24 + 16 + 16);
+        assert_eq!(snap.chunks().len(), 1, "the second batch topped up the tail");
+        let chunk = &snap.chunks()[0];
+        assert!(matches!(&*chunk.columns()[0], Column::Big(v) if v.len() == 2));
+        assert!(matches!(&*chunk.columns()[1], Column::Text(v) if v.len() == 2));
+        assert_eq!(chunk.row(1), vec![Value::Big(big), Value::Str("b".into())]);
+        assert_eq!(budget.used(), chunk.heap_bytes());
+        let e = t.load_rows(vec![vec![Value::Int(-1), Value::Str("c".into())]]).unwrap_err();
+        assert!(matches!(e, Error::Type(ref m) if m.contains("column `s`")), "{e:?}");
     }
 
     #[test]
@@ -571,7 +554,7 @@ mod tests {
         assert!(coerce(Value::Float(1.5), DataType::Integer).is_err());
         assert!(matches!(coerce(Value::Int(3), DataType::HugeInt).unwrap(), Value::Big(_)));
         assert!(coerce(Value::Int(-3), DataType::HugeInt).is_err());
-        assert!(coerce(Value::Null, DataType::Text).unwrap().is_null());
+        assert!(coerce(Value::Int(3), DataType::Text).is_err());
     }
 
     #[test]

@@ -1,22 +1,32 @@
 //! Runtime SQL values and their operator semantics.
 //!
-//! The engine supports four non-null types: 64-bit integers, 64-bit floats,
+//! The engine has four types and no NULL: 64-bit integers, 64-bit floats,
 //! UTF-8 text, and [`BigBits`] arbitrary-width unsigned integers (exposed to
 //! SQL as `HUGEINT`, produced by hex literals and oversized decimal
 //! literals). Numeric operators promote `Int → Float` and `Int → Big` as
-//! needed; three-valued NULL logic follows standard SQL.
+//! needed; a comparison is always true or false.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+use crate::ast::DataType;
 use crate::bigbits::BigBits;
 use crate::error::{Error, Result};
+
+/// What one `TEXT` value charges the memory ledger, in a row or a column.
+pub(crate) fn str_bytes(s: &String) -> usize {
+    16 + s.capacity()
+}
+
+/// What one `HUGEINT` value charges the memory ledger, in a row or a column.
+pub(crate) fn big_bytes(b: &BigBits) -> usize {
+    24 + b.heap_bytes()
+}
 
 /// A runtime value in a row.
 #[derive(Debug, Clone)]
 pub enum Value {
-    Null,
     Int(i64),
     Float(f64),
     Str(String),
@@ -24,26 +34,21 @@ pub enum Value {
 }
 
 impl Value {
-    /// SQL type name for error messages.
-    pub fn type_name(&self) -> &'static str {
+    /// The SQL type of the value.
+    pub fn data_type(&self) -> DataType {
         match self {
-            Value::Null => "NULL",
-            Value::Int(_) => "INTEGER",
-            Value::Float(_) => "DOUBLE",
-            Value::Str(_) => "TEXT",
-            Value::Big(_) => "HUGEINT",
+            Value::Int(_) => DataType::Integer,
+            Value::Float(_) => DataType::Double,
+            Value::Str(_) => DataType::Text,
+            Value::Big(_) => DataType::HugeInt,
         }
-    }
-
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
     }
 
     /// Approximate in-memory footprint in bytes, used by the memory ledger.
     pub fn heap_bytes(&self) -> usize {
         match self {
-            Value::Str(s) => 16 + s.capacity(),
-            Value::Big(b) => 24 + b.heap_bytes(),
+            Value::Str(s) => str_bytes(s),
+            Value::Big(b) => big_bytes(b),
             _ => 16,
         }
     }
@@ -57,7 +62,7 @@ impl Value {
                 .to_u64()
                 .map(|u| u as f64)
                 .ok_or_else(|| Error::Type("HUGEINT too large for DOUBLE context".into())),
-            other => Err(Error::Type(format!("expected numeric value, got {}", other.type_name()))),
+            other => Err(Error::Type(format!("expected numeric value, got {}", other.data_type()))),
         }
     }
 
@@ -69,17 +74,16 @@ impl Value {
             Value::Big(b) => b
                 .to_i64()
                 .ok_or_else(|| Error::Type("HUGEINT too large for INTEGER context".into())),
-            other => Err(Error::Type(format!("expected INTEGER value, got {}", other.type_name()))),
+            other => Err(Error::Type(format!("expected INTEGER value, got {}", other.data_type()))),
         }
     }
 
-    /// Truthiness for HAVING and a join's ON: NULL ⇒ None, numeric 0 ⇒ false.
-    pub fn as_bool(&self) -> Result<Option<bool>> {
+    /// Truthiness for HAVING and a join's ON: numeric 0 ⇒ false.
+    pub fn as_bool(&self) -> Result<bool> {
         match self {
-            Value::Null => Ok(None),
-            Value::Int(i) => Ok(Some(*i != 0)),
-            Value::Float(f) => Ok(Some(*f != 0.0)),
-            Value::Big(b) => Ok(Some(!b.is_zero())),
+            Value::Int(i) => Ok(*i != 0),
+            Value::Float(f) => Ok(*f != 0.0),
+            Value::Big(b) => Ok(!b.is_zero()),
             Value::Str(_) => Err(Error::Type("TEXT value used as boolean".into())),
         }
     }
@@ -89,7 +93,7 @@ impl Value {
             Value::Big(b) => Ok(b.clone()),
             Value::Int(i) if *i >= 0 => Ok(BigBits::from_u64(*i as u64, width_hint)),
             Value::Int(_) => Err(Error::Type("negative INTEGER in HUGEINT bitwise context".into())),
-            other => Err(Error::Type(format!("expected integer type, got {}", other.type_name()))),
+            other => Err(Error::Type(format!("expected integer type, got {}", other.data_type()))),
         }
     }
 
@@ -115,13 +119,12 @@ impl Value {
 
     pub fn neg(&self) -> Result<Value> {
         match self {
-            Value::Null => Ok(Value::Null),
             Value::Int(i) => i
                 .checked_neg()
                 .map(Value::Int)
                 .ok_or_else(|| Error::Eval("integer overflow in unary -".into())),
             Value::Float(f) => Ok(Value::Float(-f)),
-            other => Err(Error::Type(format!("cannot negate {}", other.type_name()))),
+            other => Err(Error::Type(format!("cannot negate {}", other.data_type()))),
         }
     }
 
@@ -141,17 +144,13 @@ impl Value {
 
     pub fn bit_not(&self) -> Result<Value> {
         match self {
-            Value::Null => Ok(Value::Null),
             Value::Int(i) => Ok(Value::Int(!i)),
             Value::Big(b) => Ok(Value::Big(b.not())),
-            other => Err(Error::Type(format!("cannot apply ~ to {}", other.type_name()))),
+            other => Err(Error::Type(format!("cannot apply ~ to {}", other.data_type()))),
         }
     }
 
     pub fn shl(&self, rhs: &Value) -> Result<Value> {
-        if self.is_null() || rhs.is_null() {
-            return Ok(Value::Null);
-        }
         let n = shift_amount(rhs)?;
         match self {
             Value::Int(i) => {
@@ -166,37 +165,27 @@ impl Value {
                 Ok(Value::Big(big.shl(n)))
             }
             Value::Big(b) => Ok(Value::Big(b.shl(n))),
-            other => Err(Error::Type(format!("cannot shift {}", other.type_name()))),
+            other => Err(Error::Type(format!("cannot shift {}", other.data_type()))),
         }
     }
 
     pub fn shr(&self, rhs: &Value) -> Result<Value> {
-        if self.is_null() || rhs.is_null() {
-            return Ok(Value::Null);
-        }
         let n = shift_amount(rhs)?;
         match self {
             Value::Int(i) => Ok(Value::Int(if n >= 64 { 0 } else { ((*i as u64) >> n) as i64 })),
             Value::Big(b) => Ok(Value::Big(b.shr(n))),
-            other => Err(Error::Type(format!("cannot shift {}", other.type_name()))),
+            other => Err(Error::Type(format!("cannot shift {}", other.data_type()))),
         }
     }
 
     // ---- comparison --------------------------------------------------------
 
-    /// Three-valued SQL comparison: `None` if either side is NULL.
-    pub fn sql_cmp(&self, rhs: &Value) -> Result<Option<Ordering>> {
-        if self.is_null() || rhs.is_null() {
-            return Ok(None);
-        }
-        Ok(Some(self.cmp_non_null(rhs)?))
-    }
-
-    fn cmp_non_null(&self, rhs: &Value) -> Result<Ordering> {
+    /// SQL comparison; text compares only with text.
+    pub fn sql_cmp(&self, rhs: &Value) -> Result<Ordering> {
         match (self, rhs) {
             (Value::Str(a), Value::Str(b)) => Ok(a.cmp(b)),
             (Value::Str(_), _) | (_, Value::Str(_)) => {
-                Err(Error::Type(format!("cannot compare {} with {}", self.type_name(), rhs.type_name())))
+                Err(Error::Type(format!("cannot compare {} with {}", self.data_type(), rhs.data_type())))
             }
             (Value::Big(a), Value::Big(b)) => Ok(a.cmp_value(b)),
             (Value::Big(a), Value::Int(b)) => Ok(cmp_big_int(a, *b)),
@@ -208,24 +197,14 @@ impl Value {
         }
     }
 
-    /// Total ordering for ORDER BY and sort-based algorithms.
-    /// NULLs sort first; numbers before text.
+    /// Total ordering for ORDER BY and sort-based algorithms: numbers
+    /// before text.
     pub fn cmp_total(&self, rhs: &Value) -> Ordering {
-        fn class(v: &Value) -> u8 {
-            match v {
-                Value::Null => 0,
-                Value::Int(_) | Value::Float(_) | Value::Big(_) => 1,
-                Value::Str(_) => 2,
-            }
-        }
-        let (ca, cb) = (class(self), class(rhs));
-        if ca != cb {
-            return ca.cmp(&cb);
-        }
         match (self, rhs) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            _ => self.cmp_non_null(rhs).unwrap_or(Ordering::Equal),
+            (Value::Str(_), Value::Str(_)) => self.sql_cmp(rhs).unwrap_or(Ordering::Equal),
+            (Value::Str(_), _) => Ordering::Greater,
+            (_, Value::Str(_)) => Ordering::Less,
+            _ => self.sql_cmp(rhs).unwrap_or(Ordering::Equal),
         }
     }
 
@@ -233,7 +212,6 @@ impl Value {
     /// values of different representations map to the same key.
     pub fn group_key(&self) -> GroupKey {
         match self {
-            Value::Null => GroupKey::Null,
             Value::Int(i) => GroupKey::Int(*i),
             Value::Float(f) => {
                 if f.fract() == 0.0 && f.abs() < 9.2e18 {
@@ -254,7 +232,6 @@ impl Value {
 /// Hashable canonical form of a [`Value`] used as a grouping/join key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GroupKey {
-    Null,
     Int(i64),
     Float(u64),
     Str(String),
@@ -307,7 +284,6 @@ fn numeric_binop(
     float_op: impl Fn(f64, f64) -> f64,
 ) -> Result<Value> {
     match (lhs, rhs) {
-        (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
         (Value::Int(a), Value::Int(b)) => int_op(*a, *b).map(Value::Int),
         _ => Ok(Value::Float(float_op(lhs.as_f64()?, rhs.as_f64()?))),
     }
@@ -320,7 +296,6 @@ fn bitwise_binop(
     big_op: impl Fn(&BigBits, &BigBits) -> BigBits,
 ) -> Result<Value> {
     match (lhs, rhs) {
-        (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
         (Value::Int(a), Value::Int(b)) => Ok(Value::Int(int_op(*a, *b))),
         (a @ Value::Big(_), b) | (a, b @ Value::Big(_)) => {
             let wa = if let Value::Big(x) = a { x.width() } else { 64 };
@@ -330,19 +305,15 @@ fn bitwise_binop(
         }
         (a, b) => Err(Error::Type(format!(
             "bitwise operator requires integer operands, got {} and {}",
-            a.type_name(),
-            b.type_name()
+            a.data_type(),
+            b.data_type()
         ))),
     }
 }
 
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Value::Null, Value::Null) => true,
-            (Value::Null, _) | (_, Value::Null) => false,
-            _ => self.cmp_non_null(other).map(|o| o == Ordering::Equal).unwrap_or(false),
-        }
+        self.sql_cmp(other).is_ok_and(|o| o == Ordering::Equal)
     }
 }
 
@@ -355,7 +326,6 @@ impl Hash for Value {
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Null => write!(f, "NULL"),
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(v) => {
                 if v.fract() == 0.0 && v.abs() < 1e15 {
@@ -403,7 +373,6 @@ mod tests {
         assert_eq!(Value::Int(2).add(&Value::Int(3)).unwrap(), Value::Int(5));
         assert_eq!(Value::Int(2).add(&Value::Float(0.5)).unwrap(), Value::Float(2.5));
         assert_eq!(Value::Float(1.0).mul(&Value::Float(2.0)).unwrap(), Value::Float(2.0));
-        assert!(Value::Null.add(&Value::Int(1)).unwrap().is_null());
     }
 
     #[test]
@@ -444,17 +413,17 @@ mod tests {
     }
 
     #[test]
-    fn comparisons_three_valued() {
-        assert_eq!(Value::Int(1).sql_cmp(&Value::Null).unwrap(), None);
-        assert_eq!(Value::Int(1).sql_cmp(&Value::Float(1.0)).unwrap(), Some(Ordering::Equal));
+    fn comparisons_across_representations() {
+        assert_eq!(Value::Int(1).sql_cmp(&Value::Float(1.0)).unwrap(), Ordering::Equal);
         assert_eq!(
             Value::Big(BigBits::from_u64(5, 100)).sql_cmp(&Value::Int(5)).unwrap(),
-            Some(Ordering::Equal)
+            Ordering::Equal
         );
         assert_eq!(
             Value::Big(BigBits::from_u64(5, 100)).sql_cmp(&Value::Int(-1)).unwrap(),
-            Some(Ordering::Greater)
+            Ordering::Greater
         );
+        assert!(Value::Int(1).sql_cmp(&Value::Str("1".into())).is_err());
     }
 
     #[test]
@@ -462,16 +431,15 @@ mod tests {
         assert_eq!(Value::Int(5).group_key(), Value::Float(5.0).group_key());
         assert_eq!(Value::Int(5).group_key(), Value::Big(BigBits::from_u64(5, 300)).group_key());
         assert_ne!(Value::Int(5).group_key(), Value::Str("5".into()).group_key());
-        assert_eq!(Value::Null.group_key(), GroupKey::Null);
     }
 
     #[test]
-    fn total_order_sorts_nulls_first() {
-        let mut vals = [Value::Str("a".into()), Value::Int(2), Value::Null, Value::Float(1.5)];
+    fn total_order_sorts_numbers_before_text() {
+        let mut vals = [Value::Str("a".into()), Value::Int(2), Value::Float(1.5)];
         vals.sort_by(|a, b| a.cmp_total(b));
-        assert!(vals[0].is_null());
-        assert_eq!(vals[1], Value::Float(1.5));
-        assert_eq!(vals[2], Value::Int(2));
+        assert_eq!(vals[0], Value::Float(1.5));
+        assert_eq!(vals[1], Value::Int(2));
+        assert_eq!(vals[2], Value::Str("a".into()));
     }
 
     #[test]
@@ -480,14 +448,12 @@ mod tests {
         let h = std::f64::consts::FRAC_1_SQRT_2;
         assert_eq!(Value::Float(h).to_string(), h.to_string());
         assert_eq!(Value::Int(7).to_string(), "7");
-        assert_eq!(Value::Null.to_string(), "NULL");
     }
 
     #[test]
     fn as_bool_truthiness() {
-        assert_eq!(Value::Int(0).as_bool().unwrap(), Some(false));
-        assert_eq!(Value::Int(3).as_bool().unwrap(), Some(true));
-        assert_eq!(Value::Null.as_bool().unwrap(), None);
+        assert!(!Value::Int(0).as_bool().unwrap());
+        assert!(Value::Int(3).as_bool().unwrap());
         assert!(Value::Str("x".into()).as_bool().is_err());
     }
 }

@@ -2,17 +2,23 @@
 //!
 //! This is the expression half of the batch executor: the operators in
 //! [`crate::exec::vector`] hand whole batches to [`BoundExpr::eval_batch`],
-//! which runs typed kernels over the null-free `Int`/`Float` fast lanes —
-//! including the bitwise mask arithmetic (`&`, `|`, `~`, `<<`, `>>`) that
-//! dominates Qymera's gate joins — and falls back to the scalar
-//! [`BoundExpr::eval`] row loop for anything the kernels don't cover
-//! (`SUBSTR`/`CONCAT`, `HUGEINT` columns, NULLs).
+//! which runs typed kernels over the `Int`/`Float` lanes — including the
+//! bitwise mask arithmetic (`&`, `|`, `~`, `<<`, `>>`) that dominates
+//! Qymera's gate joins — and falls back to the scalar value operators row by
+//! row for anything the kernels don't cover (`SUBSTR`/`CONCAT`, the
+//! `HUGEINT` and `TEXT` lanes), collecting the results into the lane of
+//! their type.
 //!
 //! Semantics contract: for every expression and input, `eval_batch` produces
-//! exactly the values the row-at-a-time `eval` would produce, and errors
-//! whenever `eval` would error on some row (the *specific* error surfaced may
-//! differ when several rows fail, since kernels evaluate operands column-wise
-//! rather than row-wise).
+//! exactly the values the row-at-a-time `eval` would produce, each of its
+//! type, and errors whenever `eval` would error on some row (the *specific*
+//! error surfaced may differ when several rows fail, since kernels evaluate
+//! operands column-wise rather than row-wise). One operator makes values of
+//! two types from one lane: `INTEGER << n` widens the rows that overflow
+//! `i64` into `HUGEINT`. A batch where it widens some rows and not others
+//! is evaluated again row by row, and where the expression's own values
+//! then change type, `Error::Cut` names the row, so the operator cuts the
+//! batch there ([`crate::exec::batch::Rows::split_at`]).
 
 use crate::ast::{BinaryOp, UnaryOp};
 use crate::error::{Error, Result};
@@ -31,15 +37,15 @@ enum Operand {
 
 /// A borrowed, kernel-dispatchable view of an [`Operand`].
 enum View<'a> {
-    /// Null-free `INTEGER` column slice.
+    /// `INTEGER` column slice.
     ICol(&'a [i64]),
-    /// Null-free `DOUBLE` column slice.
+    /// `DOUBLE` column slice.
     FCol(&'a [f64]),
     /// `INTEGER` literal.
     IConst(i64),
     /// `DOUBLE` literal.
     FConst(f64),
-    /// Anything the typed kernels don't cover (generic lane, NULL, text…).
+    /// Anything the typed kernels don't cover (`HUGEINT`, `TEXT`).
     Other,
 }
 
@@ -49,7 +55,7 @@ impl Operand {
             Operand::Col(c) => match &**c {
                 Column::Int(v) => View::ICol(v),
                 Column::Float(v) => View::FCol(v),
-                Column::Generic(_) => View::Other,
+                Column::Big(_) | Column::Text(_) => View::Other,
             },
             Operand::Const(Value::Int(i)) => View::IConst(*i),
             Operand::Const(Value::Float(f)) => View::FConst(*f),
@@ -65,6 +71,17 @@ impl BoundExpr {
     /// column (refcount bump), so expressions like `SELECT s FROM t` forward
     /// base-table chunks untouched.
     pub fn eval_batch(&self, batch: &RowBatch) -> Result<ColumnRef> {
+        match self.eval_lanes(batch) {
+            Err(Error::Cut(_)) => {
+                collect((0..batch.num_rows()).map(|i| self.eval(&batch.row(i)))).map(ColumnRef::new)
+            }
+            lanes => lanes,
+        }
+    }
+
+    /// [`BoundExpr::eval_batch`] through the lanes; `Error::Cut` when some
+    /// node's values change type part-way through the batch.
+    fn eval_lanes(&self, batch: &RowBatch) -> Result<ColumnRef> {
         let n = batch.num_rows();
         match self {
             BoundExpr::Literal(v) => Ok(ColumnRef::new(Column::splat(v, n))),
@@ -75,17 +92,13 @@ impl BoundExpr {
                 eval_binary_kernel(&l, *op, &r, n).map(ColumnRef::new)
             }
             BoundExpr::Unary { op, expr } => {
-                let col = expr.eval_batch(batch)?;
+                let col = expr.eval_lanes(batch)?;
                 eval_unary_kernel(*op, &col).map(ColumnRef::new)
             }
             // SUBSTR and CONCAT (the encoding experiment's): the scalar
             // path, once per materialized row.
             BoundExpr::ScalarFn { .. } => {
-                let mut out = Column::new();
-                for i in 0..n {
-                    out.push(self.eval(&batch.row(i))?);
-                }
-                Ok(ColumnRef::new(out))
+                collect((0..n).map(|i| self.eval(&batch.row(i)))).map(ColumnRef::new)
             }
         }
     }
@@ -95,8 +108,22 @@ impl BoundExpr {
 fn eval_operand(expr: &BoundExpr, batch: &RowBatch) -> Result<Operand> {
     match expr {
         BoundExpr::Literal(v) => Ok(Operand::Const(v.clone())),
-        other => Ok(Operand::Col(other.eval_batch(batch)?)),
+        other => Ok(Operand::Col(other.eval_lanes(batch)?)),
     }
+}
+
+/// Collect an expression's values into the lane of the first one's type;
+/// a value of another type is `Error::Cut` at its row.
+fn collect(values: impl Iterator<Item = Result<Value>>) -> Result<Column> {
+    let mut col = Column::default();
+    for (i, v) in values.enumerate() {
+        let v = v?;
+        if i > 0 && v.data_type() != col.data_type() {
+            return Err(Error::Cut(i));
+        }
+        col.push(v)?;
+    }
+    Ok(col)
 }
 
 /// Dispatch a binary operator over typed operand shapes. Operands are
@@ -134,15 +161,7 @@ fn eval_binary_kernel(l: &Operand, op: BinaryOp, r: &Operand, n: usize) -> Resul
         }
 
         // ---- everything else: per-row Value semantics ---------------------
-        _ => {
-            let mut out = Column::new();
-            for i in 0..n {
-                let a = operand_value(l, i);
-                let b = operand_value(r, i);
-                out.push(apply_binary(&a, op, &b)?);
-            }
-            Ok(out)
-        }
+        _ => collect((0..n).map(|i| apply_binary(&operand_value(l, i), op, &operand_value(r, i)))),
     }
 }
 
@@ -163,7 +182,7 @@ fn is_numeric_op(op: BinaryOp) -> bool {
     )
 }
 
-/// Integer kernel: both operands are null-free `i64`. Mirrors the checked
+/// Integer kernel: both operands are `i64`. Mirrors the checked
 /// arithmetic of [`Value`]'s operators exactly, including overflow and
 /// division-by-zero errors and the `<<` widening into `HUGEINT`.
 fn int_kernel(op: BinaryOp, n: usize, at: impl Fn(usize) -> (i64, i64)) -> Result<Column> {
@@ -207,23 +226,25 @@ fn int_kernel(op: BinaryOp, n: usize, at: impl Fn(usize) -> (i64, i64)) -> Resul
             Ok(if b >= 64 { 0 } else { ((a as u64) >> b) as i64 })
         }),
         BinaryOp::Shl => {
-            // `<<` widens into HUGEINT on i64 overflow; start on the fast
-            // lane and restart through Value::shl if any row widens.
+            // `<<` widens into HUGEINT on i64 overflow: rows that all stay
+            // INTEGER are the Int lane, a batch whose first row widens goes
+            // through Value::shl, and a row that widens after one that did
+            // not is a cut.
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
                 let (a, b) = at(i);
                 if b < 0 {
                     return Err(Error::Eval("negative shift amount".into()));
                 }
-                let widened = b >= 64
-                    || i64::try_from((a as i128) << b).map(|v| out.push(v)).is_err();
-                if widened {
-                    let mut vals: Vec<Value> = out.drain(..).map(Value::Int).collect();
-                    for j in i..n {
-                        let (a, b) = at(j);
-                        vals.push(Value::Int(a).shl(&Value::Int(b))?);
+                match i64::try_from((a as i128) << b.min(64)) {
+                    Ok(v) if b < 64 => out.push(v),
+                    _ if i == 0 => {
+                        return collect((0..n).map(|j| {
+                            let (a, b) = at(j);
+                            Value::Int(a).shl(&Value::Int(b))
+                        }))
                     }
-                    return Ok(Column::Generic(vals));
+                    _ => return Err(Error::Cut(i)),
                 }
             }
             Ok(Column::Int(out))
@@ -239,7 +260,7 @@ fn int_kernel(op: BinaryOp, n: usize, at: impl Fn(usize) -> (i64, i64)) -> Resul
     }
 }
 
-/// Float kernel: both operands are (possibly promoted) null-free `f64`.
+/// Float kernel: both operands are (possibly promoted) `f64`.
 /// Comparisons use the same total order as [`Value::sql_cmp`].
 fn float_kernel(op: BinaryOp, n: usize, at: impl Fn(usize) -> (f64, f64)) -> Result<Column> {
     macro_rules! map_float {
@@ -294,17 +315,13 @@ fn eval_unary_kernel(op: UnaryOp, col: &Column) -> Result<Column> {
         }
         (UnaryOp::Neg, Column::Float(v)) => Ok(Column::Float(v.iter().map(|f| -f).collect())),
         (UnaryOp::BitNot, Column::Int(v)) => Ok(Column::Int(v.iter().map(|i| !i).collect())),
-        (op, col) => {
-            let mut out = Column::new();
-            for i in 0..col.len() {
-                let v = col.value_at(i);
-                out.push(match op {
-                    UnaryOp::Neg => v.neg()?,
-                    UnaryOp::BitNot => v.bit_not()?,
-                });
+        (op, col) => collect((0..col.len()).map(|i| {
+            let v = col.value_at(i);
+            match op {
+                UnaryOp::Neg => v.neg(),
+                UnaryOp::BitNot => v.bit_not(),
             }
-            Ok(out)
-        }
+        })),
     }
 }
 
@@ -321,15 +338,18 @@ mod tests {
             Field::new(Some("t"), "r"),
             Field::new(Some("t"), "i"),
             Field::new(Some("t"), "x"),
+            Field::new(Some("t"), "h"),
         ])
     }
 
+    /// `x` is a `TEXT` column, `h` a `HUGEINT` one.
     fn rows() -> Vec<Row> {
+        let h = |k: u64| Value::Big(crate::bigbits::BigBits::from_u64(k, 70).shl(k as usize));
         vec![
-            vec![Value::Int(0), Value::Float(1.0), Value::Float(0.0), Value::Null],
-            vec![Value::Int(5), Value::Float(0.5), Value::Float(-0.25), Value::Int(1)],
-            vec![Value::Int(6), Value::Float(-2.0), Value::Float(0.5), Value::Str("a".into())],
-            vec![Value::Int(-3), Value::Float(0.0), Value::Float(4.0), Value::Float(2.5)],
+            vec![Value::Int(0), Value::Float(1.0), Value::Float(0.0), Value::Str("".into()), h(0)],
+            vec![Value::Int(5), Value::Float(0.5), Value::Float(-0.25), Value::Str("b".into()), h(3)],
+            vec![Value::Int(6), Value::Float(-2.0), Value::Float(0.5), Value::Str("a".into()), h(65)],
+            vec![Value::Int(-3), Value::Float(0.0), Value::Float(4.0), Value::Str("ab".into()), h(1)],
         ]
     }
 
@@ -337,7 +357,7 @@ mod tests {
     fn check(sql: &str) {
         let expr = crate::expr::bind(&parse_expr(sql).unwrap(), &schema()).unwrap();
         let rows = rows();
-        let batch = RowBatch::from_rows(&rows);
+        let batch = RowBatch::from_rows(&rows).unwrap();
         let batched = expr.eval_batch(&batch);
         let rowwise: std::result::Result<Vec<Value>, Error> =
             rows.iter().map(|r| expr.eval(r)).collect();
@@ -374,6 +394,7 @@ mod tests {
         check("r > s");
         check("s = r");
         check("x > s");
+        check("x = 'a'");
         check("s + r");
         check("s * 2");
         check("2.5 - r");
@@ -383,6 +404,13 @@ mod tests {
     #[test]
     fn fallback_constructs_match_row_path() {
         check("CONCAT(s, x)");
+        check("SUBSTR(x, 1, 1)");
+        check("(h >> 2) & 3");
+        check("(h & ~1) | 1");
+        check("h ^ s");
+        check("h = s");
+        check("h > 8");
+        check("~h");
         check("-s");
         check("-r");
     }
@@ -395,12 +423,44 @@ mod tests {
             Value::Int(1),
             Value::Float(0.0),
             Value::Float(0.0),
-            Value::Null,
-        ]]);
+            Value::Str(String::new()),
+            Value::Int(0),
+        ]])
+        .unwrap();
         assert!(matches!(&*expr.eval_batch(&batch).unwrap(), Column::Int(_)));
         let expr = crate::expr::bind(&parse_expr("s << 63").unwrap(), &schema()).unwrap();
         let col = expr.eval_batch(&batch).unwrap();
-        assert!(matches!(col.value_at(0), Value::Big(_)));
+        assert!(matches!(&*col, Column::Big(_)));
+    }
+
+    /// Rows whose `<<` stays `INTEGER` next to rows that widen: the batch
+    /// is cut at the first row of the other type, unless the expression's
+    /// own values come out of one type (a widened operand of `^` with a
+    /// `HUGEINT`), which the row path then answers.
+    #[test]
+    fn a_shift_that_widens_some_rows_cuts_the_batch() {
+        let row = |s: i64, h: u64| {
+            let h = Value::Big(crate::bigbits::BigBits::from_u64(h, 70));
+            vec![Value::Int(s), Value::Float(0.0), Value::Float(0.0), Value::Str(String::new()), h]
+        };
+        let rows = [row(-1, 1), row(1, 2), row(4, 3), row(0, 4)];
+        let batch = RowBatch::from_rows(&rows).unwrap();
+        let bind = |sql: &str| crate::expr::bind(&parse_expr(sql).unwrap(), &schema()).unwrap();
+        // -1 << 62 and 1 << 62 fit, 4 << 62 does not: a cut at row 2.
+        assert_eq!(bind("s << 62").eval_batch(&batch).unwrap_err(), Error::Cut(2));
+        assert_eq!(bind("(s << 62) >> 62").eval_batch(&batch).unwrap_err(), Error::Cut(2));
+        // A widened first row and an INTEGER after it: a cut at row 1.
+        let tail = RowBatch::from_rows(&rows[2..]).unwrap();
+        assert_eq!(bind("s << 62").eval_batch(&tail).unwrap_err(), Error::Cut(1));
+        // One type out: every row through the row path.
+        let rows = &rows[1..];
+        let batch = RowBatch::from_rows(rows).unwrap();
+        let e = bind("h ^ (s << 62)");
+        let col = e.eval_batch(&batch).unwrap();
+        assert!(matches!(&*col, Column::Big(_)));
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(format!("{:?}", col.value_at(i)), format!("{:?}", e.eval(r).unwrap()));
+        }
     }
 
     #[test]
@@ -411,16 +471,18 @@ mod tests {
             Value::Int(i64::MAX),
             Value::Float(0.0),
             Value::Float(0.0),
-            Value::Null,
-        ]]);
+            Value::Str(String::new()),
+            Value::Int(0),
+        ]])
+        .unwrap();
         assert!(expr.eval_batch(&batch).is_err());
     }
 
     #[test]
     fn min_times_neg_one_errors_not_panics() {
         // i64::MIN * -1 and -i64::MIN overflow; both paths must error, not abort.
-        let row = vec![Value::Int(i64::MIN), Value::Float(0.0), Value::Float(0.0), Value::Null];
-        let batch = RowBatch::from_rows(std::slice::from_ref(&row));
+        let row = vec![Value::Int(i64::MIN), Value::Float(0.0), Value::Float(0.0), Value::Str("".into()), Value::Int(0)];
+        let batch = RowBatch::from_rows(std::slice::from_ref(&row)).unwrap();
         for sql in ["s * -1", "-s"] {
             let expr = crate::expr::bind(&parse_expr(sql).unwrap(), &schema()).unwrap();
             assert!(expr.eval_batch(&batch).is_err(), "{sql} batch");

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng, StdRng};
 
 use qymera_sqldb::table::CHUNK_ROWS;
 use qymera_sqldb::bigbits::BigBits;
-use qymera_sqldb::{Database, Value};
+use qymera_sqldb::{Database, Error, Value};
 
 /// One randomized database.
 fn rand_db(seed: u64, rows: usize) -> Database {
@@ -21,12 +21,7 @@ fn rand_db(seed: u64, rows: usize) -> Database {
         .map(|_| {
             let k = rng.gen_range(0i64..50);
             let s = rng.gen_range(0i64..1024);
-            // Sprinkle NULLs so three-valued logic is exercised.
-            let v = if rng.gen_range(0u32..10) == 0 {
-                Value::Null
-            } else {
-                Value::Float(rng.gen_range(-100i64..100) as f64 / 8.0)
-            };
+            let v = Value::Float(rng.gen_range(-100i64..100) as f64 / 8.0);
             vec![Value::Int(k), Value::Int(s), v]
         })
         .collect();
@@ -74,7 +69,6 @@ fn filter_equivalence() {
     for seed in 0..3 {
         assert_equivalent(seed, "SELECT k, s, COUNT(*) AS n FROM facts GROUP BY k, s HAVING (s & 7) = 3");
         assert_equivalent(seed, "SELECT k, v, COUNT(*) AS n FROM facts GROUP BY k, v HAVING v > 2.0");
-        // NULL `v` filters out.
         assert_equivalent(seed, "SELECT s, v, COUNT(*) AS n FROM facts GROUP BY s, v HAVING v > -1.5");
         assert_equivalent(seed, "SELECT s, v, COUNT(*) AS n FROM facts GROUP BY s, v HAVING 0.0 > v");
         assert_equivalent(seed, "SELECT s, k, COUNT(*) AS n FROM facts GROUP BY s, k HAVING s > k");
@@ -151,7 +145,7 @@ fn aggregate_equivalence() {
     }
 }
 
-/// `ORDER BY` equivalence: NULL keys, each lane, an expression key. Both
+/// `ORDER BY` equivalence: each lane, an expression key. Both
 /// sides sort stably over the same scan order, so exact (order-sensitive)
 /// comparison is well-defined even where keys tie.
 #[test]
@@ -336,7 +330,7 @@ fn explain_analyze_shows_batch_operators_for_all_shapes() {
     let sort = db.explain("SELECT v FROM facts ORDER BY v").unwrap();
     assert!(sort.contains("Sort [1 keys]"), "{sort}");
 
-    // `v` holds NULLs: the comparator sorts it.
+    // `v` is DOUBLE: the comparator sorts it.
     let text = db.explain_analyze("SELECT v, k FROM facts ORDER BY v").unwrap();
     assert!(text.contains("BatchSort [1 keys] "), "{text}");
     assert!(text.contains("batches="), "{text}");
@@ -492,10 +486,10 @@ fn sum_of_negative_zeros_is_positive_zero_on_every_path() {
 }
 
 /// One operator, both spill formats. The fast table flushes blocks while the
-/// `INTEGER` lanes last; the first batch with a `HUGEINT` key (or a NULL
-/// addend) demotes it, and what the generic table flushes afterwards is
-/// partial rows — into the same partitions, which only works because both
-/// writers agree on a key's partition.
+/// `INTEGER` lanes last; the first batch with a `HUGEINT` key demotes it,
+/// and what the generic table flushes afterwards is partial rows — into the
+/// same partitions, which only works because both writers agree on a key's
+/// partition.
 #[test]
 fn mixed_format_spill_agrees_with_the_reference() {
     let ints = |n: i64| -> Vec<Vec<Value>> {
@@ -503,7 +497,6 @@ fn mixed_format_spill_agrees_with_the_reference() {
     };
     let wide = "SELECT (k << up) >> down AS g, SUM(v) AS t, SUM(v * 2) AS u \
                 FROM a GROUP BY (k << up) >> down";
-    let nulls = "SELECT k, SUM(v) AS t, SUM(v * 2) AS u FROM m GROUP BY k";
     let mut db = Database::with_memory_limit(2 * 1024 * 1024);
     // `a`: 27 000 rows over 9 000 integer keys; then 6 000 rows whose key is
     // the same integer as a HUGEINT (shifted up and back down 70 bits), which
@@ -517,39 +510,104 @@ fn mixed_format_spill_agrees_with_the_reference() {
         });
         db.insert_rows("a", rows.collect()).unwrap();
     }
-    // `m`: integer keys throughout, a NULL addend in the later chunks.
-    db.execute("CREATE TABLE m (k INTEGER, v DOUBLE)").unwrap();
-    let mut holes = ints(30_000);
-    for row in holes.iter_mut().skip(20_000).step_by(700) {
-        row[1] = Value::Null;
-    }
-    db.insert_rows("m", holes).unwrap();
-    for sql in [wide, nulls] {
-        let before = db.stats().spill_files;
+    let sql = wide;
+    let before = db.stats().spill_files;
+    let got = db.execute(sql).unwrap_or_else(|e| panic!("{e}\n{sql}"));
+    assert!(db.stats().spill_files > before, "no spill\n{sql}");
+    assert_eq!(db.live_spill_files(), 0);
+    assert!(got.rows().iter().any(|r| matches!(r[0], Value::Big(_))), "{sql}");
+    // An equal INTEGER and HUGEINT key are one group.
+    assert_eq!(got.rows().len(), 9000 + 499, "{sql}");
+    // Each key keeps its type: the drain cuts its batches where it changes.
+    let want = db.query_reference(sql).unwrap();
+    assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{sql}");
+}
+
+/// `INTEGER << n` widens only the rows that overflow `i64`, so one
+/// expression's values can be `INTEGER` and `HUGEINT` in one batch. A column
+/// holds one type, so the executor cuts the batch where the type changes,
+/// and every operator answers what the reference answers, type for type —
+/// rows, group keys, sums, sort output and join keys. A join whose build
+/// side holds both types in one column is the one refusal.
+#[test]
+fn widening_shifts_keep_each_values_type() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE w (k INTEGER, v DOUBLE)").unwrap();
+    // Keys whose `<< 60` stays INTEGER (-1, 0..7, negative or small) next
+    // to keys that widen (16 and up), interleaved across batch boundaries.
+    let keys = |i: i64| [-1, 16, 3, 40, 0, 7, 1 << 20][(i % 7) as usize] + (i % 3) * 8;
+    let rows = (0..5000).map(|i| vec![Value::Int(keys(i)), Value::Float(i as f64 / 4.0)]);
+    db.insert_rows("w", rows.collect()).unwrap();
+    db.execute("CREATE TABLE j (m INTEGER, tag INTEGER)").unwrap();
+    let keep = (0..3).map(|m| vec![Value::Int(m), Value::Int(10 * m)]);
+    db.insert_rows("j", keep.collect()).unwrap();
+    // `few`: six rows a key, all in one batch, for sums that fit `i64`.
+    db.execute("CREATE TABLE few (k INTEGER)").unwrap();
+    let few = (0..30).map(|i| vec![Value::Int([-1, 0, 1, 8, 12][i % 5])]);
+    db.insert_rows("few", few.collect()).unwrap();
+    db.execute("CREATE TABLE one (k INTEGER)").unwrap();
+    db.insert_rows("one", vec![vec![Value::Int(16)]]).unwrap();
+    for sql in [
+        "SELECT k << 60 AS x, v FROM w",
+        "SELECT k, SUM(k << 60) AS t FROM few GROUP BY k",
+        "SELECT SUM(k << 60) AS t FROM one",
+        "SELECT (k << 60) >> 60 AS g, SUM(v) AS t, COUNT(*) AS c FROM w GROUP BY (k << 60) >> 60",
+        "SELECT k << 60 AS x, v FROM w ORDER BY x",
+        "WITH q AS (SELECT k << 60 AS x, v FROM w) SELECT x, SUM(v) AS t FROM q GROUP BY x HAVING x > 0",
+        "SELECT w.v, j.tag FROM w JOIN j ON j.m = ((k << 60) >> 60) & 1",
+    ] {
         let got = db.execute(sql).unwrap_or_else(|e| panic!("{e}\n{sql}"));
-        assert!(db.stats().spill_files > before, "no spill\n{sql}");
-        assert_eq!(db.live_spill_files(), 0);
-        let big_keys = got.rows().iter().filter(|r| matches!(r[0], Value::Big(_))).count();
-        assert_eq!(big_keys > 0, sql == wide, "{sql}");
-        // An equal INTEGER and HUGEINT key are one group.
-        assert_eq!(got.rows().len(), if sql == wide { 9000 + 499 } else { 9000 }, "{sql}");
         let want = db.query_reference(sql).unwrap();
-        assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{sql}");
+        assert!(!got.rows().is_empty(), "{sql}");
+        if sql.contains("ORDER BY") {
+            let show = |rows: &[Vec<Value>]| format!("{rows:?}");
+            assert_eq!(show(got.rows()), show(want.rows()), "{sql}");
+        } else {
+            assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{sql}");
+        }
+    }
+    let mut types = |sql: &str, c: usize| {
+        let got = db.execute(sql).unwrap();
+        let mut t: Vec<String> = got.rows().iter().map(|r| r[c].data_type().to_string()).collect();
+        t.sort();
+        t.dedup();
+        t
+    };
+    assert_eq!(types("SELECT k << 60 AS x, v FROM w", 0), ["HUGEINT", "INTEGER"]);
+    assert_eq!(types("SELECT k << 60 AS x, v FROM w ORDER BY x", 0), ["HUGEINT", "INTEGER"]);
+    // A group's sum is what its terms make of it: an INTEGER for a key that
+    // stays, a DOUBLE once two HUGEINT terms add, and a lone HUGEINT term
+    // sums to itself.
+    assert_eq!(types("SELECT k, SUM(k << 60) AS t FROM few GROUP BY k", 1), ["DOUBLE", "INTEGER"]);
+    assert_eq!(types("SELECT SUM(k << 60) AS t FROM one", 0), ["HUGEINT"]);
+    // A spilling sort merges runs of both types and cuts its output the same.
+    let mut small = Database::with_memory_limit(160 * 1024);
+    small.execute("CREATE TABLE w (k INTEGER, v DOUBLE)").unwrap();
+    let rows = (0..5000).map(|i| vec![Value::Int(keys(i)), Value::Float(i as f64 / 4.0)]);
+    small.insert_rows("w", rows.collect()).unwrap();
+    let sql = "SELECT k << 60 AS x, v FROM w ORDER BY x";
+    let got = small.execute(sql).unwrap();
+    assert!(small.stats().spill_files > 0, "no spill");
+    assert_eq!(format!("{:?}", got.rows()), format!("{:?}", small.query_reference(sql).unwrap().rows()));
+    // A join's build side holding INTEGER and HUGEINT values in one column
+    // is refused; the reference pairs them.
+    let build = "WITH q AS (SELECT k << 60 AS x, k FROM w) SELECT j.tag, q.x FROM j JOIN q ON q.k = j.m";
+    assert!(db.query_reference(build).is_ok());
+    match db.execute(build) {
+        Err(Error::Type(m)) => assert!(m.contains("HUGEINT") && m.contains("INTEGER"), "{m}"),
+        other => panic!("{other:?}"),
     }
 }
 
 #[test]
 fn joins_agree_with_the_reference_on_both_sides_of_the_direct_index() {
-    // `probe.k` runs over -2..70 with NULLs; each build below either
+    // `probe.k` runs over -2..73; each build below either
     // qualifies for the direct index (every key an integer in 0..64) or
     // falls back to the hash table for the reason named.
     let mut rng = StdRng::seed_from_u64(17);
     let probe: Vec<Vec<Value>> = (0..3000)
         .map(|i| {
-            let k = match rng.gen_range(0i64..75) {
-                k if k >= 72 => Value::Null,
-                k => Value::Int(k - 2),
-            };
+            let k = Value::Int(rng.gen_range(0i64..75) - 2);
             vec![k, Value::Int(i), Value::Str(format!("n{}", i % 5))]
         })
         .collect();
@@ -562,11 +620,7 @@ fn joins_agree_with_the_reference_on_both_sides_of_the_direct_index() {
     let builds: Vec<(&str, &str, Vec<Vec<Value>>)> = vec![
         ("direct: one row per key", "INTEGER", ints(&(0..64).collect::<Vec<_>>())),
         ("direct: duplicated keys, many-to-many", "INTEGER", ints(&[3, 3, 3, 7, 7, 0, 63, 3])),
-        ("direct: NULL build keys are dropped", "INTEGER", {
-            let mut b = ints(&[1, 2, 5]);
-            b.push(vec![Value::Null, Value::Float(9.0)]);
-            b
-        }),
+        ("direct: keys met in descending order", "INTEGER", ints(&[63, 40, 9, 9, 1])),
         ("direct: empty build", "INTEGER", Vec::new()),
         ("direct: integral DOUBLE keys", "DOUBLE", vec![
             vec![Value::Float(2.0), Value::Float(0.5)],
@@ -657,8 +711,8 @@ struct GateCase {
 }
 
 /// Gate queries in both mask forms, grouped or not, over tables that
-/// permute and tables that do not, and over keys that repeat, are NULL or
-/// are `HUGEINT`: the executor agrees with the reference on each.
+/// permute and tables that do not, and over keys that repeat, are negative
+/// or are `HUGEINT`: the executor agrees with the reference on each.
 #[test]
 fn gate_queries_agree_with_the_reference() {
     const PERMUTATION: &[(i64, i64)] = &[(0, 0), (1, 3), (2, 2), (3, 1)];
@@ -715,10 +769,10 @@ fn gate_queries_agree_with_the_reference() {
             &gate_sql("((state.s & ~6) | g.out_s)", "(state.s & 1)", ""),
         ),
         case("a duplicate s", with(Value::Int(7)), PERMUTATION, &contiguous),
-        case("a NULL s", with(Value::Null), PERMUTATION, &contiguous),
+        case("a negative s", with(Value::Int(-5)), PERMUTATION, &contiguous),
         case("permutation, contiguous", ints(0..3000), PERMUTATION, &permutation_sql(contiguous_key, contiguous_on)),
         case("permutation, per-bit", ints(0..3000), PERMUTATION, &permutation_sql(per_bit_key, per_bit_on)),
-        case("permutation, a NULL s", with(Value::Null), PERMUTATION, &permutation_sql(contiguous_key, contiguous_on)),
+        case("permutation, a negative s", with(Value::Int(-5)), PERMUTATION, &permutation_sql(contiguous_key, contiguous_on)),
         huge(gate_sql(huge_key, "((state.s >> 70) & 0x1)", "")),
         huge(permutation_sql(huge_key, "((state.s >> 70) & 0x1)")),
     ];
@@ -764,7 +818,9 @@ fn a_permutation_join_charges_and_spills_nothing() {
 }
 
 /// `ORDER BY` an `INTEGER` key takes the radix path; a `DOUBLE` key, or
-/// an `INTEGER` key with a NULL, takes the comparator. On every key
+/// a key whose last chunk `<<` widened into `HUGEINT`, takes the
+/// comparator, and the node is labelled radix only when every run was. On
+/// every key
 /// distribution — duplicates, negatives, `i64::MIN`/`MAX`, keys sharing
 /// their high bytes (the skipped digits), digits whose only varying bit is
 /// their top one, a single row —
@@ -816,17 +872,18 @@ fn radix_sort_agrees_with_the_comparator_and_the_reference() {
             assert_eq!(exact(db.execute(float).unwrap().rows()), exact(want_float.rows()), "{case}");
             let profile = db.explain_analyze(float).unwrap();
             assert!(profile.contains("BatchSort [1 keys] "), "{case}\n{profile}");
-            // The comparator on the same keys: one NULL key, which sorts
-            // first, puts the column on the generic lane (of the batches
-            // sorted with it: spilled runs without it still radix-sort).
-            db.execute(&format!("INSERT INTO t VALUES (NULL, 0.0, {n})")).unwrap();
-            let with_null = db.execute(radix).unwrap();
-            assert!(with_null.rows()[0][0].is_null(), "{case}");
-            assert_eq!(exact(&with_null.rows()[1..]), exact(want.rows()), "{case}");
-            if limit.is_none() {
-                let profile = db.explain_analyze(radix).unwrap();
-                assert!(profile.contains("BatchSort [1 keys] "), "{case}\n{profile}");
-            }
+            // `p << 40` fits `i64` until a last row whose `p` is 2^30: its
+            // chunk's key widens into HUGEINT and that run takes the
+            // comparator (the earlier spilled runs still radix-sort), so
+            // the node is not labelled radix.
+            let widened = "SELECT k, p FROM t ORDER BY (p << 40)";
+            assert!(db.explain_analyze(widened).unwrap().contains("BatchSort [1 keys, radix]"), "{case}");
+            db.execute(&format!("INSERT INTO t VALUES (0, 0.0, {})", 1i64 << 30)).unwrap();
+            let want = db.query_reference(widened).unwrap();
+            assert!(matches!(want.rows().last().unwrap()[1], Value::Int(p) if p == 1 << 30), "{case}");
+            assert_eq!(exact(db.execute(widened).unwrap().rows()), exact(want.rows()), "{case}");
+            let profile = db.explain_analyze(widened).unwrap();
+            assert!(profile.contains("BatchSort [1 keys] "), "{case}\n{profile}");
         }
     }
 }

@@ -503,3 +503,68 @@ fn failed_commit_rolls_back_in_memory_and_on_disk() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A `HUGEINT` and a `TEXT` table reopen to the rows they held, from the
+/// log and then from a checkpoint image: both lanes are written as block
+/// lane 2 with each value tagged (4 and 3), the bytes a generic column
+/// had. A log frame whose `Insert` block holds a NULL value (tag 0), as a
+/// log written while the engine had NULL may, is refused at `open` by
+/// name, with the log and the image left as they were.
+#[test]
+fn hugeint_and_text_tables_keep_their_block_bytes_and_a_null_is_refused() {
+    use qymera_sqldb::storage::wal::crc32;
+    use qymera_sqldb::BigBits;
+
+    let dir = tmpdir("lanes");
+    let big = [BigBits::from_u64(5, 70).shl(60), BigBits::from_u64(3, 70)];
+    // One column, rows of 2 lane: `u32 rows | u32 ncols | 2 | values`.
+    let block = |values: &[u8]| [&2u32.to_le_bytes()[..], &1u32.to_le_bytes(), &[2], values].concat();
+    let big_value = |b: &BigBits| {
+        let mut v = vec![4u8];
+        v.extend_from_slice(&(b.width() as u64).to_le_bytes());
+        v.extend_from_slice(&(b.words().len() as u32).to_le_bytes());
+        b.words().iter().for_each(|w| v.extend_from_slice(&w.to_le_bytes()));
+        v
+    };
+    let text_value = |s: &str| [&[3u8][..], &(s.len() as u32).to_le_bytes(), s.as_bytes()].concat();
+    let big_block = block(&[big_value(&big[0]), big_value(&big[1])].concat());
+    let text_block = block(&[text_value("né"), text_value("")].concat());
+    let holds = |file: &str, bytes: &[u8]| {
+        let data = fs::read(dir.join(file)).unwrap();
+        data.windows(bytes.len()).any(|w| w == bytes)
+    };
+    let want = {
+        let mut db = open(&dir);
+        db.execute("CREATE TABLE h (s HUGEINT)").unwrap();
+        db.insert_rows("h", big.iter().map(|b| vec![Value::Big(b.clone())]).collect()).unwrap();
+        db.execute("CREATE TABLE w (name TEXT)").unwrap();
+        db.execute("INSERT INTO w VALUES ('né'), ('')").unwrap();
+        dump(&mut db)
+    };
+    assert!(holds(WAL_FILE, &big_block) && holds(WAL_FILE, &text_block));
+    assert_eq!(dump(&mut open(&dir)), want, "recovered from the log");
+    open(&dir).checkpoint().unwrap();
+    assert!(holds(CHECKPOINT_FILE, &big_block) && holds(CHECKPOINT_FILE, &text_block));
+    let mut db = open(&dir);
+    assert_eq!(dump(&mut db), want, "recovered from the image");
+    let rs = db.execute("SELECT s FROM h").unwrap();
+    assert_eq!(rs.rows()[0][0], Value::Big(big[0].clone()));
+    drop(db);
+
+    // Append a committed frame `Begin, Insert w (one NULL), Commit`.
+    let record = |tag: u8, body: &[u8]| {
+        let payload = [&[tag][..], &1000u64.to_le_bytes(), body].concat();
+        [&(payload.len() as u32).to_le_bytes()[..], &crc32(&payload).to_le_bytes(), &payload].concat()
+    };
+    let null_block = [&1u32.to_le_bytes()[..], &1u32.to_le_bytes(), &[2, 0]].concat();
+    let insert = [&1u32.to_le_bytes()[..], b"w", &null_block].concat();
+    let mut wal = fs::read(dir.join(WAL_FILE)).unwrap();
+    wal.extend([record(1, &[]), record(9, &insert), record(2, &1000u64.to_le_bytes())].concat());
+    fs::write(dir.join(WAL_FILE), &wal).unwrap();
+    let image = fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+    let err = Database::open_with(&dir, test_opts()).err().expect("a NULL must be refused");
+    assert!(err.to_string().contains("NULL"), "{err}");
+    assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), wal, "log untouched");
+    assert_eq!(fs::read(dir.join(CHECKPOINT_FILE)).unwrap(), image, "image untouched");
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -1,5 +1,5 @@
 //! Engine-level integration tests: the SQL surface beyond the translator's
-//! gate query — CTEs, join chains, `HAVING`, NULL sums, ordering, CTAS,
+//! gate query — CTEs, join chains, `HAVING`, sums, ordering, CTAS,
 //! `explain` — exercised end-to-end, and the constructs the engine refuses
 //! (`docs/OPERATORS.md`'s audit) refused everywhere.
 
@@ -86,11 +86,9 @@ fn group_by_over_a_cte() {
     assert_eq!(names, vec!["sparse", "sql", "statevector"]);
 }
 
-/// `HAVING` filters groups with `=` and `>`; over a NULL, `COUNT(*)`
-/// counts the row, `SUM` skips it, and a comparison with a NULL sum is not
-/// true.
+/// `HAVING` filters groups with `=` and `>`, a zero sum included.
 #[test]
-fn having_filters_and_nulls() {
+fn having_filters_groups() {
     let mut db = fixture();
     let rs = db.execute("SELECT COUNT(*) FROM runs GROUP BY qubits HAVING qubits = 4").unwrap();
     assert_eq!(rs.rows(), [[Value::Int(3)]]);
@@ -98,13 +96,13 @@ fn having_filters_and_nulls() {
         .execute("SELECT id FROM runs GROUP BY id HAVING SUM(ms) > SUM(qubits)")
         .unwrap();
     assert_eq!(rs.rows(), [[Value::Int(7)]]);
-    db.execute("INSERT INTO caps VALUES ('sparse', NULL)").unwrap();
+    db.execute("INSERT INTO caps VALUES ('sparse', 0)").unwrap();
     let rs = db.execute("SELECT COUNT(*) AS n, SUM(max_qubits) AS total FROM caps").unwrap();
     assert_eq!(rs.rows(), [[Value::Int(3), Value::Int(63 + 27)]]);
     let rs = db
         .execute("SELECT backend FROM caps GROUP BY backend HAVING SUM(max_qubits) > 0")
         .unwrap();
-    assert_eq!(rs.rows().len(), 2, "the sparse sum is NULL");
+    assert_eq!(rs.rows().len(), 2, "the sparse sum is 0");
 }
 
 #[test]
@@ -260,6 +258,9 @@ fn deleted_constructs_are_unsupported_everywhere() {
         ("SELECT qubits IN (4, 8) FROM runs", Some("IN")),
         ("SELECT ms IS NULL FROM runs", Some("IS [NOT] NULL")),
         ("SELECT ms IS NOT NULL FROM runs", Some("IS [NOT] NULL")),
+        ("SELECT NULL AS n FROM runs", Some("NULL")),
+        ("INSERT INTO caps VALUES ('mps', NULL)", Some("NULL")),
+        ("SELECT id > NULL AS z FROM runs", Some("NULL")),
         ("SELECT id != 1 FROM runs", Some("`!=`")),
         ("SELECT id <> 1 FROM runs", Some("`<>`")),
         ("SELECT id < 2 FROM runs", Some("`<`")),

@@ -24,16 +24,10 @@ use qymera_sqldb::ast::DataType;
 use qymera_sqldb::table::{Table, CHUNK_ROWS};
 use qymera_sqldb::{BigBits, Database, DurabilityOptions, MemoryBudget, Value};
 
-/// A random row for a `(s INTEGER, r DOUBLE, i DOUBLE)` state table, with
-/// occasional NULLs to force generic-lane chunks.
+/// A random row for a `(s INTEGER, r DOUBLE, i DOUBLE)` state table.
 fn random_row(rng: &mut StdRng) -> Vec<Value> {
-    let s = if rng.gen_range(0u32..20) == 0 {
-        Value::Null
-    } else {
-        Value::Int(rng.gen_range(0i64..4096))
-    };
     vec![
-        s,
+        Value::Int(rng.gen_range(0i64..4096)),
         Value::Float(rng.gen_range(-1i64..=1) as f64 / 2.0),
         Value::Float(rng.gen_range(0i64..8) as f64 / 8.0),
     ]
@@ -249,14 +243,11 @@ fn spill_paths_agree_on_gate_query() {
 const TYPES: [&str; 4] = ["INTEGER", "DOUBLE", "TEXT", "HUGEINT"];
 
 /// A value a column of type `ty` accepts, drawn from the corners a codec is
-/// most likely to bend: NULLs, `-0.0`, NaNs with a payload, `i64::MIN`, and
-/// integers offered to `DOUBLE`/`HUGEINT` columns (stored coerced, logged
-/// as given). Strings are built with exact capacity, as the log decodes
+/// most likely to bend: `-0.0`, NaNs with a payload, `i64::MIN`, and
+/// integers offered to `DOUBLE`/`HUGEINT` columns (stored, and so logged,
+/// coerced). Strings are built with exact capacity, as the log decodes
 /// them: the ledger charges capacity.
-fn random_value(rng: &mut StdRng, ty: &str, nulls: bool) -> Value {
-    if nulls && rng.gen_range(0u32..12) == 0 {
-        return Value::Null;
-    }
+fn random_value(rng: &mut StdRng, ty: &str) -> Value {
     let pick = rng.gen_range(0u32..8);
     match ty {
         "INTEGER" => match pick {
@@ -360,9 +351,7 @@ fn a_recovered_database_equals_its_in_memory_twin() {
                 }
                 (None, _) => {
                     // CTAS from another table: whole, or ragged through a
-                    // join that drops the rows whose `(k + 3) & 3` is 0. A
-                    // column whose first value is NULL is typed DOUBLE and
-                    // may then refuse a later value — on both sides alike.
+                    // join that drops the rows whose `(k + 3) & 3` is 0.
                     let Some((src, _)) = schemas.first().cloned() else { continue };
                     let filter = if rng.gen_range(0u32..2) == 0 {
                         " JOIN keep ON keep.m = ((k + 3) & 3)"
@@ -388,7 +377,7 @@ fn a_recovered_database_equals_its_in_memory_twin() {
                     // back to it, then COMMIT or ROLLBACK.
                     let Some(types) = schemas[at].1.clone() else { continue };
                     let rows = |rng: &mut StdRng, n: usize| -> Vec<Vec<Value>> {
-                        (0..n).map(|_| types.iter().map(|t| random_value(rng, t, true)).collect()).collect()
+                        (0..n).map(|_| types.iter().map(|t| random_value(rng, t)).collect()).collect()
                     };
                     let (kept, undone) = (rows(&mut rng, 40), rows(&mut rng, 1100));
                     let end = if rng.gen_range(0u32..3) == 0 { "ROLLBACK" } else { "COMMIT" };
@@ -406,9 +395,8 @@ fn a_recovered_database_equals_its_in_memory_twin() {
                     let Some(types) = schemas[at].1.clone() else { continue };
                     let n = [1, 7, 300, CHUNK_ROWS, CHUNK_ROWS + 500, 2 * CHUNK_ROWS + 77]
                         [rng.gen_range(0usize..6)];
-                    let nulls = rng.gen_range(0u32..3) == 0;
                     let rows: Vec<Vec<Value>> = (0..n)
-                        .map(|_| types.iter().map(|t| random_value(&mut rng, t, nulls)).collect())
+                        .map(|_| types.iter().map(|t| random_value(&mut rng, t)).collect())
                         .collect();
                     let insert = move |db: &mut Database| db.insert_rows(name, rows.clone());
                     assert!(both(&mut durable, &mut twin, "insert_rows", &insert));

@@ -909,6 +909,27 @@ mod huge_register_tests {
             assert_eq!(a.s, b.s);
             assert!((a.amp - b.amp).abs() < 1e-12);
         }
+        // `T0` and every step table hold `s` on the HUGEINT lane in every
+        // chunk (a scan hands the chunks out as they are): the state path
+        // past 63 qubits boxes no `Value`.
+        let sim = SqlSimulator::new(SqlSimConfig { mode: ExecMode::StepTables, ..Default::default() });
+        let (reg, ops) = sim.lower(&c, sim.config.fusion);
+        let mut db = sim.make_db().unwrap();
+        reg.materialize(&mut db).unwrap();
+        create_initial_state_table(&mut db, "T0", c.num_qubits, 0).unwrap();
+        let mut tables = vec!["T0".to_string()];
+        for (k, op) in ops.iter().enumerate() {
+            let (next, select) = step_statement(k, op, c.num_qubits, &sim.config.sqlgen);
+            db.create_table_as(&next, &select).unwrap();
+            tables.push(next);
+        }
+        for table in &tables {
+            let chunks = db.query_batches(&format!("SELECT s FROM {table}")).unwrap();
+            assert!(!chunks.is_empty(), "{table}");
+            for chunk in &chunks {
+                assert!(matches!(chunk.column(0), Column::Big(_)), "{table}: {:?}", chunk.column(0));
+            }
+        }
     }
 
     #[test]
