@@ -144,9 +144,8 @@ impl BigBits {
 
     fn binop(&self, other: &BigBits, f: impl Fn(u64, u64) -> u64) -> BigBits {
         let width = self.width.max(other.width);
-        let a = self.widened(width);
-        let b = other.widened(width);
-        let words = a.words.iter().zip(b.words.iter()).map(|(&x, &y)| f(x, y)).collect();
+        let word = |b: &BigBits, k: usize| b.words.get(k).copied().unwrap_or(0);
+        let words = (0..words_for(width)).map(|k| f(word(self, k), word(other, k))).collect();
         BigBits::from_words(words, width)
     }
 

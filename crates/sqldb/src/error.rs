@@ -46,12 +46,6 @@ pub enum Error {
     CommitInDoubt { cause: String },
     /// Feature recognized but not supported by this engine.
     Unsupported(String),
-    /// The values of an expression change type at this row of a batch (only
-    /// `INTEGER << n` makes them, widening some rows into `HUGEINT`). A
-    /// column holds one type, so the operator evaluating it cuts the batch
-    /// there and goes on; no statement returns this.
-    #[doc(hidden)]
-    Cut(usize),
     /// An engine invariant was violated. Reaching this is a bug, but it
     /// surfaces as a typed error instead of a panic so a single bad query
     /// cannot take down an embedding process.
@@ -93,7 +87,6 @@ impl fmt::Display for Error {
                  recovered after a crash until a checkpoint or reopen succeeds"
             ),
             Error::Unsupported(m) => write!(f, "unsupported: {m}"),
-            Error::Cut(at) => write!(f, "internal error (engine bug): a batch not cut at row {at}"),
             Error::Internal(m) => write!(f, "internal error (engine bug): {m}"),
         }
     }

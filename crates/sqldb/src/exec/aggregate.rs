@@ -13,8 +13,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use crate::ast::DataType;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::plan::logical::{AggExpr, AggFunc};
 use crate::storage::spill::row_bytes;
 use crate::value::{GroupKey, Value};
@@ -50,11 +49,16 @@ impl Acc {
         Ok(())
     }
 
-    /// `state += v` for SUM. A `DOUBLE` sum starts from `0.0`, as the `f64`
-    /// lanes of the aggregate's fast table do, so a group whose only term is
-    /// `-0.0` sums to `+0.0` on every path: fold and partial row.
+    /// `state += v` for SUM, which takes `INTEGER` and `DOUBLE` terms and
+    /// keeps their type: a `HUGEINT` or `TEXT` term is a type error. A
+    /// `DOUBLE` sum starts from `0.0`, as the `f64` lanes of the aggregate's
+    /// fast table do, so a group whose only term is `-0.0` sums to `+0.0` on
+    /// every path: fold and partial row.
     fn sum_add(state: &mut Option<Value>, v: &Value) -> Result<()> {
         *state = Some(match (state.take(), v) {
+            (_, Value::Big(_) | Value::Str(_)) => {
+                return Err(Error::Type(format!("SUM of a {} value", v.data_type())))
+            }
             (Some(cur), v) => cur.add(v)?,
             (None, Value::Float(f)) => Value::Float(0.0 + f),
             (None, v) => v.clone(),
@@ -88,13 +92,6 @@ impl Acc {
         }
     }
 
-    /// The type of [`Acc::finalize`]'s value.
-    pub(crate) fn data_type(&self) -> DataType {
-        match self {
-            Acc::Sum(Some(v)) => v.data_type(),
-            Acc::Sum(None) | Acc::Count(_) => DataType::Integer,
-        }
-    }
 }
 
 pub(crate) type GroupState = (Vec<Value>, Vec<Acc>); // (representative key values, accumulators)
@@ -258,6 +255,21 @@ mod tests {
         assert!(matches!(fold(&agg(AggFunc::Sum), &vals).finalize(), Value::Int(5)));
         let got = fold(&agg(AggFunc::Sum), &[Value::Float(-0.0)]).finalize();
         assert!(matches!(got, Value::Float(f) if f.to_bits() == 0.0f64.to_bits()), "{got:?}");
+    }
+
+    /// A `HUGEINT` or `TEXT` term is refused, a lone one too: the sum's
+    /// type never depends on how many terms it has.
+    #[test]
+    fn sum_refuses_hugeint_and_text_terms() {
+        let big = Value::Big(crate::bigbits::BigBits::from_u64(5, 100));
+        for v in [big, Value::Str("a".into())] {
+            let mut acc = Acc::new(&agg(AggFunc::Sum));
+            let want = Error::Type(format!("SUM of a {} value", v.data_type()));
+            assert_eq!(acc.update(Some(v.clone())), Err(want.clone()));
+            let mut acc = Acc::new(&agg(AggFunc::Sum));
+            acc.update(Some(Value::Int(1))).unwrap();
+            assert_eq!(acc.update(Some(v)), Err(want));
+        }
     }
 
     /// What a spilled group goes through: each half of the input is folded,

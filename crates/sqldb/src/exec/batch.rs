@@ -5,10 +5,9 @@
 //! for `INTEGER`, [`Column::Float`] for `DOUBLE`, [`Column::Big`] for
 //! `HUGEINT` and [`Column::Text`] for `TEXT`. There is no NULL, so the
 //! expression kernels in [`crate::vexpr`] run tight loops over primitive
-//! slices. A column never changes lane: where the values of one column
-//! change type part-way through a batch — only `INTEGER << n`, which widens
-//! into `HUGEINT` when it overflows `i64`, makes them — the batch is cut
-//! there ([`Rows::split_at`], `Error::Cut`), so every value keeps its type.
+//! slices. A column never changes lane: a value's type follows from its
+//! operands' types, never from their values, so one expression's values
+//! over a statement share one type.
 //!
 //! Ownership rules: a batch's columns are immutable, reference-counted
 //! [`ColumnRef`]s. Scans hand out batches whose columns **are** the base
@@ -267,15 +266,6 @@ impl RowBatch {
         (0..self.rows).map(|i| self.row(i)).collect()
     }
 
-    /// The first `at` rows and the rest.
-    pub fn split_at(&self, at: usize) -> (RowBatch, RowBatch) {
-        let part = |r: std::ops::Range<usize>| RowBatch {
-            columns: self.columns.iter().map(|c| Arc::new(c.slice(r.clone()))).collect(),
-            rows: r.len(),
-        };
-        (part(0..at), part(at..self.rows))
-    }
-
     /// Copy out the rows at `indices` (join/filter selection).
     pub fn gather(&self, indices: &[u32]) -> RowBatch {
         RowBatch {
@@ -353,14 +343,6 @@ impl Rows {
                 RowBatch::hstack(probe, p.build.gather(&p.build_sel))
             }
         }
-    }
-
-    /// The first `at` rows and the rest: where an expression's values change
-    /// type at row `at` (`Error::Cut`), an operator takes the head now and
-    /// the tail next.
-    pub fn split_at(self, at: usize) -> (Rows, Rows) {
-        let (head, tail) = self.into_batch().split_at(at);
-        (Rows::Batch(head), Rows::Batch(tail))
     }
 
     /// [`Rows::to_batch`], by value.

@@ -14,9 +14,10 @@
 //! operator is built and run each as one loop that reads its inputs through
 //! the join's index pairs ([`Rows::Pairs`]). Anything else — another shape,
 //! a lane other than `Int` (the `HUGEINT` indices past 63 qubits), a `<<`
-//! that would widen — takes `eval_batch` over the gathered rows. The
-//! kernels cover only operators that cannot fail, in the order `eval_batch`
-//! applies them, so they produce its values bit for bit.
+//! that overflows `i64` — takes `eval_batch` over the gathered rows, which
+//! reports the overflow as an error. The kernels run only where no operator
+//! fails, in the order `eval_batch` applies them, so they produce its
+//! values bit for bit.
 
 use crate::ast::BinaryOp;
 use crate::error::Result;
@@ -73,7 +74,7 @@ impl CompiledExpr {
     }
 
     /// The kernel's column of `n` rows whose lanes `lane` finds, or `None`
-    /// when there is no kernel, a lane is not `INTEGER` or a `<<` widens.
+    /// when there is no kernel, a lane is not `INTEGER` or a `<<` overflows.
     fn run<'a>(&self, n: usize, lane: impl Fn(usize) -> LaneOf<'a>) -> Option<ColumnRef> {
         let fields = self.fields.as_ref()?;
         let mut out = vec![0i64; n];
@@ -94,7 +95,7 @@ impl CompiledExpr {
                 }
             }
         }
-        // `<<` past `i64` widens into HUGEINT: `eval_batch` knows how.
+        // `<<` past `i64` is an error: `eval_batch` reports it.
         fits.then(|| ColumnRef::new(Column::Int(out)))
     }
 }
@@ -137,8 +138,7 @@ fn bit_field(expr: &BoundExpr) -> Option<BitField> {
     Some(BitField { col, shr, mask, shl })
 }
 
-/// A literal shift amount the `INTEGER` lane takes without widening or
-/// erroring: `0..64`.
+/// A literal shift amount the `INTEGER` lane takes: `0..64`.
 fn shift(expr: &BoundExpr) -> Option<u32> {
     match expr {
         BoundExpr::Literal(Value::Int(k)) if (0..64).contains(k) => Some(*k as u32),
@@ -257,6 +257,7 @@ fn same_index(a: Option<&[u32]>, b: Option<&[u32]>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigbits::BigBits;
     use crate::exec::batch::JoinPairs;
     use crate::parser::parse_expr;
     use crate::plan::optimizer::fold_expr;
@@ -381,25 +382,24 @@ mod tests {
     }
 
     #[test]
-    fn untyped_lanes_and_widening_shifts_fall_back() {
+    fn untyped_lanes_and_overflowing_shifts_fall_back() {
         // `s` past 63 bits is the HUGEINT lane: no kernel runs, and `eval`
         // answers through the gathered batch.
-        let big = |k: i64| Value::Int(k + 1).shl(&Value::Int(70)).unwrap();
+        let big = |k: i64| Value::Big(BigBits::from_u64(k as u64 + 1, 64).shl(70));
         let rows = pairs(&state_rows(big), true);
         let e = CompiledExpr::new(bound("((s >> 3) & 7) | (out_s << 1)"));
         assert!(kernel_eval(&e, &rows).is_none());
         let mut gathered = None;
         let got = e.eval(&rows, &mut gathered).unwrap();
         assert!(same(&got, &e.expr.eval_batch(gathered.as_ref().unwrap()).unwrap()));
-        // 3 << 62 leaves `i64`: that row widens into HUGEINT and the rows
-        // before it stay INTEGER, so the batch is cut there.
+        // 3 << 62 leaves `i64`: no kernel column, and `eval` is the
+        // overflow error `eval_batch` and the row path report.
         let rows = pairs(&state_rows(Value::Int), true);
         let e = CompiledExpr::new(bound("s << 62"));
         assert!(kernel_eval(&e, &rows).is_none());
-        let Err(crate::Error::Cut(at)) = e.eval(&rows, &mut None) else { panic!("no cut") };
-        let (head, tail) = rows.split_at(at);
-        assert!(matches!(&*e.eval(&head, &mut None).unwrap(), Column::Int(_)));
-        assert!(matches!(&*e.eval(&tail, &mut None).unwrap(), Column::Big(_)));
+        let overflow = crate::Error::Eval("integer overflow in <<".into());
+        assert_eq!(e.eval(&rows, &mut None).unwrap_err(), overflow);
+        assert_eq!(e.eval_batch(&rows.to_batch()).unwrap_err(), overflow);
         // An `INTEGER` amplitude lane is no pair for the `DOUBLE` loop.
         let (re, im) = PAIR;
         let pair = ComplexPair::compile(&bound(re), &bound(im)).unwrap();

@@ -26,7 +26,6 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::ast::DataType;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
@@ -62,64 +61,6 @@ pub trait BatchStream {
     /// pull this way; the rest take [`Self::next_batch`].
     fn next_rows(&mut self) -> Result<Option<Rows>> {
         Ok(self.next_batch()?.map(Rows::Batch))
-    }
-}
-
-/// An operator's input. A column holds one type, so where the values an
-/// operator evaluates change type part-way through a batch (`Error::Cut`,
-/// see [`crate::vexpr`]), the operator runs over the rows before the cut
-/// and the rest wait here for its next pull.
-pub(crate) struct Input {
-    stream: Box<dyn BatchStream>,
-    /// Cut-off tails, the next one last.
-    held: Vec<Rows>,
-}
-
-impl Input {
-    pub(crate) fn new(stream: Box<dyn BatchStream>) -> Input {
-        Input { stream, held: Vec::new() }
-    }
-
-    /// The next rows, a held tail first.
-    pub(crate) fn next_rows(&mut self) -> Result<Option<Rows>> {
-        match self.held.pop() {
-            Some(rows) => Ok(Some(rows)),
-            None => self.stream.next_rows(),
-        }
-    }
-
-    /// `f` over `rows`, cut where `f` asks: the rows it ran over and its
-    /// result; the tail waits for the next pull. Kept out of the
-    /// operators' frames, which stay live while their inputs pull.
-    #[inline(never)]
-    pub(crate) fn cut<T>(
-        &mut self,
-        mut rows: Rows,
-        mut f: impl FnMut(&Rows) -> Result<T>,
-    ) -> Result<(Rows, T)> {
-        loop {
-            match f(&rows) {
-                Err(Error::Cut(at)) if 0 < at && at < rows.num_rows() => {
-                    let (head, tail) = rows.split_at(at);
-                    self.held.push(tail);
-                    rows = head;
-                }
-                out => return out.map(|t| (rows, t)),
-            }
-        }
-    }
-
-    /// [`Input::cut`] over a batch.
-    pub(crate) fn cut_batch<T>(
-        &mut self,
-        batch: RowBatch,
-        mut f: impl FnMut(&RowBatch) -> Result<T>,
-    ) -> Result<(RowBatch, T)> {
-        let (rows, t) = self.cut(Rows::Batch(batch), |rows| match rows {
-            Rows::Batch(b) => f(b),
-            pairs => f(&pairs.to_batch()),
-        })?;
-        Ok((rows.into_batch(), t))
     }
 }
 
@@ -213,7 +154,7 @@ fn build_batch_stream_inner(
             Box::new(BatchScan { snapshot, next_chunk: 0 })
         }
         Plan::Filter { input, predicate } => Box::new(BatchFilter {
-            input: Input::new(build_batch_stream_at(input, catalog, ctx, depth + 1)?),
+            input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
             predicate: predicate.clone(),
         }),
         Plan::Project { input, exprs, .. } => {
@@ -221,7 +162,7 @@ fn build_batch_stream_inner(
                 .find_map(|j| Some((j - 1, ComplexPair::compile(&exprs[j - 1], &exprs[j])?)));
             let exprs = exprs.iter().cloned().map(CompiledExpr::new).collect();
             Box::new(BatchProject {
-                input: Input::new(build_batch_stream_at(input, catalog, ctx, depth + 1)?),
+                input: build_batch_stream_at(input, catalog, ctx, depth + 1)?,
                 exprs,
                 pair,
             })
@@ -233,8 +174,7 @@ fn build_batch_stream_inner(
             let l = build_batch_stream_at(left, catalog, ctx, depth + 1)?;
             let r = build_batch_stream_at(right, catalog, ctx, depth + 1)?;
             let (table, reservation) = JoinTable::build_from_stream(r, lk, rk, ctx)?;
-            let probe = Input::new(l);
-            Box::new(BatchHashJoin { probe, table, pending: None, _reservation: reservation })
+            Box::new(BatchHashJoin { probe: l, table, pending: None, _reservation: reservation })
         }
         Plan::Aggregate { input, group_by, aggs, .. } => {
             let child = build_batch_stream_at(input, catalog, ctx, depth + 1)?;
@@ -344,14 +284,14 @@ fn truthy_selection(col: &Column) -> Result<Vec<u32>> {
 }
 
 struct BatchFilter {
-    input: Input,
+    input: Box<dyn BatchStream>,
     predicate: BoundExpr,
 }
 
 impl BatchStream for BatchFilter {
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        while let Some(batch) = self.input.next_rows()?.map(Rows::into_batch) {
-            let (batch, mask) = self.input.cut_batch(batch, |b| self.predicate.eval_batch(b))?;
+        while let Some(batch) = self.input.next_batch()? {
+            let mask = self.predicate.eval_batch(&batch)?;
             let sel = truthy_selection(&mask)?;
             if sel.is_empty() {
                 continue;
@@ -366,7 +306,7 @@ impl BatchStream for BatchFilter {
 }
 
 struct BatchProject {
-    input: Input,
+    input: Box<dyn BatchStream>,
     exprs: Vec<CompiledExpr>,
     /// Expressions `j` and `j + 1` are a complex multiply pair.
     pair: Option<(usize, ComplexPair)>,
@@ -374,19 +314,16 @@ struct BatchProject {
 
 impl BatchStream for BatchProject {
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        let (exprs, pair) = (&self.exprs, &self.pair);
-        let eval = |rows: &Rows| {
-            let pair = pair.as_ref().and_then(|(j, p)| Some((*j, p.columns(rows)?)));
-            let mut gathered = None;
-            (exprs.iter().enumerate())
-                .map(|(j, e)| match &pair {
-                    Some((at, cols)) if (*at..*at + 2).contains(&j) => Ok(cols[j - at].clone()),
-                    _ => e.eval(rows, &mut gathered),
-                })
-                .collect::<Result<Vec<_>>>()
-        };
         let Some(rows) = self.input.next_rows()? else { return Ok(None) };
-        Ok(Some(RowBatch::from_shared(self.input.cut(rows, eval)?.1)))
+        let pair = self.pair.as_ref().and_then(|(j, p)| Some((*j, p.columns(&rows)?)));
+        let mut gathered = None;
+        let cols = (self.exprs.iter().enumerate())
+            .map(|(j, e)| match &pair {
+                Some((at, cols)) if (*at..*at + 2).contains(&j) => Ok(cols[j - at].clone()),
+                _ => e.eval(&rows, &mut gathered),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Some(RowBatch::from_shared(cols)))
     }
 }
 
@@ -446,7 +383,7 @@ impl JoinTable {
     /// reservation, which holds the table's memory. A bounded overdraft
     /// ([`BUILD_OVERDRAFT_ROWS`]) is tolerated.
     fn build_from_stream(
-        build_input: Box<dyn BatchStream>,
+        mut build_input: Box<dyn BatchStream>,
         left_key: BoundExpr,
         right_key: BoundExpr,
         ctx: &ExecContext,
@@ -455,9 +392,8 @@ impl JoinTable {
         let mut map: HashMap<GroupKey, Vec<u32>> = HashMap::new();
         let mut reservation = Reservation::empty(&ctx.budget);
         let mut overdraft_rows = 0;
-        let mut input = Input::new(build_input);
-        while let Some(batch) = input.next_rows()?.map(Rows::into_batch) {
-            let (batch, key_col) = input.cut_batch(batch, |b| right_key.eval_batch(b))?;
+        while let Some(batch) = build_input.next_batch()? {
+            let key_col = right_key.eval_batch(&batch)?;
             for i in 0..batch.num_rows() {
                 let key = key_col.group_key_at(i);
                 let row = batch.row(i);
@@ -539,7 +475,7 @@ impl JoinTable {
 /// Inner hash join over one equi-key, the engine's one join operator:
 /// builds on the right input, probes batch-at-a-time with the left.
 struct BatchHashJoin {
-    probe: Input,
+    probe: Box<dyn BatchStream>,
     table: JoinTable,
     pending: Option<PendingProbe>,
     /// Memory charge for the build table (freed when the join drops).
@@ -565,10 +501,9 @@ impl BatchStream for BatchHashJoin {
             // Get a probe batch: resume a partially drained one, else pull.
             let mut p = match self.pending.take() {
                 Some(p) => p,
-                None => match self.probe.next_rows()?.map(Rows::into_batch) {
+                None => match self.probe.next_batch()? {
                     Some(batch) => {
-                        let key = &self.table.left_key;
-                        let (batch, key_col) = self.probe.cut_batch(batch, |b| key.eval_batch(b))?;
+                        let key_col = self.table.left_key.eval_batch(&batch)?;
                         PendingProbe { batch, key_col, next: 0 }
                     }
                     None => return Ok(None),
@@ -593,8 +528,9 @@ impl BatchStream for BatchHashJoin {
 
 /// In-memory aggregation table. `Fast` is the gate-application specialization
 /// — single `INTEGER` group key, all aggregates `SUM` over `DOUBLE` lanes —
-/// which keeps accumulators in flat `f64` arrays; anything else (or any batch
-/// whose lanes don't qualify) lives in the generic [`Acc`] table.
+/// which keeps accumulators in flat `f64` arrays; anything else (a `HUGEINT`
+/// or `TEXT` key, several keys, `COUNT(*)`, an `INTEGER` sum) lives in the
+/// generic [`Acc`] table. An aggregation picks one at its first batch.
 enum AggTable {
     Fast {
         groups: IntGroupTable,
@@ -614,7 +550,7 @@ struct AggCore {
     args: Vec<Option<CompiledExpr>>,
     /// The arguments of the two sums are a complex multiply pair.
     complex: Option<ComplexPair>,
-    /// Static eligibility for the fast table (per-batch lanes still checked).
+    /// Static eligibility for the fast table (the first batch's lanes decide).
     fast_eligible: bool,
     /// Bytes one fast-table group charges (mirrors `entry_bytes` for a
     /// one-`INTEGER`-key entry with plain accumulators).
@@ -640,8 +576,12 @@ impl AggCore {
         AggCore { group_by, aggs, args, complex, fast_eligible, fast_bytes }
     }
 
-    fn new_table(&self) -> AggTable {
-        if self.fast_eligible {
+    /// The table an aggregation keeps from its first batch or record to its
+    /// end: the fast table for the lanes it folds ([`Self::fast_lanes`]),
+    /// else the generic one. A column's lane is its type and a type follows
+    /// from the operands' types, so every later batch has the same lanes.
+    fn new_table(&self, fast: bool) -> AggTable {
+        if fast {
             AggTable::Fast {
                 groups: IntGroupTable::default(),
                 sums: vec![Vec::new(); self.aggs.len()],
@@ -651,32 +591,29 @@ impl AggCore {
         }
     }
 
-    /// Demote the fast table into generic [`Acc`] form (a batch arrived whose
-    /// lanes don't qualify — e.g. `HUGEINT` indices past 63 qubits) and hand
-    /// out the generic map.
-    fn demote(table: &mut AggTable) -> &mut HashMap<Vec<GroupKey>, GroupState> {
-        if let AggTable::Fast { groups, sums } = table {
-            let mut map: HashMap<Vec<GroupKey>, GroupState> = HashMap::new();
-            for (g, &k) in groups.keys().iter().enumerate() {
-                let accs: Vec<Acc> = sums
-                    .iter()
-                    .map(|per_agg| Acc::Sum(Some(Value::Float(per_agg[g]))))
-                    .collect();
-                map.insert(vec![GroupKey::Int(k)], (vec![Value::Int(k)], accs));
-            }
-            *table = AggTable::Generic(map);
-        }
-        let AggTable::Generic(map) = table else { unreachable!("just demoted") };
-        map
+    /// The lanes the fast table folds, when the aggregation may use it: an
+    /// `INTEGER` key and a `DOUBLE` argument for every `SUM`.
+    fn fast_lanes<'a>(
+        &self,
+        key: Option<&'a Column>,
+        args: impl Iterator<Item = Option<&'a Column>>,
+    ) -> Option<(&'a [i64], Vec<&'a [f64]>)> {
+        let (true, Some(Column::Int(keys))) = (self.fast_eligible, key) else { return None };
+        let lane = |c: Option<&'a Column>| match c {
+            Some(Column::Float(v)) => Some(v.as_slice()),
+            _ => None,
+        };
+        Some((keys, args.map(lane).collect::<Option<Vec<_>>>()?))
     }
 
-    /// Aggregate one input batch into `table`, charging `reservation` per new
-    /// group. Returns `true` when the reservation could not cover every new
-    /// group (the caller should flush).
+    /// Aggregate one input batch into `table` (created at the first batch),
+    /// charging `reservation` per new group. Returns `true` when the
+    /// reservation could not cover every new group (the caller should
+    /// flush).
     fn update_batch(
         &self,
         rows: &Rows,
-        table: &mut AggTable,
+        table: &mut Option<AggTable>,
         reservation: &mut Reservation,
     ) -> Result<bool> {
         let mut gathered = None;
@@ -694,14 +631,22 @@ impl AggCore {
             };
 
         let args = arg_cols.iter().map(|c| c.as_deref());
-        if let Some(over) = self.update_fast(table, key_cols.first(), args, reservation) {
-            return Ok(over);
-        }
+        let fast = self.fast_lanes(key_cols.first().map(|c| &**c), args);
         let n = rows.num_rows();
-        if self.group_by.is_empty() {
-            return self.update_global(n, &arg_cols, Self::demote(table), reservation);
+        match (table.get_or_insert_with(|| self.new_table(fast.is_some())), fast) {
+            (AggTable::Fast { groups, sums }, Some((keys, lanes))) => {
+                Ok(self.charge_fast_groups(fold_fast(groups, sums, keys, &lanes), reservation))
+            }
+            (AggTable::Fast { .. }, None) => {
+                Err(Error::Internal("an aggregate's input changed lanes".into()))
+            }
+            (AggTable::Generic(map), _) if self.group_by.is_empty() => {
+                self.update_global(n, &arg_cols, map, reservation)
+            }
+            (AggTable::Generic(map), _) => {
+                self.update_generic(n, &key_cols, &arg_cols, map, reservation)
+            }
         }
-        self.update_generic(n, &key_cols, &arg_cols, Self::demote(table), reservation)
     }
 
     /// The global lane: with no `GROUP BY` the one group's accumulators fold
@@ -746,60 +691,34 @@ impl AggCore {
         Ok(over)
     }
 
-    /// The fast lane: when `table` is still `Fast`, the key an `INTEGER`
-    /// lane and every argument a `DOUBLE` lane, fold them in column-wise and
-    /// charge the new groups (`true`: the caller should flush); else `None`.
-    fn update_fast<'a>(
-        &self,
-        table: &mut AggTable,
-        key: Option<&'a ColumnRef>,
-        args: impl Iterator<Item = Option<&'a Column>>,
-        reservation: &mut Reservation,
-    ) -> Option<bool> {
-        let (AggTable::Fast { groups, sums }, Column::Int(keys)) = (table, &**key?) else {
-            return None;
-        };
-        let lane = |c: Option<&'a Column>| match c {
-            Some(Column::Float(v)) => Some(v.as_slice()),
-            _ => None,
-        };
-        let lanes = args.map(lane).collect::<Option<Vec<_>>>()?;
-        let new_groups = fold_fast(groups, sums, keys, &lanes);
-        Some(self.charge_fast_groups(new_groups, reservation))
-    }
-
-    /// Merge one spilled record into `table` — consume, one level down. A
-    /// block (what a fast table flushed) folds through the same lanes as an
-    /// input batch, SUM of partial SUMs being SUM; a row record (a generic
-    /// table's partial row) demotes the table, after which a block's rows
-    /// are partial rows too. Returns `true` when the reservation could not
-    /// cover every new group.
+    /// Merge one spilled record into `table` (created at the first record)
+    /// — consume, one level down. A partition holds what one table kind
+    /// flushed: blocks of a fast table, which fold through the same lanes as
+    /// an input batch (SUM of partial SUMs being SUM), or partial rows of a
+    /// generic table. Returns `true` when the reservation could not cover
+    /// every new group.
     fn merge_record(
         &self,
         record: SpillRecord,
-        table: &mut AggTable,
+        table: &mut Option<AggTable>,
         reservation: &mut Reservation,
     ) -> Result<bool> {
-        let block = match record {
-            SpillRecord::Row(row) => {
-                return self.merge_partial(&row, Self::demote(table), reservation);
+        let block = matches!(record, SpillRecord::Block(_));
+        match (record, table.get_or_insert_with(|| self.new_table(block))) {
+            (SpillRecord::Row(row), AggTable::Generic(map)) => {
+                self.merge_partial(&row, map, reservation)
             }
-            SpillRecord::Block(block) => block,
-        };
-        let cols = block.columns();
-        if cols.len() != self.group_by.len() + self.aggs.len() {
-            return Err(Error::Io("spilled block of the wrong width".into()));
+            (SpillRecord::Block(block), AggTable::Fast { groups, sums }) => {
+                let wrong = || Error::Io("spilled block not of the fast table's lanes".into());
+                let (key, args) = (block.columns().split_first())
+                    .filter(|(_, args)| args.len() == self.aggs.len())
+                    .ok_or_else(wrong)?;
+                let args = args.iter().map(|c| Some(&**c));
+                let (keys, lanes) = self.fast_lanes(Some(key), args).ok_or_else(wrong)?;
+                Ok(self.charge_fast_groups(fold_fast(groups, sums, keys, &lanes), reservation))
+            }
+            _ => Err(Error::Io("a spilled partition holds blocks and rows".into())),
         }
-        let args = cols.iter().skip(1).map(|c| Some(&**c));
-        if let Some(over) = self.update_fast(table, cols.first(), args, reservation) {
-            return Ok(over);
-        }
-        let map = Self::demote(table);
-        let mut over = false;
-        for i in 0..block.num_rows() {
-            over |= self.merge_partial(&block.row(i), map, reservation)?;
-        }
-        Ok(over)
     }
 
     /// Merge one partial row (group key values, then each accumulator's
@@ -889,7 +808,7 @@ impl AggCore {
     /// generic table as partial rows (via [`Acc::partial`]).
     fn flush(
         &self,
-        table: &mut AggTable,
+        table: &mut Option<AggTable>,
         writer: &mut Option<SpillWriter>,
         depth: u32,
         spill: &Arc<SpillDir>,
@@ -900,7 +819,7 @@ impl AggCore {
             None => writer.insert(SpillWriter::create(spill, PARTITIONS)?),
         };
         match table {
-            AggTable::Fast { groups, sums } => {
+            Some(AggTable::Fast { groups, sums }) => {
                 let keys = groups.keys();
                 let mut by_part: Vec<Vec<u32>> = vec![Vec::new(); PARTITIONS];
                 for (g, &k) in keys.iter().enumerate() {
@@ -922,13 +841,14 @@ impl AggCore {
                     per_agg.clear();
                 }
             }
-            AggTable::Generic(map) => {
+            Some(AggTable::Generic(map)) => {
                 for (keys, (reps, accs)) in map.drain() {
                     let mut row = reps;
                     row.extend(accs.iter().map(Acc::partial));
                     w.write_row(partition_of(&keys, depth), &row)?;
                 }
             }
+            None => {}
         }
         reservation.free();
         Ok(())
@@ -941,12 +861,13 @@ impl AggCore {
         Ok(readers.filter(|r| !r.is_empty()).map(|r| (r, depth)).collect())
     }
 
-    fn table_into_groups(table: AggTable) -> Groups {
+    fn table_into_groups(table: Option<AggTable>) -> Groups {
         match table {
-            AggTable::Fast { groups, sums } => {
+            Some(AggTable::Fast { groups, sums }) => {
                 Groups::Fast { keys: groups.into_keys(), sums, next: 0 }
             }
-            AggTable::Generic(map) => Groups::Generic(map.into_values().collect()),
+            Some(AggTable::Generic(map)) => Groups::Generic(map.into_values().collect()),
+            None => Groups::Generic(Vec::new()),
         }
     }
 }
@@ -979,7 +900,7 @@ fn fold_fast(
 /// expression evaluation.
 pub struct BatchHashAggregate {
     /// The input, until consume takes it.
-    input: Option<Input>,
+    input: Option<Box<dyn BatchStream>>,
     core: AggCore,
     ctx: ExecContext,
     reservation: Reservation,
@@ -1012,7 +933,7 @@ impl BatchHashAggregate {
     ) -> Self {
         let reservation = Reservation::empty(&ctx.budget);
         BatchHashAggregate {
-            input: Some(Input::new(input)),
+            input: Some(input),
             core: AggCore::new(group_by, aggs),
             ctx,
             reservation,
@@ -1028,18 +949,14 @@ impl BatchHashAggregate {
         let Some(mut input) = self.input.take() else {
             unreachable!("consume called twice")
         };
-        let mut table = self.core.new_table();
+        let mut table = None;
         let mut writer: Option<SpillWriter> = None;
-        let mut saw_rows = false;
 
         while let Some(rows) = input.next_rows()? {
             if rows.num_rows() == 0 {
                 continue;
             }
-            saw_rows = true;
-            let (_, over_budget) = input.cut(rows, |rows| {
-                self.core.update_batch(rows, &mut table, &mut self.reservation)
-            })?;
+            let over_budget = self.core.update_batch(&rows, &mut table, &mut self.reservation)?;
             if over_budget {
                 // Budget exhausted: spill the whole table (including the
                 // entries just inserted — partials merge in phase 2). A
@@ -1051,7 +968,7 @@ impl BatchHashAggregate {
         }
 
         // Global aggregate over empty input produces one all-default row.
-        if !saw_rows && self.core.group_by.is_empty() {
+        if table.is_none() && self.core.group_by.is_empty() {
             let accs: Vec<Acc> = self.core.aggs.iter().map(Acc::new).collect();
             self.state = AggState::Draining(Groups::Generic(vec![(Vec::new(), accs)]));
             return Ok(());
@@ -1067,7 +984,7 @@ impl BatchHashAggregate {
     /// left of `table` (all of it when nothing spilled) is what drains next.
     fn finish_level(
         &mut self,
-        mut table: AggTable,
+        mut table: Option<AggTable>,
         mut writer: Option<SpillWriter>,
         depth: u32,
     ) -> Result<()> {
@@ -1085,7 +1002,7 @@ impl BatchHashAggregate {
     /// the operator's reservation.
     fn flush(
         &mut self,
-        table: &mut AggTable,
+        table: &mut Option<AggTable>,
         writer: &mut Option<SpillWriter>,
         depth: u32,
     ) -> Result<()> {
@@ -1096,7 +1013,7 @@ impl BatchHashAggregate {
     /// for input. A partition that still exceeds the budget re-partitions
     /// one level deeper (depth-salted hash).
     fn merge_partition(&mut self, mut reader: SpillReader, depth: u32) -> Result<()> {
-        let mut table = self.core.new_table();
+        let mut table = None;
         let mut writer: Option<SpillWriter> = None;
         // One spilled run is one cancellation unit: check before it, and
         // count the drained run against the latency meter.
@@ -1140,10 +1057,7 @@ impl BatchHashAggregate {
                 if groups.is_empty() {
                     return Ok(None);
                 }
-                // A batch column holds one type: cut where the groups'
-                // types change (`<<`-widened keys, sums of their terms).
-                let same = |g: &&GroupState| group_types(g).eq(group_types(&groups[0]));
-                let n = groups.iter().take(BATCH_SIZE).take_while(same).count();
+                let n = groups.len().min(BATCH_SIZE);
                 let mut rows: Vec<Row> = Vec::with_capacity(n);
                 for (reps, accs) in groups.drain(..n) {
                     self.reservation.shrink(entry_bytes(&reps, accs.len()));
@@ -1155,11 +1069,6 @@ impl BatchHashAggregate {
             }
         }
     }
-}
-
-/// The types of the row a group finalizes to.
-fn group_types((reps, accs): &GroupState) -> impl Iterator<Item = DataType> + '_ {
-    reps.iter().map(Value::data_type).chain(accs.iter().map(Acc::data_type))
 }
 
 impl BatchStream for BatchHashAggregate {
@@ -1208,13 +1117,13 @@ mod tests {
         ctx: &ExecContext,
     ) -> BatchHashJoin {
         let (table, reservation) = JoinTable::build_from_stream(build, lk, rk, ctx).unwrap();
-        BatchHashJoin { probe: Input::new(probe), table, pending: None, _reservation: reservation }
+        BatchHashJoin { probe, table, pending: None, _reservation: reservation }
     }
 
     #[test]
     fn filter_selects_and_preserves_order() {
         let f = BatchFilter {
-            input: Input::new(batches_of(int_rows(&[1, -2, 3, -4, 5]))),
+            input: batches_of(int_rows(&[1, -2, 3, -4, 5])),
             predicate: bin(col(0), BinaryOp::Gt, BoundExpr::Literal(Value::Int(0))),
         };
         let out = drain_batches(Box::new(f));
@@ -1408,7 +1317,7 @@ mod tests {
         // Room for ten and a half groups.
         let budget = MemoryBudget::with_limit(10 * core.fast_bytes + core.fast_bytes / 2);
         let mut reservation = Reservation::empty(&budget);
-        let mut table = core.new_table();
+        let mut table = None;
         assert!(!core.update_batch(&batch(0..4), &mut table, &mut reservation).unwrap());
         assert_eq!(reservation.bytes(), 4 * core.fast_bytes);
         // 25 more do not fit at once: the fallback reserves the six that do.

@@ -7,14 +7,14 @@
 //!
 //! * **A columnar sort key.** The key expression evaluates per input batch
 //!   with the [`BoundExpr::eval_batch`] kernels, and the comparator reads
-//!   the two keys' typed lanes — no per-comparison [`Value`]
-//!   materialization. Only keys of two batches on different lanes (an
-//!   `INTEGER` key next to one `<<` widened into `HUGEINT`) compare as
-//!   values, through [`Value::cmp_total`], the order the lanes reproduce.
+//!   the keys' typed lane — no per-comparison [`Value`] materialization. A
+//!   key's type follows from its operands' types, so every batch holds it
+//!   in one lane; spilled runs merge through [`Value::cmp_total`], the
+//!   order the lanes reproduce.
 //! * **Radix for an integer key.** `ORDER BY s` over the `Int` lane skips
 //!   the comparator: a stable LSD radix sort on the key's order-preserving
 //!   `u64` image, skipping digits every key shares. The node is labelled
-//!   `[1 keys, radix]` when every sorted run took this path.
+//!   `[1 keys, radix]` when it takes this path.
 //! * **Stable order.** The in-memory sort is a stable index sort, and every
 //!   spilled record carries its global input ordinal, so ties always
 //!   resolve to input order — in memory and spilled, the output is the same
@@ -34,8 +34,8 @@ use crate::storage::budget::Reservation;
 use crate::storage::spill::{Row, SpillReader, SpillWriter};
 use crate::value::Value;
 
-use super::batch::{Column, ColumnRef, RowBatch, Rows, BATCH_SIZE};
-use super::vector::{BatchStream, Input};
+use super::batch::{Column, ColumnRef, RowBatch, BATCH_SIZE};
+use super::vector::BatchStream;
 use super::{set_node_label, ExecContext};
 
 /// Rows the sort buffers at minimum before budget pressure forces a spill
@@ -109,8 +109,7 @@ impl SortBuffer {
     }
 
     /// Compare the keys of rows `a` and `b` (as `(batch, row)` pairs) on
-    /// their lanes; keys on two different lanes compare as values, so the
-    /// order does not depend on which lane a key landed in.
+    /// their lane, which every batch shares.
     fn cmp_at(&self, a: (u32, u32), b: (u32, u32)) -> Ordering {
         let (ka, kb) = (&*self.keys[a.0 as usize], &*self.keys[b.0 as usize]);
         let (ia, ib) = (a.1 as usize, b.1 as usize);
@@ -121,7 +120,7 @@ impl SortBuffer {
             }
             (Column::Big(va), Column::Big(vb)) => va[ia].cmp_value(&vb[ib]),
             (Column::Text(va), Column::Text(vb)) => va[ia].cmp(&vb[ib]),
-            _ => ka.value_at(ia).cmp_total(&kb.value_at(ib)),
+            _ => unreachable!("a sort key holds one lane"),
         }
     }
 
@@ -189,8 +188,8 @@ impl SortBuffer {
 }
 
 /// Gather column `c` of the buffered batches at the (batch, row) positions
-/// in `idx` — the cross-batch dual of [`Column::gather`]. The batches of
-/// `idx` hold the same lanes: the drain cuts where they change.
+/// in `idx` — the cross-batch dual of [`Column::gather`]. Every batch holds
+/// column `c` in one lane.
 fn gather_column(batches: &[RowBatch], c: usize, idx: &[(u32, u32)]) -> Column {
     let col = |b: u32| batches[b as usize].column(c);
     macro_rules! gather {
@@ -199,7 +198,7 @@ fn gather_column(batches: &[RowBatch], c: usize, idx: &[(u32, u32)]) -> Column {
                 (idx.iter())
                     .map(|&(b, r)| match col(b) {
                         Column::$lane(v) => v[r as usize].clone(),
-                        _ => unreachable!("the drain cuts where the lanes change"),
+                        _ => unreachable!("a column holds one lane"),
                     })
                     .collect(),
             )
@@ -250,13 +249,11 @@ impl Ord for MergeEntry {
 /// The vectorized sort operator (see the module docs for the design).
 pub struct BatchSort {
     /// The input, until consume takes it.
-    input: Option<Input>,
+    input: Option<Box<dyn BatchStream>>,
     key: BoundExpr,
     ctx: ExecContext,
     /// Instrumentation slot, relabelled when the radix path sorts.
     slot: Option<usize>,
-    /// Whether every run sorted so far took the radix path.
-    all_radix: bool,
     reservation: Reservation,
     state: SortState,
 }
@@ -280,22 +277,17 @@ impl BatchSort {
     ) -> Self {
         let reservation = Reservation::empty(&ctx.budget);
         let state = SortState::Pending;
-        BatchSort { input: Some(Input::new(input)), key, ctx, slot, all_radix: true, reservation, state }
+        BatchSort { input: Some(input), key, ctx, slot, reservation, state }
     }
 
-    /// Sort the buffered rows (see [`SortBuffer::sorted_indices`]),
-    /// noting whether the radix path ran.
-    fn sort_buffer(&mut self, buffer: &SortBuffer) -> Vec<(u32, u32)> {
+    /// Sort the buffered rows (see [`SortBuffer::sorted_indices`]); the
+    /// node's label names the radix path when it ran.
+    fn sort_buffer(&self, buffer: &SortBuffer) -> Vec<(u32, u32)> {
         let (order, radix) = buffer.sorted_indices();
-        self.all_radix &= radix;
-        order
-    }
-
-    /// Name the radix path in the node's label once every run took it.
-    fn label_radix(&self) {
-        if self.all_radix {
+        if radix {
             set_node_label(&self.ctx, self.slot, "BatchSort [1 keys, radix]".to_string());
         }
+        order
     }
 
     /// Buffer the input columnar, spilling sorted runs when the reservation
@@ -310,8 +302,8 @@ impl BatchSort {
         let mut runs: Vec<SpillReader> = Vec::new();
         let mut base_ord = 0u64;
 
-        while let Some(batch) = input.next_rows()?.map(Rows::into_batch) {
-            let (batch, key_col) = input.cut_batch(batch, |b| self.key.eval_batch(b))?;
+        while let Some(batch) = input.next_batch()? {
+            let key_col = self.key.eval_batch(&batch)?;
             let bytes = batch.columns().iter().map(|c| c.heap_bytes()).sum::<usize>()
                 + key_col.heap_bytes();
             let fits = self.reservation.try_grow(bytes);
@@ -325,7 +317,6 @@ impl BatchSort {
 
         if runs.is_empty() {
             let order = self.sort_buffer(&buffer);
-            self.label_radix();
             self.state = SortState::Mem { buffer, order, pos: 0 };
             return Ok(());
         }
@@ -333,7 +324,6 @@ impl BatchSort {
         if buffer.rows > 0 {
             runs.push(self.spill_run(&mut buffer, base_ord)?);
         }
-        self.label_radix();
         self.start_merge(runs)
     }
 
@@ -380,32 +370,17 @@ impl BatchSort {
                 if *pos >= order.len() {
                     return Ok(None);
                 }
-                let batches = &buffer.batches;
-                let slice = &order[*pos..(*pos + BATCH_SIZE).min(order.len())];
-                // A batch column holds one type: cut where the rows'
-                // batches change lanes (`<<` widening).
-                let lanes = |b: u32| batches[b as usize].columns().iter().map(|c| c.data_type());
-                let same = |&&(b, _): &&(u32, u32)| lanes(b).eq(lanes(slice[0].0));
-                let n = match (0..batches.len() as u32).all(|b| lanes(b).eq(lanes(0))) {
-                    true => slice.len(),
-                    false => slice.iter().take_while(same).count(),
-                };
-                let slice = &slice[..n];
-                let ncols = batches[0].num_columns();
-                let cols = (0..ncols).map(|c| gather_column(batches, c, slice)).collect();
-                *pos += n;
+                let ncols = buffer.batches[0].num_columns();
+                let end = (*pos + BATCH_SIZE).min(order.len());
+                let slice = &order[*pos..end];
+                let cols: Vec<Column> =
+                    (0..ncols).map(|c| gather_column(&buffer.batches, c, slice)).collect();
+                *pos = end;
                 Ok(Some(RowBatch::from_columns(cols)))
             }
             SortState::Merge { sources, heap } => {
                 let mut rows: Vec<Row> = Vec::with_capacity(BATCH_SIZE);
                 while rows.len() < BATCH_SIZE {
-                    let Some(next) = heap.peek() else { break };
-                    // Cut where the rows' types change (`<<` widening).
-                    if rows.first().is_some_and(|r: &Row| {
-                        !r.iter().map(Value::data_type).eq(next.row.iter().map(Value::data_type))
-                    }) {
-                        break;
-                    }
                     let Some(entry) = heap.pop() else { break };
                     // Refill from the source the popped row came from.
                     if let Some((key, ord, row)) = next_keyed(&mut sources[entry.src])? {
@@ -444,9 +419,7 @@ impl BatchStream for BatchSort {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_util::{
-        batches_of, ctx, ctx_with_budget, drain_batch_list, drain_batches, int_rows, stream_of,
-    };
+    use super::super::test_util::{batches_of, ctx, ctx_with_budget, drain_batches, int_rows};
     use super::*;
 
     fn run_sort(rows: Vec<Row>, ctx: ExecContext) -> Vec<Row> {
@@ -461,25 +434,18 @@ mod tests {
     }
 
     #[test]
-    fn float_text_and_mixed_lane_keys_sort_by_value() {
+    fn float_text_and_hugeint_keys_sort_by_value() {
         let floats: Vec<Row> = [2.5, -1.0, 0.5].iter().map(|&f| vec![Value::Float(f)]).collect();
         let out = run_sort(floats, ctx());
         assert_eq!(out, [-1.0, 0.5, 2.5].map(|f| vec![Value::Float(f)]));
         let text: Vec<Row> = ["b", "", "ab"].iter().map(|&t| vec![Value::Str(t.into())]).collect();
         let out = run_sort(text, ctx());
         assert_eq!(out, ["", "ab", "b"].map(|t| vec![Value::Str(t.into())]));
-        // An INTEGER batch and a HUGEINT batch: compared as values, and
-        // each row keeps its type, so the output is cut where it changes.
         let big = |k: u64| crate::bigbits::BigBits::from_u64(k, 70);
-        let batches = vec![
-            RowBatch::from_columns(vec![Column::Int(vec![3, 1])]),
-            RowBatch::from_columns(vec![Column::Big(vec![big(2), big(1).shl(69)])]),
-        ];
-        let sort = BatchSort::new(stream_of(batches), BoundExpr::Column(0), ctx(), None);
-        let out = drain_batch_list(Box::new(sort));
-        let got: Vec<Row> = out.into_iter().flat_map(RowBatch::into_rows).collect();
-        let want = [Value::Int(1), Value::Big(big(2)), Value::Int(3), Value::Big(big(1).shl(69))];
-        assert_eq!(format!("{got:?}"), format!("{:?}", want.map(|v| vec![v])));
+        let hugeints = vec![vec![Value::Big(big(2).shl(66))], vec![Value::Big(big(3))], vec![Value::Big(big(2))]];
+        let out = run_sort(hugeints, ctx());
+        let want = [big(2), big(3), big(2).shl(66)].map(|b| vec![Value::Big(b)]);
+        assert_eq!(format!("{out:?}"), format!("{want:?}"));
     }
 
     #[test]

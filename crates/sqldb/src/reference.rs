@@ -178,13 +178,36 @@ mod tests {
         assert_eq!(b, ints(&[30, 31, 10, 20, 21, 5]));
     }
 
+    /// `HUGEINT` keys group and join by value, whatever their width: `h.k`
+    /// holds 2 at two widths (hex literals of 16 and 24 digits) next to 5,
+    /// and 2 joins the `INTEGER` key 2 of `l`. The executor agrees.
     #[test]
     fn numerically_equal_keys_group_together() {
-        // 2 and HUGEINT 2 (shifted 70 bits up and back) are one group key:
-        // odd `b` shifts, even `b` does not.
-        let g = "(a << ((b & 1) * 70)) >> ((b & 1) * 70)";
-        let got = rows(&db(), &format!("SELECT {g} AS g, COUNT(*) AS n FROM l GROUP BY {g} HAVING {g} = 2"));
-        assert_eq!(got, vec![ints(&[2, 2])]);
+        let mut db = db();
+        db.execute("CREATE TABLE h (k HUGEINT)").unwrap();
+        let two = ["0x0000000000000002", "0x000000000000000000000002"];
+        db.execute(&format!("INSERT INTO h VALUES ({}), ({}), (0x0000000000000005)", two[0], two[1]))
+            .unwrap();
+        let grouped = "SELECT k, COUNT(*) AS n FROM h GROUP BY k";
+        let joined = "SELECT l.b, h.k FROM l JOIN h ON h.k = l.a";
+        // The executor's generic table drains in hash order: compare sets.
+        let sorted = |rows: Vec<Vec<Value>>| {
+            let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+            v.sort();
+            v
+        };
+        for sql in [grouped, joined] {
+            assert_eq!(sorted(db.execute(sql).unwrap().into_rows()), sorted(rows(&db, sql)), "{sql}");
+        }
+        let big = |v: u64| Value::Big(crate::BigBits::from_u64(v, 64));
+        assert_eq!(rows(&db, grouped), vec![vec![big(2), Value::Int(2)], vec![big(5), Value::Int(1)]]);
+        let got = rows(&db, joined);
+        assert_eq!(got.iter().map(|r| r[0].clone()).collect::<Vec<_>>(), ints(&[20, 20, 21, 21]));
+        // `INTEGER << n` past `i64` is an error, not a HUGEINT key.
+        let shifted = "SELECT a << 70 AS g, COUNT(*) AS n FROM l GROUP BY a << 70";
+        let overflow = crate::Error::Eval("integer overflow in <<".into());
+        assert_eq!(db.query_reference(shifted).unwrap_err(), overflow);
+        assert_eq!(db.execute(shifted).unwrap_err(), overflow);
     }
 
     #[test]

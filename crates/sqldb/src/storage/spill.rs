@@ -609,7 +609,7 @@ mod tests {
         let mut w = SpillWriter::create(&dir, 3).unwrap();
         let blocks = sample_blocks();
         // Partition 0 takes the blocks, partition 2 rows and blocks mixed
-        // (what a table demoted between two flushes leaves), 1 nothing.
+        // (the codec keeps both kinds in order), 1 nothing.
         for (i, b) in blocks.iter().enumerate() {
             w.write_batch(0, b).unwrap();
             w.write_row(2, &vec![Value::Int(i as i64), Value::Float(-0.0)]).unwrap();

@@ -4,7 +4,9 @@
 //! UTF-8 text, and [`BigBits`] arbitrary-width unsigned integers (exposed to
 //! SQL as `HUGEINT`, produced by hex literals and oversized decimal
 //! literals). Numeric operators promote `Int → Float` and `Int → Big` as
-//! needed; a comparison is always true or false.
+//! needed; a comparison is always true or false. A result's type follows
+//! from its operands' types, never from their values: an `INTEGER` result
+//! that leaves `i64` is an error, `<<`'s included.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -153,17 +155,7 @@ impl Value {
     pub fn shl(&self, rhs: &Value) -> Result<Value> {
         let n = shift_amount(rhs)?;
         match self {
-            Value::Int(i) => {
-                if n < 64 {
-                    // Widen into HUGEINT if the shift would overflow i64.
-                    let shifted = (*i as i128) << n;
-                    if let Ok(v) = i64::try_from(shifted) {
-                        return Ok(Value::Int(v));
-                    }
-                }
-                let big = self.as_big(64)?;
-                Ok(Value::Big(big.shl(n)))
-            }
+            Value::Int(i) => shl_i64(*i, n).map(Value::Int),
             Value::Big(b) => Ok(Value::Big(b.shl(n))),
             other => Err(Error::Type(format!("cannot shift {}", other.data_type()))),
         }
@@ -267,6 +259,12 @@ fn big_to_f64(b: &BigBits) -> f64 {
 
 fn cmp_f64_total(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).unwrap_or(Ordering::Equal)
+}
+
+/// `a << n` on `INTEGER`: an error where the result leaves `i64`, as `+`,
+/// `-` and `*` are. Shared by [`Value::shl`] and the batch kernel.
+pub(crate) fn shl_i64(a: i64, n: usize) -> Result<i64> {
+    i64::try_from((a as i128) << n.min(64)).map_err(|_| Error::Eval("integer overflow in <<".into()))
 }
 
 fn shift_amount(v: &Value) -> Result<usize> {
@@ -395,13 +393,19 @@ mod tests {
         assert_eq!(masked.bit_or(&Value::Int(0)).unwrap(), Value::Int(0));
     }
 
+    /// `INTEGER << n` is an `INTEGER` or an error, whatever the values: no
+    /// row widens into `HUGEINT`. A `HUGEINT` operand shifts past 64 bits.
     #[test]
-    fn shl_widens_to_hugeint() {
-        let v = Value::Int(1).shl(&Value::Int(80)).unwrap();
-        match v {
-            Value::Big(b) => assert!(b.bit(80)),
-            other => panic!("expected Big, got {other:?}"),
+    fn shl_overflow_is_an_error() {
+        let overflow = Err(Error::Eval("integer overflow in <<".into()));
+        for (a, n) in [(1, 63), (1, 64), (1, 80), (3, 62), (i64::MIN, 1), (-2, 63), (i64::MAX, 1)] {
+            assert_eq!(Value::Int(a).shl(&Value::Int(n)), overflow, "{a} << {n}");
         }
+        for (a, n, want) in [(1, 62, 1 << 62), (-1, 63, i64::MIN), (0, 200, 0), (-3, 2, -12)] {
+            assert!(matches!(Value::Int(a).shl(&Value::Int(n)), Ok(Value::Int(v)) if v == want));
+        }
+        let big = Value::Big(BigBits::from_u64(1, 64)).shl(&Value::Int(80)).unwrap();
+        assert!(matches!(big, Value::Big(b) if b.bit(80) && b.width() == 144));
     }
 
     #[test]

@@ -4,27 +4,29 @@
 //! [`crate::exec::vector`] hand whole batches to [`BoundExpr::eval_batch`],
 //! which runs typed kernels over the `Int`/`Float` lanes — including the
 //! bitwise mask arithmetic (`&`, `|`, `~`, `<<`, `>>`) that dominates
-//! Qymera's gate joins — and falls back to the scalar value operators row by
-//! row for anything the kernels don't cover (`SUBSTR`/`CONCAT`, the
-//! `HUGEINT` and `TEXT` lanes), collecting the results into the lane of
-//! their type.
+//! Qymera's gate joins — and over the `HUGEINT` lane for the bitwise
+//! operators the translator emits past 63 qubits, and falls back to the
+//! scalar value operators row by row for anything the kernels don't cover
+//! (`SUBSTR`/`CONCAT`, comparisons and arithmetic on `HUGEINT`, the `TEXT`
+//! lane), collecting the results into the lane of their type.
 //!
 //! Semantics contract: for every expression and input, `eval_batch` produces
 //! exactly the values the row-at-a-time `eval` would produce, each of its
 //! type, and errors whenever `eval` would error on some row (the *specific*
 //! error surfaced may differ when several rows fail, since kernels evaluate
-//! operands column-wise rather than row-wise). One operator makes values of
-//! two types from one lane: `INTEGER << n` widens the rows that overflow
-//! `i64` into `HUGEINT`. A batch where it widens some rows and not others
-//! is evaluated again row by row, and where the expression's own values
-//! then change type, `Error::Cut` names the row, so the operator cuts the
-//! batch there ([`crate::exec::batch::Rows::split_at`]).
+//! operands column-wise rather than row-wise). A value's type follows from
+//! its operands' types, never from their values (`INTEGER << n` past `i64`
+//! is an error, as `+` is), so one expression's values over one batch share
+//! a type and fill one lane.
+
+use std::borrow::Cow;
 
 use crate::ast::{BinaryOp, UnaryOp};
+use crate::bigbits::BigBits;
 use crate::error::{Error, Result};
 use crate::exec::batch::{Column, ColumnRef, RowBatch};
 use crate::expr::{apply_binary, BoundExpr};
-use crate::value::Value;
+use crate::value::{shl_i64, Value};
 
 /// A binary operand: either a shared column handle or a scalar literal kept
 /// unsplatted so `col ⊕ constant` kernels avoid materializing the constant
@@ -36,6 +38,7 @@ enum Operand {
 }
 
 /// A borrowed, kernel-dispatchable view of an [`Operand`].
+#[derive(Clone, Copy)]
 enum View<'a> {
     /// `INTEGER` column slice.
     ICol(&'a [i64]),
@@ -45,7 +48,11 @@ enum View<'a> {
     IConst(i64),
     /// `DOUBLE` literal.
     FConst(f64),
-    /// Anything the typed kernels don't cover (`HUGEINT`, `TEXT`).
+    /// `HUGEINT` column slice.
+    BCol(&'a [BigBits]),
+    /// `HUGEINT` literal.
+    BConst(&'a BigBits),
+    /// Anything the typed kernels don't cover (`TEXT`).
     Other,
 }
 
@@ -55,11 +62,13 @@ impl Operand {
             Operand::Col(c) => match &**c {
                 Column::Int(v) => View::ICol(v),
                 Column::Float(v) => View::FCol(v),
-                Column::Big(_) | Column::Text(_) => View::Other,
+                Column::Big(v) => View::BCol(v),
+                Column::Text(_) => View::Other,
             },
             Operand::Const(Value::Int(i)) => View::IConst(*i),
             Operand::Const(Value::Float(f)) => View::FConst(*f),
-            Operand::Const(_) => View::Other,
+            Operand::Const(Value::Big(b)) => View::BConst(b),
+            Operand::Const(Value::Str(_)) => View::Other,
         }
     }
 }
@@ -71,17 +80,6 @@ impl BoundExpr {
     /// column (refcount bump), so expressions like `SELECT s FROM t` forward
     /// base-table chunks untouched.
     pub fn eval_batch(&self, batch: &RowBatch) -> Result<ColumnRef> {
-        match self.eval_lanes(batch) {
-            Err(Error::Cut(_)) => {
-                collect((0..batch.num_rows()).map(|i| self.eval(&batch.row(i)))).map(ColumnRef::new)
-            }
-            lanes => lanes,
-        }
-    }
-
-    /// [`BoundExpr::eval_batch`] through the lanes; `Error::Cut` when some
-    /// node's values change type part-way through the batch.
-    fn eval_lanes(&self, batch: &RowBatch) -> Result<ColumnRef> {
         let n = batch.num_rows();
         match self {
             BoundExpr::Literal(v) => Ok(ColumnRef::new(Column::splat(v, n))),
@@ -92,13 +90,13 @@ impl BoundExpr {
                 eval_binary_kernel(&l, *op, &r, n).map(ColumnRef::new)
             }
             BoundExpr::Unary { op, expr } => {
-                let col = expr.eval_lanes(batch)?;
+                let col = expr.eval_batch(batch)?;
                 eval_unary_kernel(*op, &col).map(ColumnRef::new)
             }
             // SUBSTR and CONCAT (the encoding experiment's): the scalar
             // path, once per materialized row.
             BoundExpr::ScalarFn { .. } => {
-                collect((0..n).map(|i| self.eval(&batch.row(i)))).map(ColumnRef::new)
+                Column::from_values((0..n).map(|i| self.eval(&batch.row(i)))).map(ColumnRef::new)
             }
         }
     }
@@ -108,29 +106,15 @@ impl BoundExpr {
 fn eval_operand(expr: &BoundExpr, batch: &RowBatch) -> Result<Operand> {
     match expr {
         BoundExpr::Literal(v) => Ok(Operand::Const(v.clone())),
-        other => Ok(Operand::Col(other.eval_lanes(batch)?)),
+        other => Ok(Operand::Col(other.eval_batch(batch)?)),
     }
-}
-
-/// Collect an expression's values into the lane of the first one's type;
-/// a value of another type is `Error::Cut` at its row.
-fn collect(values: impl Iterator<Item = Result<Value>>) -> Result<Column> {
-    let mut col = Column::default();
-    for (i, v) in values.enumerate() {
-        let v = v?;
-        if i > 0 && v.data_type() != col.data_type() {
-            return Err(Error::Cut(i));
-        }
-        col.push(v)?;
-    }
-    Ok(col)
 }
 
 /// Dispatch a binary operator over typed operand shapes. Operands are
 /// borrowed: kernels read column slices in place, whether the column is a
 /// freshly computed intermediate or a shared base-table chunk.
 fn eval_binary_kernel(l: &Operand, op: BinaryOp, r: &Operand, n: usize) -> Result<Column> {
-    use View::{FCol, FConst, ICol, IConst};
+    use View::{BCol, BConst, FCol, FConst, ICol, IConst};
     match (l.view(), r.view()) {
         // ---- integer fast lanes ------------------------------------------
         (ICol(a), ICol(b)) => int_kernel(op, a.len(), |i| (a[i], b[i])),
@@ -160,8 +144,23 @@ fn eval_binary_kernel(l: &Operand, op: BinaryOp, r: &Operand, n: usize) -> Resul
             float_kernel(op, b.len(), |i| (a as f64, b[i]))
         }
 
+        // ---- HUGEINT bitwise lanes -----------------------------------------
+        (a @ (BCol(_) | BConst(_)), b @ (ICol(_) | IConst(_)))
+            if matches!(op, BinaryOp::Shl | BinaryOp::Shr) =>
+        {
+            big_kernel(a, op, b, n)
+        }
+        (a @ (BCol(_) | BConst(_)), b @ (ICol(_) | IConst(_) | BCol(_) | BConst(_)))
+        | (a @ (ICol(_) | IConst(_)), b @ (BCol(_) | BConst(_)))
+            if matches!(op, BinaryOp::BitAnd | BinaryOp::BitOr | BinaryOp::BitXor) =>
+        {
+            big_kernel(a, op, b, n)
+        }
+
         // ---- everything else: per-row Value semantics ---------------------
-        _ => collect((0..n).map(|i| apply_binary(&operand_value(l, i), op, &operand_value(r, i)))),
+        _ => Column::from_values(
+            (0..n).map(|i| apply_binary(&operand_value(l, i), op, &operand_value(r, i))),
+        ),
     }
 }
 
@@ -182,9 +181,59 @@ fn is_numeric_op(op: BinaryOp) -> bool {
     )
 }
 
+/// `HUGEINT` kernel: `&`, `|` and `^` with a `HUGEINT` operand and an
+/// `INTEGER` or `HUGEINT` other one, and `<<`/`>>` of a `HUGEINT` by an
+/// `INTEGER`, reading the `BigBits` in place instead of boxing each row as
+/// a [`Value`]. Values, widths and errors are [`Value`]'s: an `INTEGER`
+/// operand of `&`/`|`/`^` is a 64-bit `HUGEINT` and must not be negative,
+/// and neither may a shift amount.
+fn big_kernel(l: View, op: BinaryOp, r: View, n: usize) -> Result<Column> {
+    let mut out = Vec::with_capacity(n);
+    for i in 0..n {
+        out.push(match (op, bits_at(l, i), bits_at(r, i)) {
+            (BinaryOp::Shl | BinaryOp::Shr, _, Bits::Int(k)) if k < 0 => {
+                return Err(Error::Eval("negative shift amount".into()))
+            }
+            (BinaryOp::Shl, Bits::Big(a), Bits::Int(k)) => a.shl(k as usize),
+            (BinaryOp::Shr, Bits::Big(a), Bits::Int(k)) => a.shr(k as usize),
+            (BinaryOp::BitAnd, a, b) => wide(a)?.and(&*wide(b)?),
+            (BinaryOp::BitOr, a, b) => wide(a)?.or(&*wide(b)?),
+            (BinaryOp::BitXor, a, b) => wide(a)?.xor(&*wide(b)?),
+            _ => unreachable!("only HUGEINT bitwise operators reach the kernel"),
+        });
+    }
+    Ok(Column::Big(out))
+}
+
+/// Row `i` of a `HUGEINT` or `INTEGER` operand.
+enum Bits<'a> {
+    Big(&'a BigBits),
+    Int(i64),
+}
+
+/// A bitwise operand as a `HUGEINT`: an `INTEGER` is a 64-bit one, and
+/// must not be negative.
+fn wide(b: Bits<'_>) -> Result<Cow<'_, BigBits>> {
+    match b {
+        Bits::Big(x) => Ok(Cow::Borrowed(x)),
+        Bits::Int(i) if i >= 0 => Ok(Cow::Owned(BigBits::from_u64(i as u64, 64))),
+        Bits::Int(_) => Err(Error::Type("negative INTEGER in HUGEINT bitwise context".into())),
+    }
+}
+
+fn bits_at(v: View<'_>, i: usize) -> Bits<'_> {
+    match v {
+        View::BCol(b) => Bits::Big(&b[i]),
+        View::BConst(b) => Bits::Big(b),
+        View::ICol(a) => Bits::Int(a[i]),
+        View::IConst(a) => Bits::Int(a),
+        View::FCol(_) | View::FConst(_) | View::Other => unreachable!("HUGEINT or INTEGER"),
+    }
+}
+
 /// Integer kernel: both operands are `i64`. Mirrors the checked
 /// arithmetic of [`Value`]'s operators exactly, including overflow and
-/// division-by-zero errors and the `<<` widening into `HUGEINT`.
+/// division-by-zero errors.
 fn int_kernel(op: BinaryOp, n: usize, at: impl Fn(usize) -> (i64, i64)) -> Result<Column> {
     macro_rules! map_checked {
         ($f:expr) => {{
@@ -225,30 +274,12 @@ fn int_kernel(op: BinaryOp, n: usize, at: impl Fn(usize) -> (i64, i64)) -> Resul
             }
             Ok(if b >= 64 { 0 } else { ((a as u64) >> b) as i64 })
         }),
-        BinaryOp::Shl => {
-            // `<<` widens into HUGEINT on i64 overflow: rows that all stay
-            // INTEGER are the Int lane, a batch whose first row widens goes
-            // through Value::shl, and a row that widens after one that did
-            // not is a cut.
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                let (a, b) = at(i);
-                if b < 0 {
-                    return Err(Error::Eval("negative shift amount".into()));
-                }
-                match i64::try_from((a as i128) << b.min(64)) {
-                    Ok(v) if b < 64 => out.push(v),
-                    _ if i == 0 => {
-                        return collect((0..n).map(|j| {
-                            let (a, b) = at(j);
-                            Value::Int(a).shl(&Value::Int(b))
-                        }))
-                    }
-                    _ => return Err(Error::Cut(i)),
-                }
+        BinaryOp::Shl => map_checked!(|a: i64, b: i64| {
+            if b < 0 {
+                return Err(Error::Eval("negative shift amount".into()));
             }
-            Ok(Column::Int(out))
-        }
+            shl_i64(a, b as usize)
+        }),
         BinaryOp::Eq => map_infallible!(|a, b| (a == b) as i64),
         #[cfg(not(feature = "canary"))]
         BinaryOp::Gt => map_infallible!(|a, b| (a > b) as i64),
@@ -315,7 +346,8 @@ fn eval_unary_kernel(op: UnaryOp, col: &Column) -> Result<Column> {
         }
         (UnaryOp::Neg, Column::Float(v)) => Ok(Column::Float(v.iter().map(|f| -f).collect())),
         (UnaryOp::BitNot, Column::Int(v)) => Ok(Column::Int(v.iter().map(|i| !i).collect())),
-        (op, col) => collect((0..col.len()).map(|i| {
+        (UnaryOp::BitNot, Column::Big(v)) => Ok(Column::Big(v.iter().map(BigBits::not).collect())),
+        (op, col) => Column::from_values((0..col.len()).map(|i| {
             let v = col.value_at(i);
             match op {
                 UnaryOp::Neg => v.neg(),
@@ -364,7 +396,8 @@ mod tests {
         match (batched, rowwise) {
             (Ok(col), Ok(vals)) => {
                 for (i, v) in vals.iter().enumerate() {
-                    // Compare representations exactly: Int must stay Int.
+                    // Compare representations exactly: Int must stay Int,
+                    // and a HUGEINT keeps its width.
                     assert_eq!(
                         format!("{:?}", col.value_at(i)),
                         format!("{v:?}"),
@@ -372,7 +405,7 @@ mod tests {
                     );
                 }
             }
-            (Err(_), Err(_)) => {}
+            (Err(b), Err(r)) => assert_eq!(b, r, "{sql}"),
             (b, r) => panic!("{sql}: batch {b:?} vs rows {r:?}"),
         }
     }
@@ -415,51 +448,51 @@ mod tests {
         check("-r");
     }
 
+    /// The `HUGEINT` kernel: every bitwise operator over `HUGEINT` columns
+    /// of several widths, next to an `INTEGER` column, a literal of each
+    /// type, a negative `INTEGER` (a type error), a shift amount read from a
+    /// column and a negative one.
     #[test]
-    fn shl_widens_into_hugeint_like_row_path() {
-        // 1 << 62 fits; 1 << 63 overflows i64 and widens to HUGEINT.
-        let expr = crate::expr::bind(&parse_expr("s << 62").unwrap(), &schema()).unwrap();
-        let batch = RowBatch::from_rows(&[vec![
-            Value::Int(1),
-            Value::Float(0.0),
-            Value::Float(0.0),
-            Value::Str(String::new()),
-            Value::Int(0),
-        ]])
-        .unwrap();
-        assert!(matches!(&*expr.eval_batch(&batch).unwrap(), Column::Int(_)));
-        let expr = crate::expr::bind(&parse_expr("s << 63").unwrap(), &schema()).unwrap();
-        let col = expr.eval_batch(&batch).unwrap();
-        assert!(matches!(&*col, Column::Big(_)));
+    fn hugeint_bitwise_kernel_matches_row_path() {
+        for sql in [
+            "h ^ h",
+            "h & (s & 7)",
+            "(s & 7) | h",
+            "h ^ 5",
+            "5 ^ h",
+            "h & 0x100000000000000000",
+            "0x100000000000000001 | (s & 3)",
+            "h ^ s",
+            "s | h",
+            "h << (s & 7)",
+            "h >> (s & 3)",
+            "h << 3",
+            "h >> 66",
+            "h << s",
+            "((h ^ (s & 1)) << 2) >> 1",
+        ] {
+            check(sql);
+        }
     }
 
-    /// Rows whose `<<` stays `INTEGER` next to rows that widen: the batch
-    /// is cut at the first row of the other type, unless the expression's
-    /// own values come out of one type (a widened operand of `^` with a
-    /// `HUGEINT`), which the row path then answers.
+    /// `INTEGER << n` is an `INTEGER` or the overflow error, as `+` is: no
+    /// row widens into `HUGEINT`, so a batch never holds two types.
     #[test]
-    fn a_shift_that_widens_some_rows_cuts_the_batch() {
-        let row = |s: i64, h: u64| {
-            let h = Value::Big(crate::bigbits::BigBits::from_u64(h, 70));
+    fn shl_overflow_is_an_error_like_row_path() {
+        let bind = |sql: &str| crate::expr::bind(&parse_expr(sql).unwrap(), &schema()).unwrap();
+        let row = |s: i64| {
+            let h = Value::Big(crate::bigbits::BigBits::from_u64(1, 70));
             vec![Value::Int(s), Value::Float(0.0), Value::Float(0.0), Value::Str(String::new()), h]
         };
-        let rows = [row(-1, 1), row(1, 2), row(4, 3), row(0, 4)];
-        let batch = RowBatch::from_rows(&rows).unwrap();
-        let bind = |sql: &str| crate::expr::bind(&parse_expr(sql).unwrap(), &schema()).unwrap();
-        // -1 << 62 and 1 << 62 fit, 4 << 62 does not: a cut at row 2.
-        assert_eq!(bind("s << 62").eval_batch(&batch).unwrap_err(), Error::Cut(2));
-        assert_eq!(bind("(s << 62) >> 62").eval_batch(&batch).unwrap_err(), Error::Cut(2));
-        // A widened first row and an INTEGER after it: a cut at row 1.
-        let tail = RowBatch::from_rows(&rows[2..]).unwrap();
-        assert_eq!(bind("s << 62").eval_batch(&tail).unwrap_err(), Error::Cut(1));
-        // One type out: every row through the row path.
-        let rows = &rows[1..];
-        let batch = RowBatch::from_rows(rows).unwrap();
-        let e = bind("h ^ (s << 62)");
-        let col = e.eval_batch(&batch).unwrap();
-        assert!(matches!(&*col, Column::Big(_)));
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(format!("{:?}", col.value_at(i)), format!("{:?}", e.eval(r).unwrap()));
+        let fits = [row(-1), row(1), row(0)];
+        let batch = RowBatch::from_rows(&fits).unwrap();
+        assert_eq!(*bind("s << 62").eval_batch(&batch).unwrap(), Column::Int(vec![-1 << 62, 1 << 62, 0]));
+        let overflow = Error::Eval("integer overflow in <<".into());
+        for sql in ["s << 63", "h ^ (s << 63)", "(s << 64) >> 64"] {
+            let batch = RowBatch::from_rows(&[row(0), row(4), row(1)]).unwrap();
+            assert_eq!(bind(sql).eval_batch(&batch).unwrap_err(), overflow, "{sql}");
+            assert_eq!(bind(sql).eval(&row(4)).unwrap_err(), overflow, "{sql}");
+            check(sql);
         }
     }
 

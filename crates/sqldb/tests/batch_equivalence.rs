@@ -485,117 +485,72 @@ fn sum_of_negative_zeros_is_positive_zero_on_every_path() {
     }
 }
 
-/// One operator, both spill formats. The fast table flushes blocks while the
-/// `INTEGER` lanes last; the first batch with a `HUGEINT` key demotes it,
-/// and what the generic table flushes afterwards is partial rows — into the
-/// same partitions, which only works because both writers agree on a key's
-/// partition.
+/// A spilling aggregate over `HUGEINT` keys: the generic table flushes
+/// partial rows and merges them back, and every key keeps its type and
+/// width, as the reference's. `a.k` holds 9 000 keys below 2^14 (64 bits
+/// wide) and 500 shifted past 64 bits.
 #[test]
-fn mixed_format_spill_agrees_with_the_reference() {
-    let ints = |n: i64| -> Vec<Vec<Value>> {
-        (0..n).map(|i| vec![Value::Int((i * 7919) % 9000), Value::Float((i % 64) as f64 / 8.0)]).collect()
-    };
-    let wide = "SELECT (k << up) >> down AS g, SUM(v) AS t, SUM(v * 2) AS u \
-                FROM a GROUP BY (k << up) >> down";
+fn hugeint_spill_agrees_with_the_reference() {
+    let big = |k: u64, up: usize| Value::Big(BigBits::from_u64(k, 64).shl(up));
     let mut db = Database::with_memory_limit(2 * 1024 * 1024);
-    // `a`: 27 000 rows over 9 000 integer keys; then 6 000 rows whose key is
-    // the same integer as a HUGEINT (shifted up and back down 70 bits), which
-    // must land in the integer key's group; then 500 keys left 70 bits up,
-    // past 64 bits, of which only `0 << 70` equals an integer key.
-    db.execute("CREATE TABLE a (k INTEGER, v DOUBLE, up INTEGER, down INTEGER)").unwrap();
-    for (n, up, down) in [(27_000, 0, 0), (6000, 70, 70), (500, 70, 0)] {
-        let rows = ints(n).into_iter().map(|mut r| {
-            r.extend([Value::Int(up), Value::Int(down)]);
-            r
-        });
-        db.insert_rows("a", rows.collect()).unwrap();
-    }
-    let sql = wide;
+    db.execute("CREATE TABLE a (k HUGEINT, v DOUBLE)").unwrap();
+    let row = |i: u64, up| vec![big((i * 7919) % 9000, up), Value::Float((i % 64) as f64 / 8.0)];
+    db.insert_rows("a", (0..27_000).map(|i| row(i, 0)).collect()).unwrap();
+    db.insert_rows("a", (0..500).map(|i| row(i, 70)).collect()).unwrap();
+    let sql = "SELECT k AS g, SUM(v) AS t, SUM(v * 2) AS u FROM a GROUP BY k";
     let before = db.stats().spill_files;
     let got = db.execute(sql).unwrap_or_else(|e| panic!("{e}\n{sql}"));
     assert!(db.stats().spill_files > before, "no spill\n{sql}");
     assert_eq!(db.live_spill_files(), 0);
-    assert!(got.rows().iter().any(|r| matches!(r[0], Value::Big(_))), "{sql}");
-    // An equal INTEGER and HUGEINT key are one group.
+    // `0 << 70` is the key 0 again.
     assert_eq!(got.rows().len(), 9000 + 499, "{sql}");
-    // Each key keeps its type: the drain cuts its batches where it changes.
     let want = db.query_reference(sql).unwrap();
     assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{sql}");
 }
 
-/// `INTEGER << n` widens only the rows that overflow `i64`, so one
-/// expression's values can be `INTEGER` and `HUGEINT` in one batch. A column
-/// holds one type, so the executor cuts the batch where the type changes,
-/// and every operator answers what the reference answers, type for type —
-/// rows, group keys, sums, sort output and join keys. A join whose build
-/// side holds both types in one column is the one refusal.
+/// A value's type follows from its operands' types, never from their
+/// values: `INTEGER << n` past `i64` is the overflow error, as `+` is, and
+/// `SUM` of a `HUGEINT` is a type error, a lone term's too — on the executor
+/// and the reference alike, through every operator that evaluates an
+/// expression: project, aggregate key and argument, `HAVING`, sort key, and
+/// a join's probe and build keys.
 #[test]
-fn widening_shifts_keep_each_values_type() {
+fn overflowing_shifts_and_hugeint_sums_are_errors_on_both_paths() {
     let mut db = Database::new();
     db.execute("CREATE TABLE w (k INTEGER, v DOUBLE)").unwrap();
     // Keys whose `<< 60` stays INTEGER (-1, 0..7, negative or small) next
-    // to keys that widen (16 and up), interleaved across batch boundaries.
+    // to keys that overflow (16 and up), interleaved across batch boundaries.
     let keys = |i: i64| [-1, 16, 3, 40, 0, 7, 1 << 20][(i % 7) as usize] + (i % 3) * 8;
     let rows = (0..5000).map(|i| vec![Value::Int(keys(i)), Value::Float(i as f64 / 4.0)]);
     db.insert_rows("w", rows.collect()).unwrap();
     db.execute("CREATE TABLE j (m INTEGER, tag INTEGER)").unwrap();
     let keep = (0..3).map(|m| vec![Value::Int(m), Value::Int(10 * m)]);
     db.insert_rows("j", keep.collect()).unwrap();
-    // `few`: six rows a key, all in one batch, for sums that fit `i64`.
-    db.execute("CREATE TABLE few (k INTEGER)").unwrap();
-    let few = (0..30).map(|i| vec![Value::Int([-1, 0, 1, 8, 12][i % 5])]);
-    db.insert_rows("few", few.collect()).unwrap();
-    db.execute("CREATE TABLE one (k INTEGER)").unwrap();
-    db.insert_rows("one", vec![vec![Value::Int(16)]]).unwrap();
+    let overflow = Error::Eval("integer overflow in <<".into());
     for sql in [
         "SELECT k << 60 AS x, v FROM w",
-        "SELECT k, SUM(k << 60) AS t FROM few GROUP BY k",
-        "SELECT SUM(k << 60) AS t FROM one",
+        "SELECT k, SUM(k << 60) AS t FROM w GROUP BY k",
         "SELECT (k << 60) >> 60 AS g, SUM(v) AS t, COUNT(*) AS c FROM w GROUP BY (k << 60) >> 60",
         "SELECT k << 60 AS x, v FROM w ORDER BY x",
-        "WITH q AS (SELECT k << 60 AS x, v FROM w) SELECT x, SUM(v) AS t FROM q GROUP BY x HAVING x > 0",
+        "SELECT k, SUM(v) AS t FROM w GROUP BY k HAVING (k << 60) > 0",
         "SELECT w.v, j.tag FROM w JOIN j ON j.m = ((k << 60) >> 60) & 1",
+        "WITH q AS (SELECT k << 60 AS x, k FROM w) SELECT j.tag, q.x FROM j JOIN q ON q.k = j.m",
     ] {
-        let got = db.execute(sql).unwrap_or_else(|e| panic!("{e}\n{sql}"));
-        let want = db.query_reference(sql).unwrap();
-        assert!(!got.rows().is_empty(), "{sql}");
-        if sql.contains("ORDER BY") {
-            let show = |rows: &[Vec<Value>]| format!("{rows:?}");
-            assert_eq!(show(got.rows()), show(want.rows()), "{sql}");
-        } else {
-            assert_eq!(sorted_rows(got.rows()), sorted_rows(want.rows()), "{sql}");
-        }
+        assert_eq!(db.execute(sql).unwrap_err(), overflow, "{sql}");
+        assert_eq!(db.query_reference(sql).unwrap_err(), overflow, "{sql}");
     }
-    let mut types = |sql: &str, c: usize| {
-        let got = db.execute(sql).unwrap();
-        let mut t: Vec<String> = got.rows().iter().map(|r| r[c].data_type().to_string()).collect();
-        t.sort();
-        t.dedup();
-        t
-    };
-    assert_eq!(types("SELECT k << 60 AS x, v FROM w", 0), ["HUGEINT", "INTEGER"]);
-    assert_eq!(types("SELECT k << 60 AS x, v FROM w ORDER BY x", 0), ["HUGEINT", "INTEGER"]);
-    // A group's sum is what its terms make of it: an INTEGER for a key that
-    // stays, a DOUBLE once two HUGEINT terms add, and a lone HUGEINT term
-    // sums to itself.
-    assert_eq!(types("SELECT k, SUM(k << 60) AS t FROM few GROUP BY k", 1), ["DOUBLE", "INTEGER"]);
-    assert_eq!(types("SELECT SUM(k << 60) AS t FROM one", 0), ["HUGEINT"]);
-    // A spilling sort merges runs of both types and cuts its output the same.
-    let mut small = Database::with_memory_limit(160 * 1024);
-    small.execute("CREATE TABLE w (k INTEGER, v DOUBLE)").unwrap();
-    let rows = (0..5000).map(|i| vec![Value::Int(keys(i)), Value::Float(i as f64 / 4.0)]);
-    small.insert_rows("w", rows.collect()).unwrap();
-    let sql = "SELECT k << 60 AS x, v FROM w ORDER BY x";
-    let got = small.execute(sql).unwrap();
-    assert!(small.stats().spill_files > 0, "no spill");
-    assert_eq!(format!("{:?}", got.rows()), format!("{:?}", small.query_reference(sql).unwrap().rows()));
-    // A join's build side holding INTEGER and HUGEINT values in one column
-    // is refused; the reference pairs them.
-    let build = "WITH q AS (SELECT k << 60 AS x, k FROM w) SELECT j.tag, q.x FROM j JOIN q ON q.k = j.m";
-    assert!(db.query_reference(build).is_ok());
-    match db.execute(build) {
-        Err(Error::Type(m)) => assert!(m.contains("HUGEINT") && m.contains("INTEGER"), "{m}"),
-        other => panic!("{other:?}"),
+    // A shift that stays inside `i64` is an INTEGER on both paths.
+    let fits = "SELECT (k & 7) << 60 AS x, v FROM w ORDER BY x";
+    let got = db.execute(fits).unwrap();
+    assert!(got.rows().iter().all(|r| matches!(r[0], Value::Int(_))));
+    assert_eq!(format!("{:?}", got.rows()), format!("{:?}", db.query_reference(fits).unwrap().rows()));
+    db.execute("CREATE TABLE h (k INTEGER, h HUGEINT)").unwrap();
+    db.execute("INSERT INTO h VALUES (1, 0x0000000000000002), (1, 0x0000000000000003), (2, 0x0000000000000005)")
+        .unwrap();
+    let refused = Error::Type("SUM of a HUGEINT value".into());
+    for sql in ["SELECT SUM(h) AS t FROM h", "SELECT k, SUM(h) AS t FROM h GROUP BY k"] {
+        assert_eq!(db.execute(sql).unwrap_err(), refused, "{sql}");
+        assert_eq!(db.query_reference(sql).unwrap_err(), refused, "{sql}");
     }
 }
 
@@ -678,7 +633,9 @@ fn keyed_gate_db(key_type: &str, keys: Vec<Value>, gate: &[(i64, i64)]) -> Datab
     let mut db = Database::new();
     db.execute(&format!("CREATE TABLE state (s {key_type}, r DOUBLE, i DOUBLE)")).unwrap();
     db.insert_rows("state", state.collect()).unwrap();
-    db.execute("CREATE TABLE g (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)").unwrap();
+    // The gate table's indices have the state's type, as the translator's.
+    db.execute(&format!("CREATE TABLE g (in_s {key_type}, out_s {key_type}, r DOUBLE, i DOUBLE)"))
+        .unwrap();
     db.insert_rows("g", gate.collect()).unwrap();
     db
 }
@@ -739,7 +696,7 @@ fn gate_queries_agree_with_the_reference() {
         contiguous_on,
         " HAVING SUM((state.r * g.r) - (state.i * g.i)) > 0.5",
     );
-    let huge_key = "((state.s ^ (g.in_s << 70)) ^ (g.out_s << 70))";
+    let huge_key = "(state.s ^ ((g.in_s ^ g.out_s) << 70))";
     let huge = |sql: String| GateCase {
         what: "a HUGEINT register",
         key_type: "HUGEINT",
@@ -817,11 +774,9 @@ fn a_permutation_join_charges_and_spills_nothing() {
     }
 }
 
-/// `ORDER BY` an `INTEGER` key takes the radix path; a `DOUBLE` key, or
-/// a key whose last chunk `<<` widened into `HUGEINT`, takes the
-/// comparator, and the node is labelled radix only when every run was. On
-/// every key
-/// distribution — duplicates, negatives, `i64::MIN`/`MAX`, keys sharing
+/// `ORDER BY` an `INTEGER` key takes the radix path; a `DOUBLE` or a
+/// `HUGEINT` key takes the comparator, and the node is labelled radix only
+/// when it took the radix path. On every key distribution — duplicates, negatives, `i64::MIN`/`MAX`, keys sharing
 /// their high bytes (the skipped digits), digits whose only varying bit is
 /// their top one, a single row —
 /// in memory and spilled into several runs, all of them must equal the
@@ -872,17 +827,12 @@ fn radix_sort_agrees_with_the_comparator_and_the_reference() {
             assert_eq!(exact(db.execute(float).unwrap().rows()), exact(want_float.rows()), "{case}");
             let profile = db.explain_analyze(float).unwrap();
             assert!(profile.contains("BatchSort [1 keys] "), "{case}\n{profile}");
-            // `p << 40` fits `i64` until a last row whose `p` is 2^30: its
-            // chunk's key widens into HUGEINT and that run takes the
-            // comparator (the earlier spilled runs still radix-sort), so
-            // the node is not labelled radix.
-            let widened = "SELECT k, p FROM t ORDER BY (p << 40)";
-            assert!(db.explain_analyze(widened).unwrap().contains("BatchSort [1 keys, radix]"), "{case}");
-            db.execute(&format!("INSERT INTO t VALUES (0, 0.0, {})", 1i64 << 30)).unwrap();
-            let want = db.query_reference(widened).unwrap();
-            assert!(matches!(want.rows().last().unwrap()[1], Value::Int(p) if p == 1 << 30), "{case}");
-            assert_eq!(exact(db.execute(widened).unwrap().rows()), exact(want.rows()), "{case}");
-            let profile = db.explain_analyze(widened).unwrap();
+            // A HUGEINT key (an INTEGER XOR a 65-bit literal) stays on the
+            // comparator too, ties and all: 16 keys, in descending `p & 15`.
+            let big = "SELECT k, p FROM t ORDER BY ((p & 15) ^ 0x1ffffffffffffffff)";
+            let want = db.query_reference(big).unwrap();
+            assert_eq!(exact(db.execute(big).unwrap().rows()), exact(want.rows()), "{case}");
+            let profile = db.explain_analyze(big).unwrap();
             assert!(profile.contains("BatchSort [1 keys] "), "{case}\n{profile}");
         }
     }

@@ -290,14 +290,16 @@ impl<'c> Open<'c> {
 /// Lower a circuit run on `T0` = |0…0⟩ — the start state of every caller:
 /// fusion reads the qubits it leaves known — to gate operations, fused
 /// under the rule above (`max_fused_qubits: None`: one op per gate). A
-/// register past 63 qubits (a `HUGEINT` index) joins every gate: the
-/// closed forms of [`crate::sqlgen`] are `INTEGER` arithmetic.
+/// register past 63 qubits (a `HUGEINT` index) joins every gate, whose
+/// table holds `HUGEINT` indices: the closed forms of [`crate::sqlgen`] are
+/// `INTEGER` arithmetic.
 pub fn lower_circuit(
     circuit: &QuantumCircuit,
     reg: &mut GateTableRegistry,
     max_fused_qubits: Option<usize>,
 ) -> Vec<GateOp> {
-    if StateEncoding::for_qubits(circuit.num_qubits) == StateEncoding::Huge {
+    reg.encoding = StateEncoding::for_qubits(circuit.num_qubits);
+    if reg.encoding == StateEncoding::Huge {
         reg.join_every_gate = true;
     }
     let Some(max_qubits) = max_fused_qubits else {

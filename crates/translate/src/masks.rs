@@ -19,9 +19,10 @@ use std::fmt::{self, Display};
 use qymera_sqldb::BigBits;
 
 /// How basis-state integers are represented in SQL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StateEncoding {
     /// `INTEGER` (i64) — up to 63 qubits; the paper's setting.
+    #[default]
     Int,
     /// `HUGEINT` with hex literals — arbitrary widths (sparse experiment).
     Huge,
@@ -37,7 +38,8 @@ impl StateEncoding {
         }
     }
 
-    /// SQL column type name for the `s` column.
+    /// SQL column type name for the `s` column (and a gate table's `in_s`
+    /// and `out_s`).
     pub fn sql_type(&self) -> &'static str {
         match self {
             StateEncoding::Int => "INTEGER",
@@ -129,17 +131,17 @@ impl<'q> GateMasks<'q> {
     /// The *output-placement* expression for the gate table's `out_s`
     /// (e.g. `H.out_s`, `(CX.out_s << 1)`).
     pub fn out_expr<'a>(&'a self, g: &'a str) -> impl Display + 'a {
-        self.place_expr(g, "out_s")
+        self.place_expr(fmt::from_fn(move |f| write!(f, "{g}.out_s")))
     }
 
-    /// Like [`Self::out_expr`] but placing an arbitrary gate-table column
-    /// (`in_s` or `out_s`) at this gate's qubit positions.
-    fn place_expr<'a>(&'a self, g: &'a str, col: &'a str) -> impl Display + 'a {
+    /// Like [`Self::out_expr`] but placing any local index `v` (a gate-table
+    /// column, or an expression over them) at this gate's qubit positions.
+    fn place_expr<'a>(&'a self, v: impl Display + 'a) -> impl Display + 'a {
         fmt::from_fn(move |f| {
             if self.contiguous_ascending() {
                 return match self.qubits[0] {
-                    0 => write!(f, "{g}.{col}"),
-                    q0 => write!(f, "({g}.{col} << {q0})"),
+                    0 => write!(f, "{v}"),
+                    q0 => write!(f, "({v} << {q0})"),
                 };
             }
             f.write_str("(")?;
@@ -151,8 +153,8 @@ impl<'q> GateMasks<'q> {
                     f.write_str("(")?;
                 }
                 match j {
-                    0 => write!(f, "({g}.{col} & 1)")?,
-                    _ => write!(f, "(({g}.{col} >> {j}) & 1)")?,
+                    0 => write!(f, "({v} & 1)")?,
+                    _ => write!(f, "(({v} >> {j}) & 1)")?,
                 }
                 if q != 0 {
                     write!(f, " << {q})")?;
@@ -165,21 +167,22 @@ impl<'q> GateMasks<'q> {
     /// The full new-state expression.
     ///
     /// * `INTEGER` encoding: `((T.s & ~mask) | out)` — Fig. 2c verbatim.
-    /// * `HUGEINT` encoding: `((T.s ^ placed(in_s)) ^ placed(out_s))` — the
-    ///   join guarantees `placed(in_s)` equals the touched bits of `s`, so
-    ///   XOR clears then re-inserts them *without* an n-bit complement-mask
-    ///   literal. This keeps generated SQL O(1) in the register width, which
-    ///   is what makes the paper's thousands-of-qubits sparse experiment
-    ///   practical to drive through SQL text.
+    /// * `HUGEINT` encoding: `(T.s ^ placed(in_s ^ out_s))` — the join
+    ///   guarantees `placed(in_s)` equals the touched bits of `s`, so XOR
+    ///   clears then re-inserts them *without* an n-bit complement-mask
+    ///   literal, and placement is linear over XOR, so it runs once. This
+    ///   keeps generated SQL O(1) in the register width, which is what makes
+    ///   the paper's thousands-of-qubits sparse experiment practical to drive
+    ///   through SQL text. `in_s` and `out_s` are `HUGEINT` columns there
+    ///   ([`crate::tables::GateTableRegistry::materialize`]), so every
+    ///   operand has the state's type.
     pub fn new_state_expr<'a>(&'a self, t: &'a str, g: &'a str) -> impl Display + 'a {
         fmt::from_fn(move |f| match self.encoding {
             StateEncoding::Int => write!(f, "({} | {})", self.clear_expr(t), self.out_expr(g)),
-            StateEncoding::Huge => write!(
-                f,
-                "(({t}.s ^ {}) ^ {})",
-                self.place_expr(g, "in_s"),
-                self.place_expr(g, "out_s")
-            ),
+            StateEncoding::Huge => {
+                let local = fmt::from_fn(move |f| write!(f, "({g}.in_s ^ {g}.out_s)"));
+                write!(f, "({t}.s ^ {})", self.place_expr(local))
+            }
         })
     }
 }
@@ -244,13 +247,19 @@ mod tests {
 
     #[test]
     fn huge_new_state_uses_xor_form() {
-        // Wide registers avoid O(n)-sized complement literals entirely.
+        // Wide registers avoid O(n)-sized complement literals entirely, and
+        // the placement runs once, over `in_s ^ out_s`.
         let m = GateMasks::new(&[70, 71], 100_000);
         let e = m.new_state_expr("T", "G").to_string();
-        assert_eq!(e, "((T.s ^ (G.in_s << 70)) ^ (G.out_s << 70))");
+        assert_eq!(e, "(T.s ^ ((G.in_s ^ G.out_s) << 70))");
         assert!(e.len() < 64, "expression must be O(1) in register width");
         let m0 = GateMasks::new(&[0], 100_000);
-        assert_eq!(m0.new_state_expr("T", "H").to_string(), "((T.s ^ H.in_s) ^ H.out_s)");
+        assert_eq!(m0.new_state_expr("T", "H").to_string(), "(T.s ^ (H.in_s ^ H.out_s))");
+        let split = GateMasks::new(&[69, 1], 70);
+        assert_eq!(
+            split.new_state_expr("T", "CX").to_string(),
+            "(T.s ^ ((((CX.in_s ^ CX.out_s) & 1) << 69) | ((((CX.in_s ^ CX.out_s) >> 1) & 1) << 1)))"
+        );
     }
 
     #[test]

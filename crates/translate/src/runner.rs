@@ -932,6 +932,37 @@ mod huge_register_tests {
         }
     }
 
+    /// Every gate table a circuit joins holds `in_s` and `out_s` in the
+    /// state's lane, in every chunk: `HUGEINT` past 63 qubits, so every
+    /// operand of the new-state XOR is a `HUGEINT`, and `INTEGER` at 63.
+    #[test]
+    fn gate_tables_hold_the_states_index_type() {
+        for (n, big) in [(70, true), (63, false)] {
+            let top = n - 1;
+            let c = CircuitBuilder::new(n).h(0).cx(0, top).x(top).swap(3, top - 1).h(top).build();
+            let sim = SqlSimulator::default();
+            let (reg, _) = sim.lower(&c, sim.config.fusion);
+            let mut db = sim.make_db().unwrap();
+            reg.materialize(&mut db).unwrap();
+            let mut joined = 0;
+            for (table, _) in reg.joined() {
+                joined += 1;
+                let chunks = db.query_batches(&format!("SELECT in_s, out_s FROM {table}")).unwrap();
+                assert!(!chunks.is_empty(), "{table}");
+                for chunk in &chunks {
+                    for col in chunk.columns() {
+                        let lane_ok = match big {
+                            true => matches!(**col, Column::Big(_)),
+                            false => matches!(**col, Column::Int(_)),
+                        };
+                        assert!(lane_ok, "{n} qubits, {table}: {col:?}");
+                    }
+                }
+            }
+            assert!(joined >= 2, "{n} qubits: {joined} tables joined");
+        }
+    }
+
     #[test]
     fn interference_cancels_in_huge_registers() {
         // H then Z then H on qubit 70 = X up to nothing measurable on |0⟩…

@@ -104,6 +104,9 @@ pub struct GateTableRegistry {
     param_counter: usize,
     /// Lower for [`SqlGenConfig::join_every_gate`]: every op joins.
     pub(crate) join_every_gate: bool,
+    /// The type of `in_s` and `out_s`: the state's `s` type, `HUGEINT` past
+    /// 63 qubits.
+    pub(crate) encoding: StateEncoding,
 }
 
 impl GateTableRegistry {
@@ -181,13 +184,14 @@ impl GateTableRegistry {
     }
 
     /// `CREATE TABLE` + bulk-load every [joined](Self::joined) gate table
-    /// into `db`. Pre-existing tables of the same name are replaced, so
+    /// into `db`, its `in_s`/`out_s` of the state's type. Pre-existing tables of the same name are replaced, so
     /// re-running a circuit against a persistent database stays idempotent.
     pub fn materialize(&self, db: &mut Database) -> SqlResult<()> {
+        let ty = self.encoding.sql_type();
         for (name, entries) in self.joined() {
             db.drop_table_if_exists(name)?;
             db.execute(&format!(
-                "CREATE TABLE {name} (in_s INTEGER, out_s INTEGER, r DOUBLE, i DOUBLE)"
+                "CREATE TABLE {name} (in_s {ty}, out_s {ty}, r DOUBLE, i DOUBLE)"
             ))?;
             let rows: Vec<Vec<Value>> = entries
                 .iter()
